@@ -392,7 +392,7 @@ type Stats struct {
 	RobustFallbacks int64
 	// PlanCacheHits/PlanCacheMisses are parse-level lookups in the shared
 	// statement cache (a hit skips the parser); PlanCachePlanHits counts
-	// cached plan reuse for param-free SELECTs; PlanCacheEntries is the
+	// cached plan reuse (SELECT, UPDATE, DELETE); PlanCacheEntries is the
 	// current cached-statement count (also SHOW plan_cache).
 	PlanCacheHits     int64
 	PlanCacheMisses   int64

@@ -72,6 +72,9 @@ type Cluster struct {
 
 	// truncTick counts completed transactions to pace mapping truncation.
 	truncTick atomic.Int64
+	// directReads counts direct-dispatchable SELECT dispatches (see
+	// gangSampleEvery).
+	directReads atomic.Uint64
 
 	// statsCache caches per-table row counts for the planner (plan.Stats),
 	// invalidated by writes; keyed by canonical table name. statsGen is the

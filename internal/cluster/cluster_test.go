@@ -8,6 +8,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/lockmgr"
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/types"
 )
 
@@ -55,8 +56,7 @@ func scanAll(t *testing.T, c *Cluster, tab *catalog.Table) []types.Row {
 	defer c.AbortTxn(lt)
 	scan := plan.NewScan(tab, []catalog.TableID{tab.ID}, nil)
 	root := &plan.Motion{Child: scan, Type: plan.MotionGather}
-	pl := &plan.Planned{Root: root, DirectSegment: -1}
-	plan.CutSlices(root)
+	pl := plan.NewPlanned(root)
 	rows, _, err := c.RunSelect(context.Background(), lt, c.Snapshot(), pl, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +200,7 @@ func scanAllTxn(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn) []typ
 	t.Helper()
 	scan := plan.NewScan(tab, []catalog.TableID{tab.ID}, nil)
 	root := &plan.Motion{Child: scan, Type: plan.MotionGather}
-	pl := &plan.Planned{Root: root, DirectSegment: -1}
-	plan.CutSlices(root)
+	pl := plan.NewPlanned(root)
 	rows, _, err := c.RunSelect(context.Background(), lt, c.Snapshot(), pl, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -279,4 +278,67 @@ func TestLockTableEverywhereConflictsWithDML(t *testing.T) {
 	}
 	c.AbortTxn(lt2)
 	c.AbortTxn(lt)
+}
+
+// planTemplate plans a parameterised statement against the cluster's catalog
+// at its current width, the way a session's plan cache would hold it.
+func planTemplate(t *testing.T, c *Cluster, q string, params ...types.Datum) *plan.Planned {
+	t.Helper()
+	st, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := (&plan.Planner{Catalog: c.Catalog(), NumSegments: c.SegCount(), Params: params}).Plan(st, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// TestDirectReadTouchesOneSegment: a read pinned to one segment involves
+// that segment alone — its transaction touched nothing else and commits
+// read-only there — except the one in gangSampleEvery that samples the gang;
+// with Config.DirectDispatch off every read is a gang read.
+func TestDirectReadTouchesOneSegment(t *testing.T) {
+	for _, direct := range []bool{true, false} {
+		cfg := GPDB6(4)
+		cfg.DirectDispatch = direct
+		c := testCluster(t, cfg)
+		tab := mkTable(t, c, "t")
+		var rows []types.Row
+		for i := int64(0); i < 100; i++ {
+			rows = append(rows, types.Row{types.NewInt(i), types.NewInt(i * 10)})
+		}
+		insertRows(t, c, tab, rows)
+		tmpl := planTemplate(t, c, "SELECT b FROM t WHERE a = $1", types.NewInt(0))
+		gang := 0
+		for k := int64(0); k < 2*gangSampleEvery; k++ {
+			pl, err := tmpl.Bind([]types.Datum{types.NewInt(k)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lt := c.BeginTxn()
+			got, _, err := c.RunSelect(context.Background(), lt, c.Snapshot(), pl, nil)
+			if err != nil || len(got) != 1 || got[0][0].Int() != k*10 {
+				t.Fatalf("key %d: %v %v", k, got, err)
+			}
+			var touched []int
+			for seg, on := range lt.touched {
+				if on {
+					touched = append(touched, seg)
+				}
+			}
+			c.AbortTxn(lt)
+			want := int(types.Row{types.NewInt(k)}.Hash([]int{0}) % 4)
+			switch {
+			case len(touched) == 4:
+				gang++
+			case len(touched) != 1 || touched[0] != want:
+				t.Fatalf("key %d touched segments %v, its rows live on %d", k, touched, want)
+			}
+		}
+		if want := map[bool]int{true: 2, false: 2 * gangSampleEvery}[direct]; gang != want {
+			t.Fatalf("direct dispatch %v: %d of %d reads ran on the gang, want %d", direct, gang, 2*gangSampleEvery, want)
+		}
+	}
 }

@@ -28,9 +28,10 @@ type Config struct {
 	// OnePhase enables the one-phase commit fast path (paper §5.2).
 	OnePhase bool
 
-	// DirectDispatch sends single-segment DML only to the owning segment;
-	// without it every statement is dispatched to the whole gang, each
-	// segment paying SegmentStmtCPU even if it touches no tuple.
+	// DirectDispatch sends a statement whose distribution key is pinned —
+	// DML and SELECT alike — only to the owning segment; without it every
+	// statement is dispatched to the whole gang, each segment paying
+	// SegmentStmtCPU even if it touches no tuple.
 	DirectDispatch bool
 
 	// NetDelay is the simulated one-way network latency per

@@ -162,9 +162,8 @@ func TestStaleDistMapVersionRejected(t *testing.T) {
 		{"select", func(c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
 			scan := plan.NewScan(tab, []catalog.TableID{tab.ID}, nil)
 			root := &plan.Motion{Child: scan, Type: plan.MotionGather}
-			pl := &plan.Planned{Root: root, DirectSegment: -1,
-				MapVersions: map[string]uint64{tab.Name: v}}
-			plan.CutSlices(root)
+			pl := plan.NewPlanned(root)
+			pl.MapVersions = map[string]uint64{tab.Name: v}
 			_, _, err := c.RunSelect(ctx, lt, c.Snapshot(), pl, nil)
 			return err
 		}},
@@ -310,4 +309,54 @@ func TestExpandStatusLifecycle(t *testing.T) {
 		t.Fatal("EXPAND TO current width must be rejected")
 	}
 	_ = fmt.Sprintf("%v", p)
+}
+
+// TestExpandStaleTemplateFenced: a plan template built before an online
+// expansion and instantiated after it routes by the old width, so dispatch
+// must refuse it with the retryable stale-map error — for a direct read, an
+// UPDATE and a DELETE alike — and a template planned at the new width must
+// find every key where it now lives.
+func TestExpandStaleTemplateFenced(t *testing.T) {
+	c := testCluster(t, GPDB6(2))
+	tab := mkTable(t, c, "t")
+	var rows []types.Row
+	for i := int64(0); i < 200; i++ {
+		rows = append(rows, types.Row{types.NewInt(i), types.NewInt(i * 10)})
+	}
+	insertRows(t, c, tab, rows)
+	ctx := context.Background()
+	one := types.NewInt(1)
+	sel := planTemplate(t, c, "SELECT b FROM t WHERE a = $1", one)
+	upd := planTemplate(t, c, "UPDATE t SET b = b WHERE a = $1", one)
+	if err := c.StartExpand(4); err != nil {
+		t.Fatal(err)
+	}
+	waitExpand(t, c)
+	fresh := planTemplate(t, c, "SELECT b FROM t WHERE a = $1", one)
+	for k := int64(0); k < 200; k++ {
+		params := []types.Datum{types.NewInt(k)}
+		lt := c.BeginTxn()
+		var stale *StaleDistMapError
+		pl, err := sel.Bind(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.RunSelect(ctx, lt, c.Snapshot(), pl, nil); !errors.As(err, &stale) {
+			t.Fatalf("key %d: stale SELECT template: %v, want StaleDistMapError", k, err)
+		}
+		if pl, err = upd.Bind(params); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunUpdate(ctx, lt, c.Snapshot(), pl.Root.(*plan.UpdatePlan), pl.DirectSegment, nil); !errors.As(err, &stale) {
+			t.Fatalf("key %d: stale UPDATE template: %v, want StaleDistMapError", k, err)
+		}
+		if pl, err = fresh.Bind(params); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := c.RunSelect(ctx, lt, c.Snapshot(), pl, nil)
+		if err != nil || len(got) != 1 || got[0][0].Int() != k*10 {
+			t.Fatalf("key %d at the new width: %v %v", k, got, err)
+		}
+		c.AbortTxn(lt)
+	}
 }

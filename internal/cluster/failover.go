@@ -23,6 +23,9 @@ func (e *SegmentDownError) Error() string {
 
 // IsSegmentDown reports whether err is a segment-down refusal.
 func IsSegmentDown(err error) bool {
+	if err == nil {
+		return false
+	}
 	var e *SegmentDownError
 	return errors.As(err, &e)
 }

@@ -2,26 +2,30 @@ package core
 
 import (
 	"container/list"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/plan"
 	"repro/internal/sql"
+	"repro/internal/types"
 )
 
-// StmtCache is the engine-wide shared parse/plan cache. Parsing dominates
-// the SQL-level benches, so every session — embedded and network alike —
-// resolves statement text through here before touching the lexer: the
-// parsed AST is cached under the normalized SQL text in a bounded LRU, and
-// the AST is shared read-only by all sessions (the binder never mutates
-// it). Param-free SELECT plans are cached alongside their AST, keyed by the
-// cluster's catalog/stats epoch plus the session's planner-relevant
-// settings, so DDL, ANALYZE and SET enable_costopt-style changes each force
-// a re-plan without any explicit invalidation hooks. Parameterized
-// statements re-plan per execution (the binder folds $N values into the
-// plan as constants) but still skip the parse.
+// StmtCache is the engine-wide shared parse/plan cache. Every session —
+// embedded and network alike — resolves statement text through here before
+// touching the lexer: the parsed AST is cached under the normalized SQL text
+// in a bounded LRU and shared read-only by all sessions (the binder never
+// mutates it). Beside the AST sit the statement's SELECT, UPDATE or DELETE
+// plans (INSERT evaluates its rows while planning), keyed by the cluster's
+// catalog/stats epoch, the session's plan-shaping settings and the kinds of
+// the bound parameters, so DDL, ANALYZE, a SET enable_costopt style change
+// or an int parameter arriving as text each re-plan without an invalidation
+// hook. A cached plan holds no parameter value: the binder leaves a slot per
+// $N (plan.Param) and each execution instantiates the shared plan with
+// plan.Planned.Bind, where the value-dependent steps (direct dispatch,
+// partition pruning, zone-map pushdown, LIMIT) run. The exception is a
+// parameterised statement under the cost-based optimizer: its join order
+// and motions come from the values, so it is planned per execution.
 type StmtCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -43,7 +47,46 @@ type stmtEntry struct {
 	str  string
 
 	planMu sync.Mutex
-	plans  map[string]*plan.Planned
+	plans  map[planKey]*plan.Planned
+}
+
+// planSettings are the session settings that change plan shape. Sessions
+// with equal settings share plans.
+type planSettings struct {
+	optimizer          plan.Optimizer
+	parallelism        int
+	pushdown, costOpt  bool
+	broadcastThreshold int
+}
+
+// costBased reports whether the cost-based passes plan this session's
+// statements (plan.Planner's own rule).
+func (ps planSettings) costBased() bool {
+	return ps.costOpt && ps.optimizer == plan.OptimizerOLAP
+}
+
+// planKey identifies one cached plan of a statement. robust keeps a
+// misestimated statement's optimistic plan from being served after the
+// fallback engaged; kinds packs the parameter kinds (see paramKinds), which
+// every bind-time decision such as an implicit cast depends on.
+type planKey struct {
+	epoch uint64
+	planSettings
+	robust bool
+	kinds  uint64
+}
+
+// paramKinds packs the parameters' kinds four bits each ($1 lowest, 0 =
+// absent). ok is false past 16 parameters: such a statement is planned per
+// execution.
+func paramKinds(params []types.Datum) (kinds uint64, ok bool) {
+	if len(params) > 16 {
+		return 0, false
+	}
+	for i, v := range params {
+		kinds |= uint64(v.Kind()+1) << (4 * i)
+	}
+	return kinds, true
 }
 
 // NewStmtCache builds a cache bounded to capacity statements; capacity < 0
@@ -60,8 +103,8 @@ func NewStmtCache(capacity int) *StmtCache {
 type StmtCacheStats struct {
 	// Hits/Misses are parse-level: a hit skipped the lexer+parser.
 	Hits, Misses int64
-	// PlanHits/PlanMisses are plan-level (param-free SELECTs only): a hit
-	// skipped the planner.
+	// PlanHits/PlanMisses are plan-level, counting every SELECT, UPDATE and
+	// DELETE lookup, parameterised or not: a hit skipped the planner.
 	PlanHits, PlanMisses int64
 	Evictions            int64
 	Entries              int
@@ -133,10 +176,10 @@ func (c *StmtCache) parse(sqlText string) (sql.Statement, *stmtEntry, error) {
 	return e.stmt, e, nil
 }
 
-// lookupPlan returns the cached plan for planKey, or nil.
-func (e *stmtEntry) lookupPlan(c *StmtCache, planKey string) *plan.Planned {
+// lookupPlan returns the cached plan for key, or nil.
+func (e *stmtEntry) lookupPlan(c *StmtCache, key planKey) *plan.Planned {
 	e.planMu.Lock()
-	pl := e.plans[planKey]
+	pl := e.plans[key]
 	e.planMu.Unlock()
 	if pl != nil {
 		c.planHits.Add(1)
@@ -148,28 +191,18 @@ func (e *stmtEntry) lookupPlan(c *StmtCache, planKey string) *plan.Planned {
 
 // storePlan caches a freshly built plan, dropping plans from other epochs
 // (they can never be looked up again — their epoch is gone for good).
-func (e *stmtEntry) storePlan(planKey string, pl *plan.Planned) {
-	epoch, _, _ := strings.Cut(planKey, "|")
+func (e *stmtEntry) storePlan(key planKey, pl *plan.Planned) {
 	e.planMu.Lock()
 	if e.plans == nil {
-		e.plans = make(map[string]*plan.Planned)
+		e.plans = make(map[planKey]*plan.Planned)
 	}
 	for k := range e.plans {
-		if ep, _, _ := strings.Cut(k, "|"); ep != epoch {
+		if k.epoch != key.epoch {
 			delete(e.plans, k)
 		}
 	}
-	e.plans[planKey] = pl
+	e.plans[key] = pl
 	e.planMu.Unlock()
-}
-
-// planFingerprint builds the plan-cache key: the catalog/stats epoch first
-// (storePlan prunes on it), then every session setting that changes plan
-// shape. Two sessions with identical settings share plans.
-func planFingerprint(epoch uint64, p *plan.Planner, robust bool) string {
-	return fmt.Sprintf("%d|%s|%d|%t|%t|%d|%t",
-		epoch, p.Optimizer, p.Parallelism, p.Pushdown, p.CostOpt,
-		p.BroadcastThreshold, robust)
 }
 
 // normalizeSQL canonicalizes statement text for cache keying: whitespace

@@ -31,6 +31,10 @@ type Session struct {
 
 	optimizer plan.Optimizer
 	settings  map[string]string
+	// ps caches what planSettings derives from the two fields above; SET and
+	// SetOptimizer clear psValid.
+	ps      planSettings
+	psValid bool
 
 	// Transaction state.
 	txn      *cluster.LiveTxn
@@ -114,6 +118,7 @@ func (s *Session) SetOptimizer(name string) error {
 	default:
 		return fmt.Errorf("core: unknown optimizer %q", name)
 	}
+	s.psValid = false
 	return nil
 }
 
@@ -122,8 +127,9 @@ func (s *Session) InTxn() bool { return s.txn != nil && s.explicit }
 
 // Exec parses and executes a single statement with optional $N parameters.
 // The parse goes through the engine's shared statement cache: repeated
-// statement texts skip the parser entirely, and param-free SELECTs reuse
-// cached plans while the catalog/stats epoch and planner settings match.
+// statement texts skip the parser entirely, and SELECT, UPDATE and DELETE
+// reuse cached plans while the catalog/stats epoch, planner settings and
+// parameter kinds match.
 func (s *Session) Exec(ctx context.Context, sqlText string, params ...types.Datum) (*Result, error) {
 	t0 := time.Now()
 	st, entry, err := s.engine.stmts.parse(sqlText)
@@ -147,8 +153,7 @@ func (s *Session) Close() {
 
 // Prepared is a statement parsed once and executed many times. The parse
 // goes through the engine's shared statement cache, so any number of
-// sessions preparing the same text share one AST — and param-free SELECT
-// executions share cached plans.
+// sessions preparing the same text share one AST and its cached plans.
 type Prepared struct {
 	// SQL is the original statement text.
 	SQL   string
@@ -506,29 +511,77 @@ func (s *Session) chargeStmtCPU(ctx context.Context) error {
 	return s.slot.ChargeCPU(ctx, s.stmtCPU)
 }
 
+// planSettings returns the session's plan-shaping settings, derived from the
+// SET map and the cluster defaults once and kept until the next SET.
+func (s *Session) planSettings() planSettings {
+	if !s.psValid {
+		cfg := s.engine.cluster.Config()
+		s.ps = planSettings{
+			optimizer:          s.optimizer,
+			parallelism:        cfg.ExecParallelism,
+			pushdown:           s.settingBool("enable_zonemaps", cfg.EnableZoneMaps),
+			costOpt:            s.settingBool("enable_costopt", cfg.EnableCostOpt),
+			broadcastThreshold: cfg.BroadcastThreshold,
+		}
+		if v, ok := s.settings["exec_parallelism"]; ok {
+			s.ps.parallelism = plan.ParseLimitInt(v, s.ps.parallelism)
+		}
+		if v, ok := s.settings["broadcast_threshold"]; ok {
+			s.ps.broadcastThreshold = plan.ParseLimitInt(v, s.ps.broadcastThreshold)
+		}
+		s.psValid = true
+	}
+	return s.ps
+}
+
 func (s *Session) planner(params []types.Datum) *plan.Planner {
-	cfg := s.engine.cluster.Config()
-	dop := cfg.ExecParallelism
-	if v, ok := s.settings["exec_parallelism"]; ok {
-		dop = plan.ParseLimitInt(v, dop)
-	}
-	bt := cfg.BroadcastThreshold
-	if v, ok := s.settings["broadcast_threshold"]; ok {
-		bt = plan.ParseLimitInt(v, bt)
-	}
+	ps := s.planSettings()
 	return &plan.Planner{
 		Catalog: s.engine.cluster.Catalog(),
 		// Live count, not cfg.NumSegments: online expansion widens the
 		// cluster at runtime and new plans must route across the new width.
 		NumSegments:        s.engine.cluster.SegCount(),
-		Optimizer:          s.optimizer,
+		Optimizer:          ps.optimizer,
 		Stats:              s.engine.cluster,
-		Parallelism:        dop,
-		Pushdown:           s.settingBool("enable_zonemaps", cfg.EnableZoneMaps),
-		CostOpt:            s.settingBool("enable_costopt", cfg.EnableCostOpt),
-		BroadcastThreshold: bt,
+		Parallelism:        ps.parallelism,
+		Pushdown:           ps.pushdown,
+		CostOpt:            ps.costOpt,
+		BroadcastThreshold: ps.broadcastThreshold,
 		Params:             params,
 	}
+}
+
+// planFor returns the executable plan of a SELECT, UPDATE or DELETE: the
+// statement's cached plan for the current epoch, settings and parameter
+// kinds — planned and stored on a miss — instantiated with params. Under
+// SET trace_queries the lookup, the planning and the instantiation together
+// are the trace's plan span, so a hit shows as a near-zero one.
+func (s *Session) planFor(st sql.Statement, entry *stmtEntry, params []types.Datum, robust bool) (*plan.Planned, error) {
+	if ob := s.cur; ob != nil && ob.trace != nil {
+		defer func(t0 time.Time) { ob.trace.Record(ob.root.ID(), "plan", -1, t0, time.Since(t0)) }(time.Now())
+	}
+	ps := s.planSettings()
+	kinds, cacheable := paramKinds(params)
+	cacheable = cacheable && entry != nil
+	key := planKey{epoch: s.engine.cluster.PlanEpoch(), planSettings: ps, robust: robust, kinds: kinds}
+	var pl *plan.Planned
+	if cacheable {
+		pl = entry.lookupPlan(s.engine.stmts, key)
+	}
+	if pl == nil {
+		p := s.planner(params)
+		p.Robust = robust
+		var err error
+		if pl, err = p.Plan(st, s.engine.cluster.Config().GDD); err != nil {
+			return nil, err
+		}
+		// The cost-based optimizer plans from the parameter values, so its
+		// plan of a parameterised statement is good for this execution only.
+		if cacheable && (len(params) == 0 || !ps.costBased()) {
+			entry.storePlan(key, pl)
+		}
+	}
+	return pl.Bind(params)
 }
 
 // settingBool reads an on/off session setting with a config-level default.
@@ -550,61 +603,28 @@ func (s *Session) settingBool(name string, def bool) bool {
 // execStatement runs one non-transaction-control statement inside s.txn.
 func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *stmtEntry, params []types.Datum) (*Result, error) {
 	cl := s.engine.cluster
-	cfg := cl.Config()
 	switch x := st.(type) {
 	case *sql.SelectStmt:
-		p := s.planner(params)
-		key := x.String()
-		if entry != nil {
-			key = entry.str // same string, computed once and cached
-		}
-		if p.CostOpt && p.Optimizer == plan.OptimizerOLAP && cl.IsMisestimated(key) {
-			// A prior execution of this statement broke its cardinality
-			// error bounds: fall back to the robust plan (no broadcast,
-			// conservative memory grants) for this and later runs.
-			p.Robust = true
-			cl.NoteRobustFallback()
-		}
-		// Plan caching: only param-free statements (the binder folds $N
-		// values into the plan as constants, so a parameterized plan is
-		// valid for exactly one binding). The fingerprint carries the
-		// catalog/stats epoch and every plan-shaping setting; the robust
-		// bit keeps a misestimated statement's optimistic plan from being
-		// served after the fallback engaged.
-		var tr *obs.Trace
-		var planT0 time.Time
-		if s.cur != nil && s.cur.trace != nil {
-			tr = s.cur.trace
-			planT0 = time.Now()
-		}
-		var planKey string
-		var pl *plan.Planned
-		if entry != nil && len(params) == 0 {
-			planKey = planFingerprint(cl.PlanEpoch(), p, p.Robust)
-			pl = entry.lookupPlan(s.engine.stmts, planKey)
-		}
-		if pl == nil {
-			var err error
-			pl, err = p.PlanSelect(x)
-			if err != nil {
-				return nil, err
+		costBased, robust := s.planSettings().costBased(), false
+		var key string // the misestimate key, only needed by the cost-based path
+		if costBased {
+			if key = x.String(); entry != nil {
+				key = entry.str // same string, computed once and cached
 			}
-			if planKey != "" {
-				entry.storePlan(planKey, pl)
+			if cl.IsMisestimated(key) {
+				// A prior execution of this statement broke its cardinality
+				// error bounds: fall back to the robust plan (no broadcast,
+				// conservative memory grants) for this and later runs.
+				robust = true
+				cl.NoteRobustFallback()
 			}
 		}
-		if tr != nil {
-			// Covers the cache lookup too: a plan-cache hit shows up in the
-			// trace as a near-zero plan span.
-			tr.Record(s.cur.root.ID(), "plan", -1, planT0, time.Since(planT0))
+		pl, err := s.planFor(x, entry, params, robust)
+		if err != nil {
+			return nil, err
 		}
-		// Work on a shallow copy: runPlannedSelect may adjust the lock
-		// level on the wrapper, and the cached plan is shared by every
-		// session (the node tree itself is read-only during execution).
-		plCopy := *pl
-		pl = &plCopy
 		var nodeRows *plan.NodeRowCounts
-		if p.CostOpt && p.Optimizer == plan.OptimizerOLAP && !p.Robust {
+		if costBased && !robust {
 			nodeRows = plan.NewNodeRowCounts(pl.Root)
 		}
 		var scan *cluster.ScanCounters
@@ -637,8 +657,15 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		}
 		return &Result{RowsAffected: n, Tag: "ANALYZE"}, nil
 
-	case *sql.InsertStmt:
-		pl, err := s.planner(params).PlanInsert(x)
+	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+		var pl *plan.Planned
+		var err error
+		if _, insert := st.(*sql.InsertStmt); insert {
+			// Planning evaluates the rows, so an INSERT plan is never shared.
+			pl, err = s.planner(params).Plan(st, cl.Config().GDD)
+		} else {
+			pl, err = s.planFor(st, entry, params, false)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -648,54 +675,13 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		if err := s.chargeStmtCPU(ctx); err != nil {
 			return nil, err
 		}
-		ip := pl.Root.(*plan.InsertPlan)
 		res, sp := s.dmlResources()
-		n, err := cl.RunInsert(ctx, s.txn, cl.Snapshot(), ip, res)
+		n, tag, err := s.runDML(ctx, pl, res)
 		sp.End()
 		if err != nil {
 			return nil, wrapLockErr(err)
 		}
-		return &Result{RowsAffected: n, Tag: fmt.Sprintf("INSERT 0 %d", n)}, nil
-
-	case *sql.UpdateStmt:
-		pl, err := s.planner(params).PlanUpdate(x, cfg.GDD)
-		if err != nil {
-			return nil, err
-		}
-		if err := cl.LockCoordinator(ctx, s.txn, pl.LockTable, lockModeOf(pl.LockModeLevel)); err != nil {
-			return nil, wrapLockErr(err)
-		}
-		if err := s.chargeStmtCPU(ctx); err != nil {
-			return nil, err
-		}
-		up := pl.Root.(*plan.UpdatePlan)
-		res, sp := s.dmlResources()
-		n, err := cl.RunUpdate(ctx, s.txn, cl.Snapshot(), up, pl.DirectSegment, res)
-		sp.End()
-		if err != nil {
-			return nil, wrapLockErr(err)
-		}
-		return &Result{RowsAffected: n, Tag: fmt.Sprintf("UPDATE %d", n)}, nil
-
-	case *sql.DeleteStmt:
-		pl, err := s.planner(params).PlanDelete(x, cfg.GDD)
-		if err != nil {
-			return nil, err
-		}
-		if err := cl.LockCoordinator(ctx, s.txn, pl.LockTable, lockModeOf(pl.LockModeLevel)); err != nil {
-			return nil, wrapLockErr(err)
-		}
-		if err := s.chargeStmtCPU(ctx); err != nil {
-			return nil, err
-		}
-		dp := pl.Root.(*plan.DeletePlan)
-		res, sp := s.dmlResources()
-		n, err := cl.RunDelete(ctx, s.txn, cl.Snapshot(), dp, pl.DirectSegment, res)
-		sp.End()
-		if err != nil {
-			return nil, wrapLockErr(err)
-		}
-		return &Result{RowsAffected: n, Tag: fmt.Sprintf("DELETE %d", n)}, nil
+		return &Result{RowsAffected: n, Tag: tag}, nil
 
 	case *sql.LockStmt:
 		mode := lockmgr.ModeForName(x.Mode)
@@ -832,6 +818,7 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 			}
 		}
 		s.settings[strings.ToLower(x.Name)] = x.Value
+		s.psValid = false
 		return &Result{Tag: "SET"}, nil
 
 	case *sql.ShowStmt:
@@ -1140,85 +1127,42 @@ func onOff(b bool) string {
 	return "off"
 }
 
+// runDML dispatches a planned INSERT, UPDATE or DELETE and returns the rows
+// affected with the command tag.
+func (s *Session) runDML(ctx context.Context, pl *plan.Planned, res *cluster.QueryResources) (int, string, error) {
+	cl := s.engine.cluster
+	switch root := pl.Root.(type) {
+	case *plan.InsertPlan:
+		n, err := cl.RunInsert(ctx, s.txn, cl.Snapshot(), root, res)
+		return n, fmt.Sprintf("INSERT 0 %d", n), err
+	case *plan.UpdatePlan:
+		n, err := cl.RunUpdate(ctx, s.txn, cl.Snapshot(), root, pl.DirectSegment, res)
+		return n, fmt.Sprintf("UPDATE %d", n), err
+	default:
+		n, err := cl.RunDelete(ctx, s.txn, cl.Snapshot(), root.(*plan.DeletePlan), pl.DirectSegment, res)
+		return n, fmt.Sprintf("DELETE %d", n), err
+	}
+}
+
 func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []types.Datum) (*Result, error) {
 	p := s.planner(params)
-	cl := s.engine.cluster
+	p.Fold = true
+	pl, err := p.Plan(x.Target, s.engine.cluster.Config().GDD)
+	if err != nil {
+		return nil, err
+	}
 	if x.Analyze {
 		// EXPLAIN ANALYZE executes the statement for real — DML included
 		// (PostgreSQL semantics: the rows are written; wrap in BEGIN/ROLLBACK
 		// to measure without keeping the effects).
-		switch t := x.Target.(type) {
-		case *sql.SelectStmt:
-			pl, err := p.PlanSelect(t)
-			if err != nil {
-				return nil, err
-			}
+		if _, sel := x.Target.(*sql.SelectStmt); sel {
 			return s.explainAnalyzeSelect(ctx, pl)
-		case *sql.InsertStmt:
-			pl, err := p.PlanInsert(t)
-			if err != nil {
-				return nil, err
-			}
-			ip := pl.Root.(*plan.InsertPlan)
-			return s.explainAnalyzeDML(ctx, pl.Root, pl.LockTable, pl.LockModeLevel, func(res *cluster.QueryResources) (int, error) {
-				return cl.RunInsert(ctx, s.txn, cl.Snapshot(), ip, res)
-			})
-		case *sql.UpdateStmt:
-			pl, err := p.PlanUpdate(t, cl.Config().GDD)
-			if err != nil {
-				return nil, err
-			}
-			up := pl.Root.(*plan.UpdatePlan)
-			return s.explainAnalyzeDML(ctx, pl.Root, pl.LockTable, pl.LockModeLevel, func(res *cluster.QueryResources) (int, error) {
-				return cl.RunUpdate(ctx, s.txn, cl.Snapshot(), up, pl.DirectSegment, res)
-			})
-		case *sql.DeleteStmt:
-			pl, err := p.PlanDelete(t, cl.Config().GDD)
-			if err != nil {
-				return nil, err
-			}
-			dp := pl.Root.(*plan.DeletePlan)
-			return s.explainAnalyzeDML(ctx, pl.Root, pl.LockTable, pl.LockModeLevel, func(res *cluster.QueryResources) (int, error) {
-				return cl.RunDelete(ctx, s.txn, cl.Snapshot(), dp, pl.DirectSegment, res)
-			})
-		default:
-			return nil, fmt.Errorf("core: EXPLAIN ANALYZE supports SELECT, INSERT, UPDATE and DELETE (got %T)", x.Target)
 		}
+		return s.explainAnalyzeDML(ctx, pl)
 	}
-	var root plan.Node
-	var costs map[plan.Node]*plan.NodeCost
-	switch t := x.Target.(type) {
-	case *sql.SelectStmt:
-		pl, err := p.PlanSelect(t)
-		if err != nil {
-			return nil, err
-		}
-		root = pl.Root
-		costs = pl.Costs
-	case *sql.InsertStmt:
-		pl, err := p.PlanInsert(t)
-		if err != nil {
-			return nil, err
-		}
-		root = pl.Root
-	case *sql.UpdateStmt:
-		pl, err := p.PlanUpdate(t, s.engine.cluster.Config().GDD)
-		if err != nil {
-			return nil, err
-		}
-		root = pl.Root
-	case *sql.DeleteStmt:
-		pl, err := p.PlanDelete(t, s.engine.cluster.Config().GDD)
-		if err != nil {
-			return nil, err
-		}
-		root = pl.Root
-	default:
-		return nil, fmt.Errorf("core: cannot EXPLAIN %T", x.Target)
-	}
-	text := plan.Explain(root)
-	if costs != nil {
-		text = plan.ExplainWithCosts(root, costs)
+	text := plan.Explain(pl.Root)
+	if _, sel := x.Target.(*sql.SelectStmt); sel && pl.Costs != nil {
+		text = plan.ExplainWithCosts(pl.Root, pl.Costs)
 	}
 	res := &Result{Columns: []string{"QUERY PLAN"}, Tag: "EXPLAIN"}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
@@ -1235,12 +1179,13 @@ func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []
 // counters.
 func (s *Session) runPlannedSelect(ctx context.Context, pl *plan.Planned, scan *cluster.ScanCounters, spill *cluster.SpillCounters, nodeRows *plan.NodeRowCounts, ops *plan.OpStats) ([]types.Row, *types.Schema, time.Duration, error) {
 	cl := s.engine.cluster
+	level := pl.LockModeLevel // pl may be a cached plan shared with other sessions
 	if pl.ForUpdate && !cl.Config().GDD {
 		// GPDB 5 locking: FOR UPDATE serializes at the coordinator.
-		pl.LockModeLevel = 7
+		level = 7
 	}
 	if pl.LockTable != "" {
-		if err := cl.LockCoordinator(ctx, s.txn, pl.LockTable, lockModeOf(pl.LockModeLevel)); err != nil {
+		if err := cl.LockCoordinator(ctx, s.txn, pl.LockTable, lockModeOf(level)); err != nil {
 			return nil, nil, 0, wrapLockErr(err)
 		}
 	}
@@ -1340,10 +1285,9 @@ func (s *Session) explainAnalyzeSelect(ctx context.Context, pl *plan.Planned) (*
 // explainAnalyzeDML executes the write for real and reports the per-segment
 // rows-affected breakdown plus elapsed time beneath the plan text. Timings
 // come from the monotonic clock (time.Since), never wall-clock arithmetic.
-func (s *Session) explainAnalyzeDML(ctx context.Context, root plan.Node, lockTable string, lockLevel int, run func(res *cluster.QueryResources) (int, error)) (*Result, error) {
-	cl := s.engine.cluster
-	if lockTable != "" {
-		if err := cl.LockCoordinator(ctx, s.txn, lockTable, lockModeOf(lockLevel)); err != nil {
+func (s *Session) explainAnalyzeDML(ctx context.Context, pl *plan.Planned) (*Result, error) {
+	if pl.LockTable != "" {
+		if err := s.engine.cluster.LockCoordinator(ctx, s.txn, pl.LockTable, lockModeOf(pl.LockModeLevel)); err != nil {
 			return nil, wrapLockErr(err)
 		}
 	}
@@ -1356,7 +1300,7 @@ func (s *Session) explainAnalyzeDML(ctx context.Context, root plan.Node, lockTab
 	}
 	res.DML = &cluster.DMLCounters{}
 	start := time.Now()
-	n, err := run(res)
+	n, _, err := s.runDML(ctx, pl, res)
 	elapsed := time.Since(start)
 	sp.End()
 	if err != nil {
@@ -1366,7 +1310,7 @@ func (s *Session) explainAnalyzeDML(ctx context.Context, root plan.Node, lockTab
 		ob.setRows(int64(n))
 	}
 	out := &Result{Columns: []string{"QUERY PLAN"}, Tag: "EXPLAIN"}
-	for _, line := range strings.Split(strings.TrimRight(plan.Explain(root), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(plan.Explain(pl.Root), "\n"), "\n") {
 		out.Rows = append(out.Rows, types.Row{types.NewText(line)})
 	}
 	per := res.DML.PerSegment()

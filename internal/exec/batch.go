@@ -29,10 +29,13 @@ const scanStreamDepth = 2
 // ---- adapters ----
 
 // batchFromRows adapts a row Iterator to the batch interface by pulling up
-// to size rows per call into a reused batch.
+// to size rows per call into a reused batch. The batch starts empty and
+// grows with what the child yields (geometrically, at most to size, and the
+// grown container is reused), so a one-row stream never pays for a
+// size-row container.
 type batchFromRows struct {
 	child Iterator
-	batch *types.RowBatch
+	batch types.RowBatch
 	size  int
 	done  bool
 }
@@ -43,7 +46,7 @@ func NewBatchAdapter(it Iterator, size int) BatchIterator {
 	if size < 1 {
 		size = types.DefaultBatchSize
 	}
-	return &batchFromRows{child: it, batch: types.NewRowBatch(size), size: size}
+	return &batchFromRows{child: it, size: size}
 }
 
 func (b *batchFromRows) NextBatch() (*types.RowBatch, error) {
@@ -65,7 +68,7 @@ func (b *batchFromRows) NextBatch() (*types.RowBatch, error) {
 	if b.batch.Len() == 0 {
 		return nil, io.EOF
 	}
-	return b.batch, nil
+	return &b.batch, nil
 }
 
 func (b *batchFromRows) Close() { b.child.Close() }
@@ -312,6 +315,7 @@ func selectBatch(b *types.RowBatch, pred plan.Predicate) error {
 }
 
 // batchProjectIter computes output expressions for a whole batch per call.
+// Its reused output container is allocated to the input batch's length.
 type batchProjectIter struct {
 	child BatchIterator
 	exprs []plan.Expr
@@ -326,6 +330,9 @@ func (p *batchProjectIter) NextBatch() (*types.RowBatch, error) {
 	}
 	if err := p.tick.tickRows(b.Len()); err != nil {
 		return nil, err
+	}
+	if p.out == nil || p.out.Cap() < b.Len() {
+		p.out = types.NewRowBatch(b.Len())
 	}
 	p.out.Reset()
 	for i, l := 0, b.Len(); i < l; i++ {
@@ -356,7 +363,8 @@ type batchHashJoinIter struct {
 	built    bool
 	draining bool
 	tick     cpuTick
-	out      *types.RowBatch
+	out      types.RowBatch // reused; grows with the matches, not to size
+	size     int
 }
 
 func newBatchHashJoinIter(ctx *Context, node *plan.HashJoin, left, right BatchIterator) *batchHashJoinIter {
@@ -364,7 +372,7 @@ func newBatchHashJoinIter(ctx *Context, node *plan.HashJoin, left, right BatchIt
 		core: newHashJoinCore(ctx, node),
 		left: left, right: right,
 		tick: cpuTick{ctx: ctx},
-		out:  types.NewRowBatch(ctx.batchSize()),
+		size: ctx.batchSize(),
 	}
 }
 
@@ -399,8 +407,7 @@ func (j *batchHashJoinIter) NextBatch() (*types.RowBatch, error) {
 			// Spilled partitions are joined pairwise and their output rows
 			// re-batched (no-op when the join stayed in memory).
 			j.out.Reset()
-			size := j.out.Cap()
-			for j.out.Len() < size {
+			for j.out.Len() < j.size {
 				row, err := j.core.drainNext()
 				if err == io.EOF {
 					break
@@ -417,7 +424,7 @@ func (j *batchHashJoinIter) NextBatch() (*types.RowBatch, error) {
 			if err := j.tick.tickRows(j.out.Len()); err != nil {
 				return nil, err
 			}
-			return j.out, nil
+			return &j.out, nil
 		}
 		b, err := j.left.NextBatch()
 		if err == io.EOF {
@@ -440,7 +447,7 @@ func (j *batchHashJoinIter) NextBatch() (*types.RowBatch, error) {
 			}
 		}
 		if j.out.Len() > 0 {
-			return j.out, nil
+			return &j.out, nil
 		}
 	}
 }
@@ -459,7 +466,8 @@ type batchAggIter struct {
 	child  BatchIterator
 	loaded bool
 	tick   cpuTick
-	out    *types.RowBatch
+	out    types.RowBatch // reused; grows with the groups, not to size
+	size   int
 
 	// Column-resolved fast path: when every group key and aggregate
 	// argument is a bare column reference (the shape two-phase planning
@@ -475,7 +483,7 @@ func newBatchAggIter(ctx *Context, node *plan.Agg, child BatchIterator) *batchAg
 		core:  newAggCore(ctx, node),
 		child: child,
 		tick:  cpuTick{ctx: ctx},
-		out:   types.NewRowBatch(ctx.batchSize()),
+		size:  ctx.batchSize(),
 	}
 	if node.Phase != plan.AggFinal && node.Phase != plan.AggIntermediate { // those phases merge partial layouts
 		a.fast = true
@@ -547,8 +555,7 @@ func (a *batchAggIter) NextBatch() (*types.RowBatch, error) {
 		}
 	}
 	a.out.Reset()
-	size := a.out.Cap()
-	for a.out.Len() < size {
+	for a.out.Len() < a.size {
 		row, err := a.core.nextOutput()
 		if err == io.EOF {
 			break
@@ -561,7 +568,7 @@ func (a *batchAggIter) NextBatch() (*types.RowBatch, error) {
 	if a.out.Len() == 0 {
 		return nil, io.EOF
 	}
-	return a.out, nil
+	return &a.out, nil
 }
 
 func (a *batchAggIter) Close() {
@@ -626,8 +633,7 @@ func buildBatchNode(ctx *Context, node plan.Node) BatchIterator {
 	case *plan.Filter:
 		return &batchFilterIter{child: BuildBatch(ctx, n.Child), pred: plan.CompilePredicate(n.Cond), tick: cpuTick{ctx: ctx}}
 	case *plan.Project:
-		return &batchProjectIter{child: BuildBatch(ctx, n.Child), exprs: n.Exprs,
-			out: types.NewRowBatch(size), tick: cpuTick{ctx: ctx}}
+		return &batchProjectIter{child: BuildBatch(ctx, n.Child), exprs: n.Exprs, tick: cpuTick{ctx: ctx}}
 	case *plan.HashJoin:
 		return newBatchHashJoinIter(ctx, n, BuildBatch(ctx, n.Left), BuildBatch(ctx, n.Right))
 	case *plan.Agg:
@@ -641,6 +647,9 @@ func buildBatchNode(ctx *Context, node plan.Node) BatchIterator {
 	case *plan.Limit:
 		return NewBatchAdapter(&limitIter{child: NewRowAdapter(BuildBatch(ctx, n.Child)), count: n.Count, offset: n.Offset}, size)
 	case *plan.Motion:
+		if ctx.Inline != nil {
+			return BuildBatch(ctx.Inline, n.Child)
+		}
 		if ctx.Recv == nil {
 			return NewBatchAdapter(errIterf("exec: no receiver wiring for slice %d", n.SliceID), size)
 		}

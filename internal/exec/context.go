@@ -107,8 +107,12 @@ type Context struct {
 	// Recv returns the receiver for the given sending slice at this
 	// location.
 	Recv func(sliceID int) Receiver
-	Mem  MemAccount
-	CPU  CPUCharger
+	// Inline, when set, is the context of the one segment a direct-dispatch
+	// plan runs on: a Motion is then a pass-through whose sending slice is
+	// built under Inline and pulled by this slice's own goroutine.
+	Inline *Context
+	Mem    MemAccount
+	CPU    CPUCharger
 	// Spill is the statement's spill manager: the shared operator-memory
 	// budget blocking operators reserve against, and the temp-file registry
 	// they spill to when it is exhausted. nil = spilling disabled (operators

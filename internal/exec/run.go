@@ -71,6 +71,9 @@ func buildRow(ctx *Context, node plan.Node) Iterator {
 	case *plan.Limit:
 		return &limitIter{child: Build(ctx, n.Child), count: n.Count, offset: n.Offset}
 	case *plan.Motion:
+		if ctx.Inline != nil {
+			return Build(ctx.Inline, n.Child)
+		}
 		if ctx.Recv == nil {
 			return errIterf("exec: no receiver wiring for slice %d", n.SliceID)
 		}

@@ -101,6 +101,11 @@ func hasAgg(e sql.Expr) bool {
 type binder struct {
 	scope  *scope
 	params []types.Datum
+	// fold makes $N bind to its value as a Const instead of a Param slot:
+	// the plan is then valid for this one binding only. slots counts the
+	// slots emitted (shared with the Planner that created the binder).
+	fold  bool
+	slots *int
 	// aggMode: when non-nil, aggregate calls are collected here and replaced
 	// by references into the agg output layout.
 	aggs        *[]AggSpec
@@ -126,7 +131,11 @@ func (b *binder) bind(e sql.Expr) (Expr, error) {
 		if x.Index-1 >= len(b.params) {
 			return nil, fmt.Errorf("plan: parameter $%d not supplied", x.Index)
 		}
-		return &Const{Val: b.params[x.Index-1]}, nil
+		if b.fold {
+			return &Const{Val: b.params[x.Index-1]}, nil
+		}
+		*b.slots++
+		return &Param{Idx: x.Index - 1, Typ: b.params[x.Index-1].Kind()}, nil
 	case *sql.ColumnRef:
 		c, err := b.scope.resolve(x.Table, x.Column)
 		if err != nil {
@@ -246,7 +255,7 @@ func (b *binder) bindFunc(x *sql.FuncCall) (Expr, error) {
 			return nil, fmt.Errorf("plan: %s() takes exactly one argument", x.Name)
 		}
 		// Aggregate arguments bind against the pre-agg scope directly.
-		inner := &binder{scope: b.scope, params: b.params}
+		inner := &binder{scope: b.scope, params: b.params, fold: b.fold, slots: b.slots}
 		arg, err := inner.bind(x.Args[0])
 		if err != nil {
 			return nil, err
@@ -268,42 +277,36 @@ func exprEqual(a, b sql.Expr) bool {
 // coercePair applies the implicit cast SQL performs when a constant of one
 // kind is compared with an expression of another: a text constant compared
 // to a date column becomes a date constant ('2021-06-01' style literals),
-// and an int constant compared to a float expression becomes float.
+// and an int constant compared to a float expression becomes float. A $N
+// slot takes the cast as its kind and Bind applies it to the bound value.
 func coercePair(l, r Expr) (Expr, Expr) {
-	coerce := func(c *Const, want types.Kind) (Expr, bool) {
-		v, err := c.Val.CastTo(want)
-		if err != nil {
-			return c, false
-		}
-		return &Const{Val: v}, true
-	}
 	lk, rk := l.Kind(), r.Kind()
 	if lk == rk {
 		return l, r
 	}
-	if rc, ok := r.(*Const); ok {
-		switch {
-		case lk == types.KindDate && rc.Val.Kind() == types.KindText:
-			if e, ok := coerce(rc, types.KindDate); ok {
-				return l, e
-			}
-		case lk == types.KindFloat && rc.Val.Kind() == types.KindInt:
-			if e, ok := coerce(rc, types.KindFloat); ok {
-				return l, e
-			}
-		}
+	if e, ok := coerceConst(r, lk); ok {
+		return l, e
 	}
-	if lc, ok := l.(*Const); ok {
-		switch {
-		case rk == types.KindDate && lc.Val.Kind() == types.KindText:
-			if e, ok := coerce(lc, types.KindDate); ok {
-				return e, r
-			}
-		case rk == types.KindFloat && lc.Val.Kind() == types.KindInt:
-			if e, ok := coerce(lc, types.KindFloat); ok {
-				return e, r
-			}
-		}
+	if e, ok := coerceConst(l, rk); ok {
+		return e, r
 	}
 	return l, r
+}
+
+// coerceConst casts the literal or slot e to want when that is one of the two
+// implicit casts; ok is false when e is neither or the literal does not cast.
+func coerceConst(e Expr, want types.Kind) (Expr, bool) {
+	from := e.Kind()
+	if !(want == types.KindDate && from == types.KindText || want == types.KindFloat && from == types.KindInt) {
+		return e, false
+	}
+	switch c := e.(type) {
+	case *Const:
+		if v, err := c.Val.CastTo(want); err == nil {
+			return &Const{Val: v}, true
+		}
+	case *Param:
+		return &Param{Idx: c.Idx, Typ: want}, true
+	}
+	return e, false
 }

@@ -55,6 +55,27 @@ func (c *Const) Kind() types.Kind { return c.Val.Kind() }
 
 func (c *Const) String() string { return c.Val.String() }
 
+// Param is a $N slot: the binder leaves one wherever a statement names a
+// parameter, so the plan around it is a template every execution can share.
+// Typ is the slot's static kind — the kind of the value bound when the
+// template was planned, or the kind coercePair decided it is cast to — and
+// Planned.Bind replaces the slot by a Const of that kind before the plan
+// runs; a slot is never evaluated.
+type Param struct {
+	Idx int // zero-based: $1 is 0
+	Typ types.Kind
+}
+
+// Eval implements Expr.
+func (p *Param) Eval(types.Row) (types.Datum, error) {
+	return types.Null, fmt.Errorf("plan: parameter $%d is not bound", p.Idx+1)
+}
+
+// Kind implements Expr.
+func (p *Param) Kind() types.Kind { return p.Typ }
+
+func (p *Param) String() string { return fmt.Sprintf("$%d", p.Idx+1) }
+
 // BinOp evaluates an infix operator with SQL NULL semantics.
 type BinOp struct {
 	Op          string
@@ -427,10 +448,11 @@ func EvalBool(e Expr, row types.Row) (bool, error) {
 	return !v.IsNull() && v.Bool(), nil
 }
 
-// IsConst reports whether e contains no column references.
+// IsConst reports whether e contains no column references (a $N slot is as
+// row-independent as a literal).
 func IsConst(e Expr) bool {
 	switch x := e.(type) {
-	case *Const:
+	case *Const, *Param:
 		return true
 	case *ColRef:
 		return false
@@ -464,4 +486,73 @@ func IsConst(e Expr) bool {
 	default:
 		return false
 	}
+}
+
+// rewrite returns e with leaf applied to every leaf (ColRef, Const, Param).
+// Interior nodes are rebuilt only on a path to a leaf that changed; every
+// other subtree is shared with e, and an expression no leaf of which changed
+// is returned as is — callers compare with e to learn whether anything did.
+func rewrite(e Expr, leaf func(Expr) Expr) Expr {
+	switch x := e.(type) {
+	case nil:
+		return nil
+	case *BinOp:
+		if l, r := rewrite(x.Left, leaf), rewrite(x.Right, leaf); l != x.Left || r != x.Right {
+			return &BinOp{Op: x.Op, Left: l, Right: r}
+		}
+	case *NotExpr:
+		if o := rewrite(x.Operand, leaf); o != x.Operand {
+			return &NotExpr{Operand: o}
+		}
+	case *NegExpr:
+		if o := rewrite(x.Operand, leaf); o != x.Operand {
+			return &NegExpr{Operand: o}
+		}
+	case *IsNull:
+		if o := rewrite(x.Operand, leaf); o != x.Operand {
+			return &IsNull{Operand: o, Negate: x.Negate}
+		}
+	case *InList:
+		o, list := rewrite(x.Operand, leaf), rewriteAll(x.List, leaf)
+		if o != x.Operand || !sameExprs(list, x.List) {
+			return &InList{Operand: o, List: list, Negate: x.Negate}
+		}
+	case *Between:
+		o, lo, hi := rewrite(x.Operand, leaf), rewrite(x.Lo, leaf), rewrite(x.Hi, leaf)
+		if o != x.Operand || lo != x.Lo || hi != x.Hi {
+			return &Between{Operand: o, Lo: lo, Hi: hi, Negate: x.Negate}
+		}
+	case *Case:
+		c := &Case{Whens: make([]CaseWhen, len(x.Whens)), Else: rewrite(x.Else, leaf)}
+		changed := c.Else != x.Else
+		for i, w := range x.Whens {
+			c.Whens[i] = CaseWhen{Cond: rewrite(w.Cond, leaf), Then: rewrite(w.Then, leaf)}
+			changed = changed || c.Whens[i] != w
+		}
+		if changed {
+			return c
+		}
+	default:
+		return leaf(e)
+	}
+	return e
+}
+
+// rewriteAll rewrites a list, copying it only when some element changed.
+func rewriteAll(es []Expr, leaf func(Expr) Expr) []Expr {
+	out := es
+	for i, e := range es {
+		if re := rewrite(e, leaf); re != e {
+			if sameExprs(out, es) {
+				out = append([]Expr(nil), es...)
+			}
+			out[i] = re
+		}
+	}
+	return out
+}
+
+// sameExprs reports whether a and b are the same slice (not merely equal).
+func sameExprs(a, b []Expr) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

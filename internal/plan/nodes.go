@@ -443,11 +443,13 @@ func (s *Sort) Children() []Node { return []Node{s.Child} }
 // Explain implements Node.
 func (s *Sort) Explain() string { return "Sort" + estMemSuffix(s.EstMemBytes) }
 
-// Limit caps output.
+// Limit caps output. CountExpr/OffsetExpr are set only in a template whose
+// LIMIT or OFFSET names a $N slot; Bind evaluates them into Count/Offset.
 type Limit struct {
-	Child  Node
-	Count  int64 // -1 = unlimited
-	Offset int64
+	Child                 Node
+	Count                 int64 // -1 = unlimited
+	Offset                int64
+	CountExpr, OffsetExpr Expr
 }
 
 // Schema implements Node.
@@ -468,7 +470,7 @@ type Motion struct {
 	// HashExprs compute the redistribution key over the child's output row
 	// (MotionRedistribute only).
 	HashExprs []Expr
-	// SliceID identifies the sending slice; assigned by CutSlices.
+	// SliceID identifies the sending slice; assigned by Planned.cut.
 	SliceID int
 	// Parallel is the degree of intra-segment parallelism annotated on the
 	// sending slice by MarkParallelSlices: 0 = not parallel-safe, 1 =
@@ -500,7 +502,7 @@ type InsertPlan struct {
 	// Rows are literal rows already coerced to the table schema.
 	Rows []types.Row
 	// Select, when non-nil, feeds the insert.
-	Select Node
+	Select *Planned
 	// MapVersion is the table's distribution-map version the plan was built
 	// against; dispatch rejects the plan (retryably) if online expansion has
 	// flipped the placement since.
@@ -513,7 +515,7 @@ func (p *InsertPlan) Schema() *types.Schema { return &types.Schema{} }
 // Children implements Node.
 func (p *InsertPlan) Children() []Node {
 	if p.Select != nil {
-		return []Node{p.Select}
+		return []Node{p.Select.Root}
 	}
 	return nil
 }

@@ -65,8 +65,16 @@ type Planner struct {
 	// zone-map block skipping (cluster.Config.EnableZoneMaps, overridable
 	// per session with SET enable_zonemaps).
 	Pushdown bool
-	// Params are the values bound to $N placeholders.
+	// Params are the values bound to $N placeholders. The plan keeps a slot
+	// per placeholder and takes only the values' kinds from here (see
+	// Planned.Bind), except where planning itself consumes the values: the
+	// cost-based passes, whose estimates depend on them, INSERT rows, and
+	// under Fold.
 	Params []types.Datum
+	// Fold binds every $N to its value instead of a slot, making the plan
+	// valid for this one binding only. EXPLAIN sets it so the estimates it
+	// prints see the values.
+	Fold bool
 	// CostOpt enables the cost-based passes: join reordering, build-side
 	// choice, cost-driven broadcast-vs-redistribute, and selectivity-aware
 	// memory estimates (SET enable_costopt; effective only with the OLAP
@@ -85,6 +93,13 @@ type Planner struct {
 	// the statement references (stamped onto Planned.MapVersions), so
 	// dispatch can fence plans built before an online-expansion flip.
 	mapVers map[string]uint64
+	// slots counts the $N slots the statement's binders left in the plan.
+	slots int
+}
+
+// newBinder returns a binder over sc for this statement's parameters.
+func (p *Planner) newBinder(sc *scope) *binder {
+	return &binder{scope: sc, params: p.Params, fold: p.Fold || p.costEnabled(), slots: &p.slots}
 }
 
 // noteMapVersion records a referenced table's placement version.
@@ -111,7 +126,12 @@ type Planned struct {
 	// ForUpdate marks SELECT ... FOR UPDATE.
 	ForUpdate bool
 	// Slices are the plan slices after motion cutting (top slice first).
-	Slices int
+	// Motions lists the plan's motions in post-order and ScansTables reports
+	// whether any slice reads a table: what dispatch needs of the plan's
+	// shape, computed with the slice cut instead of per execution.
+	Slices      int
+	Motions     []*Motion
+	ScansTables bool
 	// MapVersions maps every referenced base table to the distribution-map
 	// version the plan was built against; dispatch re-checks them and fails
 	// retryably when online expansion flipped a placement since planning.
@@ -119,6 +139,21 @@ type Planned struct {
 	// Costs are the cost model's per-node annotations (EXPLAIN rendering
 	// and the executor's risk-bound misestimate check).
 	Costs map[Node]*NodeCost
+
+	// slots marks a template: the plan holds $N slots and must go through
+	// Bind before it runs. nseg and pushdown are the planner settings Bind's
+	// value-dependent steps need.
+	slots    bool
+	nseg     int
+	pushdown bool
+}
+
+// NewPlanned wraps a hand-built SELECT plan tree (no statement-level locks,
+// no direct dispatch) and cuts its slices.
+func NewPlanned(root Node) *Planned {
+	pl := &Planned{Root: root, DirectSegment: -1}
+	pl.cut()
+	return pl
 }
 
 func (p *Planner) stats() Stats {
@@ -182,7 +217,7 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 		pn.locus = LocusPartitioned
 	}
 
-	bnd := &binder{scope: scope, params: p.Params}
+	bnd := p.newBinder(scope)
 
 	// WHERE.
 	var where Expr
@@ -197,7 +232,7 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 	if where != nil {
 		if scan, ok := pn.node.(*Scan); ok {
 			scan.Filter = conjoin(scan.Filter, where)
-			p.pruneAndIndex(scan)
+			prunePartitions(scan)
 			if ix := p.tryIndexScan(scan); ix != nil {
 				pn.node = ix
 			}
@@ -236,7 +271,7 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 		}
 		visible := len(exprs)
 		if len(s.OrderBy) > 0 {
-			inBnd := &binder{scope: scope, params: p.Params}
+			inBnd := p.newBinder(scope)
 			for _, it := range s.OrderBy {
 				if p.orderByResolves(it, names) {
 					continue
@@ -289,11 +324,14 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 		pn.node = &Sort{Child: pn.node, Keys: keys}
 	}
 	if s.Limit != nil || s.Offset != nil {
-		lim, off, err := p.evalLimit(s)
-		if err != nil {
+		lim := &Limit{Child: pn.node, Count: -1}
+		if lim.CountExpr, err = p.bindLimit(s.Limit, "LIMIT", &lim.Count); err != nil {
 			return nil, err
 		}
-		pn.node = &Limit{Child: pn.node, Count: lim, Offset: off}
+		if lim.OffsetExpr, err = p.bindLimit(s.Offset, "OFFSET", &lim.Offset); err != nil {
+			return nil, err
+		}
+		pn.node = lim
 	}
 
 	// Drop hidden sort columns after the sort has consumed them.
@@ -316,7 +354,7 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 
 	res := &Planned{Root: pn.node, DirectSegment: -1, ForUpdate: s.Lock == sql.LockForUpdate, MapVersions: p.mapVers}
 	p.attachSelectLocks(res, s)
-	res.Slices = CutSlices(res.Root)
+	res.cut()
 	MarkParallelSlices(res.Root, p.Parallelism)
 	if p.Pushdown {
 		AttachPushdown(res.Root)
@@ -332,7 +370,7 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 		est.cost(res.Root)
 		res.Costs = est.costs
 	}
-	return res, nil
+	return p.finish(res), nil
 }
 
 // attachSelectLocks records the coordinator-side relation lock for a SELECT.
@@ -392,7 +430,7 @@ func conjoin(a, b Expr) Expr {
 func (p *Planner) bindSelectItems(items []sql.SelectItem, sc *scope) ([]Expr, []string, error) {
 	var exprs []Expr
 	var names []string
-	bnd := &binder{scope: sc, params: p.Params}
+	bnd := p.newBinder(sc)
 	for _, item := range items {
 		if item.Star {
 			for _, c := range sc.cols {
@@ -459,7 +497,7 @@ func (p *Planner) bindOrderBy(items []sql.OrderItem, schema *types.Schema, names
 	var keys []SortKey
 	outScope := &scope{}
 	outScope.add("", schema, 0)
-	bnd := &binder{scope: outScope, params: p.Params}
+	bnd := p.newBinder(outScope)
 	for _, it := range items {
 		if lit, ok := it.Expr.(*sql.Literal); ok && lit.Value.Kind() == types.KindInt {
 			pos := int(lit.Value.Int())
@@ -503,42 +541,41 @@ func (p *Planner) bindOrderBy(items []sql.OrderItem, schema *types.Schema, names
 	return keys, nil
 }
 
-func (p *Planner) evalLimit(s *sql.SelectStmt) (lim, off int64, err error) {
-	lim, off = -1, 0
-	evalConst := func(e sql.Expr) (int64, error) {
-		bnd := &binder{scope: &scope{}, params: p.Params}
-		be, err := bnd.bind(e)
-		if err != nil {
-			return 0, err
-		}
-		v, err := be.Eval(nil)
-		if err != nil {
-			return 0, err
-		}
-		iv, err := v.CastTo(types.KindInt)
-		if err != nil {
-			return 0, err
-		}
-		return iv.Int(), nil
+// bindLimit binds a LIMIT or OFFSET expression. One without a $N slot is
+// evaluated into *val now; one with a slot is returned for Bind to evaluate.
+func (p *Planner) bindLimit(e sql.Expr, what string, val *int64) (Expr, error) {
+	if e == nil {
+		return nil, nil
 	}
-	if s.Limit != nil {
-		if lim, err = evalConst(s.Limit); err != nil {
-			return 0, 0, fmt.Errorf("plan: bad LIMIT: %w", err)
-		}
+	before := p.slots
+	be, err := p.newBinder(&scope{}).bind(e)
+	if err != nil {
+		return nil, fmt.Errorf("plan: bad %s: %w", what, err)
 	}
-	if s.Offset != nil {
-		if off, err = evalConst(s.Offset); err != nil {
-			return 0, 0, fmt.Errorf("plan: bad OFFSET: %w", err)
-		}
+	if p.slots > before {
+		return be, nil
 	}
-	return lim, off, nil
+	*val, err = limitValue(be, what)
+	return nil, err
+}
+
+// limitValue evaluates a bound, slot-free LIMIT or OFFSET expression.
+func limitValue(e Expr, what string) (int64, error) {
+	v, err := e.Eval(nil)
+	if err == nil {
+		v, err = v.CastTo(types.KindInt)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("plan: bad %s: %w", what, err)
+	}
+	return v.Int(), nil
 }
 
 // planAggregate builds the (two-phase where possible) aggregation pipeline
 // and returns the output node plus projection names.
 func (p *Planner) planAggregate(pn *planned, sc *scope, s *sql.SelectStmt) (Node, []string, error) {
 	// Bind GROUP BY over the input scope.
-	inBnd := &binder{scope: sc, params: p.Params}
+	inBnd := p.newBinder(sc)
 	var groupBound []Expr
 	for _, g := range s.GroupBy {
 		e, err := inBnd.bind(g)
@@ -551,14 +588,8 @@ func (p *Planner) planAggregate(pn *planned, sc *scope, s *sql.SelectStmt) (Node
 	// Bind select items + HAVING, collecting aggregate specs; references to
 	// group items and aggs become ColRefs into the agg output layout.
 	var specs []AggSpec
-	aggBnd := &binder{
-		scope:       sc,
-		params:      p.Params,
-		aggs:        &specs,
-		aggBase:     len(groupBound),
-		groupExprs:  s.GroupBy,
-		groupOffset: 0,
-	}
+	aggBnd := p.newBinder(sc)
+	aggBnd.aggs, aggBnd.aggBase, aggBnd.groupExprs = &specs, len(groupBound), s.GroupBy
 	var outExprs []Expr
 	var outNames []string
 	for _, item := range s.Items {
@@ -722,7 +753,7 @@ func (p *Planner) planJoin(r *sql.JoinRef) (*planned, *scope, error) {
 
 	// Build the join condition.
 	var cond Expr
-	bnd := &binder{scope: combined, params: p.Params}
+	bnd := p.newBinder(combined)
 	if r.On != nil {
 		cond, err = bnd.bind(r.On)
 		if err != nil {
@@ -855,24 +886,7 @@ func colRange(e Expr) (lo, hi int) {
 // rebase shifts every ColRef index by delta (used to move right-side key
 // expressions into right-row coordinates).
 func rebase(e Expr, delta int) Expr {
-	switch v := e.(type) {
-	case *ColRef:
-		return &ColRef{Idx: v.Idx + delta, Name: v.Name, Typ: v.Typ}
-	case *Const:
-		return v
-	case *BinOp:
-		return &BinOp{Op: v.Op, Left: rebase(v.Left, delta), Right: rebase(v.Right, delta)}
-	case *NotExpr:
-		return &NotExpr{Operand: rebase(v.Operand, delta)}
-	case *NegExpr:
-		return &NegExpr{Operand: rebase(v.Operand, delta)}
-	case *IsNull:
-		return &IsNull{Operand: rebase(v.Operand, delta), Negate: v.Negate}
-	case *Between:
-		return &Between{Operand: rebase(v.Operand, delta), Lo: rebase(v.Lo, delta), Hi: rebase(v.Hi, delta), Negate: v.Negate}
-	default:
-		return e
-	}
+	return remapCols(e, func(c int) int { return c + delta })
 }
 
 // hashAligned reports whether a locus hashed by hashKeys is already aligned
@@ -1020,11 +1034,7 @@ func alignedPairs(lHash []Expr, lk, rk []Expr, rHash []Expr) bool {
 }
 
 func rebaseAll(exprs []Expr, delta int) []Expr {
-	out := make([]Expr, len(exprs))
-	for i, e := range exprs {
-		out[i] = rebase(e, delta)
-	}
-	return out
+	return remapAllCols(exprs, func(c int) int { return c + delta })
 }
 
 func maxi64(a, b int64) int64 {
@@ -1046,11 +1056,11 @@ func (*OneRow) Children() []Node { return nil }
 // Explain implements Node.
 func (*OneRow) Explain() string { return "Result" }
 
-// pruneAndIndex applies partition pruning and (for the OLTP planner path)
-// leaves index selection hints on the scan — pruning uses simple
-// `col = const`, `col >= a AND col < b`, and BETWEEN patterns on the
-// partition column.
-func (p *Planner) pruneAndIndex(scan *Scan) {
+// prunePartitions narrows a partitioned scan to the leaves its filter can
+// match, using simple `col = const`, `col >= a AND col < b`, and BETWEEN
+// patterns on the partition column. It recomputes the leaf set from the
+// table's full partition list, so Bind re-runs it once $N slots hold values.
+func prunePartitions(scan *Scan) {
 	t := scan.Table
 	if !t.IsPartitioned() || scan.Filter == nil {
 		return
@@ -1223,7 +1233,7 @@ func collectCols(e Expr, set map[int]struct{}) bool {
 	case *ColRef:
 		set[v.Idx] = struct{}{}
 		return true
-	case *Const:
+	case *Const, *Param:
 		return true
 	case *BinOp:
 		return collectCols(v.Left, set) && collectCols(v.Right, set)
@@ -1288,22 +1298,26 @@ func pruneScanColumns(scan *Scan, parentExprs ...[]Expr) {
 	scan.Project = cols
 }
 
-// CutSlices assigns slice ids to motions (top slice is 0) and returns the
-// number of slices.
-func CutSlices(root Node) int {
-	next := 1
+// cut assigns slice ids to the plan's motions (top slice is 0, motions in
+// pre-order) and records the slice count, the motions in post-order and
+// whether the plan scans a table.
+func (pl *Planned) cut() {
+	pl.Slices, pl.Motions, pl.ScansTables = 1, nil, false
 	var walk func(Node)
 	walk = func(n Node) {
-		if m, ok := n.(*Motion); ok {
-			m.SliceID = next
-			next++
+		switch x := n.(type) {
+		case *Scan, *IndexScan:
+			pl.ScansTables = true
+		case *Motion:
+			x.SliceID = pl.Slices
+			pl.Slices++
+			defer func() { pl.Motions = append(pl.Motions, x) }() // after its subtree
 		}
 		for _, c := range n.Children() {
 			walk(c)
 		}
 	}
-	walk(root)
-	return next
+	walk(pl.Root)
 }
 
 // Explain renders the plan tree as indented text resembling Greenplum's
@@ -1361,14 +1375,18 @@ func (p *Planner) PlanInsert(st *sql.InsertStmt) (*Planned, error) {
 		if sel.Root.Schema().Len() != len(colIdx) {
 			return nil, fmt.Errorf("plan: INSERT expects %d columns, SELECT supplies %d", len(colIdx), sel.Root.Schema().Len())
 		}
-		ip.Select = sel.Root
+		// INSERT plans are not cached, so the feeding SELECT is bound here.
+		if ip.Select, err = sel.Bind(p.Params); err != nil {
+			return nil, err
+		}
 		res.Root = ip
 		res.MapVersions = p.mapVers
-		res.Slices = CutSlices(ip.Select)
-		MarkParallelSlices(ip.Select, p.Parallelism)
+		res.Slices = sel.Slices
 		return res, nil
 	}
-	bnd := &binder{scope: &scope{}, params: p.Params}
+	// Literal rows are evaluated here, so their $N fold to values.
+	bnd := p.newBinder(&scope{})
+	bnd.fold = true
 	for _, exprRow := range st.Rows {
 		if len(exprRow) != len(colIdx) {
 			return nil, fmt.Errorf("plan: INSERT row has %d values, expected %d", len(exprRow), len(colIdx))
@@ -1407,7 +1425,7 @@ func (p *Planner) PlanUpdate(st *sql.UpdateStmt, gddEnabled bool) (*Planned, err
 	}
 	sc := &scope{}
 	sc.add(t.Name, t.Schema, 0)
-	bnd := &binder{scope: sc, params: p.Params}
+	bnd := p.newBinder(sc)
 	p.noteMapVersion(t)
 	_, upVer := t.Placement()
 	up := &UpdatePlan{Table: t, MapVersion: upVer}
@@ -1437,8 +1455,7 @@ func (p *Planner) PlanUpdate(st *sql.UpdateStmt, gddEnabled bool) (*Planned, err
 	} else {
 		res.LockModeLevel = 7
 	}
-	res.DirectSegment = p.directSegmentFor(t, up.Filter)
-	return res, nil
+	return p.finish(res), nil
 }
 
 // PlanDelete binds a DELETE.
@@ -1449,7 +1466,7 @@ func (p *Planner) PlanDelete(st *sql.DeleteStmt, gddEnabled bool) (*Planned, err
 	}
 	sc := &scope{}
 	sc.add(t.Name, t.Schema, 0)
-	bnd := &binder{scope: sc, params: p.Params}
+	bnd := p.newBinder(sc)
 	p.noteMapVersion(t)
 	_, dpVer := t.Placement()
 	dp := &DeletePlan{Table: t, MapVersion: dpVer}
@@ -1465,53 +1482,63 @@ func (p *Planner) PlanDelete(st *sql.DeleteStmt, gddEnabled bool) (*Planned, err
 	} else {
 		res.LockModeLevel = 7
 	}
-	res.DirectSegment = p.directSegmentFor(t, dp.Filter)
-	return res, nil
+	return p.finish(res), nil
 }
 
 // directSegmentFor implements direct dispatch: when the filter pins every
-// distribution-key column to a constant, only one segment can hold matches.
-func (p *Planner) directSegmentFor(t *catalog.Table, filter Expr) int {
+// distribution-key column to a constant, only one segment (of nseg live
+// ones) can hold matches.
+func directSegmentFor(t *catalog.Table, filter Expr, nseg int) int {
 	// Rows hash modulo the table's placement width (0 = the boot width, i.e.
 	// the live segment count), not the live count: mid-expansion the two
 	// differ and direct dispatch must follow where rows actually live.
 	width, _ := t.Placement()
-	if width <= 0 || width > p.NumSegments {
-		width = p.NumSegments
+	if width <= 0 || width > nseg {
+		width = nseg
 	}
 	if t.Distribution != catalog.DistHash || filter == nil || width <= 1 {
 		return -1
 	}
-	vals := make([]types.Datum, len(t.DistKeyCols))
-	found := make([]bool, len(t.DistKeyCols))
-	for _, c := range flattenAnd(filter) {
-		b, ok := c.(*BinOp)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		cr, crOk := b.Left.(*ColRef)
-		cn, cnOk := b.Right.(*Const)
-		if !crOk || !cnOk {
-			// also accept const = col
-			cr, crOk = b.Right.(*ColRef)
-			cn, cnOk = b.Left.(*Const)
-			if !crOk || !cnOk {
-				continue
-			}
-		}
-		for i, dk := range t.DistKeyCols {
-			if cr.Idx == dk {
-				vals[i] = cn.Val
-				found[i] = true
-			}
-		}
-	}
-	for _, f := range found {
-		if !f {
+	var buf [4]types.Datum // keeps the usual short key off the heap
+	key := buf[:0]
+	for _, dk := range t.DistKeyCols {
+		v, ok := pinnedTo(filter, dk)
+		if !ok {
 			return -1
 		}
+		key = append(key, v)
 	}
-	return int(types.Row(vals).Hash(seqInts(len(vals))) % uint64(width))
+	return int(types.Row(key).Hash(seqInts(len(key))) % uint64(width))
+}
+
+// pinnedTo finds, among e's conjuncts, an equality between column col and a
+// constant (either operand order) and returns the constant; the last such
+// conjunct wins.
+func pinnedTo(e Expr, col int) (val types.Datum, ok bool) {
+	b, isBin := e.(*BinOp)
+	if !isBin {
+		return val, false
+	}
+	if b.Op == "AND" {
+		l, lok := pinnedTo(b.Left, col)
+		if r, rok := pinnedTo(b.Right, col); rok {
+			return r, true
+		}
+		return l, lok
+	}
+	if b.Op != "=" {
+		return val, false
+	}
+	cr, crOk := b.Left.(*ColRef)
+	cn, cnOk := b.Right.(*Const)
+	if !crOk || !cnOk {
+		cr, crOk = b.Right.(*ColRef)
+		cn, cnOk = b.Left.(*Const)
+	}
+	if !crOk || !cnOk || cr.Idx != col {
+		return val, false
+	}
+	return cn.Val, true
 }
 
 // indexOfName finds the unique case-insensitive match of name in names.

@@ -91,7 +91,7 @@ func (p *Planner) planReorderedJoin(jr *sql.JoinRef, where sql.Expr) (pn *planne
 
 	// Bind ON conjuncts and the WHERE clause over the full scope and
 	// classify each conjunct.
-	bnd := &binder{scope: combined, params: p.Params}
+	bnd := p.newBinder(combined)
 	var conjuncts []Expr
 	pool := onConds
 	if where != nil {
@@ -125,7 +125,7 @@ func (p *Planner) planReorderedJoin(jr *sql.JoinRef, where sql.Expr) (pn *planne
 			k := bits.TrailingZeros64(mask)
 			scan := rels[k].pl.node.(*Scan)
 			scan.Filter = conjoin(scan.Filter, rebase(c, -rels[k].offset))
-			p.pruneAndIndex(scan)
+			prunePartitions(scan)
 		default:
 			if eq, ok := c.(*BinOp); ok && eq.Op == "=" {
 				la, lo := exprRel(eq.Left, relOf)
@@ -419,44 +419,14 @@ func cardEstInt(c float64) int64 {
 	return int64(c)
 }
 
-// remapCols rewrites every column reference through f. The expression must
-// only contain the shapes collectCols accepts (verified by callers).
+// remapCols rewrites every column reference through f.
 func remapCols(e Expr, f func(int) int) Expr {
-	switch v := e.(type) {
-	case nil:
-		return nil
-	case *ColRef:
-		return &ColRef{Idx: f(v.Idx), Name: v.Name, Typ: v.Typ}
-	case *Const:
-		return v
-	case *BinOp:
-		return &BinOp{Op: v.Op, Left: remapCols(v.Left, f), Right: remapCols(v.Right, f)}
-	case *NotExpr:
-		return &NotExpr{Operand: remapCols(v.Operand, f)}
-	case *NegExpr:
-		return &NegExpr{Operand: remapCols(v.Operand, f)}
-	case *IsNull:
-		return &IsNull{Operand: remapCols(v.Operand, f), Negate: v.Negate}
-	case *InList:
-		out := &InList{Operand: remapCols(v.Operand, f), Negate: v.Negate}
-		for _, it := range v.List {
-			out.List = append(out.List, remapCols(it, f))
+	return rewrite(e, func(l Expr) Expr {
+		if c, ok := l.(*ColRef); ok {
+			return &ColRef{Idx: f(c.Idx), Name: c.Name, Typ: c.Typ}
 		}
-		return out
-	case *Between:
-		return &Between{Operand: remapCols(v.Operand, f), Lo: remapCols(v.Lo, f), Hi: remapCols(v.Hi, f), Negate: v.Negate}
-	case *Case:
-		out := &Case{}
-		for _, w := range v.Whens {
-			out.Whens = append(out.Whens, CaseWhen{Cond: remapCols(w.Cond, f), Then: remapCols(w.Then, f)})
-		}
-		if v.Else != nil {
-			out.Else = remapCols(v.Else, f)
-		}
-		return out
-	default:
-		return e
-	}
+		return l
+	})
 }
 
 func remapAllCols(exprs []Expr, f func(int) int) []Expr {

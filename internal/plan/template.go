@@ -1,0 +1,252 @@
+package plan
+
+import (
+	"fmt"
+
+	"repro/internal/sql"
+	"repro/internal/types"
+)
+
+// A plan whose statement names $N parameters is a template: the binder left
+// a Param slot per placeholder, every decision that needs only the plan's
+// shape (join strategy, index choice, projections, slices) is already made,
+// and the steps that need the values wait for Bind. Planned.Bind turns the
+// template into an ordinary plan for one execution without touching it, so
+// any number of sessions run one cached template concurrently.
+
+// Plan plans a SELECT, INSERT, UPDATE or DELETE (gdd selects the write lock
+// level, see PlanUpdate).
+func (p *Planner) Plan(st sql.Statement, gdd bool) (*Planned, error) {
+	switch x := st.(type) {
+	case *sql.SelectStmt:
+		return p.PlanSelect(x)
+	case *sql.InsertStmt:
+		return p.PlanInsert(x)
+	case *sql.UpdateStmt:
+		return p.PlanUpdate(x, gdd)
+	case *sql.DeleteStmt:
+		return p.PlanDelete(x, gdd)
+	default:
+		return nil, fmt.Errorf("plan: cannot plan %T (SELECT, INSERT, UPDATE and DELETE only)", st)
+	}
+}
+
+// finish stamps what Bind needs onto a freshly planned statement and, when
+// the plan holds no slot, routes it now.
+func (p *Planner) finish(pl *Planned) *Planned {
+	pl.slots, pl.nseg, pl.pushdown = p.slots > 0, p.NumSegments, p.Pushdown
+	if !pl.slots {
+		pl.route()
+	}
+	return pl
+}
+
+// route derives DirectSegment from a slot-free plan: an UPDATE or DELETE
+// whose filter pins the distribution key, or a SELECT whose only motion is
+// a gather above a chain of single-input operators over one table access
+// that does. Everything above that gather runs on the coordinator and only
+// the pinned segment can feed it a base row, so dispatch may run the slice
+// there alone.
+func (pl *Planned) route() {
+	pl.DirectSegment = -1
+	n := pl.Root
+	if len(pl.Motions) == 1 && pl.Motions[0].Type == MotionGather {
+		n = pl.Motions[0].Child
+	} else if len(pl.Motions) > 0 {
+		return
+	}
+	for {
+		switch x := n.(type) {
+		case *UpdatePlan:
+			pl.DirectSegment = directSegmentFor(x.Table, x.Filter, pl.nseg)
+		case *DeletePlan:
+			pl.DirectSegment = directSegmentFor(x.Table, x.Filter, pl.nseg)
+		case *IndexScan:
+			pl.DirectSegment = directSegmentFor(x.Table, x.Filter, pl.nseg)
+		case *Scan:
+			if x.OnSeg < 0 {
+				pl.DirectSegment = directSegmentFor(x.Table, x.Filter, pl.nseg)
+			}
+		case *Project:
+			n = x.Child
+			continue
+		case *Filter:
+			n = x.Child
+			continue
+		case *Agg:
+			n = x.Child
+			continue
+		}
+		return
+	}
+}
+
+// Bind instantiates the plan for one execution: every $N slot becomes the
+// Const of its parameter, copying only the expression and plan nodes on a
+// path to a slot (the rest stay shared with the template), and the steps
+// that depend on the values then run over ordinary constants — partition
+// pruning, zone-map pushdown extraction, LIMIT/OFFSET evaluation and direct
+// dispatch. A plan without slots is returned as is.
+func (pl *Planned) Bind(params []types.Datum) (*Planned, error) {
+	if !pl.slots {
+		return pl, nil
+	}
+	b := &instantiation{tmpl: pl, params: params}
+	b.leaf = b.bindLeaf
+	out := *pl
+	out.Root = b.node(pl.Root)
+	if b.err != nil {
+		return nil, b.err
+	}
+	// Costs is keyed by the template's nodes: it does not describe the copy.
+	out.Motions, out.Costs, out.slots = b.motions, nil, false
+	out.route()
+	return &out, nil
+}
+
+// instantiation is one Bind call's state.
+type instantiation struct {
+	tmpl    *Planned
+	params  []types.Datum
+	leaf    func(Expr) Expr // bindLeaf, bound once
+	bound   int             // slots bound so far
+	motions []*Motion       // the bound plan's motions, post-order
+	err     error
+}
+
+// expr returns e with its slots bound (rewrite's sharing rules apply: an
+// expression without a slot comes back unchanged).
+func (b *instantiation) expr(e Expr) Expr { return rewrite(e, b.leaf) }
+
+func (b *instantiation) exprs(es []Expr) []Expr { return rewriteAll(es, b.leaf) }
+
+// bindLeaf turns a slot into the Const of its parameter.
+func (b *instantiation) bindLeaf(e Expr) Expr {
+	p, ok := e.(*Param)
+	if !ok {
+		return e
+	}
+	if p.Idx >= len(b.params) {
+		b.err = fmt.Errorf("plan: parameter $%d not supplied", p.Idx+1)
+		return e
+	}
+	v := b.params[p.Idx]
+	if v.Kind() != p.Typ {
+		// coercePair's cast; a value that does not cast compares as it is.
+		if cv, err := v.CastTo(p.Typ); err == nil {
+			v = cv
+		}
+	}
+	b.bound++
+	return &Const{Val: v}
+}
+
+// node returns n with the slots of its subtree bound: a copy of n when the
+// subtree held one, n itself (shared with the template) when not.
+func (b *instantiation) node(n Node) Node {
+	mark := b.bound
+	switch x := n.(type) {
+	case *Scan:
+		if f := b.expr(x.Filter); b.bound > mark {
+			c := *x
+			c.Filter = f
+			prunePartitions(&c)
+			if b.tmpl.pushdown {
+				c.ScanPred = ExtractPushdown(f)
+			}
+			return &c
+		}
+	case *IndexScan:
+		if keys, f := b.exprs(x.KeyVals), b.expr(x.Filter); b.bound > mark {
+			c := *x
+			c.KeyVals, c.Filter = keys, f
+			return &c
+		}
+	case *Project:
+		if ch, es := b.node(x.Child), b.exprs(x.Exprs); b.bound > mark {
+			c := *x
+			c.Child, c.Exprs = ch, es
+			return &c
+		}
+	case *Filter:
+		if ch, cond := b.node(x.Child), b.expr(x.Cond); b.bound > mark {
+			return &Filter{Child: ch, Cond: cond}
+		}
+	case *HashJoin:
+		l, r := b.node(x.Left), b.node(x.Right)
+		if lk, rk, extra := b.exprs(x.LeftKeys), b.exprs(x.RightKeys), b.expr(x.Extra); b.bound > mark {
+			c := *x
+			c.Left, c.Right, c.LeftKeys, c.RightKeys, c.Extra = l, r, lk, rk, extra
+			return &c
+		}
+	case *NestLoop:
+		if l, r, cond := b.node(x.Left), b.node(x.Right), b.expr(x.Cond); b.bound > mark {
+			c := *x
+			c.Left, c.Right, c.Cond = l, r, cond
+			return &c
+		}
+	case *Agg:
+		ch, gb, specs := b.node(x.Child), b.exprs(x.GroupBy), x.Specs
+		for i, sp := range x.Specs {
+			if arg := b.expr(sp.Arg); arg != sp.Arg {
+				if &specs[0] == &x.Specs[0] {
+					specs = append([]AggSpec(nil), x.Specs...)
+				}
+				specs[i].Arg = arg
+			}
+		}
+		if b.bound > mark {
+			c := *x
+			c.Child, c.GroupBy, c.Specs = ch, gb, specs
+			return &c
+		}
+	case *Sort:
+		ch, keys := b.node(x.Child), x.Keys
+		for i, k := range x.Keys {
+			if e := b.expr(k.Expr); e != k.Expr {
+				if &keys[0] == &x.Keys[0] {
+					keys = append([]SortKey(nil), x.Keys...)
+				}
+				keys[i].Expr = e
+			}
+		}
+		if b.bound > mark {
+			c := *x
+			c.Child, c.Keys = ch, keys
+			return &c
+		}
+	case *Limit:
+		ch, count, offset := b.node(x.Child), x.Count, x.Offset
+		if e := b.expr(x.CountExpr); e != nil && b.err == nil {
+			count, b.err = limitValue(e, "LIMIT")
+		}
+		if e := b.expr(x.OffsetExpr); e != nil && b.err == nil {
+			offset, b.err = limitValue(e, "OFFSET")
+		}
+		if b.bound > mark {
+			return &Limit{Child: ch, Count: count, Offset: offset}
+		}
+	case *Motion:
+		m := x
+		if ch, he := b.node(x.Child), b.exprs(x.HashExprs); b.bound > mark {
+			c := *x
+			c.Child, c.HashExprs = ch, he
+			m = &c
+		}
+		b.motions = append(b.motions, m)
+		return m
+	case *UpdatePlan:
+		if set, f := b.exprs(x.SetExprs), b.expr(x.Filter); b.bound > mark {
+			c := *x
+			c.SetExprs, c.Filter = set, f
+			return &c
+		}
+	case *DeletePlan:
+		if f := b.expr(x.Filter); b.bound > mark {
+			c := *x
+			c.Filter = f
+			return &c
+		}
+	}
+	return n
+}
