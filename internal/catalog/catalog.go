@@ -221,13 +221,15 @@ func (c *Catalog) DropTable(name string) error {
 	return nil
 }
 
-// RenameTable re-keys a table under a new name (the online-expansion flip:
-// the widened staging table takes over the dropped original's name). The
-// table keeps its ID and leaf IDs, so segment-side state — engines, WAL leaf
-// bindings, mirrors, locks — carries over untouched. Index Table back-refs
-// follow the rename. Statistics (keyed by name) are dropped; the caller
-// invalidates the cluster-side generation too.
-func (c *Catalog) RenameTable(oldName, newName string) error {
+// RenameTableOver re-keys table oldName under newName, replacing the table
+// that holds that name, in one critical section — the online-expansion flip:
+// the widened staging table takes over the original's name, and a lookup of
+// that name at any moment finds the original or its replacement, never
+// neither. The renamed table keeps its ID and leaf IDs, so segment-side state
+// — engines, WAL leaf bindings, mirrors, locks — carries over untouched.
+// Index Table back-refs follow the rename. Statistics of both (keyed by name)
+// are dropped; the caller invalidates the cluster-side generation too.
+func (c *Catalog) RenameTableOver(oldName, newName string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	oldKey := strings.ToLower(oldName)
@@ -236,11 +238,12 @@ func (c *Catalog) RenameTable(oldName, newName string) error {
 	if !ok {
 		return fmt.Errorf("catalog: table %q does not exist", oldName)
 	}
-	if _, ok := c.tables[newKey]; ok && newKey != oldKey {
-		return fmt.Errorf("catalog: table %q already exists", newName)
+	if _, ok := c.tables[newKey]; !ok {
+		return fmt.Errorf("catalog: table %q does not exist", newName)
 	}
 	delete(c.tables, oldKey)
 	delete(c.tstats, oldKey)
+	delete(c.tstats, newKey)
 	t.Name = newName
 	for _, ix := range t.Indexes {
 		ix.Table = newName

@@ -47,8 +47,8 @@ type Config struct {
 	SegmentWorkers int
 
 	// MotionBuffer is the per-stream interconnect buffer in rows. The
-	// dispatcher converts it to send slots (batches) for the vectorized
-	// executor so buffering stays at the same row scale in both modes.
+	// dispatcher divides it by the batch size to get the fabric's send slots
+	// (batches).
 	MotionBuffer int
 
 	// ExecBatchSize is the executor's rows-per-batch for vectorized
@@ -62,9 +62,6 @@ type Config struct {
 	// override: QueryResources.Parallelism; session override: SET
 	// exec_parallelism.
 	ExecParallelism int
-	// RowAtATime forces the legacy row-at-a-time executor and per-row
-	// motion sends — the compatibility shim, kept for ablation benchmarks.
-	RowAtATime bool
 
 	// BlockCacheBytes is the capacity of each segment's LRU cache of decoded
 	// AO-column blocks, charged against the resource-group global vmem pool

@@ -872,26 +872,26 @@ func (c *Cluster) cloneIndexes(t, st *catalog.Table, target int) error {
 	return nil
 }
 
-// flipTable atomically moves routing to the widened placement: drop the old
-// table (in-flight mirror tail records for its leaves are skipped, the
-// normal dropped-table contract) and rename the staging table over it. The
-// staging table keeps its IDs, so engines, WAL leaf bindings, mirrors and
-// locks carry over untouched. Both the retired object and the renamed one
-// get a bumped map version: plans holding either fail retryably, and
-// in-flight writers of the old placement fence with ErrTxnLostWrites.
+// flipTable atomically moves routing to the widened placement: the staging
+// table is renamed over the old one in a single catalog step — planners
+// resolve names without ddlMu, and must find one of the two at any moment —
+// and only then is the old table dropped on the segments and mirrors
+// (in-flight mirror tail records for its leaves are skipped, the normal
+// dropped-table contract). The staging table keeps its IDs, so engines, WAL
+// leaf bindings, mirrors and locks carry over untouched. Both the retired
+// object and the renamed one get a bumped map version, set before the swap
+// shows the new one under the live name: plans holding either fail
+// retryably, and in-flight writers of the old placement fence with
+// ErrTxnLostWrites.
 func (c *Cluster) flipTable(t, st *catalog.Table, w, target int, ver uint64) error {
 	stName := st.Name
 	c.ddlMu.Lock()
-	if err := c.catalog.DropTable(t.Name); err != nil {
-		c.ddlMu.Unlock()
-		return err
-	}
-	c.eachSeg(func(_ int, s *Segment) { s.DropTable(t) })
-	c.eachMirror(func(m *Mirror) { m.DropTable(t) })
 	t.SetPlacement(w, ver+1)
-	err := c.catalog.RenameTable(stName, t.Name)
+	st.SetPlacement(target, ver+1)
+	err := c.catalog.RenameTableOver(stName, t.Name)
 	if err == nil {
-		st.SetPlacement(target, ver+1)
+		c.eachSeg(func(_ int, s *Segment) { s.DropTable(t) })
+		c.eachMirror(func(m *Mirror) { m.DropTable(t) })
 	}
 	c.ddlMu.Unlock()
 	if err != nil {

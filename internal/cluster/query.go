@@ -205,16 +205,12 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 	}
 
 	// MotionBuffer is row-denominated; the fabric counts buffer slots in
-	// sends, so in batch mode the slot count shrinks by the batch size to
-	// keep per-stream buffering (and the flow-control/back-pressure
-	// behaviour it models) at the configured row scale.
+	// sends (batches), so the slot count shrinks by the batch size to keep
+	// per-stream buffering (and the flow-control/back-pressure behaviour it
+	// models) at the configured row scale.
 	var fabric *interconnect.Fabric
 	if !direct {
-		buf := c.cfg.MotionBuffer
-		if !c.cfg.RowAtATime {
-			buf = max(1, buf/batchSize)
-		}
-		fabric = interconnect.NewFabric(nseg, buf, 0)
+		fabric = interconnect.NewFabric(nseg, max(1, c.cfg.MotionBuffer/batchSize), 0)
 		for _, m := range motions {
 			switch m.Type {
 			case plan.MotionGather:
@@ -284,7 +280,6 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 			Ctx:         qctx,
 			Recv:        func(slice int) exec.Receiver { return fabric.Receiver(slice, segID) },
 			BatchSize:   batchSize,
-			RowMode:     c.cfg.RowAtATime,
 			Spill:       spill,
 			NumSegments: nseg,
 			SegID:       segID,
@@ -339,13 +334,7 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 				defer sp.End()
 				ec := mkCtx(seg)
 				ec.Parallel = dopFor(m)
-				var err error
-				if c.cfg.RowAtATime {
-					err = runRowSlice(qctx, ec, m, fabric, nseg)
-				} else {
-					err = runBatchSlice(qctx, ec, m, fabric, nseg)
-				}
-				if err != nil {
+				if err := runBatchSlice(qctx, ec, m, fabric, nseg); err != nil {
 					cancel(err)
 				}
 			}()
@@ -360,13 +349,7 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 		top.Inline = mkCtx(pl.DirectSegment)
 		sp = tr.Begin(execSpanOf(res), sliceName(motions[0]), pl.DirectSegment)
 	}
-	var rows []types.Row
-	var err error
-	if c.cfg.RowAtATime {
-		rows, err = exec.Drain(exec.Build(top, root))
-	} else {
-		rows, err = exec.DrainBatches(exec.BuildBatch(top, root))
-	}
+	rows, err := exec.DrainBatches(exec.BuildBatch(top, root))
 	sp.End()
 	// A failed sender cancels qctx with its error before closing its stream,
 	// so the top drain can race past the cancellation and "succeed" with a
@@ -451,11 +434,11 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 	return rows, root.Schema(), nil
 }
 
-// runBatchSlice executes one (motion, location) sender in batch mode: it
-// pulls batches from the vectorized iterator tree (split into parallel
-// worker pipelines when the slice allows it) and pays one interconnect send
-// per (destination) batch. Redistribute motions fan rows out per destination
-// at row granularity, preserving hash routing exactly.
+// runBatchSlice executes one (motion, location) sender: it pulls batches
+// from the slice's operator tree (split into parallel worker pipelines when
+// the slice allows it) and pays one interconnect send per (destination)
+// batch. Redistribute motions fan rows out per destination at row
+// granularity, preserving hash routing exactly.
 func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric *interconnect.Fabric, nseg int) error {
 	it := exec.BuildBatchParallel(ec, m.Child)
 	defer it.Close()
@@ -497,42 +480,6 @@ func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric
 		case plan.MotionBroadcast:
 			for d := 0; d < nseg; d++ {
 				if err := fabric.SendBatch(ctx, m.SliceID, d, b.DeepClone()); err != nil {
-					return err
-				}
-			}
-		}
-	}
-}
-
-// runRowSlice is the row-at-a-time sender (Config.RowAtATime): one
-// interconnect send per row, exec.Build iterators throughout.
-func runRowSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric *interconnect.Fabric, nseg int) error {
-	it := exec.Build(ec, m.Child)
-	defer it.Close()
-	for {
-		row, err := it.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		switch m.Type {
-		case plan.MotionGather:
-			if err := fabric.Send(ctx, m.SliceID, -1, row); err != nil {
-				return err
-			}
-		case plan.MotionRedistribute:
-			dest, err := exec.HashForRedistribute(m.HashExprs, row, nseg)
-			if err != nil {
-				return err
-			}
-			if err := fabric.Send(ctx, m.SliceID, dest, row); err != nil {
-				return err
-			}
-		case plan.MotionBroadcast:
-			for d := 0; d < nseg; d++ {
-				if err := fabric.Send(ctx, m.SliceID, d, row.Clone()); err != nil {
 					return err
 				}
 			}

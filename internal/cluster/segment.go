@@ -795,7 +795,7 @@ func (a *storeAccess) scanOpts(spec exec.ScanSpec) *storage.ScanOpts {
 	return opts
 }
 
-// ScanTableBatches implements exec.BatchStoreAccess: visibility-filtered
+// ScanTableBatches implements exec.StoreAccess: visibility-filtered
 // rows are delivered in bounded batches, decoded block-at-a-time by the
 // column store, skipping blocks the pushed predicate's zone maps rule out.
 // Each batch handed to fn is fully owned by fn (fresh container, retainable
@@ -949,11 +949,13 @@ func (a *storeAccess) IndexLookup(ctx context.Context, t *catalog.Table, def *ca
 
 // lockRowForUpdate implements SELECT ... FOR UPDATE row locking: wait out
 // any uncommitted writer of the row (a solid transaction-lock edge), then
-// hold the tuple lock until transaction end.
+// hold the tuple lock until transaction end — said on the grant, so a writer
+// queued behind it shows in the wait-for graph as a solid edge, unlike one
+// queued behind writeTuple's short tuple lock.
 func (s *Segment) lockRowForUpdate(ctx context.Context, a *storeAccess, st *segTable, tid storage.TupleID) error {
 	me := lockmgr.TxnID(a.dxid)
 	tag := lockmgr.TupleTag(uint64(st.leaf), uint64(tid))
-	if err := s.mapLockErr(s.locks.Acquire(ctx, me, tag, lockmgr.Exclusive)); err != nil {
+	if err := s.mapLockErr(s.locks.AcquireToEnd(ctx, me, tag, lockmgr.Exclusive)); err != nil {
 		return err
 	}
 	for {

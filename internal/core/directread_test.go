@@ -27,11 +27,11 @@ CREATE TABLE rnd (id int, v int) DISTRIBUTED RANDOMLY;
 
 // directEngine boots a 4-segment engine with the direct-dispatch schema
 // loaded: 60 keys in every table.
-func directEngine(t testing.TB, direct, rowAtATime bool) (*Engine, *Session) {
+func directEngine(t testing.TB, direct bool) (*Engine, *Session) {
 	t.Helper()
 	cfg := cluster.GPDB6(4)
 	cfg.GDDPeriod = 5 * time.Millisecond
-	cfg.DirectDispatch, cfg.RowAtATime = direct, rowAtATime
+	cfg.DirectDispatch = direct
 	e := NewEngine(cfg)
 	t.Cleanup(e.Close)
 	s, err := e.NewSession("")
@@ -96,8 +96,8 @@ func sliceSegments(t *testing.T, e *Engine, s *Session, q string, params ...type
 // the same rows with Config.DirectDispatch on and off, whether its key is
 // pinned (one segment) or not (the gang).
 func TestDirectDispatchReadEquality(t *testing.T) {
-	_, on := directEngine(t, true, false)
-	_, off := directEngine(t, false, false)
+	_, on := directEngine(t, true)
+	_, off := directEngine(t, false)
 	i := func(v int64) types.Datum { return types.NewInt(v) }
 	cases := []struct {
 		q      string
@@ -139,17 +139,12 @@ func TestDirectDispatchReadEquality(t *testing.T) {
 		{"SELECT val FROM kv WHERE id = 7 FOR UPDATE", nil},
 		{"SELECT k.val, t.v FROM kv k JOIN two t ON k.id = t.v WHERE k.id = $1", []types.Datum{i(7)}},
 	}
-	for _, mode := range []string{"batch", "row"} {
-		if mode == "row" {
-			_, on = directEngine(t, true, true)
-		}
-		for _, tc := range cases {
-			want := sortedRows(mustExec(t, off, tc.q, tc.params...))
-			// Twice: the second run instantiates the cached plan.
-			for run := 0; run < 2; run++ {
-				if got := sortedRows(mustExec(t, on, tc.q, tc.params...)); got != want {
-					t.Errorf("%s, %s %v run %d: direct dispatch on:\n%s\noff:\n%s", mode, tc.q, tc.params, run, got, want)
-				}
+	for _, tc := range cases {
+		want := sortedRows(mustExec(t, off, tc.q, tc.params...))
+		// Twice: the second run instantiates the cached plan.
+		for run := 0; run < 2; run++ {
+			if got := sortedRows(mustExec(t, on, tc.q, tc.params...)); got != want {
+				t.Errorf("%s %v run %d: direct dispatch on:\n%s\noff:\n%s", tc.q, tc.params, run, got, want)
 			}
 		}
 	}
@@ -160,7 +155,7 @@ func TestDirectDispatchReadEquality(t *testing.T) {
 // blocks until the reader commits, and while it waits the wait-for graph the
 // global deadlock detector collects holds the edge on that segment.
 func TestDirectReadForUpdateLocks(t *testing.T) {
-	e, _ := directEngine(t, true, false)
+	e, _ := directEngine(t, true)
 	k0 := keyOnSegment(4, 0) // among the loaded keys
 	forUpdate := fmt.Sprintf("SELECT val FROM kv WHERE id = %d FOR UPDATE", k0)
 	sa, _ := e.NewSession("")
@@ -198,7 +193,7 @@ func TestDirectReadForUpdateLocks(t *testing.T) {
 // execution is a plan hit that returns its own key's rows from its own
 // key's segment, and anything that changes the right plan re-plans.
 func TestParamPlanReuse(t *testing.T) {
-	e, s := directEngine(t, true, false)
+	e, s := directEngine(t, true)
 	const q = "SELECT val FROM kv WHERE id = $1"
 	delta := func(f func()) (hits, misses int64) {
 		before := e.StmtCache().Stats()
@@ -383,7 +378,7 @@ func TestDirectReadFailover(t *testing.T) {
 // on a 4-segment engine stays a one-segment statement — no gang, no
 // interconnect, no batch-size containers for one row.
 func TestPointSelectAllocations(t *testing.T) {
-	_, s := directEngine(t, true, false)
+	_, s := directEngine(t, true)
 	ctx := context.Background()
 	k := int64(0)
 	perRun := func(q string, params func() []types.Datum) float64 {

@@ -119,6 +119,57 @@ func TestLiveGlobalDeadlockCase1(t *testing.T) {
 	}
 }
 
+// TestLiveDeadlockThroughForUpdate crosses a row-locking read with updates:
+// A locks the segment-0 row FOR UPDATE, B updates the segment-1 row, B's
+// update of A's row queues behind A's tuple lock, A's update of B's row
+// waits on B's transaction. A keeps a FOR UPDATE lock to its end, so B's wait
+// is a solid edge and the cycle is a deadlock the daemon must break — for the
+// index-scan and the seq-scan form of the locking read.
+func TestLiveDeadlockThroughForUpdate(t *testing.T) {
+	for _, indexed := range []bool{true, false} {
+		e, admin := newTestEngine(t, 2)
+		k0 := keyOnSegment(2, 0)
+		k1 := keyOnSegment(2, 1)
+		mustExec(t, admin, "CREATE TABLE t1 (c1 int, c2 int) DISTRIBUTED BY (c1)")
+		if indexed {
+			mustExec(t, admin, "CREATE INDEX t1_c1 ON t1 (c1)")
+		}
+		mustExec(t, admin, fmt.Sprintf("INSERT INTO t1 VALUES (%d, 1), (%d, 2)", k0, k1))
+		forUpdate := fmt.Sprintf("SELECT c2 FROM t1 WHERE c1 = %d FOR UPDATE", k0)
+		if got := strings.Contains(explainText(t, admin, forUpdate), "Index Scan"); got != indexed {
+			t.Fatalf("indexed=%v but the locking read's plan is:\n%s", indexed, explainText(t, admin, forUpdate))
+		}
+
+		sa, _ := e.NewSession("")
+		sb, _ := e.NewSession("")
+		mustExec(t, sa, "BEGIN")
+		mustExec(t, sb, "BEGIN")
+		mustExec(t, sa, forUpdate)
+		mustExec(t, sb, fmt.Sprintf("UPDATE t1 SET c2 = 20 WHERE c1 = %d", k1))
+		stB := goExec(sb, fmt.Sprintf("UPDATE t1 SET c2 = 21 WHERE c1 = %d", k0))
+		if !stB.blocked(t, 50*time.Millisecond) {
+			t.Fatal("B should be blocked by A's row lock")
+		}
+		stA := goExec(sa, fmt.Sprintf("UPDATE t1 SET c2 = 11 WHERE c1 = %d", k1))
+
+		// B is younger, so B dies, within a second at a 5 ms detector period.
+		errB := stB.wait(t, time.Second)
+		errA := stA.wait(t, time.Second)
+		if !errors.Is(errB, lockmgr.ErrDeadlockVictim) || errA != nil {
+			t.Fatalf("indexed=%v: want B the deadlock victim and A through; A err=%v B err=%v", indexed, errA, errB)
+		}
+		mustExec(t, sa, "COMMIT")
+		mustExec(t, sb, "ROLLBACK")
+		if _, deadlocks, victims, _ := e.Cluster().GDDStats(); deadlocks != 1 || victims != 1 {
+			t.Fatalf("indexed=%v: daemon stats: deadlocks=%d victims=%d, want one of each", indexed, deadlocks, victims)
+		}
+		res := mustExec(t, admin, "SELECT c2 FROM t1 ORDER BY c2")
+		if len(res.Rows) != 2 || res.Rows[0][0].Int() != 1 || res.Rows[1][0].Int() != 11 {
+			t.Fatalf("indexed=%v: rows after A committed alone: %v", indexed, res.Rows)
+		}
+	}
+}
+
 // TestLiveNonDeadlockFigure8 drives the paper's Figure 8: B updates rows on
 // both segments in one statement while A and C hold one each; this wait
 // pattern contains a cycle-looking shape with a dotted edge but is NOT a

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -112,6 +113,46 @@ func TestParallelExplainAnnotation(t *testing.T) {
 	for _, r := range out.Rows {
 		if strings.Contains(r[0].Text(), "parallel") {
 			t.Fatalf("FOR UPDATE slice annotated parallel: %v", r)
+		}
+	}
+}
+
+// TestParallelExplainAnalyzeActuals: a slice that runs as parallel worker
+// pipelines reports the same per-node actual rows, in total and per segment,
+// as the serial run — scan/filter/project counted inside the workers, the
+// aggregate once per segment at the merge above them — for an aggregating
+// slice and a scan-only (ordered) one.
+func TestParallelExplainAnalyzeActuals(t *testing.T) {
+	e := NewEngine(cluster.GPDB6(2))
+	defer e.Close()
+	s, _ := e.NewSession("")
+	loadAnalyticsTable(t, s, 40000)
+	mustExec(t, s, "ANALYZE f")
+	// What a run says about rows: per node "actual=N"/"actual rows=N", per
+	// segment "segN: rows=N". Times, batch counts and the motion's
+	// "; parallel 4" label legitimately differ.
+	rowsRe := regexp.MustCompile(`actual=\d+|actual rows=\d+|seg\d+: rows=\d+`)
+	actuals := func(q string, dop int) []string {
+		mustExec(t, s, fmt.Sprintf("SET exec_parallelism = %d", dop))
+		var out []string
+		for _, l := range planText(mustExec(t, s, "EXPLAIN ANALYZE "+q)) {
+			if m := rowsRe.FindAllString(l, -1); m != nil {
+				out = append(out, strings.Join(m, " "))
+			}
+		}
+		return out
+	}
+	for _, q := range []string{
+		"SELECT g, count(*), sum(a) FROM f WHERE a % 2 = 0 GROUP BY g",
+		"SELECT a, w FROM f WHERE a % 2 = 0",
+	} {
+		serial, parallel := actuals(q, 1), actuals(q, 4)
+		if !containsLine(serial, "actual=20000") || !containsLine(serial, "seg1: rows=") {
+			t.Fatalf("%s: serial run lacks the scan's actuals:\n%s", q, strings.Join(serial, "\n"))
+		}
+		if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
+			t.Fatalf("%s: actual rows differ.\nexec_parallelism 1:\n%s\nexec_parallelism 4:\n%s",
+				q, strings.Join(serial, "\n"), strings.Join(parallel, "\n"))
 		}
 	}
 }

@@ -35,7 +35,7 @@ func TestSpillFaultCleanupEverySite(t *testing.T) {
 			t.Run(tc.site+"/"+point, func(t *testing.T) {
 				e, constrained, admin := newSpillEngine(t, 2, 1)
 				loadSpillTables(t, admin, true)
-				before := spillTempDirs(t)
+				noLeak := ownSpillDir(t)
 				c := e.Cluster()
 
 				// Start 2 lets the first hit through so the failure lands
@@ -54,11 +54,7 @@ func TestSpillFaultCleanupEverySite(t *testing.T) {
 				if !strings.Contains(err.Error(), "disk full") {
 					t.Fatalf("error text leaks nothing useful: %v", err)
 				}
-				for d := range spillTempDirs(t) {
-					if !before[d] {
-						t.Fatalf("spill temp dir leaked: %s", d)
-					}
-				}
+				noLeak("after the failed statement")
 				if leaks := c.FaultStats().SpillLeaks; leaks != 0 {
 					t.Fatalf("operators leaned on the cleanup backstop %d times", leaks)
 				}
@@ -90,7 +86,7 @@ func TestSpillFaultRepeatedNoAccountingLeak(t *testing.T) {
 	loadSpillTables(t, admin, false)
 	c := e.Cluster()
 	ctx := context.Background()
-	before := spillTempDirs(t)
+	noLeak := ownSpillDir(t)
 	for i := 0; i < 20; i++ {
 		point := fault.SpillWrite
 		if i%2 == 1 {
@@ -107,11 +103,7 @@ func TestSpillFaultRepeatedNoAccountingLeak(t *testing.T) {
 	if leaks := c.FaultStats().SpillLeaks; leaks != 0 {
 		t.Fatalf("spill files leaked to the backstop: %d", leaks)
 	}
-	for d := range spillTempDirs(t) {
-		if !before[d] {
-			t.Fatalf("spill temp dir leaked: %s", d)
-		}
-	}
+	noLeak("after the failed statements")
 	res := mustExec(t, constrained, "SELECT count(*) FROM t")
 	if res.Rows[0][0].Int() != 6000 {
 		t.Fatalf("post-hammer count: %v", res.Rows)
@@ -127,7 +119,7 @@ func TestSpillFaultConcurrentSessions(t *testing.T) {
 	e, _, admin := newSpillEngine(t, 2, 1)
 	loadSpillTables(t, admin, false)
 	c := e.Cluster()
-	before := spillTempDirs(t)
+	noLeak := ownSpillDir(t)
 	if err := c.InjectFault(fault.Spec{Point: fault.SpillWrite, Seg: fault.AllSegments, Action: fault.ActError, Probability: 30, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +153,5 @@ func TestSpillFaultConcurrentSessions(t *testing.T) {
 	if leaks := c.FaultStats().SpillLeaks; leaks != 0 {
 		t.Fatalf("concurrent spill failures leaked %d files to the backstop", leaks)
 	}
-	for d := range spillTempDirs(t) {
-		if !before[d] {
-			t.Fatalf("spill temp dir leaked: %s", d)
-		}
-	}
+	noLeak("after the failed statements")
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -97,18 +96,21 @@ func TestSpillResultEquality(t *testing.T) {
 	}
 }
 
-// spillTempDirs lists the gpspill temp directories currently on disk.
-func spillTempDirs(t *testing.T) map[string]bool {
+// ownSpillDir points the test's spill files at a TMPDIR of its own and
+// returns the leak check: no gpspill directory may be left there. The
+// machine-wide temp directory would not do — go test runs several packages'
+// spilling tests at once, and another process's live directory is not this
+// test's leak.
+func ownSpillDir(t *testing.T) (noLeak func(when string)) {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(os.TempDir(), "gpspill-*"))
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	return func(when string) {
+		t.Helper()
+		if m, _ := filepath.Glob(filepath.Join(dir, "gpspill-*")); len(m) != 0 {
+			t.Fatalf("spill temp dir leaked %s: %v", when, m)
+		}
 	}
-	out := make(map[string]bool, len(matches))
-	for _, m := range matches {
-		out[m] = true
-	}
-	return out
 }
 
 // TestSpillTempFileCleanupOnError: a query that spills and then fails (a
@@ -117,28 +119,20 @@ func spillTempDirs(t *testing.T) map[string]bool {
 func TestSpillTempFileCleanupOnError(t *testing.T) {
 	_, constrained, admin := newSpillEngine(t, 2, 1)
 	loadSpillTables(t, admin, false)
-	before := spillTempDirs(t)
+	noLeak := ownSpillDir(t)
 	// Row a=5999 is inserted (and scanned) last; by then the coordinator
 	// sort has spilled several 32 KiB runs.
 	_, err := constrained.Exec(context.Background(), "SELECT a, b/(a-5999) FROM t ORDER BY b")
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("expected division-by-zero error, got %v", err)
 	}
-	for d := range spillTempDirs(t) {
-		if !before[d] {
-			t.Fatalf("spill temp dir leaked after query error: %s", d)
-		}
-	}
+	noLeak("after query error")
 	// The session recovers and the next spilling query still works.
 	res := mustExec(t, constrained, "SELECT count(*) FROM t")
 	if res.Rows[0][0].Int() != 6000 {
 		t.Fatalf("recovery count: %v", res.Rows)
 	}
-	for d := range spillTempDirs(t) {
-		if !before[d] {
-			t.Fatalf("spill temp dir leaked after recovery query: %s", d)
-		}
-	}
+	noLeak("after recovery query")
 }
 
 // TestSpillObservability: EXPLAIN ANALYZE reports nonzero spill counters for

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/types"
 )
 
 func explainText(t *testing.T, s *Session, q string) string {
@@ -83,43 +84,44 @@ func TestPlannerUsesRealTableStats(t *testing.T) {
 	}
 }
 
-// TestBatchAndRowModesAgree runs the same analytical query under the
-// vectorized executor and the row-at-a-time shim and requires identical
-// results end to end (scan → motion → agg through real segments).
+// TestBatchAndRowModesAgree runs an analytical query end to end (scan →
+// motion → two-phase agg → sort through real segments, several batches per
+// segment) and requires exactly the rows a plain Go evaluation of the same
+// query over the same inserted values gives.
 func TestBatchAndRowModesAgree(t *testing.T) {
-	run := func(rowMode bool) [][]string {
-		cfg := cluster.GPDB6(3)
-		cfg.RowAtATime = rowMode
-		cfg.ExecBatchSize = 64
-		e := NewEngine(cfg)
-		defer e.Close()
-		s, err := e.NewSession("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustExec(t, s, "CREATE TABLE f (g int, v int, w int) WITH (appendonly=true, orientation=column) DISTRIBUTED BY (g)")
-		bulkInsert(t, s, "f", 3000, 0, func(i int) string { return fmt.Sprintf("(%d,%d,%d)", i%37, i, i%5) })
-		res := mustExec(t, s, "SELECT g, count(*), sum(v), min(v), max(v), avg(w) FROM f WHERE v % 2 = 0 GROUP BY g ORDER BY g")
-		var out [][]string
-		for _, r := range res.Rows {
-			var row []string
-			for _, d := range r {
-				row = append(row, d.String())
-			}
-			out = append(out, row)
-		}
-		return out
+	cfg := cluster.GPDB6(3)
+	cfg.ExecBatchSize = 64
+	e := NewEngine(cfg)
+	defer e.Close()
+	s, err := e.NewSession("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	batch := run(false)
-	row := run(true)
-	if len(batch) == 0 || len(batch) != len(row) {
-		t.Fatalf("result sizes differ: batch=%d row=%d", len(batch), len(row))
+	mustExec(t, s, "CREATE TABLE f (g int, v int, w int) WITH (appendonly=true, orientation=column) DISTRIBUTED BY (g)")
+	bulkInsert(t, s, "f", 3000, 0, func(i int) string { return fmt.Sprintf("(%d,%d,%d)", i%37, i, i%5) })
+	res := mustExec(t, s, "SELECT g, count(*), sum(v), min(v), max(v), avg(w) FROM f WHERE v % 2 = 0 GROUP BY g ORDER BY g")
+
+	type acc struct{ n, sum, lo, hi, wsum int64 }
+	groups := make([]*acc, 37)
+	for i := 0; i < 3000; i += 2 {
+		a := groups[i%37]
+		if a == nil {
+			a = &acc{lo: int64(i)}
+			groups[i%37] = a
+		}
+		a.n++
+		a.sum += int64(i)
+		a.hi = int64(i)
+		a.wsum += int64(i % 5)
 	}
-	for i := range batch {
-		for j := range batch[i] {
-			if batch[i][j] != row[i][j] {
-				t.Fatalf("row %d col %d: batch=%s row=%s", i, j, batch[i][j], row[i][j])
-			}
+	if len(res.Rows) != len(groups) {
+		t.Fatalf("%d groups, want %d", len(res.Rows), len(groups))
+	}
+	for g, a := range groups {
+		want := types.Row{types.NewInt(int64(g)), types.NewInt(a.n), types.NewInt(a.sum), types.NewInt(a.lo),
+			types.NewInt(a.hi), types.NewFloat(float64(a.wsum) / float64(a.n))}
+		if !res.Rows[g].Equal(want) {
+			t.Fatalf("group %d: got %v, want %v", g, res.Rows[g], want)
 		}
 	}
 }

@@ -65,9 +65,9 @@ type group struct {
 	states []aggState
 }
 
-// aggCore is the phase-aware hash aggregation state shared by the
-// row-at-a-time and batch aggregate iterators: rows are absorbed one at a
-// time, grouped output is read via nextOutput after finish.
+// aggCore is the phase-aware hash aggregation state behind batchAggIter:
+// input rows are absorbed, grouped output is read via nextOutput after
+// finish.
 //
 // Under a spill budget the core degrades gracefully: when the hash table
 // outgrows the budget, every group's transition state is written as a
@@ -122,18 +122,6 @@ func newAggCore(ctx *Context, node *plan.Agg) aggCore {
 		spillable:  spillable,
 		reloadTick: cpuTick{ctx: ctx},
 	}
-}
-
-// aggIter implements plain/partial/final hash aggregation row-at-a-time.
-type aggIter struct {
-	core   aggCore
-	child  Iterator
-	loaded bool
-	tick   cpuTick
-}
-
-func newAggIter(ctx *Context, node *plan.Agg, child Iterator) *aggIter {
-	return &aggIter{core: newAggCore(ctx, node), child: child, tick: cpuTick{ctx: ctx}}
 }
 
 func (a *aggCore) findGroup(keys types.Row) (*group, error) {
@@ -318,8 +306,8 @@ func (a *aggCore) absorb(row types.Row) error {
 
 // absorbFast folds a whole batch whose group keys and aggregate arguments
 // are all bare column references: direct row reads, no expression tree
-// walks, honouring the batch's selection vector. Used by the vectorized
-// aggregate (never for the final phase, which merges partial layouts).
+// walks, honouring the batch's selection vector. Never used for the final
+// phase, which merges partial layouts.
 func (a *aggCore) absorbFast(b *types.RowBatch, groupIdx, specCols []int) error {
 	keys := a.scratch
 	specs := a.node.Specs
@@ -382,31 +370,6 @@ func (a *aggCore) close() {
 	a.parts = nil
 	a.groups = nil
 	a.order = nil
-}
-
-func (a *aggIter) load() error {
-	sawRow := false
-	for {
-		row, err := a.child.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := a.tick.tick(); err != nil {
-			return err
-		}
-		sawRow = true
-		if err := a.core.absorb(row); err != nil {
-			return err
-		}
-	}
-	if err := a.core.finish(sawRow); err != nil {
-		return err
-	}
-	a.loaded = true
-	return nil
 }
 
 // mergePartial folds one partial-layout row into the group (final phase).
@@ -541,18 +504,4 @@ func (a *aggCore) emit(grp *group) types.Row {
 		}
 	}
 	return out
-}
-
-func (a *aggIter) Next() (types.Row, error) {
-	if !a.loaded {
-		if err := a.load(); err != nil {
-			return nil, err
-		}
-	}
-	return a.core.nextOutput()
-}
-
-func (a *aggIter) Close() {
-	a.core.close()
-	a.child.Close()
 }

@@ -9,8 +9,9 @@ import (
 	"repro/internal/types"
 )
 
-// BatchIterator is the batch-at-a-time (vectorized) pull interface. NextBatch
-// returns a non-empty batch or io.EOF after the last one.
+// BatchIterator is the executor's one operator interface: a batch-at-a-time
+// (vectorized) pull. NextBatch returns a non-empty batch or io.EOF after the
+// last one.
 //
 // Ownership: the returned batch's container (Rows slice) is only valid until
 // the next NextBatch call; the Row values inside are never overwritten in
@@ -25,81 +26,6 @@ type BatchIterator interface {
 // the batch size it bounds scan memory — the whole point of streaming
 // instead of materializing the leaf.
 const scanStreamDepth = 2
-
-// ---- adapters ----
-
-// batchFromRows adapts a row Iterator to the batch interface by pulling up
-// to size rows per call into a reused batch. The batch starts empty and
-// grows with what the child yields (geometrically, at most to size, and the
-// grown container is reused), so a one-row stream never pays for a
-// size-row container.
-type batchFromRows struct {
-	child Iterator
-	batch types.RowBatch
-	size  int
-	done  bool
-}
-
-// NewBatchAdapter wraps a row-at-a-time iterator as a BatchIterator with the
-// given batch size (<=0 = types.DefaultBatchSize).
-func NewBatchAdapter(it Iterator, size int) BatchIterator {
-	if size < 1 {
-		size = types.DefaultBatchSize
-	}
-	return &batchFromRows{child: it, size: size}
-}
-
-func (b *batchFromRows) NextBatch() (*types.RowBatch, error) {
-	if b.done {
-		return nil, io.EOF
-	}
-	b.batch.Reset()
-	for b.batch.Len() < b.size {
-		row, err := b.child.Next()
-		if err == io.EOF {
-			b.done = true
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		b.batch.Append(row)
-	}
-	if b.batch.Len() == 0 {
-		return nil, io.EOF
-	}
-	return &b.batch, nil
-}
-
-func (b *batchFromRows) Close() { b.child.Close() }
-
-// rowsFromBatch adapts a BatchIterator to the row interface.
-type rowsFromBatch struct {
-	child BatchIterator
-	cur   *types.RowBatch
-	pos   int
-}
-
-// NewRowAdapter wraps a BatchIterator as a row-at-a-time Iterator (the
-// compatibility shim for operators without a vectorized implementation).
-func NewRowAdapter(it BatchIterator) Iterator {
-	return &rowsFromBatch{child: it}
-}
-
-func (r *rowsFromBatch) Next() (types.Row, error) {
-	for r.cur == nil || r.pos >= r.cur.Len() {
-		b, err := r.child.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		r.cur, r.pos = b, 0
-	}
-	row := r.cur.Live(r.pos)
-	r.pos++
-	return row, nil
-}
-
-func (r *rowsFromBatch) Close() { r.child.Close() }
 
 // DrainBatches pulls every batch from it into a flat row slice (coordinator
 // result collection).
@@ -161,7 +87,7 @@ func newBatchScanIterUnits(ctx *Context, node *plan.Scan, units []scanUnit) *bat
 }
 
 func (s *batchScanIter) start() {
-	store := s.ctx.Store.(BatchStoreAccess)
+	store := s.ctx.Store
 	sctx, cancel := context.WithCancel(s.ctx.Ctx)
 	s.cancel = cancel
 	s.ch = make(chan *types.RowBatch, scanStreamDepth)
@@ -354,8 +280,9 @@ func (p *batchProjectIter) Close() { p.child.Close() }
 
 // batchHashJoinIter is the vectorized hash join: the right (build/inner)
 // side is drained batch-at-a-time and fully materialized before the first
-// probe batch is pulled — the same deadlock-safe order as the row path
-// (paper Appendix B).
+// probe batch is pulled. The prefetch is not just a performance choice: it is
+// Greenplum's defence against interconnect deadlock (paper Appendix B) — the
+// inner motion is drained completely before any outer tuple is requested.
 type batchHashJoinIter struct {
 	core        hashJoinCore
 	left, right BatchIterator
@@ -406,25 +333,15 @@ func (j *batchHashJoinIter) NextBatch() (*types.RowBatch, error) {
 		if j.draining {
 			// Spilled partitions are joined pairwise and their output rows
 			// re-batched (no-op when the join stayed in memory).
-			j.out.Reset()
-			for j.out.Len() < j.size {
-				row, err := j.core.drainNext()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return nil, err
-				}
-				j.out.Append(row)
-			}
-			if j.out.Len() == 0 {
-				return nil, io.EOF
-			}
-			// Charge CPU for the disk-replay pass like the probe pass.
-			if err := j.tick.tickRows(j.out.Len()); err != nil {
+			out, err := fillBatch(&j.out, j.size, j.core.drainNext)
+			if err != nil {
 				return nil, err
 			}
-			return &j.out, nil
+			// Charge CPU for the disk-replay pass like the probe pass.
+			if err := j.tick.tickRows(out.Len()); err != nil {
+				return nil, err
+			}
+			return out, nil
 		}
 		b, err := j.left.NextBatch()
 		if err == io.EOF {
@@ -554,21 +471,7 @@ func (a *batchAggIter) NextBatch() (*types.RowBatch, error) {
 			return nil, err
 		}
 	}
-	a.out.Reset()
-	for a.out.Len() < a.size {
-		row, err := a.core.nextOutput()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		a.out.Append(row)
-	}
-	if a.out.Len() == 0 {
-		return nil, io.EOF
-	}
-	return &a.out, nil
+	return fillBatch(&a.out, a.size, a.core.nextOutput)
 }
 
 func (a *batchAggIter) Close() {
@@ -580,7 +483,7 @@ func (a *batchAggIter) Close() {
 // a motion.
 type motionRecvBatchIter struct {
 	ctx  *Context
-	recv BatchReceiver
+	recv Receiver
 }
 
 func (m *motionRecvBatchIter) NextBatch() (*types.RowBatch, error) {
@@ -600,13 +503,27 @@ func (m *motionRecvBatchIter) NextBatch() (*types.RowBatch, error) {
 
 func (m *motionRecvBatchIter) Close() {}
 
-// BuildBatch constructs the vectorized iterator tree for a plan subtree
-// within one slice. Operators without a batch implementation (sort, limit,
-// nested loop, index scan) run row-at-a-time over adapted batch children, so
-// scans and motions stay vectorized underneath them. When ctx.NodeRows is
-// set, every node's iterator is wrapped to record its actual output rows.
+// BuildBatch constructs the operator tree for a plan subtree within one
+// slice. A Motion child is a slice boundary: it becomes a receiver, and the
+// sending side is launched separately by the dispatcher (or, for a
+// direct-dispatch plan, built under ctx.Inline and pulled in place).
 func BuildBatch(ctx *Context, node plan.Node) BatchIterator {
-	it := buildBatchNode(ctx, node)
+	return build(ctx, node, nil, nil)
+}
+
+// build is the one place an operator is attached to its plan node, for a
+// whole slice and for each parallel worker's share of one alike: whatever
+// operator stands for node, its output passes the node's NodeRows counter
+// and, when the statement armed operator statistics, this location's
+// OpSegStat — a node cannot be built uncounted. at, when non-nil, is the one
+// node whose operator the caller supplies (with) instead of having it built:
+// a worker's scan over its own block ranges, or the aggregate that merges
+// the workers above their LocalGather.
+func build(ctx *Context, node, at plan.Node, with BatchIterator) BatchIterator {
+	it := with
+	if node != at {
+		it = newOperator(ctx, node, at, with)
+	}
 	if ctr := ctx.NodeRows.Counter(node); ctr != nil {
 		it = &countingBatchIter{child: it, ctr: ctr}
 	}
@@ -616,55 +533,70 @@ func BuildBatch(ctx *Context, node plan.Node) BatchIterator {
 	return it
 }
 
-func buildBatchNode(ctx *Context, node plan.Node) BatchIterator {
-	size := ctx.batchSize()
+func newOperator(ctx *Context, node, at plan.Node, with BatchIterator) BatchIterator {
+	child := func(n plan.Node) BatchIterator { return build(ctx, n, at, with) }
 	switch n := node.(type) {
+	case *plan.OneRow:
+		return &rowWindows{rows: []types.Row{{}}}
 	case *plan.Scan:
 		if ctx.Store == nil {
-			return NewBatchAdapter(errIterf("exec: scan of %s in a storage-less slice", n.Table.Name), size)
+			return errBatchIterf("exec: scan of %s in a storage-less slice", n.Table.Name)
 		}
 		if n.OnSeg >= 0 && ctx.SegID != n.OnSeg {
-			return NewBatchAdapter(emptyIter{}, size)
+			// Single-segment scan (replicated table not yet widened by online
+			// expansion): every other segment contributes nothing.
+			return &rowWindows{}
 		}
-		if _, ok := ctx.Store.(BatchStoreAccess); ok && !n.ForUpdate {
-			return newBatchScanIter(ctx, n)
+		if n.ForUpdate {
+			return &forUpdateScanIter{rowWindows: rowWindows{size: ctx.batchSize()}, ctx: ctx, node: n, tick: cpuTick{ctx: ctx}}
 		}
-		return NewBatchAdapter(newScanIter(ctx, n), size)
+		return newBatchScanIter(ctx, n)
+	case *plan.IndexScan:
+		if ctx.Store == nil {
+			return errBatchIterf("exec: index scan of %s in a storage-less slice", n.Table.Name)
+		}
+		return &indexScanIter{rowWindows: rowWindows{size: ctx.batchSize()}, ctx: ctx, node: n}
 	case *plan.Filter:
-		return &batchFilterIter{child: BuildBatch(ctx, n.Child), pred: plan.CompilePredicate(n.Cond), tick: cpuTick{ctx: ctx}}
+		return &batchFilterIter{child: child(n.Child), pred: plan.CompilePredicate(n.Cond), tick: cpuTick{ctx: ctx}}
 	case *plan.Project:
-		return &batchProjectIter{child: BuildBatch(ctx, n.Child), exprs: n.Exprs, tick: cpuTick{ctx: ctx}}
+		return &batchProjectIter{child: child(n.Child), exprs: n.Exprs, tick: cpuTick{ctx: ctx}}
 	case *plan.HashJoin:
-		return newBatchHashJoinIter(ctx, n, BuildBatch(ctx, n.Left), BuildBatch(ctx, n.Right))
+		return newBatchHashJoinIter(ctx, n, child(n.Left), child(n.Right))
 	case *plan.Agg:
-		return newBatchAggIter(ctx, n, BuildBatch(ctx, n.Child))
+		return newBatchAggIter(ctx, n, child(n.Child))
 	case *plan.NestLoop:
-		return NewBatchAdapter(newNestLoopIter(ctx, n,
-			NewRowAdapter(BuildBatch(ctx, n.Left)),
-			NewRowAdapter(BuildBatch(ctx, n.Right))), size)
+		return newBatchNestLoopIter(ctx, n, child(n.Left), child(n.Right))
 	case *plan.Sort:
-		return NewBatchAdapter(&sortIter{ctx: ctx, child: NewRowAdapter(BuildBatch(ctx, n.Child)), keys: n.Keys, mem: opMem{ctx: ctx, stat: ctx.opStat(n)}}, size)
+		return newBatchSortIter(ctx, n, child(n.Child))
 	case *plan.Limit:
-		return NewBatchAdapter(&limitIter{child: NewRowAdapter(BuildBatch(ctx, n.Child)), count: n.Count, offset: n.Offset}, size)
+		return &batchLimitIter{child: child(n.Child), skip: n.Offset, left: n.Count}
 	case *plan.Motion:
 		if ctx.Inline != nil {
 			return BuildBatch(ctx.Inline, n.Child)
 		}
 		if ctx.Recv == nil {
-			return NewBatchAdapter(errIterf("exec: no receiver wiring for slice %d", n.SliceID), size)
+			return errBatchIterf("exec: no receiver wiring for slice %d", n.SliceID)
 		}
 		r := ctx.Recv(n.SliceID)
 		if r == nil {
-			return NewBatchAdapter(errIterf("exec: no receiver for slice %d at segment %d", n.SliceID, ctx.SegID), size)
+			return errBatchIterf("exec: no receiver for slice %d at segment %d", n.SliceID, ctx.SegID)
 		}
-		if br, ok := r.(BatchReceiver); ok {
-			return &motionRecvBatchIter{ctx: ctx, recv: br}
-		}
-		return NewBatchAdapter(&motionRecvIter{ctx: ctx, recv: r}, size)
+		return &motionRecvBatchIter{ctx: ctx, recv: r}
 	default:
-		// OneRow, IndexScan and unsupported nodes share the row path
-		// (buildRow, not Build: the public BuildBatch already counts this
-		// node, so the row path must not count it again).
-		return NewBatchAdapter(buildRow(ctx, node), size)
+		return errBatchIterf("exec: unsupported plan node %T", node)
 	}
+}
+
+// HashForRedistribute computes the destination segment for a row under a
+// redistribute motion.
+func HashForRedistribute(exprs []plan.Expr, row types.Row, nseg int) (int, error) {
+	var h uint64 = 1469598103934665603
+	for _, e := range exprs {
+		v, err := e.Eval(row)
+		if err != nil {
+			return 0, err
+		}
+		h = h*1099511628211 ^ v.Hash()
+	}
+	return int(h % uint64(nseg)), nil
 }

@@ -1,10 +1,10 @@
-// Package exec implements the distributed executor: batch-at-a-time
-// (vectorized) iterators for the hot plan nodes with a row-at-a-time Volcano
-// shim kept for compatibility, intra-segment parallel worker pipelines over
-// disjoint block ranges merged by a LocalGather local exchange (with
-// partial→final aggregate rewriting), motion send/receive over the
-// interconnect, two-phase aggregation, hash and nested-loop joins with
-// inner-side prefetch, and memory/CPU accounting hooks for resource groups.
+// Package exec implements the distributed executor: one family of
+// batch-at-a-time (vectorized) operators behind the BatchIterator interface,
+// intra-segment parallel worker pipelines over disjoint block ranges merged
+// by a LocalGather local exchange (with partial→final aggregate rewriting),
+// motion receive over the interconnect, two-phase aggregation, hash and
+// nested-loop joins with inner-side prefetch, and memory/CPU accounting
+// hooks for resource groups.
 // Blocking operators (sort, hash agg, hash join) are memory-governed: past
 // the statement's spill budget (slot quota × memory_spill_ratio) they spill
 // to per-segment temp files — external merge sort, partition-spill
@@ -25,7 +25,13 @@ import (
 // MVCC visibility applied and (FOR UPDATE) row locking performed by the
 // segment layer.
 type StoreAccess interface {
-	// ScanTable visits every visible row of the leaf table. fn reports
+	// ScanTableBatches delivers the leaf's visible rows in bounded batches, so
+	// the column store decodes each block once per batch. Each batch is
+	// handed to fn with full ownership (a fresh container whose rows may be
+	// retained); fn reports whether to continue.
+	ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
+	// ScanTable visits every visible row of the leaf table one at a time —
+	// the FOR UPDATE scan, which alone needs a per-row callback. fn reports
 	// whether the row matches (keep) and whether to continue (cont). When
 	// forUpdate is set, each KEPT row is locked for the current transaction
 	// before the scan proceeds — rows the filter rejects are never locked.
@@ -46,17 +52,6 @@ type ScanSpec struct {
 	Pred *plan.ScanPredicate
 }
 
-// BatchStoreAccess extends StoreAccess with the batch scan path: the storage
-// layer delivers visibility-filtered rows in bounded batches, so the column
-// store decodes each block once per batch instead of re-buffering
-// row-by-row. Implementations hand each batch to fn with full ownership (a
-// fresh container whose rows may be retained). fn reports whether to
-// continue. FOR UPDATE scans stay on the row path (they lock per kept row).
-type BatchStoreAccess interface {
-	StoreAccess
-	ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
-}
-
 // ScanRange is a half-open range [Begin, End) of row offsets within one leaf
 // table — the executor-side mirror of storage.BlockRange. Parallel workers
 // scan disjoint ranges of the same leaf.
@@ -64,14 +59,14 @@ type ScanRange struct {
 	Begin, End int
 }
 
-// ParallelStoreAccess extends the batch scan path with block-range splitting
-// for intra-segment parallelism: SplitTableRanges plans disjoint ranges of a
-// leaf (aligned to the engine's decode units) and ScanTableRangeBatches scans
-// one of them with ScanTableBatches semantics. SplitTableRanges returns
-// ok=false when the leaf's engine cannot split (no BlockSplitter), in which
-// case the slice must run serially.
+// ParallelStoreAccess extends StoreAccess with block-range splitting for
+// intra-segment parallelism: SplitTableRanges plans disjoint ranges of a leaf
+// (aligned to the engine's decode units) and ScanTableRangeBatches scans one
+// of them with ScanTableBatches semantics. SplitTableRanges returns ok=false
+// when the leaf's engine cannot split (no BlockSplitter), in which case the
+// slice must run serially.
 type ParallelStoreAccess interface {
-	BatchStoreAccess
+	StoreAccess
 	SplitTableRanges(leaf catalog.TableID, parts int) ([]ScanRange, bool)
 	ScanTableRangeBatches(ctx context.Context, leaf catalog.TableID, rng ScanRange, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
 }
@@ -87,17 +82,12 @@ type CPUCharger interface {
 	ChargeCPU(ctx context.Context, d time.Duration) error
 }
 
-// Receiver yields rows arriving from a sending slice of a motion.
+// Receiver yields the batches arriving from a sending slice of a motion, one
+// interconnect operation per batch.
 type Receiver interface {
-	// Recv returns the next row; ok=false means the stream is closed.
-	Recv(ctx context.Context) (types.Row, bool, error)
-}
-
-// BatchReceiver is implemented by receivers that can deliver whole motion
-// batches (one interconnect operation per batch instead of per row). The
-// returned batch is owned by the caller.
-type BatchReceiver interface {
-	RecvBatch(ctx context.Context) (*types.RowBatch, bool, error)
+	// RecvBatch returns the next batch, owned by the caller; ok=false means
+	// the stream is closed.
+	RecvBatch(ctx context.Context) (b *types.RowBatch, ok bool, err error)
 }
 
 // Context is the per-slice, per-location execution environment.
@@ -126,9 +116,6 @@ type Context struct {
 	// BatchSize is the executor's rows-per-batch for vectorized operators
 	// (0 = types.DefaultBatchSize).
 	BatchSize int
-	// RowMode forces the legacy row-at-a-time operators even where the
-	// store supports batch scans (Config.RowAtATime ablation shim).
-	RowMode bool
 	// Parallel is the slice's degree of intra-segment parallelism: when > 1
 	// (and the slice shape and storage engine allow it) BuildBatchParallel
 	// runs that many worker pipelines over disjoint block ranges.
@@ -142,8 +129,8 @@ type Context struct {
 	// Ops, when set, receives per-node per-segment executor statistics
 	// (rows, batches, inclusive wall time, peak operator memory, spill
 	// bytes) for operator-level EXPLAIN ANALYZE and per-operator trace
-	// spans. Unlike NodeRows it times every Next/NextBatch call, so it is
-	// only armed for statements that asked for it.
+	// spans. Unlike NodeRows it times every NextBatch call, so it is only
+	// armed for statements that asked for it.
 	Ops *plan.OpStats
 }
 

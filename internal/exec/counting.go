@@ -8,26 +8,10 @@ import (
 	"repro/internal/types"
 )
 
-// countingIter counts each row a node emits into the plan's NodeRowCounts.
-// Wrapping happens at the Build entry points, so every node of every slice is
-// counted exactly once no matter which path (row, batch, adapter) built it.
-type countingIter struct {
-	child Iterator
-	ctr   *atomic.Int64
-}
-
-func (c *countingIter) Next() (types.Row, error) {
-	row, err := c.child.Next()
-	if err == nil {
-		c.ctr.Add(1)
-	}
-	return row, err
-}
-
-func (c *countingIter) Close() { c.child.Close() }
-
-// countingBatchIter is countingIter for the vectorized path: one add per
-// batch, charged with the batch's length.
+// countingBatchIter counts the rows a node emits into the plan's
+// NodeRowCounts: one add per batch, charged with the batch's length. build
+// wraps every node's operator in it, so every node of every slice and
+// parallel worker is counted exactly once.
 type countingBatchIter struct {
 	child BatchIterator
 	ctr   *atomic.Int64
@@ -43,30 +27,12 @@ func (c *countingBatchIter) NextBatch() (*types.RowBatch, error) {
 
 func (c *countingBatchIter) Close() { c.child.Close() }
 
-// opStatIter feeds one node's per-location OpSegStat on the row path: rows
-// out, and the operator's inclusive wall time (time inside Next, children
-// included). Wrapped outside countingIter at the Build entry points, and
-// only when the statement armed operator statistics (EXPLAIN ANALYZE or
+// opStatBatchIter feeds one node's per-location OpSegStat: rows and batches
+// out, and the operator's inclusive wall time (time inside NextBatch,
+// children included; parallel workers add into the same cell, so their time
+// sums the way segments' does). Wrapped outside countingBatchIter by build,
+// and only when the statement armed operator statistics (EXPLAIN ANALYZE or
 // query tracing), so the per-call clock reads never touch ordinary queries.
-type opStatIter struct {
-	child Iterator
-	st    *plan.OpSegStat
-}
-
-func (o *opStatIter) Next() (types.Row, error) {
-	t0 := time.Now()
-	row, err := o.child.Next()
-	o.st.WallNanos.Add(time.Since(t0).Nanoseconds())
-	if err == nil {
-		o.st.Rows.Add(1)
-	}
-	return row, err
-}
-
-func (o *opStatIter) Close() { o.child.Close() }
-
-// opStatBatchIter is opStatIter for the vectorized path: one clock pair and
-// one set of adds per batch.
 type opStatBatchIter struct {
 	child BatchIterator
 	st    *plan.OpSegStat

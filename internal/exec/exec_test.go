@@ -10,19 +10,54 @@ import (
 	"repro/internal/types"
 )
 
-// memStore is an in-memory StoreAccess for executor unit tests.
+// memStore is an in-memory StoreAccess for executor unit tests. Its batch
+// scan goes through the executor's streaming path (producer goroutine +
+// bounded batches); locked records the rows a FOR UPDATE scan kept, standing
+// in for the segment's row locks.
 type memStore struct {
 	tables map[catalog.TableID][]types.Row
+	locked []types.Row
 }
 
-func (m *memStore) ScanTable(_ context.Context, leaf catalog.TableID, _ bool, fn func(types.Row) (bool, bool, error)) error {
+func (m *memStore) ScanTable(_ context.Context, leaf catalog.TableID, forUpdate bool, fn func(types.Row) (bool, bool, error)) error {
 	for _, row := range m.tables[leaf] {
-		_, cont, err := fn(row)
+		keep, cont, err := fn(row)
 		if err != nil {
 			return err
 		}
+		if keep && forUpdate {
+			m.locked = append(m.locked, row)
+		}
 		if !cont {
 			return nil
+		}
+	}
+	return nil
+}
+
+func (m *memStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, _ ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
+	if batchSize < 1 {
+		batchSize = types.DefaultBatchSize
+	}
+	b := types.NewRowBatch(batchSize)
+	for _, row := range m.tables[leaf] {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		default:
+		}
+		b.Append(row.Clone())
+		if b.Len() == batchSize {
+			cont, err := fn(b)
+			if err != nil || !cont {
+				return err
+			}
+			b = types.NewRowBatch(batchSize)
+		}
+	}
+	if b.Len() > 0 {
+		if _, err := fn(b); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -59,9 +94,9 @@ func ctxWithStore(store *memStore) *Context {
 	return &Context{Ctx: context.Background(), Store: store, NumSegments: 1, SegID: 0}
 }
 
-func drain(t *testing.T, it Iterator) []types.Row {
+func drain(t *testing.T, it BatchIterator) []types.Row {
 	t.Helper()
-	rows, err := Drain(it)
+	rows, err := DrainBatches(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +113,7 @@ func TestScanFilterProject(t *testing.T) {
 	proj := plan.NewProject(scan, []plan.Expr{
 		&plan.BinOp{Op: "*", Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(2)}},
 	}, []string{"doubled"})
-	rows := drain(t, Build(ctxWithStore(store), proj))
+	rows := drain(t, BuildBatch(ctxWithStore(store), proj))
 	if len(rows) != 2 || rows[0][0].Int() != 4 || rows[1][0].Int() != 6 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -99,11 +134,11 @@ func TestHashJoinInnerAndLeft(t *testing.T) {
 			[]plan.Expr{&plan.ColRef{Idx: 0}},
 			nil)
 	}
-	rows := drain(t, Build(ctxWithStore(store), mk(plan.JoinInner)))
+	rows := drain(t, BuildBatch(ctxWithStore(store), mk(plan.JoinInner)))
 	if len(rows) != 3 { // 1↔1, 3↔33, 3↔34
 		t.Fatalf("inner join rows: %v", rows)
 	}
-	rows = drain(t, Build(ctxWithStore(store), mk(plan.JoinLeft)))
+	rows = drain(t, BuildBatch(ctxWithStore(store), mk(plan.JoinLeft)))
 	if len(rows) != 4 {
 		t.Fatalf("left join rows: %v", rows)
 	}
@@ -132,7 +167,7 @@ func TestNestLoopCrossAndCondition(t *testing.T) {
 		plan.NewScan(a, []catalog.TableID{1}, nil),
 		plan.NewScan(b, []catalog.TableID{2}, nil),
 		nil)
-	rows := drain(t, Build(ctxWithStore(store), nl))
+	rows := drain(t, BuildBatch(ctxWithStore(store), nl))
 	if len(rows) != 6 {
 		t.Fatalf("cross join rows = %d", len(rows))
 	}
@@ -140,7 +175,7 @@ func TestNestLoopCrossAndCondition(t *testing.T) {
 		plan.NewScan(a, []catalog.TableID{1}, nil),
 		plan.NewScan(b, []catalog.TableID{2}, nil),
 		&plan.BinOp{Op: "<", Left: &plan.BinOp{Op: "*", Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(10)}}, Right: &plan.ColRef{Idx: 1}})
-	rows = drain(t, Build(ctxWithStore(store), nl2))
+	rows = drain(t, BuildBatch(ctxWithStore(store), nl2))
 	if len(rows) != 3 { // (1,20),(1,30),(2,30)
 		t.Fatalf("theta join rows: %v", rows)
 	}
@@ -162,7 +197,7 @@ func TestAggPhases(t *testing.T) {
 
 	// Plain.
 	agg := plan.NewAgg(plan.NewScan(tab, []catalog.TableID{1}, nil), gb, specs, plan.AggPlain)
-	rows := drain(t, Build(ctxWithStore(store), agg))
+	rows := drain(t, BuildBatch(ctxWithStore(store), agg))
 	if len(rows) != 2 {
 		t.Fatalf("groups: %v", rows)
 	}
@@ -174,14 +209,10 @@ func TestAggPhases(t *testing.T) {
 
 	// Partial then Final must equal Plain.
 	partial := plan.NewAgg(plan.NewScan(tab, []catalog.TableID{1}, nil), gb, specs, plan.AggPartial)
-	prows := drain(t, Build(ctxWithStore(store), partial))
+	prows := drain(t, BuildBatch(ctxWithStore(store), partial))
 	fgb := []plan.Expr{&plan.ColRef{Idx: 0}}
 	final := plan.NewAgg(nil, fgb, specs, plan.AggFinal)
-	fin := newAggIter(ctxWithStore(store), final, &sliceIter{rows: prows})
-	frows, err := Drain(fin)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frows := drain(t, newBatchAggIter(ctxWithStore(store), final, &rowWindows{rows: prows, size: 1}))
 	if len(frows) != 2 {
 		t.Fatalf("final groups: %v", frows)
 	}
@@ -200,7 +231,7 @@ func TestScalarAggOverEmptyInput(t *testing.T) {
 		{Func: plan.AggSum, Arg: &plan.ColRef{Idx: 0}, Name: "sum"},
 	}
 	agg := plan.NewAgg(plan.NewScan(tab, []catalog.TableID{1}, nil), nil, specs, plan.AggPlain)
-	rows := drain(t, Build(ctxWithStore(store), agg))
+	rows := drain(t, BuildBatch(ctxWithStore(store), agg))
 	if len(rows) != 1 || rows[0][0].Int() != 0 || !rows[0][1].IsNull() {
 		t.Fatalf("empty scalar agg: %v", rows)
 	}
@@ -214,7 +245,7 @@ func TestSortLimitOffset(t *testing.T) {
 	sorted := &plan.Sort{Child: plan.NewScan(tab, []catalog.TableID{1}, nil),
 		Keys: []plan.SortKey{{Expr: &plan.ColRef{Idx: 0}, Desc: true}}}
 	lim := &plan.Limit{Child: sorted, Count: 3, Offset: 1}
-	rows := drain(t, Build(ctxWithStore(store), lim))
+	rows := drain(t, BuildBatch(ctxWithStore(store), lim))
 	if len(rows) != 3 || rows[0][0].Int() != 5 || rows[1][0].Int() != 4 || rows[2][0].Int() != 3 {
 		t.Fatalf("sorted+limited: %v", rows)
 	}
@@ -235,25 +266,25 @@ func TestMemoryAccountingCancelsQuery(t *testing.T) {
 	ctx.Mem = failMem{}
 	sorted := &plan.Sort{Child: plan.NewScan(tab, []catalog.TableID{1}, nil),
 		Keys: []plan.SortKey{{Expr: &plan.ColRef{Idx: 0}}}}
-	if _, err := Drain(Build(ctx, sorted)); err == nil {
+	if _, err := DrainBatches(BuildBatch(ctx, sorted)); err == nil {
 		t.Fatal("sort ignored memory accounting")
 	}
 	join := plan.NewHashJoin(plan.JoinInner,
 		plan.NewScan(tab, []catalog.TableID{1}, nil),
 		plan.NewScan(tab, []catalog.TableID{1}, nil),
 		[]plan.Expr{&plan.ColRef{Idx: 0}}, []plan.Expr{&plan.ColRef{Idx: 0}}, nil)
-	if _, err := Drain(Build(ctx, join)); err == nil {
+	if _, err := DrainBatches(BuildBatch(ctx, join)); err == nil {
 		t.Fatal("hash join ignored memory accounting")
 	}
 }
 
 func TestOneRowAndLimitZero(t *testing.T) {
-	rows := drain(t, Build(ctxWithStore(&memStore{}), &plan.OneRow{}))
+	rows := drain(t, BuildBatch(ctxWithStore(&memStore{}), &plan.OneRow{}))
 	if len(rows) != 1 {
 		t.Fatalf("OneRow: %v", rows)
 	}
 	lim := &plan.Limit{Child: &plan.OneRow{}, Count: 0}
-	rows = drain(t, Build(ctxWithStore(&memStore{}), lim))
+	rows = drain(t, BuildBatch(ctxWithStore(&memStore{}), lim))
 	if len(rows) != 0 {
 		t.Fatalf("LIMIT 0: %v", rows)
 	}

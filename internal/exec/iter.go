@@ -9,250 +9,167 @@ import (
 	"repro/internal/types"
 )
 
-// Iterator is the Volcano pull interface. Next returns io.EOF after the last
-// row; returned rows are owned by the caller (already cloned when they
-// originate in shared storage).
-type Iterator interface {
-	Next() (types.Row, error)
-	Close()
-}
-
-// sliceIter replays an in-memory row slice.
-type sliceIter struct {
+// rowWindows emits a materialized row slice as consecutive windows of itself:
+// each batch's container is a sub-slice of rows (capacity-clipped, so an
+// append by a consumer can never reach the rows that follow), valid until the
+// next call, and the Row values are never overwritten — the BatchIterator
+// ownership contract without a copy. On its own it is the leaf for OneRow
+// (one empty row), for a scan pinned to another segment (no rows) and for
+// tests; the materializing operators embed it to emit their buffer.
+type rowWindows struct {
 	rows []types.Row
-	pos  int
+	size int // rows per window; 0 = everything in one
+	win  types.RowBatch
 }
 
-func (s *sliceIter) Next() (types.Row, error) {
-	if s.pos >= len(s.rows) {
+func (w *rowWindows) NextBatch() (*types.RowBatch, error) {
+	if len(w.rows) == 0 {
 		return nil, io.EOF
 	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
+	n := len(w.rows)
+	if w.size > 0 && w.size < n {
+		n = w.size
+	}
+	w.win = types.RowBatch{Rows: w.rows[:n:n]}
+	w.rows = w.rows[n:]
+	return &w.win, nil
 }
 
-func (s *sliceIter) Close() {}
+func (w *rowWindows) Close() { w.rows = nil }
 
-// oneRowIter emits a single empty row (SELECT without FROM).
-type oneRowIter struct{ done bool }
+// errBatchIter reports a construction error on the first pull.
+type errBatchIter struct{ err error }
 
-func (o *oneRowIter) Next() (types.Row, error) {
-	if o.done {
-		return nil, io.EOF
-	}
-	o.done = true
-	return types.Row{}, nil
+func (e errBatchIter) NextBatch() (*types.RowBatch, error) { return nil, e.err }
+func (e errBatchIter) Close()                              {}
+
+func errBatchIterf(format string, args ...any) BatchIterator {
+	return errBatchIter{err: fmt.Errorf(format, args...)}
 }
 
-func (o *oneRowIter) Close() {}
-
-// newScanIter builds the row-at-a-time scan. When the store supports the
-// batch scan path (and the scan doesn't row-lock, which needs per-kept-row
-// locking inside the storage callback), it streams bounded batches through
-// the row adapter instead of materializing whole leaves. The buffering scan
-// remains for plain StoreAccess implementations, FOR UPDATE scans, and
-// Context.RowMode (the ablation shim must measure the legacy pipeline).
-func newScanIter(ctx *Context, node *plan.Scan) Iterator {
-	if node.OnSeg >= 0 && ctx.SegID != node.OnSeg {
-		// Single-segment scan (replicated table not yet widened by online
-		// expansion): every other segment contributes nothing.
-		return &emptyIter{}
-	}
-	if _, ok := ctx.Store.(BatchStoreAccess); ok && !node.ForUpdate && !ctx.RowMode {
-		return NewRowAdapter(newBatchScanIter(ctx, node))
-	}
-	return &scanIter{ctx: ctx, node: node, tick: cpuTick{ctx: ctx}}
-}
-
-// emptyIter yields no rows.
-type emptyIter struct{}
-
-func (emptyIter) Next() (types.Row, error) { return nil, io.EOF }
-func (emptyIter) Close()                   {}
-
-// scanIter drives StoreAccess.ScanTable through a pull interface by fully
-// materializing each leaf (the storage callback pushes; we re-buffer). Kept
-// as the fallback for plain StoreAccess implementations and FOR UPDATE
-// scans; everything else uses the streaming batch scan.
-type scanIter struct {
+// forUpdateScanIter is the SELECT ... FOR UPDATE scan. It alone drives the
+// row-callback StoreAccess.ScanTable instead of the streaming batch scan,
+// because the row lock is taken inside the storage callback, for kept rows
+// only; the locked rows are materialized on the first pull and emitted as
+// windows.
+type forUpdateScanIter struct {
+	rowWindows
 	ctx    *Context
 	node   *plan.Scan
-	leafIx int
-	buf    []types.Row
-	pos    int
 	tick   cpuTick
 	loaded bool
 }
 
-func (s *scanIter) load() error {
-	leaves := s.node.Partitions
-	if len(leaves) == 0 && !s.node.Table.IsPartitioned() {
-		leaves = nil // nothing to scan: planner always fills Partitions
-	}
-	for _, leaf := range s.node.Partitions {
-		err := s.ctx.Store.ScanTable(s.ctx.Ctx, leaf, s.node.ForUpdate, func(row types.Row) (bool, bool, error) {
-			if err := s.tick.tick(); err != nil {
-				return false, false, err
-			}
-			keep, err := plan.EvalBool(s.node.Filter, row)
-			if err != nil {
-				return false, false, err
-			}
-			if keep {
-				s.buf = append(s.buf, row.Clone())
-			}
-			return keep, true, nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	s.loaded = true
-	return nil
-}
-
-func (s *scanIter) Next() (types.Row, error) {
+func (s *forUpdateScanIter) NextBatch() (*types.RowBatch, error) {
 	if !s.loaded {
-		if err := s.load(); err != nil {
-			return nil, err
+		s.loaded = true
+		for _, leaf := range s.node.Partitions {
+			err := s.ctx.Store.ScanTable(s.ctx.Ctx, leaf, true, func(row types.Row) (bool, bool, error) {
+				if err := s.tick.tick(); err != nil {
+					return false, false, err
+				}
+				keep, err := plan.EvalBool(s.node.Filter, row)
+				if err != nil {
+					return false, false, err
+				}
+				if keep {
+					s.rows = append(s.rows, row.Clone())
+				}
+				return keep, true, nil
+			})
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
-	if s.pos >= len(s.buf) {
-		return nil, io.EOF
-	}
-	r := s.buf[s.pos]
-	s.pos++
-	return r, nil
+	return s.rowWindows.NextBatch()
 }
 
-func (s *scanIter) Close() { s.buf = nil }
-
-// indexScanIter probes the hash index with constant keys.
+// indexScanIter probes the hash index with constant keys on the first pull
+// and emits the matches (cloned out of shared storage) as windows.
 type indexScanIter struct {
+	rowWindows
 	ctx    *Context
 	node   *plan.IndexScan
-	buf    []types.Row
-	pos    int
 	loaded bool
 }
 
-func (s *indexScanIter) load() error {
-	key := make([]types.Datum, len(s.node.KeyVals))
-	for i, e := range s.node.KeyVals {
-		v, err := e.Eval(nil)
-		if err != nil {
-			return err
-		}
-		key[i] = v
-	}
-	err := s.ctx.Store.IndexLookup(s.ctx.Ctx, s.node.Table, s.node.Index, key, s.node.ForUpdate,
-		func(row types.Row) (bool, error) {
-			keep, err := plan.EvalBool(s.node.Filter, row)
-			if err != nil {
-				return false, err
-			}
-			if keep {
-				s.buf = append(s.buf, row.Clone())
-			}
-			return true, nil
-		})
-	s.loaded = true
-	return err
-}
-
-func (s *indexScanIter) Next() (types.Row, error) {
+func (s *indexScanIter) NextBatch() (*types.RowBatch, error) {
 	if !s.loaded {
-		if err := s.load(); err != nil {
+		s.loaded = true
+		key := make([]types.Datum, len(s.node.KeyVals))
+		for i, e := range s.node.KeyVals {
+			v, err := e.Eval(nil)
+			if err != nil {
+				return nil, err
+			}
+			key[i] = v
+		}
+		err := s.ctx.Store.IndexLookup(s.ctx.Ctx, s.node.Table, s.node.Index, key, s.node.ForUpdate,
+			func(row types.Row) (bool, error) {
+				keep, err := plan.EvalBool(s.node.Filter, row)
+				if err != nil {
+					return false, err
+				}
+				if keep {
+					s.rows = append(s.rows, row.Clone())
+				}
+				return true, nil
+			})
+		if err != nil {
 			return nil, err
 		}
 	}
-	if s.pos >= len(s.buf) {
+	return s.rowWindows.NextBatch()
+}
+
+// fillBatch refills out with up to size rows pulled from next: the batch
+// form of a row source that has to produce one row at a time (a loser-tree
+// merge, spilled-partition replay). io.EOF once next is exhausted.
+func fillBatch(out *types.RowBatch, size int, next func() (types.Row, error)) (*types.RowBatch, error) {
+	out.Reset()
+	for out.Len() < size {
+		row, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		out.Append(row)
+	}
+	if out.Len() == 0 {
 		return nil, io.EOF
-	}
-	r := s.buf[s.pos]
-	s.pos++
-	return r, nil
-}
-
-func (s *indexScanIter) Close() { s.buf = nil }
-
-// filterIter drops rows failing the predicate.
-type filterIter struct {
-	child Iterator
-	cond  plan.Expr
-	tick  cpuTick
-}
-
-func (f *filterIter) Next() (types.Row, error) {
-	for {
-		row, err := f.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if err := f.tick.tick(); err != nil {
-			return nil, err
-		}
-		ok, err := plan.EvalBool(f.cond, row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return row, nil
-		}
-	}
-}
-
-func (f *filterIter) Close() { f.child.Close() }
-
-// projectIter computes output expressions.
-type projectIter struct {
-	child Iterator
-	exprs []plan.Expr
-	tick  cpuTick
-}
-
-func (p *projectIter) Next() (types.Row, error) {
-	row, err := p.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.tick.tick(); err != nil {
-		return nil, err
-	}
-	out := make(types.Row, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := e.Eval(row)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
 	}
 	return out, nil
 }
 
-func (p *projectIter) Close() { p.child.Close() }
+// batchSortIter materializes and sorts. Under a spill budget it is an
+// external merge sort: when the accumulated rows exceed the budget they are
+// sorted and dumped as a run file, and after input is exhausted the run files
+// plus the in-memory residual are merged by a loser tree. Runs are numbered
+// in input order and ties break toward the lower run, so the merged output is
+// byte-identical to the stable in-memory sort. A sort that stayed in memory
+// emits its buffer as windows; a merge is re-batched row by row.
+type batchSortIter struct {
+	rowWindows // rows buffers the input; sorted, it is the in-memory result
+	ctx        *Context
+	child      BatchIterator
+	keys       []plan.SortKey
+	loaded     bool
+	mem        opMem
+	runs       []*spillFile
+	tree       *loserTree
+	out        types.RowBatch // reused merge output
+}
 
-// sortIter materializes and sorts. Under a spill budget it is an external
-// merge sort: when the accumulated rows exceed the budget they are sorted and
-// dumped as a run file, and after input is exhausted the run files plus the
-// in-memory residual are merged by a loser tree. Runs are numbered in input
-// order and ties break toward the lower run, so the merged output is
-// byte-identical to the stable in-memory sort.
-type sortIter struct {
-	ctx    *Context
-	child  Iterator
-	keys   []plan.SortKey
-	rows   []types.Row
-	pos    int
-	loaded bool
-	mem    opMem
-	runs   []*spillFile
-	tree   *loserTree
+func newBatchSortIter(ctx *Context, node *plan.Sort, child BatchIterator) *batchSortIter {
+	return &batchSortIter{rowWindows: rowWindows{size: ctx.batchSize()}, ctx: ctx, child: child,
+		keys: node.Keys, mem: opMem{ctx: ctx, stat: ctx.opStat(node)}}
 }
 
 // compareKeys orders two rows under the ORDER BY keys.
-func (s *sortIter) compareKeys(a, b types.Row) (int, error) {
+func (s *batchSortIter) compareKeys(a, b types.Row) (int, error) {
 	for _, k := range s.keys {
 		av, err := k.Expr.Eval(a)
 		if err != nil {
@@ -275,7 +192,7 @@ func (s *sortIter) compareKeys(a, b types.Row) (int, error) {
 }
 
 // sortBuffered stably sorts the in-memory rows.
-func (s *sortIter) sortBuffered() error {
+func (s *batchSortIter) sortBuffered() error {
 	var sortErr error
 	sort.SliceStable(s.rows, func(i, j int) bool {
 		c, err := s.compareKeys(s.rows[i], s.rows[j])
@@ -289,7 +206,7 @@ func (s *sortIter) sortBuffered() error {
 
 // spillRun sorts the buffered rows, writes them as one run file, and releases
 // their memory.
-func (s *sortIter) spillRun() error {
+func (s *batchSortIter) spillRun() error {
 	if err := s.sortBuffered(); err != nil {
 		return err
 	}
@@ -316,145 +233,139 @@ func (s *sortIter) spillRun() error {
 	return nil
 }
 
-func (s *sortIter) load() error {
-	s.mem.ctx = s.ctx
+// add buffers one input row, dumping a run first when the budget says so.
+func (s *batchSortIter) add(row types.Row) error {
+	sz := row.Size()
+	ok, err := s.mem.grow(sz)
+	if err != nil {
+		return err
+	}
+	if !ok && s.mem.charged >= spillChunk(s.ctx.Spill.Budget()) {
+		if err := s.spillRun(); err != nil {
+			return err
+		}
+		ok, err = s.mem.grow(sz)
+		if err != nil {
+			return err
+		}
+	}
+	if !ok {
+		// Below the spill-chunk floor (or a single row beyond the whole
+		// budget): grow past the budget rather than shed a tiny run.
+		if err := s.mem.forceGrow(sz); err != nil {
+			return err
+		}
+	}
+	s.rows = append(s.rows, row)
+	return nil
+}
+
+func (s *batchSortIter) load() error {
 	for {
-		row, err := s.child.Next()
+		b, err := s.child.NextBatch()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		sz := row.Size()
-		ok, err := s.mem.grow(sz)
-		if err != nil {
-			return err
-		}
-		if !ok && s.mem.charged >= spillChunk(s.ctx.Spill.Budget()) {
-			if err := s.spillRun(); err != nil {
-				return err
-			}
-			ok, err = s.mem.grow(sz)
-			if err != nil {
+		for i, l := 0, b.Len(); i < l; i++ {
+			if err := s.add(b.Live(i)); err != nil {
 				return err
 			}
 		}
-		if !ok {
-			// Below the spill-chunk floor (or a single row beyond the whole
-			// budget): grow past the budget rather than shed a tiny run.
-			if err := s.mem.forceGrow(sz); err != nil {
-				return err
-			}
-		}
-		s.rows = append(s.rows, row)
 	}
-	if err := s.sortBuffered(); err != nil {
+	if err := s.sortBuffered(); err != nil || len(s.runs) == 0 {
 		return err
 	}
-	if len(s.runs) > 0 {
-		// Merge the run files plus the residual rows (the final, highest-
-		// numbered run, kept in memory).
-		srcs := make([]mergeSource, 0, len(s.runs)+1)
-		for _, sf := range s.runs {
-			if err := sf.startRead(); err != nil {
-				return err
-			}
-			srcs = append(srcs, fileSource{sf})
-		}
-		if len(s.rows) > 0 {
-			srcs = append(srcs, &memSource{rows: s.rows})
-		}
-		tree, err := newLoserTree(srcs, s.compareKeys)
-		if err != nil {
+	// Merge the run files plus the residual rows (the final, highest-
+	// numbered run, kept in memory).
+	srcs := make([]mergeSource, 0, len(s.runs)+1)
+	for _, sf := range s.runs {
+		if err := sf.startRead(); err != nil {
 			return err
 		}
-		s.tree = tree
+		srcs = append(srcs, fileSource{sf})
 	}
-	s.loaded = true
-	return nil
+	if len(s.rows) > 0 {
+		srcs = append(srcs, &memSource{rows: s.rows})
+	}
+	tree, err := newLoserTree(srcs, s.compareKeys)
+	s.tree = tree
+	return err
 }
 
-func (s *sortIter) Next() (types.Row, error) {
+func (s *batchSortIter) NextBatch() (*types.RowBatch, error) {
 	if !s.loaded {
 		if err := s.load(); err != nil {
 			return nil, err
 		}
+		s.loaded = true
 	}
 	if s.tree != nil {
-		return s.tree.pop()
+		return fillBatch(&s.out, s.size, s.tree.pop)
 	}
-	if s.pos >= len(s.rows) {
-		return nil, io.EOF
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
+	return s.rowWindows.NextBatch()
 }
 
-func (s *sortIter) Close() {
-	s.mem.ctx = s.ctx
+func (s *batchSortIter) Close() {
 	s.mem.closeAll()
 	for _, sf := range s.runs {
 		sf.close()
 	}
-	s.runs = nil
-	s.rows = nil
+	s.runs, s.rows = nil, nil
 	s.child.Close()
 }
 
-// limitIter caps output.
-type limitIter struct {
-	child   Iterator
-	count   int64 // -1 unlimited
-	offset  int64
-	skipped int64
-	emitted int64
+// batchLimitIter applies OFFSET and LIMIT by narrowing child batches: a
+// batch that straddles either bound is re-windowed (rows or selection
+// vector), never copied. LIMIT 0 never pulls, and once the count is
+// satisfied the child is closed right away, so a streaming scan's producer
+// or a sort's buffer does not outlive the rows that were wanted.
+type batchLimitIter struct {
+	child  BatchIterator
+	skip   int64 // rows still to drop (OFFSET)
+	left   int64 // rows still to emit; < 0 = unlimited
+	out    types.RowBatch
+	closed bool
 }
 
-func (l *limitIter) Next() (types.Row, error) {
-	for l.skipped < l.offset {
-		if _, err := l.child.Next(); err != nil {
-			return nil, err
-		}
-		l.skipped++
-	}
-	if l.count >= 0 && l.emitted >= l.count {
-		return nil, io.EOF
-	}
-	row, err := l.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	l.emitted++
-	return row, nil
-}
-
-func (l *limitIter) Close() { l.child.Close() }
-
-// Drain pulls every row from it into a slice (coordinator result
-// collection).
-func Drain(it Iterator) ([]types.Row, error) {
-	defer it.Close()
-	var out []types.Row
+func (l *batchLimitIter) NextBatch() (*types.RowBatch, error) {
 	for {
-		row, err := it.Next()
-		if err == io.EOF {
-			return out, nil
+		if l.left == 0 {
+			l.Close()
+			return nil, io.EOF
 		}
+		b, err := l.child.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, row)
+		n := int64(b.Len())
+		if l.skip >= n {
+			l.skip -= n
+			continue
+		}
+		lo, hi := l.skip, n
+		l.skip = 0
+		if l.left > 0 {
+			hi = min(hi, lo+l.left)
+			l.left -= hi - lo
+		}
+		if lo == 0 && hi == n {
+			return b, nil
+		}
+		if b.Sel != nil {
+			l.out = types.RowBatch{Rows: b.Rows, Sel: b.Sel[lo:hi:hi]}
+		} else {
+			l.out = types.RowBatch{Rows: b.Rows[lo:hi:hi]}
+		}
+		return &l.out, nil
 	}
 }
 
-// errIter reports a construction error lazily.
-type errIter struct{ err error }
-
-func (e *errIter) Next() (types.Row, error) { return nil, e.err }
-func (e *errIter) Close()                   {}
-
-func errIterf(format string, args ...any) Iterator {
-	return &errIter{err: fmt.Errorf(format, args...)}
+func (l *batchLimitIter) Close() {
+	if !l.closed {
+		l.closed = true
+		l.child.Close()
+	}
 }

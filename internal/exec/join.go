@@ -8,14 +8,14 @@ import (
 	"repro/internal/types"
 )
 
-// hashJoinCore is the build/probe state shared by the row-at-a-time and batch
-// hash joins, including the Grace-style partitioned spill path: when the
-// build side outgrows the spill budget, build rows are scattered by key hash
-// into fanout partition files (the in-memory table is flushed first), probe
-// rows follow into matching probe partitions, and after the probe input ends
-// each partition pair is joined in turn — build partition loaded into a fresh
-// table, probe partition streamed against it. Rows with NULL keys never join
-// and are resolved immediately in either mode.
+// hashJoinCore is the hash join's build/probe state, including the
+// Grace-style partitioned spill path: when the build side outgrows the spill
+// budget, build rows are scattered by key hash into fanout partition files
+// (the in-memory table is flushed first), probe rows follow into matching
+// probe partitions, and after the probe input ends each partition pair is
+// joined in turn — build partition loaded into a fresh table, probe partition
+// streamed against it. Rows with NULL keys never join and are resolved
+// immediately in either mode.
 type hashJoinCore struct {
 	ctx    *Context
 	node   *plan.HashJoin
@@ -313,30 +313,6 @@ func (c *hashJoinCore) closeCore() {
 	c.table = nil
 }
 
-// hashJoinIter implements hash join with the right (build/inner) side fully
-// prefetched and materialized before the left (probe/outer) side is pulled.
-// The prefetch is not just a performance choice: it is Greenplum's defence
-// against interconnect deadlock (paper Appendix B) — the inner motion is
-// drained completely before any outer tuple is requested.
-type hashJoinIter struct {
-	core  hashJoinCore
-	left  Iterator
-	right Iterator
-
-	built    bool
-	draining bool
-	tick     cpuTick
-	pending  []types.Row // matches for the current probe row
-}
-
-func newHashJoinIter(ctx *Context, node *plan.HashJoin, left, right Iterator) *hashJoinIter {
-	return &hashJoinIter{
-		core: newHashJoinCore(ctx, node),
-		left: left, right: right,
-		tick: cpuTick{ctx: ctx},
-	}
-}
-
 func hashKeys(keys []plan.Expr, row types.Row) (uint64, bool, error) {
 	var h uint64 = 1469598103934665603
 	for _, k := range keys {
@@ -354,8 +330,7 @@ func hashKeys(keys []plan.Expr, row types.Row) (uint64, bool, error) {
 
 // probeHashTable finds every build row joining with probe, re-checking exact
 // key equality (hash collisions) and the residual condition, and hands each
-// combined output row to emit. It reports whether the probe matched. Shared
-// by the row-at-a-time and batch hash joins.
+// combined output row to emit. It reports whether the probe matched.
 func probeHashTable(node *plan.HashJoin, table map[uint64][]types.Row, probe types.Row, emit func(types.Row)) (bool, error) {
 	h, ok, err := hashKeys(node.LeftKeys, probe)
 	if err != nil || !ok {
@@ -416,142 +391,81 @@ func nullExtend(probe types.Row, rwidth int) types.Row {
 	return combined
 }
 
-func (j *hashJoinIter) build() error {
+// batchNestLoopIter materializes (prefetches) the inner side and rescans it
+// per outer row — the same deadlock-safe order as hash join. Output is cut
+// at the batch size, so the position in the outer batch and the inner rows
+// carries over between calls; the outer batch's container stays valid
+// because the next one is only pulled once this one is used up.
+type batchNestLoopIter struct {
+	ctx         *Context
+	node        *plan.NestLoop
+	left, right BatchIterator
+	inner       []types.Row
+	bytes       int64
+	built       bool
+	outer       *types.RowBatch
+	opos, ipos  int  // next outer row of the batch, next inner row for it
+	matched     bool // the current outer row has joined
+	rwidth      int
+	tick        cpuTick
+	out         types.RowBatch // reused
+	size        int
+}
+
+func newBatchNestLoopIter(ctx *Context, node *plan.NestLoop, left, right BatchIterator) *batchNestLoopIter {
+	return &batchNestLoopIter{ctx: ctx, node: node, left: left, right: right,
+		rwidth: node.Right.Schema().Len(), tick: cpuTick{ctx: ctx}, size: ctx.batchSize()}
+}
+
+func (j *batchNestLoopIter) build() error {
 	for {
-		row, err := j.right.Next()
+		b, err := j.right.NextBatch()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		if err := j.tick.tick(); err != nil {
-			return err
-		}
-		if err := j.core.addBuild(row); err != nil {
-			return err
+		for i, l := 0, b.Len(); i < l; i++ {
+			row := b.Live(i)
+			if err := j.ctx.grow(row.Size()); err != nil {
+				return err
+			}
+			j.bytes += row.Size()
+			j.inner = append(j.inner, row)
 		}
 	}
 	j.built = true
 	return nil
 }
 
-func (j *hashJoinIter) Next() (types.Row, error) {
+func (j *batchNestLoopIter) NextBatch() (*types.RowBatch, error) {
 	if !j.built {
 		if err := j.build(); err != nil {
 			return nil, err
 		}
 	}
-	for {
-		if len(j.pending) > 0 {
-			r := j.pending[0]
-			j.pending = j.pending[1:]
-			return r, nil
-		}
-		if j.draining {
-			row, err := j.core.drainNext()
+	j.out.Reset()
+	for j.out.Len() < j.size {
+		if j.outer == nil || j.opos >= j.outer.Len() {
+			if j.out.Len() > 0 {
+				break // hand up what this outer batch produced first
+			}
+			b, err := j.left.NextBatch()
 			if err != nil {
 				return nil, err
 			}
-			// The drain re-reads and re-joins spilled rows: charge CPU so
-			// the disk-replay pass stays governed like the first pass.
-			if err := j.tick.tick(); err != nil {
-				return nil, err
-			}
-			return row, nil
+			j.outer, j.opos = b, 0
 		}
-		probe, err := j.left.Next()
-		if err == io.EOF {
-			// Probe input done; surface the spilled partitions (a no-op when
-			// the join stayed in memory).
-			j.draining = true
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := j.tick.tick(); err != nil {
-			return nil, err
-		}
-		if err := j.core.probeRow(probe, func(combined types.Row) {
-			j.pending = append(j.pending, combined)
-		}); err != nil {
-			return nil, err
-		}
-	}
-}
-
-func (j *hashJoinIter) Close() {
-	j.core.closeCore()
-	j.left.Close()
-	j.right.Close()
-}
-
-// nestLoopIter materializes (prefetches) the inner side and rescans it per
-// outer row — the same deadlock-safe order as hash join.
-type nestLoopIter struct {
-	ctx     *Context
-	node    *plan.NestLoop
-	left    Iterator
-	right   Iterator
-	inner   []types.Row
-	bytes   int64
-	built   bool
-	outer   types.Row
-	ipos    int
-	matched bool
-	rwidth  int
-	tick    cpuTick
-}
-
-func newNestLoopIter(ctx *Context, node *plan.NestLoop, left, right Iterator) *nestLoopIter {
-	return &nestLoopIter{ctx: ctx, node: node, left: left, right: right,
-		rwidth: node.Right.Schema().Len(), tick: cpuTick{ctx: ctx}}
-}
-
-func (j *nestLoopIter) build() error {
-	for {
-		row, err := j.right.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := j.ctx.grow(row.Size()); err != nil {
-			return err
-		}
-		j.bytes += row.Size()
-		j.inner = append(j.inner, row)
-	}
-	j.built = true
-	return nil
-}
-
-func (j *nestLoopIter) Next() (types.Row, error) {
-	if !j.built {
-		if err := j.build(); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		if j.outer == nil {
-			row, err := j.left.Next()
-			if err != nil {
-				return nil, err
-			}
-			j.outer = row
-			j.ipos = 0
-			j.matched = false
-		}
-		for j.ipos < len(j.inner) {
+		outer := j.outer.Live(j.opos)
+		for j.ipos < len(j.inner) && j.out.Len() < j.size {
 			inner := j.inner[j.ipos]
 			j.ipos++
 			if err := j.tick.tick(); err != nil {
 				return nil, err
 			}
-			combined := make(types.Row, 0, len(j.outer)+len(inner))
-			combined = append(combined, j.outer...)
+			combined := make(types.Row, 0, len(outer)+len(inner))
+			combined = append(combined, outer...)
 			combined = append(combined, inner...)
 			keep, err := plan.EvalBool(j.node.Cond, combined)
 			if err != nil {
@@ -559,23 +473,21 @@ func (j *nestLoopIter) Next() (types.Row, error) {
 			}
 			if keep {
 				j.matched = true
-				return combined, nil
+				j.out.Append(combined)
 			}
+		}
+		if j.ipos < len(j.inner) {
+			break // batch full mid-rescan; resume at ipos
 		}
 		if !j.matched && j.node.Kind == plan.JoinLeft {
-			combined := make(types.Row, 0, len(j.outer)+j.rwidth)
-			combined = append(combined, j.outer...)
-			for i := 0; i < j.rwidth; i++ {
-				combined = append(combined, types.Null)
-			}
-			j.outer = nil
-			return combined, nil
+			j.out.Append(nullExtend(outer, j.rwidth))
 		}
-		j.outer = nil
+		j.opos, j.ipos, j.matched = j.opos+1, 0, false
 	}
+	return &j.out, nil
 }
 
-func (j *nestLoopIter) Close() {
+func (j *batchNestLoopIter) Close() {
 	j.ctx.shrink(j.bytes)
 	j.inner = nil
 	j.left.Close()

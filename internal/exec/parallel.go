@@ -185,10 +185,10 @@ func (g *LocalGather) Close() {
 // BuildBatchParallel is BuildBatch plus intra-segment parallelism: when the
 // context's degree is > 1 and the slice is a parallel-safe chain over a
 // splittable store, it builds the worker/LocalGather rewrite; otherwise it
-// falls back to the serial vectorized build. Used at slice roots — parallel
-// workers split the whole slice pipeline, not individual operators.
+// falls back to the serial build. Used at slice roots — parallel workers
+// split the whole slice pipeline, not individual operators.
 func BuildBatchParallel(ctx *Context, root plan.Node) BatchIterator {
-	if ctx.Parallel > 1 && !ctx.RowMode {
+	if ctx.Parallel > 1 {
 		if it, ok := buildParallelPipeline(ctx, root); ok {
 			return it
 		}
@@ -196,45 +196,27 @@ func BuildBatchParallel(ctx *Context, root plan.Node) BatchIterator {
 	return BuildBatch(ctx, root)
 }
 
-// parallelChain is the decomposed unary chain of a parallel-safe slice.
-type parallelChain struct {
-	above []plan.Node // nodes above the aggregate (top-down)
-	agg   *plan.Agg   // nil when the chain has no aggregate
-	below []plan.Node // nodes between aggregate and scan (top-down)
-	scan  *plan.Scan
-}
-
-// decomposeChain splits a parallel-safe subtree into its chain parts.
-func decomposeChain(n plan.Node) (parallelChain, bool) {
-	var c parallelChain
-	cur := n
+// decomposeChain walks a parallel-safe unary chain down to its scan,
+// returning the chain's aggregate (nil when it has none) and whether the
+// chain contains a projection.
+func decomposeChain(n plan.Node) (agg *plan.Agg, scan *plan.Scan, project, ok bool) {
 	for {
-		switch x := cur.(type) {
+		switch x := n.(type) {
 		case *plan.Scan:
-			c.scan = x
-			return c, true
+			return agg, x, project, true
 		case *plan.Filter:
-			if c.agg == nil {
-				c.above = append(c.above, x)
-			} else {
-				c.below = append(c.below, x)
-			}
-			cur = x.Child
+			n = x.Child
 		case *plan.Project:
-			if c.agg == nil {
-				c.above = append(c.above, x)
-			} else {
-				c.below = append(c.below, x)
-			}
-			cur = x.Child
+			project = true
+			n = x.Child
 		case *plan.Agg:
-			if c.agg != nil {
-				return c, false
+			if agg != nil {
+				return nil, nil, false, false
 			}
-			c.agg = x
-			cur = x.Child
+			agg = x
+			n = x.Child
 		default:
-			return c, false
+			return nil, nil, false, false
 		}
 	}
 }
@@ -250,11 +232,11 @@ func buildParallelPipeline(ctx *Context, root plan.Node) (BatchIterator, bool) {
 	if !ok {
 		return nil, false
 	}
-	chain, ok := decomposeChain(root)
-	if !ok || chain.scan.ForUpdate || chain.scan.OnSeg >= 0 {
+	agg, scan, project, ok := decomposeChain(root)
+	if !ok || scan.ForUpdate || scan.OnSeg >= 0 {
 		return nil, false
 	}
-	units := splitScanUnits(store, chain.scan, ctx.Parallel)
+	units := splitScanUnits(store, scan, ctx.Parallel)
 	if len(units) < 2 {
 		return nil, false
 	}
@@ -262,63 +244,46 @@ func buildParallelPipeline(ctx *Context, root plan.Node) (BatchIterator, bool) {
 	// Everything below (and including) the aggregate runs inside each
 	// worker; with no aggregate the whole chain does, so filters and
 	// projections parallelize too. A plain/partial aggregate is rewritten to
-	// a per-worker partial plus a merge above the gather.
-	below, above := chain.below, chain.above
-	if chain.agg == nil {
-		below, above = chain.above, nil
+	// a per-worker partial plus a merge above the gather. The workers' plan
+	// nodes go through build like any other, each over its own scan units, so
+	// scan/filter/project rows are counted inside the workers; the per-worker
+	// partial aggregate is the executor's own and is not counted.
+	workerRoot, workerAgg := root, agg
+	if agg != nil {
+		workerRoot = agg.Child
+		if agg.Phase != plan.AggPartial {
+			workerAgg = plan.NewAgg(agg.Child, agg.GroupBy, agg.Specs, plan.AggPartial)
+		}
 	}
-	var workerAgg *plan.Agg
-	if chain.agg != nil {
-		workerAgg = chain.agg
-		if workerAgg.Phase != plan.AggPartial {
-			workerAgg = plan.NewAgg(chain.agg.Child, chain.agg.GroupBy, chain.agg.Specs, plan.AggPartial)
+	workers := make([]BatchIterator, len(units))
+	for w := range units {
+		workers[w] = build(ctx, workerRoot, scan, newBatchScanIterUnits(ctx, scan, units[w]))
+		if agg != nil {
+			workers[w] = newBatchAggIter(ctx, workerAgg, workers[w])
 		}
 	}
 
 	// Workers hand over batch ownership unless their top operator reuses an
 	// output buffer: streaming scans emit fresh containers and filters
 	// compact in place, but projections and aggregates recycle theirs.
-	ownedOutput := workerAgg == nil
-	if ownedOutput {
-		for _, n := range below {
-			if _, isProj := n.(*plan.Project); isProj {
-				ownedOutput = false
-				break
-			}
-		}
+	gather := NewLocalGather(workers, agg == nil, agg == nil && !project)
+	if agg == nil {
+		return gather, true
 	}
-
-	workers := make([]BatchIterator, len(units))
-	for w := range units {
-		var it BatchIterator = newBatchScanIterUnits(ctx, chain.scan, units[w])
-		for i := len(below) - 1; i >= 0; i-- {
-			it = wrapUnaryBatch(ctx, below[i], it)
-		}
-		if workerAgg != nil {
-			it = newBatchAggIter(ctx, workerAgg, it)
-		}
-		workers[w] = it
+	mergePhase := plan.AggIntermediate
+	if agg.Phase == plan.AggPlain {
+		mergePhase = plan.AggFinal
 	}
-
-	var out BatchIterator = NewLocalGather(workers, chain.agg == nil, ownedOutput)
-	if chain.agg != nil {
-		mergePhase := plan.AggIntermediate
-		if chain.agg.Phase == plan.AggPlain {
-			mergePhase = plan.AggFinal
-		}
-		// The merge aggregate reads the partial layout positionally.
-		partialSchema := workerAgg.Schema()
-		mergeGroup := make([]plan.Expr, len(chain.agg.GroupBy))
-		for i := range mergeGroup {
-			mergeGroup[i] = &plan.ColRef{Idx: i, Typ: partialSchema.Columns[i].Kind}
-		}
-		mergeNode := plan.NewAgg(workerAgg, mergeGroup, chain.agg.Specs, mergePhase)
-		out = newBatchAggIter(ctx, mergeNode, out)
+	// The merge aggregate reads the partial layout positionally. It stands
+	// for the plan's Agg node (counted once per location, like the serial
+	// aggregate), and the chain above it is built over it.
+	partialSchema := workerAgg.Schema()
+	mergeGroup := make([]plan.Expr, len(agg.GroupBy))
+	for i := range mergeGroup {
+		mergeGroup[i] = &plan.ColRef{Idx: i, Typ: partialSchema.Columns[i].Kind}
 	}
-	for i := len(above) - 1; i >= 0; i-- {
-		out = wrapUnaryBatch(ctx, above[i], out)
-	}
-	return out, true
+	mergeNode := plan.NewAgg(workerAgg, mergeGroup, agg.Specs, mergePhase)
+	return build(ctx, root, agg, newBatchAggIter(ctx, mergeNode, gather)), true
 }
 
 // splitScanUnits plans the per-worker scan work: a multi-leaf (partitioned)
@@ -352,19 +317,4 @@ func splitScanUnits(store ParallelStoreAccess, scan *plan.Scan, parts int) [][]s
 		units[i] = []scanUnit{{leaf: leaves[0], rng: &rng}}
 	}
 	return units
-}
-
-// wrapUnaryBatch builds the vectorized iterator for one unary chain node
-// over an explicit child (the per-worker variant of BuildBatch's cases).
-func wrapUnaryBatch(ctx *Context, n plan.Node, child BatchIterator) BatchIterator {
-	switch x := n.(type) {
-	case *plan.Filter:
-		return &batchFilterIter{child: child, pred: plan.CompilePredicate(x.Cond), tick: cpuTick{ctx: ctx}}
-	case *plan.Project:
-		return &batchProjectIter{child: child, exprs: x.Exprs,
-			out: types.NewRowBatch(ctx.batchSize()), tick: cpuTick{ctx: ctx}}
-	default:
-		// Unreachable for parallel-safe chains.
-		return NewBatchAdapter(errIterf("exec: unexpected parallel chain node %T", n), ctx.batchSize())
-	}
 }

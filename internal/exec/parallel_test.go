@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/catalog"
@@ -105,11 +106,11 @@ func scanAggPlan(tab *catalog.Table, phase plan.AggPhase) plan.Node {
 func requireSameRows(t *testing.T, want, got []types.Row) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("result sizes differ: serial=%d parallel=%d", len(want), len(got))
+		t.Fatalf("result sizes differ: want %d rows, got %d", len(want), len(got))
 	}
 	for i := range want {
 		if !want[i].Equal(got[i]) {
-			t.Fatalf("row %d differs: serial=%v parallel=%v", i, want[i], got[i])
+			t.Fatalf("row %d differs: want %v, got %v", i, want[i], got[i])
 		}
 	}
 }
@@ -162,6 +163,64 @@ func TestParallelScanOrderedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRows(t, want, got)
+}
+
+// TestParallelWorkersCountEveryNode: the nodes of a slice that runs as
+// parallel worker pipelines get the same NodeRows counts and OpSegStat rows
+// as in the serial run — scan/filter/project inside the workers, the plan's
+// aggregate once at the merge — so the optimizer's risk-bound check sees the
+// scan's real cardinality at any degree.
+func TestParallelWorkersCountEveryNode(t *testing.T) {
+	store, tab := aoTestTable(20000, 513)
+	scanOnly := func() plan.Node {
+		scan := plan.NewScan(tab, []catalog.TableID{1}, nil)
+		filter := &plan.Filter{Child: scan, Cond: &plan.BinOp{
+			Op: "<", Left: &plan.ColRef{Idx: 2}, Right: &plan.Const{Val: types.NewInt(3)}}}
+		return plan.NewProject(filter, []plan.Expr{&plan.ColRef{Idx: 0}}, []string{"a"})
+	}
+	for name, mk := range map[string]func() plan.Node{
+		"plain agg":   func() plan.Node { return scanAggPlan(tab, plan.AggPlain) },
+		"partial agg": func() plan.Node { return scanAggPlan(tab, plan.AggPartial) },
+		"scan only":   scanOnly,
+	} {
+		var serial []int64
+		for _, dop := range []int{1, 4} {
+			root := mk()
+			ctx := &Context{Ctx: context.Background(), Store: store, NumSegments: 1, SegID: 0, Parallel: dop,
+				NodeRows: plan.NewNodeRowCounts(root), Ops: plan.NewOpStats(root, 1)}
+			it, ok := buildParallelPipeline(ctx, root)
+			if ok != (dop > 1) {
+				t.Fatalf("%s: parallel pipeline built = %v at degree %d", name, ok, dop)
+			}
+			if ok {
+				it.Close()
+			}
+			drain(t, BuildBatchParallel(ctx, root))
+			var counts []int64
+			scan := root
+			for n := root; ; n = n.Children()[0] {
+				counts = append(counts, ctx.NodeRows.Rows(n))
+				if got := ctx.Ops.At(n, 0).Rows.Load(); got != ctx.NodeRows.Rows(n) {
+					t.Fatalf("%s degree %d: %s has OpSegStat rows %d, NodeRows %d", name, dop, n.Explain(), got, ctx.NodeRows.Rows(n))
+				}
+				if scan = n; len(n.Children()) == 0 {
+					break
+				}
+			}
+			if dop == 1 {
+				serial = counts
+				continue
+			}
+			if fmt.Sprint(counts) != fmt.Sprint(serial) || counts[len(counts)-1] == 0 {
+				t.Fatalf("%s: per-node rows (root first) at degree 4 = %v, serial = %v", name, counts, serial)
+			}
+			costs := map[plan.Node]*plan.NodeCost{scan: {Rows: 10, Bound: 5}}
+			mis := plan.CheckRiskBounds(costs, ctx.NodeRows)
+			if len(mis) != 1 || mis[0].Actual != counts[len(counts)-1] {
+				t.Fatalf("%s: risk-bound check at degree 4 saw %+v, want the scan's %d rows", name, mis, counts[len(counts)-1])
+			}
+		}
+	}
 }
 
 // TestParallelDegreeOne: parallelism 1 must take the serial path and produce

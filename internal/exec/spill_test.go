@@ -145,31 +145,34 @@ func shuffledRows(n int) []types.Row {
 	return rows
 }
 
+// TestExternalSortMatchesInMemory: the batch sort's output, in memory and
+// spilled, at a batch size of 3 so it spans a thousand batches, equals
+// sort.SliceStable over the same input row for row.
 func TestExternalSortMatchesInMemory(t *testing.T) {
 	tab := testTable(1, "t", "a", "b")
 	rows := shuffledRows(3000)
 	store := &memStore{tables: map[catalog.TableID][]types.Row{1: rows}}
-	build := func(ctx *Context) Iterator {
-		scan := plan.NewScan(tab, []catalog.TableID{1}, nil)
-		return &sortIter{ctx: ctx, child: newScanIter(ctx, scan), keys: []plan.SortKey{
-			{Expr: &plan.ColRef{Idx: 1}},             // many ties: exercises stability
-			{Expr: &plan.ColRef{Idx: 0}, Desc: true}, // then descending key
-		}}
-	}
-	inMem := drain(t, build(ctxWithStore(store)))
+	node := &plan.Sort{Child: plan.NewScan(tab, []catalog.TableID{1}, nil), Keys: []plan.SortKey{
+		{Expr: &plan.ColRef{Idx: 1}},             // many ties: exercises stability
+		{Expr: &plan.ColRef{Idx: 0}, Desc: true}, // then descending key
+	}}
+	want := append([]types.Row(nil), rows...)
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i][1].Int() != want[j][1].Int() {
+			return want[i][1].Int() < want[j][1].Int()
+		}
+		return want[i][0].Int() > want[j][0].Int()
+	})
+
+	inMem := ctxWithStore(store)
+	inMem.BatchSize = 3
+	requireSameRows(t, want, flatten(batches(t, BuildBatch(inMem, node), 3)))
 
 	ctx := spillCtx(store, 4096)
+	ctx.BatchSize = 3
 	defer ctx.Spill.Cleanup()
-	spilled := drain(t, build(ctx))
+	requireSameRows(t, want, flatten(batches(t, BuildBatch(ctx, node), 3)))
 
-	if len(inMem) != len(spilled) {
-		t.Fatalf("row counts differ: %d vs %d", len(inMem), len(spilled))
-	}
-	for i := range inMem {
-		if !inMem[i].Equal(spilled[i]) {
-			t.Fatalf("row %d differs: in-mem=%v spilled=%v", i, inMem[i], spilled[i])
-		}
-	}
 	spills, sbytes, sfiles, peak := ctx.Spill.Stats()
 	if spills == 0 || sbytes == 0 || sfiles == 0 {
 		t.Fatalf("sort did not spill: spills=%d bytes=%d files=%d", spills, sbytes, sfiles)
@@ -197,15 +200,11 @@ func TestSpillingHashAggMatchesInMemory(t *testing.T) {
 		},
 		plan.AggPlain,
 	)
-	build := func(ctx *Context) Iterator {
-		scan := plan.NewScan(tab, []catalog.TableID{1}, nil)
-		return newAggIter(ctx, node, newScanIter(ctx, scan))
-	}
-	inMem := drain(t, build(ctxWithStore(store)))
+	inMem := drain(t, BuildBatch(ctxWithStore(store), node))
 
 	ctx := spillCtx(store, 8192)
 	defer ctx.Spill.Cleanup()
-	spilled := drain(t, build(ctx))
+	spilled := drain(t, BuildBatch(ctx, node))
 
 	if len(inMem) != len(spilled) {
 		t.Fatalf("group counts differ: %d vs %d", len(inMem), len(spilled))
@@ -242,15 +241,10 @@ func TestGraceHashJoinMatchesInMemory(t *testing.T) {
 			plan.NewScan(left, []catalog.TableID{1}, nil),
 			plan.NewScan(right, []catalog.TableID{2}, nil),
 			[]plan.Expr{&plan.ColRef{Idx: 0}}, []plan.Expr{&plan.ColRef{Idx: 0}}, nil)
-		build := func(ctx *Context) Iterator {
-			return newHashJoinIter(ctx, node,
-				newScanIter(ctx, plan.NewScan(left, []catalog.TableID{1}, nil)),
-				newScanIter(ctx, plan.NewScan(right, []catalog.TableID{2}, nil)))
-		}
-		inMem := drain(t, build(ctxWithStore(store)))
+		inMem := drain(t, BuildBatch(ctxWithStore(store), node))
 
 		ctx := spillCtx(store, 4096)
-		spilled := drain(t, build(ctx))
+		spilled := drain(t, BuildBatch(ctx, node))
 
 		if len(inMem) != len(spilled) {
 			t.Fatalf("%v: row counts differ: %d vs %d", kind, len(inMem), len(spilled))

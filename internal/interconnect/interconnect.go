@@ -6,10 +6,8 @@
 // when executors demand tuples in the wrong order.
 //
 // Streams are batch-framed: each channel operation carries a whole
-// types.RowBatch, so the vectorized executor pays one send per batch. The
-// row-level Send/Recv API is kept as a shim (one-row batches) for the
-// row-at-a-time executor and the deadlock demonstrations; buffer capacity is
-// counted in sends, so the shim behaves exactly like the old per-row fabric.
+// types.RowBatch, so the executor pays one send per batch, and buffer
+// capacity is counted in sends.
 package interconnect
 
 import (
@@ -121,30 +119,6 @@ func (f *Fabric) SendBatch(ctx context.Context, slice, dest int, b *types.RowBat
 	}
 }
 
-// Send delivers one row (a one-row batch) — the row-at-a-time shim.
-func (f *Fabric) Send(ctx context.Context, slice, dest int, row types.Row) error {
-	return f.SendBatch(ctx, slice, dest, &types.RowBatch{Rows: []types.Row{row}})
-}
-
-// TrySend is Send without blocking; it reports false when the buffer is
-// full. Used by the network-deadlock demonstration.
-func (f *Fabric) TrySend(slice, dest int, row types.Row) (bool, error) {
-	s, err := f.get(streamKey{slice: slice, dest: dest})
-	if err != nil {
-		return false, err
-	}
-	b := &types.RowBatch{Rows: []types.Row{row}}
-	select {
-	case s.ch <- b:
-		f.rows.Add(1)
-		f.batches.Add(1)
-		f.bytes.Add(b.Size())
-		return true, nil
-	default:
-		return false, nil
-	}
-}
-
 // DoneSending signals that one sender of the slice finished; the last
 // sender closes every destination stream of the motion.
 func (f *Fabric) DoneSending(slice int) {
@@ -180,18 +154,16 @@ func (f *Fabric) BatchStats() (batches int64) {
 	return f.batches.Load()
 }
 
-// StreamReceiver adapts a stream to the executor's Receiver and
-// BatchReceiver interfaces. A StreamReceiver is consumed by a single
-// goroutine (one receiving location of one motion).
+// StreamReceiver adapts a stream to the executor's Receiver interface. A
+// StreamReceiver is consumed by a single goroutine (one receiving location
+// of one motion).
 type StreamReceiver struct {
 	s   *stream
 	err error
-	cur *types.RowBatch // partially consumed batch for row-at-a-time Recv
-	pos int
 }
 
-// RecvBatch implements exec.BatchReceiver: one stream operation per batch.
-// The returned batch is owned by the caller.
+// RecvBatch implements exec.Receiver: one stream operation per batch. The
+// returned batch is owned by the caller.
 func (r *StreamReceiver) RecvBatch(ctx context.Context) (*types.RowBatch, bool, error) {
 	if r.err != nil {
 		return nil, false, r.err
@@ -202,18 +174,4 @@ func (r *StreamReceiver) RecvBatch(ctx context.Context) (*types.RowBatch, bool, 
 	case <-ctx.Done():
 		return nil, false, ctx.Err()
 	}
-}
-
-// Recv implements exec.Receiver, unpacking batches row by row.
-func (r *StreamReceiver) Recv(ctx context.Context) (types.Row, bool, error) {
-	for r.cur == nil || r.pos >= r.cur.Len() {
-		b, ok, err := r.RecvBatch(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		r.cur, r.pos = b, 0
-	}
-	row := r.cur.Live(r.pos) // motion batches arrive dense; Live is belt-and-braces
-	r.pos++
-	return row, true, nil
 }

@@ -11,6 +11,22 @@ import (
 
 func row(v int64) types.Row { return types.Row{types.NewInt(v)} }
 
+// send frames one row as a batch of its own, so a test can count buffer
+// slots in rows.
+func send(ctx context.Context, f *Fabric, slice, dest int, r types.Row) error {
+	return f.SendBatch(ctx, slice, dest, &types.RowBatch{Rows: []types.Row{r}})
+}
+
+// recv is the one-row view of those tests' streams: it returns the single
+// row of the next frame.
+func recv(ctx context.Context, r *StreamReceiver) (types.Row, bool, error) {
+	b, ok, err := r.RecvBatch(ctx)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	return b.Rows[0], true, nil
+}
+
 func TestGatherDeliversAllAndCloses(t *testing.T) {
 	f := NewFabric(3, 16, 0)
 	f.OpenGather(1, 3)
@@ -23,7 +39,7 @@ func TestGatherDeliversAllAndCloses(t *testing.T) {
 			defer wg.Done()
 			defer f.DoneSending(1)
 			for i := 0; i < 10; i++ {
-				if err := f.Send(ctx, 1, -1, row(int64(seg*100+i))); err != nil {
+				if err := send(ctx, f, 1, -1, row(int64(seg*100+i))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -33,7 +49,7 @@ func TestGatherDeliversAllAndCloses(t *testing.T) {
 	r := f.Receiver(1, -1)
 	got := 0
 	for {
-		_, ok, err := r.Recv(ctx)
+		_, ok, err := recv(ctx, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +74,7 @@ func TestFanOutRouting(t *testing.T) {
 	ctx := context.Background()
 	// Send explicit destinations.
 	for i := 0; i < 10; i++ {
-		if err := f.Send(ctx, 2, i%2, row(int64(i))); err != nil {
+		if err := send(ctx, f, 2, i%2, row(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +83,7 @@ func TestFanOutRouting(t *testing.T) {
 		r := f.Receiver(2, dest)
 		n := 0
 		for {
-			v, ok, err := r.Recv(ctx)
+			v, ok, err := recv(ctx, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +108,7 @@ func TestFlowControlBlocksSender(t *testing.T) {
 	sent := make(chan int, 100)
 	go func() {
 		for i := 0; ; i++ {
-			if err := f.Send(ctx, 1, -1, row(int64(i))); err != nil {
+			if err := send(ctx, f, 1, -1, row(int64(i))); err != nil {
 				return
 			}
 			sent <- i
@@ -106,22 +122,9 @@ func TestFlowControlBlocksSender(t *testing.T) {
 	// Draining unblocks it.
 	r := f.Receiver(1, -1)
 	for i := 0; i < 10; i++ {
-		if _, ok, err := r.Recv(ctx); err != nil || !ok {
+		if _, ok, err := recv(ctx, r); err != nil || !ok {
 			t.Fatalf("recv %d: %v %v", i, ok, err)
 		}
-	}
-}
-
-func TestTrySendReportsFullBuffer(t *testing.T) {
-	f := NewFabric(1, 1, 0)
-	f.OpenGather(1, 1)
-	ok, err := f.TrySend(1, -1, row(1))
-	if err != nil || !ok {
-		t.Fatal("first send should fit")
-	}
-	ok, err = f.TrySend(1, -1, row(2))
-	if err != nil || ok {
-		t.Fatal("second send should report full")
 	}
 }
 
@@ -131,7 +134,7 @@ func TestRecvCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	r := f.Receiver(1, -1)
-	_, _, err := r.Recv(ctx)
+	_, _, err := recv(ctx, r)
 	if err == nil {
 		t.Fatal("recv on empty stream must respect ctx")
 	}
@@ -139,11 +142,11 @@ func TestRecvCancellation(t *testing.T) {
 
 func TestUnknownStreamErrors(t *testing.T) {
 	f := NewFabric(1, 1, 0)
-	if err := f.Send(context.Background(), 9, -1, row(1)); err == nil {
+	if err := send(context.Background(), f, 9, -1, row(1)); err == nil {
 		t.Fatal("send to unopened motion must fail")
 	}
 	r := f.Receiver(9, -1)
-	if _, _, err := r.Recv(context.Background()); err == nil {
+	if _, _, err := recv(context.Background(), r); err == nil {
 		t.Fatal("recv from unopened motion must fail")
 	}
 }
@@ -156,21 +159,18 @@ func batch(vals ...int64) *types.RowBatch {
 	return b
 }
 
-// TestBatchFramingPreservesOrder sends a mix of whole batches and single
-// rows down one stream and checks the row-level view preserves order while
-// the batch counter reflects the framing.
+// TestBatchFramingPreservesOrder sends frames of different sizes down one
+// stream and checks they arrive whole and in order, and that the counters
+// reflect rows and frames separately.
 func TestBatchFramingPreservesOrder(t *testing.T) {
 	f := NewFabric(1, 16, 0)
 	f.OpenGather(1, 1)
 	ctx := context.Background()
-	if err := f.SendBatch(ctx, 1, -1, batch(0, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send(ctx, 1, -1, row(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.SendBatch(ctx, 1, -1, batch(4, 5)); err != nil {
-		t.Fatal(err)
+	frames := [][]int64{{0, 1, 2}, {3}, {4, 5}}
+	for _, fr := range frames {
+		if err := f.SendBatch(ctx, 1, -1, batch(fr...)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Empty batches are dropped, not framed.
 	if err := f.SendBatch(ctx, 1, -1, types.NewRowBatch(4)); err != nil {
@@ -178,16 +178,21 @@ func TestBatchFramingPreservesOrder(t *testing.T) {
 	}
 	f.DoneSending(1)
 	r := f.Receiver(1, -1)
-	for i := 0; i < 6; i++ {
-		v, ok, err := r.Recv(ctx)
+	for i, fr := range frames {
+		b, ok, err := r.RecvBatch(ctx)
 		if err != nil || !ok {
-			t.Fatalf("recv %d: ok=%v err=%v", i, ok, err)
+			t.Fatalf("frame %d: ok=%v err=%v", i, ok, err)
 		}
-		if v[0].Int() != int64(i) {
-			t.Fatalf("row %d out of order: %v", i, v)
+		if b.Len() != len(fr) {
+			t.Fatalf("frame %d: %d rows, want %d", i, b.Len(), len(fr))
+		}
+		for j, v := range fr {
+			if b.Rows[j][0].Int() != v {
+				t.Fatalf("frame %d row %d out of order: %v", i, j, b.Rows[j])
+			}
 		}
 	}
-	if _, ok, _ := r.Recv(ctx); ok {
+	if _, ok, _ := r.RecvBatch(ctx); ok {
 		t.Fatal("stream should be closed")
 	}
 	rows, _ := f.Stats()
@@ -195,7 +200,7 @@ func TestBatchFramingPreservesOrder(t *testing.T) {
 		t.Fatalf("stats rows = %d", rows)
 	}
 	if n := f.BatchStats(); n != 3 {
-		t.Fatalf("stream operations = %d, want 3 (two batches + one row)", n)
+		t.Fatalf("stream operations = %d, want 3", n)
 	}
 }
 
@@ -258,13 +263,13 @@ func TestNetworkDeadlockPreventedByPrefetch(t *testing.T) {
 		go func() {
 			defer close(prodDone)
 			for i := 0; i < 5; i++ {
-				if f.Send(ctx, 1, -1, row(int64(i))) != nil {
+				if send(ctx, f, 1, -1, row(int64(i))) != nil {
 					return
 				}
 			}
 			f.DoneSending(1)
 			for i := 0; i < 5; i++ {
-				if f.Send(ctx, 2, -1, row(int64(100+i))) != nil {
+				if send(ctx, f, 2, -1, row(int64(100+i))) != nil {
 					return
 				}
 			}
@@ -280,7 +285,7 @@ func TestNetworkDeadlockPreventedByPrefetch(t *testing.T) {
 				// first; prefetching the OUTER side fully models Greenplum's
 				// "materialize the blocked side before switching".
 				for {
-					_, ok, err := outer.Recv(ctx)
+					_, ok, err := recv(ctx, outer)
 					if err != nil {
 						consumed <- false
 						return
@@ -290,7 +295,7 @@ func TestNetworkDeadlockPreventedByPrefetch(t *testing.T) {
 					}
 				}
 				for {
-					_, ok, err := inner.Recv(ctx)
+					_, ok, err := recv(ctx, inner)
 					if err != nil {
 						consumed <- false
 						return
@@ -305,11 +310,11 @@ func TestNetworkDeadlockPreventedByPrefetch(t *testing.T) {
 			// Demand-driven order: one outer row, then switch to inner —
 			// but inner rows only appear after ALL outer rows are sent,
 			// and the outer buffer (1 row) is full: wedged.
-			if _, _, err := outer.Recv(ctx); err != nil {
+			if _, _, err := recv(ctx, outer); err != nil {
 				consumed <- false
 				return
 			}
-			if _, _, err := inner.Recv(ctx); err != nil {
+			if _, _, err := recv(ctx, inner); err != nil {
 				consumed <- false
 				return
 			}

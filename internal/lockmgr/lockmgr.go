@@ -92,6 +92,7 @@ var ErrShutdown = errors.New("lockmgr: lock manager shut down")
 type waiter struct {
 	txn   TxnID
 	mode  Mode
+	toEnd bool          // the grant is kept to transaction end (AcquireToEnd)
 	ready chan struct{} // closed on grant
 	err   error         // set before ready is closed on failure
 	t0    time.Time
@@ -101,7 +102,10 @@ type waiter struct {
 type lock struct {
 	// holders maps txn -> set of held modes (bitmask).
 	holders map[TxnID]uint16
-	queue   []*waiter
+	// toEnd marks the holders that keep this lock until transaction end
+	// whatever its tag kind (AcquireToEnd); allocated on first use.
+	toEnd map[TxnID]bool
+	queue []*waiter
 }
 
 func (l *lock) holderConflicts(txn TxnID, mode Mode) bool {
@@ -194,6 +198,19 @@ func queueConflicts(l *lock, txn TxnID, mode Mode, upto int) bool {
 // mode does not absorb weaker ones (matching PostgreSQL, which tracks each
 // mode separately).
 func (m *Manager) Acquire(ctx context.Context, txn TxnID, tag Tag, mode Mode) error {
+	return m.acquire(ctx, txn, tag, mode, false)
+}
+
+// AcquireToEnd is Acquire for a lock the caller will keep until the
+// transaction ends, recorded on the grant. It matters for tuple locks, which
+// are otherwise taken to be released mid-transaction: WaitGraph reports an
+// edge into such a holder as solid (paper §4.3), so the deadlock detector
+// does not discount a wait that only the holder's commit or abort can end.
+func (m *Manager) AcquireToEnd(ctx context.Context, txn TxnID, tag Tag, mode Mode) error {
+	return m.acquire(ctx, txn, tag, mode, true)
+}
+
+func (m *Manager) acquire(ctx context.Context, txn TxnID, tag Tag, mode Mode, toEnd bool) error {
 	m.acquireCnt.Add(1)
 	if hook := m.faultHook.Load(); hook != nil {
 		if err := (*hook)(); err != nil {
@@ -211,15 +228,18 @@ func (m *Manager) Acquire(ctx context.Context, txn TxnID, tag Tag, mode Mode) er
 	}
 	l := m.lockFor(tag)
 	if modes, ok := l.holders[txn]; ok && modes&(1<<mode) != 0 {
+		if toEnd {
+			l.keepToEnd(txn)
+		}
 		m.mu.Unlock()
 		return nil // already held
 	}
 	if !l.holderConflicts(txn, mode) && !queueConflicts(l, txn, mode, len(l.queue)) {
-		m.grantLocked(l, txn, tag, mode)
+		m.grantLocked(l, txn, tag, mode, toEnd)
 		m.mu.Unlock()
 		return nil
 	}
-	w := &waiter{txn: txn, mode: mode, ready: make(chan struct{}), t0: time.Now()}
+	w := &waiter{txn: txn, mode: mode, toEnd: toEnd, ready: make(chan struct{}), t0: time.Now()}
 	l.queue = append(l.queue, w)
 	m.mu.Unlock()
 
@@ -267,12 +287,22 @@ func (m *Manager) TryAcquire(txn TxnID, tag Tag, mode Mode) bool {
 	if l.holderConflicts(txn, mode) || queueConflicts(l, txn, mode, len(l.queue)) {
 		return false
 	}
-	m.grantLocked(l, txn, tag, mode)
+	m.grantLocked(l, txn, tag, mode, false)
 	return true
 }
 
-func (m *Manager) grantLocked(l *lock, txn TxnID, tag Tag, mode Mode) {
+func (l *lock) keepToEnd(txn TxnID) {
+	if l.toEnd == nil {
+		l.toEnd = make(map[TxnID]bool)
+	}
+	l.toEnd[txn] = true
+}
+
+func (m *Manager) grantLocked(l *lock, txn TxnID, tag Tag, mode Mode, toEnd bool) {
 	l.holders[txn] |= 1 << mode
+	if toEnd {
+		l.keepToEnd(txn)
+	}
 	byTag, ok := m.held[txn]
 	if !ok {
 		byTag = make(map[Tag]uint16)
@@ -306,7 +336,7 @@ func (m *Manager) promoteLocked(tag Tag) {
 	for i < len(l.queue) {
 		w := l.queue[i]
 		if !l.holderConflicts(w.txn, w.mode) && !queueConflicts(l, w.txn, w.mode, i) {
-			m.grantLocked(l, w.txn, tag, w.mode)
+			m.grantLocked(l, w.txn, tag, w.mode, w.toEnd)
 			l.queue = append(l.queue[:i], l.queue[i+1:]...)
 			close(w.ready)
 			continue
@@ -335,6 +365,7 @@ func (m *Manager) releaseLocked(txn TxnID, tag Tag) {
 		return
 	}
 	delete(l.holders, txn)
+	delete(l.toEnd, txn)
 	if byTag := m.held[txn]; byTag != nil {
 		delete(byTag, tag)
 		if len(byTag) == 0 {

@@ -242,6 +242,70 @@ func TestWaitGraphEdges(t *testing.T) {
 	m.Kill(3)
 }
 
+// TestWaitGraphTupleLockHeldToEnd: a tuple lock taken with AcquireToEnd
+// gives solid edges — into the holder, and into a queued AcquireToEnd that
+// will become one — and turns dotted again once released and re-taken with
+// plain Acquire.
+func TestWaitGraphTupleLockHeldToEnd(t *testing.T) {
+	m := NewManager()
+	tup := TupleTag(1, 42)
+	ctx := context.Background()
+	if err := m.AcquireToEnd(ctx, 1, tup, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(txn TxnID) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !m.Waiting(txn); {
+			if time.Now().After(deadline) {
+				t.Fatalf("txn %d never queued", txn)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	granted := make(chan TxnID, 2)
+	go func() { _ = m.AcquireToEnd(ctx, 2, tup, Exclusive); granted <- 2 }()
+	waitFor(2)
+	go func() { _ = m.Acquire(ctx, 3, tup, Exclusive); granted <- 3 }()
+	waitFor(3)
+	want := map[Edge]bool{
+		{Waiter: 2, Holder: 1, Solid: true}: true,
+		{Waiter: 3, Holder: 1, Solid: true}: true,
+		{Waiter: 3, Holder: 2, Solid: true}: true, // 2 will keep it to its end too
+	}
+	g := m.WaitGraph()
+	if len(g) != len(want) {
+		t.Fatalf("edges = %v, want %v", g, want)
+	}
+	for _, e := range g {
+		if !want[e] {
+			t.Fatalf("unexpected edge %+v in %v", e, g)
+		}
+	}
+	m.ReleaseAll(1)
+	if txn := <-granted; txn != 2 {
+		t.Fatalf("txn %d granted before txn 2", txn)
+	}
+	if g := m.WaitGraph(); len(g) != 1 || g[0] != (Edge{Waiter: 3, Holder: 2, Solid: true}) {
+		t.Fatalf("after promotion: edges = %v, want 3 -> 2 solid", g)
+	}
+	// The flag goes with the hold: released, then taken the short way, the
+	// same tuple lock gives a dotted edge.
+	m.Kill(3)
+	<-granted
+	m.ReleaseAll(3)
+	m.ReleaseAll(2)
+	if err := m.Acquire(ctx, 2, tup, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = m.Acquire(ctx, 3, tup, Exclusive); granted <- 3 }()
+	waitFor(3)
+	if g := m.WaitGraph(); len(g) != 1 || g[0] != (Edge{Waiter: 3, Holder: 2, Solid: false}) {
+		t.Fatalf("short tuple lock: edges = %v, want 3 -> 2 dotted", g)
+	}
+	m.ReleaseAll(2)
+	<-granted
+}
+
 func TestWaitStatsAccumulate(t *testing.T) {
 	m := NewManager()
 	tag := RelationTag(1)

@@ -7,8 +7,9 @@ import (
 
 // Edge is one arc of the local wait-for graph: Waiter is blocked by Holder.
 // Solid edges come from locks released only at transaction end (relation,
-// transaction, object locks); dotted edges come from tuple locks, which the
-// holder can release mid-transaction (paper §4.3).
+// transaction and object locks, and a tuple lock taken with AcquireToEnd);
+// dotted edges come from the other tuple locks, which the holder can release
+// mid-transaction (paper §4.3).
 type Edge struct {
 	Waiter TxnID
 	Holder TxnID
@@ -42,7 +43,7 @@ func (m *Manager) WaitGraph() []Edge {
 					continue
 				}
 				if conflicts[w.mode]&modes != 0 {
-					add(Edge{Waiter: w.txn, Holder: h, Solid: solid})
+					add(Edge{Waiter: w.txn, Holder: h, Solid: solid || l.toEnd[h]})
 				}
 			}
 			for j := 0; j < i; j++ {
@@ -51,7 +52,7 @@ func (m *Manager) WaitGraph() []Edge {
 					continue
 				}
 				if Conflicts(w.mode, prev.mode) {
-					add(Edge{Waiter: w.txn, Holder: prev.txn, Solid: solid})
+					add(Edge{Waiter: w.txn, Holder: prev.txn, Solid: solid || prev.toEnd})
 				}
 			}
 		}

@@ -37,8 +37,8 @@ func (s *OpSegStat) MaxMem(n int64) {
 // OpStats collects per-node, per-location executor statistics for
 // operator-level EXPLAIN ANALYZE. Cells are pre-registered at plan time so
 // executor lookups are lock-free map reads; like NodeRowCounts, nodes the
-// executor rewrites (parallel partial-aggregate clones) have no cell and
-// are silently untracked. Index 0 is the coordinator (SegID -1); index
+// executor makes up itself (per-worker partial-aggregate clones) have no
+// cell and are silently untracked. Index 0 is the coordinator (SegID -1); index
 // seg+1 is segment seg.
 type OpStats struct {
 	nseg  int

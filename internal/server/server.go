@@ -180,15 +180,28 @@ func (s *Server) acceptLoop() {
 		s.mu.Lock()
 		over := s.draining || s.closed || len(s.conns) >= s.cfg.MaxConns
 		s.mu.Unlock()
+		s.wg.Add(1)
 		if over {
 			s.rejected.Add(1)
-			_ = WriteFrame(nc, MsgError, (&ErrorMsg{Message: "server: connection refused (at capacity or draining)"}).Encode())
-			_ = nc.Close()
+			go s.refuse(nc)
 			continue
 		}
-		s.wg.Add(1)
 		go s.handleConn(nc)
 	}
+}
+
+// refuse turns away a connection the server has no room for. It takes the
+// client's Startup frame first, under a short deadline and off the accept
+// loop: closing a socket with unread input resets the connection instead of
+// finishing it, and a reset can cost the client the refusal frame (its
+// Startup write fails with EPIPE, or its read with ECONNRESET) — the refused
+// client must always see the documented refusal.
+func (s *Server) refuse(nc net.Conn) {
+	defer s.wg.Done()
+	_ = nc.SetDeadline(time.Now().Add(time.Second))
+	_, _, _ = ReadFrame(nc)
+	_ = WriteFrame(nc, MsgError, (&ErrorMsg{Message: "server: connection refused (at capacity or draining)"}).Encode())
+	_ = nc.Close()
 }
 
 // Shutdown drains gracefully: stop accepting, let in-flight statements
