@@ -21,7 +21,8 @@
 // tables), \stats (cluster counters), \top [n] (live monitor: n one-second
 // samples of active sessions and the hottest metric deltas), \kill <seg>,
 // \recover <seg>, \expand [<n>] (grow the cluster online / show rebalance
-// progress), \timing, \q.
+// progress), \fault, \timing, \q. Under -connect only the ones that are SQL
+// underneath (\stats, \fault, \expand) and \timing, \q work.
 package main
 
 import (
@@ -55,9 +56,29 @@ func main() {
 		metrics  = flag.String("metrics", "", "with -listen: also serve Prometheus /metrics and pprof on this address")
 	)
 	flag.Parse()
+	ctx := context.Background()
 
 	if *connect != "" {
-		remoteShell(*connect, *role)
+		cl, err := client.Dial(*connect, *role)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "connect:", err)
+			os.Exit(1)
+		}
+		defer cl.Close()
+		fmt.Printf("gpshell: connected to %s (session %d). \\q quits.\n", *connect, cl.SessionID())
+		sh := &shell{exec: func(ctx context.Context, sql string, args ...greenplum.Datum) (*greenplum.Result, error) {
+			res, err := cl.Exec(ctx, sql, args...)
+			if err != nil {
+				if _, ok := err.(*client.ServerError); !ok {
+					fmt.Println("ERROR:", err)
+					fmt.Fprintln(os.Stderr, "connection lost")
+					os.Exit(1)
+				}
+				return nil, err
+			}
+			return &greenplum.Result{Columns: res.Columns, Rows: res.Rows, RowsAffected: int(res.RowsAffected), Tag: res.Tag}, nil
+		}}
+		sh.repl(ctx)
 		return
 	}
 
@@ -98,7 +119,6 @@ func main() {
 	if *useRG {
 		conn.UseResourceGroup(true, 0, 0)
 	}
-	ctx := context.Background()
 
 	if *file != "" {
 		script, err := os.ReadFile(*file)
@@ -114,9 +134,25 @@ func main() {
 	}
 
 	fmt.Printf("gpshell: %d segments, %s mode. \\q quits, \\d lists tables.\n", *segments, *mode)
+	sh := &shell{db: db, exec: conn.Exec}
+	sh.repl(ctx)
+}
+
+// shell is one REPL. exec runs a statement over whichever connection the
+// shell has — the embedded session or the wire client; db is the embedded
+// instance the cluster-side meta commands reach into (nil under -connect).
+type shell struct {
+	exec   func(ctx context.Context, sql string, args ...greenplum.Datum) (*greenplum.Result, error)
+	db     *greenplum.DB
+	timing bool
+}
+
+// repl reads stdin until EOF or \q: a backslash line at a fresh prompt is a
+// meta command; anything else accumulates until a line containing ';' and
+// runs as one statement.
+func (sh *shell) repl(ctx context.Context) {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	timing := false
 	var buf strings.Builder
 	prompt := func() {
 		if buf.Len() == 0 {
@@ -130,7 +166,7 @@ func main() {
 		line := sc.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			if !metaCommand(ctx, db, conn, trimmed, &timing) {
+			if !sh.metaCommand(ctx, trimmed) {
 				return
 			}
 			prompt()
@@ -144,25 +180,63 @@ func main() {
 		}
 		stmt := buf.String()
 		buf.Reset()
-		t0 := time.Now()
-		res, err := conn.Exec(ctx, strings.TrimSuffix(strings.TrimSpace(stmt), ";"))
-		elapsed := time.Since(t0)
-		if err != nil {
-			fmt.Println("ERROR:", err)
-		} else {
-			printResult(res)
-			if timing {
-				fmt.Printf("Time: %.3f ms\n", float64(elapsed.Microseconds())/1000)
-			}
-		}
+		sh.sql(ctx, strings.TrimSuffix(strings.TrimSpace(stmt), ";"))
 		prompt()
 	}
 }
 
-func metaCommand(ctx context.Context, db *greenplum.DB, conn *greenplum.Conn, cmd string, timing *bool) bool {
+// sql runs one statement — typed, or the one a meta command stands for — and
+// prints its outcome.
+func (sh *shell) sql(ctx context.Context, stmt string) {
+	t0 := time.Now()
+	res, err := sh.exec(ctx, stmt)
+	elapsed := time.Since(t0)
+	if err != nil {
+		fmt.Println("ERROR:", err)
+		return
+	}
+	printResult(res)
+	if sh.timing {
+		fmt.Printf("Time: %.3f ms\n", float64(elapsed.Microseconds())/1000)
+	}
+}
+
+// metaCommand runs one backslash command; false means quit. The commands
+// that are SQL underneath come first and work over any connection; the rest
+// need the embedded cluster.
+func (sh *shell) metaCommand(ctx context.Context, cmd string) bool {
+	db := sh.db
 	switch {
 	case cmd == "\\q":
 		return false
+	case cmd == "\\timing":
+		sh.timing = !sh.timing
+		fmt.Println("timing:", sh.timing)
+	case cmd == "\\stats":
+		// Every engine counter is a registry series (docs/OBSERVABILITY.md);
+		// the FTS view of each segment has no SQL form, so it is embedded-only.
+		sh.sql(ctx, "SHOW gp_stat_metrics")
+		if db != nil {
+			for i, state := range db.SegmentStates() {
+				fmt.Printf("  segment %d: %s\n", i, state)
+			}
+		}
+	case strings.HasPrefix(cmd, "\\fault"):
+		// \fault inject 'wal_flush' segment 1 — sugar for the FAULT statement.
+		rest := strings.TrimSpace(strings.TrimPrefix(cmd, "\\fault"))
+		if rest == "" {
+			rest = "STATUS"
+		}
+		sh.sql(ctx, "FAULT "+rest)
+	case strings.HasPrefix(cmd, "\\expand"):
+		// \expand <n> grows the cluster online; bare \expand shows progress.
+		stmt := "SHOW expand_status"
+		if n, ok := segArg(cmd, "\\expand"); ok {
+			stmt = fmt.Sprintf("ALTER SYSTEM EXPAND TO %d", n)
+		}
+		sh.sql(ctx, stmt)
+	case db == nil:
+		fmt.Println("remote shell commands: \\stats \\fault \\expand \\timing \\q (server-side state via SHOW ...)")
 	case cmd == "\\d":
 		for _, t := range db.Engine().Cluster().Catalog().Tables() {
 			kind := t.Storage.String()
@@ -188,19 +262,6 @@ func metaCommand(ctx context.Context, db *greenplum.DB, conn *greenplum.Conn, cm
 				fmt.Println("  ", l)
 			}
 		}
-	case cmd == "\\stats":
-		st := db.Stats()
-		fmt.Printf("  one-phase commits: %d\n  two-phase commits: %d\n  read-only commits: %d\n  aborts: %d\n  deadlock victims: %d\n  lock waits: %d (%.1f ms total)\n  wal: %d bytes, %d flushes\n  failovers: %d (replay lsn %d)\n",
-			st.OnePhaseCommits, st.TwoPhaseCommits, st.ReadOnlyCommits, st.Aborts,
-			st.DeadlockVictims, st.LockWaits, float64(st.LockWaitTime.Microseconds())/1000,
-			st.WALBytes, st.WALFlushes, st.Failovers, st.ReplayLSN)
-		fmt.Printf("  optimizer: %d analyzed tables, %d misestimates, %d robust fallbacks\n",
-			st.AnalyzedTables, st.Misestimates, st.RobustFallbacks)
-		fmt.Printf("  plan cache: %d hits, %d misses, %d plan hits, %d entries\n",
-			st.PlanCacheHits, st.PlanCacheMisses, st.PlanCachePlanHits, st.PlanCacheEntries)
-		for i, state := range db.SegmentStates() {
-			fmt.Printf("  segment %d: %s\n", i, state)
-		}
 	case strings.HasPrefix(cmd, "\\kill"):
 		seg, ok := segArg(cmd, "\\kill")
 		if !ok {
@@ -223,54 +284,12 @@ func metaCommand(ctx context.Context, db *greenplum.DB, conn *greenplum.Conn, cm
 			break
 		}
 		fmt.Printf("segment %d recovered\n", seg)
-	case strings.HasPrefix(cmd, "\\expand"):
-		// \expand <n> grows the cluster online; bare \expand shows progress.
-		if n, ok := segArg(cmd, "\\expand"); ok {
-			if err := db.ExpandTo(n); err != nil {
-				fmt.Println("ERROR:", err)
-				break
-			}
-			fmt.Printf("expanding to %d segments in the background; \\expand shows progress\n", n)
-			break
-		}
-		p := db.ExpandStatus()
-		switch {
-		case p.Active:
-			fmt.Printf("  expanding %d -> %d segments: %d/%d tables done, %d rows moved, %d restarts",
-				p.From, p.Target, p.TablesDone, p.TablesTotal, p.RowsMoved, p.Restarts)
-			if p.Moving != "" {
-				fmt.Printf(", moving %q", p.Moving)
-			}
-			fmt.Println()
-		case p.Err != "":
-			fmt.Printf("  last expansion %d -> %d failed: %s\n", p.From, p.Target, p.Err)
-		case p.From != p.Target:
-			fmt.Printf("  expansion %d -> %d complete: %d tables, %d rows moved, %d restarts\n",
-				p.From, p.Target, p.TablesDone, p.RowsMoved, p.Restarts)
-		default:
-			fmt.Println("  no expansion has run")
-		}
-	case strings.HasPrefix(cmd, "\\fault"):
-		// \fault inject 'wal_flush' segment 1 — sugar for the FAULT statement.
-		rest := strings.TrimSpace(strings.TrimPrefix(cmd, "\\fault"))
-		if rest == "" {
-			rest = "STATUS"
-		}
-		res, err := conn.Exec(ctx, "FAULT "+rest)
-		if err != nil {
-			fmt.Println("ERROR:", err)
-			break
-		}
-		printResult(res)
 	case strings.HasPrefix(cmd, "\\top"):
 		rounds := 5
 		if n, ok := segArg(cmd, "\\top"); ok && n > 0 {
 			rounds = n
 		}
 		topMonitor(db, rounds)
-	case cmd == "\\timing":
-		*timing = !*timing
-		fmt.Println("timing:", *timing)
 	default:
 		fmt.Println("unknown command; try \\d \\dg \\locks \\stats \\top \\fault \\kill \\recover \\expand \\timing \\q")
 	}
@@ -333,77 +352,6 @@ func segArg(cmd, prefix string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// remoteShell is the -connect REPL: same statement loop, but every
-// statement travels the wire protocol to a gpshell -listen server.
-func remoteShell(addr, role string) {
-	cl, err := client.Dial(addr, role)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "connect:", err)
-		os.Exit(1)
-	}
-	defer cl.Close()
-	fmt.Printf("gpshell: connected to %s (session %d). \\q quits.\n", addr, cl.SessionID())
-	ctx := context.Background()
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	timing := false
-	var buf strings.Builder
-	prompt := func() {
-		if buf.Len() == 0 {
-			fmt.Print("gp> ")
-		} else {
-			fmt.Print("..> ")
-		}
-	}
-	prompt()
-	for sc.Scan() {
-		line := sc.Text()
-		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			switch trimmed {
-			case "\\q":
-				return
-			case "\\timing":
-				timing = !timing
-				fmt.Println("timing:", timing)
-			default:
-				fmt.Println("remote shell commands: \\timing \\q (server-side state via SHOW ...)")
-			}
-			prompt()
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-		if !strings.Contains(line, ";") {
-			prompt()
-			continue
-		}
-		stmt := buf.String()
-		buf.Reset()
-		t0 := time.Now()
-		res, err := cl.Exec(ctx, strings.TrimSuffix(strings.TrimSpace(stmt), ";"))
-		elapsed := time.Since(t0)
-		if err != nil {
-			fmt.Println("ERROR:", err)
-			if _, ok := err.(*client.ServerError); !ok {
-				fmt.Fprintln(os.Stderr, "connection lost")
-				os.Exit(1)
-			}
-		} else {
-			printResult(&greenplum.Result{
-				Columns:      res.Columns,
-				Rows:         res.Rows,
-				RowsAffected: int(res.RowsAffected),
-				Tag:          res.Tag,
-			})
-			if timing {
-				fmt.Printf("Time: %.3f ms\n", float64(elapsed.Microseconds())/1000)
-			}
-		}
-		prompt()
-	}
 }
 
 func printResult(res *greenplum.Result) {

@@ -118,7 +118,7 @@ CREATE INDEX branches_pkey ON branches (bid);
 	if final.Int() != initial.Int() {
 		log.Fatalf("INVARIANT VIOLATION: balance %d -> %d", initial.Int(), final.Int())
 	}
-	return float64(ops.Load()) / elapsed.Seconds(), db.Stats().DeadlockVictims
+	return float64(ops.Load()) / elapsed.Seconds(), db.MetricValue("txn.deadlock_victims")
 }
 
 // transfer moves amount between two accounts in one transaction. With rows

@@ -122,7 +122,9 @@ CREATE ROLE teller RESOURCE GROUP oltp_group;
 	}
 	fmt.Printf("mixed run complete: %d OLTP inserts (%d visible), %d OLAP queries\n",
 		oltpOps.Load(), total.Int(), olapOps.Load())
-	fmt.Printf("commit protocols: %+v\n", db.Stats())
+	fmt.Printf("commit protocols: 1PC=%d 2PC=%d read-only=%d aborts=%d\n",
+		db.MetricValue("txn.commits_1pc"), db.MetricValue("txn.commits_2pc"),
+		db.MetricValue("txn.commits_readonly"), db.MetricValue("txn.aborts"))
 	if total.Int() != oltpOps.Load() {
 		log.Fatalf("lost inserts: committed %d, visible %d", oltpOps.Load(), total.Int())
 	}

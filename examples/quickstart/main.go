@@ -66,7 +66,6 @@ func main() {
 	}
 	fmt.Println("after rollback:", v)
 
-	st := db.Stats()
 	fmt.Printf("stats: 1PC=%d 2PC=%d read-only=%d\n",
-		st.OnePhaseCommits, st.TwoPhaseCommits, st.ReadOnlyCommits)
+		db.MetricValue("txn.commits_1pc"), db.MetricValue("txn.commits_2pc"), db.MetricValue("txn.commits_readonly"))
 }

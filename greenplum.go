@@ -326,8 +326,8 @@ func (db *DB) Engine() *core.Engine { return db.engine }
 
 // MetricValue reads one observability-registry series by its dotted name
 // (e.g. "txn.commits_1pc", "storage.blockcache.hits"); missing names read 0.
-// The full catalog is in docs/OBSERVABILITY.md; SHOW gp_stat_metrics and the
-// HTTP /metrics endpoint expose the same registry.
+// Every engine counter is a series catalogued in docs/OBSERVABILITY.md; the
+// SHOW views and the HTTP /metrics endpoint read the same registry.
 func (db *DB) MetricValue(name string) int64 {
 	v, _ := db.engine.Metrics().Value(name)
 	return v
@@ -348,130 +348,8 @@ func (db *DB) Connect(role string) (*Conn, error) {
 	return &Conn{sess: s}, nil
 }
 
-// Stats is a snapshot of cluster counters.
-type Stats struct {
-	OnePhaseCommits int64
-	TwoPhaseCommits int64
-	ReadOnlyCommits int64
-	Aborts          int64
-	DeadlockVictims int64
-	LockWaitTime    time.Duration
-	LockWaits       int64
-	// BlocksScanned/BlocksSkipped count storage blocks visited vs skipped
-	// via zone-map predicate pushdown (also surfaced by SHOW scan_stats).
-	BlocksScanned int64
-	BlocksSkipped int64
-	// Spills/SpillBytes/SpillFiles count executor spill activity — blocking
-	// operators degrading to temp files when their resource group's
-	// memory_spill_ratio budget is exhausted (also SHOW spill_stats).
-	// SpillMemPeak is the highest per-statement budget-tracked operator
-	// memory (bounded by the spill budget); VmemPeak is the highest true
-	// resource-group vmem high water, which also sees growth past the
-	// budget (spill-chunk floors, skewed partition reloads, file buffers,
-	// non-spillable operators).
-	Spills       int64
-	SpillBytes   int64
-	SpillFiles   int64
-	SpillMemPeak int64
-	VmemPeak     int64
-	// WALBytes/WALFlushes count write-ahead log volume and durable flushes
-	// across the segments (also SHOW wal_stats). Failovers counts completed
-	// mirror promotions; ReplayLSN is the log position the most recent
-	// promotion had replayed when it took over.
-	WALBytes   int64
-	WALFlushes int64
-	Failovers  int64
-	ReplayLSN  int64
-	// AnalyzedTables counts tables with fresh ANALYZE statistics;
-	// Misestimates counts executions whose actual cardinality broke the
-	// optimizer's error bounds; RobustFallbacks counts executions replanned
-	// with the robust (no-broadcast) plan as a result (also SHOW
-	// optimizer_stats).
-	AnalyzedTables  int
-	Misestimates    int64
-	RobustFallbacks int64
-	// PlanCacheHits/PlanCacheMisses are parse-level lookups in the shared
-	// statement cache (a hit skips the parser); PlanCachePlanHits counts
-	// cached plan reuse (SELECT, UPDATE, DELETE); PlanCacheEntries is the
-	// current cached-statement count (also SHOW plan_cache).
-	PlanCacheHits     int64
-	PlanCacheMisses   int64
-	PlanCachePlanHits int64
-	PlanCacheEntries  int
-	// FaultHits/FaultTriggers count fault-point evaluations that matched an
-	// armed spec and those that fired. DispatchRetries counts dispatch
-	// attempts re-issued after transient failures; BreakerOpens and
-	// BreakerFastFails aggregate the per-segment circuit breakers.
-	// WALTruncations/WALTruncatedBytes count torn-tail truncations by crash
-	// recovery; SpillLeaks counts temp files the post-statement backstop had
-	// to remove (also SHOW fault_stats).
-	FaultHits         int64
-	FaultTriggers     int64
-	DispatchRetries   int64
-	BreakerOpens      int64
-	BreakerFastFails  int64
-	WALTruncations    int64
-	WALTruncatedBytes int64
-	SpillLeaks        int64
-}
-
-// Stats returns cluster counters.
-func (db *DB) Stats() Stats {
-	c := db.engine.Cluster()
-	one, two, ro, ab := c.CommitStats()
-	waited, waits := c.LockWaitStats()
-	scanned, skipped := c.ScanBlockStats()
-	spills, spillBytes, spillFiles, spillPeak := c.SpillStats()
-	walStats := c.WALStats()
-	analyzed, mises, fallbacks := c.OptimizerStats()
-	cacheStats := db.engine.StmtCache().Stats()
-	faultStats := c.FaultStats()
-	return Stats{
-		OnePhaseCommits: one,
-		TwoPhaseCommits: two,
-		ReadOnlyCommits: ro,
-		Aborts:          ab,
-		DeadlockVictims: c.DeadlockVictims(),
-		LockWaitTime:    waited,
-		LockWaits:       waits,
-		BlocksScanned:   scanned,
-		BlocksSkipped:   skipped,
-		Spills:          spills,
-		SpillBytes:      spillBytes,
-		SpillFiles:      spillFiles,
-		SpillMemPeak:    spillPeak,
-		VmemPeak:        c.VmemPeak(),
-		WALBytes:        walStats.Bytes,
-		WALFlushes:      walStats.Flushes,
-		Failovers:       walStats.Failovers,
-		ReplayLSN:       int64(walStats.ReplayLSN),
-		AnalyzedTables:  analyzed,
-		Misestimates:    mises,
-		RobustFallbacks: fallbacks,
-
-		PlanCacheHits:     cacheStats.Hits,
-		PlanCacheMisses:   cacheStats.Misses,
-		PlanCachePlanHits: cacheStats.PlanHits,
-		PlanCacheEntries:  cacheStats.Entries,
-
-		FaultHits:         faultStats.Hits,
-		FaultTriggers:     faultStats.Triggers,
-		DispatchRetries:   faultStats.DispatchRetries,
-		BreakerOpens:      faultStats.BreakerOpens,
-		BreakerFastFails:  faultStats.BreakerFastFails,
-		WALTruncations:    faultStats.WALTruncations,
-		WALTruncatedBytes: faultStats.WALTruncatedBytes,
-		SpillLeaks:        faultStats.SpillLeaks,
-	}
-}
-
 // Result is the outcome of one statement.
-type Result struct {
-	Columns      []string
-	Rows         []Row
-	RowsAffected int
-	Tag          string
-}
+type Result = core.Result
 
 // Conn is one client session; not safe for concurrent use.
 type Conn struct {
@@ -480,11 +358,7 @@ type Conn struct {
 
 // Exec runs any single SQL statement.
 func (c *Conn) Exec(ctx context.Context, sql string, args ...Datum) (*Result, error) {
-	res, err := c.sess.Exec(ctx, sql, args...)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: res.Columns, Rows: res.Rows, RowsAffected: res.RowsAffected, Tag: res.Tag}, nil
+	return c.sess.Exec(ctx, sql, args...)
 }
 
 // Query is Exec for statements expected to return rows.

@@ -69,9 +69,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("rollback lost rows: %v", v)
 	}
 
-	st := db.Stats()
-	if st.ReadOnlyCommits == 0 {
-		t.Fatalf("stats: %+v", st)
+	if n := db.MetricValue("txn.commits_readonly"); n == 0 {
+		t.Fatalf("txn.commits_readonly = %d after read-only statements", n)
 	}
 }
 
@@ -200,8 +199,8 @@ func TestPublicAPIDeadlockSurface(t *testing.T) {
 	if failures != 1 {
 		t.Fatalf("expected exactly one deadlock victim, got %d failures", failures)
 	}
-	if db.Stats().DeadlockVictims != 1 {
-		t.Fatalf("stats: %+v", db.Stats())
+	if n := db.MetricValue("txn.deadlock_victims"); n != 1 {
+		t.Fatalf("txn.deadlock_victims = %d, want 1", n)
 	}
 	_ = c1.Rollback(ctx)
 	_ = c2.Rollback(ctx)

@@ -173,7 +173,7 @@ func (c *Cluster) RecordMisestimate(key string) bool {
 		return false
 	}
 	c.misestimated[key] = struct{}{}
-	c.misestimateCount.Add(1)
+	c.misestimates.Add(1)
 	return true
 }
 
@@ -189,9 +189,3 @@ func (c *Cluster) IsMisestimated(key string) bool {
 // NoteRobustFallback counts an execution that used the robust plan because
 // of a recorded misestimate.
 func (c *Cluster) NoteRobustFallback() { c.robustFallbacks.Add(1) }
-
-// OptimizerStats reports the cost-based-optimizer counters: tables with
-// valid statistics, recorded misestimates, and robust-plan fallbacks.
-func (c *Cluster) OptimizerStats() (analyzed int, misestimates, fallbacks int64) {
-	return c.AnalyzedTables(), c.misestimateCount.Load(), c.robustFallbacks.Load()
-}

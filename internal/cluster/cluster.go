@@ -95,10 +95,10 @@ type Cluster struct {
 	// violated mid-flight (actual rows exceeded est+bound); the planner
 	// answers subsequent executions with the robust plan. The counters feed
 	// SHOW optimizer_stats.
-	misestMu         sync.Mutex
-	misestimated     map[string]struct{}
-	misestimateCount atomic.Int64
-	robustFallbacks  atomic.Int64
+	misestMu        sync.Mutex
+	misestimated    map[string]struct{}
+	misestimates    *obs.Counter // optimizer.misestimates
+	robustFallbacks *obs.Counter // optimizer.robust_fallbacks
 
 	// coordWAL is the coordinator's commit-record log (group commit).
 	coordWAL simWAL
@@ -255,7 +255,7 @@ func New(cfg *Config) *Cluster {
 		c.mirrors[i] = m
 	}
 	c.topo.Store(topo)
-	c.registerGauges()
+	c.registerCollectors()
 	for _, def := range c.catalog.ResourceGroups() {
 		if _, err := c.groups.CreateGroup(*def); err != nil {
 			panic(fmt.Sprintf("cluster: built-in resource group: %v", err))

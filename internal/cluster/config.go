@@ -53,14 +53,12 @@ type Config struct {
 
 	// ExecBatchSize is the executor's rows-per-batch for vectorized
 	// execution and interconnect framing (0 = types.DefaultBatchSize).
-	// Per-statement override: QueryResources.BatchSize.
 	ExecBatchSize int
 	// ExecParallelism is the degree of intra-segment parallelism: slices the
 	// planner marks parallel-safe (scan/filter/project chains with at most
 	// one non-DISTINCT aggregate) run as that many worker pipelines over
-	// disjoint block ranges per segment. <= 1 = serial. Per-statement
-	// override: QueryResources.Parallelism; session override: SET
-	// exec_parallelism.
+	// disjoint block ranges per segment. <= 1 = serial. Session override:
+	// SET exec_parallelism.
 	ExecParallelism int
 
 	// BlockCacheBytes is the capacity of each segment's LRU cache of decoded

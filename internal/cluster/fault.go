@@ -212,7 +212,7 @@ func (c *Cluster) BreakerStatuses() []BreakerStatus {
 }
 
 // FaultStats aggregates the fault-injection and degradation counters
-// surfaced by SHOW fault_stats and DB.Stats.
+// surfaced by SHOW fault_stats and the fault.* registry series.
 type FaultStats struct {
 	// Enabled is false on a NoFaultPoints cluster.
 	Enabled bool
@@ -227,6 +227,8 @@ type FaultStats struct {
 	DispatchRetries  int64
 	BreakerOpens     int64
 	BreakerFastFails int64
+	// BreakersOpen is how many breakers are not closed right now.
+	BreakersOpen int64
 	// WALTruncations/WALTruncatedBytes count torn-tail truncations performed
 	// by revive-time crash recovery and the bytes they dropped.
 	WALTruncations    int64
@@ -252,6 +254,9 @@ func (c *Cluster) FaultStats() FaultStats {
 		opens, fast := b.Stats()
 		st.BreakerOpens += opens
 		st.BreakerFastFails += fast
+		if b.State() != fault.BreakerClosed {
+			st.BreakersOpen++
+		}
 	}
 	return st
 }

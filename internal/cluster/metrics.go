@@ -1,16 +1,13 @@
 package cluster
 
-import (
-	"repro/internal/fault"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Metric names are stable dotted identifiers, documented in
 // docs/OBSERVABILITY.md. Counters and max-gauges are recorded through
 // pre-resolved handles on the hot paths; computed aggregates (cache
-// occupancy, scan totals, breaker states, expansion progress) are gauge
-// funcs folded on demand at snapshot/scrape time, so observability never
-// adds per-statement work for them.
+// occupancy, scan totals, breaker states, expansion progress) are emitted by
+// one collector per subsystem, run on demand at snapshot/scrape time, so
+// observability never adds per-statement work for them.
 
 // initMetrics creates the registry and resolves every hot-path handle.
 // Called before the first segment is built (segments share the WAL flush
@@ -34,66 +31,65 @@ func (c *Cluster) initMetrics() {
 	c.walTruncations = r.Counter("wal.truncations")
 	c.walTruncatedBytes = r.Counter("wal.truncated_bytes")
 	c.walFlushLat = r.Histogram("wal.flush_seconds")
+	c.misestimates = r.Counter("optimizer.misestimates")
+	c.robustFallbacks = r.Counter("optimizer.robust_fallbacks")
 	c.groups.SetAdmissionWaits(r.Counter("resgroup.admission_waits"))
 }
 
-// registerGauges wires the computed metrics. Called once the topology is
-// published (the closures fold over live segments).
-func (c *Cluster) registerGauges() {
+// registerCollectors wires the computed metrics, one collector — and so one
+// aggregation per snapshot — per subsystem. Called once the topology is
+// published (the collectors fold over live segments).
+func (c *Cluster) registerCollectors() {
 	r := c.metrics
-	r.GaugeFunc("storage.scan.blocks_scanned", func() int64 {
-		scanned, _ := c.ScanBlockStats()
-		return scanned
+	r.Collect(func(emit obs.Emit) {
+		scanned, skipped := c.ScanBlockStats()
+		emit("storage.scan.blocks_scanned", scanned)
+		emit("storage.scan.blocks_skipped", skipped)
+		st := c.BlockCacheStats()
+		emit("storage.blockcache.hits", st.Hits)
+		emit("storage.blockcache.misses", st.Misses)
+		emit("storage.blockcache.evictions", st.Evictions)
+		emit("storage.blockcache.used_bytes", st.UsedBytes)
+		emit("storage.blockcache.entries", int64(st.Entries))
 	})
-	r.GaugeFunc("storage.scan.blocks_skipped", func() int64 {
-		_, skipped := c.ScanBlockStats()
-		return skipped
+	r.Collect(func(emit obs.Emit) {
+		st := c.WALStats()
+		emit("wal.records", st.Records)
+		emit("wal.bytes", st.Bytes)
+		emit("wal.flushes", st.Flushes)
+		emit("wal.mirror_applied_lsn", int64(st.MirrorAppliedLSN))
+		emit("wal.replay_lsn", int64(st.ReplayLSN))
 	})
-	r.GaugeFunc("storage.blockcache.hits", func() int64 { return c.BlockCacheStats().Hits })
-	r.GaugeFunc("storage.blockcache.misses", func() int64 { return c.BlockCacheStats().Misses })
-	r.GaugeFunc("storage.blockcache.evictions", func() int64 { return c.BlockCacheStats().Evictions })
-	r.GaugeFunc("storage.blockcache.used_bytes", func() int64 { return c.BlockCacheStats().UsedBytes })
-	r.GaugeFunc("storage.blockcache.entries", func() int64 { return int64(c.BlockCacheStats().Entries) })
-	r.GaugeFunc("wal.records", func() int64 { return c.WALStats().Records })
-	r.GaugeFunc("wal.bytes", func() int64 { return c.WALStats().Bytes })
-	r.GaugeFunc("wal.flushes", func() int64 { return c.WALStats().Flushes })
-	r.GaugeFunc("wal.mirror_applied_lsn", func() int64 { return int64(c.WALStats().MirrorAppliedLSN) })
-	r.GaugeFunc("wal.replay_lsn", func() int64 { return int64(c.replayLSN.Load()) })
-	r.GaugeFunc("cluster.segments", func() int64 { return int64(c.SegCount()) })
-	r.GaugeFunc("fault.enabled", func() int64 {
-		if c.FaultStats().Enabled {
-			return 1
+	r.Collect(func(emit obs.Emit) {
+		st := c.FaultStats()
+		enabled := int64(0)
+		if st.Enabled {
+			enabled = 1
 		}
-		return 0
+		emit("fault.enabled", enabled)
+		emit("fault.armed", int64(st.Armed))
+		emit("fault.hits", st.Hits)
+		emit("fault.triggers", st.Triggers)
+		emit("fault.breaker_opens", st.BreakerOpens)
+		emit("fault.breaker_fast_fails", st.BreakerFastFails)
+		emit("fault.breakers_open", st.BreakersOpen)
 	})
-	r.GaugeFunc("fault.armed", func() int64 { return int64(c.FaultStats().Armed) })
-	r.GaugeFunc("fault.hits", func() int64 { return c.FaultStats().Hits })
-	r.GaugeFunc("fault.triggers", func() int64 { return c.FaultStats().Triggers })
-	r.GaugeFunc("fault.breaker_opens", func() int64 { return c.FaultStats().BreakerOpens })
-	r.GaugeFunc("fault.breaker_fast_fails", func() int64 { return c.FaultStats().BreakerFastFails })
-	r.GaugeFunc("fault.breakers_open", func() int64 {
-		var open int64
-		for _, b := range c.BreakerStatuses() {
-			if b.State != fault.BreakerClosed {
-				open++
-			}
-		}
-		return open
+	r.Collect(func(emit obs.Emit) {
+		emit("cluster.segments", int64(c.SegCount()))
+		p := c.ExpandStatus()
+		emit("expand.rows_moved", p.RowsMoved)
+		emit("expand.tables_done", int64(p.TablesDone))
+		emit("expand.restarts", p.Restarts)
 	})
-	r.GaugeFunc("expand.rows_moved", func() int64 { return c.ExpandStatus().RowsMoved })
-	r.GaugeFunc("expand.tables_done", func() int64 { return int64(c.ExpandStatus().TablesDone) })
-	r.GaugeFunc("expand.restarts", func() int64 { return c.ExpandStatus().Restarts })
-	r.GaugeFunc("lock.waits", func() int64 {
-		_, waits := c.LockWaitStats()
-		return waits
-	})
-	r.GaugeFunc("lock.wait_seconds_total", func() int64 {
-		waited, _ := c.LockWaitStats()
-		return int64(waited.Seconds())
-	})
-	r.GaugeFunc("gdd.deadlocks", func() int64 {
+	r.Collect(func(emit obs.Emit) {
+		waited, waits := c.LockWaitStats()
+		emit("lock.waits", waits)
+		emit("lock.wait_micros_total", waited.Microseconds())
 		_, deadlocks, _, _ := c.GDDStats()
-		return deadlocks
+		emit("gdd.deadlocks", deadlocks)
+	})
+	r.Collect(func(emit obs.Emit) {
+		emit("optimizer.analyzed_tables", int64(c.AnalyzedTables()))
 	})
 }
 

@@ -24,13 +24,6 @@ type QueryResources struct {
 	CPU exec.CPUCharger
 	// CPUBatchCost is the simulated CPU charged per executor row batch.
 	CPUBatchCost time.Duration
-	// BatchSize overrides the executor's rows-per-batch for this statement
-	// (<=0 = Config.ExecBatchSize).
-	BatchSize int
-	// Parallelism overrides the degree of intra-segment parallelism for this
-	// statement's parallel-safe slices (<=0 = the plan's annotation, which
-	// the planner derived from Config.ExecParallelism).
-	Parallelism int
 	// Scan, when non-nil, receives the statement's block-scan counters
 	// (zone-map pushdown effectiveness) after the query finishes — the
 	// EXPLAIN ANALYZE "blocks: scanned/skipped" numbers.
@@ -196,13 +189,7 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 		lo, hi, senders = pl.DirectSegment, pl.DirectSegment+1, nil
 	}
 
-	batchSize := c.cfg.ExecBatchSize
-	if res != nil && res.BatchSize > 0 {
-		batchSize = res.BatchSize
-	}
-	if batchSize < 1 {
-		batchSize = types.DefaultBatchSize
-	}
+	batchSize := c.cfg.ExecBatchSize // >= 1 after Config.withDefaults
 
 	// MotionBuffer is row-denominated; the fabric counts buffer slots in
 	// sends (batches), so the slot count shrinks by the batch size to keep
@@ -297,19 +284,6 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 		return ec
 	}
 
-	// Effective intra-segment parallelism: the plan's annotation (derived
-	// from Config.ExecParallelism at plan time), overridable per statement.
-	// Only slices the planner marked parallel-safe (Parallel > 0) may split.
-	dopFor := func(m *plan.Motion) int {
-		if m.Parallel <= 0 {
-			return 1
-		}
-		if res != nil && res.Parallelism > 0 {
-			return res.Parallelism
-		}
-		return m.Parallel
-	}
-
 	// Slice spans attach under the coordinator's execute span: the span id
 	// crossed the dispatch boundary with the statement, like a trace context
 	// on the wire. Their names are only built for a statement being traced.
@@ -333,7 +307,9 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 				sp := tr.Begin(execSpanOf(res), name, seg)
 				defer sp.End()
 				ec := mkCtx(seg)
-				ec.Parallel = dopFor(m)
+				// Only slices the planner marked parallel-safe (Parallel > 1,
+				// from the session's exec_parallelism at plan time) split.
+				ec.Parallel = m.Parallel
 				if err := runBatchSlice(qctx, ec, m, fabric, nseg); err != nil {
 					cancel(err)
 				}

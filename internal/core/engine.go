@@ -49,12 +49,16 @@ func NewEngine(cfg *cluster.Config) *Engine {
 	e.qSeconds = r.Histogram("query.seconds")
 	// Plan-cache occupancy and hit rates fold the cache's own counters at
 	// scrape time; the cache stays the single source of truth.
-	r.GaugeFunc("plancache.hits", func() int64 { return e.stmts.Stats().Hits })
-	r.GaugeFunc("plancache.misses", func() int64 { return e.stmts.Stats().Misses })
-	r.GaugeFunc("plancache.plan_hits", func() int64 { return e.stmts.Stats().PlanHits })
-	r.GaugeFunc("plancache.plan_misses", func() int64 { return e.stmts.Stats().PlanMisses })
-	r.GaugeFunc("plancache.entries", func() int64 { return int64(e.stmts.Stats().Entries) })
-	r.GaugeFunc("plancache.evictions", func() int64 { return e.stmts.Stats().Evictions })
+	r.Collect(func(emit obs.Emit) {
+		st := e.stmts.Stats()
+		emit("plancache.hits", st.Hits)
+		emit("plancache.misses", st.Misses)
+		emit("plancache.plan_hits", st.PlanHits)
+		emit("plancache.plan_misses", st.PlanMisses)
+		emit("plancache.entries", int64(st.Entries))
+		emit("plancache.evictions", st.Evictions)
+		emit("plancache.epoch", int64(c.PlanEpoch()))
+	})
 	return e
 }
 
@@ -69,7 +73,7 @@ func (e *Engine) Metrics() *obs.Registry { return e.cluster.Metrics() }
 func (e *Engine) StmtCache() *StmtCache { return e.stmts }
 
 // OnClose registers fn to run when the engine closes, before the cluster
-// shuts down (so metric gauge funcs still see live segments).
+// shuts down (so metric collectors still see live segments).
 func (e *Engine) OnClose(fn func()) { e.onClose = append(e.onClose, fn) }
 
 // Close runs the close hooks and shuts down background daemons.

@@ -110,15 +110,6 @@ type StmtCacheStats struct {
 	Entries              int
 }
 
-// HitRate is hits over lookups at the parse level (0 when idle).
-func (s StmtCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Stats snapshots the counters.
 func (c *StmtCache) Stats() StmtCacheStats {
 	c.mu.Lock()

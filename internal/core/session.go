@@ -29,12 +29,8 @@ type Session struct {
 	engine *Engine
 	role   *catalog.Role
 
-	optimizer plan.Optimizer
-	settings  map[string]string
-	// ps caches what planSettings derives from the two fields above; SET and
-	// SetOptimizer clear psValid.
-	ps      planSettings
-	psValid bool
+	// settings are the typed SET values (settingTable declares each one).
+	settings sessionSettings
 
 	// Transaction state.
 	txn      *cluster.LiveTxn
@@ -92,12 +88,13 @@ func (e *Engine) NewSession(roleName string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{
-		engine:   e,
-		role:     r,
-		settings: make(map[string]string),
-		sess:     e.activity.Register(r.Name),
-	}, nil
+	s := &Session{engine: e, role: r, sess: e.activity.Register(r.Name)}
+	for _, st := range settingTable {
+		if st.init != nil {
+			st.init(&s.settings, e.cluster.Config())
+		}
+	}
+	return s, nil
 }
 
 // UseResourceGroup toggles resource-group enforcement for this session's
@@ -106,20 +103,6 @@ func (s *Session) UseResourceGroup(enabled bool, stmtCPU, batchCPU time.Duration
 	s.useRG = enabled
 	s.stmtCPU = stmtCPU
 	s.batchCPU = batchCPU
-}
-
-// SetOptimizer selects the planner ("postgres" = OLTP, "orca" = OLAP).
-func (s *Session) SetOptimizer(name string) error {
-	switch strings.ToLower(name) {
-	case "postgres", "oltp", "off":
-		s.optimizer = plan.OptimizerOLTP
-	case "orca", "olap", "on":
-		s.optimizer = plan.OptimizerOLAP
-	default:
-		return fmt.Errorf("core: unknown optimizer %q", name)
-	}
-	s.psValid = false
-	return nil
 }
 
 // InTxn reports whether an explicit transaction block is open.
@@ -230,8 +213,8 @@ func (s *Session) execParsed(ctx context.Context, st sql.Statement, entry *stmtE
 
 	// statement_timeout bounds one statement's wall time (including the
 	// implicit commit); 0 = no limit.
-	if d := s.statementTimeout(); d > 0 {
-		tctx, cancel := context.WithTimeout(ctx, d)
+	if ms := s.settings.statementTimeoutMS; ms > 0 {
+		tctx, cancel := context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 		defer cancel()
 		ctx = tctx
 	}
@@ -288,7 +271,7 @@ func (s *Session) beginObserve(st sql.Statement, entry *stmtEntry, rawSQL string
 		ob.sql = st.String()
 	}
 	s.sess.StartQuery(ob.sql)
-	if s.settingBool("trace_queries", false) {
+	if s.settings.traceQueries {
 		ob.trace = obs.NewTrace(ob.qid, ob.sql)
 		ob.root = ob.trace.Begin(0, "query", -1)
 		if parseDur > 0 {
@@ -339,7 +322,7 @@ func (s *Session) finishObserve(ob *stmtObs, res *Result, err error) {
 		e.qErrors.Add(1)
 		rec.Err = err.Error()
 	}
-	if min := s.logMinDuration(); min >= 0 && dur >= min {
+	if ms := s.settings.logMinDurationMS; ms >= 0 && dur >= time.Duration(ms)*time.Millisecond {
 		rec.Slow = true
 	}
 	e.activity.Record(rec)
@@ -347,20 +330,6 @@ func (s *Session) finishObserve(ob *stmtObs, res *Result, err error) {
 		ob.root.End()
 		e.activity.Traces().Add(ob.trace)
 	}
-}
-
-// logMinDuration reads the session's log_min_duration setting (milliseconds;
-// -1 or unset disables the slow-query log, 0 logs every statement).
-func (s *Session) logMinDuration() time.Duration {
-	v, ok := s.settings["log_min_duration"]
-	if !ok {
-		return -1
-	}
-	ms := plan.ParseLimitInt(v, -1)
-	if ms < 0 {
-		return -1
-	}
-	return time.Duration(ms) * time.Millisecond
 }
 
 func (s *Session) execBegin(ctx context.Context) (*Result, error) {
@@ -442,15 +411,19 @@ func (s *Session) releaseSlot() {
 	}
 }
 
-// resources builds the per-statement executor hooks.
+// resources builds the per-statement executor hooks. The operator-memory
+// budget is slot quota × memory_spill_ratio, where a SET memory_spill_ratio
+// overrides the group's MEMORY_SPILL_RATIO, which overrides
+// Config.MemorySpillRatio; 0 = spilling disabled.
 func (s *Session) resources() *cluster.QueryResources {
 	if !s.useRG || s.slot == nil {
 		return nil
 	}
-	return &cluster.QueryResources{
-		Mem: s.slot, CPU: s.slot, CPUBatchCost: s.batchCPU,
-		SpillBudget: s.spillBudget(),
+	res := &cluster.QueryResources{Mem: s.slot, CPU: s.slot, CPUBatchCost: s.batchCPU}
+	if g, ok := s.engine.cluster.Groups().Group(s.role.ResourceGroup); ok {
+		res.SpillBudget = g.SpillBudget(s.settings.spillRatio, s.engine.cluster.Config().MemorySpillRatio)
 	}
+	return res
 }
 
 // dmlResources builds a write statement's QueryResources with the trace
@@ -472,36 +445,6 @@ func (s *Session) dmlResources() (*cluster.QueryResources, obs.ActiveSpan) {
 	return res, sp
 }
 
-// spillBudget derives the statement's operator-memory budget from the
-// session's resource group: slot quota × memory_spill_ratio, where a SET
-// memory_spill_ratio overrides the group's MEMORY_SPILL_RATIO, which
-// overrides Config.MemorySpillRatio. 0 = spilling disabled.
-func (s *Session) spillBudget() int64 {
-	g, ok := s.engine.cluster.Groups().Group(s.role.ResourceGroup)
-	if !ok {
-		return 0
-	}
-	sessionRatio := -1
-	if v, ok := s.settings["memory_spill_ratio"]; ok {
-		sessionRatio = plan.ParseLimitInt(v, -1)
-	}
-	return g.SpillBudget(sessionRatio, s.engine.cluster.Config().MemorySpillRatio)
-}
-
-// statementTimeout reads the session's statement_timeout setting
-// (milliseconds, PostgreSQL-style; 0 or unset = no limit).
-func (s *Session) statementTimeout() time.Duration {
-	v, ok := s.settings["statement_timeout"]
-	if !ok {
-		return 0
-	}
-	ms := plan.ParseLimitInt(v, 0)
-	if ms <= 0 {
-		return 0
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
 // chargeStmtCPU pays the per-statement CPU quantum under the session's
 // resource group.
 func (s *Session) chargeStmtCPU(ctx context.Context) error {
@@ -511,31 +454,8 @@ func (s *Session) chargeStmtCPU(ctx context.Context) error {
 	return s.slot.ChargeCPU(ctx, s.stmtCPU)
 }
 
-// planSettings returns the session's plan-shaping settings, derived from the
-// SET map and the cluster defaults once and kept until the next SET.
-func (s *Session) planSettings() planSettings {
-	if !s.psValid {
-		cfg := s.engine.cluster.Config()
-		s.ps = planSettings{
-			optimizer:          s.optimizer,
-			parallelism:        cfg.ExecParallelism,
-			pushdown:           s.settingBool("enable_zonemaps", cfg.EnableZoneMaps),
-			costOpt:            s.settingBool("enable_costopt", cfg.EnableCostOpt),
-			broadcastThreshold: cfg.BroadcastThreshold,
-		}
-		if v, ok := s.settings["exec_parallelism"]; ok {
-			s.ps.parallelism = plan.ParseLimitInt(v, s.ps.parallelism)
-		}
-		if v, ok := s.settings["broadcast_threshold"]; ok {
-			s.ps.broadcastThreshold = plan.ParseLimitInt(v, s.ps.broadcastThreshold)
-		}
-		s.psValid = true
-	}
-	return s.ps
-}
-
 func (s *Session) planner(params []types.Datum) *plan.Planner {
-	ps := s.planSettings()
+	ps := s.settings.planSettings
 	return &plan.Planner{
 		Catalog: s.engine.cluster.Catalog(),
 		// Live count, not cfg.NumSegments: online expansion widens the
@@ -560,7 +480,7 @@ func (s *Session) planFor(st sql.Statement, entry *stmtEntry, params []types.Dat
 	if ob := s.cur; ob != nil && ob.trace != nil {
 		defer func(t0 time.Time) { ob.trace.Record(ob.root.ID(), "plan", -1, t0, time.Since(t0)) }(time.Now())
 	}
-	ps := s.planSettings()
+	ps := s.settings.planSettings
 	kinds, cacheable := paramKinds(params)
 	cacheable = cacheable && entry != nil
 	key := planKey{epoch: s.engine.cluster.PlanEpoch(), planSettings: ps, robust: robust, kinds: kinds}
@@ -584,28 +504,12 @@ func (s *Session) planFor(st sql.Statement, entry *stmtEntry, params []types.Dat
 	return pl.Bind(params)
 }
 
-// settingBool reads an on/off session setting with a config-level default.
-func (s *Session) settingBool(name string, def bool) bool {
-	v, ok := s.settings[name]
-	if !ok {
-		return def
-	}
-	switch strings.ToLower(v) {
-	case "on", "true", "1", "yes":
-		return true
-	case "off", "false", "0", "no":
-		return false
-	default:
-		return def
-	}
-}
-
 // execStatement runs one non-transaction-control statement inside s.txn.
 func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *stmtEntry, params []types.Datum) (*Result, error) {
 	cl := s.engine.cluster
 	switch x := st.(type) {
 	case *sql.SelectStmt:
-		costBased, robust := s.planSettings().costBased(), false
+		costBased, robust := s.settings.costBased(), false
 		var key string // the misestimate key, only needed by the cost-based path
 		if costBased {
 			if key = x.String(); entry != nil {
@@ -773,53 +677,7 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		return &Result{Tag: fmt.Sprintf("EXPAND %d", x.Target)}, nil
 
 	case *sql.SetStmt:
-		if strings.EqualFold(x.Name, "optimizer") {
-			if err := s.SetOptimizer(x.Value); err != nil {
-				return nil, err
-			}
-		}
-		if strings.EqualFold(x.Name, "replica_mode") {
-			// Cluster-wide, applied live (the sync↔async switch); not stored
-			// in the session settings so SHOW reads the cluster's actual mode.
-			m, ok := cluster.ParseReplicaMode(strings.ToLower(x.Value))
-			if !ok {
-				return nil, fmt.Errorf("core: replica_mode must be none, async or sync (got %q)", x.Value)
-			}
-			if err := cl.SetReplicaMode(m); err != nil {
-				return nil, err
-			}
-			return &Result{Tag: "SET"}, nil
-		}
-		if strings.EqualFold(x.Name, "memory_spill_ratio") {
-			if v := plan.ParseLimitInt(x.Value, -1); v < 0 || v > 100 {
-				return nil, fmt.Errorf("core: memory_spill_ratio must be between 0 and 100 (got %q)", x.Value)
-			}
-		}
-		if strings.EqualFold(x.Name, "broadcast_threshold") {
-			if v := plan.ParseLimitInt(x.Value, -1); v < 1 {
-				return nil, fmt.Errorf("core: broadcast_threshold must be a positive row count (got %q)", x.Value)
-			}
-		}
-		if strings.EqualFold(x.Name, "statement_timeout") {
-			if v := plan.ParseLimitInt(x.Value, -1); v < 0 {
-				return nil, fmt.Errorf("core: statement_timeout must be a millisecond count >= 0 (got %q)", x.Value)
-			}
-		}
-		if strings.EqualFold(x.Name, "trace_queries") {
-			switch strings.ToLower(x.Value) {
-			case "on", "off", "true", "false", "1", "0", "yes", "no":
-			default:
-				return nil, fmt.Errorf("core: trace_queries must be on or off (got %q)", x.Value)
-			}
-		}
-		if strings.EqualFold(x.Name, "log_min_duration") {
-			if v := plan.ParseLimitInt(x.Value, -2); v < -1 {
-				return nil, fmt.Errorf("core: log_min_duration must be a millisecond count >= 0, or -1 to disable (got %q)", x.Value)
-			}
-		}
-		s.settings[strings.ToLower(x.Name)] = x.Value
-		s.psValid = false
-		return &Result{Tag: "SET"}, nil
+		return s.execSet(x.Name, x.Value)
 
 	case *sql.ShowStmt:
 		return s.execShow(x)
@@ -893,231 +751,6 @@ func (s *Session) execFault(x *sql.FaultStmt) (*Result, error) {
 		}
 		return &Result{Tag: "FAULT INJECT"}, nil
 	}
-}
-
-// execShow answers SHOW statements: the gp_stat_* live system views, the
-// virtual counter sets (scan_stats / spill_stats / fault_stats read the
-// observability registry — one source of truth with /metrics), or the value
-// of a plain session setting.
-func (s *Session) execShow(x *sql.ShowStmt) (*Result, error) {
-	name := strings.ToLower(x.Name)
-	if name == "gp_stat_activity" {
-		res := &Result{Columns: []string{"session", "role", "state", "query", "duration_ms", "statements"}, Tag: "SHOW"}
-		for _, si := range s.engine.activity.Sessions() {
-			durMS := int64(0)
-			if si.State == "active" && !si.QueryStart.IsZero() {
-				durMS = time.Since(si.QueryStart).Milliseconds()
-			}
-			res.Rows = append(res.Rows, types.Row{
-				types.NewInt(int64(si.ID)),
-				types.NewText(si.Role),
-				types.NewText(si.State),
-				types.NewText(si.Query),
-				types.NewInt(durMS),
-				types.NewInt(si.Statements),
-			})
-		}
-		return res, nil
-	}
-	if name == "gp_stat_queries" || name == "gp_slow_queries" {
-		recs := s.engine.activity.History(0)
-		if name == "gp_slow_queries" {
-			recs = s.engine.activity.SlowQueries(0)
-		}
-		res := &Result{Columns: []string{"query_id", "session", "query", "rows", "blocks_scanned", "blocks_skipped", "spill_bytes", "duration_ms", "error"}, Tag: "SHOW"}
-		for _, r := range recs {
-			res.Rows = append(res.Rows, types.Row{
-				types.NewInt(int64(r.QueryID)),
-				types.NewInt(int64(r.Session)),
-				types.NewText(r.SQL),
-				types.NewInt(r.Rows),
-				types.NewInt(r.BlocksScanned),
-				types.NewInt(r.BlocksSkipped),
-				types.NewInt(r.SpillBytes),
-				types.NewInt(r.Dur.Milliseconds()),
-				types.NewText(r.Err),
-			})
-		}
-		return res, nil
-	}
-	if name == "gp_stat_metrics" {
-		snap := s.engine.cluster.Metrics().Snapshot()
-		res := &Result{Columns: []string{"metric", "value"}, Tag: "SHOW"}
-		for _, n := range snap.Names() {
-			if v, ok := snap.Values[n]; ok {
-				res.Rows = append(res.Rows, types.Row{types.NewText(n), types.NewInt(v)})
-				continue
-			}
-			h := snap.Hists[n]
-			res.Rows = append(res.Rows,
-				types.Row{types.NewText(n + ".count"), types.NewInt(h.Count)},
-				types.Row{types.NewText(n + ".sum_ms"), types.NewInt(h.Sum.Milliseconds())})
-		}
-		return res, nil
-	}
-	if name == "gp_stat_traces" {
-		res := &Result{Columns: []string{"query_id", "span"}, Tag: "SHOW"}
-		for _, t := range s.engine.activity.Traces().Recent(0) {
-			for _, line := range t.Render() {
-				res.Rows = append(res.Rows, types.Row{types.NewInt(int64(t.QueryID)), types.NewText(line)})
-			}
-		}
-		return res, nil
-	}
-	if name == "wal_stats" {
-		st := s.engine.cluster.WALStats()
-		res := &Result{Columns: []string{"stat", "value"}, Tag: "SHOW"}
-		add := func(k string, v int64) {
-			res.Rows = append(res.Rows, types.Row{types.NewText(k), types.NewInt(v)})
-		}
-		add("wal_records", st.Records)
-		add("wal_bytes", st.Bytes)
-		add("wal_flushes", st.Flushes)
-		add("mirror_applied_lsn", int64(st.MirrorAppliedLSN))
-		add("failovers", st.Failovers)
-		add("replay_lsn", int64(st.ReplayLSN))
-		return res, nil
-	}
-	if name == "spill_stats" {
-		snap := s.engine.cluster.Metrics().Snapshot()
-		res := &Result{Columns: []string{"stat", "value"}, Tag: "SHOW"}
-		add := func(k string, v int64) {
-			res.Rows = append(res.Rows, types.Row{types.NewText(k), types.NewInt(v)})
-		}
-		add("spills", snap.Values["exec.spill.events"])
-		add("spill_bytes", snap.Values["exec.spill.bytes"])
-		add("spill_files", snap.Values["exec.spill.files"])
-		add("spill_mem_peak", snap.Values["exec.spill.mem_peak"])
-		add("vmem_peak", snap.Values["exec.vmem_peak"])
-		return res, nil
-	}
-	if name == "optimizer_stats" {
-		analyzed, mises, fallbacks := s.engine.cluster.OptimizerStats()
-		res := &Result{Columns: []string{"stat", "value"}, Tag: "SHOW"}
-		add := func(k string, v int64) {
-			res.Rows = append(res.Rows, types.Row{types.NewText(k), types.NewInt(v)})
-		}
-		add("analyzed_tables", int64(analyzed))
-		add("misestimates", mises)
-		add("robust_fallbacks", fallbacks)
-		return res, nil
-	}
-	if name == "plan_cache" {
-		st := s.engine.stmts.Stats()
-		res := &Result{Columns: []string{"stat", "value"}, Tag: "SHOW"}
-		add := func(k string, v int64) {
-			res.Rows = append(res.Rows, types.Row{types.NewText(k), types.NewInt(v)})
-		}
-		add("hits", st.Hits)
-		add("misses", st.Misses)
-		add("plan_hits", st.PlanHits)
-		add("plan_misses", st.PlanMisses)
-		add("entries", int64(st.Entries))
-		add("evictions", st.Evictions)
-		add("epoch", int64(s.engine.cluster.PlanEpoch()))
-		return res, nil
-	}
-	if name == "fault_stats" {
-		cl := s.engine.cluster
-		snap := cl.Metrics().Snapshot()
-		res := &Result{Columns: []string{"stat", "value"}, Tag: "SHOW"}
-		add := func(k string, v int64) {
-			res.Rows = append(res.Rows, types.Row{types.NewText(k), types.NewInt(v)})
-		}
-		add("fault_points_enabled", snap.Values["fault.enabled"])
-		add("armed_specs", snap.Values["fault.armed"])
-		add("point_hits", snap.Values["fault.hits"])
-		add("point_triggers", snap.Values["fault.triggers"])
-		add("dispatch_retries", snap.Values["dispatch.retries"])
-		add("breaker_opens", snap.Values["fault.breaker_opens"])
-		add("breaker_fast_fails", snap.Values["fault.breaker_fast_fails"])
-		add("wal_truncations", snap.Values["wal.truncations"])
-		add("wal_truncated_bytes", snap.Values["wal.truncated_bytes"])
-		add("spill_leaks", snap.Values["exec.spill.leaks"])
-		for _, b := range cl.BreakerStatuses() {
-			res.Rows = append(res.Rows, types.Row{
-				types.NewText(fmt.Sprintf("breaker_seg%d", b.Seg)),
-				types.NewText(b.State.String()),
-			})
-		}
-		return res, nil
-	}
-	if name == "expand_status" {
-		p := s.engine.cluster.ExpandStatus()
-		res := &Result{Columns: []string{"stat", "value"}, Tag: "SHOW"}
-		add := func(k, v string) {
-			res.Rows = append(res.Rows, types.Row{types.NewText(k), types.NewText(v)})
-		}
-		state := "idle"
-		switch {
-		case p.Active:
-			state = "expanding"
-		case p.Err != "":
-			state = "failed"
-		case p.Done && p.Target > p.From:
-			state = "complete"
-		}
-		add("state", state)
-		add("segments_from", fmt.Sprintf("%d", p.From))
-		add("segments_target", fmt.Sprintf("%d", p.Target))
-		add("tables_done", fmt.Sprintf("%d/%d", p.TablesDone, p.TablesTotal))
-		add("moving", p.Moving)
-		add("rows_moved", fmt.Sprintf("%d", p.RowsMoved))
-		add("restarts", fmt.Sprintf("%d", p.Restarts))
-		if p.Err != "" {
-			add("error", p.Err)
-		}
-		return res, nil
-	}
-	if name == "scan_stats" {
-		snap := s.engine.cluster.Metrics().Snapshot()
-		res := &Result{Columns: []string{"stat", "value"}, Tag: "SHOW"}
-		add := func(k string, v int64) {
-			res.Rows = append(res.Rows, types.Row{types.NewText(k), types.NewInt(v)})
-		}
-		add("blocks_scanned", snap.Values["storage.scan.blocks_scanned"])
-		add("blocks_skipped", snap.Values["storage.scan.blocks_skipped"])
-		add("cache_hits", snap.Values["storage.blockcache.hits"])
-		add("cache_misses", snap.Values["storage.blockcache.misses"])
-		add("cache_evictions", snap.Values["storage.blockcache.evictions"])
-		add("cache_used_bytes", snap.Values["storage.blockcache.used_bytes"])
-		add("cache_entries", snap.Values["storage.blockcache.entries"])
-		return res, nil
-	}
-	v, ok := s.settings[name]
-	if !ok {
-		// Surface the config-backed defaults for the knobs sessions can set.
-		cfg := s.engine.cluster.Config()
-		switch name {
-		case "enable_zonemaps":
-			v = onOff(cfg.EnableZoneMaps)
-		case "enable_costopt":
-			v = onOff(cfg.EnableCostOpt)
-		case "broadcast_threshold":
-			v = fmt.Sprintf("%d", cfg.BroadcastThreshold)
-		case "exec_parallelism":
-			v = fmt.Sprintf("%d", cfg.ExecParallelism)
-		case "memory_spill_ratio":
-			v = fmt.Sprintf("%d", cfg.MemorySpillRatio)
-		case "statement_timeout":
-			v = "0"
-		case "trace_queries":
-			v = "off"
-		case "log_min_duration":
-			v = "-1"
-		case "replica_mode":
-			v = s.engine.cluster.ReplicaModeNow().String()
-		case "optimizer":
-			v = s.optimizer.String()
-		default:
-			return nil, fmt.Errorf("core: unrecognized configuration parameter %q", x.Name)
-		}
-	}
-	return &Result{
-		Columns: []string{name},
-		Rows:    []types.Row{{types.NewText(v)}},
-		Tag:     "SHOW",
-	}, nil
 }
 
 func onOff(b bool) string {

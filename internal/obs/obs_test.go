@@ -25,7 +25,7 @@ func TestRegistryCountersGaugesFuncs(t *testing.T) {
 	if got := g.Load(); got != 12 {
 		t.Fatalf("gauge = %d, want 12", got)
 	}
-	r.GaugeFunc("f.y", func() int64 { return 99 })
+	r.Collect(func(emit Emit) { emit("f.y", 99) })
 	if v, ok := r.Value("f.y"); !ok || v != 99 {
 		t.Fatalf("Value(f.y) = %d,%v", v, ok)
 	}
@@ -37,12 +37,38 @@ func TestRegistryCountersGaugesFuncs(t *testing.T) {
 	}
 }
 
+// TestCollectorRunsOncePerSnapshot: a subsystem's series all come from one
+// aggregation per Snapshot, whether the caller wants every series or one.
+func TestCollectorRunsOncePerSnapshot(t *testing.T) {
+	r := NewRegistry()
+	var cacheRuns, walRuns int
+	r.Collect(func(emit Emit) {
+		cacheRuns++
+		emit("cache.hits", int64(10*cacheRuns))
+		emit("cache.misses", int64(10*cacheRuns+1))
+	})
+	r.Collect(func(emit Emit) {
+		walRuns++
+		emit("wal.records", 5)
+	})
+	snap := r.Snapshot()
+	if cacheRuns != 1 || walRuns != 1 {
+		t.Fatalf("one Snapshot ran the collectors %d and %d times, want 1 and 1", cacheRuns, walRuns)
+	}
+	if snap.Values["cache.hits"] != 10 || snap.Values["cache.misses"] != 11 || snap.Values["wal.records"] != 5 {
+		t.Fatalf("snapshot = %v", snap.Values)
+	}
+	if v, ok := r.Value("cache.misses"); !ok || v != 21 || cacheRuns != 2 {
+		t.Fatalf("Value(cache.misses) = %d,%v after %d runs; want 21 from one more run", v, ok, cacheRuns)
+	}
+}
+
 func TestRegistryNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(1)
 	r.Gauge("y").Set(2)
 	r.Histogram("z").Observe(time.Millisecond)
-	r.GaugeFunc("f", func() int64 { return 1 })
+	r.Collect(func(emit Emit) { emit("f", 1) })
 	if len(r.Snapshot().Values) != 0 {
 		t.Fatalf("nil registry snapshot should be empty")
 	}
@@ -63,7 +89,7 @@ func TestRegistryNilSafety(t *testing.T) {
 // -race this is the registry's race gate.
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeFunc("fn", func() int64 { return 7 })
+	r.Collect(func(emit Emit) { emit("fn", 7) })
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -142,19 +142,21 @@ func (h *Histogram) snapshot() HistSnapshot {
 // lock-free. A nil *Registry hands out dangling (but safe) handles, so
 // subsystems built without observability still run.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	funcs    map[string]func() int64
-	hists    map[string]*Histogram
+	mu         sync.RWMutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	collectors []func(emit Emit)
+	hists      map[string]*Histogram
 }
+
+// Emit reports one computed series from inside a collector.
+type Emit func(name string, v int64)
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		funcs:    make(map[string]func() int64),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -190,15 +192,18 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a computed gauge: fn is called at snapshot/scrape time.
-// Use for values that already live elsewhere (cache occupancy, breaker
-// states) so reads fold on demand instead of being pushed on the hot path.
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
+// Collect registers a subsystem's collector: fn runs once per snapshot or
+// scrape and emits every computed series of the subsystem from a single
+// aggregation, so related values (a cache's hits and misses) are read at one
+// instant. Use for values that already live elsewhere (cache occupancy,
+// breaker states) so reads fold on demand instead of being pushed on the hot
+// path.
+func (r *Registry) Collect(fn func(emit Emit)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.funcs[name] = fn
+	r.collectors = append(r.collectors, fn)
 	r.mu.Unlock()
 }
 
@@ -218,35 +223,20 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Value returns the current value of the counter, gauge, or gauge func
-// registered under name.
+// Value reads one series — counter, gauge or collected — by name, from a
+// fresh Snapshot: a caller reading several series takes one Snapshot itself.
 func (r *Registry) Value(name string) (int64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.RLock()
-	c, okC := r.counters[name]
-	g, okG := r.gauges[name]
-	fn, okF := r.funcs[name]
-	r.mu.RUnlock()
-	switch {
-	case okC:
-		return c.Load(), true
-	case okG:
-		return g.Load(), true
-	case okF:
-		return fn(), true
-	}
-	return 0, false
+	v, ok := r.Snapshot().Values[name]
+	return v, ok
 }
 
 // Snapshot is a point-in-time copy of every registered metric.
 type Snapshot struct {
-	Values map[string]int64        // counters, gauges, gauge funcs
+	Values map[string]int64        // counters, gauges, collected series
 	Hists  map[string]HistSnapshot // histograms
 }
 
-// Snapshot captures every metric. Gauge funcs are evaluated outside the
+// Snapshot captures every metric. Collectors run once each, outside the
 // registry lock (they may take subsystem locks of their own).
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{Values: make(map[string]int64), Hists: make(map[string]HistSnapshot)}
@@ -254,22 +244,19 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.RLock()
-	fns := make(map[string]func() int64, len(r.funcs))
 	for n, v := range r.counters {
 		s.Values[n] = v.Load()
 	}
 	for n, v := range r.gauges {
 		s.Values[n] = v.Load()
 	}
-	for n, fn := range r.funcs {
-		fns[n] = fn
-	}
 	for n, h := range r.hists {
 		s.Hists[n] = h.snapshot()
 	}
+	collectors := r.collectors
 	r.mu.RUnlock()
-	for n, fn := range fns {
-		s.Values[n] = fn()
+	for _, fn := range collectors {
+		fn(func(n string, v int64) { s.Values[n] = v })
 	}
 	return s
 }

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -1575,13 +1574,4 @@ func RouteRow(t *catalog.Table, row types.Row, nseg int, rr *int) int {
 		*rr++
 		return (*rr - 1 + nseg) % nseg
 	}
-}
-
-// ParseLimitInt is a helper for session settings.
-func ParseLimitInt(s string, def int) int {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return def
-	}
-	return v
 }
