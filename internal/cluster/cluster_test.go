@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/lockmgr"
 	"repro/internal/plan"
 	"repro/internal/sql"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -339,6 +341,63 @@ func TestDirectReadTouchesOneSegment(t *testing.T) {
 		}
 		if want := map[bool]int{true: 2, false: 2 * gangSampleEvery}[direct]; gang != want {
 			t.Fatalf("direct dispatch %v: %d of %d reads ran on the gang, want %d", direct, gang, 2*gangSampleEvery, want)
+		}
+	}
+}
+
+// TestCorruptColumnBlockFailsStatement: a sealed AO-column block whose bytes
+// no longer decode fails the statement that reads it — it used to shorten the
+// answer and report success — on the serial path and across parallel workers;
+// a statement that never asks for the damaged column is unaffected.
+func TestCorruptColumnBlockFailsStatement(t *testing.T) {
+	c := testCluster(t, GPDB6(1))
+	tab := &catalog.Table{
+		Name:         "t",
+		Schema:       types.NewSchema(types.Column{Name: "a", Kind: types.KindInt}, types.Column{Name: "b", Kind: types.KindInt}),
+		Storage:      catalog.AOColumn,
+		Distribution: catalog.DistHash,
+		DistKeyCols:  []int{0},
+		PartitionCol: -1,
+	}
+	if err := c.ApplyCreateTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	const n = 4*4096 + 100
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 10))}
+	}
+	insertRows(t, c, tab, rows)
+	run := func(q string, dop int) ([]types.Row, error) {
+		st, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := (&plan.Planner{Catalog: c.Catalog(), NumSegments: 1, Parallelism: dop}).Plan(st, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lt := c.BeginTxn()
+		defer c.AbortTxn(lt)
+		got, _, err := c.RunSelect(context.Background(), lt, c.Snapshot(), pl, nil)
+		return got, err
+	}
+	for _, dop := range []int{1, 4} {
+		if got, err := run("SELECT count(*), sum(b) FROM t", dop); err != nil || got[0][0].Int() != n {
+			t.Fatalf("dop %d, intact table: %v %v", dop, got, err)
+		}
+	}
+	st, err := c.Segments()[0].table(tab.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.engine.(*storage.AOColumn).CorruptBlockForTest(2, 1)
+	for _, dop := range []int{1, 4} {
+		if got, err := run("SELECT count(*), sum(b) FROM t", dop); err == nil || !strings.Contains(err.Error(), "block 2 column 1") {
+			t.Fatalf("dop %d: a corrupt block answered %v, error %v", dop, got, err)
+		}
+		if got, err := run("SELECT count(*), sum(a) FROM t", dop); err != nil || got[0][0].Int() != n {
+			t.Fatalf("dop %d, intact column: %v %v", dop, got, err)
 		}
 	}
 }

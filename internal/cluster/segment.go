@@ -795,16 +795,14 @@ func (a *storeAccess) scanOpts(spec exec.ScanSpec) *storage.ScanOpts {
 	return opts
 }
 
-// ScanTableBatches implements exec.StoreAccess: visibility-filtered
-// rows are delivered in bounded batches, decoded block-at-a-time by the
-// column store, skipping blocks the pushed predicate's zone maps rule out.
-// Each batch handed to fn is fully owned by fn (fresh container, retainable
-// rows). FOR UPDATE scans stay on ScanTable.
+// ScanTableBatches implements exec.StoreAccess: the leaf's visible rows in
+// bounded batches, skipping blocks the pushed predicate's zone maps rule out.
+// An AO-column leaf is delivered in the column layout, by reference into the
+// block cache; heap and AO-row leaves as row batches. Each batch handed to fn
+// is fully owned by fn (fresh container, retainable rows). FOR UPDATE scans
+// stay on ScanTable.
 func (a *storeAccess) ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
-	opts := a.scanOpts(spec)
-	return a.scanVisibleBatches(ctx, leaf, batchSize, fn, func(st *segTable, push func(hdrs []storage.Header, rows []types.Row) bool) {
-		storage.ScanBatches(st.engine, opts, batchSize, push)
-	})
+	return a.scanVisibleBatches(ctx, leaf, storage.WholeTable, spec, batchSize, fn)
 }
 
 // SplitTableRanges implements exec.ParallelStoreAccess: it asks the leaf's
@@ -832,20 +830,14 @@ func (a *storeAccess) SplitTableRanges(leaf catalog.TableID, parts int) ([]exec.
 // skipping (each worker skips its own blocks independently) and batch
 // ownership rules as ScanTableBatches.
 func (a *storeAccess) ScanTableRangeBatches(ctx context.Context, leaf catalog.TableID, rng exec.ScanRange, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
-	opts := a.scanOpts(spec)
-	return a.scanVisibleBatches(ctx, leaf, batchSize, fn, func(st *segTable, push func(hdrs []storage.Header, rows []types.Row) bool) {
-		sp, ok := st.engine.(storage.BlockSplitter)
-		if !ok {
-			return // SplitTableRanges vetted the engine; nothing to scan otherwise
-		}
-		sp.ForEachBatchRange(storage.BlockRange{Begin: rng.Begin, End: rng.End}, opts, batchSize, push)
-	})
+	return a.scanVisibleBatches(ctx, leaf, storage.BlockRange{Begin: rng.Begin, End: rng.End}, spec, batchSize, fn)
 }
 
-// scanVisibleBatches drives one storage-level batch scan (full table or block
-// range), applies MVCC visibility, and regroups survivors into batches of
-// batchSize handed to fn with full ownership.
-func (a *storeAccess) scanVisibleBatches(ctx context.Context, leaf catalog.TableID, batchSize int, fn func(*types.RowBatch) (bool, error), scan func(st *segTable, push func(hdrs []storage.Header, rows []types.Row) bool)) error {
+// scanVisibleBatches drives one storage-level batch scan over rng and applies
+// MVCC visibility. Over the column store's vectors visibility only writes a
+// selection vector; over a row engine the survivors are regrouped into
+// batches of batchSize.
+func (a *storeAccess) scanVisibleBatches(ctx context.Context, leaf catalog.TableID, rng storage.BlockRange, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
 	st, err := a.seg.table(leaf)
 	if err != nil {
 		return err
@@ -856,10 +848,29 @@ func (a *storeAccess) scanVisibleBatches(ctx context.Context, leaf catalog.Table
 	if batchSize < 1 {
 		batchSize = types.DefaultBatchSize
 	}
-	out := types.NewRowBatch(batchSize)
+	opts := a.scanOpts(spec)
 	var iterErr error
+	if ao, ok := st.engine.(*storage.AOColumn); ok {
+		err := ao.ScanVectors(rng, opts, batchSize, func(ch *storage.VecChunk) bool {
+			if iterErr = ctx.Err(); iterErr != nil {
+				return false
+			}
+			b := &types.RowBatch{Sel: a.visibleSel(ch), Cols: &ch.Cols}
+			if b.Len() == 0 {
+				return true
+			}
+			var cont bool
+			cont, iterErr = fn(b)
+			return cont && iterErr == nil
+		})
+		if iterErr != nil {
+			return iterErr
+		}
+		return err
+	}
+	out := types.NewRowBatch(batchSize)
 	stopped := false
-	scan(st, func(hdrs []storage.Header, rows []types.Row) bool {
+	push := func(hdrs []storage.Header, rows []types.Row) bool {
 		select {
 		case <-ctx.Done():
 			iterErr = ctx.Err()
@@ -885,7 +896,12 @@ func (a *storeAccess) scanVisibleBatches(ctx context.Context, leaf catalog.Table
 			}
 		}
 		return true
-	})
+	}
+	if rng == storage.WholeTable {
+		storage.ScanBatches(st.engine, opts, batchSize, push)
+	} else if sp, ok := st.engine.(storage.BlockSplitter); ok { // SplitTableRanges vetted the engine
+		sp.ForEachBatchRange(rng, opts, batchSize, push)
+	}
 	if iterErr != nil || stopped {
 		return iterErr
 	}
@@ -895,6 +911,34 @@ func (a *storeAccess) scanVisibleBatches(ctx context.Context, leaf catalog.Table
 		}
 	}
 	return nil
+}
+
+// visibleSel returns the selection of the chunk's visible rows: nil when
+// every row is visible. Bulk loads stamp long runs of one xid, so the verdict
+// on an undeleted row is reused while the xmin repeats.
+func (a *storeAccess) visibleSel(ch *storage.VecChunk) []int {
+	var sel []int
+	var lastX txn.XID
+	lastVis := false
+	for i, x := range ch.Xmins {
+		vis := lastVis
+		if ch.Xmaxs != nil && ch.Xmaxs[i] != txn.InvalidXID {
+			vis = a.check.Visible(x, ch.Xmaxs[i])
+		} else if x != lastX || i == 0 {
+			vis = a.check.Visible(x, txn.InvalidXID)
+			lastX, lastVis = x, vis
+		}
+		switch {
+		case vis && sel != nil:
+			sel = append(sel, i)
+		case !vis && sel == nil:
+			sel = make([]int, i, len(ch.Xmins))
+			for j := range sel {
+				sel[j] = j
+			}
+		}
+	}
+	return sel
 }
 
 // IndexLookup implements exec.StoreAccess.

@@ -20,11 +20,13 @@ type aggState struct {
 	any      bool
 }
 
-func (st *aggState) add(v types.Datum, distinct bool) {
+// add folds one argument value into the state; only min and max pay for a
+// comparison.
+func (st *aggState) add(v types.Datum, spec *plan.AggSpec) {
 	if v.IsNull() {
 		return
 	}
-	if distinct {
+	if spec.Distinct {
 		if st.seen == nil {
 			st.seen = make(map[uint64]struct{})
 		}
@@ -40,10 +42,10 @@ func (st *aggState) add(v types.Datum, distinct bool) {
 	}
 	st.sumInt += v.Int()
 	st.sumFloat += v.Float()
-	if !st.any || types.Compare(v, st.min) < 0 {
+	switch {
+	case spec.Func == plan.AggMin && (!st.any || types.Compare(v, st.min) < 0):
 		st.min = v
-	}
-	if !st.any || types.Compare(v, st.max) > 0 {
+	case spec.Func == plan.AggMax && (!st.any || types.Compare(v, st.max) > 0):
 		st.max = v
 	}
 	st.any = true
@@ -84,10 +86,14 @@ type aggCore struct {
 	order  []*group
 	mem    opMem
 	// groupCols and scratch avoid per-row allocations on the hot absorb
-	// path: group keys are evaluated into the reused scratch row, which
+	// path: group keys are assembled in the reused scratch row, which
 	// findGroup only clones when it creates a new group.
 	groupCols []int
 	scratch   types.Row
+	// keyExprs/argExprs evaluate the group keys and aggregate arguments
+	// (nil = count(*)) a batch at a time into keyVecs/argVecs.
+	keyExprs, argExprs []*plan.VecExpr
+	keyVecs, argVecs   []types.Vec
 
 	// Spill state.
 	spillable bool // spilling enabled and every spec is mergeable
@@ -113,8 +119,20 @@ func newAggCore(ctx *Context, node *plan.Agg) aggCore {
 			spillable = false // dedup sets are not mergeable across dumps
 		}
 	}
+	keyExprs := make([]*plan.VecExpr, len(node.GroupBy))
+	for i, g := range node.GroupBy {
+		keyExprs[i] = plan.CompileVec(g)
+	}
+	argExprs := make([]*plan.VecExpr, len(node.Specs))
+	for i, sp := range node.Specs {
+		if sp.Arg != nil {
+			argExprs[i] = plan.CompileVec(sp.Arg)
+		}
+	}
 	return aggCore{
 		ctx: ctx, node: node,
+		keyExprs: keyExprs, keyVecs: make([]types.Vec, len(keyExprs)),
+		argExprs: argExprs, argVecs: make([]types.Vec, len(argExprs)),
 		mem:        opMem{ctx: ctx, stat: ctx.opStat(node)},
 		groups:     make(map[uint64][]*group),
 		groupCols:  cols,
@@ -270,65 +288,51 @@ func (a *aggCore) nextOutput() (types.Row, error) {
 	}
 }
 
-// absorb folds one input row into its group. The key row is evaluated into
-// the reused scratch buffer; findGroup clones it if the group is new.
-func (a *aggCore) absorb(row types.Row) error {
-	keys := a.scratch
-	for i, g := range a.node.GroupBy {
-		v, err := g.Eval(row)
-		if err != nil {
+// absorb folds one batch into the groups. Each group key — and, in the
+// phases that aggregate raw input, each aggregate argument — is evaluated
+// once over the batch into a vector; the loop below then reads values by
+// position, whatever the batch's layout. The merging phases read the partial
+// layout off the row instead. The key row is assembled in the reused scratch
+// buffer; findGroup clones it if the group is new.
+func (a *aggCore) absorb(b *types.RowBatch) (err error) {
+	merge := a.node.Phase == plan.AggFinal || a.node.Phase == plan.AggIntermediate
+	for i, x := range a.keyExprs {
+		if a.keyVecs[i], err = x.Eval(b); err != nil {
 			return err
 		}
-		keys[i] = v
 	}
-	grp, err := a.findGroup(keys)
-	if err != nil {
-		return err
-	}
-	if a.node.Phase == plan.AggFinal || a.node.Phase == plan.AggIntermediate {
-		return a.mergePartial(grp, row)
-	}
-	for i, spec := range a.node.Specs {
-		st := &grp.states[i]
-		if spec.Arg == nil { // count(*)
-			st.count++
-			st.any = true
+	for i, x := range a.argExprs {
+		if x == nil || merge {
 			continue
 		}
-		v, err := spec.Arg.Eval(row)
-		if err != nil {
+		if a.argVecs[i], err = x.Eval(b); err != nil {
 			return err
 		}
-		st.add(v, spec.Distinct)
 	}
-	return nil
-}
-
-// absorbFast folds a whole batch whose group keys and aggregate arguments
-// are all bare column references: direct row reads, no expression tree
-// walks, honouring the batch's selection vector. Never used for the final
-// phase, which merges partial layouts.
-func (a *aggCore) absorbFast(b *types.RowBatch, groupIdx, specCols []int) error {
-	keys := a.scratch
-	specs := a.node.Specs
+	keys, specs := a.scratch, a.node.Specs
 	for ri, l := 0, b.Len(); ri < l; ri++ {
-		row := b.Live(ri)
-		for i, c := range groupIdx {
-			keys[i] = row[c]
+		at := b.Index(ri)
+		for i := range keys {
+			keys[i] = a.keyVecs[i].At(at)
 		}
 		grp, err := a.findGroup(keys)
 		if err != nil {
 			return err
 		}
+		if merge {
+			if err := a.mergePartial(grp, b.Live(ri)); err != nil {
+				return err
+			}
+			continue
+		}
 		for i := range specs {
 			st := &grp.states[i]
-			c := specCols[i]
-			if c < 0 { // count(*)
+			if a.argExprs[i] == nil { // count(*)
 				st.count++
 				st.any = true
 				continue
 			}
-			st.add(row[c], specs[i].Distinct)
+			st.add(a.argVecs[i].At(at), &specs[i])
 		}
 	}
 	return nil

@@ -13,8 +13,9 @@ import (
 // (vectorized) pull. NextBatch returns a non-empty batch or io.EOF after the
 // last one.
 //
-// Ownership: the returned batch's container (Rows slice) is only valid until
-// the next NextBatch call; the Row values inside are never overwritten in
+// Ownership: the returned batch's container (Rows slice, selection, column
+// vectors) is only valid until the next NextBatch call; the Row values inside
+// — and the rows Live gathers from a column batch — are never overwritten in
 // place and may be retained indefinitely.
 type BatchIterator interface {
 	NextBatch() (*types.RowBatch, error)
@@ -63,7 +64,7 @@ type batchScanIter struct {
 	ctx     *Context
 	node    *plan.Scan
 	units   []scanUnit
-	pred    plan.Predicate
+	pred    *plan.Predicate
 	tick    cpuTick
 	ch      chan *types.RowBatch
 	errc    chan error
@@ -139,7 +140,7 @@ func (s *batchScanIter) NextBatch() (*types.RowBatch, error) {
 			return nil, err
 		}
 		if s.node.Filter != nil {
-			if err := selectBatch(b, s.pred); err != nil {
+			if err := s.pred.Select(b); err != nil {
 				return nil, err
 			}
 		}
@@ -165,7 +166,7 @@ func (s *batchScanIter) Close() {
 // an explicit clone).
 type batchFilterIter struct {
 	child BatchIterator
-	pred  plan.Predicate
+	pred  *plan.Predicate
 	tick  cpuTick
 }
 
@@ -178,7 +179,7 @@ func (f *batchFilterIter) NextBatch() (*types.RowBatch, error) {
 		if err := f.tick.tickRows(b.Len()); err != nil {
 			return nil, err
 		}
-		if err := selectBatch(b, f.pred); err != nil {
+		if err := f.pred.Select(b); err != nil {
 			return nil, err
 		}
 		if b.Len() > 0 {
@@ -189,64 +190,25 @@ func (f *batchFilterIter) NextBatch() (*types.RowBatch, error) {
 
 func (f *batchFilterIter) Close() { f.child.Close() }
 
-// selectBatch narrows b's selection to the rows passing pred. A batch that
-// already carries a selection is narrowed in place (the kept prefix of the
-// existing vector is rewritten, which is safe because selections ascend); a
-// dense batch gets a vector of its own, so the batch's ownership status is
-// unchanged — whoever owned the container now also owns the selection.
-func selectBatch(b *types.RowBatch, pred plan.Predicate) error {
-	if b.Sel == nil {
-		n := len(b.Rows)
-		first := 0
-		for ; first < n; first++ {
-			ok, err := pred(b.Rows[first])
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-		}
-		if first == n {
-			return nil // every row passes: the batch stays dense
-		}
-		sel := make([]int, first, n-1)
-		for j := 0; j < first; j++ {
-			sel[j] = j
-		}
-		for i := first + 1; i < n; i++ {
-			ok, err := pred(b.Rows[i])
-			if err != nil {
-				return err
-			}
-			if ok {
-				sel = append(sel, i)
-			}
-		}
-		b.Sel = sel
-		return nil
-	}
-	sel := b.Sel[:0]
-	for _, i := range b.Sel {
-		ok, err := pred(b.Rows[i])
-		if err != nil {
-			return err
-		}
-		if ok {
-			sel = append(sel, i)
-		}
-	}
-	b.Sel = sel
-	return nil
-}
-
-// batchProjectIter computes output expressions for a whole batch per call.
-// Its reused output container is allocated to the input batch's length.
+// batchProjectIter computes output expressions for a whole batch per call. A
+// row batch yields fresh rows in a reused container allocated to the input
+// batch's length; a column batch yields a column batch under the input's
+// selection, each expression evaluated once into a vector (a bare column is
+// shared, not copied).
 type batchProjectIter struct {
 	child BatchIterator
 	exprs []plan.Expr
 	out   *types.RowBatch
+	col   *projectCols // set up on the first column batch
 	tick  cpuTick
+}
+
+// projectCols is a projection's column-layout state: the compiled
+// expressions and the reused output batch.
+type projectCols struct {
+	vecs []*plan.VecExpr
+	cols types.ColBatch
+	out  types.RowBatch
 }
 
 func (p *batchProjectIter) NextBatch() (*types.RowBatch, error) {
@@ -256,6 +218,24 @@ func (p *batchProjectIter) NextBatch() (*types.RowBatch, error) {
 	}
 	if err := p.tick.tickRows(b.Len()); err != nil {
 		return nil, err
+	}
+	if b.Cols != nil {
+		c := p.col
+		if c == nil {
+			c = &projectCols{cols: types.ColBatch{Vecs: make([]types.Vec, len(p.exprs))}}
+			for _, e := range p.exprs {
+				c.vecs = append(c.vecs, plan.CompileVec(e))
+			}
+			p.col = c
+		}
+		for j, x := range c.vecs {
+			if c.cols.Vecs[j], err = x.Eval(b); err != nil {
+				return nil, err
+			}
+		}
+		c.cols.N = b.Cols.N
+		c.out = types.RowBatch{Sel: b.Sel, Cols: &c.cols}
+		return &c.out, nil
 	}
 	if p.out == nil || p.out.Cap() < b.Len() {
 		p.out = types.NewRowBatch(b.Len())
@@ -385,49 +365,15 @@ type batchAggIter struct {
 	tick   cpuTick
 	out    types.RowBatch // reused; grows with the groups, not to size
 	size   int
-
-	// Column-resolved fast path: when every group key and aggregate
-	// argument is a bare column reference (the shape two-phase planning
-	// produces for the hot analytical queries), absorption reads columns
-	// directly instead of walking expression trees per row.
-	fast     bool
-	groupIdx []int
-	specCols []int // -1 = count(*)
 }
 
 func newBatchAggIter(ctx *Context, node *plan.Agg, child BatchIterator) *batchAggIter {
-	a := &batchAggIter{
+	return &batchAggIter{
 		core:  newAggCore(ctx, node),
 		child: child,
 		tick:  cpuTick{ctx: ctx},
 		size:  ctx.batchSize(),
 	}
-	if node.Phase != plan.AggFinal && node.Phase != plan.AggIntermediate { // those phases merge partial layouts
-		a.fast = true
-		for _, g := range node.GroupBy {
-			c, ok := plan.ColIndex(g)
-			if !ok {
-				a.fast = false
-				break
-			}
-			a.groupIdx = append(a.groupIdx, c)
-		}
-		if a.fast {
-			for _, sp := range node.Specs {
-				if sp.Arg == nil {
-					a.specCols = append(a.specCols, -1)
-					continue
-				}
-				c, ok := plan.ColIndex(sp.Arg)
-				if !ok {
-					a.fast = false
-					break
-				}
-				a.specCols = append(a.specCols, c)
-			}
-		}
-	}
-	return a
 }
 
 func (a *batchAggIter) load() error {
@@ -446,16 +392,8 @@ func (a *batchAggIter) load() error {
 		if b.Len() > 0 {
 			sawRow = true
 		}
-		if a.fast {
-			if err := a.core.absorbFast(b, a.groupIdx, a.specCols); err != nil {
-				return err
-			}
-			continue
-		}
-		for i, l := 0, b.Len(); i < l; i++ {
-			if err := a.core.absorb(b.Live(i)); err != nil {
-				return err
-			}
+		if err := a.core.absorb(b); err != nil {
+			return err
 		}
 	}
 	if err := a.core.finish(sawRow); err != nil {

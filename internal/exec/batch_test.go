@@ -159,7 +159,7 @@ func TestSelectBatchSelectionVector(t *testing.T) {
 		Left:  &plan.BinOp{Op: "%", Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(2)}},
 		Right: &plan.Const{Val: types.NewInt(0)}})
 	b := mk()
-	if err := selectBatch(b, even); err != nil {
+	if err := even.Select(b); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.Rows) != 8 {
@@ -170,7 +170,7 @@ func TestSelectBatchSelectionVector(t *testing.T) {
 	}
 	// Second filter narrows the existing selection in place.
 	ge4 := plan.CompilePredicate(&plan.BinOp{Op: ">=", Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(4)}})
-	if err := selectBatch(b, ge4); err != nil {
+	if err := ge4.Select(b); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 2 || b.Live(0)[0].Int() != 4 || b.Live(1)[0].Int() != 6 {
@@ -178,7 +178,7 @@ func TestSelectBatchSelectionVector(t *testing.T) {
 	}
 	// All-pass predicate on a dense batch keeps it dense (no allocation).
 	b2 := mk()
-	if err := selectBatch(b2, plan.CompilePredicate(nil)); err != nil {
+	if err := plan.CompilePredicate(nil).Select(b2); err != nil {
 		t.Fatal(err)
 	}
 	if b2.Sel != nil {
@@ -187,7 +187,7 @@ func TestSelectBatchSelectionVector(t *testing.T) {
 	// All-fail yields an empty (non-nil) selection.
 	b3 := mk()
 	none := plan.CompilePredicate(&plan.BinOp{Op: "<", Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(0)}})
-	if err := selectBatch(b3, none); err != nil {
+	if err := none.Select(b3); err != nil {
 		t.Fatal(err)
 	}
 	if b3.Sel == nil || b3.Len() != 0 {

@@ -25,10 +25,12 @@ import (
 // MVCC visibility applied and (FOR UPDATE) row locking performed by the
 // segment layer.
 type StoreAccess interface {
-	// ScanTableBatches delivers the leaf's visible rows in bounded batches, so
-	// the column store decodes each block once per batch. Each batch is
-	// handed to fn with full ownership (a fresh container whose rows may be
-	// retained); fn reports whether to continue.
+	// ScanTableBatches delivers the leaf's visible rows in bounded batches —
+	// an AO-column leaf in the column layout, windows of cached vectors under
+	// a selection of the visible rows. Each batch is handed to fn with full
+	// ownership (a fresh container whose rows may be retained; the vectors
+	// are shared and immutable); fn reports whether to continue. A block
+	// that cannot be decoded is an error.
 	ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
 	// ScanTable visits every visible row of the leaf table one at a time —
 	// the FOR UPDATE scan, which alone needs a per-row callback. fn reports

@@ -354,11 +354,7 @@ func (l *batchLimitIter) NextBatch() (*types.RowBatch, error) {
 		if lo == 0 && hi == n {
 			return b, nil
 		}
-		if b.Sel != nil {
-			l.out = types.RowBatch{Rows: b.Rows, Sel: b.Sel[lo:hi:hi]}
-		} else {
-			l.out = types.RowBatch{Rows: b.Rows[lo:hi:hi]}
-		}
+		l.out = b.Window(int(lo), int(hi))
 		return &l.out, nil
 	}
 }

@@ -36,7 +36,7 @@ type LocalGather struct {
 	ordered bool
 	// owned means the workers' top iterators hand over fully-owned batch
 	// containers (fresh per call), so the gather can forward them without
-	// cloning; false when the top operator reuses its output buffer.
+	// cloning; false when an operator below reuses a container it emits.
 	owned bool
 
 	started bool
@@ -50,8 +50,8 @@ type LocalGather struct {
 
 // NewLocalGather builds a local exchange over the given worker pipelines.
 // ownedOutput declares that every worker's top iterator transfers batch
-// container ownership (a streaming scan or in-place filter over one), which
-// lets the gather skip the per-batch defensive copy.
+// container ownership (an unfiltered streaming scan), which lets the gather
+// skip the per-batch defensive copy.
 func NewLocalGather(workers []BatchIterator, ordered, ownedOutput bool) *LocalGather {
 	return &LocalGather{workers: workers, ordered: ordered, owned: ownedOutput}
 }
@@ -197,17 +197,19 @@ func BuildBatchParallel(ctx *Context, root plan.Node) BatchIterator {
 }
 
 // decomposeChain walks a parallel-safe unary chain down to its scan,
-// returning the chain's aggregate (nil when it has none) and whether the
-// chain contains a projection.
-func decomposeChain(n plan.Node) (agg *plan.Agg, scan *plan.Scan, project, ok bool) {
+// returning the chain's aggregate (nil when it has none) and whether some
+// operator of the chain reuses a container of the batches it emits (a
+// projection its output, a filter its selection vector).
+func decomposeChain(n plan.Node) (agg *plan.Agg, scan *plan.Scan, reuses, ok bool) {
 	for {
 		switch x := n.(type) {
 		case *plan.Scan:
-			return agg, x, project, true
+			return agg, x, reuses || x.Filter != nil, true
 		case *plan.Filter:
+			reuses = true
 			n = x.Child
 		case *plan.Project:
-			project = true
+			reuses = true
 			n = x.Child
 		case *plan.Agg:
 			if agg != nil {
@@ -232,7 +234,7 @@ func buildParallelPipeline(ctx *Context, root plan.Node) (BatchIterator, bool) {
 	if !ok {
 		return nil, false
 	}
-	agg, scan, project, ok := decomposeChain(root)
+	agg, scan, reuses, ok := decomposeChain(root)
 	if !ok || scan.ForUpdate || scan.OnSeg >= 0 {
 		return nil, false
 	}
@@ -263,10 +265,10 @@ func buildParallelPipeline(ctx *Context, root plan.Node) (BatchIterator, bool) {
 		}
 	}
 
-	// Workers hand over batch ownership unless their top operator reuses an
-	// output buffer: streaming scans emit fresh containers and filters
-	// compact in place, but projections and aggregates recycle theirs.
-	gather := NewLocalGather(workers, agg == nil, agg == nil && !project)
+	// Workers hand over batch ownership unless an operator reuses a container:
+	// an unfiltered streaming scan emits fresh ones, but filters, projections
+	// and aggregates recycle theirs.
+	gather := NewLocalGather(workers, agg == nil, agg == nil && !reuses)
 	if agg == nil {
 		return gather, true
 	}

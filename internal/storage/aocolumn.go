@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -52,7 +53,7 @@ func (a *AOColumn) SetWAL(l *wal.Log, leaf uint64) {
 // wide tables decompress proportionally less. Slots are set-once under the
 // block cache's lock and immutable afterwards.
 type decodedBlock struct {
-	cols  [][]types.Datum
+	cols  []*types.Vec
 	xmins []txn.XID
 }
 
@@ -111,6 +112,17 @@ func (a *AOColumn) ReleaseCachedBlocks() {
 	cache.InvalidateEngine(a.id)
 }
 
+// CorruptBlockForTest truncates the stored bytes of one sealed column and
+// forgets the table's decoded blocks, so the next scan of that block fails to
+// decode: the hook behind the tests that a damaged block fails the statement.
+func (a *AOColumn) CorruptBlockForTest(block, col int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	b := a.sealed[block].cols[col]
+	a.sealed[block].cols[col] = b[:len(b)/2]
+	a.cache.InvalidateEngine(a.id)
+}
+
 // Kind implements Engine.
 func (a *AOColumn) Kind() string { return "ao_column" }
 
@@ -165,122 +177,225 @@ func (a *AOColumn) Seal() {
 	a.sealLocked()
 }
 
-// decoded returns the decoded vectors of sealed block i for the requested
-// columns (nil = all), decompressing only the columns the block cache does
-// not already hold. The xmin vector is always decoded. Decompression runs
-// outside the cache lock; concurrent scans may duplicate work but each
-// vector is published once.
-func (a *AOColumn) decoded(i int, cols []int) (*decodedBlock, error) {
-	a.mu.RLock()
-	blk := a.sealed[i]
-	cache := a.cache
-	a.mu.RUnlock()
-	need := cols
-	if need == nil {
-		need = make([]int, a.ncols)
-		for c := range need {
-			need[c] = c
+// needCols normalizes a projection to the column offsets to decode (nil =
+// all), dropping offsets the table does not have.
+func (a *AOColumn) needCols(cols []int) []int {
+	need := make([]int, 0, a.ncols)
+	for c := 0; c < a.ncols && cols == nil; c++ {
+		need = append(need, c)
+	}
+	for _, c := range cols {
+		if c >= 0 && c < a.ncols {
+			need = append(need, c)
 		}
 	}
-	db, missing, needXmins := cache.plan(blockKey{engine: a.id, block: i}, need, a.ncols)
+	return need
+}
+
+// decoded returns the cache entry of sealed block i (blk is a.sealed[i])
+// with at least the needed columns and the xmin vector decoded,
+// decompressing only what the block cache does not already hold.
+// Decompression runs outside the cache lock; concurrent scans may duplicate
+// work but each vector is published once.
+func (a *AOColumn) decoded(i int, blk *aoColBlock, need []int) (*decodedBlock, error) {
+	a.mu.RLock()
+	cache := a.cache
+	a.mu.RUnlock()
+	key := blockKey{engine: a.id, block: i}
+	db, missing, needXmins := cache.plan(key, need, a.ncols)
 	if len(missing) == 0 && !needXmins {
 		return db, nil
 	}
-	dec := make(map[int][]types.Datum, len(missing))
+	dec := make(map[int]*types.Vec, len(missing))
 	for _, c := range missing {
-		vals, err := decompressBlock(blk.codecs[c], blk.cols[c], blk.n)
+		v, err := decompressBlock(blk.codecs[c], blk.cols[c], blk.n)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("storage: ao_column block %d column %d: %w", i, c, err)
 		}
-		dec[c] = vals
+		dec[c] = v
 	}
 	var xm []txn.XID
 	if needXmins {
-		xd, err := rleDeltaDecode(blk.xminsEnc)
+		xv, err := rleDeltaDecode(blk.xminsEnc)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("storage: ao_column block %d xmins: %w", i, err)
 		}
-		xm = make([]txn.XID, len(xd))
-		for j, d := range xd {
-			xm[j] = txn.XID(d.Int())
+		xm = make([]txn.XID, len(xv.Ints))
+		for j, x := range xv.Ints {
+			xm[j] = txn.XID(x)
 		}
 	}
-	cache.publish(blockKey{engine: a.id, block: i}, db, dec, xm)
+	cache.publish(key, db, dec, xm)
 	return db, nil
 }
 
-// ForEach implements Engine. It materializes one row at a time from the
-// decoded column vectors.
-func (a *AOColumn) ForEach(fn func(hdr Header, row types.Row) bool) {
-	a.ForEachProjected(nil, fn)
+// VecChunk is one batch of the vector scan: at most batchSize consecutive
+// tuple versions as a window of typed vectors. Cols.Vecs is indexed by column
+// offset (a column the scan was not asked for is the zero Vec) and is shared
+// by every chunk cut from the same block; it, the vectors' payloads and Xmins
+// are immutable. Xmaxs and Updated are nil unless some row of the chunk is
+// deleted respectively superseded.
+type VecChunk struct {
+	First   TupleID // tuple id of row 0; rows are consecutive
+	Cols    types.ColBatch
+	Xmins   []txn.XID
+	Xmaxs   []txn.XID
+	Updated []TupleID
 }
 
-// ForEachProjected is the column-oriented fast path: when cols is non-nil,
-// only the requested columns are decoded and populated in the emitted row
-// (others are NULL). This is what makes narrow scans over wide AO-column
-// tables cheap.
-func (a *AOColumn) ForEachProjected(cols []int, fn func(hdr Header, row types.Row) bool) {
-	a.mu.RLock()
-	nSealed := len(a.sealed)
-	a.mu.RUnlock()
-	need := cols
-	if need == nil {
-		need = make([]int, a.ncols)
-		for i := range need {
-			need[i] = i
-		}
+// ScanVectors is the column store's one scan body: it visits the tuple
+// versions whose row offsets fall in [r.Begin, r.End) in tuple-id order and
+// hands them to fn as windows of the decoded vectors — no row is built. It
+// honours opts like BatchScanner.ForEachBatch: only opts.Cols are decoded,
+// and sealed blocks whose seal-time zone map rules out opts.Pred are skipped
+// without decompressing anything. Iteration stops when fn returns false; a
+// block that fails to decode ends the scan with an error.
+//
+// The scan reads the table's shape block by block, so a concurrent INSERT
+// that seals the tail (or grows it) never makes it lose its place: it carries
+// on into blocks sealed since it began, and a scan whose range is open-ended
+// sees every row appended before it reaches the end.
+func (a *AOColumn) ScanVectors(r BlockRange, opts *ScanOpts, batchSize int, fn func(*VecChunk) bool) error {
+	if batchSize < 1 {
+		batchSize = types.DefaultBatchSize
 	}
-	tid := TupleID(0)
-	row := make(types.Row, a.ncols)
-	for b := 0; b < nSealed; b++ {
-		db, err := a.decoded(b, cols)
-		if err != nil {
-			return
-		}
-		n := len(db.xmins)
-		for r := 0; r < n; r++ {
-			tid++
-			for i := range row {
-				row[i] = types.Null
-			}
-			for _, c := range need {
-				if c < len(db.cols) {
-					row[c] = db.cols[c][r]
-				}
-			}
-			a.mu.RLock()
-			xmax := a.visimap[tid]
-			upd := a.updated[tid]
-			a.mu.RUnlock()
-			hdr := Header{TID: tid, Xmin: db.xmins[r], Xmax: xmax, UpdatedTo: upd}
-			if !fn(hdr, row) {
-				return
-			}
-		}
-	}
-	// Tail (unsealed) rows.
-	a.mu.RLock()
-	tailLen := len(a.tailX)
-	a.mu.RUnlock()
-	for r := 0; r < tailLen; r++ {
-		tid++
+	need, pred := a.needCols(opts.cols()), opts.pred()
+	pos := max(0, r.Begin) // next row offset to emit
+	bi, off := 0, 0        // next sealed block and its first row offset
+	tailCounted := false
+	for pos < r.End {
 		a.mu.RLock()
-		if r >= len(a.tailX) {
+		if bi < len(a.sealed) {
+			blk := a.sealed[bi]
 			a.mu.RUnlock()
-			return
+			if pos < off+blk.n {
+				if pred != nil && !pred.MatchZone(&blk.zone) {
+					opts.noteSkipped()
+				} else {
+					opts.noteScanned()
+					db, err := a.decoded(bi, &blk, need)
+					if err != nil {
+						return err
+					}
+					vecs := make([]types.Vec, a.ncols)
+					for _, c := range need {
+						vecs[c] = *db.cols[c]
+					}
+					if !a.emit(vecs, db.xmins, off, pos-off, min(blk.n, r.End-off), batchSize, fn) {
+						return nil
+					}
+				}
+				pos = off + blk.n
+			}
+			bi, off = bi+1, off+blk.n
+			continue
 		}
-		for i := range row {
-			row[i] = types.Null
+		// The unsealed tail starts at off. Its backing arrays are reused by
+		// the next seal, so the rows are copied out under the lock. It has
+		// no zone map and counts as one scanned unit.
+		lo, hi := pos-off, min(len(a.tailX), r.End-off)
+		if lo >= hi {
+			a.mu.RUnlock()
+			return nil
 		}
+		vecs := make([]types.Vec, a.ncols)
 		for _, c := range need {
-			row[c] = a.tail[c][r]
+			vecs[c] = types.VecOf(a.tail[c][lo:hi])
 		}
-		hdr := Header{TID: tid, Xmin: a.tailX[r], Xmax: a.visimap[tid], UpdatedTo: a.updated[tid]}
+		xmins := append([]txn.XID(nil), a.tailX[lo:hi]...)
 		a.mu.RUnlock()
-		if !fn(hdr, row) {
-			return
+		if !tailCounted {
+			tailCounted = true
+			opts.noteScanned()
+		}
+		if !a.emit(vecs, xmins, pos, 0, hi-lo, batchSize, fn) {
+			return nil
+		}
+		pos += hi - lo
+	}
+	return nil
+}
+
+// emit hands rows [lo, hi) of one decoded unit — a sealed block or a tail
+// snapshot whose row 0 sits at table offset off — to fn, batchSize at a
+// time. The visimap and the update links are consulted only when they hold
+// anything.
+func (a *AOColumn) emit(vecs []types.Vec, xmins []txn.XID, off, lo, hi, batchSize int, fn func(*VecChunk) bool) bool {
+	for ; lo < hi; lo += batchSize {
+		end := min(lo+batchSize, hi)
+		ch := &VecChunk{First: TupleID(off + lo + 1), Cols: types.ColBatch{Vecs: vecs, Lo: lo, N: end - lo}, Xmins: xmins[lo:end]}
+		a.mu.RLock()
+		for i := 0; i < end-lo && len(a.visimap)+len(a.updated) > 0; i++ {
+			tid := ch.First + TupleID(i)
+			if x, dead := a.visimap[tid]; dead {
+				if ch.Xmaxs == nil {
+					ch.Xmaxs = make([]txn.XID, end-lo)
+				}
+				ch.Xmaxs[i] = x
+			}
+			if to, moved := a.updated[tid]; moved {
+				if ch.Updated == nil {
+					ch.Updated = make([]TupleID, end-lo)
+				}
+				ch.Updated[i] = to
+			}
+		}
+		a.mu.RUnlock()
+		if !fn(ch) {
+			return false
 		}
 	}
+	return true
+}
+
+// ForEachBatchRange implements BlockSplitter: the row adapter over
+// ScanVectors, for the consumers that need rows and headers (FOR UPDATE, DML
+// targets, the expansion mover). Each chunk's rows are cut from one slab
+// filled column-at-a-time from the vectors; columns outside opts.Cols stay
+// NULL. A block that fails to decode ends the scan early.
+func (a *AOColumn) ForEachBatchRange(r BlockRange, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
+	var hdrs []Header
+	var rows []types.Row
+	_ = a.ScanVectors(r, opts, batchSize, func(ch *VecChunk) bool {
+		chunk, nc := len(ch.Xmins), a.ncols
+		slab := make([]types.Datum, chunk*a.ncols)
+		hdrs, rows = hdrs[:0], rows[:0]
+		for c := range ch.Cols.Vecs {
+			for k, v := 0, ch.Cols.Vec(c); k < v.Len(); k++ {
+				slab[k*nc+c] = v.At(k)
+			}
+		}
+		for k := 0; k < chunk; k++ {
+			h := Header{TID: ch.First + TupleID(k), Xmin: ch.Xmins[k]}
+			if ch.Xmaxs != nil {
+				h.Xmax = ch.Xmaxs[k]
+			}
+			if ch.Updated != nil {
+				h.UpdatedTo = ch.Updated[k]
+			}
+			hdrs = append(hdrs, h)
+			rows = append(rows, types.Row(slab[k*nc:(k+1)*nc:(k+1)*nc]))
+		}
+		return fn(hdrs, rows)
+	})
+}
+
+// ForEachBatch implements BatchScanner: the row adapter over the whole table,
+// rows appended during the scan included.
+func (a *AOColumn) ForEachBatch(opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
+	a.ForEachBatchRange(WholeTable, opts, batchSize, fn)
+}
+
+// ForEach implements Engine over the row adapter.
+func (a *AOColumn) ForEach(fn func(hdr Header, row types.Row) bool) {
+	a.ForEachBatch(nil, types.DefaultBatchSize, func(hdrs []Header, rows []types.Row) bool {
+		for i := range rows {
+			if !fn(hdrs[i], rows[i]) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Fetch implements Engine. Random access decodes the owning block.
@@ -300,9 +415,10 @@ func (a *AOColumn) Fetch(tid TupleID) (Header, types.Row, bool) {
 	off := 0
 	blockIdx := -1
 	var inBlk int
+	var blk aoColBlock
 	for i := range a.sealed {
 		if idx < off+a.sealed[i].n {
-			blockIdx = i
+			blockIdx, blk = i, a.sealed[i]
 			inBlk = idx - off
 			break
 		}
@@ -312,12 +428,12 @@ func (a *AOColumn) Fetch(tid TupleID) (Header, types.Row, bool) {
 	row := make(types.Row, a.ncols)
 	var xmin txn.XID
 	if blockIdx >= 0 {
-		db, err := a.decoded(blockIdx, nil)
+		db, err := a.decoded(blockIdx, &blk, a.needCols(nil))
 		if err != nil {
 			return Header{}, nil, false
 		}
 		for c := 0; c < a.ncols; c++ {
-			row[c] = db.cols[c][inBlk]
+			row[c] = db.cols[c].At(inBlk)
 		}
 		xmin = db.xmins[inBlk]
 	} else {

@@ -185,164 +185,3 @@ func (a *AORow) ForEachBatch(opts *ScanOpts, batchSize int, fn func(hdrs []Heade
 	a.mu.RUnlock()
 	a.scanPages(0, count, opts, batchSize, fn)
 }
-
-// sealedZones snapshots the sealed blocks' row counts and zone maps under
-// one lock acquisition (both are immutable once a block is sealed).
-func (a *AOColumn) sealedZones() (blockRows []int, zones []*ZoneMap) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	blockRows = make([]int, len(a.sealed))
-	zones = make([]*ZoneMap, len(a.sealed))
-	for i := range a.sealed {
-		blockRows[i] = a.sealed[i].n
-		zones[i] = &a.sealed[i].zone
-	}
-	return blockRows, zones
-}
-
-// ForEachBatch implements BatchScanner for the AO-column engine. This is the
-// column store's fast path: each sealed block is decoded once (and cached),
-// and every emitted row is built directly from the decoded vectors — one
-// allocation per row instead of the copy-into-shared-buffer-then-clone the
-// row-at-a-time path pays. Non-requested columns are NULL when opts.Cols is
-// set, and blocks ruled out by their seal-time zone map are skipped before
-// any decompression happens.
-func (a *AOColumn) ForEachBatch(opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
-	cols := opts.cols()
-	pred := opts.pred()
-	blockRows, zones := a.sealedZones()
-	hdrs := make([]Header, 0, batchSize)
-	rows := make([]types.Row, 0, batchSize)
-	tid := TupleID(0)
-	flush := func() bool {
-		if len(rows) == 0 {
-			return true
-		}
-		ok := fn(hdrs, rows)
-		hdrs = hdrs[:0]
-		rows = rows[:0]
-		return ok
-	}
-	buildRow := func(get func(c int) types.Datum) types.Row {
-		row := make(types.Row, a.ncols)
-		if cols == nil {
-			for c := range row {
-				row[c] = get(c)
-			}
-			return row
-		}
-		for c := range row {
-			row[c] = types.Null
-		}
-		for _, c := range cols {
-			if c >= 0 && c < a.ncols {
-				row[c] = get(c)
-			}
-		}
-		return row
-	}
-	for b := range blockRows {
-		if pred != nil && !pred.MatchZone(zones[b]) {
-			// The zone map proves no row of this block passes the pushed
-			// predicate: advance past it without decoding a single column.
-			opts.noteSkipped()
-			tid += TupleID(blockRows[b])
-			continue
-		}
-		opts.noteScanned()
-		db, err := a.decoded(b, cols)
-		if err != nil {
-			return
-		}
-		n := len(db.xmins)
-		for r := 0; r < n; {
-			chunk := min(batchSize-len(rows), n-r)
-			// Arena allocation: one slab per chunk instead of one Row per
-			// tuple, filled column-at-a-time from the decoded vectors.
-			slab := make([]types.Datum, chunk*a.ncols)
-			if cols != nil {
-				for i := range slab {
-					slab[i] = types.Null
-				}
-				for _, c := range cols {
-					if c < 0 || c >= a.ncols {
-						continue
-					}
-					vec := db.cols[c]
-					for k := 0; k < chunk; k++ {
-						slab[k*a.ncols+c] = vec[r+k]
-					}
-				}
-			} else {
-				for c := 0; c < a.ncols; c++ {
-					vec := db.cols[c]
-					for k := 0; k < chunk; k++ {
-						slab[k*a.ncols+c] = vec[r+k]
-					}
-				}
-			}
-			a.mu.RLock()
-			if len(a.visimap) == 0 && len(a.updated) == 0 {
-				// No deleted/updated tuples: skip the per-row map lookups.
-				for k := 0; k < chunk; k++ {
-					tid++
-					hdrs = append(hdrs, Header{TID: tid, Xmin: db.xmins[r+k]})
-					rows = append(rows, types.Row(slab[k*a.ncols:(k+1)*a.ncols:(k+1)*a.ncols]))
-				}
-			} else {
-				for k := 0; k < chunk; k++ {
-					tid++
-					hdrs = append(hdrs, Header{TID: tid, Xmin: db.xmins[r+k], Xmax: a.visimap[tid], UpdatedTo: a.updated[tid]})
-					rows = append(rows, types.Row(slab[k*a.ncols:(k+1)*a.ncols:(k+1)*a.ncols]))
-				}
-			}
-			a.mu.RUnlock()
-			r += chunk
-			if len(rows) == batchSize && !flush() {
-				return
-			}
-		}
-	}
-	// Tail (unsealed) rows. The tail has no zone map (it is still growing);
-	// it counts as one scanned unit when it holds rows.
-	tailCounted := false
-	for {
-		a.mu.RLock()
-		tailLen := len(a.tailX)
-		base := int(tid) - a.tailOffsetLocked()
-		if base < 0 || base >= tailLen {
-			// base < 0 means a concurrent Seal moved our position into a
-			// sealed block; stop rather than re-read (matches the bail-out
-			// behaviour of the row-at-a-time path under concurrent seals).
-			a.mu.RUnlock()
-			break
-		}
-		chunk := min(batchSize-len(rows), tailLen-base)
-		for k := 0; k < chunk; k++ {
-			i := base + k
-			tid++
-			row := buildRow(func(c int) types.Datum { return a.tail[c][i] })
-			hdrs = append(hdrs, Header{TID: tid, Xmin: a.tailX[i], Xmax: a.visimap[tid], UpdatedTo: a.updated[tid]})
-			rows = append(rows, row)
-		}
-		a.mu.RUnlock()
-		if !tailCounted && chunk > 0 {
-			tailCounted = true
-			opts.noteScanned()
-		}
-		if len(rows) == batchSize && !flush() {
-			return
-		}
-	}
-	flush()
-}
-
-// tailOffsetLocked returns the number of rows in sealed blocks (the tuple-id
-// offset of the first tail row). Callers hold a.mu.
-func (a *AOColumn) tailOffsetLocked() int {
-	n := 0
-	for i := range a.sealed {
-		n += a.sealed[i].n
-	}
-	return n
-}

@@ -104,12 +104,12 @@ func TestAOColumnLazyColumnDecode(t *testing.T) {
 		t.Fatal("projection decoded unrequested columns")
 	}
 	// A later wider scan fills in the rest without disturbing column 1.
-	prev := &db.cols[1][0]
+	prev := db.cols[1]
 	a.ForEachBatch(nil, 256, func([]Header, []types.Row) bool { return true })
 	if db.cols[0] == nil || db.cols[2] == nil {
 		t.Fatal("full scan did not decode remaining columns")
 	}
-	if &db.cols[1][0] != prev {
+	if db.cols[1] != prev {
 		t.Fatal("already-decoded column was re-decoded")
 	}
 }

@@ -50,7 +50,8 @@ type cacheEntry struct {
 }
 
 // NewBlockCache returns a cache bounded to capacity bytes of decoded vectors
-// (<= 0 = unbounded).
+// — their real footprint, types.Vec.Bytes plus 8 per xmin — (<= 0 =
+// unbounded).
 func NewBlockCache(capacity int64) *BlockCache {
 	return &BlockCache{
 		capacity: capacity,
@@ -95,12 +96,12 @@ func (c *BlockCache) plan(key blockKey, need []int, ncols int) (db *decodedBlock
 		c.lru.MoveToFront(el)
 		db = el.Value.(*cacheEntry).db
 	} else {
-		db = &decodedBlock{cols: make([][]types.Datum, ncols)}
+		db = &decodedBlock{cols: make([]*types.Vec, ncols)}
 		el := c.lru.PushFront(&cacheEntry{key: key, db: db})
 		c.entries[key] = el
 	}
 	for _, col := range need {
-		if col >= 0 && col < ncols && db.cols[col] == nil {
+		if db.cols[col] == nil {
 			missing = append(missing, col)
 		}
 	}
@@ -117,14 +118,14 @@ func (c *BlockCache) plan(key blockKey, need []int, ncols int) (db *decodedBlock
 // vectors into db (first writer wins — concurrent scans may race to decode
 // the same column), charges the grown bytes to the entry, and evicts
 // least-recently-used entries until the cache fits its capacity again.
-func (c *BlockCache) publish(key blockKey, db *decodedBlock, dec map[int][]types.Datum, xmins []txn.XID) {
+func (c *BlockCache) publish(key blockKey, db *decodedBlock, dec map[int]*types.Vec, xmins []txn.XID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var grew int64
 	for col, vals := range dec {
 		if db.cols[col] == nil {
 			db.cols[col] = vals
-			grew += datumsBytes(vals)
+			grew += vals.Bytes()
 		}
 	}
 	if db.xmins == nil && xmins != nil {
@@ -146,26 +147,24 @@ func (c *BlockCache) publish(key blockKey, db *decodedBlock, dec map[int][]types
 	c.evictOverflowLocked(el)
 }
 
-// evictOverflowLocked drops LRU entries until used fits capacity, never
-// evicting keep (the entry being filled right now). If keep alone exceeds the
-// whole capacity it is dropped too — a block bigger than the cache should not
-// pin it forever.
+// evictOverflowLocked drops least-recently-used entries until used fits
+// capacity, passing over keep (the entry being filled right now) wherever it
+// sits in the order. If keep alone exceeds the whole capacity it is dropped
+// too — a block bigger than the cache should not pin it forever — so used
+// never exceeds capacity when publish returns.
 func (c *BlockCache) evictOverflowLocked(keep *list.Element) {
 	if c.capacity <= 0 {
 		return
 	}
-	for c.used > c.capacity {
-		el := c.lru.Back()
-		if el == nil {
-			return
+	for el := c.lru.Back(); el != nil && c.used > c.capacity; {
+		prev := el.Prev()
+		if el != keep {
+			c.removeLocked(el)
 		}
-		if el == keep {
-			if c.lru.Len() == 1 {
-				c.removeLocked(el)
-			}
-			return
-		}
-		c.removeLocked(el)
+		el = prev
+	}
+	if c.used > c.capacity {
+		c.removeLocked(keep)
 	}
 }
 
@@ -204,13 +203,4 @@ func (c *BlockCache) InvalidateEngine(engine uint64) {
 		}
 		el = next
 	}
-}
-
-// datumsBytes is the accounted footprint of one decoded column vector.
-func datumsBytes(vals []types.Datum) int64 {
-	var n int64
-	for _, d := range vals {
-		n += d.Size()
-	}
-	return n
 }

@@ -162,3 +162,59 @@ func TestBlockCacheSharedAcrossTables(t *testing.T) {
 		t.Fatal("other table's block was invalidated")
 	}
 }
+
+// residentBytes sums the real footprint of every vector the cache holds.
+func residentBytes(c *BlockCache) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n int64
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		db := el.Value.(*cacheEntry).db
+		for _, v := range db.cols {
+			if v != nil {
+				n += v.Bytes()
+			}
+		}
+		n += 8 * int64(len(db.xmins))
+	}
+	return n
+}
+
+// TestBlockCacheChargesRealBytes: UsedBytes is the sum of the resident
+// vectors' footprints — 8 bytes per number, string headers plus the shared
+// text buffer, NULL bitmaps, xmins — and never exceeds the capacity once a
+// publish has returned, whatever the order blocks are touched in.
+func TestBlockCacheChargesRealBytes(t *testing.T) {
+	a := NewAOColumn(3, CompressionZlib)
+	for i := 0; i < 6*aoColBlockRows; i++ {
+		row := types.Row{types.NewInt(int64(i)), types.NewFloat(float64(i)), types.NewText("tag-07")}
+		if i%9 == 0 {
+			row[1] = types.Null
+		}
+		a.Insert(1, row)
+	}
+	a.Seal()
+	perBlock := int64(aoColBlockRows) * (8 + 8 + 16 + 6 + 8) // int, float, string header + 6 text bytes, xmin
+	perBlock += aoColBlockRows / 8                           // the float column's NULL bitmap
+	c := NewBlockCache(0)
+	a.SetBlockCache(c)
+	fullScan(a)
+	if st := c.Stats(); st.UsedBytes != 6*perBlock || st.UsedBytes != residentBytes(c) {
+		t.Fatalf("unbounded cache charges %d bytes, vectors hold %d, arithmetic says %d", st.UsedBytes, residentBytes(c), 6*perBlock)
+	}
+	c = NewBlockCache(2*perBlock + perBlock/2)
+	a.SetBlockCache(c)
+	for pass := 0; pass < 3; pass++ {
+		for _, opts := range []*ScanOpts{{Cols: []int{2}}, nil, {Cols: []int{0, 1}}} {
+			a.ForEachBatch(opts, 256, func([]Header, []types.Row) bool {
+				if st := c.Stats(); st.UsedBytes > c.Capacity() || st.UsedBytes != residentBytes(c) {
+					t.Fatalf("charged %d bytes, resident %d, capacity %d", st.UsedBytes, residentBytes(c), c.Capacity())
+				}
+				return true
+			})
+		}
+	}
+	if st := c.Stats(); st.Evictions == 0 {
+		t.Fatalf("a cache of 2.5 blocks swept by 6 never evicted: %+v", st)
+	}
+}

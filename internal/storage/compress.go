@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"repro/internal/types"
 )
@@ -63,54 +64,108 @@ func encodeDatums(vals []types.Datum) []byte {
 	return buf.Bytes()
 }
 
-// decodeDatums reverses encodeDatums.
-func decodeDatums(b []byte, n int) ([]types.Datum, error) {
-	out := make([]types.Datum, 0, n)
-	for len(out) < n {
-		if len(b) < 1 {
+// decodeVec reverses encodeDatums straight into a typed vector: the first
+// pass checks the framing and learns whether the values share one kind and
+// how many text bytes there are, the second fills the payload. Text values
+// are windows of one string holding exactly the block's text bytes. Values of
+// more than one kind come back boxed.
+func decodeVec(b []byte, n int) (*types.Vec, error) {
+	v := &types.Vec{}
+	mixed, textLen := false, 0
+	p := b
+	for i := 0; i < n; i++ {
+		if len(p) < 1 {
 			return nil, fmt.Errorf("storage: truncated column block")
 		}
-		kind := types.Kind(b[0])
-		b = b[1:]
+		kind, w := types.Kind(p[0]), 8
 		switch kind {
 		case types.KindNull:
-			out = append(out, types.Null)
-		case types.KindInt, types.KindBool, types.KindDate:
-			if len(b) < 8 {
-				return nil, fmt.Errorf("storage: truncated int datum")
-			}
-			v := int64(binary.LittleEndian.Uint64(b))
-			b = b[8:]
-			switch kind {
-			case types.KindBool:
-				out = append(out, types.NewBool(v != 0))
-			case types.KindDate:
-				out = append(out, types.NewDate(v))
-			default:
-				out = append(out, types.NewInt(v))
-			}
-		case types.KindFloat:
-			if len(b) < 8 {
-				return nil, fmt.Errorf("storage: truncated float datum")
-			}
-			out = append(out, types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b))))
-			b = b[8:]
+			w = 0
+		case types.KindInt, types.KindBool, types.KindDate, types.KindFloat:
 		case types.KindText:
-			if len(b) < 4 {
+			if len(p) < 5 {
 				return nil, fmt.Errorf("storage: truncated text length")
 			}
-			ln := int(binary.LittleEndian.Uint32(b))
-			b = b[4:]
-			if len(b) < ln {
-				return nil, fmt.Errorf("storage: truncated text datum")
-			}
-			out = append(out, types.NewText(string(b[:ln])))
-			b = b[ln:]
+			w = 4 + int(binary.LittleEndian.Uint32(p[1:]))
+			textLen += w - 4
 		default:
 			return nil, fmt.Errorf("storage: bad datum kind %d", kind)
 		}
+		if len(p) < 1+w {
+			return nil, fmt.Errorf("storage: truncated %s datum", kind)
+		}
+		p = p[1+w:]
+		if kind != types.KindNull {
+			mixed = mixed || (v.Kind != types.KindNull && v.Kind != kind)
+			v.Kind = kind
+		}
 	}
-	return out, nil
+	var text strings.Builder
+	switch {
+	case mixed:
+		v.Boxed = make([]types.Datum, n)
+	case v.Kind == types.KindFloat:
+		v.Floats = make([]float64, n)
+	case v.Kind == types.KindText:
+		v.Strs = make([]string, n)
+		text.Grow(textLen)
+	default:
+		if v.Kind == types.KindNull {
+			v.Kind = types.KindInt // all NULL
+		}
+		v.Ints = make([]int64, n)
+	}
+	ends := make([]int, 0, len(v.Strs))
+	for i := 0; i < n; i++ {
+		kind := types.Kind(b[0])
+		b = b[1:]
+		var bits uint64
+		var s []byte
+		switch kind {
+		case types.KindNull:
+		case types.KindText:
+			ln := int(binary.LittleEndian.Uint32(b))
+			s, b = b[4:4+ln], b[4+ln:]
+		default:
+			bits, b = binary.LittleEndian.Uint64(b), b[8:]
+		}
+		switch {
+		case mixed:
+			v.Boxed[i] = boxDatum(kind, bits, s)
+		case kind == types.KindNull:
+			v.SetNull(i)
+		case v.Floats != nil:
+			v.Floats[i] = math.Float64frombits(bits)
+		case v.Ints != nil:
+			v.Ints[i] = int64(bits)
+		}
+		if v.Strs != nil {
+			text.Write(s)
+			ends = append(ends, text.Len())
+		}
+	}
+	for i, big, lo := 0, text.String(), 0; i < len(ends); i++ {
+		v.Strs[i] = big[lo:ends[i]]
+		lo = ends[i]
+	}
+	return v, nil
+}
+
+// boxDatum builds the datum of a decoded value of a mixed-kind block.
+func boxDatum(kind types.Kind, bits uint64, text []byte) types.Datum {
+	switch kind {
+	case types.KindInt:
+		return types.NewInt(int64(bits))
+	case types.KindBool:
+		return types.NewBool(bits != 0)
+	case types.KindDate:
+		return types.NewDate(int64(bits))
+	case types.KindFloat:
+		return types.NewFloat(math.Float64frombits(bits))
+	case types.KindText:
+		return types.NewText(string(text))
+	}
+	return types.Null
 }
 
 // allIntLike reports whether every value is int/date/bool (or NULL), which
@@ -185,7 +240,10 @@ func rleDeltaEncode(vals []types.Datum) []byte {
 	return buf.Bytes()
 }
 
-func rleDeltaDecode(b []byte) ([]types.Datum, error) {
+// rleDeltaDecode reverses rleDeltaEncode into an Ints vector (the decoded
+// run values are the payload), boxed only when the non-NULL values are of
+// more than one int-like kind.
+func rleDeltaDecode(b []byte) (*types.Vec, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("storage: truncated rle block")
 	}
@@ -213,18 +271,16 @@ func rleDeltaDecode(b []byte) ([]types.Datum, error) {
 			i++
 		}
 	}
-	out := make([]types.Datum, n)
+	v := &types.Vec{Kind: types.KindInt, Ints: make([]int64, n)}
 	if n == 0 {
-		return out, nil
+		return v, nil
 	}
-	first, err := binary.ReadVarint(rd)
-	if err != nil {
+	ints := v.Ints
+	var err error
+	if ints[0], err = binary.ReadVarint(rd); err != nil {
 		return nil, fmt.Errorf("storage: bad rle first value: %w", err)
 	}
-	ints := make([]int64, n)
-	ints[0] = first
-	i := 1
-	for i < n {
+	for i := 1; i < n; {
 		runLen, err := binary.ReadVarint(rd)
 		if err != nil {
 			return nil, fmt.Errorf("storage: bad rle run length: %w", err)
@@ -238,21 +294,29 @@ func rleDeltaDecode(b []byte) ([]types.Datum, error) {
 			i++
 		}
 	}
+	first, mixed := types.KindNull, false
 	for i := 0; i < n; i++ {
 		if nulls[i/8]&(1<<(i%8)) != 0 {
-			out[i] = types.Null
-			continue
-		}
-		switch types.Kind(kinds[i]) {
-		case types.KindBool:
-			out[i] = types.NewBool(ints[i] != 0)
-		case types.KindDate:
-			out[i] = types.NewDate(ints[i])
-		default:
-			out[i] = types.NewInt(ints[i])
+			v.SetNull(i)
+		} else if k := types.Kind(kinds[i]); first == types.KindNull {
+			first = k
+		} else if k != first {
+			mixed = true
 		}
 	}
-	return out, nil
+	if !mixed {
+		if first == types.KindBool || first == types.KindDate {
+			v.Kind = first
+		}
+		return v, nil
+	}
+	boxed := &types.Vec{Boxed: make([]types.Datum, n)}
+	for i := range boxed.Boxed {
+		if !v.Null(i) {
+			boxed.Boxed[i] = boxDatum(types.Kind(kinds[i]), uint64(ints[i]), nil)
+		}
+	}
+	return boxed, nil
 }
 
 func zlibCompress(b []byte) []byte {
@@ -290,7 +354,7 @@ func compressBlock(codec Compression, vals []types.Datum) ([]byte, Compression) 
 }
 
 // decompressBlock reverses compressBlock.
-func decompressBlock(codec Compression, data []byte, n int) ([]types.Datum, error) {
+func decompressBlock(codec Compression, data []byte, n int) (*types.Vec, error) {
 	switch codec {
 	case CompressionRLEDelta:
 		return rleDeltaDecode(data)
@@ -299,8 +363,8 @@ func decompressBlock(codec Compression, data []byte, n int) ([]types.Datum, erro
 		if err != nil {
 			return nil, err
 		}
-		return decodeDatums(raw, n)
+		return decodeVec(raw, n)
 	default:
-		return decodeDatums(data, n)
+		return decodeVec(data, n)
 	}
 }

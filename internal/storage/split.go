@@ -1,7 +1,8 @@
 package storage
 
 import (
-	"repro/internal/txn"
+	"math"
+
 	"repro/internal/types"
 )
 
@@ -13,6 +14,11 @@ import (
 type BlockRange struct {
 	Begin, End int
 }
+
+// WholeTable is the open-ended range of a full scan. Where an engine chases
+// its tail (the column store's ScanVectors) it also covers rows appended
+// while the scan runs.
+var WholeTable = BlockRange{End: math.MaxInt}
 
 // Rows returns the number of row offsets the range covers.
 func (r BlockRange) Rows() int { return r.End - r.Begin }
@@ -145,138 +151,6 @@ func (a *AOColumn) SplitBlocks(n int) []BlockRange {
 		out = append(out, BlockRange{Begin: begin, End: count})
 	}
 	return out
-}
-
-// ForEachBatchRange implements BlockSplitter for the AO-column engine. Like
-// the full batch scan it decodes each sealed block once via the block cache,
-// builds rows directly from the decoded vectors, and skips blocks whose zone
-// map rules out the pushed predicate — each parallel worker skips its own
-// blocks independently; unlike the full scan it covers a static snapshot of
-// the range (tail rows appended after SplitBlocks planned the ranges are not
-// chased).
-func (a *AOColumn) ForEachBatchRange(r BlockRange, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
-	cols := opts.cols()
-	pred := opts.pred()
-	blockRows, zones := a.sealedZones()
-	a.mu.RLock()
-	count := a.count
-	a.mu.RUnlock()
-	begin, end := clampRange(r, count)
-	if begin >= end {
-		return
-	}
-	hdrs := make([]Header, 0, batchSize)
-	rows := make([]types.Row, 0, batchSize)
-	flush := func() bool {
-		if len(rows) == 0 {
-			return true
-		}
-		ok := fn(hdrs, rows)
-		hdrs = hdrs[:0]
-		rows = rows[:0]
-		return ok
-	}
-	emit := func(get func(row, col int) types.Datum, xmin func(row int) txn.XID, off, lo, hi int) bool {
-		for rr := lo; rr < hi; {
-			chunk := min(batchSize-len(rows), hi-rr)
-			slab := make([]types.Datum, chunk*a.ncols)
-			if cols != nil {
-				for i := range slab {
-					slab[i] = types.Null
-				}
-				for _, c := range cols {
-					if c < 0 || c >= a.ncols {
-						continue
-					}
-					for k := 0; k < chunk; k++ {
-						slab[k*a.ncols+c] = get(rr+k, c)
-					}
-				}
-			} else {
-				for c := 0; c < a.ncols; c++ {
-					for k := 0; k < chunk; k++ {
-						slab[k*a.ncols+c] = get(rr+k, c)
-					}
-				}
-			}
-			a.mu.RLock()
-			noDead := len(a.visimap) == 0 && len(a.updated) == 0
-			for k := 0; k < chunk; k++ {
-				tid := TupleID(off + rr + k + 1)
-				h := Header{TID: tid, Xmin: xmin(rr + k)}
-				if !noDead {
-					h.Xmax = a.visimap[tid]
-					h.UpdatedTo = a.updated[tid]
-				}
-				hdrs = append(hdrs, h)
-				rows = append(rows, types.Row(slab[k*a.ncols:(k+1)*a.ncols:(k+1)*a.ncols]))
-			}
-			a.mu.RUnlock()
-			rr += chunk
-			if len(rows) == batchSize && !flush() {
-				return false
-			}
-		}
-		return true
-	}
-	off := 0
-	for b := 0; b < len(blockRows) && off < end; b++ {
-		bn := blockRows[b]
-		if off+bn <= begin {
-			off += bn
-			continue
-		}
-		if pred != nil && !pred.MatchZone(zones[b]) {
-			opts.noteSkipped()
-			off += bn
-			continue
-		}
-		opts.noteScanned()
-		db, err := a.decoded(b, cols)
-		if err != nil {
-			return
-		}
-		lo := max(0, begin-off)
-		hi := min(bn, end-off)
-		if !emit(func(row, col int) types.Datum { return db.cols[col][row] },
-			func(row int) txn.XID { return db.xmins[row] }, off, lo, hi) {
-			return
-		}
-		off += bn
-	}
-	// Tail (unsealed) portion of the range. The tail's backing arrays are
-	// reused by a concurrent Seal, so rows are copied out under the table
-	// lock; if a seal moved the tail offset since the range was planned, the
-	// scan bails (matching the full batch scan's behaviour under concurrent
-	// seals). The tail has no zone map and counts as one scanned unit.
-	if off < end {
-		lo := max(0, begin-off)
-		a.mu.RLock()
-		if a.tailOffsetLocked() != off {
-			a.mu.RUnlock()
-			flush()
-			return
-		}
-		hi := min(end-off, len(a.tailX))
-		var tcols [][]types.Datum
-		var txm []txn.XID
-		if lo < hi {
-			tcols = make([][]types.Datum, a.ncols)
-			for c := range tcols {
-				tcols[c] = append([]types.Datum(nil), a.tail[c][lo:hi]...)
-			}
-			txm = append([]txn.XID(nil), a.tailX[lo:hi]...)
-		}
-		a.mu.RUnlock()
-		if lo < hi {
-			opts.noteScanned()
-			if !emit(func(row, col int) types.Datum { return tcols[col][row-lo] },
-				func(row int) txn.XID { return txm[row-lo] }, off, lo, hi) {
-				return
-			}
-		}
-	}
-	flush()
 }
 
 // clampRange bounds r to [0, count).

@@ -152,12 +152,14 @@ func TestAOColumnProjectedScanAndSeal(t *testing.T) {
 	a.Seal()
 	// Projected scan decodes only column 2.
 	var sum int64
-	a.ForEachProjected([]int{2}, func(h Header, r types.Row) bool {
-		if !r[1].IsNull() {
-			// column 1 was not requested: must be NULL in the emitted row
-			panic("unrequested column materialized")
+	a.ForEachBatch(&ScanOpts{Cols: []int{2}}, 256, func(_ []Header, rows []types.Row) bool {
+		for _, r := range rows {
+			if !r[1].IsNull() {
+				// column 1 was not requested: must be NULL in the emitted row
+				panic("unrequested column materialized")
+			}
+			sum += r[2].Int()
 		}
-		sum += r[2].Int()
 		return true
 	})
 	var want int64
@@ -196,8 +198,8 @@ func TestCompressionRoundTrip(t *testing.T) {
 			t.Fatalf("%v: %v", codec, err)
 		}
 		for i := range vals {
-			if types.Compare(got[i], vals[i]) != 0 {
-				t.Fatalf("%v: [%d] = %v, want %v", codec, i, got[i], vals[i])
+			if g := got.At(i); types.Compare(g, vals[i]) != 0 || g.Kind() != vals[i].Kind() {
+				t.Fatalf("%v: [%d] = %v, want %v", codec, i, g, vals[i])
 			}
 		}
 	}
@@ -218,8 +220,8 @@ func TestCompressionRoundTripMixedKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range vals {
-		if types.Compare(got[i], vals[i]) != 0 {
-			t.Fatalf("[%d] = %v, want %v", i, got[i], vals[i])
+		if g := got.At(i); types.Compare(g, vals[i]) != 0 || g.Kind() != vals[i].Kind() {
+			t.Fatalf("[%d] = %v, want %v", i, g, vals[i])
 		}
 	}
 }
@@ -232,11 +234,11 @@ func TestQuickRLEDeltaRoundTrip(t *testing.T) {
 		}
 		data := rleDeltaEncode(vals)
 		got, err := rleDeltaDecode(data)
-		if err != nil || len(got) != len(vals) {
+		if err != nil || got.Len() != len(vals) {
 			return false
 		}
 		for i := range vals {
-			if got[i].Int() != vals[i].Int() {
+			if got.At(i).Int() != vals[i].Int() {
 				return false
 			}
 		}
@@ -253,19 +255,20 @@ func TestQuickDatumCodecRoundTrip(t *testing.T) {
 			types.NewInt(i), types.NewText(s), types.NewFloat(fl), types.NewBool(b), types.Null,
 		}
 		data := encodeDatums(vals)
-		got, err := decodeDatums(data, len(vals))
+		got, err := decodeVec(data, len(vals))
 		if err != nil {
 			return false
 		}
 		for j := range vals {
-			if got[j].Kind() != vals[j].Kind() {
+			g := got.At(j)
+			if g.Kind() != vals[j].Kind() {
 				return false
 			}
 			if vals[j].Kind() == types.KindFloat {
-				if got[j].Float() != vals[j].Float() {
+				if g.Float() != vals[j].Float() {
 					return false
 				}
-			} else if types.Compare(got[j], vals[j]) != 0 {
+			} else if types.Compare(g, vals[j]) != 0 {
 				return false
 			}
 		}

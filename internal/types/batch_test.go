@@ -1,6 +1,9 @@
 package types
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestRowBatchReuseKeepsCapacity(t *testing.T) {
 	b := NewRowBatch(8)
@@ -109,5 +112,63 @@ func TestRowBatchEmptySelection(t *testing.T) {
 	}
 	if c := b.CloneRows(); c.Len() != 0 {
 		t.Fatalf("clone of empty selection: %v", c.Rows)
+	}
+}
+
+// TestRowBatchColumnLayout: Len, Index, Live, windowing and the clones mean
+// the same on a column batch as on the row batch holding the same rows — with
+// NULLs, a boxed (mixed-kind) vector, an unpopulated column, a selection and
+// a window that does not start at the vectors' first value.
+func TestRowBatchColumnLayout(t *testing.T) {
+	var rows []Row
+	for i := 0; i < 70; i++ {
+		r := Row{NewInt(int64(i)), NewFloat(float64(i) / 2), NewText(string(rune('a' + i%26))), NewDate(int64(i)), Null}
+		if i%7 == 0 {
+			r[i%4] = Null
+		}
+		if i%5 == 0 {
+			r[1] = NewInt(int64(i)) // mixed with floats: boxed
+		}
+		rows = append(rows, r)
+	}
+	vecs := make([]Vec, 5) // column 4 stays the zero Vec
+	for c := 0; c < 4; c++ {
+		col := make([]Datum, len(rows))
+		for i, r := range rows {
+			col[i] = r[c]
+		}
+		vecs[c] = VecOf(col)
+	}
+	if vecs[0].Ints == nil || vecs[1].Boxed == nil || vecs[2].Strs == nil || vecs[3].Kind != KindDate {
+		t.Fatalf("vector layouts: %+v", vecs)
+	}
+	const lo, n = 3, 66
+	same := func(name string, col, row *RowBatch) {
+		t.Helper()
+		if col.Len() != row.Len() || col.Total() != row.Total() {
+			t.Fatalf("%s: len %d/%d, rows say %d/%d", name, col.Len(), col.Total(), row.Len(), row.Total())
+		}
+		for i := 0; i < row.Len(); i++ {
+			if g, w := col.Live(i), row.Live(i); col.Index(i) != row.Index(i) || g.String() != w.String() || g[1].Kind() != w[1].Kind() {
+				t.Fatalf("%s: live row %d = %v, rows say %v", name, i, g, w)
+			}
+		}
+	}
+	for _, sel := range [][]int{nil, {0, 5, 6, 64, 65}, {}} {
+		col := &RowBatch{Sel: sel, Cols: &ColBatch{Vecs: vecs, Lo: lo, N: n}}
+		row := &RowBatch{Sel: sel, Rows: rows[lo : lo+n]}
+		same("batch", col, row)
+		same("CloneRows", col.CloneRows(), row.CloneRows())
+		same("DeepClone", col.DeepClone(), row.DeepClone())
+		if col.Size() != row.Size() {
+			t.Fatalf("size %d, rows say %d", col.Size(), row.Size())
+		}
+		if l := row.Len(); l > 3 {
+			cw, rw := col.Window(1, l-1), row.Window(1, l-1)
+			same("Window", &cw, &rw)
+		}
+	}
+	if got := unsafe.Sizeof(RowBatch{}); got > 6*unsafe.Sizeof(uintptr(0))+unsafe.Sizeof(uintptr(0)) {
+		t.Fatalf("RowBatch is %d bytes: the column layout must hide behind one word", got)
 	}
 }

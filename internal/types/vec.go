@@ -1,0 +1,154 @@
+package types
+
+// Vec is a typed column vector, the unit of a batch's column layout. Exactly
+// one payload slice is set: Ints for int/bool/date values, Floats, Strs, or —
+// only when the values are not all of one kind — Boxed datums. NULLs are a
+// bitmap beside the payload (a Boxed vector holds its NULLs as datums). The
+// zero Vec stands for a column nobody populated: it reads NULL at every index.
+//
+// A Vec is a value holding slice headers: Slice and plain assignment share
+// the payload, which is immutable once the vector is handed out (the block
+// cache serves the same vectors to every concurrent scan).
+type Vec struct {
+	Kind   Kind // kind of every non-NULL value of a typed payload
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+	Boxed  []Datum
+	nulls  []uint64 // bit off+i set: value i is NULL; nil: no NULLs
+	off    int
+}
+
+// VecOf builds a vector from datums: typed when every non-NULL value has the
+// same kind, boxed otherwise. Text values keep referencing the datums'
+// strings.
+func VecOf(vals []Datum) Vec {
+	var v Vec
+	for _, d := range vals {
+		switch {
+		case d.kind == KindNull:
+		case v.Kind == KindNull:
+			v.Kind = d.kind
+		case v.Kind != d.kind:
+			return Vec{Boxed: append([]Datum(nil), vals...)}
+		}
+	}
+	switch v.Kind {
+	case KindFloat:
+		v.Floats = make([]float64, len(vals))
+	case KindText:
+		v.Strs = make([]string, len(vals))
+	default:
+		if v.Kind == KindNull {
+			v.Kind = KindInt // all NULL
+		}
+		v.Ints = make([]int64, len(vals))
+	}
+	for i, d := range vals {
+		switch {
+		case d.kind == KindNull:
+			v.SetNull(i)
+		case v.Floats != nil:
+			v.Floats[i] = d.f
+		case v.Strs != nil:
+			v.Strs[i] = d.s
+		default:
+			v.Ints[i] = d.i
+		}
+	}
+	return v
+}
+
+// Len returns the number of values.
+func (v *Vec) Len() int { return len(v.Ints) + len(v.Floats) + len(v.Strs) + len(v.Boxed) }
+
+// HasNulls reports whether the vector carries a NULL bitmap.
+func (v *Vec) HasNulls() bool { return v.nulls != nil }
+
+// Null reports whether value i is NULL by the bitmap (a Boxed NULL is a
+// datum, not a bit).
+func (v *Vec) Null(i int) bool {
+	i += v.off
+	return i>>6 < len(v.nulls) && v.nulls[i>>6]>>(uint(i)&63)&1 != 0
+}
+
+// SetNull marks value i NULL. Only the builder of a vector calls it, before
+// the vector is shared.
+func (v *Vec) SetNull(i int) {
+	i += v.off
+	for len(v.nulls) <= i>>6 {
+		v.nulls = append(v.nulls, 0)
+	}
+	v.nulls[i>>6] |= 1 << (uint(i) & 63)
+}
+
+// At returns value i as a datum.
+func (v *Vec) At(i int) Datum {
+	switch {
+	case v.Null(i):
+		return Null
+	case v.Boxed != nil:
+		return v.Boxed[i]
+	case v.Ints != nil:
+		return Datum{kind: v.Kind, i: v.Ints[i]}
+	case v.Floats != nil:
+		return Datum{kind: KindFloat, f: v.Floats[i]}
+	case v.Strs != nil:
+		return Datum{kind: KindText, s: v.Strs[i]}
+	}
+	return Null
+}
+
+// Slice returns the window [lo, hi) of the vector, sharing its payload.
+func (v *Vec) Slice(lo, hi int) Vec {
+	out := Vec{Kind: v.Kind, nulls: v.nulls, off: v.off + lo}
+	switch {
+	case v.Boxed != nil:
+		out.Boxed = v.Boxed[lo:hi:hi]
+	case v.Ints != nil:
+		out.Ints = v.Ints[lo:hi:hi]
+	case v.Floats != nil:
+		out.Floats = v.Floats[lo:hi:hi]
+	case v.Strs != nil:
+		out.Strs = v.Strs[lo:hi:hi]
+	}
+	return out
+}
+
+// Reset turns v into an n-value output buffer with no NULLs, reusing its
+// payload when it is big enough: Floats for KindFloat, Boxed for KindNull,
+// Ints for every other kind. Values are whatever the buffer held; the caller
+// writes every position it will read.
+func (v *Vec) Reset(kind Kind, n int) {
+	ints, floats, boxed := v.Ints, v.Floats, v.Boxed
+	*v = Vec{Kind: kind}
+	switch kind {
+	case KindFloat:
+		v.Floats = resize(floats, n)
+	case KindNull:
+		v.Boxed = resize(boxed, n)
+	default:
+		v.Ints = resize(ints, n)
+	}
+}
+
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Bytes returns the vector's memory footprint: payload, string bytes (text
+// decoded from one block shares a single buffer of exactly that size) and
+// NULL bitmap. The block cache charges it.
+func (v *Vec) Bytes() int64 {
+	n := int64(8*len(v.Ints) + 8*len(v.Floats) + 16*len(v.Strs) + 40*len(v.Boxed) + 8*len(v.nulls))
+	for _, s := range v.Strs {
+		n += int64(len(s))
+	}
+	for _, d := range v.Boxed {
+		n += int64(len(d.s))
+	}
+	return n
+}
