@@ -418,6 +418,8 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric *interconnect.Fabric, nseg int) error {
 	it := exec.BuildBatchParallel(ec, m.Child)
 	defer it.Close()
+	var rows []types.Row // redistribute scratch, reused across batches
+	var dests []int
 	for {
 		b, err := it.NextBatch()
 		if err == io.EOF {
@@ -433,29 +435,37 @@ func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric
 				return err
 			}
 		case plan.MotionRedistribute:
-			outs := make([]*types.RowBatch, nseg)
+			// Route first, so each destination's container is allocated to
+			// what it receives and not to the whole batch.
+			rows, dests = rows[:0], dests[:0]
+			counts := make([]int, nseg)
 			for i, l := 0, b.Len(); i < l; i++ {
 				row := b.Live(i)
 				dest, err := exec.HashForRedistribute(m.HashExprs, row, nseg)
 				if err != nil {
 					return err
 				}
-				if outs[dest] == nil {
-					outs[dest] = types.NewRowBatch(b.Len())
+				rows, dests = append(rows, row), append(dests, dest)
+				counts[dest]++
+			}
+			outs := make([]*types.RowBatch, nseg)
+			for i, row := range rows {
+				d := dests[i]
+				if outs[d] == nil {
+					outs[d] = types.NewRowBatch(counts[d])
 				}
-				outs[dest].Append(row)
+				outs[d].Append(row)
 			}
 			for d, ob := range outs {
-				if ob == nil {
-					continue
-				}
 				if err := fabric.SendBatch(ctx, m.SliceID, d, ob); err != nil {
 					return err
 				}
 			}
 		case plan.MotionBroadcast:
+			// Rows are immutable once emitted, so every destination gets its
+			// own container over the same rows.
 			for d := 0; d < nseg; d++ {
-				if err := fabric.SendBatch(ctx, m.SliceID, d, b.DeepClone()); err != nil {
+				if err := fabric.SendBatch(ctx, m.SliceID, d, b.CloneRows()); err != nil {
 					return err
 				}
 			}

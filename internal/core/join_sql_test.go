@@ -1,0 +1,290 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/types"
+)
+
+// vectorCols are the columns of loadVectorTables' tables, in order.
+var vectorCols = []string{"k", "g", "d", "q", "amt", "tag", "ok", "day", "mix"}
+
+// TestJoinOutputMatchesStarProjection checks the pruned joins against the
+// unpruned one: SELECT * over a join keeps every column (Out == nil, scans
+// whole), so projecting, grouping and sorting its rows here in Go is an
+// oracle for the same FROM clause read through a select list that lets the
+// planner prune. Shapes: inner and LEFT, a residual comparing both sides, an
+// expression key, a join under a join, a nested loop, AO-column on either
+// side, a boxed mixed-kind column as join output, NULL keys, and unmatched
+// LEFT rows whose right side an aggregate reads — at exec_parallelism 1 and
+// 4, with the cost-based passes (which reorder and re-project) on and off.
+func TestJoinOutputMatchesStarProjection(t *testing.T) {
+	e := NewEngine(cluster.GPDB6(2))
+	defer e.Close()
+	s, err := e.NewSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadVectorTables(t, s)
+	mustExec(t, s, "CREATE TABLE sm (k int, g int, d int, q int, amt float, tag text, ok bool, day date, mix float) DISTRIBUTED BY (k)")
+	mustExec(t, s, "INSERT INTO sm SELECT * FROM fh WHERE k < 40")
+	mustExec(t, s, "ANALYZE")
+	if err := s.SetOptimizer("orca"); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		from string // FROM and WHERE over aliases a, b, c in that order
+		cols []int  // offsets into the SELECT * row: alias i's columns start at 9*i
+	}{
+		{"fh a JOIN fc b ON a.k = b.k WHERE a.q < 5", []int{1, 13, 14}},
+		{"fc a JOIN fh b ON a.k = b.k WHERE b.d > 400", []int{16, 8, 0}},
+		{"sm a JOIN fc b ON a.g = b.g AND a.q > b.d", []int{0, 9, 12}},
+		{"fh a LEFT JOIN fc b ON a.k = b.k + 1 AND b.q > 25 WHERE a.k < 2000", []int{1, 14, 17}},
+		{"fc a LEFT JOIN fh b ON a.k = b.k + 1 AND b.q > 25 WHERE a.k < 2000", []int{5, 9}},
+		{"fh a JOIN fc b ON a.k = b.k JOIN fh c ON b.g = c.k WHERE a.d < 60", []int{5, 22, 15}},
+		{"fc a JOIN sm b ON a.g = b.k JOIN fc c ON c.k = a.k + 1 WHERE a.k < 4000 AND c.q < 30", []int{25, 3, 10}},
+		{"fc a LEFT JOIN sm b ON a.q > b.q + 40 AND b.k < 30 WHERE a.k < 1500", []int{0, 14, 17}},
+		{"sm a JOIN fh b ON a.k < b.k AND b.k < a.q WHERE a.g > 3", []int{2, 9}},
+	}
+	name := func(c int) string { return fmt.Sprintf("%c.%s", 'a'+c/len(vectorCols), vectorCols[c%len(vectorCols)]) }
+	render := func(rows []types.Row) string { return sortedRows(&Result{Rows: rows}) }
+	for _, dop := range []int{1, 4} {
+		for _, costopt := range []string{"on", "off"} {
+			mustExec(t, s, fmt.Sprint("SET exec_parallelism = ", dop))
+			mustExec(t, s, "SET enable_costopt = "+costopt)
+			for _, tc := range cases {
+				at := fmt.Sprintf("dop %d costopt %s: %s", dop, costopt, tc.from)
+				star := mustExec(t, s, "SELECT * FROM "+tc.from).Rows
+				if len(star) == 0 {
+					t.Fatalf("%s: the oracle join is empty", at)
+				}
+				var list []string
+				proj := make([]types.Row, len(star))
+				for _, c := range tc.cols {
+					list = append(list, name(c))
+					for i, r := range star {
+						proj[i] = append(proj[i], r[c])
+					}
+				}
+				sel := strings.Join(list, ", ")
+
+				if got, want := render(mustExec(t, s, "SELECT "+sel+" FROM "+tc.from).Rows), render(proj); got != want {
+					t.Fatalf("%s: SELECT %s\ngot:\n%s\nSELECT * says:\n%s", at, sel, got, want)
+				}
+
+				// GROUP BY the first column: count(*) and count(last column).
+				type agg struct{ key, n, last types.Datum }
+				groups := map[string]*agg{}
+				for _, r := range proj {
+					g := groups[r[0].String()]
+					if g == nil {
+						g = &agg{key: r[0], n: types.NewInt(0), last: types.NewInt(0)}
+						groups[r[0].String()] = g
+					}
+					g.n = types.NewInt(g.n.Int() + 1)
+					if !r[len(r)-1].IsNull() {
+						g.last = types.NewInt(g.last.Int() + 1)
+					}
+				}
+				var want []types.Row
+				for _, g := range groups {
+					want = append(want, types.Row{g.key, g.n, g.last})
+				}
+				q := fmt.Sprintf("SELECT %s, count(*), count(%s) FROM %s GROUP BY %s", list[0], list[len(list)-1], tc.from, list[0])
+				if got, want := render(mustExec(t, s, q).Rows), render(want); got != want {
+					t.Fatalf("%s: %s\ngot:\n%s\nSELECT * says:\n%s", at, q, got, want)
+				}
+
+				// Join → sort → limit, ordered by every selected column.
+				sort.SliceStable(proj, func(i, j int) bool {
+					for c := range proj[i] {
+						if cmp := types.Compare(proj[i][c], proj[j][c]); cmp != 0 {
+							return cmp < 0
+						}
+					}
+					return false
+				})
+				q = fmt.Sprintf("SELECT %s FROM %s ORDER BY %s LIMIT 7", sel, tc.from, sel)
+				if got, want := rowsText(mustExec(t, s, q)), rowsText(&Result{Rows: proj[:min(7, len(proj))]}); got != want {
+					t.Fatalf("%s: %s\ngot:\n%s\nSELECT * says:\n%s", at, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGroupByOrdinal: a bare integer in GROUP BY is the position of a select
+// item, as in ORDER BY — it used to bind as the constant, putting every row
+// in one group. Heap and AO-column, serial and parallel.
+func TestGroupByOrdinal(t *testing.T) {
+	e := NewEngine(cluster.GPDB6(2))
+	defer e.Close()
+	s, _ := e.NewSession("")
+	ctx := context.Background()
+	for _, engine := range []string{"", " WITH (appendonly=true, orientation=column)"} {
+		mustExec(t, s, "CREATE TABLE t (a int, b int, c int)"+engine+" DISTRIBUTED BY (c)")
+		mustExec(t, s, "INSERT INTO t VALUES (1,10,0),(2,20,1),(2,30,2),(3,5,3)")
+		bulkInsert(t, s, "t", 9000, 0, func(i int) string { return fmt.Sprintf("(%d,%d,%d)", 10+i%7, i%3, i) })
+		for _, dop := range []int{1, 4} {
+			mustExec(t, s, fmt.Sprint("SET exec_parallelism = ", dop))
+			if got := rowsText(mustExec(t, s, "SELECT a, sum(b) FROM t WHERE c < 4 AND b > 2 GROUP BY 1 ORDER BY 1")); got != "int:1|int:10\nint:2|int:50\nint:3|int:5\n" {
+				t.Fatalf("engine %q dop %d: GROUP BY 1 over (1,10),(2,20),(2,30),(3,5):\n%s", engine, dop, got)
+			}
+			for _, pair := range [][2]string{
+				{"SELECT a, sum(b) FROM t GROUP BY 1", "SELECT a, sum(b) FROM t GROUP BY a"},
+				{"SELECT a, b, count(*), max(c) FROM t GROUP BY 1, 2", "SELECT a, b, count(*), max(c) FROM t GROUP BY a, b"},
+				{"SELECT count(*), a + b FROM t GROUP BY 2", "SELECT count(*), a + b FROM t GROUP BY a + b"},
+				{"SELECT b, a FROM t GROUP BY 2, 1 ORDER BY 2 DESC, 1", "SELECT b, a FROM t GROUP BY a, b ORDER BY a DESC, b"},
+			} {
+				got, want := mustExec(t, s, pair[0]), mustExec(t, s, pair[1])
+				if len(want.Rows) < 4 || sortedRows(got) != sortedRows(want) {
+					t.Fatalf("engine %q dop %d: %s\n%s\n%s\n%s", engine, dop, pair[0], sortedRows(got), pair[1], sortedRows(want))
+				}
+			}
+		}
+		for q, want := range map[string]string{
+			"SELECT a, sum(b) FROM t GROUP BY 3": "GROUP BY position 3 is not in the select list",
+			"SELECT a, sum(b) FROM t GROUP BY 0": "GROUP BY position 0 is not in the select list",
+			"SELECT a, sum(b) FROM t GROUP BY 2": "GROUP BY position 2 names an aggregate",
+		} {
+			if _, err := s.Exec(ctx, q); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %v, want %q", q, err, want)
+			}
+		}
+		mustExec(t, s, "DROP TABLE t")
+	}
+}
+
+// allocPerRow runs q once to warm caches and plans, then runs times more and
+// returns the bytes allocated per run divided by rows.
+func allocPerRow(t *testing.T, s *Session, q string, runs, rows int, check func(*Result)) float64 {
+	t.Helper()
+	check(mustExec(t, s, q))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		check(mustExec(t, s, q))
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*rows)
+}
+
+// TestJoinAllocations is the allocation gate of the join's column output, by
+// count and not by clock: a warm join-and-aggregate over heap tables that
+// produces 100 000 joined rows allocates at most 64 bytes per joined row. It
+// was about 1 250 when the probe built a combined row per match and the
+// "restore column order" Project copied it.
+func TestJoinAllocations(t *testing.T) {
+	const nOrders, nLines, runs = 500, 100000, 3
+	e := NewEngine(cluster.GPDB6(2))
+	defer e.Close()
+	s, _ := e.NewSession("")
+	mustExec(t, s, "CREATE TABLE o (k int, a int, b int, c int, d int, e int, f int) DISTRIBUTED BY (k)")
+	mustExec(t, s, "CREATE TABLE l (k int, n int, i int, q int, v float, d int, x int, y int) DISTRIBUTED BY (k)")
+	bulkInsert(t, s, "o", nOrders, 0, func(i int) string { return fmt.Sprintf("(%d,%d,%d,%d,%d,%d,%d)", i, i%10, i%7, i, i, i, i) })
+	bulkInsert(t, s, "l", nLines, 0, func(i int) string {
+		return fmt.Sprintf("(%d,%d,%d,%d,%d.5,%d,%d,%d)", i%nOrders, i/nOrders, i%100, i%10, i%50, i%365, i, i)
+	})
+	mustExec(t, s, "ANALYZE")
+	if err := s.SetOptimizer("orca"); err != nil { // reorders: l probes, a Project restores the order
+		t.Fatal(err)
+	}
+	q := "SELECT o.k, count(*), sum(l.v) FROM o JOIN l ON o.k = l.k GROUP BY o.k"
+	if txt := explainText(t, s, q); !strings.Contains(txt, "Hash Join (Inner)") || !strings.Contains(txt, " Output: v, k") || !strings.Contains(txt, "Project k, a, ") {
+		t.Fatalf("want a reordered, pruned hash join:\n%s", txt)
+	}
+	perRow := allocPerRow(t, s, q, runs, nLines, func(res *Result) {
+		if len(res.Rows) != nOrders || res.Rows[0][1].Int() != nLines/nOrders {
+			t.Fatalf("%d groups, first %v", len(res.Rows), res.Rows[0])
+		}
+	})
+	t.Logf("%.1f bytes allocated per joined row", perRow)
+	if perRow > 64 {
+		t.Fatalf("warm join + GROUP BY allocates %.1f bytes per joined row, want <= 64", perRow)
+	}
+}
+
+// TestBroadcastJoinSharesRows: a broadcast motion hands every destination its
+// own container over the same immutable rows. Several sessions run the same
+// broadcast join at once, so under -race every segment of every statement
+// reads the rows another is reading; the answer is the one computed here, and
+// a warm run allocates no per-destination copy of the broadcast rows (at 4
+// segments a deep clone was 4 x 184 bytes a row: the whole statement came to
+// about 2 700 bytes per broadcast row, and is about 900 without).
+func TestBroadcastJoinSharesRows(t *testing.T) {
+	const nDim, nFact = 3000, 12000
+	e := NewEngine(cluster.GPDB6(4))
+	defer e.Close()
+	s, _ := e.NewSession("")
+	mustExec(t, s, "CREATE TABLE dim (id int, name text, w int, pad int) DISTRIBUTED BY (w)")
+	mustExec(t, s, "CREATE TABLE fact (k int, d int, v int) DISTRIBUTED BY (k)")
+	bulkInsert(t, s, "dim", nDim, 0, func(i int) string { return fmt.Sprintf("(%d,'n%d',%d,%d)", i, i%5, i*3, i) })
+	bulkInsert(t, s, "fact", nFact, 0, func(i int) string { return fmt.Sprintf("(%d,%d,%d)", i, i%(nDim+500), i%11) })
+	mustExec(t, s, "ANALYZE")
+	q := "SELECT dim.name, count(*), sum(fact.v), min(dim.pad) FROM fact JOIN dim ON fact.d = dim.id GROUP BY dim.name ORDER BY dim.name"
+	type agg struct{ n, sum, minPad int64 }
+	want := map[string]*agg{}
+	for i := 0; i < nFact; i++ {
+		if d := i % (nDim + 500); d < nDim {
+			g := want[fmt.Sprint("n", d%5)]
+			if g == nil {
+				g = &agg{minPad: int64(d)}
+				want[fmt.Sprint("n", d%5)] = g
+			}
+			g.n, g.sum, g.minPad = g.n+1, g.sum+int64(i%11), min(g.minPad, int64(d))
+		}
+	}
+	check := func(res *Result) {
+		if len(res.Rows) != len(want) {
+			t.Errorf("%d groups, want %d", len(res.Rows), len(want))
+			return
+		}
+		for _, r := range res.Rows {
+			if g := want[r[0].Text()]; g == nil || r[1].Int() != g.n || r[2].Int() != g.sum || r[3].Int() != g.minPad {
+				t.Errorf("group %v, want %+v", r, g)
+			}
+		}
+	}
+	open := func() *Session {
+		c, err := e.NewSession("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetOptimizer("orca"); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	s = open()
+	if txt := explainText(t, s, q); !strings.Contains(txt, "Broadcast Motion") {
+		t.Fatalf("want a broadcast join:\n%s", txt)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func(c *Session) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				res, err := c.Exec(context.Background(), q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				check(res)
+			}
+		}(open())
+	}
+	wg.Wait()
+	perRow := allocPerRow(t, s, q, 3, nDim, check)
+	t.Logf("%.1f bytes allocated per broadcast row (the whole statement)", perRow)
+	if perRow > 1400 {
+		t.Fatalf("warm broadcast join allocates %.1f bytes per broadcast row, want <= 1400", perRow)
+	}
+}

@@ -64,7 +64,8 @@ func loadVectorTables(t *testing.T, s *Session) {
 
 // vectorQueries are the scan_aocol statement shapes plus the expressions the
 // vector kernels do not specialise (IS NULL, IN, LIKE, CASE, <>, text and
-// cross-kind comparisons, arithmetic over boxed and NULL values); TBL is the
+// cross-kind comparisons, arithmetic over boxed and NULL values) and the join
+// shapes whose output is a column batch whichever layout feeds them; TBL is the
 // table. Each is compared as a sorted row set, so only LIMIT queries need a
 // total order.
 var vectorQueries = []string{
@@ -100,6 +101,11 @@ var vectorQueries = []string{
 	"SELECT a.g, count(*), sum(b.amt) FROM TBL a JOIN fh b ON a.k = b.k WHERE b.q < 5 AND a.d > 50 GROUP BY a.g",
 	"SELECT a.k, b.tag FROM fh a JOIN TBL b ON a.g = b.q AND a.k = b.k + 1 WHERE a.k < 500 ORDER BY a.k DESC LIMIT 20",
 	"SELECT k, tag, amt FROM TBL WHERE d = 7 ORDER BY tag, amt DESC, k",
+	"SELECT a.g, count(*), count(b.tag), sum(b.amt) FROM TBL a LEFT JOIN fh b ON a.k = b.k + 1 AND b.q > 25 WHERE a.k < 3000 GROUP BY a.g",
+	"SELECT a.k, b.mix, c.tag FROM TBL a JOIN fh b ON a.k = b.k JOIN TBL c ON b.g = c.k WHERE a.d < 30",
+	"SELECT a.k, b.q FROM fh b JOIN TBL a ON a.k = b.k AND a.amt > b.q * 40",
+	"SELECT a.tag, b.day FROM TBL a JOIN fh b ON a.k = b.k WHERE b.q = 9 ORDER BY a.tag, b.day, a.k LIMIT 15",
+	"SELECT count(*), count(a.g), min(b.day) FROM TBL a JOIN fh b ON a.g = b.k",
 }
 
 var actualRowsRE = regexp.MustCompile(`\(actual rows=(\d+) `)

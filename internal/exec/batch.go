@@ -267,11 +267,9 @@ type batchHashJoinIter struct {
 	core        hashJoinCore
 	left, right BatchIterator
 
-	built    bool
-	draining bool
-	tick     cpuTick
-	out      types.RowBatch // reused; grows with the matches, not to size
-	size     int
+	built bool
+	tick  cpuTick
+	size  int
 }
 
 func newBatchHashJoinIter(ctx *Context, node *plan.HashJoin, left, right BatchIterator) *batchHashJoinIter {
@@ -310,41 +308,29 @@ func (j *batchHashJoinIter) NextBatch() (*types.RowBatch, error) {
 		}
 	}
 	for {
-		if j.draining {
-			// Spilled partitions are joined pairwise and their output rows
-			// re-batched (no-op when the join stayed in memory).
-			out, err := fillBatch(&j.out, j.size, j.core.drainNext)
-			if err != nil {
-				return nil, err
-			}
-			// Charge CPU for the disk-replay pass like the probe pass.
-			if err := j.tick.tickRows(out.Len()); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		b, err := j.left.NextBatch()
-		if err == io.EOF {
-			j.draining = true
+		var b *types.RowBatch
+		var err error
+		if j.core.draining {
+			// Spilled partitions are joined pairwise, their probe rows
+			// replayed in batches (io.EOF at once when nothing spilled).
+			b, err = j.core.replayBatch(j.size)
+		} else if b, err = j.left.NextBatch(); err == io.EOF {
+			j.core.draining = true
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
+		// The disk-replay pass is charged CPU like the probe pass.
 		if err := j.tick.tickRows(b.Len()); err != nil {
 			return nil, err
 		}
-		j.out.Reset()
-		for i, l := 0, b.Len(); i < l; i++ {
-			probe := b.Live(i)
-			if err := j.core.probeRow(probe, func(combined types.Row) {
-				j.out.Append(combined)
-			}); err != nil {
-				return nil, err
-			}
+		out, err := j.core.probeBatch(b)
+		if err != nil {
+			return nil, err
 		}
-		if j.out.Len() > 0 {
-			return &j.out, nil
+		if out.Len() > 0 {
+			return out, nil
 		}
 	}
 }

@@ -14,16 +14,20 @@ import (
 // (the in-memory table is flushed first), probe rows follow into matching
 // probe partitions, and after the probe input ends each partition pair is
 // joined in turn — build partition loaded into a fresh table, probe partition
-// streamed against it. Rows with NULL keys never join and are resolved
-// immediately in either mode.
+// replayed against it in batches through the same probeBatch. Rows with NULL
+// keys never join and are resolved immediately in either mode.
 type hashJoinCore struct {
-	ctx    *Context
-	node   *plan.HashJoin
-	mem    opMem
-	table  map[uint64][]types.Row
-	rwidth int
+	ctx   *Context
+	node  *plan.HashJoin
+	mem   opMem
+	table map[uint64][]types.Row
+	emit  joinEmit
+	// keyExprs evaluate the probe-side keys once per batch into keyVecs.
+	keyExprs []*plan.VecExpr
+	keyVecs  []types.Vec
 
 	spilled    bool
+	draining   bool // the probe input has ended: replaying spilled partitions
 	buildParts []*spillFile
 	probeParts []*spillFile
 
@@ -34,15 +38,20 @@ type hashJoinCore struct {
 	// Spilled-partition drain state.
 	drainPart int
 	curProbe  *spillFile
-	pending   []types.Row
+	replay    types.RowBatch // reused: the probe rows read back from curProbe
 }
 
 func newHashJoinCore(ctx *Context, node *plan.HashJoin) hashJoinCore {
+	keyExprs := make([]*plan.VecExpr, len(node.LeftKeys))
+	for i, k := range node.LeftKeys {
+		keyExprs[i] = plan.CompileVec(k)
+	}
 	return hashJoinCore{
 		ctx: ctx, node: node,
-		mem:    opMem{ctx: ctx, stat: ctx.opStat(node)},
-		table:  make(map[uint64][]types.Row),
-		rwidth: node.Right.Schema().Len(),
+		mem:      opMem{ctx: ctx, stat: ctx.opStat(node)},
+		table:    make(map[uint64][]types.Row),
+		emit:     newJoinEmit(node.Schema().Len(), node.Left.Schema().Len(), node.Out),
+		keyExprs: keyExprs, keyVecs: make([]types.Vec, len(keyExprs)),
 	}
 }
 
@@ -176,50 +185,94 @@ func (c *hashJoinCore) beginSpill() error {
 	return nil
 }
 
-// probeRow handles one probe-side row. In memory it emits matches (and the
-// left-join null extension) immediately; once spilled, rows are buffered to
-// their probe partition and the matches surface later via drainNext.
-func (c *hashJoinCore) probeRow(probe types.Row, emit func(types.Row)) error {
-	if !c.spilled {
-		matched, err := probeHashTable(c.node, c.table, probe, emit)
-		if err != nil {
-			return err
+// probeBatch joins one probe batch — a child batch, or probe rows replayed
+// from a spilled partition — and returns the joined rows as a column batch
+// (possibly empty). In memory, and against a loaded partition, every match
+// and LEFT null extension becomes a pair for the emitter; while the spilled
+// join is still consuming its probe input, rows are routed to their probe
+// partition instead and surface later through replayBatch.
+func (c *hashJoinCore) probeBatch(b *types.RowBatch) (out *types.RowBatch, err error) {
+	for i, x := range c.keyExprs {
+		if c.keyVecs[i], err = x.Eval(b); err != nil {
+			return nil, err
 		}
-		if !matched && c.node.Kind == plan.JoinLeft {
-			emit(nullExtend(probe, c.rwidth))
+	}
+	left := c.node.Kind == plan.JoinLeft
+	for i, l := 0, b.Len(); i < l; i++ {
+		at := b.Index(i)
+		h, ok := c.probeHash(at)
+		matched := false
+		switch {
+		case !ok: // NULL keys match nothing, in any partition
+		case c.spilled && !c.draining:
+			if err := c.probeParts[h%uint64(len(c.probeParts))].writeRow(c.emit.outer(b, at)); err != nil {
+				return nil, err
+			}
+			continue
+		default:
+			if matched, err = c.match(b, at, h); err != nil {
+				return nil, err
+			}
 		}
-		return nil
-	}
-	h, ok, err := hashKeys(c.node.LeftKeys, probe)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		// NULL keys match nothing in any partition; resolve now.
-		if c.node.Kind == plan.JoinLeft {
-			emit(nullExtend(probe, c.rwidth))
+		if !matched && left {
+			c.emit.add(at, nil)
 		}
-		return nil
 	}
-	return c.probeParts[h%uint64(len(c.probeParts))].writeRow(probe)
+	return c.emit.flush(b), nil
 }
 
-// drainNext returns the next output row of the spilled partitions, loading
-// each build partition into a fresh in-memory table and streaming its probe
-// partition against it. io.EOF when every partition is joined. When the join
-// never spilled there is nothing to drain.
-func (c *hashJoinCore) drainNext() (types.Row, error) {
+// probeHash hashes the probe keys of batch position at like hashKeys hashes
+// a build row; ok is false when a key is NULL.
+func (c *hashJoinCore) probeHash(at int) (h uint64, ok bool) {
+	h = 1469598103934665603
+	for i := range c.keyVecs {
+		v := c.keyVecs[i].At(at)
+		if v.IsNull() {
+			return 0, false
+		}
+		h = h*1099511628211 ^ v.Hash()
+	}
+	return h, true
+}
+
+// match pairs probe position at with every build row of bucket h that joins
+// with it, re-checking exact key equality (hash collisions) and the residual
+// condition on the emitter's scratch row.
+func (c *hashJoinCore) match(b *types.RowBatch, at int, h uint64) (matched bool, err error) {
+candidates:
+	for _, rrow := range c.table[h] {
+		for k, rk := range c.node.RightKeys {
+			rv, err := rk.Eval(rrow)
+			if err != nil {
+				return matched, err
+			}
+			if rv.IsNull() || types.Compare(c.keyVecs[k].At(at), rv) != 0 {
+				continue candidates
+			}
+		}
+		if c.node.Extra != nil {
+			keep, err := plan.EvalBool(c.node.Extra, c.emit.combined(b, at, rrow))
+			if err != nil {
+				return matched, err
+			}
+			if !keep {
+				continue
+			}
+		}
+		matched = true
+		c.emit.add(at, rrow)
+	}
+	return matched, nil
+}
+
+// replayBatch returns the next batch of probe rows of the spilled
+// partitions, with the matching build partition loaded into a fresh
+// in-memory table. io.EOF when every partition pair is joined, and at once
+// when the join never spilled.
+func (c *hashJoinCore) replayBatch(size int) (*types.RowBatch, error) {
 	for {
-		if len(c.pending) > 0 {
-			row := c.pending[0]
-			c.pending = c.pending[1:]
-			return row, nil
-		}
-		if !c.spilled {
-			return nil, io.EOF
-		}
 		if c.curProbe == nil {
-			if c.drainPart >= len(c.buildParts) {
+			if !c.spilled || c.drainPart >= len(c.buildParts) {
 				return nil, io.EOF
 			}
 			if err := c.loadBuildPartition(c.drainPart); err != nil {
@@ -230,29 +283,16 @@ func (c *hashJoinCore) drainNext() (types.Row, error) {
 				return nil, err
 			}
 		}
-		probe, err := c.curProbe.readRow()
-		if err == io.EOF {
-			// Partition pair done: release its table and files.
-			c.probeParts[c.drainPart].close()
-			c.probeParts[c.drainPart] = nil
-			c.table = make(map[uint64][]types.Row)
-			c.mem.freeAll()
-			c.curProbe = nil
-			c.drainPart++
-			continue
+		if b, err := fillBatch(&c.replay, size, c.curProbe.readRow); err != io.EOF {
+			return b, err
 		}
-		if err != nil {
-			return nil, err
-		}
-		matched, err := probeHashTable(c.node, c.table, probe, func(combined types.Row) {
-			c.pending = append(c.pending, combined)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !matched && c.node.Kind == plan.JoinLeft {
-			c.pending = append(c.pending, nullExtend(probe, c.rwidth))
-		}
+		// Partition pair done: release its table and files.
+		c.probeParts[c.drainPart].close()
+		c.probeParts[c.drainPart] = nil
+		c.table = make(map[uint64][]types.Row)
+		c.mem.freeAll()
+		c.curProbe = nil
+		c.drainPart++
 	}
 }
 
@@ -328,67 +368,95 @@ func hashKeys(keys []plan.Expr, row types.Row) (uint64, bool, error) {
 	return h, true, nil
 }
 
-// probeHashTable finds every build row joining with probe, re-checking exact
-// key equality (hash collisions) and the residual condition, and hands each
-// combined output row to emit. It reports whether the probe matched.
-func probeHashTable(node *plan.HashJoin, table map[uint64][]types.Row, probe types.Row, emit func(types.Row)) (bool, error) {
-	h, ok, err := hashKeys(node.LeftKeys, probe)
-	if err != nil || !ok {
-		return false, err
-	}
-	bucket := table[h]
-	if len(bucket) == 0 {
-		return false, nil
-	}
-	// Evaluate the probe-side key values once; only the build side varies
-	// across bucket candidates.
-	lvals := make([]types.Datum, len(node.LeftKeys))
-	for i, k := range node.LeftKeys {
-		lv, err := k.Eval(probe)
-		if err != nil {
-			return false, err
-		}
-		lvals[i] = lv
-	}
-	matched := false
-	for _, rrow := range bucket {
-		eq := true
-		for i := range node.LeftKeys {
-			rv, err := node.RightKeys[i].Eval(rrow)
-			if err != nil {
-				return matched, err
-			}
-			if lvals[i].IsNull() || rv.IsNull() || types.Compare(lvals[i], rv) != 0 {
-				eq = false
-				break
-			}
-		}
-		if !eq {
-			continue
-		}
-		combined := make(types.Row, 0, len(probe)+len(rrow))
-		combined = append(combined, probe...)
-		combined = append(combined, rrow...)
-		keep, err := plan.EvalBool(node.Extra, combined)
-		if err != nil {
-			return matched, err
-		}
-		if keep {
-			matched = true
-			emit(combined)
-		}
-	}
-	return matched, nil
+// joinPair is one output row of a join: outer batch position at beside a
+// materialized inner row, or beside NULLs (a LEFT join's unmatched row).
+type joinPair struct {
+	at    int
+	inner types.Row // nil = NULL-extended
 }
 
-// nullExtend builds the left-join output row for an unmatched probe row.
-func nullExtend(probe types.Row, rwidth int) types.Row {
-	combined := make(types.Row, 0, len(probe)+rwidth)
-	combined = append(combined, probe...)
-	for i := 0; i < rwidth; i++ {
-		combined = append(combined, types.Null)
+// joinEmit is both joins' one way of producing output: the operator collects
+// (outer position, inner row) pairs for the current outer batch, evaluating
+// any non-key condition on the reused scratch row, and flush gathers the
+// columns the plan above reads (plan's Out) into typed vectors reused across
+// batches. Every other column of the emitted batch is the zero Vec and reads
+// NULL at its offset.
+type joinEmit struct {
+	lw      int   // width of the outer side
+	cols    []int // output offsets to gather
+	pairs   []joinPair
+	scratch types.Row // outer row then inner row
+	filled  int       // outer position held by scratch[:lw]; -1 = none
+	batch   types.ColBatch
+	out     types.RowBatch
+}
+
+func newJoinEmit(width, lw int, out []int) joinEmit {
+	if out == nil {
+		out = make([]int, width)
+		for c := range out {
+			out[c] = c
+		}
 	}
-	return combined
+	return joinEmit{lw: lw, cols: out, scratch: make(types.Row, width), filled: -1,
+		batch: types.ColBatch{Vecs: make([]types.Vec, width)}}
+}
+
+func (e *joinEmit) add(at int, inner types.Row) {
+	e.pairs = append(e.pairs, joinPair{at: at, inner: inner})
+}
+
+// outer loads position at of the outer batch into the scratch row's left
+// half and returns that half; it is overwritten by the next call.
+func (e *joinEmit) outer(b *types.RowBatch, at int) types.Row {
+	if e.filled != at {
+		if b.Cols != nil {
+			b.Cols.RowInto(e.scratch[:e.lw], at)
+		} else {
+			copy(e.scratch[:e.lw], b.Rows[at])
+		}
+		e.filled = at
+	}
+	return e.scratch[:e.lw]
+}
+
+// combined returns the scratch row holding outer position at beside inner.
+func (e *joinEmit) combined(b *types.RowBatch, at int, inner types.Row) types.Row {
+	e.outer(b, at)
+	copy(e.scratch[e.lw:], inner)
+	return e.scratch
+}
+
+// flush turns the collected pairs, whose positions are b's, into the output
+// batch, valid until the next flush, and forgets them.
+func (e *joinEmit) flush(b *types.RowBatch) *types.RowBatch {
+	for _, c := range e.cols {
+		v := &e.batch.Vecs[c]
+		v.Truncate()
+		switch {
+		case c >= e.lw:
+			for _, p := range e.pairs {
+				if p.inner == nil {
+					v.Append(types.Null)
+				} else {
+					v.Append(p.inner[c-e.lw])
+				}
+			}
+		case b.Cols != nil:
+			src, lo := &b.Cols.Vecs[c], b.Cols.Lo
+			for _, p := range e.pairs {
+				v.Append(src.At(lo + p.at))
+			}
+		default:
+			for _, p := range e.pairs {
+				v.Append(b.Rows[p.at][c])
+			}
+		}
+	}
+	e.batch.N = len(e.pairs)
+	e.out = types.RowBatch{Cols: &e.batch}
+	e.pairs, e.filled = e.pairs[:0], -1
+	return &e.out
 }
 
 // batchNestLoopIter materializes (prefetches) the inner side and rescans it
@@ -406,15 +474,14 @@ type batchNestLoopIter struct {
 	outer       *types.RowBatch
 	opos, ipos  int  // next outer row of the batch, next inner row for it
 	matched     bool // the current outer row has joined
-	rwidth      int
 	tick        cpuTick
-	out         types.RowBatch // reused
+	emit        joinEmit
 	size        int
 }
 
 func newBatchNestLoopIter(ctx *Context, node *plan.NestLoop, left, right BatchIterator) *batchNestLoopIter {
-	return &batchNestLoopIter{ctx: ctx, node: node, left: left, right: right,
-		rwidth: node.Right.Schema().Len(), tick: cpuTick{ctx: ctx}, size: ctx.batchSize()}
+	return &batchNestLoopIter{ctx: ctx, node: node, left: left, right: right, tick: cpuTick{ctx: ctx},
+		emit: newJoinEmit(node.Schema().Len(), node.Left.Schema().Len(), node.Out), size: ctx.batchSize()}
 }
 
 func (j *batchNestLoopIter) build() error {
@@ -445,46 +512,45 @@ func (j *batchNestLoopIter) NextBatch() (*types.RowBatch, error) {
 			return nil, err
 		}
 	}
-	j.out.Reset()
-	for j.out.Len() < j.size {
+	for len(j.emit.pairs) < j.size {
 		if j.outer == nil || j.opos >= j.outer.Len() {
-			if j.out.Len() > 0 {
+			if len(j.emit.pairs) > 0 {
 				break // hand up what this outer batch produced first
 			}
 			b, err := j.left.NextBatch()
 			if err != nil {
 				return nil, err
 			}
-			j.outer, j.opos = b, 0
+			j.outer, j.opos, j.emit.filled = b, 0, -1
 		}
-		outer := j.outer.Live(j.opos)
-		for j.ipos < len(j.inner) && j.out.Len() < j.size {
+		at := j.outer.Index(j.opos)
+		for j.ipos < len(j.inner) && len(j.emit.pairs) < j.size {
 			inner := j.inner[j.ipos]
 			j.ipos++
 			if err := j.tick.tick(); err != nil {
 				return nil, err
 			}
-			combined := make(types.Row, 0, len(outer)+len(inner))
-			combined = append(combined, outer...)
-			combined = append(combined, inner...)
-			keep, err := plan.EvalBool(j.node.Cond, combined)
-			if err != nil {
-				return nil, err
+			keep := j.node.Cond == nil
+			if !keep {
+				var err error
+				if keep, err = plan.EvalBool(j.node.Cond, j.emit.combined(j.outer, at, inner)); err != nil {
+					return nil, err
+				}
 			}
 			if keep {
 				j.matched = true
-				j.out.Append(combined)
+				j.emit.add(at, inner)
 			}
 		}
 		if j.ipos < len(j.inner) {
 			break // batch full mid-rescan; resume at ipos
 		}
 		if !j.matched && j.node.Kind == plan.JoinLeft {
-			j.out.Append(nullExtend(outer, j.rwidth))
+			j.emit.add(at, nil)
 		}
 		j.opos, j.ipos, j.matched = j.opos+1, 0, false
 	}
-	return &j.out, nil
+	return j.emit.flush(j.outer), nil
 }
 
 func (j *batchNestLoopIter) Close() {

@@ -77,8 +77,8 @@ type Scan struct {
 	Filter     Expr
 	// Project lists the column offsets the plan above actually reads
 	// (including filter columns); nil = all. Unread columns surface as NULL
-	// at their original offsets, so ColRef indexes stay valid. Set by the
-	// planner only when the scan's entire read set is known.
+	// at their original offsets, so ColRef indexes stay valid. Set by
+	// pruneColumns, which knows every reader of the scan.
 	Project []int
 	// ScanPred is the sargable part of Filter, pushed into the storage
 	// layer for zone-map block skipping (AttachPushdown). Advisory: Filter
@@ -116,7 +116,22 @@ func (s *Scan) Explain() string {
 	if s.ScanPred != nil {
 		out += " Pushdown: " + s.ScanPred.String()
 	}
+	if s.Project != nil {
+		out += " Columns: " + colNames(s.schema, s.Project)
+	}
 	return out
+}
+
+// colNames renders column offsets of a schema for EXPLAIN.
+func colNames(sch *types.Schema, cols []int) string {
+	if len(cols) == 0 {
+		return "(none)"
+	}
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = sch.Columns[c].Name
+	}
+	return strings.Join(names, ", ")
 }
 
 // IndexScan probes a hash index with constant key values.
@@ -222,6 +237,10 @@ type HashJoin struct {
 	// Extra is a residual non-equality condition evaluated on the combined
 	// row (left columns then right columns).
 	Extra Expr
+	// Out lists the output offsets the plan above reads (pruneColumns); nil =
+	// all. The join emits the others as NULL at their offsets, like a pruned
+	// scan, so no ColRef above it moves.
+	Out []int
 	// EstMemBytes estimates the build-side working set (AnnotateMemory). The
 	// executor sizes the Grace spill partition fanout from it.
 	EstMemBytes int64
@@ -245,7 +264,15 @@ func (j *HashJoin) Children() []Node { return []Node{j.Left, j.Right} }
 
 // Explain implements Node.
 func (j *HashJoin) Explain() string {
-	return fmt.Sprintf("Hash Join (%s)%s", j.Kind, estMemSuffix(j.EstMemBytes))
+	return fmt.Sprintf("Hash Join (%s)%s%s", j.Kind, estMemSuffix(j.EstMemBytes), outputSuffix(j.schema, j.Out))
+}
+
+// outputSuffix renders a join's pruned output columns for EXPLAIN.
+func outputSuffix(sch *types.Schema, out []int) string {
+	if out == nil {
+		return ""
+	}
+	return " Output: " + colNames(sch, out)
 }
 
 // estMemSuffix renders a node's estimated working set for EXPLAIN.
@@ -263,6 +290,7 @@ type NestLoop struct {
 	Kind        JoinKind
 	Left, Right Node
 	Cond        Expr
+	Out         []int // see HashJoin.Out
 	schema      *types.Schema
 }
 
@@ -281,7 +309,9 @@ func (j *NestLoop) Schema() *types.Schema { return j.schema }
 func (j *NestLoop) Children() []Node { return []Node{j.Left, j.Right} }
 
 // Explain implements Node.
-func (j *NestLoop) Explain() string { return fmt.Sprintf("Nested Loop (%s)", j.Kind) }
+func (j *NestLoop) Explain() string {
+	return fmt.Sprintf("Nested Loop (%s)%s", j.Kind, outputSuffix(j.schema, j.Out))
+}
 
 // AggFunc enumerates aggregate functions.
 type AggFunc uint8

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/catalog"
@@ -286,9 +285,6 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 		if s.Lock != sql.LockNone {
 			markForUpdate(pn.node)
 		}
-		if scan, ok := pn.node.(*Scan); ok {
-			pruneScanColumns(scan, exprs)
-		}
 		pn.node = NewProject(pn.node, exprs, names)
 		outNames = names
 		if len(exprs) > visible {
@@ -353,6 +349,7 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 
 	res := &Planned{Root: pn.node, DirectSegment: -1, ForUpdate: s.Lock == sql.LockForUpdate, MapVersions: p.mapVers}
 	p.attachSelectLocks(res, s)
+	pruneColumns(res.Root)
 	res.cut()
 	MarkParallelSlices(res.Root, p.Parallelism)
 	if p.Pushdown {
@@ -573,14 +570,26 @@ func limitValue(e Expr, what string) (int64, error) {
 // planAggregate builds the (two-phase where possible) aggregation pipeline
 // and returns the output node plus projection names.
 func (p *Planner) planAggregate(pn *planned, sc *scope, s *sql.SelectStmt) (Node, []string, error) {
-	// Bind GROUP BY over the input scope.
+	// Bind GROUP BY over the input scope; a bare integer is the 1-based
+	// position of a select item, as in ORDER BY.
 	inBnd := p.newBinder(sc)
 	var groupBound []Expr
-	for _, g := range s.GroupBy {
+	groupBy := make([]sql.Expr, len(s.GroupBy))
+	for i, g := range s.GroupBy {
+		if lit, ok := g.(*sql.Literal); ok && lit.Value.Kind() == types.KindInt {
+			pos := int(lit.Value.Int())
+			if pos < 1 || pos > len(s.Items) || s.Items[pos-1].Star {
+				return nil, nil, fmt.Errorf("plan: GROUP BY position %d is not in the select list", pos)
+			}
+			if g = s.Items[pos-1].Expr; hasAgg(g) {
+				return nil, nil, fmt.Errorf("plan: GROUP BY position %d names an aggregate (%s)", pos, g)
+			}
+		}
 		e, err := inBnd.bind(g)
 		if err != nil {
 			return nil, nil, err
 		}
+		groupBy[i] = g
 		groupBound = append(groupBound, e)
 	}
 
@@ -588,7 +597,7 @@ func (p *Planner) planAggregate(pn *planned, sc *scope, s *sql.SelectStmt) (Node
 	// group items and aggs become ColRefs into the agg output layout.
 	var specs []AggSpec
 	aggBnd := p.newBinder(sc)
-	aggBnd.aggs, aggBnd.aggBase, aggBnd.groupExprs = &specs, len(groupBound), s.GroupBy
+	aggBnd.aggs, aggBnd.aggBase, aggBnd.groupExprs = &specs, len(groupBound), groupBy
 	var outExprs []Expr
 	var outNames []string
 	for _, item := range s.Items {
@@ -620,16 +629,6 @@ func (p *Planner) planAggregate(pn *planned, sc *scope, s *sql.SelectStmt) (Node
 		if sp.Distinct {
 			anyDistinct = true
 		}
-	}
-
-	if scan, ok := pn.node.(*Scan); ok {
-		var argExprs []Expr
-		for _, sp := range specs {
-			if sp.Arg != nil {
-				argExprs = append(argExprs, sp.Arg)
-			}
-		}
-		pruneScanColumns(scan, groupBound, argExprs)
 	}
 
 	var aggOut Node
@@ -1264,37 +1263,6 @@ func collectCols(e Expr, set map[int]struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// pruneScanColumns records on a bare scan the union of columns read by its
-// filter and by the given parent expressions, letting the column store skip
-// decoding the rest. Called only where the scan's sole consumer is known
-// (the projection or aggregation directly above it); FOR UPDATE scans stay
-// unpruned (they run on the row-locking path).
-func pruneScanColumns(scan *Scan, parentExprs ...[]Expr) {
-	if scan.ForUpdate {
-		return
-	}
-	set := make(map[int]struct{})
-	if !collectCols(scan.Filter, set) {
-		return
-	}
-	for _, exprs := range parentExprs {
-		for _, e := range exprs {
-			if !collectCols(e, set) {
-				return
-			}
-		}
-	}
-	if len(set) >= scan.Table.Schema.Len() {
-		return // reads everything: nil already means all
-	}
-	cols := make([]int, 0, len(set))
-	for c := range set {
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
-	scan.Project = cols
 }
 
 // cut assigns slice ids to the plan's motions (top slice is 0, motions in

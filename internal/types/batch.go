@@ -26,7 +26,7 @@ const DefaultBatchSize = 256
 // batch is dead weight that downstream operators must not look at. Operators
 // iterate live rows via Len/Live (or Len/Index over the vectors); a batch
 // only becomes dense again when it crosses an ownership boundary that copies
-// it (CloneRows/DeepClone, e.g. a motion send) or when Densify is called
+// it (CloneRows, e.g. a motion send) or when Densify is called
 // explicitly.
 type RowBatch struct {
 	Rows []Row
@@ -167,19 +167,6 @@ func (b *RowBatch) CloneRows() *RowBatch {
 	out := &RowBatch{Rows: make([]Row, b.Len())}
 	for i := range out.Rows {
 		out.Rows[i] = b.Live(i)
-	}
-	return out
-}
-
-// DeepClone returns a dense batch whose rows are themselves cloned. Used
-// where the same rows fan out to multiple destinations that each take
-// ownership (broadcast motions).
-func (b *RowBatch) DeepClone() *RowBatch {
-	out := b.CloneRows()
-	if b.Cols == nil { // rows gathered from vectors are already private
-		for i, r := range out.Rows {
-			out.Rows[i] = r.Clone()
-		}
 	}
 	return out
 }

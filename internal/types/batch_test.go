@@ -43,15 +43,11 @@ func TestRowBatchCloneRowsIsIndependent(t *testing.T) {
 	}
 }
 
-func TestRowBatchSizeAndDeepClone(t *testing.T) {
+func TestRowBatchSize(t *testing.T) {
 	b := NewRowBatch(2)
 	b.Append(Row{NewInt(1), NewText("abc")})
 	if b.Size() != b.Rows[0].Size() {
 		t.Fatalf("size mismatch: %d vs %d", b.Size(), b.Rows[0].Size())
-	}
-	d := b.DeepClone()
-	if d.Len() != 1 || !d.Rows[0].Equal(b.Rows[0]) {
-		t.Fatalf("deep clone rows: %v", d.Rows)
 	}
 }
 
@@ -83,10 +79,6 @@ func TestRowBatchSelectionVector(t *testing.T) {
 	c := b.CloneRows()
 	if c.Sel != nil || c.Len() != 2 || c.Rows[0][0].Int() != 1 || c.Rows[1][0].Int() != 3 {
 		t.Fatalf("clone of selected batch: sel=%v rows=%v", c.Sel, c.Rows)
-	}
-	d := b.DeepClone()
-	if d.Sel != nil || d.Len() != 2 || d.Rows[1][0].Int() != 3 {
-		t.Fatalf("deep clone of selected batch: sel=%v rows=%v", d.Sel, d.Rows)
 	}
 
 	// Densify compacts in place.
@@ -159,7 +151,6 @@ func TestRowBatchColumnLayout(t *testing.T) {
 		row := &RowBatch{Sel: sel, Rows: rows[lo : lo+n]}
 		same("batch", col, row)
 		same("CloneRows", col.CloneRows(), row.CloneRows())
-		same("DeepClone", col.DeepClone(), row.DeepClone())
 		if col.Size() != row.Size() {
 			t.Fatalf("size %d, rows say %d", col.Size(), row.Size())
 		}
@@ -170,5 +161,53 @@ func TestRowBatchColumnLayout(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(RowBatch{}); got > 6*unsafe.Sizeof(uintptr(0))+unsafe.Sizeof(uintptr(0)) {
 		t.Fatalf("RowBatch is %d bytes: the column layout must hide behind one word", got)
+	}
+}
+
+// TestVecAppend: a vector built by Append reads back what VecOf builds from
+// the same datums — typed after any run of leading NULLs, boxed from the first
+// value of a second kind — and Truncate empties it for the next batch keeping
+// the payload's kind (or its boxedness) and no stale NULL bits.
+func TestVecAppend(t *testing.T) {
+	day := NewDate(18000)
+	for _, vals := range [][]Datum{
+		{NewInt(1), Null, NewInt(3)},
+		{Null, Null, NewFloat(2.5), NewFloat(3)},
+		{Null, NewText("a"), NewText(""), Null},
+		{NewBool(true), NewBool(false)},
+		{day, Null},
+		{Null, Null},
+		{NewFloat(1.5), Null, NewInt(2), NewText("x")}, // mixed: boxed
+		{NewInt(1), NewBool(true)},                     // both live in Ints, still two kinds
+	} {
+		var v Vec
+		for round := 0; round < 2; round++ {
+			for _, d := range vals {
+				v.Append(d)
+			}
+			want := VecOf(vals)
+			if v.Len() != len(vals) || (v.Boxed != nil) != (want.Boxed != nil) || (v.Floats != nil) != (want.Floats != nil) || (v.Strs != nil) != (want.Strs != nil) {
+				t.Fatalf("round %d: %v built %+v, VecOf builds %+v", round, vals, v, want)
+			}
+			for i, d := range vals {
+				if got := v.At(i); got.Kind() != d.Kind() || Compare(got, d) != 0 {
+					t.Fatalf("round %d: %v: value %d reads %v (%v)", round, vals, i, got, got.Kind())
+				}
+			}
+			v.Truncate()
+			if v.Len() != 0 {
+				t.Fatalf("Truncate left %d values", v.Len())
+			}
+		}
+	}
+	// A retyped buffer carries no NULL bit over from the batch before.
+	var v Vec
+	v.Append(Null)
+	v.Append(NewInt(7))
+	v.Truncate()
+	v.Append(NewFloat(1))
+	v.Append(NewFloat(2))
+	if v.Null(0) || v.At(1).Float() != 2 || v.Kind != KindFloat || v.Ints != nil {
+		t.Fatalf("after Truncate and a new kind: %+v", v)
 	}
 }

@@ -132,6 +132,69 @@ func (v *Vec) Reset(kind Kind, n int) {
 	}
 }
 
+// Truncate empties v for refilling with Append, keeping its payload buffer,
+// its kind (a column's kind rarely changes from one batch to the next) and
+// the bitmap's capacity.
+func (v *Vec) Truncate() {
+	clear(v.nulls)
+	*v = Vec{Kind: v.Kind, Ints: v.Ints[:0], Floats: v.Floats[:0], Strs: v.Strs[:0], Boxed: v.Boxed[:0], nulls: v.nulls[:0]}
+}
+
+// Append adds d to a vector under construction (the zero Vec, or one emptied
+// by Truncate). The payload is typed by the first non-NULL value; a later
+// value of another kind turns the vector boxed, as VecOf does, and it stays
+// boxed across Truncate.
+func (v *Vec) Append(d Datum) {
+	n := v.Len()
+	switch {
+	case v.Boxed != nil:
+		v.Boxed = append(v.Boxed, d)
+		return
+	case d.kind == KindNull:
+		switch {
+		case v.Floats != nil:
+			v.Floats = append(v.Floats, 0)
+		case v.Strs != nil:
+			v.Strs = append(v.Strs, "")
+		default:
+			v.Ints = append(v.Ints, 0)
+		}
+		v.SetNull(n)
+		return
+	case d.kind != v.Kind:
+		for i := 0; i < n; i++ {
+			if !v.Null(i) { // a second kind among the values: box them
+				boxed := make([]Datum, n, 2*n)
+				for j := range boxed {
+					boxed[j] = v.At(j)
+				}
+				*v = Vec{Boxed: append(boxed, d)}
+				return
+			}
+		}
+		// Only NULLs so far: retype the payload to d's kind (the values
+		// under NULL bits are never read).
+		ints, floats, strs := v.Ints, v.Floats, v.Strs
+		*v = Vec{Kind: d.kind, nulls: v.nulls}
+		switch d.kind {
+		case KindFloat:
+			v.Floats = resize(floats, n)
+		case KindText:
+			v.Strs = resize(strs, n)
+		default:
+			v.Ints = resize(ints, n)
+		}
+	}
+	switch d.kind {
+	case KindFloat:
+		v.Floats = append(v.Floats, d.f)
+	case KindText:
+		v.Strs = append(v.Strs, d.s)
+	default:
+		v.Ints = append(v.Ints, d.i)
+	}
+}
+
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
