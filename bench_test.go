@@ -340,14 +340,18 @@ type benchBatchStore struct {
 	eng storage.Engine
 }
 
-// ScanTable and IndexLookup complete exec.StoreAccess; no benchmark here
-// runs a FOR UPDATE scan or an index scan.
-func (s *benchBatchStore) ScanTable(context.Context, catalog.TableID, bool, func(types.Row) (bool, bool, error)) error {
+// ScanTable, IndexLookup and WriteRow complete exec.StoreAccess; no
+// benchmark here runs a FOR UPDATE scan, an index scan or a write.
+func (s *benchBatchStore) ScanTable(context.Context, catalog.TableID, exec.RowMark, func(types.Row) (bool, bool, error)) error {
 	return errors.New("benchBatchStore: row scans are not benchmarked")
 }
 
-func (s *benchBatchStore) IndexLookup(context.Context, *catalog.Table, *catalog.Index, []types.Datum, bool, func(types.Row) (bool, error)) error {
+func (s *benchBatchStore) IndexLookup(context.Context, *catalog.Table, *catalog.Index, []types.Datum, exec.RowMark, func(types.Row) (bool, bool, error)) error {
 	return errors.New("benchBatchStore: index lookups are not benchmarked")
+}
+
+func (s *benchBatchStore) WriteRow(context.Context, exec.RowID, *plan.UpdatePlan) (bool, error) {
+	return false, errors.New("benchBatchStore: writes are not benchmarked")
 }
 
 func (s *benchBatchStore) ScanTableBatches(ctx context.Context, _ catalog.TableID, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {

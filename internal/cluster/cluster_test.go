@@ -123,9 +123,8 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	// Update everything twice: each update adds a version and deadens one.
 	for pass := 0; pass < 2; pass++ {
 		lt := c.BeginTxn()
-		up := &plan.UpdatePlan{Table: tab, SetCols: []int{1},
-			SetExprs: []plan.Expr{&plan.Const{Val: types.NewInt(int64(pass + 1))}}}
-		if _, err := c.RunUpdate(context.Background(), lt, c.Snapshot(), up, -1, nil); err != nil {
+		up := planTemplate(t, c, "UPDATE t SET b = b + 1")
+		if _, err := c.RunModify(context.Background(), lt, c.Snapshot(), up, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.CommitTxn(lt); err != nil {
@@ -172,9 +171,7 @@ func TestDeleteAndReadOnlyCommit(t *testing.T) {
 		{types.NewInt(2), types.NewInt(20)},
 	})
 	lt := c.BeginTxn()
-	dp := &plan.DeletePlan{Table: tab, Filter: &plan.BinOp{Op: "=",
-		Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(1)}}}
-	n, err := c.RunDelete(context.Background(), lt, c.Snapshot(), dp, -1, nil)
+	n, err := c.RunModify(context.Background(), lt, c.Snapshot(), planTemplate(t, c, "DELETE FROM t WHERE a = 1"), nil)
 	if err != nil || n != 1 {
 		t.Fatalf("delete: %d %v", n, err)
 	}
@@ -222,11 +219,11 @@ func TestDirectDispatchTouchesOneSegment(t *testing.T) {
 	key := int64(5)
 	target := int(types.Row{types.NewInt(key)}.Hash([]int{0}) % 4)
 	lt := c.BeginTxn()
-	up := &plan.UpdatePlan{Table: tab,
-		Filter:   &plan.BinOp{Op: "=", Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(key)}},
-		SetCols:  []int{1},
-		SetExprs: []plan.Expr{&plan.Const{Val: types.NewInt(99)}}}
-	n, err := c.RunUpdate(context.Background(), lt, c.Snapshot(), up, target, nil)
+	up := planTemplate(t, c, "UPDATE t SET b = 99 WHERE a = 5")
+	if up.DirectSegment != target {
+		t.Fatalf("UPDATE of key %d routed to segment %d, its row lives on %d", key, up.DirectSegment, target)
+	}
+	n, err := c.RunModify(context.Background(), lt, c.Snapshot(), up, nil)
 	if err != nil || n != 1 {
 		t.Fatalf("update: %d %v", n, err)
 	}
@@ -282,8 +279,9 @@ func TestLockTableEverywhereConflictsWithDML(t *testing.T) {
 	c.AbortTxn(lt)
 }
 
-// planTemplate plans a parameterised statement against the cluster's catalog
-// at its current width, the way a session's plan cache would hold it.
+// planTemplate plans a statement against the cluster's catalog at its
+// current width — with $N parameters, the way a session's plan cache would
+// hold it.
 func planTemplate(t *testing.T, c *Cluster, q string, params ...types.Datum) *plan.Planned {
 	t.Helper()
 	st, err := sql.Parse(q)

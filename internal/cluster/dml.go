@@ -3,11 +3,11 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/dtm"
+	"repro/internal/exec"
 	"repro/internal/lockmgr"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -58,117 +58,6 @@ func (s *Segment) ExecInsert(ctx context.Context, dxid dtm.DXID, snap *dtm.DistS
 		a.st.wrote = true
 	}
 	return n, nil
-}
-
-// dmlTarget is a row selected for modification.
-type dmlTarget struct {
-	leaf catalog.TableID
-	tid  storage.TupleID
-}
-
-// collectTargets finds visible rows matching the filter, via an index probe
-// when one applies.
-func (s *Segment) collectTargets(ctx context.Context, a *storeAccess, t *catalog.Table, filter plan.Expr) ([]dmlTarget, error) {
-	var out []dmlTarget
-	for _, leaf := range leafIDs(t) {
-		st, err := s.table(leaf)
-		if err != nil {
-			return nil, err
-		}
-		if ix, key := pickIndexProbe(st, filter); ix != nil {
-			s.accessPenalty(st)
-			for _, tid := range ix.ix.Lookup(key) {
-				h, row, ok := st.engine.Fetch(tid)
-				if !ok || !ix.ix.Matches(row, key) {
-					continue
-				}
-				if !a.check.Visible(h.Xmin, h.Xmax) {
-					continue
-				}
-				keep, err := plan.EvalBool(filter, row)
-				if err != nil {
-					return nil, err
-				}
-				if keep {
-					out = append(out, dmlTarget{leaf: leaf, tid: tid})
-				}
-			}
-			continue
-		}
-		var iterErr error
-		st.engine.ForEach(func(h storage.Header, row types.Row) bool {
-			select {
-			case <-ctx.Done():
-				iterErr = ctx.Err()
-				return false
-			default:
-			}
-			if !a.check.Visible(h.Xmin, h.Xmax) {
-				return true
-			}
-			keep, err := plan.EvalBool(filter, row)
-			if err != nil {
-				iterErr = err
-				return false
-			}
-			if keep {
-				out = append(out, dmlTarget{leaf: leaf, tid: h.TID})
-			}
-			return true
-		})
-		if iterErr != nil {
-			return nil, iterErr
-		}
-	}
-	return out, nil
-}
-
-// pickIndexProbe returns an index plus probe key when the filter pins every
-// indexed column with a constant equality.
-func pickIndexProbe(st *segTable, filter plan.Expr) (*segIndex, []types.Datum) {
-	if filter == nil || len(st.indexes) == 0 {
-		return nil, nil
-	}
-	eq := map[int]types.Datum{}
-	for _, c := range conjuncts(filter) {
-		b, ok := c.(*plan.BinOp)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		cr, crOK := b.Left.(*plan.ColRef)
-		cn, cnOK := b.Right.(*plan.Const)
-		if !crOK || !cnOK {
-			cr, crOK = b.Right.(*plan.ColRef)
-			cn, cnOK = b.Left.(*plan.Const)
-			if !crOK || !cnOK {
-				continue
-			}
-		}
-		eq[cr.Idx] = cn.Val
-	}
-	for _, ix := range st.indexes {
-		key := make([]types.Datum, 0, len(ix.def.Columns))
-		ok := true
-		for _, col := range ix.def.Columns {
-			v, found := eq[col]
-			if !found {
-				ok = false
-				break
-			}
-			key = append(key, v)
-		}
-		if ok {
-			return ix, key
-		}
-	}
-	return nil, nil
-}
-
-func conjuncts(e plan.Expr) []plan.Expr {
-	if b, ok := e.(*plan.BinOp); ok && b.Op == "AND" {
-		return append(conjuncts(b.Left), conjuncts(b.Right)...)
-	}
-	return []plan.Expr{e}
 }
 
 // writeTuple serializes with concurrent writers of the logical tuple rooted
@@ -273,94 +162,52 @@ func (s *Segment) waitForWriter(ctx context.Context, me lockmgr.TxnID, holder tx
 	return nil
 }
 
-// ExecUpdate applies an UPDATE plan on this segment.
-func (s *Segment) ExecUpdate(ctx context.Context, dxid dtm.DXID, snap *dtm.DistSnapshot, up *plan.UpdatePlan) (int, error) {
+// ExecModify runs an UPDATE or DELETE plan on this segment: under the
+// statement's RowExclusive lock on t, the executor's write sink finds the
+// rows the plan's access path selects and writes them through WriteRow.
+// ops, when armed (EXPLAIN ANALYZE), receives the access path's actuals.
+func (s *Segment) ExecModify(ctx context.Context, dxid dtm.DXID, snap *dtm.DistSnapshot, t *catalog.Table, root plan.Node, ops *plan.OpStats) (int, error) {
 	if err := s.checkUp(); err != nil {
 		return 0, err
 	}
 	s.netHop()
 	s.stmtOverhead()
 	a := s.newAccess(dxid, snap)
-	if err := s.acquire(ctx, lockmgr.TxnID(dxid), lockmgr.RelationTag(uint64(up.Table.ID)), lockmgr.RowExclusive); err != nil {
+	if err := s.acquire(ctx, lockmgr.TxnID(dxid), lockmgr.RelationTag(uint64(t.ID)), lockmgr.RowExclusive); err != nil {
 		return 0, err
 	}
-	targets, err := s.collectTargets(ctx, a, up.Table, up.Filter)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, tgt := range targets {
-		st, err := s.table(tgt.leaf)
-		if err != nil {
-			return n, err
-		}
-		s.accessPenalty(st)
-		old, oldRow, ok, err := s.writeTuple(ctx, a, st, tgt.tid)
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			continue
-		}
-		newRow := oldRow.Clone()
-		for i, col := range up.SetCols {
-			v, err := up.SetExprs[i].Eval(oldRow)
-			if err != nil {
-				return n, err
-			}
-			cv, err := v.CastTo(up.Table.Schema.Columns[col].Kind)
-			if err != nil {
-				return n, err
-			}
-			newRow[col] = cv
-		}
-		newTid := st.engine.Insert(a.st.local, newRow)
-		st.engine.LinkUpdate(old, newTid)
-		for _, ix := range st.indexes {
-			ix.ix.Insert(newRow, newTid)
-		}
-		n++
-	}
-	if n > 0 {
-		a.st.wrote = true
-	}
-	return n, nil
+	return exec.Modify(&exec.Context{Ctx: ctx, Store: a, SegID: s.id, Ops: ops}, root)
 }
 
-// ExecDelete applies a DELETE plan on this segment.
-func (s *Segment) ExecDelete(ctx context.Context, dxid dtm.DXID, snap *dtm.DistSnapshot, dp *plan.DeletePlan) (int, error) {
-	if err := s.checkUp(); err != nil {
-		return 0, err
-	}
-	s.netHop()
-	s.stmtOverhead()
-	a := s.newAccess(dxid, snap)
-	if err := s.acquire(ctx, lockmgr.TxnID(dxid), lockmgr.RelationTag(uint64(dp.Table.ID)), lockmgr.RowExclusive); err != nil {
-		return 0, err
-	}
-	targets, err := s.collectTargets(ctx, a, dp.Table, dp.Filter)
+// WriteRow implements exec.StoreAccess: writeTuple's locking and chain
+// following, then — for an UPDATE — the new version in the same leaf, linked
+// from the old one and entered in the leaf's indexes. The new version stays
+// in the leaf because the planner refuses a SET of a partition-key column.
+func (a *storeAccess) WriteRow(ctx context.Context, id exec.RowID, up *plan.UpdatePlan) (bool, error) {
+	s := a.seg
+	st, err := s.table(id.Leaf)
 	if err != nil {
-		return 0, err
+		return false, err
 	}
-	n := 0
-	for _, tgt := range targets {
-		st, err := s.table(tgt.leaf)
-		if err != nil {
-			return n, err
-		}
-		s.accessPenalty(st)
-		_, _, ok, err := s.writeTuple(ctx, a, st, tgt.tid)
-		if err != nil {
-			return n, err
-		}
-		if ok {
-			n++
-		}
+	s.accessPenalty(st)
+	old, oldRow, ok, err := s.writeTuple(ctx, a, st, id.TID)
+	if !ok || err != nil {
+		return false, err
 	}
-	if n > 0 {
-		a.st.wrote = true
+	a.st.wrote = true
+	if up == nil {
+		return true, nil
 	}
-	return n, nil
+	row, err := up.NewVersion(oldRow)
+	if err != nil {
+		return false, err
+	}
+	tid := st.engine.Insert(a.st.local, row)
+	st.engine.LinkUpdate(old, tid)
+	for _, ix := range st.indexes {
+		ix.ix.Insert(row, tid)
+	}
+	return true, nil
 }
 
 // LockRelation takes an explicit LOCK TABLE lock on this segment.
@@ -412,20 +259,3 @@ var _ interface {
 	CommitOnePhase(dtm.DXID) error
 	Abort(dtm.DXID) error
 } = (*Segment)(nil)
-
-// sleepCtx is a context-aware sleep used by dispatch simulation.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-var _ = fmt.Sprintf // keep fmt import when builds shuffle

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/lockmgr"
 	"repro/internal/plan"
@@ -611,7 +612,7 @@ func (c *Cluster) moveHash(ctx context.Context, run *expandRun, slot *resgroup.S
 				batch = batch[:0]
 				return nil
 			}
-			scanErr := accs[i].ScanTable(ctx, leaf, false, func(row types.Row) (bool, bool, error) {
+			scanErr := accs[i].ScanTable(ctx, leaf, exec.RowMark{}, func(row types.Row) (bool, bool, error) {
 				batch = append(batch, row.Clone())
 				if len(batch) >= moveBatchRows {
 					if ferr := flush(); ferr != nil {
@@ -775,9 +776,9 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 	for _, row := range minus {
 		row := row
 		dest := plan.RouteRow(st, row, target, &rr)
-		dp := &plan.DeletePlan{Table: st, Filter: rowEqFilter(st, row)}
+		dp := &plan.DeletePlan{Table: st, Child: plan.NewScan(st, leafIDs(st), rowEqFilter(st, row))}
 		removed, gen, err := c.execOnSeg(ctx, lt, dest, func(s *Segment) (int, error) {
-			return s.ExecDelete(ctx, lt.dxid, snap, dp)
+			return s.ExecModify(ctx, lt.dxid, snap, st, dp, nil)
 		})
 		if err != nil {
 			return err

@@ -140,26 +140,27 @@ func TestStaleDistMapVersionRejected(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
 		name string
-		run  func(c *Cluster, tab *catalog.Table, lt *LiveTxn, staleVer uint64) error
+		run  func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, staleVer uint64) error
 	}{
-		{"insert", func(c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
+		{"insert", func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
 			ip := &plan.InsertPlan{Table: tab, MapVersion: v,
 				Rows: []types.Row{{types.NewInt(1), types.NewInt(1)}}}
 			_, err := c.RunInsert(ctx, lt, c.Snapshot(), ip, nil)
 			return err
 		}},
-		{"update", func(c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
-			up := &plan.UpdatePlan{Table: tab, MapVersion: v, SetCols: []int{1},
-				SetExprs: []plan.Expr{&plan.Const{Val: types.NewInt(9)}}}
-			_, err := c.RunUpdate(ctx, lt, c.Snapshot(), up, -1, nil)
+		{"update", func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
+			up := planTemplate(t, c, "UPDATE t SET b = 9")
+			up.Root.(*plan.UpdatePlan).MapVersion = v
+			_, err := c.RunModify(ctx, lt, c.Snapshot(), up, nil)
 			return err
 		}},
-		{"delete", func(c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
-			dp := &plan.DeletePlan{Table: tab, MapVersion: v}
-			_, err := c.RunDelete(ctx, lt, c.Snapshot(), dp, -1, nil)
+		{"delete", func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
+			dp := planTemplate(t, c, "DELETE FROM t")
+			dp.Root.(*plan.DeletePlan).MapVersion = v
+			_, err := c.RunModify(ctx, lt, c.Snapshot(), dp, nil)
 			return err
 		}},
-		{"select", func(c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
+		{"select", func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
 			scan := plan.NewScan(tab, []catalog.TableID{tab.ID}, nil)
 			root := &plan.Motion{Child: scan, Type: plan.MotionGather}
 			pl := plan.NewPlanned(root)
@@ -178,7 +179,7 @@ func TestStaleDistMapVersionRejected(t *testing.T) {
 			tab.SetPlacement(w, ver+1)
 			lt := c.BeginTxn()
 			defer c.AbortTxn(lt)
-			err := tc.run(c, tab, lt, ver)
+			err := tc.run(t, c, tab, lt, ver)
 			var stale *StaleDistMapError
 			if !errors.As(err, &stale) {
 				t.Fatalf("stale-version %s: err = %v, want StaleDistMapError", tc.name, err)
@@ -347,7 +348,7 @@ func TestExpandStaleTemplateFenced(t *testing.T) {
 		if pl, err = upd.Bind(params); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.RunUpdate(ctx, lt, c.Snapshot(), pl.Root.(*plan.UpdatePlan), pl.DirectSegment, nil); !errors.As(err, &stale) {
+		if _, err := c.RunModify(ctx, lt, c.Snapshot(), pl, nil); !errors.As(err, &stale) {
 			t.Fatalf("key %d: stale UPDATE template: %v, want StaleDistMapError", k, err)
 		}
 		if pl, err = fresh.Bind(params); err != nil {

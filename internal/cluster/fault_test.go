@@ -16,11 +16,6 @@ func insertPlan(tab *catalog.Table, rows []types.Row) *plan.InsertPlan {
 	return &plan.InsertPlan{Table: tab, Rows: rows}
 }
 
-func updatePlan(tab *catalog.Table) *plan.UpdatePlan {
-	return &plan.UpdatePlan{Table: tab, SetCols: []int{1},
-		SetExprs: []plan.Expr{&plan.Const{Val: types.NewInt(99)}}}
-}
-
 func faultTestCluster(t *testing.T) *Cluster {
 	t.Helper()
 	cfg := GPDB6(2)
@@ -155,7 +150,7 @@ func TestAbortResolvesThroughDispatchFaults(t *testing.T) {
 
 	ctx := context.Background()
 	lt := c.BeginTxn()
-	if _, err := c.RunUpdate(ctx, lt, c.Snapshot(), updatePlan(tab), -1, nil); err != nil {
+	if _, err := c.RunModify(ctx, lt, c.Snapshot(), planTemplate(t, c, "UPDATE t SET b = 99"), nil); err != nil {
 		t.Fatal(err)
 	}
 	// 70% of dispatch attempts fail while the abort wave runs; bounded
@@ -171,7 +166,7 @@ func TestAbortResolvesThroughDispatchFaults(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		lt2 := c.BeginTxn()
-		if _, err := c.RunUpdate(ctx, lt2, c.Snapshot(), updatePlan(tab), -1, nil); err != nil {
+		if _, err := c.RunModify(ctx, lt2, c.Snapshot(), planTemplate(t, c, "UPDATE t SET b = 99"), nil); err != nil {
 			c.AbortTxn(lt2)
 			done <- err
 			return

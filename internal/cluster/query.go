@@ -484,7 +484,7 @@ func modeOf(level int) lockmgr.Mode {
 // ---- DML dispatch ----
 
 // RunInsert routes pre-evaluated rows to their owning segments and
-// dispatches the inserts in parallel.
+// dispatches the inserts there.
 func (c *Cluster) RunInsert(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, ip *plan.InsertPlan, res *QueryResources) (int, error) {
 	rows := ip.Rows
 	if ip.Select != nil {
@@ -547,63 +547,17 @@ func (c *Cluster) RunInsert(ctx context.Context, t *LiveTxn, snap *dtm.DistSnaps
 	// tuple") and every gang member joins the two-phase commit.
 	targets := make([]int, 0, nseg)
 	for i := 0; i < nseg; i++ {
-		if c.cfg.DirectDispatch {
-			if perSeg[i] != nil {
-				targets = append(targets, i)
-			}
-		} else {
+		if perSeg[i] != nil || !c.cfg.DirectDispatch {
 			targets = append(targets, i)
 		}
 	}
-	if len(targets) == 0 {
-		return 0, nil
-	}
-
-	total := 0
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for _, segID := range targets {
-		segID := segID
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sp := res.trace().Begin(execSpanOf(res), "insert", segID)
-			defer sp.End()
-			byLeaf := perSeg[segID]
-			if byLeaf == nil {
-				byLeaf = map[catalog.TableID][]types.Row{}
-			}
-			n, gen, err := c.execOnSeg(ctx, t, segID, func(s *Segment) (int, error) {
-				return s.ExecInsert(ctx, t.dxid, snap, ip.Table, byLeaf)
-			})
-			if err == nil && res != nil {
-				res.DML.Add(segID, int64(n))
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			t.touched[segID] = true
-			// Writer bookkeeping only for attempts that ran: a segUp
-			// failure returns gen 0, which must not be recorded as a
-			// written incarnation.
-			if err == nil && (n > 0 || !c.cfg.DirectDispatch) {
-				if !t.writers[segID] {
-					t.wroteGen[segID] = gen
-				}
-				t.writers[segID] = true
-				t.noteWroteMap(ip.Table.ID, mapVer)
-			}
-			total += n
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}()
-	}
-	wg.Wait()
-	if total > 0 {
+	n, err := c.dispatchWrite(ctx, t, ip.Table, mapVer, targets, res, "insert", func(seg int, s *Segment) (int, error) {
+		return s.ExecInsert(ctx, t.dxid, snap, ip.Table, perSeg[seg])
+	})
+	if n > 0 {
 		c.invalidateStats(ip.Table.Name)
 	}
-	return total, firstErr
+	return n, err
 }
 
 func addRow(m *map[catalog.TableID][]types.Row, leaf catalog.TableID, row types.Row) {
@@ -626,77 +580,116 @@ func leafFor(t *catalog.Table, row types.Row) (catalog.TableID, error) {
 	return p.ID, nil
 }
 
-// RunUpdate dispatches an UPDATE to the owning segments. res may be nil;
-// when set, its trace and DML collectors observe the dispatch.
-func (c *Cluster) RunUpdate(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, up *plan.UpdatePlan, directSeg int, res *QueryResources) (int, error) {
-	n, err := c.runWrite(ctx, t, up.Table, up.MapVersion, directSeg, res, "update", func(s *Segment) (int, error) {
-		return s.ExecUpdate(ctx, t.dxid, snap, up)
-	})
-	if n > 0 {
-		c.invalidateStats(up.Table.Name)
+// RunModify dispatches an UPDATE or DELETE plan to the segments that can
+// hold its rows: the one pl.DirectSegment names under direct dispatch, else
+// the whole gang. res may be nil; when set, its trace and DML collectors
+// observe the dispatch and its armed operator statistics the access paths.
+func (c *Cluster) RunModify(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources) (int, error) {
+	tab, plannedVer, op, err := modifyTarget(pl.Root)
+	if err != nil {
+		return 0, err
 	}
-	return n, err
-}
-
-// RunDelete dispatches a DELETE to the owning segments. res may be nil.
-func (c *Cluster) RunDelete(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, dp *plan.DeletePlan, directSeg int, res *QueryResources) (int, error) {
-	n, err := c.runWrite(ctx, t, dp.Table, dp.MapVersion, directSeg, res, "delete", func(s *Segment) (int, error) {
-		return s.ExecDelete(ctx, t.dxid, snap, dp)
-	})
-	if n > 0 {
-		c.invalidateStats(dp.Table.Name)
-	}
-	return n, err
-}
-
-func (c *Cluster) runWrite(ctx context.Context, t *LiveTxn, tab *catalog.Table, plannedVer uint64, directSeg int, res *QueryResources, op string, f func(*Segment) (int, error)) (int, error) {
 	nseg := c.SegCount()
 	t.grow(nseg)
 	_, mapVer := tab.Placement()
 	if plannedVer != mapVer {
 		return 0, &StaleDistMapError{Table: tab.Name, Planned: plannedVer, Current: mapVer}
 	}
-	targets := make([]int, 0, nseg)
-	if c.cfg.DirectDispatch && directSeg >= 0 && directSeg < nseg {
-		targets = append(targets, directSeg)
-	} else {
-		for i := 0; i < nseg; i++ {
-			targets = append(targets, i)
+	targets := []int{pl.DirectSegment}
+	if !c.cfg.DirectDispatch || pl.DirectSegment < 0 || pl.DirectSegment >= nseg {
+		targets = make([]int, nseg)
+		for i := range targets {
+			targets[i] = i
 		}
 	}
-	total := 0
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for _, segID := range targets {
-		segID := segID
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sp := res.trace().Begin(execSpanOf(res), op, segID)
-			defer sp.End()
-			n, gen, err := c.execOnSeg(ctx, t, segID, f)
-			if err == nil && res != nil {
-				res.DML.Add(segID, int64(n))
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			t.touched[segID] = true
-			if err == nil && (n > 0 || !c.cfg.DirectDispatch) {
-				if !t.writers[segID] {
-					t.wroteGen[segID] = gen
-				}
-				t.writers[segID] = true
-				t.noteWroteMap(tab.ID, mapVer)
-			}
-			total += n
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}()
+	var ops *plan.OpStats
+	if res != nil {
+		ops = res.Ops
 	}
-	wg.Wait()
+	n, err := c.dispatchWrite(ctx, t, tab, mapVer, targets, res, op, func(_ int, s *Segment) (int, error) {
+		return s.ExecModify(ctx, t.dxid, snap, tab, pl.Root, ops)
+	})
+	if n > 0 {
+		c.invalidateStats(tab.Name)
+	}
+	return n, err
+}
+
+// modifyTarget returns the table an UPDATE or DELETE root writes, the
+// placement version it was planned under, and its trace span name.
+func modifyTarget(root plan.Node) (*catalog.Table, uint64, string, error) {
+	switch x := root.(type) {
+	case *plan.UpdatePlan:
+		return x.Table, x.MapVersion, "update", nil
+	case *plan.DeletePlan:
+		return x.Table, x.MapVersion, "delete", nil
+	}
+	return nil, 0, "", fmt.Errorf("cluster: %T is not an UPDATE or DELETE", root)
+}
+
+// segWrite is one target segment's outcome of a write dispatch.
+type segWrite struct {
+	n, gen int
+	err    error
+}
+
+// dispatchWrite is the one dispatch of INSERT, UPDATE and DELETE: it runs
+// the statement's per-segment portion f on every target segment, each under
+// an op trace span — in the caller's goroutine when there is only one
+// target (below the same execOnSeg fences as the gang), one goroutine per
+// segment otherwise. Then it does the writer bookkeeping: every target is
+// touched, and one whose attempt ran and wrote (or, without direct
+// dispatch, every gang member) becomes a writer of its segment incarnation
+// and of tab at mapVer. It returns the rows written and the first error.
+func (c *Cluster) dispatchWrite(ctx context.Context, t *LiveTxn, tab *catalog.Table, mapVer uint64, targets []int, res *QueryResources, op string, f func(seg int, s *Segment) (int, error)) (int, error) {
+	var one [1]segWrite
+	outs := one[:]
+	if len(targets) == 1 {
+		one[0] = c.writeOnSeg(ctx, t, targets[0], res, op, f)
+	} else {
+		gang := make([]segWrite, len(targets))
+		var wg sync.WaitGroup
+		for i, seg := range targets {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				gang[i] = c.writeOnSeg(ctx, t, seg, res, op, f)
+			}()
+		}
+		wg.Wait()
+		outs = gang
+	}
+	total := 0
+	var firstErr error
+	for i, seg := range targets {
+		o := outs[i]
+		t.touched[seg] = true
+		// A segUp failure returns gen 0, which must not be recorded as a
+		// written incarnation: bookkeeping only for attempts that ran.
+		if o.err == nil && (o.n > 0 || !c.cfg.DirectDispatch) {
+			if !t.writers[seg] {
+				t.wroteGen[seg] = o.gen
+			}
+			t.writers[seg] = true
+			t.noteWroteMap(tab.ID, mapVer)
+		}
+		if o.err == nil && res != nil {
+			res.DML.Add(seg, int64(o.n))
+		}
+		total += o.n
+		if o.err != nil && firstErr == nil {
+			firstErr = o.err
+		}
+	}
 	return total, firstErr
+}
+
+// writeOnSeg runs one target segment's portion of a write dispatch.
+func (c *Cluster) writeOnSeg(ctx context.Context, t *LiveTxn, seg int, res *QueryResources, op string, f func(int, *Segment) (int, error)) segWrite {
+	sp := res.trace().Begin(execSpanOf(res), op, seg)
+	defer sp.End()
+	n, gen, err := c.execOnSeg(ctx, t, seg, func(s *Segment) (int, error) { return f(seg, s) })
+	return segWrite{n: n, gen: gen, err: err}
 }
 
 // LockTableEverywhere implements LOCK TABLE: the coordinator lock plus the

@@ -735,18 +735,36 @@ func (a *storeAccess) lockRelation(ctx context.Context, t *catalog.Table, mode l
 	return a.seg.mapLockErr(a.seg.locks.Acquire(ctx, lockmgr.TxnID(a.dxid), lockmgr.RelationTag(uint64(t.ID)), mode))
 }
 
-// ScanTable implements exec.StoreAccess. With forUpdate set, only rows the
-// caller keeps (i.e. that pass the statement's filter) are row-locked.
-func (a *storeAccess) ScanTable(ctx context.Context, leaf catalog.TableID, forUpdate bool, fn func(row types.Row) (keep, cont bool, err error)) error {
+// markedLeaf resolves a leaf for the row-callback path and takes mark's
+// relation lock on it: RowShare for FOR UPDATE, AccessShare for a plain
+// read, none for a write's target scan (its statement holds RowExclusive).
+func (a *storeAccess) markedLeaf(ctx context.Context, leaf catalog.TableID, mark exec.RowMark) (*segTable, error) {
 	st, err := a.seg.table(leaf)
-	if err != nil {
-		return err
+	if err != nil || mark.Targets != nil {
+		return st, err
 	}
 	mode := lockmgr.AccessShare
-	if forUpdate {
+	if mark.Lock {
 		mode = lockmgr.RowShare
 	}
-	if err := a.lockRelation(ctx, st.meta, mode); err != nil {
+	return st, a.lockRelation(ctx, st.meta, mode)
+}
+
+// applyMark does mark's work on a row the caller kept.
+func (a *storeAccess) applyMark(ctx context.Context, st *segTable, tid storage.TupleID, mark exec.RowMark) error {
+	if mark.Targets != nil {
+		*mark.Targets = append(*mark.Targets, exec.RowID{Leaf: st.leaf, TID: tid})
+	}
+	if mark.Lock {
+		return a.seg.lockRowForUpdate(ctx, a, st, tid)
+	}
+	return nil
+}
+
+// ScanTable implements exec.StoreAccess.
+func (a *storeAccess) ScanTable(ctx context.Context, leaf catalog.TableID, mark exec.RowMark, fn func(row types.Row) (keep, cont bool, err error)) error {
+	st, err := a.markedLeaf(ctx, leaf, mark)
+	if err != nil {
 		return err
 	}
 	var iterErr error
@@ -761,15 +779,12 @@ func (a *storeAccess) ScanTable(ctx context.Context, leaf catalog.TableID, forUp
 			return true
 		}
 		keep, cont, err := fn(row)
+		if err == nil && keep {
+			err = a.applyMark(ctx, st, h.TID, mark)
+		}
 		if err != nil {
 			iterErr = err
 			return false
-		}
-		if keep && forUpdate {
-			if err := a.seg.lockRowForUpdate(ctx, a, st, h.TID); err != nil {
-				iterErr = err
-				return false
-			}
 		}
 		return cont
 	})
@@ -942,17 +957,10 @@ func (a *storeAccess) visibleSel(ch *storage.VecChunk) []int {
 }
 
 // IndexLookup implements exec.StoreAccess.
-func (a *storeAccess) IndexLookup(ctx context.Context, t *catalog.Table, def *catalog.Index, key []types.Datum, forUpdate bool, fn func(row types.Row) (bool, error)) error {
+func (a *storeAccess) IndexLookup(ctx context.Context, t *catalog.Table, def *catalog.Index, key []types.Datum, mark exec.RowMark, fn func(row types.Row) (keep, cont bool, err error)) error {
 	for _, leaf := range leafIDs(t) {
-		st, err := a.seg.table(leaf)
+		st, err := a.markedLeaf(ctx, leaf, mark)
 		if err != nil {
-			return err
-		}
-		mode := lockmgr.AccessShare
-		if forUpdate {
-			mode = lockmgr.RowShare
-		}
-		if err := a.lockRelation(ctx, st.meta, mode); err != nil {
 			return err
 		}
 		var ix *segIndex
@@ -974,17 +982,12 @@ func (a *storeAccess) IndexLookup(ctx context.Context, t *catalog.Table, def *ca
 			if !a.check.Visible(h.Xmin, h.Xmax) {
 				continue
 			}
-			if forUpdate {
-				if err := a.seg.lockRowForUpdate(ctx, a, st, h.TID); err != nil {
-					return err
-				}
+			keep, cont, err := fn(row)
+			if err == nil && keep {
+				err = a.applyMark(ctx, st, tid, mark)
 			}
-			cont, err := fn(row)
-			if err != nil {
+			if err != nil || !cont {
 				return err
-			}
-			if !cont {
-				return nil
 			}
 		}
 	}

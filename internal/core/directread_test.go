@@ -374,18 +374,24 @@ func TestDirectReadFailover(t *testing.T) {
 	}
 }
 
-// TestPointSelectAllocations is the allocation gate: a cached point SELECT
-// on a 4-segment engine stays a one-segment statement — no gang, no
-// interconnect, no batch-size containers for one row.
+// TestPointSelectAllocations is the allocation gate: cached point statements
+// on a 4-segment engine stay one-segment statements — no gang, no
+// interconnect, no batch-size containers for one row, and a write runs
+// inline in the session's goroutine.
 func TestPointSelectAllocations(t *testing.T) {
 	_, s := directEngine(t, true)
 	ctx := context.Background()
-	k := int64(0)
+	var doomed []string // keys the DELETE gate removes, one per run
+	for i := 1001; i <= 1500; i++ {
+		doomed = append(doomed, fmt.Sprintf("(%d,%d,'pad')", i, i))
+	}
+	mustExec(t, s, "INSERT INTO kv VALUES "+strings.Join(doomed, ","))
+	k, d := int64(0), int64(1000)
 	perRun := func(q string, params func() []types.Datum) float64 {
 		run := func() {
 			k = k%60 + 1
-			if _, err := s.Exec(ctx, q, params()...); err != nil {
-				t.Fatal(err)
+			if res, err := s.Exec(ctx, q, params()...); err != nil || !strings.HasPrefix(q, "SELECT") && res.RowsAffected != 1 {
+				t.Fatal(q, err)
 			}
 		}
 		run()
@@ -393,8 +399,12 @@ func TestPointSelectAllocations(t *testing.T) {
 	}
 	sel := perRun("SELECT val FROM kv WHERE id = $1", func() []types.Datum { return []types.Datum{types.NewInt(k)} })
 	upd := perRun("UPDATE kv SET val = val + $1 WHERE id = $2", func() []types.Datum { return []types.Datum{types.NewInt(1), types.NewInt(k)} })
-	t.Logf("allocations per statement: SELECT %.1f, UPDATE %.1f", sel, upd)
+	del := perRun("DELETE FROM kv WHERE id = $1", func() []types.Datum { d++; return []types.Datum{types.NewInt(d)} })
+	t.Logf("allocations per statement: SELECT %.1f, UPDATE %.1f, DELETE %.1f", sel, upd, del)
 	if sel > 80 || sel > 1.5*upd {
 		t.Fatalf("point SELECT allocates %.1f times per statement (UPDATE %.1f): want <= 80 and <= 1.5x the UPDATE", sel, upd)
+	}
+	if upd > 67 || del > 61 {
+		t.Fatalf("point UPDATE allocates %.1f and DELETE %.1f times per statement: want <= 67 and <= 61", upd, del)
 	}
 }

@@ -764,17 +764,15 @@ func onOff(b bool) string {
 // affected with the command tag.
 func (s *Session) runDML(ctx context.Context, pl *plan.Planned, res *cluster.QueryResources) (int, string, error) {
 	cl := s.engine.cluster
-	switch root := pl.Root.(type) {
-	case *plan.InsertPlan:
-		n, err := cl.RunInsert(ctx, s.txn, cl.Snapshot(), root, res)
+	if ip, ok := pl.Root.(*plan.InsertPlan); ok {
+		n, err := cl.RunInsert(ctx, s.txn, cl.Snapshot(), ip, res)
 		return n, fmt.Sprintf("INSERT 0 %d", n), err
-	case *plan.UpdatePlan:
-		n, err := cl.RunUpdate(ctx, s.txn, cl.Snapshot(), root, pl.DirectSegment, res)
-		return n, fmt.Sprintf("UPDATE %d", n), err
-	default:
-		n, err := cl.RunDelete(ctx, s.txn, cl.Snapshot(), root.(*plan.DeletePlan), pl.DirectSegment, res)
-		return n, fmt.Sprintf("DELETE %d", n), err
 	}
+	n, err := cl.RunModify(ctx, s.txn, cl.Snapshot(), pl, res)
+	if _, ok := pl.Root.(*plan.UpdatePlan); ok {
+		return n, fmt.Sprintf("UPDATE %d", n), err
+	}
+	return n, fmt.Sprintf("DELETE %d", n), err
 }
 
 func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []types.Datum) (*Result, error) {
@@ -915,9 +913,10 @@ func (s *Session) explainAnalyzeSelect(ctx context.Context, pl *plan.Planned) (*
 	return out, nil
 }
 
-// explainAnalyzeDML executes the write for real and reports the per-segment
-// rows-affected breakdown plus elapsed time beneath the plan text. Timings
-// come from the monotonic clock (time.Since), never wall-clock arithmetic.
+// explainAnalyzeDML executes the write for real and reports, beneath the plan
+// text with its access path's actual rows, the per-segment rows-affected
+// breakdown plus elapsed time. Timings come from the monotonic clock
+// (time.Since), never wall-clock arithmetic.
 func (s *Session) explainAnalyzeDML(ctx context.Context, pl *plan.Planned) (*Result, error) {
 	if pl.LockTable != "" {
 		if err := s.engine.cluster.LockCoordinator(ctx, s.txn, pl.LockTable, lockModeOf(pl.LockModeLevel)); err != nil {
@@ -932,6 +931,7 @@ func (s *Session) explainAnalyzeDML(ctx context.Context, pl *plan.Planned) (*Res
 		res = &cluster.QueryResources{}
 	}
 	res.DML = &cluster.DMLCounters{}
+	res.Ops = plan.NewOpStats(pl.Root, s.engine.cluster.SegCount())
 	start := time.Now()
 	n, _, err := s.runDML(ctx, pl, res)
 	elapsed := time.Since(start)
@@ -943,7 +943,7 @@ func (s *Session) explainAnalyzeDML(ctx context.Context, pl *plan.Planned) (*Res
 		ob.setRows(int64(n))
 	}
 	out := &Result{Columns: []string{"QUERY PLAN"}, Tag: "EXPLAIN"}
-	for _, line := range strings.Split(strings.TrimRight(plan.Explain(pl.Root), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(plan.ExplainAnalyzedOps(pl.Root, nil, nil, res.Ops), "\n"), "\n") {
 		out.Rows = append(out.Rows, types.Row{types.NewText(line)})
 	}
 	per := res.DML.PerSegment()

@@ -472,14 +472,14 @@ func newOperator(ctx *Context, node, at plan.Node, with BatchIterator) BatchIter
 			return &rowWindows{}
 		}
 		if n.ForUpdate {
-			return &forUpdateScanIter{rowWindows: rowWindows{size: ctx.batchSize()}, ctx: ctx, node: n, tick: cpuTick{ctx: ctx}}
+			return newMarkedScanIter(ctx, n, true)
 		}
 		return newBatchScanIter(ctx, n)
 	case *plan.IndexScan:
 		if ctx.Store == nil {
 			return errBatchIterf("exec: index scan of %s in a storage-less slice", n.Table.Name)
 		}
-		return &indexScanIter{rowWindows: rowWindows{size: ctx.batchSize()}, ctx: ctx, node: n}
+		return newMarkedScanIter(ctx, n, n.ForUpdate)
 	case *plan.Filter:
 		return &batchFilterIter{child: child(n.Child), pred: plan.CompilePredicate(n.Cond), tick: cpuTick{ctx: ctx}}
 	case *plan.Project:

@@ -18,12 +18,13 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
 // StoreAccess is what a slice needs from its segment's storage: scans with
-// MVCC visibility applied and (FOR UPDATE) row locking performed by the
-// segment layer.
+// MVCC visibility applied, and the row locking and row writes performed by
+// the segment layer.
 type StoreAccess interface {
 	// ScanTableBatches delivers the leaf's visible rows in bounded batches —
 	// an AO-column leaf in the column layout, windows of cached vectors under
@@ -33,13 +34,38 @@ type StoreAccess interface {
 	// that cannot be decoded is an error.
 	ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
 	// ScanTable visits every visible row of the leaf table one at a time —
-	// the FOR UPDATE scan, which alone needs a per-row callback. fn reports
-	// whether the row matches (keep) and whether to continue (cont). When
-	// forUpdate is set, each KEPT row is locked for the current transaction
-	// before the scan proceeds — rows the filter rejects are never locked.
-	ScanTable(ctx context.Context, leaf catalog.TableID, forUpdate bool, fn func(row types.Row) (keep, cont bool, err error)) error
-	// IndexLookup visits visible rows matching key via the named index.
-	IndexLookup(ctx context.Context, table *catalog.Table, index *catalog.Index, key []types.Datum, forUpdate bool, fn func(row types.Row) (bool, error)) error
+	// the path of the scans that mark the rows they keep. fn reports whether
+	// the row matches (keep) and whether to continue (cont); mark is applied
+	// to each KEPT row before the scan proceeds, never to a rejected one.
+	ScanTable(ctx context.Context, leaf catalog.TableID, mark RowMark, fn func(row types.Row) (keep, cont bool, err error)) error
+	// IndexLookup is ScanTable over the visible rows matching key via the
+	// named index, in every leaf of table.
+	IndexLookup(ctx context.Context, table *catalog.Table, index *catalog.Index, key []types.Datum, mark RowMark, fn func(row types.Row) (keep, cont bool, err error)) error
+	// WriteRow writes the row version id names on behalf of the current
+	// transaction — after waiting out its concurrent writers, the version a
+	// committed update chain leads to — as deleted, or, when up is set, as
+	// replaced by up.NewVersion(that version). ok=false: a committed
+	// transaction deleted the row meanwhile.
+	WriteRow(ctx context.Context, id RowID, up *plan.UpdatePlan) (ok bool, err error)
+}
+
+// RowID names one stored row version: its leaf table and its tuple id there.
+type RowID struct {
+	Leaf catalog.TableID
+	TID  storage.TupleID
+}
+
+// RowMark is what the row-callback store path does to each row its caller
+// keeps, besides handing it over.
+type RowMark struct {
+	// Lock takes SELECT ... FOR UPDATE's row lock, held to transaction end
+	// (and RowShare on the relation instead of AccessShare).
+	Lock bool
+	// Targets, when set, collects each kept row's identity for an UPDATE or
+	// DELETE. The statement already holds RowExclusive on the relation, so
+	// the scan takes no relation lock; the rows are locked as they are
+	// written.
+	Targets *[]RowID
 }
 
 // ScanSpec carries the per-scan options of the batch scan path: the column

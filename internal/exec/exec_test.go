@@ -7,32 +7,58 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
 // memStore is an in-memory StoreAccess for executor unit tests. Its batch
 // scan goes through the executor's streaming path (producer goroutine +
 // bounded batches); locked records the rows a FOR UPDATE scan kept, standing
-// in for the segment's row locks.
+// in for the segment's row locks. A row's tuple id is its offset in its
+// table; a written row is marked deleted, and an update appends the new
+// version.
 type memStore struct {
-	tables map[catalog.TableID][]types.Row
-	locked []types.Row
+	tables  map[catalog.TableID][]types.Row
+	locked  []types.Row
+	deleted map[RowID]bool
 }
 
-func (m *memStore) ScanTable(_ context.Context, leaf catalog.TableID, forUpdate bool, fn func(types.Row) (bool, bool, error)) error {
-	for _, row := range m.tables[leaf] {
+func (m *memStore) ScanTable(_ context.Context, leaf catalog.TableID, mark RowMark, fn func(types.Row) (bool, bool, error)) error {
+	for i := 0; i < len(m.tables[leaf]); i++ { // sees versions appended meanwhile
+		row, id := m.tables[leaf][i], RowID{Leaf: leaf, TID: storage.TupleID(i)}
+		if m.deleted[id] {
+			continue
+		}
 		keep, cont, err := fn(row)
 		if err != nil {
 			return err
 		}
-		if keep && forUpdate {
+		if keep && mark.Lock {
 			m.locked = append(m.locked, row)
+		}
+		if keep && mark.Targets != nil {
+			*mark.Targets = append(*mark.Targets, id)
 		}
 		if !cont {
 			return nil
 		}
 	}
 	return nil
+}
+
+func (m *memStore) WriteRow(_ context.Context, id RowID, up *plan.UpdatePlan) (bool, error) {
+	if m.deleted == nil {
+		m.deleted = map[RowID]bool{}
+	}
+	m.deleted[id] = true
+	if up != nil {
+		row, err := up.NewVersion(m.tables[id.Leaf][id.TID])
+		if err != nil {
+			return false, err
+		}
+		m.tables[id.Leaf] = append(m.tables[id.Leaf], row)
+	}
+	return true, nil
 }
 
 func (m *memStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, _ ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
@@ -63,10 +89,10 @@ func (m *memStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, _
 	return nil
 }
 
-func (m *memStore) IndexLookup(_ context.Context, t *catalog.Table, _ *catalog.Index, key []types.Datum, _ bool, fn func(types.Row) (bool, error)) error {
+func (m *memStore) IndexLookup(_ context.Context, t *catalog.Table, _ *catalog.Index, key []types.Datum, _ RowMark, fn func(types.Row) (bool, bool, error)) error {
 	for _, row := range m.tables[t.ID] {
 		if types.Compare(row[0], key[0]) == 0 {
-			if cont, err := fn(row); err != nil || !cont {
+			if _, cont, err := fn(row); err != nil || !cont {
 				return err
 			}
 		}
@@ -287,6 +313,32 @@ func TestOneRowAndLimitZero(t *testing.T) {
 	rows = drain(t, BuildBatch(ctxWithStore(&memStore{}), lim))
 	if len(rows) != 0 {
 		t.Fatalf("LIMIT 0: %v", rows)
+	}
+}
+
+// TestModifyCollectsBeforeWriting: the write sink finds every target before
+// it writes one, so an UPDATE whose new versions still match its filter
+// writes each row exactly once even over a store whose scan would see them.
+func TestModifyCollectsBeforeWriting(t *testing.T) {
+	tab := testTable(1, "t", "v")
+	store := &memStore{tables: map[catalog.TableID][]types.Row{1: {intRow(0), intRow(1), intRow(2)}}}
+	up := &plan.UpdatePlan{Table: tab, SetCols: []int{0},
+		SetExprs: []plan.Expr{&plan.BinOp{Op: "+", Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(10)}}},
+		Child: plan.NewScan(tab, []catalog.TableID{1}, &plan.BinOp{
+			Op: "<", Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(100)}})}
+	n, err := Modify(ctxWithStore(store), up)
+	if err != nil || n != 3 {
+		t.Fatalf("update wrote %d rows (%v), want 3", n, err)
+	}
+	var live []types.Row
+	_ = store.ScanTable(context.Background(), 1, RowMark{}, func(r types.Row) (bool, bool, error) {
+		live = append(live, r)
+		return false, true, nil
+	})
+	requireSameRows(t, []types.Row{intRow(10), intRow(11), intRow(12)}, live)
+	del := &plan.DeletePlan{Table: tab, Child: up.Child}
+	if n, err := Modify(ctxWithStore(store), del); err != nil || n != 3 {
+		t.Fatalf("delete wrote %d rows (%v), want 3", n, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -47,80 +48,131 @@ func errBatchIterf(format string, args ...any) BatchIterator {
 	return errBatchIter{err: fmt.Errorf(format, args...)}
 }
 
-// forUpdateScanIter is the SELECT ... FOR UPDATE scan. It alone drives the
-// row-callback StoreAccess.ScanTable instead of the streaming batch scan,
-// because the row lock is taken inside the storage callback, for kept rows
-// only; the locked rows are materialized on the first pull and emitted as
-// windows.
-type forUpdateScanIter struct {
+// markedScanIter is a table access that goes through the store's
+// row-callback path rather than the streaming batch scan: an index probe, or
+// the SELECT ... FOR UPDATE scan, whose row lock is taken inside the storage
+// callback for kept rows only. It loads on the first pull and emits the kept
+// rows, cloned out of shared storage, as windows.
+type markedScanIter struct {
 	rowWindows
 	ctx    *Context
-	node   *plan.Scan
+	leaf   plan.Node // *plan.Scan or *plan.IndexScan
+	filter plan.Expr
 	tick   cpuTick
+	lock   bool
 	loaded bool
 }
 
-func (s *forUpdateScanIter) NextBatch() (*types.RowBatch, error) {
-	if !s.loaded {
-		s.loaded = true
-		for _, leaf := range s.node.Partitions {
-			err := s.ctx.Store.ScanTable(s.ctx.Ctx, leaf, true, func(row types.Row) (bool, bool, error) {
-				if err := s.tick.tick(); err != nil {
-					return false, false, err
-				}
-				keep, err := plan.EvalBool(s.node.Filter, row)
-				if err != nil {
-					return false, false, err
-				}
-				if keep {
-					s.rows = append(s.rows, row.Clone())
-				}
-				return keep, true, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return s.rowWindows.NextBatch()
+func newMarkedScanIter(ctx *Context, leaf plan.Node, lock bool) *markedScanIter {
+	return &markedScanIter{rowWindows: rowWindows{size: ctx.batchSize()}, ctx: ctx, leaf: leaf,
+		filter: leafFilter(leaf), tick: cpuTick{ctx: ctx}, lock: lock}
 }
 
-// indexScanIter probes the hash index with constant keys on the first pull
-// and emits the matches (cloned out of shared storage) as windows.
-type indexScanIter struct {
-	rowWindows
-	ctx    *Context
-	node   *plan.IndexScan
-	loaded bool
-}
-
-func (s *indexScanIter) NextBatch() (*types.RowBatch, error) {
+func (s *markedScanIter) NextBatch() (*types.RowBatch, error) {
 	if !s.loaded {
 		s.loaded = true
-		key := make([]types.Datum, len(s.node.KeyVals))
-		for i, e := range s.node.KeyVals {
-			v, err := e.Eval(nil)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
-		}
-		err := s.ctx.Store.IndexLookup(s.ctx.Ctx, s.node.Table, s.node.Index, key, s.node.ForUpdate,
-			func(row types.Row) (bool, error) {
-				keep, err := plan.EvalBool(s.node.Filter, row)
-				if err != nil {
-					return false, err
-				}
-				if keep {
-					s.rows = append(s.rows, row.Clone())
-				}
-				return true, nil
-			})
-		if err != nil {
+		if err := scanMarked(s.ctx, s.leaf, RowMark{Lock: s.lock}, s.visit); err != nil {
 			return nil, err
 		}
 	}
 	return s.rowWindows.NextBatch()
+}
+
+// visit is the storage callback: the filter's verdict on one visible row.
+func (s *markedScanIter) visit(row types.Row) (bool, bool, error) {
+	if err := s.tick.tick(); err != nil {
+		return false, false, err
+	}
+	keep, err := plan.EvalBool(s.filter, row)
+	if keep && err == nil {
+		s.rows = append(s.rows, row.Clone())
+	}
+	return keep, true, err
+}
+
+// scanMarked drives a Scan or IndexScan leaf through the store's
+// row-callback path under mark, with visit as the storage callback.
+func scanMarked(ctx *Context, leaf plan.Node, mark RowMark, visit func(types.Row) (keep, cont bool, err error)) error {
+	switch n := leaf.(type) {
+	case *plan.Scan:
+		for _, l := range n.Partitions {
+			if err := ctx.Store.ScanTable(ctx.Ctx, l, mark, visit); err != nil {
+				return err
+			}
+		}
+		return nil
+	case *plan.IndexScan:
+		key := make([]types.Datum, len(n.KeyVals))
+		for i, e := range n.KeyVals {
+			v, err := e.Eval(nil)
+			if err != nil {
+				return err
+			}
+			key[i] = v
+		}
+		return ctx.Store.IndexLookup(ctx.Ctx, n.Table, n.Index, key, mark, visit)
+	}
+	return fmt.Errorf("exec: %T is not a table access", leaf)
+}
+
+// leafFilter returns a Scan's or IndexScan's filter.
+func leafFilter(leaf plan.Node) plan.Expr {
+	switch n := leaf.(type) {
+	case *plan.Scan:
+		return n.Filter
+	case *plan.IndexScan:
+		return n.Filter
+	}
+	return nil
+}
+
+// Modify is the executor's write sink, for UPDATE and DELETE alike. It runs
+// the plan's access path as a target scan, collecting the identity of every
+// row the path's filter keeps, and only then writes them, one
+// StoreAccess.WriteRow each — so no version the statement writes is ever
+// found again as a target (the Halloween problem). It returns the rows
+// written. Armed operator statistics get the access path's actual rows.
+func Modify(ctx *Context, root plan.Node) (int, error) {
+	var up *plan.UpdatePlan // nil for a DELETE
+	var child plan.Node
+	switch n := root.(type) {
+	case *plan.UpdatePlan:
+		up, child = n, n.Child
+	case *plan.DeletePlan:
+		child = n.Child
+	default:
+		return 0, fmt.Errorf("exec: %T is not an UPDATE or DELETE", root)
+	}
+	var t0 time.Time
+	st := ctx.opStat(child)
+	if st != nil {
+		t0 = time.Now()
+	}
+	filter := leafFilter(child)
+	var targets []RowID
+	err := scanMarked(ctx, child, RowMark{Targets: &targets}, func(row types.Row) (bool, bool, error) {
+		keep, err := plan.EvalBool(filter, row)
+		return keep, true, err
+	})
+	if err != nil {
+		return 0, err
+	}
+	if st != nil {
+		st.WallNanos.Add(time.Since(t0).Nanoseconds())
+		st.Rows.Add(int64(len(targets)))
+		st.Batches.Add(1)
+	}
+	written := 0
+	for _, id := range targets {
+		ok, err := ctx.Store.WriteRow(ctx.Ctx, id, up)
+		if err != nil {
+			return written, err
+		}
+		if ok {
+			written++
+		}
+	}
+	return written, nil
 }
 
 // fillBatch refills out with up to size rows pulled from next: the batch

@@ -18,7 +18,7 @@ type engineStore struct {
 	eng storage.Engine
 }
 
-func (s *engineStore) ScanTable(_ context.Context, _ catalog.TableID, _ bool, fn func(types.Row) (bool, bool, error)) error {
+func (s *engineStore) ScanTable(_ context.Context, _ catalog.TableID, _ RowMark, fn func(types.Row) (bool, bool, error)) error {
 	var iterErr error
 	s.eng.ForEach(func(h storage.Header, row types.Row) bool {
 		_, cont, err := fn(row)
@@ -31,8 +31,12 @@ func (s *engineStore) ScanTable(_ context.Context, _ catalog.TableID, _ bool, fn
 	return iterErr
 }
 
-func (s *engineStore) IndexLookup(context.Context, *catalog.Table, *catalog.Index, []types.Datum, bool, func(types.Row) (bool, error)) error {
+func (s *engineStore) IndexLookup(context.Context, *catalog.Table, *catalog.Index, []types.Datum, RowMark, func(types.Row) (bool, bool, error)) error {
 	return nil
+}
+
+func (s *engineStore) WriteRow(context.Context, RowID, *plan.UpdatePlan) (bool, error) {
+	return false, storage.ErrNotSupported
 }
 
 func (s *engineStore) ScanTableBatches(ctx context.Context, _ catalog.TableID, spec ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
@@ -280,15 +284,12 @@ func TestParallelMoreWorkersThanBlocks(t *testing.T) {
 // multiLeafStore serves several leaves, each backed by its own engine — the
 // shape of a partitioned table on one segment.
 type multiLeafStore struct {
-	leaves map[catalog.TableID]*engineStore
+	engineStore // IndexLookup and WriteRow, which no test here reaches
+	leaves      map[catalog.TableID]*engineStore
 }
 
-func (m *multiLeafStore) ScanTable(ctx context.Context, leaf catalog.TableID, fu bool, fn func(types.Row) (bool, bool, error)) error {
-	return m.leaves[leaf].ScanTable(ctx, leaf, fu, fn)
-}
-
-func (m *multiLeafStore) IndexLookup(context.Context, *catalog.Table, *catalog.Index, []types.Datum, bool, func(types.Row) (bool, error)) error {
-	return nil
+func (m *multiLeafStore) ScanTable(ctx context.Context, leaf catalog.TableID, mark RowMark, fn func(types.Row) (bool, bool, error)) error {
+	return m.leaves[leaf].ScanTable(ctx, leaf, mark, fn)
 }
 
 func (m *multiLeafStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {

@@ -553,10 +553,12 @@ func (p *InsertPlan) Children() []Node {
 // Explain implements Node.
 func (p *InsertPlan) Explain() string { return "Insert on " + p.Table.Name }
 
-// UpdatePlan updates matching rows in place (new version per row).
+// UpdatePlan writes a new version of every row its child selects. Child is
+// the table's access path — the Scan or IndexScan a SELECT with the same
+// WHERE gets.
 type UpdatePlan struct {
 	Table    *catalog.Table
-	Filter   Expr
+	Child    Node
 	SetCols  []int
 	SetExprs []Expr
 	// MapVersion: see InsertPlan.MapVersion.
@@ -567,15 +569,32 @@ type UpdatePlan struct {
 func (p *UpdatePlan) Schema() *types.Schema { return &types.Schema{} }
 
 // Children implements Node.
-func (p *UpdatePlan) Children() []Node { return nil }
+func (p *UpdatePlan) Children() []Node { return []Node{p.Child} }
 
 // Explain implements Node.
 func (p *UpdatePlan) Explain() string { return "Update on " + p.Table.Name }
 
-// DeletePlan deletes matching rows.
+// NewVersion computes the version that replaces old: the SET expressions
+// evaluated over old, cast to their columns' kinds.
+func (p *UpdatePlan) NewVersion(old types.Row) (types.Row, error) {
+	row := old.Clone()
+	for i, col := range p.SetCols {
+		v, err := p.SetExprs[i].Eval(old)
+		if err == nil {
+			v, err = v.CastTo(p.Table.Schema.Columns[col].Kind)
+		}
+		if err != nil {
+			return nil, err
+		}
+		row[col] = v
+	}
+	return row, nil
+}
+
+// DeletePlan deletes every row its child (see UpdatePlan.Child) selects.
 type DeletePlan struct {
-	Table  *catalog.Table
-	Filter Expr
+	Table *catalog.Table
+	Child Node
 	// MapVersion: see InsertPlan.MapVersion.
 	MapVersion uint64
 }
@@ -584,7 +603,7 @@ type DeletePlan struct {
 func (p *DeletePlan) Schema() *types.Schema { return &types.Schema{} }
 
 // Children implements Node.
-func (p *DeletePlan) Children() []Node { return nil }
+func (p *DeletePlan) Children() []Node { return []Node{p.Child} }
 
 // Explain implements Node.
 func (p *DeletePlan) Explain() string { return "Delete on " + p.Table.Name }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -229,11 +230,7 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 	// Push the filter into a bare scan; otherwise add a Filter node.
 	if where != nil {
 		if scan, ok := pn.node.(*Scan); ok {
-			scan.Filter = conjoin(scan.Filter, where)
-			prunePartitions(scan)
-			if ix := p.tryIndexScan(scan); ix != nil {
-				pn.node = ix
-			}
+			pn.node = p.accessPath(scan, where)
 		} else {
 			pn.node = &Filter{Child: pn.node, Cond: where}
 		}
@@ -398,6 +395,20 @@ func leftmostTable(ref sql.TableRef) string {
 	default:
 		return ""
 	}
+}
+
+// accessPath narrows a bare table scan by a WHERE condition: the condition
+// becomes the scan's filter, prunes its partitions, and an index probe
+// replaces the scan when the condition pins every column of an index. A
+// SELECT's single-table FROM and an UPDATE's or DELETE's rows are found
+// this one way.
+func (p *Planner) accessPath(scan *Scan, where Expr) Node {
+	scan.Filter = conjoin(scan.Filter, where)
+	prunePartitions(scan)
+	if ix := p.tryIndexScan(scan); ix != nil {
+		return ix
+	}
+	return scan
 }
 
 func markForUpdate(n Node) {
@@ -1176,14 +1187,14 @@ func restrictScansToSeg(n Node, seg int) {
 	}
 }
 
-// tryIndexScan replaces a filtered scan of an unpartitioned table with an
-// index probe when some index's columns are all pinned by constant
-// equalities in the filter (the OLTP drill-through path). The full filter
-// is kept as the residual predicate — rechecking is cheap and keeps
-// non-key conjuncts correct.
+// tryIndexScan replaces a filtered scan with an index probe when some
+// index's columns are all pinned by constant equalities in the filter (the
+// OLTP drill-through path). A partitioned table's index is probed in every
+// leaf. The full filter is kept as the residual predicate — rechecking is
+// cheap and keeps non-key conjuncts correct.
 func (p *Planner) tryIndexScan(scan *Scan) *IndexScan {
 	t := scan.Table
-	if t.IsPartitioned() || len(t.Indexes) == 0 || scan.Filter == nil || scan.OnSeg >= 0 {
+	if len(t.Indexes) == 0 || scan.Filter == nil || scan.OnSeg >= 0 {
 		return nil
 	}
 	eq := map[int]Expr{}
@@ -1384,22 +1395,25 @@ func (p *Planner) PlanInsert(st *sql.InsertStmt) (*Planned, error) {
 	return res, nil
 }
 
-// PlanUpdate binds an UPDATE.
+// PlanUpdate plans an UPDATE: a new version, from the SET list, of every row
+// the access path selects. A SET of a distribution-key or partition-key
+// column is refused: the new version would stay on the old version's
+// segment and leaf, where the key no longer routes (no split update).
 func (p *Planner) PlanUpdate(st *sql.UpdateStmt, gddEnabled bool) (*Planned, error) {
-	t, err := p.Catalog.Table(st.Table)
+	t, bnd, child, err := p.writeTarget(st.Table, st.Where)
 	if err != nil {
 		return nil, err
 	}
-	sc := &scope{}
-	sc.add(t.Name, t.Schema, 0)
-	bnd := p.newBinder(sc)
-	p.noteMapVersion(t)
-	_, upVer := t.Placement()
-	up := &UpdatePlan{Table: t, MapVersion: upVer}
+	up := &UpdatePlan{Table: t, Child: child, MapVersion: p.mapVers[t.Name]}
 	for _, a := range st.Set {
 		i := t.Schema.ColumnIndex(a.Column)
-		if i < 0 {
+		switch {
+		case i < 0:
 			return nil, fmt.Errorf("plan: column %q of table %q does not exist", a.Column, t.Name)
+		case t.Distribution == catalog.DistHash && slices.Contains(t.DistKeyCols, i):
+			return nil, fmt.Errorf("plan: cannot update distribution key column %q of table %q", a.Column, t.Name)
+		case t.IsPartitioned() && i == t.PartitionCol:
+			return nil, fmt.Errorf("plan: cannot update partition key column %q of table %q", a.Column, t.Name)
 		}
 		e, err := bnd.bind(a.Value)
 		if err != nil {
@@ -1408,48 +1422,51 @@ func (p *Planner) PlanUpdate(st *sql.UpdateStmt, gddEnabled bool) (*Planned, err
 		up.SetCols = append(up.SetCols, i)
 		up.SetExprs = append(up.SetExprs, e)
 	}
-	if st.Where != nil {
-		up.Filter, err = bnd.bind(st.Where)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := &Planned{Root: up, DirectSegment: -1, LockTable: t.Name, MapVersions: p.mapVers}
-	// The HTAP locking decision (paper §4): with GDD, UPDATE takes
-	// RowExclusive; without it, Exclusive — serializing all writers.
-	if gddEnabled {
-		res.LockModeLevel = 3
-	} else {
-		res.LockModeLevel = 7
-	}
-	return p.finish(res), nil
+	return p.finishWrite(t, up, gddEnabled), nil
 }
 
-// PlanDelete binds a DELETE.
+// PlanDelete plans a DELETE of every row the access path selects.
 func (p *Planner) PlanDelete(st *sql.DeleteStmt, gddEnabled bool) (*Planned, error) {
-	t, err := p.Catalog.Table(st.Table)
+	t, _, child, err := p.writeTarget(st.Table, st.Where)
 	if err != nil {
 		return nil, err
 	}
+	return p.finishWrite(t, &DeletePlan{Table: t, Child: child, MapVersion: p.mapVers[t.Name]}, gddEnabled), nil
+}
+
+// writeTarget resolves an UPDATE's or DELETE's table and plans the access
+// path to the rows its WHERE selects (see accessPath). Unlike a SELECT's, a
+// replicated table's scan is not pinned to one segment: every copy is
+// written. The binder is returned for the SET list.
+func (p *Planner) writeTarget(table string, where sql.Expr) (*catalog.Table, *binder, Node, error) {
+	t, err := p.Catalog.Table(table)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	p.noteMapVersion(t)
 	sc := &scope{}
 	sc.add(t.Name, t.Schema, 0)
 	bnd := p.newBinder(sc)
-	p.noteMapVersion(t)
-	_, dpVer := t.Placement()
-	dp := &DeletePlan{Table: t, MapVersion: dpVer}
-	if st.Where != nil {
-		dp.Filter, err = bnd.bind(st.Where)
-		if err != nil {
-			return nil, err
+	var cond Expr
+	if where != nil {
+		if cond, err = bnd.bind(where); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	res := &Planned{Root: dp, DirectSegment: -1, LockTable: t.Name, MapVersions: p.mapVers}
+	return t, bnd, p.accessPath(NewScan(t, allLeafIDs(t), nil), cond), nil
+}
+
+// finishWrite wraps an UPDATE or DELETE root. The HTAP locking decision
+// (paper §4): with GDD the coordinator takes RowExclusive on the table;
+// without it, Exclusive — serializing all writers.
+func (p *Planner) finishWrite(t *catalog.Table, root Node, gddEnabled bool) *Planned {
+	res := &Planned{Root: root, DirectSegment: -1, LockTable: t.Name, LockModeLevel: 7, MapVersions: p.mapVers}
 	if gddEnabled {
 		res.LockModeLevel = 3
-	} else {
-		res.LockModeLevel = 7
 	}
-	return p.finish(res), nil
+	res = p.finish(res)
+	res.pushdown = false // the write sink's row-at-a-time scans skip no blocks
+	return res
 }
 
 // directSegmentFor implements direct dispatch: when the filter pins every

@@ -41,12 +41,12 @@ func (p *Planner) finish(pl *Planned) *Planned {
 	return pl
 }
 
-// route derives DirectSegment from a slot-free plan: an UPDATE or DELETE
-// whose filter pins the distribution key, or a SELECT whose only motion is
-// a gather above a chain of single-input operators over one table access
-// that does. Everything above that gather runs on the coordinator and only
-// the pinned segment can feed it a base row, so dispatch may run the slice
-// there alone.
+// route derives DirectSegment from a slot-free plan whose one table access
+// has a filter pinning the distribution key: an UPDATE or DELETE, or a
+// SELECT whose only motion is a gather above a chain of single-input
+// operators over that access. Everything above that gather runs on the
+// coordinator and only the pinned segment can feed it a base row (or hold a
+// row to write), so dispatch may run the statement there alone.
 func (pl *Planned) route() {
 	pl.DirectSegment = -1
 	n := pl.Root
@@ -57,10 +57,6 @@ func (pl *Planned) route() {
 	}
 	for {
 		switch x := n.(type) {
-		case *UpdatePlan:
-			pl.DirectSegment = directSegmentFor(x.Table, x.Filter, pl.nseg)
-		case *DeletePlan:
-			pl.DirectSegment = directSegmentFor(x.Table, x.Filter, pl.nseg)
 		case *IndexScan:
 			pl.DirectSegment = directSegmentFor(x.Table, x.Filter, pl.nseg)
 		case *Scan:
@@ -76,6 +72,11 @@ func (pl *Planned) route() {
 		case *Agg:
 			n = x.Child
 			continue
+		default: // an UPDATE or DELETE routes by its access path
+			if ch := n.Children(); len(ch) == 1 {
+				n = ch[0]
+				continue
+			}
 		}
 		return
 	}
@@ -94,7 +95,19 @@ func (pl *Planned) Bind(params []types.Datum) (*Planned, error) {
 	b := &instantiation{tmpl: pl, params: params}
 	b.leaf = b.bindLeaf
 	out := *pl
-	out.Root = b.node(pl.Root)
+	// A write binds its SET list here and its access path like a SELECT's.
+	switch x := pl.Root.(type) {
+	case *UpdatePlan:
+		c := *x
+		c.SetExprs, c.Child = b.exprs(x.SetExprs), b.node(x.Child)
+		out.Root = &c
+	case *DeletePlan:
+		c := *x
+		c.Child = b.node(x.Child)
+		out.Root = &c
+	default:
+		out.Root = b.node(pl.Root)
+	}
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -235,18 +248,6 @@ func (b *instantiation) node(n Node) Node {
 		}
 		b.motions = append(b.motions, m)
 		return m
-	case *UpdatePlan:
-		if set, f := b.exprs(x.SetExprs), b.expr(x.Filter); b.bound > mark {
-			c := *x
-			c.SetExprs, c.Filter = set, f
-			return &c
-		}
-	case *DeletePlan:
-		if f := b.expr(x.Filter); b.bound > mark {
-			c := *x
-			c.Filter = f
-			return &c
-		}
 	}
 	return n
 }

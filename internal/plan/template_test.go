@@ -76,13 +76,9 @@ func describe(pl *Planned) string {
 		case *Limit:
 			sb.WriteString("limit " + types.NewInt(x.Count).String() + " offset " + types.NewInt(x.Offset).String() + "\n")
 		case *UpdatePlan:
-			sb.WriteString("update filter: " + x.Filter.String())
 			for _, e := range x.SetExprs {
-				sb.WriteString(" set " + e.String())
+				sb.WriteString("set " + e.String() + "\n")
 			}
-			sb.WriteString("\n")
-		case *DeletePlan:
-			sb.WriteString("delete filter: " + x.Filter.String() + "\n")
 		case *Agg:
 			for _, sp := range x.Specs {
 				if sp.Arg != nil {

@@ -396,8 +396,8 @@ func TestStatementTimeoutOverWire(t *testing.T) {
 	_, srv := startServer(t, 2, server.Config{})
 	c := dialT(t, srv)
 	defer c.Close()
-	mustExecNet(t, c, "CREATE TABLE st (a int) DISTRIBUTED BY (a)")
-	mustExecNet(t, c, "INSERT INTO st VALUES (1)")
+	mustExecNet(t, c, "CREATE TABLE st (a int, b int) DISTRIBUTED BY (a)")
+	mustExecNet(t, c, "INSERT INTO st VALUES (1, 0)")
 	mustExecNet(t, c, "SET statement_timeout = 1")
 	// pg_sleep doesn't exist here; a cross join of the table with itself via
 	// repeated self-joins is also unavailable. Instead rely on lock waits: a
@@ -405,8 +405,8 @@ func TestStatementTimeoutOverWire(t *testing.T) {
 	holder := dialT(t, srv)
 	defer holder.Close()
 	mustExecNet(t, holder, "BEGIN")
-	mustExecNet(t, holder, "UPDATE st SET a = 2 WHERE a = 1")
-	_, err := c.Exec(context.Background(), "UPDATE st SET a = 3 WHERE a = 1")
+	mustExecNet(t, holder, "UPDATE st SET b = 2 WHERE a = 1")
+	_, err := c.Exec(context.Background(), "UPDATE st SET b = 3 WHERE a = 1")
 	if err == nil {
 		t.Fatal("statement_timeout did not fire")
 	}

@@ -36,7 +36,11 @@ func (ix *HashIndex) Insert(row types.Row, tid TupleID) {
 }
 
 // Lookup returns candidate tuple ids whose key hash matches the given key
-// values (one datum per key column, in keyCols order).
+// values (one datum per key column, in keyCols order). The result is the
+// bucket itself, read-only: buckets only grow by append, which never
+// rewrites an entry a lookup already returned, so it is not copied — a copy
+// would cost as much as the bucket is long, and an often-updated key's
+// bucket holds one entry per version.
 func (ix *HashIndex) Lookup(key []types.Datum) []TupleID {
 	cols := make([]int, len(key))
 	for i := range cols {
@@ -44,10 +48,9 @@ func (ix *HashIndex) Lookup(key []types.Datum) []TupleID {
 	}
 	h := types.Row(key).Hash(cols)
 	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]TupleID, len(ix.buckets[h]))
-	copy(out, ix.buckets[h])
-	return out
+	b := ix.buckets[h]
+	ix.mu.RUnlock()
+	return b[:len(b):len(b)]
 }
 
 // Matches reports whether row's key columns equal key.

@@ -309,6 +309,42 @@ func TestHashIndex(t *testing.T) {
 	}
 }
 
+// TestHashIndexLookupSharesBucket: a lookup returns the bucket without
+// copying it, so its cost does not grow with the key's version count, and
+// what it returned stays intact while writers append to the same key.
+func TestHashIndexLookupSharesBucket(t *testing.T) {
+	ix := NewHashIndex([]int{0})
+	key := []types.Datum{types.NewInt(7)}
+	for i := 1; i <= 4000; i++ {
+		ix.Insert(row(7, int64(i)), TupleID(i))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ix.Lookup(key) }); allocs > 1 {
+		t.Fatalf("Lookup of a 4000-entry bucket: %.1f allocations, want ≤ 1 (the key's column list)", allocs)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 4001; i <= 8000; i++ {
+			ix.Insert(row(7, int64(i)), TupleID(i))
+		}
+	}()
+	for round := 0; round < 50; round++ {
+		tids := ix.Lookup(key)
+		for i, tid := range tids {
+			if tid != TupleID(i+1) {
+				t.Fatalf("round %d: entry %d = %d, want %d", round, i, tid, i+1)
+			}
+		}
+		if len(tids) < 4000 || cap(tids) != len(tids) {
+			t.Fatalf("round %d: len %d cap %d", round, len(tids), cap(tids))
+		}
+	}
+	<-done
+	if n := len(ix.Lookup(key)); n != 8000 {
+		t.Fatalf("after the writer: %d entries, want 8000", n)
+	}
+}
+
 func TestHashIndexCompositeKey(t *testing.T) {
 	ix := NewHashIndex([]int{0, 1})
 	ix.Insert(row(1, 2, 99), 1)
