@@ -344,13 +344,14 @@ func (c *Cluster) promote(i int) error {
 	}
 	c.replayLSN.Store(uint64(m.AppliedLSN()))
 
-	// Publish and wake dispatch waits.
+	// Publish and wake dispatch waits. The failover is counted before the
+	// wake-up, so a read the close releases already sees it.
 	c.topoMu.Lock()
 	c.slot(i).Store(ns)
+	c.failovers.Add(1)
 	close(c.topoCh)
 	c.topoCh = make(chan struct{})
 	c.topoMu.Unlock()
-	c.failovers.Add(1)
 	return nil
 }
 

@@ -212,9 +212,12 @@ func TestMisestimateTriggersRobustFallback(t *testing.T) {
 		t.Fatalf("second execution did not fall back to the robust plan")
 	}
 
-	// A well-estimated query on the same table records nothing.
+	// A well-estimated query on the same table records nothing, nor does
+	// an ORDER BY … LIMIT, whose per-segment top-N sorts each emit up to
+	// the limit.
 	before := showStat("misestimates")
 	mustExec(t, s, "SELECT count(*) FROM corr WHERE a < 1000")
+	mustExec(t, s, "SELECT a FROM corr ORDER BY b LIMIT 10")
 	if got := showStat("misestimates"); got != before {
 		t.Fatalf("well-estimated query recorded a misestimate (%d -> %d)", before, got)
 	}

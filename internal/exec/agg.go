@@ -1,27 +1,38 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"hash/maphash"
 	"io"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/plan"
 	"repro/internal/types"
 )
 
-// aggState is one aggregate's transition state for one group.
+// aggState is one aggregate's transition state for one group: how many
+// values it took, their sums, and the extreme a min or max keeps (NULL until
+// a value arrives).
 type aggState struct {
 	count    int64
 	sumInt   int64
 	sumFloat float64
 	isFloat  bool
-	min, max types.Datum
+	ext      types.Datum
 	seen     map[uint64]struct{} // DISTINCT dedup
-	any      bool
 }
 
-// add folds one argument value into the state; only min and max pay for a
-// comparison.
+// better reports whether a value comparing c to the kept extreme replaces it.
+func better(fn plan.AggFunc, c int) bool {
+	return fn == plan.AggMin && c < 0 || fn == plan.AggMax && c > 0
+}
+
+// add folds one argument value into the state: the kernel for boxed values,
+// DISTINCT, and the sums, minima and maxima of the partial layout.
 func (st *aggState) add(v types.Datum, spec *plan.AggSpec) {
 	if v.IsNull() {
 		return
@@ -36,64 +47,83 @@ func (st *aggState) add(v types.Datum, spec *plan.AggSpec) {
 		}
 		st.seen[h] = struct{}{}
 	}
-	st.count++
-	if v.Kind() == types.KindFloat {
-		st.isFloat = true
+	if (spec.Func == plan.AggMin || spec.Func == plan.AggMax) && (st.count == 0 || better(spec.Func, types.Compare(v, st.ext))) {
+		st.ext = v
 	}
+	st.count++
+	st.isFloat = st.isFloat || v.Kind() == types.KindFloat
 	st.sumInt += v.Int()
 	st.sumFloat += v.Float()
+}
+
+// addExt folds the non-NULL value at position at of an Ints or Floats vector
+// into a min or max without boxing it: compared by payload while the kept
+// extreme has the vector's kind — exactly Compare's < and >, NaN included —
+// and by Compare otherwise.
+func (st *aggState) addExt(v *types.Vec, at int, fn plan.AggFunc) {
+	c := 0
 	switch {
-	case spec.Func == plan.AggMin && (!st.any || types.Compare(v, st.min) < 0):
-		st.min = v
-	case spec.Func == plan.AggMax && (!st.any || types.Compare(v, st.max) > 0):
-		st.max = v
+	case st.count == 0 || st.ext.Kind() != v.Kind:
+		c = types.Compare(v.At(at), st.ext)
+	case v.Ints != nil:
+		c = cmp.Compare(v.Ints[at], st.ext.Int())
+	case v.Floats[at] < st.ext.Float():
+		c = -1
+	case v.Floats[at] > st.ext.Float():
+		c = 1
 	}
-	st.any = true
+	if st.count == 0 || better(fn, c) {
+		st.ext = v.At(at)
+	}
 }
 
-func (st *aggState) sumDatum() types.Datum {
-	if !st.any {
-		return types.Null
-	}
-	if st.isFloat {
-		return types.NewFloat(st.sumFloat)
-	}
-	return types.NewInt(st.sumInt)
-}
-
-// group is one hash-agg bucket.
-type group struct {
-	keys   types.Row
-	states []aggState
+// slot is a group table entry: a key's tag, its group id + 1 (0 = empty).
+type slot struct {
+	tag uint64
+	g   int32
 }
 
 // aggCore is the phase-aware hash aggregation state behind batchAggIter:
-// input rows are absorbed, grouped output is read via nextOutput after
+// input batches are absorbed, grouped output is read via nextOutput after
 // finish.
 //
-// Under a spill budget the core degrades gracefully: when the hash table
-// outgrows the budget, every group's transition state is written as a
-// partial-layout row to one of fanout partition files (by group-key hash) and
-// the table is cleared. After input ends, partitions are re-aggregated one at
-// a time — mergePartial folds the dumped states back together — so the
-// working set is bounded by max(budget, one partition) instead of the number
-// of distinct groups. DISTINCT aggregates pin their dedup sets in memory and
+// The group table gives a batch's rows their group ids by probing open
+// addressing with a tag per row. While the one group key has arrived as an
+// Ints vector (int, date or bool) in every batch, the tag is the value and
+// needs no check (NULL's, nullWord, does). Any other key — text, float,
+// several keys, boxed, none — is hashed per batch under a hash equal for
+// values Compare calls equal, and a tag match is checked against the key. A
+// batch that does not fit the int form re-keys the table into the general
+// form once, so a group never splits across forms.
+//
+// Under a spill budget the core degrades gracefully: when the table outgrows
+// the budget, every group's transition state is written as a partial-layout
+// row to one of fanout partition files (by Row.Hash of the group key) and the
+// table is cleared. After input ends, partitions are re-aggregated one at a
+// time — their rows merged back like a final phase's input — so the working
+// set is bounded by max(budget, one partition) instead of the number of
+// distinct groups. DISTINCT aggregates pin their dedup sets in memory and
 // cannot spill.
 type aggCore struct {
 	ctx    *Context
 	node   *plan.Agg
-	groups map[uint64][]*group
-	order  []*group
+	nk, ns int
+	// Group g's key is keys[g*nk:(g+1)*nk] and its states
+	// states[g*ns:(g+1)*ns]; order lists the ids, by key after sortGroups.
+	keys   []types.Datum
+	states []aggState
+	order  []int32
+	slots  []slot // a power of two long, at most half full
+	shift  uint   // 64 - log2(len(slots))
+	ints   bool   // the int form
+	gids   []int32
+	tags   []uint64
 	mem    opMem
-	// groupCols and scratch avoid per-row allocations on the hot absorb
-	// path: group keys are assembled in the reused scratch row, which
-	// findGroup only clones when it creates a new group.
-	groupCols []int
-	scratch   types.Row
 	// keyExprs/argExprs evaluate the group keys and aggregate arguments
-	// (nil = count(*)) a batch at a time into keyVecs/argVecs.
-	keyExprs, argExprs []*plan.VecExpr
-	keyVecs, argVecs   []types.Vec
+	// (nil = count(*)) a batch at a time into keyVecs/argVecs; mergeKeys
+	// read the keys of a reloaded partition's partial layout.
+	keyExprs, argExprs, mergeKeys []*plan.VecExpr
+	keyVecs, argVecs              []types.Vec
 
 	// Spill state.
 	spillable bool // spilling enabled and every spec is mergeable
@@ -102,6 +132,7 @@ type aggCore struct {
 	parts     []*spillFile
 	curPart   int
 	emitPos   int
+	reload    types.RowBatch
 	// reloadTick charges CPU for the second pass over dumped rows, so the
 	// disk-replay half of a spilled aggregate stays under the group's CPU
 	// governor like the absorb pass.
@@ -109,74 +140,180 @@ type aggCore struct {
 }
 
 func newAggCore(ctx *Context, node *plan.Agg) aggCore {
-	cols := make([]int, len(node.GroupBy))
-	for i := range cols {
-		cols[i] = i
-	}
-	spillable := ctx.Spill.Enabled()
-	for _, sp := range node.Specs {
-		if sp.Distinct {
-			spillable = false // dedup sets are not mergeable across dumps
-		}
-	}
-	keyExprs := make([]*plan.VecExpr, len(node.GroupBy))
+	nk := len(node.GroupBy)
+	a := aggCore{ctx: ctx, node: node, nk: nk, ns: len(node.Specs), ints: nk == 1,
+		keyExprs: make([]*plan.VecExpr, nk), mergeKeys: make([]*plan.VecExpr, nk), keyVecs: make([]types.Vec, nk),
+		argExprs: make([]*plan.VecExpr, len(node.Specs)), argVecs: make([]types.Vec, len(node.Specs)),
+		mem: opMem{ctx: ctx, stat: ctx.opStat(node)}, spillable: ctx.Spill.Enabled(), reloadTick: cpuTick{ctx: ctx}}
 	for i, g := range node.GroupBy {
-		keyExprs[i] = plan.CompileVec(g)
+		a.keyExprs[i], a.mergeKeys[i] = plan.CompileVec(g), plan.CompileVec(&plan.ColRef{Idx: i})
 	}
-	argExprs := make([]*plan.VecExpr, len(node.Specs))
 	for i, sp := range node.Specs {
+		a.spillable = a.spillable && !sp.Distinct // dedup sets are not mergeable across dumps
 		if sp.Arg != nil {
-			argExprs[i] = plan.CompileVec(sp.Arg)
+			a.argExprs[i] = plan.CompileVec(sp.Arg)
 		}
 	}
-	return aggCore{
-		ctx: ctx, node: node,
-		keyExprs: keyExprs, keyVecs: make([]types.Vec, len(keyExprs)),
-		argExprs: argExprs, argVecs: make([]types.Vec, len(argExprs)),
-		mem:        opMem{ctx: ctx, stat: ctx.opStat(node)},
-		groups:     make(map[uint64][]*group),
-		groupCols:  cols,
-		scratch:    make(types.Row, len(node.GroupBy)),
-		spillable:  spillable,
-		reloadTick: cpuTick{ctx: ctx},
+	a.rehash(16, false)
+	return a
+}
+
+func (a *aggCore) key(g int32) types.Row { return a.keys[int(g)*a.nk : int(g+1)*a.nk] }
+
+// Words of the group-key hash: equal for two values Compare calls equal (an
+// int and the float it converts to exactly share one, as in Datum.Hash).
+const nullWord, inexactInt, fib = 0x6e756c6c, 0x5bd1e9955bd1e995, 0x9e3779b97f4a7c15
+
+var strSeed = maphash.MakeSeed()
+
+func intWord(x int64) uint64 {
+	if f := float64(x); int64(f) == x {
+		return math.Float64bits(f)
+	}
+	return uint64(x) ^ inexactInt
+}
+
+func datumWord(d types.Datum) uint64 {
+	switch d.Kind() {
+	case types.KindNull:
+		return nullWord
+	case types.KindFloat:
+		return math.Float64bits(d.Float())
+	case types.KindText:
+		return maphash.String(strSeed, d.Text())
+	}
+	return intWord(d.Int())
+}
+
+func vecWord(v *types.Vec, at int) uint64 {
+	switch {
+	case v.Null(at):
+		return nullWord
+	case v.Ints != nil:
+		return intWord(v.Ints[at])
+	case v.Strs != nil:
+		return maphash.String(strSeed, v.Strs[at])
+	}
+	return datumWord(v.At(at))
+}
+
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * fib
+	return h ^ h>>32
+}
+
+// sameKey reports whether group g's key equals the key vectors' values at
+// position at, comparing typed payloads directly where the kinds allow.
+func (a *aggCore) sameKey(g int32, at int) bool {
+	for c := range a.keyVecs {
+		same, d, v := false, &a.keys[int(g)*a.nk+c], &a.keyVecs[c]
+		switch {
+		case v.Null(at):
+			same = d.IsNull()
+		case v.Strs != nil && d.Kind() == types.KindText:
+			same = d.Text() == v.Strs[at]
+		case v.Ints != nil && d.Kind() == v.Kind:
+			same = d.Int() == v.Ints[at]
+		default:
+			same = types.Compare(*d, v.At(at)) == 0
+		}
+		if !same {
+			return false
+		}
+	}
+	return true
+}
+
+// rehash rebuilds the slots n long; rekey moves the table to the general
+// form, re-hashing every group's key.
+func (a *aggCore) rehash(n int, rekey bool) {
+	old := a.slots
+	a.slots, a.shift = make([]slot, n), uint(64-bits.TrailingZeros(uint(n)))
+	a.ints = a.ints && !rekey
+	for _, s := range old {
+		if s.g == 0 {
+			continue
+		}
+		if rekey {
+			s.tag = mixWord(0, datumWord(a.keys[s.g-1]))
+		}
+		i := int(s.tag * fib >> a.shift)
+		for a.slots[i].g != 0 {
+			i = (i + 1) & (n - 1)
+		}
+		a.slots[i] = s
 	}
 }
 
-func (a *aggCore) findGroup(keys types.Row) (*group, error) {
-	h := keys.Hash(a.groupCols[:len(keys)])
-	for _, g := range a.groups[h] {
-		if g.keys.Equal(keys) {
-			return g, nil
+// assign sets gids for the batch's live rows from lo on, creating groups. It
+// stops early (dump) at a row whose new group needs the table dumped first.
+func (a *aggCore) assign(b *types.RowBatch, lo int) (hi int, dump bool, err error) {
+	prevTag, prev := uint64(0), int32(-1)
+	for r := lo; r < len(a.gids); r++ {
+		at, tag := b.Index(r), uint64(nullWord)
+		if !a.ints {
+			tag = a.tags[r]
+		} else if v := &a.keyVecs[0]; !v.Null(at) {
+			tag = uint64(v.Ints[at])
 		}
+		exact := a.ints && tag != nullWord
+		if prev < 0 || tag != prevTag || !exact && !a.sameKey(prev, at) {
+			i, mask := int(tag*fib>>a.shift), len(a.slots)-1
+			for ; a.slots[i].g != 0; i = (i + 1) & mask {
+				if s := a.slots[i]; s.tag == tag && (exact || a.sameKey(s.g-1, at)) {
+					break
+				}
+			}
+			if prev = a.slots[i].g - 1; prev < 0 {
+				if prev, dump, err = a.newGroup(at); dump || err != nil {
+					return r, dump, err
+				}
+				a.slots[i] = slot{tag, prev + 1}
+				if 2*len(a.order) > len(a.slots) {
+					a.rehash(2*len(a.slots), false)
+				}
+			}
+			prevTag = tag
+		}
+		a.gids[r] = prev
 	}
-	cost := keys.Size() + int64(64*len(a.node.Specs))
+	return len(a.gids), false, nil
+}
+
+// newGroup charges and appends a group keyed by the values at position at;
+// dump asks the caller to spill the table and retry.
+func (a *aggCore) newGroup(at int) (g int32, dump bool, err error) {
+	n := len(a.keys)
+	for c := range a.keyVecs {
+		a.keys = append(a.keys, a.keyVecs[c].At(at))
+	}
+	cost := types.Row(a.keys[n:]).Size() + int64(64*a.ns)
 	ok, err := a.mem.grow(cost)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
+	if err == nil && !ok {
 		if a.spillable && !a.reloading && a.mem.charged >= spillChunk(a.ctx.Spill.Budget()) {
-			if err := a.dumpGroups(); err != nil {
-				return nil, err
-			}
-			ok, err = a.mem.grow(cost)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if !ok {
+			dump = true
+		} else {
 			// Spilling cannot help (DISTINCT, a skewed partition reload, a
 			// table still below the spill-chunk floor): charge the resource
 			// group directly.
-			if err := a.mem.forceGrow(cost); err != nil {
-				return nil, err
-			}
+			err = a.mem.forceGrow(cost)
 		}
 	}
-	g := &group{keys: keys.Clone(), states: make([]aggState, len(a.node.Specs))}
-	a.groups[h] = append(a.groups[h], g)
+	if dump || err != nil {
+		a.keys = a.keys[:n]
+		return 0, dump, err
+	}
+	g = int32(len(a.order))
+	a.states = append(a.states, make([]aggState, a.ns)...)
 	a.order = append(a.order, g)
-	return g, nil
+	return g, false, nil
+}
+
+// reset empties the group table, keeping its buffers.
+func (a *aggCore) reset() {
+	a.keys, a.states, a.order = a.keys[:0], a.states[:0], a.order[:0]
+	clear(a.slots)
+	a.mem.freeAll()
 }
 
 // dumpGroups flushes every in-memory group's transition state as a
@@ -197,18 +334,17 @@ func (a *aggCore) dumpGroups() error {
 			a.parts[i] = sf
 		}
 	}
-	fanout := uint64(len(a.parts))
-	for h, bucket := range a.groups {
-		sf := a.parts[h%fanout]
-		for _, g := range bucket {
-			if err := sf.writeRow(a.emitTransition(g)); err != nil {
-				return err
-			}
+	cols := make([]int, a.nk)
+	for i := range cols {
+		cols[i] = i
+	}
+	for _, g := range a.order {
+		sf := a.parts[a.key(g).Hash(cols)%uint64(len(a.parts))]
+		if err := sf.writeRow(a.emit(g, true)); err != nil {
+			return err
 		}
 	}
-	a.groups = make(map[uint64][]*group)
-	a.order = nil
-	a.mem.freeAll()
+	a.reset()
 	a.spilled = true
 	a.ctx.Spill.noteSpill()
 	return nil
@@ -218,46 +354,39 @@ func (a *aggCore) dumpGroups() error {
 // in-memory groups.
 func (a *aggCore) sortGroups() {
 	sort.SliceStable(a.order, func(i, j int) bool {
-		ki, kj := a.order[i].keys, a.order[j].keys
+		ki, kj := a.key(a.order[i]), a.key(a.order[j])
 		for c := range ki {
-			if cmp := types.Compare(ki[c], kj[c]); cmp != 0 {
-				return cmp < 0
+			if d := types.Compare(ki[c], kj[c]); d != 0 {
+				return d < 0
 			}
 		}
 		return false
 	})
 }
 
-// loadPartition re-aggregates one spilled partition into a fresh in-memory
-// table: the dumped rows are the partial layout, so mergePartial folds states
-// of the same group (possibly dumped several times) back together exactly.
+// loadPartition re-aggregates one spilled partition into the emptied table:
+// the dumped rows are the partial layout, so mergePartial folds states of the
+// same group (possibly dumped several times) back together exactly.
 func (a *aggCore) loadPartition(sf *spillFile) error {
-	a.groups = make(map[uint64][]*group)
-	a.order = nil
+	a.reset()
 	a.emitPos = 0
-	a.mem.freeAll()
 	a.reloading = true
 	defer func() { a.reloading = false }()
 	if err := sf.startRead(); err != nil {
 		return err
 	}
-	nkeys := len(a.node.GroupBy)
 	for {
-		row, err := sf.readRow()
+		b, err := fillBatch(&a.reload, a.ctx.batchSize(), sf.readRow)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		if err := a.reloadTick.tick(); err != nil {
-			return err
+		if err = a.reloadTick.tickRows(b.Len()); err == nil {
+			err = a.absorb(b)
 		}
-		grp, err := a.findGroup(row[:nkeys])
 		if err != nil {
-			return err
-		}
-		if err := a.mergePartial(grp, row); err != nil {
 			return err
 		}
 	}
@@ -274,7 +403,7 @@ func (a *aggCore) nextOutput() (types.Row, error) {
 		if a.emitPos < len(a.order) {
 			g := a.order[a.emitPos]
 			a.emitPos++
-			return a.emit(g), nil
+			return a.emit(g, a.node.Phase == plan.AggPartial || a.node.Phase == plan.AggIntermediate), nil
 		}
 		if !a.spilled || a.curPart >= len(a.parts) {
 			return nil, io.EOF
@@ -288,15 +417,16 @@ func (a *aggCore) nextOutput() (types.Row, error) {
 	}
 }
 
-// absorb folds one batch into the groups. Each group key — and, in the
-// phases that aggregate raw input, each aggregate argument — is evaluated
-// once over the batch into a vector; the loop below then reads values by
-// position, whatever the batch's layout. The merging phases read the partial
-// layout off the row instead. The key row is assembled in the reused scratch
-// buffer; findGroup clones it if the group is new.
+// absorb folds one batch into the groups: each group key and aggregate
+// argument is evaluated once into a vector, the live rows are assigned
+// their groups, and each aggregate folds them into its states. The merging
+// phases, and a reloaded partition, read the partial layout off the row.
 func (a *aggCore) absorb(b *types.RowBatch) (err error) {
-	merge := a.node.Phase == plan.AggFinal || a.node.Phase == plan.AggIntermediate
-	for i, x := range a.keyExprs {
+	merge, keyExprs := a.reloading || a.node.Phase == plan.AggFinal || a.node.Phase == plan.AggIntermediate, a.keyExprs
+	if a.reloading {
+		keyExprs = a.mergeKeys
+	}
+	for i, x := range keyExprs {
 		if a.keyVecs[i], err = x.Eval(b); err != nil {
 			return err
 		}
@@ -309,31 +439,65 @@ func (a *aggCore) absorb(b *types.RowBatch) (err error) {
 			return err
 		}
 	}
-	keys, specs := a.scratch, a.node.Specs
-	for ri, l := 0, b.Len(); ri < l; ri++ {
-		at := b.Index(ri)
-		for i := range keys {
-			keys[i] = a.keyVecs[i].At(at)
+	a.gids = slices.Grow(a.gids[:0], b.Len())[:b.Len()]
+	if a.ints && a.keyVecs[0].Ints == nil {
+		a.rehash(len(a.slots), true)
+	}
+	if !a.ints {
+		a.tags = slices.Grow(a.tags[:0], len(a.gids))[:len(a.gids)]
+		clear(a.tags)
+		for c := range a.keyVecs {
+			for r := range a.tags {
+				a.tags[r] = mixWord(a.tags[r], vecWord(&a.keyVecs[c], b.Index(r)))
+			}
 		}
-		grp, err := a.findGroup(keys)
+	}
+	for lo := 0; lo < len(a.gids); {
+		hi, dump, err := a.assign(b, lo)
 		if err != nil {
 			return err
 		}
-		if merge {
-			if err := a.mergePartial(grp, b.Live(ri)); err != nil {
+		for r := lo; r < hi && merge; r++ {
+			a.mergePartial(a.gids[r], b.Live(r))
+		}
+		for i := 0; i < a.ns && !merge; i++ {
+			sp, v, states, gids := &a.node.Specs[i], &a.argVecs[i], a.states[i:], a.gids[lo:hi]
+			switch {
+			case a.argExprs[i] == nil: // count(*)
+				for _, g := range gids {
+					states[int(g)*a.ns].count++
+				}
+			case sp.Distinct || v.Ints == nil && v.Floats == nil:
+				for r, g := range gids {
+					states[int(g)*a.ns].add(v.At(b.Index(lo+r)), sp)
+				}
+			default: // add's count and sums, typed
+				ext, isInt := sp.Func == plan.AggMin || sp.Func == plan.AggMax, v.Kind == types.KindInt
+				for r, g := range gids {
+					at, st := b.Index(lo+r), &states[int(g)*a.ns]
+					switch {
+					case v.Null(at):
+						continue
+					case ext:
+						st.addExt(v, at, sp.Func)
+					case v.Ints != nil:
+						st.sumInt += v.Ints[at]
+						if isInt {
+							st.sumFloat += float64(v.Ints[at])
+						}
+					default:
+						st.isFloat, st.sumFloat = true, st.sumFloat+v.Floats[at]
+					}
+					st.count++
+				}
+			}
+		}
+		if dump {
+			if err := a.dumpGroups(); err != nil {
 				return err
 			}
-			continue
 		}
-		for i := range specs {
-			st := &grp.states[i]
-			if a.argExprs[i] == nil { // count(*)
-				st.count++
-				st.any = true
-				continue
-			}
-			st.add(a.argVecs[i].At(at), &specs[i])
-		}
+		lo = hi
 	}
 	return nil
 }
@@ -343,8 +507,8 @@ func (a *aggCore) finish(sawRow bool) error {
 	// Scalar aggregate over an empty input still yields one row; a partial
 	// scalar agg also emits its (empty) transition row so the final phase
 	// can produce count=0 / sum=NULL.
-	if !sawRow && len(a.node.GroupBy) == 0 && len(a.node.Specs) > 0 {
-		if _, err := a.findGroup(types.Row{}); err != nil {
+	if !sawRow && a.nk == 0 && a.ns > 0 {
+		if _, _, err := a.newGroup(0); err != nil {
 			return err
 		}
 	}
@@ -372,139 +536,56 @@ func (a *aggCore) close() {
 		}
 	}
 	a.parts = nil
-	a.groups = nil
-	a.order = nil
+	a.keys, a.states, a.order, a.slots = nil, nil, nil, nil
 }
 
-// mergePartial folds one partial-layout row into the group (final phase).
-// Partial layout: group cols, then per spec: avg → (sum, count); others →
-// single column.
-func (a *aggCore) mergePartial(grp *group, row types.Row) error {
-	col := len(a.node.GroupBy)
-	for i, spec := range a.node.Specs {
-		st := &grp.states[i]
-		switch spec.Func {
+// mergePartial folds one partial-layout row — group keys, then per spec avg
+// → (sum, count), others → one column — into group g.
+func (a *aggCore) mergePartial(g int32, row types.Row) {
+	col := a.nk
+	for i := range a.node.Specs {
+		sp, st, v := &a.node.Specs[i], &a.states[int(g)*a.ns+i], row[col]
+		col++
+		switch sp.Func {
 		case plan.AggAvg:
-			sum, cnt := row[col], row[col+1]
-			col += 2
-			if !cnt.IsNull() && cnt.Int() > 0 {
-				st.count += cnt.Int()
-				st.sumFloat += sum.Float()
-				st.isFloat = true
-				st.any = true
-			}
-		case plan.AggCount:
-			v := row[col]
-			col++
-			if !v.IsNull() {
-				st.count += v.Int()
-				st.any = true
-			}
-		case plan.AggSum:
-			v := row[col]
-			col++
-			if !v.IsNull() {
-				if v.Kind() == types.KindFloat {
-					st.isFloat = true
-				}
-				st.sumInt += v.Int()
+			if n := row[col].Int(); n > 0 {
+				st.count += n
 				st.sumFloat += v.Float()
-				st.any = true
-				st.count++
+				st.isFloat = true
 			}
-		case plan.AggMin:
-			v := row[col]
 			col++
-			if !v.IsNull() {
-				if !st.any || types.Compare(v, st.min) < 0 {
-					st.min = v
-				}
-				st.any = true
-			}
-		case plan.AggMax:
-			v := row[col]
-			col++
-			if !v.IsNull() {
-				if !st.any || types.Compare(v, st.max) > 0 {
-					st.max = v
-				}
-				st.any = true
-			}
+		case plan.AggCount:
+			st.count += v.Int()
 		default:
-			return fmt.Errorf("exec: unknown aggregate %v", spec.Func)
+			st.add(v, sp)
 		}
 	}
-	return nil
 }
 
-// emitTransition renders the group in the partial (transition-state) layout:
-// group keys, then per spec avg → (sum, count), others → one column. It is
-// both what partial/intermediate phases send upstream and what spilled
-// aggregates write to partition files (mergePartial reads it back).
-func (a *aggCore) emitTransition(grp *group) types.Row {
-	out := make(types.Row, 0, len(grp.keys)+len(a.node.Specs)+1)
-	out = append(out, grp.keys...)
-	for i, spec := range a.node.Specs {
-		st := &grp.states[i]
-		switch spec.Func {
-		case plan.AggAvg:
-			if st.any {
-				out = append(out, types.NewFloat(st.sumFloat), types.NewInt(st.count))
-			} else {
-				out = append(out, types.Null, types.NewInt(0))
-			}
-		case plan.AggCount:
-			out = append(out, types.NewInt(st.count))
-		case plan.AggSum:
-			out = append(out, st.sumDatum())
-		case plan.AggMin:
-			if st.any {
-				out = append(out, st.min)
-			} else {
-				out = append(out, types.Null)
-			}
-		case plan.AggMax:
-			if st.any {
-				out = append(out, st.max)
-			} else {
-				out = append(out, types.Null)
-			}
-		}
-	}
-	return out
-}
-
-func (a *aggCore) emit(grp *group) types.Row {
-	if a.node.Phase == plan.AggPartial || a.node.Phase == plan.AggIntermediate {
-		return a.emitTransition(grp)
-	}
+// emit renders group g as final values or, when trans is set, in the partial
+// layout that partial phases send upstream and spilled aggregates write.
+func (a *aggCore) emit(g int32, trans bool) types.Row {
 	out := make(types.Row, 0, a.node.Schema().Len())
-	out = append(out, grp.keys...)
-	for i, spec := range a.node.Specs {
-		st := &grp.states[i]
-		switch spec.Func {
-		case plan.AggCount:
+	out = append(out, a.key(g)...)
+	for i, sp := range a.node.Specs {
+		st := &a.states[int(g)*a.ns+i]
+		switch sum := sp.Func == plan.AggSum; {
+		case sp.Func == plan.AggCount:
 			out = append(out, types.NewInt(st.count))
-		case plan.AggSum:
-			out = append(out, st.sumDatum())
-		case plan.AggAvg:
-			if st.count == 0 {
-				out = append(out, types.Null)
-			} else {
-				out = append(out, types.NewFloat(st.sumFloat/float64(st.count)))
-			}
-		case plan.AggMin:
-			if st.any {
-				out = append(out, st.min)
-			} else {
-				out = append(out, types.Null)
-			}
-		case plan.AggMax:
-			if st.any {
-				out = append(out, st.max)
-			} else {
-				out = append(out, types.Null)
-			}
+		case sp.Func == plan.AggMin || sp.Func == plan.AggMax:
+			out = append(out, st.ext)
+		case st.count == 0 && trans && !sum:
+			out = append(out, types.Null, types.NewInt(0))
+		case st.count == 0:
+			out = append(out, types.Null)
+		case sum && st.isFloat:
+			out = append(out, types.NewFloat(st.sumFloat))
+		case sum:
+			out = append(out, types.NewInt(st.sumInt))
+		case trans:
+			out = append(out, types.NewFloat(st.sumFloat), types.NewInt(st.count))
+		default:
+			out = append(out, types.NewFloat(st.sumFloat/float64(st.count)))
 		}
 	}
 	return out

@@ -3,7 +3,7 @@ package exec
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/plan"
@@ -203,11 +203,22 @@ func fillBatch(out *types.RowBatch, size int, next func() (types.Row, error)) (*
 // in input order and ties break toward the lower run, so the merged output is
 // byte-identical to the stable in-memory sort. A sort that stayed in memory
 // emits its buffer as windows; a merge is re-batched row by row.
+//
+// A key that is not a bare column is evaluated once per row, on arrival, and
+// carried at the end of the buffered row until output. A top-N sort keeps
+// its first Bound() rows in a heap ordered by key, then arrival (the stable
+// sort's order), until they pass the spill floor and the full sort takes over.
 type batchSortIter struct {
 	rowWindows // rows buffers the input; sorted, it is the in-memory result
 	ctx        *Context
 	child      BatchIterator
 	keys       []plan.SortKey
+	cols       []int       // per key: its row offset; -1-j: evals[j]
+	evals      []plan.Expr // the keys carried at the row's end
+	scratch    types.Row
+	bound      int      // the top-N's rows; 0 = all
+	top        []ranked // the top-N heap, worst row first; nil once spent
+	seq        int      // rows taken so far
 	loaded     bool
 	mem        opMem
 	runs       []*spillFile
@@ -215,53 +226,135 @@ type batchSortIter struct {
 	out        types.RowBatch // reused merge output
 }
 
-func newBatchSortIter(ctx *Context, node *plan.Sort, child BatchIterator) *batchSortIter {
-	return &batchSortIter{rowWindows: rowWindows{size: ctx.batchSize()}, ctx: ctx, child: child,
-		keys: node.Keys, mem: opMem{ctx: ctx, stat: ctx.opStat(node)}}
+// ranked is a top-N heap entry: a row and its arrival number.
+type ranked struct {
+	row types.Row
+	seq int
 }
 
-// compareKeys orders two rows under the ORDER BY keys.
-func (s *batchSortIter) compareKeys(a, b types.Row) (int, error) {
-	for _, k := range s.keys {
-		av, err := k.Expr.Eval(a)
-		if err != nil {
-			return 0, err
+// newBatchSortIter builds the sort; a top-N's output passes a limit.
+func newBatchSortIter(ctx *Context, node *plan.Sort, child BatchIterator) BatchIterator {
+	s := &batchSortIter{rowWindows: rowWindows{size: ctx.batchSize()}, ctx: ctx, child: child,
+		keys: node.Keys, cols: make([]int, len(node.Keys)), bound: int(node.Bound()),
+		mem: opMem{ctx: ctx, stat: ctx.opStat(node)}}
+	for i, k := range node.Keys {
+		if c, ok := k.Expr.(*plan.ColRef); ok {
+			s.cols[i] = c.Idx
+		} else {
+			s.cols[i], s.evals = -1-len(s.evals), append(s.evals, k.Expr)
 		}
-		bv, err := k.Expr.Eval(b)
-		if err != nil {
-			return 0, err
-		}
-		c := types.Compare(av, bv)
-		if c == 0 {
-			continue
-		}
-		if k.Desc {
-			return -c, nil
-		}
-		return c, nil
 	}
-	return 0, nil
+	if s.bound > 0 {
+		s.top = make([]ranked, 0, min(s.bound, 1024))
+		return &batchLimitIter{child: s, left: int64(s.bound)}
+	}
+	return s
 }
 
-// sortBuffered stably sorts the in-memory rows.
-func (s *batchSortIter) sortBuffered() error {
-	var sortErr error
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		c, err := s.compareKeys(s.rows[i], s.rows[j])
-		if err != nil && sortErr == nil {
-			sortErr = err
+// compare orders two buffered rows under the ORDER BY keys.
+func (s *batchSortIter) compare(a, b types.Row) int {
+	for i, k := range s.keys {
+		ia, ib := s.cols[i], s.cols[i]
+		if ia < 0 {
+			ia, ib = len(a)-len(s.evals)-1-ia, len(b)-len(s.evals)-1-ib
 		}
-		return c < 0
-	})
-	return sortErr
+		if c := types.Compare(a[ia], b[ib]); c != 0 {
+			if k.Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// worse orders heap entries: by key, then later arrival.
+func (s *batchSortIter) worse(a, b ranked) bool {
+	c := s.compare(a.row, b.row)
+	return c > 0 || c == 0 && a.seq > b.seq
+}
+
+// take buffers live row i of b with its evaluated keys, or offers it to the
+// top-N heap; a row gathered into scratch is copied only once it is kept.
+func (s *batchSortIter) take(b *types.RowBatch, i int) error {
+	var row types.Row
+	scratch := b.Cols != nil || len(s.evals) > 0
+	if b.Cols != nil {
+		s.scratch = b.Cols.RowInto(s.scratch, b.Index(i))
+	} else if row = b.Live(i); scratch {
+		s.scratch = append(s.scratch[:0], row...)
+	}
+	if scratch {
+		w := len(s.scratch)
+		for _, e := range s.evals {
+			v, err := e.Eval(s.scratch[:w])
+			if err != nil {
+				return err
+			}
+			s.scratch = append(s.scratch, v)
+		}
+		row = s.scratch
+	}
+	s.seq++
+	full := s.top != nil && len(s.top) == s.bound
+	if full && s.compare(row, s.top[0].row) >= 0 {
+		return nil
+	}
+	if scratch {
+		row = row.Clone()
+	}
+	if s.top != nil && s.mem.charged+row.Size() <= spillChunk(s.ctx.Spill.Budget()) {
+		ok, err := s.mem.grow(row.Size())
+		if ok {
+			s.push(ranked{row, s.seq}, full)
+		}
+		if ok || err != nil {
+			return err
+		}
+	}
+	if s.top != nil {
+		s.spendTop() // past the spill floor: the full sort takes over
+	}
+	return s.add(row)
+}
+
+// push puts e on the heap, in place of the worst row kept when it is full.
+func (s *batchSortIter) push(e ranked, full bool) {
+	h := s.top
+	if !full {
+		s.top = append(h, e)
+		for j := len(h); j > 0 && s.worse(s.top[j], s.top[(j-1)/2]); j = (j - 1) / 2 {
+			s.top[j], s.top[(j-1)/2] = s.top[(j-1)/2], s.top[j]
+		}
+		return
+	}
+	s.mem.release(h[0].row.Size())
+	h[0] = e
+	for j, w := 0, 1; w < len(h); j, w = w, 2*w+1 {
+		if w+1 < len(h) && s.worse(h[w+1], h[w]) {
+			w++
+		}
+		if !s.worse(h[w], h[j]) {
+			break
+		}
+		h[j], h[w] = h[w], h[j]
+	}
+}
+
+// spendTop moves the heap's rows to the buffer in arrival order, where the
+// stable sort orders ties as they arrived.
+func (s *batchSortIter) spendTop() {
+	slices.SortFunc(s.top, func(a, b ranked) int { return a.seq - b.seq })
+	for _, r := range s.top {
+		s.rows = append(s.rows, r.row)
+	}
+	s.top = nil
 }
 
 // spillRun sorts the buffered rows, writes them as one run file, and releases
 // their memory.
 func (s *batchSortIter) spillRun() error {
-	if err := s.sortBuffered(); err != nil {
-		return err
-	}
+	slices.SortStableFunc(s.rows, s.compare)
 	sf, err := s.ctx.Spill.newFile(s.ctx.SegID, fmt.Sprintf("seg%d-sort-run%d", s.ctx.SegID, len(s.runs)))
 	if err != nil {
 		return err
@@ -322,13 +415,18 @@ func (s *batchSortIter) load() error {
 			return err
 		}
 		for i, l := 0, b.Len(); i < l; i++ {
-			if err := s.add(b.Live(i)); err != nil {
+			if err := s.take(b, i); err != nil {
 				return err
 			}
 		}
 	}
-	if err := s.sortBuffered(); err != nil || len(s.runs) == 0 {
-		return err
+	s.spendTop()
+	slices.SortStableFunc(s.rows, s.compare)
+	if len(s.runs) == 0 {
+		for i, row := range s.rows {
+			s.rows[i] = row[:len(row)-len(s.evals)]
+		}
+		return nil
 	}
 	// Merge the run files plus the residual rows (the final, highest-
 	// numbered run, kept in memory).
@@ -342,9 +440,15 @@ func (s *batchSortIter) load() error {
 	if len(s.rows) > 0 {
 		srcs = append(srcs, &memSource{rows: s.rows})
 	}
-	tree, err := newLoserTree(srcs, s.compareKeys)
+	tree, err := newLoserTree(srcs, s.compare)
 	s.tree = tree
 	return err
+}
+
+// pop is the next merged row, its evaluated keys stripped.
+func (s *batchSortIter) pop() (types.Row, error) {
+	row, err := s.tree.pop()
+	return row[:max(len(row)-len(s.evals), 0)], err
 }
 
 func (s *batchSortIter) NextBatch() (*types.RowBatch, error) {
@@ -355,7 +459,7 @@ func (s *batchSortIter) NextBatch() (*types.RowBatch, error) {
 		s.loaded = true
 	}
 	if s.tree != nil {
-		return fillBatch(&s.out, s.size, s.tree.pop)
+		return fillBatch(&s.out, s.size, s.pop)
 	}
 	return s.rowWindows.NextBatch()
 }
@@ -365,7 +469,7 @@ func (s *batchSortIter) Close() {
 	for _, sf := range s.runs {
 		sf.close()
 	}
-	s.runs, s.rows = nil, nil
+	s.runs, s.rows, s.top = nil, nil, nil
 	s.child.Close()
 }
 

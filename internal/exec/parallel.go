@@ -230,6 +230,13 @@ func buildParallelPipeline(ctx *Context, root plan.Node) (BatchIterator, bool) {
 	if ctx.Store == nil || !plan.ParallelSafe(root) {
 		return nil, false
 	}
+	if s, ok := root.(*plan.Sort); ok { // a top-N over the workers' ordered gather
+		it, ok := buildParallelPipeline(ctx, s.Child)
+		if ok {
+			it = build(ctx, s, s, newBatchSortIter(ctx, s, it))
+		}
+		return it, ok
+	}
 	store, ok := ctx.Store.(ParallelStoreAccess)
 	if !ok {
 		return nil, false

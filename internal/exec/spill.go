@@ -435,6 +435,16 @@ func (o *opMem) freeAll() {
 	o.charged, o.reserved = 0, 0
 }
 
+// release returns n bytes of state memory in both layers (an evicted row).
+func (o *opMem) release(n int64) {
+	o.ctx.shrink(n)
+	o.charged -= n
+	if r := min(n, o.reserved); r > 0 {
+		o.ctx.Spill.release(r)
+		o.reserved -= r
+	}
+}
+
 // closeAll returns everything, including file buffer charges. Call when the
 // operator closes.
 func (o *opMem) closeAll() {
@@ -510,14 +520,14 @@ func (s *memSource) next() (types.Row, error) {
 // index, which — with runs numbered in input order — reproduces exactly the
 // stable in-memory sort.
 type loserTree struct {
-	cmp   func(a, b types.Row) (int, error)
+	cmp   func(a, b types.Row) int
 	srcs  []mergeSource
 	heads []types.Row // current head per source; nil = exhausted
 	tree  []int       // tree[0] = winner; tree[1..k-1] = loser at that node
 	k     int
 }
 
-func newLoserTree(srcs []mergeSource, cmp func(a, b types.Row) (int, error)) (*loserTree, error) {
+func newLoserTree(srcs []mergeSource, cmp func(a, b types.Row) int) (*loserTree, error) {
 	k := len(srcs)
 	t := &loserTree{cmp: cmp, srcs: srcs, heads: make([]types.Row, k), tree: make([]int, k), k: k}
 	for i, s := range srcs {
@@ -537,12 +547,7 @@ func newLoserTree(srcs []mergeSource, cmp func(a, b types.Row) (int, error)) (*l
 		win[k+i] = i
 	}
 	for p := k - 1; p >= 1; p-- {
-		w, l, err := t.play(win[2*p], win[2*p+1])
-		if err != nil {
-			return nil, err
-		}
-		win[p] = w
-		t.tree[p] = l
+		win[p], t.tree[p] = t.play(win[2*p], win[2*p+1])
 	}
 	if k == 1 {
 		t.tree[0] = 0
@@ -554,21 +559,17 @@ func newLoserTree(srcs []mergeSource, cmp func(a, b types.Row) (int, error)) (*l
 
 // play decides one match; an exhausted source always loses, ties go to the
 // lower index.
-func (t *loserTree) play(a, b int) (winner, loser int, err error) {
+func (t *loserTree) play(a, b int) (winner, loser int) {
 	if t.heads[a] == nil {
-		return b, a, nil
+		return b, a
 	}
 	if t.heads[b] == nil {
-		return a, b, nil
+		return a, b
 	}
-	c, err := t.cmp(t.heads[a], t.heads[b])
-	if err != nil {
-		return a, b, err
+	if c := t.cmp(t.heads[a], t.heads[b]); c < 0 || (c == 0 && a < b) {
+		return a, b
 	}
-	if c < 0 || (c == 0 && a < b) {
-		return a, b, nil
-	}
-	return b, a, nil
+	return b, a
 }
 
 // pop removes and returns the smallest head row, refilling its source and
@@ -589,11 +590,7 @@ func (t *loserTree) pop() (types.Row, error) {
 	}
 	s := w
 	for p := (w + t.k) / 2; p >= 1; p /= 2 {
-		winner, loser, err := t.play(s, t.tree[p])
-		if err != nil {
-			return nil, err
-		}
-		s, t.tree[p] = winner, loser
+		s, t.tree[p] = t.play(s, t.tree[p])
 	}
 	t.tree[0] = s
 	return row, nil

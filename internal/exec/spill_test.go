@@ -98,7 +98,7 @@ func TestLoserTreeMergesStably(t *testing.T) {
 		mk(1, 2, 3, 8),
 		mk(2, 3, 4, 10),
 	}
-	cmp := func(a, b types.Row) (int, error) { return types.Compare(a[0], b[0]), nil }
+	cmp := func(a, b types.Row) int { return types.Compare(a[0], b[0]) }
 	tree, err := newLoserTree(srcs, cmp)
 	if err != nil {
 		t.Fatal(err)
@@ -182,6 +182,33 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 	}
 	if ctx.Spill.used.Load() != 0 {
 		t.Fatalf("budget not fully released: %d", ctx.Spill.used.Load())
+	}
+}
+
+// TestComputedKeyTopNSort: a sort key that is an expression (evaluated once
+// per row and carried on the buffered row) and a top-N bound give the stable
+// sort's rows, then its first count + offset of them, with the carried key
+// gone — in memory, spilled, and for a top-N whose heap outgrows the spill
+// floor.
+func TestComputedKeyTopNSort(t *testing.T) {
+	tab := testTable(1, "t", "a", "b")
+	rows := shuffledRows(3000)
+	store := &memStore{tables: map[catalog.TableID][]types.Row{1: rows}}
+	keys := []plan.SortKey{ // b % 5 descending (many ties), then a
+		{Expr: &plan.BinOp{Op: "%", Left: &plan.ColRef{Idx: 1}, Right: &plan.Const{Val: types.NewInt(5)}}, Desc: true},
+	}
+	want := append([]types.Row(nil), rows...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i][1].Int()%5 > want[j][1].Int()%5 })
+	for _, top := range []*plan.Limit{nil, {Count: 40, Offset: 10}, {Count: 900, Offset: 100}} {
+		node := &plan.Sort{Child: plan.NewScan(tab, []catalog.TableID{1}, nil), Keys: keys, Top: top}
+		w := want
+		if top != nil {
+			w = want[:top.Count+top.Offset]
+		}
+		requireSameRows(t, w, drain(t, BuildBatch(ctxWithStore(store), node)))
+		ctx := spillCtx(store, 4096)
+		requireSameRows(t, w, drain(t, BuildBatch(ctx, node)))
+		ctx.Spill.Cleanup()
 	}
 }
 

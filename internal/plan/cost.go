@@ -192,9 +192,13 @@ func (c *costEstimator) compute(n Node) *NodeCost {
 			Cost: ch.Cost + float64(ch.Rows)*cpuRowCost, Blocks: ch.Blocks, StatsNone: ch.StatsNone}
 	case *Sort:
 		ch := c.cost(x.Child)
-		// n log n CPU over the materialized input.
-		return &NodeCost{Rows: ch.Rows, Bound: ch.Bound,
-			Cost: ch.Cost + float64(ch.Rows)*cpuRowCost*log2(ch.Rows), Blocks: ch.Blocks, StatsNone: ch.StatsNone}
+		rows, bound := ch.Rows, ch.Bound
+		if k := x.Bound(); k > 0 && k < rows/int64(c.nseg) { // a top-k on every segment
+			rows, bound = k*int64(c.nseg), 0
+		}
+		// n log n CPU over the materialized input (n log k for a top-k).
+		return &NodeCost{Rows: rows, Bound: bound,
+			Cost: ch.Cost + float64(ch.Rows)*cpuRowCost*log2(rows), Blocks: ch.Blocks, StatsNone: ch.StatsNone}
 	case *Limit:
 		ch := c.cost(x.Child)
 		rows := ch.Rows
@@ -512,7 +516,7 @@ func (p *Planner) statsProvider() TableStatsProvider {
 func annotateMemoryFromCosts(n Node, est *costEstimator) {
 	switch x := n.(type) {
 	case *Sort:
-		x.EstMemBytes = est.cost(x.Child).Rows * estRowWidth(x.Child.Schema())
+		x.EstMemBytes = est.cost(x).Rows * estRowWidth(x.Child.Schema())
 	case *Agg:
 		groups := est.cost(x).Rows
 		x.EstMemBytes = groups * (estRowBytes + estDatumBytes*int64(len(x.GroupBy)) + 64*int64(len(x.Specs)))

@@ -45,6 +45,9 @@ func estimateRows(n Node, st Stats) int64 {
 		return estimateRows(x.Child, st)/3 + 1
 	case *Sort:
 		rows := estimateRows(x.Child, st)
+		if k := x.Bound(); k > 0 && k < rows {
+			rows = k
+		}
 		x.EstMemBytes = rows * estRowWidth(x.Child.Schema())
 		return rows
 	case *Agg:

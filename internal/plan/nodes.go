@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/catalog"
@@ -459,9 +460,21 @@ type SortKey struct {
 type Sort struct {
 	Child Node
 	Keys  []SortKey
+	// Top, on a per-segment sort below a Gather, is the LIMIT above the
+	// Gather (not a child): the sort emits only its first Bound() rows.
+	Top *Limit
 	// EstMemBytes estimates the materialized input's working set
 	// (AnnotateMemory); surfaced by EXPLAIN.
 	EstMemBytes int64
+}
+
+// Bound is the number of rows a top-N sort emits — its LIMIT's count plus
+// offset — or 0 for a sort that emits every row.
+func (s *Sort) Bound() int64 {
+	if s.Top == nil || s.Top.Count < 0 || s.Top.Offset < 0 || s.Top.Count > math.MaxInt64-s.Top.Offset {
+		return 0
+	}
+	return s.Top.Count + s.Top.Offset
 }
 
 // Schema implements Node.
@@ -471,7 +484,12 @@ func (s *Sort) Schema() *types.Schema { return s.Child.Schema() }
 func (s *Sort) Children() []Node { return []Node{s.Child} }
 
 // Explain implements Node.
-func (s *Sort) Explain() string { return "Sort" + estMemSuffix(s.EstMemBytes) }
+func (s *Sort) Explain() string {
+	if n := s.Bound(); n > 0 {
+		return fmt.Sprintf("Sort (top %d)%s", n, estMemSuffix(s.EstMemBytes))
+	}
+	return "Sort" + estMemSuffix(s.EstMemBytes)
+}
 
 // Limit caps output. CountExpr/OffsetExpr are set only in a template whose
 // LIMIT or OFFSET names a $N slot; Bind evaluates them into Count/Offset.

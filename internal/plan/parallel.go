@@ -14,11 +14,15 @@ package plan
 // AggPlain/AggPartial without DISTINCT — and the scan must not lock rows
 // (FOR UPDATE scans run on the row-locking path).
 //
-// Anything else — joins (the build side would be rebuilt per worker), sorts
-// and limits (order- and count-sensitive), motions (a receiving worker would
-// compete for the slice's interconnect stream), index scans (point lookups
-// gain nothing) — keeps the slice serial.
+// A top-N sort may sit at the slice root: it runs above the workers'
+// ordered gather. Anything else — joins (the build side would be rebuilt
+// per worker), other sorts and limits (order- and count-sensitive), motions
+// (a receiving worker would compete for the slice's interconnect stream),
+// index scans (point lookups gain nothing) — keeps the slice serial.
 func ParallelSafe(n Node) bool {
+	if s, ok := n.(*Sort); ok && s.Top != nil {
+		n = s.Child
+	}
 	return parallelChainSafe(n, true)
 }
 

@@ -301,28 +301,40 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 		}
 	}
 
-	// ORDER BY / LIMIT / OFFSET run in the coordinator slice.
-	if len(s.OrderBy) > 0 || s.Limit != nil || s.Offset != nil {
-		if pn.locus != LocusSingle {
-			pn.node = &Motion{Child: pn.node, Type: MotionGather}
-			pn.locus = LocusSingle
-		}
-	}
+	// ORDER BY / LIMIT / OFFSET run in the coordinator slice. Over a
+	// partitioned input, ORDER BY … LIMIT also sorts on every segment, each
+	// keeping only the first count + offset rows (a top-N), so the Gather
+	// ships at most that many per segment.
+	var keys []SortKey
 	if len(s.OrderBy) > 0 {
-		keys, err := p.bindOrderBy(s.OrderBy, pn.node.Schema(), outNames)
-		if err != nil {
+		if keys, err = p.bindOrderBy(s.OrderBy, pn.node.Schema(), outNames); err != nil {
 			return nil, err
 		}
-		pn.node = &Sort{Child: pn.node, Keys: keys}
 	}
+	var lim *Limit
 	if s.Limit != nil || s.Offset != nil {
-		lim := &Limit{Child: pn.node, Count: -1}
+		lim = &Limit{Count: -1}
 		if lim.CountExpr, err = p.bindLimit(s.Limit, "LIMIT", &lim.Count); err != nil {
 			return nil, err
 		}
 		if lim.OffsetExpr, err = p.bindLimit(s.Offset, "OFFSET", &lim.Offset); err != nil {
 			return nil, err
 		}
+	}
+	if keys != nil || lim != nil {
+		if pn.locus != LocusSingle {
+			if keys != nil && s.Limit != nil {
+				pn.node = &Sort{Child: pn.node, Keys: keys, Top: lim}
+			}
+			pn.node = &Motion{Child: pn.node, Type: MotionGather}
+			pn.locus = LocusSingle
+		}
+	}
+	if keys != nil {
+		pn.node = &Sort{Child: pn.node, Keys: keys}
+	}
+	if lim != nil {
+		lim.Child = pn.node
 		pn.node = lim
 	}
 

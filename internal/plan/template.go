@@ -154,6 +154,18 @@ func (b *instantiation) bindLeaf(e Expr) Expr {
 	return &Const{Val: v}
 }
 
+// limit returns x over child with its LIMIT and OFFSET slots evaluated.
+func (b *instantiation) limit(x *Limit, child Node) *Limit {
+	l := &Limit{Child: child, Count: x.Count, Offset: x.Offset}
+	if e := b.expr(x.CountExpr); e != nil && b.err == nil {
+		l.Count, b.err = limitValue(e, "LIMIT")
+	}
+	if e := b.expr(x.OffsetExpr); e != nil && b.err == nil {
+		l.Offset, b.err = limitValue(e, "OFFSET")
+	}
+	return l
+}
+
 // node returns n with the slots of its subtree bound: a copy of n when the
 // subtree held one, n itself (shared with the template) when not.
 func (b *instantiation) node(n Node) Node {
@@ -214,7 +226,7 @@ func (b *instantiation) node(n Node) Node {
 			return &c
 		}
 	case *Sort:
-		ch, keys := b.node(x.Child), x.Keys
+		ch, keys, top := b.node(x.Child), x.Keys, x.Top
 		for i, k := range x.Keys {
 			if e := b.expr(k.Expr); e != k.Expr {
 				if &keys[0] == &x.Keys[0] {
@@ -223,21 +235,17 @@ func (b *instantiation) node(n Node) Node {
 				keys[i].Expr = e
 			}
 		}
+		if top != nil && (top.CountExpr != nil || top.OffsetExpr != nil) {
+			top = b.limit(top, nil) // a top-N's bound, from the LIMIT above its Gather
+		}
 		if b.bound > mark {
 			c := *x
-			c.Child, c.Keys = ch, keys
+			c.Child, c.Keys, c.Top = ch, keys, top
 			return &c
 		}
 	case *Limit:
-		ch, count, offset := b.node(x.Child), x.Count, x.Offset
-		if e := b.expr(x.CountExpr); e != nil && b.err == nil {
-			count, b.err = limitValue(e, "LIMIT")
-		}
-		if e := b.expr(x.OffsetExpr); e != nil && b.err == nil {
-			offset, b.err = limitValue(e, "OFFSET")
-		}
-		if b.bound > mark {
-			return &Limit{Child: ch, Count: count, Offset: offset}
+		if ch := b.node(x.Child); b.bound > mark || x.CountExpr != nil || x.OffsetExpr != nil {
+			return b.limit(x, ch)
 		}
 	case *Motion:
 		m := x
