@@ -333,16 +333,15 @@ func BenchmarkAblationCompressionCodecs(b *testing.B) {
 
 // ---- vectorized execution benchmarks ----
 
-// benchBatchStore is exec.ParallelStoreAccess over a bare storage engine: the
-// batch scan path (storage.ScanBatches) and block-range splitting, without a
-// segment around it.
+// benchBatchStore is exec.ParallelStoreAccess over a bare storage engine:
+// Engine.Scan and block-range splitting, without a segment around it.
 type benchBatchStore struct {
 	eng storage.Engine
 }
 
 // ScanTable, IndexLookup and WriteRow complete exec.StoreAccess; no
 // benchmark here runs a FOR UPDATE scan, an index scan or a write.
-func (s *benchBatchStore) ScanTable(context.Context, catalog.TableID, exec.RowMark, func(types.Row) (bool, bool, error)) error {
+func (s *benchBatchStore) ScanTable(context.Context, catalog.TableID, exec.ScanSpec, exec.RowMark, func(types.Row) (bool, bool, error)) error {
 	return errors.New("benchBatchStore: row scans are not benchmarked")
 }
 
@@ -354,59 +353,38 @@ func (s *benchBatchStore) WriteRow(context.Context, exec.RowID, *plan.UpdatePlan
 	return false, errors.New("benchBatchStore: writes are not benchmarked")
 }
 
-func (s *benchBatchStore) ScanTableBatches(ctx context.Context, _ catalog.TableID, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
-	var iterErr error
-	storage.ScanBatches(s.eng, &storage.ScanOpts{Cols: spec.Cols}, batchSize, func(hdrs []storage.Header, rows []types.Row) bool {
-		select {
-		case <-ctx.Done():
-			iterErr = ctx.Err()
-			return false
-		default:
-		}
-		// Engine batch rows are retainable; only the container must be copied.
-		cont, err := fn(&types.RowBatch{Rows: append([]types.Row(nil), rows...)})
-		if err != nil {
-			iterErr = err
+// ScanTableBatches implements exec.StoreAccess: every stored version of the
+// leaf or of rng, one batch per chunk — a column chunk by reference, a row
+// chunk's stored rows in a fresh container.
+func (s *benchBatchStore) ScanTableBatches(ctx context.Context, _ catalog.TableID, rng *exec.ScanRange, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
+	r := storage.WholeTable
+	if rng != nil {
+		r = storage.BlockRange{Begin: rng.Begin, End: rng.End}
+	}
+	var fnErr error
+	err := s.eng.Scan(r, &storage.ScanOpts{Cols: spec.Cols}, batchSize, func(ch *storage.Chunk) bool {
+		if fnErr = ctx.Err(); fnErr != nil {
 			return false
 		}
-		return cont
+		b := &types.RowBatch{Rows: append([]types.Row(nil), ch.Rows...), Cols: ch.Cols}
+		var cont bool
+		cont, fnErr = fn(b)
+		return cont && fnErr == nil
 	})
-	return iterErr
+	if fnErr != nil {
+		return fnErr
+	}
+	return err
 }
 
 // SplitTableRanges implements exec.ParallelStoreAccess over the bare engine.
 func (s *benchBatchStore) SplitTableRanges(_ catalog.TableID, parts int) ([]exec.ScanRange, bool) {
-	sp, ok := s.eng.(storage.BlockSplitter)
-	if !ok {
-		return nil, false
-	}
-	ranges := sp.SplitBlocks(parts)
+	ranges := s.eng.SplitBlocks(parts)
 	out := make([]exec.ScanRange, len(ranges))
 	for i, r := range ranges {
 		out[i] = exec.ScanRange{Begin: r.Begin, End: r.End}
 	}
 	return out, true
-}
-
-// ScanTableRangeBatches implements exec.ParallelStoreAccess.
-func (s *benchBatchStore) ScanTableRangeBatches(ctx context.Context, _ catalog.TableID, rng exec.ScanRange, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
-	sp := s.eng.(storage.BlockSplitter)
-	var iterErr error
-	sp.ForEachBatchRange(storage.BlockRange{Begin: rng.Begin, End: rng.End}, &storage.ScanOpts{Cols: spec.Cols}, batchSize, func(hdrs []storage.Header, rows []types.Row) bool {
-		select {
-		case <-ctx.Done():
-			iterErr = ctx.Err()
-			return false
-		default:
-		}
-		cont, err := fn(&types.RowBatch{Rows: append([]types.Row(nil), rows...)})
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		return cont
-	})
-	return iterErr
 }
 
 // BenchmarkZoneMapSkip measures predicate pushdown end to end: a ≈1%

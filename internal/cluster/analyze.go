@@ -67,7 +67,7 @@ func (c *Cluster) analyzeTable(ctx context.Context, lt *LiveTxn, snap *dtm.DistS
 		lt.touched[i] = true
 		acc := s.newAccess(lt.dxid, snap)
 		for _, leaf := range leafIDs(t) {
-			err := acc.ScanTable(ctx, leaf, exec.RowMark{}, func(row types.Row) (bool, bool, error) {
+			err := acc.ScanTable(ctx, leaf, exec.ScanSpec{}, exec.RowMark{}, func(row types.Row) (bool, bool, error) {
 				res.offer(row)
 				return false, true, nil
 			})

@@ -747,13 +747,14 @@ func (c *Cluster) ApplyTruncate(ctx context.Context, t *LiveTxn, name string) er
 	return nil
 }
 
-// ApplyCreateIndex registers and builds an index everywhere. Locks come
-// first and the catalog entry second, so a lock failure (e.g. a dead
-// segment) leaves no registered-but-unbuilt index behind; the catalog
-// write plus the per-segment builds run under ddlMu against the freshly
-// resolved primaries, so a promotion cannot slip between the catalog entry
-// and the builds (promote's index-rebuild loop reads the catalog under the
-// same mutex).
+// ApplyCreateIndex builds and registers an index everywhere. Locks come
+// first, then the builds on every segment, then the catalog entry, and the
+// segments attach their builds only after that: a lock failure (e.g. a dead
+// segment), a build that cannot read a block, or a refused catalog entry
+// leaves no index anywhere. The builds, the catalog write and the attaches
+// run under ddlMu against the freshly resolved primaries, so a promotion
+// cannot slip between them (promote's index-rebuild loop reads the catalog
+// under the same mutex).
 func (c *Cluster) ApplyCreateIndex(ctx context.Context, t *LiveTxn, table string, idx *catalog.Index) error {
 	tab, err := c.catalog.Table(table)
 	if err != nil {
@@ -772,11 +773,17 @@ func (c *Cluster) ApplyCreateIndex(ctx context.Context, t *LiveTxn, table string
 	}
 	c.ddlMu.Lock()
 	defer c.ddlMu.Unlock()
+	attach := make([]func(), nseg)
+	for i := range attach {
+		if attach[i], err = c.seg(i).buildIndex(ctx, tab, idx); err != nil {
+			return err
+		}
+	}
 	if err := c.catalog.AddIndex(table, idx); err != nil {
 		return err
 	}
-	for i := 0; i < nseg; i++ {
-		c.seg(i).CreateIndex(tab, idx)
+	for _, f := range attach {
+		f()
 	}
 	c.BumpPlanEpoch()
 	return nil

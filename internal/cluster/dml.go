@@ -165,8 +165,10 @@ func (s *Segment) waitForWriter(ctx context.Context, me lockmgr.TxnID, holder tx
 // ExecModify runs an UPDATE or DELETE plan on this segment: under the
 // statement's RowExclusive lock on t, the executor's write sink finds the
 // rows the plan's access path selects and writes them through WriteRow.
-// ops, when armed (EXPLAIN ANALYZE), receives the access path's actuals.
-func (s *Segment) ExecModify(ctx context.Context, dxid dtm.DXID, snap *dtm.DistSnapshot, t *catalog.Table, root plan.Node, ops *plan.OpStats) (int, error) {
+// ops, when armed (EXPLAIN ANALYZE), receives the access path's actuals. The
+// target scan's block counters fold into the segment's totals (SHOW
+// scan_stats) and, when set, into the statement's collector scan.
+func (s *Segment) ExecModify(ctx context.Context, dxid dtm.DXID, snap *dtm.DistSnapshot, t *catalog.Table, root plan.Node, ops *plan.OpStats, scan *storage.ScanStats) (int, error) {
 	if err := s.checkUp(); err != nil {
 		return 0, err
 	}
@@ -176,7 +178,12 @@ func (s *Segment) ExecModify(ctx context.Context, dxid dtm.DXID, snap *dtm.DistS
 	if err := s.acquire(ctx, lockmgr.TxnID(dxid), lockmgr.RelationTag(uint64(t.ID)), lockmgr.RowExclusive); err != nil {
 		return 0, err
 	}
-	return exec.Modify(&exec.Context{Ctx: ctx, Store: a, SegID: s.id, Ops: ops}, root)
+	n, err := exec.Modify(&exec.Context{Ctx: ctx, Store: a, SegID: s.id, Ops: ops}, root)
+	a.stats.AddTo(&s.scanStats)
+	if scan != nil {
+		a.stats.AddTo(scan)
+	}
+	return n, err
 }
 
 // WriteRow implements exec.StoreAccess: writeTuple's locking and chain

@@ -227,7 +227,9 @@ func (c *Cluster) growTopology(target int) error {
 		for _, t := range tables {
 			seg.CreateTable(t)
 			for _, ix := range t.Indexes {
-				seg.CreateIndex(t, ix)
+				if err := seg.CreateIndex(t, ix); err != nil {
+					return err
+				}
 			}
 			if m != nil {
 				// Mirrors carry data only; indexes are rebuilt at promotion.
@@ -612,7 +614,7 @@ func (c *Cluster) moveHash(ctx context.Context, run *expandRun, slot *resgroup.S
 				batch = batch[:0]
 				return nil
 			}
-			scanErr := accs[i].ScanTable(ctx, leaf, exec.RowMark{}, func(row types.Row) (bool, bool, error) {
+			scanErr := accs[i].ScanTable(ctx, leaf, exec.ScanSpec{}, exec.RowMark{}, func(row types.Row) (bool, bool, error) {
 				batch = append(batch, row.Clone())
 				if len(batch) >= moveBatchRows {
 					if ferr := flush(); ferr != nil {
@@ -778,7 +780,7 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 		dest := plan.RouteRow(st, row, target, &rr)
 		dp := &plan.DeletePlan{Table: st, Child: plan.NewScan(st, leafIDs(st), rowEqFilter(st, row))}
 		removed, gen, err := c.execOnSeg(ctx, lt, dest, func(s *Segment) (int, error) {
-			return s.ExecModify(ctx, lt.dxid, snap, st, dp, nil)
+			return s.ExecModify(ctx, lt.dxid, snap, st, dp, nil, nil)
 		})
 		if err != nil {
 			return err
@@ -867,7 +869,9 @@ func (c *Cluster) cloneIndexes(t, st *catalog.Table, target int) error {
 			return err
 		}
 		for i := 0; i < target; i++ {
-			c.seg(i).CreateIndex(st, idx)
+			if err := c.seg(i).CreateIndex(st, idx); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -932,25 +936,7 @@ func scanUnderFence(ctx context.Context, a *storeAccess, leaf catalog.TableID, f
 	if err != nil {
 		return err
 	}
-	var iterErr error
-	st.engine.ForEach(func(h storage.Header, row types.Row) bool {
-		select {
-		case <-ctx.Done():
-			iterErr = ctx.Err()
-			return false
-		default:
-		}
-		if !a.check.Visible(h.Xmin, h.Xmax) {
-			return true
-		}
-		cont, err := fn(row)
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		return cont
-	})
-	return iterErr
+	return scanRows(ctx, st, nil, a.check, func(row types.Row, _ storage.TupleID) (bool, error) { return fn(row) })
 }
 
 // rowEqFilter builds the full-row equality predicate used to delete a moved

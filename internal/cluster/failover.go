@@ -329,7 +329,9 @@ func (c *Cluster) promote(i int) error {
 	// engines (index rebuild during recovery).
 	for _, t := range c.catalog.Tables() {
 		for _, idx := range t.Indexes {
-			ns.CreateIndex(t, idx)
+			if err := ns.CreateIndex(t, idx); err != nil {
+				return err
+			}
 		}
 	}
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/lockmgr"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -583,7 +584,8 @@ func leafFor(t *catalog.Table, row types.Row) (catalog.TableID, error) {
 // RunModify dispatches an UPDATE or DELETE plan to the segments that can
 // hold its rows: the one pl.DirectSegment names under direct dispatch, else
 // the whole gang. res may be nil; when set, its trace and DML collectors
-// observe the dispatch and its armed operator statistics the access paths.
+// observe the dispatch, its armed operator statistics the access paths and
+// its Scan collector their block counters.
 func (c *Cluster) RunModify(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources) (int, error) {
 	tab, plannedVer, op, err := modifyTarget(pl.Root)
 	if err != nil {
@@ -603,12 +605,20 @@ func (c *Cluster) RunModify(ctx context.Context, t *LiveTxn, snap *dtm.DistSnaps
 		}
 	}
 	var ops *plan.OpStats
+	var scan *storage.ScanStats
 	if res != nil {
 		ops = res.Ops
+		if res.Scan != nil {
+			scan = new(storage.ScanStats)
+		}
 	}
 	n, err := c.dispatchWrite(ctx, t, tab, mapVer, targets, res, op, func(_ int, s *Segment) (int, error) {
-		return s.ExecModify(ctx, t.dxid, snap, tab, pl.Root, ops)
+		return s.ExecModify(ctx, t.dxid, snap, tab, pl.Root, ops, scan)
 	})
+	if scan != nil {
+		res.Scan.BlocksScanned += scan.BlocksScanned.Load()
+		res.Scan.BlocksSkipped += scan.BlocksSkipped.Load()
+	}
 	if n > 0 {
 		c.invalidateStats(tab.Name)
 	}

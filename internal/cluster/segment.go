@@ -323,22 +323,43 @@ func leafIDs(t *catalog.Table) []catalog.TableID {
 	return out
 }
 
-// CreateIndex builds a hash index over existing rows of every leaf.
-func (s *Segment) CreateIndex(t *catalog.Table, def *catalog.Index) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// CreateIndex builds a hash index over the stored versions of every leaf and
+// attaches it. A scan that fails leaves the segment without the index.
+func (s *Segment) CreateIndex(t *catalog.Table, def *catalog.Index) error {
+	attach, err := s.buildIndex(context.TODO(), t, def)
+	if err == nil {
+		attach()
+	}
+	return err
+}
+
+// buildIndex builds def's hash index over every leaf of t and returns the
+// step that attaches it, so a caller can build on every segment before
+// attaching it anywhere. The caller excludes writers of t meanwhile.
+func (s *Segment) buildIndex(ctx context.Context, t *catalog.Table, def *catalog.Index) (attach func(), err error) {
+	var leaves []*segTable
+	var built []*segIndex
 	for _, leaf := range leafIDs(t) {
-		st, ok := s.tables[leaf]
-		if !ok {
+		st, err := s.table(leaf)
+		if err != nil {
 			continue
 		}
 		ix := storage.NewHashIndex(def.Columns)
-		st.engine.ForEach(func(h storage.Header, row types.Row) bool {
-			ix.Insert(row, h.TID)
-			return true
-		})
-		st.indexes = append(st.indexes, &segIndex{def: def, ix: ix})
+		if err := scanRows(ctx, st, &storage.ScanOpts{Cols: def.Columns}, nil, func(row types.Row, tid storage.TupleID) (bool, error) {
+			ix.Insert(row, tid)
+			return true, nil
+		}); err != nil {
+			return nil, err
+		}
+		leaves, built = append(leaves, st), append(built, &segIndex{def: def, ix: ix})
 	}
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for i, st := range leaves {
+			st.indexes = append(st.indexes, built[i])
+		}
+	}, nil
 }
 
 func (s *Segment) table(leaf catalog.TableID) (*segTable, error) {
@@ -761,34 +782,20 @@ func (a *storeAccess) applyMark(ctx context.Context, st *segTable, tid storage.T
 	return nil
 }
 
-// ScanTable implements exec.StoreAccess.
-func (a *storeAccess) ScanTable(ctx context.Context, leaf catalog.TableID, mark exec.RowMark, fn func(row types.Row) (keep, cont bool, err error)) error {
+// ScanTable implements exec.StoreAccess over the one chunk loop, skipping
+// the blocks spec's predicate rules out.
+func (a *storeAccess) ScanTable(ctx context.Context, leaf catalog.TableID, spec exec.ScanSpec, mark exec.RowMark, fn func(row types.Row) (keep, cont bool, err error)) error {
 	st, err := a.markedLeaf(ctx, leaf, mark)
 	if err != nil {
 		return err
 	}
-	var iterErr error
-	st.engine.ForEach(func(h storage.Header, row types.Row) bool {
-		select {
-		case <-ctx.Done():
-			iterErr = ctx.Err()
-			return false
-		default:
-		}
-		if !a.check.Visible(h.Xmin, h.Xmax) {
-			return true
-		}
+	return scanRows(ctx, st, a.scanOpts(spec), a.check, func(row types.Row, tid storage.TupleID) (bool, error) {
 		keep, cont, err := fn(row)
 		if err == nil && keep {
-			err = a.applyMark(ctx, st, h.TID, mark)
+			err = a.applyMark(ctx, st, tid, mark)
 		}
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		return cont
+		return cont, err
 	})
-	return iterErr
 }
 
 // scanOpts converts the executor's scan spec to the storage layer's options:
@@ -810,49 +817,13 @@ func (a *storeAccess) scanOpts(spec exec.ScanSpec) *storage.ScanOpts {
 	return opts
 }
 
-// ScanTableBatches implements exec.StoreAccess: the leaf's visible rows in
-// bounded batches, skipping blocks the pushed predicate's zone maps rule out.
-// An AO-column leaf is delivered in the column layout, by reference into the
-// block cache; heap and AO-row leaves as row batches. Each batch handed to fn
-// is fully owned by fn (fresh container, retainable rows). FOR UPDATE scans
-// stay on ScanTable.
-func (a *storeAccess) ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
-	return a.scanVisibleBatches(ctx, leaf, storage.WholeTable, spec, batchSize, fn)
-}
-
-// SplitTableRanges implements exec.ParallelStoreAccess: it asks the leaf's
-// engine to partition its row space for parallel workers. ok=false when the
-// engine cannot split.
-func (a *storeAccess) SplitTableRanges(leaf catalog.TableID, parts int) ([]exec.ScanRange, bool) {
-	st, err := a.seg.table(leaf)
-	if err != nil {
-		return nil, false
-	}
-	sp, ok := st.engine.(storage.BlockSplitter)
-	if !ok {
-		return nil, false
-	}
-	ranges := sp.SplitBlocks(parts)
-	out := make([]exec.ScanRange, len(ranges))
-	for i, r := range ranges {
-		out[i] = exec.ScanRange{Begin: r.Begin, End: r.End}
-	}
-	return out, true
-}
-
-// ScanTableRangeBatches implements exec.ParallelStoreAccess: one worker's
-// share of a parallel scan, with the same visibility filtering, zone-map
-// skipping (each worker skips its own blocks independently) and batch
-// ownership rules as ScanTableBatches.
-func (a *storeAccess) ScanTableRangeBatches(ctx context.Context, leaf catalog.TableID, rng exec.ScanRange, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
-	return a.scanVisibleBatches(ctx, leaf, storage.BlockRange{Begin: rng.Begin, End: rng.End}, spec, batchSize, fn)
-}
-
-// scanVisibleBatches drives one storage-level batch scan over rng and applies
-// MVCC visibility. Over the column store's vectors visibility only writes a
-// selection vector; over a row engine the survivors are regrouped into
-// batches of batchSize.
-func (a *storeAccess) scanVisibleBatches(ctx context.Context, leaf catalog.TableID, rng storage.BlockRange, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
+// ScanTableBatches implements exec.StoreAccess: the visible rows of the leaf,
+// or of its block range rng, in bounded batches, skipping blocks the pushed
+// predicate's zone maps rule out. A column chunk goes up by reference into
+// the block cache, under a selection of its visible rows; a row chunk's
+// visible rows are regrouped into dense batches of batchSize. Each batch
+// handed to fn is fully owned by fn (fresh container, retainable rows).
+func (a *storeAccess) ScanTableBatches(ctx context.Context, leaf catalog.TableID, rng *exec.ScanRange, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
 	st, err := a.seg.table(leaf)
 	if err != nil {
 		return err
@@ -863,93 +834,136 @@ func (a *storeAccess) scanVisibleBatches(ctx context.Context, leaf catalog.Table
 	if batchSize < 1 {
 		batchSize = types.DefaultBatchSize
 	}
-	opts := a.scanOpts(spec)
-	var iterErr error
-	if ao, ok := st.engine.(*storage.AOColumn); ok {
-		err := ao.ScanVectors(rng, opts, batchSize, func(ch *storage.VecChunk) bool {
-			if iterErr = ctx.Err(); iterErr != nil {
-				return false
-			}
-			b := &types.RowBatch{Sel: a.visibleSel(ch), Cols: &ch.Cols}
-			if b.Len() == 0 {
-				return true
-			}
-			var cont bool
-			cont, iterErr = fn(b)
-			return cont && iterErr == nil
-		})
-		if iterErr != nil {
-			return iterErr
-		}
-		return err
+	r := storage.WholeTable
+	if rng != nil {
+		r = storage.BlockRange{Begin: rng.Begin, End: rng.End}
 	}
-	out := types.NewRowBatch(batchSize)
+	var out *types.RowBatch // a row engine's regrouped batch
 	stopped := false
-	push := func(hdrs []storage.Header, rows []types.Row) bool {
-		select {
-		case <-ctx.Done():
-			iterErr = ctx.Err()
-			return false
-		default:
+	err = scanChunks(ctx, st, r, a.scanOpts(spec), batchSize, a.check, func(ch *storage.Chunk, sel []int) (bool, error) {
+		if ch.Cols != nil {
+			b := &types.RowBatch{Sel: sel, Cols: ch.Cols}
+			if b.Len() == 0 {
+				return true, nil
+			}
+			return fn(b)
 		}
-		for i, h := range hdrs {
-			if !a.check.Visible(h.Xmin, h.Xmax) {
+		view := types.RowBatch{Rows: ch.Rows, Sel: sel}
+		for j := 0; j < view.Len(); j++ {
+			if out == nil {
+				out = types.NewRowBatch(batchSize)
+			}
+			if out.Append(view.Live(j)); out.Len() < batchSize {
 				continue
 			}
-			out.Append(rows[i])
-			if out.Len() == batchSize {
-				cont, err := fn(out)
-				out = types.NewRowBatch(batchSize) // previous batch handed off
-				if err != nil {
-					iterErr = err
-					return false
-				}
-				if !cont {
-					stopped = true
-					return false
-				}
+			cont, err := fn(out)
+			out = nil // handed off
+			if err != nil || !cont {
+				stopped = true
+				return false, err
 			}
 		}
-		return true
+		return true, nil
+	})
+	if err != nil || stopped || out == nil {
+		return err
 	}
-	if rng == storage.WholeTable {
-		storage.ScanBatches(st.engine, opts, batchSize, push)
-	} else if sp, ok := st.engine.(storage.BlockSplitter); ok { // SplitTableRanges vetted the engine
-		sp.ForEachBatchRange(rng, opts, batchSize, push)
-	}
-	if iterErr != nil || stopped {
-		return iterErr
-	}
-	if out.Len() > 0 {
-		if _, err := fn(out); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = fn(out)
+	return err
 }
 
-// visibleSel returns the selection of the chunk's visible rows: nil when
-// every row is visible. Bulk loads stamp long runs of one xid, so the verdict
-// on an undeleted row is reused while the xmin repeats.
-func (a *storeAccess) visibleSel(ch *storage.VecChunk) []int {
+// SplitTableRanges implements exec.ParallelStoreAccess: the leaf's engine
+// partitions its row space for parallel workers.
+func (a *storeAccess) SplitTableRanges(leaf catalog.TableID, parts int) ([]exec.ScanRange, bool) {
+	st, err := a.seg.table(leaf)
+	if err != nil {
+		return nil, false
+	}
+	ranges := st.engine.SplitBlocks(parts)
+	out := make([]exec.ScanRange, len(ranges))
+	for i, r := range ranges {
+		out[i] = exec.ScanRange{Begin: r.Begin, End: r.End}
+	}
+	return out, true
+}
+
+// scanChunks is the one chunk loop of the segment's scans: it drives st's
+// storage scan over r, checking ctx once per chunk, and hands fn each chunk
+// with the selection of its rows visible to check (nil: all; a nil check
+// keeps every version). It returns fn's error, else the scan's.
+func scanChunks(ctx context.Context, st *segTable, r storage.BlockRange, opts *storage.ScanOpts, batchSize int, check *txn.VisibilityChecker, fn func(ch *storage.Chunk, sel []int) (bool, error)) error {
+	var fnErr error
+	var buf []int
+	err := st.engine.Scan(r, opts, batchSize, func(ch *storage.Chunk) bool {
+		if fnErr = ctx.Err(); fnErr != nil {
+			return false
+		}
+		var sel []int
+		if check != nil {
+			// A row chunk's selection is read in place and its buffer reused;
+			// a column chunk's travels up with its batch.
+			if sel = visibleSel(check, ch, buf); ch.Cols == nil && sel != nil {
+				buf = sel
+			}
+		}
+		var cont bool
+		cont, fnErr = fn(ch, sel)
+		return cont && fnErr == nil
+	})
+	if fnErr != nil {
+		return fnErr
+	}
+	return err
+}
+
+// scanRows is scanChunks one row at a time, for the scans that take rows and
+// tuple ids: FOR UPDATE, the write sink's target scan, the expansion mover
+// and index builds. The row is valid only during the call: a column chunk's
+// rows are gathered into one scratch row.
+func scanRows(ctx context.Context, st *segTable, opts *storage.ScanOpts, check *txn.VisibilityChecker, fn func(row types.Row, tid storage.TupleID) (bool, error)) error {
+	var scratch types.Row
+	return scanChunks(ctx, st, storage.WholeTable, opts, types.DefaultBatchSize, check, func(ch *storage.Chunk, sel []int) (bool, error) {
+		view := types.RowBatch{Rows: ch.Rows, Sel: sel, Cols: ch.Cols}
+		for j := 0; j < view.Len(); j++ {
+			i := view.Index(j)
+			row := ch.Row(scratch, i)
+			if ch.Cols != nil {
+				scratch = row
+			}
+			if cont, err := fn(row, ch.First+storage.TupleID(i)); err != nil || !cont {
+				return false, err
+			}
+		}
+		return true, nil
+	})
+}
+
+// visibleSel returns the selection of the chunk's rows visible to check: nil
+// when every row is. The selection is built in buf when it is large enough,
+// else in a fresh slice. Bulk loads stamp long runs of one xid, so the
+// verdict on an undeleted row is reused while the xmin repeats.
+func visibleSel(check *txn.VisibilityChecker, ch *storage.Chunk, buf []int) []int {
 	var sel []int
 	var lastX txn.XID
 	lastVis := false
 	for i, x := range ch.Xmins {
 		vis := lastVis
 		if ch.Xmaxs != nil && ch.Xmaxs[i] != txn.InvalidXID {
-			vis = a.check.Visible(x, ch.Xmaxs[i])
+			vis = check.Visible(x, ch.Xmaxs[i])
 		} else if x != lastX || i == 0 {
-			vis = a.check.Visible(x, txn.InvalidXID)
+			vis = check.Visible(x, txn.InvalidXID)
 			lastX, lastVis = x, vis
 		}
 		switch {
 		case vis && sel != nil:
 			sel = append(sel, i)
 		case !vis && sel == nil:
-			sel = make([]int, i, len(ch.Xmins))
-			for j := range sel {
-				sel[j] = j
+			if cap(buf) < len(ch.Xmins) {
+				buf = make([]int, 0, len(ch.Xmins))
+			}
+			sel = buf[:0]
+			for j := 0; j < i; j++ {
+				sel = append(sel, j)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -108,17 +109,18 @@ func TestDMLRejectsKeyColumnUpdate(t *testing.T) {
 
 // TestDMLExplainAccessPath: an UPDATE or DELETE finds its rows through the
 // access path a SELECT with the same WHERE gets — an index probe where one
-// applies, partitioned tables included — and EXPLAIN ANALYZE shows that
-// path's actual rows per segment.
+// applies, partitioned tables included, a scan that skips the blocks its
+// pushed predicate rules out — and EXPLAIN ANALYZE shows that path's actual
+// rows per segment and its blocks scanned and skipped.
 func TestDMLExplainAccessPath(t *testing.T) {
 	_, s := directEngine(t, true)
 	mustExec(t, s, "CREATE INDEX sales_id ON sales (id)")
 	for _, tc := range []struct{ q, want string }{
 		{"UPDATE kv SET val = 1 WHERE id = 3", "Update on kv\n  -> Index Scan using kv_pkey on kv\n"},
-		{"DELETE FROM kv WHERE val = 30", "Delete on kv\n  -> Seq Scan on kv Filter: (val = 30)\n"},
+		{"DELETE FROM kv WHERE val = 30", "Delete on kv\n  -> Seq Scan on kv Filter: (val = 30) Pushdown: val = 30\n"},
 		{"SELECT * FROM sales WHERE id = 3", "Index Scan using sales_id on sales"},
 		{"UPDATE sales SET amt = 1 WHERE id = 3", "Update on sales\n  -> Index Scan using sales_id on sales\n"},
-		{"DELETE FROM sales WHERE d >= 100", "Delete on sales\n  -> Seq Scan on sales (1 of 2 partitions) Filter: (d >= 100)\n"},
+		{"DELETE FROM sales WHERE d >= 100", "Delete on sales\n  -> Seq Scan on sales (1 of 2 partitions) Filter: (d >= 100) Pushdown: d >= 100\n"},
 	} {
 		if got := explainText(t, s, tc.q); !strings.Contains(got, tc.want) {
 			t.Errorf("EXPLAIN %s:\n%s\nwant it to contain:\n%s", tc.q, got, tc.want)
@@ -132,6 +134,62 @@ func TestDMLExplainAccessPath(t *testing.T) {
 	if !containsLine(lines, fmt.Sprintf("Index Scan using sales_id on sales  (actual rows=%d", want)) ||
 		!containsLine(lines, fmt.Sprintf("rows affected: %d", want)) {
 		t.Fatalf("EXPLAIN ANALYZE UPDATE lacks the access path's %d actual rows:\n%s", want, strings.Join(lines, "\n"))
+	}
+	// Loaded in key order, every segment's second sealed block holds only
+	// keys past the DELETE's range: zone maps skip it, and the rows deleted
+	// are those a scan without zone maps deletes.
+	loadClusteredTable(t, s, "zd", 40000)
+	for _, zonemaps := range []string{"on", "off"} {
+		mustExec(t, s, "SET enable_zonemaps = "+zonemaps)
+		mustExec(t, s, "BEGIN")
+		lines := planText(mustExec(t, s, "EXPLAIN ANALYZE DELETE FROM zd WHERE k < 2000"))
+		mustExec(t, s, "ROLLBACK")
+		var scanned, skipped int
+		for _, l := range lines {
+			fmt.Sscanf(l, "blocks: scanned=%d skipped=%d", &scanned, &skipped)
+		}
+		if !containsLine(lines, "rows affected: 2000") || scanned == 0 || (skipped > 0) != (zonemaps == "on") {
+			t.Fatalf("EXPLAIN ANALYZE DELETE with enable_zonemaps = %s:\n%s", zonemaps, strings.Join(lines, "\n"))
+		}
+	}
+}
+
+// TestDMLOverCorruptBlockFails: a DELETE, an UPDATE, a FOR UPDATE read and an
+// index build over an AO-column block that does not decode each fail the
+// statement, naming the block, and leave the table as it was: every row
+// unchanged (read through the intact columns) and no index.
+func TestDMLOverCorruptBlockFails(t *testing.T) {
+	e, s := newTestEngine(t, 1)
+	mustExec(t, s, "CREATE TABLE t (a int, b int, c int) WITH (appendonly=true, orientation=column) DISTRIBUTED BY (a)")
+	const n = 16484 // four sealed blocks and a tail
+	bulkInsert(t, s, "t", n, 0, func(i int) string { return fmt.Sprintf("(%d, %d, 0)", i, i) })
+	tab, err := e.Cluster().Catalog().Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ao := e.Cluster().Segments()[0].EngineForTest(tab.ID).(*storage.AOColumn)
+	ao.Seal()
+	ao.CorruptBlockForTest(2, 1)
+	for _, stmts := range [][]string{
+		{"DELETE FROM t WHERE b >= 0"},
+		{"UPDATE t SET c = c + 1 WHERE b >= 0"},
+		{"BEGIN", "SELECT a FROM t WHERE b >= 0 FOR UPDATE", "ROLLBACK"},
+		{"CREATE INDEX t_b ON t (b)"},
+	} {
+		q := stmts[0]
+		if len(stmts) > 1 {
+			mustExec(t, s, stmts[0])
+			q = stmts[1]
+		}
+		if _, err := s.Exec(context.Background(), q); err == nil || !strings.Contains(err.Error(), "block 2 column 1") {
+			t.Errorf("%s over a corrupt block: err %v", q, err)
+		}
+		if len(stmts) > 1 {
+			mustExec(t, s, stmts[2])
+		}
+		if got := mustExec(t, s, "SELECT count(*) FROM t WHERE c = 0").Rows[0][0].Int(); got != n || len(tab.Indexes) != 0 {
+			t.Fatalf("after %s: %d of %d rows unchanged, %d indexes", q, got, n, len(tab.Indexes))
+		}
 	}
 }
 

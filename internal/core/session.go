@@ -915,8 +915,9 @@ func (s *Session) explainAnalyzeSelect(ctx context.Context, pl *plan.Planned) (*
 
 // explainAnalyzeDML executes the write for real and reports, beneath the plan
 // text with its access path's actual rows, the per-segment rows-affected
-// breakdown plus elapsed time. Timings come from the monotonic clock
-// (time.Since), never wall-clock arithmetic.
+// breakdown, the access path's blocks scanned/skipped and elapsed time.
+// Timings come from the monotonic clock (time.Since), never wall-clock
+// arithmetic.
 func (s *Session) explainAnalyzeDML(ctx context.Context, pl *plan.Planned) (*Result, error) {
 	if pl.LockTable != "" {
 		if err := s.engine.cluster.LockCoordinator(ctx, s.txn, pl.LockTable, lockModeOf(pl.LockModeLevel)); err != nil {
@@ -930,7 +931,8 @@ func (s *Session) explainAnalyzeDML(ctx context.Context, pl *plan.Planned) (*Res
 	if res == nil {
 		res = &cluster.QueryResources{}
 	}
-	res.DML = &cluster.DMLCounters{}
+	var scan cluster.ScanCounters
+	res.DML, res.Scan = &cluster.DMLCounters{}, &scan
 	res.Ops = plan.NewOpStats(pl.Root, s.engine.cluster.SegCount())
 	start := time.Now()
 	n, _, err := s.runDML(ctx, pl, res)
@@ -940,6 +942,7 @@ func (s *Session) explainAnalyzeDML(ctx context.Context, pl *plan.Planned) (*Res
 		return nil, wrapLockErr(err)
 	}
 	if ob := s.cur; ob != nil {
+		ob.scan = scan
 		ob.setRows(int64(n))
 	}
 	out := &Result{Columns: []string{"QUERY PLAN"}, Tag: "EXPLAIN"}
@@ -956,6 +959,7 @@ func (s *Session) explainAnalyzeDML(ctx context.Context, pl *plan.Planned) (*Res
 		out.Rows = append(out.Rows, types.Row{types.NewText(fmt.Sprintf("  seg%d: rows=%d", seg, per[seg]))})
 	}
 	out.Rows = append(out.Rows,
+		types.Row{types.NewText(fmt.Sprintf("blocks: scanned=%d skipped=%d", scan.BlocksScanned, scan.BlocksSkipped))},
 		types.Row{types.NewText(fmt.Sprintf("rows affected: %d", n))},
 		types.Row{types.NewText(fmt.Sprintf("execution time: %.3f ms", float64(elapsed.Microseconds())/1000))},
 	)

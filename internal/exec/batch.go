@@ -107,13 +107,7 @@ func (s *batchScanIter) start() {
 			}
 		}
 		for _, u := range units {
-			var err error
-			if u.rng != nil {
-				err = store.(ParallelStoreAccess).ScanTableRangeBatches(sctx, u.leaf, *u.rng, spec, size, push)
-			} else {
-				err = store.ScanTableBatches(sctx, u.leaf, spec, size, push)
-			}
-			if err != nil {
+			if err := store.ScanTableBatches(sctx, u.leaf, u.rng, spec, size, push); err != nil {
 				s.errc <- err
 				return
 			}

@@ -26,18 +26,21 @@ import (
 // MVCC visibility applied, and the row locking and row writes performed by
 // the segment layer.
 type StoreAccess interface {
-	// ScanTableBatches delivers the leaf's visible rows in bounded batches —
-	// an AO-column leaf in the column layout, windows of cached vectors under
-	// a selection of the visible rows. Each batch is handed to fn with full
-	// ownership (a fresh container whose rows may be retained; the vectors
-	// are shared and immutable); fn reports whether to continue. A block
-	// that cannot be decoded is an error.
-	ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
+	// ScanTableBatches delivers the visible rows of the leaf — or, when rng
+	// is set, of that block range of it (one parallel worker's share) — in
+	// bounded batches; an AO-column leaf in the column layout, windows of
+	// cached vectors under a selection of the visible rows. Each batch is
+	// handed to fn with full ownership (a fresh container whose rows may be
+	// retained; the vectors are shared and immutable); fn reports whether to
+	// continue. A block that cannot be decoded is an error.
+	ScanTableBatches(ctx context.Context, leaf catalog.TableID, rng *ScanRange, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
 	// ScanTable visits every visible row of the leaf table one at a time —
-	// the path of the scans that mark the rows they keep. fn reports whether
-	// the row matches (keep) and whether to continue (cont); mark is applied
-	// to each KEPT row before the scan proceeds, never to a rejected one.
-	ScanTable(ctx context.Context, leaf catalog.TableID, mark RowMark, fn func(row types.Row) (keep, cont bool, err error)) error
+	// the path of the scans that mark the rows they keep — under spec like
+	// ScanTableBatches. fn reports whether the row matches (keep) and
+	// whether to continue (cont); the row is valid only during the call.
+	// mark is applied to each KEPT row before the scan proceeds, never to a
+	// rejected one. A block that cannot be decoded is an error.
+	ScanTable(ctx context.Context, leaf catalog.TableID, spec ScanSpec, mark RowMark, fn func(row types.Row) (keep, cont bool, err error)) error
 	// IndexLookup is ScanTable over the visible rows matching key via the
 	// named index, in every leaf of table.
 	IndexLookup(ctx context.Context, table *catalog.Table, index *catalog.Index, key []types.Datum, mark RowMark, fn func(row types.Row) (keep, cont bool, err error)) error
@@ -89,14 +92,11 @@ type ScanRange struct {
 
 // ParallelStoreAccess extends StoreAccess with block-range splitting for
 // intra-segment parallelism: SplitTableRanges plans disjoint ranges of a leaf
-// (aligned to the engine's decode units) and ScanTableRangeBatches scans one
-// of them with ScanTableBatches semantics. SplitTableRanges returns ok=false
-// when the leaf's engine cannot split (no BlockSplitter), in which case the
-// slice must run serially.
+// (aligned to the engine's decode units) for ScanTableBatches to scan one
+// each. ok=false means the leaf cannot be split and the slice runs serially.
 type ParallelStoreAccess interface {
 	StoreAccess
 	SplitTableRanges(leaf catalog.TableID, parts int) ([]ScanRange, bool)
-	ScanTableRangeBatches(ctx context.Context, leaf catalog.TableID, rng ScanRange, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
 }
 
 // MemAccount abstracts resource-group memory accounting (resgroup.Slot).

@@ -23,7 +23,7 @@ type memStore struct {
 	deleted map[RowID]bool
 }
 
-func (m *memStore) ScanTable(_ context.Context, leaf catalog.TableID, mark RowMark, fn func(types.Row) (bool, bool, error)) error {
+func (m *memStore) ScanTable(_ context.Context, leaf catalog.TableID, _ ScanSpec, mark RowMark, fn func(types.Row) (bool, bool, error)) error {
 	for i := 0; i < len(m.tables[leaf]); i++ { // sees versions appended meanwhile
 		row, id := m.tables[leaf][i], RowID{Leaf: leaf, TID: storage.TupleID(i)}
 		if m.deleted[id] {
@@ -61,7 +61,7 @@ func (m *memStore) WriteRow(_ context.Context, id RowID, up *plan.UpdatePlan) (b
 	return true, nil
 }
 
-func (m *memStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, _ ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
+func (m *memStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, _ *ScanRange, _ ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
 	if batchSize < 1 {
 		batchSize = types.DefaultBatchSize
 	}
@@ -331,7 +331,7 @@ func TestModifyCollectsBeforeWriting(t *testing.T) {
 		t.Fatalf("update wrote %d rows (%v), want 3", n, err)
 	}
 	var live []types.Row
-	_ = store.ScanTable(context.Background(), 1, RowMark{}, func(r types.Row) (bool, bool, error) {
+	_ = store.ScanTable(context.Background(), 1, ScanSpec{}, RowMark{}, func(r types.Row) (bool, bool, error) {
 		live = append(live, r)
 		return false, true, nil
 	})

@@ -95,8 +95,9 @@ func (s *markedScanIter) visit(row types.Row) (bool, bool, error) {
 func scanMarked(ctx *Context, leaf plan.Node, mark RowMark, visit func(types.Row) (keep, cont bool, err error)) error {
 	switch n := leaf.(type) {
 	case *plan.Scan:
+		spec := ScanSpec{Cols: n.Project, Pred: n.ScanPred}
 		for _, l := range n.Partitions {
-			if err := ctx.Store.ScanTable(ctx.Ctx, l, mark, visit); err != nil {
+			if err := ctx.Store.ScanTable(ctx.Ctx, l, spec, mark, visit); err != nil {
 				return err
 			}
 		}

@@ -18,17 +18,15 @@ type engineStore struct {
 	eng storage.Engine
 }
 
-func (s *engineStore) ScanTable(_ context.Context, _ catalog.TableID, _ RowMark, fn func(types.Row) (bool, bool, error)) error {
-	var iterErr error
-	s.eng.ForEach(func(h storage.Header, row types.Row) bool {
-		_, cont, err := fn(row)
-		if err != nil {
-			iterErr = err
-			return false
+func (s *engineStore) ScanTable(ctx context.Context, leaf catalog.TableID, spec ScanSpec, _ RowMark, fn func(types.Row) (bool, bool, error)) error {
+	return s.ScanTableBatches(ctx, leaf, nil, spec, 0, func(b *types.RowBatch) (bool, error) {
+		for i := 0; i < b.Len(); i++ {
+			if _, cont, err := fn(b.Live(i)); err != nil || !cont {
+				return false, err
+			}
 		}
-		return cont
+		return true, nil
 	})
-	return iterErr
 }
 
 func (s *engineStore) IndexLookup(context.Context, *catalog.Table, *catalog.Index, []types.Datum, RowMark, func(types.Row) (bool, bool, error)) error {
@@ -39,44 +37,33 @@ func (s *engineStore) WriteRow(context.Context, RowID, *plan.UpdatePlan) (bool, 
 	return false, storage.ErrNotSupported
 }
 
-func (s *engineStore) ScanTableBatches(ctx context.Context, _ catalog.TableID, spec ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
-	var iterErr error
-	storage.ScanBatches(s.eng, &storage.ScanOpts{Cols: spec.Cols}, batchSize, func(hdrs []storage.Header, rows []types.Row) bool {
-		cont, err := fn(&types.RowBatch{Rows: append([]types.Row(nil), rows...)})
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		return cont
+// ScanTableBatches hands up every stored version of the leaf or of rng, each
+// chunk as one batch in its own layout.
+func (s *engineStore) ScanTableBatches(ctx context.Context, _ catalog.TableID, rng *ScanRange, spec ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
+	r := storage.WholeTable
+	if rng != nil {
+		r = storage.BlockRange{Begin: rng.Begin, End: rng.End}
+	}
+	var fnErr error
+	err := s.eng.Scan(r, &storage.ScanOpts{Cols: spec.Cols}, batchSize, func(ch *storage.Chunk) bool {
+		b := &types.RowBatch{Rows: append([]types.Row(nil), ch.Rows...), Cols: ch.Cols}
+		var cont bool
+		cont, fnErr = fn(b)
+		return cont && fnErr == nil
 	})
-	return iterErr
+	if fnErr != nil {
+		return fnErr
+	}
+	return err
 }
 
 func (s *engineStore) SplitTableRanges(_ catalog.TableID, parts int) ([]ScanRange, bool) {
-	sp, ok := s.eng.(storage.BlockSplitter)
-	if !ok {
-		return nil, false
-	}
-	ranges := sp.SplitBlocks(parts)
+	ranges := s.eng.SplitBlocks(parts)
 	out := make([]ScanRange, len(ranges))
 	for i, r := range ranges {
 		out[i] = ScanRange{Begin: r.Begin, End: r.End}
 	}
 	return out, true
-}
-
-func (s *engineStore) ScanTableRangeBatches(_ context.Context, _ catalog.TableID, rng ScanRange, spec ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
-	sp := s.eng.(storage.BlockSplitter)
-	var iterErr error
-	sp.ForEachBatchRange(storage.BlockRange{Begin: rng.Begin, End: rng.End}, &storage.ScanOpts{Cols: spec.Cols}, batchSize, func(hdrs []storage.Header, rows []types.Row) bool {
-		cont, err := fn(&types.RowBatch{Rows: append([]types.Row(nil), rows...)})
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		return cont
-	})
-	return iterErr
 }
 
 // aoTestTable loads an AO-column engine with nRows of (i, i%groups, i%7).
@@ -288,20 +275,16 @@ type multiLeafStore struct {
 	leaves      map[catalog.TableID]*engineStore
 }
 
-func (m *multiLeafStore) ScanTable(ctx context.Context, leaf catalog.TableID, mark RowMark, fn func(types.Row) (bool, bool, error)) error {
-	return m.leaves[leaf].ScanTable(ctx, leaf, mark, fn)
+func (m *multiLeafStore) ScanTable(ctx context.Context, leaf catalog.TableID, spec ScanSpec, mark RowMark, fn func(types.Row) (bool, bool, error)) error {
+	return m.leaves[leaf].ScanTable(ctx, leaf, spec, mark, fn)
 }
 
-func (m *multiLeafStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
-	return m.leaves[leaf].ScanTableBatches(ctx, leaf, spec, batchSize, fn)
+func (m *multiLeafStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, rng *ScanRange, spec ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
+	return m.leaves[leaf].ScanTableBatches(ctx, leaf, rng, spec, batchSize, fn)
 }
 
 func (m *multiLeafStore) SplitTableRanges(leaf catalog.TableID, parts int) ([]ScanRange, bool) {
 	return m.leaves[leaf].SplitTableRanges(leaf, parts)
-}
-
-func (m *multiLeafStore) ScanTableRangeBatches(ctx context.Context, leaf catalog.TableID, rng ScanRange, spec ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
-	return m.leaves[leaf].ScanTableRangeBatches(ctx, leaf, rng, spec, batchSize, fn)
 }
 
 // TestParallelMultiLeafOrderedMatchesSerial: a partitioned scan deals whole

@@ -1476,9 +1476,10 @@ func (p *Planner) finishWrite(t *catalog.Table, root Node, gddEnabled bool) *Pla
 	if gddEnabled {
 		res.LockModeLevel = 3
 	}
-	res = p.finish(res)
-	res.pushdown = false // the write sink's row-at-a-time scans skip no blocks
-	return res
+	if p.Pushdown {
+		AttachPushdown(root)
+	}
+	return p.finish(res)
 }
 
 // directSegmentFor implements direct dispatch: when the filter pins every

@@ -229,37 +229,20 @@ func (a *AOColumn) decoded(i int, blk *aoColBlock, need []int) (*decodedBlock, e
 	return db, nil
 }
 
-// VecChunk is one batch of the vector scan: at most batchSize consecutive
-// tuple versions as a window of typed vectors. Cols.Vecs is indexed by column
-// offset (a column the scan was not asked for is the zero Vec) and is shared
-// by every chunk cut from the same block; it, the vectors' payloads and Xmins
-// are immutable. Xmaxs and Updated are nil unless some row of the chunk is
-// deleted respectively superseded.
-type VecChunk struct {
-	First   TupleID // tuple id of row 0; rows are consecutive
-	Cols    types.ColBatch
-	Xmins   []txn.XID
-	Xmaxs   []txn.XID
-	Updated []TupleID
-}
-
-// ScanVectors is the column store's one scan body: it visits the tuple
-// versions whose row offsets fall in [r.Begin, r.End) in tuple-id order and
-// hands them to fn as windows of the decoded vectors — no row is built. It
-// honours opts like BatchScanner.ForEachBatch: only opts.Cols are decoded,
-// and sealed blocks whose seal-time zone map rules out opts.Pred are skipped
-// without decompressing anything. Iteration stops when fn returns false; a
-// block that fails to decode ends the scan with an error.
+// Scan implements Engine: chunks are windows of the decoded vectors — no row
+// is built. Only opts.Cols are decoded, and a sealed block whose seal-time
+// zone map rules out opts.Pred is skipped without decompressing anything.
 //
 // The scan reads the table's shape block by block, so a concurrent INSERT
 // that seals the tail (or grows it) never makes it lose its place: it carries
 // on into blocks sealed since it began, and a scan whose range is open-ended
 // sees every row appended before it reaches the end.
-func (a *AOColumn) ScanVectors(r BlockRange, opts *ScanOpts, batchSize int, fn func(*VecChunk) bool) error {
+func (a *AOColumn) Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error {
 	if batchSize < 1 {
 		batchSize = types.DefaultBatchSize
 	}
 	need, pred := a.needCols(opts.cols()), opts.pred()
+	ch := new(Chunk)       // refilled for every chunk
 	pos := max(0, r.Begin) // next row offset to emit
 	bi, off := 0, 0        // next sealed block and its first row offset
 	tailCounted := false
@@ -281,7 +264,7 @@ func (a *AOColumn) ScanVectors(r BlockRange, opts *ScanOpts, batchSize int, fn f
 					for _, c := range need {
 						vecs[c] = *db.cols[c]
 					}
-					if !a.emit(vecs, db.xmins, off, pos-off, min(blk.n, r.End-off), batchSize, fn) {
+					if !a.emit(ch, vecs, db.xmins, off, pos-off, min(blk.n, r.End-off), batchSize, fn) {
 						return nil
 					}
 				}
@@ -308,7 +291,7 @@ func (a *AOColumn) ScanVectors(r BlockRange, opts *ScanOpts, batchSize int, fn f
 			tailCounted = true
 			opts.noteScanned()
 		}
-		if !a.emit(vecs, xmins, pos, 0, hi-lo, batchSize, fn) {
+		if !a.emit(ch, vecs, xmins, pos, 0, hi-lo, batchSize, fn) {
 			return nil
 		}
 		pos += hi - lo
@@ -317,13 +300,13 @@ func (a *AOColumn) ScanVectors(r BlockRange, opts *ScanOpts, batchSize int, fn f
 }
 
 // emit hands rows [lo, hi) of one decoded unit — a sealed block or a tail
-// snapshot whose row 0 sits at table offset off — to fn, batchSize at a
-// time. The visimap and the update links are consulted only when they hold
-// anything.
-func (a *AOColumn) emit(vecs []types.Vec, xmins []txn.XID, off, lo, hi, batchSize int, fn func(*VecChunk) bool) bool {
+// snapshot whose row 0 sits at table offset off — to fn in ch, batchSize at
+// a time. Each chunk gets its own Cols, which the caller may keep. The
+// visimap and the update links are consulted only when they hold anything.
+func (a *AOColumn) emit(ch *Chunk, vecs []types.Vec, xmins []txn.XID, off, lo, hi, batchSize int, fn func(*Chunk) bool) bool {
 	for ; lo < hi; lo += batchSize {
 		end := min(lo+batchSize, hi)
-		ch := &VecChunk{First: TupleID(off + lo + 1), Cols: types.ColBatch{Vecs: vecs, Lo: lo, N: end - lo}, Xmins: xmins[lo:end]}
+		*ch = Chunk{First: TupleID(off + lo + 1), Cols: &types.ColBatch{Vecs: vecs, Lo: lo, N: end - lo}, Xmins: xmins[lo:end]}
 		a.mu.RLock()
 		for i := 0; i < end-lo && len(a.visimap)+len(a.updated) > 0; i++ {
 			tid := ch.First + TupleID(i)
@@ -346,56 +329,6 @@ func (a *AOColumn) emit(vecs []types.Vec, xmins []txn.XID, off, lo, hi, batchSiz
 		}
 	}
 	return true
-}
-
-// ForEachBatchRange implements BlockSplitter: the row adapter over
-// ScanVectors, for the consumers that need rows and headers (FOR UPDATE, DML
-// targets, the expansion mover). Each chunk's rows are cut from one slab
-// filled column-at-a-time from the vectors; columns outside opts.Cols stay
-// NULL. A block that fails to decode ends the scan early.
-func (a *AOColumn) ForEachBatchRange(r BlockRange, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
-	var hdrs []Header
-	var rows []types.Row
-	_ = a.ScanVectors(r, opts, batchSize, func(ch *VecChunk) bool {
-		chunk, nc := len(ch.Xmins), a.ncols
-		slab := make([]types.Datum, chunk*a.ncols)
-		hdrs, rows = hdrs[:0], rows[:0]
-		for c := range ch.Cols.Vecs {
-			for k, v := 0, ch.Cols.Vec(c); k < v.Len(); k++ {
-				slab[k*nc+c] = v.At(k)
-			}
-		}
-		for k := 0; k < chunk; k++ {
-			h := Header{TID: ch.First + TupleID(k), Xmin: ch.Xmins[k]}
-			if ch.Xmaxs != nil {
-				h.Xmax = ch.Xmaxs[k]
-			}
-			if ch.Updated != nil {
-				h.UpdatedTo = ch.Updated[k]
-			}
-			hdrs = append(hdrs, h)
-			rows = append(rows, types.Row(slab[k*nc:(k+1)*nc:(k+1)*nc]))
-		}
-		return fn(hdrs, rows)
-	})
-}
-
-// ForEachBatch implements BatchScanner: the row adapter over the whole table,
-// rows appended during the scan included.
-func (a *AOColumn) ForEachBatch(opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
-	a.ForEachBatchRange(WholeTable, opts, batchSize, fn)
-}
-
-// ForEach implements Engine over the row adapter.
-func (a *AOColumn) ForEach(fn func(hdr Header, row types.Row) bool) {
-	a.ForEachBatch(nil, types.DefaultBatchSize, func(hdrs []Header, rows []types.Row) bool {
-		for i := range rows {
-			if !fn(hdrs[i], rows[i]) {
-				return false
-			}
-		}
-		return true
-	})
 }
 
 // Fetch implements Engine. Random access decodes the owning block.

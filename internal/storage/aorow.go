@@ -81,26 +81,32 @@ func (a *AORow) fetchLocked(tid TupleID) (aoRow, bool) {
 	return a.blocks[i/aoBlockSize][i%aoBlockSize], true
 }
 
-// ForEach implements Engine.
-func (a *AORow) ForEach(fn func(hdr Header, row types.Row) bool) {
-	a.mu.RLock()
-	count := a.count
-	a.mu.RUnlock()
-	for i := 0; i < count; i++ {
-		tid := TupleID(i + 1)
-		a.mu.RLock()
-		r, ok := a.fetchLocked(tid)
-		xmax := a.visimap[tid]
-		upd := a.updated[tid]
-		a.mu.RUnlock()
-		if !ok {
-			return
+// Scan implements Engine: each chunk is filled under one read latch and
+// hands up the stored rows, which are never rewritten in place.
+func (a *AORow) Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error {
+	c := newRowChunk(batchSize)
+	scanRowPages(r, opts, a.RowCount, a.pageZone, func(lo, hi int) bool {
+		for lo < hi {
+			a.mu.RLock()
+			hi = min(hi, a.count) // a TRUNCATE meanwhile ends the scan
+			meta := len(a.visimap)+len(a.updated) > 0
+			for ; lo < hi && !c.full(); lo++ {
+				tid, v := TupleID(lo+1), &a.blocks[lo/aoBlockSize][lo%aoBlockSize]
+				var xmax txn.XID
+				var upd TupleID
+				if meta {
+					xmax, upd = a.visimap[tid], a.updated[tid]
+				}
+				c.add(tid, v.xmin, xmax, upd, v.row)
+			}
+			a.mu.RUnlock()
+			if !c.flush(fn) {
+				return false
+			}
 		}
-		hdr := Header{TID: tid, Xmin: r.xmin, Xmax: xmax, UpdatedTo: upd}
-		if !fn(hdr, r.row) {
-			return
-		}
-	}
+		return true
+	})
+	return nil
 }
 
 // Fetch implements Engine.

@@ -1,76 +1,125 @@
 package storage
 
-import "repro/internal/types"
+import (
+	"repro/internal/txn"
+	"repro/internal/types"
+)
 
-// BatchScanner is the batch-at-a-time scan interface of the storage layer.
-// Engines that implement it deliver rows in bounded batches so the executor
-// pays one call (and the column store one block decode) per batch instead of
-// one per row.
-type BatchScanner interface {
-	// ForEachBatch visits every tuple version in tuple-id order, at most
-	// batchSize rows at a time, honouring opts: when opts.Cols is non-nil
-	// only those column offsets are populated in the emitted rows (others
-	// are NULL) — the column store decodes proportionally less — and when
-	// opts.Pred is non-nil, blocks whose zone map proves no row can satisfy
-	// the predicate are skipped without being decoded or visited (rows of
-	// surviving blocks are NOT filtered). hdrs[i] describes rows[i]. A nil
-	// opts scans everything.
-	//
-	// Ownership: the rows themselves may be retained by the callee (they are
-	// freshly built, or stable stored rows that are never mutated in place);
-	// the hdrs and rows container slices are only valid during the call.
-	// Iteration stops when fn returns false.
-	ForEachBatch(opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool)
+// Chunk is one batch of Engine.Scan: the consecutive tuple versions First,
+// First+1, …, as header vectors over one of two row layouts, like a
+// types.RowBatch. The column store hands up Cols, a window of typed vectors
+// indexed by column offset (a column the scan was not asked for is the zero
+// Vec, which reads NULL) whose Vecs are shared by every chunk cut from one
+// block; the row engines hand up Rows, their stored rows, and Cols is nil.
+// Xmins is always set; Xmaxs and Updated are nil unless some row of the
+// chunk is deleted respectively superseded.
+//
+// The chunk and its container slices are valid only during the callback;
+// Cols, the Row values and the vectors' payloads are immutable and may be
+// kept.
+type Chunk struct {
+	First   TupleID // tuple id of row 0
+	Cols    *types.ColBatch
+	Rows    []types.Row
+	Xmins   []txn.XID
+	Xmaxs   []txn.XID
+	Updated []TupleID
 }
 
-// ScanBatches drives e's batch scan path when the engine implements
-// BatchScanner, and otherwise adapts the row-at-a-time ForEach by cloning
-// each row into a bounded batch (clone because ForEach's rows are only valid
-// during the callback). The fallback cannot skip blocks — zone maps are a
-// property of the batch engines.
-func ScanBatches(e Engine, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
+// Len returns the number of tuple versions in the chunk.
+func (c *Chunk) Len() int { return len(c.Xmins) }
+
+// Header returns row i's MVCC header.
+func (c *Chunk) Header(i int) Header {
+	h := Header{TID: c.First + TupleID(i), Xmin: c.Xmins[i]}
+	if c.Xmaxs != nil {
+		h.Xmax = c.Xmaxs[i]
+	}
+	if c.Updated != nil {
+		h.UpdatedTo = c.Updated[i]
+	}
+	return h
+}
+
+// Row returns row i: a row chunk's stored row, or position i of a column
+// chunk gathered into dst (reallocated when too short).
+func (c *Chunk) Row(dst types.Row, i int) types.Row {
+	if c.Cols == nil {
+		return c.Rows[i]
+	}
+	return c.Cols.RowInto(dst, i)
+}
+
+// rowChunk fills the row engines' chunks into buffers of batchSize reused
+// from one chunk to the next; xmaxs and updated stay zero but where a row is
+// deleted respectively superseded.
+type rowChunk struct {
+	Chunk
+	n           int
+	rows        []types.Row
+	xmins       []txn.XID
+	xmaxs       []txn.XID
+	updated     []TupleID
+	dead, moved bool
+}
+
+func newRowChunk(batchSize int) *rowChunk {
 	if batchSize < 1 {
 		batchSize = types.DefaultBatchSize
 	}
-	if bs, ok := e.(BatchScanner); ok {
-		bs.ForEachBatch(opts, batchSize, fn)
-		return
-	}
-	hdrs := make([]Header, 0, batchSize)
-	rows := make([]types.Row, 0, batchSize)
-	stopped := false
-	e.ForEach(func(h Header, row types.Row) bool {
-		hdrs = append(hdrs, h)
-		rows = append(rows, row.Clone())
-		if len(rows) == batchSize {
-			if !fn(hdrs, rows) {
-				stopped = true
-				return false
-			}
-			hdrs = hdrs[:0]
-			rows = rows[:0]
-		}
-		return true
-	})
-	if !stopped && len(rows) > 0 {
-		fn(hdrs, rows)
-	}
+	return &rowChunk{rows: make([]types.Row, batchSize), xmins: make([]txn.XID, batchSize),
+		xmaxs: make([]txn.XID, batchSize), updated: make([]TupleID, batchSize)}
 }
 
-// scanRowPages drives the page-granular scan shared by the row engines
-// (heap, AO-row) over row offsets [begin, end): full pages whose lazy zone
-// map rules out the pushed predicate are skipped wholesale, everything else
-// is handed to emit in page units. Without a predicate or stats sink the
-// page structure is bypassed entirely (no zone maps are built). rowCount
-// snapshots the engine's current row count — only full pages are
-// summarized, since a partial trailing page is still growing; zone fetches
-// (or builds) one page's summary; emit scans [lo, hi) under the engine's
-// batch protocol and returns false to stop.
-func scanRowPages(begin, end int, opts *ScanOpts, rowCount func() int, zone func(page int) *ZoneMap, emit func(lo, hi int) bool) {
+func (c *rowChunk) full() bool { return c.n == len(c.rows) }
+
+// add appends one stored version.
+func (c *rowChunk) add(tid TupleID, xmin, xmax txn.XID, upd TupleID, row types.Row) {
+	if c.n == 0 {
+		c.First = tid
+	}
+	c.rows[c.n], c.xmins[c.n] = row, xmin
+	if xmax != txn.InvalidXID {
+		c.xmaxs[c.n], c.dead = xmax, true
+	}
+	if upd != InvalidTupleID {
+		c.updated[c.n], c.moved = upd, true
+	}
+	c.n++
+}
+
+// flush hands a non-empty chunk to fn and empties it; it reports whether the
+// scan goes on.
+func (c *rowChunk) flush(fn func(*Chunk) bool) bool {
+	if c.n == 0 {
+		return true
+	}
+	c.Rows, c.Xmins, c.Xmaxs, c.Updated = c.rows[:c.n], c.xmins[:c.n], nil, nil
+	if c.dead {
+		c.Xmaxs = c.xmaxs[:c.n]
+	}
+	if c.moved {
+		c.Updated = c.updated[:c.n]
+	}
+	cont := fn(&c.Chunk)
+	clear(c.Xmaxs)
+	clear(c.Updated)
+	c.n, c.dead, c.moved = 0, false, false
+	return cont
+}
+
+// scanRowPages is the page loop of the row engines (heap, AO-row) over the
+// offsets of r stored when it starts (rowCount): full pages whose lazy zone
+// map rules out the pushed predicate are skipped wholesale, and emit scans
+// the rest, [lo, hi) at a time, returning false to stop. Only full pages
+// are summarized — a partial trailing page is still growing. Without a
+// predicate the page structure is bypassed (no zone map is built) and the
+// whole range goes to emit at once, its pages counted in one shot.
+func scanRowPages(r BlockRange, opts *ScanOpts, rowCount func() int, zone func(page int) *ZoneMap, emit func(lo, hi int) bool) {
+	count := rowCount()
+	begin, end := max(0, r.Begin), min(r.End, count)
 	pred := opts.pred()
 	if pred == nil {
-		// Nothing to skip: emit the whole range in the caller's batch size
-		// (no per-page chunking) and count its pages in one shot.
 		if opts != nil && opts.Stats != nil && end > begin {
 			pages := (end-1)/zonePageRows - begin/zonePageRows + 1
 			opts.Stats.BlocksScanned.Add(int64(pages))
@@ -78,110 +127,52 @@ func scanRowPages(begin, end int, opts *ScanOpts, rowCount func() int, zone func
 		emit(begin, end)
 		return
 	}
-	// One count snapshot for the whole loop: row counts only grow, and a
-	// stale count merely classifies a newly-filled page as partial (scanned,
-	// not skipped) — under-skipping is always safe.
-	count := rowCount()
 	for p := begin / zonePageRows; p*zonePageRows < end; p++ {
-		lo := max(begin, p*zonePageRows)
-		hi := min(end, (p+1)*zonePageRows)
-		full := (p+1)*zonePageRows <= count
-		if pred != nil && full && !pred.MatchZone(zone(p)) {
+		if (p+1)*zonePageRows <= count && !pred.MatchZone(zone(p)) {
 			opts.noteSkipped()
 			continue
 		}
 		opts.noteScanned()
-		if !emit(lo, hi) {
+		if !emit(max(begin, p*zonePageRows), min(end, (p+1)*zonePageRows)) {
 			return
 		}
 	}
 }
 
-// scanPages runs the heap's batched row emission over [begin, end) through
-// the shared page-skip loop.
-func (h *Heap) scanPages(begin, end int, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
-	hdrs := make([]Header, 0, batchSize)
-	rows := make([]types.Row, 0, batchSize)
-	emit := func(lo, hi int) bool {
-		for start := lo; start < hi; start += batchSize {
-			stop := min(start+batchSize, hi)
-			h.mu.RLock()
-			for i := start; i < stop; i++ {
-				t := h.tups[i]
-				if t.row == nil {
-					continue // vacuumed tombstone
-				}
-				hdrs = append(hdrs, Header{TID: TupleID(i + 1), Xmin: t.xmin, Xmax: t.xmax, UpdatedTo: t.updatedTo})
-				rows = append(rows, t.row)
-			}
-			h.mu.RUnlock()
-			if len(rows) > 0 && !fn(hdrs, rows) {
-				return false
-			}
-			hdrs = hdrs[:0]
-			rows = rows[:0]
+// ScanBatches is the row view of e.Scan over the whole table: each chunk as
+// headers and rows. It exists for the benchmark's per-layer scan probes,
+// which time the storage layer in rows; the engine's own readers take
+// chunks. A row chunk's rows are the stored rows; a column chunk's are cut
+// from one slab filled column-at-a-time, the columns outside opts.Cols
+// NULL. Rows may be kept; the hdrs and rows containers are valid only
+// during the call.
+func ScanBatches(e Engine, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) error {
+	var hdrs []Header
+	var slab []types.Row
+	return e.Scan(WholeTable, opts, batchSize, func(ch *Chunk) bool {
+		n := ch.Len()
+		if cap(hdrs) < n {
+			hdrs = make([]Header, n)
 		}
-		return true
-	}
-	count := func() int {
-		h.mu.RLock()
-		defer h.mu.RUnlock()
-		return len(h.tups)
-	}
-	scanRowPages(begin, end, opts, count, h.pageZone, emit)
-}
-
-// ForEachBatch implements BatchScanner for the heap engine. Stored rows are
-// never mutated in place (UPDATE appends a new version), so batches hand out
-// the stored row headers without cloning and take the table lock once per
-// batch instead of once per row.
-func (h *Heap) ForEachBatch(opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
-	h.mu.RLock()
-	n := len(h.tups)
-	h.mu.RUnlock()
-	h.scanPages(0, n, opts, batchSize, fn)
-}
-
-// scanPages runs the AO-row engine's batched row emission over [begin, end)
-// through the shared page-skip loop.
-func (a *AORow) scanPages(begin, end int, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
-	hdrs := make([]Header, 0, batchSize)
-	rows := make([]types.Row, 0, batchSize)
-	emit := func(lo, hi int) bool {
-		for start := lo; start < hi; start += batchSize {
-			stop := min(start+batchSize, hi)
-			a.mu.RLock()
-			for i := start; i < stop; i++ {
-				tid := TupleID(i + 1)
-				r, ok := a.fetchLocked(tid)
-				if !ok {
-					break
-				}
-				hdrs = append(hdrs, Header{TID: tid, Xmin: r.xmin, Xmax: a.visimap[tid], UpdatedTo: a.updated[tid]})
-				rows = append(rows, r.row)
-			}
-			a.mu.RUnlock()
-			if len(rows) > 0 && !fn(hdrs, rows) {
-				return false
-			}
-			hdrs = hdrs[:0]
-			rows = rows[:0]
+		hdrs = hdrs[:n]
+		for i := range hdrs {
+			hdrs[i] = ch.Header(i)
 		}
-		return true
-	}
-	count := func() int {
-		a.mu.RLock()
-		defer a.mu.RUnlock()
-		return a.count
-	}
-	scanRowPages(begin, end, opts, count, a.pageZone, emit)
-}
-
-// ForEachBatch implements BatchScanner for the AO-row engine: one lock
-// acquisition per batch, stored rows handed out without cloning.
-func (a *AORow) ForEachBatch(opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
-	a.mu.RLock()
-	count := a.count
-	a.mu.RUnlock()
-	a.scanPages(0, count, opts, batchSize, fn)
+		rows := ch.Rows
+		if ch.Cols != nil {
+			nc := len(ch.Cols.Vecs)
+			vals := make([]types.Datum, n*nc)
+			for c := range ch.Cols.Vecs {
+				for k, v := 0, ch.Cols.Vec(c); k < v.Len(); k++ {
+					vals[k*nc+c] = v.At(k)
+				}
+			}
+			slab = slab[:0]
+			for k := 0; k < n; k++ {
+				slab = append(slab, vals[k*nc:(k+1)*nc:(k+1)*nc])
+			}
+			rows = slab
+		}
+		return fn(hdrs, rows)
+	})
 }

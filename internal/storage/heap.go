@@ -59,23 +59,35 @@ func (h *Heap) Insert(x txn.XID, row types.Row) TupleID {
 	return tid
 }
 
-// ForEach implements Engine.
-func (h *Heap) ForEach(fn func(hdr Header, row types.Row) bool) {
-	h.mu.RLock()
-	n := len(h.tups)
-	h.mu.RUnlock()
-	for i := 0; i < n; i++ {
-		h.mu.RLock()
-		t := h.tups[i]
-		h.mu.RUnlock()
-		if t.row == nil {
-			continue // vacuumed tombstone
+// Scan implements Engine: each chunk is filled under one read latch and
+// hands up the stored rows, which are never rewritten in place (UPDATE
+// appends a new version). A chunk ends before a vacuumed tombstone and the
+// next starts after it, so no tombstone is handed up and a row's tuple id
+// stays First + i.
+func (h *Heap) Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error {
+	c := newRowChunk(batchSize)
+	scanRowPages(r, opts, h.RowCount, h.pageZone, func(lo, hi int) bool {
+		for lo < hi {
+			h.mu.RLock()
+			hi = min(hi, len(h.tups)) // a TRUNCATE meanwhile ends the scan
+			for ; lo < hi && !c.full(); lo++ {
+				t := &h.tups[lo]
+				if t.row == nil {
+					if c.n > 0 {
+						break
+					}
+					continue
+				}
+				c.add(TupleID(lo+1), t.xmin, t.xmax, t.updatedTo, t.row)
+			}
+			h.mu.RUnlock()
+			if !c.flush(fn) {
+				return false
+			}
 		}
-		hdr := Header{TID: TupleID(i + 1), Xmin: t.xmin, Xmax: t.xmax, UpdatedTo: t.updatedTo}
-		if !fn(hdr, t.row) {
-			return
-		}
-	}
+		return true
+	})
+	return nil
 }
 
 // Fetch implements Engine.

@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"math"
-
-	"repro/internal/types"
-)
+import "math"
 
 // BlockRange is a half-open range [Begin, End) of row offsets within one
 // table (offset = TupleID - 1). Ranges produced by SplitBlocks are disjoint,
@@ -16,35 +12,12 @@ type BlockRange struct {
 }
 
 // WholeTable is the open-ended range of a full scan. Where an engine chases
-// its tail (the column store's ScanVectors) it also covers rows appended
-// while the scan runs.
+// its tail (the column store) it also covers rows appended while the scan
+// runs.
 var WholeTable = BlockRange{End: math.MaxInt}
 
 // Rows returns the number of row offsets the range covers.
 func (r BlockRange) Rows() int { return r.End - r.Begin }
-
-// BlockSplitter is implemented by engines that can partition their row space
-// for intra-segment parallel scans: SplitBlocks plans at most n disjoint
-// ranges and ForEachBatchRange runs the batch scan protocol of
-// BatchScanner.ForEachBatch over one of them.
-type BlockSplitter interface {
-	BatchScanner
-	// SplitBlocks partitions the current rows into at most n disjoint,
-	// covering, ascending ranges. Fewer than n ranges are returned when the
-	// table has fewer natural split points (e.g. fewer sealed blocks than
-	// workers); a zero-row table yields an explicit empty (non-nil,
-	// zero-length) split so callers can tell "nothing to scan" apart from
-	// "cannot split" (nil from an engine without the capability).
-	SplitBlocks(n int) []BlockRange
-	// ForEachBatchRange restricts the batch scan protocol to r: it visits
-	// the tuple versions whose offsets fall in [r.Begin, r.End) in tuple-id
-	// order, at most batchSize rows per callback, honouring opts (column
-	// projection, zone-map block skipping, scan counters) with the same
-	// ownership rules as the full scan. Rows appended concurrently with the
-	// scan may be skipped (the range was planned against a snapshot of the
-	// table).
-	ForEachBatchRange(r BlockRange, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool)
-}
 
 // splitEven divides [0, count) into at most n near-equal ranges for the
 // heap and AO-row engines, aligning interior boundaries to zonePageRows so
@@ -77,41 +50,13 @@ func splitEven(count, n int) []BlockRange {
 	return out
 }
 
-// SplitBlocks implements BlockSplitter for the heap engine.
-func (h *Heap) SplitBlocks(n int) []BlockRange {
-	h.mu.RLock()
-	count := len(h.tups)
-	h.mu.RUnlock()
-	return splitEven(count, n)
-}
+// SplitBlocks implements Engine.
+func (h *Heap) SplitBlocks(n int) []BlockRange { return splitEven(h.RowCount(), n) }
 
-// ForEachBatchRange implements BlockSplitter for the heap engine.
-func (h *Heap) ForEachBatchRange(r BlockRange, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
-	h.mu.RLock()
-	n := len(h.tups)
-	h.mu.RUnlock()
-	begin, end := clampRange(r, n)
-	h.scanPages(begin, end, opts, batchSize, fn)
-}
+// SplitBlocks implements Engine.
+func (a *AORow) SplitBlocks(n int) []BlockRange { return splitEven(a.RowCount(), n) }
 
-// SplitBlocks implements BlockSplitter for the AO-row engine.
-func (a *AORow) SplitBlocks(n int) []BlockRange {
-	a.mu.RLock()
-	count := a.count
-	a.mu.RUnlock()
-	return splitEven(count, n)
-}
-
-// ForEachBatchRange implements BlockSplitter for the AO-row engine.
-func (a *AORow) ForEachBatchRange(r BlockRange, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
-	a.mu.RLock()
-	count := a.count
-	a.mu.RUnlock()
-	begin, end := clampRange(r, count)
-	a.scanPages(begin, end, opts, batchSize, fn)
-}
-
-// SplitBlocks implements BlockSplitter for the AO-column engine: ranges are
+// SplitBlocks implements Engine for the column store: ranges are
 // aligned to sealed-block boundaries (the decode unit), balancing rows per
 // range; the unsealed tail rides with the last range. A table with fewer
 // sealed blocks than requested workers yields fewer ranges; a zero-row table
@@ -151,11 +96,4 @@ func (a *AOColumn) SplitBlocks(n int) []BlockRange {
 		out = append(out, BlockRange{Begin: begin, End: count})
 	}
 	return out
-}
-
-// clampRange bounds r to [0, count).
-func clampRange(r BlockRange, count int) (begin, end int) {
-	begin = max(0, r.Begin)
-	end = min(r.End, count)
-	return begin, end
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/types"
@@ -31,22 +32,22 @@ func checkCover(t *testing.T, ranges []BlockRange, count, maxParts int) {
 }
 
 func TestSplitBlocksEngines(t *testing.T) {
-	engines := map[string]func(n int) BlockSplitter{
-		"heap": func(n int) BlockSplitter {
+	engines := map[string]func(n int) Engine{
+		"heap": func(n int) Engine {
 			h := NewHeap()
 			for i := 0; i < n; i++ {
 				h.Insert(1, types.Row{types.NewInt(int64(i))})
 			}
 			return h
 		},
-		"aorow": func(n int) BlockSplitter {
+		"aorow": func(n int) Engine {
 			a := NewAORow()
 			for i := 0; i < n; i++ {
 				a.Insert(1, types.Row{types.NewInt(int64(i))})
 			}
 			return a
 		},
-		"aocolumn": func(n int) BlockSplitter {
+		"aocolumn": func(n int) Engine {
 			a := NewAOColumn(1, CompressionRLEDelta)
 			for i := 0; i < n; i++ {
 				a.Insert(1, types.Row{types.NewInt(int64(i))})
@@ -88,85 +89,32 @@ func TestSplitBlocksAOColumnAlignment(t *testing.T) {
 	checkCover(t, ranges, 3*aoColBlockRows+100, 4) // 3 blocks + tail
 }
 
-// TestForEachBatchRangeMatchesFullScan: concatenating the per-range scans
-// reproduces the full batch scan exactly, headers included.
+// TestForEachBatchRangeMatchesFullScan: concatenating the scans of the
+// SplitBlocks ranges reproduces the whole-table scan exactly, for any split.
 func TestForEachBatchRangeMatchesFullScan(t *testing.T) {
-	engines := map[string]BlockSplitter{}
-	{
-		h := NewHeap()
-		a := NewAORow()
-		c := NewAOColumn(2, CompressionRLEDelta)
-		for i := 0; i < 9000; i++ {
-			row := types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 13))}
-			h.Insert(1, row)
-			a.Insert(1, row)
-			c.Insert(1, row)
-		}
-		// Mark a few versions deleted so headers carry xmax.
-		for _, tid := range []TupleID{5, 4097, 8999} {
-			_ = h.SetXmax(tid, 7)
-			_ = a.SetXmax(tid, 7)
-			_ = c.SetXmax(tid, 7)
-		}
-		engines["heap"], engines["aorow"], engines["aocolumn"] = h, a, c
-	}
-	for name, e := range engines {
-		var fullH []Header
-		var fullR []types.Row
-		e.ForEachBatch(nil, 256, func(hdrs []Header, rows []types.Row) bool {
-			fullH = append(fullH, hdrs...)
-			for _, r := range rows {
-				fullR = append(fullR, r.Clone())
+	forEachEngine(t, func(t *testing.T, tc contractCase, live int) {
+		full := scanChecked(t, tc.e, WholeTable, nil, 256)
+		for _, parts := range []int{1, 3, 100} {
+			var got []TupleID
+			for _, rng := range tc.e.SplitBlocks(parts) {
+				got = append(got, scanChecked(t, tc.e, rng, nil, 256)...)
 			}
-			return true
-		})
-		var gotH []Header
-		var gotR []types.Row
-		for _, rng := range e.SplitBlocks(4) {
-			e.ForEachBatchRange(rng, nil, 256, func(hdrs []Header, rows []types.Row) bool {
-				gotH = append(gotH, hdrs...)
-				for _, r := range rows {
-					gotR = append(gotR, r.Clone())
-				}
-				return true
-			})
-		}
-		if len(gotH) != len(fullH) {
-			t.Fatalf("%s: rows %d vs %d", name, len(gotH), len(fullH))
-		}
-		for i := range fullH {
-			if gotH[i] != fullH[i] {
-				t.Fatalf("%s: header %d differs: %+v vs %+v", name, i, gotH[i], fullH[i])
-			}
-			if !gotR[i].Equal(fullR[i]) {
-				t.Fatalf("%s: row %d differs: %v vs %v", name, i, gotR[i], fullR[i])
+			if !slices.Equal(got, full) || len(full) != live {
+				t.Fatalf("%d parts: the ranges hand up %d rows, the whole table %d of %d live", parts, len(got), len(full), live)
 			}
 		}
-	}
+	})
 }
 
 // TestForEachBatchRangeProjection: range scans honour column projection.
 func TestForEachBatchRangeProjection(t *testing.T) {
-	a := NewAOColumn(3, CompressionRLEDelta)
-	for i := 0; i < 5000; i++ {
-		a.Insert(1, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i * 2)), types.NewText("pad")})
-	}
-	a.Seal()
-	ranges := a.SplitBlocks(2)
-	seen := 0
-	for _, rng := range ranges {
-		a.ForEachBatchRange(rng, &ScanOpts{Cols: []int{1}}, 256, func(hdrs []Header, rows []types.Row) bool {
-			for k, r := range rows {
-				i := int(hdrs[k].TID) - 1
-				if !r[0].IsNull() || !r[2].IsNull() || r[1].Int() != int64(i*2) {
-					t.Fatalf("row %d: %v", i, r)
-				}
-				seen++
-			}
-			return true
-		})
-	}
-	if seen != 5000 {
-		t.Fatalf("rows: %d", seen)
-	}
+	forEachEngine(t, func(t *testing.T, tc contractCase, live int) {
+		seen := 0
+		for _, rng := range tc.e.SplitBlocks(2) {
+			seen += len(scanChecked(t, tc.e, rng, &ScanOpts{Cols: []int{1}}, 256))
+		}
+		if seen != live {
+			t.Fatalf("rows: %d, %d live", seen, live)
+		}
+	})
 }

@@ -42,22 +42,14 @@ func TestEngineInsertFetchForEach(t *testing.T) {
 			if !ok || h.Xmin != 1 || r[0].Int() != 42 || r[1].Int() != 420 {
 				t.Fatalf("Fetch: %v %v %v", h, r, ok)
 			}
-			n := 0
-			e.ForEach(func(h Header, r types.Row) bool {
-				if r[0].Int() != int64(n) {
-					t.Fatalf("ForEach order: row %d = %v", n, r)
+			_, rows := collectBatches(t, e, nil, 7)
+			for i, r := range rows {
+				if r[0].Int() != int64(i) || r[1].Int() != int64(i*10) {
+					t.Fatalf("scan order: row %d = %v", i, r)
 				}
-				n++
-				return true
-			})
-			if n != 100 {
-				t.Fatalf("ForEach visited %d", n)
 			}
-			// Early stop.
-			n = 0
-			e.ForEach(func(Header, types.Row) bool { n++; return n < 10 })
-			if n != 10 {
-				t.Fatalf("early stop visited %d", n)
+			if len(rows) != 100 {
+				t.Fatalf("scan visited %d", len(rows))
 			}
 		})
 	}
@@ -137,10 +129,8 @@ func TestHeapVacuum(t *testing.T) {
 	if _, _, ok := h.Fetch(t2); !ok {
 		t.Fatal("live tuple lost")
 	}
-	n := 0
-	h.ForEach(func(Header, types.Row) bool { n++; return true })
-	if n != 1 {
-		t.Fatalf("ForEach sees %d rows after vacuum", n)
+	if _, rows := collectBatches(t, h, nil, 256); len(rows) != 1 {
+		t.Fatalf("scan sees %d rows after vacuum", len(rows))
 	}
 }
 
@@ -152,16 +142,13 @@ func TestAOColumnProjectedScanAndSeal(t *testing.T) {
 	a.Seal()
 	// Projected scan decodes only column 2.
 	var sum int64
-	a.ForEachBatch(&ScanOpts{Cols: []int{2}}, 256, func(_ []Header, rows []types.Row) bool {
-		for _, r := range rows {
-			if !r[1].IsNull() {
-				// column 1 was not requested: must be NULL in the emitted row
-				panic("unrequested column materialized")
-			}
-			sum += r[2].Int()
+	_, rows := collectBatches(t, a, &ScanOpts{Cols: []int{2}}, 256)
+	for _, r := range rows {
+		if !r[1].IsNull() {
+			t.Fatal("unrequested column materialized")
 		}
-		return true
-	})
+		sum += r[2].Int()
+	}
 	var want int64
 	for i := int64(0); i < 10000; i++ {
 		want += i % 7

@@ -2,10 +2,10 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -14,7 +14,7 @@ import (
 // not make the scan lose its place. 4 000 tail rows, batches of 100, 200 rows
 // inserted from the first callback — the seal lands at row 4 096 — and the
 // scan still returns every row that existed when it began, in tuple-id order,
-// through the vector scan, a block-range scan and the row adapter alike.
+// through a whole-table scan, a block-range scan and the row view alike.
 func TestScanSurvivesSealDuringScan(t *testing.T) {
 	const before, during = 4000, 200
 	load := func() *AOColumn {
@@ -43,7 +43,7 @@ func TestScanSurvivesSealDuringScan(t *testing.T) {
 	for _, rng := range []BlockRange{WholeTable, {End: before}} {
 		a, first := load(), true
 		var seen []int64
-		err := a.ScanVectors(rng, nil, 100, func(ch *VecChunk) bool {
+		err := a.Scan(rng, nil, 100, func(ch *Chunk) bool {
 			if first {
 				first = false
 				grow(a)
@@ -98,7 +98,7 @@ func TestScanRacesSealingWriter(t *testing.T) {
 			defer wg.Done()
 			for a.RowCount() < total {
 				floor, next := a.RowCount(), int64(0)
-				err := a.ScanVectors(WholeTable, &ScanOpts{Cols: []int{0}}, 256, func(ch *VecChunk) bool {
+				err := a.Scan(WholeTable, &ScanOpts{Cols: []int{0}}, 256, func(ch *Chunk) bool {
 					for i := range ch.Xmins {
 						if got := ch.Cols.Vecs[0].At(ch.Cols.Lo + i).Int(); got != next {
 							t.Errorf("row %d has key %d", next, got)
@@ -125,79 +125,42 @@ func TestScanReportsDecodeError(t *testing.T) {
 		a := loadAOColumn(3 * aoColBlockRows)
 		a.codec = codec
 		rows := 0
-		count := func(ch *VecChunk) bool { rows += len(ch.Xmins); return true }
-		if err := a.ScanVectors(WholeTable, nil, 256, count); err != nil || rows != 3*aoColBlockRows {
+		count := func(ch *Chunk) bool { rows += len(ch.Xmins); return true }
+		if err := a.Scan(WholeTable, nil, 256, count); err != nil || rows != 3*aoColBlockRows {
 			t.Fatalf("%v: intact table: %d rows, err %v", codec, rows, err)
 		}
 		a.CorruptBlockForTest(1, 1)
 		rows = 0
-		if err := a.ScanVectors(WholeTable, nil, 256, count); err == nil {
+		if err := a.Scan(WholeTable, nil, 256, count); err == nil {
 			t.Fatalf("%v: scan over a corrupt block returned %d rows and no error", codec, rows)
 		}
 		// A scan that does not ask for the damaged column never decodes it.
-		if err := a.ScanVectors(WholeTable, &ScanOpts{Cols: []int{0}}, 256, count); err != nil {
+		if err := a.Scan(WholeTable, &ScanOpts{Cols: []int{0}}, 256, count); err != nil {
 			t.Fatalf("%v: scan of the intact column: %v", codec, err)
 		}
 	}
 }
 
-// TestVectorScanMatchesRows: the vectors the scan hands up hold exactly what
-// the row adapter builds from them — kinds, NULLs, mixed-kind (boxed) blocks,
-// deleted and updated rows — for every batch size and projection.
+// TestVectorScanMatchesRows: the column chunks' vectors, read through the
+// ScanBatches row view, hold exactly the stored rows — kinds, NULLs,
+// mixed-kind (boxed) blocks, deleted and updated rows — for every batch size
+// and projection, the columns outside it NULL.
 func TestVectorScanMatchesRows(t *testing.T) {
-	a := NewAOColumn(4, CompressionRLEDelta)
-	for i := 0; i < 2*aoColBlockRows+300; i++ {
-		row := types.Row{types.NewInt(int64(i)), types.NewFloat(float64(i) / 4), types.NewText(fmt.Sprint("t", i%9)), types.NewInt(int64(i))}
-		if i%11 == 0 {
-			row[i%4] = types.Null
-		}
-		if i%5 == 0 {
-			row[3] = types.NewFloat(float64(i)) // mixed int/float: boxed blocks
-		}
-		a.Insert(txn.XID(1+i/1000), row)
-	}
-	for tid := TupleID(3); tid < 8400; tid += 777 {
-		if err := a.SetXmax(tid, 9); err != nil {
-			t.Fatal(err)
-		}
-		a.LinkUpdate(tid, tid+1)
-	}
+	a := NewAOColumn(3, CompressionRLEDelta)
+	loadContract(t, a)
 	for _, size := range []int{1, 100, 256, 5000} {
-		for _, cols := range [][]int{nil, {2}, {3, 0}} {
-			opts := &ScanOpts{Cols: cols}
-			var hdrs []Header
-			var rows []types.Row
-			ScanBatches(a, opts, size, func(hs []Header, rs []types.Row) bool {
-				hdrs, rows = append(hdrs, hs...), append(rows, rs...)
-				return true
-			})
-			n := 0
-			err := a.ScanVectors(WholeTable, opts, size, func(ch *VecChunk) bool {
-				if len(ch.Xmins) > size {
-					t.Fatalf("chunk of %d rows exceeds batch size %d", len(ch.Xmins), size)
+		for _, opts := range []*ScanOpts{nil, {Cols: []int{2}}, {Cols: []int{2, 0}}} {
+			hdrs, rows := collectBatches(t, a, opts, size)
+			for n, h := range hdrs {
+				_, want, _ := a.Fetch(h.TID)
+				for c := range want {
+					if in := opts.cols() == nil || slices.Contains(opts.Cols, c); in && rows[n][c] != want[c] || !in && !rows[n][c].IsNull() {
+						t.Fatalf("size %d cols %v tuple %d col %d: vector %v (%v), stored %v (%v)", size, opts.cols(), h.TID, c, rows[n][c], rows[n][c].Kind(), want[c], want[c].Kind())
+					}
 				}
-				for i := range ch.Xmins {
-					h := Header{TID: ch.First + TupleID(i), Xmin: ch.Xmins[i]}
-					if ch.Xmaxs != nil {
-						h.Xmax = ch.Xmaxs[i]
-					}
-					if ch.Updated != nil {
-						h.UpdatedTo = ch.Updated[i]
-					}
-					if h != hdrs[n] {
-						t.Fatalf("size %d cols %v row %d: header %+v, rows say %+v", size, cols, n, h, hdrs[n])
-					}
-					for c := range ch.Cols.Vecs {
-						if got, want := ch.Cols.Vecs[c].At(ch.Cols.Lo+i), rows[n][c]; got != want {
-							t.Fatalf("size %d cols %v row %d col %d: vector %v (%v), row %v (%v)", size, cols, n, c, got, got.Kind(), want, want.Kind())
-						}
-					}
-					n++
-				}
-				return true
-			})
-			if err != nil || n != len(rows) || n != a.RowCount() {
-				t.Fatalf("size %d cols %v: %d vector rows, %d adapter rows, %d stored (err %v)", size, cols, n, len(rows), a.RowCount(), err)
+			}
+			if len(rows) != a.RowCount() {
+				t.Fatalf("size %d cols %v: %d rows, %d stored", size, opts.cols(), len(rows), a.RowCount())
 			}
 		}
 	}
@@ -227,7 +190,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a.ReleaseCachedBlocks()
-				if err := a.ScanVectors(WholeTable, nil, 256, func(ch *VecChunk) bool { benchSink += len(ch.Xmins); return true }); err != nil {
+				if err := a.Scan(WholeTable, nil, 256, func(ch *Chunk) bool { benchSink += len(ch.Xmins); return true }); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -235,24 +198,27 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorScanWarm: a scan over cached blocks — what a repeated
-// analytical query pays the storage layer per row.
-func BenchmarkVectorScanWarm(b *testing.B) {
-	a := NewAOColumn(6, CompressionRLEDelta)
+// BenchmarkScanWarm: Engine.Scan over a loaded table, its column blocks
+// already decoded — what a repeated analytical query pays the storage layer
+// per row on each engine (ns/row; B/op is per scan).
+func BenchmarkScanWarm(b *testing.B) {
 	const rows = 16 * aoColBlockRows
-	for i := 0; i < rows; i++ {
-		a.Insert(2, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 64)), types.NewInt(0), types.NewInt(0), types.NewFloat(1), types.NewText("tag")})
-	}
-	scan := func() {
-		if err := a.ScanVectors(WholeTable, nil, 256, func(ch *VecChunk) bool { benchSink += ch.Cols.N; return true }); err != nil {
-			b.Fatal(err)
+	for name, e := range map[string]Engine{"heap": NewHeap(), "aorow": NewAORow(), "aocol": NewAOColumn(6, CompressionRLEDelta)} {
+		for i := 0; i < rows; i++ {
+			e.Insert(2, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 64)), types.NewInt(0), types.NewInt(0), types.NewFloat(1), types.NewText("tag")})
 		}
+		scan := func(b *testing.B) {
+			if err := e.Scan(WholeTable, nil, 256, func(ch *Chunk) bool { benchSink += ch.Len(); return true }); err != nil {
+				b.Fatal(err)
+			}
+		}
+		scan(b) // decode every block into the cache
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				scan(b)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
-	scan() // decode every block into the cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scan()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }

@@ -35,24 +35,6 @@ func driveEngine(t *testing.T, e Engine) {
 	}
 }
 
-func engineState(e Engine) []struct {
-	h   Header
-	row types.Row
-} {
-	var out []struct {
-		h   Header
-		row types.Row
-	}
-	e.ForEach(func(h Header, row types.Row) bool {
-		out = append(out, struct {
-			h   Header
-			row types.Row
-		}{h, row.Clone()})
-		return true
-	})
-	return out
-}
-
 func TestWALReplayReproducesEngines(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -79,21 +61,22 @@ func TestWALReplayReproducesEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want, got := engineState(primary), engineState(replica)
+			wantH, want := collectBatches(t, primary, nil, 256)
+			gotH, got := collectBatches(t, replica, nil, 256)
 			if len(want) != len(got) {
 				t.Fatalf("replica has %d versions, primary %d", len(got), len(want))
 			}
 			for i := range want {
-				if want[i].h != got[i].h {
-					t.Fatalf("version %d header: got %+v want %+v", i, got[i].h, want[i].h)
+				if wantH[i] != gotH[i] {
+					t.Fatalf("version %d header: got %+v want %+v", i, gotH[i], wantH[i])
 				}
-				if len(want[i].row) != len(got[i].row) {
+				if len(want[i]) != len(got[i]) {
 					t.Fatalf("version %d row arity differs", i)
 				}
-				for c := range want[i].row {
-					if !types.Equal(want[i].row[c], got[i].row[c]) ||
-						want[i].row[c].Kind() != got[i].row[c].Kind() {
-						t.Fatalf("version %d col %d: got %v want %v", i, c, got[i].row[c], want[i].row[c])
+				for c := range want[i] {
+					if !types.Equal(want[i][c], got[i][c]) ||
+						want[i][c].Kind() != got[i][c].Kind() {
+						t.Fatalf("version %d col %d: got %v want %v", i, c, got[i][c], want[i][c])
 					}
 				}
 			}

@@ -21,12 +21,17 @@ func rangePred(col int, lo, hi int64) *ZonePredicate {
 
 // scanWith runs a predicated batch scan and returns the emitted rows plus
 // the scan counters.
-func scanWith(e BatchScanner, pred *ZonePredicate) ([]types.Row, *ScanStats) {
+func scanWith(e Engine, pred *ZonePredicate) ([]types.Row, *ScanStats) {
+	return scanRange(e, WholeTable, pred)
+}
+
+// scanRange is scanWith over the rows of r.
+func scanRange(e Engine, r BlockRange, pred *ZonePredicate) ([]types.Row, *ScanStats) {
 	stats := &ScanStats{}
 	var rows []types.Row
-	e.ForEachBatch(&ScanOpts{Pred: pred, Stats: stats}, 256, func(hdrs []Header, rs []types.Row) bool {
-		for _, r := range rs {
-			rows = append(rows, r.Clone())
+	e.Scan(r, &ScanOpts{Pred: pred, Stats: stats}, 256, func(ch *Chunk) bool {
+		for i := 0; i < ch.Len(); i++ {
+			rows = append(rows, ch.Row(nil, i))
 		}
 		return true
 	})
@@ -80,7 +85,7 @@ func TestAOColumnZoneMapSkipsBlocks(t *testing.T) {
 	}
 }
 
-// TestAOColumnZoneMapRangeScan: ForEachBatchRange skips independently per
+// TestAOColumnZoneMapRangeScan: a block-range scan skips independently per
 // range, and concatenated predicated range scans equal the predicated full
 // scan.
 func TestAOColumnZoneMapRangeScan(t *testing.T) {
@@ -94,14 +99,10 @@ func TestAOColumnZoneMapRangeScan(t *testing.T) {
 
 	full, _ := scanWith(a, pred)
 	var ranged []types.Row
-	stats := &ScanStats{}
+	var skipped int64
 	for _, rng := range a.SplitBlocks(4) {
-		a.ForEachBatchRange(rng, &ScanOpts{Pred: pred, Stats: stats}, 256, func(hdrs []Header, rs []types.Row) bool {
-			for _, r := range rs {
-				ranged = append(ranged, r.Clone())
-			}
-			return true
-		})
+		rows, stats := scanRange(a, rng, pred)
+		ranged, skipped = append(ranged, rows...), skipped+stats.BlocksSkipped.Load()
 	}
 	if len(ranged) != len(full) {
 		t.Fatalf("ranged scan rows %d vs full %d", len(ranged), len(full))
@@ -111,8 +112,8 @@ func TestAOColumnZoneMapRangeScan(t *testing.T) {
 			t.Fatalf("row %d differs", i)
 		}
 	}
-	if got := stats.BlocksSkipped.Load(); got != 3 {
-		t.Fatalf("ranged skipped: %d, want 3", got)
+	if skipped != 3 {
+		t.Fatalf("ranged skipped: %d, want 3", skipped)
 	}
 }
 
@@ -216,15 +217,15 @@ func TestZoneMapOperators(t *testing.T) {
 // TestHeapLazyPageZones: the row engines build page summaries lazily and
 // skip full pages; results match the unpredicated scan filtered by hand.
 func TestHeapLazyPageZones(t *testing.T) {
-	for name, mk := range map[string]func() BatchScanner{
-		"heap": func() BatchScanner {
+	for name, mk := range map[string]func() Engine{
+		"heap": func() Engine {
 			h := NewHeap()
 			for i := 0; i < 3*zonePageRows+100; i++ {
 				h.Insert(1, types.Row{types.NewInt(int64(i))})
 			}
 			return h
 		},
-		"aorow": func() BatchScanner {
+		"aorow": func() Engine {
 			a := NewAORow()
 			for i := 0; i < 3*zonePageRows+100; i++ {
 				a.Insert(1, types.Row{types.NewInt(int64(i))})
@@ -291,7 +292,7 @@ func TestHeapZonesSurviveVacuumAndResetOnTruncate(t *testing.T) {
 // TestSplitBlocksEmptyTableExplicit: zero-row relations return an explicit
 // empty split, not nil.
 func TestSplitBlocksEmptyTableExplicit(t *testing.T) {
-	for name, e := range map[string]BlockSplitter{
+	for name, e := range map[string]Engine{
 		"heap":     NewHeap(),
 		"aorow":    NewAORow(),
 		"aocolumn": NewAOColumn(1, CompressionRLEDelta),
@@ -322,28 +323,25 @@ func TestRowEngineSplitsPageAlignedCounters(t *testing.T) {
 	if len(ranges) < 2 {
 		t.Fatalf("expected multiple ranges, got %v", ranges)
 	}
-	par := &ScanStats{}
+	var scanned, skipped int64
 	for _, rng := range ranges {
 		if rng.Begin%zonePageRows != 0 {
 			t.Fatalf("range %+v not page-aligned", rng)
 		}
-		h.ForEachBatchRange(rng, &ScanOpts{Pred: pred, Stats: par}, 256, func([]Header, []types.Row) bool { return true })
+		_, par := scanRange(h, rng, pred)
+		scanned, skipped = scanned+par.BlocksScanned.Load(), skipped+par.BlocksSkipped.Load()
 	}
-	if par.BlocksScanned.Load() != serial.BlocksScanned.Load() ||
-		par.BlocksSkipped.Load() != serial.BlocksSkipped.Load() {
+	if scanned != serial.BlocksScanned.Load() || skipped != serial.BlocksSkipped.Load() {
 		t.Fatalf("parallel counters (scanned=%d skipped=%d) != serial (scanned=%d skipped=%d)",
-			par.BlocksScanned.Load(), par.BlocksSkipped.Load(),
-			serial.BlocksScanned.Load(), serial.BlocksSkipped.Load())
+			scanned, skipped, serial.BlocksScanned.Load(), serial.BlocksSkipped.Load())
 	}
 
 	// Stats-only scans (no predicate) count pages without page-chunking the
 	// emitted batches.
 	statsOnly := &ScanStats{}
 	maxBatch := 0
-	h.ForEachBatch(&ScanOpts{Stats: statsOnly}, 4096, func(_ []Header, rows []types.Row) bool {
-		if len(rows) > maxBatch {
-			maxBatch = len(rows)
-		}
+	h.Scan(WholeTable, &ScanOpts{Stats: statsOnly}, 4096, func(ch *Chunk) bool {
+		maxBatch = max(maxBatch, ch.Len())
 		return true
 	})
 	if got := statsOnly.BlocksScanned.Load(); got != 11 {
