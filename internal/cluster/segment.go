@@ -818,11 +818,11 @@ func (a *storeAccess) scanOpts(spec exec.ScanSpec) *storage.ScanOpts {
 }
 
 // ScanTableBatches implements exec.StoreAccess: the visible rows of the leaf,
-// or of its block range rng, in bounded batches, skipping blocks the pushed
-// predicate's zone maps rule out. A column chunk goes up by reference into
-// the block cache, under a selection of its visible rows; a row chunk's
-// visible rows are regrouped into dense batches of batchSize. Each batch
-// handed to fn is fully owned by fn (fresh container, retainable rows).
+// or of its block range rng, chunk by chunk, skipping blocks the pushed
+// predicate's zone maps rule out. Each chunk with a visible row goes to fn
+// as a view under the selection of those rows — a column chunk by reference
+// into the block cache, a row chunk over the engine's stored rows — valid
+// only during the call.
 func (a *storeAccess) ScanTableBatches(ctx context.Context, leaf catalog.TableID, rng *exec.ScanRange, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
 	st, err := a.seg.table(leaf)
 	if err != nil {
@@ -831,45 +831,17 @@ func (a *storeAccess) ScanTableBatches(ctx context.Context, leaf catalog.TableID
 	if err := a.lockRelation(ctx, st.meta, lockmgr.AccessShare); err != nil {
 		return err
 	}
-	if batchSize < 1 {
-		batchSize = types.DefaultBatchSize
-	}
 	r := storage.WholeTable
 	if rng != nil {
 		r = storage.BlockRange{Begin: rng.Begin, End: rng.End}
 	}
-	var out *types.RowBatch // a row engine's regrouped batch
-	stopped := false
-	err = scanChunks(ctx, st, r, a.scanOpts(spec), batchSize, a.check, func(ch *storage.Chunk, sel []int) (bool, error) {
-		if ch.Cols != nil {
-			b := &types.RowBatch{Sel: sel, Cols: ch.Cols}
-			if b.Len() == 0 {
-				return true, nil
-			}
-			return fn(b)
+	var view types.RowBatch
+	return scanChunks(ctx, st, r, a.scanOpts(spec), batchSize, a.check, func(ch *storage.Chunk, sel []int) (bool, error) {
+		if view = (types.RowBatch{Rows: ch.Rows, Sel: sel, Cols: ch.Cols}); view.Len() == 0 {
+			return true, nil
 		}
-		view := types.RowBatch{Rows: ch.Rows, Sel: sel}
-		for j := 0; j < view.Len(); j++ {
-			if out == nil {
-				out = types.NewRowBatch(batchSize)
-			}
-			if out.Append(view.Live(j)); out.Len() < batchSize {
-				continue
-			}
-			cont, err := fn(out)
-			out = nil // handed off
-			if err != nil || !cont {
-				stopped = true
-				return false, err
-			}
-		}
-		return true, nil
+		return fn(&view)
 	})
-	if err != nil || stopped || out == nil {
-		return err
-	}
-	_, err = fn(out)
-	return err
 }
 
 // SplitTableRanges implements exec.ParallelStoreAccess: the leaf's engine
@@ -890,7 +862,8 @@ func (a *storeAccess) SplitTableRanges(leaf catalog.TableID, parts int) ([]exec.
 // scanChunks is the one chunk loop of the segment's scans: it drives st's
 // storage scan over r, checking ctx once per chunk, and hands fn each chunk
 // with the selection of its rows visible to check (nil: all; a nil check
-// keeps every version). It returns fn's error, else the scan's.
+// keeps every version), both valid only during the call. It returns fn's
+// error, else the scan's.
 func scanChunks(ctx context.Context, st *segTable, r storage.BlockRange, opts *storage.ScanOpts, batchSize int, check *txn.VisibilityChecker, fn func(ch *storage.Chunk, sel []int) (bool, error)) error {
 	var fnErr error
 	var buf []int
@@ -900,9 +873,7 @@ func scanChunks(ctx context.Context, st *segTable, r storage.BlockRange, opts *s
 		}
 		var sel []int
 		if check != nil {
-			// A row chunk's selection is read in place and its buffer reused;
-			// a column chunk's travels up with its batch.
-			if sel = visibleSel(check, ch, buf); ch.Cols == nil && sel != nil {
+			if sel = visibleSel(check, ch, buf); sel != nil {
 				buf = sel
 			}
 		}

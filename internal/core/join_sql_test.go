@@ -176,11 +176,12 @@ func allocPerRow(t *testing.T, s *Session, q string, runs, rows int, check func(
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*rows)
 }
 
-// TestJoinAllocations is the allocation gate of the join's column output, by
-// count and not by clock: a warm join-and-aggregate over heap tables that
-// produces 100 000 joined rows allocates at most 64 bytes per joined row. It
-// was about 1 250 when the probe built a combined row per match and the
-// "restore column order" Project copied it.
+// TestJoinAllocations is the allocation gate of the join, by count and not by
+// clock: a warm join-and-aggregate over heap tables that produces 100 000
+// joined rows allocates at most 20 bytes per joined row. It was about 1 250
+// when the probe built a combined row per match and the "restore column
+// order" Project copied it, and about 38 while every heap scan batch was a
+// fresh container.
 func TestJoinAllocations(t *testing.T) {
 	const nOrders, nLines, runs = 500, 100000, 3
 	e := NewEngine(cluster.GPDB6(2))
@@ -206,8 +207,40 @@ func TestJoinAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f bytes allocated per joined row", perRow)
-	if perRow > 64 {
-		t.Fatalf("warm join + GROUP BY allocates %.1f bytes per joined row, want <= 64", perRow)
+	if perRow > 20 {
+		t.Fatalf("warm join + GROUP BY allocates %.1f bytes per joined row, want <= 20", perRow)
+	}
+}
+
+// TestJoinBuildAllocations is the build side's allocation gate: a warm join
+// whose build side is 60 000 heap rows, probed by 2 000, allocates at most 48
+// bytes per build row. It was about 220 while the build side was a map of
+// whole rows.
+func TestJoinBuildAllocations(t *testing.T) {
+	const nBuild, nProbe, runs = 60000, 2000, 3
+	e := NewEngine(cluster.GPDB6(2))
+	defer e.Close()
+	s, _ := e.NewSession("")
+	mustExec(t, s, "CREATE TABLE o (k int, a int, b int, c int) DISTRIBUTED BY (k)")
+	mustExec(t, s, "CREATE TABLE l (k int, n int) DISTRIBUTED BY (k)")
+	bulkInsert(t, s, "o", nBuild, 0, func(i int) string { return fmt.Sprintf("(%d,%d,%d,%d)", i, i%10, i%7, i) })
+	bulkInsert(t, s, "l", nProbe, 0, func(i int) string { return fmt.Sprintf("(%d,%d)", i*(nBuild/nProbe), i) })
+	q := "SELECT count(*), sum(o.b) FROM l JOIN o ON o.k = l.k"
+	if txt := explainText(t, s, q); !strings.Contains(txt, "Hash Join (Inner)") || !strings.Contains(txt, "Seq Scan on o") {
+		t.Fatalf("want a hash join building on o:\n%s", txt)
+	}
+	sum := 0
+	for i := 0; i < nProbe; i++ {
+		sum += i * (nBuild / nProbe) % 7
+	}
+	perRow := allocPerRow(t, s, q, runs, nBuild, func(res *Result) {
+		if got := rowsText(res); got != fmt.Sprintf("int:%d|int:%d\n", nProbe, sum) {
+			t.Fatalf("count and sum: %s", got)
+		}
+	})
+	t.Logf("%.1f bytes allocated per build row", perRow)
+	if perRow > 48 {
+		t.Fatalf("warm build-heavy join allocates %.1f bytes per build row, want <= 48", perRow)
 	}
 }
 

@@ -204,6 +204,28 @@ func TestColumnScanAllocations(t *testing.T) {
 	}
 }
 
+// TestHeapScanAllocations is the heap scan's allocation gate, by count and
+// not by clock: a warm filtered aggregate over 60 000 heap rows allocates at
+// most 4 bytes per row scanned. It was about 27 while the scan handed every
+// batch of rows up in a fresh container.
+func TestHeapScanAllocations(t *testing.T) {
+	const nRows, runs = 60000, 5
+	e := NewEngine(cluster.GPDB6(2))
+	defer e.Close()
+	s, _ := e.NewSession("")
+	mustExec(t, s, "CREATE TABLE o (a int, b int, c int) DISTRIBUTED BY (a)")
+	bulkInsert(t, s, "o", nRows, 0, func(i int) string { return fmt.Sprintf("(%d,%d,%d)", i, i%100, i%7) })
+	perRow := allocPerRow(t, s, "SELECT count(*), sum(b) FROM o WHERE c >= 0", runs, nRows, func(res *Result) {
+		if got := rowsText(res); got != fmt.Sprintf("int:%d|int:%d\n", nRows, nRows/100*4950) {
+			t.Fatalf("count and sum: %s", got)
+		}
+	})
+	t.Logf("%.2f bytes allocated per row scanned", perRow)
+	if perRow > 4 {
+		t.Fatalf("warm heap scan + aggregate allocates %.1f bytes per row scanned, want <= 4", perRow)
+	}
+}
+
 // TestCountDuringSealingInserts: SELECT count(*) over an AO-column table
 // never returns fewer rows than were committed before it began, while
 // autocommit INSERTs carry the table across a 4 096-row block boundary —

@@ -202,6 +202,17 @@ func mixWord(h, w uint64) uint64 {
 	return h ^ h>>32
 }
 
+// keyHashes sets words[r] to the hash of the key vectors' values at b's live
+// row r, one vector at a time.
+func keyHashes(words []uint64, keys []types.Vec, b *types.RowBatch) {
+	clear(words)
+	for c := range keys {
+		for r := range words {
+			words[r] = mixWord(words[r], vecWord(&keys[c], b.Index(r)))
+		}
+	}
+}
+
 // sameKey reports whether group g's key equals the key vectors' values at
 // position at, comparing typed payloads directly where the kinds allow.
 func (a *aggCore) sameKey(g int32, at int) bool {
@@ -445,12 +456,7 @@ func (a *aggCore) absorb(b *types.RowBatch) (err error) {
 	}
 	if !a.ints {
 		a.tags = slices.Grow(a.tags[:0], len(a.gids))[:len(a.gids)]
-		clear(a.tags)
-		for c := range a.keyVecs {
-			for r := range a.tags {
-				a.tags[r] = mixWord(a.tags[r], vecWord(&a.keyVecs[c], b.Index(r)))
-			}
-		}
+		keyHashes(a.tags, a.keyVecs, b)
 	}
 	for lo := 0; lo < len(a.gids); {
 		hi, dump, err := a.assign(b, lo)

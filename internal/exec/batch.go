@@ -57,19 +57,33 @@ type scanUnit struct {
 }
 
 // batchScanIter streams bounded batches from the storage layer: a producer
-// goroutine drives the push-style batch scan while the consumer pulls over a
-// shallow channel, so a leaf is never fully materialized. The scan filter is
-// applied per batch by in-place compaction.
+// goroutine drives the push-style batch scan, whose batches are views valid
+// only during its callback, and copies them into containers — a column view
+// whole, a row view's rows regrouped into dense batches of the batch size —
+// while the consumer pulls over a shallow channel, so a leaf is never fully
+// materialized. The containers are a ring of scanStreamDepth+2 filled in
+// turn, which is one filling, scanStreamDepth queued and one with the
+// consumer: the producer refills a container only once it has sent the next
+// scanStreamDepth+1, and the channel completes the last of those sends only
+// after the consumer pulled the batch after the container's — after it asked
+// for the next batch. The scan filter narrows each batch's selection.
 type batchScanIter struct {
 	ctx     *Context
 	node    *plan.Scan
 	units   []scanUnit
 	pred    *plan.Predicate
 	tick    cpuTick
-	ch      chan *types.RowBatch
+	ch      chan *scanBuf
 	errc    chan error
 	cancel  context.CancelFunc
 	started bool
+}
+
+// scanBuf is one container of a streaming scan's ring.
+type scanBuf struct {
+	batch types.RowBatch
+	cols  types.ColBatch
+	sel   []int
 }
 
 func newBatchScanIter(ctx *Context, node *plan.Scan) *batchScanIter {
@@ -91,23 +105,57 @@ func (s *batchScanIter) start() {
 	store := s.ctx.Store
 	sctx, cancel := context.WithCancel(s.ctx.Ctx)
 	s.cancel = cancel
-	s.ch = make(chan *types.RowBatch, scanStreamDepth)
+	s.ch = make(chan *scanBuf, scanStreamDepth)
 	s.errc = make(chan error, 1)
 	size := s.ctx.batchSize()
 	units := s.units
 	spec := ScanSpec{Cols: s.node.Project, Pred: s.node.ScanPred}
 	go func() {
 		defer close(s.ch)
-		push := func(b *types.RowBatch) (bool, error) {
+		ring, sent := make([]scanBuf, scanStreamDepth+2), 0
+		cur := &ring[0] // the container being filled
+		// send hands cur to the consumer and empties the next container.
+		send := func() error {
 			select {
-			case s.ch <- b:
-				return true, nil
+			case s.ch <- cur:
 			case <-sctx.Done():
-				return false, sctx.Err()
+				return sctx.Err()
 			}
+			sent++
+			cur = &ring[sent%len(ring)]
+			cur.batch = types.RowBatch{Rows: cur.batch.Rows[:0]}
+			return nil
+		}
+		copyView := func(b *types.RowBatch) (_ bool, err error) {
+			if b.Cols == nil {
+				for i, l := 0, b.Len(); i < l && err == nil; i++ {
+					if cur.batch.Rows == nil {
+						cur.batch.Rows = make([]types.Row, 0, size)
+					}
+					if cur.batch.Append(b.Live(i)); cur.batch.Len() == size {
+						err = send()
+					}
+				}
+				return err == nil, err
+			}
+			if len(cur.batch.Rows) > 0 {
+				err = send()
+			}
+			if err == nil {
+				cur.cols, cur.sel = *b.Cols, append(cur.sel[:0], b.Sel...)
+				if cur.batch = (types.RowBatch{Cols: &cur.cols}); b.Sel != nil {
+					cur.batch.Sel = cur.sel
+				}
+				err = send()
+			}
+			return err == nil, err
 		}
 		for _, u := range units {
-			if err := store.ScanTableBatches(sctx, u.leaf, u.rng, spec, size, push); err != nil {
+			err := store.ScanTableBatches(sctx, u.leaf, u.rng, spec, size, copyView)
+			if err == nil && len(cur.batch.Rows) > 0 {
+				err = send()
+			}
+			if err != nil {
 				s.errc <- err
 				return
 			}
@@ -121,7 +169,7 @@ func (s *batchScanIter) NextBatch() (*types.RowBatch, error) {
 		s.start()
 	}
 	for {
-		b, ok := <-s.ch
+		buf, ok := <-s.ch
 		if !ok {
 			select {
 			case err := <-s.errc:
@@ -130,6 +178,7 @@ func (s *batchScanIter) NextBatch() (*types.RowBatch, error) {
 				return nil, io.EOF
 			}
 		}
+		b := &buf.batch
 		if err := s.tick.tickRows(b.Len()); err != nil {
 			return nil, err
 		}
@@ -251,89 +300,6 @@ func (p *batchProjectIter) NextBatch() (*types.RowBatch, error) {
 }
 
 func (p *batchProjectIter) Close() { p.child.Close() }
-
-// batchHashJoinIter is the vectorized hash join: the right (build/inner)
-// side is drained batch-at-a-time and fully materialized before the first
-// probe batch is pulled. The prefetch is not just a performance choice: it is
-// Greenplum's defence against interconnect deadlock (paper Appendix B) — the
-// inner motion is drained completely before any outer tuple is requested.
-type batchHashJoinIter struct {
-	core        hashJoinCore
-	left, right BatchIterator
-
-	built bool
-	tick  cpuTick
-	size  int
-}
-
-func newBatchHashJoinIter(ctx *Context, node *plan.HashJoin, left, right BatchIterator) *batchHashJoinIter {
-	return &batchHashJoinIter{
-		core: newHashJoinCore(ctx, node),
-		left: left, right: right,
-		tick: cpuTick{ctx: ctx},
-		size: ctx.batchSize(),
-	}
-}
-
-func (j *batchHashJoinIter) build() error {
-	for {
-		b, err := j.right.NextBatch()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := j.tick.tickRows(b.Len()); err != nil {
-			return err
-		}
-		if err := j.core.addBuildBatch(b); err != nil {
-			return err
-		}
-	}
-	j.built = true
-	return nil
-}
-
-func (j *batchHashJoinIter) NextBatch() (*types.RowBatch, error) {
-	if !j.built {
-		if err := j.build(); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		var b *types.RowBatch
-		var err error
-		if j.core.draining {
-			// Spilled partitions are joined pairwise, their probe rows
-			// replayed in batches (io.EOF at once when nothing spilled).
-			b, err = j.core.replayBatch(j.size)
-		} else if b, err = j.left.NextBatch(); err == io.EOF {
-			j.core.draining = true
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		// The disk-replay pass is charged CPU like the probe pass.
-		if err := j.tick.tickRows(b.Len()); err != nil {
-			return nil, err
-		}
-		out, err := j.core.probeBatch(b)
-		if err != nil {
-			return nil, err
-		}
-		if out.Len() > 0 {
-			return out, nil
-		}
-	}
-}
-
-func (j *batchHashJoinIter) Close() {
-	j.core.closeCore()
-	j.left.Close()
-	j.right.Close()
-}
 
 // batchAggIter is the vectorized hash aggregate: input is absorbed
 // batch-at-a-time into the shared aggregation core and the grouped output is

@@ -29,9 +29,9 @@ type StoreAccess interface {
 	// ScanTableBatches delivers the visible rows of the leaf — or, when rng
 	// is set, of that block range of it (one parallel worker's share) — in
 	// bounded batches; an AO-column leaf in the column layout, windows of
-	// cached vectors under a selection of the visible rows. Each batch is
-	// handed to fn with full ownership (a fresh container whose rows may be
-	// retained; the vectors are shared and immutable); fn reports whether to
+	// cached vectors under a selection of the visible rows. Each batch is a
+	// view valid only while fn runs: its rows and vectors are immutable and
+	// may be retained, its containers may not. fn reports whether to
 	// continue. A block that cannot be decoded is an error.
 	ScanTableBatches(ctx context.Context, leaf catalog.TableID, rng *ScanRange, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
 	// ScanTable visits every visible row of the leaf table one at a time —

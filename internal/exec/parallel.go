@@ -34,10 +34,6 @@ import (
 type LocalGather struct {
 	workers []BatchIterator
 	ordered bool
-	// owned means the workers' top iterators hand over fully-owned batch
-	// containers (fresh per call), so the gather can forward them without
-	// cloning; false when an operator below reuses a container it emits.
-	owned bool
 
 	started bool
 	stop    chan struct{}
@@ -49,11 +45,8 @@ type LocalGather struct {
 }
 
 // NewLocalGather builds a local exchange over the given worker pipelines.
-// ownedOutput declares that every worker's top iterator transfers batch
-// container ownership (an unfiltered streaming scan), which lets the gather
-// skip the per-batch defensive copy.
-func NewLocalGather(workers []BatchIterator, ordered, ownedOutput bool) *LocalGather {
-	return &LocalGather{workers: workers, ordered: ordered, owned: ownedOutput}
+func NewLocalGather(workers []BatchIterator, ordered bool) *LocalGather {
+	return &LocalGather{workers: workers, ordered: ordered}
 }
 
 func (g *LocalGather) start() {
@@ -89,13 +82,10 @@ func (g *LocalGather) start() {
 					g.errc <- err
 					return
 				}
-				if !g.owned {
-					// The worker's top iterator will reuse b's container on
-					// its next pull; hand the consumer a copy.
-					b = b.CloneRows()
-				}
+				// The worker's top iterator refills b's container on its
+				// next pull; hand the consumer a copy.
 				select {
-				case ch <- b:
+				case ch <- b.CloneRows():
 				case <-g.stop:
 					return
 				}
@@ -197,28 +187,24 @@ func BuildBatchParallel(ctx *Context, root plan.Node) BatchIterator {
 }
 
 // decomposeChain walks a parallel-safe unary chain down to its scan,
-// returning the chain's aggregate (nil when it has none) and whether some
-// operator of the chain reuses a container of the batches it emits (a
-// projection its output, a filter its selection vector).
-func decomposeChain(n plan.Node) (agg *plan.Agg, scan *plan.Scan, reuses, ok bool) {
+// returning the chain's aggregate (nil when it has none).
+func decomposeChain(n plan.Node) (agg *plan.Agg, scan *plan.Scan, ok bool) {
 	for {
 		switch x := n.(type) {
 		case *plan.Scan:
-			return agg, x, reuses || x.Filter != nil, true
+			return agg, x, true
 		case *plan.Filter:
-			reuses = true
 			n = x.Child
 		case *plan.Project:
-			reuses = true
 			n = x.Child
 		case *plan.Agg:
 			if agg != nil {
-				return nil, nil, false, false
+				return nil, nil, false
 			}
 			agg = x
 			n = x.Child
 		default:
-			return nil, nil, false, false
+			return nil, nil, false
 		}
 	}
 }
@@ -241,7 +227,7 @@ func buildParallelPipeline(ctx *Context, root plan.Node) (BatchIterator, bool) {
 	if !ok {
 		return nil, false
 	}
-	agg, scan, reuses, ok := decomposeChain(root)
+	agg, scan, ok := decomposeChain(root)
 	if !ok || scan.ForUpdate || scan.OnSeg >= 0 {
 		return nil, false
 	}
@@ -272,10 +258,7 @@ func buildParallelPipeline(ctx *Context, root plan.Node) (BatchIterator, bool) {
 		}
 	}
 
-	// Workers hand over batch ownership unless an operator reuses a container:
-	// an unfiltered streaming scan emits fresh ones, but filters, projections
-	// and aggregates recycle theirs.
-	gather := NewLocalGather(workers, agg == nil, agg == nil && !reuses)
+	gather := NewLocalGather(workers, agg == nil)
 	if agg == nil {
 		return gather, true
 	}

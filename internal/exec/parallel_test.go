@@ -38,7 +38,8 @@ func (s *engineStore) WriteRow(context.Context, RowID, *plan.UpdatePlan) (bool, 
 }
 
 // ScanTableBatches hands up every stored version of the leaf or of rng, each
-// chunk as one batch in its own layout.
+// chunk as one batch in its own layout: a view of the engine's chunk, whose
+// containers the engine refills for the next one, as a segment hands them.
 func (s *engineStore) ScanTableBatches(ctx context.Context, _ catalog.TableID, rng *ScanRange, spec ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
 	r := storage.WholeTable
 	if rng != nil {
@@ -46,9 +47,9 @@ func (s *engineStore) ScanTableBatches(ctx context.Context, _ catalog.TableID, r
 	}
 	var fnErr error
 	err := s.eng.Scan(r, &storage.ScanOpts{Cols: spec.Cols}, batchSize, func(ch *storage.Chunk) bool {
-		b := &types.RowBatch{Rows: append([]types.Row(nil), ch.Rows...), Cols: ch.Cols}
+		view := types.RowBatch{Rows: ch.Rows, Cols: ch.Cols}
 		var cont bool
-		cont, fnErr = fn(b)
+		cont, fnErr = fn(&view)
 		return cont && fnErr == nil
 	})
 	if fnErr != nil {
@@ -289,18 +290,24 @@ func (m *multiLeafStore) SplitTableRanges(leaf catalog.TableID, parts int) ([]Sc
 
 // TestParallelMultiLeafOrderedMatchesSerial: a partitioned scan deals whole
 // leaves to workers; the ordered gather must still reproduce the serial
-// leaf order (contiguous chunks, not round-robin).
+// leaf order (contiguous chunks, not round-robin). Leaves alternate between
+// AO-column and heap, so the scan regroups row views between column views.
 func TestParallelMultiLeafOrderedMatchesSerial(t *testing.T) {
 	store := &multiLeafStore{leaves: map[catalog.TableID]*engineStore{}}
 	leaves := []catalog.TableID{11, 12, 13, 14, 15}
 	n := 0
-	for _, leaf := range leaves {
-		eng := storage.NewAOColumn(2, storage.CompressionRLEDelta)
+	for l, leaf := range leaves {
+		var eng storage.Engine = storage.NewHeap()
+		if l%2 == 0 {
+			eng = storage.NewAOColumn(2, storage.CompressionRLEDelta)
+		}
 		for i := 0; i < 3000; i++ {
 			eng.Insert(1, types.Row{types.NewInt(int64(n)), types.NewInt(int64(n % 7))})
 			n++
 		}
-		eng.Seal()
+		if ao, ok := eng.(*storage.AOColumn); ok {
+			ao.Seal()
+		}
 		store.leaves[leaf] = &engineStore{eng: eng}
 	}
 	tab := testTable(1, "p", "a", "w")
@@ -310,10 +317,17 @@ func TestParallelMultiLeafOrderedMatchesSerial(t *testing.T) {
 		return scan
 	}
 	serialCtx := &Context{Ctx: context.Background(), Store: store, NumSegments: 1, SegID: 0}
-	want, err := DrainBatches(BuildBatch(serialCtx, mk()))
+	got, err := DrainBatches(BuildBatch(serialCtx, mk()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var want []types.Row
+	for i := 0; i < n; i++ {
+		if i%7 < 4 {
+			want = append(want, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 7))})
+		}
+	}
+	requireSameRows(t, want, got)
 	for _, dop := range []int{2, 3, 5, 9} {
 		pctx := &Context{Ctx: context.Background(), Store: store, NumSegments: 1, SegID: 0, Parallel: dop}
 		got, err := DrainBatches(BuildBatchParallel(pctx, mk()))

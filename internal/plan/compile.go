@@ -224,12 +224,13 @@ func selectOrd[T int64 | float64 | string](v *types.Vec, vals []T, k T, mask uin
 }
 
 // VecExpr evaluates one expression over a whole batch into a vector indexed
-// by batch position, so the partial aggregate and the projection read typed
-// values instead of walking the expression tree per row. A bare column of a
-// column batch is shared, `+ - * /` over numeric vectors and constants runs a
-// typed loop, and every other expression (and every row-layout batch) is
-// evaluated row by row into a boxed vector. A VecExpr owns its result buffer:
-// the vector Eval returns is valid until the next Eval.
+// by batch position, so the aggregate, the join and the projection read
+// typed values instead of walking the expression tree per row. A bare column
+// of a column batch is shared and one of a row batch gathered into a typed
+// vector, `+ - * /` over numeric vectors and constants runs a typed loop, and
+// every other expression is evaluated row by row into a boxed vector. A
+// VecExpr owns its result buffer: the vector Eval returns is valid until the
+// next Eval.
 type VecExpr struct {
 	e       Expr
 	col     int  // >= 0: bare column reference
@@ -286,6 +287,8 @@ func (x *VecExpr) Eval(b *types.RowBatch) (types.Vec, error) {
 				return x.buf, err
 			}
 		}
+	} else if x.col >= 0 && x.gather(b) {
+		return x.buf, nil
 	}
 	x.buf.Reset(types.KindNull, n)
 	for i, live := 0, b.Len(); i < live; i++ {
@@ -304,6 +307,22 @@ func (x *VecExpr) Eval(b *types.RowBatch) (types.Vec, error) {
 		x.buf.Boxed[at] = v
 	}
 	return x.buf, nil
+}
+
+// gather fills buf with the bare column at every position of a row batch —
+// typed, boxed only when the values mix kinds (Append's rule) — or reports
+// false when a row lacks the column, leaving the error to the boxed path.
+func (x *VecExpr) gather(b *types.RowBatch) bool {
+	if x.buf.Truncate(); x.buf.Boxed != nil {
+		x.buf = types.Vec{} // a batch of one kind gathers typed again
+	}
+	for _, row := range b.Rows {
+		if x.col >= len(row) {
+			return false
+		}
+		x.buf.Append(row[x.col])
+	}
+	return true
 }
 
 // arith computes l op r at b's live positions into out with evalArith's

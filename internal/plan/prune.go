@@ -112,6 +112,23 @@ func prune(n Node, need colSet) {
 	}
 }
 
+// InnerCols lists the inner-side columns a join reads, as offsets into that
+// side: those of its output need-set out (nil: every column) at lw and
+// beyond, and those cond references. nil means all of them.
+func InnerCols(width, lw int, out []int, cond Expr) []int {
+	if out == nil {
+		return nil
+	}
+	need := make(colSet, width)
+	for _, c := range out {
+		need[c] = true
+	}
+	if need = readBy(width, need, cond); need == nil {
+		return nil
+	}
+	return need[lw:].offsets()
+}
+
 // pruneSide prunes one join input: the window [lo, hi) of the join's
 // need-set plus the side's own key columns.
 func pruneSide(side Node, both colSet, lo, hi int, keys []Expr) {

@@ -13,13 +13,14 @@ const DefaultBatchSize = 256
 // AO-column scan hands up, by reference into the block cache, and what the
 // operators that read vectors pass on.
 //
-// Ownership convention used throughout the executor: the *container*
-// (b.Rows, b.Sel, b.Cols and its vectors) belongs to the producer and is
-// invalidated by the producer's next batch, while the Row values inside are
-// never overwritten in place — consumers that retain rows past one call may
-// keep the Row headers but must copy the slice (CloneRows) if they need the
-// container itself. Live on a column batch gathers a fresh Row, which is
-// retainable like any other.
+// Ownership, one rule throughout the executor: the *container* (b.Rows,
+// b.Sel, b.Cols and its vectors) belongs to the producer, which refills it
+// once the consumer asks for the next batch (the streaming scan recycles a
+// small ring of them), while the Row values inside are never overwritten in
+// place — consumers that retain rows past one call may keep the Row headers
+// but must copy the slice (CloneRows) if they need the container itself.
+// Live on a column batch gathers a fresh Row, which is retainable like any
+// other.
 //
 // Filtering uses a selection vector instead of compaction: when Sel is
 // non-nil the live rows are positions Sel[0], Sel[1], ... and the rest of the

@@ -63,7 +63,7 @@ func VecOf(vals []Datum) Vec {
 func (v *Vec) Len() int { return len(v.Ints) + len(v.Floats) + len(v.Strs) + len(v.Boxed) }
 
 // HasNulls reports whether the vector carries a NULL bitmap.
-func (v *Vec) HasNulls() bool { return v.nulls != nil }
+func (v *Vec) HasNulls() bool { return len(v.nulls) > 0 }
 
 // Null reports whether value i is NULL by the bitmap (a Boxed NULL is a
 // datum, not a bit).
@@ -116,15 +116,17 @@ func (v *Vec) Slice(lo, hi int) Vec {
 }
 
 // Reset turns v into an n-value output buffer with no NULLs, reusing its
-// payload when it is big enough: Floats for KindFloat, Boxed for KindNull,
-// Ints for every other kind. Values are whatever the buffer held; the caller
-// writes every position it will read.
+// payload and bitmap when they are big enough: Floats for KindFloat, Strs for
+// KindText, Boxed for KindNull, Ints for every other kind. Values are
+// whatever the buffer held; the caller writes every position it will read.
 func (v *Vec) Reset(kind Kind, n int) {
-	ints, floats, boxed := v.Ints, v.Floats, v.Boxed
-	*v = Vec{Kind: kind}
+	ints, floats, strs, boxed := v.Ints, v.Floats, v.Strs, v.Boxed
+	*v = Vec{Kind: kind, nulls: v.nulls[:0]}
 	switch kind {
 	case KindFloat:
 		v.Floats = resize(floats, n)
+	case KindText:
+		v.Strs = resize(strs, n)
 	case KindNull:
 		v.Boxed = resize(boxed, n)
 	default:
@@ -145,6 +147,14 @@ func (v *Vec) Truncate() {
 // value of another kind turns the vector boxed, as VecOf does, and it stays
 // boxed across Truncate.
 func (v *Vec) Append(d Datum) {
+	if v.Ints != nil && d.kind == v.Kind { // inlined: an Ints payload never has kind NULL
+		v.Ints = append(v.Ints, d.i)
+		return
+	}
+	v.append(d)
+}
+
+func (v *Vec) append(d Datum) {
 	n := v.Len()
 	switch {
 	case v.Boxed != nil:
@@ -158,6 +168,7 @@ func (v *Vec) Append(d Datum) {
 			v.Strs = append(v.Strs, "")
 		default:
 			v.Ints = append(v.Ints, 0)
+			v.Kind = max(v.Kind, KindInt) // all NULL so far reads as int, as in VecOf
 		}
 		v.SetNull(n)
 		return
@@ -193,6 +204,24 @@ func (v *Vec) Append(d Datum) {
 	default:
 		v.Ints = append(v.Ints, d.i)
 	}
+}
+
+// AppendFrom adds value i of src, as Append(src.At(i)) does, copying the
+// payload without boxing it when src's is typed like v's.
+func (v *Vec) AppendFrom(src *Vec, i int) {
+	switch {
+	case src.Null(i):
+	case src.Ints != nil && v.Ints != nil && src.Kind == v.Kind:
+		v.Ints = append(v.Ints, src.Ints[i])
+		return
+	case src.Floats != nil && v.Floats != nil:
+		v.Floats = append(v.Floats, src.Floats[i])
+		return
+	case src.Strs != nil && v.Strs != nil:
+		v.Strs = append(v.Strs, src.Strs[i])
+		return
+	}
+	v.Append(src.At(i))
 }
 
 func resize[T any](s []T, n int) []T {
