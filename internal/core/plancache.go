@@ -127,7 +127,10 @@ func (c *StmtCache) Stats() StmtCacheStats {
 
 // parse returns the shared parsed statement for sqlText, running the
 // parser and inserting on miss. The returned entry is nil when caching is
-// disabled or the text failed to parse.
+// disabled or the text failed to parse, and for an INSERT … VALUES with no
+// '$' in its text, so no $N parameter: its text is its data (a bulk load's
+// statements would pin their ASTs in the cache) and it is planned on every
+// execution anyway.
 func (c *StmtCache) parse(sqlText string) (sql.Statement, *stmtEntry, error) {
 	if c == nil || c.cap < 0 {
 		st, err := sql.Parse(sqlText)
@@ -147,6 +150,9 @@ func (c *StmtCache) parse(sqlText string) (sql.Statement, *stmtEntry, error) {
 	st, err := sql.Parse(sqlText)
 	if err != nil {
 		return nil, nil, err
+	}
+	if ins, ok := st.(*sql.InsertStmt); ok && ins.Rows != nil && !strings.Contains(key, "$") {
+		return st, nil, nil
 	}
 	e := &stmtEntry{key: key, stmt: st, str: st.String()}
 	c.mu.Lock()

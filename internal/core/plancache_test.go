@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/types"
 )
 
 func TestNormalizeSQL(t *testing.T) {
@@ -65,6 +67,41 @@ func TestStmtCacheParseReuse(t *testing.T) {
 	mustExec2("select   B from PC where a = 1")
 	if st := e.StmtCache().Stats(); st.Hits != pre.Hits+1 {
 		t.Fatal("normalized variant missed the cache")
+	}
+}
+
+// TestBulkInsertNotCached: a literal INSERT … VALUES is parsed (a parse
+// miss) and run but not cached, so a bulk load does not pin its statements'
+// ASTs; a parameterised INSERT and a repeated literal SELECT still are.
+func TestBulkInsertNotCached(t *testing.T) {
+	e, s := newTestEngine(t, 2)
+	mustExec(t, s, "CREATE TABLE bl (a int, b int) DISTRIBUTED BY (a)")
+	base := e.StmtCache().Stats()
+	for i := 0; i < 20; i++ {
+		var rows []string
+		for j := 0; j < 50; j++ {
+			rows = append(rows, fmt.Sprintf("(%d, %d)", i*50+j, j))
+		}
+		mustExec(t, s, "INSERT INTO bl VALUES "+strings.Join(rows, ", "))
+	}
+	mustExec(t, s, "INSERT INTO bl VALUES (7, 7)") // the same text twice
+	mustExec(t, s, "INSERT INTO bl VALUES (7, 7)")
+	st := e.StmtCache().Stats()
+	if st.Entries != base.Entries || st.Misses != base.Misses+22 || st.Hits != base.Hits {
+		t.Fatalf("literal INSERTs: %+v, before %+v: want 22 more misses and no new entry", st, base)
+	}
+	for i := int64(0); i < 3; i++ {
+		mustExec(t, s, "INSERT INTO bl VALUES ($1, $2)", types.NewInt(2000+i), types.NewInt(i))
+		if got := mustExec(t, s, "SELECT b FROM bl WHERE a = 49").Rows; len(got) != 1 || got[0][0].Int() != 49 {
+			t.Fatalf("SELECT: %v", got)
+		}
+	}
+	after := e.StmtCache().Stats()
+	if after.Entries != st.Entries+2 || after.Hits != st.Hits+4 {
+		t.Fatalf("parameterised INSERT and literal SELECT: %+v, before %+v: want 2 new entries and 4 hits", after, st)
+	}
+	if n := mustExec(t, s, "SELECT count(*) FROM bl").Rows[0][0].Int(); n != 1005 {
+		t.Fatalf("count = %d, want 1005", n)
 	}
 }
 

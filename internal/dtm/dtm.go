@@ -6,6 +6,7 @@
 package dtm
 
 import (
+	"slices"
 	"sync"
 )
 
@@ -16,13 +17,14 @@ type DXID uint64
 // InvalidDXID is the zero distributed xid.
 const InvalidDXID DXID = 0
 
-// DistSnapshot is a distributed snapshot: every dxid in InProgress was
-// running when the snapshot was created; MaxCommitted is the largest dxid
-// committed at creation time; Xmax is the next dxid to be assigned.
+// DistSnapshot is a distributed snapshot: every dxid in InProgress
+// (ascending) was running when the snapshot was created; MaxCommitted is
+// the largest dxid committed at creation time; Xmax is the next dxid to be
+// assigned.
 type DistSnapshot struct {
 	Xmax         DXID
 	MaxCommitted DXID
-	InProgress   map[DXID]struct{}
+	InProgress   []DXID
 }
 
 // Sees reports whether the snapshot considers dxid committed-before-snapshot.
@@ -30,7 +32,7 @@ func (s *DistSnapshot) Sees(dxid DXID) bool {
 	if dxid == InvalidDXID || dxid >= s.Xmax {
 		return false
 	}
-	if _, running := s.InProgress[dxid]; running {
+	if _, running := slices.BinarySearch(s.InProgress, dxid); running {
 		return false
 	}
 	// Not in-progress and older than xmax: it completed before the snapshot.
@@ -45,7 +47,7 @@ func (s *DistSnapshot) Sees(dxid DXID) bool {
 type Coordinator struct {
 	mu           sync.Mutex
 	nextDxid     DXID
-	inProgress   map[DXID]struct{}
+	inProgress   []DXID // ascending: Begin hands dxids out in order
 	maxCommitted DXID
 	// commitLog is the set of dxids whose two-phase commit decision was
 	// durably recorded between the PREPARE and COMMIT waves. Promotion-time
@@ -58,9 +60,8 @@ type Coordinator struct {
 // NewCoordinator returns a coordinator whose first transaction gets dxid 1.
 func NewCoordinator() *Coordinator {
 	return &Coordinator{
-		nextDxid:   1,
-		inProgress: make(map[DXID]struct{}),
-		commitLog:  make(map[DXID]struct{}),
+		nextDxid:  1,
+		commitLog: make(map[DXID]struct{}),
 	}
 }
 
@@ -106,7 +107,7 @@ func (c *Coordinator) Begin() DXID {
 	defer c.mu.Unlock()
 	d := c.nextDxid
 	c.nextDxid++
-	c.inProgress[d] = struct{}{}
+	c.inProgress = append(c.inProgress, d)
 	return d
 }
 
@@ -115,15 +116,7 @@ func (c *Coordinator) Begin() DXID {
 func (c *Coordinator) Snapshot() *DistSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := &DistSnapshot{
-		Xmax:         c.nextDxid,
-		MaxCommitted: c.maxCommitted,
-		InProgress:   make(map[DXID]struct{}, len(c.inProgress)),
-	}
-	for d := range c.inProgress {
-		s.InProgress[d] = struct{}{}
-	}
-	return s
+	return &DistSnapshot{Xmax: c.nextDxid, MaxCommitted: c.maxCommitted, InProgress: slices.Clone(c.inProgress)}
 }
 
 // MarkCommitted removes dxid from the in-progress set after the commit
@@ -133,7 +126,7 @@ func (c *Coordinator) Snapshot() *DistSnapshot {
 func (c *Coordinator) MarkCommitted(dxid DXID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.inProgress, dxid)
+	c.stop(dxid)
 	if dxid > c.maxCommitted {
 		c.maxCommitted = dxid
 	}
@@ -144,7 +137,13 @@ func (c *Coordinator) MarkCommitted(dxid DXID) {
 func (c *Coordinator) MarkAborted(dxid DXID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.inProgress, dxid)
+	c.stop(dxid)
+}
+
+func (c *Coordinator) stop(dxid DXID) {
+	if i, ok := slices.BinarySearch(c.inProgress, dxid); ok {
+		c.inProgress = slices.Delete(c.inProgress, i, i+1)
+	}
 }
 
 // OldestInProgress returns the smallest running dxid (or nextDxid when
@@ -152,13 +151,10 @@ func (c *Coordinator) MarkAborted(dxid DXID) {
 func (c *Coordinator) OldestInProgress() DXID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	oldest := c.nextDxid
-	for d := range c.inProgress {
-		if d < oldest {
-			oldest = d
-		}
+	if len(c.inProgress) > 0 {
+		return c.inProgress[0]
 	}
-	return oldest
+	return c.nextDxid
 }
 
 // IsInProgress reports whether dxid is still in the coordinator's
@@ -166,7 +162,7 @@ func (c *Coordinator) OldestInProgress() DXID {
 func (c *Coordinator) IsInProgress(dxid DXID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.inProgress[dxid]
+	_, ok := slices.BinarySearch(c.inProgress, dxid)
 	return ok
 }
 

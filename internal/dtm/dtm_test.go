@@ -224,7 +224,7 @@ func TestAbortFansOut(t *testing.T) {
 
 func TestViewSelfVisibility(t *testing.T) {
 	m := NewXidMapping()
-	snap := &DistSnapshot{Xmax: 10, InProgress: map[DXID]struct{}{5: {}}}
+	snap := &DistSnapshot{Xmax: 10, InProgress: []DXID{5}}
 	v := &View{Mapping: m, Snap: snap, SelfLocal: 3, SelfDist: 5}
 	// Own dxid is visible even though the snapshot has it in-progress.
 	if !v.DistSees(5) {
@@ -240,5 +240,43 @@ func TestViewSelfVisibility(t *testing.T) {
 	}
 	if !v.DistSees(4) {
 		t.Fatal("old committed dxid invisible")
+	}
+}
+
+var snapSink any
+
+// TestSnapshotAllocations: with transactions running, a local snapshot and
+// a distributed one are each a struct and one copied slice of ascending
+// ids, and Sees answers from that slice.
+func TestSnapshotAllocations(t *testing.T) {
+	local := txn.NewManager()
+	c := NewCoordinator()
+	var xids []txn.XID
+	var dxids []DXID
+	for i := 0; i < 4; i++ {
+		xids = append(xids, local.Begin())
+		dxids = append(dxids, c.Begin())
+	}
+	if err := local.Commit(xids[1]); err != nil {
+		t.Fatal(err)
+	}
+	c.MarkCommitted(dxids[1])
+	if a := testing.AllocsPerRun(100, func() { snapSink = local.TakeSnapshot() }); a > 2 {
+		t.Fatalf("TakeSnapshot allocates %.1f times, want <= 2", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { snapSink = c.Snapshot() }); a > 2 {
+		t.Fatalf("Coordinator.Snapshot allocates %.1f times, want <= 2", a)
+	}
+	ls, ds := local.TakeSnapshot(), c.Snapshot()
+	if ls.Xmin != xids[0] || len(ls.InProgress) != 3 || ds.Xmax != dxids[3]+1 || len(ds.InProgress) != 3 {
+		t.Fatalf("snapshots: local %+v, distributed %+v", ls, ds)
+	}
+	for i := range xids {
+		if running := i != 1; ls.Sees(xids[i]) == running || ds.Sees(dxids[i]) == running {
+			t.Fatalf("transaction %d: local sees %v, distributed sees %v, running %v", i, ls.Sees(xids[i]), ds.Sees(dxids[i]), running)
+		}
+	}
+	if local.OldestRunning() != xids[0] || c.OldestInProgress() != dxids[0] {
+		t.Fatal("oldest running is not the first id")
 	}
 }

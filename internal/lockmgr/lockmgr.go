@@ -98,34 +98,65 @@ type waiter struct {
 	t0    time.Time
 }
 
-// lock is the per-object lock state.
+// grant is one transaction's hold on a lock: the set of held modes
+// (bitmask), whether the hold lasts to transaction end whatever its tag kind
+// (AcquireToEnd), and the hold's index in the transaction's held list.
+type grant struct {
+	txn   TxnID
+	modes uint16
+	toEnd bool
+	at    int
+}
+
+// lock is the per-object lock state. Locks rarely have more than a few
+// holders, so the grants are a slice searched linearly.
 type lock struct {
-	// holders maps txn -> set of held modes (bitmask).
-	holders map[TxnID]uint16
-	// toEnd marks the holders that keep this lock until transaction end
-	// whatever its tag kind (AcquireToEnd); allocated on first use.
-	toEnd map[TxnID]bool
-	queue []*waiter
+	grants []grant
+	queue  []*waiter
+}
+
+// grantOf returns txn's grant on l, or nil.
+func (l *lock) grantOf(txn TxnID) *grant {
+	for i := range l.grants {
+		if l.grants[i].txn == txn {
+			return &l.grants[i]
+		}
+	}
+	return nil
 }
 
 func (l *lock) holderConflicts(txn TxnID, mode Mode) bool {
-	for h, modes := range l.holders {
-		if h == txn {
-			continue
-		}
-		if conflicts[mode]&modes != 0 {
+	for _, g := range l.grants {
+		if g.txn != txn && conflicts[mode]&g.modes != 0 {
 			return true
 		}
 	}
 	return false
 }
 
+// hold is one entry of a transaction's held list.
+type hold struct {
+	tag Tag
+	l   *lock
+}
+
+// holds is a transaction's held list, for ReleaseAll; Release finds its
+// entry through the grant's index and fills the gap with the last entry.
+type holds struct{ list []hold }
+
+// freeCap bounds each free list, so a transaction that once held many tuple
+// locks does not pin as many structs after it ends.
+const freeCap = 64
+
 // Manager is one segment's lock table.
 type Manager struct {
 	mu    sync.Mutex
 	locks map[Tag]*lock
-	// held tracks, per transaction, every tag+mode it holds, for ReleaseAll.
-	held map[TxnID]map[Tag]uint16
+	// held lists, per transaction, every lock it holds, for ReleaseAll.
+	held map[TxnID]*holds
+	// Locks and held lists left empty, recycled under mu.
+	freeLocks []*lock
+	freeHolds []*holds
 
 	// killed marks transactions chosen as deadlock victims so future
 	// acquires fail fast until the transaction releases its locks.
@@ -160,7 +191,7 @@ func (m *Manager) SetFaultHook(fn func() error) {
 func NewManager() *Manager {
 	return &Manager{
 		locks:  make(map[Tag]*lock),
-		held:   make(map[TxnID]map[Tag]uint16),
+		held:   make(map[TxnID]*holds),
 		killed: make(map[TxnID]struct{}),
 	}
 }
@@ -168,7 +199,11 @@ func NewManager() *Manager {
 func (m *Manager) lockFor(tag Tag) *lock {
 	l, ok := m.locks[tag]
 	if !ok {
-		l = &lock{holders: make(map[TxnID]uint16)}
+		if n := len(m.freeLocks); n > 0 {
+			l, m.freeLocks = m.freeLocks[n-1], m.freeLocks[:n-1]
+		} else {
+			l = &lock{}
+		}
 		m.locks[tag] = l
 	}
 	return l
@@ -227,10 +262,8 @@ func (m *Manager) acquire(ctx context.Context, txn TxnID, tag Tag, mode Mode, to
 		return ErrDeadlockVictim
 	}
 	l := m.lockFor(tag)
-	if modes, ok := l.holders[txn]; ok && modes&(1<<mode) != 0 {
-		if toEnd {
-			l.keepToEnd(txn)
-		}
+	if g := l.grantOf(txn); g != nil && g.modes&(1<<mode) != 0 {
+		g.toEnd = g.toEnd || toEnd
 		m.mu.Unlock()
 		return nil // already held
 	}
@@ -259,8 +292,10 @@ func (m *Manager) acquire(ctx context.Context, txn TxnID, tag Tag, mode Mode, to
 			return w.err
 		default:
 		}
-		m.removeWaiterLocked(tag, w)
-		m.promoteLocked(tag)
+		if l := m.locks[tag]; l != nil {
+			l.removeWaiter(w)
+			m.promoteLocked(tag, l)
+		}
 		m.mu.Unlock()
 		if ctx.Err() == context.DeadlineExceeded {
 			return ErrLockTimeout
@@ -281,7 +316,7 @@ func (m *Manager) TryAcquire(txn TxnID, tag Tag, mode Mode) bool {
 		return false
 	}
 	l := m.lockFor(tag)
-	if modes, ok := l.holders[txn]; ok && modes&(1<<mode) != 0 {
+	if g := l.grantOf(txn); g != nil && g.modes&(1<<mode) != 0 {
 		return true
 	}
 	if l.holderConflicts(txn, mode) || queueConflicts(l, txn, mode, len(l.queue)) {
@@ -291,31 +326,36 @@ func (m *Manager) TryAcquire(txn TxnID, tag Tag, mode Mode) bool {
 	return true
 }
 
-func (l *lock) keepToEnd(txn TxnID) {
-	if l.toEnd == nil {
-		l.toEnd = make(map[TxnID]bool)
-	}
-	l.toEnd[txn] = true
-}
-
 func (m *Manager) grantLocked(l *lock, txn TxnID, tag Tag, mode Mode, toEnd bool) {
-	l.holders[txn] |= 1 << mode
-	if toEnd {
-		l.keepToEnd(txn)
-	}
-	byTag, ok := m.held[txn]
-	if !ok {
-		byTag = make(map[Tag]uint16)
-		m.held[txn] = byTag
-	}
-	byTag[tag] |= 1 << mode
-}
-
-func (m *Manager) removeWaiterLocked(tag Tag, w *waiter) {
-	l := m.locks[tag]
-	if l == nil {
+	if g := l.grantOf(txn); g != nil {
+		g.modes |= 1 << mode
+		g.toEnd = g.toEnd || toEnd
 		return
 	}
+	h := m.held[txn]
+	if h == nil {
+		if n := len(m.freeHolds); n > 0 {
+			h, m.freeHolds = m.freeHolds[n-1], m.freeHolds[:n-1]
+		} else {
+			h = &holds{}
+		}
+		m.held[txn] = h
+	}
+	l.grants = append(l.grants, grant{txn: txn, modes: 1 << mode, toEnd: toEnd, at: len(h.list)})
+	h.list = append(h.list, hold{tag: tag, l: l})
+}
+
+// dropGrant removes txn's grant from l and returns its held-list index.
+func (l *lock) dropGrant(txn TxnID) int {
+	g := l.grantOf(txn)
+	at := g.at
+	last := len(l.grants) - 1
+	*g = l.grants[last]
+	l.grants = l.grants[:last]
+	return at
+}
+
+func (l *lock) removeWaiter(w *waiter) {
 	for i, q := range l.queue {
 		if q == w {
 			l.queue = append(l.queue[:i], l.queue[i+1:]...)
@@ -327,11 +367,7 @@ func (m *Manager) removeWaiterLocked(tag Tag, w *waiter) {
 // promoteLocked grants every queued waiter that is now compatible, in FIFO
 // order, stopping the scan past a conflicting waiter only for requests that
 // conflict with it (fair but work-conserving).
-func (m *Manager) promoteLocked(tag Tag) {
-	l := m.locks[tag]
-	if l == nil {
-		return
-	}
+func (m *Manager) promoteLocked(tag Tag, l *lock) {
 	i := 0
 	for i < len(l.queue) {
 		w := l.queue[i]
@@ -343,8 +379,12 @@ func (m *Manager) promoteLocked(tag Tag) {
 		}
 		i++
 	}
-	if len(l.holders) == 0 && len(l.queue) == 0 {
+	if len(l.grants) == 0 && len(l.queue) == 0 {
 		delete(m.locks, tag)
+		if len(m.freeLocks) < freeCap {
+			l.queue = nil
+			m.freeLocks = append(m.freeLocks, l)
+		}
 	}
 }
 
@@ -358,21 +398,23 @@ func (m *Manager) Release(txn TxnID, tag Tag) {
 
 func (m *Manager) releaseLocked(txn TxnID, tag Tag) {
 	l := m.locks[tag]
-	if l == nil {
+	if l == nil || l.grantOf(txn) == nil {
 		return
 	}
-	if _, ok := l.holders[txn]; !ok {
-		return
+	h := m.held[txn]
+	at, last := l.dropGrant(txn), len(h.list)-1
+	if at != last {
+		moved := h.list[last]
+		h.list[at] = moved
+		moved.l.grantOf(txn).at = at
 	}
-	delete(l.holders, txn)
-	delete(l.toEnd, txn)
-	if byTag := m.held[txn]; byTag != nil {
-		delete(byTag, tag)
-		if len(byTag) == 0 {
-			delete(m.held, txn)
-		}
+	h.list[last] = hold{}
+	h.list = h.list[:last]
+	if last == 0 {
+		delete(m.held, txn)
+		m.freeHoldsLocked(h)
 	}
-	m.promoteLocked(tag)
+	m.promoteLocked(tag, l)
 }
 
 // ReleaseAll drops every lock txn holds (two-phase locking: called at commit
@@ -381,16 +423,25 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.killed, txn)
-	byTag := m.held[txn]
-	if byTag == nil {
+	h := m.held[txn]
+	if h == nil {
 		return
 	}
-	tags := make([]Tag, 0, len(byTag))
-	for tag := range byTag {
-		tags = append(tags, tag)
+	// Unlisted first: a promotion below may grant a waiter of txn itself,
+	// which then starts a new list.
+	delete(m.held, txn)
+	for _, hd := range h.list {
+		hd.l.dropGrant(txn)
+		m.promoteLocked(hd.tag, hd.l)
 	}
-	for _, tag := range tags {
-		m.releaseLocked(txn, tag)
+	m.freeHoldsLocked(h)
+}
+
+func (m *Manager) freeHoldsLocked(h *holds) {
+	if len(m.freeHolds) < freeCap && cap(h.list) <= freeCap {
+		clear(h.list)
+		h.list = h.list[:0]
+		m.freeHolds = append(m.freeHolds, h)
 	}
 }
 
@@ -414,7 +465,7 @@ func (m *Manager) Kill(txn TxnID) {
 			i++
 		}
 		if changed {
-			m.promoteLocked(tag)
+			m.promoteLocked(tag, l)
 		}
 	}
 }
@@ -445,7 +496,7 @@ func (m *Manager) Shutdown() {
 func (m *Manager) HoldsAny(txn TxnID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.held[txn]) > 0 {
+	if m.held[txn] != nil {
 		return true
 	}
 	for _, l := range m.locks {

@@ -38,12 +38,9 @@ func (m *Manager) WaitGraph() []Edge {
 	for tag, l := range m.locks {
 		solid := tag.Kind != TagTuple
 		for i, w := range l.queue {
-			for h, modes := range l.holders {
-				if h == w.txn {
-					continue
-				}
-				if conflicts[w.mode]&modes != 0 {
-					add(Edge{Waiter: w.txn, Holder: h, Solid: solid || l.toEnd[h]})
+			for _, g := range l.grants {
+				if g.txn != w.txn && conflicts[w.mode]&g.modes != 0 {
+					add(Edge{Waiter: w.txn, Holder: g.txn, Solid: solid || g.toEnd})
 				}
 			}
 			for j := 0; j < i; j++ {
@@ -67,10 +64,10 @@ func (m *Manager) Dump() []string {
 	defer m.mu.Unlock()
 	var out []string
 	for tag, l := range m.locks {
-		for h, modes := range l.holders {
+		for _, g := range l.grants {
 			for mode := AccessShare; mode <= AccessExclusive; mode++ {
-				if modes&(1<<mode) != 0 {
-					out = append(out, fmt.Sprintf("%s held by txn %d in %s", tag, h, mode))
+				if g.modes&(1<<mode) != 0 {
+					out = append(out, fmt.Sprintf("%s held by txn %d in %s", tag, g.txn, mode))
 				}
 			}
 		}

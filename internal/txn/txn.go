@@ -7,6 +7,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -49,12 +50,12 @@ func (s Status) String() string {
 }
 
 // Snapshot is a local MVCC snapshot: transactions with xid < Xmin are
-// finished; xid >= Xmax had not started; xids in InProgress were running at
-// snapshot time.
+// finished; xid >= Xmax had not started; xids in InProgress (ascending)
+// were running at snapshot time.
 type Snapshot struct {
 	Xmin       XID
 	Xmax       XID
-	InProgress map[XID]struct{}
+	InProgress []XID
 }
 
 // Sees reports whether the snapshot considers xid's effects potentially
@@ -65,10 +66,8 @@ func (s *Snapshot) Sees(xid XID) bool {
 	if xid >= s.Xmax {
 		return false
 	}
-	if _, running := s.InProgress[xid]; running {
-		return false
-	}
-	return true
+	_, running := slices.BinarySearch(s.InProgress, xid)
+	return !running
 }
 
 // Manager is a segment's transaction manager.
@@ -76,9 +75,9 @@ type Manager struct {
 	mu      sync.Mutex
 	nextXID XID
 	status  map[XID]Status
-	// running holds currently in-progress or prepared xids.
-	running map[XID]struct{}
-	// oldestRunning caches the truncation horizon for the xid mapping.
+	// running holds currently in-progress or prepared xids, ascending: Begin
+	// hands xids out in increasing order.
+	running []XID
 }
 
 // NewManager returns a manager whose first transaction will get XID 1.
@@ -86,7 +85,6 @@ func NewManager() *Manager {
 	return &Manager{
 		nextXID: 1,
 		status:  make(map[XID]Status),
-		running: make(map[XID]struct{}),
 	}
 }
 
@@ -97,7 +95,7 @@ func (m *Manager) Begin() XID {
 	xid := m.nextXID
 	m.nextXID++
 	m.status[xid] = StatusInProgress
-	m.running[xid] = struct{}{}
+	m.running = append(m.running, xid)
 	return xid
 }
 
@@ -134,7 +132,7 @@ func (m *Manager) Commit(xid XID) error {
 		return fmt.Errorf("txn: cannot commit %d in state %s", xid, st)
 	}
 	m.status[xid] = StatusCommitted
-	delete(m.running, xid)
+	m.stopRunning(xid)
 	return nil
 }
 
@@ -147,8 +145,14 @@ func (m *Manager) Abort(xid XID) error {
 		return fmt.Errorf("txn: cannot abort %d in state %s", xid, st)
 	}
 	m.status[xid] = StatusAborted
-	delete(m.running, xid)
+	m.stopRunning(xid)
 	return nil
+}
+
+func (m *Manager) stopRunning(xid XID) {
+	if i, ok := slices.BinarySearch(m.running, xid); ok {
+		m.running = slices.Delete(m.running, i, i+1)
+	}
 }
 
 // BeginReplay registers xid as in-progress with its logged identity — the
@@ -162,7 +166,8 @@ func (m *Manager) BeginReplay(xid XID) {
 		return
 	}
 	m.status[xid] = StatusInProgress
-	m.running[xid] = struct{}{}
+	i, _ := slices.BinarySearch(m.running, xid)
+	m.running = slices.Insert(m.running, i, xid)
 	if xid >= m.nextXID {
 		m.nextXID = xid + 1
 	}
@@ -177,13 +182,14 @@ func (m *Manager) AbortInFlight() []XID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var aborted []XID
-	for xid := range m.running {
-		if m.status[xid] == StatusInProgress {
-			m.status[xid] = StatusAborted
-			delete(m.running, xid)
-			aborted = append(aborted, xid)
+	m.running = slices.DeleteFunc(m.running, func(xid XID) bool {
+		if m.status[xid] != StatusInProgress {
+			return false
 		}
-	}
+		m.status[xid] = StatusAborted
+		aborted = append(aborted, xid)
+		return true
+	})
 	return aborted
 }
 
@@ -193,7 +199,7 @@ func (m *Manager) PreparedXIDs() []XID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []XID
-	for xid := range m.running {
+	for _, xid := range m.running {
 		if m.status[xid] == StatusPrepared {
 			out = append(out, xid)
 		}
@@ -205,7 +211,7 @@ func (m *Manager) PreparedXIDs() []XID {
 func (m *Manager) IsRunning(xid XID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.running[xid]
+	_, ok := slices.BinarySearch(m.running, xid)
 	return ok
 }
 
@@ -213,18 +219,7 @@ func (m *Manager) IsRunning(xid XID) bool {
 func (m *Manager) TakeSnapshot() *Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snap := &Snapshot{
-		Xmax:       m.nextXID,
-		InProgress: make(map[XID]struct{}, len(m.running)),
-	}
-	snap.Xmin = m.nextXID
-	for xid := range m.running {
-		snap.InProgress[xid] = struct{}{}
-		if xid < snap.Xmin {
-			snap.Xmin = xid
-		}
-	}
-	return snap
+	return &Snapshot{Xmin: m.oldestLocked(), Xmax: m.nextXID, InProgress: slices.Clone(m.running)}
 }
 
 // OldestRunning returns the smallest in-progress xid, or nextXID when idle.
@@ -232,13 +227,14 @@ func (m *Manager) TakeSnapshot() *Snapshot {
 func (m *Manager) OldestRunning() XID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	oldest := m.nextXID
-	for xid := range m.running {
-		if xid < oldest {
-			oldest = xid
-		}
+	return m.oldestLocked()
+}
+
+func (m *Manager) oldestLocked() XID {
+	if len(m.running) > 0 {
+		return m.running[0]
 	}
-	return oldest
+	return m.nextXID
 }
 
 // RunningCount returns the number of live transactions (for metrics).

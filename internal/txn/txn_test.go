@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -232,5 +233,25 @@ func TestQuickSnapshotNeverSeesLaterXid(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBeginReplayOutOfOrder: a mirror may replay begin records out of xid
+// order (xids are taken before the begin record is logged); the running set
+// stays ascending, so snapshots and OldestRunning stay right.
+func TestBeginReplayOutOfOrder(t *testing.T) {
+	m := NewManager()
+	for _, xid := range []XID{5, 3, 7, 4} {
+		m.BeginReplay(xid)
+	}
+	if err := m.Commit(4); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.TakeSnapshot()
+	if want := []XID{3, 5, 7}; fmt.Sprint(snap.InProgress) != fmt.Sprint(want) || snap.Xmin != 3 || snap.Xmax != 8 {
+		t.Fatalf("snapshot %+v, want running %v in [3, 8)", snap, want)
+	}
+	if !m.IsRunning(5) || m.IsRunning(4) || snap.Sees(5) || !snap.Sees(4) || m.OldestRunning() != 3 {
+		t.Fatal("running set lookups disagree with the replayed begins")
 	}
 }

@@ -9,7 +9,9 @@
 // The log keeps its encoded image in memory — this simulation's stand-in
 // for the log file on disk — so replay always goes through the real
 // decode path: framing, CRC verification, and LSN sequencing are exercised
-// on every mirror apply and every recovery.
+// on every mirror apply and every recovery. The image is a list of 64 KiB
+// segments; a frame never spans two, and no byte once written is rewritten,
+// so shippers are handed slices of the segments themselves.
 package wal
 
 import (
@@ -18,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -295,7 +298,8 @@ func decodeRow(p []byte) (types.Row, []byte, error) {
 // appends — late appenders ride the next sync (group commit).
 type Log struct {
 	mu      sync.Mutex
-	buf     []byte
+	segs    [][]byte // the image; only the last segment grows
+	scratch []byte   // Append's encode buffer
 	nextLSN LSN
 	ship    func(lsn LSN, frame []byte)
 
@@ -383,16 +387,15 @@ func (l *Log) Append(r *Record) LSN {
 		if cut >= len(frame) {
 			cut = len(frame) - 1
 		}
-		l.buf = append(l.buf, frame[:cut]...)
+		l.put(frame[:cut])
 		l.bytes.Add(int64(cut))
 		l.wedge(fmt.Errorf("wal: torn write of LSN %d (%d of %d bytes)", r.LSN, cut, len(frame)))
 		return 0
 	}
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	start := len(l.buf)
-	l.buf = EncodeRecord(l.buf, r)
-	frame := l.buf[start:]
+	l.scratch = EncodeRecord(l.scratch[:0], r)
+	frame := l.put(l.scratch)
 	l.records.Add(1)
 	l.bytes.Add(int64(len(frame)))
 	if l.ship != nil {
@@ -423,13 +426,49 @@ func (l *Log) AppendFrame(frame []byte) (Record, error) {
 		return Record{}, fmt.Errorf("wal: frame out of sequence: got LSN %d, want %d", r.LSN, l.nextLSN)
 	}
 	l.nextLSN++
-	l.buf = append(l.buf, frame...)
+	stored := l.put(frame)
 	l.records.Add(1)
 	l.bytes.Add(int64(len(frame)))
 	if l.ship != nil {
-		l.ship(r.LSN, l.buf[len(l.buf)-len(frame):])
+		l.ship(r.LSN, stored)
 	}
 	return r, nil
+}
+
+// segSize is the capacity of one image segment.
+const segSize = 64 << 10
+
+// put copies frame into the tail segment, or into a new one when it does
+// not fit there (a frame larger than segSize gets a segment of its own),
+// and returns the stored bytes.
+func (l *Log) put(frame []byte) []byte {
+	n := len(l.segs)
+	if n == 0 || len(l.segs[n-1])+len(frame) > cap(l.segs[n-1]) {
+		l.segs = append(l.segs, make([]byte, 0, max(segSize, len(frame))))
+		n++
+	}
+	seg := append(l.segs[n-1], frame...)
+	l.segs[n-1] = seg
+	return seg[len(seg)-len(frame) : len(seg) : len(seg)]
+}
+
+// walk decodes the frames of segs in order, calling fn with each record,
+// its segment index and the frame's offset in that segment. It stops at
+// the first damaged frame or error from fn and returns that error.
+func walk(segs [][]byte, fn func(r Record, seg, off, n int) error) error {
+	for i, seg := range segs {
+		for off := 0; off < len(seg); {
+			r, n, err := DecodeFrame(seg[off:])
+			if err != nil {
+				return fmt.Errorf("wal: segment %d offset %d: %w", i, off, err)
+			}
+			if err := fn(r, i, off, n); err != nil {
+				return err
+			}
+			off += n
+		}
+	}
+	return nil
 }
 
 // LastLSN returns the highest assigned LSN (0 when empty).
@@ -497,8 +536,11 @@ func (l *Log) Stats() (records, bytes, flushes int64) {
 func (l *Log) AttachShip(fn func(lsn LSN, frame []byte)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	frames, err := splitFrames(l.buf)
-	if err != nil {
+	var frames [][]byte
+	if err := walk(l.segs, func(_ Record, seg, off, n int) error {
+		frames = append(frames, l.segs[seg][off:off+n:off+n])
+		return nil
+	}); err != nil {
 		return err
 	}
 	for i, f := range frames {
@@ -515,50 +557,26 @@ func (l *Log) DetachShip() {
 	l.mu.Unlock()
 }
 
-// splitFrames cuts an encoded log image into per-record frames (copies, so
-// callers own them independently of the live buffer).
-func splitFrames(buf []byte) ([][]byte, error) {
-	var out [][]byte
-	for off := 0; off < len(buf); {
-		_, n, err := DecodeFrame(buf[off:])
-		if err != nil {
-			return nil, err
-		}
-		frame := make([]byte, n)
-		copy(frame, buf[off:off+n])
-		out = append(out, frame)
-		off += n
-	}
-	return out, nil
-}
-
 // ReplayFrom decodes the log image and invokes fn for every record with
 // LSN >= from, in order, verifying framing, CRCs and LSN sequence. Replay
 // reads a snapshot of the log taken at call time.
 func (l *Log) ReplayFrom(from LSN, fn func(Record) error) error {
+	// The segments' current extents: the bytes under them are never
+	// rewritten, so they are read after mu is released.
 	l.mu.Lock()
-	img := make([]byte, len(l.buf))
-	copy(img, l.buf)
+	segs := slices.Clone(l.segs)
 	l.mu.Unlock()
 	want := LSN(1)
-	for off := 0; off < len(img); {
-		r, n, err := DecodeFrame(img[off:])
-		if err != nil {
-			return fmt.Errorf("wal: replay at offset %d: %w", off, err)
-		}
+	return walk(segs, func(r Record, seg, off, _ int) error {
 		if r.LSN != want {
-			return fmt.Errorf("wal: replay out of sequence at offset %d: got LSN %d, want %d", off, r.LSN, want)
+			return fmt.Errorf("wal: replay out of sequence at segment %d offset %d: got LSN %d, want %d", seg, off, r.LSN, want)
 		}
 		want++
-		off += n
 		if r.LSN < from {
-			continue
+			return nil
 		}
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(r)
+	})
 }
 
 // Snapshot returns a copy of the encoded log image (the simulated on-disk
@@ -566,9 +584,7 @@ func (l *Log) ReplayFrom(from LSN, fn func(Record) error) error {
 func (l *Log) Snapshot() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	img := make([]byte, len(l.buf))
-	copy(img, l.buf)
-	return img
+	return slices.Concat(l.segs...)
 }
 
 // RecoverTruncate is crash recovery's first step over a possibly-torn log:
@@ -583,19 +599,29 @@ func (l *Log) Snapshot() []byte {
 func (l *Log) RecoverTruncate() (LSN, int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	good := 0
 	want := LSN(1)
-	for good < len(l.buf) {
-		r, n, err := DecodeFrame(l.buf[good:])
-		if err != nil || r.LSN != want {
-			break
+	seg, good := 0, 0 // where the last good frame ends
+	_ = walk(l.segs, func(r Record, i, off, n int) error {
+		if r.LSN != want {
+			return ErrCorrupt
 		}
 		want++
-		good += n
+		seg, good = i, off+n
+		return nil
+	})
+	dropped := -good
+	for _, b := range l.segs[seg:] {
+		dropped += len(b)
 	}
-	dropped := len(l.buf) - good
 	if dropped > 0 {
-		l.buf = l.buf[:good]
+		// The kept tail is capped, so a later append starts a new segment
+		// rather than rewriting bytes past good.
+		keep := l.segs[:seg]
+		if good > 0 {
+			keep = append(keep, l.segs[seg][:good:good])
+		}
+		clear(l.segs[len(keep):])
+		l.segs = keep
 		l.bytes.Add(int64(-dropped))
 	}
 	l.nextLSN = want
