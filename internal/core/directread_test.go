@@ -401,10 +401,10 @@ func TestPointSelectAllocations(t *testing.T) {
 	upd := perRun("UPDATE kv SET val = val + $1 WHERE id = $2", func() []types.Datum { return []types.Datum{types.NewInt(1), types.NewInt(k)} })
 	del := perRun("DELETE FROM kv WHERE id = $1", func() []types.Datum { d++; return []types.Datum{types.NewInt(d)} })
 	t.Logf("allocations per statement: SELECT %.1f, UPDATE %.1f, DELETE %.1f", sel, upd, del)
-	if sel > 55 || sel > 1.5*upd {
-		t.Fatalf("point SELECT allocates %.1f times per statement (UPDATE %.1f): want <= 55 and <= 1.5x the UPDATE", sel, upd)
+	if sel > 51 || sel > 1.5*upd {
+		t.Fatalf("point SELECT allocates %.1f times per statement (UPDATE %.1f): want <= 51 and <= 1.5x the UPDATE", sel, upd)
 	}
-	if upd > 45 || del > 40 {
-		t.Fatalf("point UPDATE allocates %.1f and DELETE %.1f times per statement: want <= 45 and <= 40", upd, del)
+	if upd > 40 || del > 36 {
+		t.Fatalf("point UPDATE allocates %.1f and DELETE %.1f times per statement: want <= 40 and <= 36", upd, del)
 	}
 }

@@ -161,7 +161,8 @@ func newAggCore(ctx *Context, node *plan.Agg) aggCore {
 func (a *aggCore) key(g int32) types.Row { return a.keys[int(g)*a.nk : int(g+1)*a.nk] }
 
 // Words of the group-key hash: equal for two values Compare calls equal (an
-// int and the float it converts to exactly share one, as in Datum.Hash).
+// int and the float it converts to exactly share one, and so do -0 and 0, as
+// in Datum.Hash).
 const nullWord, inexactInt, fib = 0x6e756c6c, 0x5bd1e9955bd1e995, 0x9e3779b97f4a7c15
 
 var strSeed = maphash.MakeSeed()
@@ -178,7 +179,11 @@ func datumWord(d types.Datum) uint64 {
 	case types.KindNull:
 		return nullWord
 	case types.KindFloat:
-		return math.Float64bits(d.Float())
+		f := d.Float()
+		if f == 0 {
+			f = 0 // -0 compares equal to 0, so it must hash like it
+		}
+		return math.Float64bits(f)
 	case types.KindText:
 		return maphash.String(strSeed, d.Text())
 	}

@@ -1505,7 +1505,7 @@ func directSegmentFor(t *catalog.Table, filter Expr, nseg int) int {
 		}
 		key = append(key, v)
 	}
-	return int(types.Row(key).Hash(seqInts(len(key))) % uint64(width))
+	return int(types.Row(key).HashKey() % uint64(width))
 }
 
 // pinnedTo finds, among e's conjuncts, an equality between column col and a
@@ -1550,14 +1550,6 @@ func indexOfName(names []string, name string) int {
 		}
 	}
 	return found
-}
-
-func seqInts(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // RouteRow computes the owning segment for a row of a hash-distributed

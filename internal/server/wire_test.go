@@ -48,7 +48,12 @@ func TestDatumRoundTrip(t *testing.T) {
 		types.NewInt(math.MinInt64),
 		types.NewFloat(3.5),
 		types.NewFloat(math.Inf(-1)),
+		types.NewFloat(math.Inf(1)),
 		types.NewFloat(math.NaN()),
+		types.NewFloat(0),
+		types.NewFloat(math.Copysign(0, -1)),
+		types.NewFloat(math.SmallestNonzeroFloat64),
+		types.NewFloat(-0x1p-1030),
 		types.NewBool(true),
 		types.NewBool(false),
 		types.NewText(""),

@@ -14,19 +14,72 @@ import (
 //
 // Suitable for frequent updates and deletes (paper Fig. 5), i.e. the OLTP
 // side of an HTAP workload.
+//
+// Tuples live in pages of zonePageRows slots — the pages the lazy zone maps
+// summarize — so tuple id t is slot (t-1) % zonePageRows of page
+// (t-1) / zonePageRows. A page is an array of slot headers plus one arena of
+// datums its rows are copied into, back to back; Scan and Fetch hand up
+// views of the arena capped at the row's width. Datums in an arena are never
+// rewritten: a view outlives the latch it was taken under.
 type Heap struct {
-	mu   sync.RWMutex
-	tups []heapTuple
+	mu    sync.RWMutex
+	pages []heapPage
+	n     int // stored versions, vacuumed slots included
 
-	// zones lazily summarizes full zonePageRows pages for predicated scans.
-	// Stored row values at an offset never change (UPDATE appends a new
-	// version, VACUUM only nils rows out), so built summaries stay
-	// conservative; only Truncate resets them.
+	// zones lazily summarizes full pages for predicated scans. Stored row
+	// values at an offset never change (UPDATE appends a new version, VACUUM
+	// only marks slots dead), so built summaries stay conservative; only
+	// Truncate resets them.
 	zones lazyZones
 
 	// wal, when attached, receives one record per mutation, appended under
 	// h.mu so the log order equals the mutation order.
 	wal walRef
+}
+
+// heapPage holds up to zonePageRows tuples: their headers in slots, their
+// values in vals. The first page grows by doubling; later pages are made
+// whole when their first row arrives, sized by its width.
+type heapPage struct {
+	slots []heapSlot
+	vals  []types.Datum
+}
+
+// heapSlot is one version's MVCC header and its row, vals[off : off+width]
+// of its page; off == deadSlot marks a vacuumed version.
+type heapSlot struct {
+	xmin, xmax txn.XID
+	updatedTo  TupleID
+	off, width uint32
+}
+
+const deadSlot = ^uint32(0)
+
+// growPage returns s with room for k more elements, reallocated at double its
+// capacity (at least 8k, at most limit unless k needs more) when it is full.
+// The old array is only no longer written: views of it stay valid.
+func growPage[T any](s []T, k, limit int) []T {
+	if len(s)+k <= cap(s) {
+		return s
+	}
+	grown := make([]T, len(s), max(len(s)+k, min(max(2*cap(s), 8*k), limit)))
+	copy(grown, s)
+	return grown
+}
+
+// row returns slot s's values as a view capped at its width.
+func (p *heapPage) row(s *heapSlot) types.Row {
+	return p.vals[s.off : s.off+s.width : s.off+s.width]
+}
+
+// slot returns tid's slot and its page, or nil when tid was never stored.
+func (h *Heap) slot(tid TupleID) (*heapSlot, *heapPage) {
+	i := int(tid) - 1
+	if i < 0 || i >= h.n {
+		return nil, nil
+	}
+	p := &h.pages[i/zonePageRows]
+	return &p.slots[i%zonePageRows], p
 }
 
 // SetWAL implements WALLogged.
@@ -36,50 +89,47 @@ func (h *Heap) SetWAL(l *wal.Log, leaf uint64) {
 	h.mu.Unlock()
 }
 
-type heapTuple struct {
-	xmin      txn.XID
-	xmax      txn.XID
-	updatedTo TupleID
-	row       types.Row
-}
-
 // NewHeap returns an empty heap table.
 func NewHeap() *Heap { return &Heap{} }
 
 // Kind implements Engine.
 func (h *Heap) Kind() string { return "heap" }
 
-// Insert implements Engine.
+// Insert implements Engine: it copies row into the last page's arena.
 func (h *Heap) Insert(x txn.XID, row types.Row) TupleID {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.tups = append(h.tups, heapTuple{xmin: x, row: row.Clone()})
-	tid := TupleID(len(h.tups)) // 1-based; 0 is invalid
+	if h.n%zonePageRows == 0 {
+		var p heapPage
+		if len(h.pages) > 0 { // the table outgrew a page: make the next whole
+			p = heapPage{slots: make([]heapSlot, 0, zonePageRows), vals: make([]types.Datum, 0, zonePageRows*len(row))}
+		}
+		h.pages = append(h.pages, p)
+	}
+	p := &h.pages[len(h.pages)-1]
+	p.slots = growPage(p.slots, 1, zonePageRows)
+	p.vals = growPage(p.vals, len(row), zonePageRows*len(row))
+	off := len(p.vals)
+	p.vals = append(p.vals, row...)
+	p.slots = append(p.slots, heapSlot{xmin: x, off: uint32(off), width: uint32(len(row))})
+	h.n++
+	tid := TupleID(h.n) // 1-based; 0 is invalid
 	h.wal.logInsert(tid, x, row)
 	return tid
 }
 
 // Scan implements Engine: each chunk is filled under one read latch and
-// hands up the stored rows, which are never rewritten in place (UPDATE
-// appends a new version). A chunk ends before a vacuumed tombstone and the
-// next starts after it, so no tombstone is handed up and a row's tuple id
-// stays First + i.
+// hands up views of the stored rows, which are never rewritten in place
+// (UPDATE appends a new version). A chunk ends before a vacuumed slot and
+// the next starts after it, so no dead slot is handed up and a row's tuple
+// id stays First + i.
 func (h *Heap) Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error {
 	c := newRowChunk(batchSize)
 	scanRowPages(r, opts, h.RowCount, h.pageZone, func(lo, hi int) bool {
 		for lo < hi {
 			h.mu.RLock()
-			hi = min(hi, len(h.tups)) // a TRUNCATE meanwhile ends the scan
-			for ; lo < hi && !c.full(); lo++ {
-				t := &h.tups[lo]
-				if t.row == nil {
-					if c.n > 0 {
-						break
-					}
-					continue
-				}
-				c.add(TupleID(lo+1), t.xmin, t.xmax, t.updatedTo, t.row)
-			}
+			hi = min(hi, h.n) // a TRUNCATE meanwhile ends the scan
+			lo = h.fill(c, lo, hi)
 			h.mu.RUnlock()
 			if !c.flush(fn) {
 				return false
@@ -90,31 +140,55 @@ func (h *Heap) Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Chunk)
 	return nil
 }
 
+// fill adds the versions at offsets lo, lo+1, … below hi to c, a page at a
+// time, until c is full or a dead slot follows a live one, and returns the
+// offset it stopped at. The caller holds the read latch.
+func (h *Heap) fill(c *rowChunk, lo, hi int) int {
+	for lo < hi && !c.full() {
+		p := &h.pages[lo/zonePageRows]
+		first := lo - lo%zonePageRows
+		// At most the chunk's room: a skipped dead slot takes none, so this
+		// may stop short of full, and the loop goes round again.
+		slots := p.slots[lo-first : min(hi-first, len(p.slots), lo-first+len(c.rows)-c.n)]
+		vals := p.vals
+		for i := range slots {
+			s := &slots[i]
+			if s.off == deadSlot {
+				if c.n > 0 {
+					return lo + i
+				}
+				continue
+			}
+			c.add(TupleID(lo+i+1), s.xmin, s.xmax, s.updatedTo, vals[s.off:s.off+s.width:s.off+s.width])
+		}
+		lo += len(slots)
+	}
+	return lo
+}
+
 // Fetch implements Engine.
 func (h *Heap) Fetch(tid TupleID) (Header, types.Row, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	i := int(tid) - 1
-	if i < 0 || i >= len(h.tups) || h.tups[i].row == nil {
+	s, p := h.slot(tid)
+	if s == nil || s.off == deadSlot {
 		return Header{}, nil, false
 	}
-	t := h.tups[i]
-	return Header{TID: tid, Xmin: t.xmin, Xmax: t.xmax, UpdatedTo: t.updatedTo}, t.row, true
+	return Header{TID: tid, Xmin: s.xmin, Xmax: s.xmax, UpdatedTo: s.updatedTo}, p.row(s), true
 }
 
 // SetXmax implements Engine.
 func (h *Heap) SetXmax(tid TupleID, x txn.XID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := int(tid) - 1
-	if i < 0 || i >= len(h.tups) {
+	s, _ := h.slot(tid)
+	if s == nil {
 		return ErrNotSupported
 	}
-	t := &h.tups[i]
-	if t.xmax != txn.InvalidXID && t.xmax != x {
-		return &ErrConcurrentWrite{Holder: t.xmax}
+	if s.xmax != txn.InvalidXID && s.xmax != x {
+		return &ErrConcurrentWrite{Holder: s.xmax}
 	}
-	t.xmax = x
+	s.xmax = x
 	h.wal.logOp(wal.TypeSetXmax, tid, x, 0)
 	return nil
 }
@@ -123,14 +197,9 @@ func (h *Heap) SetXmax(tid TupleID, x txn.XID) error {
 func (h *Heap) ClearXmax(tid TupleID, prev txn.XID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := int(tid) - 1
-	if i < 0 || i >= len(h.tups) {
-		return
-	}
-	t := &h.tups[i]
-	if t.xmax == prev {
-		t.xmax = txn.InvalidXID
-		t.updatedTo = InvalidTupleID
+	if s, _ := h.slot(tid); s != nil && s.xmax == prev {
+		s.xmax = txn.InvalidXID
+		s.updatedTo = InvalidTupleID
 		h.wal.logOp(wal.TypeClearXmax, tid, prev, 0)
 	}
 }
@@ -139,9 +208,8 @@ func (h *Heap) ClearXmax(tid TupleID, prev txn.XID) {
 func (h *Heap) LinkUpdate(old, new TupleID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := int(old) - 1
-	if i >= 0 && i < len(h.tups) {
-		h.tups[i].updatedTo = new
+	if s, _ := h.slot(old); s != nil {
+		s.updatedTo = new
 		h.wal.logOp(wal.TypeLinkUpdate, old, 0, new)
 	}
 }
@@ -149,7 +217,7 @@ func (h *Heap) LinkUpdate(old, new TupleID) {
 // Truncate implements Engine.
 func (h *Heap) Truncate() {
 	h.mu.Lock()
-	h.tups = nil
+	h.pages, h.n = nil, 0
 	h.wal.logOp(wal.TypeTruncate, 0, 0, 0)
 	h.mu.Unlock()
 	h.zones.reset()
@@ -167,18 +235,20 @@ func (h *Heap) pageZone(page int) *ZoneMap {
 	return h.zones.zone(page, func() *ZoneMap {
 		h.mu.RLock()
 		defer h.mu.RUnlock()
-		begin := page * zonePageRows
-		end := min(begin+zonePageRows, len(h.tups))
+		if page >= len(h.pages) { // truncated meanwhile
+			return newZoneBuilder(0)
+		}
+		p := &h.pages[page]
 		ncols := 0
-		for i := begin; i < end; i++ {
-			if r := h.tups[i].row; r != nil && len(r) > ncols {
-				ncols = len(r)
+		for i := range p.slots {
+			if s := &p.slots[i]; s.off != deadSlot {
+				ncols = max(ncols, int(s.width))
 			}
 		}
 		z := newZoneBuilder(ncols)
-		for i := begin; i < end; i++ {
-			if r := h.tups[i].row; r != nil {
-				z.absorb(r)
+		for i := range p.slots {
+			if s := &p.slots[i]; s.off != deadSlot {
+				z.absorb(p.row(s))
 			}
 		}
 		return z
@@ -189,7 +259,7 @@ func (h *Heap) pageZone(page int) *ZoneMap {
 func (h *Heap) RowCount() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return len(h.tups)
+	return h.n
 }
 
 // Bytes implements Engine.
@@ -197,30 +267,46 @@ func (h *Heap) Bytes() int64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	var n int64
-	for i := range h.tups {
-		n += h.tups[i].row.Size() + 32 // header overhead
+	for pi := range h.pages {
+		p := &h.pages[pi]
+		for i := range p.slots {
+			var row types.Row // a vacuumed slot's
+			if s := &p.slots[i]; s.off != deadSlot {
+				row = p.row(s)
+			}
+			n += row.Size() + 32 // header overhead
+		}
 	}
 	return n
 }
 
 // Vacuum removes dead versions: versions whose xmax committed before the
-// horizon, or whose xmin aborted. It returns the number reclaimed. Slots are
-// compacted away but TupleIDs of surviving tuples are preserved by keeping a
-// tombstone, so the method only frees row payloads (like lazy VACUUM).
+// horizon, or whose xmin aborted. It returns the number reclaimed. TupleIDs
+// are never reused, so a reclaimed slot stays as a dead marker (like lazy
+// VACUUM); a page whose slots are all dead drops its arena. Datums are never
+// cleared: a view taken before the vacuum may still be reading them.
 func (h *Heap) Vacuum(isDead func(hdr Header) bool) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	n := 0
-	for i := range h.tups {
-		t := &h.tups[i]
-		if t.row == nil {
-			continue
+	for pi := range h.pages {
+		p := &h.pages[pi]
+		live := 0
+		for i := range p.slots {
+			s := &p.slots[i]
+			if s.off == deadSlot {
+				continue
+			}
+			hdr := Header{TID: TupleID(pi*zonePageRows + i + 1), Xmin: s.xmin, Xmax: s.xmax, UpdatedTo: s.updatedTo}
+			if isDead(hdr) {
+				s.off, s.xmin = deadSlot, txn.InvalidXID
+				n++
+				continue
+			}
+			live++
 		}
-		hdr := Header{TID: TupleID(i + 1), Xmin: t.xmin, Xmax: t.xmax, UpdatedTo: t.updatedTo}
-		if isDead(hdr) {
-			t.row = nil
-			t.xmin = txn.InvalidXID
-			n++
+		if live == 0 && len(p.slots) == zonePageRows {
+			p.vals = nil
 		}
 	}
 	return n

@@ -50,13 +50,13 @@ func (k Kind) String() string {
 
 // Datum is a single SQL value. The zero Datum is NULL.
 //
-// Datum is a small value type passed by value throughout the engine; it holds
-// at most one word of numeric payload plus an optional string.
+// Datum is a small value type passed by value throughout the engine: 32
+// bytes, one word of numeric payload plus an optional string. A float keeps
+// its IEEE bits in the same word an int, bool or date keeps its value in.
 type Datum struct {
 	kind Kind
-	i    int64   // int, bool (0/1), date (days since epoch)
-	f    float64 // float
-	s    string  // text
+	i    int64  // int, bool (0/1), date (days since epoch), float (math.Float64bits)
+	s    string // text
 }
 
 // Null is the NULL datum.
@@ -66,7 +66,7 @@ var Null = Datum{kind: KindNull}
 func NewInt(v int64) Datum { return Datum{kind: KindInt, i: v} }
 
 // NewFloat returns a float datum.
-func NewFloat(v float64) Datum { return Datum{kind: KindFloat, f: v} }
+func NewFloat(v float64) Datum { return Datum{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewText returns a text datum.
 func NewText(v string) Datum { return Datum{kind: KindText, s: v} }
@@ -93,22 +93,32 @@ func (d Datum) Kind() Kind { return d.kind }
 // IsNull reports whether the datum is NULL.
 func (d Datum) IsNull() bool { return d.kind == KindNull }
 
-// Int returns the integer payload. It is valid for int and date datums.
-func (d Datum) Int() int64 { return d.i }
+// Int returns the integer payload. It is valid for int and date datums; a
+// float reads 0.
+func (d Datum) Int() int64 {
+	if d.kind == KindFloat {
+		return 0
+	}
+	return d.i
+}
 
-// Float returns the float payload, converting ints transparently.
+// Float returns the float payload, converting ints transparently; other
+// kinds read 0.
 func (d Datum) Float() float64 {
-	if d.kind == KindInt {
+	switch d.kind {
+	case KindFloat:
+		return math.Float64frombits(uint64(d.i))
+	case KindInt:
 		return float64(d.i)
 	}
-	return d.f
+	return 0
 }
 
 // Text returns the string payload.
 func (d Datum) Text() string { return d.s }
 
-// Bool returns the boolean payload.
-func (d Datum) Bool() bool { return d.i != 0 }
+// Bool returns the boolean payload; a float reads false.
+func (d Datum) Bool() bool { return d.kind != KindFloat && d.i != 0 }
 
 // String renders the datum the way a SQL client would print it.
 func (d Datum) String() string {
@@ -118,7 +128,7 @@ func (d Datum) String() string {
 	case KindInt:
 		return strconv.FormatInt(d.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(d.f, 'g', -1, 64)
+		return strconv.FormatFloat(d.Float(), 'g', -1, 64)
 	case KindText:
 		return d.s
 	case KindBool:
@@ -134,7 +144,9 @@ func (d Datum) String() string {
 }
 
 // Size returns the approximate in-memory footprint in bytes; the executor's
-// memory accounting (Vmemtracker) charges this per materialized datum.
+// memory accounting (Vmemtracker) charges this per materialized datum. The
+// constant predates the 32-byte layout and is kept so spill points do not
+// move.
 func (d Datum) Size() int64 {
 	return int64(24 + len(d.s))
 }
@@ -212,8 +224,8 @@ func Compare(a, b Datum) int {
 func Equal(a, b Datum) bool { return Compare(a, b) == 0 }
 
 // Hash returns a stable 64-bit hash of the datum; equal datums (including
-// int/float numeric equality) hash identically. It is the basis of hash
-// distribution and hash joins.
+// int/float numeric equality and -0 = 0) hash identically. It is the basis of
+// hash distribution and hash joins.
 func (d Datum) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -241,7 +253,11 @@ func (d Datum) Hash() uint64 {
 			}
 		}
 	case KindFloat:
-		u := math.Float64bits(d.f)
+		f := d.Float()
+		if f == 0 {
+			f = 0 // -0 compares equal to 0, so it must hash like it
+		}
+		u := math.Float64bits(f)
 		for s := 0; s < 64; s += 8 {
 			mix(byte(u >> s))
 		}
@@ -264,7 +280,7 @@ func (d Datum) CastTo(k Kind) (Datum, error) {
 	case KindInt:
 		switch d.kind {
 		case KindFloat:
-			return NewInt(int64(d.f)), nil
+			return NewInt(int64(d.Float())), nil
 		case KindText:
 			v, err := strconv.ParseInt(d.s, 10, 64)
 			if err != nil {

@@ -1,10 +1,12 @@
 package types
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestDatumKindsAndAccessors(t *testing.T) {
@@ -223,5 +225,54 @@ func TestQuickTextCastRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDatumIs32Bytes: a float shares the integer word, so a datum is a kind,
+// one word and a string header.
+func TestDatumIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Datum{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Datum{}) = %d, want 32", got)
+	}
+}
+
+// edgeFloats are the values a float codec most easily gets wrong.
+var edgeFloats = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, math.MaxFloat64, -2.5}
+
+// TestFloatEdgeValues: NewFloat keeps every float bit for bit; ints and bools
+// of a float read 0 and false; -0 equals 0 and hashes like 0 and like the
+// int 0; NaN, ±Inf and subnormals order as IEEE says.
+func TestFloatEdgeValues(t *testing.T) {
+	for _, f := range edgeFloats {
+		d := NewFloat(f)
+		if math.Float64bits(d.Float()) != math.Float64bits(f) || d.Kind() != KindFloat {
+			t.Fatalf("NewFloat(%v).Float() = %v (bits %x)", f, d.Float(), math.Float64bits(d.Float()))
+		}
+		if d.Int() != 0 || d.Bool() {
+			t.Fatalf("NewFloat(%v): Int() = %d, Bool() = %v; want 0, false", f, d.Int(), d.Bool())
+		}
+		if d.Hash() != NewFloat(f).Hash() {
+			t.Fatalf("NewFloat(%v) hashes unstably", f)
+		}
+	}
+	negZero := NewFloat(math.Copysign(0, -1))
+	for _, zero := range []Datum{NewFloat(0), NewInt(0)} {
+		if Compare(negZero, zero) != 0 || negZero.Hash() != zero.Hash() {
+			t.Fatalf("-0 vs %v: Compare %d, hashes %x and %x", zero, Compare(negZero, zero), negZero.Hash(), zero.Hash())
+		}
+	}
+	if negZero.String() != "-0" {
+		t.Fatalf("-0 prints %q", negZero.String())
+	}
+	ordered := []Datum{NewFloat(math.Inf(-1)), NewInt(-1), NewFloat(-math.SmallestNonzeroFloat64), NewFloat(0),
+		NewFloat(math.SmallestNonzeroFloat64), NewFloat(0x1p-1030 * 4), NewInt(1), NewFloat(math.MaxFloat64), NewFloat(math.Inf(1))}
+	for i := 1; i < len(ordered); i++ {
+		if Compare(ordered[i-1], ordered[i]) != -1 || Compare(ordered[i], ordered[i-1]) != 1 {
+			t.Fatalf("%v should sort before %v", ordered[i-1], ordered[i])
+		}
+	}
+	if v := VecOf([]Datum{NewFloat(math.Copysign(0, -1)), NewFloat(math.NaN())}); !math.Signbit(v.At(0).Float()) || !math.IsNaN(v.At(1).Float()) {
+		t.Fatalf("a float vector loses bits: %v %v", v.At(0), v.At(1))
 	}
 }

@@ -49,7 +49,7 @@ func VecOf(vals []Datum) Vec {
 		case d.kind == KindNull:
 			v.SetNull(i)
 		case v.Floats != nil:
-			v.Floats[i] = d.f
+			v.Floats[i] = d.Float()
 		case v.Strs != nil:
 			v.Strs[i] = d.s
 		default:
@@ -92,7 +92,7 @@ func (v *Vec) At(i int) Datum {
 	case v.Ints != nil:
 		return Datum{kind: v.Kind, i: v.Ints[i]}
 	case v.Floats != nil:
-		return Datum{kind: KindFloat, f: v.Floats[i]}
+		return NewFloat(v.Floats[i])
 	case v.Strs != nil:
 		return Datum{kind: KindText, s: v.Strs[i]}
 	}
@@ -198,7 +198,7 @@ func (v *Vec) append(d Datum) {
 	}
 	switch d.kind {
 	case KindFloat:
-		v.Floats = append(v.Floats, d.f)
+		v.Floats = append(v.Floats, d.Float())
 	case KindText:
 		v.Strs = append(v.Strs, d.s)
 	default:
@@ -235,7 +235,7 @@ func resize[T any](s []T, n int) []T {
 // decoded from one block shares a single buffer of exactly that size) and
 // NULL bitmap. The block cache charges it.
 func (v *Vec) Bytes() int64 {
-	n := int64(8*len(v.Ints) + 8*len(v.Floats) + 16*len(v.Strs) + 40*len(v.Boxed) + 8*len(v.nulls))
+	n := int64(8*len(v.Ints) + 8*len(v.Floats) + 16*len(v.Strs) + 32*len(v.Boxed) + 8*len(v.nulls))
 	for _, s := range v.Strs {
 		n += int64(len(s))
 	}

@@ -240,6 +240,9 @@ func decodeRow(p []byte) (types.Row, []byte, error) {
 	if n == 0 {
 		return nil, p, nil
 	}
+	if n-1 > uint64(len(p)) { // every datum takes at least its kind byte
+		return nil, nil, fmt.Errorf("%w: row of %d datums in %d bytes", ErrCorrupt, n-1, len(p))
+	}
 	row := make(types.Row, n-1)
 	for i := range row {
 		if len(p) < 1 {
