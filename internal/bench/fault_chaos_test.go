@@ -18,7 +18,7 @@ import (
 // graceful-degradation contract: every fault in the schedule either retries
 // transparently or aborts its transaction whole, so the balance total equals
 // the sum of acknowledged deltas exactly, and nothing (locks, sessions,
-// spill files) leaks.
+// spill files, registered snapshots) leaks.
 func TestFaultChaosTPCBSeededSchedule(t *testing.T) {
 	cfg := chaosConfig(3)
 	e, admin := newEngine(t, cfg)
@@ -89,6 +89,9 @@ func TestFaultChaosTPCBSeededSchedule(t *testing.T) {
 	}
 	if st.SpillLeaks != 0 {
 		t.Fatalf("spill files leaked under chaos: %d", st.SpillLeaks)
+	}
+	if n := c.LiveSnapshots(); n != 0 {
+		t.Fatalf("%d distributed snapshots left registered after chaos", n)
 	}
 	if committed.Load() == 0 {
 		t.Fatalf("no transaction survived the schedule (failed %d)", failed.Load())

@@ -30,10 +30,11 @@ func (c *Cluster) Analyze(ctx context.Context, name string) (int, error) {
 		tables = []*catalog.Table{t}
 	}
 	lt := c.BeginTxn()
-	defer func() {
-		_, _ = c.CommitTxn(lt) // read-only: releases locks, no fsync
-	}()
 	snap := c.Snapshot()
+	defer func() {
+		c.ReleaseSnapshot(snap)
+		_, _ = c.CommitTxn(lt) // read-only: releases locks, logs nothing
+	}()
 	for _, t := range tables {
 		if err := c.analyzeTable(ctx, lt, snap, t); err != nil {
 			return 0, err
@@ -65,7 +66,7 @@ func (c *Cluster) analyzeTable(ctx context.Context, lt *LiveTxn, snap *dtm.DistS
 			return err
 		}
 		lt.touched[i] = true
-		acc := s.newAccess(lt.dxid, snap)
+		acc := s.newAccess(lt.owner, lt.dxid, snap)
 		for _, leaf := range leafIDs(t) {
 			err := acc.ScanTable(ctx, leaf, exec.ScanSpec{}, exec.RowMark{}, func(row types.Row) (bool, bool, error) {
 				res.offer(row)

@@ -65,10 +65,14 @@ type Cluster struct {
 	retiredCacheMiss atomic.Int64
 	retiredCacheEvic atomic.Int64
 
-	// txns tracks live distributed transactions for GDD liveness checks and
-	// victim kills.
-	txmu sync.Mutex
-	txns map[dtm.DXID]*LiveTxn
+	// txns tracks live transactions by lock-owner id, for GDD liveness
+	// checks and victim kills; owners maps the dxid of each live transaction
+	// that has written to its owner id, so a segment handed only a dxid can
+	// take locks as the transaction. nextOwner hands out owner ids.
+	txmu      sync.Mutex
+	txns      map[lockmgr.TxnID]*LiveTxn
+	owners    map[dtm.DXID]lockmgr.TxnID
+	nextOwner atomic.Uint64
 
 	// truncTick counts completed transactions to pace mapping truncation.
 	truncTick atomic.Int64
@@ -176,26 +180,34 @@ func (c *Cluster) breaker(i int) *fault.Breaker { return c.topoNow().breakers[i]
 // boot config.
 func (c *Cluster) SegCount() int { return len(c.topoNow().slots) }
 
-// LiveTxn is the coordinator's bookkeeping for one distributed transaction.
+// LiveTxn is the coordinator's bookkeeping for one transaction. A
+// transaction that only reads is an owner id and nothing else: the owner id
+// holds its relation and row locks and names it in the GDD's wait-for
+// graphs for its whole life. Its first write draws a distributed xid
+// (DXID), which is what stamps tuples, enters the coordinator's in-progress
+// set and is logged on the segments it writes.
 type LiveTxn struct {
-	dxid dtm.DXID
-	// touched[i] is true when segment i participated at all; writers[i]
-	// when it wrote. wroteGen[i] records the segment incarnation the first
-	// write landed on: if the slot's generation has moved on by commit time
+	c     *Cluster
+	owner lockmgr.TxnID
+	dxid  dtm.DXID // InvalidDXID until the first write
+	// touched[i] is true when segment i participated at all (it may hold
+	// locks of the owner). It starts in touchedBuf, so a transaction on a
+	// cluster of up to len(touchedBuf) segments allocates no slice for it.
+	touched    []bool
+	touchedBuf [16]bool
+	// wrote[i] is 1 + the segment incarnation the transaction's first write
+	// on segment i landed on, 0 when it has not written there; nil until
+	// the first write. If the slot's generation has moved on by commit time
 	// (a mirror was promoted), those writes died with the old primary and
 	// the transaction must abort.
-	touched  []bool
-	writers  []bool
-	wroteGen []int
+	wrote []int
 	// wroteMaps records, per table this transaction wrote, the table's
 	// distribution-map version at write time. A flip between the write and
 	// the commit means the written shards were retired with the old
 	// placement, so the transaction fences with ErrTxnLostWrites — the
-	// per-table generalization of wroteGen.
+	// per-table generalization of wrote.
 	wroteMaps map[catalog.TableID]uint64
-	coordLk   bool // holds coordinator locks
 	killed    atomic.Bool
-	started   time.Time
 }
 
 // grow widens the per-segment slices to n entries. Statements call it once
@@ -205,8 +217,30 @@ type LiveTxn struct {
 func (t *LiveTxn) grow(n int) {
 	for len(t.touched) < n {
 		t.touched = append(t.touched, false)
-		t.writers = append(t.writers, false)
-		t.wroteGen = append(t.wroteGen, 0)
+	}
+	for t.wrote != nil && len(t.wrote) < n {
+		t.wrote = append(t.wrote, 0)
+	}
+}
+
+// wroteOn reports whether the transaction wrote segment i, and the
+// incarnation its first write there landed on.
+func (t *LiveTxn) wroteOn(i int) (gen int, ok bool) {
+	if i < len(t.wrote) && t.wrote[i] > 0 {
+		return t.wrote[i] - 1, true
+	}
+	return 0, false
+}
+
+// markWrote records a write on segment i's incarnation gen (the first
+// write's incarnation is the one that counts). Call grow first.
+func (t *LiveTxn) markWrote(i, gen int) {
+	t.touched[i] = true
+	if t.wrote == nil {
+		t.wrote = make([]int, len(t.touched))
+	}
+	if t.wrote[i] == 0 {
+		t.wrote[i] = gen + 1
 	}
 }
 
@@ -231,7 +265,8 @@ func New(cfg *Config) *Cluster {
 		coord:     dtm.NewCoordinator(),
 		locks:     lockmgr.NewManager(),
 		groups:    resgroup.NewManager(cfg.Cores, cfg.MemoryBytes),
-		txns:      make(map[dtm.DXID]*LiveTxn),
+		txns:      make(map[lockmgr.TxnID]*LiveTxn),
+		owners:    make(map[dtm.DXID]lockmgr.TxnID),
 		mirrors:   make([]*Mirror, cfg.NumSegments),
 		promoting: make([]bool, cfg.NumSegments),
 		topoCh:    make(chan struct{}),
@@ -283,6 +318,7 @@ func (c *Cluster) buildSegment(i int) (*Segment, *Mirror) {
 		seg.log.SetFlushLatency(c.walFlushLat)
 	}
 	seg.distInProgress = c.coord.IsInProgress
+	seg.ownerOf = c.ownerOf
 	seg.repMode = &c.replicaMode
 	// The decoded-block cache capacity comes out of the same global vmem
 	// budget queries allocate from; a segment whose share the pool cannot
@@ -444,31 +480,60 @@ func (c *Cluster) ResetLockWaitStats() {
 
 // ---- transaction lifecycle ----
 
-// BeginTxn opens a distributed transaction.
+// BeginTxn opens a transaction: an owner id, and no distributed xid until
+// the transaction writes (see DXID).
 func (c *Cluster) BeginTxn() *LiveTxn {
-	dxid := c.coord.Begin()
-	lt := &LiveTxn{
-		dxid:     dxid,
-		touched:  make([]bool, c.SegCount()),
-		writers:  make([]bool, c.SegCount()),
-		wroteGen: make([]int, c.SegCount()),
-		started:  time.Now(),
-	}
+	lt := &LiveTxn{c: c, owner: lockmgr.TxnID(c.nextOwner.Add(1))}
+	lt.touched = lt.touchedBuf[:0]
+	lt.grow(c.SegCount())
 	c.txmu.Lock()
-	c.txns[dxid] = lt
+	c.txns[lt.owner] = lt
 	c.txmu.Unlock()
 	return lt
 }
 
-// DXID returns the transaction's distributed id.
-func (t *LiveTxn) DXID() dtm.DXID { return t.dxid }
+// Owner returns the transaction's lock-owner id: the id its locks are held
+// under and the GDD knows it by.
+func (t *LiveTxn) Owner() lockmgr.TxnID { return t.owner }
+
+// DXID returns the transaction's distributed xid, drawing a fresh one from
+// the coordinator at the first call — which the dispatch paths make at the
+// transaction's first write (INSERT, UPDATE, DELETE or SELECT … FOR
+// UPDATE). Drawn then and not at BEGIN, the xid is newer than every
+// snapshot taken before the write, so none of them can count it finished.
+// Sessions are single-threaded, so no lock is needed.
+func (t *LiveTxn) DXID() dtm.DXID {
+	if t.dxid == dtm.InvalidDXID {
+		t.dxid = t.c.coord.Begin()
+		t.c.txmu.Lock()
+		t.c.owners[t.dxid] = t.owner
+		t.c.txmu.Unlock()
+	}
+	return t.dxid
+}
 
 // Killed reports whether GDD chose this transaction as a victim.
 func (t *LiveTxn) Killed() bool { return t.killed.Load() }
 
+// ownerOf returns the owner id of the live transaction whose distributed
+// xid is dxid.
+func (c *Cluster) ownerOf(dxid dtm.DXID) (lockmgr.TxnID, bool) {
+	c.txmu.Lock()
+	defer c.txmu.Unlock()
+	o, ok := c.owners[dxid]
+	return o, ok
+}
+
 // Snapshot takes a fresh distributed snapshot (read committed: one per
-// statement).
+// statement) and registers it, holding the horizon back until
+// ReleaseSnapshot.
 func (c *Cluster) Snapshot() *dtm.DistSnapshot { return c.coord.Snapshot() }
+
+// ReleaseSnapshot ends a snapshot's life: its statement is over.
+func (c *Cluster) ReleaseSnapshot(s *dtm.DistSnapshot) { c.coord.Release(s) }
+
+// LiveSnapshots returns the number of registered snapshots (leak checks).
+func (c *Cluster) LiveSnapshots() int { return c.coord.LiveSnapshots() }
 
 // CommitTxn runs the appropriate commit protocol and releases all locks.
 // Writer participants are stable segment references that resolve the
@@ -477,37 +542,34 @@ func (c *Cluster) Snapshot() *dtm.DistSnapshot { return c.coord.Snapshot() }
 // idempotent). A transaction whose earlier writes landed on a since-dead
 // incarnation is aborted here — those writes were rolled back by crash
 // recovery on the new primary.
+//
+// A transaction that never wrote has nothing to make durable and nothing to
+// log: it releases its locks and is done.
 func (c *Cluster) CommitTxn(t *LiveTxn) (dtm.CommitStats, error) {
-	for i := range t.writers {
-		if !t.writers[i] {
+	if t.dxid == dtm.InvalidDXID {
+		c.release(t)
+		c.commitsRO.Add(1)
+		c.maybeTruncateMappings()
+		return dtm.CommitStats{Protocol: dtm.ProtocolReadOnly}, nil
+	}
+	var writers []dtm.Participant
+	for i := range t.wrote {
+		gen, ok := t.wroteOn(i)
+		if !ok {
 			continue
 		}
-		s := c.seg(i)
-		if s.down.Load() || s.gen != t.wroteGen[i] {
+		if s := c.seg(i); s.down.Load() || s.gen != gen {
 			c.AbortTxn(t)
 			return dtm.CommitStats{}, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", i, ErrTxnLostWrites)
 		}
+		writers = append(writers, segRef{c: c, id: i})
 	}
 	if err := c.checkWroteMaps(t); err != nil {
 		c.AbortTxn(t)
 		return dtm.CommitStats{}, err
 	}
-	var writers []dtm.Participant
-	var readers []int
-	for i := range t.touched {
-		switch {
-		case t.writers[i]:
-			writers = append(writers, segRef{c: c, id: i})
-		case t.touched[i]:
-			readers = append(readers, i)
-		}
-	}
 	st, err := dtm.Commit(c.coord, t.dxid, writers, c.cfg.OnePhase, c.coordCommitRecord)
-	for _, i := range readers {
-		c.seg(i).FinishReadOnly(t.dxid)
-	}
-	c.locks.ReleaseAll(lockmgr.TxnID(t.dxid))
-	c.forget(t)
+	c.release(t)
 	if err != nil {
 		c.aborts.Add(1)
 		return st, err
@@ -542,18 +604,34 @@ func (c *Cluster) checkWroteMaps(t *LiveTxn) error {
 	return nil
 }
 
-// AbortTxn rolls back everywhere and releases all locks.
+// AbortTxn rolls back everywhere and releases all locks. Every touched
+// segment is asked to abort, not just the recorded writers: a statement
+// that failed part-way may have begun a local transaction it never reported.
 func (c *Cluster) AbortTxn(t *LiveTxn) {
-	var parts []dtm.Participant
-	for i := range t.touched {
-		if t.touched[i] || t.writers[i] {
-			parts = append(parts, segRef{c: c, id: i})
+	if t.dxid != dtm.InvalidDXID {
+		var parts []dtm.Participant
+		for i, touched := range t.touched {
+			if touched {
+				parts = append(parts, segRef{c: c, id: i})
+			}
+		}
+		dtm.Abort(c.coord, t.dxid, parts)
+	}
+	c.release(t)
+	c.aborts.Add(1)
+}
+
+// release drops the transaction's remaining locks — the coordinator's and
+// those it holds on segments it touched without a local transaction there
+// (the commit protocol released the others) — and forgets it.
+func (c *Cluster) release(t *LiveTxn) {
+	for i, touched := range t.touched {
+		if touched {
+			c.seg(i).locks.ReleaseAll(t.owner)
 		}
 	}
-	dtm.Abort(c.coord, t.dxid, parts)
-	c.locks.ReleaseAll(lockmgr.TxnID(t.dxid))
+	c.locks.ReleaseAll(t.owner)
 	c.forget(t)
-	c.aborts.Add(1)
 }
 
 // coordCommitRecord durably writes the coordinator's commit record for
@@ -566,19 +644,30 @@ func (c *Cluster) coordCommitRecord(dxid dtm.DXID) {
 
 func (c *Cluster) forget(t *LiveTxn) {
 	c.txmu.Lock()
-	delete(c.txns, t.dxid)
+	delete(c.txns, t.owner)
+	if t.dxid != dtm.InvalidDXID {
+		delete(c.owners, t.dxid)
+	}
 	c.txmu.Unlock()
 }
 
-// maybeTruncateMappings periodically truncates the local↔distributed xid
-// mappings on every segment (paper §5.1).
+// maybeTruncateMappings truncates, every 256 commits, the local↔distributed
+// xid mappings of every segment and every live mirror, and the
+// coordinator's commit records, below the one horizon: the oldest dxid any
+// live snapshot or running transaction can still see as running (paper
+// §5.1). A mirror truncates at the same horizon as its primary — prepared
+// transactions stay in progress, so in-doubt resolution after a promotion
+// still finds their entries.
 func (c *Cluster) maybeTruncateMappings() {
 	if c.truncTick.Add(1)%256 != 0 {
 		return
 	}
-	horizon := c.coord.OldestInProgress()
+	horizon := c.coord.Horizon()
 	c.eachSeg(func(_ int, s *Segment) {
-		s.TruncateMapping(horizon)
+		s.mapping.Truncate(horizon)
+	})
+	c.eachMirror(func(m *Mirror) {
+		m.mapping.Truncate(horizon)
 	})
 	c.coord.TruncateCommitLog(horizon)
 }
@@ -596,27 +685,29 @@ func (c *Cluster) CollectWaitGraphs() *gdd.GlobalGraph {
 	return g
 }
 
-// TxnExists reports whether the distributed transaction is still live.
+// TxnExists reports whether the transaction with this lock-owner id is
+// still live.
 func (c *Cluster) TxnExists(txid uint64) bool {
 	c.txmu.Lock()
 	defer c.txmu.Unlock()
-	_, ok := c.txns[dtm.DXID(txid)]
+	_, ok := c.txns[lockmgr.TxnID(txid)]
 	return ok
 }
 
-// KillTxn terminates a distributed transaction as a deadlock victim: every
-// lock table marks it killed so its blocked waits fail immediately; the
-// session driving it observes the error and aborts.
+// KillTxn terminates a transaction (by lock-owner id) as a deadlock victim:
+// every lock table marks it killed so its blocked waits fail immediately;
+// the session driving it observes the error and aborts.
 func (c *Cluster) KillTxn(txid uint64) {
+	owner := lockmgr.TxnID(txid)
 	c.txmu.Lock()
-	lt := c.txns[dtm.DXID(txid)]
+	lt := c.txns[owner]
 	c.txmu.Unlock()
 	if lt != nil {
 		lt.killed.Store(true)
 	}
-	c.locks.Kill(lockmgr.TxnID(txid))
+	c.locks.Kill(owner)
 	c.eachSeg(func(_ int, s *Segment) {
-		s.KillTxn(dtm.DXID(txid))
+		s.locks.Kill(owner)
 	})
 	c.deadlockErr.Add(1)
 }
@@ -634,14 +725,9 @@ func (c *Cluster) LockCoordinator(ctx context.Context, t *LiveTxn, table string,
 	if !c.cfg.GDD && c.cfg.LockTimeout > 0 {
 		tctx, cancel := context.WithTimeout(ctx, c.cfg.LockTimeout)
 		defer cancel()
-		err = c.locks.Acquire(tctx, lockmgr.TxnID(t.dxid), lockmgr.RelationTag(uint64(tab.ID)), mode)
-	} else {
-		err = c.locks.Acquire(ctx, lockmgr.TxnID(t.dxid), lockmgr.RelationTag(uint64(tab.ID)), mode)
+		return c.locks.Acquire(tctx, t.owner, lockmgr.RelationTag(uint64(tab.ID)), mode)
 	}
-	if err == nil {
-		t.coordLk = true
-	}
-	return err
+	return c.locks.Acquire(ctx, t.owner, lockmgr.RelationTag(uint64(tab.ID)), mode)
 }
 
 // PlanEpoch returns the catalog/statistics generation for plan-cache keys.
@@ -736,7 +822,7 @@ func (c *Cluster) ApplyTruncate(ctx context.Context, t *LiveTxn, name string) er
 		if err != nil {
 			return err
 		}
-		if err := s.LockRelation(ctx, t.dxid, tab, lockmgr.AccessExclusive); err != nil {
+		if err := s.LockRelation(ctx, t.owner, tab, lockmgr.AccessExclusive); err != nil {
 			return err
 		}
 		t.touched[i] = true
@@ -766,7 +852,7 @@ func (c *Cluster) ApplyCreateIndex(ctx context.Context, t *LiveTxn, table string
 	nseg := c.SegCount()
 	t.grow(nseg)
 	for i := 0; i < nseg; i++ {
-		if err := c.seg(i).LockRelation(ctx, t.dxid, tab, lockmgr.Share); err != nil {
+		if err := c.seg(i).LockRelation(ctx, t.owner, tab, lockmgr.Share); err != nil {
 			return err
 		}
 		t.touched[i] = true
@@ -823,9 +909,10 @@ func (c *Cluster) Vacuum(name string) (int, error) {
 		tables = []*catalog.Table{t}
 	}
 	n := 0
+	horizon := c.coord.Horizon()
 	for _, t := range tables {
 		c.eachSeg(func(_ int, s *Segment) {
-			n += s.Vacuum(t)
+			n += s.Vacuum(t, horizon)
 		})
 		c.invalidateStats(t.Name)
 	}

@@ -44,7 +44,9 @@ func insertRows(t *testing.T, c *Cluster, tab *catalog.Table, rows []types.Row) 
 	lt := c.BeginTxn()
 	_, ver := tab.Placement()
 	ip := &plan.InsertPlan{Table: tab, Rows: rows, MapVersion: ver}
-	if _, err := c.RunInsert(context.Background(), lt, c.Snapshot(), ip, nil); err != nil {
+	snap := c.Snapshot()
+	defer c.ReleaseSnapshot(snap)
+	if _, err := c.RunInsert(context.Background(), lt, snap, ip, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CommitTxn(lt); err != nil {
@@ -59,7 +61,9 @@ func scanAll(t *testing.T, c *Cluster, tab *catalog.Table) []types.Row {
 	scan := plan.NewScan(tab, []catalog.TableID{tab.ID}, nil)
 	root := &plan.Motion{Child: scan, Type: plan.MotionGather}
 	pl := plan.NewPlanned(root)
-	rows, _, err := c.RunSelect(context.Background(), lt, c.Snapshot(), pl, nil)
+	snap := c.Snapshot()
+	defer c.ReleaseSnapshot(snap)
+	rows, _, err := c.RunSelect(context.Background(), lt, snap, pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +128,11 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		lt := c.BeginTxn()
 		up := planTemplate(t, c, "UPDATE t SET b = b + 1")
-		if _, err := c.RunModify(context.Background(), lt, c.Snapshot(), up, nil); err != nil {
+		snap := c.Snapshot()
+		if _, err := c.RunModify(context.Background(), lt, snap, up, nil); err != nil {
 			t.Fatal(err)
 		}
+		c.ReleaseSnapshot(snap)
 		if _, err := c.CommitTxn(lt); err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +206,9 @@ func scanAllTxn(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn) []typ
 	scan := plan.NewScan(tab, []catalog.TableID{tab.ID}, nil)
 	root := &plan.Motion{Child: scan, Type: plan.MotionGather}
 	pl := plan.NewPlanned(root)
-	rows, _, err := c.RunSelect(context.Background(), lt, c.Snapshot(), pl, nil)
+	snap := c.Snapshot()
+	defer c.ReleaseSnapshot(snap)
+	rows, _, err := c.RunSelect(context.Background(), lt, snap, pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,18 +28,25 @@ func (s *Segment) acquire(ctx context.Context, who lockmgr.TxnID, tag lockmgr.Ta
 	return s.mapLockErr(s.locks.Acquire(ctx, who, tag, mode))
 }
 
-// ExecInsert stores rows on this segment, grouped by leaf table. The rows
-// were routed by the coordinator.
-func (s *Segment) ExecInsert(ctx context.Context, dxid dtm.DXID, snap *dtm.DistSnapshot, t *catalog.Table, byLeaf map[catalog.TableID][]types.Row) (int, error) {
+// ExecInsert stores rows on this segment, grouped by leaf table, as the
+// writing transaction dxid. The rows were routed by the coordinator; an
+// insert needs no snapshot, so the statement's is not consulted. The local
+// transaction begins even when byLeaf is empty: a segment dispatched an
+// INSERT is a participant of the transaction's commit.
+func (s *Segment) ExecInsert(ctx context.Context, dxid dtm.DXID, _ *dtm.DistSnapshot, t *catalog.Table, byLeaf map[catalog.TableID][]types.Row) (int, error) {
 	if err := s.checkUp(); err != nil {
 		return 0, err
 	}
 	s.netHop()
 	s.stmtOverhead()
-	a := s.newAccess(dxid, snap)
-	if err := s.acquire(ctx, lockmgr.TxnID(dxid), lockmgr.RelationTag(uint64(t.ID)), lockmgr.RowExclusive); err != nil {
+	owner, err := s.owner(dxid)
+	if err != nil {
 		return 0, err
 	}
+	if err := s.acquire(ctx, owner, lockmgr.RelationTag(uint64(t.ID)), lockmgr.RowExclusive); err != nil {
+		return 0, err
+	}
+	local := s.beginLocal(dxid, owner).local
 	n := 0
 	for leaf, rows := range byLeaf {
 		st, err := s.table(leaf)
@@ -47,15 +54,12 @@ func (s *Segment) ExecInsert(ctx context.Context, dxid dtm.DXID, snap *dtm.DistS
 			return n, err
 		}
 		for _, row := range rows {
-			tid := st.engine.Insert(a.st.local, row)
+			tid := st.engine.Insert(local, row)
 			for _, ix := range st.indexes {
 				ix.ix.Insert(row, tid)
 			}
 			n++
 		}
-	}
-	if n > 0 {
-		a.st.wrote = true
 	}
 	return n, nil
 }
@@ -72,7 +76,7 @@ func (s *Segment) ExecInsert(ctx context.Context, dxid dtm.DXID, snap *dtm.DistS
 // (solid edge) while still holding the tuple lock — exactly the mixed-edge
 // structure of Figures 8 and 19.
 func (s *Segment) writeTuple(ctx context.Context, a *storeAccess, st *segTable, tid storage.TupleID) (storage.TupleID, types.Row, bool, error) {
-	me := lockmgr.TxnID(a.dxid)
+	me := a.owner
 	tag := lockmgr.TupleTag(uint64(st.leaf), uint64(tid))
 	if err := s.acquire(ctx, me, tag, lockmgr.Exclusive); err != nil {
 		return 0, nil, false, err
@@ -88,7 +92,7 @@ func (s *Segment) writeTuple(ctx context.Context, a *storeAccess, st *segTable, 
 			if err := st.engine.SetXmax(cur, a.st.local); err != nil {
 				var conc *storage.ErrConcurrentWrite
 				if errors.As(err, &conc) {
-					if werr := s.waitForWriter(ctx, me, conc.Holder); werr != nil {
+					if werr := s.waitForWriter(ctx, a, conc.Holder); werr != nil {
 						return 0, nil, false, werr
 					}
 					continue
@@ -114,7 +118,7 @@ func (s *Segment) writeTuple(ctx context.Context, a *storeAccess, st *segTable, 
 				return 0, nil, false, nil // deleted under us
 			}
 		default:
-			if err := s.waitForWriter(ctx, me, h.Xmax); err != nil {
+			if err := s.waitForWriter(ctx, a, h.Xmax); err != nil {
 				return 0, nil, false, err
 			}
 		}
@@ -144,39 +148,52 @@ func (s *Segment) waitDistComplete(ctx context.Context, holder txn.XID) error {
 
 // waitForWriter blocks until the transaction owning local xid finishes, by
 // share-locking its transaction lock (solid wait-for edge).
-func (s *Segment) waitForWriter(ctx context.Context, me lockmgr.TxnID, holder txn.XID) error {
+func (s *Segment) waitForWriter(ctx context.Context, a *storeAccess, holder txn.XID) error {
 	holderDist, ok := s.mapping.DistFor(holder)
 	if !ok {
 		// Mapping truncated ⇒ the holder completed long ago; nothing to
 		// wait for.
 		return nil
 	}
-	h := lockmgr.TxnID(holderDist)
-	if h == me {
+	if holderDist == a.dxid {
 		return nil
 	}
-	if err := s.acquire(ctx, me, lockmgr.TransactionTag(h), lockmgr.Share); err != nil {
+	tag := lockmgr.TransactionTag(lockmgr.TxnID(holderDist))
+	if err := s.acquire(ctx, a.owner, tag, lockmgr.Share); err != nil {
 		return err
 	}
-	s.locks.Release(me, lockmgr.TransactionTag(h))
+	s.locks.Release(a.owner, tag)
 	return nil
 }
 
-// ExecModify runs an UPDATE or DELETE plan on this segment: under the
-// statement's RowExclusive lock on t, the executor's write sink finds the
-// rows the plan's access path selects and writes them through WriteRow.
-// ops, when armed (EXPLAIN ANALYZE), receives the access path's actuals. The
-// target scan's block counters fold into the segment's totals (SHOW
-// scan_stats) and, when set, into the statement's collector scan.
+// ExecModify runs an UPDATE or DELETE plan on this segment as the writing
+// transaction dxid: under the statement's RowExclusive lock on t, the
+// executor's write sink finds the rows the plan's access path selects and
+// writes them through WriteRow, whose first write opens the local
+// transaction — a segment where nothing matched stays out of the commit.
+// Without direct dispatch every gang member joins the commit instead (paper
+// §7.2), so the local transaction opens up front. ops, when armed (EXPLAIN
+// ANALYZE), receives the access path's actuals. The target scan's block
+// counters fold into the segment's totals (SHOW scan_stats) and, when set,
+// into the statement's collector scan.
 func (s *Segment) ExecModify(ctx context.Context, dxid dtm.DXID, snap *dtm.DistSnapshot, t *catalog.Table, root plan.Node, ops *plan.OpStats, scan *storage.ScanStats) (int, error) {
 	if err := s.checkUp(); err != nil {
 		return 0, err
 	}
 	s.netHop()
 	s.stmtOverhead()
-	a := s.newAccess(dxid, snap)
-	if err := s.acquire(ctx, lockmgr.TxnID(dxid), lockmgr.RelationTag(uint64(t.ID)), lockmgr.RowExclusive); err != nil {
+	owner, err := s.owner(dxid)
+	if err != nil {
 		return 0, err
+	}
+	a := s.newAccess(owner, dxid, snap)
+	if err := s.acquire(ctx, owner, lockmgr.RelationTag(uint64(t.ID)), lockmgr.RowExclusive); err != nil {
+		return 0, err
+	}
+	if !s.cfg.DirectDispatch {
+		if _, err := a.begin(); err != nil {
+			return 0, err
+		}
 	}
 	n, err := exec.Modify(&exec.Context{Ctx: ctx, Store: a, SegID: s.id, Ops: ops}, root)
 	a.stats.AddTo(&s.scanStats)
@@ -197,11 +214,14 @@ func (a *storeAccess) WriteRow(ctx context.Context, id exec.RowID, up *plan.Upda
 		return false, err
 	}
 	s.accessPenalty(st)
+	local, err := a.begin()
+	if err != nil {
+		return false, err
+	}
 	old, oldRow, ok, err := s.writeTuple(ctx, a, st, id.TID)
 	if !ok || err != nil {
 		return false, err
 	}
-	a.st.wrote = true
 	if up == nil {
 		return true, nil
 	}
@@ -209,7 +229,7 @@ func (a *storeAccess) WriteRow(ctx context.Context, id exec.RowID, up *plan.Upda
 	if err != nil {
 		return false, err
 	}
-	tid := st.engine.Insert(a.st.local, row)
+	tid := st.engine.Insert(local.local, row)
 	st.engine.LinkUpdate(old, tid)
 	for _, ix := range st.indexes {
 		ix.ix.Insert(row, tid)
@@ -217,19 +237,23 @@ func (a *storeAccess) WriteRow(ctx context.Context, id exec.RowID, up *plan.Upda
 	return true, nil
 }
 
-// LockRelation takes an explicit LOCK TABLE lock on this segment.
-func (s *Segment) LockRelation(ctx context.Context, dxid dtm.DXID, t *catalog.Table, mode lockmgr.Mode) error {
+// LockRelation takes an explicit LOCK TABLE lock on this segment for the
+// transaction with lock-owner id owner. A lock is not a write: no local
+// transaction begins.
+func (s *Segment) LockRelation(ctx context.Context, owner lockmgr.TxnID, t *catalog.Table, mode lockmgr.Mode) error {
 	if err := s.checkUp(); err != nil {
 		return err
 	}
 	s.netHop()
-	s.beginLocal(dxid)
-	return s.acquire(ctx, lockmgr.TxnID(dxid), lockmgr.RelationTag(uint64(t.ID)), mode)
+	return s.acquire(ctx, owner, lockmgr.RelationTag(uint64(t.ID)), mode)
 }
 
 // Vacuum reclaims dead heap versions: versions deleted by a transaction no
 // snapshot can still see, and versions created by aborted transactions.
-func (s *Segment) Vacuum(t *catalog.Table) int {
+// distHorizon is the coordinator's horizon: a deleter still in the xid
+// mapping at or above it may be running to a live distributed snapshot,
+// whatever the local clog says.
+func (s *Segment) Vacuum(t *catalog.Table, distHorizon dtm.DXID) int {
 	horizon := s.txns.OldestRunning()
 	reclaimed := 0
 	for _, leaf := range leafIDs(t) {
@@ -245,11 +269,11 @@ func (s *Segment) Vacuum(t *catalog.Table) int {
 			if s.txns.Status(h.Xmin) == txn.StatusAborted {
 				return true
 			}
-			if h.Xmax != txn.InvalidXID && h.Xmax < horizon &&
-				s.txns.Status(h.Xmax) == txn.StatusCommitted {
-				return true
+			if h.Xmax == txn.InvalidXID || h.Xmax >= horizon || s.txns.Status(h.Xmax) != txn.StatusCommitted {
+				return false
 			}
-			return false
+			d, mapped := s.mapping.DistFor(h.Xmax)
+			return !mapped || d < distHorizon
 		})
 	}
 	return reclaimed

@@ -378,7 +378,7 @@ func (c *Cluster) fenceTable(ctx context.Context, tab *catalog.Table, upto int) 
 			c.AbortTxn(lt)
 			return nil, err
 		}
-		if err := s.LockRelation(ctx, lt.dxid, tab, lockmgr.AccessExclusive); err != nil {
+		if err := s.LockRelation(ctx, lt.owner, tab, lockmgr.AccessExclusive); err != nil {
 			c.AbortTxn(lt)
 			return nil, err
 		}
@@ -387,7 +387,7 @@ func (c *Cluster) fenceTable(ctx context.Context, tab *catalog.Table, upto int) 
 	return lt, nil
 }
 
-// finishFence releases a fence transaction (read-only commit).
+// finishFence releases a fence transaction (read-only: it logs nothing).
 func (c *Cluster) finishFence(lt *LiveTxn) { _, _ = c.CommitTxn(lt) }
 
 // flipRandom widens a randomly-distributed table: pure metadata. Scans read
@@ -437,12 +437,13 @@ func (c *Cluster) moveReplicated(ctx context.Context, run *expandRun, slot *resg
 		}
 	}()
 	snap := c.Snapshot()
+	defer c.ReleaseSnapshot(snap)
 	s0, err := c.segUp(ctx, 0)
 	if err != nil {
 		return err
 	}
 	lt.touched[0] = true
-	acc := s0.newAccess(lt.dxid, snap)
+	acc := s0.newAccess(lt.owner, lt.dxid, snap)
 	byLeaf := map[catalog.TableID][]types.Row{}
 	count := 0
 	for _, leaf := range leafIDs(t) {
@@ -461,9 +462,10 @@ func (c *Cluster) moveReplicated(ctx context.Context, run *expandRun, slot *resg
 			return err
 		}
 	}
+	dxid := lt.DXID()
 	for d := w; d < target; d++ {
 		_, gen, err := c.execOnSeg(ctx, lt, d, func(s *Segment) (int, error) {
-			return s.ExecInsert(ctx, lt.dxid, snap, t, byLeaf)
+			return s.ExecInsert(ctx, dxid, snap, t, byLeaf)
 		})
 		if err != nil {
 			return err
@@ -576,13 +578,18 @@ func (c *Cluster) moveHash(ctx context.Context, run *expandRun, slot *resgroup.S
 	}
 	ltR := c.BeginTxn()
 	ltR.grow(c.SegCount())
+	snap := c.Snapshot()
 	readerOpen := true
+	closeReader := func() {
+		c.ReleaseSnapshot(snap)
+		_, _ = c.CommitTxn(ltR)
+		readerOpen = false
+	}
 	defer func() {
 		if readerOpen {
-			_, _ = c.CommitTxn(ltR)
+			closeReader()
 		}
 	}()
-	snap := c.Snapshot()
 	accs := make([]*storeAccess, w)
 	for i := 0; i < w; i++ {
 		s, serr := c.segUp(ctx, i)
@@ -592,7 +599,7 @@ func (c *Cluster) moveHash(ctx context.Context, run *expandRun, slot *resgroup.S
 		}
 		ltR.touched[i] = true
 		m.lastLSN[i] = s.log.LastLSN()
-		accs[i] = s.newAccess(ltR.dxid, snap)
+		accs[i] = s.newAccess(ltR.owner, ltR.dxid, snap)
 	}
 	c.finishFence(ltF)
 
@@ -631,8 +638,7 @@ func (c *Cluster) moveHash(ctx context.Context, run *expandRun, slot *resgroup.S
 			}
 		}
 	}
-	_, _ = c.CommitTxn(ltR)
-	readerOpen = false
+	closeReader()
 
 	// Phase 3 — optimistic catch-up: apply committed tail deltas while the
 	// table stays fully online.
@@ -774,13 +780,15 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 		}
 	}()
 	snap := c.Snapshot()
+	defer c.ReleaseSnapshot(snap)
+	dxid := lt.DXID()
 	rr := 0
 	for _, row := range minus {
 		row := row
 		dest := plan.RouteRow(st, row, target, &rr)
 		dp := &plan.DeletePlan{Table: st, Child: plan.NewScan(st, leafIDs(st), rowEqFilter(st, row))}
 		removed, gen, err := c.execOnSeg(ctx, lt, dest, func(s *Segment) (int, error) {
-			return s.ExecModify(ctx, lt.dxid, snap, st, dp, nil, nil)
+			return s.ExecModify(ctx, dxid, snap, st, dp, nil, nil)
 		})
 		if err != nil {
 			return err
@@ -799,7 +807,7 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 				dup[leaf][j] = row
 			}
 			_, gen2, ierr := c.execOnSeg(ctx, lt, dest, func(s *Segment) (int, error) {
-				return s.ExecInsert(ctx, lt.dxid, snap, st, dup)
+				return s.ExecInsert(ctx, dxid, snap, st, dup)
 			})
 			if ierr != nil {
 				return ierr
@@ -822,7 +830,7 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 	for dest, byLeaf := range perSeg {
 		dest, byLeaf := dest, byLeaf
 		_, gen, err := c.execOnSeg(ctx, lt, dest, func(s *Segment) (int, error) {
-			return s.ExecInsert(ctx, lt.dxid, snap, st, byLeaf)
+			return s.ExecInsert(ctx, dxid, snap, st, byLeaf)
 		})
 		if err != nil {
 			return err
@@ -839,14 +847,9 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 }
 
 // markMoverWrite records writer bookkeeping for the mover's direct
-// per-segment calls (what RunInsert does for SQL statements).
-func markMoverWrite(lt *LiveTxn, seg, gen int) {
-	lt.touched[seg] = true
-	if !lt.writers[seg] {
-		lt.wroteGen[seg] = gen
-	}
-	lt.writers[seg] = true
-}
+// per-segment calls (what RunInsert does for SQL statements): each call
+// wrote, so each opened a local transaction.
+func markMoverWrite(lt *LiveTxn, seg, gen int) { lt.markWrote(seg, gen) }
 
 // cloneIndexes builds the original table's indexes on the staging table
 // (created bare so the seed streams without index maintenance).
@@ -936,7 +939,7 @@ func scanUnderFence(ctx context.Context, a *storeAccess, leaf catalog.TableID, f
 	if err != nil {
 		return err
 	}
-	return scanRows(ctx, st, nil, a.check, func(row types.Row, _ storage.TupleID) (bool, error) { return fn(row) })
+	return scanRows(ctx, st, nil, &a.check, func(row types.Row, _ storage.TupleID) (bool, error) { return fn(row) })
 }
 
 // rowEqFilter builds the full-row equality predicate used to delete a moved

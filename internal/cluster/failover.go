@@ -294,7 +294,7 @@ func (c *Cluster) promote(i int) error {
 	if old.blockCache != nil {
 		cache = storage.NewBlockCache(c.cfg.BlockCacheBytes)
 	}
-	ns := m.toSegment(old.gen+1, cache, c.coord.IsInProgress, &c.replicaMode)
+	ns := m.toSegment(old.gen+1, cache, c.coord.IsInProgress, c.ownerOf, &c.replicaMode)
 	ns.reconcileTables(c.catalog.Tables())
 
 	// Crash recovery: in-flight local transactions can never commit.
@@ -408,7 +408,7 @@ func (c *Cluster) execOnSeg(ctx context.Context, t *LiveTxn, i int, fn func(*Seg
 		if err != nil {
 			return 0, 0, err
 		}
-		if t.writers[i] && t.wroteGen[i] != s.gen {
+		if gen, wrote := t.wroteOn(i); wrote && gen != s.gen {
 			return 0, 0, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", i, ErrTxnLostWrites)
 		}
 		// Statement dispatch is not idempotent (a re-run would double-apply

@@ -8,6 +8,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/dtm"
 	"repro/internal/fault"
+	"repro/internal/lockmgr"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -260,7 +261,7 @@ func (m *Mirror) applyFrame(frame []byte) (wal.Record, error) {
 		if err := m.txns.Prepare(txn.XID(rec.Xid)); err != nil {
 			return rec, err
 		}
-	case wal.TypeCommit, wal.TypeCommitRO:
+	case wal.TypeCommit:
 		if err := m.txns.Commit(txn.XID(rec.Xid)); err != nil {
 			return rec, err
 		}
@@ -295,7 +296,7 @@ func (m *Mirror) flushReplica() {
 // the given generation. The caller (promotion) must already have drained
 // and stopped the applier; crash recovery and in-doubt resolution happen in
 // the cluster layer, which owns the coordinator state needed for them.
-func (m *Mirror) toSegment(gen int, blockCache *storage.BlockCache, distInProgress func(dtm.DXID) bool, repMode *atomic.Int32) *Segment {
+func (m *Mirror) toSegment(gen int, blockCache *storage.BlockCache, distInProgress func(dtm.DXID) bool, ownerOf func(dtm.DXID) (lockmgr.TxnID, bool), repMode *atomic.Int32) *Segment {
 	ns := newSegment(m.segID, m.cfg)
 	ns.gen = gen
 	ns.txns = m.txns
@@ -303,6 +304,7 @@ func (m *Mirror) toSegment(gen int, blockCache *storage.BlockCache, distInProgre
 	ns.tables = m.tables
 	ns.log = m.log
 	ns.distInProgress = distInProgress
+	ns.ownerOf = ownerOf
 	ns.repMode = repMode
 	ns.blockCache = blockCache
 	for leaf, st := range ns.tables {

@@ -149,7 +149,7 @@ func (c *Cluster) RunSelect(ctx context.Context, t *LiveTxn, snap *dtm.DistSnaps
 		if !errors.As(err, &sde) {
 			return nil, nil, err
 		}
-		if sde.Seg >= 0 && sde.Seg < len(t.writers) && t.writers[sde.Seg] {
+		if _, wrote := t.wroteOn(sde.Seg); wrote {
 			return nil, nil, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", sde.Seg, ErrTxnLostWrites)
 		}
 	}
@@ -162,10 +162,19 @@ func (c *Cluster) RunSelect(ctx context.Context, t *LiveTxn, snap *dtm.DistSnaps
 // slice runs inline in this goroutine below a pass-through gather: no
 // fabric, no sender goroutines, no batch copies — behind the same fences,
 // fault wrapper, failover wait and bookkeeping as the gang.
+//
+// A plain read runs under the transaction's owner id and the snapshot and
+// takes no xid anywhere. SELECT … FOR UPDATE is a write: it draws the
+// transaction's dxid, and every segment it is dispatched to opens a local
+// transaction before any slice runs (the slices of one segment share its
+// access) and joins the commit.
 func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources) ([]types.Row, *types.Schema, error) {
 	root := pl.Root
 	nseg := c.SegCount()
 	t.grow(nseg)
+	if pl.ForUpdate {
+		t.DXID()
+	}
 	// Fence stale plans and lost writes before any work: a plan built
 	// against a distribution map that online expansion has since flipped is
 	// retryable (re-plan picks up the new placement); a transaction whose
@@ -244,7 +253,7 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 			// Same lost-writes guard as the write path: reading a promoted
 			// segment after this transaction's own writes died with the old
 			// incarnation would silently violate read-your-writes.
-			if t.writers[i] && t.wroteGen[i] != s.gen {
+			if gen, wrote := t.wroteOn(i); wrote && gen != s.gen {
 				return nil, nil, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", i, ErrTxnLostWrites)
 			}
 			segsnap[i] = s
@@ -258,8 +267,13 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 			}); err != nil {
 				return nil, nil, err
 			}
-			accs[i] = s.newAccess(t.dxid, snap)
+			accs[i] = s.newAccess(t.owner, t.dxid, snap)
 			t.touched[i] = true
+			if pl.ForUpdate {
+				if _, err := accs[i].begin(); err != nil {
+					return nil, nil, err
+				}
+			}
 		}
 	}
 
@@ -341,6 +355,16 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 	}
 	cancel(nil)
 	wg.Wait()
+	// A FOR UPDATE makes writers of the segment incarnations it ran on. A
+	// failed attempt records none: the transaction aborts, or RunSelect
+	// retries and the retry records them.
+	if err == nil && pl.ForUpdate {
+		for i, acc := range accs {
+			if acc != nil {
+				t.markWrote(i, segsnap[i].gen)
+			}
+		}
+	}
 	// Fold the statement's scan counters into the per-segment cumulative
 	// totals (SHOW scan_stats) and the caller's collector (EXPLAIN ANALYZE)
 	// — unless the attempt died with the segment (RunSelect will retry and
@@ -637,21 +661,26 @@ func modifyTarget(root plan.Node) (*catalog.Table, uint64, string, error) {
 	return nil, 0, "", fmt.Errorf("cluster: %T is not an UPDATE or DELETE", root)
 }
 
-// segWrite is one target segment's outcome of a write dispatch.
+// segWrite is one target segment's outcome of a write dispatch: rows
+// written, the incarnation the attempt ran on and whether the transaction
+// has a local transaction there.
 type segWrite struct {
 	n, gen int
+	began  bool
 	err    error
 }
 
-// dispatchWrite is the one dispatch of INSERT, UPDATE and DELETE: it runs
-// the statement's per-segment portion f on every target segment, each under
-// an op trace span — in the caller's goroutine when there is only one
-// target (below the same execOnSeg fences as the gang), one goroutine per
-// segment otherwise. Then it does the writer bookkeeping: every target is
-// touched, and one whose attempt ran and wrote (or, without direct
-// dispatch, every gang member) becomes a writer of its segment incarnation
-// and of tab at mapVer. It returns the rows written and the first error.
+// dispatchWrite is the one dispatch of INSERT, UPDATE and DELETE: it draws
+// the transaction's dxid if this is its first write, then runs the
+// statement's per-segment portion f on every target segment, each under an
+// op trace span — in the caller's goroutine when there is only one target
+// (below the same execOnSeg fences as the gang), one goroutine per segment
+// otherwise. Then it does the writer bookkeeping: every target is touched,
+// and one whose attempt ran and opened a local transaction becomes a writer
+// of its segment incarnation and of tab at mapVer. It returns the rows
+// written and the first error.
 func (c *Cluster) dispatchWrite(ctx context.Context, t *LiveTxn, tab *catalog.Table, mapVer uint64, targets []int, res *QueryResources, op string, f func(seg int, s *Segment) (int, error)) (int, error) {
+	t.DXID()
 	var one [1]segWrite
 	outs := one[:]
 	if len(targets) == 1 {
@@ -676,11 +705,8 @@ func (c *Cluster) dispatchWrite(ctx context.Context, t *LiveTxn, tab *catalog.Ta
 		t.touched[seg] = true
 		// A segUp failure returns gen 0, which must not be recorded as a
 		// written incarnation: bookkeeping only for attempts that ran.
-		if o.err == nil && (o.n > 0 || !c.cfg.DirectDispatch) {
-			if !t.writers[seg] {
-				t.wroteGen[seg] = o.gen
-			}
-			t.writers[seg] = true
+		if o.err == nil && o.began {
+			t.markWrote(seg, o.gen)
 			t.noteWroteMap(tab.ID, mapVer)
 		}
 		if o.err == nil && res != nil {
@@ -698,8 +724,13 @@ func (c *Cluster) dispatchWrite(ctx context.Context, t *LiveTxn, tab *catalog.Ta
 func (c *Cluster) writeOnSeg(ctx context.Context, t *LiveTxn, seg int, res *QueryResources, op string, f func(int, *Segment) (int, error)) segWrite {
 	sp := res.trace().Begin(execSpanOf(res), op, seg)
 	defer sp.End()
-	n, gen, err := c.execOnSeg(ctx, t, seg, func(s *Segment) (int, error) { return f(seg, s) })
-	return segWrite{n: n, gen: gen, err: err}
+	var began bool
+	n, gen, err := c.execOnSeg(ctx, t, seg, func(s *Segment) (int, error) {
+		n, err := f(seg, s)
+		_, began = s.openTxn(t.dxid)
+		return n, err
+	})
+	return segWrite{n: n, gen: gen, began: began, err: err}
 }
 
 // LockTableEverywhere implements LOCK TABLE: the coordinator lock plus the
@@ -719,7 +750,7 @@ func (c *Cluster) LockTableEverywhere(ctx context.Context, t *LiveTxn, table str
 		if err != nil {
 			return err
 		}
-		if err := s.LockRelation(ctx, t.dxid, tab, modeOf(level)); err != nil {
+		if err := s.LockRelation(ctx, t.owner, tab, modeOf(level)); err != nil {
 			return err
 		}
 		t.touched[i] = true

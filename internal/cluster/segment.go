@@ -85,6 +85,11 @@ type Segment struct {
 	// making two versions of one row visible to a snapshot in the window.
 	distInProgress func(dxid dtm.DXID) bool
 
+	// ownerOf asks the coordinator for the lock-owner id of the live
+	// transaction whose distributed xid is dxid: the write entry points are
+	// handed the dxid and take their locks as the owner.
+	ownerOf func(dxid dtm.DXID) (lockmgr.TxnID, bool)
+
 	// faults is the cluster's fault registry (nil = disarmed), evaluated
 	// with this segment's id at the 2PC and lock fault points; the log keeps
 	// its own reference for the WAL points.
@@ -104,10 +109,11 @@ type segIndex struct {
 	ix  *storage.HashIndex
 }
 
-// segTxn is the per-distributed-transaction local state.
+// segTxn is the local transaction implementing a distributed one that
+// wrote this segment, and the owner id its locks are held under.
 type segTxn struct {
 	local txn.XID
-	wrote bool
+	owner lockmgr.TxnID
 }
 
 func newSegment(id int, cfg *Config) *Segment {
@@ -157,6 +163,10 @@ func (s *Segment) Down() bool { return s.down.Load() }
 
 // WAL exposes the segment's log (tests, stats).
 func (s *Segment) WAL() *wal.Log { return s.log }
+
+// NextXID returns the local xid the segment's next local transaction will
+// draw (tests).
+func (s *Segment) NextXID() txn.XID { return s.txns.NextXID() }
 
 // checkUp guards a dispatch entry point: a killed primary refuses work.
 func (s *Segment) checkUp() error {
@@ -387,8 +397,10 @@ func (s *Segment) RowCount(t *catalog.Table) int {
 
 // ---- transaction lifecycle ----
 
-// beginLocal lazily creates the local transaction implementing dxid.
-func (s *Segment) beginLocal(dxid dtm.DXID) *segTxn {
+// beginLocal creates the local transaction implementing dxid, owned by
+// owner, at the distributed transaction's first write on this segment (or
+// returns the one already open).
+func (s *Segment) beginLocal(dxid dtm.DXID, owner lockmgr.TxnID) *segTxn {
 	s.txmu.Lock()
 	defer s.txmu.Unlock()
 	if st, ok := s.open[dxid]; ok {
@@ -396,19 +408,30 @@ func (s *Segment) beginLocal(dxid dtm.DXID) *segTxn {
 	}
 	local := s.txns.Begin()
 	s.mapping.Register(local, dxid)
-	st := &segTxn{local: local}
+	st := &segTxn{local: local, owner: owner}
 	s.open[dxid] = st
 	// The begin record carries the local↔distributed identity the mirror
 	// needs to rebuild the xid mapping — and with it, 2PC in-doubt
 	// resolution — on promotion. Logged under txmu so replayed xids appear
 	// in allocation order.
 	s.logTxn(wal.TypeBegin, local, dxid)
-	// Every transaction exclusively holds its own transaction lock; waiting
-	// for an uncommitted writer means share-locking this tag (paper §4.2's
-	// "locking tuple using the transaction lock"). Cannot block: the tag is
-	// fresh.
-	s.locks.TryAcquire(lockmgr.TxnID(dxid), lockmgr.TransactionTag(lockmgr.TxnID(dxid)), lockmgr.Exclusive)
+	// Every writing transaction exclusively holds its own transaction lock;
+	// waiting for an uncommitted writer means share-locking this tag (paper
+	// §4.2's "locking tuple using the transaction lock"). The tag names the
+	// dxid, which a waiter finds through the mapping; the owner id holds it,
+	// so the wait is an edge between owners. Cannot block: the tag is fresh.
+	s.locks.TryAcquire(owner, lockmgr.TransactionTag(lockmgr.TxnID(dxid)), lockmgr.Exclusive)
 	return st
+}
+
+// owner resolves the lock-owner id of the writing transaction dxid.
+func (s *Segment) owner(dxid dtm.DXID) (lockmgr.TxnID, error) {
+	if s.ownerOf != nil {
+		if o, ok := s.ownerOf(dxid); ok {
+			return o, nil
+		}
+	}
+	return 0, fmt.Errorf("cluster: segment %d: write by unknown transaction %d", s.id, dxid)
 }
 
 // openTxn returns the local state if this segment participates in dxid.
@@ -606,7 +629,7 @@ func (s *Segment) CommitPrepared(dxid dtm.DXID) error {
 	}
 	s.logTxn(wal.TypeCommit, st.local, dxid)
 	s.fsync()
-	s.locks.ReleaseAll(lockmgr.TxnID(dxid))
+	s.locks.ReleaseAll(st.owner)
 	s.closeTxn(dxid)
 	return s.ackOrDown()
 }
@@ -641,7 +664,7 @@ func (s *Segment) CommitOnePhase(dxid dtm.DXID) error {
 	}
 	s.logTxn(wal.TypeCommit, st.local, dxid)
 	s.fsync()
-	s.locks.ReleaseAll(lockmgr.TxnID(dxid))
+	s.locks.ReleaseAll(st.owner)
 	s.closeTxn(dxid)
 	return s.ackOrDown()
 }
@@ -661,42 +684,13 @@ func (s *Segment) Abort(dxid dtm.DXID) error {
 		// forever — an unbounded standby leak under rollback-heavy load.
 		s.logTxn(wal.TypeAbort, st.local, dxid)
 		_ = s.txns.Abort(st.local)
+		s.locks.ReleaseAll(st.owner)
+		s.closeTxn(dxid)
 	} else if local, status, found := s.recoveredStatus(dxid); found && status == txn.StatusPrepared {
 		_ = s.txns.Abort(local)
 		s.logTxn(wal.TypeAbort, local, dxid)
 	}
-	s.locks.ReleaseAll(lockmgr.TxnID(dxid))
-	s.closeTxn(dxid)
 	return nil
-}
-
-// FinishReadOnly releases a reader's locks without an fsync.
-func (s *Segment) FinishReadOnly(dxid dtm.DXID) {
-	if s.down.Load() {
-		return
-	}
-	st, ok := s.openTxn(dxid)
-	if ok {
-		// A read-only local transaction still occupied a local xid; commit
-		// it so snapshots don't keep treating it as running. The commit-ro
-		// record keeps the mirror's clog in step without charging either
-		// side a flush — durability is irrelevant for a transaction that
-		// wrote nothing.
-		_ = s.txns.Commit(st.local)
-		s.logTxn(wal.TypeCommitRO, st.local, dxid)
-	}
-	s.locks.ReleaseAll(lockmgr.TxnID(dxid))
-	s.closeTxn(dxid)
-}
-
-// TruncateMapping discards mapping entries below the distributed horizon.
-func (s *Segment) TruncateMapping(horizon dtm.DXID) int {
-	return s.mapping.Truncate(horizon)
-}
-
-// KillTxn marks dxid as a deadlock victim in this segment's lock table.
-func (s *Segment) KillTxn(dxid dtm.DXID) {
-	s.locks.Kill(lockmgr.TxnID(dxid))
 }
 
 // accessPenalty models the buffer-cache miss cost of a point access when a
@@ -721,39 +715,62 @@ func (s *Segment) accessPenalty(st *segTable) {
 
 // ---- visibility plumbing ----
 
-// storeAccess implements exec.StoreAccess for one (statement, segment).
+// storeAccess implements exec.StoreAccess for one (statement, segment). It
+// is one allocation: the distributed view and the visibility checker live
+// inside it.
 type storeAccess struct {
 	seg   *Segment
+	owner lockmgr.TxnID
+	// dxid is the transaction's distributed xid (InvalidDXID while it has
+	// written nothing); st its local transaction here, nil until it writes
+	// this segment (begin).
 	dxid  dtm.DXID
 	st    *segTxn
-	check *txn.VisibilityChecker
+	view  dtm.View
+	check txn.VisibilityChecker
 	// stats collects this statement's block-scan counters; the dispatcher
 	// folds them into the segment's cumulative totals (and the statement's
 	// QueryResources) when the statement finishes.
 	stats storage.ScanStats
 }
 
-// newAccess builds the statement's view: a fresh local snapshot combined
-// with the distributed snapshot through the xid mapping.
-func (s *Segment) newAccess(dxid dtm.DXID, snap *dtm.DistSnapshot) *storeAccess {
-	st := s.beginLocal(dxid)
-	view := &dtm.View{Mapping: s.mapping, Snap: snap, SelfLocal: st.local, SelfDist: dxid}
-	return &storeAccess{
-		seg:  s,
-		dxid: dxid,
-		st:   st,
-		check: &txn.VisibilityChecker{
-			Mgr:  s.txns,
-			Snap: s.txns.TakeSnapshot(),
-			Dist: view,
-			Self: st.local,
-		},
+// newAccess builds the statement's view for the transaction (owner, dxid):
+// a fresh local snapshot combined with the distributed snapshot through the
+// xid mapping. It takes no xid: a reader costs the segment a snapshot.
+func (s *Segment) newAccess(owner lockmgr.TxnID, dxid dtm.DXID, snap *dtm.DistSnapshot) *storeAccess {
+	a := &storeAccess{seg: s, owner: owner, dxid: dxid}
+	a.view = dtm.View{Mapping: s.mapping, Snap: snap, SelfDist: dxid}
+	a.check = txn.VisibilityChecker{Mgr: s.txns, Snap: s.txns.TakeSnapshot(), Dist: &a.view}
+	if dxid != dtm.InvalidDXID {
+		if st, ok := s.openTxn(dxid); ok {
+			a.setLocal(st)
+		}
 	}
+	return a
+}
+
+// setLocal makes st the access's own local transaction: its effects are
+// visible to the statement.
+func (a *storeAccess) setLocal(st *segTxn) {
+	a.st = st
+	a.view.SelfLocal, a.check.Self = st.local, st.local
+}
+
+// begin is the transaction's write on this segment: it opens the local
+// transaction (logging its begin record) unless one is open already.
+func (a *storeAccess) begin() (*segTxn, error) {
+	if a.st == nil {
+		if a.dxid == dtm.InvalidDXID {
+			return nil, fmt.Errorf("cluster: segment %d: write without a distributed xid", a.seg.id)
+		}
+		a.setLocal(a.seg.beginLocal(a.dxid, a.owner))
+	}
+	return a.st, nil
 }
 
 // lockRelation takes the local relation lock for a statement.
 func (a *storeAccess) lockRelation(ctx context.Context, t *catalog.Table, mode lockmgr.Mode) error {
-	return a.seg.mapLockErr(a.seg.locks.Acquire(ctx, lockmgr.TxnID(a.dxid), lockmgr.RelationTag(uint64(t.ID)), mode))
+	return a.seg.mapLockErr(a.seg.locks.Acquire(ctx, a.owner, lockmgr.RelationTag(uint64(t.ID)), mode))
 }
 
 // markedLeaf resolves a leaf for the row-callback path and takes mark's
@@ -789,7 +806,7 @@ func (a *storeAccess) ScanTable(ctx context.Context, leaf catalog.TableID, spec 
 	if err != nil {
 		return err
 	}
-	return scanRows(ctx, st, a.scanOpts(spec), a.check, func(row types.Row, tid storage.TupleID) (bool, error) {
+	return scanRows(ctx, st, a.scanOpts(spec), &a.check, func(row types.Row, tid storage.TupleID) (bool, error) {
 		keep, cont, err := fn(row)
 		if err == nil && keep {
 			err = a.applyMark(ctx, st, tid, mark)
@@ -836,7 +853,7 @@ func (a *storeAccess) ScanTableBatches(ctx context.Context, leaf catalog.TableID
 		r = storage.BlockRange{Begin: rng.Begin, End: rng.End}
 	}
 	var view types.RowBatch
-	return scanChunks(ctx, st, r, a.scanOpts(spec), batchSize, a.check, func(ch *storage.Chunk, sel []int) (bool, error) {
+	return scanChunks(ctx, st, r, a.scanOpts(spec), batchSize, &a.check, func(ch *storage.Chunk, sel []int) (bool, error) {
 		if view = (types.RowBatch{Rows: ch.Rows, Sel: sel, Cols: ch.Cols}); view.Len() == 0 {
 			return true, nil
 		}
@@ -983,9 +1000,15 @@ func (a *storeAccess) IndexLookup(ctx context.Context, t *catalog.Table, def *ca
 // any uncommitted writer of the row (a solid transaction-lock edge), then
 // hold the tuple lock until transaction end — said on the grant, so a writer
 // queued behind it shows in the wait-for graph as a solid edge, unlike one
-// queued behind writeTuple's short tuple lock.
+// queued behind writeTuple's short tuple lock. A row lock is a write, so the
+// statement runs in the transaction's local transaction here, which
+// runSelectOnce opened when it dispatched the statement.
 func (s *Segment) lockRowForUpdate(ctx context.Context, a *storeAccess, st *segTable, tid storage.TupleID) error {
-	me := lockmgr.TxnID(a.dxid)
+	me := a.owner
+	local, err := a.begin()
+	if err != nil {
+		return err
+	}
 	tag := lockmgr.TupleTag(uint64(st.leaf), uint64(tid))
 	if err := s.mapLockErr(s.locks.AcquireToEnd(ctx, me, tag, lockmgr.Exclusive)); err != nil {
 		return err
@@ -995,7 +1018,7 @@ func (s *Segment) lockRowForUpdate(ctx context.Context, a *storeAccess, st *segT
 		if !ok {
 			return nil
 		}
-		if h.Xmax == txn.InvalidXID || h.Xmax == a.st.local {
+		if h.Xmax == txn.InvalidXID || h.Xmax == local.local {
 			return nil
 		}
 		switch s.txns.Status(h.Xmax) {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/lockmgr"
 	"repro/internal/types"
 )
 
@@ -168,7 +167,7 @@ func TestDirectReadForUpdateLocks(t *testing.T) {
 	mustExec(t, sa, "BEGIN")
 	mustExec(t, sb, "BEGIN")
 	mustExec(t, sa, forUpdate)
-	holder, waiter := lockmgr.TxnID(sa.txn.DXID()), lockmgr.TxnID(sb.txn.DXID())
+	holder, waiter := sa.txn.Owner(), sb.txn.Owner()
 	stB := goExec(sb, fmt.Sprintf("UPDATE kv SET val = val + 1 WHERE id = %d", k0))
 	if !stB.blocked(t, 50*time.Millisecond) {
 		t.Fatal("UPDATE of a row locked by a direct-dispatched FOR UPDATE read did not block")
@@ -401,10 +400,10 @@ func TestPointSelectAllocations(t *testing.T) {
 	upd := perRun("UPDATE kv SET val = val + $1 WHERE id = $2", func() []types.Datum { return []types.Datum{types.NewInt(1), types.NewInt(k)} })
 	del := perRun("DELETE FROM kv WHERE id = $1", func() []types.Datum { d++; return []types.Datum{types.NewInt(d)} })
 	t.Logf("allocations per statement: SELECT %.1f, UPDATE %.1f, DELETE %.1f", sel, upd, del)
-	if sel > 51 || sel > 1.5*upd {
-		t.Fatalf("point SELECT allocates %.1f times per statement (UPDATE %.1f): want <= 51 and <= 1.5x the UPDATE", sel, upd)
+	if sel > 41 || sel > 1.5*upd {
+		t.Fatalf("point SELECT allocates %.1f times per statement (UPDATE %.1f): want <= 41 and <= 1.5x the UPDATE", sel, upd)
 	}
-	if upd > 40 || del > 36 {
-		t.Fatalf("point UPDATE allocates %.1f and DELETE %.1f times per statement: want <= 40 and <= 36", upd, del)
+	if upd > 34 || del > 30 {
+		t.Fatalf("point UPDATE allocates %.1f and DELETE %.1f times per statement: want <= 34 and <= 30", upd, del)
 	}
 }

@@ -764,11 +764,13 @@ func onOff(b bool) string {
 // affected with the command tag.
 func (s *Session) runDML(ctx context.Context, pl *plan.Planned, res *cluster.QueryResources) (int, string, error) {
 	cl := s.engine.cluster
+	snap := cl.Snapshot()
+	defer cl.ReleaseSnapshot(snap)
 	if ip, ok := pl.Root.(*plan.InsertPlan); ok {
-		n, err := cl.RunInsert(ctx, s.txn, cl.Snapshot(), ip, res)
+		n, err := cl.RunInsert(ctx, s.txn, snap, ip, res)
 		return n, fmt.Sprintf("INSERT 0 %d", n), err
 	}
-	n, err := cl.RunModify(ctx, s.txn, cl.Snapshot(), pl, res)
+	n, err := cl.RunModify(ctx, s.txn, snap, pl, res)
 	if _, ok := pl.Root.(*plan.UpdatePlan); ok {
 		return n, fmt.Sprintf("UPDATE %d", n), err
 	}
@@ -843,7 +845,9 @@ func (s *Session) runPlannedSelect(ctx context.Context, pl *plan.Planned, scan *
 		res.ExecSpan = execSp.ID()
 	}
 	start := time.Now()
-	rows, schema, err := cl.RunSelect(ctx, s.txn, cl.Snapshot(), pl, res)
+	snap := cl.Snapshot()
+	rows, schema, err := cl.RunSelect(ctx, s.txn, snap, pl, res)
+	cl.ReleaseSnapshot(snap)
 	elapsed := time.Since(start)
 	if ops != nil && res != nil && res.Trace != nil {
 		recordOpSpans(res.Trace, res.ExecSpan, pl.Root, ops, start)

@@ -25,6 +25,18 @@ type DistSnapshot struct {
 	Xmax         DXID
 	MaxCommitted DXID
 	InProgress   []DXID
+	// registered is true from Coordinator.Snapshot until Release (guarded by
+	// the coordinator's mutex), so a second Release is a no-op.
+	registered bool
+}
+
+// Xmin is the oldest dxid the snapshot still sees as running (Xmax when it
+// sees none): every dxid below it had finished when the snapshot was taken.
+func (s *DistSnapshot) Xmin() DXID {
+	if len(s.InProgress) > 0 {
+		return s.InProgress[0]
+	}
+	return s.Xmax
 }
 
 // Sees reports whether the snapshot considers dxid committed-before-snapshot.
@@ -49,6 +61,10 @@ type Coordinator struct {
 	nextDxid     DXID
 	inProgress   []DXID // ascending: Begin hands dxids out in order
 	maxCommitted DXID
+	// snapXmins holds the Xmin of every registered (live) snapshot,
+	// ascending: a snapshot's Xmin is the oldest in-progress dxid or nextDxid
+	// at the time it is taken, which never decreases, so Snapshot appends.
+	snapXmins []DXID
 	// commitLog is the set of dxids whose two-phase commit decision was
 	// durably recorded between the PREPARE and COMMIT waves. Promotion-time
 	// 2PC recovery resolves an in-doubt prepared transaction by this set:
@@ -82,12 +98,12 @@ func (c *Coordinator) HasCommitRecord(dxid DXID) bool {
 	return ok
 }
 
-// TruncateCommitLog discards commit records below the horizon (the oldest
-// in-progress dxid): a transaction below it has fully acknowledged, so its
-// outcome record reached every segment log — and therefore every mirror's
-// queue — and promotion-time recovery can never need the coordinator copy
-// again. Same role as XidMapping.Truncate: keep the metadata small. It
-// returns the number of records removed.
+// TruncateCommitLog discards commit records below the horizon (see
+// Horizon): a transaction below it has fully acknowledged, so its outcome
+// record reached every segment log — and therefore every mirror's queue —
+// and promotion-time recovery can never need the coordinator copy again.
+// Same role as XidMapping.Truncate: keep the metadata small. It returns the
+// number of records removed.
 func (c *Coordinator) TruncateCommitLog(horizon DXID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -111,12 +127,55 @@ func (c *Coordinator) Begin() DXID {
 	return d
 }
 
-// Snapshot captures the distributed in-progress set. Called per statement
-// (read committed) by the session layer.
+// Snapshot captures the distributed in-progress set and registers the
+// snapshot as live until Release. Called per statement (read committed) by
+// the session layer.
 func (c *Coordinator) Snapshot() *DistSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return &DistSnapshot{Xmax: c.nextDxid, MaxCommitted: c.maxCommitted, InProgress: slices.Clone(c.inProgress)}
+	s := &DistSnapshot{Xmax: c.nextDxid, MaxCommitted: c.maxCommitted, InProgress: slices.Clone(c.inProgress), registered: true}
+	c.snapXmins = append(c.snapXmins, s.Xmin())
+	return s
+}
+
+// Release unregisters a snapshot taken by Snapshot: its statement is over,
+// so it no longer holds the horizon back. Releasing twice is a no-op.
+func (c *Coordinator) Release(s *DistSnapshot) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !s.registered {
+		return
+	}
+	s.registered = false
+	if i, ok := slices.BinarySearch(c.snapXmins, s.Xmin()); ok {
+		c.snapXmins = slices.Delete(c.snapXmins, i, i+1)
+	}
+}
+
+// LiveSnapshots returns the number of registered snapshots.
+func (c *Coordinator) LiveSnapshots() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.snapXmins)
+}
+
+// Horizon is the dxid below which no live or future snapshot can see a
+// transaction as running: min(oldest registered snapshot's Xmin, oldest
+// in-progress dxid, or nextDxid when idle). Below it a segment's
+// local↔distributed mapping and the coordinator's commit records may be
+// forgotten (paper §5.1). It never decreases: a new snapshot's Xmin is at
+// least the oldest in-progress dxid of its moment.
+func (c *Coordinator) Horizon() DXID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h := c.nextDxid
+	if len(c.inProgress) > 0 {
+		h = c.inProgress[0]
+	}
+	if len(c.snapXmins) > 0 && c.snapXmins[0] < h {
+		h = c.snapXmins[0]
+	}
+	return h
 }
 
 // MarkCommitted removes dxid from the in-progress set after the commit
@@ -147,7 +206,8 @@ func (c *Coordinator) stop(dxid DXID) {
 }
 
 // OldestInProgress returns the smallest running dxid (or nextDxid when
-// idle); segments truncate their local↔distributed mapping below it.
+// idle). It ignores live snapshots, so it is not a truncation horizon (see
+// Horizon).
 func (c *Coordinator) OldestInProgress() DXID {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -27,7 +27,8 @@ import (
 //   - every transaction that never reached COMMIT is not;
 //   - a COMMIT whose response was lost to the socket dying is ambiguous —
 //     allowed either way, but if present it must be complete (atomicity);
-//   - no sessions, resource-group slots, locks, or spill temp files leak.
+//   - no sessions, resource-group slots, locks, registered snapshots, or
+//     spill temp files leak.
 //
 // Run it under -race (CI does): the reader-goroutine/executor handoff and
 // shared plan cache get hammered from hundreds of goroutines.
@@ -123,6 +124,7 @@ func TestConnectionChurnChaos(t *testing.T) {
 			return len(seg.Locks().Dump()) == 0
 		})
 	}
+	waitFor(t, "snapshots released", func() bool { return e.Cluster().LiveSnapshots() == 0 })
 	if m, _ := filepath.Glob(filepath.Join(os.TempDir(), "gpspill-*")); len(m) != 0 {
 		t.Errorf("spill temp dirs leaked after churn: %v", m)
 	}

@@ -157,8 +157,9 @@ func (m *Manager) stopRunning(xid XID) {
 
 // BeginReplay registers xid as in-progress with its logged identity — the
 // WAL-replay counterpart of Begin. Mirrors use it so their local xid space
-// is identical to the primary's even when the primary allocated xids that
-// never reached the log (read-only transactions are not fully logged).
+// stays identical to the primary's. Every xid the primary allocates is a
+// transaction's first write on the segment and logs a begin record, but an
+// append the log failed to write leaves a gap the replica must skip.
 func (m *Manager) BeginReplay(xid XID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -222,8 +223,8 @@ func (m *Manager) TakeSnapshot() *Snapshot {
 	return &Snapshot{Xmin: m.oldestLocked(), Xmax: m.nextXID, InProgress: slices.Clone(m.running)}
 }
 
-// OldestRunning returns the smallest in-progress xid, or nextXID when idle.
-// It is the truncation horizon for the local↔distributed xid mapping.
+// OldestRunning returns the smallest in-progress xid, or nextXID when idle:
+// VACUUM's local bound on the deleters it may treat as finished.
 func (m *Manager) OldestRunning() XID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -234,6 +235,14 @@ func (m *Manager) oldestLocked() XID {
 	if len(m.running) > 0 {
 		return m.running[0]
 	}
+	return m.nextXID
+}
+
+// NextXID returns the xid the next Begin will allocate (tests count
+// allocations with it).
+func (m *Manager) NextXID() XID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.nextXID
 }
 

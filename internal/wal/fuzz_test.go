@@ -11,10 +11,11 @@ import (
 
 // FuzzWALRecord: DecodeFrame over arbitrary bytes — as they come, and framed
 // with a correct length and CRC so the payload decoder is reached — returns a
-// record or an error and never panics; an insert record built from fuzzed
-// float bits and text round-trips bit for bit. The seeds include the floats a
-// codec most easily gets wrong (±0, ±Inf, NaN, subnormals), so a plain
-// `go test` checks those.
+// record of a defined type or an error and never panics; an insert record
+// built from fuzzed float bits and text round-trips bit for bit. The seeds
+// include the floats a codec most easily gets wrong (±0, ±Inf, NaN,
+// subnormals) and payloads whose type byte is undefined (0, 10, 255), so a
+// plain `go test` checks those.
 func FuzzWALRecord(f *testing.F) {
 	for _, r := range sampleRecords() {
 		f.Add(EncodeRecord(nil, &r), uint64(0), "")
@@ -24,10 +25,14 @@ func FuzzWALRecord(f *testing.F) {
 		f.Add([]byte{}, math.Float64bits(fl), "text")
 	}
 	f.Add([]byte{byte(TypeInsert), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}, uint64(1), "\x00")
+	for _, typ := range []byte{0, 10, 255} {
+		// A well-formed empty payload under an undefined type byte.
+		f.Add([]byte{typ, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, uint64(0), "")
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, bits uint64, s string) {
 		for _, b := range [][]byte{raw, frameOf(raw)} {
-			if _, n, err := DecodeFrame(b); err == nil && (n < 8 || n > len(b)) {
-				t.Fatalf("DecodeFrame consumed %d of %d bytes", n, len(b))
+			if r, n, err := DecodeFrame(b); err == nil && (n < 8 || n > len(b) || !r.Type.valid()) {
+				t.Fatalf("DecodeFrame accepted %v consuming %d of %d bytes", r.Type, n, len(b))
 			}
 		}
 		want := Record{Type: TypeInsert, LSN: 9, Leaf: 3, Xid: 7, TID: 11, Row: types.Row{

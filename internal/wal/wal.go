@@ -61,11 +61,14 @@ const (
 	TypeCommit
 	// TypeAbort records a local abort (xid + dxid).
 	TypeAbort
-	// TypeCommitRO records a read-only local commit (xid + dxid): it keeps
-	// the replica clog in step but carries no durable state, so the
-	// standby applies it without charging a flush.
-	TypeCommitRO
+
+	// typeEnd is one past the last record type: a decoded type byte outside
+	// [TypeBegin, typeEnd) is corrupt.
+	typeEnd
 )
+
+// valid reports whether t is a defined record type.
+func (t Type) valid() bool { return t >= TypeBegin && t < typeEnd }
 
 func (t Type) String() string {
 	switch t {
@@ -87,8 +90,6 @@ func (t Type) String() string {
 		return "commit"
 	case TypeAbort:
 		return "abort"
-	case TypeCommitRO:
-		return "commit-ro"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -168,6 +169,9 @@ func decodePayload(p []byte) (Record, error) {
 		return Record{}, fmt.Errorf("%w: short payload", ErrCorrupt)
 	}
 	r := Record{Type: Type(p[0]), LSN: LSN(binary.BigEndian.Uint64(p[1:]))}
+	if !r.Type.valid() {
+		return Record{}, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, p[0])
+	}
 	p = p[9:]
 	var err error
 	if r.Leaf, p, err = uvarint(p); err != nil {
