@@ -54,18 +54,15 @@ func main() {
 
 	type runner func(experiments.Options) (*bench.Table, error)
 	table := map[string]runner{
-		"fig2":       experiments.Fig2Locking,
-		"fig10":      experiments.Fig10Commit,
-		"fig12":      experiments.Fig12TPCB,
-		"fig13":      experiments.Fig13Scale,
-		"fig14":      experiments.Fig14UpdateOnly,
-		"fig15":      experiments.Fig15InsertOnly,
-		"fig16":      experiments.Fig16OLAPUnderOLTP,
-		"fig17":      experiments.Fig17OLTPUnderOLAP,
-		"fig18":      experiments.Fig18ResourceGroups,
-		"nettpcb":    experiments.NetTPCB,
-		"faultchaos": experiments.FaultChaos,
-		"expand":     experiments.Expand,
+		"fig2":  experiments.Fig2Locking,
+		"fig10": experiments.Fig10Commit,
+		"fig12": experiments.Fig12TPCB,
+		"fig13": experiments.Fig13Scale,
+		"fig14": experiments.Fig14UpdateOnly,
+		"fig15": experiments.Fig15InsertOnly,
+		"fig16": experiments.Fig16OLAPUnderOLTP,
+		"fig17": experiments.Fig17OLTPUnderOLAP,
+		"fig18": experiments.Fig18ResourceGroups,
 	}
 	ids := make([]string, 0, len(table)+1)
 	for id := range table {

@@ -107,12 +107,6 @@ type Options struct {
 	Replica string
 	// FTSInterval overrides the fault-tolerance probe period (default 25ms).
 	FTSInterval time.Duration
-	// DisableFaultPoints boots without a fault-injection registry: the FAULT
-	// statement and InjectFault are rejected, and every fault point compiles
-	// down to a nil-receiver check. Used by the disarmed-overhead benchmark's
-	// baseline; normal instances keep fault points available (they cost one
-	// atomic load while nothing is armed).
-	DisableFaultPoints bool
 	// BreakerThreshold is how many consecutive transient dispatch failures
 	// open a segment's circuit breaker (default 8).
 	BreakerThreshold int
@@ -165,7 +159,6 @@ func Open(opts Options) (*DB, error) {
 	if opts.FTSInterval > 0 {
 		cfg.FTSInterval = opts.FTSInterval
 	}
-	cfg.NoFaultPoints = opts.DisableFaultPoints
 	cfg.BreakerThreshold = opts.BreakerThreshold
 	cfg.BreakerCooldown = opts.BreakerCooldown
 	return &DB{engine: core.NewEngine(cfg)}, nil
@@ -199,8 +192,7 @@ type FaultSpec struct {
 	Seed int64
 }
 
-// InjectFault arms a fault point. Fails on instances opened with
-// DisableFaultPoints.
+// InjectFault arms a fault point.
 func (db *DB) InjectFault(spec FaultSpec) error {
 	name := strings.ToLower(spec.Action)
 	if name == "" {

@@ -4,13 +4,7 @@ import (
 	"context"
 	"testing"
 	"time"
-
-	"repro/internal/sql"
 )
-
-// parseForBench exposes parsing to the benchmark without importing
-// internal/sql there directly.
-func parseForBench(q string) (any, error) { return sql.Parse(q) }
 
 func openTest(t *testing.T, opts Options) (*DB, *Conn) {
 	t.Helper()

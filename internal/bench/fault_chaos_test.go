@@ -134,7 +134,6 @@ func TestFaultChaosTornWALTruncateRecover(t *testing.T) {
 	cfg := cluster.GPDB6(2)
 	cfg.GDDPeriod = 5 * time.Millisecond
 	cfg.ReplicaMode = cluster.ReplicaNone // no mirror: Recover must truncate+replay
-	cfg.WAL = true
 	e, admin := newEngine(t, cfg)
 	ctx := context.Background()
 	w := &workload.TPCB{Branches: 1, AccountsPerBranch: 30}

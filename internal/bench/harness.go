@@ -131,10 +131,3 @@ func RunConcurrent(clients int, d time.Duration, op Worker) Result {
 	}
 	return res
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -141,8 +141,8 @@ type Cluster struct {
 	walFlushLat *obs.Histogram
 
 	// Fault injection: the registry every fault point on this cluster
-	// evaluates (nil when Config.NoFaultPoints). The per-segment dispatch
-	// breakers live in the topology so segments added by expansion get one.
+	// evaluates. The per-segment dispatch breakers live in the topology so
+	// segments added by expansion get one.
 	faults          *fault.Registry
 	dispatchRetries *obs.Counter // dispatch.retries: attempts retried after a transient error
 	// walTruncations/walTruncatedBytes count torn-tail truncations performed
@@ -273,10 +273,8 @@ func New(cfg *Config) *Cluster {
 	}
 	c.replicaMode.Store(int32(cfg.ReplicaMode))
 	c.initMetrics()
-	if !cfg.NoFaultPoints {
-		c.faults = fault.NewRegistry()
-		c.locks.SetFaultHook(func() error { return c.faults.Inject(fault.LockAcquire, CoordinatorSeg) })
-	}
+	c.faults = fault.NewRegistry()
+	c.locks.SetFaultHook(func() error { return c.faults.Inject(fault.LockAcquire, CoordinatorSeg) })
 	topo := &topology{
 		slots:    make([]*atomic.Pointer[Segment], cfg.NumSegments),
 		breakers: make([]*fault.Breaker, cfg.NumSegments),
@@ -314,9 +312,7 @@ func (c *Cluster) buildSegment(i int) (*Segment, *Mirror) {
 	cfg := c.cfg
 	seg := newSegment(i, cfg)
 	seg.attachFaults(c.faults)
-	if seg.log != nil {
-		seg.log.SetFlushLatency(c.walFlushLat)
-	}
+	seg.log.SetFlushLatency(c.walFlushLat)
 	seg.distInProgress = c.coord.IsInProgress
 	seg.ownerOf = c.ownerOf
 	seg.repMode = &c.replicaMode

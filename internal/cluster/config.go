@@ -46,11 +46,6 @@ type Config struct {
 	// (the segment's executor capacity; default 4).
 	SegmentWorkers int
 
-	// MotionBuffer is the per-stream interconnect buffer in rows. The
-	// dispatcher divides it by the batch size to get the fabric's send slots
-	// (batches).
-	MotionBuffer int
-
 	// ExecBatchSize is the executor's rows-per-batch for vectorized
 	// execution and interconnect framing (0 = types.DefaultBatchSize).
 	ExecBatchSize int
@@ -101,13 +96,6 @@ type Config struct {
 	// by serializing writers, but LOCK TABLE orderings can still hang).
 	LockTimeout time.Duration
 
-	// WAL enables the per-segment write-ahead log: every storage mutation
-	// and transaction state change appends a CRC-framed record, and commit
-	// durability (FsyncDelay) is charged through the log's group-commit
-	// flush. Required for crash recovery and replication; on in the GPDB
-	// presets. ReplicaMode != ReplicaNone forces it on.
-	WAL bool
-
 	// ReplicaMode gives every primary segment a mirror standby that applies
 	// the shipped WAL stream. ReplicaSync makes each commit flush wait until
 	// the mirror has applied (zero-lag failover); ReplicaAsync lets the
@@ -123,13 +111,6 @@ type Config struct {
 	// FailoverTimeout bounds how long dispatch waits for a downed segment to
 	// fail over to its mirror before erroring out (default 10s).
 	FailoverTimeout time.Duration
-
-	// NoFaultPoints boots the cluster without a fault-injection registry:
-	// every fault point compiles to a nil-receiver check and FAULT INJECT is
-	// rejected. The default (false) keeps the registry present but disarmed,
-	// which costs one atomic load per point. The knob exists so the
-	// disarmed-overhead benchmark has a true baseline.
-	NoFaultPoints bool
 
 	// BreakerThreshold is how many consecutive transient dispatch failures
 	// open a segment's circuit breaker (default 8).
@@ -208,8 +189,6 @@ func GPDB6(nseg int) *Config {
 		DirectDispatch: true,
 		EnableZoneMaps: true,
 		EnableCostOpt:  true,
-		WAL:            true,
-		MotionBuffer:   1024,
 		LockTimeout:    10 * time.Second,
 		Cores:          32,
 		MemoryBytes:    8 << 30,
@@ -232,9 +211,6 @@ func (c *Config) withDefaults() *Config {
 	if out.NumSegments < 1 {
 		out.NumSegments = 1
 	}
-	if out.MotionBuffer < 1 {
-		out.MotionBuffer = 1024
-	}
 	if out.ExecBatchSize <= 0 {
 		out.ExecBatchSize = types.DefaultBatchSize
 	}
@@ -252,9 +228,6 @@ func (c *Config) withDefaults() *Config {
 	}
 	if out.GDDPeriod <= 0 {
 		out.GDDPeriod = 20 * time.Millisecond
-	}
-	if out.ReplicaMode != ReplicaNone {
-		out.WAL = true // mirrors are fed from the log
 	}
 	if out.FTSInterval <= 0 {
 		out.FTSInterval = 25 * time.Millisecond

@@ -470,7 +470,7 @@ func (c *Cluster) moveReplicated(ctx context.Context, run *expandRun, slot *resg
 		if err != nil {
 			return err
 		}
-		markMoverWrite(lt, d, gen)
+		lt.markWrote(d, gen)
 	}
 	if _, err := c.CommitTxn(lt); err != nil {
 		committed = true // CommitTxn already cleaned up
@@ -793,7 +793,7 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 		if err != nil {
 			return err
 		}
-		markMoverWrite(lt, dest, gen)
+		lt.markWrote(dest, gen)
 		if removed == 0 {
 			return fmt.Errorf("cluster: expansion delta: no staged copy of a deleted %s row", st.Name)
 		}
@@ -812,7 +812,7 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 			if ierr != nil {
 				return ierr
 			}
-			markMoverWrite(lt, dest, gen2)
+			lt.markWrote(dest, gen2)
 		}
 	}
 	perSeg := make(map[int]map[catalog.TableID][]types.Row)
@@ -835,7 +835,7 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 		if err != nil {
 			return err
 		}
-		markMoverWrite(lt, dest, gen)
+		lt.markWrote(dest, gen)
 	}
 	if _, err := c.CommitTxn(lt); err != nil {
 		committed = true // CommitTxn already cleaned up
@@ -845,11 +845,6 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 	run.addRows(int64(len(plus) + len(minus)))
 	return nil
 }
-
-// markMoverWrite records writer bookkeeping for the mover's direct
-// per-segment calls (what RunInsert does for SQL statements): each call
-// wrote, so each opened a local transaction.
-func markMoverWrite(lt *LiveTxn, seg, gen int) { lt.markWrote(seg, gen) }
 
 // cloneIndexes builds the original table's indexes on the staging table
 // (created bare so the seed streams without index maintenance).

@@ -105,7 +105,7 @@ func (c *Cluster) KillSegment(i int) error {
 //   - primary dead, mirror present: promote now (don't wait for FTS);
 //   - primary dead, no mirror: revive from the dead primary's own WAL —
 //     full replay into fresh engines plus crash recovery, the
-//     restart-after-crash path (requires Config.WAL);
+//     restart-after-crash path;
 //   - primary alive, no mirror, replication on: rebuild a standby by full
 //     resync from the primary's log (gprecoverseg);
 //   - primary alive, mirror present: nothing to do.
@@ -139,9 +139,6 @@ func (c *Cluster) Recover(i int) error {
 		if c.HasMirror(i) {
 			return c.Promote(i) // race-absorbing: FTS may get there first
 		}
-		if s.log == nil {
-			return fmt.Errorf("cluster: segment %d is down and has no WAL to recover from", i)
-		}
 		// A crash mid-write (torn-write or fsync-failure fault) leaves a torn
 		// or CRC-bad tail on the log image: truncate back to the last intact
 		// record first, exactly as PostgreSQL recovery stops replay at the
@@ -164,9 +161,6 @@ func (c *Cluster) Recover(i int) error {
 	}
 	if c.cfg.ReplicaMode == ReplicaNone {
 		return fmt.Errorf("cluster: replication not configured; nothing to recover for segment %d", i)
-	}
-	if s.log == nil {
-		return fmt.Errorf("cluster: segment %d has no WAL; cannot seed a mirror", i)
 	}
 	if err := c.installStandby(i, s, true); err != nil {
 		return err
@@ -322,9 +316,7 @@ func (c *Cluster) promote(i int) error {
 			ns.logTxn(wal.TypeAbort, x, dxid)
 		}
 	}
-	if ns.log != nil {
-		ns.log.Flush(c.cfg.FsyncDelay)
-	}
+	ns.log.Flush(c.cfg.FsyncDelay)
 	// Secondary indexes are not WAL-logged; rebuild them from the replayed
 	// engines (index rebuild during recovery).
 	for _, t := range c.catalog.Tables() {
@@ -534,9 +526,6 @@ type WALStats struct {
 func (c *Cluster) WALStats() WALStats {
 	var st WALStats
 	c.eachSeg(func(_ int, s *Segment) {
-		if s.log == nil {
-			return
-		}
 		r, b, f := s.log.Stats()
 		st.Records += r
 		st.Bytes += b

@@ -13,20 +13,11 @@ import (
 // covers it too.
 const CoordinatorSeg = -1
 
-// ErrFaultsDisabled is returned by the fault API on a cluster booted with
-// Config.NoFaultPoints.
-var ErrFaultsDisabled = errors.New("cluster: fault points are disabled (NoFaultPoints)")
-
-// Faults returns the cluster's fault registry (nil when disabled).
+// Faults returns the cluster's fault registry.
 func (c *Cluster) Faults() *fault.Registry { return c.faults }
 
 // InjectFault arms one fault-point spec.
-func (c *Cluster) InjectFault(spec fault.Spec) error {
-	if c.faults == nil {
-		return ErrFaultsDisabled
-	}
-	return c.faults.Arm(spec)
-}
+func (c *Cluster) InjectFault(spec fault.Spec) error { return c.faults.Arm(spec) }
 
 // ResetFault disarms the named point ("" = every point), waking anything
 // hung on it, and returns how many specs were removed.
@@ -214,8 +205,6 @@ func (c *Cluster) BreakerStatuses() []BreakerStatus {
 // FaultStats aggregates the fault-injection and degradation counters
 // surfaced by SHOW fault_stats and the fault.* registry series.
 type FaultStats struct {
-	// Enabled is false on a NoFaultPoints cluster.
-	Enabled bool
 	// Armed is the number of currently armed specs.
 	Armed int
 	// Hits/Triggers are lifetime point evaluations that matched an armed
@@ -242,7 +231,6 @@ type FaultStats struct {
 // FaultStats snapshots the fault/degradation counters.
 func (c *Cluster) FaultStats() FaultStats {
 	st := FaultStats{
-		Enabled:           c.faults != nil,
 		Armed:             c.faults.Armed(),
 		DispatchRetries:   c.dispatchRetries.Load(),
 		WALTruncations:    c.walTruncations.Load(),

@@ -183,32 +183,3 @@ func TestAbortResolvesThroughDispatchFaults(t *testing.T) {
 		t.Fatal("post-abort update hung: abort leaked locks")
 	}
 }
-
-// TestFaultsDisabledCluster: NoFaultPoints boots with a nil registry —
-// injection is refused, every point is permanently disarmed, and stats
-// report disabled.
-func TestFaultsDisabledCluster(t *testing.T) {
-	cfg := GPDB6(2)
-	cfg.NoFaultPoints = true
-	c := testCluster(t, cfg)
-	if c.Faults() != nil {
-		t.Fatal("NoFaultPoints cluster has a registry")
-	}
-	err := c.InjectFault(fault.Spec{Point: fault.DispatchSend, Seg: fault.AllSegments, Action: fault.ActError})
-	if !errors.Is(err, ErrFaultsDisabled) {
-		t.Fatalf("InjectFault = %v", err)
-	}
-	if n := c.ResetFault(""); n != 0 {
-		t.Fatalf("ResetFault on disabled cluster = %d", n)
-	}
-	st := c.FaultStats()
-	if st.Enabled || st.Armed != 0 {
-		t.Fatalf("stats on disabled cluster: %+v", st)
-	}
-	// The cluster still works.
-	tab := mkTable(t, c, "t")
-	insertRows(t, c, tab, []types.Row{{types.NewInt(1), types.NewInt(1)}})
-	if got := len(scanAll(t, c, tab)); got != 1 {
-		t.Fatalf("rows: %d", got)
-	}
-}

@@ -62,11 +62,6 @@ func (c *Cluster) registerCollectors() {
 	})
 	r.Collect(func(emit obs.Emit) {
 		st := c.FaultStats()
-		enabled := int64(0)
-		if st.Enabled {
-			enabled = 1
-		}
-		emit("fault.enabled", enabled)
 		emit("fault.armed", int64(st.Armed))
 		emit("fault.hits", st.Hits)
 		emit("fault.triggers", st.Triggers)

@@ -134,6 +134,9 @@ type SpillCounters struct {
 // one segment (docs/ARCHITECTURE.md, "Direct dispatch"), with which it goes.
 const gangSampleEvery = 50
 
+// motionBufferRows is each interconnect stream's buffer, in rows.
+const motionBufferRows = 1024
+
 // RunSelect executes a SELECT plan, retrying the whole statement when a
 // segment dies under it mid-scan: reads have no side effects beyond
 // counters, so the retry simply waits for the mirror's promotion (inside
@@ -201,13 +204,13 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 
 	batchSize := c.cfg.ExecBatchSize // >= 1 after Config.withDefaults
 
-	// MotionBuffer is row-denominated; the fabric counts buffer slots in
-	// sends (batches), so the slot count shrinks by the batch size to keep
-	// per-stream buffering (and the flow-control/back-pressure behaviour it
-	// models) at the configured row scale.
+	// motionBufferRows is row-denominated; the fabric counts buffer slots
+	// in sends (batches), so the slot count shrinks by the batch size to
+	// keep per-stream buffering (and the flow-control/back-pressure
+	// behaviour it models) at a fixed row scale.
 	var fabric *interconnect.Fabric
 	if !direct {
-		fabric = interconnect.NewFabric(nseg, max(1, c.cfg.MotionBuffer/batchSize), 0)
+		fabric = interconnect.NewFabric(nseg, max(1, motionBufferRows/batchSize), 0)
 		for _, m := range motions {
 			switch m.Type {
 			case plan.MotionGather:

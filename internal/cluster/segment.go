@@ -38,15 +38,11 @@ type Segment struct {
 	txmu sync.Mutex
 	open map[dtm.DXID]*segTxn
 
-	// log is the segment's write-ahead log (nil when Config.WAL is off):
-	// storage engines append DML records, the transaction paths append
+	// log is the segment's write-ahead log: storage engines append DML records, the transaction paths append
 	// begin/prepare/commit/abort records, and commit durability goes
 	// through its group-commit Flush. With replication on, the attached
 	// mirror receives every frame.
 	log *wal.Log
-	// legacyWAL models commit durability when Config.WAL is off (the
-	// pre-log group-commit fsync simulation).
-	legacyWAL simWAL
 
 	// down marks a killed primary: dispatch entry points refuse with
 	// *SegmentDownError and the FTS daemon promotes the mirror.
@@ -131,24 +127,16 @@ func newSegment(id int, cfg *Config) *Segment {
 		open:    make(map[dtm.DXID]*segTxn),
 		execSem: make(chan struct{}, workers),
 		diskSem: make(chan struct{}, 2),
-	}
-	if cfg.WAL {
-		s.log = wal.New()
+		log:     wal.New(),
 	}
 	return s
 }
 
-// attachFaults wires the cluster's fault registry (nil is fine: every point
-// stays disarmed) into the segment's commit paths, its lock table, and its
-// log's append/flush/ship points.
+// attachFaults wires the cluster's fault registry into the segment's commit
+// paths, its lock table, and its log's append/flush/ship points.
 func (s *Segment) attachFaults(reg *fault.Registry) {
 	s.faults = reg
-	if reg == nil {
-		return
-	}
-	if s.log != nil {
-		s.log.AttachFaults(reg, s.id)
-	}
+	s.log.AttachFaults(reg, s.id)
 	s.locks.SetFaultHook(func() error { return reg.Inject(fault.LockAcquire, s.id) })
 }
 
@@ -285,9 +273,6 @@ func (s *Segment) reconcileTables(tables []*catalog.Table) {
 // attachWAL wires an engine to the segment log so its mutations are logged
 // under the engine's own lock, stamped with the leaf id.
 func (s *Segment) attachWAL(eng storage.Engine, leaf catalog.TableID) {
-	if s.log == nil {
-		return
-	}
 	if wl, ok := eng.(storage.WALLogged); ok {
 		wl.SetWAL(s.log, uint64(leaf))
 	}
@@ -493,9 +478,6 @@ func (w *simWAL) Fsync(d time.Duration) {
 
 // logTxn appends a transaction state-change record to the segment log.
 func (s *Segment) logTxn(t wal.Type, local txn.XID, dxid dtm.DXID) {
-	if s.log == nil {
-		return
-	}
 	r := wal.Record{Type: t, Xid: uint64(local), Dxid: uint64(dxid)}
 	s.log.Append(&r)
 }
@@ -505,10 +487,6 @@ func (s *Segment) logTxn(t wal.Type, local txn.XID, dxid dtm.DXID) {
 // mirror has applied everything flushed, so a committed transaction
 // survives losing the primary with zero lag.
 func (s *Segment) fsync() {
-	if s.log == nil {
-		s.legacyWAL.Fsync(s.cfg.FsyncDelay)
-		return
-	}
 	flushed := s.log.Flush(s.cfg.FsyncDelay)
 	if s.log.Err() != nil {
 		// The log hit a (simulated) write or fsync failure — a torn append

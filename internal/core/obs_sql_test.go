@@ -318,22 +318,6 @@ func TestObsSettingValidation(t *testing.T) {
 	}
 }
 
-// TestActivityDisabled reconstructs the pre-observability baseline: with the
-// tracker disabled nothing is recorded and queries still run.
-func TestActivityDisabled(t *testing.T) {
-	e, s := newTestEngine(t, 2)
-	e.Activity().SetEnabled(false)
-	defer e.Activity().SetEnabled(true)
-	mustExec(t, s, "CREATE TABLE t (a int) DISTRIBUTED BY (a)")
-	mustExec(t, s, "INSERT INTO t VALUES (1)")
-	if res := mustExec(t, s, "SELECT * FROM t"); len(res.Rows) != 1 {
-		t.Fatalf("select with activity off: %v", res.Rows)
-	}
-	if n := len(e.Activity().History(0)); n != 0 {
-		t.Fatalf("history has %d records with activity disabled", n)
-	}
-}
-
 // TestQuerySecondsHistogram checks statement latencies land in the engine's
 // query.seconds histogram.
 func TestQuerySecondsHistogram(t *testing.T) {

@@ -252,16 +252,9 @@ func (s *Session) execParsed(ctx context.Context, st sql.Statement, entry *stmtE
 
 // beginObserve opens the statement's observability window: a query id, the
 // gp_stat_activity "active" flip, and — under SET trace_queries — the
-// distributed trace with its parse span. Returns nil (and does no
-// per-statement work at all) while query recording is disabled; that switch
-// is how the obs-overhead benchmark reconstructs the pre-observability
-// baseline.
+// distributed trace with its parse span.
 func (s *Session) beginObserve(st sql.Statement, entry *stmtEntry, rawSQL string, parseDur time.Duration) *stmtObs {
-	act := s.engine.activity
-	if !act.Enabled() {
-		return nil
-	}
-	ob := &stmtObs{qid: act.NextQueryID(), start: time.Now()}
+	ob := &stmtObs{qid: s.engine.activity.NextQueryID(), start: time.Now()}
 	switch {
 	case rawSQL != "":
 		ob.sql = rawSQL // what the client actually sent
@@ -288,9 +281,6 @@ func (s *Session) beginObserve(st sql.Statement, entry *stmtEntry, rawSQL string
 // durations come from time.Since's monotonic reading, so wall-clock steps
 // cannot skew them.
 func (s *Session) finishObserve(ob *stmtObs, res *Result, err error) {
-	if ob == nil {
-		return
-	}
 	s.cur = nil
 	s.sess.EndQuery()
 	dur := time.Since(ob.start)
@@ -691,12 +681,9 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 }
 
 // execFault executes the FAULT admin statement against the cluster's fault
-// registry (rejected on clusters booted with NoFaultPoints).
+// registry.
 func (s *Session) execFault(x *sql.FaultStmt) (*Result, error) {
 	cl := s.engine.cluster
-	if cl.Faults() == nil {
-		return nil, cluster.ErrFaultsDisabled
-	}
 	switch x.Verb {
 	case sql.FaultStatus:
 		res := &Result{

@@ -141,6 +141,7 @@ func TestSpillTempFileCleanupOnError(t *testing.T) {
 func TestSpillObservability(t *testing.T) {
 	e, constrained, admin := newSpillEngine(t, 2, 1)
 	loadSpillTables(t, admin, false)
+	noLeak := ownSpillDir(t)
 	res := mustExec(t, constrained, "EXPLAIN ANALYZE SELECT b, count(*) FROM t GROUP BY b ORDER BY b")
 	var spillLine string
 	for _, r := range res.Rows {
@@ -175,6 +176,10 @@ func TestSpillObservability(t *testing.T) {
 	if _, _, _, peak := e.Cluster().SpillStats(); peak > budget {
 		t.Fatalf("cluster-level mem peak %d exceeds budget %d", peak, budget)
 	}
+	if vmem := e.Cluster().VmemPeak(); vmem <= 0 || vmem > 2<<20 {
+		t.Fatalf("cluster VmemPeak %d outside (0, 2 MiB]", vmem)
+	}
+	noLeak("after the spilling query")
 	if vmem := vals["vmem_peak"]; vmem <= 0 || vmem > 1<<20 {
 		t.Fatalf("vmem_peak %d outside (0, 1 MiB]", vmem)
 	}

@@ -73,7 +73,6 @@ var viewTable = map[string]statView{
 		{"epoch", "plancache.epoch"},
 	}},
 	"fault_stats": {series: []statSeries{
-		{"fault_points_enabled", "fault.enabled"},
 		{"armed_specs", "fault.armed"},
 		{"point_hits", "fault.hits"},
 		{"point_triggers", "fault.triggers"},

@@ -1,13 +1,12 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§7) on the simulated cluster. Each Fig* function runs one
-// experiment and returns a report table with the same series the paper
-// plots; cmd/gpbench prints them and bench_test.go wraps them in testing.B
-// benchmarks.
+// Package experiments regenerates the tables and figures of the paper's
+// evaluation (§7: Table 1, Figs. 2 and 10–18) on the simulated cluster, and
+// nothing else. Each Fig* function runs one experiment and returns a report
+// table with the same series the paper plots; cmd/gpbench prints them and
+// the root bench_test.go wraps them in testing.B benchmarks.
 //
 // Absolute numbers come from a simulator, so they differ from the paper's
 // 8-host/32-segment testbed; the comparisons (who wins, by roughly what
-// factor, where the curves bend) are the reproduction target. See
-// EXPERIMENTS.md for the side-by-side reading.
+// factor, where the curves bend) are the reproduction target.
 package experiments
 
 import (

@@ -68,16 +68,3 @@ func TestOptionsPresets(t *testing.T) {
 		t.Error("presets incomplete")
 	}
 }
-
-func TestExpandSmoke(t *testing.T) {
-	tbl, err := Expand(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tbl.String()
-	for _, frag := range []string{"2 segments", "expanding 2->4", "4 segments (post)"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("expand output missing %q:\n%s", frag, out)
-		}
-	}
-}

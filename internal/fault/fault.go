@@ -173,8 +173,8 @@ type point struct {
 }
 
 // Registry holds all fault points of one cluster. A nil *Registry is valid
-// and permanently disarmed (clusters booted with fault points disabled pass
-// nil everywhere).
+// and permanently disarmed (a log or segment never wired to a cluster holds
+// nil).
 type Registry struct {
 	// armed counts armed specs across all points; the disarmed fast path is
 	// armed == 0.

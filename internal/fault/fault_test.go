@@ -27,6 +27,37 @@ func TestNilRegistryDisarmed(t *testing.T) {
 	}
 }
 
+// TestDisarmedEvalAllocations: every fault point in the engine is evaluated
+// on its hot path, so a disarmed evaluation — never armed, armed and reset,
+// or only another point armed — must allocate nothing.
+func TestDisarmedEvalAllocations(t *testing.T) {
+	r := NewRegistry()
+	check := func(state string) {
+		t.Helper()
+		allocs := testing.AllocsPerRun(1000, func() {
+			if act, err := r.Eval(DispatchSend, 1); act != ActNone || err != nil {
+				t.Fatalf("%s: Eval = %v, %v", state, act, err)
+			}
+			if err := r.Inject(WALAppend, 1); err != nil {
+				t.Fatalf("%s: Inject = %v", state, err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: disarmed Eval+Inject allocate %.1f times per call, want 0", state, allocs)
+		}
+	}
+	check("never armed")
+	if err := r.Arm(Spec{Point: DispatchSend, Seg: AllSegments, Action: ActError}); err != nil {
+		t.Fatal(err)
+	}
+	r.Reset("")
+	check("armed then reset")
+	if err := r.Arm(Spec{Point: LockAcquire, Seg: AllSegments, Action: ActError}); err != nil {
+		t.Fatal(err)
+	}
+	check("another point armed")
+}
+
 func TestArmValidation(t *testing.T) {
 	r := NewRegistry()
 	if err := r.Arm(Spec{Action: ActError}); err == nil {

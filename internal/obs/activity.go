@@ -72,12 +72,10 @@ type SessionSnapshot struct {
 // Activity tracks live sessions, the finished-query history ring, the
 // slow-query log, and the trace store. One Activity serves the whole engine;
 // the per-statement cost with tracing off is a handful of atomic ops and one
-// short-lock ring append, which the obs-disarmed overhead gate holds to
-// ≥0.95× of a stack with recording disabled.
+// short-lock ring append.
 type Activity struct {
-	enabled atomic.Bool
-	qseq    atomic.Uint64
-	sseq    atomic.Uint64
+	qseq atomic.Uint64
+	sseq atomic.Uint64
 
 	mu       sync.Mutex
 	sessions map[uint64]*SessionInfo
@@ -99,27 +97,13 @@ func NewActivity(histCap, slowCap, traceCap int) *Activity {
 	if slowCap <= 0 {
 		slowCap = 128
 	}
-	a := &Activity{
+	return &Activity{
 		sessions: make(map[uint64]*SessionInfo),
 		history:  make([]QueryRecord, histCap),
 		slow:     make([]QueryRecord, slowCap),
 		traces:   NewTraceStore(traceCap),
 	}
-	a.enabled.Store(true)
-	return a
 }
-
-// SetEnabled toggles recording (the obs-overhead benchmark's baseline turns
-// it off to reconstruct the pre-observability stack). Session registration
-// stays on so gp_stat_activity never loses sessions.
-func (a *Activity) SetEnabled(on bool) {
-	if a != nil {
-		a.enabled.Store(on)
-	}
-}
-
-// Enabled reports whether query recording is on.
-func (a *Activity) Enabled() bool { return a != nil && a.enabled.Load() }
 
 // NextQueryID allocates a cluster-unique query id.
 func (a *Activity) NextQueryID() uint64 {
@@ -184,9 +168,9 @@ func sortSnapshots(s []SessionSnapshot) {
 }
 
 // Record retains one finished statement in the history ring (and the slow
-// log when rec.Slow). No-op while recording is disabled.
+// log when rec.Slow).
 func (a *Activity) Record(rec QueryRecord) {
-	if a == nil || !a.enabled.Load() {
+	if a == nil {
 		return
 	}
 	a.mu.Lock()

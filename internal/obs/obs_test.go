@@ -253,11 +253,6 @@ func TestActivityRingsAndSessions(t *testing.T) {
 	if a.Recorded() != 3 {
 		t.Fatalf("Recorded = %d", a.Recorded())
 	}
-	a.SetEnabled(false)
-	a.Record(QueryRecord{QueryID: 9})
-	if a.Recorded() != 3 {
-		t.Fatalf("disabled Record still counted")
-	}
 	a.Unregister(si)
 	if len(a.Sessions()) != 0 {
 		t.Fatalf("session not unregistered")

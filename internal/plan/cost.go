@@ -224,12 +224,12 @@ func (c *costEstimator) compute(n Node) *NodeCost {
 		return c.joinCost(x.Left, x.Right, x.LeftKeys, x.RightKeys, n)
 	case *NestLoop:
 		l, r := c.cost(x.Left), c.cost(x.Right)
-		rows := l.Rows * maxi64(r.Rows, 1)
+		rows := l.Rows * max(r.Rows, 1)
 		if x.Cond != nil {
 			rows = scaleRows(rows, stats.DefaultSelectivity("="))
 		}
 		return &NodeCost{Rows: rows, Bound: rows,
-			Cost:      l.Cost + r.Cost + float64(l.Rows)*float64(maxi64(r.Rows, 1))*cpuRowCost,
+			Cost:      l.Cost + r.Cost + float64(l.Rows)*float64(max(r.Rows, 1))*cpuRowCost,
 			Blocks:    l.Blocks + r.Blocks,
 			StatsNone: l.StatsNone || r.StatsNone || x.Cond != nil}
 	case *OneRow:
@@ -320,7 +320,7 @@ func (c *costEstimator) aggCost(a *Agg) *NodeCost {
 	}
 	bound := int64(0)
 	if len(a.GroupBy) > 0 {
-		bound = scaleRows(ch.Bound, float64(groups)/float64(maxi64(ch.Rows, 1)))
+		bound = scaleRows(ch.Bound, float64(groups)/float64(max(ch.Rows, 1)))
 		if bound < 1 {
 			bound = 1
 		}
@@ -333,7 +333,7 @@ func (c *costEstimator) aggCost(a *Agg) *NodeCost {
 // key pair, with build-side CPU charged on the right.
 func (c *costEstimator) joinCost(left, right Node, lk, rk []Expr, n Node) *NodeCost {
 	l, r := c.cost(left), c.cost(right)
-	rows := l.Rows * maxi64(r.Rows, 1)
+	rows := l.Rows * max(r.Rows, 1)
 	for i := range lk {
 		sel := c.joinKeySelectivity(left, right, lk[i], rk[i])
 		rows = scaleRows(rows, sel)
@@ -368,9 +368,9 @@ func (c *costEstimator) joinKeySelectivity(left, right Node, lk, rk Expr) float6
 		}
 	}
 	if ndv <= 0 {
-		ndv = maxi64(c.cost(left).Rows, c.cost(right).Rows)/groupEstimateDivisor + 1
+		ndv = max(c.cost(left).Rows, c.cost(right).Rows)/groupEstimateDivisor + 1
 	}
-	return 1 / float64(maxi64(ndv, 1))
+	return 1 / float64(max(ndv, 1))
 }
 
 // filterSelectivity estimates a predicate over an arbitrary child node:

@@ -934,7 +934,7 @@ func hashAligned(hashKeys, joinKeys []Expr) bool {
 // buildJoin decides the join distribution strategy and wraps children in
 // motions as needed.
 func (p *Planner) buildJoin(kind JoinKind, left, right *planned, lk, rk []Expr, residual Expr, leftWidth int) (Node, *planned, error) {
-	result := &planned{rows: maxi64(left.rows, right.rows)}
+	result := &planned{rows: max(left.rows, right.rows)}
 
 	haveKeys := len(lk) > 0
 
@@ -1056,13 +1056,6 @@ func alignedPairs(lHash []Expr, lk, rk []Expr, rHash []Expr) bool {
 
 func rebaseAll(exprs []Expr, delta int) []Expr {
 	return remapAllCols(exprs, func(c int) int { return c + delta })
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // OneRow emits a single empty row (SELECT without FROM).

@@ -144,7 +144,7 @@ func (p *Planner) planReorderedJoin(jr *sql.JoinRef, where sql.Expr) (pn *planne
 	rows := make([]float64, len(rels))
 	for i, r := range rels {
 		r.pl.rows = est.RecordsOutput(r.pl.node)
-		rows[i] = float64(maxi64(r.pl.rows, 1))
+		rows[i] = float64(max(r.pl.rows, 1))
 	}
 	edgeSel := func(e *joinEdge) float64 {
 		var ndv int64

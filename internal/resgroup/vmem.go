@@ -139,13 +139,13 @@ func (a *memAccount) Shrink(n int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	g := a.group
-	fromGlobal := min64(n, a.globalUsed)
+	fromGlobal := min(n, a.globalUsed)
 	a.globalUsed -= fromGlobal
 	n -= fromGlobal
 	if fromGlobal > 0 && g.global != nil {
 		g.global.give(fromGlobal)
 	}
-	fromGroup := min64(n, a.groupUsed)
+	fromGroup := min(n, a.groupUsed)
 	a.groupUsed -= fromGroup
 	n -= fromGroup
 	if fromGroup > 0 {
@@ -156,7 +156,7 @@ func (a *memAccount) Shrink(n int64) {
 		}
 		g.mu.Unlock()
 	}
-	a.slotUsed -= min64(n, a.slotUsed)
+	a.slotUsed -= min(n, a.slotUsed)
 }
 
 // releaseAll frees everything the account holds.
@@ -198,11 +198,4 @@ func (a *memAccount) resetHighWater() {
 	a.mu.Lock()
 	a.hwm = a.slotUsed + a.groupUsed + a.globalUsed
 	a.mu.Unlock()
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

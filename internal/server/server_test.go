@@ -13,6 +13,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // startServer boots an engine plus a listening server on a loopback port.
@@ -168,6 +169,46 @@ func TestNetworkPreparedStatements(t *testing.T) {
 		t.Fatal("bad SQL prepared")
 	}
 	mustExecNet(t, c, "SELECT count(*) FROM p")
+}
+
+// TestNetworkTPCBStatementCacheHits: TPC-B transactions sent over one socket
+// through the simple-query protocol repeat a handful of statement texts, so
+// after the first transaction nearly every statement must be served from the
+// engine's statement cache rather than the parser.
+func TestNetworkTPCBStatementCacheHits(t *testing.T) {
+	e, srv := startServer(t, 2, server.Config{})
+	ctx := context.Background()
+	w := &workload.TPCB{Branches: 2, AccountsPerBranch: 50}
+	loader, err := e.NewSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loader.ExecScript(ctx, w.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Load(ctx, coreConn{loader}); err != nil {
+		t.Fatal(err)
+	}
+	loader.Close()
+
+	c := dialT(t, srv)
+	defer c.Close()
+	conn, r := client.WorkloadConn{C: c}, workload.NewRand(7)
+	before := e.StmtCache().Stats()
+	for i := 0; i < 200; i++ {
+		if err := w.Transaction(ctx, conn, r); err != nil {
+			t.Fatalf("transaction %d: %v", i, err)
+		}
+	}
+	after := e.StmtCache().Stats()
+	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+	if hits+misses == 0 {
+		t.Fatal("no statement-cache lookups over the wire")
+	}
+	if rate := float64(hits) / float64(hits+misses); rate < 0.9 {
+		t.Fatalf("statement-cache hit rate %.3f over 200 TPC-B transactions (hits %d, misses %d), want >= 0.9",
+			rate, hits, misses)
+	}
 }
 
 // TestNetworkMatchesInProcess is the byte-identity satellite: the same
