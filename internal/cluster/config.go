@@ -5,11 +5,7 @@
 // deadlock detector and resource groups all plug in here.
 package cluster
 
-import (
-	"time"
-
-	"repro/internal/types"
-)
+import "time"
 
 // Config selects cluster topology, HTAP features, and the simulation's cost
 // model. The zero values of the feature flags describe Greenplum 5; the
@@ -42,19 +38,6 @@ type Config struct {
 	// SegmentStmtCPU is the per-statement handling cost each dispatched
 	// segment pays (parse/plan/setup).
 	SegmentStmtCPU time.Duration
-	// SegmentWorkers bounds concurrently-handled statements per segment
-	// (the segment's executor capacity; default 4).
-	SegmentWorkers int
-
-	// ExecBatchSize is the executor's rows-per-batch for vectorized
-	// execution and interconnect framing (0 = types.DefaultBatchSize).
-	ExecBatchSize int
-	// ExecParallelism is the degree of intra-segment parallelism: slices the
-	// planner marks parallel-safe (scan/filter/project chains with at most
-	// one non-DISTINCT aggregate) run as that many worker pipelines over
-	// disjoint block ranges per segment. <= 1 = serial. Session override:
-	// SET exec_parallelism.
-	ExecParallelism int
 
 	// BlockCacheBytes is the capacity of each segment's LRU cache of decoded
 	// AO-column blocks, charged against the resource-group global vmem pool
@@ -210,12 +193,6 @@ func (c *Config) withDefaults() *Config {
 	out := *c
 	if out.NumSegments < 1 {
 		out.NumSegments = 1
-	}
-	if out.ExecBatchSize <= 0 {
-		out.ExecBatchSize = types.DefaultBatchSize
-	}
-	if out.ExecParallelism < 1 {
-		out.ExecParallelism = 1
 	}
 	if out.BlockCacheBytes == 0 {
 		out.BlockCacheBytes = 16 << 20

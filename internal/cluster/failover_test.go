@@ -217,7 +217,7 @@ func TestCommitLogTruncation(t *testing.T) {
 	if !coord.HasCommitRecord(dxids[0]) {
 		t.Fatal("commit record missing before truncation")
 	}
-	if n := coord.TruncateCommitLog(coord.OldestInProgress()); n != 10 {
+	if n := coord.TruncateCommitLog(coord.Horizon()); n != 10 {
 		t.Fatalf("truncated %d records, want 10", n)
 	}
 	if coord.HasCommitRecord(dxids[9]) {

@@ -134,8 +134,10 @@ type SpillCounters struct {
 // one segment (docs/ARCHITECTURE.md, "Direct dispatch"), with which it goes.
 const gangSampleEvery = 50
 
-// motionBufferRows is each interconnect stream's buffer, in rows.
-const motionBufferRows = 1024
+// motionSlots is each interconnect stream's buffer, in sends: 1 024 rows
+// at the executor's batch size, which keeps per-stream buffering (and the
+// flow-control/back-pressure behaviour it models) at a fixed row scale.
+const motionSlots = 1024 / types.DefaultBatchSize
 
 // RunSelect executes a SELECT plan, retrying the whole statement when a
 // segment dies under it mid-scan: reads have no side effects beyond
@@ -202,15 +204,9 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 		lo, hi, senders = pl.DirectSegment, pl.DirectSegment+1, nil
 	}
 
-	batchSize := c.cfg.ExecBatchSize // >= 1 after Config.withDefaults
-
-	// motionBufferRows is row-denominated; the fabric counts buffer slots
-	// in sends (batches), so the slot count shrinks by the batch size to
-	// keep per-stream buffering (and the flow-control/back-pressure
-	// behaviour it models) at a fixed row scale.
 	var fabric *interconnect.Fabric
 	if !direct {
-		fabric = interconnect.NewFabric(nseg, max(1, motionBufferRows/batchSize), 0)
+		fabric = interconnect.NewFabric(nseg, motionSlots, 0)
 		for _, m := range motions {
 			switch m.Type {
 			case plan.MotionGather:
@@ -284,7 +280,6 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 		ec := &exec.Context{
 			Ctx:         qctx,
 			Recv:        func(slice int) exec.Receiver { return fabric.Receiver(slice, segID) },
-			BatchSize:   batchSize,
 			Spill:       spill,
 			NumSegments: nseg,
 			SegID:       segID,
@@ -324,11 +319,7 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 				defer fabric.DoneSending(m.SliceID)
 				sp := tr.Begin(execSpanOf(res), name, seg)
 				defer sp.End()
-				ec := mkCtx(seg)
-				// Only slices the planner marked parallel-safe (Parallel > 1,
-				// from the session's exec_parallelism at plan time) split.
-				ec.Parallel = m.Parallel
-				if err := runBatchSlice(qctx, ec, m, fabric, nseg); err != nil {
+				if err := runBatchSlice(qctx, mkCtx(seg), m, fabric, nseg); err != nil {
 					cancel(err)
 				}
 			}()
@@ -439,12 +430,11 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 }
 
 // runBatchSlice executes one (motion, location) sender: it pulls batches
-// from the slice's operator tree (split into parallel worker pipelines when
-// the slice allows it) and pays one interconnect send per (destination)
-// batch. Redistribute motions fan rows out per destination at row
-// granularity, preserving hash routing exactly.
+// from the slice's operator tree and pays one interconnect send per
+// (destination) batch. Redistribute motions fan rows out per destination at
+// row granularity, preserving hash routing exactly.
 func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric *interconnect.Fabric, nseg int) error {
-	it := exec.BuildBatchParallel(ec, m.Child)
+	it := exec.BuildBatch(ec, m.Child)
 	defer it.Close()
 	var rows []types.Row // redistribute scratch, reused across batches
 	var dests []int

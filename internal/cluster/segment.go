@@ -112,11 +112,11 @@ type segTxn struct {
 	owner lockmgr.TxnID
 }
 
+// segmentWorkers bounds concurrently-handled statements per segment: the
+// segment's executor capacity, the size of execSem.
+const segmentWorkers = 4
+
 func newSegment(id int, cfg *Config) *Segment {
-	workers := cfg.SegmentWorkers
-	if workers < 1 {
-		workers = 4
-	}
 	s := &Segment{
 		id:      id,
 		cfg:     cfg,
@@ -125,7 +125,7 @@ func newSegment(id int, cfg *Config) *Segment {
 		mapping: dtm.NewXidMapping(),
 		tables:  make(map[catalog.TableID]*segTable),
 		open:    make(map[dtm.DXID]*segTxn),
-		execSem: make(chan struct{}, workers),
+		execSem: make(chan struct{}, segmentWorkers),
 		diskSem: make(chan struct{}, 2),
 		log:     wal.New(),
 	}
@@ -813,12 +813,11 @@ func (a *storeAccess) scanOpts(spec exec.ScanSpec) *storage.ScanOpts {
 }
 
 // ScanTableBatches implements exec.StoreAccess: the visible rows of the leaf,
-// or of its block range rng, chunk by chunk, skipping blocks the pushed
-// predicate's zone maps rule out. Each chunk with a visible row goes to fn
-// as a view under the selection of those rows — a column chunk by reference
-// into the block cache, a row chunk over the engine's stored rows — valid
-// only during the call.
-func (a *storeAccess) ScanTableBatches(ctx context.Context, leaf catalog.TableID, rng *exec.ScanRange, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
+// chunk by chunk, skipping blocks the pushed predicate's zone maps rule out.
+// Each chunk with a visible row goes to fn as a view under the selection of
+// those rows — a column chunk by reference into the block cache, a row chunk
+// over the engine's stored rows — valid only during the call.
+func (a *storeAccess) ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
 	st, err := a.seg.table(leaf)
 	if err != nil {
 		return err
@@ -826,12 +825,8 @@ func (a *storeAccess) ScanTableBatches(ctx context.Context, leaf catalog.TableID
 	if err := a.lockRelation(ctx, st.meta, lockmgr.AccessShare); err != nil {
 		return err
 	}
-	r := storage.WholeTable
-	if rng != nil {
-		r = storage.BlockRange{Begin: rng.Begin, End: rng.End}
-	}
 	var view types.RowBatch
-	return scanChunks(ctx, st, r, a.scanOpts(spec), batchSize, &a.check, func(ch *storage.Chunk, sel []int) (bool, error) {
+	return scanChunks(ctx, st, a.scanOpts(spec), batchSize, &a.check, func(ch *storage.Chunk, sel []int) (bool, error) {
 		if view = (types.RowBatch{Rows: ch.Rows, Sel: sel, Cols: ch.Cols}); view.Len() == 0 {
 			return true, nil
 		}
@@ -839,30 +834,15 @@ func (a *storeAccess) ScanTableBatches(ctx context.Context, leaf catalog.TableID
 	})
 }
 
-// SplitTableRanges implements exec.ParallelStoreAccess: the leaf's engine
-// partitions its row space for parallel workers.
-func (a *storeAccess) SplitTableRanges(leaf catalog.TableID, parts int) ([]exec.ScanRange, bool) {
-	st, err := a.seg.table(leaf)
-	if err != nil {
-		return nil, false
-	}
-	ranges := st.engine.SplitBlocks(parts)
-	out := make([]exec.ScanRange, len(ranges))
-	for i, r := range ranges {
-		out[i] = exec.ScanRange{Begin: r.Begin, End: r.End}
-	}
-	return out, true
-}
-
 // scanChunks is the one chunk loop of the segment's scans: it drives st's
-// storage scan over r, checking ctx once per chunk, and hands fn each chunk
-// with the selection of its rows visible to check (nil: all; a nil check
-// keeps every version), both valid only during the call. It returns fn's
+// storage scan, checking ctx once per chunk, and hands fn each chunk with
+// the selection of its rows visible to check (nil: all; a nil check keeps
+// every version), both valid only during the call. It returns fn's
 // error, else the scan's.
-func scanChunks(ctx context.Context, st *segTable, r storage.BlockRange, opts *storage.ScanOpts, batchSize int, check *txn.VisibilityChecker, fn func(ch *storage.Chunk, sel []int) (bool, error)) error {
+func scanChunks(ctx context.Context, st *segTable, opts *storage.ScanOpts, batchSize int, check *txn.VisibilityChecker, fn func(ch *storage.Chunk, sel []int) (bool, error)) error {
 	var fnErr error
 	var buf []int
-	err := st.engine.Scan(r, opts, batchSize, func(ch *storage.Chunk) bool {
+	err := st.engine.Scan(opts, batchSize, func(ch *storage.Chunk) bool {
 		if fnErr = ctx.Err(); fnErr != nil {
 			return false
 		}
@@ -888,7 +868,7 @@ func scanChunks(ctx context.Context, st *segTable, r storage.BlockRange, opts *s
 // rows are gathered into one scratch row.
 func scanRows(ctx context.Context, st *segTable, opts *storage.ScanOpts, check *txn.VisibilityChecker, fn func(row types.Row, tid storage.TupleID) (bool, error)) error {
 	var scratch types.Row
-	return scanChunks(ctx, st, storage.WholeTable, opts, types.DefaultBatchSize, check, func(ch *storage.Chunk, sel []int) (bool, error) {
+	return scanChunks(ctx, st, opts, types.DefaultBatchSize, check, func(ch *storage.Chunk, sel []int) (bool, error) {
 		view := types.RowBatch{Rows: ch.Rows, Sel: sel, Cols: ch.Cols}
 		for j := 0; j < view.Len(); j++ {
 			i := view.Index(j)

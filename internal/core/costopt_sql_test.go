@@ -26,10 +26,10 @@ func loadStarSchema(t *testing.T, s *Session, engine string, nFact, nMid, nSmall
 }
 
 // TestCostOptOnOffResultEquality: the same join queries return byte-identical
-// results with the cost-based optimizer on and off, serially and at
-// exec_parallelism=4, across all three storage engines — the acceptance
-// property of plan-shape-only optimization. Queries are ordered so the
-// reordered plans' different emission order cannot hide behind set equality.
+// results with the cost-based optimizer on and off, across all three storage
+// engines — the acceptance property of plan-shape-only optimization. Queries
+// are ordered so the reordered plans' different emission order cannot hide
+// behind set equality.
 func TestCostOptOnOffResultEquality(t *testing.T) {
 	queries := []string{
 		"SELECT fact.a, mid.s FROM fact JOIN mid ON fact.m = mid.id WHERE fact.v < 20 ORDER BY fact.a",
@@ -44,51 +44,44 @@ func TestCostOptOnOffResultEquality(t *testing.T) {
 		"ao-col": " WITH (appendonly=true, orientation=column)",
 	}
 	for engName, engine := range engines {
-		type key struct {
-			costopt bool
-			dop     int
-		}
-		results := map[key]map[string][]types.Row{}
+		results := map[bool]map[string][]types.Row{}
 		for _, co := range []bool{true, false} {
-			for _, dop := range []int{1, 4} {
-				cfg := cluster.GPDB6(2)
-				cfg.EnableCostOpt = co
-				cfg.ExecParallelism = dop
-				e := NewEngine(cfg)
-				s, err := e.NewSession("")
+			cfg := cluster.GPDB6(2)
+			cfg.EnableCostOpt = co
+			e := NewEngine(cfg)
+			s, err := e.NewSession("")
+			if err != nil {
+				e.Close()
+				t.Fatal(err)
+			}
+			loadStarSchema(t, s, engine, 4000, 100, 10)
+			if err := s.SetOptimizer("orca"); err != nil {
+				e.Close()
+				t.Fatal(err)
+			}
+			mustExec(t, s, "ANALYZE")
+			byQuery := map[string][]types.Row{}
+			for _, q := range queries {
+				res, err := s.Exec(context.Background(), q)
 				if err != nil {
 					e.Close()
-					t.Fatal(err)
+					t.Fatalf("%s (%s costopt=%v): %v", q, engName, co, err)
 				}
-				loadStarSchema(t, s, engine, 4000, 100, 10)
-				if err := s.SetOptimizer("orca"); err != nil {
-					e.Close()
-					t.Fatal(err)
-				}
-				mustExec(t, s, "ANALYZE")
-				byQuery := map[string][]types.Row{}
-				for _, q := range queries {
-					res, err := s.Exec(context.Background(), q)
-					if err != nil {
-						e.Close()
-						t.Fatalf("%s (%s costopt=%v dop=%d): %v", q, engName, co, dop, err)
-					}
-					byQuery[q] = res.Rows
-				}
-				results[key{co, dop}] = byQuery
-				e.Close()
+				byQuery[q] = res.Rows
 			}
+			results[co] = byQuery
+			e.Close()
 		}
-		base := results[key{false, 1}]
-		for k, byQuery := range results {
+		base := results[false]
+		for co, byQuery := range results {
 			for _, q := range queries {
 				want, got := base[q], byQuery[q]
 				if len(want) != len(got) {
-					t.Fatalf("%s (%s costopt=%v dop=%d): %d rows vs %d", q, engName, k.costopt, k.dop, len(got), len(want))
+					t.Fatalf("%s (%s costopt=%v): %d rows vs %d", q, engName, co, len(got), len(want))
 				}
 				for i := range want {
 					if !want[i].Equal(got[i]) {
-						t.Fatalf("%s (%s costopt=%v dop=%d) row %d: %v vs %v", q, engName, k.costopt, k.dop, i, got[i], want[i])
+						t.Fatalf("%s (%s costopt=%v) row %d: %v vs %v", q, engName, co, i, got[i], want[i])
 					}
 				}
 			}

@@ -45,16 +45,13 @@ func TestReplicatedScanSingleCopy(t *testing.T) {
 	_, s := newTestEngine(t, 3)
 	mustExec(t, s, "CREATE TABLE rep (k int, v int) DISTRIBUTED REPLICATED")
 	mustExec(t, s, "INSERT INTO rep VALUES (1, 10), (2, 20), (3, 30)")
-	for _, dop := range []int{1, 4} {
-		mustExec(t, s, fmt.Sprintf("SET exec_parallelism = %d", dop))
-		if got := mustExec(t, s, "SELECT k, v FROM rep ORDER BY k").Rows; len(got) != 3 {
-			t.Fatalf("dop %d: plain scan returned %d rows, want 3 (per-segment copies leaked)", dop, len(got))
-		}
-		// Two-phase aggregates must not count per-segment copies either.
-		res := mustExec(t, s, "SELECT count(*), sum(v) FROM rep")
-		if n, sum := res.Rows[0][0].Int(), res.Rows[0][1].Int(); n != 3 || sum != 60 {
-			t.Fatalf("dop %d: aggregate over replicated table = (%d, %d), want (3, 60)", dop, n, sum)
-		}
+	if got := mustExec(t, s, "SELECT k, v FROM rep ORDER BY k").Rows; len(got) != 3 {
+		t.Fatalf("plain scan returned %d rows, want 3 (per-segment copies leaked)", len(got))
+	}
+	// Two-phase aggregates must not count per-segment copies either.
+	res := mustExec(t, s, "SELECT count(*), sum(v) FROM rep")
+	if n, sum := res.Rows[0][0].Int(), res.Rows[0][1].Int(); n != 3 || sum != 60 {
+		t.Fatalf("aggregate over replicated table = (%d, %d), want (3, 60)", n, sum)
 	}
 }
 
@@ -105,7 +102,7 @@ func TestExpandSQLSurface(t *testing.T) {
 // TestExpandEquivalence is the online-expansion property test: for a seeded
 // random DML workload over all three storage engines (plus replicated and
 // random distributions), expanding the cluster 2→4 mid-schedule must leave
-// every table byte-identical to a run that never expanded — at dop 1 and 4.
+// every table byte-identical to a run that never expanded.
 // The workload keeps running while shards move; clients only ever see
 // retryable errors at the flip.
 func TestExpandEquivalence(t *testing.T) {
@@ -173,18 +170,13 @@ func runExpandEquivalence(t *testing.T, seed uint64) {
 		}
 	}
 
-	for _, dop := range []int{1, 4} {
-		for _, sess := range sessions {
-			mustExec(t, sess, fmt.Sprintf("SET exec_parallelism = %d", dop))
-		}
-		for _, tab := range expandTables {
-			q := fmt.Sprintf("SELECT k, v, s FROM %s ORDER BY k, v, s", tab)
-			want := rowsText(mustExec(t, control, q))
-			got := rowsText(mustExec(t, expanding, q))
-			if want != got {
-				t.Fatalf("seed %d dop %d: table %s diverged after expansion at step %d\ncontrol %d bytes, expanded %d bytes",
-					seed, dop, tab, expandAt, len(want), len(got))
-			}
+	for _, tab := range expandTables {
+		q := fmt.Sprintf("SELECT k, v, s FROM %s ORDER BY k, v, s", tab)
+		want := rowsText(mustExec(t, control, q))
+		got := rowsText(mustExec(t, expanding, q))
+		if want != got {
+			t.Fatalf("seed %d: table %s diverged after expansion at step %d\ncontrol %d bytes, expanded %d bytes",
+				seed, tab, expandAt, len(want), len(got))
 		}
 	}
 	// Index lookups read the rebuilt index on the moved table.

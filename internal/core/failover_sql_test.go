@@ -319,7 +319,7 @@ func TestShowWalStatsAndReplicaMode(t *testing.T) {
 // TestCrashRecoveryEquivalence is the property test: for a seeded random
 // DML workload over all three storage engines, killing a random primary at
 // a random point and promoting its mirror yields full-table scans
-// byte-identical to a run that never failed — at dop 1 and dop 4.
+// byte-identical to a run that never failed.
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	seeds := []uint64{1, 7, 23}
 	if testing.Short() {
@@ -376,18 +376,13 @@ func runCrashEquivalence(t *testing.T, seed uint64) {
 		t.Fatalf("failovers = %d", chaosEng.Cluster().Failovers())
 	}
 
-	for _, dop := range []int{1, 4} {
-		for _, sess := range []*Session{control, chaos} {
-			mustExec(t, sess, fmt.Sprintf("SET exec_parallelism = %d", dop))
-		}
-		for _, tab := range []string{"fh", "fr", "fc"} {
-			q := fmt.Sprintf("SELECT k, v, s FROM %s ORDER BY k, v, s", tab)
-			want := rowsText(mustExec(t, control, q))
-			got := rowsText(mustExec(t, chaos, q))
-			if want != got {
-				t.Fatalf("seed %d dop %d: table %s diverged after kill(seg %d at step %d)\ncontrol %d bytes, chaos %d bytes",
-					seed, dop, tab, killSeg, killAt, len(want), len(got))
-			}
+	for _, tab := range []string{"fh", "fr", "fc"} {
+		q := fmt.Sprintf("SELECT k, v, s FROM %s ORDER BY k, v, s", tab)
+		want := rowsText(mustExec(t, control, q))
+		got := rowsText(mustExec(t, chaos, q))
+		if want != got {
+			t.Fatalf("seed %d: table %s diverged after kill(seg %d at step %d)\ncontrol %d bytes, chaos %d bytes",
+				seed, tab, killSeg, killAt, len(want), len(got))
 		}
 	}
 }

@@ -23,8 +23,8 @@ var vectorCols = []string{"k", "g", "d", "q", "amt", "tag", "ok", "day", "mix"}
 // planner prune. Shapes: inner and LEFT, a residual comparing both sides, an
 // expression key, a join under a join, a nested loop, AO-column on either
 // side, a boxed mixed-kind column as join output, NULL keys, and unmatched
-// LEFT rows whose right side an aggregate reads — at exec_parallelism 1 and
-// 4, with the cost-based passes (which reorder and re-project) on and off.
+// LEFT rows whose right side an aggregate reads — with the cost-based passes
+// (which reorder and re-project) on and off.
 func TestJoinOutputMatchesStarProjection(t *testing.T) {
 	e := NewEngine(cluster.GPDB6(2))
 	defer e.Close()
@@ -55,66 +55,63 @@ func TestJoinOutputMatchesStarProjection(t *testing.T) {
 	}
 	name := func(c int) string { return fmt.Sprintf("%c.%s", 'a'+c/len(vectorCols), vectorCols[c%len(vectorCols)]) }
 	render := func(rows []types.Row) string { return sortedRows(&Result{Rows: rows}) }
-	for _, dop := range []int{1, 4} {
-		for _, costopt := range []string{"on", "off"} {
-			mustExec(t, s, fmt.Sprint("SET exec_parallelism = ", dop))
-			mustExec(t, s, "SET enable_costopt = "+costopt)
-			for _, tc := range cases {
-				at := fmt.Sprintf("dop %d costopt %s: %s", dop, costopt, tc.from)
-				star := mustExec(t, s, "SELECT * FROM "+tc.from).Rows
-				if len(star) == 0 {
-					t.Fatalf("%s: the oracle join is empty", at)
+	for _, costopt := range []string{"on", "off"} {
+		mustExec(t, s, "SET enable_costopt = "+costopt)
+		for _, tc := range cases {
+			at := fmt.Sprintf("costopt %s: %s", costopt, tc.from)
+			star := mustExec(t, s, "SELECT * FROM "+tc.from).Rows
+			if len(star) == 0 {
+				t.Fatalf("%s: the oracle join is empty", at)
+			}
+			var list []string
+			proj := make([]types.Row, len(star))
+			for _, c := range tc.cols {
+				list = append(list, name(c))
+				for i, r := range star {
+					proj[i] = append(proj[i], r[c])
 				}
-				var list []string
-				proj := make([]types.Row, len(star))
-				for _, c := range tc.cols {
-					list = append(list, name(c))
-					for i, r := range star {
-						proj[i] = append(proj[i], r[c])
-					}
-				}
-				sel := strings.Join(list, ", ")
+			}
+			sel := strings.Join(list, ", ")
 
-				if got, want := render(mustExec(t, s, "SELECT "+sel+" FROM "+tc.from).Rows), render(proj); got != want {
-					t.Fatalf("%s: SELECT %s\ngot:\n%s\nSELECT * says:\n%s", at, sel, got, want)
-				}
+			if got, want := render(mustExec(t, s, "SELECT "+sel+" FROM "+tc.from).Rows), render(proj); got != want {
+				t.Fatalf("%s: SELECT %s\ngot:\n%s\nSELECT * says:\n%s", at, sel, got, want)
+			}
 
-				// GROUP BY the first column: count(*) and count(last column).
-				type agg struct{ key, n, last types.Datum }
-				groups := map[string]*agg{}
-				for _, r := range proj {
-					g := groups[r[0].String()]
-					if g == nil {
-						g = &agg{key: r[0], n: types.NewInt(0), last: types.NewInt(0)}
-						groups[r[0].String()] = g
-					}
-					g.n = types.NewInt(g.n.Int() + 1)
-					if !r[len(r)-1].IsNull() {
-						g.last = types.NewInt(g.last.Int() + 1)
-					}
+			// GROUP BY the first column: count(*) and count(last column).
+			type agg struct{ key, n, last types.Datum }
+			groups := map[string]*agg{}
+			for _, r := range proj {
+				g := groups[r[0].String()]
+				if g == nil {
+					g = &agg{key: r[0], n: types.NewInt(0), last: types.NewInt(0)}
+					groups[r[0].String()] = g
 				}
-				var want []types.Row
-				for _, g := range groups {
-					want = append(want, types.Row{g.key, g.n, g.last})
+				g.n = types.NewInt(g.n.Int() + 1)
+				if !r[len(r)-1].IsNull() {
+					g.last = types.NewInt(g.last.Int() + 1)
 				}
-				q := fmt.Sprintf("SELECT %s, count(*), count(%s) FROM %s GROUP BY %s", list[0], list[len(list)-1], tc.from, list[0])
-				if got, want := render(mustExec(t, s, q).Rows), render(want); got != want {
-					t.Fatalf("%s: %s\ngot:\n%s\nSELECT * says:\n%s", at, q, got, want)
-				}
+			}
+			var want []types.Row
+			for _, g := range groups {
+				want = append(want, types.Row{g.key, g.n, g.last})
+			}
+			q := fmt.Sprintf("SELECT %s, count(*), count(%s) FROM %s GROUP BY %s", list[0], list[len(list)-1], tc.from, list[0])
+			if got, want := render(mustExec(t, s, q).Rows), render(want); got != want {
+				t.Fatalf("%s: %s\ngot:\n%s\nSELECT * says:\n%s", at, q, got, want)
+			}
 
-				// Join → sort → limit, ordered by every selected column.
-				sort.SliceStable(proj, func(i, j int) bool {
-					for c := range proj[i] {
-						if cmp := types.Compare(proj[i][c], proj[j][c]); cmp != 0 {
-							return cmp < 0
-						}
+			// Join → sort → limit, ordered by every selected column.
+			sort.SliceStable(proj, func(i, j int) bool {
+				for c := range proj[i] {
+					if cmp := types.Compare(proj[i][c], proj[j][c]); cmp != 0 {
+						return cmp < 0
 					}
-					return false
-				})
-				q = fmt.Sprintf("SELECT %s FROM %s ORDER BY %s LIMIT 7", sel, tc.from, sel)
-				if got, want := rowsText(mustExec(t, s, q)), rowsText(&Result{Rows: proj[:min(7, len(proj))]}); got != want {
-					t.Fatalf("%s: %s\ngot:\n%s\nSELECT * says:\n%s", at, q, got, want)
 				}
+				return false
+			})
+			q = fmt.Sprintf("SELECT %s FROM %s ORDER BY %s LIMIT 7", sel, tc.from, sel)
+			if got, want := rowsText(mustExec(t, s, q)), rowsText(&Result{Rows: proj[:min(7, len(proj))]}); got != want {
+				t.Fatalf("%s: %s\ngot:\n%s\nSELECT * says:\n%s", at, q, got, want)
 			}
 		}
 	}
@@ -122,7 +119,7 @@ func TestJoinOutputMatchesStarProjection(t *testing.T) {
 
 // TestGroupByOrdinal: a bare integer in GROUP BY is the position of a select
 // item, as in ORDER BY — it used to bind as the constant, putting every row
-// in one group. Heap and AO-column, serial and parallel.
+// in one group. Heap and AO-column.
 func TestGroupByOrdinal(t *testing.T) {
 	e := NewEngine(cluster.GPDB6(2))
 	defer e.Close()
@@ -132,21 +129,18 @@ func TestGroupByOrdinal(t *testing.T) {
 		mustExec(t, s, "CREATE TABLE t (a int, b int, c int)"+engine+" DISTRIBUTED BY (c)")
 		mustExec(t, s, "INSERT INTO t VALUES (1,10,0),(2,20,1),(2,30,2),(3,5,3)")
 		bulkInsert(t, s, "t", 9000, 0, func(i int) string { return fmt.Sprintf("(%d,%d,%d)", 10+i%7, i%3, i) })
-		for _, dop := range []int{1, 4} {
-			mustExec(t, s, fmt.Sprint("SET exec_parallelism = ", dop))
-			if got := rowsText(mustExec(t, s, "SELECT a, sum(b) FROM t WHERE c < 4 AND b > 2 GROUP BY 1 ORDER BY 1")); got != "int:1|int:10\nint:2|int:50\nint:3|int:5\n" {
-				t.Fatalf("engine %q dop %d: GROUP BY 1 over (1,10),(2,20),(2,30),(3,5):\n%s", engine, dop, got)
-			}
-			for _, pair := range [][2]string{
-				{"SELECT a, sum(b) FROM t GROUP BY 1", "SELECT a, sum(b) FROM t GROUP BY a"},
-				{"SELECT a, b, count(*), max(c) FROM t GROUP BY 1, 2", "SELECT a, b, count(*), max(c) FROM t GROUP BY a, b"},
-				{"SELECT count(*), a + b FROM t GROUP BY 2", "SELECT count(*), a + b FROM t GROUP BY a + b"},
-				{"SELECT b, a FROM t GROUP BY 2, 1 ORDER BY 2 DESC, 1", "SELECT b, a FROM t GROUP BY a, b ORDER BY a DESC, b"},
-			} {
-				got, want := mustExec(t, s, pair[0]), mustExec(t, s, pair[1])
-				if len(want.Rows) < 4 || sortedRows(got) != sortedRows(want) {
-					t.Fatalf("engine %q dop %d: %s\n%s\n%s\n%s", engine, dop, pair[0], sortedRows(got), pair[1], sortedRows(want))
-				}
+		if got := rowsText(mustExec(t, s, "SELECT a, sum(b) FROM t WHERE c < 4 AND b > 2 GROUP BY 1 ORDER BY 1")); got != "int:1|int:10\nint:2|int:50\nint:3|int:5\n" {
+			t.Fatalf("engine %q: GROUP BY 1 over (1,10),(2,20),(2,30),(3,5):\n%s", engine, got)
+		}
+		for _, pair := range [][2]string{
+			{"SELECT a, sum(b) FROM t GROUP BY 1", "SELECT a, sum(b) FROM t GROUP BY a"},
+			{"SELECT a, b, count(*), max(c) FROM t GROUP BY 1, 2", "SELECT a, b, count(*), max(c) FROM t GROUP BY a, b"},
+			{"SELECT count(*), a + b FROM t GROUP BY 2", "SELECT count(*), a + b FROM t GROUP BY a + b"},
+			{"SELECT b, a FROM t GROUP BY 2, 1 ORDER BY 2 DESC, 1", "SELECT b, a FROM t GROUP BY a, b ORDER BY a DESC, b"},
+		} {
+			got, want := mustExec(t, s, pair[0]), mustExec(t, s, pair[1])
+			if len(want.Rows) < 4 || sortedRows(got) != sortedRows(want) {
+				t.Fatalf("engine %q: %s\n%s\n%s\n%s", engine, pair[0], sortedRows(got), pair[1], sortedRows(want))
 			}
 		}
 		for q, want := range map[string]string{

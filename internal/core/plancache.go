@@ -54,7 +54,6 @@ type stmtEntry struct {
 // with equal settings share plans.
 type planSettings struct {
 	optimizer          plan.Optimizer
-	parallelism        int
 	pushdown, costOpt  bool
 	broadcastThreshold int
 }

@@ -453,7 +453,6 @@ func (s *Session) planner(params []types.Datum) *plan.Planner {
 		NumSegments:        s.engine.cluster.SegCount(),
 		Optimizer:          ps.optimizer,
 		Stats:              s.engine.cluster,
-		Parallelism:        ps.parallelism,
 		Pushdown:           ps.pushdown,
 		CostOpt:            ps.costOpt,
 		BroadcastThreshold: ps.broadcastThreshold,

@@ -56,9 +56,6 @@ var settingTable = map[string]*setting{
 	"enable_costopt": boolSetting(
 		func(ss *sessionSettings) *bool { return &ss.costOpt },
 		func(cfg *cluster.Config) bool { return cfg.EnableCostOpt }),
-	"exec_parallelism": intSetting("an integer >= 1", 1, math.MaxInt,
-		func(ss *sessionSettings) *int { return &ss.parallelism },
-		func(cfg *cluster.Config) int { return cfg.ExecParallelism }),
 	"broadcast_threshold": intSetting("a positive row count", 1, math.MaxInt,
 		func(ss *sessionSettings) *int { return &ss.broadcastThreshold },
 		func(cfg *cluster.Config) int { return cfg.BroadcastThreshold }),

@@ -53,12 +53,6 @@ var settingCases = map[string]settingCase{
 		invalid:     []string{"maybe", "-1"},
 		planShaping: true,
 	},
-	"exec_parallelism": {
-		def:         itoa(func(cfg *cluster.Config) int { return cfg.ExecParallelism }),
-		valid:       map[string]string{"4": "4", "1": "1"},
-		invalid:     []string{"abc", "-3", "0", "1.5"},
-		planShaping: true,
-	},
 	"broadcast_threshold": {
 		def:         itoa(func(cfg *cluster.Config) int { return cfg.BroadcastThreshold }),
 		valid:       map[string]string{"50": "50", "1": "1"},
@@ -99,7 +93,6 @@ var settingCases = map[string]settingCase{
 func TestSettingTable(t *testing.T) {
 	cfg := cluster.GPDB6(2)
 	cfg.ReplicaMode = cluster.ReplicaSync // replica_mode is only settable with mirrors
-	cfg.ExecParallelism = 2
 	cfg.BroadcastThreshold = 77
 	cfg.MemorySpillRatio = 33
 	e := NewEngine(cfg)
@@ -176,7 +169,7 @@ func TestSettingTable(t *testing.T) {
 	}
 	nonDefault := map[string]string{
 		"optimizer": "orca", "enable_zonemaps": "off", "enable_costopt": "off",
-		"exec_parallelism": "4", "broadcast_threshold": "5", "memory_spill_ratio": "50",
+		"broadcast_threshold": "5", "memory_spill_ratio": "50",
 		"statement_timeout": "60000", "trace_queries": "on", "log_min_duration": "0",
 		"replica_mode": "async",
 	}

@@ -33,7 +33,7 @@ func TestSpillFaultCleanupEverySite(t *testing.T) {
 	for _, tc := range spillFaultQueries {
 		for _, point := range []string{fault.SpillCreate, fault.SpillWrite} {
 			t.Run(tc.site+"/"+point, func(t *testing.T) {
-				e, constrained, admin := newSpillEngine(t, 2, 1)
+				e, constrained, admin := newSpillEngine(t, 2)
 				loadSpillTables(t, admin, true)
 				noLeak := ownSpillDir(t)
 				c := e.Cluster()
@@ -82,7 +82,7 @@ func TestSpillFaultCleanupEverySite(t *testing.T) {
 // and admission would start refusing work. Twenty failures in, the session
 // still runs a clean spilling query.
 func TestSpillFaultRepeatedNoAccountingLeak(t *testing.T) {
-	e, constrained, admin := newSpillEngine(t, 2, 1)
+	e, constrained, admin := newSpillEngine(t, 2)
 	loadSpillTables(t, admin, false)
 	c := e.Cluster()
 	ctx := context.Background()
@@ -116,7 +116,7 @@ func TestSpillFaultRepeatedNoAccountingLeak(t *testing.T) {
 // paths must be race-clean and no session's failure may leak files into
 // another's statement lifetime.
 func TestSpillFaultConcurrentSessions(t *testing.T) {
-	e, _, admin := newSpillEngine(t, 2, 1)
+	e, _, admin := newSpillEngine(t, 2)
 	loadSpillTables(t, admin, false)
 	c := e.Cluster()
 	noLeak := ownSpillDir(t)

@@ -13,20 +13,19 @@ import (
 // spillTestConfig sizes a cluster so a constrained resource group's spill
 // budget is tiny (slot quota 3.2 MiB × 1% = 32 KiB) while the default groups
 // stay functional.
-func spillTestConfig(nseg, dop int) *cluster.Config {
+func spillTestConfig(nseg int) *cluster.Config {
 	cfg := cluster.GPDB6(nseg)
 	cfg.MemoryBytes = 32 << 20
 	cfg.BlockCacheBytes = 1 << 20
-	cfg.ExecParallelism = dop
 	return cfg
 }
 
 // newSpillEngine boots an engine with a "tiny" resource group (32 KiB spill
 // budget) plus a bound role, and returns constrained and unconstrained
 // sessions against the same data.
-func newSpillEngine(t *testing.T, nseg, dop int) (*Engine, *Session, *Session) {
+func newSpillEngine(t *testing.T, nseg int) (*Engine, *Session, *Session) {
 	t.Helper()
-	e := NewEngine(spillTestConfig(nseg, dop))
+	e := NewEngine(spillTestConfig(nseg))
 	t.Cleanup(e.Close)
 	admin, err := e.NewSession("")
 	if err != nil {
@@ -60,7 +59,7 @@ func loadSpillTables(t *testing.T, s *Session, withJoin bool) {
 
 // TestSpillResultEquality is the acceptance property: ORDER BY, GROUP BY and
 // join queries forced to spill by a tiny budget return results byte-identical
-// to the unconstrained in-memory plans, at intra-segment parallelism 1 and 4.
+// to the unconstrained in-memory plans.
 func TestSpillResultEquality(t *testing.T) {
 	queries := []string{
 		"SELECT a, b FROM t ORDER BY b, a",
@@ -68,32 +67,32 @@ func TestSpillResultEquality(t *testing.T) {
 		"SELECT t.a, t.b, u.d FROM t JOIN u ON t.a = u.c ORDER BY t.a, u.d",
 		"SELECT t.a, u.d FROM t LEFT JOIN u ON t.a = u.c ORDER BY t.a, u.d",
 	}
-	for _, dop := range []int{1, 4} {
-		t.Run(fmt.Sprintf("dop%d", dop), func(t *testing.T) {
-			e, constrained, admin := newSpillEngine(t, 2, dop)
-			loadSpillTables(t, admin, true)
-			for _, q := range queries {
-				base := mustExec(t, admin, q)
-				s0, _, _, _ := e.Cluster().SpillStats()
-				got := mustExec(t, constrained, q)
-				s1, b1, f1, _ := e.Cluster().SpillStats()
-				if s1 == s0 {
-					t.Fatalf("query did not spill under the tiny budget: %s", q)
-				}
-				if b1 <= 0 || f1 <= 0 {
-					t.Fatalf("spill bytes/files not counted: bytes=%d files=%d", b1, f1)
-				}
-				if len(got.Rows) != len(base.Rows) {
-					t.Fatalf("%s: row counts differ: constrained=%d unconstrained=%d", q, len(got.Rows), len(base.Rows))
-				}
-				for i := range base.Rows {
-					if !base.Rows[i].Equal(got.Rows[i]) {
-						t.Fatalf("%s: row %d differs: unconstrained=%v constrained=%v", q, i, base.Rows[i], got.Rows[i])
-					}
+	// One pipeline per slice is the only degree the executor runs; the
+	// subtest keeps the dop1 name it had beside the parallel runs.
+	t.Run("dop1", func(t *testing.T) {
+		e, constrained, admin := newSpillEngine(t, 2)
+		loadSpillTables(t, admin, true)
+		for _, q := range queries {
+			base := mustExec(t, admin, q)
+			s0, _, _, _ := e.Cluster().SpillStats()
+			got := mustExec(t, constrained, q)
+			s1, b1, f1, _ := e.Cluster().SpillStats()
+			if s1 == s0 {
+				t.Fatalf("query did not spill under the tiny budget: %s", q)
+			}
+			if b1 <= 0 || f1 <= 0 {
+				t.Fatalf("spill bytes/files not counted: bytes=%d files=%d", b1, f1)
+			}
+			if len(got.Rows) != len(base.Rows) {
+				t.Fatalf("%s: row counts differ: constrained=%d unconstrained=%d", q, len(got.Rows), len(base.Rows))
+			}
+			for i := range base.Rows {
+				if !base.Rows[i].Equal(got.Rows[i]) {
+					t.Fatalf("%s: row %d differs: unconstrained=%v constrained=%v", q, i, base.Rows[i], got.Rows[i])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // ownSpillDir points the test's spill files at a TMPDIR of its own and
@@ -117,7 +116,7 @@ func ownSpillDir(t *testing.T) (noLeak func(when string)) {
 // division by zero planted at the end of the scan) must leave no temp files
 // or directories behind.
 func TestSpillTempFileCleanupOnError(t *testing.T) {
-	_, constrained, admin := newSpillEngine(t, 2, 1)
+	_, constrained, admin := newSpillEngine(t, 2)
 	loadSpillTables(t, admin, false)
 	noLeak := ownSpillDir(t)
 	// Row a=5999 is inserted (and scanned) last; by then the coordinator
@@ -139,7 +138,7 @@ func TestSpillTempFileCleanupOnError(t *testing.T) {
 // a constrained query, SHOW spill_stats mirrors the cumulative totals, and
 // DB-level stats bound the operator-memory peak by the budget.
 func TestSpillObservability(t *testing.T) {
-	e, constrained, admin := newSpillEngine(t, 2, 1)
+	e, constrained, admin := newSpillEngine(t, 2)
 	loadSpillTables(t, admin, false)
 	noLeak := ownSpillDir(t)
 	res := mustExec(t, constrained, "EXPLAIN ANALYZE SELECT b, count(*) FROM t GROUP BY b ORDER BY b")
@@ -221,7 +220,7 @@ func TestMemorySpillRatioValidation(t *testing.T) {
 // behaviour — queries that would spill under the group's tiny budget run
 // fully in memory instead (until the Vmemtracker would cancel them).
 func TestSpillDisabledWithZeroRatio(t *testing.T) {
-	e, constrained, admin := newSpillEngine(t, 2, 1)
+	e, constrained, admin := newSpillEngine(t, 2)
 	loadSpillTables(t, admin, false)
 	// Precondition: under the tiny budget this query spills…
 	mustExec(t, constrained, "SELECT a, b FROM t ORDER BY b, a")

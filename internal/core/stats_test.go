@@ -89,9 +89,7 @@ func TestPlannerUsesRealTableStats(t *testing.T) {
 // segment) and requires exactly the rows a plain Go evaluation of the same
 // query over the same inserted values gives.
 func TestBatchAndRowModesAgree(t *testing.T) {
-	cfg := cluster.GPDB6(3)
-	cfg.ExecBatchSize = 64
-	e := NewEngine(cfg)
+	e := NewEngine(cluster.GPDB6(3))
 	defer e.Close()
 	s, err := e.NewSession("")
 	if err != nil {

@@ -205,18 +205,6 @@ func (c *Coordinator) stop(dxid DXID) {
 	}
 }
 
-// OldestInProgress returns the smallest running dxid (or nextDxid when
-// idle). It ignores live snapshots, so it is not a truncation horizon (see
-// Horizon).
-func (c *Coordinator) OldestInProgress() DXID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.inProgress) > 0 {
-		return c.inProgress[0]
-	}
-	return c.nextDxid
-}
-
 // IsInProgress reports whether dxid is still in the coordinator's
 // in-progress set (i.e. its commit protocol has not fully acknowledged).
 func (c *Coordinator) IsInProgress(dxid DXID) bool {

@@ -38,15 +38,17 @@ func TestCoordinatorSnapshots(t *testing.T) {
 	}
 }
 
+// TestOldestInProgress: with no snapshot registered, the horizon is the
+// oldest running dxid, and it moves on when that transaction commits.
 func TestOldestInProgress(t *testing.T) {
 	c := NewCoordinator()
 	d1 := c.Begin()
 	d2 := c.Begin()
-	if c.OldestInProgress() != d1 {
+	if c.Horizon() != d1 {
 		t.Fatal("oldest")
 	}
 	c.MarkCommitted(d1)
-	if c.OldestInProgress() != d2 {
+	if c.Horizon() != d2 {
 		t.Fatal("oldest after commit")
 	}
 }
@@ -276,7 +278,7 @@ func TestSnapshotAllocations(t *testing.T) {
 			t.Fatalf("transaction %d: local sees %v, distributed sees %v, running %v", i, ls.Sees(xids[i]), ds.Sees(dxids[i]), running)
 		}
 	}
-	if local.OldestRunning() != xids[0] || c.OldestInProgress() != dxids[0] {
+	if local.OldestRunning() != xids[0] || c.Horizon() != dxids[0] {
 		t.Fatal("oldest running is not the first id")
 	}
 }

@@ -419,7 +419,7 @@ func (a *aggCore) nextOutput() (types.Row, error) {
 		if a.emitPos < len(a.order) {
 			g := a.order[a.emitPos]
 			a.emitPos++
-			return a.emit(g, a.node.Phase == plan.AggPartial || a.node.Phase == plan.AggIntermediate), nil
+			return a.emit(g, a.node.Phase == plan.AggPartial), nil
 		}
 		if !a.spilled || a.curPart >= len(a.parts) {
 			return nil, io.EOF
@@ -435,10 +435,10 @@ func (a *aggCore) nextOutput() (types.Row, error) {
 
 // absorb folds one batch into the groups: each group key and aggregate
 // argument is evaluated once into a vector, the live rows are assigned
-// their groups, and each aggregate folds them into its states. The merging
-// phases, and a reloaded partition, read the partial layout off the row.
+// their groups, and each aggregate folds them into its states. The final
+// phase, and a reloaded partition, read the partial layout off the row.
 func (a *aggCore) absorb(b *types.RowBatch) (err error) {
-	merge, keyExprs := a.reloading || a.node.Phase == plan.AggFinal || a.node.Phase == plan.AggIntermediate, a.keyExprs
+	merge, keyExprs := a.reloading || a.node.Phase == plan.AggFinal, a.keyExprs
 	if a.reloading {
 		keyExprs = a.mergeKeys
 	}

@@ -255,18 +255,16 @@ func TestTypedAggMatchesDatumPath(t *testing.T) {
 			if setName == "distinct" {
 				continue // DISTINCT aggregates are never split into phases
 			}
-			// Two partial aggregates (two workers or segments), an
-			// intermediate merge, then the final phase.
+			// Two partial aggregates (two segments), then the final phase.
 			partial := plan.NewAgg(nil, keys, specs, plan.AggPartial)
 			half := len(batches) / 2
 			var trans []types.Row
 			for _, part := range [][]*types.RowBatch{batches[:half], batches[half:]} {
 				trans = append(trans, runAgg(t, partial, part)...)
 			}
-			inter := runAgg(t, plan.NewAgg(nil, merge, specs, plan.AggIntermediate), windows(trans, 2))
-			final := runAgg(t, plan.NewAgg(nil, merge, specs, plan.AggFinal), windows(inter, 3))
+			final := runAgg(t, plan.NewAgg(nil, merge, specs, plan.AggFinal), windows(trans, 3))
 			if got := renderRows(final); got != want {
-				t.Fatalf("%s partial → intermediate → final:\n%s\nwant:\n%s", name, got, want)
+				t.Fatalf("%s partial → final:\n%s\nwant:\n%s", name, got, want)
 			}
 		}
 	}

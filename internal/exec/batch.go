@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/catalog"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -49,13 +48,6 @@ func DrainBatches(it BatchIterator) ([]types.Row, error) {
 
 // ---- batch operators ----
 
-// scanUnit is one work item of a batch scan: a whole leaf, or (for parallel
-// workers) a block range of one.
-type scanUnit struct {
-	leaf catalog.TableID
-	rng  *ScanRange // nil = whole leaf
-}
-
 // batchScanIter streams bounded batches from the storage layer: a producer
 // goroutine drives the push-style batch scan, whose batches are views valid
 // only during its callback, and copies them into containers — a column view
@@ -66,11 +58,11 @@ type scanUnit struct {
 // consumer: the producer refills a container only once it has sent the next
 // scanStreamDepth+1, and the channel completes the last of those sends only
 // after the consumer pulled the batch after the container's — after it asked
-// for the next batch. The scan filter narrows each batch's selection.
+// for the next batch. The scan filter narrows each batch's selection. The
+// leaves of a partitioned table are scanned one after another.
 type batchScanIter struct {
 	ctx     *Context
 	node    *plan.Scan
-	units   []scanUnit
 	pred    *plan.Predicate
 	tick    cpuTick
 	ch      chan *scanBuf
@@ -87,18 +79,7 @@ type scanBuf struct {
 }
 
 func newBatchScanIter(ctx *Context, node *plan.Scan) *batchScanIter {
-	units := make([]scanUnit, 0, len(node.Partitions))
-	for _, leaf := range node.Partitions {
-		units = append(units, scanUnit{leaf: leaf})
-	}
-	return newBatchScanIterUnits(ctx, node, units)
-}
-
-// newBatchScanIterUnits builds a scan over an explicit unit list (the
-// parallel builder hands each worker its share of leaves or block ranges).
-func newBatchScanIterUnits(ctx *Context, node *plan.Scan, units []scanUnit) *batchScanIter {
-	return &batchScanIter{ctx: ctx, node: node, units: units,
-		pred: plan.CompilePredicate(node.Filter), tick: cpuTick{ctx: ctx}}
+	return &batchScanIter{ctx: ctx, node: node, pred: plan.CompilePredicate(node.Filter), tick: cpuTick{ctx: ctx}}
 }
 
 func (s *batchScanIter) start() {
@@ -108,7 +89,6 @@ func (s *batchScanIter) start() {
 	s.ch = make(chan *scanBuf, scanStreamDepth)
 	s.errc = make(chan error, 1)
 	size := s.ctx.batchSize()
-	units := s.units
 	spec := ScanSpec{Cols: s.node.Project, Pred: s.node.ScanPred}
 	go func() {
 		defer close(s.ch)
@@ -150,8 +130,8 @@ func (s *batchScanIter) start() {
 			}
 			return err == nil, err
 		}
-		for _, u := range units {
-			err := store.ScanTableBatches(sctx, u.leaf, u.rng, spec, size, copyView)
+		for _, leaf := range s.node.Partitions {
+			err := store.ScanTableBatches(sctx, leaf, spec, size, copyView)
 			if err == nil && len(cur.batch.Rows) > 0 {
 				err = send()
 			}
@@ -388,26 +368,14 @@ func (m *motionRecvBatchIter) NextBatch() (*types.RowBatch, error) {
 func (m *motionRecvBatchIter) Close() {}
 
 // BuildBatch constructs the operator tree for a plan subtree within one
-// slice. A Motion child is a slice boundary: it becomes a receiver, and the
-// sending side is launched separately by the dispatcher (or, for a
-// direct-dispatch plan, built under ctx.Inline and pulled in place).
-func BuildBatch(ctx *Context, node plan.Node) BatchIterator {
-	return build(ctx, node, nil, nil)
-}
-
-// build is the one place an operator is attached to its plan node, for a
-// whole slice and for each parallel worker's share of one alike: whatever
-// operator stands for node, its output passes the node's NodeRows counter
+// slice. Every operator's output passes its plan node's NodeRows counter
 // and, when the statement armed operator statistics, this location's
-// OpSegStat — a node cannot be built uncounted. at, when non-nil, is the one
-// node whose operator the caller supplies (with) instead of having it built:
-// a worker's scan over its own block ranges, or the aggregate that merges
-// the workers above their LocalGather.
-func build(ctx *Context, node, at plan.Node, with BatchIterator) BatchIterator {
-	it := with
-	if node != at {
-		it = newOperator(ctx, node, at, with)
-	}
+// OpSegStat — a node cannot be built uncounted. A Motion child is a slice
+// boundary: it becomes a receiver, and the sending side is launched
+// separately by the dispatcher (or, for a direct-dispatch plan, built under
+// ctx.Inline and pulled in place).
+func BuildBatch(ctx *Context, node plan.Node) BatchIterator {
+	it := newOperator(ctx, node)
 	if ctr := ctx.NodeRows.Counter(node); ctr != nil {
 		it = &countingBatchIter{child: it, ctr: ctr}
 	}
@@ -417,8 +385,8 @@ func build(ctx *Context, node, at plan.Node, with BatchIterator) BatchIterator {
 	return it
 }
 
-func newOperator(ctx *Context, node, at plan.Node, with BatchIterator) BatchIterator {
-	child := func(n plan.Node) BatchIterator { return build(ctx, n, at, with) }
+func newOperator(ctx *Context, node plan.Node) BatchIterator {
+	child := func(n plan.Node) BatchIterator { return BuildBatch(ctx, n) }
 	switch n := node.(type) {
 	case *plan.OneRow:
 		return &rowWindows{rows: []types.Row{{}}}

@@ -260,8 +260,8 @@ type stopSpyStore struct {
 	stopped chan error
 }
 
-func (s stopSpyStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, rng *ScanRange, spec ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
-	err := s.memStore.ScanTableBatches(ctx, leaf, rng, spec, batchSize, fn)
+func (s stopSpyStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
+	err := s.memStore.ScanTableBatches(ctx, leaf, spec, batchSize, fn)
 	s.stopped <- err
 	return err
 }

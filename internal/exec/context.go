@@ -1,10 +1,8 @@
 // Package exec implements the distributed executor: one family of
 // batch-at-a-time (vectorized) operators behind the BatchIterator interface,
-// intra-segment parallel worker pipelines over disjoint block ranges merged
-// by a LocalGather local exchange (with partial→final aggregate rewriting),
-// motion receive over the interconnect, two-phase aggregation, hash and
-// nested-loop joins with inner-side prefetch, and memory/CPU accounting
-// hooks for resource groups.
+// built as one pipeline per (slice, segment), motion receive over the
+// interconnect, two-phase aggregation, hash and nested-loop joins with
+// inner-side prefetch, and memory/CPU accounting hooks for resource groups.
 // Blocking operators (sort, hash agg, hash join) are memory-governed: past
 // the statement's spill budget (slot quota × memory_spill_ratio) they spill
 // to per-segment temp files — external merge sort, partition-spill
@@ -26,14 +24,13 @@ import (
 // MVCC visibility applied, and the row locking and row writes performed by
 // the segment layer.
 type StoreAccess interface {
-	// ScanTableBatches delivers the visible rows of the leaf — or, when rng
-	// is set, of that block range of it (one parallel worker's share) — in
-	// bounded batches; an AO-column leaf in the column layout, windows of
+	// ScanTableBatches delivers the visible rows of the leaf in bounded
+	// batches; an AO-column leaf in the column layout, windows of
 	// cached vectors under a selection of the visible rows. Each batch is a
 	// view valid only while fn runs: its rows and vectors are immutable and
 	// may be retained, its containers may not. fn reports whether to
 	// continue. A block that cannot be decoded is an error.
-	ScanTableBatches(ctx context.Context, leaf catalog.TableID, rng *ScanRange, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
+	ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
 	// ScanTable visits every visible row of the leaf table one at a time —
 	// the path of the scans that mark the rows they keep — under spec like
 	// ScanTableBatches. fn reports whether the row matches (keep) and
@@ -83,22 +80,6 @@ type ScanSpec struct {
 	Pred *plan.ScanPredicate
 }
 
-// ScanRange is a half-open range [Begin, End) of row offsets within one leaf
-// table — the executor-side mirror of storage.BlockRange. Parallel workers
-// scan disjoint ranges of the same leaf.
-type ScanRange struct {
-	Begin, End int
-}
-
-// ParallelStoreAccess extends StoreAccess with block-range splitting for
-// intra-segment parallelism: SplitTableRanges plans disjoint ranges of a leaf
-// (aligned to the engine's decode units) for ScanTableBatches to scan one
-// each. ok=false means the leaf cannot be split and the slice runs serially.
-type ParallelStoreAccess interface {
-	StoreAccess
-	SplitTableRanges(leaf catalog.TableID, parts int) ([]ScanRange, bool)
-}
-
 // MemAccount abstracts resource-group memory accounting (resgroup.Slot).
 type MemAccount interface {
 	Grow(n int64) error
@@ -143,11 +124,7 @@ type Context struct {
 	CPUBatchRows int
 	// BatchSize is the executor's rows-per-batch for vectorized operators
 	// (0 = types.DefaultBatchSize).
-	BatchSize int
-	// Parallel is the slice's degree of intra-segment parallelism: when > 1
-	// (and the slice shape and storage engine allow it) BuildBatchParallel
-	// runs that many worker pipelines over disjoint block ranges.
-	Parallel    int
+	BatchSize   int
 	NumSegments int
 	SegID       int // -1 = coordinator
 	// NodeRows, when set, receives each plan node's actual output row count

@@ -9,9 +9,9 @@ import (
 )
 
 // countingBatchIter counts the rows a node emits into the plan's
-// NodeRowCounts: one add per batch, charged with the batch's length. build
-// wraps every node's operator in it, so every node of every slice and
-// parallel worker is counted exactly once.
+// NodeRowCounts: one add per batch, charged with the batch's length.
+// BuildBatch wraps every node's operator in it, so every node of every slice
+// is counted exactly once per location.
 type countingBatchIter struct {
 	child BatchIterator
 	ctr   *atomic.Int64
@@ -29,8 +29,7 @@ func (c *countingBatchIter) Close() { c.child.Close() }
 
 // opStatBatchIter feeds one node's per-location OpSegStat: rows and batches
 // out, and the operator's inclusive wall time (time inside NextBatch,
-// children included; parallel workers add into the same cell, so their time
-// sums the way segments' does). Wrapped outside countingBatchIter by build,
+// children included). Wrapped outside countingBatchIter by BuildBatch,
 // and only when the statement armed operator statistics (EXPLAIN ANALYZE or
 // query tracing), so the per-call clock reads never touch ordinary queries.
 type opStatBatchIter struct {

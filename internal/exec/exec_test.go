@@ -61,7 +61,7 @@ func (m *memStore) WriteRow(_ context.Context, id RowID, up *plan.UpdatePlan) (b
 	return true, nil
 }
 
-func (m *memStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, _ *ScanRange, _ ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
+func (m *memStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, _ ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
 	if batchSize < 1 {
 		batchSize = types.DefaultBatchSize
 	}
@@ -354,5 +354,17 @@ func TestHashForRedistributeStability(t *testing.T) {
 	}
 	if a < 0 || a >= 4 {
 		t.Fatalf("dest out of range: %d", a)
+	}
+}
+
+func requireSameRows(t *testing.T, want, got []types.Row) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("result sizes differ: want %d rows, got %d", len(want), len(got))
+	}
+	for i := range want {
+		if !want[i].Equal(got[i]) {
+			t.Fatalf("row %d differs: want %v, got %v", i, want[i], got[i])
+		}
 	}
 }

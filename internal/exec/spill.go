@@ -36,8 +36,7 @@ var ErrDiskFull = errors.New("exec: disk full while spilling")
 // SpillManager is one statement's spill state: the shared operator-memory
 // budget, the temp directory holding every spill file, and the counters
 // surfaced by EXPLAIN ANALYZE / SHOW spill_stats. One manager serves all
-// slices, segments and parallel workers of the statement; it is safe for
-// concurrent use.
+// slices and segments of the statement; it is safe for concurrent use.
 type SpillManager struct {
 	budget int64
 

@@ -76,7 +76,6 @@ func applyTiming(cfg *cluster.Config) {
 	cfg.NetDelay = 500 * time.Microsecond // one-way; a round trip ≈ 1ms
 	cfg.FsyncDelay = 2 * time.Millisecond // serial per-segment WAL append
 	cfg.SegmentStmtCPU = time.Millisecond // per-statement handling cost
-	cfg.SegmentWorkers = 4
 	cfg.GDDPeriod = 10 * time.Millisecond
 }
 

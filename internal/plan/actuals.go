@@ -6,12 +6,9 @@ import (
 )
 
 // NodeRowCounts collects the actual output rows of every plan node during
-// execution, summed across slices, segments and parallel workers (they all
-// share one process). Counters are pre-registered at plan time so executor
-// lookups are lock-free map reads; a node the executor made up itself (the
-// per-worker partial aggregate of an intra-segment parallel split, whose
-// merge counts as the plan's aggregate) simply has no counter and is not
-// counted — misestimate detection errs toward silence, never false alarms.
+// execution, summed across slices and segments (they all share one
+// process). Counters are pre-registered at plan time so executor lookups are
+// lock-free map reads.
 type NodeRowCounts struct {
 	counts map[Node]*atomic.Int64
 }

@@ -365,11 +365,6 @@ const (
 	AggPartial
 	// AggFinal merges partial states gathered from segments.
 	AggFinal
-	// AggIntermediate merges partial states and re-emits the partial layout.
-	// The executor inserts it above a local gather of parallel workers so a
-	// segment sends one partial row per group over the interconnect instead
-	// of one per (group, worker).
-	AggIntermediate
 )
 
 // Agg groups and aggregates.
@@ -395,7 +390,7 @@ func NewAgg(child Node, groupBy []Expr, specs []AggSpec, phase AggPhase) *Agg {
 	}
 	for _, s := range specs {
 		switch phase {
-		case AggPartial, AggIntermediate:
+		case AggPartial:
 			if s.Func == AggAvg {
 				cols = append(cols,
 					types.Column{Name: s.Name + "_sum", Kind: types.KindFloat},
@@ -441,8 +436,6 @@ func (a *Agg) Explain() string {
 		ph = " (partial)"
 	case AggFinal:
 		ph = " (final)"
-	case AggIntermediate:
-		ph = " (intermediate)"
 	}
 	if len(a.GroupBy) > 0 {
 		return "HashAggregate" + ph + estMemSuffix(a.EstMemBytes)
@@ -520,11 +513,6 @@ type Motion struct {
 	HashExprs []Expr
 	// SliceID identifies the sending slice; assigned by Planned.cut.
 	SliceID int
-	// Parallel is the degree of intra-segment parallelism annotated on the
-	// sending slice by MarkParallelSlices: 0 = not parallel-safe, 1 =
-	// parallel-safe but serial, >1 = run that many worker pipelines per
-	// segment. The executor re-validates the slice shape before splitting.
-	Parallel int
 }
 
 // Schema implements Node.
@@ -535,9 +523,6 @@ func (m *Motion) Children() []Node { return []Node{m.Child} }
 
 // Explain implements Node.
 func (m *Motion) Explain() string {
-	if m.Parallel > 1 {
-		return fmt.Sprintf("%s (slice%d; parallel %d)", m.Type, m.SliceID, m.Parallel)
-	}
 	return fmt.Sprintf("%s (slice%d)", m.Type, m.SliceID)
 }
 

@@ -57,9 +57,6 @@ type Planner struct {
 	NumSegments int
 	Optimizer   Optimizer
 	Stats       Stats
-	// Parallelism is the degree of intra-segment parallelism to annotate on
-	// parallel-safe slices (cluster.Config.ExecParallelism; <= 1 = serial).
-	Parallelism int
 	// Pushdown enables sargable-predicate extraction onto scan nodes for
 	// zone-map block skipping (cluster.Config.EnableZoneMaps, overridable
 	// per session with SET enable_zonemaps).
@@ -360,7 +357,6 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 	p.attachSelectLocks(res, s)
 	pruneColumns(res.Root)
 	res.cut()
-	MarkParallelSlices(res.Root, p.Parallelism)
 	if p.Pushdown {
 		AttachPushdown(res.Root)
 	}

@@ -76,7 +76,7 @@ func prune(n Node, need colSet) {
 		}
 		prune(x.Child, readBy(x.Child.Schema().Len(), colSet{}, exprs...))
 	case *Agg:
-		if x.Phase == AggFinal || x.Phase == AggIntermediate {
+		if x.Phase == AggFinal {
 			prune(x.Child, nil) // merges the whole partial layout by position
 			return
 		}

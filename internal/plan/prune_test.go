@@ -146,7 +146,7 @@ func populated(t *testing.T, n Node) []bool {
 		in := populated(t, x.Child)
 		must(in, x.GroupBy...)
 		for c := range in {
-			if x.Phase == AggFinal || x.Phase == AggIntermediate { // merges the whole partial layout
+			if x.Phase == AggFinal { // merges the whole partial layout
 				must(in, &ColRef{Idx: c})
 			}
 		}

@@ -213,7 +213,7 @@ func TestNetworkTPCBStatementCacheHits(t *testing.T) {
 
 // TestNetworkMatchesInProcess is the byte-identity satellite: the same
 // query through the wire and through an embedded session must produce
-// identical results, across storage engines and parallelism degrees.
+// identical results, across storage engines.
 func TestNetworkMatchesInProcess(t *testing.T) {
 	e, srv := startServer(t, 2, server.Config{})
 	c := dialT(t, srv)
@@ -246,36 +246,29 @@ func TestNetworkMatchesInProcess(t *testing.T) {
 		"SELECT a, c FROM %s WHERE a >= 10 AND a < 30 ORDER BY c DESC, a",
 	}
 	for _, st := range storages {
-		for _, dop := range []int{1, 4} {
-			setPar := fmt.Sprintf("SET exec_parallelism = %d", dop)
-			mustExecNet(t, c, setPar)
-			if _, err := local.Exec(ctx, setPar); err != nil {
-				t.Fatal(err)
+		for _, q := range queries {
+			q := fmt.Sprintf(q, "m_"+st.name)
+			netRes, err := c.Exec(ctx, q)
+			if err != nil {
+				t.Fatalf("[%s] net %q: %v", st.name, q, err)
 			}
-			for _, q := range queries {
-				q := fmt.Sprintf(q, "m_"+st.name)
-				netRes, err := c.Exec(ctx, q)
-				if err != nil {
-					t.Fatalf("[%s dop=%d] net %q: %v", st.name, dop, q, err)
+			locRes, err := local.Exec(ctx, q)
+			if err != nil {
+				t.Fatalf("[%s] local %q: %v", st.name, q, err)
+			}
+			if len(netRes.Rows) != len(locRes.Rows) {
+				t.Fatalf("[%s] %q: %d rows over wire, %d in-process",
+					st.name, q, len(netRes.Rows), len(locRes.Rows))
+			}
+			for i := range locRes.Rows {
+				if fmt.Sprint(netRes.Rows[i]) != fmt.Sprint(locRes.Rows[i]) {
+					t.Fatalf("[%s] %q row %d: wire %v != local %v",
+						st.name, q, i, netRes.Rows[i], locRes.Rows[i])
 				}
-				locRes, err := local.Exec(ctx, q)
-				if err != nil {
-					t.Fatalf("[%s dop=%d] local %q: %v", st.name, dop, q, err)
-				}
-				if len(netRes.Rows) != len(locRes.Rows) {
-					t.Fatalf("[%s dop=%d] %q: %d rows over wire, %d in-process",
-						st.name, dop, q, len(netRes.Rows), len(locRes.Rows))
-				}
-				for i := range locRes.Rows {
-					if fmt.Sprint(netRes.Rows[i]) != fmt.Sprint(locRes.Rows[i]) {
-						t.Fatalf("[%s dop=%d] %q row %d: wire %v != local %v",
-							st.name, dop, q, i, netRes.Rows[i], locRes.Rows[i])
-					}
-					for j := range locRes.Rows[i] {
-						if netRes.Rows[i][j].Kind() != locRes.Rows[i][j].Kind() {
-							t.Fatalf("[%s dop=%d] %q row %d col %d: kind %v != %v",
-								st.name, dop, q, i, j, netRes.Rows[i][j].Kind(), locRes.Rows[i][j].Kind())
-						}
+				for j := range locRes.Rows[i] {
+					if netRes.Rows[i][j].Kind() != locRes.Rows[i][j].Kind() {
+						t.Fatalf("[%s] %q row %d col %d: kind %v != %v",
+							st.name, q, i, j, netRes.Rows[i][j].Kind(), locRes.Rows[i][j].Kind())
 					}
 				}
 			}

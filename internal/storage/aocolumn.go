@@ -235,18 +235,18 @@ func (a *AOColumn) decoded(i int, blk *aoColBlock, need []int) (*decodedBlock, e
 //
 // The scan reads the table's shape block by block, so a concurrent INSERT
 // that seals the tail (or grows it) never makes it lose its place: it carries
-// on into blocks sealed since it began, and a scan whose range is open-ended
-// sees every row appended before it reaches the end.
-func (a *AOColumn) Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error {
+// on into blocks sealed since it began, and sees every row appended before
+// it reaches the end.
+func (a *AOColumn) Scan(opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error {
 	if batchSize < 1 {
 		batchSize = types.DefaultBatchSize
 	}
 	need, pred := a.needCols(opts.cols()), opts.pred()
-	ch := new(Chunk)       // refilled for every chunk
-	pos := max(0, r.Begin) // next row offset to emit
-	bi, off := 0, 0        // next sealed block and its first row offset
+	ch := new(Chunk) // refilled for every chunk
+	pos := 0         // next row offset to emit
+	bi, off := 0, 0  // next sealed block and its first row offset
 	tailCounted := false
-	for pos < r.End {
+	for {
 		a.mu.RLock()
 		if bi < len(a.sealed) {
 			blk := a.sealed[bi]
@@ -264,7 +264,7 @@ func (a *AOColumn) Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Ch
 					for _, c := range need {
 						vecs[c] = *db.cols[c]
 					}
-					if !a.emit(ch, vecs, db.xmins, off, pos-off, min(blk.n, r.End-off), batchSize, fn) {
+					if !a.emit(ch, vecs, db.xmins, off, pos-off, blk.n, batchSize, fn) {
 						return nil
 					}
 				}
@@ -276,7 +276,7 @@ func (a *AOColumn) Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Ch
 		// The unsealed tail starts at off. Its backing arrays are reused by
 		// the next seal, so the rows are copied out under the lock. It has
 		// no zone map and counts as one scanned unit.
-		lo, hi := pos-off, min(len(a.tailX), r.End-off)
+		lo, hi := pos-off, len(a.tailX)
 		if lo >= hi {
 			a.mu.RUnlock()
 			return nil
@@ -296,7 +296,6 @@ func (a *AOColumn) Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Ch
 		}
 		pos += hi - lo
 	}
-	return nil
 }
 
 // emit hands rows [lo, hi) of one decoded unit — a sealed block or a tail

@@ -83,9 +83,9 @@ func (a *AORow) fetchLocked(tid TupleID) (aoRow, bool) {
 
 // Scan implements Engine: each chunk is filled under one read latch and
 // hands up the stored rows, which are never rewritten in place.
-func (a *AORow) Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error {
+func (a *AORow) Scan(opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error {
 	c := newRowChunk(batchSize)
-	scanRowPages(r, opts, a.RowCount, a.pageZone, func(lo, hi int) bool {
+	scanRowPages(opts, a.RowCount, a.pageZone, func(lo, hi int) bool {
 		for lo < hi {
 			a.mu.RLock()
 			hi = min(hi, a.count) // a TRUNCATE meanwhile ends the scan

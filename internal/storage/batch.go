@@ -109,31 +109,29 @@ func (c *rowChunk) flush(fn func(*Chunk) bool) bool {
 }
 
 // scanRowPages is the page loop of the row engines (heap, AO-row) over the
-// offsets of r stored when it starts (rowCount): full pages whose lazy zone
-// map rules out the pushed predicate are skipped wholesale, and emit scans
-// the rest, [lo, hi) at a time, returning false to stop. Only full pages
-// are summarized — a partial trailing page is still growing. Without a
+// offsets stored when it starts (rowCount): full pages whose lazy zone map
+// rules out the pushed predicate are skipped wholesale, and emit scans the
+// rest, [lo, hi) at a time, returning false to stop. Only full pages are
+// summarized — a partial trailing page is still growing. Without a
 // predicate the page structure is bypassed (no zone map is built) and the
-// whole range goes to emit at once, its pages counted in one shot.
-func scanRowPages(r BlockRange, opts *ScanOpts, rowCount func() int, zone func(page int) *ZoneMap, emit func(lo, hi int) bool) {
+// whole table goes to emit at once, its pages counted in one shot.
+func scanRowPages(opts *ScanOpts, rowCount func() int, zone func(page int) *ZoneMap, emit func(lo, hi int) bool) {
 	count := rowCount()
-	begin, end := max(0, r.Begin), min(r.End, count)
 	pred := opts.pred()
 	if pred == nil {
-		if opts != nil && opts.Stats != nil && end > begin {
-			pages := (end-1)/zonePageRows - begin/zonePageRows + 1
-			opts.Stats.BlocksScanned.Add(int64(pages))
+		if opts != nil && opts.Stats != nil && count > 0 {
+			opts.Stats.BlocksScanned.Add(int64((count-1)/zonePageRows + 1))
 		}
-		emit(begin, end)
+		emit(0, count)
 		return
 	}
-	for p := begin / zonePageRows; p*zonePageRows < end; p++ {
+	for p := 0; p*zonePageRows < count; p++ {
 		if (p+1)*zonePageRows <= count && !pred.MatchZone(zone(p)) {
 			opts.noteSkipped()
 			continue
 		}
 		opts.noteScanned()
-		if !emit(max(begin, p*zonePageRows), min(end, (p+1)*zonePageRows)) {
+		if !emit(p*zonePageRows, min(count, (p+1)*zonePageRows)) {
 			return
 		}
 	}
@@ -149,7 +147,7 @@ func scanRowPages(r BlockRange, opts *ScanOpts, rowCount func() int, zone func(p
 func ScanBatches(e Engine, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) error {
 	var hdrs []Header
 	var slab []types.Row
-	return e.Scan(WholeTable, opts, batchSize, func(ch *Chunk) bool {
+	return e.Scan(opts, batchSize, func(ch *Chunk) bool {
 		n := ch.Len()
 		if cap(hdrs) < n {
 			hdrs = make([]Header, n)

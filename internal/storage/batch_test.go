@@ -78,21 +78,21 @@ func forEachEngine(t *testing.T, fn func(t *testing.T, tc contractCase, live int
 	}
 }
 
-// scanChecked runs e.Scan over r and holds every chunk to the contract:
-// 1..size rows in ascending tuple-id order inside r, headers and projected
+// scanChecked runs e.Scan and holds every chunk to the contract: 1..size
+// rows in ascending tuple-id order, headers and projected
 // values equal to Fetch, unprojected columns NULL in the column layout. It
 // returns the tuple ids handed up.
-func scanChecked(t *testing.T, e Engine, r BlockRange, opts *ScanOpts, size int) []TupleID {
+func scanChecked(t *testing.T, e Engine, opts *ScanOpts, size int) []TupleID {
 	t.Helper()
 	var tids []TupleID
-	err := e.Scan(r, opts, size, func(ch *Chunk) bool {
+	err := e.Scan(opts, size, func(ch *Chunk) bool {
 		if ch.Len() < 1 || ch.Len() > size || ch.Cols == nil && len(ch.Rows) != ch.Len() {
 			t.Fatalf("size %d: chunk of %d rows (%d stored rows)", size, ch.Len(), len(ch.Rows))
 		}
 		for i := 0; i < ch.Len(); i++ {
 			h, want, ok := e.Fetch(ch.First + TupleID(i))
-			if !ok || ch.Header(i) != h || len(tids) > 0 && h.TID <= tids[len(tids)-1] || int(h.TID) <= r.Begin || int(h.TID) > r.End {
-				t.Fatalf("size %d range %+v: row %d has header %+v after tuple %d; Fetch says %+v %v", size, r, i, ch.Header(i), len(tids), h, ok)
+			if !ok || ch.Header(i) != h || len(tids) > 0 && h.TID <= tids[len(tids)-1] {
+				t.Fatalf("size %d: row %d has header %+v after tuple %d; Fetch says %+v %v", size, i, ch.Header(i), len(tids), h, ok)
 			}
 			tids = append(tids, h.TID)
 			got := ch.Row(nil, i)
@@ -114,23 +114,23 @@ func scanChecked(t *testing.T, e Engine, r BlockRange, opts *ScanOpts, size int)
 // TestScanContract holds every engine to Engine.Scan's contract (scanChecked)
 // for every batch size and projection, with no tombstone handed up, the
 // zone-map block counts, an early stop, and a corrupt column block an error
-// on every path that decodes it. The range tests below cover SplitBlocks.
+// on every path that decodes it.
 func TestScanContract(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, tc contractCase, live int) {
 		for _, size := range []int{1, 100, 256, 5000} {
 			for _, opts := range []*ScanOpts{nil, {Cols: []int{2}}, {Cols: []int{2, 0}}} {
-				if got := len(scanChecked(t, tc.e, WholeTable, opts, size)); got != live {
+				if got := len(scanChecked(t, tc.e, opts, size)); got != live {
 					t.Fatalf("size %d cols %v: %d rows, %d live", size, opts.cols(), got, live)
 				}
 			}
 		}
 		stats := &ScanStats{}
-		scanChecked(t, tc.e, WholeTable, &ScanOpts{Pred: rangePred(0, 1500, 2500), Stats: stats}, 256)
+		scanChecked(t, tc.e, &ScanOpts{Pred: rangePred(0, 1500, 2500), Stats: stats}, 256)
 		if stats.BlocksScanned.Load() != tc.scanned || stats.BlocksSkipped.Load() != tc.skipped {
 			t.Fatalf("blocks scanned %d skipped %d, want %d and %d", stats.BlocksScanned.Load(), stats.BlocksSkipped.Load(), tc.scanned, tc.skipped)
 		}
 		calls := 0
-		if err := tc.e.Scan(WholeTable, nil, 100, func(*Chunk) bool { calls++; return false }); err != nil || calls != 1 {
+		if err := tc.e.Scan(nil, 100, func(*Chunk) bool { calls++; return false }); err != nil || calls != 1 {
 			t.Fatalf("a stopped scan made %d calls (err %v)", calls, err)
 		}
 		a, ok := tc.e.(*AOColumn)
@@ -140,15 +140,14 @@ func TestScanContract(t *testing.T) {
 		a.CorruptBlockForTest(1, 1)
 		all := func(*Chunk) bool { return true }
 		for path, err := range map[string]error{
-			"whole table": a.Scan(WholeTable, nil, 256, all),
-			"block range": a.Scan(BlockRange{Begin: aoColBlockRows, End: contractRows}, &ScanOpts{Cols: []int{1}}, 256, all),
+			"whole table": a.Scan(nil, 256, all),
 			"row view":    ScanBatches(a, nil, 256, func([]Header, []types.Row) bool { return true }),
 		} {
 			if err == nil || !strings.Contains(err.Error(), "block 1 column 1") {
 				t.Errorf("%s over a corrupt block: err %v", path, err)
 			}
 		}
-		if err := a.Scan(WholeTable, &ScanOpts{Cols: []int{0, 2}}, 256, all); err != nil {
+		if err := a.Scan(&ScanOpts{Cols: []int{0, 2}}, 256, all); err != nil {
 			t.Errorf("a scan that does not decode the damaged column: %v", err)
 		}
 	})
@@ -164,7 +163,7 @@ func TestScanBatchesMatchesForEach(t *testing.T) {
 				t.Fatalf("row %d: %+v %v; Fetch says %+v %v", i, h, rows[i], fh, want)
 			}
 		}
-		if tids := scanChecked(t, tc.e, WholeTable, nil, 64); len(hdrs) != live || len(tids) != live {
+		if tids := scanChecked(t, tc.e, nil, 64); len(hdrs) != live || len(tids) != live {
 			t.Fatalf("row view %d rows, Scan %d, live %d", len(hdrs), len(tids), live)
 		}
 	})
@@ -195,7 +194,7 @@ func TestAOColumnLazyColumnDecode(t *testing.T) {
 		a.Insert(1, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i * 2)), types.NewText("pad")})
 	}
 	all := func(*Chunk) bool { return true }
-	a.Scan(WholeTable, &ScanOpts{Cols: []int{1}}, 256, all)
+	a.Scan(&ScanOpts{Cols: []int{1}}, 256, all)
 	db, ok := a.cache.peek(blockKey{engine: a.id, block: 0})
 	if !ok || db == nil {
 		t.Fatal("block not cached")
@@ -208,7 +207,7 @@ func TestAOColumnLazyColumnDecode(t *testing.T) {
 	}
 	// A later wider scan fills in the rest without disturbing column 1.
 	prev := db.cols[1]
-	a.Scan(WholeTable, nil, 256, all)
+	a.Scan(nil, 256, all)
 	if db.cols[0] == nil || db.cols[2] == nil {
 		t.Fatal("full scan did not decode remaining columns")
 	}

@@ -18,7 +18,7 @@ func loadAOColumn(nRows int) *AOColumn {
 
 func fullScan(a *AOColumn) int {
 	n := 0
-	a.Scan(WholeTable, nil, 256, func(ch *Chunk) bool {
+	a.Scan(nil, 256, func(ch *Chunk) bool {
 		n += ch.Len()
 		return true
 	})
@@ -54,13 +54,13 @@ func TestBlockCachePartialColumnMiss(t *testing.T) {
 	a := loadAOColumn(aoColBlockRows)
 	c := NewBlockCache(1 << 30)
 	a.SetBlockCache(c)
-	a.Scan(WholeTable, &ScanOpts{Cols: []int{0}}, 256, func(*Chunk) bool { return true })
+	a.Scan(&ScanOpts{Cols: []int{0}}, 256, func(*Chunk) bool { return true })
 	used1 := c.Stats().UsedBytes
-	a.Scan(WholeTable, &ScanOpts{Cols: []int{0}}, 256, func(*Chunk) bool { return true })
+	a.Scan(&ScanOpts{Cols: []int{0}}, 256, func(*Chunk) bool { return true })
 	if st := c.Stats(); st.Hits != 1 {
 		t.Fatalf("narrow re-scan should hit: %+v", st)
 	}
-	a.Scan(WholeTable, &ScanOpts{Cols: []int{1}}, 256, func(*Chunk) bool { return true })
+	a.Scan(&ScanOpts{Cols: []int{1}}, 256, func(*Chunk) bool { return true })
 	st := c.Stats()
 	if st.Misses != 2 { // initial decode + the new column
 		t.Fatalf("wider scan should miss: %+v", st)
@@ -111,7 +111,7 @@ func TestBlockCacheInvalidateOnTruncate(t *testing.T) {
 	}
 	a.Seal()
 	var first int64 = -1
-	a.Scan(WholeTable, nil, 256, func(ch *Chunk) bool {
+	a.Scan(nil, 256, func(ch *Chunk) bool {
 		first = ch.Cols.Vecs[0].At(ch.Cols.Lo).Int()
 		return false
 	})
@@ -206,7 +206,7 @@ func TestBlockCacheChargesRealBytes(t *testing.T) {
 	a.SetBlockCache(c)
 	for pass := 0; pass < 3; pass++ {
 		for _, opts := range []*ScanOpts{{Cols: []int{2}}, nil, {Cols: []int{0, 1}}} {
-			a.Scan(WholeTable, opts, 256, func(*Chunk) bool {
+			a.Scan(opts, 256, func(*Chunk) bool {
 				if st := c.Stats(); st.UsedBytes > c.Capacity() || st.UsedBytes != residentBytes(c) {
 					t.Fatalf("charged %d bytes, resident %d, capacity %d", st.UsedBytes, residentBytes(c), c.Capacity())
 				}

@@ -8,10 +8,8 @@
 // chunks of consecutive tuple versions — MVCC header vectors over either the
 // column store's typed vectors or the row engines' stored rows — skips the
 // blocks a pushed predicate's zone maps rule out, and returns the error of a
-// block it could not decode. SplitBlocks cuts a table into disjoint ranges
-// for intra-segment parallel workers (aligned to the column store's sealed
-// blocks), and decoded AO-column blocks are served from a byte-bounded LRU
-// BlockCache shared per segment.
+// block it could not decode. Decoded AO-column blocks are served from a
+// byte-bounded LRU BlockCache shared per segment.
 //
 // Storage is deliberately "dumb": it stores tuple versions stamped with
 // local transaction ids and answers low-level version operations. Waiting,
@@ -64,10 +62,10 @@ type Engine interface {
 	// Insert appends a new version owned by x and returns its id.
 	Insert(x txn.XID, row types.Row) TupleID
 
-	// Scan visits the tuple versions (visible or not) whose row offsets fall
-	// in [r.Begin, r.End), in tuple-id order, as chunks of at most batchSize
-	// rows (< 1: types.DefaultBatchSize); it stops when fn returns false. It
-	// covers at least every row stored when it began: the row engines read
+	// Scan visits the table's tuple versions (visible or not), in tuple-id
+	// order, as chunks of at most batchSize rows (< 1:
+	// types.DefaultBatchSize); it stops when fn returns false. It covers at
+	// least every row stored when it began: the row engines read
 	// their row count at the start, the column store also chases rows
 	// appended while it runs. opts (nil = everything) narrows it: only
 	// opts.Cols need be populated — the column store decodes only those, the
@@ -75,14 +73,7 @@ type Engine interface {
 	// rules out opts.Pred are skipped without being read; rows of the other
 	// blocks are not filtered. A block that fails to decode ends the scan
 	// with its error.
-	Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error
-
-	// SplitBlocks partitions the current rows into at most n disjoint,
-	// covering, ascending ranges for parallel workers, aligned to the
-	// engine's skip unit so no two workers read (or count) one block. Fewer
-	// ranges come back when the table has fewer natural split points; a
-	// zero-row table yields an explicit empty (non-nil) split.
-	SplitBlocks(n int) []BlockRange
+	Scan(opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error
 
 	// Fetch returns the header and row for tid.
 	Fetch(tid TupleID) (Header, types.Row, bool)

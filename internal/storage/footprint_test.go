@@ -193,7 +193,7 @@ func TestHeapViewsUnderWriters(t *testing.T) {
 			finished = true
 		default:
 		}
-		err := h.Scan(WholeTable, nil, 256, func(ch *Chunk) bool {
+		err := h.Scan(nil, 256, func(ch *Chunk) bool {
 			for i, r := range ch.Rows {
 				if !want(r) || r[0].Int() != int64(ch.First)+int64(i)-1 {
 					t.Errorf("tuple %d reads %v", ch.First+TupleID(i), r)

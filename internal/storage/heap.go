@@ -123,9 +123,9 @@ func (h *Heap) Insert(x txn.XID, row types.Row) TupleID {
 // (UPDATE appends a new version). A chunk ends before a vacuumed slot and
 // the next starts after it, so no dead slot is handed up and a row's tuple
 // id stays First + i.
-func (h *Heap) Scan(r BlockRange, opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error {
+func (h *Heap) Scan(opts *ScanOpts, batchSize int, fn func(*Chunk) bool) error {
 	c := newRowChunk(batchSize)
-	scanRowPages(r, opts, h.RowCount, h.pageZone, func(lo, hi int) bool {
+	scanRowPages(opts, h.RowCount, h.pageZone, func(lo, hi int) bool {
 		for lo < hi {
 			h.mu.RLock()
 			hi = min(hi, h.n) // a TRUNCATE meanwhile ends the scan

@@ -14,7 +14,7 @@ import (
 // not make the scan lose its place. 4 000 tail rows, batches of 100, 200 rows
 // inserted from the first callback — the seal lands at row 4 096 — and the
 // scan still returns every row that existed when it began, in tuple-id order,
-// through a whole-table scan, a block-range scan and the row view alike.
+// through the vector scan and the row view alike.
 func TestScanSurvivesSealDuringScan(t *testing.T) {
 	const before, during = 4000, 200
 	load := func() *AOColumn {
@@ -40,30 +40,28 @@ func TestScanSurvivesSealDuringScan(t *testing.T) {
 			}
 		}
 	}
-	for _, rng := range []BlockRange{WholeTable, {End: before}} {
-		a, first := load(), true
-		var seen []int64
-		err := a.Scan(rng, nil, 100, func(ch *Chunk) bool {
-			if first {
-				first = false
-				grow(a)
-			}
-			if int(ch.First) != len(seen)+1 {
-				t.Fatalf("chunk starts at tuple %d after %d rows", ch.First, len(seen))
-			}
-			seen = append(seen, ch.Cols.Vec(0).Ints...)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprint("vectors ", rng), seen, before)
-		if rng == WholeTable && len(seen) != before+during {
-			t.Fatalf("open-ended scan saw %d of %d rows", len(seen), before+during)
-		}
-	}
 	a, first := load(), true
 	var seen []int64
+	err := a.Scan(nil, 100, func(ch *Chunk) bool {
+		if first {
+			first = false
+			grow(a)
+		}
+		if int(ch.First) != len(seen)+1 {
+			t.Fatalf("chunk starts at tuple %d after %d rows", ch.First, len(seen))
+		}
+		seen = append(seen, ch.Cols.Vec(0).Ints...)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("vectors", seen, before)
+	if len(seen) != before+during {
+		t.Fatalf("scan saw %d of %d rows", len(seen), before+during)
+	}
+	a, first = load(), true
+	seen = nil
 	ScanBatches(a, nil, 100, func(_ []Header, rows []types.Row) bool {
 		if first {
 			first = false
@@ -98,7 +96,7 @@ func TestScanRacesSealingWriter(t *testing.T) {
 			defer wg.Done()
 			for a.RowCount() < total {
 				floor, next := a.RowCount(), int64(0)
-				err := a.Scan(WholeTable, &ScanOpts{Cols: []int{0}}, 256, func(ch *Chunk) bool {
+				err := a.Scan(&ScanOpts{Cols: []int{0}}, 256, func(ch *Chunk) bool {
 					for i := range ch.Xmins {
 						if got := ch.Cols.Vecs[0].At(ch.Cols.Lo + i).Int(); got != next {
 							t.Errorf("row %d has key %d", next, got)
@@ -126,16 +124,16 @@ func TestScanReportsDecodeError(t *testing.T) {
 		a.codec = codec
 		rows := 0
 		count := func(ch *Chunk) bool { rows += len(ch.Xmins); return true }
-		if err := a.Scan(WholeTable, nil, 256, count); err != nil || rows != 3*aoColBlockRows {
+		if err := a.Scan(nil, 256, count); err != nil || rows != 3*aoColBlockRows {
 			t.Fatalf("%v: intact table: %d rows, err %v", codec, rows, err)
 		}
 		a.CorruptBlockForTest(1, 1)
 		rows = 0
-		if err := a.Scan(WholeTable, nil, 256, count); err == nil {
+		if err := a.Scan(nil, 256, count); err == nil {
 			t.Fatalf("%v: scan over a corrupt block returned %d rows and no error", codec, rows)
 		}
 		// A scan that does not ask for the damaged column never decodes it.
-		if err := a.Scan(WholeTable, &ScanOpts{Cols: []int{0}}, 256, count); err != nil {
+		if err := a.Scan(&ScanOpts{Cols: []int{0}}, 256, count); err != nil {
 			t.Fatalf("%v: scan of the intact column: %v", codec, err)
 		}
 	}
@@ -190,7 +188,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a.ReleaseCachedBlocks()
-				if err := a.Scan(WholeTable, nil, 256, func(ch *Chunk) bool { benchSink += len(ch.Xmins); return true }); err != nil {
+				if err := a.Scan(nil, 256, func(ch *Chunk) bool { benchSink += len(ch.Xmins); return true }); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -208,7 +206,7 @@ func BenchmarkScanWarm(b *testing.B) {
 			e.Insert(2, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 64)), types.NewInt(0), types.NewInt(0), types.NewFloat(1), types.NewText("tag")})
 		}
 		scan := func(b *testing.B) {
-			if err := e.Scan(WholeTable, nil, 256, func(ch *Chunk) bool { benchSink += ch.Len(); return true }); err != nil {
+			if err := e.Scan(nil, 256, func(ch *Chunk) bool { benchSink += ch.Len(); return true }); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -105,7 +105,7 @@ func buildZoneFromColumns(cols [][]types.Datum, n int) ZoneMap {
 // PredConjunct is one pushed-down conjunct: `col <op> const` with Op one of
 // "=", "<>", "<", "<=", ">", ">=", or Op == "in" with the candidate values
 // in In. It is the storage-layer mirror of plan.ScanConjunct (the layers
-// share no predicate package, like exec.ScanRange mirrors BlockRange).
+// share no predicate package).
 type PredConjunct struct {
 	Col int
 	Op  string

@@ -22,14 +22,9 @@ func rangePred(col int, lo, hi int64) *ZonePredicate {
 // scanWith runs a predicated batch scan and returns the emitted rows plus
 // the scan counters.
 func scanWith(e Engine, pred *ZonePredicate) ([]types.Row, *ScanStats) {
-	return scanRange(e, WholeTable, pred)
-}
-
-// scanRange is scanWith over the rows of r.
-func scanRange(e Engine, r BlockRange, pred *ZonePredicate) ([]types.Row, *ScanStats) {
 	stats := &ScanStats{}
 	var rows []types.Row
-	e.Scan(r, &ScanOpts{Pred: pred, Stats: stats}, 256, func(ch *Chunk) bool {
+	e.Scan(&ScanOpts{Pred: pred, Stats: stats}, 256, func(ch *Chunk) bool {
 		for i := 0; i < ch.Len(); i++ {
 			rows = append(rows, ch.Row(nil, i))
 		}
@@ -82,38 +77,6 @@ func TestAOColumnZoneMapSkipsBlocks(t *testing.T) {
 	rows, stats = scanWith(a, eqPred(0, int64(n+100)))
 	if len(rows) != 0 || stats.BlocksSkipped.Load() != 4 {
 		t.Fatalf("impossible predicate: rows=%d skipped=%d", len(rows), stats.BlocksSkipped.Load())
-	}
-}
-
-// TestAOColumnZoneMapRangeScan: a block-range scan skips independently per
-// range, and concatenated predicated range scans equal the predicated full
-// scan.
-func TestAOColumnZoneMapRangeScan(t *testing.T) {
-	a := NewAOColumn(1, CompressionRLEDelta)
-	const n = 4 * aoColBlockRows
-	for i := 0; i < n; i++ {
-		a.Insert(1, types.Row{types.NewInt(int64(i))})
-	}
-	a.Seal()
-	pred := rangePred(0, 100, 200)
-
-	full, _ := scanWith(a, pred)
-	var ranged []types.Row
-	var skipped int64
-	for _, rng := range a.SplitBlocks(4) {
-		rows, stats := scanRange(a, rng, pred)
-		ranged, skipped = append(ranged, rows...), skipped+stats.BlocksSkipped.Load()
-	}
-	if len(ranged) != len(full) {
-		t.Fatalf("ranged scan rows %d vs full %d", len(ranged), len(full))
-	}
-	for i := range full {
-		if !ranged[i].Equal(full[i]) {
-			t.Fatalf("row %d differs", i)
-		}
-	}
-	if skipped != 3 {
-		t.Fatalf("ranged skipped: %d, want 3", skipped)
 	}
 }
 
@@ -289,58 +252,17 @@ func TestHeapZonesSurviveVacuumAndResetOnTruncate(t *testing.T) {
 	}
 }
 
-// TestSplitBlocksEmptyTableExplicit: zero-row relations return an explicit
-// empty split, not nil.
-func TestSplitBlocksEmptyTableExplicit(t *testing.T) {
-	for name, e := range map[string]Engine{
-		"heap":     NewHeap(),
-		"aorow":    NewAORow(),
-		"aocolumn": NewAOColumn(1, CompressionRLEDelta),
-	} {
-		got := e.SplitBlocks(4)
-		if got == nil {
-			t.Errorf("%s: nil split for empty table, want explicit empty", name)
-		}
-		if len(got) != 0 {
-			t.Errorf("%s: %d ranges for empty table", name, len(got))
-		}
-	}
-}
-
-// TestRowEngineSplitsPageAlignedCounters: heap/AO-row parallel ranges align
-// to zone pages, so per-worker scan counters sum exactly to the serial
-// scan's (no page is counted by two workers).
-func TestRowEngineSplitsPageAlignedCounters(t *testing.T) {
+// TestRowScanStatsOnlyCountsPages: a row-engine scan with counters but no
+// predicate counts every zone page without page-chunking its batches.
+func TestRowScanStatsOnlyCountsPages(t *testing.T) {
 	h := NewHeap()
 	const n = 10*zonePageRows + 100
 	for i := 0; i < n; i++ {
 		h.Insert(1, types.Row{types.NewInt(int64(i))})
 	}
-	pred := rangePred(0, int64(zonePageRows), int64(zonePageRows+50))
-
-	_, serial := scanWith(h, pred)
-	ranges := h.SplitBlocks(4)
-	if len(ranges) < 2 {
-		t.Fatalf("expected multiple ranges, got %v", ranges)
-	}
-	var scanned, skipped int64
-	for _, rng := range ranges {
-		if rng.Begin%zonePageRows != 0 {
-			t.Fatalf("range %+v not page-aligned", rng)
-		}
-		_, par := scanRange(h, rng, pred)
-		scanned, skipped = scanned+par.BlocksScanned.Load(), skipped+par.BlocksSkipped.Load()
-	}
-	if scanned != serial.BlocksScanned.Load() || skipped != serial.BlocksSkipped.Load() {
-		t.Fatalf("parallel counters (scanned=%d skipped=%d) != serial (scanned=%d skipped=%d)",
-			scanned, skipped, serial.BlocksScanned.Load(), serial.BlocksSkipped.Load())
-	}
-
-	// Stats-only scans (no predicate) count pages without page-chunking the
-	// emitted batches.
 	statsOnly := &ScanStats{}
 	maxBatch := 0
-	h.Scan(WholeTable, &ScanOpts{Stats: statsOnly}, 4096, func(ch *Chunk) bool {
+	h.Scan(&ScanOpts{Stats: statsOnly}, 4096, func(ch *Chunk) bool {
 		maxBatch = max(maxBatch, ch.Len())
 		return true
 	})

@@ -1,8 +1,7 @@
 package types
 
 // DefaultBatchSize is the shared batch size of the vectorized executor: the
-// number of rows moved per operator call and per interconnect send when no
-// explicit size is configured (cluster.Config.ExecBatchSize).
+// number of rows moved per operator call and per interconnect send.
 const DefaultBatchSize = 256
 
 // RowBatch is the unit of batch-at-a-time execution. It has two layouts. The
