@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/types"
 )
 
 func openTest(t *testing.T, opts Options) (*DB, *Conn) {
@@ -151,7 +153,7 @@ func TestPublicAPIDeadlockSurface(t *testing.T) {
 	// Find keys on different segments.
 	k := []int{-1, -1}
 	for i := 1; i < 1000 && (k[0] < 0 || k[1] < 0); i++ {
-		seg := int(Int(int64(i)).Hash() % 2)
+		seg := types.Bucket(types.Row{Int(int64(i))}.HashKey(), 2)
 		if k[seg] < 0 {
 			k[seg] = i
 		}

@@ -83,7 +83,7 @@ func TestInsertRoutesByDistributionKey(t *testing.T) {
 	for i, seg := range c.Segments() {
 		want := 0
 		for k := int64(0); k < 64; k++ {
-			if int(types.Row{types.NewInt(k)}.Hash([]int{0})%4) == i {
+			if types.Bucket(types.Row{types.NewInt(k)}.HashKey(), 4) == i {
 				want++
 			}
 		}
@@ -225,7 +225,7 @@ func TestDirectDispatchTouchesOneSegment(t *testing.T) {
 	insertRows(t, c, tab, rows)
 
 	key := int64(5)
-	target := int(types.Row{types.NewInt(key)}.Hash([]int{0}) % 4)
+	target := types.Bucket(types.Row{types.NewInt(key)}.HashKey(), 4)
 	lt := c.BeginTxn()
 	up := planTemplate(t, c, "UPDATE t SET b = 99 WHERE a = 5")
 	if up.DirectSegment != target {
@@ -337,7 +337,7 @@ func TestDirectReadTouchesOneSegment(t *testing.T) {
 				}
 			}
 			c.AbortTxn(lt)
-			want := int(types.Row{types.NewInt(k)}.Hash([]int{0}) % 4)
+			want := types.Bucket(types.Row{types.NewInt(k)}.HashKey(), 4)
 			switch {
 			case len(touched) == 4:
 				gang++

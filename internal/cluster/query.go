@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -431,13 +432,17 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 
 // runBatchSlice executes one (motion, location) sender: it pulls batches
 // from the slice's operator tree and pays one interconnect send per
-// (destination) batch. Redistribute motions fan rows out per destination at
-// row granularity, preserving hash routing exactly.
+// (destination) batch. A Redistribute Motion hashes each batch's key vectors
+// at once and sends every row to Bucket(hash, nseg), the segment RouteRow
+// stores its key on.
 func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric *interconnect.Fabric, nseg int) error {
 	it := exec.BuildBatch(ec, m.Child)
 	defer it.Close()
-	var rows []types.Row // redistribute scratch, reused across batches
-	var dests []int
+	keyExprs, keyVecs := make([]*plan.VecExpr, len(m.HashExprs)), make([]types.Vec, len(m.HashExprs))
+	for i, x := range m.HashExprs {
+		keyExprs[i] = plan.CompileVec(x)
+	}
+	var hashes []uint64 // redistribute scratch, reused across batches
 	for {
 		b, err := it.NextBatch()
 		if err == io.EOF {
@@ -453,26 +458,27 @@ func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric
 				return err
 			}
 		case plan.MotionRedistribute:
-			// Route first, so each destination's container is allocated to
-			// what it receives and not to the whole batch.
-			rows, dests = rows[:0], dests[:0]
-			counts := make([]int, nseg)
-			for i, l := 0, b.Len(); i < l; i++ {
-				row := b.Live(i)
-				dest, err := exec.HashForRedistribute(m.HashExprs, row, nseg)
-				if err != nil {
+			for i, x := range keyExprs {
+				if keyVecs[i], err = x.Eval(b); err != nil {
 					return err
 				}
-				rows, dests = append(rows, row), append(dests, dest)
-				counts[dest]++
+			}
+			hashes = slices.Grow(hashes[:0], b.Len())[:b.Len()]
+			types.HashBatch(hashes, keyVecs, b)
+			// Route first, so each destination's container is allocated to
+			// what it receives and not to the whole batch.
+			counts := make([]int, nseg)
+			for i, h := range hashes {
+				d := types.Bucket(h, nseg)
+				hashes[i] = uint64(d) // from here on, the row's destination
+				counts[d]++
 			}
 			outs := make([]*types.RowBatch, nseg)
-			for i, row := range rows {
-				d := dests[i]
+			for i, d := range hashes {
 				if outs[d] == nil {
 					outs[d] = types.NewRowBatch(counts[d])
 				}
-				outs[d].Append(row)
+				outs[d].Append(b.Live(i))
 			}
 			for d, ob := range outs {
 				if err := fabric.SendBatch(ctx, m.SliceID, d, ob); err != nil {

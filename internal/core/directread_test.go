@@ -216,7 +216,7 @@ func TestParamPlanReuse(t *testing.T) {
 		}
 	}
 	for k := 31; k <= 36; k++ {
-		want := int(types.Row{types.NewInt(int64(k))}.Hash([]int{0}) % 4)
+		want := types.Bucket(types.Row{types.NewInt(int64(k))}.HashKey(), 4)
 		if segs := sliceSegments(t, e, s, q, types.NewInt(int64(k))); len(segs) != 1 || segs[0] != want {
 			t.Fatalf("key %d ran on segments %v, its rows live on %d", k, segs, want)
 		}

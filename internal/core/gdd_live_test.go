@@ -18,7 +18,7 @@ import (
 func keyOnSegment(nseg, want int) int {
 	for k := 1; k < 100000; k++ {
 		row := types.Row{types.NewInt(int64(k))}
-		if int(row.Hash([]int{0})%uint64(nseg)) == want {
+		if types.Bucket(row.HashKey(), nseg) == want {
 			return k
 		}
 	}

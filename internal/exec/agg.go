@@ -3,9 +3,7 @@ package exec
 import (
 	"cmp"
 	"fmt"
-	"hash/maphash"
 	"io"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -23,7 +21,7 @@ type aggState struct {
 	sumFloat float64
 	isFloat  bool
 	ext      types.Datum
-	seen     map[uint64]struct{} // DISTINCT dedup
+	seen     map[uint64][]types.Datum // DISTINCT dedup: the values taken, by key hash
 }
 
 // better reports whether a value comparing c to the kept extreme replaces it.
@@ -39,13 +37,15 @@ func (st *aggState) add(v types.Datum, spec *plan.AggSpec) {
 	}
 	if spec.Distinct {
 		if st.seen == nil {
-			st.seen = make(map[uint64]struct{})
+			st.seen = make(map[uint64][]types.Datum)
 		}
 		h := v.Hash()
-		if _, dup := st.seen[h]; dup {
-			return
+		for _, s := range st.seen[h] {
+			if types.Compare(s, v) == 0 {
+				return
+			}
 		}
-		st.seen[h] = struct{}{}
+		st.seen[h] = append(st.seen[h], v)
 	}
 	if (spec.Func == plan.AggMin || spec.Func == plan.AggMax) && (st.count == 0 || better(spec.Func, types.Compare(v, st.ext))) {
 		st.ext = v
@@ -89,17 +89,17 @@ type slot struct {
 //
 // The group table gives a batch's rows their group ids by probing open
 // addressing with a tag per row. While the one group key has arrived as an
-// Ints vector (int, date or bool) in every batch, the tag is the value and
-// needs no check (NULL's, nullWord, does). Any other key — text, float,
-// several keys, boxed, none — is hashed per batch under a hash equal for
-// values Compare calls equal, and a tag match is checked against the key. A
-// batch that does not fit the int form re-keys the table into the general
-// form once, so a group never splits across forms.
+// Ints vector (int, date or bool) in every batch, the tag is the value times
+// fib and needs no check (NULL's, nullTag, does). Any other key — text,
+// float, several keys, boxed, none — is tagged per batch with its key hash,
+// and a tag match is checked against the key. Either way a tag's slot is its
+// high bits. A batch that does not fit the int form re-keys the table into
+// the general form once, so a group never splits across forms.
 //
 // Under a spill budget the core degrades gracefully: when the table outgrows
 // the budget, every group's transition state is written as a partial-layout
-// row to one of fanout partition files (by Row.Hash of the group key) and the
-// table is cleared. After input ends, partitions are re-aggregated one at a
+// row to one of fanout partition files (spillPart of the group key's hash)
+// and the table is cleared. After input ends, partitions are re-aggregated one at a
 // time — their rows merged back like a final phase's input — so the working
 // set is bounded by max(budget, one partition) instead of the number of
 // distinct groups. DISTINCT aggregates pin their dedup sets in memory and
@@ -160,63 +160,9 @@ func newAggCore(ctx *Context, node *plan.Agg) aggCore {
 
 func (a *aggCore) key(g int32) types.Row { return a.keys[int(g)*a.nk : int(g+1)*a.nk] }
 
-// Words of the group-key hash: equal for two values Compare calls equal (an
-// int and the float it converts to exactly share one, and so do -0 and 0, as
-// in Datum.Hash).
-const nullWord, inexactInt, fib = 0x6e756c6c, 0x5bd1e9955bd1e995, 0x9e3779b97f4a7c15
-
-var strSeed = maphash.MakeSeed()
-
-func intWord(x int64) uint64 {
-	if f := float64(x); int64(f) == x {
-		return math.Float64bits(f)
-	}
-	return uint64(x) ^ inexactInt
-}
-
-func datumWord(d types.Datum) uint64 {
-	switch d.Kind() {
-	case types.KindNull:
-		return nullWord
-	case types.KindFloat:
-		f := d.Float()
-		if f == 0 {
-			f = 0 // -0 compares equal to 0, so it must hash like it
-		}
-		return math.Float64bits(f)
-	case types.KindText:
-		return maphash.String(strSeed, d.Text())
-	}
-	return intWord(d.Int())
-}
-
-func vecWord(v *types.Vec, at int) uint64 {
-	switch {
-	case v.Null(at):
-		return nullWord
-	case v.Ints != nil:
-		return intWord(v.Ints[at])
-	case v.Strs != nil:
-		return maphash.String(strSeed, v.Strs[at])
-	}
-	return datumWord(v.At(at))
-}
-
-func mixWord(h, w uint64) uint64 {
-	h = (h ^ w) * fib
-	return h ^ h>>32
-}
-
-// keyHashes sets words[r] to the hash of the key vectors' values at b's live
-// row r, one vector at a time.
-func keyHashes(words []uint64, keys []types.Vec, b *types.RowBatch) {
-	clear(words)
-	for c := range keys {
-		for r := range words {
-			words[r] = mixWord(words[r], vecWord(&keys[c], b.Index(r)))
-		}
-	}
-}
+// The int form's tags: the value times fib (distinct values, distinct tags)
+// and one constant for NULL.
+const nullTag, fib = 0x6e756c6c, 0x9e3779b97f4a7c15
 
 // sameKey reports whether group g's key equals the key vectors' values at
 // position at, comparing typed payloads directly where the kinds allow.
@@ -251,9 +197,9 @@ func (a *aggCore) rehash(n int, rekey bool) {
 			continue
 		}
 		if rekey {
-			s.tag = mixWord(0, datumWord(a.keys[s.g-1]))
+			s.tag = a.key(s.g - 1).HashKey()
 		}
-		i := int(s.tag * fib >> a.shift)
+		i := int(s.tag >> a.shift)
 		for a.slots[i].g != 0 {
 			i = (i + 1) & (n - 1)
 		}
@@ -266,15 +212,15 @@ func (a *aggCore) rehash(n int, rekey bool) {
 func (a *aggCore) assign(b *types.RowBatch, lo int) (hi int, dump bool, err error) {
 	prevTag, prev := uint64(0), int32(-1)
 	for r := lo; r < len(a.gids); r++ {
-		at, tag := b.Index(r), uint64(nullWord)
+		at, tag := b.Index(r), uint64(nullTag)
 		if !a.ints {
 			tag = a.tags[r]
 		} else if v := &a.keyVecs[0]; !v.Null(at) {
-			tag = uint64(v.Ints[at])
+			tag = uint64(v.Ints[at]) * fib
 		}
-		exact := a.ints && tag != nullWord
+		exact := a.ints && tag != nullTag
 		if prev < 0 || tag != prevTag || !exact && !a.sameKey(prev, at) {
-			i, mask := int(tag*fib>>a.shift), len(a.slots)-1
+			i, mask := int(tag>>a.shift), len(a.slots)-1
 			for ; a.slots[i].g != 0; i = (i + 1) & mask {
 				if s := a.slots[i]; s.tag == tag && (exact || a.sameKey(s.g-1, at)) {
 					break
@@ -350,12 +296,8 @@ func (a *aggCore) dumpGroups() error {
 			a.parts[i] = sf
 		}
 	}
-	cols := make([]int, a.nk)
-	for i := range cols {
-		cols[i] = i
-	}
 	for _, g := range a.order {
-		sf := a.parts[a.key(g).Hash(cols)%uint64(len(a.parts))]
+		sf := a.parts[spillPart(a.key(g).HashKey(), len(a.parts))]
 		if err := sf.writeRow(a.emit(g, true)); err != nil {
 			return err
 		}
@@ -461,7 +403,7 @@ func (a *aggCore) absorb(b *types.RowBatch) (err error) {
 	}
 	if !a.ints {
 		a.tags = slices.Grow(a.tags[:0], len(a.gids))[:len(a.gids)]
-		keyHashes(a.tags, a.keyVecs, b)
+		types.HashBatch(a.tags, a.keyVecs, b)
 	}
 	for lo := 0; lo < len(a.gids); {
 		hi, dump, err := a.assign(b, lo)

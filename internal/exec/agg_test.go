@@ -280,3 +280,67 @@ func windows(rows []types.Row, n int) []*types.RowBatch {
 	}
 	return out
 }
+
+// TestDistinctDedupsByValue: DISTINCT keeps two values whose key hashes
+// collide. 7215304905724127637 is too big for a float, so its word is its bits
+// xor inexactInt — chosen here to equal the word of 1.
+func TestDistinctDedupsByValue(t *testing.T) {
+	one, big := types.NewInt(1), types.NewInt(7215304905724127637)
+	if one.Hash() != big.Hash() {
+		t.Fatalf("the two ints no longer share a word (%x, %x)", one.Hash(), big.Hash())
+	}
+	node := plan.NewAgg(nil, nil, []plan.AggSpec{{Func: plan.AggCount, Arg: &plan.ColRef{Idx: 0}, Distinct: true}}, plan.AggPlain)
+	got := runAgg(t, node, windows([]types.Row{{one}, {big}, {one}, {big}}, 2))
+	if len(got) != 1 || got[0][0].Int() != 2 {
+		t.Fatalf("count(DISTINCT a) = %v, want 2", got)
+	}
+}
+
+// TestTablesSpreadOneSegmentsKeys: a segment's group table and join index hold
+// only keys that share Bucket(h, nseg), yet they spread over all of their
+// slots and buckets.
+func TestTablesSpreadOneSegmentsKeys(t *testing.T) {
+	for _, text := range []bool{false, true} {
+		var rows []types.Row
+		for k := int64(0); len(rows) < 20000; k++ {
+			r := types.Row{types.NewInt(k)}
+			if text {
+				r = types.Row{types.NewText(fmt.Sprint("c", k))}
+			}
+			if types.Bucket(r.HashKey(), 4) == 1 {
+				rows = append(rows, r)
+			}
+		}
+		a := newAggCore(&Context{Ctx: context.Background()}, plan.NewAgg(nil, []plan.Expr{&plan.ColRef{Idx: 0}}, nil, plan.AggPlain))
+		s := newInnerStore([]plan.Expr{&plan.ColRef{Idx: 0}}, 1, nil)
+		for _, b := range windows(rows, 256) {
+			keep, _, err := s.eval(b, s.exprs)
+			if err == nil {
+				s.append(keep)
+				err = a.absorb(b)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.index()
+		mask, dist := len(a.slots)-1, 0
+		for i, sl := range a.slots {
+			if sl.g != 0 {
+				dist += (i - int(sl.tag>>a.shift)) & mask
+			}
+		}
+		walk := 0 // rows a lookup of every stored key walks
+		for _, h := range s.head {
+			n := 0
+			for r := h; r != 0; r = s.next[r-1] {
+				n++
+			}
+			walk += n * n
+		}
+		a.close()
+		if avg, chain := float64(dist)/float64(len(rows)), float64(walk)/float64(len(rows)); avg > 2 || chain > 1.75 {
+			t.Fatalf("text=%v: a group sits %.1f slots past its probe start, a lookup walks %.1f rows", text, avg, chain)
+		}
+	}
+}

@@ -438,17 +438,3 @@ func newOperator(ctx *Context, node plan.Node) BatchIterator {
 		return errBatchIterf("exec: unsupported plan node %T", node)
 	}
 }
-
-// HashForRedistribute computes the destination segment for a row under a
-// redistribute motion.
-func HashForRedistribute(exprs []plan.Expr, row types.Row, nseg int) (int, error) {
-	var h uint64 = 1469598103934665603
-	for _, e := range exprs {
-		v, err := e.Eval(row)
-		if err != nil {
-			return 0, err
-		}
-		h = h*1099511628211 ^ v.Hash()
-	}
-	return int(h % uint64(nseg)), nil
-}

@@ -342,21 +342,6 @@ func TestModifyCollectsBeforeWriting(t *testing.T) {
 	}
 }
 
-func TestHashForRedistributeStability(t *testing.T) {
-	exprs := []plan.Expr{&plan.ColRef{Idx: 0}}
-	a, err := HashForRedistribute(exprs, intRow(42), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := HashForRedistribute(exprs, intRow(42), 4)
-	if err != nil || a != b {
-		t.Fatal("redistribution must be deterministic")
-	}
-	if a < 0 || a >= 4 {
-		t.Fatalf("dest out of range: %d", a)
-	}
-}
-
 func requireSameRows(t *testing.T, want, got []types.Row) {
 	t.Helper()
 	if len(want) != len(got) {

@@ -162,7 +162,7 @@ func (c *batchHashJoinIter) addBuildBatch(b *types.RowBatch, exprs []*plan.VecEx
 // chunk's, to their partition as one row.
 func (c *batchHashJoinIter) writeBuild(vecs []types.Vec, at int) error {
 	c.spillRow = (&types.ColBatch{Vecs: vecs}).RowInto(c.spillRow, at)
-	return c.buildParts[c.inner.hash(vecs, at)%uint64(len(c.buildParts))].writeRow(c.spillRow)
+	return c.buildParts[spillPart(c.inner.hash(vecs, at), len(c.buildParts))].writeRow(c.spillRow)
 }
 
 // beginSpill creates the partition files and flushes the in-memory store.
@@ -215,7 +215,7 @@ func (c *batchHashJoinIter) probeBatch(b *types.RowBatch) (out *types.RowBatch, 
 		}
 	}
 	c.hashes = slices.Grow(c.hashes[:0], b.Len())[:b.Len()]
-	keyHashes(c.hashes, c.keyVecs, b)
+	types.HashBatch(c.hashes, c.keyVecs, b)
 	left := c.node.Kind == plan.JoinLeft
 	for r, h := range c.hashes {
 		at := b.Index(r)
@@ -223,7 +223,7 @@ func (c *batchHashJoinIter) probeBatch(b *types.RowBatch) (out *types.RowBatch, 
 		switch {
 		case anyNull(c.keyVecs, at): // NULL keys match nothing, in any partition
 		case c.spilled && !c.draining:
-			if err := c.probeParts[h%uint64(len(c.probeParts))].writeRow(c.emit.outer(b, at)); err != nil {
+			if err := c.probeParts[spillPart(h, len(c.probeParts))].writeRow(c.emit.outer(b, at)); err != nil {
 				return nil, err
 			}
 			continue
@@ -462,17 +462,10 @@ func (s *innerStore) at(i int32) ([]types.Vec, int) {
 }
 
 // hash is the key hash of the slots at position at of vecs, a batch's or a
-// chunk's: the aggregate's, equal for keys Compare calls equal, so int 3
-// joins float 3.0.
-func (s *innerStore) hash(vecs []types.Vec, at int) uint64 {
-	h := uint64(0)
-	for k := range s.nk {
-		h = mixWord(h, vecWord(&vecs[k], at))
-	}
-	return h
-}
+// chunk's: equal for keys Compare calls equal, so int 3 joins float 3.0.
+func (s *innerStore) hash(vecs []types.Vec, at int) uint64 { return types.HashAt(vecs[:s.nk], at) }
 
-func (s *innerStore) bucket(h uint64) int { return int(h * fib >> s.shift) }
+func (s *innerStore) bucket(h uint64) int { return int(h >> s.shift) }
 
 // index chains every row by key hash into a head array the power of two
 // above twice the row count long, so a chain is short.

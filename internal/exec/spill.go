@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sync"
@@ -486,6 +487,11 @@ func spillFanout(estBytes, budget int64) int {
 	}
 	return f
 }
+
+// spillPart is the partition among n of a row with key hash h: Bucket of h
+// bit-reversed, so the rows of one segment, which share Bucket(h, nseg),
+// still spread over every partition.
+func spillPart(h uint64, n int) int { return types.Bucket(bits.Reverse64(h), n) }
 
 // ---- loser-tree merge ----
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 
@@ -234,7 +235,12 @@ func TestSpillingHashAggMatchesInMemory(t *testing.T) {
 
 	ctx := spillCtx(store, 8192)
 	defer ctx.Spill.Cleanup()
-	spilled := drain(t, BuildBatch(ctx, node))
+	it := newOperator(ctx, node).(*batchAggIter)
+	if err := it.load(); err != nil {
+		t.Fatal(err)
+	}
+	checkPartsSpread(t, "group", it.core.parts)
+	spilled := drain(t, it)
 
 	if len(inMem) != len(spilled) {
 		t.Fatalf("group counts differ: %d vs %d", len(inMem), len(spilled))
@@ -256,6 +262,45 @@ func TestSpillingHashAggMatchesInMemory(t *testing.T) {
 	}
 }
 
+// checkPartsSpread fails when a spill partition holds more than twice its even
+// share of the rows written to all of them.
+func checkPartsSpread(t *testing.T, what string, parts []*spillFile) {
+	t.Helper()
+	var total, most int64
+	for _, sf := range parts {
+		total += sf.rows
+		most = max(most, sf.rows)
+	}
+	if len(parts) == 0 || total == 0 {
+		t.Fatalf("%s: nothing spilled", what)
+	}
+	if even := total / int64(len(parts)); most > 2*even {
+		t.Fatalf("%s: a partition holds %d of %d rows over %d partitions", what, most, total, len(parts))
+	}
+}
+
+// TestSegmentRowsSpreadOverPartitions: the keys one segment of four holds
+// share Bucket(h, 4), yet spread over every fanout of spill partitions.
+func TestSegmentRowsSpreadOverPartitions(t *testing.T) {
+	var hashes []uint64
+	for k := int64(0); len(hashes) < 20000; k++ {
+		for _, key := range []types.Row{{types.NewInt(k)}, {types.NewText(fmt.Sprint("c", k))}} {
+			if h := key.HashKey(); types.Bucket(h, 4) == 1 {
+				hashes = append(hashes, h)
+			}
+		}
+	}
+	for fanout := 4; fanout <= 64; fanout *= 2 {
+		counts := make([]int, fanout)
+		for _, h := range hashes {
+			counts[spillPart(h, fanout)]++
+		}
+		if most, even := slices.Max(counts), len(hashes)/fanout; most > even*3/2 {
+			t.Fatalf("fanout %d: a partition holds %d keys, even share %d", fanout, most, even)
+		}
+	}
+}
+
 func TestGraceHashJoinMatchesInMemory(t *testing.T) {
 	left := testTable(1, "l", "a", "b")
 	right := testTable(2, "r", "c", "d")
@@ -274,7 +319,13 @@ func TestGraceHashJoinMatchesInMemory(t *testing.T) {
 		inMem := drain(t, BuildBatch(ctxWithStore(store), node))
 
 		ctx := spillCtx(store, 4096)
-		spilled := drain(t, BuildBatch(ctx, node))
+		defer ctx.Spill.Cleanup() // also when a check below fails
+		it := newOperator(ctx, node).(*batchHashJoinIter)
+		if err := it.build(); err != nil {
+			t.Fatal(err)
+		}
+		checkPartsSpread(t, fmt.Sprintf("%v build", kind), it.buildParts)
+		spilled := drain(t, it)
 
 		if len(inMem) != len(spilled) {
 			t.Fatalf("%v: row counts differ: %d vs %d", kind, len(inMem), len(spilled))

@@ -1494,7 +1494,7 @@ func directSegmentFor(t *catalog.Table, filter Expr, nseg int) int {
 		}
 		key = append(key, v)
 	}
-	return int(types.Row(key).HashKey() % uint64(width))
+	return types.Bucket(types.Row(key).HashKey(), width)
 }
 
 // pinnedTo finds, among e's conjuncts, an equality between column col and a
@@ -1546,7 +1546,7 @@ func indexOfName(names []string, name string) int {
 func RouteRow(t *catalog.Table, row types.Row, nseg int, rr *int) int {
 	switch t.Distribution {
 	case catalog.DistHash:
-		return int(row.Hash(t.DistKeyCols) % uint64(nseg))
+		return types.Bucket(row.Hash(t.DistKeyCols), nseg)
 	case catalog.DistReplicated:
 		return -1 // every segment
 	default:

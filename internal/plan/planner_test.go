@@ -248,7 +248,7 @@ func TestDirectDispatchDetection(t *testing.T) {
 	if pl.DirectSegment < 0 {
 		t.Fatal("equality on the full distribution key must direct-dispatch")
 	}
-	want := int(types.Row{types.NewInt(42)}.Hash([]int{0}) % 4)
+	want := types.Bucket(types.Row{types.NewInt(42)}.HashKey(), 4)
 	if pl.DirectSegment != want {
 		t.Fatalf("segment = %d, want %d", pl.DirectSegment, want)
 	}
@@ -437,5 +437,26 @@ func TestScanColumnPruning(t *testing.T) {
 	scan = findScan(pl.Root)
 	if scan == nil || scan.Project != nil {
 		t.Fatalf("FOR UPDATE scan should not prune, got %v", scan.Project)
+	}
+}
+
+// TestRouteRowSpreadsKeys: the small int keys a TPC-B branch table or a
+// CH-benCHmark warehouse table is distributed by spread over four segments —
+// none holds more than twice its share of 16 keys, or 1.5× its share of 32.
+func TestRouteRowSpreadsKeys(t *testing.T) {
+	tab := &catalog.Table{Distribution: catalog.DistHash, DistKeyCols: []int{0}}
+	for _, c := range []struct {
+		n     int
+		limit float64
+	}{{16, 2}, {32, 1.5}} {
+		counts := make([]int, 4)
+		for k := 1; k <= c.n; k++ {
+			counts[RouteRow(tab, types.Row{types.NewInt(int64(k))}, 4, nil)]++
+		}
+		for seg, got := range counts {
+			if float64(got) > c.limit*float64(c.n)/4 {
+				t.Errorf("keys 1..%d: segment %d holds %d (all: %v)", c.n, seg, got, counts)
+			}
+		}
 	}
 }

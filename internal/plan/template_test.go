@@ -194,7 +194,7 @@ func TestDirectSegmentDerivation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := int(types.Row{types.NewInt(k)}.Hash([]int{0}) % 4); pl.DirectSegment != want {
+		if want := types.Bucket(types.Row{types.NewInt(k)}.HashKey(), 4); pl.DirectSegment != want {
 			t.Fatalf("key %d routed to segment %d, rows live on %d", k, pl.DirectSegment, want)
 		}
 	}
@@ -217,7 +217,7 @@ func TestBindSharesTemplateConcurrently(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				want := int(types.Row{params[0]}.Hash([]int{0}) % 4)
+				want := types.Bucket(types.Row{params[0]}.HashKey(), 4)
 				lim := pl.Root.(*Limit)
 				if pl.DirectSegment != want || lim.Count != i%7 || len(pl.Motions) != 1 || pl.Motions[0] == tmpl.Motions[0] {
 					t.Errorf("params %v: direct=%d (want %d) limit=%d motions=%d", params, pl.DirectSegment, want, lim.Count, len(pl.Motions))

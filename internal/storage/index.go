@@ -75,7 +75,9 @@ func (ix *HashIndex) Insert(row types.Row, tid TupleID) {
 // probe returns the position of h's slot, or of the free slot where h goes.
 func (ix *HashIndex) probe(h uint64) int {
 	mask := len(ix.slots) - 1
-	for i := int((h * 0x9e3779b97f4a7c15) >> ix.shift); ; i = (i + 1) & mask {
+	// Start at h's high bits: a segment is types.Bucket(h, nseg), which reads
+	// those of h·fib, so the keys of one segment spread over every slot.
+	for i := int(h >> ix.shift); ; i = (i + 1) & mask {
 		if s := &ix.slots[i]; s.n == 0 || s.hash == h {
 			return i
 		}

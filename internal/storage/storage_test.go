@@ -296,6 +296,29 @@ func TestHashIndex(t *testing.T) {
 	}
 }
 
+// TestHashIndexSpreadsOneSegmentsKeys: a segment's index holds only keys
+// that share Bucket(h, nseg), yet they spread over its slots — a key sits a
+// few slots from where its probe starts, not a run of thousands.
+func TestHashIndexSpreadsOneSegmentsKeys(t *testing.T) {
+	ix := NewHashIndex([]int{0})
+	for k := int64(0); ix.Len() < 20000; k++ {
+		for _, r := range []types.Row{row(k), {types.NewText(fmt.Sprint("c", k))}} {
+			if types.Bucket(r.HashKey(), 4) == 1 {
+				ix.Insert(r, TupleID(k))
+			}
+		}
+	}
+	mask, dist := len(ix.slots)-1, 0
+	for i, s := range ix.slots {
+		if s.n > 0 {
+			dist += (i - int(s.hash>>ix.shift)) & mask
+		}
+	}
+	if avg := float64(dist) / float64(ix.used); avg > 4 {
+		t.Fatalf("keys sit %.1f slots past their probe start on average", avg)
+	}
+}
+
 // TestHashIndexLookupSharesBucket: a lookup returns the bucket without
 // copying it, so its cost does not grow with the key's version count, and
 // what it returned stays intact while writers append to the same key.

@@ -4,6 +4,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -178,97 +179,49 @@ func Compare(a, b Datum) int {
 		}
 	}
 	if numericRank(a.kind) > 0 && numericRank(b.kind) > 0 {
-		if a.kind == KindFloat || b.kind == KindFloat {
-			af, bf := a.Float(), b.Float()
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			default:
-				return 0
-			}
-		}
 		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		default:
-			return 0
+		case a.kind != KindFloat && b.kind != KindFloat:
+			return cmp.Compare(a.i, b.i)
+		case a.kind != KindFloat:
+			return cmpIntFloat(a.i, b.Float())
+		case b.kind != KindFloat:
+			return -cmpIntFloat(b.i, a.Float())
 		}
+		switch af, bf := a.Float(), b.Float(); {
+		case af < bf:
+			return -1
+		case af > bf:
+			return 1
+		}
+		return 0 // equal, or a NaN: NaN compares equal to every number
 	}
 	if a.kind != b.kind {
-		if a.kind < b.kind {
-			return -1
-		}
-		return 1
+		return cmp.Compare(a.kind, b.kind)
 	}
-	switch a.kind {
-	case KindText:
-		switch {
-		case a.s < b.s:
-			return -1
-		case a.s > b.s:
-			return 1
-		default:
-			return 0
-		}
-	default:
+	if a.kind == KindText {
+		return cmp.Compare(a.s, b.s)
+	}
+	return 0
+}
+
+// cmpIntFloat compares an int, date or bool payload with a float exactly:
+// float64(i) may round, so a tie is settled in integers. An int equals a
+// float only when it converts to it exactly, as the key hash assumes.
+func cmpIntFloat(i int64, f float64) int {
+	switch fi := float64(i); {
+	case fi < f || f == 0x1p63: // 2^63 is above every int64
+		return -1
+	case fi > f:
+		return 1
+	case f != f:
 		return 0
 	}
+	return cmp.Compare(i, int64(f))
 }
 
 // Equal reports datum equality under Compare semantics (NULL == NULL here;
 // SQL ternary NULL handling is the expression evaluator's job).
 func Equal(a, b Datum) bool { return Compare(a, b) == 0 }
-
-// Hash returns a stable 64-bit hash of the datum; equal datums (including
-// int/float numeric equality and -0 = 0) hash identically. It is the basis of
-// hash distribution and hash joins.
-func (d Datum) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	switch d.kind {
-	case KindNull:
-		mix(0)
-	case KindInt, KindBool, KindDate:
-		// Hash integral values through their float encoding when they fit
-		// exactly, so that NewInt(2).Hash() == NewFloat(2).Hash().
-		f := float64(d.i)
-		if int64(f) == d.i {
-			u := math.Float64bits(f)
-			for s := 0; s < 64; s += 8 {
-				mix(byte(u >> s))
-			}
-		} else {
-			u := uint64(d.i)
-			mix(1)
-			for s := 0; s < 64; s += 8 {
-				mix(byte(u >> s))
-			}
-		}
-	case KindFloat:
-		f := d.Float()
-		if f == 0 {
-			f = 0 // -0 compares equal to 0, so it must hash like it
-		}
-		u := math.Float64bits(f)
-		for s := 0; s < 64; s += 8 {
-			mix(byte(u >> s))
-		}
-	case KindText:
-		mix(2)
-		for i := 0; i < len(d.s); i++ {
-			mix(d.s[i])
-		}
-	}
-	return h
-}
 
 // CastTo coerces the datum to the requested kind, mirroring implicit SQL
 // casts. It returns an error for impossible conversions.

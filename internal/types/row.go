@@ -22,28 +22,6 @@ func (r Row) Size() int64 {
 	return n
 }
 
-// Hash combines the hashes of the datums at the given column offsets; it is
-// used for hash distribution and join buckets.
-func (r Row) Hash(cols []int) uint64 {
-	h := rowHashSeed
-	for _, c := range cols {
-		h = h*rowHashPrime ^ r[c].Hash()
-	}
-	return h
-}
-
-// HashKey is Hash over every datum of r in order: the hash of a key listed
-// one datum per key column, equal to Hash(keyCols) of a row holding it.
-func (r Row) HashKey() uint64 {
-	h := rowHashSeed
-	for _, d := range r {
-		h = h*rowHashPrime ^ d.Hash()
-	}
-	return h
-}
-
-const rowHashSeed, rowHashPrime uint64 = 1469598103934665603, 1099511628211
-
 // Equal reports column-wise equality under Compare semantics.
 func (r Row) Equal(other Row) bool {
 	if len(r) != len(other) {

@@ -2,7 +2,6 @@ package types
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -78,25 +77,61 @@ func TestHashEqualImpliesSameHash(t *testing.T) {
 	}
 }
 
-// TestCompareHashConsistency is the property Compare==0 ⇒ Hash equal, over
-// random int/float pairs.
-func TestCompareHashConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000; i++ {
-		var a, b Datum
-		if rng.Intn(2) == 0 {
-			v := rng.Int63n(1000) - 500
-			a = NewInt(v)
-			b = NewFloat(float64(v))
-		} else {
-			v := rng.Int63n(1000)
-			a = NewInt(v)
-			b = NewInt(v)
+// FuzzKeyHash checks the key hash over an int, the float it converts to
+// (equal only when exact), ±0, NaN, NULL and text: values Compare calls
+// equal hash equal (Compare calls NaN equal to every number, so NaN is held
+// only to other NaNs); the vector form of a key equals its row form; Bucket
+// stays in [0, n).
+func FuzzKeyHash(f *testing.F) {
+	f.Add(int64(2), 2.0, "", uint16(4))
+	f.Add(int64(0), math.Copysign(0, -1), "a", uint16(1))
+	f.Add(int64(-7), math.NaN(), "text", uint16(3))
+	f.Add(int64(1)<<60+1, math.Inf(-1), "\x00\xff", uint16(64))
+	f.Fuzz(func(t *testing.T, i int64, fl float64, s string, n uint16) {
+		nan := math.Float64frombits(math.Float64bits(math.NaN()) ^ uint64(i)&0xffff) // another payload
+		vals := []Datum{Null, NewInt(i), NewFloat(float64(i)), NewFloat(fl), NewFloat(-fl),
+			NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(nan), NewText(s)}
+		isNaN := func(d Datum) bool { return d.Kind() == KindFloat && d.Float() != d.Float() }
+		for _, a := range vals {
+			for _, b := range vals {
+				if isNaN(a) != isNaN(b) || Compare(a, b) != 0 {
+					continue
+				}
+				if a.Hash() != b.Hash() || (Row{a, b}).HashKey() != (Row{b, a}).HashKey() {
+					t.Fatalf("%v = %v but they hash %x and %x", a, b, a.Hash(), b.Hash())
+				}
+			}
 		}
-		if Compare(a, b) == 0 && a.Hash() != b.Hash() {
-			t.Fatalf("equal datums %v and %v hash differently", a, b)
+		// Key columns: one typed vector per kind (NULLs in the bitmap) and
+		// one boxed vector of every value.
+		n2 := len(vals)
+		ints, floats, texts := make([]Datum, n2), make([]Datum, n2), make([]Datum, n2)
+		for r := range vals {
+			ints[r], floats[r], texts[r] = NewInt(i+int64(r)), NewFloat(fl*float64(r)), NewText(s[:min(r, len(s))])
+			if r%4 == 0 {
+				ints[r], floats[r], texts[r] = Null, Null, Null
+			}
 		}
-	}
+		keys := []Vec{VecOf(vals), VecOf(ints), VecOf(floats), VecOf(texts)}
+		if keys[0].Boxed == nil || keys[1].Ints == nil || keys[2].Floats == nil || keys[3].Strs == nil {
+			t.Fatal("VecOf built other layouts than the test means")
+		}
+		sel := []int{1, 2, 3, 5, 6, n2 - 1}
+		hashes := make([]uint64, len(sel))
+		HashBatch(hashes, keys, &RowBatch{Sel: sel})
+		for r, at := range sel {
+			row := Row{vals[at], ints[at], floats[at], texts[at]}
+			h := row.HashKey()
+			if HashAt(keys, at) != h || hashes[r] != h || row.Hash([]int{0, 1, 2, 3}) != h {
+				t.Fatalf("row %v: row form %x, HashAt %x, HashBatch %x", row, h, HashAt(keys, at), hashes[r])
+			}
+			for _, m := range []int{1, 3, 4, int(n) + 1} {
+				if b := Bucket(h, m); b < 0 || b >= m {
+					t.Fatalf("Bucket(%x, %d) = %d", h, m, b)
+				}
+			}
+		}
+	})
 }
 
 func TestCastTo(t *testing.T) {
