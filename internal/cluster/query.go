@@ -432,9 +432,11 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 
 // runBatchSlice executes one (motion, location) sender: it pulls batches
 // from the slice's operator tree and pays one interconnect send per
-// (destination) batch. A Redistribute Motion hashes each batch's key vectors
-// at once and sends every row to Bucket(hash, nseg), the segment RouteRow
-// stores its key on.
+// (destination) batch. The iterator keeps its containers, so each batch's
+// live rows are copied into containers the fabric recycles from the
+// receivers. A Redistribute Motion hashes each batch's key vectors at once
+// and sends every row to Bucket(hash, nseg), the segment RouteRow stores its
+// key on.
 func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric *interconnect.Fabric, nseg int) error {
 	it := exec.BuildBatch(ec, m.Child)
 	defer it.Close()
@@ -442,7 +444,18 @@ func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric
 	for i, x := range m.HashExprs {
 		keyExprs[i] = plan.CompileVec(x)
 	}
-	var hashes []uint64 // redistribute scratch, reused across batches
+	// Fan-out scratch reused across batches: each row's hash, then its
+	// destination; rows per destination; the container filled for each.
+	var hashes []uint64
+	var counts []int
+	var outs []*types.RowBatch
+	switch m.Type {
+	case plan.MotionRedistribute:
+		counts = make([]int, nseg)
+		fallthrough
+	case plan.MotionBroadcast:
+		outs = make([]*types.RowBatch, nseg)
+	}
 	for {
 		b, err := it.NextBatch()
 		if err == io.EOF {
@@ -453,10 +466,11 @@ func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric
 		}
 		switch m.Type {
 		case plan.MotionGather:
-			// The iterator owns b's container; hand the receiver a copy.
-			if err := fabric.SendBatch(ctx, m.SliceID, -1, b.CloneRows()); err != nil {
+			ob := appendLive(fabric.Container(m.SliceID, -1, b.Len()), b)
+			if err := fabric.SendBatch(ctx, m.SliceID, -1, ob); err != nil {
 				return err
 			}
+			continue
 		case plan.MotionRedistribute:
 			for i, x := range keyExprs {
 				if keyVecs[i], err = x.Eval(b); err != nil {
@@ -465,36 +479,54 @@ func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric
 			}
 			hashes = slices.Grow(hashes[:0], b.Len())[:b.Len()]
 			types.HashBatch(hashes, keyVecs, b)
-			// Route first, so each destination's container is allocated to
+			// Route first, so each destination's container is sized to
 			// what it receives and not to the whole batch.
-			counts := make([]int, nseg)
+			clear(counts)
 			for i, h := range hashes {
 				d := types.Bucket(h, nseg)
 				hashes[i] = uint64(d) // from here on, the row's destination
 				counts[d]++
 			}
-			outs := make([]*types.RowBatch, nseg)
-			for i, d := range hashes {
-				if outs[d] == nil {
-					outs[d] = types.NewRowBatch(counts[d])
+			for d, n := range counts {
+				if n > 0 {
+					outs[d] = fabric.Container(m.SliceID, d, n)
 				}
+			}
+			for i, d := range hashes {
 				outs[d].Append(b.Live(i))
 			}
-			for d, ob := range outs {
-				if err := fabric.SendBatch(ctx, m.SliceID, d, ob); err != nil {
-					return err
-				}
-			}
 		case plan.MotionBroadcast:
-			// Rows are immutable once emitted, so every destination gets its
-			// own container over the same rows.
-			for d := 0; d < nseg; d++ {
-				if err := fabric.SendBatch(ctx, m.SliceID, d, b.CloneRows()); err != nil {
-					return err
-				}
+			// Receivers narrow a batch's selection in place, so every
+			// destination gets its own container over the same rows.
+			outs[0] = appendLive(fabric.Container(m.SliceID, 0, b.Len()), b)
+			for d := 1; d < nseg; d++ {
+				outs[d] = fabric.Container(m.SliceID, d, b.Len())
+				outs[d].Rows = append(outs[d].Rows, outs[0].Rows...)
+			}
+		}
+		// A sent container is the receiver's: fill them all, then send.
+		for d, ob := range outs {
+			if ob == nil {
+				continue
+			}
+			outs[d] = nil
+			if err := fabric.SendBatch(ctx, m.SliceID, d, ob); err != nil {
+				return err
 			}
 		}
 	}
+}
+
+// appendLive appends b's live rows to the row batch dst and returns it.
+func appendLive(dst, b *types.RowBatch) *types.RowBatch {
+	if b.Sel == nil && b.Cols == nil {
+		dst.Rows = append(dst.Rows, b.Rows...)
+		return dst
+	}
+	for i, l := 0, b.Len(); i < l; i++ {
+		dst.Append(b.Live(i))
+	}
+	return dst
 }
 
 // modeOf converts a Table-1 lock level to a lockmgr.Mode.

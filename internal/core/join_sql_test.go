@@ -315,3 +315,129 @@ func TestBroadcastJoinSharesRows(t *testing.T) {
 		t.Fatalf("warm broadcast join allocates %.1f bytes per broadcast row, want <= 1400", perRow)
 	}
 }
+
+// TestJoinAcrossMotionKinds: one join, its inner side moved once by a
+// Broadcast and once by a Redistribute Motion, returns the answer computed
+// here and the answer of the same join over the rows a gathered SELECT of
+// each table returns. The inner side is 8 000 rows over 4 segments, so every
+// stream of either motion carries about 32 batches and its containers
+// circulate between sender and receiver; keys are NULL on both sides now and
+// then, an int key joins a float key of equal value, and text columns ride
+// along. The two plans run concurrently from two sessions, twice, so under
+// -race no sender writes a container its receiver is still reading.
+func TestJoinAcrossMotionKinds(t *testing.T) {
+	const nOuter, nInner = 6000, 8000
+	e := NewEngine(cluster.GPDB6(4))
+	defer e.Close()
+	s, _ := e.NewSession("")
+	mustExec(t, s, "CREATE TABLE jo (k int, tag text, v int) DISTRIBUTED BY (v)")
+	mustExec(t, s, "CREATE TABLE ji (id int, fk float, name text, w int) DISTRIBUTED BY (w)")
+	outerKey := func(i int) (int, bool) { return i % 4000, i%11 != 0 }
+	innerKey := func(id int) (int, bool) { return id % 3000, id%13 != 0 }
+	bulkInsert(t, s, "jo", nOuter, 0, func(i int) string {
+		if k, ok := outerKey(i); ok {
+			return fmt.Sprintf("(%d,'t%d',%d)", k, i, i)
+		}
+		return fmt.Sprintf("(NULL,'t%d',%d)", i, i)
+	})
+	bulkInsert(t, s, "ji", nInner, 0, func(id int) string {
+		if k, ok := innerKey(id); ok {
+			return fmt.Sprintf("(%d,%d.0,'n%d',%d)", id, k, id, id*7)
+		}
+		return fmt.Sprintf("(%d,NULL,'n%d',%d)", id, id, id*7)
+	})
+	q := "SELECT jo.k, jo.tag, ji.fk, ji.name, ji.id FROM jo JOIN ji ON jo.k = ji.fk"
+
+	// joined renders a join's rows (k, tag, fk, name, id) sorted, after
+	// checking each pairs an int key with the equal float key.
+	joined := func(rows []types.Row) []string {
+		out := make([]string, 0, len(rows))
+		for _, r := range rows {
+			if r[0].IsNull() || r[2].IsNull() || r[2].Kind() != types.KindFloat || float64(r[0].Int()) != r[2].Float() {
+				t.Errorf("row %v joins keys %v and %v", r, r[0], r[2])
+				return nil
+			}
+			out = append(out, fmt.Sprintf("%d|%s|%s|%d", r[0].Int(), r[1].Text(), r[3].Text(), r[4].Int()))
+		}
+		sort.Strings(out)
+		return out
+	}
+	// The answer from the generators.
+	byKey := map[int][]int{}
+	for id := 0; id < nInner; id++ {
+		if k, ok := innerKey(id); ok {
+			byKey[k] = append(byKey[k], id)
+		}
+	}
+	var want []string
+	for i := 0; i < nOuter; i++ {
+		if k, ok := outerKey(i); ok {
+			for _, id := range byKey[k] {
+				want = append(want, fmt.Sprintf("%d|t%d|n%d|%d", k, i, id, id))
+			}
+		}
+	}
+	sort.Strings(want)
+	// The same join over the gathered rows of each table.
+	inner := map[float64][]types.Row{}
+	innerRows := mustExec(t, s, "SELECT id, fk, name FROM ji").Rows
+	for _, r := range innerRows {
+		if !r[1].IsNull() {
+			inner[r[1].Float()] = append(inner[r[1].Float()], r)
+		}
+	}
+	var gathered []types.Row
+	outerRows := mustExec(t, s, "SELECT k, tag FROM jo").Rows
+	for _, o := range outerRows {
+		if o[0].IsNull() {
+			continue
+		}
+		for _, r := range inner[float64(o[0].Int())] {
+			gathered = append(gathered, types.Row{o[0], o[1], r[1], r[2], r[0]})
+		}
+	}
+	if len(innerRows) != nInner || len(outerRows) != nOuter {
+		t.Fatalf("gathered %d inner and %d outer rows, want %d and %d", len(innerRows), len(outerRows), nInner, nOuter)
+	}
+	if got := joined(gathered); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("join of the gathered rows: %d rows, want %d", len(got), len(want))
+	}
+
+	plans := []struct{ motion, threshold string }{{"Broadcast Motion", "1000000"}, {"Redistribute Motion", "1"}}
+	sessions := make([]*Session, len(plans))
+	for i, p := range plans {
+		c, err := e.NewSession("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetOptimizer("orca"); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, c, "SET enable_costopt = off")
+		mustExec(t, c, "SET broadcast_threshold = "+p.threshold)
+		txt := explainText(t, c, q)
+		if !strings.Contains(txt, p.motion) || strings.Contains(txt, "Broadcast") != (p.motion == "Broadcast Motion") {
+			t.Fatalf("want the inner side moved by a %s:\n%s", p.motion, txt)
+		}
+		sessions[i] = c
+	}
+	var wg sync.WaitGroup
+	for i, c := range sessions {
+		wg.Add(1)
+		go func(motion string, c *Session) {
+			defer wg.Done()
+			for run := 0; run < 2; run++ {
+				res, err := c.Exec(context.Background(), q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := joined(res.Rows); strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Errorf("%s join: %d rows, want %d", motion, len(got), len(want))
+					return
+				}
+			}
+		}(plans[i].motion, c)
+	}
+	wg.Wait()
+}

@@ -94,8 +94,9 @@ type CPUCharger interface {
 // Receiver yields the batches arriving from a sending slice of a motion, one
 // interconnect operation per batch.
 type Receiver interface {
-	// RecvBatch returns the next batch, owned by the caller; ok=false means
-	// the stream is closed.
+	// RecvBatch returns the next batch, valid until the next RecvBatch (the
+	// receiver may then hand its container back to the sender); ok=false
+	// means the stream is closed.
 	RecvBatch(ctx context.Context) (b *types.RowBatch, ok bool, err error)
 }
 

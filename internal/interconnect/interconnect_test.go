@@ -199,7 +199,7 @@ func TestBatchFramingPreservesOrder(t *testing.T) {
 	if rows != 6 {
 		t.Fatalf("stats rows = %d", rows)
 	}
-	if n := f.BatchStats(); n != 3 {
+	if _, n := f.Stats(); n != 3 {
 		t.Fatalf("stream operations = %d, want 3", n)
 	}
 }
@@ -235,6 +235,109 @@ func TestBatchFanOutPerDestination(t *testing.T) {
 		if _, ok, _ := r.RecvBatch(ctx); ok {
 			t.Fatalf("dest %d: expected closed stream", dest)
 		}
+	}
+}
+
+// TestSendDoesNotReadHandedOffBatch: once a batch is on the stream it is the
+// receiver's, which narrows its selection in place (as a Filter does) and
+// gives the container back to the stream when it asks for the next batch.
+// The sender counts the rows it moved before the hand-off, so under -race no
+// send reads a batch the receiver is writing, and the row count is what was
+// sent.
+func TestSendDoesNotReadHandedOffBatch(t *testing.T) {
+	const batches, width = 200, 8
+	f := NewFabric(1, 4, 0)
+	f.OpenGather(1, 1)
+	ctx := context.Background()
+	go func() {
+		defer f.DoneSending(1)
+		for i := 0; i < batches; i++ {
+			b := types.NewRowBatch(width)
+			for j := 0; j < width; j++ {
+				b.Append(row(int64(i)))
+			}
+			if err := f.SendBatch(ctx, 1, -1, b); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	r := f.Receiver(1, -1)
+	got := 0
+	for {
+		b, ok, err := r.RecvBatch(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if b.Sel != nil || b.Len() != width || b.Rows[0][0].Int() != int64(got) {
+			t.Fatalf("batch %d arrived as sel=%v rows=%v", got, b.Sel, b.Rows)
+		}
+		b.Sel = []int{} // filtered out, in place
+		got++
+	}
+	if rows, _ := f.Stats(); got != batches || rows != batches*width {
+		t.Fatalf("received %d batches; stats say %d rows, want %d", got, rows, batches*width)
+	}
+}
+
+// TestContainersCirculate: a receiver's batches go back to their stream on
+// its next receive and come out of Container again, sized to the request.
+// A stream that carries one batch per sender never makes a free list, and
+// the list keeps at most buffer + senders + 1 containers.
+func TestContainersCirculate(t *testing.T) {
+	ctx := context.Background()
+	f := NewFabric(2, 2, 0)
+	f.OpenFanOut(1, 2)
+	// One batch per sender on dest 0: nothing is kept for reuse.
+	for i := 0; i < 2; i++ {
+		b := f.Container(1, 0, 4)
+		b.Append(row(int64(i)))
+		if err := f.SendBatch(ctx, 1, 0, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Dest 1: the third container makes the list.
+	sent := map[*types.RowBatch]bool{}
+	for i := 0; i < 3; i++ {
+		b := f.Container(1, 1, 4)
+		b.Append(row(int64(i)))
+		sent[b] = true
+		if i < 2 {
+			if err := f.SendBatch(ctx, 1, 1, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r0, r1 := f.Receiver(1, 0), f.Receiver(1, 1)
+	for i := 0; i < 2; i++ {
+		if _, _, err := r1.RecvBatch(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first batch went back on the second receive.
+	b := f.Container(1, 1, 16)
+	if !sent[b] || b.Len() != 0 || b.Sel != nil || cap(b.Rows) < 16 {
+		t.Fatalf("Container returned %p (len %d, cap %d), want a sent container, empty, grown to 16", b, b.Len(), cap(b.Rows))
+	}
+	if c := f.Container(1, 1, 1); sent[c] {
+		t.Fatal("a batch still with the receiver came back out of Container")
+	}
+	r0.RecvBatch(ctx)
+	r0.RecvBatch(ctx)
+	s0, _ := f.get(streamKey{slice: 1, dest: 0})
+	if l := s0.free.Load(); l != nil {
+		t.Fatalf("a stream carrying one batch per sender made a free list of %d", cap(l.bufs))
+	}
+	s1, _ := f.get(streamKey{slice: 1, dest: 1})
+	l := s1.free.Load()
+	for i := 0; i < 10; i++ {
+		l.release(types.NewRowBatch(1))
+	}
+	if n, want := len(l.bufs), 2+2+1; n != want {
+		t.Fatalf("free list holds %d containers, want its bound %d", n, want)
 	}
 }
 

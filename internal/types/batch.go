@@ -13,21 +13,19 @@ const DefaultBatchSize = 256
 // operators that read vectors pass on.
 //
 // Ownership, one rule throughout the executor: the *container* (b.Rows,
-// b.Sel, b.Cols and its vectors) belongs to the producer, which refills it
-// once the consumer asks for the next batch (the streaming scan recycles a
-// small ring of them), while the Row values inside are never overwritten in
-// place — consumers that retain rows past one call may keep the Row headers
-// but must copy the slice (CloneRows) if they need the container itself.
-// Live on a column batch gathers a fresh Row, which is retainable like any
-// other.
+// b.Sel, b.Cols and its vectors) belongs to the producer and is valid until
+// the consumer asks for the next batch, when the producer may refill it (the
+// streaming scan recycles a small ring of them; a motion receiver gives each
+// back to the interconnect, whose senders refill it). The Row values inside
+// are never overwritten in place, so a consumer that retains rows past one
+// call keeps the Row headers, never the container. Live on a column batch
+// gathers a fresh Row, which is retainable like any other.
 //
 // Filtering uses a selection vector instead of compaction: when Sel is
 // non-nil the live rows are positions Sel[0], Sel[1], ... and the rest of the
 // batch is dead weight that downstream operators must not look at. Operators
-// iterate live rows via Len/Live (or Len/Index over the vectors); a batch
-// only becomes dense again when it crosses an ownership boundary that copies
-// it (CloneRows, e.g. a motion send) or when Densify is called
-// explicitly.
+// iterate live rows via Len/Live (or Len/Index over the vectors); a motion
+// send copies only the live rows, so a batch arrives dense at its receiver.
 type RowBatch struct {
 	Rows []Row
 	// Sel is the selection vector: ascending positions marking the rows that
@@ -135,38 +133,3 @@ func (b *RowBatch) Reset() {
 
 // Cap returns the row capacity of the backing array.
 func (b *RowBatch) Cap() int { return cap(b.Rows) }
-
-// Densify compacts the live rows of a row-layout batch to the front of Rows
-// and clears the selection vector, so the batch can be handed to
-// selection-unaware code (e.g. appended to). A dense batch is returned
-// unchanged.
-func (b *RowBatch) Densify() {
-	if b.Sel == nil {
-		return
-	}
-	for i, s := range b.Sel {
-		b.Rows[i] = b.Rows[s]
-	}
-	b.Rows = b.Rows[:len(b.Sel)]
-	b.Sel = nil
-}
-
-// Size returns the accounted in-memory footprint of the live batched rows.
-func (b *RowBatch) Size() int64 {
-	var n int64
-	for i, l := 0, b.Len(); i < l; i++ {
-		n += b.Live(i).Size()
-	}
-	return n
-}
-
-// CloneRows returns a dense batch with a fresh container holding the live
-// Row values. Use it to hand a batch across an ownership boundary (e.g. an
-// interconnect send) while the producer keeps reusing its container.
-func (b *RowBatch) CloneRows() *RowBatch {
-	out := &RowBatch{Rows: make([]Row, b.Len())}
-	for i := range out.Rows {
-		out.Rows[i] = b.Live(i)
-	}
-	return out
-}

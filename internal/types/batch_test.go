@@ -31,26 +31,6 @@ func TestRowBatchReuseKeepsCapacity(t *testing.T) {
 	}
 }
 
-func TestRowBatchCloneRowsIsIndependent(t *testing.T) {
-	b := NewRowBatch(4)
-	b.Append(Row{NewInt(1)})
-	b.Append(Row{NewInt(2)})
-	c := b.CloneRows()
-	b.Reset()
-	b.Append(Row{NewInt(77)})
-	if c.Len() != 2 || c.Rows[0][0].Int() != 1 || c.Rows[1][0].Int() != 2 {
-		t.Fatalf("clone corrupted by producer reuse: %v", c.Rows)
-	}
-}
-
-func TestRowBatchSize(t *testing.T) {
-	b := NewRowBatch(2)
-	b.Append(Row{NewInt(1), NewText("abc")})
-	if b.Size() != b.Rows[0].Size() {
-		t.Fatalf("size mismatch: %d vs %d", b.Size(), b.Rows[0].Size())
-	}
-}
-
 func TestNewRowBatchDefaultsCapacity(t *testing.T) {
 	b := NewRowBatch(0)
 	if b.Cap() != DefaultBatchSize {
@@ -70,22 +50,6 @@ func TestRowBatchSelectionVector(t *testing.T) {
 	if b.Live(0)[0].Int() != 1 || b.Live(1)[0].Int() != 3 {
 		t.Fatalf("live rows: %v %v", b.Live(0), b.Live(1))
 	}
-	want := b.Live(0).Size() + b.Live(1).Size()
-	if b.Size() != want {
-		t.Fatalf("size counts dead rows: %d vs %d", b.Size(), want)
-	}
-
-	// Clones densify: only live rows, no selection vector.
-	c := b.CloneRows()
-	if c.Sel != nil || c.Len() != 2 || c.Rows[0][0].Int() != 1 || c.Rows[1][0].Int() != 3 {
-		t.Fatalf("clone of selected batch: sel=%v rows=%v", c.Sel, c.Rows)
-	}
-
-	// Densify compacts in place.
-	b.Densify()
-	if b.Sel != nil || len(b.Rows) != 2 || b.Rows[0][0].Int() != 1 || b.Rows[1][0].Int() != 3 {
-		t.Fatalf("densify: sel=%v rows=%v", b.Sel, b.Rows)
-	}
 
 	// Reset clears a selection.
 	b.Sel = []int{0}
@@ -99,18 +63,15 @@ func TestRowBatchEmptySelection(t *testing.T) {
 	b := NewRowBatch(2)
 	b.Append(Row{NewInt(1)})
 	b.Sel = []int{}
-	if b.Len() != 0 || b.Size() != 0 {
-		t.Fatalf("empty selection: len=%d size=%d", b.Len(), b.Size())
-	}
-	if c := b.CloneRows(); c.Len() != 0 {
-		t.Fatalf("clone of empty selection: %v", c.Rows)
+	if b.Len() != 0 {
+		t.Fatalf("empty selection: len=%d", b.Len())
 	}
 }
 
-// TestRowBatchColumnLayout: Len, Index, Live, windowing and the clones mean
-// the same on a column batch as on the row batch holding the same rows — with
-// NULLs, a boxed (mixed-kind) vector, an unpopulated column, a selection and
-// a window that does not start at the vectors' first value.
+// TestRowBatchColumnLayout: Len, Index, Live and windowing mean the same on a
+// column batch as on the row batch holding the same rows — with NULLs, a boxed
+// (mixed-kind) vector, an unpopulated column, a selection and a window that
+// does not start at the vectors' first value.
 func TestRowBatchColumnLayout(t *testing.T) {
 	var rows []Row
 	for i := 0; i < 70; i++ {
@@ -150,10 +111,6 @@ func TestRowBatchColumnLayout(t *testing.T) {
 		col := &RowBatch{Sel: sel, Cols: &ColBatch{Vecs: vecs, Lo: lo, N: n}}
 		row := &RowBatch{Sel: sel, Rows: rows[lo : lo+n]}
 		same("batch", col, row)
-		same("CloneRows", col.CloneRows(), row.CloneRows())
-		if col.Size() != row.Size() {
-			t.Fatalf("size %d, rows say %d", col.Size(), row.Size())
-		}
 		if l := row.Len(); l > 3 {
 			cw, rw := col.Window(1, l-1), row.Window(1, l-1)
 			same("Window", &cw, &rw)
