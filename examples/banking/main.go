@@ -36,12 +36,7 @@ func main() {
 }
 
 func run(mode greenplum.Mode) (tps float64, victims int64) {
-	db, err := greenplum.Open(greenplum.Options{
-		Segments:   4,
-		Mode:       mode,
-		NetDelay:   500 * time.Microsecond,
-		FsyncDelay: 2 * time.Millisecond,
-	})
+	db, err := greenplum.Open(greenplum.Options{Segments: 4, Mode: mode})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,6 +71,16 @@ CREATE INDEX branches_pkey ON branches (bid);
 	initial, err := admin.QueryScalar(ctx, `SELECT sum(balance) FROM accounts`)
 	if err != nil {
 		log.Fatal(err)
+	}
+	// Loaded: now every message to a segment costs a 1ms network round
+	// trip and every log flush a 2ms fsync.
+	for _, cost := range []greenplum.FaultSpec{
+		{Point: "dispatch_send", Seg: greenplum.AllSegments, Action: "sleep", Sleep: time.Millisecond},
+		{Point: "wal_flush", Seg: greenplum.AllSegments, Action: "sleep", Sleep: 2 * time.Millisecond},
+	} {
+		if err := db.InjectFault(cost); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	var ops atomic.Int64

@@ -16,12 +16,7 @@ import (
 )
 
 func main() {
-	db, err := greenplum.Open(greenplum.Options{
-		Segments:   4,
-		Cores:      8,
-		NetDelay:   500 * time.Microsecond,
-		FsyncDelay: time.Millisecond,
-	})
+	db, err := greenplum.Open(greenplum.Options{Segments: 4, Cores: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,6 +45,14 @@ CREATE ROLE teller RESOURCE GROUP oltp_group;
 		if _, err := admin.Exec(ctx, `INSERT INTO item VALUES ($1, $2, $3)`,
 			greenplum.Int(int64(i)), greenplum.Text(fmt.Sprintf("item-%d", i)),
 			greenplum.Float(float64(1+i%50))); err != nil {
+			log.Fatal(err)
+		}
+	}
+	// Loaded: now every message to a segment costs a 1ms network round
+	// trip and every log flush a 1ms fsync.
+	for _, point := range []string{"dispatch_send", "wal_flush"} {
+		cost := greenplum.FaultSpec{Point: point, Seg: greenplum.AllSegments, Action: "sleep", Sleep: time.Millisecond}
+		if err := db.InjectFault(cost); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -82,22 +82,10 @@ type Options struct {
 	Mode Mode
 	// GDDPeriod overrides the deadlock detector period (default 20ms).
 	GDDPeriod time.Duration
-	// NetDelay simulates one-way network latency per message.
-	NetDelay time.Duration
-	// FsyncDelay simulates one durable log write.
-	FsyncDelay time.Duration
-	// SegmentStmtCPU is the per-statement handling cost per dispatched
-	// segment.
-	SegmentStmtCPU time.Duration
 	// Cores sizes the simulated machine for resource groups (default 32).
 	Cores int
 	// MemoryBytes sizes cluster memory for resource groups (default 8 GiB).
 	MemoryBytes int64
-	// CacheRows/DiskDelay enable the single-host buffer-cache model used by
-	// the PostgreSQL-comparison experiment.
-	CacheRows int64
-	// DiskDelay is the cache-miss penalty.
-	DiskDelay time.Duration
 	// LockTimeout bounds lock waits when GDD is disabled.
 	LockTimeout time.Duration
 	// Replica selects mirror replication: "" or "none" (no mirrors),
@@ -135,17 +123,12 @@ func Open(opts Options) (*DB, error) {
 	if opts.GDDPeriod > 0 {
 		cfg.GDDPeriod = opts.GDDPeriod
 	}
-	cfg.NetDelay = opts.NetDelay
-	cfg.FsyncDelay = opts.FsyncDelay
-	cfg.SegmentStmtCPU = opts.SegmentStmtCPU
 	if opts.Cores > 0 {
 		cfg.Cores = opts.Cores
 	}
 	if opts.MemoryBytes > 0 {
 		cfg.MemoryBytes = opts.MemoryBytes
 	}
-	cfg.CacheRows = opts.CacheRows
-	cfg.DiskDelay = opts.DiskDelay
 	if opts.LockTimeout > 0 {
 		cfg.LockTimeout = opts.LockTimeout
 	}

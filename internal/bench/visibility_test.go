@@ -6,8 +6,19 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/workload"
 )
+
+// fsyncSleep makes every log flush of e's cluster take 1ms.
+func fsyncSleep(t *testing.T, e *core.Engine) {
+	t.Helper()
+	spec := fault.Spec{Point: fault.WALFlush, Seg: fault.AllSegments, Action: fault.ActSleep, Sleep: time.Millisecond}
+	if err := e.Cluster().InjectFault(spec); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestSingleVisibleVersionInvariant is the regression test for the
 // distributed-commit ordering bug: under heavy concurrent updates of a hot
@@ -20,7 +31,6 @@ import (
 // §5.2's "appears in-progress until Commit Ok" applied to writers).
 func TestSingleVisibleVersionInvariant(t *testing.T) {
 	cfg := cluster.GPDB6(2)
-	cfg.FsyncDelay = time.Millisecond // widen the commit window
 	cfg.GDDPeriod = 5 * time.Millisecond
 	e, admin := newEngine(t, cfg)
 	ctx := context.Background()
@@ -31,6 +41,7 @@ func TestSingleVisibleVersionInvariant(t *testing.T) {
 	if err := w.Load(ctx, SessionConn{S: admin}); err != nil {
 		t.Fatal(err)
 	}
+	fsyncSleep(t, e) // widen the commit window
 
 	stop := make(chan struct{})
 	anomalies := make(chan string, 8)
@@ -78,7 +89,6 @@ func TestSingleVisibleVersionInvariant(t *testing.T) {
 // would be a detector false positive (or a write-ordering bug).
 func TestNoSpuriousDeadlocksUnderOrderedWorkload(t *testing.T) {
 	cfg := cluster.GPDB6(1)
-	cfg.FsyncDelay = time.Millisecond
 	cfg.GDDPeriod = 5 * time.Millisecond
 	e, admin := newEngine(t, cfg)
 	ctx := context.Background()
@@ -89,6 +99,7 @@ func TestNoSpuriousDeadlocksUnderOrderedWorkload(t *testing.T) {
 	if err := w.Load(ctx, SessionConn{S: admin}); err != nil {
 		t.Fatal(err)
 	}
+	fsyncSleep(t, e)
 	sessions := make([]SessionConn, 16)
 	for i := range sessions {
 		s, _ := e.NewSession("")

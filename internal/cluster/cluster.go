@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/resgroup"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // Cluster is one running database: a coordinator (distributed transaction
@@ -104,8 +105,10 @@ type Cluster struct {
 	misestimates    *obs.Counter // optimizer.misestimates
 	robustFallbacks *obs.Counter // optimizer.robust_fallbacks
 
-	// coordWAL is the coordinator's commit-record log (group commit).
-	coordWAL simWAL
+	// coordLog is the coordinator's log of 2PC commit records. Its flushes
+	// are the coordinator's fsyncs (wal_flush at CoordinatorSeg); they are
+	// not part of the segment logs' wal.* series.
+	coordLog *wal.Log
 
 	// cacheReserved is what the segments' block caches took from the
 	// resource-group global vmem pool (at boot and when expansion adds
@@ -270,10 +273,12 @@ func New(cfg *Config) *Cluster {
 		mirrors:   make([]*Mirror, cfg.NumSegments),
 		promoting: make([]bool, cfg.NumSegments),
 		topoCh:    make(chan struct{}),
+		coordLog:  wal.New(),
 	}
 	c.replicaMode.Store(int32(cfg.ReplicaMode))
 	c.initMetrics()
 	c.faults = fault.NewRegistry()
+	c.coordLog.AttachFaults(c.faults, CoordinatorSeg)
 	c.locks.SetFaultHook(func() error { return c.faults.Inject(fault.LockAcquire, CoordinatorSeg) })
 	topo := &topology{
 		slots:    make([]*atomic.Pointer[Segment], cfg.NumSegments),
@@ -631,11 +636,13 @@ func (c *Cluster) release(t *LiveTxn) {
 }
 
 // coordCommitRecord durably writes the coordinator's commit record for
-// dxid: the decision itself (consulted by promotion-time 2PC recovery) plus
-// the simulated fsync cost.
+// dxid: the decision promotion-time 2PC recovery consults, appended to the
+// coordinator log and flushed with group commit.
 func (c *Cluster) coordCommitRecord(dxid dtm.DXID) {
 	c.coord.LogCommitRecord(dxid)
-	c.coordWAL.Fsync(c.cfg.FsyncDelay)
+	r := wal.Record{Type: wal.TypeCommit, Dxid: uint64(dxid)}
+	c.coordLog.Append(&r)
+	c.coordLog.Flush(0)
 }
 
 func (c *Cluster) forget(t *LiveTxn) {

@@ -244,28 +244,6 @@ func TestDirectDispatchTouchesOneSegment(t *testing.T) {
 	}
 }
 
-func TestGroupCommitBatchesFsyncs(t *testing.T) {
-	var w simWAL
-	const d = 5 * time.Millisecond
-	start := time.Now()
-	done := make(chan struct{}, 8)
-	for i := 0; i < 8; i++ {
-		go func() {
-			w.Fsync(d)
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		<-done
-	}
-	elapsed := time.Since(start)
-	// Without group commit: 8×5ms serialized = 40ms. With it: first sync +
-	// one covering sync ≈ 10-15ms.
-	if elapsed > 25*time.Millisecond {
-		t.Fatalf("group commit not batching: 8 fsyncs took %v", elapsed)
-	}
-}
-
 func TestLockTableEverywhereConflictsWithDML(t *testing.T) {
 	c := testCluster(t, GPDB6(2))
 	tab := mkTable(t, c, "t")

@@ -7,9 +7,9 @@ package cluster
 
 import "time"
 
-// Config selects cluster topology, HTAP features, and the simulation's cost
-// model. The zero values of the feature flags describe Greenplum 5; the
-// GPDB6 preset enables the paper's contributions.
+// Config selects cluster topology and HTAP features. The zero values of the
+// feature flags describe Greenplum 5; the GPDB6 preset enables the paper's
+// contributions.
 type Config struct {
 	// NumSegments is the number of worker segments (excluding the
 	// coordinator).
@@ -26,18 +26,9 @@ type Config struct {
 
 	// DirectDispatch sends a statement whose distribution key is pinned —
 	// DML and SELECT alike — only to the owning segment; without it every
-	// statement is dispatched to the whole gang, each segment paying
-	// SegmentStmtCPU even if it touches no tuple.
+	// statement is dispatched to the whole gang, each segment paying a
+	// dispatch even if it touches no tuple.
 	DirectDispatch bool
-
-	// NetDelay is the simulated one-way network latency per
-	// coordinator↔segment message (a round trip costs 2×NetDelay).
-	NetDelay time.Duration
-	// FsyncDelay is the simulated cost of one durable log write.
-	FsyncDelay time.Duration
-	// SegmentStmtCPU is the per-statement handling cost each dispatched
-	// segment pays (parse/plan/setup).
-	SegmentStmtCPU time.Duration
 
 	// BlockCacheBytes is the capacity of each segment's LRU cache of decoded
 	// AO-column blocks, charged against the resource-group global vmem pool
@@ -65,14 +56,6 @@ type Config struct {
 	// GPDB gp_segments_for_planner-era heuristic); session override: SET
 	// broadcast_threshold.
 	BroadcastThreshold int
-
-	// CacheRows models the single-host buffer cache for the Fig. 13
-	// experiment: when a segment stores more than CacheRows rows, point
-	// accesses pay DiskDelay scaled by the estimated miss ratio. Zero
-	// disables the model.
-	CacheRows int64
-	// DiskDelay is the simulated random-read penalty on a cache miss.
-	DiskDelay time.Duration
 
 	// LockTimeout bounds every lock wait; it is the safety net against
 	// undetected global deadlocks when GDD is off (Greenplum 5 avoided them

@@ -37,8 +37,6 @@ func (s *Segment) ExecInsert(ctx context.Context, dxid dtm.DXID, _ *dtm.DistSnap
 	if err := s.checkUp(); err != nil {
 		return 0, err
 	}
-	s.netHop()
-	s.stmtOverhead()
 	owner, err := s.owner(dxid)
 	if err != nil {
 		return 0, err
@@ -180,8 +178,6 @@ func (s *Segment) ExecModify(ctx context.Context, dxid dtm.DXID, snap *dtm.DistS
 	if err := s.checkUp(); err != nil {
 		return 0, err
 	}
-	s.netHop()
-	s.stmtOverhead()
 	owner, err := s.owner(dxid)
 	if err != nil {
 		return 0, err
@@ -213,7 +209,6 @@ func (a *storeAccess) WriteRow(ctx context.Context, id exec.RowID, up *plan.Upda
 	if err != nil {
 		return false, err
 	}
-	s.accessPenalty(st)
 	local, err := a.begin()
 	if err != nil {
 		return false, err
@@ -244,7 +239,6 @@ func (s *Segment) LockRelation(ctx context.Context, owner lockmgr.TxnID, t *cata
 	if err := s.checkUp(); err != nil {
 		return err
 	}
-	s.netHop()
 	return s.acquire(ctx, owner, lockmgr.RelationTag(uint64(t.ID)), mode)
 }
 

@@ -41,12 +41,10 @@ var ErrTxnLostWrites = errors.New("transaction writes were lost in a segment fai
 // by online expansion).
 func (c *Cluster) SegmentCount() int { return c.SegCount() }
 
-// ProbePrimary implements fts.Target: a probe is one simulated round trip
-// to the segment, failing when the primary is marked dead.
+// ProbePrimary implements fts.Target: a probe fails when the primary is
+// marked dead.
 func (c *Cluster) ProbePrimary(i int) error {
-	s := c.seg(i)
-	s.netHop()
-	if s.down.Load() {
+	if s := c.seg(i); s.down.Load() {
 		return &SegmentDownError{Seg: i}
 	}
 	return nil
@@ -316,7 +314,7 @@ func (c *Cluster) promote(i int) error {
 			ns.logTxn(wal.TypeAbort, x, dxid)
 		}
 	}
-	ns.log.Flush(c.cfg.FsyncDelay)
+	ns.log.Flush(0)
 	// Secondary indexes are not WAL-logged; rebuild them from the replayed
 	// engines (index rebuild during recovery).
 	for _, t := range c.catalog.Tables() {
@@ -512,6 +510,9 @@ type WALStats struct {
 	Records int64
 	Bytes   int64
 	Flushes int64
+	// CoordFlushes counts the coordinator log's syncs of 2PC commit
+	// records; Flushes leaves them out.
+	CoordFlushes int64
 	// MirrorAppliedLSN is the minimum applied LSN across live mirrors
 	// (replication lag floor); 0 when no mirrors run.
 	MirrorAppliedLSN wal.LSN
@@ -531,6 +532,7 @@ func (c *Cluster) WALStats() WALStats {
 		st.Bytes += b
 		st.Flushes += f
 	})
+	_, _, st.CoordFlushes = c.coordLog.Stats()
 	first := true
 	c.eachMirror(func(m *Mirror) {
 		if first || m.AppliedLSN() < st.MirrorAppliedLSN {
@@ -541,6 +543,19 @@ func (c *Cluster) WALStats() WALStats {
 	st.Failovers = c.failovers.Load()
 	st.ReplayLSN = wal.LSN(c.replayLSN.Load())
 	return st
+}
+
+// WALRecordCounts counts the records in the current primaries' logs by
+// type. It decodes every log, so it is for experiments and tests.
+func (c *Cluster) WALRecordCounts() map[wal.Type]int64 {
+	counts := map[wal.Type]int64{}
+	c.eachSeg(func(_ int, s *Segment) {
+		_ = s.log.ReplayFrom(1, func(r wal.Record) error {
+			counts[r.Type]++
+			return nil
+		})
+	})
+	return counts
 }
 
 // Failovers counts completed promotions.

@@ -129,7 +129,7 @@ func (m *Mirror) Receive(lsn wal.LSN, frame []byte) {
 // start launches the applier goroutine. The replica's durable flush is
 // batch-granular: one group-commit flush covers every commit-class record
 // in the drained batch, mirroring the primary's group commit — a per-record
-// flush would serialize the standby at one FsyncDelay per commit and let an
+// flush would serialize the standby at one sync per commit and let an
 // async mirror lag without bound.
 func (m *Mirror) start() {
 	m.wg.Add(1)
@@ -289,7 +289,7 @@ func (m *Mirror) applyFrame(frame []byte) (wal.Record, error) {
 // flushReplica charges the standby's durable-write cost for a commit-class
 // record (its own group-commit flush of the appended frames).
 func (m *Mirror) flushReplica() {
-	m.log.Flush(m.cfg.FsyncDelay)
+	m.log.Flush(0)
 }
 
 // toSegment converts the caught-up mirror into the new primary Segment for

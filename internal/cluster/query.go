@@ -260,11 +260,7 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 			// Per-segment statement dispatch: the fault wrapper retries
 			// transient send faults with backoff (reads are idempotent, so
 			// recv faults retry too) and honors the circuit breaker.
-			if err := c.dispatchSeg(i, true, func() error {
-				s.netHop()
-				s.stmtOverhead()
-				return nil
-			}); err != nil {
+			if err := c.dispatchSeg(i, true, func() error { return nil }); err != nil {
 				return nil, nil, err
 			}
 			accs[i] = s.newAccess(t.owner, t.dxid, snap)

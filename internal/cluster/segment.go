@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/dtm"
@@ -53,15 +52,6 @@ type Segment struct {
 	// repMode points at the cluster's live replication mode (SET
 	// replica_mode switches sync↔async at runtime).
 	repMode *atomic.Int32
-	// execSem bounds concurrently-handled statements per segment (the
-	// paper's segments have finite CPU; whole-gang dispatch burns a slot on
-	// every segment even when the statement touches no tuple there).
-	execSem chan struct{}
-
-	// diskSem models the segment's random-read capacity (bounded queue
-	// depth): cache misses contend for it, so a working set larger than the
-	// buffer cache throttles throughput rather than just adding latency.
-	diskSem chan struct{}
 
 	// blockCache is the segment's shared LRU cache of decoded AO-column
 	// blocks (nil = disabled; each table then keeps a private cache).
@@ -112,10 +102,6 @@ type segTxn struct {
 	owner lockmgr.TxnID
 }
 
-// segmentWorkers bounds concurrently-handled statements per segment: the
-// segment's executor capacity, the size of execSem.
-const segmentWorkers = 4
-
 func newSegment(id int, cfg *Config) *Segment {
 	s := &Segment{
 		id:      id,
@@ -125,8 +111,6 @@ func newSegment(id int, cfg *Config) *Segment {
 		mapping: dtm.NewXidMapping(),
 		tables:  make(map[catalog.TableID]*segTable),
 		open:    make(map[dtm.DXID]*segTxn),
-		execSem: make(chan struct{}, segmentWorkers),
-		diskSem: make(chan struct{}, 2),
 		log:     wal.New(),
 	}
 	return s
@@ -433,49 +417,6 @@ func (s *Segment) closeTxn(dxid dtm.DXID) {
 	s.txmu.Unlock()
 }
 
-// simDelay waits for d (simulated latency; sleeping yields the processor to
-// the other goroutines of the simulation).
-func simDelay(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// netHop simulates one coordinator→segment→coordinator round trip.
-func (s *Segment) netHop() {
-	if s.cfg.NetDelay > 0 {
-		simDelay(2 * s.cfg.NetDelay)
-	}
-}
-
-// simWAL models a write-ahead log with group commit: each Fsync call either
-// performs a sync (holding the log mutex for the sync duration) or, if a
-// sync that started after the caller's records were written completes
-// first, returns covered-for-free — the batching PostgreSQL's WAL writer
-// provides.
-type simWAL struct {
-	mu       sync.Mutex
-	lastSync time.Time
-}
-
-// Fsync makes the caller's log records durable.
-func (w *simWAL) Fsync(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	written := time.Now() // caller's records are in the log buffer now
-	w.mu.Lock()
-	if w.lastSync.After(written) {
-		// A sync that began after our records were written already made
-		// them durable (group commit).
-		w.mu.Unlock()
-		return
-	}
-	simDelay(d)
-	w.lastSync = time.Now()
-	w.mu.Unlock()
-}
-
 // logTxn appends a transaction state-change record to the segment log.
 func (s *Segment) logTxn(t wal.Type, local txn.XID, dxid dtm.DXID) {
 	r := wal.Record{Type: t, Xid: uint64(local), Dxid: uint64(dxid)}
@@ -483,11 +424,11 @@ func (s *Segment) logTxn(t wal.Type, local txn.XID, dxid dtm.DXID) {
 }
 
 // fsync makes the transaction's log records durable: a group-commit flush
-// charged FsyncDelay and — under synchronous replication — a wait until the
-// mirror has applied everything flushed, so a committed transaction
-// survives losing the primary with zero lag.
+// and — under synchronous replication — a wait until the mirror has applied
+// everything flushed, so a committed transaction survives losing the
+// primary with zero lag.
 func (s *Segment) fsync() {
-	flushed := s.log.Flush(s.cfg.FsyncDelay)
+	flushed := s.log.Flush(0)
 	if s.log.Err() != nil {
 		// The log hit a (simulated) write or fsync failure — a torn append
 		// or an errored sync. Durability of anything since the last good
@@ -506,23 +447,11 @@ func (s *Segment) fsync() {
 	}
 }
 
-// stmtOverhead occupies one of the segment's bounded executor workers for
-// the statement-handling cost. Whole-gang dispatch pays it on every
-// segment, direct dispatch only on the owning one.
-func (s *Segment) stmtOverhead() {
-	if s.cfg.SegmentStmtCPU > 0 {
-		s.execSem <- struct{}{}
-		simDelay(s.cfg.SegmentStmtCPU)
-		<-s.execSem
-	}
-}
-
 // Prepare implements the 2PC first phase.
 func (s *Segment) Prepare(dxid dtm.DXID) error {
 	if err := s.checkUp(); err != nil {
 		return err
 	}
-	s.netHop()
 	// The fault point fires before any state changes, so a provoked failure
 	// aborts the transaction cleanly (presumed abort) and a retry is safe.
 	if err := s.faults.Inject(fault.TwopcPrepare, s.id); err != nil {
@@ -579,7 +508,6 @@ func (s *Segment) CommitPrepared(dxid dtm.DXID) error {
 	if err := s.checkUp(); err != nil {
 		return err
 	}
-	s.netHop()
 	// Fires before the commit applies; the whole call is idempotent, so the
 	// dispatch layer retries an injected failure here.
 	if err := s.faults.Inject(fault.TwopcCommit, s.id); err != nil {
@@ -626,7 +554,6 @@ func (s *Segment) CommitOnePhase(dxid dtm.DXID) error {
 	if err := s.checkUp(); err != nil {
 		return err
 	}
-	s.netHop()
 	if err := s.faults.Inject(fault.TwopcCommit, s.id); err != nil {
 		return err
 	}
@@ -669,26 +596,6 @@ func (s *Segment) Abort(dxid dtm.DXID) error {
 		s.logTxn(wal.TypeAbort, local, dxid)
 	}
 	return nil
-}
-
-// accessPenalty models the buffer-cache miss cost of a point access when a
-// segment's share of a table exceeds the cache (Fig. 13 experiment).
-func (s *Segment) accessPenalty(st *segTable) {
-	if s.cfg.CacheRows <= 0 || s.cfg.DiskDelay <= 0 {
-		return
-	}
-	n := int64(st.engine.RowCount())
-	if n <= s.cfg.CacheRows {
-		return
-	}
-	miss := float64(n-s.cfg.CacheRows) / float64(n)
-	d := time.Duration(float64(s.cfg.DiskDelay) * miss)
-	if d <= 0 {
-		return
-	}
-	s.diskSem <- struct{}{}
-	simDelay(d)
-	<-s.diskSem
 }
 
 // ---- visibility plumbing ----
@@ -933,7 +840,9 @@ func (a *storeAccess) IndexLookup(ctx context.Context, t *catalog.Table, def *ca
 		if ix == nil {
 			return fmt.Errorf("cluster: index %q missing on segment %d", def.Name, a.seg.id)
 		}
-		a.seg.accessPenalty(st)
+		if err := a.seg.faults.Inject(fault.HeapAccess, a.seg.id); err != nil {
+			return err
+		}
 		for _, tid := range ix.ix.Lookup(key) {
 			h, row, ok := st.engine.Fetch(tid)
 			if !ok || !ix.ix.Matches(row, key) {

@@ -36,18 +36,10 @@ const (
 	ProtocolTwoPhase Protocol = "two-phase"
 )
 
-// CommitStats records the cost of one commit for the Fig. 10 experiment.
+// CommitStats reports how a commit ran. What it cost — messages, log
+// records, fsyncs — is counted by the logs the participants write.
 type CommitStats struct {
 	Protocol Protocol
-	// Messages counts coordinator→segment protocol messages (each costing a
-	// network round trip, though rounds to different segments overlap).
-	Messages int
-	// Rounds counts sequential message waves (the wall-clock round trips:
-	// 2PC = 2 waves, 1PC = 1).
-	Rounds int
-	// Fsyncs counts durable log writes across the cluster (segment
-	// PREPAREs, the coordinator's commit record, and segment COMMITs).
-	Fsyncs int
 }
 
 // fanOut invokes fn for every participant in parallel (Greenplum dispatches
@@ -90,7 +82,7 @@ func Commit(coord *Coordinator, dxid DXID, writers []Participant, onePhase bool,
 		return CommitStats{Protocol: ProtocolReadOnly}, nil
 
 	case onePhase && len(writers) == 1:
-		st := CommitStats{Protocol: ProtocolOnePhase, Messages: 1, Rounds: 1, Fsyncs: 1}
+		st := CommitStats{Protocol: ProtocolOnePhase}
 		// Single COMMIT round trip; one fsync on the participating segment.
 		// No PREPARE fsync on the segment, no commit-record fsync on the
 		// coordinator (paper §5.2).
@@ -99,7 +91,6 @@ func Commit(coord *Coordinator, dxid DXID, writers []Participant, onePhase bool,
 			// don't outlive the decision. Abort is a no-op on a segment that
 			// already resolved the transaction (recovered or down), so this
 			// is safe even when the failure was an ambiguous ack loss.
-			st.Messages++
 			_ = writers[0].Abort(dxid)
 			coord.MarkAborted(dxid)
 			return st, fmt.Errorf("dtm: one-phase commit on seg %d: %w", writers[0].SegID(), err)
@@ -110,14 +101,10 @@ func Commit(coord *Coordinator, dxid DXID, writers []Participant, onePhase bool,
 	default:
 		st := CommitStats{Protocol: ProtocolTwoPhase}
 		// Wave one: PREPARE all writers in parallel.
-		st.Messages += len(writers)
-		st.Rounds++
 		if err := fanOut(writers, func(w Participant) error { return w.Prepare(dxid) }); err != nil {
 			// Abort everyone (prepared participants roll back their
 			// prepared state, the rest roll back the live transaction —
 			// both paths are handled by the participant).
-			st.Messages += len(writers)
-			st.Rounds++
 			_ = fanOut(writers, func(w Participant) error {
 				if aerr := w.AbortPrepared(dxid); aerr != nil {
 					return w.Abort(dxid)
@@ -133,11 +120,7 @@ func Commit(coord *Coordinator, dxid DXID, writers []Participant, onePhase bool,
 				log(dxid)
 			}
 		}
-		st.Fsyncs += len(writers) + 1
 		// Wave two: COMMIT PREPARED all writers in parallel.
-		st.Messages += len(writers)
-		st.Rounds++
-		st.Fsyncs += len(writers)
 		if err := fanOut(writers, func(w Participant) error { return w.CommitPrepared(dxid) }); err != nil {
 			// The decision is durably committed — an unreachable participant
 			// (a segment whose failover failed or timed out) resolves it

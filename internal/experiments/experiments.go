@@ -4,7 +4,11 @@
 // table with the same series the paper plots; cmd/gpbench prints them and
 // the root bench_test.go wraps them in testing.B benchmarks.
 //
-// Absolute numbers come from a simulator, so they differ from the paper's
+// The engine itself has no cost model. Each experiment boots its cluster,
+// loads it, and then arms sleep specs at fault points (see timing): the
+// network round trip and statement handling at dispatch_send, the fsync at
+// wal_flush, and — for Fig. 13's single host — the buffer-cache miss at
+// heap_access. Absolute numbers therefore differ from the paper's
 // 8-host/32-segment testbed; the comparisons (who wins, by roughly what
 // factor, where the curves bend) are the reproduction target.
 package experiments
@@ -18,6 +22,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
@@ -54,33 +59,43 @@ func Full() Options {
 	}
 }
 
-// timingGPDB6 returns the cost-model settings shared by the OLTP
-// experiments: a visible but laptop-friendly network and fsync cost.
-func timingGPDB6(nseg int) *cluster.Config {
+// gpdb6 and gpdb5 are the presets the experiments compare, with the
+// deadlock detector polling every 10ms.
+func gpdb6(nseg int) *cluster.Config {
 	cfg := cluster.GPDB6(nseg)
-	applyTiming(cfg)
-	return cfg
-}
-
-func timingGPDB5(nseg int) *cluster.Config {
-	cfg := cluster.GPDB5(nseg)
-	applyTiming(cfg)
-	return cfg
-}
-
-// applyTiming sets the simulation's cost model. The host's sleep
-// granularity is on the order of a millisecond, so the model works in
-// milliseconds: the ratios between the costs — one network hop, one WAL
-// fsync, one statement's worth of segment CPU — are what shape the curves.
-func applyTiming(cfg *cluster.Config) {
-	cfg.NetDelay = 500 * time.Microsecond // one-way; a round trip ≈ 1ms
-	cfg.FsyncDelay = 2 * time.Millisecond // serial per-segment WAL append
-	cfg.SegmentStmtCPU = time.Millisecond // per-statement handling cost
 	cfg.GDDPeriod = 10 * time.Millisecond
+	return cfg
 }
 
-// engine boots an engine with a loaded schema script.
-func engine(cfg *cluster.Config, schema string, load func(ctx context.Context, c workload.Conn) error) (*core.Engine, error) {
+func gpdb5(nseg int) *cluster.Config {
+	cfg := cluster.GPDB5(nseg)
+	cfg.GDDPeriod = 10 * time.Millisecond
+	return cfg
+}
+
+// The cost model, as sleeps at fault points. The host's sleep granularity
+// is on the order of a millisecond, so the model works in milliseconds: the
+// ratios between the costs are what shape the curves.
+var (
+	// dispatchCost is one coordinator→segment message: a network round
+	// trip plus the segment's handling of it. Whole-gang dispatch pays it
+	// once per segment, direct dispatch once.
+	dispatchCost = sleepAt(fault.DispatchSend, 2*time.Millisecond)
+	// fsyncCost is one durable log write, on a segment or the coordinator.
+	fsyncCost = sleepAt(fault.WALFlush, 2*time.Millisecond)
+	// timing is the cost model of the multi-segment clusters.
+	timing = []fault.Spec{dispatchCost, fsyncCost}
+)
+
+// sleepAt is a spec that pauses every evaluation of point, on every
+// segment and the coordinator, for d.
+func sleepAt(point string, d time.Duration) fault.Spec {
+	return fault.Spec{Point: point, Seg: fault.AllSegments, Action: fault.ActSleep, Sleep: d}
+}
+
+// engine boots an engine, runs the schema script and the loader, and then
+// arms the cost-model specs, so loading runs at full speed.
+func engine(cfg *cluster.Config, schema string, load func(ctx context.Context, c workload.Conn) error, costs []fault.Spec) (*core.Engine, error) {
 	e := core.NewEngine(cfg)
 	if MetricsOut != nil {
 		e.OnClose(func() { _ = e.Metrics().WriteJSON(MetricsOut) })
@@ -103,17 +118,23 @@ func engine(cfg *cluster.Config, schema string, load func(ctx context.Context, c
 			return nil, fmt.Errorf("load: %w", err)
 		}
 	}
+	for _, spec := range costs {
+		if err := e.Cluster().InjectFault(spec); err != nil {
+			e.Close()
+			return nil, err
+		}
+	}
 	return e, nil
 }
 
 // driver runs op under the harness with one long-lived session per worker.
 func driver(e *core.Engine, clients int, d time.Duration, op func(ctx context.Context, c workload.Conn, r *workload.Rand) error) bench.Result {
-	return perSessionDriver(e, clients, d, nil, op)
+	return perSessionDriver(e, "", clients, d, nil, op)
 }
 
-// perSessionDriver keeps one session per worker alive across operations
-// (needed when sessions carry resource-group state).
-func perSessionDriver(e *core.Engine, clients int, d time.Duration,
+// perSessionDriver keeps one session of role per worker alive across
+// operations (needed when sessions carry resource-group state).
+func perSessionDriver(e *core.Engine, role string, clients int, d time.Duration,
 	setup func(s *core.Session), op func(ctx context.Context, c workload.Conn, r *workload.Rand) error) bench.Result {
 	type worker struct {
 		conn workload.Conn
@@ -121,7 +142,7 @@ func perSessionDriver(e *core.Engine, clients int, d time.Duration,
 	}
 	workers := make([]worker, clients)
 	for i := range workers {
-		s, err := e.NewSession("")
+		s, err := e.NewSession(role)
 		if err != nil {
 			panic(err)
 		}

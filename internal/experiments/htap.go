@@ -15,16 +15,16 @@ import (
 // chEngine boots a CH-benCHmark cluster.
 func chEngine(cfg *cluster.Config) (*core.Engine, *workload.CHBench, error) {
 	w := &workload.CHBench{Warehouses: 4, Items: 400, InitialOrders: 4}
-	e, err := engine(cfg, w.Schema(), w.Load)
+	e, err := engine(cfg, w.Schema(), w.Load, timing)
 	if err != nil {
 		return nil, nil, err
 	}
 	return e, w, nil
 }
 
-// background launches a steady load of `clients` workers running op until
-// the returned stop function is called.
-func background(e *core.Engine, clients int, setup func(*core.Session), op func(ctx context.Context, c workload.Conn, r *workload.Rand) error) (stop func()) {
+// background launches a steady load of `clients` workers, each a session
+// of role, running op until the returned stop function is called.
+func background(e *core.Engine, role string, clients int, setup func(*core.Session), op func(ctx context.Context, c workload.Conn, r *workload.Rand) error) (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -32,7 +32,7 @@ func background(e *core.Engine, clients int, setup func(*core.Session), op func(
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := e.NewSession("")
+			s, err := e.NewSession(role)
 			if err != nil {
 				return
 			}
@@ -70,7 +70,7 @@ func Fig16OLAPUnderOLTP(opts Options) (*bench.Table, error) {
 	for _, mode := range []struct {
 		name string
 		cfg  *cluster.Config
-	}{{"GPDB5", timingGPDB5(opts.Segments)}, {"GPDB6", timingGPDB6(opts.Segments)}} {
+	}{{"GPDB5", gpdb5(opts.Segments)}, {"GPDB6", gpdb6(opts.Segments)}} {
 		e, w, err := chEngine(mode.cfg)
 		if err != nil {
 			return nil, err
@@ -81,7 +81,7 @@ func Fig16OLAPUnderOLTP(opts Options) (*bench.Table, error) {
 			for variant, oltp := range []int{0, oltpClients} {
 				var stop func()
 				if oltp > 0 {
-					stop = background(e, oltp, nil, w.OLTPMix)
+					stop = background(e, "", oltp, nil, w.OLTPMix)
 					time.Sleep(20 * time.Millisecond)
 				}
 				res := driver(e, olap, opts.Duration, w.OLAPQuery)
@@ -113,7 +113,7 @@ func Fig17OLTPUnderOLAP(opts Options) (*bench.Table, error) {
 	type row struct{ vals [4]float64 }
 	rows := map[int]*row{}
 	order := []int{}
-	for modeIdx, cfg := range []*cluster.Config{timingGPDB5(opts.Segments), timingGPDB6(opts.Segments)} {
+	for modeIdx, cfg := range []*cluster.Config{gpdb5(opts.Segments), gpdb6(opts.Segments)} {
 		e, w, err := chEngine(cfg)
 		if err != nil {
 			return nil, err
@@ -126,7 +126,7 @@ func Fig17OLTPUnderOLAP(opts Options) (*bench.Table, error) {
 			for variant, olap := range []int{0, olapClients} {
 				var stop func()
 				if olap > 0 {
-					stop = background(e, olap, nil, w.OLAPQuery)
+					stop = background(e, "", olap, nil, w.OLAPQuery)
 					time.Sleep(20 * time.Millisecond)
 				}
 				res := driver(e, oltp, opts.Duration, w.OLTPMix)
@@ -184,7 +184,7 @@ func Fig18ResourceGroups(opts Options) (*bench.Table, error) {
 	lat := map[int][]float64{}
 	var order []int
 	for _, conf := range configs {
-		cfg := timingGPDB6(opts.Segments)
+		cfg := gpdb6(opts.Segments)
 		cfg.Cores = cores
 		e, w, err := chEngine(cfg)
 		if err != nil {
@@ -221,10 +221,10 @@ func Fig18ResourceGroups(opts Options) (*bench.Table, error) {
 		}
 		// Rebind worker sessions to the right roles.
 		olapOp := w.OLAPQuery
-		stop := backgroundWithRole(e, "olap_user", olapClients, olapSetup, olapOp)
+		stop := background(e, "olap_user", olapClients, olapSetup, olapOp)
 		time.Sleep(20 * time.Millisecond)
 		for _, oltp := range opts.Clients {
-			res := perSessionDriverWithRole(e, "oltp_user", oltp, opts.Duration, oltpSetup, w.OLTPMix)
+			res := perSessionDriver(e, "oltp_user", oltp, opts.Duration, oltpSetup, w.OLTPMix)
 			if lat[oltp] == nil {
 				order = append(order, oltp)
 			}
@@ -241,57 +241,4 @@ func Fig18ResourceGroups(opts Options) (*bench.Table, error) {
 		tbl.Add(fmt.Sprint(oltp), vals[0], vals[1], vals[2])
 	}
 	return tbl, nil
-}
-
-// backgroundWithRole is background with a session role.
-func backgroundWithRole(e *core.Engine, role string, clients int, setup func(*core.Session), op func(ctx context.Context, c workload.Conn, r *workload.Rand) error) (stop func()) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s, err := e.NewSession(role)
-			if err != nil {
-				return
-			}
-			if setup != nil {
-				setup(s)
-			}
-			conn := bench.SessionConn{S: s}
-			r := workload.NewRand(uint64(i)*31337 + 5)
-			for ctx.Err() == nil {
-				_ = op(ctx, conn, r)
-			}
-		}()
-	}
-	return func() {
-		cancel()
-		wg.Wait()
-	}
-}
-
-// perSessionDriverWithRole runs the harness with role-bound sessions.
-func perSessionDriverWithRole(e *core.Engine, role string, clients int, d time.Duration,
-	setup func(*core.Session), op func(ctx context.Context, c workload.Conn, r *workload.Rand) error) bench.Result {
-	type worker struct {
-		conn workload.Conn
-		r    *workload.Rand
-	}
-	workers := make([]worker, clients)
-	for i := range workers {
-		s, err := e.NewSession(role)
-		if err != nil {
-			panic(err)
-		}
-		if setup != nil {
-			setup(s)
-		}
-		workers[i] = worker{conn: bench.SessionConn{S: s}, r: workload.NewRand(uint64(i)*104729 + 7)}
-	}
-	return bench.RunConcurrent(clients, d, func(ctx context.Context, id int) error {
-		w := workers[id]
-		return op(ctx, w.conn, w.r)
-	})
 }

@@ -8,7 +8,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dtm"
+	"repro/internal/fault"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func Fig2Locking(opts Options) (*bench.Table, error) {
 	tbl := bench.NewTable("Fig. 2 — lock wait share of runtime (GPDB 5 locking)", "clients",
 		"lock wait %", "TPS")
 	w := &workload.UpdateOnly{Rows: 1000}
-	e, err := engine(timingGPDB5(opts.Segments), w.Schema(), w.Load)
+	e, err := engine(gpdb5(opts.Segments), w.Schema(), w.Load, timing)
 	if err != nil {
 		return nil, err
 	}
@@ -36,59 +37,69 @@ func Fig2Locking(opts Options) (*bench.Table, error) {
 }
 
 // Fig10Commit reproduces Figure 10: the message/fsync cost of two-phase vs
-// one-phase commit, measured directly from the commit protocol.
+// one-phase commit, read from the logs the commits wrote.
 func Fig10Commit(opts Options) (*bench.Table, error) {
 	tbl := bench.NewTable("Fig. 10 — commit protocol cost per transaction", "protocol",
-		"msg waves", "messages", "fsyncs", "commit µs")
+		"msg waves", "messages", "prepares", "fsyncs", "commit µs")
 	for _, mode := range []struct {
 		name     string
 		onePhase bool
 	}{{"two-phase", false}, {"one-phase", true}} {
-		cfg := timingGPDB6(opts.Segments)
-		cfg.OnePhase = mode.onePhase
-		w := &workload.InsertOnly{}
-		e, err := engine(cfg, w.Schema(), nil)
+		c, err := commitCosts(opts, mode.onePhase)
 		if err != nil {
 			return nil, err
 		}
-		// Sample the protocol by committing single-segment inserts.
-		var stats dtm.CommitStats
-		var commitTime time.Duration
-		const samples = 30
-		s, _ := e.NewSession("")
-		ctx := context.Background()
-		conn := bench.SessionConn{S: s}
-		r := workload.NewRand(1)
-		for i := 0; i < samples; i++ {
-			t0 := time.Now()
-			if err := w.Transaction(ctx, conn, r); err != nil {
-				e.Close()
-				return nil, err
-			}
-			commitTime += time.Since(t0)
-		}
-		one, two, _, _ := e.Cluster().CommitStats()
-		switch {
-		case mode.onePhase && one != samples:
-			e.Close()
-			return nil, fmt.Errorf("expected %d one-phase commits, got %d", samples, one)
-		case !mode.onePhase && two != samples:
-			e.Close()
-			return nil, fmt.Errorf("expected %d two-phase commits, got %d", samples, two)
-		}
-		if mode.onePhase {
-			stats = dtm.CommitStats{Protocol: dtm.ProtocolOnePhase, Rounds: 1, Messages: 1, Fsyncs: 1}
-		} else {
-			// Whole-gang 2PC: every dispatched segment participates.
-			n := opts.Segments
-			stats = dtm.CommitStats{Protocol: dtm.ProtocolTwoPhase, Rounds: 2, Messages: 2 * n, Fsyncs: 2*n + 1}
-		}
-		tbl.Add(mode.name,
-			float64(stats.Rounds), float64(stats.Messages), float64(stats.Fsyncs),
-			float64(commitTime.Microseconds())/samples)
-		e.Close()
+		tbl.Add(mode.name, c.waves, c.messages, c.prepares, c.fsyncs, c.micros)
 	}
 	return tbl, nil
+}
+
+// commitCost is what an autocommit single-segment insert cost, per
+// transaction. Every commit-protocol message to a segment leaves one
+// PREPARE or COMMIT record in its log, and a wave sends one message to
+// each writer, so the records give the messages and the waves; the
+// segment and coordinator logs' flush counters give the fsyncs.
+type commitCost struct {
+	waves, messages, prepares, fsyncs, micros float64
+}
+
+// commitCosts commits 30 single-segment inserts on a GPDB 6 cluster with
+// one-phase commit on or off and measures what they cost.
+func commitCosts(opts Options, onePhase bool) (commitCost, error) {
+	cfg := gpdb6(opts.Segments)
+	cfg.OnePhase = onePhase
+	w := &workload.InsertOnly{}
+	e, err := engine(cfg, w.Schema(), nil, timing)
+	if err != nil {
+		return commitCost{}, err
+	}
+	defer e.Close()
+	s, err := e.NewSession("")
+	if err != nil {
+		return commitCost{}, err
+	}
+	ctx, conn, r := context.Background(), bench.SessionConn{S: s}, workload.NewRand(1)
+	cl := e.Cluster()
+	const samples = 30
+	log0, recs0 := cl.WALStats(), cl.WALRecordCounts()
+	t0 := time.Now()
+	for i := 0; i < samples; i++ {
+		if err := w.Transaction(ctx, conn, r); err != nil {
+			return commitCost{}, err
+		}
+	}
+	took := time.Since(t0)
+	log1, recs1 := cl.WALStats(), cl.WALRecordCounts()
+	prepares := float64(recs1[wal.TypePrepare] - recs0[wal.TypePrepare])
+	commits := float64(recs1[wal.TypeCommit] - recs0[wal.TypeCommit])
+	fsyncs := float64(log1.Flushes - log0.Flushes + log1.CoordFlushes - log0.CoordFlushes)
+	return commitCost{
+		waves:    (prepares + commits) / commits,
+		messages: (prepares + commits) / samples,
+		prepares: prepares / samples,
+		fsyncs:   fsyncs / samples,
+		micros:   float64(took.Microseconds()) / samples,
+	}, nil
 }
 
 // Fig12TPCB reproduces Figure 12: TPC-B throughput vs client count for
@@ -97,14 +108,14 @@ func Fig12TPCB(opts Options) (*bench.Table, error) {
 	tbl := bench.NewTable("Fig. 12 — TPC-B throughput (TPS)", "clients", "GPDB 5", "GPDB 6")
 	w := &workload.TPCB{Branches: 16, AccountsPerBranch: 250}
 	mk := func(cfg *cluster.Config) (*core.Engine, error) {
-		return engine(cfg, w.Schema(), w.Load)
+		return engine(cfg, w.Schema(), w.Load, timing)
 	}
-	e5, err := mk(timingGPDB5(opts.Segments))
+	e5, err := mk(gpdb5(opts.Segments))
 	if err != nil {
 		return nil, err
 	}
 	defer e5.Close()
-	e6, err := mk(timingGPDB6(opts.Segments))
+	e6, err := mk(gpdb6(opts.Segments))
 	if err != nil {
 		return nil, err
 	}
@@ -120,14 +131,14 @@ func Fig12TPCB(opts Options) (*bench.Table, error) {
 // Fig13Scale reproduces Figure 13: single-host PostgreSQL vs Greenplum as
 // the data grows. PostgreSQL (one segment, no dispatch cost) wins while the
 // working set fits its buffer cache, then degrades; the MPP cluster stays
-// steady because each segment holds only a slice of the data.
+// steady because each segment holds only a slice of the data, which fits
+// its cache at every scale swept.
 func Fig13Scale(opts Options) (*bench.Table, error) {
 	tbl := bench.NewTable("Fig. 13 — TPS vs scale factor", "scale", "PostgreSQL", "GPDB 6")
 	scales := []struct {
 		label    string
 		accounts int
 	}{{"1K", 2000}, {"10K", 20000}, {"100K", 100000}}
-	const cacheRows = 25000
 	clients := 8
 	if len(opts.Clients) > 0 {
 		clients = opts.Clients[len(opts.Clients)/2]
@@ -135,19 +146,19 @@ func Fig13Scale(opts Options) (*bench.Table, error) {
 	for _, sc := range scales {
 		w := &workload.TPCB{Branches: 4, AccountsPerBranch: sc.accounts / 4}
 
-		pgCfg := cluster.GPDB6(1) // one host, no interconnect cost
-		pgCfg.CacheRows = cacheRows
-		pgCfg.DiskDelay = 8 * time.Millisecond
-		pgCfg.FsyncDelay = 2 * time.Millisecond
-		pg, err := engine(pgCfg, w.Schema(), w.Load)
+		// One host, no interconnect cost: its costs are the fsync and,
+		// once the accounts outgrow the buffer cache, a miss's random
+		// read, served one at a time by the host's one disk.
+		pg, err := engine(cluster.GPDB6(1), w.Schema(), w.Load, []fault.Spec{fsyncCost})
 		if err != nil {
 			return nil, err
 		}
+		if err := armCacheMisses(pg); err != nil {
+			pg.Close()
+			return nil, err
+		}
 
-		gpCfg := timingGPDB6(opts.Segments)
-		gpCfg.CacheRows = cacheRows
-		gpCfg.DiskDelay = 8 * time.Millisecond
-		gp, err := engine(gpCfg, w.Schema(), w.Load)
+		gp, err := engine(gpdb6(opts.Segments), w.Schema(), w.Load, timing)
 		if err != nil {
 			pg.Close()
 			return nil, err
@@ -162,18 +173,42 @@ func Fig13Scale(opts Options) (*bench.Table, error) {
 	return tbl, nil
 }
 
+// armCacheMisses arms Fig. 13's buffer-cache model on a single-host engine
+// loaded with TPC-B: an 8ms random read at heap_access, one at a time, on
+// the share of accesses that miss a cache of 25 000 rows — (rows − 25 000)
+// / rows of pgbench_accounts. Nothing is armed while the table fits.
+func armCacheMisses(e *core.Engine) error {
+	const cacheRows = 25000
+	s, err := e.NewSession("")
+	if err != nil {
+		return err
+	}
+	_, rows, err := bench.SessionConn{S: s}.Exec(context.Background(), "SELECT count(*) FROM pgbench_accounts")
+	if err != nil {
+		return err
+	}
+	n := rows[0][0].Int()
+	if n <= cacheRows {
+		return nil
+	}
+	miss := sleepAt(fault.HeapAccess, 8*time.Millisecond)
+	miss.Probability = int(100 * (n - cacheRows) / n)
+	miss.Serial = true
+	return e.Cluster().InjectFault(miss)
+}
+
 // Fig14UpdateOnly reproduces Figure 14: the update-only microbenchmark.
 // GPDB 5 serializes every update on the table lock; GPDB 6 (GDD) runs them
 // concurrently — the paper reports roughly 100×.
 func Fig14UpdateOnly(opts Options) (*bench.Table, error) {
 	tbl := bench.NewTable("Fig. 14 — update-only throughput (TPS)", "clients", "GPDB 5", "GPDB 6")
 	w := &workload.UpdateOnly{Rows: 10000}
-	e5, err := engine(timingGPDB5(opts.Segments), w.Schema(), w.Load)
+	e5, err := engine(gpdb5(opts.Segments), w.Schema(), w.Load, timing)
 	if err != nil {
 		return nil, err
 	}
 	defer e5.Close()
-	e6, err := engine(timingGPDB6(opts.Segments), w.Schema(), w.Load)
+	e6, err := engine(gpdb6(opts.Segments), w.Schema(), w.Load, timing)
 	if err != nil {
 		return nil, err
 	}
@@ -192,15 +227,15 @@ func Fig15InsertOnly(opts Options) (*bench.Table, error) {
 	tbl := bench.NewTable("Fig. 15 — insert-only throughput (TPS)", "clients", "GPDB 5", "GPDB 6")
 	mk := func(cfg *cluster.Config) (*core.Engine, *workload.InsertOnly, error) {
 		w := &workload.InsertOnly{}
-		e, err := engine(cfg, w.Schema(), nil)
+		e, err := engine(cfg, w.Schema(), nil, timing)
 		return e, w, err
 	}
-	e5, w5, err := mk(timingGPDB5(opts.Segments))
+	e5, w5, err := mk(gpdb5(opts.Segments))
 	if err != nil {
 		return nil, err
 	}
 	defer e5.Close()
-	e6, w6, err := mk(timingGPDB6(opts.Segments))
+	e6, w6, err := mk(gpdb6(opts.Segments))
 	if err != nil {
 		return nil, err
 	}

@@ -113,6 +113,10 @@ type Spec struct {
 	// Seed seeds the per-spec PRNG used for Probability, so probabilistic
 	// schedules replay deterministically. 0 uses a fixed default.
 	Seed int64
+	// Serial makes the spec's ActSleep pauses take turns, one at a time
+	// across every goroutine and segment it matches: a device with a queue
+	// depth of one, where a pause also waits out the pauses ahead of it.
+	Serial bool
 }
 
 func (s Spec) String() string {
@@ -162,6 +166,8 @@ type armedSpec struct {
 	hits   int64 // matching-segment evaluations seen
 	fired  int64 // times this spec triggered
 	resume chan struct{}
+	// serial is held across a Serial spec's sleep.
+	serial sync.Mutex
 }
 
 // point is the armed state of one named fault point.
@@ -339,7 +345,7 @@ func (r *Registry) evalPoint(p *point, seg int) (Action, error) {
 		return ActNone, nil
 	}
 	r.triggers.Add(1)
-	action, sleep, msg, resume := hit.Action, hit.Sleep, hit.Message, hit.resume
+	action, sleep, msg, resume, serial := hit.Action, hit.Sleep, hit.Message, hit.resume, hit.Serial
 	p.mu.Unlock()
 
 	switch action {
@@ -350,6 +356,10 @@ func (r *Registry) evalPoint(p *point, seg int) (Action, error) {
 	case ActSleep:
 		if sleep <= 0 {
 			sleep = time.Millisecond
+		}
+		if serial {
+			hit.serial.Lock()
+			defer hit.serial.Unlock()
 		}
 		time.Sleep(sleep)
 		return ActSleep, nil

@@ -296,6 +296,31 @@ func TestEvalConcurrentWithArmReset(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSerialSleepsTakeTurns: the sleeps of a Serial spec run one at a
+// time, so four concurrent hits take at least four pauses end to end.
+func TestSerialSleepsTakeTurns(t *testing.T) {
+	r := NewRegistry()
+	const pause = 5 * time.Millisecond
+	if err := r.Arm(Spec{Point: "p", Seg: AllSegments, Action: ActSleep, Sleep: pause, Serial: true}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seg int) {
+			defer wg.Done()
+			if act, err := r.Eval("p", seg); act != ActSleep || err != nil {
+				t.Errorf("Eval = %v, %v", act, err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if took := time.Since(start); took < 4*pause {
+		t.Fatalf("four serial sleeps of %v finished in %v", pause, took)
+	}
+}
+
 func TestBreakerStateMachine(t *testing.T) {
 	b := NewBreaker(3, 50*time.Millisecond)
 	if b.State() != BreakerClosed || !b.Allow() {

@@ -43,6 +43,11 @@ const (
 	// handler. Supports error (retried: commit handlers are idempotent),
 	// sleep, hang, panic.
 	TwopcCommit = "twopc_commit"
+	// HeapAccess fires on each index lookup a segment serves, before the
+	// rows are fetched (a write of a row it found touches the same page and
+	// does not fire again). Supports sleep (the random read a buffer-cache
+	// miss costs), error (the statement fails), hang.
+	HeapAccess = "heap_access"
 	// LockAcquire fires on every lock-manager acquisition. Supports error,
 	// sleep (lock-wait inflation), hang.
 	LockAcquire = "lock_acquire"

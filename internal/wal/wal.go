@@ -299,9 +299,10 @@ func decodeRow(p []byte) (types.Row, []byte, error) {
 
 // ---- the log ----
 
-// Log is one segment's append-only write-ahead log. Appends are serialized
-// by a mutex (the log is a serial stream by definition); Flush runs under a
-// separate mutex so a long simulated fsync doesn't block concurrent
+// Log is one append-only write-ahead log: a segment's, a mirror's, or the
+// coordinator's log of commit records. Appends are serialized by a mutex
+// (the log is a serial stream by definition); Flush runs under a separate
+// mutex so a long fsync (a wal_flush sleep) doesn't block concurrent
 // appends — late appenders ride the next sync (group commit).
 type Log struct {
 	mu      sync.Mutex
@@ -488,10 +489,11 @@ func (l *Log) LastLSN() LSN {
 // FlushedLSN returns the highest durably flushed LSN.
 func (l *Log) FlushedLSN() LSN { return LSN(l.flushed.Load()) }
 
-// Flush makes the caller's records durable, charging delay once per actual
-// sync with group commit: a caller whose records were covered by a sync that
-// started after they were appended returns for free. It returns the LSN the
-// log is durable up to.
+// Flush makes the caller's records durable with group commit: a caller
+// whose records were covered by a sync that started after they were
+// appended returns for free. A sync costs what the wal_flush fault point
+// charges it (a sleep there is the fsync's duration) plus delay. It returns
+// the LSN the log is durable up to.
 func (l *Log) Flush(delay time.Duration) LSN {
 	target := uint64(l.LastLSN())
 	if l.flushed.Load() >= target {
@@ -505,6 +507,9 @@ func (l *Log) Flush(delay time.Duration) LSN {
 		// them (group commit).
 		return LSN(l.flushed.Load())
 	}
+	// Sync everything present now — appends made during the sync ride the
+	// next one.
+	cur := uint64(l.LastLSN())
 	if act, err := l.faults.Eval(fault.WALFlush, l.seg); act == fault.ActError {
 		// Simulated fsync failure: durability of everything since the last
 		// good sync is unknown, so the log wedges and the flushed horizon
@@ -512,8 +517,6 @@ func (l *Log) Flush(delay time.Duration) LSN {
 		l.wedge(err)
 		return LSN(l.flushed.Load())
 	}
-	// Sync everything present now — later appends ride along for free.
-	cur := uint64(l.LastLSN())
 	if delay > 0 {
 		time.Sleep(delay)
 	}

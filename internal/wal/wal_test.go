@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/types"
 )
 
@@ -151,8 +152,13 @@ func TestFlushGroupCommit(t *testing.T) {
 	if _, _, flushes := l.Stats(); flushes != 1 {
 		t.Fatalf("covered flush synced again: %d", flushes)
 	}
-	// Concurrent committers share syncs (group commit): with a real delay,
-	// N goroutines must not pay N syncs.
+	// Concurrent committers share syncs (group commit): with every sync
+	// costing 2ms, N goroutines must not pay N syncs.
+	reg := fault.NewRegistry()
+	l.AttachFaults(reg, 0)
+	if err := reg.Arm(fault.Spec{Point: fault.WALFlush, Seg: fault.AllSegments, Action: fault.ActSleep, Sleep: 2 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -160,7 +166,7 @@ func TestFlushGroupCommit(t *testing.T) {
 			defer wg.Done()
 			r := Record{Type: TypeCommit, Xid: uint64(i + 2)}
 			l.Append(&r)
-			l.Flush(2 * time.Millisecond)
+			l.Flush(0)
 		}(i)
 	}
 	wg.Wait()
