@@ -117,7 +117,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *useRG {
-		conn.UseResourceGroup(true, 0, 0)
+		conn.UseResourceGroup(true, 0)
 	}
 
 	if *file != "" {

@@ -72,7 +72,7 @@ CREATE ROLE teller RESOURCE GROUP oltp_group;
 			if err != nil {
 				return
 			}
-			conn.UseResourceGroup(true, time.Millisecond, 0)
+			conn.UseResourceGroup(true, time.Millisecond)
 			seed := uint64(c + 1)
 			for time.Now().Before(deadline) {
 				seed = seed*6364136223846793005 + 1
@@ -106,7 +106,7 @@ CREATE ROLE teller RESOURCE GROUP oltp_group;
 			if err != nil {
 				return
 			}
-			conn.UseResourceGroup(true, 10*time.Millisecond, 0)
+			conn.UseResourceGroup(true, 10*time.Millisecond)
 			if err := conn.SetOptimizer("orca"); err != nil {
 				return
 			}

@@ -380,9 +380,9 @@ func (c *Conn) Rollback(ctx context.Context) error {
 func (c *Conn) SetOptimizer(name string) error { return c.sess.SetOptimizer(name) }
 
 // UseResourceGroup enables resource-group enforcement for this session with
-// the given simulated CPU costs.
-func (c *Conn) UseResourceGroup(enabled bool, stmtCPU, batchCPU time.Duration) {
-	c.sess.UseResourceGroup(enabled, stmtCPU, batchCPU)
+// the given simulated per-statement CPU cost.
+func (c *Conn) UseResourceGroup(enabled bool, stmtCPU time.Duration) {
+	c.sess.UseResourceGroup(enabled, stmtCPU)
 }
 
 // Session exposes the internal session (benchmarks inside this module).

@@ -42,16 +42,22 @@ func mkTable(t *testing.T, c *Cluster, name string) *catalog.Table {
 func insertRows(t *testing.T, c *Cluster, tab *catalog.Table, rows []types.Row) {
 	t.Helper()
 	lt := c.BeginTxn()
-	_, ver := tab.Placement()
-	ip := &plan.InsertPlan{Table: tab, Rows: rows, MapVersion: ver}
 	snap := c.Snapshot()
 	defer c.ReleaseSnapshot(snap)
-	if _, err := c.RunInsert(context.Background(), lt, snap, ip, nil); err != nil {
+	if _, err := c.RunModify(context.Background(), lt, snap, insertPlan(tab, rows...), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CommitTxn(lt); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// insertPlan is an INSERT of rows into tab under its current placement: an
+// InsertPlan over VALUES.
+func insertPlan(tab *catalog.Table, rows ...types.Row) *plan.Planned {
+	_, ver := tab.Placement()
+	ip := &plan.InsertPlan{Table: tab, Child: &plan.Values{Out: tab.Schema, Rows: rows}, MapVersion: ver}
+	return &plan.Planned{Root: ip, DirectSegment: -1}
 }
 
 func scanAll(t *testing.T, c *Cluster, tab *catalog.Table) []types.Row {

@@ -28,40 +28,6 @@ func (s *Segment) acquire(ctx context.Context, who lockmgr.TxnID, tag lockmgr.Ta
 	return s.mapLockErr(s.locks.Acquire(ctx, who, tag, mode))
 }
 
-// ExecInsert stores rows on this segment, grouped by leaf table, as the
-// writing transaction dxid. The rows were routed by the coordinator; an
-// insert needs no snapshot, so the statement's is not consulted. The local
-// transaction begins even when byLeaf is empty: a segment dispatched an
-// INSERT is a participant of the transaction's commit.
-func (s *Segment) ExecInsert(ctx context.Context, dxid dtm.DXID, _ *dtm.DistSnapshot, t *catalog.Table, byLeaf map[catalog.TableID][]types.Row) (int, error) {
-	if err := s.checkUp(); err != nil {
-		return 0, err
-	}
-	owner, err := s.owner(dxid)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.acquire(ctx, owner, lockmgr.RelationTag(uint64(t.ID)), lockmgr.RowExclusive); err != nil {
-		return 0, err
-	}
-	local := s.beginLocal(dxid, owner).local
-	n := 0
-	for leaf, rows := range byLeaf {
-		st, err := s.table(leaf)
-		if err != nil {
-			return n, err
-		}
-		for _, row := range rows {
-			tid := st.engine.Insert(local, row)
-			for _, ix := range st.indexes {
-				ix.ix.Insert(row, tid)
-			}
-			n++
-		}
-	}
-	return n, nil
-}
-
 // writeTuple serializes with concurrent writers of the logical tuple rooted
 // at tid and stamps the latest version's xmax with our local xid. It
 // returns the stamped version id and its row, or ok=false when the row was
@@ -164,10 +130,11 @@ func (s *Segment) waitForWriter(ctx context.Context, a *storeAccess, holder txn.
 	return nil
 }
 
-// ExecModify runs an UPDATE or DELETE plan on this segment as the writing
-// transaction dxid: under the statement's RowExclusive lock on t, the
-// executor's write sink finds the rows the plan's access path selects and
-// writes them through WriteRow, whose first write opens the local
+// ExecModify runs an INSERT, UPDATE or DELETE plan on this segment as the
+// writing transaction dxid: under the statement's RowExclusive lock on t,
+// the executor's write sink stores the rows an INSERT routed here through
+// InsertRow, or finds the rows an UPDATE's or DELETE's access path selects
+// and writes them through WriteRow. The first write opens the local
 // transaction — a segment where nothing matched stays out of the commit.
 // Without direct dispatch every gang member joins the commit instead (paper
 // §7.2), so the local transaction opens up front. ops, when armed (EXPLAIN
@@ -230,6 +197,28 @@ func (a *storeAccess) WriteRow(ctx context.Context, id exec.RowID, up *plan.Upda
 		ix.ix.Insert(row, tid)
 	}
 	return true, nil
+}
+
+// InsertRow implements exec.StoreAccess: the row stored in the leaf as the
+// transaction's (its first write here opens the local transaction) and
+// entered in the leaf's indexes.
+func (a *storeAccess) InsertRow(leaf catalog.TableID, row types.Row) error {
+	if a.ins == nil || a.ins.leaf != leaf {
+		st, err := a.seg.table(leaf)
+		if err != nil {
+			return err
+		}
+		a.ins = st
+	}
+	local, err := a.begin()
+	if err != nil {
+		return err
+	}
+	tid := a.ins.engine.Insert(local.local, row)
+	for _, ix := range a.ins.indexes {
+		ix.ix.Insert(row, tid)
+	}
+	return nil
 }
 
 // LockRelation takes an explicit LOCK TABLE lock on this segment for the

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/dtm"
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/lockmgr"
@@ -444,14 +446,12 @@ func (c *Cluster) moveReplicated(ctx context.Context, run *expandRun, slot *resg
 	}
 	lt.touched[0] = true
 	acc := s0.newAccess(lt.owner, lt.dxid, snap)
-	byLeaf := map[catalog.TableID][]types.Row{}
-	count := 0
+	var rows []types.Row
 	for _, leaf := range leafIDs(t) {
 		var throttleErr error
 		err := scanUnderFence(ctx, acc, leaf, func(row types.Row) (bool, error) {
-			byLeaf[leaf] = append(byLeaf[leaf], row.Clone())
-			count++
-			if count%moveBatchRows == 0 {
+			rows = append(rows, row.Clone())
+			if len(rows)%moveBatchRows == 0 {
 				if throttleErr = c.moverThrottle(ctx, slot, 0); throttleErr != nil {
 					return false, throttleErr
 				}
@@ -462,22 +462,22 @@ func (c *Cluster) moveReplicated(ctx context.Context, run *expandRun, slot *resg
 			return err
 		}
 	}
-	dxid := lt.DXID()
+	targets := make([]int, 0, target-w)
 	for d := w; d < target; d++ {
-		_, gen, err := c.execOnSeg(ctx, lt, d, func(s *Segment) (int, error) {
-			return s.ExecInsert(ctx, dxid, snap, t, byLeaf)
-		})
-		if err != nil {
-			return err
-		}
-		lt.markWrote(d, gen)
+		targets = append(targets, d)
+	}
+	ip := &plan.InsertPlan{Table: t, Child: &plan.Values{Out: t.Schema, Rows: rows}, MapVersion: ver}
+	if _, err := c.dispatchWrite(ctx, lt, t, ver, targets, nil, "insert", func(_ int, s *Segment) (int, error) {
+		return s.ExecModify(ctx, lt.dxid, snap, t, ip, nil, nil)
+	}); err != nil {
+		return err
 	}
 	if _, err := c.CommitTxn(lt); err != nil {
 		committed = true // CommitTxn already cleaned up
 		return err
 	}
 	committed = true
-	run.addRows(int64(count * (target - w)))
+	run.addRows(int64(len(rows) * (target - w)))
 	// The copies are durable; flip before the fence lifts so no write can
 	// land on the old width afterwards.
 	if err := c.faults.Inject(fault.MapFlip, CoordinatorSeg); err != nil {
@@ -784,7 +784,6 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 	dxid := lt.DXID()
 	rr := 0
 	for _, row := range minus {
-		row := row
 		dest := plan.RouteRow(st, row, target, &rr)
 		dp := &plan.DeletePlan{Table: st, Child: plan.NewScan(st, leafIDs(st), rowEqFilter(st, row))}
 		removed, gen, err := c.execOnSeg(ctx, lt, dest, func(s *Segment) (int, error) {
@@ -797,45 +796,12 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 		if removed == 0 {
 			return fmt.Errorf("cluster: expansion delta: no staged copy of a deleted %s row", st.Name)
 		}
-		if removed > 1 {
-			leaf, lerr := leafFor(st, row)
-			if lerr != nil {
-				return lerr
-			}
-			dup := map[catalog.TableID][]types.Row{leaf: make([]types.Row, removed-1)}
-			for j := range dup[leaf] {
-				dup[leaf][j] = row
-			}
-			_, gen2, ierr := c.execOnSeg(ctx, lt, dest, func(s *Segment) (int, error) {
-				return s.ExecInsert(ctx, dxid, snap, st, dup)
-			})
-			if ierr != nil {
-				return ierr
-			}
-			lt.markWrote(dest, gen2)
-		}
-	}
-	perSeg := make(map[int]map[catalog.TableID][]types.Row)
-	for _, row := range plus {
-		dest := plan.RouteRow(st, row, target, &rr)
-		leaf, err := leafFor(st, row)
-		if err != nil {
+		if err := c.stageRows(ctx, lt, snap, st, slices.Repeat([]types.Row{row}, removed-1)); err != nil {
 			return err
 		}
-		if perSeg[dest] == nil {
-			perSeg[dest] = make(map[catalog.TableID][]types.Row)
-		}
-		perSeg[dest][leaf] = append(perSeg[dest][leaf], row)
 	}
-	for dest, byLeaf := range perSeg {
-		dest, byLeaf := dest, byLeaf
-		_, gen, err := c.execOnSeg(ctx, lt, dest, func(s *Segment) (int, error) {
-			return s.ExecInsert(ctx, dxid, snap, st, byLeaf)
-		})
-		if err != nil {
-			return err
-		}
-		lt.markWrote(dest, gen)
+	if err := c.stageRows(ctx, lt, snap, st, plus); err != nil {
+		return err
 	}
 	if _, err := c.CommitTxn(lt); err != nil {
 		committed = true // CommitTxn already cleaned up
@@ -844,6 +810,19 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 	committed = true
 	run.addRows(int64(len(plus) + len(minus)))
 	return nil
+}
+
+// stageRows inserts rows into the staging table within the mover's
+// micro-transaction lt: the InsertPlan dispatch every INSERT runs, each row
+// routed across st's placement, which is the target width.
+func (c *Cluster) stageRows(ctx context.Context, lt *LiveTxn, snap *dtm.DistSnapshot, st *catalog.Table, rows []types.Row) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	_, ver := st.Placement()
+	ip := &plan.InsertPlan{Table: st, Child: &plan.Values{Out: st.Schema, Rows: rows}, MapVersion: ver}
+	_, err := c.RunModify(ctx, lt, snap, &plan.Planned{Root: ip, DirectSegment: -1}, nil)
+	return err
 }
 
 // cloneIndexes builds the original table's indexes on the staging table

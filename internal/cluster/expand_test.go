@@ -143,9 +143,9 @@ func TestStaleDistMapVersionRejected(t *testing.T) {
 		run  func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, staleVer uint64) error
 	}{
 		{"insert", func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
-			ip := &plan.InsertPlan{Table: tab, MapVersion: v,
-				Rows: []types.Row{{types.NewInt(1), types.NewInt(1)}}}
-			_, err := c.RunInsert(ctx, lt, c.Snapshot(), ip, nil)
+			ins := insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(1)})
+			ins.Root.(*plan.InsertPlan).MapVersion = v
+			_, err := c.RunModify(ctx, lt, c.Snapshot(), ins, nil)
 			return err
 		}},
 		{"update", func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
@@ -204,9 +204,7 @@ func TestTxnLostWritesOnMapFlip(t *testing.T) {
 	tab := mkTable(t, c, "t")
 	lt := c.BeginTxn()
 	w, ver := tab.Placement()
-	ip := &plan.InsertPlan{Table: tab, MapVersion: ver,
-		Rows: []types.Row{{types.NewInt(1), types.NewInt(2)}}}
-	if _, err := c.RunInsert(context.Background(), lt, c.Snapshot(), ip, nil); err != nil {
+	if _, err := c.RunModify(context.Background(), lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(2)}), nil); err != nil {
 		t.Fatal(err)
 	}
 	tab.SetPlacement(w, ver+1) // the flip lands while the txn is in flight

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/dtm"
-	"repro/internal/plan"
 	"repro/internal/txn"
 	"repro/internal/types"
 )
@@ -18,11 +17,6 @@ func replicatedCluster(t *testing.T, nseg int, mode ReplicaMode) *Cluster {
 	cfg.ReplicaMode = mode
 	cfg.FTSInterval = time.Hour // promotion driven manually in these tests
 	return testCluster(t, cfg)
-}
-
-// byLeafRows routes rows for ExecInsert-by-hand.
-func byLeafRows(tab *catalog.Table, rows ...types.Row) map[catalog.TableID][]types.Row {
-	return map[catalog.TableID][]types.Row{tab.ID: rows}
 }
 
 // TestInDoubtCommitRecordWins: a primary dies after PREPARE; the promoted
@@ -37,8 +31,8 @@ func TestInDoubtCommitRecordWins(t *testing.T) {
 		lt := c.BeginTxn()
 		snap := c.Snapshot()
 		s1 := c.seg(1)
-		if _, err := s1.ExecInsert(ctx, lt.DXID(), snap, tab, byLeafRows(tab,
-			types.Row{types.NewInt(int64(100 * boolInt(withRecord))), types.NewInt(1)})); err != nil {
+		if _, err := s1.ExecModify(ctx, lt.DXID(), snap, tab, insertPlan(tab,
+			types.Row{types.NewInt(int64(100 * boolInt(withRecord))), types.NewInt(1)}).Root, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Phase one reaches the segment; then the primary dies before the
@@ -105,8 +99,8 @@ func TestCommitPreparedIdempotentAfterPromotion(t *testing.T) {
 	lt := c.BeginTxn()
 	snap := c.Snapshot()
 	s1 := c.seg(1)
-	if _, err := s1.ExecInsert(ctx, lt.DXID(), snap, tab, byLeafRows(tab,
-		types.Row{types.NewInt(7), types.NewInt(70)})); err != nil {
+	if _, err := s1.ExecModify(ctx, lt.DXID(), snap, tab, insertPlan(tab,
+		types.Row{types.NewInt(7), types.NewInt(70)}).Root, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Prepare(lt.DXID()); err != nil {
@@ -187,8 +181,7 @@ func TestAbortedTxnsDoNotLeakOnMirror(t *testing.T) {
 	tab := mkTable(t, c, "t")
 	for i := 0; i < 25; i++ {
 		lt := c.BeginTxn()
-		ip := &plan.InsertPlan{Table: tab, Rows: []types.Row{{types.NewInt(int64(i)), types.NewInt(0)}}}
-		if _, err := c.RunInsert(ctx, lt, c.Snapshot(), ip, nil); err != nil {
+		if _, err := c.RunModify(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(int64(i)), types.NewInt(0)}), nil); err != nil {
 			t.Fatal(err)
 		}
 		c.AbortTxn(lt)

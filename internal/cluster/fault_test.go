@@ -6,15 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/fault"
-	"repro/internal/plan"
 	"repro/internal/types"
 )
-
-func insertPlan(tab *catalog.Table, rows []types.Row) *plan.InsertPlan {
-	return &plan.InsertPlan{Table: tab, Rows: rows}
-}
 
 func faultTestCluster(t *testing.T) *Cluster {
 	t.Helper()
@@ -59,8 +53,8 @@ func TestDispatchSendFaultExhaustsToRetryableError(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt := c.BeginTxn()
-	_, err := c.RunInsert(context.Background(), lt,
-		c.Snapshot(), insertPlan(tab, []types.Row{{types.NewInt(1), types.NewInt(1)}}), nil)
+	_, err := c.RunModify(context.Background(), lt,
+		c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(1)}), nil)
 	c.ResetFault(fault.DispatchSend)
 	c.AbortTxn(lt)
 	if err == nil {
@@ -96,7 +90,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	// Each failed statement is one breaker Failure; threshold 2 opens it.
 	for i := 0; i < 3; i++ {
 		lt := c.BeginTxn()
-		_, err := c.RunInsert(ctx, lt, c.Snapshot(), insertPlan(tab, []types.Row{{types.NewInt(int64(i)), types.NewInt(1)}}), nil)
+		_, err := c.RunModify(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(int64(i)), types.NewInt(1)}), nil)
 		c.AbortTxn(lt)
 		if err == nil {
 			t.Fatalf("statement %d succeeded under permanent fault", i)
@@ -117,7 +111,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 	// An open breaker fails fast with a retryable error.
 	lt := c.BeginTxn()
-	_, err := c.RunInsert(ctx, lt, c.Snapshot(), insertPlan(tab, []types.Row{{types.NewInt(9), types.NewInt(1)}}), nil)
+	_, err := c.RunModify(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(9), types.NewInt(1)}), nil)
 	c.AbortTxn(lt)
 	var boe *BreakerOpenError
 	if !errors.As(err, &boe) {

@@ -46,9 +46,8 @@ func TestHorizonHoldsForLiveSnapshot(t *testing.T) {
 	insertRows(t, c, tab, []types.Row{{types.NewInt(0), types.NewInt(0)}}) // an older writer
 
 	w := c.BeginTxn()
-	ip := &plan.InsertPlan{Table: tab, Rows: []types.Row{{types.NewInt(1), types.NewInt(1)}}}
 	wsnap := c.Snapshot()
-	if _, err := c.RunInsert(ctx, w, wsnap, ip, nil); err != nil {
+	if _, err := c.RunModify(ctx, w, wsnap, insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(1)}), nil); err != nil {
 		t.Fatal(err)
 	}
 	c.ReleaseSnapshot(wsnap)
@@ -165,8 +164,7 @@ func TestFirstWriteTakesFreshXid(t *testing.T) {
 	s := c.Snapshot()
 	defer c.ReleaseSnapshot(s)
 	wsnap := c.Snapshot()
-	ip := &plan.InsertPlan{Table: tab, Rows: []types.Row{{types.NewInt(2), types.NewInt(2)}}}
-	if _, err := c.RunInsert(ctx, w, wsnap, ip, nil); err != nil {
+	if _, err := c.RunModify(ctx, w, wsnap, insertPlan(tab, types.Row{types.NewInt(2), types.NewInt(2)}), nil); err != nil {
 		t.Fatal(err)
 	}
 	c.ReleaseSnapshot(wsnap)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/dtm"
@@ -23,9 +22,6 @@ import (
 // QueryResources carries the resource-group hooks for one statement.
 type QueryResources struct {
 	Mem exec.MemAccount
-	CPU exec.CPUCharger
-	// CPUBatchCost is the simulated CPU charged per executor row batch.
-	CPUBatchCost time.Duration
 	// Scan, when non-nil, receives the statement's block-scan counters
 	// (zone-map pushdown effectiveness) after the query finishes — the
 	// EXPLAIN ANALYZE "blocks: scanned/skipped" numbers.
@@ -283,8 +279,6 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 		}
 		if res != nil {
 			ec.Mem = res.Mem
-			ec.CPU = res.CPU
-			ec.CPUBatchCost = res.CPUBatchCost
 			ec.NodeRows = res.NodeRows
 			ec.Ops = res.Ops
 		}
@@ -535,108 +529,17 @@ func modeOf(level int) lockmgr.Mode {
 
 // ---- DML dispatch ----
 
-// RunInsert routes pre-evaluated rows to their owning segments and
-// dispatches the inserts there.
-func (c *Cluster) RunInsert(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, ip *plan.InsertPlan, res *QueryResources) (int, error) {
-	rows := ip.Rows
-	if ip.Select != nil {
-		selRows, _, err := c.RunSelect(ctx, t, snap, ip.Select, res)
-		if err != nil {
-			return 0, err
-		}
-		// Coerce SELECT output to the table schema.
-		rows = make([]types.Row, 0, len(selRows))
-		for _, r := range selRows {
-			if len(r) != ip.Table.Schema.Len() {
-				return 0, fmt.Errorf("cluster: INSERT SELECT arity mismatch: got %d columns, want %d", len(r), ip.Table.Schema.Len())
-			}
-			row := make(types.Row, len(r))
-			for i, v := range r {
-				cv, err := v.CastTo(ip.Table.Schema.Columns[i].Kind)
-				if err != nil {
-					return 0, err
-				}
-				row[i] = cv
-			}
-			rows = append(rows, row)
-		}
-	}
-
-	nseg := c.SegCount()
-	t.grow(nseg)
-	// Rows hash across the table's placement width, not the live segment
-	// count: mid-expansion a table keeps its old placement (and a replicated
-	// table keeps full copies only there) until the mover flips it. The plan
-	// carries the map version it was routed under; a flip since then makes
-	// it stale and the statement retryable.
-	routeW, mapVer := ip.Table.Placement()
-	if routeW <= 0 || routeW > nseg {
-		routeW = nseg
-	}
-	if ip.MapVersion != mapVer {
-		return 0, &StaleDistMapError{Table: ip.Table.Name, Planned: ip.MapVersion, Current: mapVer}
-	}
-	perSeg := make([]map[catalog.TableID][]types.Row, nseg)
-	rr := 0
-	for _, row := range rows {
-		leaf, err := leafFor(ip.Table, row)
-		if err != nil {
-			return 0, err
-		}
-		dest := plan.RouteRow(ip.Table, row, routeW, &rr)
-		if dest < 0 { // replicated: every segment of the placement
-			for d := 0; d < routeW; d++ {
-				addRow(&perSeg[d], leaf, row)
-			}
-		} else {
-			addRow(&perSeg[dest], leaf, row)
-		}
-	}
-
-	// Direct dispatch sends the statement only to segments that receive
-	// rows; without it the whole gang handles the statement (paper §7.2's
-	// "unnecessary CPU cost on segments which in fact do not insert any
-	// tuple") and every gang member joins the two-phase commit.
-	targets := make([]int, 0, nseg)
-	for i := 0; i < nseg; i++ {
-		if perSeg[i] != nil || !c.cfg.DirectDispatch {
-			targets = append(targets, i)
-		}
-	}
-	n, err := c.dispatchWrite(ctx, t, ip.Table, mapVer, targets, res, "insert", func(seg int, s *Segment) (int, error) {
-		return s.ExecInsert(ctx, t.dxid, snap, ip.Table, perSeg[seg])
-	})
-	if n > 0 {
-		c.invalidateStats(ip.Table.Name)
-	}
-	return n, err
-}
-
-func addRow(m *map[catalog.TableID][]types.Row, leaf catalog.TableID, row types.Row) {
-	if *m == nil {
-		*m = make(map[catalog.TableID][]types.Row)
-	}
-	(*m)[leaf] = append((*m)[leaf], row)
-}
-
-// leafFor picks the partition leaf owning the row.
-func leafFor(t *catalog.Table, row types.Row) (catalog.TableID, error) {
-	if !t.IsPartitioned() {
-		return t.ID, nil
-	}
-	key := row[t.PartitionCol]
-	p := t.PartitionFor(key)
-	if p == nil {
-		return 0, fmt.Errorf("cluster: no partition of %q accepts key %s", t.Name, key)
-	}
-	return p.ID, nil
-}
-
-// RunModify dispatches an UPDATE or DELETE plan to the segments that can
-// hold its rows: the one pl.DirectSegment names under direct dispatch, else
-// the whole gang. res may be nil; when set, its trace and DML collectors
-// observe the dispatch, its armed operator statistics the access paths and
-// its Scan collector their block counters.
+// RunModify dispatches a write plan. An UPDATE or DELETE goes to the
+// segments that can hold its rows: the one pl.DirectSegment names under
+// direct dispatch, else the whole gang. So does a one-row INSERT, pinned at
+// bind time to the segment its row hashes to; any other INSERT routes its
+// rows here (routeInsert) and runs on each segment over the rows routed to
+// it. Under direct dispatch only segments that receive a row are targets;
+// without it the whole gang handles the statement (paper §7.2's
+// "unnecessary CPU cost on segments which in fact do not insert any tuple")
+// and joins the commit. res may be nil; when set, its trace and DML
+// collectors observe the dispatch, its armed operator statistics the access
+// paths and its Scan collector their block counters.
 func (c *Cluster) RunModify(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources) (int, error) {
 	tab, plannedVer, op, err := modifyTarget(pl.Root)
 	if err != nil {
@@ -648,11 +551,18 @@ func (c *Cluster) RunModify(ctx context.Context, t *LiveTxn, snap *dtm.DistSnaps
 	if plannedVer != mapVer {
 		return 0, &StaleDistMapError{Table: tab.Name, Planned: plannedVer, Current: mapVer}
 	}
+	direct := c.cfg.DirectDispatch && pl.DirectSegment >= 0 && pl.DirectSegment < nseg
+	perSeg, err := c.routeInsert(ctx, t, snap, pl, res, direct, nseg)
+	if err != nil {
+		return 0, err
+	}
 	targets := []int{pl.DirectSegment}
-	if !c.cfg.DirectDispatch || pl.DirectSegment < 0 || pl.DirectSegment >= nseg {
-		targets = make([]int, nseg)
-		for i := range targets {
-			targets[i] = i
+	if !direct {
+		targets = make([]int, 0, nseg)
+		for i := 0; i < nseg; i++ {
+			if perSeg == nil || perSeg[i] != nil || !c.cfg.DirectDispatch {
+				targets = append(targets, i)
+			}
 		}
 	}
 	var ops *plan.OpStats
@@ -663,8 +573,12 @@ func (c *Cluster) RunModify(ctx context.Context, t *LiveTxn, snap *dtm.DistSnaps
 			scan = new(storage.ScanStats)
 		}
 	}
-	n, err := c.dispatchWrite(ctx, t, tab, mapVer, targets, res, op, func(_ int, s *Segment) (int, error) {
-		return s.ExecModify(ctx, t.dxid, snap, tab, pl.Root, ops, scan)
+	n, err := c.dispatchWrite(ctx, t, tab, mapVer, targets, res, op, func(seg int, s *Segment) (int, error) {
+		root := pl.Root
+		if perSeg != nil {
+			root = &plan.InsertPlan{Table: tab, Child: &plan.Values{Out: tab.Schema, Rows: perSeg[seg]}, MapVersion: mapVer}
+		}
+		return s.ExecModify(ctx, t.dxid, snap, tab, root, ops, scan)
 	})
 	if scan != nil {
 		res.Scan.BlocksScanned += scan.BlocksScanned.Load()
@@ -676,16 +590,53 @@ func (c *Cluster) RunModify(ctx context.Context, t *LiveTxn, snap *dtm.DistSnaps
 	return n, err
 }
 
-// modifyTarget returns the table an UPDATE or DELETE root writes, the
-// placement version it was planned under, and its trace span name.
+// routeInsert routes the rows of an INSERT not pinned to one segment — its
+// VALUES, or its SELECT run to the coordinator, which finishes before the
+// first row is written — each to the segment plan.RouteRow picks across the
+// table's placement width, every segment of it for a replicated table. It
+// returns nil for any other write.
+func (c *Cluster) routeInsert(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources, direct bool, nseg int) ([][]types.Row, error) {
+	ip, ok := pl.Root.(*plan.InsertPlan)
+	if !ok || direct {
+		return nil, nil
+	}
+	var rows []types.Row
+	if v, ok := ip.Child.(*plan.Values); ok {
+		rows = v.Rows
+	} else {
+		sel := *pl
+		sel.Root = ip.Child
+		var err error
+		if rows, _, err = c.RunSelect(ctx, t, snap, &sel, res); err != nil {
+			return nil, err
+		}
+	}
+	perSeg := make([][]types.Row, nseg)
+	width, rr := plan.PlacementWidth(ip.Table, nseg), 0
+	for _, row := range rows {
+		if d := plan.RouteRow(ip.Table, row, width, &rr); d >= 0 {
+			perSeg[d] = append(perSeg[d], row)
+			continue
+		}
+		for d := 0; d < width; d++ {
+			perSeg[d] = append(perSeg[d], row)
+		}
+	}
+	return perSeg, nil
+}
+
+// modifyTarget returns the table a write root writes, the placement version
+// it was planned under, and its trace span name.
 func modifyTarget(root plan.Node) (*catalog.Table, uint64, string, error) {
 	switch x := root.(type) {
+	case *plan.InsertPlan:
+		return x.Table, x.MapVersion, "insert", nil
 	case *plan.UpdatePlan:
 		return x.Table, x.MapVersion, "update", nil
 	case *plan.DeletePlan:
 		return x.Table, x.MapVersion, "delete", nil
 	}
-	return nil, 0, "", fmt.Errorf("cluster: %T is not an UPDATE or DELETE", root)
+	return nil, 0, "", fmt.Errorf("cluster: %T is not an INSERT, UPDATE or DELETE", root)
 }
 
 // segWrite is one target segment's outcome of a write dispatch: rows

@@ -613,6 +613,9 @@ type storeAccess struct {
 	st    *segTxn
 	view  dtm.View
 	check txn.VisibilityChecker
+	// ins is the leaf InsertRow stored to last: an INSERT's rows mostly
+	// share one.
+	ins *segTable
 	// stats collects this statement's block-scan counters; the dispatcher
 	// folds them into the segment's cumulative totals (and the statement's
 	// QueryResources) when the statement finishes.

@@ -281,7 +281,8 @@ func TestParamPlanReuse(t *testing.T) {
 // TestExpandCachedTemplateFence: a template cached before an online
 // expansion never routes by the old width — after the flip the statement
 // either re-plans at the new width or fails with the retryable stale-map
-// error; every read that succeeds returns its key's row.
+// error; every read that succeeds returns its key's row, and every row an
+// INSERT template stores is found by a point read of its key.
 func TestExpandCachedTemplateFence(t *testing.T) {
 	e, s := newTestEngine(t, 2)
 	ctx := context.Background()
@@ -294,8 +295,12 @@ func TestExpandCachedTemplateFence(t *testing.T) {
 	mustExec(t, s, "INSERT INTO ek VALUES "+strings.Join(rows, ","))
 	const q = "SELECT val FROM ek WHERE id = $1"
 	const upd = "UPDATE ek SET val = val WHERE id = $1"
-	mustExec(t, s, q, types.NewInt(1)) // cache both templates at width 2
+	const ins = "INSERT INTO ek VALUES ($1, $2)"
+	mustExec(t, s, q, types.NewInt(1)) // cache the templates at width 2
 	mustExec(t, s, upd, types.NewInt(1))
+	next := int64(1000) // the last key inserted
+	mustExec(t, s, ins, types.NewInt(next), types.NewInt(next*10))
+	inserted := []int64{next}
 	mustExec(t, s, "ALTER SYSTEM EXPAND TO 4")
 	stale := 0
 	for round := 0; round < 4; round++ {
@@ -305,8 +310,13 @@ func TestExpandCachedTemplateFence(t *testing.T) {
 			}
 		}
 		for k := int64(1); k <= 400; k++ {
-			for _, text := range []string{q, upd} {
-				res, err := s.Exec(ctx, text, types.NewInt(k))
+			for _, text := range []string{q, upd, ins} {
+				params := []types.Datum{types.NewInt(k)}
+				if text == ins {
+					next++
+					params = []types.Datum{types.NewInt(next), types.NewInt(next * 10)}
+				}
+				res, err := s.Exec(ctx, text, params...)
 				var sde *cluster.StaleDistMapError
 				switch {
 				case errors.As(err, &sde):
@@ -317,12 +327,25 @@ func TestExpandCachedTemplateFence(t *testing.T) {
 					t.Fatalf("round %d key %d read %v: routed by a stale width", round, k, res.Rows)
 				case text == upd && res.RowsAffected != 1:
 					t.Fatalf("round %d key %d updated %d rows: routed by a stale width", round, k, res.RowsAffected)
+				case text == ins && res.RowsAffected != 1:
+					t.Fatalf("round %d key %d inserted %d rows", round, next, res.RowsAffected)
+				case text == ins:
+					inserted = append(inserted, next)
 				}
 			}
 		}
 	}
 	if n := e.Cluster().SegCount(); n != 4 {
 		t.Fatalf("cluster has %d segments after expansion", n)
+	}
+	// A row the cached INSERT stored is where a point read of its key looks.
+	for _, k := range inserted {
+		if res := mustExec(t, s, q, types.NewInt(k)); len(res.Rows) != 1 || res.Rows[0][0].Int() != k*10 {
+			t.Fatalf("inserted key %d reads %v: routed by a stale width", k, res.Rows)
+		}
+	}
+	if n := mustExec(t, s, "SELECT count(*) FROM ek WHERE id >= 1000").Rows[0][0].Int(); n != int64(len(inserted)) {
+		t.Fatalf("%d inserted rows stored, want %d", n, len(inserted))
 	}
 	t.Logf("%d statements hit the stale-map fence", stale)
 }
@@ -399,11 +422,12 @@ func TestPointSelectAllocations(t *testing.T) {
 	sel := perRun("SELECT val FROM kv WHERE id = $1", func() []types.Datum { return []types.Datum{types.NewInt(k)} })
 	upd := perRun("UPDATE kv SET val = val + $1 WHERE id = $2", func() []types.Datum { return []types.Datum{types.NewInt(1), types.NewInt(k)} })
 	del := perRun("DELETE FROM kv WHERE id = $1", func() []types.Datum { d++; return []types.Datum{types.NewInt(d)} })
-	t.Logf("allocations per statement: SELECT %.1f, UPDATE %.1f, DELETE %.1f", sel, upd, del)
+	ins := perRun("INSERT INTO kv VALUES ($1, $2, 'pad')", func() []types.Datum { d++; return []types.Datum{types.NewInt(d), types.NewInt(d)} })
+	t.Logf("allocations per statement: SELECT %.1f, UPDATE %.1f, DELETE %.1f, INSERT %.1f", sel, upd, del, ins)
 	if sel > 41 || sel > 1.5*upd {
 		t.Fatalf("point SELECT allocates %.1f times per statement (UPDATE %.1f): want <= 41 and <= 1.5x the UPDATE", sel, upd)
 	}
-	if upd > 34 || del > 30 {
-		t.Fatalf("point UPDATE allocates %.1f and DELETE %.1f times per statement: want <= 34 and <= 30", upd, del)
+	if upd > 34 || del > 30 || ins > 30 {
+		t.Fatalf("point UPDATE allocates %.1f, DELETE %.1f and INSERT %.1f times per statement: want <= 34, <= 30 and <= 30", upd, del, ins)
 	}
 }

@@ -196,9 +196,10 @@ func TestDMLOverCorruptBlockFails(t *testing.T) {
 // dmlRow is the oracle's copy of one row of a TestDMLMatchesOracle table.
 type dmlRow struct{ k, p, v int64 }
 
-// TestDMLMatchesOracle runs seeded batches of UPDATE and DELETE — point
-// writes through $N templates, ranges, partition-key and whole-table writes
-// — against a Go oracle over every engine × distribution (hash, replicated,
+// TestDMLMatchesOracle runs seeded batches of INSERT, UPDATE and DELETE —
+// point writes through $N templates, multi-row VALUES, an INSERT … SELECT
+// of the table into itself, ranges, partition-key and whole-table writes —
+// against a Go oracle over every engine × distribution (hash, replicated,
 // random, partitioned) × index (on the key, none) × direct dispatch (on,
 // off), checking each statement's rows affected and the table's rows.
 func TestDMLMatchesOracle(t *testing.T) {
@@ -251,21 +252,49 @@ func TestDMLMatchesOracle(t *testing.T) {
 func runDMLOracle(t *testing.T, s *Session, tab string, copies int64, rng *rand.Rand, label string) {
 	t.Helper()
 	ctx := context.Background()
-	oracle := map[int64]*dmlRow{}
-	var vals []string
-	for k := int64(1); k <= 40; k++ {
-		r := &dmlRow{k: k, p: rng.Int63n(200), v: rng.Int63n(50)}
-		oracle[k] = r
-		vals = append(vals, fmt.Sprintf("(%d, %d, %d)", r.k, r.p, r.v))
+	var oracle []*dmlRow
+	next := int64(1) // the next new key
+	newRows := func(n int) []*dmlRow {
+		var rows []*dmlRow
+		for ; n > 0; n-- {
+			rows = append(rows, &dmlRow{k: next, p: rng.Int63n(200), v: rng.Int63n(50)})
+			next++
+		}
+		return rows
 	}
-	mustExec(t, s, "INSERT INTO "+tab+" VALUES "+strings.Join(vals, ", "))
-	for step := 0; step < 25; step++ {
+	valuesOf := func(rows []*dmlRow) string {
+		var vals []string
+		for _, r := range rows {
+			vals = append(vals, fmt.Sprintf("(%d, %d, %d)", r.k, r.p, r.v))
+		}
+		return strings.Join(vals, ", ")
+	}
+	oracle = newRows(40)
+	mustExec(t, s, "INSERT INTO "+tab+" VALUES "+valuesOf(oracle))
+	for step := 0; step < 30; step++ {
 		var q string
 		var params []types.Datum
 		var match func(r *dmlRow) bool
 		var set func(r *dmlRow) // nil = DELETE
+		var insert []*dmlRow    // an INSERT's rows: match and set are nil
 		key, lo := rng.Int63n(45), rng.Int63n(60)
-		switch rng.Intn(7) {
+		switch rng.Intn(10) {
+		case 7:
+			insert = newRows(1)
+			r := insert[0]
+			q, params = "INSERT INTO "+tab+" VALUES ($1, $2, $3)", []types.Datum{types.NewInt(r.k), types.NewInt(r.p), types.NewInt(r.v)}
+		case 8:
+			insert = newRows(2 + rng.Intn(4))
+			q = "INSERT INTO " + tab + " VALUES " + valuesOf(insert)
+		case 9:
+			// The SELECT reads the table the statement writes: it must not
+			// see the rows the statement adds.
+			q = fmt.Sprintf("INSERT INTO %[1]s (v, p, k) SELECT v, p, k + 1000 FROM %[1]s WHERE v >= %d AND v < %d", tab, lo, lo+10)
+			for _, r := range oracle {
+				if r.v >= lo && r.v < lo+10 {
+					insert = append(insert, &dmlRow{k: r.k + 1000, p: r.p, v: r.v})
+				}
+			}
 		case 0:
 			d := rng.Int63n(9) - 4
 			q, params = "UPDATE "+tab+" SET v = v + $1 WHERE k = $2", []types.Datum{types.NewInt(d), types.NewInt(key)}
@@ -290,18 +319,24 @@ func runDMLOracle(t *testing.T, s *Session, tab string, copies int64, rng *rand.
 			q = "UPDATE " + tab + " SET v = v + 1"
 			match, set = func(*dmlRow) bool { return true }, func(r *dmlRow) { r.v++ }
 		}
-		var want int64
-		for k, r := range oracle {
-			if !match(r) {
-				continue
+		want := int64(len(insert))
+		if match != nil {
+			kept := oracle[:0]
+			for _, r := range oracle {
+				switch {
+				case !match(r):
+				case set == nil:
+					want++
+					continue
+				default:
+					want++
+					set(r)
+				}
+				kept = append(kept, r)
 			}
-			want++
-			if set == nil {
-				delete(oracle, k)
-			} else {
-				set(r)
-			}
+			oracle = kept
 		}
+		oracle = append(oracle, insert...)
 		res, err := s.Exec(ctx, q, params...)
 		if err != nil {
 			t.Fatalf("%s %s %v: %v", label, q, params, err)
@@ -320,6 +355,62 @@ func runDMLOracle(t *testing.T, s *Session, tab string, copies int64, rng *rand.
 		sort.Strings(exp)
 		if !slices.Equal(got, exp) {
 			t.Fatalf("%s after %s %v:\n got %v\nwant %v", label, q, params, got, exp)
+		}
+	}
+}
+
+// TestInsertOutsidePartitionsFails: an INSERT with a row no partition
+// accepts fails, and none of its rows is visible afterwards — not those the
+// other leaves and segments accepted, not a one-row INSERT's pinned to its
+// segment, not those of the transaction block it failed.
+func TestInsertOutsidePartitionsFails(t *testing.T) {
+	_, s := newTestEngine(t, 4)
+	ctx := context.Background()
+	mustExec(t, s, "CREATE TABLE pt (k int, p int) DISTRIBUTED BY (k) PARTITION BY RANGE (p) (PARTITION lo START (0) END (100), PARTITION hi START (100) END (200))")
+	count := func() int64 { return mustExec(t, s, "SELECT count(*) FROM pt").Rows[0][0].Int() }
+	fails := func(q string, params ...types.Datum) {
+		t.Helper()
+		if _, err := s.Exec(ctx, q, params...); err == nil || !strings.Contains(err.Error(), "no partition") {
+			t.Fatalf("%s %v: err %v, want no partition accepts the row", q, params, err)
+		}
+	}
+	fails("INSERT INTO pt VALUES (1, 10), (2, 150), (3, 250), (4, 50), (5, 199)")
+	fails("INSERT INTO pt VALUES ($1, $2)", types.NewInt(6), types.NewInt(-1))
+	if n := count(); n != 0 {
+		t.Fatalf("%d rows visible after failed INSERTs", n)
+	}
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO pt VALUES (7, 20), (8, 120)")
+	fails("INSERT INTO pt SELECT k + 10, p + 100 FROM pt")
+	mustExec(t, s, "COMMIT") // of a failed block: a rollback
+	if n := count(); n != 0 {
+		t.Fatalf("%d rows visible after a failed block", n)
+	}
+	mustExec(t, s, "INSERT INTO pt VALUES (7, 20), (8, 120)")
+	if n := count(); n != 2 {
+		t.Fatalf("%d rows after a good INSERT, want 2", n)
+	}
+}
+
+// TestInsertSelectColumnList: INSERT … SELECT maps its SELECT's columns
+// through the column list like VALUES does, NULL-filling what it omits and
+// casting to each column's kind.
+func TestInsertSelectColumnList(t *testing.T) {
+	_, s := newTestEngine(t, 2)
+	mustExec(t, s, "CREATE TABLE src (x int, y int) DISTRIBUTED BY (x)")
+	mustExec(t, s, "CREATE TABLE dst (a int, b float) DISTRIBUTED BY (a)")
+	mustExec(t, s, "INSERT INTO src VALUES (1, 2)")
+	for _, c := range []struct{ q, want string }{
+		{"INSERT INTO dst (b, a) VALUES (1, 2)", "2/1"},
+		{"INSERT INTO dst (b, a) SELECT x, y FROM src", "2/1"},
+		{"INSERT INTO dst (b) SELECT x FROM src", "NULL/1"},
+		{"INSERT INTO dst SELECT y, x FROM src", "2/1"},
+	} {
+		mustExec(t, s, "TRUNCATE dst")
+		mustExec(t, s, c.q)
+		rows := mustExec(t, s, "SELECT a, b FROM dst").Rows
+		if len(rows) != 1 || rows[0][0].String()+"/"+rows[0][1].String() != c.want || !rows[0][1].IsNull() && rows[0][1].Kind() != types.KindFloat {
+			t.Fatalf("%s: stored %v, want a/b = %s with b a float", c.q, rows, c.want)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/types"
 )
 
 // planText flattens a one-column result (EXPLAIN, SHOW) into its lines.
@@ -107,6 +109,9 @@ func TestExplainAnalyzeDML(t *testing.T) {
 	_, s := newTestEngine(t, 3)
 	mustExec(t, s, "CREATE TABLE w (id int, v int) DISTRIBUTED BY (id)")
 
+	if got := strings.Join(planText(mustExec(t, s, "EXPLAIN INSERT INTO w VALUES ($1, 2)", types.NewInt(1))), "\n"); got != "Insert on w\n  -> Result" {
+		t.Fatalf("EXPLAIN INSERT:\n%s", got)
+	}
 	res := mustExec(t, s, "EXPLAIN ANALYZE INSERT INTO w VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
 	lines := planText(res)
 	if !containsLine(lines, "rows affected: 4") {

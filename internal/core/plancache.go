@@ -15,17 +15,17 @@ import (
 // embedded and network alike — resolves statement text through here before
 // touching the lexer: the parsed AST is cached under the normalized SQL text
 // in a bounded LRU and shared read-only by all sessions (the binder never
-// mutates it). Beside the AST sit the statement's SELECT, UPDATE or DELETE
-// plans (INSERT evaluates its rows while planning), keyed by the cluster's
-// catalog/stats epoch, the session's plan-shaping settings and the kinds of
-// the bound parameters, so DDL, ANALYZE, a SET enable_costopt style change
-// or an int parameter arriving as text each re-plan without an invalidation
-// hook. A cached plan holds no parameter value: the binder leaves a slot per
-// $N (plan.Param) and each execution instantiates the shared plan with
-// plan.Planned.Bind, where the value-dependent steps (direct dispatch,
-// partition pruning, zone-map pushdown, LIMIT) run. The exception is a
-// parameterised statement under the cost-based optimizer: its join order
-// and motions come from the values, so it is planned per execution.
+// mutates it). Beside the AST sit the statement's SELECT, INSERT, UPDATE or
+// DELETE plans, keyed by the cluster's catalog/stats epoch, the session's
+// plan-shaping settings and the kinds of the bound parameters, so DDL,
+// ANALYZE, a SET enable_costopt style change or an int parameter arriving as
+// text each re-plan without an invalidation hook. A cached plan holds no
+// parameter value: the binder leaves a slot per $N (plan.Param) and each
+// execution instantiates the shared plan with plan.Planned.Bind, where the
+// value-dependent steps (direct dispatch, partition pruning, zone-map
+// pushdown, LIMIT) run. The exception is a parameterised statement under the
+// cost-based optimizer: its join order and motions come from the values, so
+// it is planned per execution.
 type StmtCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -102,8 +102,9 @@ func NewStmtCache(capacity int) *StmtCache {
 type StmtCacheStats struct {
 	// Hits/Misses are parse-level: a hit skipped the lexer+parser.
 	Hits, Misses int64
-	// PlanHits/PlanMisses are plan-level, counting every SELECT, UPDATE and
-	// DELETE lookup, parameterised or not: a hit skipped the planner.
+	// PlanHits/PlanMisses are plan-level, counting every SELECT, INSERT,
+	// UPDATE and DELETE lookup, parameterised or not: a hit skipped the
+	// planner.
 	PlanHits, PlanMisses int64
 	Evictions            int64
 	Entries              int

@@ -163,6 +163,30 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Fatal("flipping the setting back should hit the cached plan again")
 	}
 
+	// A parameterised INSERT is a cached template too: its second run hits,
+	// and ANALYZE and DDL each cost it one re-plan.
+	const ins = "INSERT INTO big VALUES ($1, $2)"
+	insert := func(i int64) func() {
+		return func() { mustExec(t, s, ins, types.NewInt(1000+i), types.NewInt(i)) }
+	}
+	if hits, misses := planDelta(insert(0)); hits != 0 || misses != 1 {
+		t.Fatalf("cold INSERT: %d hits/%d misses, want 0/1", hits, misses)
+	}
+	if hits, misses := planDelta(insert(1)); hits != 1 || misses != 0 {
+		t.Fatalf("warm INSERT: %d hits/%d misses, want 1/0", hits, misses)
+	}
+	mustExec(t, s, "ANALYZE")
+	if hits, misses := planDelta(insert(2)); hits != 0 || misses != 1 {
+		t.Fatalf("INSERT after ANALYZE: %d hits/%d misses, want 0/1", hits, misses)
+	}
+	mustExec(t, s, "CREATE TABLE unrelated (x int) DISTRIBUTED BY (x)")
+	if hits, misses := planDelta(insert(3)); hits != 0 || misses != 1 {
+		t.Fatalf("INSERT after CREATE TABLE: %d hits/%d misses, want 0/1", hits, misses)
+	}
+	if n := mustExec(t, s, "SELECT count(*) FROM big WHERE a >= 1000").Rows[0][0].Int(); n != 4 {
+		t.Fatalf("%d rows from the cached INSERT, want 4", n)
+	}
+
 	// Correctness under DDL churn: drop and recreate a referenced table
 	// with different contents — the cached plan must not resurrect stale
 	// catalog state.

@@ -38,10 +38,9 @@ type Session struct {
 	failed   bool
 
 	// Resource-group integration (enabled via UseResourceGroup).
-	useRG    bool
-	slot     *resgroup.Slot
-	stmtCPU  time.Duration // CPU charged once per statement
-	batchCPU time.Duration // CPU charged per executor row batch
+	useRG   bool
+	slot    *resgroup.Slot
+	stmtCPU time.Duration // CPU charged once per statement
 
 	// sess is this session's gp_stat_activity entry.
 	sess *obs.SessionInfo
@@ -98,11 +97,10 @@ func (e *Engine) NewSession(roleName string) (*Session, error) {
 }
 
 // UseResourceGroup toggles resource-group enforcement for this session's
-// statements, with the given per-statement and per-row-batch CPU costs.
-func (s *Session) UseResourceGroup(enabled bool, stmtCPU, batchCPU time.Duration) {
+// statements, with the given per-statement CPU cost.
+func (s *Session) UseResourceGroup(enabled bool, stmtCPU time.Duration) {
 	s.useRG = enabled
 	s.stmtCPU = stmtCPU
-	s.batchCPU = batchCPU
 }
 
 // InTxn reports whether an explicit transaction block is open.
@@ -110,8 +108,8 @@ func (s *Session) InTxn() bool { return s.txn != nil && s.explicit }
 
 // Exec parses and executes a single statement with optional $N parameters.
 // The parse goes through the engine's shared statement cache: repeated
-// statement texts skip the parser entirely, and SELECT, UPDATE and DELETE
-// reuse cached plans while the catalog/stats epoch, planner settings and
+// statement texts skip the parser entirely, and SELECT, INSERT, UPDATE and
+// DELETE reuse cached plans while the catalog/stats epoch, planner settings and
 // parameter kinds match.
 func (s *Session) Exec(ctx context.Context, sqlText string, params ...types.Datum) (*Result, error) {
 	t0 := time.Now()
@@ -409,7 +407,7 @@ func (s *Session) resources() *cluster.QueryResources {
 	if !s.useRG || s.slot == nil {
 		return nil
 	}
-	res := &cluster.QueryResources{Mem: s.slot, CPU: s.slot, CPUBatchCost: s.batchCPU}
+	res := &cluster.QueryResources{Mem: s.slot}
 	if g, ok := s.engine.cluster.Groups().Group(s.role.ResourceGroup); ok {
 		res.SpillBudget = g.SpillBudget(s.settings.spillRatio, s.engine.cluster.Config().MemorySpillRatio)
 	}
@@ -460,11 +458,11 @@ func (s *Session) planner(params []types.Datum) *plan.Planner {
 	}
 }
 
-// planFor returns the executable plan of a SELECT, UPDATE or DELETE: the
-// statement's cached plan for the current epoch, settings and parameter
-// kinds — planned and stored on a miss — instantiated with params. Under
-// SET trace_queries the lookup, the planning and the instantiation together
-// are the trace's plan span, so a hit shows as a near-zero one.
+// planFor returns the executable plan of a SELECT, INSERT, UPDATE or
+// DELETE: the statement's cached plan for the current epoch, settings and
+// parameter kinds — planned and stored on a miss — instantiated with params.
+// Under SET trace_queries the lookup, the planning and the instantiation
+// together are the trace's plan span, so a hit shows as a near-zero one.
 func (s *Session) planFor(st sql.Statement, entry *stmtEntry, params []types.Datum, robust bool) (*plan.Planned, error) {
 	if ob := s.cur; ob != nil && ob.trace != nil {
 		defer func(t0 time.Time) { ob.trace.Record(ob.root.ID(), "plan", -1, t0, time.Since(t0)) }(time.Now())
@@ -551,14 +549,7 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		return &Result{RowsAffected: n, Tag: "ANALYZE"}, nil
 
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		var pl *plan.Planned
-		var err error
-		if _, insert := st.(*sql.InsertStmt); insert {
-			// Planning evaluates the rows, so an INSERT plan is never shared.
-			pl, err = s.planner(params).Plan(st, cl.Config().GDD)
-		} else {
-			pl, err = s.planFor(st, entry, params, false)
-		}
+		pl, err := s.planFor(st, entry, params, false)
 		if err != nil {
 			return nil, err
 		}
@@ -752,12 +743,11 @@ func (s *Session) runDML(ctx context.Context, pl *plan.Planned, res *cluster.Que
 	cl := s.engine.cluster
 	snap := cl.Snapshot()
 	defer cl.ReleaseSnapshot(snap)
-	if ip, ok := pl.Root.(*plan.InsertPlan); ok {
-		n, err := cl.RunInsert(ctx, s.txn, snap, ip, res)
-		return n, fmt.Sprintf("INSERT 0 %d", n), err
-	}
 	n, err := cl.RunModify(ctx, s.txn, snap, pl, res)
-	if _, ok := pl.Root.(*plan.UpdatePlan); ok {
+	switch pl.Root.(type) {
+	case *plan.InsertPlan:
+		return n, fmt.Sprintf("INSERT 0 %d", n), err
+	case *plan.UpdatePlan:
 		return n, fmt.Sprintf("UPDATE %d", n), err
 	}
 	return n, fmt.Sprintf("DELETE %d", n), err

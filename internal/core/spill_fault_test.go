@@ -132,7 +132,7 @@ func TestSpillFaultConcurrentSessions(t *testing.T) {
 				errc <- err
 				return
 			}
-			s.UseResourceGroup(true, 0, 0)
+			s.UseResourceGroup(true, 0)
 			ctx := context.Background()
 			for i := 0; i < 8; i++ {
 				_, err := s.Exec(ctx, "SELECT b, count(*) FROM t GROUP BY b ORDER BY b")

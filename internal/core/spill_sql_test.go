@@ -37,7 +37,7 @@ func newSpillEngine(t *testing.T, nseg int) (*Engine, *Session, *Session) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	constrained.UseResourceGroup(true, 0, 0)
+	constrained.UseResourceGroup(true, 0)
 	return e, constrained, admin
 }
 

@@ -138,8 +138,8 @@ func TestResourceGroupAdmissionViaSQL(t *testing.T) {
 
 	s1, _ := e.NewSession("worker")
 	s2, _ := e.NewSession("worker")
-	s1.UseResourceGroup(true, 0, 0)
-	s2.UseResourceGroup(true, 0, 0)
+	s1.UseResourceGroup(true, 0)
+	s2.UseResourceGroup(true, 0)
 
 	mustExec(t, s1, "BEGIN")
 	// The second worker session cannot be admitted while the first holds

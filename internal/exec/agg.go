@@ -133,10 +133,6 @@ type aggCore struct {
 	curPart   int
 	emitPos   int
 	reload    types.RowBatch
-	// reloadTick charges CPU for the second pass over dumped rows, so the
-	// disk-replay half of a spilled aggregate stays under the group's CPU
-	// governor like the absorb pass.
-	reloadTick cpuTick
 }
 
 func newAggCore(ctx *Context, node *plan.Agg) aggCore {
@@ -144,7 +140,7 @@ func newAggCore(ctx *Context, node *plan.Agg) aggCore {
 	a := aggCore{ctx: ctx, node: node, nk: nk, ns: len(node.Specs), ints: nk == 1,
 		keyExprs: make([]*plan.VecExpr, nk), mergeKeys: make([]*plan.VecExpr, nk), keyVecs: make([]types.Vec, nk),
 		argExprs: make([]*plan.VecExpr, len(node.Specs)), argVecs: make([]types.Vec, len(node.Specs)),
-		mem: opMem{ctx: ctx, stat: ctx.opStat(node)}, spillable: ctx.Spill.Enabled(), reloadTick: cpuTick{ctx: ctx}}
+		mem: opMem{ctx: ctx, stat: ctx.opStat(node)}, spillable: ctx.Spill.Enabled()}
 	for i, g := range node.GroupBy {
 		a.keyExprs[i], a.mergeKeys[i] = plan.CompileVec(g), plan.CompileVec(&plan.ColRef{Idx: i})
 	}
@@ -341,10 +337,7 @@ func (a *aggCore) loadPartition(sf *spillFile) error {
 		if err != nil {
 			return err
 		}
-		if err = a.reloadTick.tickRows(b.Len()); err == nil {
-			err = a.absorb(b)
-		}
-		if err != nil {
+		if err := a.absorb(b); err != nil {
 			return err
 		}
 	}

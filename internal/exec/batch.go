@@ -64,7 +64,6 @@ type batchScanIter struct {
 	ctx     *Context
 	node    *plan.Scan
 	pred    *plan.Predicate
-	tick    cpuTick
 	ch      chan *scanBuf
 	errc    chan error
 	cancel  context.CancelFunc
@@ -79,7 +78,7 @@ type scanBuf struct {
 }
 
 func newBatchScanIter(ctx *Context, node *plan.Scan) *batchScanIter {
-	return &batchScanIter{ctx: ctx, node: node, pred: plan.CompilePredicate(node.Filter), tick: cpuTick{ctx: ctx}}
+	return &batchScanIter{ctx: ctx, node: node, pred: plan.CompilePredicate(node.Filter)}
 }
 
 func (s *batchScanIter) start() {
@@ -159,9 +158,6 @@ func (s *batchScanIter) NextBatch() (*types.RowBatch, error) {
 			}
 		}
 		b := &buf.batch
-		if err := s.tick.tickRows(b.Len()); err != nil {
-			return nil, err
-		}
 		if s.node.Filter != nil {
 			if err := s.pred.Select(b); err != nil {
 				return nil, err
@@ -190,16 +186,12 @@ func (s *batchScanIter) Close() {
 type batchFilterIter struct {
 	child BatchIterator
 	pred  *plan.Predicate
-	tick  cpuTick
 }
 
 func (f *batchFilterIter) NextBatch() (*types.RowBatch, error) {
 	for {
 		b, err := f.child.NextBatch()
 		if err != nil {
-			return nil, err
-		}
-		if err := f.tick.tickRows(b.Len()); err != nil {
 			return nil, err
 		}
 		if err := f.pred.Select(b); err != nil {
@@ -223,7 +215,6 @@ type batchProjectIter struct {
 	exprs []plan.Expr
 	out   *types.RowBatch
 	col   *projectCols // set up on the first column batch
-	tick  cpuTick
 }
 
 // projectCols is a projection's column-layout state: the compiled
@@ -237,9 +228,6 @@ type projectCols struct {
 func (p *batchProjectIter) NextBatch() (*types.RowBatch, error) {
 	b, err := p.child.NextBatch()
 	if err != nil {
-		return nil, err
-	}
-	if err := p.tick.tickRows(b.Len()); err != nil {
 		return nil, err
 	}
 	if b.Cols != nil {
@@ -288,7 +276,6 @@ type batchAggIter struct {
 	core   aggCore
 	child  BatchIterator
 	loaded bool
-	tick   cpuTick
 	out    types.RowBatch // reused; grows with the groups, not to size
 	size   int
 }
@@ -297,7 +284,6 @@ func newBatchAggIter(ctx *Context, node *plan.Agg, child BatchIterator) *batchAg
 	return &batchAggIter{
 		core:  newAggCore(ctx, node),
 		child: child,
-		tick:  cpuTick{ctx: ctx},
 		size:  ctx.batchSize(),
 	}
 }
@@ -310,9 +296,6 @@ func (a *batchAggIter) load() error {
 			break
 		}
 		if err != nil {
-			return err
-		}
-		if err := a.tick.tickRows(b.Len()); err != nil {
 			return err
 		}
 		if b.Len() > 0 {
@@ -388,8 +371,8 @@ func BuildBatch(ctx *Context, node plan.Node) BatchIterator {
 func newOperator(ctx *Context, node plan.Node) BatchIterator {
 	child := func(n plan.Node) BatchIterator { return BuildBatch(ctx, n) }
 	switch n := node.(type) {
-	case *plan.OneRow:
-		return &rowWindows{rows: []types.Row{{}}}
+	case *plan.Values:
+		return &rowWindows{rows: n.Rows, size: ctx.batchSize()}
 	case *plan.Scan:
 		if ctx.Store == nil {
 			return errBatchIterf("exec: scan of %s in a storage-less slice", n.Table.Name)
@@ -409,9 +392,9 @@ func newOperator(ctx *Context, node plan.Node) BatchIterator {
 		}
 		return newMarkedScanIter(ctx, n, n.ForUpdate)
 	case *plan.Filter:
-		return &batchFilterIter{child: child(n.Child), pred: plan.CompilePredicate(n.Cond), tick: cpuTick{ctx: ctx}}
+		return &batchFilterIter{child: child(n.Child), pred: plan.CompilePredicate(n.Cond)}
 	case *plan.Project:
-		return &batchProjectIter{child: child(n.Child), exprs: n.Exprs, tick: cpuTick{ctx: ctx}}
+		return &batchProjectIter{child: child(n.Child), exprs: n.Exprs}
 	case *plan.HashJoin:
 		return newBatchHashJoinIter(ctx, n, child(n.Left), child(n.Right))
 	case *plan.Agg:

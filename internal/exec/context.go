@@ -2,7 +2,7 @@
 // batch-at-a-time (vectorized) operators behind the BatchIterator interface,
 // built as one pipeline per (slice, segment), motion receive over the
 // interconnect, two-phase aggregation, hash and nested-loop joins with
-// inner-side prefetch, and memory/CPU accounting hooks for resource groups.
+// inner-side prefetch, and memory accounting hooks for resource groups.
 // Blocking operators (sort, hash agg, hash join) are memory-governed: past
 // the statement's spill budget (slot quota × memory_spill_ratio) they spill
 // to per-segment temp files — external merge sort, partition-spill
@@ -12,7 +12,6 @@ package exec
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/plan"
@@ -47,6 +46,9 @@ type StoreAccess interface {
 	// replaced by up.NewVersion(that version). ok=false: a committed
 	// transaction deleted the row meanwhile.
 	WriteRow(ctx context.Context, id RowID, up *plan.UpdatePlan) (ok bool, err error)
+	// InsertRow stores row in the leaf table on behalf of the current
+	// transaction and enters it in the leaf's indexes.
+	InsertRow(leaf catalog.TableID, row types.Row) error
 }
 
 // RowID names one stored row version: its leaf table and its tuple id there.
@@ -86,11 +88,6 @@ type MemAccount interface {
 	Shrink(n int64)
 }
 
-// CPUCharger abstracts resource-group CPU accounting.
-type CPUCharger interface {
-	ChargeCPU(ctx context.Context, d time.Duration) error
-}
-
 // Receiver yields the batches arriving from a sending slice of a motion, one
 // interconnect operation per batch.
 type Receiver interface {
@@ -112,17 +109,11 @@ type Context struct {
 	// built under Inline and pulled by this slice's own goroutine.
 	Inline *Context
 	Mem    MemAccount
-	CPU    CPUCharger
 	// Spill is the statement's spill manager: the shared operator-memory
 	// budget blocking operators reserve against, and the temp-file registry
 	// they spill to when it is exhausted. nil = spilling disabled (operators
 	// grow in memory until the resource group cancels the query).
 	Spill *SpillManager
-	// CPUBatchCost is the simulated CPU time charged per processed batch of
-	// rows; zero disables charging.
-	CPUBatchCost time.Duration
-	// CPUBatchRows is the batch size for CPU charging (default 128).
-	CPUBatchRows int
 	// BatchSize is the executor's rows-per-batch for vectorized operators
 	// (0 = types.DefaultBatchSize).
 	BatchSize   int
@@ -166,33 +157,4 @@ func (c *Context) shrink(n int64) {
 	if c.Mem != nil {
 		c.Mem.Shrink(n)
 	}
-}
-
-// cpuTick charges one batch worth of CPU every CPUBatchRows rows.
-type cpuTick struct {
-	ctx  *Context
-	rows int
-}
-
-func (t *cpuTick) tick() error { return t.tickRows(1) }
-
-// tickRows advances the charge counter by n rows at once (one call per
-// processed batch in the vectorized operators) and charges a batch quantum
-// for every CPUBatchRows rows crossed.
-func (t *cpuTick) tickRows(n int) error {
-	if t.ctx.CPU == nil || t.ctx.CPUBatchCost <= 0 || n <= 0 {
-		return nil
-	}
-	batch := t.ctx.CPUBatchRows
-	if batch <= 0 {
-		batch = 128
-	}
-	t.rows += n
-	for t.rows >= batch {
-		t.rows -= batch
-		if err := t.ctx.CPU.ChargeCPU(t.ctx.Ctx, t.ctx.CPUBatchCost); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -61,6 +61,14 @@ func (m *memStore) WriteRow(_ context.Context, id RowID, up *plan.UpdatePlan) (b
 	return true, nil
 }
 
+func (m *memStore) InsertRow(leaf catalog.TableID, row types.Row) error {
+	if m.tables == nil {
+		m.tables = map[catalog.TableID][]types.Row{}
+	}
+	m.tables[leaf] = append(m.tables[leaf], row)
+	return nil
+}
+
 func (m *memStore) ScanTableBatches(ctx context.Context, leaf catalog.TableID, _ ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
 	if batchSize < 1 {
 		batchSize = types.DefaultBatchSize
@@ -305,11 +313,12 @@ func TestMemoryAccountingCancelsQuery(t *testing.T) {
 }
 
 func TestOneRowAndLimitZero(t *testing.T) {
-	rows := drain(t, BuildBatch(ctxWithStore(&memStore{}), &plan.OneRow{}))
+	oneRow := &plan.Values{Out: &types.Schema{}, Rows: []types.Row{{}}}
+	rows := drain(t, BuildBatch(ctxWithStore(&memStore{}), oneRow))
 	if len(rows) != 1 {
-		t.Fatalf("OneRow: %v", rows)
+		t.Fatalf("one row: %v", rows)
 	}
-	lim := &plan.Limit{Child: &plan.OneRow{}, Count: 0}
+	lim := &plan.Limit{Child: oneRow, Count: 0}
 	rows = drain(t, BuildBatch(ctxWithStore(&memStore{}), lim))
 	if len(rows) != 0 {
 		t.Fatalf("LIMIT 0: %v", rows)
@@ -339,6 +348,34 @@ func TestModifyCollectsBeforeWriting(t *testing.T) {
 	del := &plan.DeletePlan{Table: tab, Child: up.Child}
 	if n, err := Modify(ctxWithStore(store), del); err != nil || n != 3 {
 		t.Fatalf("delete wrote %d rows (%v), want 3", n, err)
+	}
+}
+
+// TestModifyInsertsIntoLeaves: an INSERT stores each of its child's rows in
+// the partition leaf that accepts it, and fails on a row no leaf accepts.
+func TestModifyInsertsIntoLeaves(t *testing.T) {
+	tab := testTable(1, "t", "k")
+	tab.PartitionCol = 0
+	tab.Partitions = []catalog.Partition{
+		{ID: 2, Start: types.NewInt(0), End: types.NewInt(10)},
+		{ID: 3, Start: types.NewInt(10), End: types.NewInt(20)},
+	}
+	values := func(keys ...int64) *plan.Values {
+		v := &plan.Values{Out: tab.Schema}
+		for _, k := range keys {
+			v.Rows = append(v.Rows, intRow(k))
+		}
+		return v
+	}
+	store := &memStore{}
+	n, err := Modify(ctxWithStore(store), &plan.InsertPlan{Table: tab, Child: values(1, 12, 5)})
+	if err != nil || n != 3 {
+		t.Fatalf("insert wrote %d rows (%v), want 3", n, err)
+	}
+	requireSameRows(t, []types.Row{intRow(1), intRow(5)}, store.tables[2])
+	requireSameRows(t, []types.Row{intRow(12)}, store.tables[3])
+	if _, err := Modify(ctxWithStore(store), &plan.InsertPlan{Table: tab, Child: values(25)}); err == nil {
+		t.Fatal("a row no partition accepts was stored")
 	}
 }
 

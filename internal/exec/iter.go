@@ -14,9 +14,9 @@ import (
 // each batch's container is a sub-slice of rows (capacity-clipped, so an
 // append by a consumer can never reach the rows that follow), valid until the
 // next call, and the Row values are never overwritten — the BatchIterator
-// ownership contract without a copy. On its own it is the leaf for OneRow
-// (one empty row), for a scan pinned to another segment (no rows) and for
-// tests; the materializing operators embed it to emit their buffer.
+// ownership contract without a copy. On its own it is the leaf for Values,
+// for a scan pinned to another segment (no rows) and for tests; the
+// materializing operators embed it to emit their buffer.
 type rowWindows struct {
 	rows []types.Row
 	size int // rows per window; 0 = everything in one
@@ -58,14 +58,13 @@ type markedScanIter struct {
 	ctx    *Context
 	leaf   plan.Node // *plan.Scan or *plan.IndexScan
 	filter plan.Expr
-	tick   cpuTick
 	lock   bool
 	loaded bool
 }
 
 func newMarkedScanIter(ctx *Context, leaf plan.Node, lock bool) *markedScanIter {
 	return &markedScanIter{rowWindows: rowWindows{size: ctx.batchSize()}, ctx: ctx, leaf: leaf,
-		filter: leafFilter(leaf), tick: cpuTick{ctx: ctx}, lock: lock}
+		filter: leafFilter(leaf), lock: lock}
 }
 
 func (s *markedScanIter) NextBatch() (*types.RowBatch, error) {
@@ -80,9 +79,6 @@ func (s *markedScanIter) NextBatch() (*types.RowBatch, error) {
 
 // visit is the storage callback: the filter's verdict on one visible row.
 func (s *markedScanIter) visit(row types.Row) (bool, bool, error) {
-	if err := s.tick.tick(); err != nil {
-		return false, false, err
-	}
 	keep, err := plan.EvalBool(s.filter, row)
 	if keep && err == nil {
 		s.rows = append(s.rows, row.Clone())
@@ -127,7 +123,9 @@ func leafFilter(leaf plan.Node) plan.Expr {
 	return nil
 }
 
-// Modify is the executor's write sink, for UPDATE and DELETE alike. It runs
+// Modify is the executor's write sink, for INSERT, UPDATE and DELETE alike.
+// An INSERT pulls its child's rows and stores each in the partition leaf
+// that accepts it, one StoreAccess.InsertRow each. An UPDATE or DELETE runs
 // the plan's access path as a target scan, collecting the identity of every
 // row the path's filter keeps, and only then writes them, one
 // StoreAccess.WriteRow each — so no version the statement writes is ever
@@ -137,12 +135,14 @@ func Modify(ctx *Context, root plan.Node) (int, error) {
 	var up *plan.UpdatePlan // nil for a DELETE
 	var child plan.Node
 	switch n := root.(type) {
+	case *plan.InsertPlan:
+		return insert(ctx, n)
 	case *plan.UpdatePlan:
 		up, child = n, n.Child
 	case *plan.DeletePlan:
 		child = n.Child
 	default:
-		return 0, fmt.Errorf("exec: %T is not an UPDATE or DELETE", root)
+		return 0, fmt.Errorf("exec: %T is not an INSERT, UPDATE or DELETE", root)
 	}
 	var t0 time.Time
 	st := ctx.opStat(child)
@@ -174,6 +174,38 @@ func Modify(ctx *Context, root plan.Node) (int, error) {
 		}
 	}
 	return written, nil
+}
+
+// insert is Modify's INSERT: every row of the child, stored.
+func insert(ctx *Context, ip *plan.InsertPlan) (int, error) {
+	c := *ctx // the child's operators keep a context: UPDATE's and DELETE's stays off the heap
+	it := BuildBatch(&c, ip.Child)
+	defer it.Close()
+	n := 0
+	for {
+		b, err := it.NextBatch()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		for i, l := 0, b.Len(); i < l; i++ {
+			row := b.Live(i)
+			leaf := ip.Table.ID
+			if ip.Table.IsPartitioned() {
+				p := ip.Table.PartitionFor(row[ip.Table.PartitionCol])
+				if p == nil {
+					return n, fmt.Errorf("exec: no partition of %q accepts key %s", ip.Table.Name, row[ip.Table.PartitionCol])
+				}
+				leaf = p.ID
+			}
+			if err := ctx.Store.InsertRow(leaf, row); err != nil {
+				return n, err
+			}
+			n++
+		}
+	}
 }
 
 // fillBatch refills out with up to size rows pulled from next: the batch

@@ -29,7 +29,6 @@ type batchHashJoinIter struct {
 	node        *plan.HashJoin
 	left, right BatchIterator
 	built       bool
-	tick        cpuTick
 	size        int
 	mem         opMem
 	inner       *innerStore
@@ -55,7 +54,7 @@ type batchHashJoinIter struct {
 
 func newBatchHashJoinIter(ctx *Context, node *plan.HashJoin, left, right BatchIterator) *batchHashJoinIter {
 	width, lw := node.Schema().Len(), node.Left.Schema().Len()
-	c := &batchHashJoinIter{ctx: ctx, node: node, left: left, right: right, tick: cpuTick{ctx: ctx}, size: ctx.batchSize(),
+	c := &batchHashJoinIter{ctx: ctx, node: node, left: left, right: right, size: ctx.batchSize(),
 		mem:     opMem{ctx: ctx, stat: ctx.opStat(node)},
 		inner:   newInnerStore(node.RightKeys, width-lw, plan.InnerCols(width, lw, node.Out, node.Extra)),
 		keyVecs: make([]types.Vec, len(node.LeftKeys))}
@@ -71,9 +70,6 @@ func (c *batchHashJoinIter) build() error {
 		b, err := c.right.NextBatch()
 		if err == io.EOF {
 			break
-		}
-		if err == nil {
-			err = c.tick.tickRows(b.Len())
 		}
 		if err == nil {
 			err = c.addBuildBatch(b, c.inner.exprs)
@@ -103,9 +99,6 @@ func (c *batchHashJoinIter) NextBatch() (*types.RowBatch, error) {
 		} else if b, err = c.left.NextBatch(); err == io.EOF {
 			c.draining = true
 			continue
-		}
-		if err == nil { // the disk-replay pass is charged CPU like the probe pass
-			err = c.tick.tickRows(b.Len())
 		}
 		if err == nil {
 			b, err = c.probeBatch(b)
@@ -601,7 +594,6 @@ type batchNestLoopIter struct {
 	outer       *types.RowBatch
 	opos, ipos  int  // next outer row of the batch, next inner row for it
 	matched     bool // the current outer row has joined
-	tick        cpuTick
 	emit        joinEmit
 	size        int
 }
@@ -609,7 +601,7 @@ type batchNestLoopIter struct {
 func newBatchNestLoopIter(ctx *Context, node *plan.NestLoop, left, right BatchIterator) *batchNestLoopIter {
 	width, lw := node.Schema().Len(), node.Left.Schema().Len()
 	inner := newInnerStore(nil, width-lw, plan.InnerCols(width, lw, node.Out, node.Cond))
-	return &batchNestLoopIter{ctx: ctx, node: node, left: left, right: right, inner: inner, tick: cpuTick{ctx: ctx},
+	return &batchNestLoopIter{ctx: ctx, node: node, left: left, right: right, inner: inner,
 		emit: newJoinEmit(width, lw, node.Out, inner), size: ctx.batchSize()}
 }
 
@@ -657,10 +649,7 @@ func (j *batchNestLoopIter) NextBatch() (*types.RowBatch, error) {
 		for j.ipos < j.inner.n && len(j.emit.pairs) < j.size {
 			inner := int32(j.ipos)
 			j.ipos++
-			ok, err := false, j.tick.tick()
-			if err == nil {
-				ok, err = j.emit.pair(j.node.Cond, j.outer, at, inner)
-			}
+			ok, err := j.emit.pair(j.node.Cond, j.outer, at, inner)
 			if err != nil {
 				return nil, err
 			}

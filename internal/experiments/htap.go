@@ -214,10 +214,10 @@ func Fig18ResourceGroups(opts Options) (*bench.Table, error) {
 		// queue behind them; dedicated CPUSETs (II, III) remove exactly that
 		// head-of-line interference.
 		olapSetup := func(s *core.Session) {
-			s.UseResourceGroup(true, 50*time.Millisecond, 0)
+			s.UseResourceGroup(true, 50*time.Millisecond)
 		}
 		oltpSetup := func(s *core.Session) {
-			s.UseResourceGroup(true, time.Millisecond, 0)
+			s.UseResourceGroup(true, time.Millisecond)
 		}
 		// Rebind worker sessions to the right roles.
 		olapOp := w.OLAPQuery

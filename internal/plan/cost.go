@@ -232,8 +232,8 @@ func (c *costEstimator) compute(n Node) *NodeCost {
 			Cost:      l.Cost + r.Cost + float64(l.Rows)*float64(max(r.Rows, 1))*cpuRowCost,
 			Blocks:    l.Blocks + r.Blocks,
 			StatsNone: l.StatsNone || r.StatsNone || x.Cond != nil}
-	case *OneRow:
-		return &NodeCost{Rows: 1, Cost: 0}
+	case *Values:
+		return &NodeCost{Rows: int64(len(x.Rows))}
 	default:
 		// Pass-through for unknown nodes (DML wrappers, etc.).
 		nc := &NodeCost{Rows: 1}

@@ -76,6 +76,30 @@ func (p *Param) Kind() types.Kind { return p.Typ }
 
 func (p *Param) String() string { return fmt.Sprintf("$%d", p.Idx+1) }
 
+// Cast converts its operand's value to the kind of the column Col an INSERT
+// stores it in.
+type Cast struct {
+	Operand Expr
+	Col     types.Column
+}
+
+// Eval implements Expr.
+func (c *Cast) Eval(row types.Row) (types.Datum, error) {
+	v, err := c.Operand.Eval(row)
+	if err == nil {
+		v, err = v.CastTo(c.Col.Kind)
+	}
+	if err != nil {
+		return types.Null, fmt.Errorf("plan: column %q: %w", c.Col.Name, err)
+	}
+	return v, nil
+}
+
+// Kind implements Expr.
+func (c *Cast) Kind() types.Kind { return c.Col.Kind }
+
+func (c *Cast) String() string { return c.Operand.String() }
+
 // BinOp evaluates an infix operator with SQL NULL semantics.
 type BinOp struct {
 	Op          string
@@ -507,6 +531,10 @@ func rewrite(e Expr, leaf func(Expr) Expr) Expr {
 	case *NegExpr:
 		if o := rewrite(x.Operand, leaf); o != x.Operand {
 			return &NegExpr{Operand: o}
+		}
+	case *Cast:
+		if o := rewrite(x.Operand, leaf); o != x.Operand {
+			return &Cast{Operand: o, Col: x.Col}
 		}
 	case *IsNull:
 		if o := rewrite(x.Operand, leaf); o != x.Operand {

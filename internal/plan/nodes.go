@@ -526,16 +526,33 @@ func (m *Motion) Explain() string {
 	return fmt.Sprintf("%s (slice%d)", m.Type, m.SliceID)
 }
 
+// Values is a leaf of literal rows: the one empty row of a SELECT without
+// FROM, or an INSERT's VALUES list shaped to its table. A row that names a
+// $N slot is evaluated by Bind: Slots, when set, holds one entry per row,
+// that row's expressions, or nil for a row folded at plan time.
+type Values struct {
+	Out   *types.Schema
+	Rows  []types.Row
+	Slots [][]Expr
+}
+
+// Schema implements Node.
+func (v *Values) Schema() *types.Schema { return v.Out }
+
+// Children implements Node.
+func (v *Values) Children() []Node { return nil }
+
+// Explain implements Node.
+func (v *Values) Explain() string { return "Result" }
+
 // --- DML plans (dispatched whole to segments, not sliced) ---
 
-// InsertPlan inserts pre-evaluated rows (routed by the coordinator) or the
-// output of a SELECT.
+// InsertPlan stores the rows its child produces, already shaped to the
+// table (see PlanInsert). The child is a Values leaf, or a SELECT that
+// drains to the coordinator, whose rows are routed from there.
 type InsertPlan struct {
 	Table *catalog.Table
-	// Rows are literal rows already coerced to the table schema.
-	Rows []types.Row
-	// Select, when non-nil, feeds the insert.
-	Select *Planned
+	Child Node
 	// MapVersion is the table's distribution-map version the plan was built
 	// against; dispatch rejects the plan (retryably) if online expansion has
 	// flipped the placement since.
@@ -546,12 +563,7 @@ type InsertPlan struct {
 func (p *InsertPlan) Schema() *types.Schema { return &types.Schema{} }
 
 // Children implements Node.
-func (p *InsertPlan) Children() []Node {
-	if p.Select != nil {
-		return []Node{p.Select.Root}
-	}
-	return nil
-}
+func (p *InsertPlan) Children() []Node { return []Node{p.Child} }
 
 // Explain implements Node.
 func (p *InsertPlan) Explain() string { return "Insert on " + p.Table.Name }

@@ -680,7 +680,7 @@ func (p *Planner) planAggregate(pn *planned, sc *scope, s *sql.SelectStmt) (Node
 // planFrom builds the plan for a FROM clause and the name-resolution scope.
 func (p *Planner) planFrom(ref sql.TableRef) (*planned, *scope, error) {
 	if ref == nil {
-		return &planned{node: &OneRow{}, locus: LocusSingle, rows: 1}, &scope{}, nil
+		return &planned{node: &Values{Out: &types.Schema{}, Rows: []types.Row{{}}}, locus: LocusSingle, rows: 1}, &scope{}, nil
 	}
 	switch r := ref.(type) {
 	case *sql.BaseTable:
@@ -1054,18 +1054,6 @@ func rebaseAll(exprs []Expr, delta int) []Expr {
 	return remapAllCols(exprs, func(c int) int { return c + delta })
 }
 
-// OneRow emits a single empty row (SELECT without FROM).
-type OneRow struct{}
-
-// Schema implements Node.
-func (*OneRow) Schema() *types.Schema { return &types.Schema{} }
-
-// Children implements Node.
-func (*OneRow) Children() []Node { return nil }
-
-// Explain implements Node.
-func (*OneRow) Explain() string { return "Result" }
-
 // prunePartitions narrows a partitioned scan to the leaves its filter can
 // match, using simple `col = const`, `col >= a AND col < b`, and BETWEEN
 // patterns on the partition column. It recomputes the leaf set from the
@@ -1251,6 +1239,8 @@ func collectCols(e Expr, set map[int]struct{}) bool {
 		return collectCols(v.Operand, set)
 	case *NegExpr:
 		return collectCols(v.Operand, set)
+	case *Cast:
+		return collectCols(v.Operand, set)
 	case *IsNull:
 		return collectCols(v.Operand, set)
 	case *InList:
@@ -1321,79 +1311,95 @@ func Explain(root Node) string {
 
 // ---- DML planning ----
 
-// PlanInsert evaluates literal rows at the coordinator, coercing to the
-// table schema, or plans the feeding SELECT.
+// PlanInsert plans an INSERT: an InsertPlan over the rows' source, a Values
+// leaf or the SELECT. Both are shaped to the table here, one way: the column
+// list places each source column, a column it omits is NULL, and every value
+// is cast to its column's kind. A VALUES row without a $N slot is evaluated
+// now; a row with one is kept as expressions for Bind.
 func (p *Planner) PlanInsert(st *sql.InsertStmt) (*Planned, error) {
 	t, err := p.Catalog.Table(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	res := &Planned{DirectSegment: -1, LockTable: t.Name, LockModeLevel: 3} // RowExclusive
 	p.noteMapVersion(t)
-	_, mapVer := t.Placement()
-	ip := &InsertPlan{Table: t, MapVersion: mapVer}
-	colIdx := make([]int, 0, t.Schema.Len())
-	if len(st.Columns) > 0 {
-		for _, c := range st.Columns {
-			i := t.Schema.ColumnIndex(c)
-			if i < 0 {
-				return nil, fmt.Errorf("plan: column %q of table %q does not exist", c, t.Name)
-			}
-			colIdx = append(colIdx, i)
+	cols := make([]int, 0, t.Schema.Len())
+	for _, c := range st.Columns {
+		i := t.Schema.ColumnIndex(c)
+		if i < 0 {
+			return nil, fmt.Errorf("plan: column %q of table %q does not exist", c, t.Name)
 		}
-	} else {
-		for i := 0; i < t.Schema.Len(); i++ {
-			colIdx = append(colIdx, i)
+		cols = append(cols, i)
+	}
+	if len(st.Columns) == 0 {
+		for i := range t.Schema.Columns {
+			cols = append(cols, i)
 		}
 	}
+	// shape places source expression i in column cols[i], cast to its kind,
+	// and NULL in every column the list omits.
+	shape := func(src []Expr) []Expr {
+		out := make([]Expr, t.Schema.Len())
+		for i := range out {
+			out[i] = &Const{Val: types.Null}
+		}
+		for i, c := range cols {
+			out[c] = &Cast{Operand: src[i], Col: t.Schema.Columns[c]}
+		}
+		return out
+	}
+	res := &Planned{DirectSegment: -1, LockTable: t.Name, LockModeLevel: 3} // RowExclusive
+	ip := &InsertPlan{Table: t, MapVersion: p.mapVers[t.Name]}
 	if st.Select != nil {
 		sel, err := p.PlanSelect(st.Select)
 		if err != nil {
 			return nil, err
 		}
-		if sel.Root.Schema().Len() != len(colIdx) {
-			return nil, fmt.Errorf("plan: INSERT expects %d columns, SELECT supplies %d", len(colIdx), sel.Root.Schema().Len())
+		sch := sel.Root.Schema()
+		if sch.Len() != len(cols) {
+			return nil, fmt.Errorf("plan: INSERT expects %d columns, SELECT supplies %d", len(cols), sch.Len())
 		}
-		// INSERT plans are not cached, so the feeding SELECT is bound here.
-		if ip.Select, err = sel.Bind(p.Params); err != nil {
-			return nil, err
+		src := make([]Expr, sch.Len())
+		for i, c := range sch.Columns {
+			src[i] = &ColRef{Idx: i, Name: c.Name, Typ: c.Kind}
 		}
-		res.Root = ip
-		res.MapVersions = p.mapVers
-		res.Slices = sel.Slices
-		return res, nil
-	}
-	// Literal rows are evaluated here, so their $N fold to values.
-	bnd := p.newBinder(&scope{})
-	bnd.fold = true
-	for _, exprRow := range st.Rows {
-		if len(exprRow) != len(colIdx) {
-			return nil, fmt.Errorf("plan: INSERT row has %d values, expected %d", len(exprRow), len(colIdx))
-		}
-		row := make(types.Row, t.Schema.Len())
-		for i := range row {
-			row[i] = types.Null
-		}
-		for i, e := range exprRow {
-			be, err := bnd.bind(e)
-			if err != nil {
-				return nil, err
+		ip.Child = &Project{Child: sel.Root, Exprs: shape(src), schema: t.Schema}
+	} else {
+		bnd := p.newBinder(&scope{})
+		vals := &Values{Out: t.Schema, Rows: make([]types.Row, len(st.Rows))}
+		src := make([]Expr, len(cols))
+		for r, exprRow := range st.Rows {
+			if len(exprRow) != len(cols) {
+				return nil, fmt.Errorf("plan: INSERT row has %d values, expected %d", len(exprRow), len(cols))
 			}
-			v, err := be.Eval(nil)
-			if err != nil {
-				return nil, err
+			slots := p.slots
+			for i, e := range exprRow {
+				if src[i], err = bnd.bind(e); err != nil {
+					return nil, err
+				}
 			}
-			cv, err := v.CastTo(t.Schema.Columns[colIdx[i]].Kind)
-			if err != nil {
-				return nil, fmt.Errorf("plan: column %q: %w", t.Schema.Columns[colIdx[i]].Name, err)
+			if p.slots > slots {
+				if vals.Slots == nil {
+					vals.Slots = make([][]Expr, len(st.Rows))
+				}
+				vals.Slots[r] = shape(src)
+				continue
 			}
-			row[colIdx[i]] = cv
+			// A row without a slot is shaped the same way, folded to values.
+			row := make(types.Row, t.Schema.Len())
+			for i, c := range cols {
+				cast := Cast{Operand: src[i], Col: t.Schema.Columns[c]}
+				if row[c], err = cast.Eval(nil); err != nil {
+					return nil, err
+				}
+			}
+			vals.Rows[r] = row
 		}
-		ip.Rows = append(ip.Rows, row)
+		ip.Child = vals
 	}
 	res.Root = ip
 	res.MapVersions = p.mapVers
-	return res, nil
+	res.cut()
+	return p.finish(res), nil
 }
 
 // PlanUpdate plans an UPDATE: a new version, from the SET list, of every row
@@ -1475,13 +1481,7 @@ func (p *Planner) finishWrite(t *catalog.Table, root Node, gddEnabled bool) *Pla
 // distribution-key column to a constant, only one segment (of nseg live
 // ones) can hold matches.
 func directSegmentFor(t *catalog.Table, filter Expr, nseg int) int {
-	// Rows hash modulo the table's placement width (0 = the boot width, i.e.
-	// the live segment count), not the live count: mid-expansion the two
-	// differ and direct dispatch must follow where rows actually live.
-	width, _ := t.Placement()
-	if width <= 0 || width > nseg {
-		width = nseg
-	}
+	width := PlacementWidth(t, nseg)
 	if t.Distribution != catalog.DistHash || filter == nil || width <= 1 {
 		return -1
 	}
@@ -1495,6 +1495,18 @@ func directSegmentFor(t *catalog.Table, filter Expr, nseg int) int {
 		key = append(key, v)
 	}
 	return types.Bucket(types.Row(key).HashKey(), width)
+}
+
+// PlacementWidth is the number of segments t's rows hash across: its
+// placement width (0 = the boot width, i.e. the live segment count nseg),
+// not the live count — mid-expansion the two differ and direct dispatch must
+// follow where rows actually live.
+func PlacementWidth(t *catalog.Table, nseg int) int {
+	width, _ := t.Placement()
+	if width <= 0 || width > nseg {
+		width = nseg
+	}
+	return width
 }
 
 // pinnedTo finds, among e's conjuncts, an equality between column col and a

@@ -288,18 +288,20 @@ func TestInsertPlanRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip := pl.Root.(*InsertPlan)
-	if len(ip.Rows) != 2 || ip.Rows[0][0].Int() != 1 {
-		t.Fatalf("rows: %v", ip.Rows)
+	rows := pl.Root.(*InsertPlan).Child.(*Values).Rows
+	if len(rows) != 2 || rows[0][0].Int() != 1 {
+		t.Fatalf("rows: %v", rows)
 	}
 	if pl.LockModeLevel != 3 {
 		t.Fatalf("insert lock level = %d", pl.LockModeLevel)
 	}
+	if got := Explain(pl.Root); got != "Insert on t1\n  -> Result\n" {
+		t.Fatalf("EXPLAIN:\n%s", got)
+	}
 	// Missing columns become NULL.
 	st, _ = sql.Parse("INSERT INTO t1 (c1) VALUES (9)")
 	pl, _ = p.PlanInsert(st.(*sql.InsertStmt))
-	ip = pl.Root.(*InsertPlan)
-	if !ip.Rows[0][1].IsNull() {
+	if !pl.Root.(*InsertPlan).Child.(*Values).Rows[0][1].IsNull() {
 		t.Fatal("missing column should be NULL")
 	}
 	// Arity mismatch.

@@ -183,7 +183,7 @@ func populated(t *testing.T, n Node) []bool {
 		must(append(append([]bool(nil), l...), r...), x.Cond)
 		return all(x.schema.Len(), x.Out)
 	case *InsertPlan:
-		return populated(t, x.Select.Root)
+		return populated(t, x.Child)
 	default:
 		return all(n.Schema().Len(), nil)
 	}
@@ -353,7 +353,7 @@ func TestPruneColumnsInsertSelectAndTemplates(t *testing.T) {
 	cat := templateCatalog(t)
 	pl := planWith(t, cat, "INSERT INTO t1 SELECT s.id, two.v FROM sales s JOIN two ON s.id = two.a", false, nil)
 	checkPruned(t, pl)
-	sel := pl.Root.(*InsertPlan).Select.Root
+	sel := pl.Root.(*InsertPlan).Child
 	if j := joinsIn(sel)[0].(*HashJoin); !reflect.DeepEqual(j.Out, []int{0, 5}) {
 		t.Fatalf("INSERT ... SELECT join Out = %v, want [0 5]", j.Out)
 	}

@@ -2,7 +2,9 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/catalog"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -41,14 +43,23 @@ func (p *Planner) finish(pl *Planned) *Planned {
 	return pl
 }
 
-// route derives DirectSegment from a slot-free plan whose one table access
-// has a filter pinning the distribution key: an UPDATE or DELETE, or a
+// route derives DirectSegment from a slot-free plan: an INSERT of one row
+// into a hash-distributed table goes to the segment that row hashes to, and
+// a plan whose one table access has a filter pinning the distribution key
+// reads (or writes) only that key's segment — an UPDATE or DELETE, or a
 // SELECT whose only motion is a gather above a chain of single-input
 // operators over that access. Everything above that gather runs on the
 // coordinator and only the pinned segment can feed it a base row (or hold a
 // row to write), so dispatch may run the statement there alone.
 func (pl *Planned) route() {
 	pl.DirectSegment = -1
+	if ip, ok := pl.Root.(*InsertPlan); ok {
+		if v, ok := ip.Child.(*Values); ok && len(v.Rows) == 1 && ip.Table.Distribution == catalog.DistHash {
+			rr := 0
+			pl.DirectSegment = RouteRow(ip.Table, v.Rows[0], PlacementWidth(ip.Table, pl.nseg), &rr)
+		}
+		return
+	}
 	n := pl.Root
 	if len(pl.Motions) == 1 && pl.Motions[0].Type == MotionGather {
 		n = pl.Motions[0].Child
@@ -95,8 +106,13 @@ func (pl *Planned) Bind(params []types.Datum) (*Planned, error) {
 	b := &instantiation{tmpl: pl, params: params}
 	b.leaf = b.bindLeaf
 	out := *pl
-	// A write binds its SET list here and its access path like a SELECT's.
+	// A write binds its SET list here and its access path or source like a
+	// SELECT's.
 	switch x := pl.Root.(type) {
+	case *InsertPlan:
+		c := *x
+		c.Child = b.node(x.Child)
+		out.Root = &c
 	case *UpdatePlan:
 		c := *x
 		c.SetExprs, c.Child = b.exprs(x.SetExprs), b.node(x.Child)
@@ -171,6 +187,26 @@ func (b *instantiation) limit(x *Limit, child Node) *Limit {
 func (b *instantiation) node(n Node) Node {
 	mark := b.bound
 	switch x := n.(type) {
+	case *Values:
+		if x.Slots != nil {
+			c := *x
+			c.Rows, c.Slots = slices.Clone(x.Rows), nil
+			for i, es := range x.Slots {
+				if es == nil {
+					continue
+				}
+				row := make(types.Row, len(es))
+				for j, e := range es {
+					if v, err := b.expr(e).Eval(nil); err != nil {
+						b.err = err
+					} else {
+						row[j] = v
+					}
+				}
+				c.Rows[i] = row
+			}
+			return &c
+		}
 	case *Scan:
 		if f := b.expr(x.Filter); b.bound > mark {
 			c := *x

@@ -79,6 +79,10 @@ func describe(pl *Planned) string {
 			for _, e := range x.SetExprs {
 				sb.WriteString("set " + e.String() + "\n")
 			}
+		case *Values:
+			for _, r := range x.Rows {
+				sb.WriteString("values " + r.String() + "\n")
+			}
 		case *Agg:
 			for _, sp := range x.Specs {
 				if sp.Arg != nil {
@@ -132,6 +136,11 @@ func TestBindEqualsFoldedPlan(t *testing.T) {
 		{"UPDATE t1 SET c2 = c2 + $1 WHERE c1 = $2", ints(1, 7)},
 		{"UPDATE ev SET w = $1 WHERE day = $2", []types.Datum{types.NewInt(2), day}},
 		{"DELETE FROM two WHERE a = $1 AND b = $2", ints(1, 2)},
+		{"INSERT INTO t1 VALUES ($1, $2)", ints(7, 3)},
+		{"INSERT INTO t1 VALUES ($1, $2)", []types.Datum{types.NewFloat(7), types.NewText("3")}},
+		{"INSERT INTO ev (w, id) VALUES ($1, $2), (3, 4)", ints(2, 1)},
+		{"INSERT INTO r VALUES ($1, 'x')", ints(1)},
+		{"INSERT INTO t1 (c2, c1) SELECT c2 + $1, c1 FROM t1 WHERE c1 = $2", ints(1, 7)},
 	}
 	for _, tc := range cases {
 		tmpl := planWith(t, cat, tc.q, false, tc.params)
@@ -157,7 +166,8 @@ func TestBindEqualsFoldedPlan(t *testing.T) {
 	}
 }
 
-// TestDirectSegmentDerivation pins which SELECT shapes route to one segment.
+// TestDirectSegmentDerivation pins which SELECT and INSERT shapes route to
+// one segment.
 func TestDirectSegmentDerivation(t *testing.T) {
 	cat := templateCatalog(t)
 	routed := func(q string) bool { return planWith(t, cat, q, true, nil).DirectSegment >= 0 }
@@ -182,7 +192,13 @@ func TestDirectSegmentDerivation(t *testing.T) {
 		"SELECT name FROM r WHERE id = 1":                               false,
 		"SELECT b FROM rnd WHERE a = 1":                                 false,
 		"SELECT a.c2 FROM t1 a JOIN t2 b ON a.c1 = b.c1 WHERE a.c1 = 7": false,
-		"SELECT 1": false,
+		"SELECT 1":                     false,
+		"INSERT INTO t1 VALUES (7, 1)": true,
+		"INSERT INTO two (v, b, a) VALUES (1, 2, 3)":        true,
+		"INSERT INTO t1 VALUES (7, 1), (8, 2)":              false,
+		"INSERT INTO r VALUES (1, 'x')":                     false,
+		"INSERT INTO rnd VALUES (1, 2)":                     false,
+		"INSERT INTO t1 SELECT c1, c2 FROM t1 WHERE c1 = 7": false,
 	} {
 		if got := routed(q); got != want {
 			t.Errorf("%s: routed to one segment = %v, want %v", q, got, want)
@@ -196,6 +212,13 @@ func TestDirectSegmentDerivation(t *testing.T) {
 		}
 		if want := types.Bucket(types.Row{types.NewInt(k)}.HashKey(), 4); pl.DirectSegment != want {
 			t.Fatalf("key %d routed to segment %d, rows live on %d", k, pl.DirectSegment, want)
+		}
+		ins, err := planWith(t, cat, "INSERT INTO t1 VALUES ($1, 0)", false, ints(k)).Bind(ints(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ins.DirectSegment != pl.DirectSegment {
+			t.Fatalf("INSERT of key %d pinned to segment %d, its reads to %d", k, ins.DirectSegment, pl.DirectSegment)
 		}
 	}
 }

@@ -370,7 +370,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 	_ = nc.SetReadDeadline(time.Time{})
 	if s.cfg.UseResourceGroups {
-		sess.UseResourceGroup(true, 0, 0)
+		sess.UseResourceGroup(true, 0)
 	}
 
 	cctx, cancel := context.WithCancelCause(context.Background())
