@@ -57,13 +57,5 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Ratio formats a speedup factor between two measurements.
-func Ratio(fast, slow float64) string {
-	if slow <= 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1fx", fast/slow)
-}
-
 // Ms renders a duration in fractional milliseconds.
 func Ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

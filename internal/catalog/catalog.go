@@ -266,14 +266,6 @@ func (c *Catalog) TableStats(name string) *stats.TableStats {
 	return c.tstats[strings.ToLower(name)]
 }
 
-// DropTableStats discards a table's statistics (TRUNCATE, re-ANALYZE of a
-// dropped table, tests).
-func (c *Catalog) DropTableStats(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.tstats, strings.ToLower(name))
-}
-
 // AnalyzedTables counts tables with stored statistics.
 func (c *Catalog) AnalyzedTables() int {
 	c.mu.RLock()

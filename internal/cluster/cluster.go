@@ -513,9 +513,6 @@ func (t *LiveTxn) DXID() dtm.DXID {
 	return t.dxid
 }
 
-// Killed reports whether GDD chose this transaction as a victim.
-func (t *LiveTxn) Killed() bool { return t.killed.Load() }
-
 // ownerOf returns the owner id of the live transaction whose distributed
 // xid is dxid.
 func (c *Cluster) ownerOf(dxid dtm.DXID) (lockmgr.TxnID, bool) {

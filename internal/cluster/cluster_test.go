@@ -256,7 +256,7 @@ func TestLockTableEverywhereConflictsWithDML(t *testing.T) {
 	insertRows(t, c, tab, []types.Row{{types.NewInt(1), types.NewInt(1)}})
 
 	lt := c.BeginTxn()
-	if err := c.LockTableEverywhere(context.Background(), lt, "t", int(lockmgr.AccessExclusive)); err != nil {
+	if err := c.LockTableEverywhere(context.Background(), lt, "t", lockmgr.AccessExclusive); err != nil {
 		t.Fatal(err)
 	}
 	// Another txn's coordinator lock must block.

@@ -36,27 +36,6 @@ type Config struct {
 	// keeps a private unbounded decode cache).
 	BlockCacheBytes int64
 
-	// EnableZoneMaps turns on predicate pushdown: the planner extracts
-	// sargable WHERE conjuncts onto scan nodes and the storage layer skips
-	// blocks whose zone map (per-block min/max/null-count) cannot satisfy
-	// them. On in the GPDB presets; session override: SET enable_zonemaps.
-	// Results are identical either way — only the work done differs.
-	EnableZoneMaps bool
-
-	// EnableCostOpt turns on the cost-based optimizer for OLAP (orca)
-	// sessions: ANALYZE-statistics-driven selectivity, join reordering,
-	// cost-based broadcast-vs-redistribute, and the risk-bounded robust-plan
-	// fallback. On in the GPDB presets; session override: SET enable_costopt.
-	// Results are identical either way — only the plan shape differs.
-	EnableCostOpt bool
-
-	// BroadcastThreshold is the planner's row-count cutoff below which the
-	// inner side of a join is broadcast instead of redistributed when no
-	// statistics-backed cost comparison is available. 0 = default (2000, the
-	// GPDB gp_segments_for_planner-era heuristic); session override: SET
-	// broadcast_threshold.
-	BroadcastThreshold int
-
 	// LockTimeout bounds every lock wait; it is the safety net against
 	// undetected global deadlocks when GDD is off (Greenplum 5 avoided them
 	// by serializing writers, but LOCK TABLE orderings can still hang).
@@ -90,7 +69,7 @@ type Config struct {
 	// network — looks parsed statements up here before touching the lexer,
 	// and param-free SELECT plans are cached alongside keyed by the
 	// catalog/stats epoch plus the session's planner settings. 0 = default
-	// (1024); negative = caching disabled.
+	// (1024).
 	PlanCacheSize int
 
 	// MemorySpillRatio is the cluster-default memory_spill_ratio percentage:
@@ -153,8 +132,6 @@ func GPDB6(nseg int) *Config {
 		GDDPeriod:      20 * time.Millisecond,
 		OnePhase:       true,
 		DirectDispatch: true,
-		EnableZoneMaps: true,
-		EnableCostOpt:  true,
 		LockTimeout:    10 * time.Second,
 		Cores:          32,
 		MemoryBytes:    8 << 30,
@@ -180,10 +157,7 @@ func (c *Config) withDefaults() *Config {
 	if out.BlockCacheBytes == 0 {
 		out.BlockCacheBytes = 16 << 20
 	}
-	if out.BroadcastThreshold < 1 {
-		out.BroadcastThreshold = 2000
-	}
-	if out.PlanCacheSize == 0 {
+	if out.PlanCacheSize < 1 {
 		out.PlanCacheSize = 1024
 	}
 	if out.GDDPeriod <= 0 {

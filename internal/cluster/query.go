@@ -519,14 +519,6 @@ func appendLive(dst, b *types.RowBatch) *types.RowBatch {
 	return dst
 }
 
-// modeOf converts a Table-1 lock level to a lockmgr.Mode.
-func modeOf(level int) lockmgr.Mode {
-	if level < 1 || level > 8 {
-		return lockmgr.AccessExclusive
-	}
-	return lockmgr.Mode(level)
-}
-
 // ---- DML dispatch ----
 
 // RunModify dispatches a write plan. An UPDATE or DELETE goes to the
@@ -713,12 +705,12 @@ func (c *Cluster) writeOnSeg(ctx context.Context, t *LiveTxn, seg int, res *Quer
 
 // LockTableEverywhere implements LOCK TABLE: the coordinator lock plus the
 // same mode on every segment (paper Fig. 7's transaction C/D behaviour).
-func (c *Cluster) LockTableEverywhere(ctx context.Context, t *LiveTxn, table string, level int) error {
+func (c *Cluster) LockTableEverywhere(ctx context.Context, t *LiveTxn, table string, mode lockmgr.Mode) error {
 	tab, err := c.catalog.Table(table)
 	if err != nil {
 		return err
 	}
-	if err := c.LockCoordinator(ctx, t, table, modeOf(level)); err != nil {
+	if err := c.LockCoordinator(ctx, t, table, mode); err != nil {
 		return err
 	}
 	nseg := c.SegCount()
@@ -728,7 +720,7 @@ func (c *Cluster) LockTableEverywhere(ctx context.Context, t *LiveTxn, table str
 		if err != nil {
 			return err
 		}
-		if err := s.LockRelation(ctx, t.owner, tab, modeOf(level)); err != nil {
+		if err := s.LockRelation(ctx, t.owner, tab, mode); err != nil {
 			return err
 		}
 		t.touched[i] = true

@@ -130,9 +130,6 @@ func (s *Segment) ID() int { return s.id }
 // Gen returns the segment's incarnation number (bumped by promotion).
 func (s *Segment) Gen() int { return s.gen }
 
-// Down reports whether the primary has been declared dead.
-func (s *Segment) Down() bool { return s.down.Load() }
-
 // WAL exposes the segment's log (tests, stats).
 func (s *Segment) WAL() *wal.Log { return s.log }
 
@@ -705,11 +702,8 @@ func (a *storeAccess) ScanTable(ctx context.Context, leaf catalog.TableID, spec 
 
 // scanOpts converts the executor's scan spec to the storage layer's options:
 // the planner's sargable predicate becomes a zone-map predicate and the
-// statement's stats collector rides along. Whether to push at all is decided
-// once, at plan time (Planner.Pushdown, from Config.EnableZoneMaps or the
-// session's SET enable_zonemaps) — a plan without a ScanPred skips nothing,
-// and a plan with one skips even when the cluster default is off, so the
-// session override works in both directions.
+// statement's stats collector rides along. The planner attaches a ScanPred
+// to every scan with a sargable conjunct; a scan without one skips nothing.
 func (a *storeAccess) scanOpts(spec exec.ScanSpec) *storage.ScanOpts {
 	opts := &storage.ScanOpts{Cols: spec.Cols, Stats: &a.stats}
 	if spec.Pred != nil {

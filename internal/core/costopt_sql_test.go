@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -26,10 +25,10 @@ func loadStarSchema(t *testing.T, s *Session, engine string, nFact, nMid, nSmall
 }
 
 // TestCostOptOnOffResultEquality: the same join queries return byte-identical
-// results with the cost-based optimizer on and off, across all three storage
-// engines — the acceptance property of plan-shape-only optimization. Queries
-// are ordered so the reordered plans' different emission order cannot hide
-// behind set equality.
+// results under the cost-based optimizer (orca) and the rule-based one
+// (postgres), across all three storage engines — the acceptance property of
+// plan-shape-only optimization. Queries are ordered so the reordered plans'
+// different emission order cannot hide behind set equality.
 func TestCostOptOnOffResultEquality(t *testing.T) {
 	queries := []string{
 		"SELECT fact.a, mid.s FROM fact JOIN mid ON fact.m = mid.id WHERE fact.v < 20 ORDER BY fact.a",
@@ -44,45 +43,26 @@ func TestCostOptOnOffResultEquality(t *testing.T) {
 		"ao-col": " WITH (appendonly=true, orientation=column)",
 	}
 	for engName, engine := range engines {
-		results := map[bool]map[string][]types.Row{}
-		for _, co := range []bool{true, false} {
-			cfg := cluster.GPDB6(2)
-			cfg.EnableCostOpt = co
-			e := NewEngine(cfg)
-			s, err := e.NewSession("")
-			if err != nil {
-				e.Close()
-				t.Fatal(err)
-			}
-			loadStarSchema(t, s, engine, 4000, 100, 10)
-			if err := s.SetOptimizer("orca"); err != nil {
-				e.Close()
-				t.Fatal(err)
-			}
-			mustExec(t, s, "ANALYZE")
+		_, s := newTestEngine(t, 2)
+		loadStarSchema(t, s, engine, 4000, 100, 10)
+		mustExec(t, s, "ANALYZE")
+		results := map[string]map[string][]types.Row{}
+		for _, opt := range []string{"postgres", "orca"} {
+			mustExec(t, s, "SET optimizer = "+opt)
 			byQuery := map[string][]types.Row{}
 			for _, q := range queries {
-				res, err := s.Exec(context.Background(), q)
-				if err != nil {
-					e.Close()
-					t.Fatalf("%s (%s costopt=%v): %v", q, engName, co, err)
-				}
-				byQuery[q] = res.Rows
+				byQuery[q] = mustExec(t, s, q).Rows
 			}
-			results[co] = byQuery
-			e.Close()
+			results[opt] = byQuery
 		}
-		base := results[false]
-		for co, byQuery := range results {
-			for _, q := range queries {
-				want, got := base[q], byQuery[q]
-				if len(want) != len(got) {
-					t.Fatalf("%s (%s costopt=%v): %d rows vs %d", q, engName, co, len(got), len(want))
-				}
-				for i := range want {
-					if !want[i].Equal(got[i]) {
-						t.Fatalf("%s (%s costopt=%v) row %d: %v vs %v", q, engName, co, i, got[i], want[i])
-					}
+		for _, q := range queries {
+			want, got := results["postgres"][q], results["orca"][q]
+			if len(want) != len(got) {
+				t.Fatalf("%s (%s): orca %d rows, postgres %d", q, engName, len(got), len(want))
+			}
+			for i := range want {
+				if !want[i].Equal(got[i]) {
+					t.Fatalf("%s (%s) row %d: orca %v, postgres %v", q, engName, i, got[i], want[i])
 				}
 			}
 		}
@@ -91,11 +71,11 @@ func TestCostOptOnOffResultEquality(t *testing.T) {
 
 // TestCostOptShrinksIntermediateRows: two 10k-row tables sharing a 100-value
 // join key (their pairwise join is 1M rows) and a 100-row dimension whose
-// filter keeps three rows. The syntactic order joins the two big tables
-// first; the cost-based order joins through the filtered dimension. Per
-// EXPLAIN ANALYZE, the largest row count any node produces with
-// enable_costopt = on must be at most a tenth of the count with it off, and
-// both orders must return the same answer.
+// filter keeps three rows. The rule-based planner (postgres) joins in the
+// written order, the two big tables first; orca's cost-based order joins
+// through the filtered dimension. Per EXPLAIN ANALYZE, the largest row count
+// any node produces under orca must be at most a tenth of the count under
+// postgres, and both orders must return the same answer.
 func TestCostOptShrinksIntermediateRows(t *testing.T) {
 	const q = "SELECT count(*) FROM big1 JOIN big2 ON big1.j = big2.j JOIN small ON big2.s = small.id WHERE small.id < 3"
 	e := NewEngine(cluster.GPDB6(2))
@@ -110,11 +90,10 @@ func TestCostOptShrinksIntermediateRows(t *testing.T) {
 	bulkInsert(t, s, "big1", 10000, 0, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i%100) })
 	bulkInsert(t, s, "big2", 10000, 0, func(i int) string { return fmt.Sprintf("(%d,%d,%d)", i, i%100, i%100) })
 	bulkInsert(t, s, "small", 100, 0, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i%13) })
-	mustExec(t, s, "SET optimizer = orca")
 	mustExec(t, s, "ANALYZE")
 
-	run := func(costopt string) (answer, peak int64, plan string) {
-		mustExec(t, s, "SET enable_costopt = "+costopt)
+	run := func(optimizer string) (answer, peak int64, plan string) {
+		mustExec(t, s, "SET optimizer = "+optimizer)
 		answer = mustExec(t, s, q).Rows[0][0].Int()
 		var lines []string
 		for _, r := range mustExec(t, s, "EXPLAIN ANALYZE "+q).Rows {
@@ -127,14 +106,14 @@ func TestCostOptShrinksIntermediateRows(t *testing.T) {
 		}
 		return answer, peak, strings.Join(lines, "\n")
 	}
-	offAnswer, offPeak, offPlan := run("off")
-	onAnswer, onPeak, onPlan := run("on")
-	if onAnswer != offAnswer {
-		t.Fatalf("cost-based answer %d, syntactic %d", onAnswer, offAnswer)
+	pgAnswer, pgPeak, pgPlan := run("postgres")
+	orcaAnswer, orcaPeak, orcaPlan := run("orca")
+	if orcaAnswer != pgAnswer {
+		t.Fatalf("orca answer %d, postgres %d", orcaAnswer, pgAnswer)
 	}
-	if onPeak == 0 || onPeak*10 > offPeak {
-		t.Fatalf("largest node output: cost-based %d rows, syntactic %d rows, want <= 1/10\ncost-based:\n%s\nsyntactic:\n%s",
-			onPeak, offPeak, onPlan, offPlan)
+	if orcaPeak == 0 || orcaPeak*10 > pgPeak {
+		t.Fatalf("largest node output: orca %d rows, postgres %d rows, want <= 1/10\norca:\n%s\npostgres:\n%s",
+			orcaPeak, pgPeak, orcaPlan, pgPlan)
 	}
 }
 
@@ -263,36 +242,5 @@ func TestMisestimateTriggersRobustFallback(t *testing.T) {
 	mustExec(t, s, "SELECT a FROM corr ORDER BY b LIMIT 10")
 	if got := showStat("misestimates"); got != before {
 		t.Fatalf("well-estimated query recorded a misestimate (%d -> %d)", before, got)
-	}
-}
-
-// TestBroadcastThresholdSetting: SET broadcast_threshold moves the legacy
-// heuristic's cutoff, and rejects non-positive values.
-func TestBroadcastThresholdSetting(t *testing.T) {
-	_, s := newTestEngine(t, 2)
-	mustExec(t, s, "CREATE TABLE big (a int, b int) DISTRIBUTED BY (a)")
-	mustExec(t, s, "CREATE TABLE dim (k int, v int) DISTRIBUTED BY (v)")
-	bulkInsert(t, s, "big", 500, 0, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i%50) })
-	bulkInsert(t, s, "dim", 100, 0, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i*3) })
-	if err := s.SetOptimizer("orca"); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, s, "SET enable_costopt = off")
-
-	res := mustExec(t, s, "SHOW broadcast_threshold")
-	if res.Rows[0][0].Text() != "2000" {
-		t.Fatalf("default broadcast_threshold = %q, want 2000", res.Rows[0][0].Text())
-	}
-
-	q := "SELECT big.a, dim.v FROM big JOIN dim ON big.b = dim.k"
-	if pl := explainText(t, s, q); !strings.Contains(pl, "Broadcast Motion") {
-		t.Fatalf("100-row inner side under the default threshold should broadcast:\n%s", pl)
-	}
-	mustExec(t, s, "SET broadcast_threshold = 50")
-	if pl := explainText(t, s, q); strings.Contains(pl, "Broadcast Motion") {
-		t.Fatalf("threshold 50 should disable the 100-row broadcast:\n%s", pl)
-	}
-	if _, err := s.Exec(context.Background(), "SET broadcast_threshold = 0"); err == nil {
-		t.Fatal("SET broadcast_threshold = 0 should be rejected")
 	}
 }

@@ -250,7 +250,6 @@ func TestParamPlanReuse(t *testing.T) {
 	for _, invalidate := range []string{
 		"CREATE TABLE unrelated (x int) DISTRIBUTED BY (x)",
 		"ANALYZE",
-		"SET enable_zonemaps = off",
 		"SET optimizer = orca",
 	} {
 		mustExec(t, s, invalidate)
@@ -262,11 +261,6 @@ func TestParamPlanReuse(t *testing.T) {
 	// execution of a parameterised statement plans afresh.
 	if hits, _ := delta(func() { read(5); read(6) }); hits != 0 {
 		t.Fatalf("cost-based parameterised statement took %d plan hits", hits)
-	}
-	mustExec(t, s, "SET enable_costopt = off")
-	read(7)
-	if hits, misses := delta(func() { read(8) }); hits != 1 || misses != 0 {
-		t.Fatalf("orca without cost-based passes: %d hits/%d misses, want 1/0", hits, misses)
 	}
 	res := mustExec(t, s, "SHOW plan_cache")
 	shown := map[string]int64{}

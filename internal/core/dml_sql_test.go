@@ -137,19 +137,18 @@ func TestDMLExplainAccessPath(t *testing.T) {
 	}
 	// Loaded in key order, every segment's second sealed block holds only
 	// keys past the DELETE's range: zone maps skip it, and the rows deleted
-	// are those a scan without zone maps deletes.
+	// are those a scan that pushes nothing (k + 0) deletes.
 	loadClusteredTable(t, s, "zd", 40000)
-	for _, zonemaps := range []string{"on", "off"} {
-		mustExec(t, s, "SET enable_zonemaps = "+zonemaps)
+	for _, key := range []string{"k", "k + 0"} {
 		mustExec(t, s, "BEGIN")
-		lines := planText(mustExec(t, s, "EXPLAIN ANALYZE DELETE FROM zd WHERE k < 2000"))
+		lines := planText(mustExec(t, s, "EXPLAIN ANALYZE DELETE FROM zd WHERE "+key+" < 2000"))
 		mustExec(t, s, "ROLLBACK")
 		var scanned, skipped int
 		for _, l := range lines {
 			fmt.Sscanf(l, "blocks: scanned=%d skipped=%d", &scanned, &skipped)
 		}
-		if !containsLine(lines, "rows affected: 2000") || scanned == 0 || (skipped > 0) != (zonemaps == "on") {
-			t.Fatalf("EXPLAIN ANALYZE DELETE with enable_zonemaps = %s:\n%s", zonemaps, strings.Join(lines, "\n"))
+		if !containsLine(lines, "rows affected: 2000") || scanned == 0 || (skipped > 0) != (key == "k") {
+			t.Fatalf("EXPLAIN ANALYZE DELETE FROM zd WHERE %s < 2000:\n%s", key, strings.Join(lines, "\n"))
 		}
 	}
 }

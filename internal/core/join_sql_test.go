@@ -23,8 +23,8 @@ var vectorCols = []string{"k", "g", "d", "q", "amt", "tag", "ok", "day", "mix"}
 // planner prune. Shapes: inner and LEFT, a residual comparing both sides, an
 // expression key, a join under a join, a nested loop, AO-column on either
 // side, a boxed mixed-kind column as join output, NULL keys, and unmatched
-// LEFT rows whose right side an aggregate reads — with the cost-based passes
-// (which reorder and re-project) on and off.
+// LEFT rows whose right side an aggregate reads — under orca, whose
+// cost-based passes reorder and re-project, and under the postgres planner.
 func TestJoinOutputMatchesStarProjection(t *testing.T) {
 	e := NewEngine(cluster.GPDB6(2))
 	defer e.Close()
@@ -36,9 +36,6 @@ func TestJoinOutputMatchesStarProjection(t *testing.T) {
 	mustExec(t, s, "CREATE TABLE sm (k int, g int, d int, q int, amt float, tag text, ok bool, day date, mix float) DISTRIBUTED BY (k)")
 	mustExec(t, s, "INSERT INTO sm SELECT * FROM fh WHERE k < 40")
 	mustExec(t, s, "ANALYZE")
-	if err := s.SetOptimizer("orca"); err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		from string // FROM and WHERE over aliases a, b, c in that order
 		cols []int  // offsets into the SELECT * row: alias i's columns start at 9*i
@@ -55,10 +52,10 @@ func TestJoinOutputMatchesStarProjection(t *testing.T) {
 	}
 	name := func(c int) string { return fmt.Sprintf("%c.%s", 'a'+c/len(vectorCols), vectorCols[c%len(vectorCols)]) }
 	render := func(rows []types.Row) string { return sortedRows(&Result{Rows: rows}) }
-	for _, costopt := range []string{"on", "off"} {
-		mustExec(t, s, "SET enable_costopt = "+costopt)
+	for _, optimizer := range []string{"orca", "postgres"} {
+		mustExec(t, s, "SET optimizer = "+optimizer)
 		for _, tc := range cases {
-			at := fmt.Sprintf("costopt %s: %s", costopt, tc.from)
+			at := fmt.Sprintf("%s: %s", optimizer, tc.from)
 			star := mustExec(t, s, "SELECT * FROM "+tc.from).Rows
 			if len(star) == 0 {
 				t.Fatalf("%s: the oracle join is empty", at)
@@ -326,7 +323,7 @@ func TestBroadcastJoinSharesRows(t *testing.T) {
 // along. The two plans run concurrently from two sessions, twice, so under
 // -race no sender writes a container its receiver is still reading.
 func TestJoinAcrossMotionKinds(t *testing.T) {
-	const nOuter, nInner = 6000, 8000
+	const nOuter, nInner = 24000, 8000
 	e := NewEngine(cluster.GPDB6(4))
 	defer e.Close()
 	s, _ := e.NewSession("")
@@ -403,18 +400,17 @@ func TestJoinAcrossMotionKinds(t *testing.T) {
 		t.Fatalf("join of the gathered rows: %d rows, want %d", len(got), len(want))
 	}
 
-	plans := []struct{ motion, threshold string }{{"Broadcast Motion", "1000000"}, {"Redistribute Motion", "1"}}
+	// orca broadcasts the inner side, since shipping it to all four segments
+	// costs no more than redistributing both sides; the postgres planner
+	// always redistributes.
+	plans := []struct{ motion, optimizer string }{{"Broadcast Motion", "orca"}, {"Redistribute Motion", "postgres"}}
 	sessions := make([]*Session, len(plans))
 	for i, p := range plans {
 		c, err := e.NewSession("")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SetOptimizer("orca"); err != nil {
-			t.Fatal(err)
-		}
-		mustExec(t, c, "SET enable_costopt = off")
-		mustExec(t, c, "SET broadcast_threshold = "+p.threshold)
+		mustExec(t, c, "SET optimizer = "+p.optimizer)
 		txt := explainText(t, c, q)
 		if !strings.Contains(txt, p.motion) || strings.Contains(txt, "Broadcast") != (p.motion == "Broadcast Motion") {
 			t.Fatalf("want the inner side moved by a %s:\n%s", p.motion, txt)

@@ -18,14 +18,14 @@ import (
 // mutates it). Beside the AST sit the statement's SELECT, INSERT, UPDATE or
 // DELETE plans, keyed by the cluster's catalog/stats epoch, the session's
 // plan-shaping settings and the kinds of the bound parameters, so DDL,
-// ANALYZE, a SET enable_costopt style change or an int parameter arriving as
-// text each re-plan without an invalidation hook. A cached plan holds no
-// parameter value: the binder leaves a slot per $N (plan.Param) and each
-// execution instantiates the shared plan with plan.Planned.Bind, where the
-// value-dependent steps (direct dispatch, partition pruning, zone-map
-// pushdown, LIMIT) run. The exception is a parameterised statement under the
-// cost-based optimizer: its join order and motions come from the values, so
-// it is planned per execution.
+// ANALYZE, a SET optimizer or an int parameter arriving as text each re-plan
+// without an invalidation hook. A cached plan holds no parameter value: the
+// binder leaves a slot per $N (plan.Param) and each execution instantiates
+// the shared plan with plan.Planned.Bind, where the value-dependent steps
+// (direct dispatch, partition pruning, zone-map pushdown, LIMIT) run. The
+// exception is a parameterised statement under the cost-based optimizer
+// (orca): its join order and motions come from the values, so it is planned
+// per execution.
 type StmtCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -53,15 +53,13 @@ type stmtEntry struct {
 // planSettings are the session settings that change plan shape. Sessions
 // with equal settings share plans.
 type planSettings struct {
-	optimizer          plan.Optimizer
-	pushdown, costOpt  bool
-	broadcastThreshold int
+	optimizer plan.Optimizer
 }
 
 // costBased reports whether the cost-based passes plan this session's
-// statements (plan.Planner's own rule).
+// statements (plan.Planner's own rule: they are orca's).
 func (ps planSettings) costBased() bool {
-	return ps.costOpt && ps.optimizer == plan.OptimizerOLAP
+	return ps.optimizer == plan.OptimizerOLAP
 }
 
 // planKey identifies one cached plan of a statement. robust keeps a
@@ -88,8 +86,7 @@ func paramKinds(params []types.Datum) (kinds uint64, ok bool) {
 	return kinds, true
 }
 
-// NewStmtCache builds a cache bounded to capacity statements; capacity < 0
-// disables caching (every lookup parses).
+// NewStmtCache builds a cache bounded to capacity statements.
 func NewStmtCache(capacity int) *StmtCache {
 	return &StmtCache{
 		cap:     capacity,
@@ -126,16 +123,11 @@ func (c *StmtCache) Stats() StmtCacheStats {
 }
 
 // parse returns the shared parsed statement for sqlText, running the
-// parser and inserting on miss. The returned entry is nil when caching is
-// disabled or the text failed to parse, and for an INSERT … VALUES with no
-// '$' in its text, so no $N parameter: its text is its data (a bulk load's
-// statements would pin their ASTs in the cache) and it is planned on every
-// execution anyway.
+// parser and inserting on miss. The returned entry is nil when the text
+// failed to parse, and for an INSERT … VALUES with no '$' in its text, so no
+// $N parameter: its text is its data (a bulk load's statements would pin
+// their ASTs in the cache) and it is planned on every execution anyway.
 func (c *StmtCache) parse(sqlText string) (sql.Statement, *stmtEntry, error) {
-	if c == nil || c.cap < 0 {
-		st, err := sql.Parse(sqlText)
-		return st, nil, err
-	}
 	key := normalizeSQL(sqlText)
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -162,7 +154,7 @@ func (c *StmtCache) parse(sqlText string) (sql.Statement, *stmtEntry, error) {
 		e = el.Value.(*stmtEntry)
 	} else {
 		c.entries[key] = c.lru.PushFront(e)
-		for len(c.entries) > c.cap && c.cap > 0 {
+		for len(c.entries) > c.cap {
 			back := c.lru.Back()
 			c.lru.Remove(back)
 			delete(c.entries, back.Value.(*stmtEntry).key)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/types"
 )
 
@@ -32,50 +31,61 @@ func loadClusteredTable(t *testing.T, s *Session, name string, nRows int) {
 	}
 }
 
-// TestPushdownOnOffResultEquality: the same queries return byte-identical
-// results with zone maps on and off — the acceptance property of predicate
-// pushdown.
+// blocksSkipped reads the session's blocks_skipped counter from SHOW
+// scan_stats.
+func blocksSkipped(t *testing.T, s *Session) int64 {
+	t.Helper()
+	for _, r := range mustExec(t, s, "SHOW scan_stats").Rows {
+		if r[0].Text() == "blocks_skipped" {
+			return r[1].Int()
+		}
+	}
+	t.Fatal("SHOW scan_stats has no blocks_skipped row")
+	return 0
+}
+
+// TestPushdownOnOffResultEquality: each query returns byte-identical results
+// spelled sargably (col op const, pushed to the zone maps) and spelled so
+// nothing is pushed (k + 0 op const) — the acceptance property of predicate
+// pushdown. The sargable spellings of the clustered-key ranges skip blocks;
+// the other spellings skip none.
 func TestPushdownOnOffResultEquality(t *testing.T) {
 	const nRows = 20000
-	queries := []string{
-		"SELECT count(*), sum(v) FROM p WHERE k >= 5000 AND k < 5200",
-		"SELECT k, v FROM p WHERE k BETWEEN 9990 AND 10010 ORDER BY k",
-		"SELECT count(*) FROM p WHERE k IN (1, 4097, 12000, 99999)",
-		"SELECT count(*) FROM p WHERE k < 0",
-		"SELECT count(*) FROM p WHERE v = 11",   // unclustered: skips nothing
-		"SELECT count(*) FROM p WHERE k <> 123", // almost everything survives
-		"SELECT v, count(*) FROM p WHERE k > 18000 GROUP BY v ORDER BY v",
+	queries := []struct {
+		sargable, opaque string
+		skips            bool
+	}{
+		{"SELECT count(*), sum(v) FROM p WHERE k >= 5000 AND k < 5200", "SELECT count(*), sum(v) FROM p WHERE k + 0 >= 5000 AND k + 0 < 5200", true},
+		{"SELECT k, v FROM p WHERE k BETWEEN 9990 AND 10010 ORDER BY k", "SELECT k, v FROM p WHERE k + 0 BETWEEN 9990 AND 10010 ORDER BY k", true},
+		{"SELECT count(*) FROM p WHERE k IN (1, 4097, 12000, 99999)", "SELECT count(*) FROM p WHERE k + 0 IN (1, 4097, 12000, 99999)", false},
+		{"SELECT count(*) FROM p WHERE k < 0", "SELECT count(*) FROM p WHERE k + 0 < 0", true},
+		{"SELECT count(*) FROM p WHERE v = 11", "SELECT count(*) FROM p WHERE v + 0 = 11", false},     // unclustered: skips nothing
+		{"SELECT count(*) FROM p WHERE k <> 123", "SELECT count(*) FROM p WHERE k + 0 <> 123", false}, // almost everything survives
+		{"SELECT v, count(*) FROM p WHERE k > 18000 GROUP BY v ORDER BY v", "SELECT v, count(*) FROM p WHERE k + 0 > 18000 GROUP BY v ORDER BY v", true},
 	}
-	results := map[bool]map[string][]types.Row{}
-	for _, zm := range []bool{true, false} {
-		cfg := cluster.GPDB6(2)
-		cfg.EnableZoneMaps = zm
-		e := NewEngine(cfg)
-		s, _ := e.NewSession("")
-		loadClusteredTable(t, s, "p", nRows)
-		byQuery := map[string][]types.Row{}
-		for _, q := range queries {
-			res, err := s.Exec(context.Background(), q)
-			if err != nil {
-				e.Close()
-				t.Fatalf("%s (zm=%v): %v", q, zm, err)
-			}
-			byQuery[q] = res.Rows
+	_, s := newTestEngine(t, 2)
+	loadClusteredTable(t, s, "p", nRows)
+	run := func(q string) ([]types.Row, int64) {
+		t.Helper()
+		before := blocksSkipped(t, s)
+		rows := mustExec(t, s, q).Rows
+		return rows, blocksSkipped(t, s) - before
+	}
+	for _, tc := range queries {
+		want, skipped := run(tc.sargable)
+		if tc.skips && skipped == 0 {
+			t.Errorf("%s: skipped no blocks", tc.sargable)
 		}
-		results[zm] = byQuery
-		e.Close()
-	}
-	base := results[true]
-	for zm, byQuery := range results {
-		for _, q := range queries {
-			want, got := base[q], byQuery[q]
-			if len(want) != len(got) {
-				t.Fatalf("%s (zm=%v): %d rows vs %d", q, zm, len(got), len(want))
-			}
-			for i := range want {
-				if !want[i].Equal(got[i]) {
-					t.Fatalf("%s (zm=%v) row %d: %v vs %v", q, zm, i, got[i], want[i])
-				}
+		got, opaqueSkipped := run(tc.opaque)
+		if opaqueSkipped != 0 {
+			t.Errorf("%s: skipped %d blocks with nothing pushed", tc.opaque, opaqueSkipped)
+		}
+		if len(want) != len(got) {
+			t.Fatalf("%s: %d rows, %s: %d", tc.sargable, len(want), tc.opaque, len(got))
+		}
+		for i := range want {
+			if !want[i].Equal(got[i]) {
+				t.Fatalf("%s row %d: %v, unpushed %v", tc.sargable, i, want[i], got[i])
 			}
 		}
 	}
@@ -83,27 +93,15 @@ func TestPushdownOnOffResultEquality(t *testing.T) {
 
 // TestPushdownSkipsBlocksAndShowsStats: a selective clustered-key query
 // skips most sealed blocks, the counters surface through SHOW scan_stats and
-// EXPLAIN ANALYZE, and SET enable_zonemaps = off turns skipping off.
+// EXPLAIN ANALYZE, and the same range spelled k + 0 pushes nothing and skips
+// nothing.
 func TestPushdownSkipsBlocksAndShowsStats(t *testing.T) {
-	e, s := newTestEngine(t, 1)
+	_, s := newTestEngine(t, 1)
 	loadClusteredTable(t, s, "p", 20000)
-	_ = e
 
-	showStat := func(name string) int64 {
-		t.Helper()
-		res := mustExec(t, s, "SHOW scan_stats")
-		for _, r := range res.Rows {
-			if r[0].Text() == name {
-				return r[1].Int()
-			}
-		}
-		t.Fatalf("stat %q missing", name)
-		return 0
-	}
-
-	before := showStat("blocks_skipped")
+	before := blocksSkipped(t, s)
 	mustExec(t, s, "SELECT count(*) FROM p WHERE k >= 5000 AND k < 5100")
-	if got := showStat("blocks_skipped"); got <= before {
+	if got := blocksSkipped(t, s); got <= before {
 		t.Fatalf("selective scan skipped no blocks: %d -> %d", before, got)
 	}
 
@@ -125,68 +123,30 @@ func TestPushdownSkipsBlocksAndShowsStats(t *testing.T) {
 		t.Fatalf("EXPLAIN ANALYZE blocks line: %q (rows: %v)", blocksLine, res.Rows)
 	}
 
-	// Session off-switch: no pushdown annotation, no new skips.
-	mustExec(t, s, "SET enable_zonemaps = off")
-	txt = explainText(t, s, "SELECT count(*) FROM p WHERE k >= 5000 AND k < 5100")
-	if strings.Contains(txt, "Pushdown:") {
-		t.Fatalf("enable_zonemaps=off still pushes:\n%s", txt)
+	// A non-sargable spelling: no pushdown annotation, no new skips.
+	const opaque = "SELECT count(*) FROM p WHERE k + 0 >= 5000 AND k + 0 < 5100"
+	if txt := explainText(t, s, opaque); strings.Contains(txt, "Pushdown:") {
+		t.Fatalf("k + 0 pushed:\n%s", txt)
 	}
-	skippedOff := showStat("blocks_skipped")
-	mustExec(t, s, "SELECT count(*) FROM p WHERE k >= 5000 AND k < 5100")
-	if got := showStat("blocks_skipped"); got != skippedOff {
-		t.Fatalf("pushdown off still skipped blocks: %d -> %d", skippedOff, got)
+	skippedBefore := blocksSkipped(t, s)
+	mustExec(t, s, opaque)
+	if got := blocksSkipped(t, s); got != skippedBefore {
+		t.Fatalf("unpushed scan skipped blocks: %d -> %d", skippedBefore, got)
 	}
-	if res := mustExec(t, s, "SHOW enable_zonemaps"); res.Rows[0][0].Text() != "off" {
-		t.Fatalf("SHOW enable_zonemaps: %v", res.Rows)
-	}
-	mustExec(t, s, "SET enable_zonemaps = on")
 
 	// Heap tables skip via lazy page zones too.
 	mustExec(t, s, "CREATE TABLE hp (k int, v int) DISTRIBUTED BY (k)")
 	bulkInsert(t, s, "hp", 4096, 0, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i%7) })
-	before = showStat("blocks_skipped")
+	before = blocksSkipped(t, s)
 	mustExec(t, s, "SELECT count(*) FROM hp WHERE k < 100")
-	if got := showStat("blocks_skipped"); got <= before {
+	if got := blocksSkipped(t, s); got <= before {
 		t.Fatalf("heap page zones skipped nothing: %d -> %d", before, got)
 	}
 }
 
-// TestSessionEnableOverDisabledConfig: SET enable_zonemaps = on works even
-// when the cluster config default is off — the session knob overrides in
-// both directions, with the plan-time gate as the single source of truth.
-func TestSessionEnableOverDisabledConfig(t *testing.T) {
-	cfg := cluster.GPDB6(1)
-	cfg.EnableZoneMaps = false
-	e := NewEngine(cfg)
-	defer e.Close()
-	s, err := e.NewSession("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadClusteredTable(t, s, "p", 20000)
-
-	query := "SELECT count(*) FROM p WHERE k >= 5000 AND k < 5100"
-	if txt := explainText(t, s, query); strings.Contains(txt, "Pushdown:") {
-		t.Fatalf("config off but plan pushed:\n%s", txt)
-	}
-	mustExec(t, s, "SET enable_zonemaps = on")
-	if txt := explainText(t, s, query); !strings.Contains(txt, "Pushdown:") {
-		t.Fatalf("SET enable_zonemaps=on did not enable pushdown:\n%s", txt)
-	}
-	res := mustExec(t, s, "EXPLAIN ANALYZE "+query)
-	skipped := false
-	for _, r := range res.Rows {
-		if strings.HasPrefix(r[0].Text(), "blocks:") && !strings.Contains(r[0].Text(), "skipped=0") {
-			skipped = true
-		}
-	}
-	if !skipped {
-		t.Fatalf("session-enabled pushdown skipped nothing: %v", res.Rows)
-	}
-}
-
 // TestPushdownNullsAndUpdatesStayCorrect: NULL-bearing data, deletes and
-// updates keep pushdown results identical to a filtered full scan.
+// updates keep pushdown results identical to a filtered full scan, which the
+// same predicate over k + 0 and v + 0 gets.
 func TestPushdownNullsAndUpdatesStayCorrect(t *testing.T) {
 	_, s := newTestEngine(t, 1)
 	mustExec(t, s, "CREATE TABLE n (k int, v int) WITH (appendonly=true, orientation=column) DISTRIBUTED BY (k)")
@@ -199,23 +159,27 @@ func TestPushdownNullsAndUpdatesStayCorrect(t *testing.T) {
 	mustExec(t, s, "DELETE FROM n WHERE k >= 5000 AND k < 5050")
 	mustExec(t, s, "UPDATE n SET v = 1 WHERE k = 4100")
 
-	check := func(q string) {
+	check := func(q, opaque string) {
 		t.Helper()
-		on := mustExec(t, s, q).Rows
-		mustExec(t, s, "SET enable_zonemaps = off")
-		off := mustExec(t, s, q).Rows
-		mustExec(t, s, "SET enable_zonemaps = on")
-		if len(on) != len(off) {
-			t.Fatalf("%s: %d vs %d rows", q, len(on), len(off))
+		before := blocksSkipped(t, s)
+		full := mustExec(t, s, opaque).Rows
+		if got := blocksSkipped(t, s); got != before {
+			t.Fatalf("%s skipped %d blocks with nothing pushed", opaque, got-before)
 		}
-		for i := range on {
-			if !on[i].Equal(off[i]) {
-				t.Fatalf("%s row %d: %v vs %v", q, i, on[i], off[i])
+		pushed := mustExec(t, s, q).Rows
+		if len(pushed) != len(full) {
+			t.Fatalf("%s: %d vs %d rows", q, len(pushed), len(full))
+		}
+		for i := range pushed {
+			if !pushed[i].Equal(full[i]) {
+				t.Fatalf("%s row %d: %v vs %v", q, i, pushed[i], full[i])
 			}
 		}
 	}
-	check("SELECT count(*) FROM n WHERE k >= 4090 AND k <= 5100")
-	check("SELECT count(*), sum(v) FROM n WHERE v >= 4000 AND v < 4200")
-	check("SELECT count(*) FROM n WHERE v = 4100") // updated row moved
-	check("SELECT count(*) FROM n WHERE k = 5010") // deleted range
+	check("SELECT count(*) FROM n WHERE k >= 4090 AND k <= 5100",
+		"SELECT count(*) FROM n WHERE k + 0 >= 4090 AND k + 0 <= 5100")
+	check("SELECT count(*), sum(v) FROM n WHERE v >= 4000 AND v < 4200",
+		"SELECT count(*), sum(v) FROM n WHERE v + 0 >= 4000 AND v + 0 < 4200")
+	check("SELECT count(*) FROM n WHERE v = 4100", "SELECT count(*) FROM n WHERE v + 0 = 4100") // updated row moved
+	check("SELECT count(*) FROM n WHERE k = 5010", "SELECT count(*) FROM n WHERE k + 0 = 5010") // deleted range
 }

@@ -443,18 +443,14 @@ func (s *Session) chargeStmtCPU(ctx context.Context) error {
 }
 
 func (s *Session) planner(params []types.Datum) *plan.Planner {
-	ps := s.settings.planSettings
 	return &plan.Planner{
 		Catalog: s.engine.cluster.Catalog(),
 		// Live count, not cfg.NumSegments: online expansion widens the
 		// cluster at runtime and new plans must route across the new width.
-		NumSegments:        s.engine.cluster.SegCount(),
-		Optimizer:          ps.optimizer,
-		Stats:              s.engine.cluster,
-		Pushdown:           ps.pushdown,
-		CostOpt:            ps.costOpt,
-		BroadcastThreshold: ps.broadcastThreshold,
-		Params:             params,
+		NumSegments: s.engine.cluster.SegCount(),
+		Optimizer:   s.settings.optimizer,
+		Stats:       s.engine.cluster,
+		Params:      params,
 	}
 }
 
@@ -553,7 +549,7 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		if err != nil {
 			return nil, err
 		}
-		if err := cl.LockCoordinator(ctx, s.txn, pl.LockTable, lockModeOf(pl.LockModeLevel)); err != nil {
+		if err := cl.LockCoordinator(ctx, s.txn, pl.LockTable, pl.LockMode); err != nil {
 			return nil, wrapLockErr(err)
 		}
 		if err := s.chargeStmtCPU(ctx); err != nil {
@@ -572,7 +568,7 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		if mode == 0 {
 			return nil, fmt.Errorf("core: unknown lock mode %q", x.Mode)
 		}
-		if err := cl.LockTableEverywhere(ctx, s.txn, x.Table, int(mode)); err != nil {
+		if err := cl.LockTableEverywhere(ctx, s.txn, x.Table, mode); err != nil {
 			return nil, wrapLockErr(err)
 		}
 		return &Result{Tag: "LOCK TABLE"}, nil
@@ -788,13 +784,13 @@ func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []
 // counters.
 func (s *Session) runPlannedSelect(ctx context.Context, pl *plan.Planned, scan *cluster.ScanCounters, spill *cluster.SpillCounters, nodeRows *plan.NodeRowCounts, ops *plan.OpStats) ([]types.Row, *types.Schema, time.Duration, error) {
 	cl := s.engine.cluster
-	level := pl.LockModeLevel // pl may be a cached plan shared with other sessions
+	mode := pl.LockMode // pl may be a cached plan shared with other sessions
 	if pl.ForUpdate && !cl.Config().GDD {
 		// GPDB 5 locking: FOR UPDATE serializes at the coordinator.
-		level = 7
+		mode = lockmgr.Exclusive
 	}
 	if pl.LockTable != "" {
-		if err := cl.LockCoordinator(ctx, s.txn, pl.LockTable, lockModeOf(level)); err != nil {
+		if err := cl.LockCoordinator(ctx, s.txn, pl.LockTable, mode); err != nil {
 			return nil, nil, 0, wrapLockErr(err)
 		}
 	}
@@ -900,7 +896,7 @@ func (s *Session) explainAnalyzeSelect(ctx context.Context, pl *plan.Planned) (*
 // arithmetic.
 func (s *Session) explainAnalyzeDML(ctx context.Context, pl *plan.Planned) (*Result, error) {
 	if pl.LockTable != "" {
-		if err := s.engine.cluster.LockCoordinator(ctx, s.txn, pl.LockTable, lockModeOf(pl.LockModeLevel)); err != nil {
+		if err := s.engine.cluster.LockCoordinator(ctx, s.txn, pl.LockTable, pl.LockMode); err != nil {
 			return nil, wrapLockErr(err)
 		}
 	}
@@ -955,13 +951,6 @@ func columnNames(s *types.Schema) []string {
 		out[i] = c.Name
 	}
 	return out
-}
-
-func lockModeOf(level int) lockmgr.Mode {
-	if level < 1 || level > 8 {
-		return lockmgr.AccessShare
-	}
-	return lockmgr.Mode(level)
 }
 
 // wrapLockErr annotates deadlock-victim errors with the PostgreSQL-style

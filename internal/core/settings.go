@@ -50,15 +50,6 @@ var settingTable = map[string]*setting{
 		set:  (*Session).SetOptimizer,
 		show: func(s *Session) string { return s.settings.optimizer.String() },
 	},
-	"enable_zonemaps": boolSetting(
-		func(ss *sessionSettings) *bool { return &ss.pushdown },
-		func(cfg *cluster.Config) bool { return cfg.EnableZoneMaps }),
-	"enable_costopt": boolSetting(
-		func(ss *sessionSettings) *bool { return &ss.costOpt },
-		func(cfg *cluster.Config) bool { return cfg.EnableCostOpt }),
-	"broadcast_threshold": intSetting("a positive row count", 1, math.MaxInt,
-		func(ss *sessionSettings) *int { return &ss.broadcastThreshold },
-		func(cfg *cluster.Config) int { return cfg.BroadcastThreshold }),
 	"memory_spill_ratio": {
 		want: "between 0 and 100",
 		init: func(ss *sessionSettings, _ *cluster.Config) { ss.spillRatio = -1 },

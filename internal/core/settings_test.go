@@ -41,24 +41,6 @@ var settingCases = map[string]settingCase{
 		invalid:     []string{"volcano", "2"},
 		planShaping: true,
 	},
-	"enable_zonemaps": {
-		def:         func(cfg *cluster.Config) string { return onOff(cfg.EnableZoneMaps) },
-		valid:       onOffSpellings,
-		invalid:     []string{"maybe", "2", "offf"},
-		planShaping: true,
-	},
-	"enable_costopt": {
-		def:         func(cfg *cluster.Config) string { return onOff(cfg.EnableCostOpt) },
-		valid:       onOffSpellings,
-		invalid:     []string{"maybe", "-1"},
-		planShaping: true,
-	},
-	"broadcast_threshold": {
-		def:         itoa(func(cfg *cluster.Config) int { return cfg.BroadcastThreshold }),
-		valid:       map[string]string{"50": "50", "1": "1"},
-		invalid:     []string{"0", "-7", "many"},
-		planShaping: true,
-	},
 	"memory_spill_ratio": {
 		def:     itoa(func(cfg *cluster.Config) int { return cfg.MemorySpillRatio }),
 		valid:   map[string]string{"35": "35", "0": "0", "100": "100"},
@@ -93,7 +75,6 @@ var settingCases = map[string]settingCase{
 func TestSettingTable(t *testing.T) {
 	cfg := cluster.GPDB6(2)
 	cfg.ReplicaMode = cluster.ReplicaSync // replica_mode is only settable with mirrors
-	cfg.BroadcastThreshold = 77
 	cfg.MemorySpillRatio = 33
 	e := NewEngine(cfg)
 	t.Cleanup(e.Close)
@@ -168,8 +149,7 @@ func TestSettingTable(t *testing.T) {
 		return 0
 	}
 	nonDefault := map[string]string{
-		"optimizer": "orca", "enable_zonemaps": "off", "enable_costopt": "off",
-		"broadcast_threshold": "5", "memory_spill_ratio": "50",
+		"optimizer": "orca", "memory_spill_ratio": "50",
 		"statement_timeout": "60000", "trace_queries": "on", "log_min_duration": "0",
 		"replica_mode": "async",
 	}
@@ -194,19 +174,22 @@ func TestSettingTable(t *testing.T) {
 }
 
 // TestSetRejectsUnknownName: a typo'd name fails like SHOW of it does,
-// instead of being stored and echoed while the real setting stays put.
+// instead of being stored and echoed while the real setting stays put; so do
+// the planner switches the engine no longer has.
 func TestSetRejectsUnknownName(t *testing.T) {
 	_, s := newTestEngine(t, 2)
 	ctx := context.Background()
-	_, setErr := s.Exec(ctx, "SET enable_zonemap = off")
-	_, showErr := s.Exec(ctx, "SHOW enable_zonemap")
-	for _, err := range []error{setErr, showErr} {
-		if err == nil || !strings.Contains(err.Error(), "unrecognized configuration parameter") {
-			t.Fatalf("want an unrecognized-parameter error, got %v", err)
+	for _, name := range []string{"trace_querie", "enable_costopt", "enable_zonemaps", "broadcast_threshold"} {
+		_, setErr := s.Exec(ctx, "SET "+name+" = on")
+		_, showErr := s.Exec(ctx, "SHOW "+name)
+		for _, err := range []error{setErr, showErr} {
+			if err == nil || !strings.Contains(err.Error(), "unrecognized configuration parameter") {
+				t.Fatalf("%s: want an unrecognized-parameter error, got %v", name, err)
+			}
 		}
 	}
-	if v := mustExec(t, s, "SHOW enable_zonemaps").Rows[0][0].Text(); v != "on" {
-		t.Fatalf("enable_zonemaps = %q after a rejected typo, want on", v)
+	if v := mustExec(t, s, "SHOW trace_queries").Rows[0][0].Text(); v != "off" {
+		t.Fatalf("trace_queries = %q after a rejected typo, want off", v)
 	}
 }
 

@@ -46,38 +46,36 @@ func bulkInsert(t *testing.T, s *Session, table string, n, base int, mk func(i i
 
 // TestPlannerUsesRealTableStats checks the OLAP broadcast-vs-redistribute
 // decision is driven by actual storage row counts (via the cluster's stats
-// cache), not the old hard-coded default estimate: a small misaligned inner
-// side is broadcast, and after the table grows past the threshold a fresh
-// plan redistributes instead.
+// cache), not the old hard-coded default estimate. On four segments a
+// broadcast ships its side four times and a redistribute ships both sides
+// once, so a 100-row side joined to 1000 rows is broadcast; after a bulk
+// insert grows it to 1100 rows, neither side is small enough and a fresh
+// plan redistributes both instead.
 func TestPlannerUsesRealTableStats(t *testing.T) {
-	_, s := newTestEngine(t, 2)
+	_, s := newTestEngine(t, 4)
 
 	mustExec(t, s, "CREATE TABLE big (a int, b int) DISTRIBUTED BY (a)")
 	// dim's distribution key (v) differs from the join key (k), so the join
 	// sides are misaligned and the planner must move data.
 	mustExec(t, s, "CREATE TABLE dim (k int, v int) DISTRIBUTED BY (v)")
-	bulkInsert(t, s, "big", 200, 0, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i%50) })
+	bulkInsert(t, s, "big", 1000, 0, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i%50) })
 	bulkInsert(t, s, "dim", 100, 0, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i*3) })
 
 	if err := s.SetOptimizer("orca"); err != nil {
 		t.Fatal(err)
 	}
-	// This test pins the legacy threshold heuristic; with the cost-based
-	// optimizer on, join reordering may flip the build side and broadcast
-	// whichever input is smaller (covered by the costopt tests).
-	mustExec(t, s, "SET enable_costopt = off")
 	q := "SELECT big.a, dim.v FROM big JOIN dim ON big.b = dim.k"
 	pl := explainText(t, s, q)
 	if !strings.Contains(pl, "Broadcast Motion") {
-		t.Fatalf("small inner side (100 rows) should be broadcast:\n%s", pl)
+		t.Fatalf("small side (100 rows) should be broadcast:\n%s", pl)
 	}
 
-	// Grow dim past the broadcast threshold (2000); the write invalidates
-	// the stats cache, so the next plan sees the real count.
-	bulkInsert(t, s, "dim", 2500, 1000, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i*3) })
+	// The write invalidates the stats cache, so the next plan sees the real
+	// count.
+	bulkInsert(t, s, "dim", 1000, 1000, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i*3) })
 	pl = explainText(t, s, q)
 	if strings.Contains(pl, "Broadcast Motion") {
-		t.Fatalf("large inner side (2600 rows) should not be broadcast:\n%s", pl)
+		t.Fatalf("no side is small after dim grows to 1100 rows, yet one is broadcast:\n%s", pl)
 	}
 	if !strings.Contains(pl, "Redistribute Motion") {
 		t.Fatalf("misaligned large join should redistribute:\n%s", pl)

@@ -29,18 +29,6 @@ type GlobalGraph struct {
 	Locals []LocalGraph
 }
 
-// Vertices returns the set of transactions appearing in the graph.
-func (g *GlobalGraph) Vertices() map[lockmgr.TxnID]struct{} {
-	vs := make(map[lockmgr.TxnID]struct{})
-	for _, lg := range g.Locals {
-		for _, e := range lg.Edges {
-			vs[e.Waiter] = struct{}{}
-			vs[e.Holder] = struct{}{}
-		}
-	}
-	return vs
-}
-
 // edgeSet is a mutable copy of the graph during reduction: edges[seg] is the
 // slice of remaining edges in that segment's local graph.
 type edgeSet struct {

@@ -1,9 +1,6 @@
 package plan
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // NodeRowCounts collects the actual output rows of every plan node during
 // execution, summed across slices and segments (they all share one
@@ -83,20 +80,4 @@ func CheckRiskBounds(costs map[Node]*NodeCost, actuals *NodeRowCounts) []Misesti
 		}
 	}
 	return out
-}
-
-// ExplainAnalyzed renders the plan with per-node estimated vs actual rows —
-// the EXPLAIN ANALYZE view of the cost model's accuracy.
-func ExplainAnalyzed(root Node, costs map[Node]*NodeCost, actuals *NodeRowCounts) string {
-	return explainAnnotated(root, func(n Node) string {
-		nc, ok := costs[n]
-		if !ok {
-			return ""
-		}
-		suffix := fmt.Sprintf("  (cost=%.2f rows=%d ±%d actual=%d", nc.Cost, nc.Rows, nc.Bound, actuals.Rows(n))
-		if _, isScan := n.(*Scan); isScan && nc.StatsNone {
-			suffix += " stats=none"
-		}
-		return suffix + ")"
-	})
 }

@@ -8,7 +8,7 @@ import (
 
 // The cost model follows the classic Selinger/SimpleDB shape: every plan
 // node answers three questions — how many blocks does executing it touch
-// (BlocksAccessed), how many records does it emit (RecordsOutput), and how
+// (NodeCost.Blocks), how many records does it emit (RecordsOutput), and how
 // many distinct values does a column of its output carry (DistinctValues).
 // Scan estimates come from the ANALYZE statistics in the catalog when they
 // are valid (selectivity from per-column histograms, NDV, null fractions
@@ -24,7 +24,7 @@ import (
 
 // Cost-model tunables (arbitrary units: one sequential block read = 1).
 const (
-	// estBlockBytes is the assumed block size for BlocksAccessed.
+	// estBlockBytes is the assumed block size for NodeCost.Blocks.
 	estBlockBytes = 32 * 1024
 	// cpuRowCost charges per row passed through an operator.
 	cpuRowCost = 0.01
@@ -86,9 +86,6 @@ func (c *costEstimator) tableStats(table string) *stats.TableStats {
 
 // RecordsOutput estimates the node's output cardinality.
 func (c *costEstimator) RecordsOutput(n Node) int64 { return c.cost(n).Rows }
-
-// BlocksAccessed estimates the storage blocks read beneath the node.
-func (c *costEstimator) BlocksAccessed(n Node) int64 { return c.cost(n).Blocks }
 
 // Cost returns the node's cumulative cost estimate.
 func (c *costEstimator) Cost(n Node) float64 { return c.cost(n).Cost }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/lockmgr"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -20,8 +21,8 @@ const (
 	// OptimizerOLTP is the fast rule-based planner: index selection, direct
 	// dispatch, no cost-based exploration.
 	OptimizerOLTP Optimizer = iota
-	// OptimizerOLAP is the cost-based planner: it additionally considers
-	// broadcasting small join sides instead of redistributing both.
+	// OptimizerOLAP is the cost-based planner: join reordering, cost-driven
+	// broadcast-vs-redistribute and the risk-bound robust fallback.
 	OptimizerOLAP
 )
 
@@ -46,21 +47,12 @@ type defaultStats struct{}
 
 func (defaultStats) RowCount(string) int64 { return 0 }
 
-// defaultBroadcastThreshold is the row estimate under which the OLAP
-// planner prefers broadcasting a join side over redistributing both sides,
-// when no Config/SET override is in effect (Planner.BroadcastThreshold).
-const defaultBroadcastThreshold = 2000
-
 // Planner turns analyzed statements into distributed physical plans.
 type Planner struct {
 	Catalog     *catalog.Catalog
 	NumSegments int
 	Optimizer   Optimizer
 	Stats       Stats
-	// Pushdown enables sargable-predicate extraction onto scan nodes for
-	// zone-map block skipping (cluster.Config.EnableZoneMaps, overridable
-	// per session with SET enable_zonemaps).
-	Pushdown bool
 	// Params are the values bound to $N placeholders. The plan keeps a slot
 	// per placeholder and takes only the values' kinds from here (see
 	// Planned.Bind), except where planning itself consumes the values: the
@@ -71,15 +63,6 @@ type Planner struct {
 	// valid for this one binding only. EXPLAIN sets it so the estimates it
 	// prints see the values.
 	Fold bool
-	// CostOpt enables the cost-based passes: join reordering, build-side
-	// choice, cost-driven broadcast-vs-redistribute, and selectivity-aware
-	// memory estimates (SET enable_costopt; effective only with the OLAP
-	// optimizer).
-	CostOpt bool
-	// BroadcastThreshold is the broadcast row threshold used by the
-	// syntactic (CostOpt off) OLAP path; 0 means defaultBroadcastThreshold.
-	// Config.BroadcastThreshold / SET broadcast_threshold.
-	BroadcastThreshold int
 	// Robust forces the robust plan shape — no broadcast motions and
 	// conservative (non-selectivity-scaled) memory estimates — after the
 	// risk-bound check recorded a misestimate for this statement.
@@ -95,7 +78,7 @@ type Planner struct {
 
 // newBinder returns a binder over sc for this statement's parameters.
 func (p *Planner) newBinder(sc *scope) *binder {
-	return &binder{scope: sc, params: p.Params, fold: p.Fold || p.costEnabled(), slots: &p.slots}
+	return &binder{scope: sc, params: p.Params, fold: p.Fold || p.Optimizer == OptimizerOLAP, slots: &p.slots}
 }
 
 // noteMapVersion records a referenced table's placement version.
@@ -114,8 +97,7 @@ type Planned struct {
 	// LockTable is the relation to lock at parse-analyze time on the
 	// coordinator with LockMode (paper §4.2's first locking stage).
 	LockTable string
-	// LockModeLevel is the lockmgr mode level (0 = none).
-	LockModeLevel int
+	LockMode  lockmgr.Mode
 	// DirectSegment pins execution to one segment (derived from an equality
 	// predicate on the full distribution key); -1 means all segments.
 	DirectSegment int
@@ -137,11 +119,10 @@ type Planned struct {
 	Costs map[Node]*NodeCost
 
 	// slots marks a template: the plan holds $N slots and must go through
-	// Bind before it runs. nseg and pushdown are the planner settings Bind's
-	// value-dependent steps need.
-	slots    bool
-	nseg     int
-	pushdown bool
+	// Bind before it runs. nseg is the planner setting Bind's value-dependent
+	// steps need.
+	slots bool
+	nseg  int
 }
 
 // NewPlanned wraps a hand-built SELECT plan tree (no statement-level locks,
@@ -157,20 +138,6 @@ func (p *Planner) stats() Stats {
 		return defaultStats{}
 	}
 	return p.Stats
-}
-
-// costEnabled reports whether the cost-based passes apply: they require the
-// OLAP optimizer (the OLTP planner stays rule-based for latency).
-func (p *Planner) costEnabled() bool {
-	return p.CostOpt && p.Optimizer == OptimizerOLAP
-}
-
-// broadcastLimit is the syntactic path's broadcast threshold.
-func (p *Planner) broadcastLimit() int64 {
-	if p.BroadcastThreshold > 0 {
-		return int64(p.BroadcastThreshold)
-	}
-	return defaultBroadcastThreshold
 }
 
 // planned node + locus bookkeeping.
@@ -189,7 +156,7 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 	var scope *scope
 	var err error
 	whereHandled := false
-	if jr, ok := s.From.(*sql.JoinRef); ok && p.costEnabled() {
+	if jr, ok := s.From.(*sql.JoinRef); ok && p.Optimizer == OptimizerOLAP {
 		// Cost-based join reordering folds the WHERE clause into the join
 		// conjunct pool; a nil result means the tree does not qualify.
 		pn, scope, whereHandled, err = p.planReorderedJoin(jr, s.Where)
@@ -357,14 +324,12 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 	p.attachSelectLocks(res, s)
 	pruneColumns(res.Root)
 	res.cut()
-	if p.Pushdown {
-		AttachPushdown(res.Root)
-	}
-	if p.costEnabled() && !p.Robust {
+	AttachPushdown(res.Root)
+	if p.Optimizer == OptimizerOLAP && !p.Robust {
 		// Selectivity-aware memory estimates plus the cost annotations.
 		res.Costs = p.AnnotateCosts(res.Root)
 	} else {
-		// Syntactic/robust path: conservative full-cardinality memory
+		// Rule-based/robust path: conservative full-cardinality memory
 		// estimates; costs still computed for EXPLAIN and risk bounds.
 		AnnotateMemory(res.Root, p.stats())
 		est := newCostEstimator(p.stats(), p.statsProvider(), p.NumSegments)
@@ -380,16 +345,16 @@ func (p *Planner) attachSelectLocks(res *Planned, s *sql.SelectStmt) {
 		res.LockTable = bt.Name
 		switch s.Lock {
 		case sql.LockForUpdate, sql.LockForShare:
-			res.LockModeLevel = 2 // RowShare
+			res.LockMode = lockmgr.RowShare
 		default:
-			res.LockModeLevel = 1 // AccessShare
+			res.LockMode = lockmgr.AccessShare
 		}
 	} else if s.From != nil {
 		// Joins: lock the leftmost base table in AccessShare; the segment
 		// execution locks each scanned table locally anyway.
 		if t := leftmostTable(s.From); t != "" {
 			res.LockTable = t
-			res.LockModeLevel = 1
+			res.LockMode = lockmgr.AccessShare
 		}
 	}
 }
@@ -982,27 +947,19 @@ func (p *Planner) buildJoin(kind JoinKind, left, right *planned, lk, rk []Expr, 
 	default:
 		// The OLAP planner broadcasts a small inner side instead of
 		// redistributing both; the OLTP planner always redistributes
-		// misaligned sides. With the cost-based passes on, the choice
-		// compares interconnect traffic (a broadcast ships the inner side to
-		// every segment; a redistribute ships each misaligned side once);
-		// otherwise the fixed broadcast threshold decides. A robust plan
-		// never broadcasts — a misestimated inner side makes broadcasts
-		// arbitrarily bad, while redistribution degrades gracefully.
+		// misaligned sides. The choice compares interconnect traffic (a
+		// broadcast ships the inner side to every segment; a redistribute
+		// ships each misaligned side once). A robust plan never broadcasts —
+		// a misestimated inner side makes broadcasts arbitrarily bad, while
+		// redistribution degrades gracefully.
 		broadcast := false
 		if p.Optimizer == OptimizerOLAP && !p.Robust && !rightAligned && right.rows > 0 && kind == JoinInner {
-			if p.costEnabled() {
-				nseg := int64(p.NumSegments)
-				if nseg < 1 {
-					nseg = 1
-				}
-				redistributed := right.rows
-				if !leftAligned {
-					redistributed += left.rows
-				}
-				broadcast = right.rows*nseg <= redistributed
-			} else {
-				broadcast = right.rows < p.broadcastLimit()
+			nseg := int64(max(p.NumSegments, 1))
+			redistributed := right.rows
+			if !leftAligned {
+				redistributed += left.rows
 			}
+			broadcast = right.rows*nseg <= redistributed
 		}
 		if broadcast {
 			right.node = &Motion{Child: right.node, Type: MotionBroadcast}
@@ -1347,7 +1304,7 @@ func (p *Planner) PlanInsert(st *sql.InsertStmt) (*Planned, error) {
 		}
 		return out
 	}
-	res := &Planned{DirectSegment: -1, LockTable: t.Name, LockModeLevel: 3} // RowExclusive
+	res := &Planned{DirectSegment: -1, LockTable: t.Name, LockMode: lockmgr.RowExclusive}
 	ip := &InsertPlan{Table: t, MapVersion: p.mapVers[t.Name]}
 	if st.Select != nil {
 		sel, err := p.PlanSelect(st.Select)
@@ -1467,13 +1424,11 @@ func (p *Planner) writeTarget(table string, where sql.Expr) (*catalog.Table, *bi
 // (paper §4): with GDD the coordinator takes RowExclusive on the table;
 // without it, Exclusive — serializing all writers.
 func (p *Planner) finishWrite(t *catalog.Table, root Node, gddEnabled bool) *Planned {
-	res := &Planned{Root: root, DirectSegment: -1, LockTable: t.Name, LockModeLevel: 7, MapVersions: p.mapVers}
+	res := &Planned{Root: root, DirectSegment: -1, LockTable: t.Name, LockMode: lockmgr.Exclusive, MapVersions: p.mapVers}
 	if gddEnabled {
-		res.LockModeLevel = 3
+		res.LockMode = lockmgr.RowExclusive
 	}
-	if p.Pushdown {
-		AttachPushdown(root)
-	}
+	AttachPushdown(root)
 	return p.finish(res)
 }
 

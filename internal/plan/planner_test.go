@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/lockmgr"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -99,8 +100,8 @@ func TestSimpleSelectGetsSingleGather(t *testing.T) {
 	if pl.Slices != 2 {
 		t.Fatalf("slices = %d", pl.Slices)
 	}
-	if pl.LockTable != "t1" || pl.LockModeLevel != 1 {
-		t.Fatalf("lock: %q level %d", pl.LockTable, pl.LockModeLevel)
+	if pl.LockTable != "t1" || pl.LockMode != lockmgr.AccessShare {
+		t.Fatalf("lock: %q mode %v", pl.LockTable, pl.LockMode)
 	}
 }
 
@@ -151,15 +152,21 @@ func TestReplicatedJoinNeedsNoMotion(t *testing.T) {
 	}
 }
 
-// smallStats reports a tiny row count so the OLAP planner broadcasts.
-type smallStats struct{}
+// smallT2Stats makes t2 tiny beside t1, so shipping t2 to every segment
+// costs less than redistributing both sides and the OLAP planner broadcasts.
+type smallT2Stats struct{}
 
-func (smallStats) RowCount(string) int64 { return 10 }
+func (smallT2Stats) RowCount(table string) int64 {
+	if table == "t2" {
+		return 10
+	}
+	return 100000
+}
 
 func TestOLAPPlannerBroadcastsSmallSide(t *testing.T) {
 	cat := testCatalog(t)
 	st, _ := sql.Parse("SELECT * FROM t1 JOIN t2 ON t1.c2 = t2.c2")
-	p := &Planner{Catalog: cat, NumSegments: 4, Optimizer: OptimizerOLAP, Stats: smallStats{}}
+	p := &Planner{Catalog: cat, NumSegments: 4, Optimizer: OptimizerOLAP, Stats: smallT2Stats{}}
 	pl, err := p.PlanSelect(st.(*sql.SelectStmt))
 	if err != nil {
 		t.Fatal(err)
@@ -266,17 +273,17 @@ func TestLockLevelsGDDVsGPDB5(t *testing.T) {
 	st, _ := sql.Parse("UPDATE t1 SET c2 = 0")
 	with, _ := p.PlanUpdate(st.(*sql.UpdateStmt), true)
 	without, _ := p.PlanUpdate(st.(*sql.UpdateStmt), false)
-	if with.LockModeLevel != 3 {
-		t.Fatalf("GDD update lock = %d, want RowExclusive(3)", with.LockModeLevel)
+	if with.LockMode != lockmgr.RowExclusive {
+		t.Fatalf("GDD update lock = %v, want RowExclusive", with.LockMode)
 	}
-	if without.LockModeLevel != 7 {
-		t.Fatalf("GPDB5 update lock = %d, want Exclusive(7)", without.LockModeLevel)
+	if without.LockMode != lockmgr.Exclusive {
+		t.Fatalf("GPDB5 update lock = %v, want Exclusive", without.LockMode)
 	}
 	dst, _ := sql.Parse("DELETE FROM t1")
 	dwith, _ := p.PlanDelete(dst.(*sql.DeleteStmt), true)
 	dwithout, _ := p.PlanDelete(dst.(*sql.DeleteStmt), false)
-	if dwith.LockModeLevel != 3 || dwithout.LockModeLevel != 7 {
-		t.Fatalf("delete locks: %d %d", dwith.LockModeLevel, dwithout.LockModeLevel)
+	if dwith.LockMode != lockmgr.RowExclusive || dwithout.LockMode != lockmgr.Exclusive {
+		t.Fatalf("delete locks: %v %v", dwith.LockMode, dwithout.LockMode)
 	}
 }
 
@@ -292,8 +299,8 @@ func TestInsertPlanRouting(t *testing.T) {
 	if len(rows) != 2 || rows[0][0].Int() != 1 {
 		t.Fatalf("rows: %v", rows)
 	}
-	if pl.LockModeLevel != 3 {
-		t.Fatalf("insert lock level = %d", pl.LockModeLevel)
+	if pl.LockMode != lockmgr.RowExclusive {
+		t.Fatalf("insert lock mode = %v", pl.LockMode)
 	}
 	if got := Explain(pl.Root); got != "Insert on t1\n  -> Result\n" {
 		t.Fatalf("EXPLAIN:\n%s", got)

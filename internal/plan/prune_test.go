@@ -317,21 +317,21 @@ func TestPruneColumnsReorderedJoins(t *testing.T) {
 			JOIN order_line ol ON o.o_w_id = ol.ol_w_id AND o.o_id = ol.ol_o_id
 			WHERE ol.ol_quantity > c.c_payment_cnt GROUP BY c.c_name`,
 	}, chQueries...)
-	for _, costopt := range []bool{true, false} {
+	for _, opt := range []Optimizer{OptimizerOLAP, OptimizerOLTP} {
 		for i, q := range queries {
-			p := &Planner{Catalog: cat, NumSegments: 4, Optimizer: OptimizerOLAP, CostOpt: costopt, Stats: st, Pushdown: true}
+			p := &Planner{Catalog: cat, NumSegments: 4, Optimizer: opt, Stats: st}
 			pl := planStmt(t, p, q)
 			checkPruned(t, pl)
 			for _, j := range joinsIn(pl.Root) {
 				if !strings.Contains(j.Explain(), " Output: ") {
-					t.Errorf("costopt %v: query %d: %s keeps every column\n%s", costopt, i, j.Explain(), Explain(pl.Root))
+					t.Errorf("%v: query %d: %s keeps every column\n%s", opt, i, j.Explain(), Explain(pl.Root))
 				}
 			}
 		}
 	}
 	// The three-way join is reordered (customer, the smallest, does not
 	// probe), so its top join sits under a Project of bare columns.
-	p := &Planner{Catalog: cat, NumSegments: 4, Optimizer: OptimizerOLAP, CostOpt: true, Stats: st}
+	p := &Planner{Catalog: cat, NumSegments: 4, Optimizer: OptimizerOLAP, Stats: st}
 	pl := planStmt(t, p, queries[0])
 	top := joinsIn(pl.Root)[0].(*HashJoin)
 	if len(joinsIn(pl.Root)) != 2 || !strings.Contains(Explain(pl.Root), "Project c_w_id, ") {
@@ -387,7 +387,7 @@ func TestPruneColumnsInsertSelectAndTemplates(t *testing.T) {
 // microseconds.
 func BenchmarkPruneColumns(b *testing.B) {
 	cat, st := chCatalog(b)
-	p := &Planner{Catalog: cat, NumSegments: 4, Optimizer: OptimizerOLAP, CostOpt: true, Stats: st, Pushdown: true}
+	p := &Planner{Catalog: cat, NumSegments: 4, Optimizer: OptimizerOLAP, Stats: st}
 	roots := make([]Node, len(chQueries))
 	for i, q := range chQueries {
 		roots[i] = planStmt(b, p, q).Root

@@ -159,7 +159,7 @@ func sargable(e Expr) []ScanConjunct {
 
 // AttachPushdown walks a plan and attaches the extracted ScanPredicate to
 // every filtered sequential scan. Called by the planner once the final plan
-// shape is known, and only when pushdown is enabled.
+// shape is known.
 func AttachPushdown(root Node) {
 	var walk func(Node)
 	walk = func(n Node) {

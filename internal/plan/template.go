@@ -36,7 +36,7 @@ func (p *Planner) Plan(st sql.Statement, gdd bool) (*Planned, error) {
 // finish stamps what Bind needs onto a freshly planned statement and, when
 // the plan holds no slot, routes it now.
 func (p *Planner) finish(pl *Planned) *Planned {
-	pl.slots, pl.nseg, pl.pushdown = p.slots > 0, p.NumSegments, p.Pushdown
+	pl.slots, pl.nseg = p.slots > 0, p.NumSegments
 	if !pl.slots {
 		pl.route()
 	}
@@ -212,9 +212,7 @@ func (b *instantiation) node(n Node) Node {
 			c := *x
 			c.Filter = f
 			prunePartitions(&c)
-			if b.tmpl.pushdown {
-				c.ScanPred = ExtractPushdown(f)
-			}
+			c.ScanPred = ExtractPushdown(f)
 			return &c
 		}
 	case *IndexScan:

@@ -53,7 +53,7 @@ func planWith(t *testing.T, cat *catalog.Catalog, q string, fold bool, params []
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	pl, err := (&Planner{Catalog: cat, NumSegments: 4, Pushdown: true, Params: params, Fold: fold}).Plan(st, true)
+	pl, err := (&Planner{Catalog: cat, NumSegments: 4, Params: params, Fold: fold}).Plan(st, true)
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}

@@ -92,9 +92,6 @@ func NewCPUSim(totalCores int) *CPUSim {
 	}
 }
 
-// TotalCores returns the machine size.
-func (c *CPUSim) TotalCores() int { return c.totalCores }
-
 // SetShares registers a share-based group: pct is CPU_RATE_LIMIT.
 func (c *CPUSim) SetShares(group string, pct int) {
 	c.mu.Lock()

@@ -29,9 +29,6 @@ type Group struct {
 	cancelled int64
 }
 
-// Def returns the group's definition.
-func (g *Group) Def() catalog.ResourceGroupDef { return g.def }
-
 // Manager owns all resource groups plus the shared CPU and memory
 // substrates.
 type Manager struct {

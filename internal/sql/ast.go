@@ -30,10 +30,33 @@ type ColumnRef struct {
 func (*ColumnRef) expr() {}
 func (c *ColumnRef) String() string {
 	if c.Table != "" {
-		return c.Table + "." + c.Column
+		return ident(c.Table) + "." + ident(c.Column)
 	}
-	return c.Column
+	return ident(c.Column)
 }
+
+// ident prints a name so it lexes back to the same identifier: bare when it
+// is a lower-case word that is not a keyword, double-quoted otherwise.
+func ident(name string) string {
+	plain := name != "" && isIdentStart(name[0]) && !lowerKeywords[name]
+	for i := 0; plain && i < len(name); i++ {
+		plain = isIdentCont(name[i]) && (name[i] < 'A' || name[i] > 'Z')
+	}
+	if plain {
+		return name
+	}
+	return `"` + name + `"`
+}
+
+// lowerKeywords is keywords in lower case, so ident checks a name without
+// allocating its upper-case form.
+var lowerKeywords = func() map[string]bool {
+	m := make(map[string]bool, len(keywords))
+	for k := range keywords {
+		m[strings.ToLower(k)] = true
+	}
+	return m
+}()
 
 // Literal is a constant value.
 type Literal struct {
@@ -190,9 +213,9 @@ type BaseTable struct {
 func (*BaseTable) tableRef() {}
 func (t *BaseTable) String() string {
 	if t.Alias != "" {
-		return t.Name + " " + t.Alias
+		return ident(t.Name) + " " + ident(t.Alias)
 	}
-	return t.Name
+	return ident(t.Name)
 }
 
 // JoinType enumerates join shapes.
@@ -230,7 +253,11 @@ func (j *JoinRef) String() string {
 	if j.On != nil {
 		s += " ON " + j.On.String()
 	} else if len(j.Using) > 0 {
-		s += " USING (" + strings.Join(j.Using, ", ") + ")"
+		using := make([]string, len(j.Using))
+		for i, c := range j.Using {
+			using[i] = ident(c)
+		}
+		s += " USING (" + strings.Join(using, ", ") + ")"
 	}
 	return s
 }
@@ -243,7 +270,7 @@ type SubqueryRef struct {
 
 func (*SubqueryRef) tableRef() {}
 func (s *SubqueryRef) String() string {
-	return fmt.Sprintf("(%s) %s", s.Select, s.Alias)
+	return fmt.Sprintf("(%s) %s", s.Select, ident(s.Alias))
 }
 
 // ---------- Statements ----------
@@ -301,7 +328,7 @@ func (s *SelectStmt) String() string {
 		} else {
 			b.WriteString(it.Expr.String())
 			if it.Alias != "" {
-				b.WriteString(" AS " + it.Alias)
+				b.WriteString(" AS " + ident(it.Alias))
 			}
 		}
 	}

@@ -931,6 +931,9 @@ func (p *Parser) parseTypeName() (types.Kind, error) {
 	}
 	if p.isOp("(") {
 		for !p.isOp(")") {
+			if p.tok.Kind == TokEOF {
+				return 0, p.errf("unterminated type modifier of %s", name)
+			}
 			if err := p.next(); err != nil {
 				return 0, err
 			}
@@ -1390,6 +1393,9 @@ func (p *Parser) parseLock() (Statement, error) {
 		}
 		var words []string
 		for !p.isWord("MODE") {
+			if p.tok.Kind == TokEOF {
+				return nil, p.errf("expected MODE, found %s", p.tok)
+			}
 			words = append(words, strings.ToUpper(p.tok.Val))
 			if err := p.next(); err != nil {
 				return nil, err
@@ -1797,7 +1803,9 @@ func (p *Parser) parseUnary() (Expr, error) {
 			case types.KindInt:
 				return &Literal{Value: types.NewInt(-lit.Value.Int())}, nil
 			case types.KindFloat:
-				return &Literal{Value: types.NewFloat(-lit.Value.Float())}, nil
+				// 0 - x, not -x: -0.0 folds to 0, which prints as text
+				// that parses back to itself.
+				return &Literal{Value: types.NewFloat(0 - lit.Value.Float())}, nil
 			}
 		}
 		return &UnaryOp{Op: "-", Operand: e}, nil

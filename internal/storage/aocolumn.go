@@ -98,9 +98,6 @@ func (a *AOColumn) SetBlockCache(c *BlockCache) {
 	}
 }
 
-// BlockCacheID returns the engine's block-cache key (diagnostics/tests).
-func (a *AOColumn) BlockCacheID() uint64 { return a.id }
-
 // ReleaseCachedBlocks drops this table's decoded blocks from the attached
 // cache. Call when the engine is discarded (DROP TABLE) so a shared bounded
 // cache doesn't keep paying for unreachable entries until LRU pressure

@@ -46,9 +46,6 @@ func NewHashIndex(keyCols []int) *HashIndex {
 	return &HashIndex{keyCols: append([]int(nil), keyCols...)}
 }
 
-// KeyCols returns the indexed schema offsets.
-func (ix *HashIndex) KeyCols() []int { return ix.keyCols }
-
 // Insert adds a (row, tid) pair.
 func (ix *HashIndex) Insert(row types.Row, tid TupleID) {
 	h := row.Hash(ix.keyCols)
