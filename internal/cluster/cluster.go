@@ -57,14 +57,16 @@ type Cluster struct {
 	// replayLSN is the LSN the most recent promotion had replayed/applied
 	// when it took over.
 	replayLSN atomic.Uint64
-	// retiredScan/retiredCache fold the cumulative counters of dead
-	// (failed-over) segment incarnations so SHOW scan_stats survives a
-	// failover instead of silently dropping the dead primary's totals.
+	// The retired counters fold the cumulative counters of dead
+	// (failed-over) segment incarnations so SHOW scan_stats and
+	// storage.versions_reclaimed survive a failover instead of silently
+	// dropping the dead primary's totals.
 	retiredScanned   atomic.Int64
 	retiredSkipped   atomic.Int64
 	retiredCacheHits atomic.Int64
 	retiredCacheMiss atomic.Int64
 	retiredCacheEvic atomic.Int64
+	retiredReclaimed atomic.Int64
 
 	// txns tracks live transactions by lock-owner id, for GDD liveness
 	// checks and victim kills; owners maps the dxid of each live transaction
@@ -427,6 +429,14 @@ func (c *Cluster) ScanBlockStats() (scanned, skipped int64) {
 	return scanned, skipped
 }
 
+// VersionsReclaimed sums the heap versions index probes and VACUUM marked
+// dead, failed-over incarnations included.
+func (c *Cluster) VersionsReclaimed() int64 {
+	n := c.retiredReclaimed.Load()
+	c.eachSeg(func(_ int, s *Segment) { n += s.reclaimed.Load() })
+	return n
+}
+
 // BlockCacheStats aggregates the segments' decoded-block cache counters.
 // Hit/miss/eviction totals of dead incarnations are folded in at promotion;
 // the gauges (used bytes, entries) reflect only the live caches.
@@ -657,7 +667,8 @@ func (c *Cluster) forget(t *LiveTxn) {
 // live snapshot or running transaction can still see as running (paper
 // §5.1). A mirror truncates at the same horizon as its primary — prepared
 // transactions stay in progress, so in-doubt resolution after a promotion
-// still finds their entries.
+// still finds their entries. Each primary keeps the horizon for its index
+// probes to prune under.
 func (c *Cluster) maybeTruncateMappings() {
 	if c.truncTick.Add(1)%256 != 0 {
 		return
@@ -665,6 +676,7 @@ func (c *Cluster) maybeTruncateMappings() {
 	horizon := c.coord.Horizon()
 	c.eachSeg(func(_ int, s *Segment) {
 		s.mapping.Truncate(horizon)
+		s.horizon.Store(uint64(horizon))
 	})
 	c.eachMirror(func(m *Mirror) {
 		m.mapping.Truncate(horizon)

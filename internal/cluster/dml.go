@@ -231,13 +231,48 @@ func (s *Segment) LockRelation(ctx context.Context, owner lockmgr.TxnID, t *cata
 	return s.acquire(ctx, owner, lockmgr.RelationTag(uint64(t.ID)), mode)
 }
 
-// Vacuum reclaims dead heap versions: versions deleted by a transaction no
-// snapshot can still see, and versions created by aborted transactions.
-// distHorizon is the coordinator's horizon: a deleter still in the xid
-// mapping at or above it may be running to a live distributed snapshot,
-// whatever the local clog says.
+// deadVersion is the one rule under which a version is reclaimed, by VACUUM
+// and by the probes that meet it: no live or future snapshot can see it.
+// That holds when its inserter aborted, or when its deleter committed before
+// every running local transaction began and — whatever the local clog says —
+// is below distHorizon, the coordinator's horizon: a deleter still in the
+// xid mapping at or above it may be running to a live distributed snapshot
+// (paper §5.1), while one whose entry is gone was truncated below an earlier
+// horizon.
+func (s *Segment) deadVersion(h storage.Header, distHorizon dtm.DXID) bool {
+	if s.txns.Status(h.Xmin) == txn.StatusAborted {
+		return true
+	}
+	if h.Xmax == txn.InvalidXID || h.Xmax >= s.txns.OldestRunning() || s.txns.Status(h.Xmax) != txn.StatusCommitted {
+		return false
+	}
+	d, mapped := s.mapping.DistFor(h.Xmax)
+	return !mapped || d < distHorizon
+}
+
+// prune reclaims version tid of st, which deadVersion condemned where the
+// probe through index probed met it: its heap slot is marked dead and its
+// postings leave the leaf's other indexes — the caller takes the probed
+// index's out in one batch. It reports whether this call reclaimed the
+// version (a concurrent probe may have first). Like VACUUM, pruning is not
+// logged: a mirror or a recovered segment prunes again on access.
+func (s *Segment) prune(st *segTable, heap *storage.Heap, probed *segIndex, tid storage.TupleID, row types.Row) bool {
+	if !heap.Prune(tid) {
+		return false
+	}
+	for _, ix := range st.indexes {
+		if ix != probed {
+			ix.ix.Remove(row, tid)
+		}
+	}
+	s.reclaimed.Add(1)
+	return true
+}
+
+// Vacuum reclaims every dead heap version of t under the coordinator's
+// current horizon — marking the slots dead, then dropping their postings
+// from each index in one sweep — and returns how many it reclaimed.
 func (s *Segment) Vacuum(t *catalog.Table, distHorizon dtm.DXID) int {
-	horizon := s.txns.OldestRunning()
 	reclaimed := 0
 	for _, leaf := range leafIDs(t) {
 		st, err := s.table(leaf)
@@ -248,16 +283,20 @@ func (s *Segment) Vacuum(t *catalog.Table, distHorizon dtm.DXID) int {
 		if !ok {
 			continue
 		}
-		reclaimed += heap.Vacuum(func(h storage.Header) bool {
-			if s.txns.Status(h.Xmin) == txn.StatusAborted {
-				return true
+		var dead []storage.TupleID // ascending: the scan runs in tuple-id order
+		_ = heap.Scan(nil, 0, func(ch *storage.Chunk) bool {
+			for i := range ch.Xmins {
+				if h := ch.Header(i); s.deadVersion(h, distHorizon) && heap.Prune(h.TID) {
+					dead = append(dead, h.TID)
+				}
 			}
-			if h.Xmax == txn.InvalidXID || h.Xmax >= horizon || s.txns.Status(h.Xmax) != txn.StatusCommitted {
-				return false
-			}
-			d, mapped := s.mapping.DistFor(h.Xmax)
-			return !mapped || d < distHorizon
+			return true
 		})
+		for _, ix := range st.indexes {
+			ix.ix.Drop(dead)
+		}
+		s.reclaimed.Add(int64(len(dead)))
+		reclaimed += len(dead)
 	}
 	return reclaimed
 }

@@ -328,6 +328,7 @@ func (c *Cluster) promote(i int) error {
 	// Fold the dead incarnation's counters so SHOW scan_stats survives.
 	c.retiredScanned.Add(old.scanStats.BlocksScanned.Load())
 	c.retiredSkipped.Add(old.scanStats.BlocksSkipped.Load())
+	c.retiredReclaimed.Add(old.reclaimed.Load())
 	if old.blockCache != nil {
 		st := old.blockCache.Stats()
 		c.retiredCacheHits.Add(st.Hits)

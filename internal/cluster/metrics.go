@@ -45,6 +45,7 @@ func (c *Cluster) registerCollectors() {
 		scanned, skipped := c.ScanBlockStats()
 		emit("storage.scan.blocks_scanned", scanned)
 		emit("storage.scan.blocks_skipped", skipped)
+		emit("storage.versions_reclaimed", c.VersionsReclaimed())
 		st := c.BlockCacheStats()
 		emit("storage.blockcache.hits", st.Hits)
 		emit("storage.blockcache.misses", st.Misses)

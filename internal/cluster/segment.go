@@ -80,6 +80,13 @@ type Segment struct {
 	// with this segment's id at the 2PC and lock fault points; the log keeps
 	// its own reference for the WAL points.
 	faults *fault.Registry
+
+	// horizon is the distributed horizon of the cluster's last mapping
+	// truncation round, 0 until one runs on this incarnation: index probes
+	// prune below it without asking the coordinator.
+	horizon atomic.Uint64
+	// reclaimed counts the versions probes and VACUUM marked dead.
+	reclaimed atomic.Int64
 }
 
 // segTable is one leaf table's storage on this segment.
@@ -820,7 +827,8 @@ func visibleSel(check *txn.VisibilityChecker, ch *storage.Chunk, buf []int) []in
 	return sel
 }
 
-// IndexLookup implements exec.StoreAccess.
+// IndexLookup implements exec.StoreAccess. A heap version the probe meets
+// that it cannot see, and that no snapshot ever will again, is pruned.
 func (a *storeAccess) IndexLookup(ctx context.Context, t *catalog.Table, def *catalog.Index, key []types.Datum, mark exec.RowMark, fn func(row types.Row) (keep, cont bool, err error)) error {
 	for _, leaf := range leafIDs(t) {
 		st, err := a.markedLeaf(ctx, leaf, mark)
@@ -840,24 +848,47 @@ func (a *storeAccess) IndexLookup(ctx context.Context, t *catalog.Table, def *ca
 		if err := a.seg.faults.Inject(fault.HeapAccess, a.seg.id); err != nil {
 			return err
 		}
-		for _, tid := range ix.ix.Lookup(key) {
-			h, row, ok := st.engine.Fetch(tid)
-			if !ok || !ix.ix.Matches(row, key) {
-				continue
-			}
-			if !a.check.Visible(h.Xmin, h.Xmax) {
-				continue
-			}
-			keep, cont, err := fn(row)
-			if err == nil && keep {
-				err = a.applyMark(ctx, st, tid, mark)
-			}
-			if err != nil || !cont {
-				return err
-			}
+		if cont, err := a.probe(ctx, st, ix, key, mark, fn); err != nil || !cont {
+			return err
 		}
 	}
 	return nil
+}
+
+// probe is IndexLookup in one leaf: it hands fn the visible versions under
+// key and reports whether fn wants more. A version it cannot see that
+// deadVersion condemns under the segment's published horizon is pruned
+// where it is met, so a hot row's probe walks the versions younger than the
+// last truncation round, not the row's history.
+func (a *storeAccess) probe(ctx context.Context, st *segTable, ix *segIndex, key []types.Datum, mark exec.RowMark, fn func(row types.Row) (keep, cont bool, err error)) (bool, error) {
+	heap, _ := st.engine.(*storage.Heap)
+	horizon := dtm.DXID(a.seg.horizon.Load())
+	var buf [32]storage.TupleID
+	dead, deadRow := buf[:0], types.Row(nil)
+	cont, err := true, error(nil)
+	for _, tid := range ix.ix.Lookup(key) {
+		h, row, ok := st.engine.Fetch(tid)
+		if !ok || !ix.ix.Matches(row, key) {
+			continue
+		}
+		if !a.check.Visible(h.Xmin, h.Xmax) {
+			if heap != nil && a.seg.deadVersion(h, horizon) && a.seg.prune(st, heap, ix, tid, row) {
+				dead, deadRow = append(dead, tid), row
+			}
+			continue
+		}
+		var keep bool
+		if keep, cont, err = fn(row); err == nil && keep {
+			err = a.applyMark(ctx, st, tid, mark)
+		}
+		if err != nil || !cont {
+			break
+		}
+	}
+	if len(dead) > 0 {
+		ix.ix.Remove(deadRow, dead...)
+	}
+	return cont, err
 }
 
 // lockRowForUpdate implements SELECT ... FOR UPDATE row locking: wait out

@@ -56,7 +56,7 @@ func loadContract(t *testing.T, e Engine) int {
 		e.LinkUpdate(tid, tid+1)
 	}
 	if h, ok := e.(*Heap); ok {
-		return contractRows - h.Vacuum(func(hd Header) bool { return hd.TID%97 == 0 })
+		return contractRows - vacuum(h, func(hd Header) bool { return hd.TID%97 == 0 })
 	}
 	return contractRows
 }

@@ -125,6 +125,89 @@ func TestHashIndexMatchesModel(t *testing.T) {
 	}
 }
 
+// TestHashIndexRemoveMatchesModel drives a hot-key churn — each key gains
+// versions and loses its oldest ones, one or several at a time, some keys
+// are emptied and refilled, and now and then a bulk Drop sweeps a random
+// set — against a map of key → tuple ids. Every lookup equals the model, no
+// run a lookup returned is ever rewritten, emptied slots are reused, and
+// the arena never holds more dead room than live room.
+func TestHashIndexRemoveMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ix := NewHashIndex([]int{0})
+	model := map[int64][]TupleID{}
+	type seen struct{ run, want []TupleID }
+	var returned []seen
+	next := TupleID(1)
+	keyRow := func(k int64) types.Row { return types.Row{types.NewInt(k)} }
+	for step := 0; step < 100_000; step++ {
+		k := int64(rng.Intn(64))
+		switch r := rng.Intn(20); {
+		case r < 10 || len(model[k]) == 0:
+			ix.Insert(keyRow(k), next)
+			model[k] = append(model[k], next)
+			next++
+		case r < 17: // prune the oldest versions, the common case
+			n := 1 + rng.Intn(len(model[k]))%3
+			if got := ix.Remove(keyRow(k), slices.Clone(model[k][:n])...); got != n {
+				t.Fatalf("step %d: Remove of %d oldest of key %d found %d", step, n, k, got)
+			}
+			model[k] = model[k][n:]
+		case r < 19: // a version from anywhere in the run, and one never stored
+			i := rng.Intn(len(model[k]))
+			if got := ix.Remove(keyRow(k), next, model[k][i]); got != 1 {
+				t.Fatalf("step %d: Remove(%d, %d) found %d", step, k, model[k][i], got)
+			}
+			model[k] = slices.Delete(slices.Clone(model[k]), i, i+1)
+		default: // VACUUM's bulk form over every key
+			var dead []TupleID
+			for key, tids := range model {
+				var kept []TupleID
+				for _, tid := range tids {
+					if rng.Intn(3) == 0 {
+						dead = append(dead, tid)
+					} else {
+						kept = append(kept, tid)
+					}
+				}
+				model[key] = kept
+			}
+			slices.Sort(dead)
+			ix.Drop(dead)
+		}
+		if step%97 == 0 {
+			run := ix.Lookup(keyRow(k))
+			if !slices.Equal(run, model[k]) {
+				t.Fatalf("step %d: Lookup(%d) = %v, model %v", step, k, run, model[k])
+			}
+			returned = append(returned, seen{run, slices.Clone(run)})
+		}
+		live := 0
+		for _, s := range ix.slots {
+			if s.n > 0 {
+				live += roomOf(s.n)
+			}
+		}
+		if len(ix.posts)-live != ix.garbage || ix.garbage > live+1 {
+			t.Fatalf("step %d: arena of %d entries, %d in live rooms, %d counted garbage", step, len(ix.posts), live, ix.garbage)
+		}
+	}
+	n := 0
+	for k, want := range model {
+		n += len(want)
+		if got := ix.Lookup(keyRow(k)); !slices.Equal(got, want) {
+			t.Fatalf("key %d: %v, model %v", k, got, want)
+		}
+	}
+	if ix.Len() != n || ix.used > 64 {
+		t.Fatalf("Len %d, model %d; %d slots taken for 64 keys", ix.Len(), n, ix.used)
+	}
+	for i, s := range returned {
+		if !slices.Equal(s.run, s.want) {
+			t.Fatalf("returned run %d was rewritten", i)
+		}
+	}
+}
+
 // TestHeapPagesKeepViews: a row handed up by Fetch or Scan is a view of its
 // page's arena, and neither a growing first page nor VACUUM — which drops the
 // arena of a page whose slots are all dead — changes what a view reads.
@@ -145,7 +228,7 @@ func TestHeapPagesKeepViews(t *testing.T) {
 		}
 	}
 	h.SetXmax(5, 3)
-	reclaimed := h.Vacuum(func(hd Header) bool { return hd.TID <= zonePageRows || hd.TID == zonePageRows+5 })
+	reclaimed := vacuum(h, func(hd Header) bool { return hd.TID <= zonePageRows || hd.TID == zonePageRows+5 })
 	if reclaimed != zonePageRows+1 || h.pages[0].vals != nil || h.pages[1].vals == nil {
 		t.Fatalf("reclaimed %d; page 0 arena dropped %v, page 1 kept %v", reclaimed, h.pages[0].vals == nil, h.pages[1].vals != nil)
 	}
@@ -184,7 +267,7 @@ func TestHeapViewsUnderWriters(t *testing.T) {
 				h.SetXmax(TupleID(i), 3)
 			}
 		}
-		h.Vacuum(func(hd Header) bool { return hd.TID <= zonePageRows })
+		vacuum(h, func(hd Header) bool { return hd.TID <= zonePageRows })
 	}()
 	var kept []types.Row
 	for finished := false; !finished; {

@@ -27,9 +27,9 @@ type Heap struct {
 	n     int // stored versions, vacuumed slots included
 
 	// zones lazily summarizes full pages for predicated scans. Stored row
-	// values at an offset never change (UPDATE appends a new version, VACUUM
-	// only marks slots dead), so built summaries stay conservative; only
-	// Truncate resets them.
+	// values at an offset never change (UPDATE appends a new version,
+	// pruning only marks slots dead), so built summaries stay conservative;
+	// only Truncate resets them.
 	zones lazyZones
 
 	// wal, when attached, receives one record per mutation, appended under
@@ -43,6 +43,7 @@ type Heap struct {
 type heapPage struct {
 	slots []heapSlot
 	vals  []types.Datum
+	dead  int // slots marked dead
 }
 
 // heapSlot is one version's MVCC header and its row, vals[off : off+width]
@@ -280,34 +281,21 @@ func (h *Heap) Bytes() int64 {
 	return n
 }
 
-// Vacuum removes dead versions: versions whose xmax committed before the
-// horizon, or whose xmin aborted. It returns the number reclaimed. TupleIDs
-// are never reused, so a reclaimed slot stays as a dead marker (like lazy
-// VACUUM); a page whose slots are all dead drops its arena. Datums are never
-// cleared: a view taken before the vacuum may still be reading them.
-func (h *Heap) Vacuum(isDead func(hdr Header) bool) int {
+// Prune marks version tid dead and reports whether this call did: the
+// one-slot form of VACUUM, for a version its caller found dead. TupleIDs are
+// never reused, so the slot stays as a dead marker (like lazy VACUUM); a
+// page whose slots are all dead drops its arena. Datums are never cleared: a
+// view taken before may still be reading them.
+func (h *Heap) Prune(tid TupleID) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := 0
-	for pi := range h.pages {
-		p := &h.pages[pi]
-		live := 0
-		for i := range p.slots {
-			s := &p.slots[i]
-			if s.off == deadSlot {
-				continue
-			}
-			hdr := Header{TID: TupleID(pi*zonePageRows + i + 1), Xmin: s.xmin, Xmax: s.xmax, UpdatedTo: s.updatedTo}
-			if isDead(hdr) {
-				s.off, s.xmin = deadSlot, txn.InvalidXID
-				n++
-				continue
-			}
-			live++
-		}
-		if live == 0 && len(p.slots) == zonePageRows {
-			p.vals = nil
-		}
+	s, p := h.slot(tid)
+	if s == nil || s.off == deadSlot {
+		return false
 	}
-	return n
+	s.off, s.xmin = deadSlot, txn.InvalidXID
+	if p.dead++; p.dead == zonePageRows {
+		p.vals = nil
+	}
+	return true
 }

@@ -114,12 +114,24 @@ func TestEngineTruncate(t *testing.T) {
 	}
 }
 
+// vacuum prunes every stored version isDead picks, as a segment's VACUUM
+// does, and returns how many it reclaimed.
+func vacuum(h *Heap, isDead func(Header) bool) int {
+	n := 0
+	for tid := TupleID(1); int(tid) <= h.RowCount(); tid++ {
+		if hdr, _, ok := h.Fetch(tid); ok && isDead(hdr) && h.Prune(tid) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestHeapVacuum(t *testing.T) {
 	h := NewHeap()
 	t1 := h.Insert(1, row(1, 1))
 	t2 := h.Insert(1, row(2, 2))
 	_ = h.SetXmax(t1, 2)
-	reclaimed := h.Vacuum(func(hdr Header) bool { return hdr.Xmax == 2 })
+	reclaimed := vacuum(h, func(hdr Header) bool { return hdr.Xmax == 2 })
 	if reclaimed != 1 {
 		t.Fatalf("reclaimed = %d", reclaimed)
 	}

@@ -19,7 +19,7 @@ import (
 // values are in hand and the block is immutable from then on). The heap and
 // AO-row engines compute them lazily per fixed-size page on first predicated
 // scan: their stored row values are append-only too (UPDATE appends a new
-// version, DELETE only stamps headers, VACUUM only nils rows out), so a
+// version, DELETE only stamps headers, pruning only marks slots dead), so a
 // page's summary stays a conservative superset of its live values forever
 // and only TRUNCATE invalidates it.
 

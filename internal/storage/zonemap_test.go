@@ -230,7 +230,7 @@ func TestHeapZonesSurviveVacuumAndResetOnTruncate(t *testing.T) {
 		t.Fatalf("pre-vacuum rows: %d", len(rows))
 	}
 	// Vacuum everything in page 0.
-	h.Vacuum(func(hdr Header) bool { return int(hdr.TID) <= zonePageRows })
+	vacuum(h, func(hdr Header) bool { return int(hdr.TID) <= zonePageRows })
 	rows, _ := scanWith(h, eqPred(0, 3))
 	if len(rows) != 0 {
 		t.Fatalf("post-vacuum rows: %d (tombstones emitted?)", len(rows))

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // XID is a local transaction identifier, unique within one segment. XID 0 is
@@ -74,18 +75,71 @@ func (s *Snapshot) Sees(xid XID) bool {
 type Manager struct {
 	mu      sync.Mutex
 	nextXID XID
-	status  map[XID]Status
+	// clog is the commit log, read without m.mu: every begun xid's status
+	// in pages of atomic words, written only under m.mu.
+	clog clog
 	// running holds currently in-progress or prepared xids, ascending: Begin
 	// hands xids out in increasing order.
 	running []XID
+	// oldest publishes oldestLocked for readers that take no m.mu.
+	oldest atomic.Uint64
+}
+
+// clog holds a 4-bit code per xid, eight to a word: 0 for an xid never
+// begun (read as aborted), else its Status plus one. Pages are never moved
+// or freed, so a reader loads the page table once and indexes it.
+type clog struct {
+	pages atomic.Pointer[[]*clogPage]
+}
+
+const (
+	clogPageWords = 1024
+	xidsPerWord   = 8
+	xidsPerPage   = clogPageWords * xidsPerWord
+)
+
+type clogPage [clogPageWords]atomic.Uint32
+
+// word returns xid's word and the shift of its code in it, or nil when
+// xid's page does not exist yet.
+func (c *clog) word(xid XID) (*atomic.Uint32, uint) {
+	pages := c.pages.Load()
+	if pages == nil || xid/xidsPerPage >= XID(len(*pages)) {
+		return nil, 0
+	}
+	return &(*pages)[xid/xidsPerPage][xid%xidsPerPage/xidsPerWord], uint(xid%xidsPerWord) * 4
+}
+
+// get returns xid's status, ok=false when it was never begun.
+func (c *clog) get(xid XID) (Status, bool) {
+	w, shift := c.word(xid)
+	if w == nil {
+		return 0, false
+	}
+	code := w.Load() >> shift & 0xf
+	return Status(code) - 1, code != 0
+}
+
+// set records xid's status; the caller holds the manager's mutex.
+func (c *clog) set(xid XID, st Status) {
+	w, shift := c.word(xid)
+	for w == nil {
+		var pages []*clogPage
+		if p := c.pages.Load(); p != nil {
+			pages = *p
+		}
+		pages = append(slices.Clip(pages), new(clogPage))
+		c.pages.Store(&pages)
+		w, shift = c.word(xid)
+	}
+	w.Store(w.Load()&^(0xf<<shift) | uint32(st+1)<<shift)
 }
 
 // NewManager returns a manager whose first transaction will get XID 1.
 func NewManager() *Manager {
-	return &Manager{
-		nextXID: 1,
-		status:  make(map[XID]Status),
-	}
+	m := &Manager{nextXID: 1}
+	m.oldest.Store(1)
+	return m
 }
 
 // Begin allocates a new local transaction.
@@ -94,65 +148,64 @@ func (m *Manager) Begin() XID {
 	defer m.mu.Unlock()
 	xid := m.nextXID
 	m.nextXID++
-	m.status[xid] = StatusInProgress
+	m.clog.set(xid, StatusInProgress)
 	m.running = append(m.running, xid)
+	m.publishOldest()
 	return xid
 }
 
-// Status returns the clog state of xid.
+// Status returns the clog state of xid without taking the manager's mutex.
+// An xid never begun here reads as aborted.
 func (m *Manager) Status(xid XID) Status {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.status[xid]
-	if !ok {
-		// Unknown old xids are treated as aborted; the clog here is never
-		// truncated below a live reference in this in-memory engine.
-		return StatusAborted
+	if st, ok := m.clog.get(xid); ok {
+		return st
 	}
-	return st
+	return StatusAborted
+}
+
+// transition moves xid from one of the states from to st; the caller holds
+// m.mu.
+func (m *Manager) transition(xid XID, st Status, verb string, from ...Status) error {
+	cur, ok := m.clog.get(xid)
+	if !ok {
+		return fmt.Errorf("txn: cannot %s %d: never begun", verb, xid)
+	}
+	if !slices.Contains(from, cur) {
+		return fmt.Errorf("txn: cannot %s %d in state %s", verb, xid, cur)
+	}
+	m.clog.set(xid, st)
+	if st != StatusPrepared {
+		m.stopRunning(xid)
+	}
+	return nil
 }
 
 // Prepare transitions xid to the prepared state (2PC phase one).
 func (m *Manager) Prepare(xid XID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.status[xid] != StatusInProgress {
-		return fmt.Errorf("txn: cannot prepare %d in state %s", xid, m.status[xid])
-	}
-	m.status[xid] = StatusPrepared
-	return nil
+	return m.transition(xid, StatusPrepared, "prepare", StatusInProgress)
 }
 
 // Commit marks xid committed and removes it from the running set.
 func (m *Manager) Commit(xid XID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.status[xid]
-	if st != StatusInProgress && st != StatusPrepared {
-		return fmt.Errorf("txn: cannot commit %d in state %s", xid, st)
-	}
-	m.status[xid] = StatusCommitted
-	m.stopRunning(xid)
-	return nil
+	return m.transition(xid, StatusCommitted, "commit", StatusInProgress, StatusPrepared)
 }
 
 // Abort marks xid aborted and removes it from the running set.
 func (m *Manager) Abort(xid XID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.status[xid]
-	if st != StatusInProgress && st != StatusPrepared {
-		return fmt.Errorf("txn: cannot abort %d in state %s", xid, st)
-	}
-	m.status[xid] = StatusAborted
-	m.stopRunning(xid)
-	return nil
+	return m.transition(xid, StatusAborted, "abort", StatusInProgress, StatusPrepared)
 }
 
 func (m *Manager) stopRunning(xid XID) {
 	if i, ok := slices.BinarySearch(m.running, xid); ok {
 		m.running = slices.Delete(m.running, i, i+1)
 	}
+	m.publishOldest()
 }
 
 // BeginReplay registers xid as in-progress with its logged identity — the
@@ -163,15 +216,16 @@ func (m *Manager) stopRunning(xid XID) {
 func (m *Manager) BeginReplay(xid XID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.status[xid]; ok {
+	if _, ok := m.clog.get(xid); ok {
 		return
 	}
-	m.status[xid] = StatusInProgress
+	m.clog.set(xid, StatusInProgress)
 	i, _ := slices.BinarySearch(m.running, xid)
 	m.running = slices.Insert(m.running, i, xid)
 	if xid >= m.nextXID {
 		m.nextXID = xid + 1
 	}
+	m.publishOldest()
 }
 
 // AbortInFlight is crash recovery's first step: every in-progress (not
@@ -184,13 +238,14 @@ func (m *Manager) AbortInFlight() []XID {
 	defer m.mu.Unlock()
 	var aborted []XID
 	m.running = slices.DeleteFunc(m.running, func(xid XID) bool {
-		if m.status[xid] != StatusInProgress {
+		if m.Status(xid) != StatusInProgress {
 			return false
 		}
-		m.status[xid] = StatusAborted
+		m.clog.set(xid, StatusAborted)
 		aborted = append(aborted, xid)
 		return true
 	})
+	m.publishOldest()
 	return aborted
 }
 
@@ -201,7 +256,7 @@ func (m *Manager) PreparedXIDs() []XID {
 	defer m.mu.Unlock()
 	var out []XID
 	for _, xid := range m.running {
-		if m.status[xid] == StatusPrepared {
+		if m.Status(xid) == StatusPrepared {
 			out = append(out, xid)
 		}
 	}
@@ -224,12 +279,12 @@ func (m *Manager) TakeSnapshot() *Snapshot {
 }
 
 // OldestRunning returns the smallest in-progress xid, or nextXID when idle:
-// VACUUM's local bound on the deleters it may treat as finished.
-func (m *Manager) OldestRunning() XID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.oldestLocked()
-}
+// the dead-version rule's local bound on the deleters it may treat as
+// finished. It takes no mutex.
+func (m *Manager) OldestRunning() XID { return XID(m.oldest.Load()) }
+
+// publishOldest refreshes what OldestRunning reads; the caller holds m.mu.
+func (m *Manager) publishOldest() { m.oldest.Store(uint64(m.oldestLocked())) }
 
 func (m *Manager) oldestLocked() XID {
 	if len(m.running) > 0 {

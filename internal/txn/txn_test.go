@@ -255,3 +255,75 @@ func TestBeginReplayOutOfOrder(t *testing.T) {
 		t.Fatal("running set lookups disagree with the replayed begins")
 	}
 }
+
+// TestNeverBegunXidCannotFinish: an xid this manager never began reads as
+// aborted, and no transition may turn it into anything else.
+func TestNeverBegunXidCannotFinish(t *testing.T) {
+	m := NewManager()
+	if err := m.Commit(42); err == nil {
+		t.Error("Commit of a never-begun xid succeeded")
+	}
+	if err := m.Prepare(43); err == nil {
+		t.Error("Prepare of a never-begun xid succeeded")
+	}
+	if err := m.Abort(44); err == nil {
+		t.Error("Abort of a never-begun xid succeeded")
+	}
+	for _, x := range []XID{42, 43, 44} {
+		if st := m.Status(x); st != StatusAborted {
+			t.Errorf("xid %d reads %s after the refused transitions, want aborted", x, st)
+		}
+	}
+	if m.RunningCount() != 0 || m.NextXID() != 1 {
+		t.Fatal("refused transitions changed the running set or the xid counter")
+	}
+}
+
+// TestClogAcrossPages: statuses read without the manager's mutex stay right
+// across clog pages while writers keep adding xids, and readers racing the
+// writers only ever see a state the xid really passed through.
+func TestClogAcrossPages(t *testing.T) {
+	m := NewManager()
+	const n = 3*xidsPerPage + 5
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for x := XID(1); x < m.NextXID(); x += 97 {
+				if st := m.Status(x); st == StatusPrepared {
+					t.Errorf("xid %d read as prepared, which it never was", x)
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		x := m.Begin()
+		if x%3 == 0 {
+			_ = m.Abort(x)
+		} else {
+			_ = m.Commit(x)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for x := XID(1); x <= n; x++ {
+		want := StatusCommitted
+		if x%3 == 0 {
+			want = StatusAborted
+		}
+		if st := m.Status(x); st != want {
+			t.Fatalf("xid %d reads %s, want %s", x, st, want)
+		}
+	}
+	if st := m.Status(n + 1); st != StatusAborted {
+		t.Fatalf("xid past the last page reads %s", st)
+	}
+}
