@@ -86,21 +86,11 @@ type Options struct {
 	Cores int
 	// MemoryBytes sizes cluster memory for resource groups (default 8 GiB).
 	MemoryBytes int64
-	// LockTimeout bounds lock waits when GDD is disabled.
-	LockTimeout time.Duration
 	// Replica selects mirror replication: "" or "none" (no mirrors),
 	// "async" (mirrors trail the WAL stream), or "sync" (every commit
 	// flush waits for the mirror's apply). With mirrors on, the FTS daemon
 	// probes primaries and promotes mirrors of dead ones automatically.
 	Replica string
-	// FTSInterval overrides the fault-tolerance probe period (default 25ms).
-	FTSInterval time.Duration
-	// BreakerThreshold is how many consecutive transient dispatch failures
-	// open a segment's circuit breaker (default 8).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker fails fast before letting
-	// a half-open probe through (default 100ms).
-	BreakerCooldown time.Duration
 }
 
 // DB is one running database instance.
@@ -129,9 +119,6 @@ func Open(opts Options) (*DB, error) {
 	if opts.MemoryBytes > 0 {
 		cfg.MemoryBytes = opts.MemoryBytes
 	}
-	if opts.LockTimeout > 0 {
-		cfg.LockTimeout = opts.LockTimeout
-	}
 	if opts.Replica != "" {
 		mode, ok := cluster.ParseReplicaMode(opts.Replica)
 		if !ok {
@@ -139,11 +126,6 @@ func Open(opts Options) (*DB, error) {
 		}
 		cfg.ReplicaMode = mode
 	}
-	if opts.FTSInterval > 0 {
-		cfg.FTSInterval = opts.FTSInterval
-	}
-	cfg.BreakerThreshold = opts.BreakerThreshold
-	cfg.BreakerCooldown = opts.BreakerCooldown
 	return &DB{engine: core.NewEngine(cfg)}, nil
 }
 

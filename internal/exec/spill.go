@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -196,13 +196,21 @@ type spillFile struct {
 	stat  *plan.OpSegStat // per-operator spill attribution; nil when disarmed
 }
 
-// writeRow appends one encoded row.
+// writeRow appends one row, framed as uvarint(encoded length) followed by
+// its types.AppendRow bytes.
 func (sf *spillFile) writeRow(row types.Row) error {
 	if err := sf.m.Faults.Inject(fault.SpillWrite, sf.seg); err != nil {
 		return fmt.Errorf("%w: %w", ErrDiskFull, err)
 	}
-	sf.buf = appendRow(sf.buf[:0], row)
-	n, err := sf.w.Write(sf.buf)
+	sf.buf = types.AppendRow(sf.buf[:0], row)
+	l := len(sf.buf)
+	sf.buf = binary.AppendUvarint(sf.buf, uint64(l)) // the frame header, kept in buf so it needs no allocation
+	n, err := sf.w.Write(sf.buf[l:])
+	if err == nil {
+		var m int
+		m, err = sf.w.Write(sf.buf[:l])
+		n += m
+	}
 	sf.bytes += int64(n)
 	sf.m.spillBytes.Add(int64(n))
 	if sf.stat != nil {
@@ -231,9 +239,32 @@ func (sf *spillFile) startRead() error {
 	return nil
 }
 
-// readRow decodes the next row, returning io.EOF cleanly at end of file.
+// readRow decodes the next row, returning io.EOF cleanly at a row boundary
+// and io.ErrUnexpectedEOF mid-row. A frame longer than the file or a frame
+// that does not decode to exactly one row is corruption.
 func (sf *spillFile) readRow() (types.Row, error) {
-	return readRow(sf.r)
+	l, err := binary.ReadUvarint(sf.r)
+	if err != nil {
+		return nil, err // io.EOF at a boundary, io.ErrUnexpectedEOF mid-length
+	}
+	if l > uint64(sf.bytes) {
+		return nil, fmt.Errorf("exec: corrupt spill file: %d-byte row in a %d-byte file", l, sf.bytes)
+	}
+	sf.buf = slices.Grow(sf.buf[:0], int(l))[:l]
+	if _, err := io.ReadFull(sf.r, sf.buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	row, rest, err := types.DecodeRow(sf.buf)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d trailing bytes", len(rest))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("exec: corrupt spill file: %w", err)
+	}
+	return row, nil
 }
 
 // close removes the file from disk and the manager's tracking.
@@ -241,118 +272,6 @@ func (sf *spillFile) close() {
 	sf.f.Close()
 	os.Remove(sf.f.Name())
 	sf.m.untrack(sf)
-}
-
-// ---- row codec ----
-
-// Spill files hold rows in a simple self-framing binary format: a uvarint
-// column count, then per datum a kind tag byte and a payload (varint for
-// int/date, fixed 8 bytes for float, uvarint-length-prefixed bytes for text,
-// one byte for bool, nothing for NULL).
-
-const (
-	tagNull = iota
-	tagInt
-	tagFloat
-	tagText
-	tagBool
-	tagDate
-)
-
-func appendRow(buf []byte, row types.Row) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(row)))
-	for _, d := range row {
-		switch d.Kind() {
-		case types.KindNull:
-			buf = append(buf, tagNull)
-		case types.KindInt:
-			buf = append(buf, tagInt)
-			buf = binary.AppendVarint(buf, d.Int())
-		case types.KindFloat:
-			buf = append(buf, tagFloat)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.Float()))
-		case types.KindText:
-			s := d.Text()
-			buf = append(buf, tagText)
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
-		case types.KindBool:
-			b := byte(0)
-			if d.Bool() {
-				b = 1
-			}
-			buf = append(buf, tagBool, b)
-		case types.KindDate:
-			buf = append(buf, tagDate)
-			buf = binary.AppendVarint(buf, d.Int())
-		}
-	}
-	return buf
-}
-
-func readRow(r *bufio.Reader) (types.Row, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF // clean end at a row boundary
-		}
-		return nil, err
-	}
-	row := make(types.Row, n)
-	for i := range row {
-		tag, err := r.ReadByte()
-		if err != nil {
-			return nil, unexpectedEOF(err)
-		}
-		switch tag {
-		case tagNull:
-			row[i] = types.Null
-		case tagInt:
-			v, err := binary.ReadVarint(r)
-			if err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			row[i] = types.NewInt(v)
-		case tagFloat:
-			var b [8]byte
-			if _, err := io.ReadFull(r, b[:]); err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			row[i] = types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
-		case tagText:
-			l, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			b := make([]byte, l)
-			if _, err := io.ReadFull(r, b); err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			row[i] = types.NewText(string(b))
-		case tagBool:
-			b, err := r.ReadByte()
-			if err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			row[i] = types.NewBool(b != 0)
-		case tagDate:
-			v, err := binary.ReadVarint(r)
-			if err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			row[i] = types.NewDate(v)
-		default:
-			return nil, fmt.Errorf("exec: corrupt spill file: unknown datum tag %d", tag)
-		}
-	}
-	return row, nil
-}
-
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // ---- operator memory accounting ----

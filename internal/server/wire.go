@@ -8,8 +8,9 @@
 //
 //	type (1 byte) | payload length (4 bytes, big endian) | payload
 //
-// Payload scalars are big endian; strings are u32 length + bytes; datums
-// are a kind byte followed by the kind's fixed or string encoding. The
+// Payload scalars are big endian; strings are u32 length + bytes; rows
+// (parameters and result tuples) are in the layout types.AppendRow
+// documents, the one the WAL and spill files use too. The
 // codec is deliberately allocation-light and panic-free on arbitrary
 // input — FuzzFrameCodec and FuzzServerSession hold it to that.
 package server
@@ -19,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/types"
 )
@@ -30,7 +30,10 @@ import (
 const (
 	// ProtocolVersion is bumped on any incompatible frame change.
 	// v2: ErrorMsg carries a machine-readable error code after the text.
-	ProtocolVersion = 2
+	// v3: rows travel in the types.AppendRow layout shared with the WAL and
+	// spill files, and RowDesc counts columns in a u32, so neither wraps
+	// past 65 535 columns.
+	ProtocolVersion = 3
 	// MaxFrameLen bounds one frame's payload (16 MiB — a full batch of wide
 	// text rows fits with room to spare).
 	MaxFrameLen = 16 << 20
@@ -124,7 +127,6 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 type wbuf struct{ b []byte }
 
 func (w *wbuf) u8(v byte)   { w.b = append(w.b, v) }
-func (w *wbuf) u16(v int)   { w.b = binary.BigEndian.AppendUint16(w.b, uint16(v)) }
 func (w *wbuf) u32(v int64) { w.b = binary.BigEndian.AppendUint32(w.b, uint32(v)) }
 func (w *wbuf) u64(v uint64) {
 	w.b = binary.BigEndian.AppendUint64(w.b, v)
@@ -134,33 +136,8 @@ func (w *wbuf) str(s string) {
 	w.b = append(w.b, s...)
 }
 
-// datum appends one datum: kind byte + payload. Dates travel as their raw
-// day count, so every kind round-trips bit-exactly.
-func (w *wbuf) datum(d types.Datum) {
-	w.u8(byte(d.Kind()))
-	switch d.Kind() {
-	case types.KindNull:
-	case types.KindInt, types.KindDate:
-		w.u64(uint64(d.Int()))
-	case types.KindFloat:
-		w.u64(math.Float64bits(d.Float()))
-	case types.KindBool:
-		if d.Bool() {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-	default: // text
-		w.str(d.String())
-	}
-}
-
-func (w *wbuf) row(r types.Row) {
-	w.u16(len(r))
-	for _, d := range r {
-		w.datum(d)
-	}
-}
+// row appends r in the types.AppendRow layout.
+func (w *wbuf) row(r types.Row) { w.b = types.AppendRow(w.b, r) }
 
 // rbuf decodes a frame payload with sticky-error bounds checking: any
 // truncation or bad tag flips err and every later read returns zero values,
@@ -195,14 +172,6 @@ func (r *rbuf) u8() byte {
 	return b[0]
 }
 
-func (r *rbuf) u16() int {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return int(binary.BigEndian.Uint16(b))
-}
-
 func (r *rbuf) u32() int64 {
 	b := r.take(4)
 	if b == nil {
@@ -224,44 +193,24 @@ func (r *rbuf) str() string {
 	return string(r.take(int(n)))
 }
 
-func (r *rbuf) datum() types.Datum {
-	kind := types.Kind(r.u8())
-	switch kind {
-	case types.KindNull:
-		return types.Null
-	case types.KindInt:
-		return types.NewInt(int64(r.u64()))
-	case types.KindFloat:
-		return types.NewFloat(math.Float64frombits(r.u64()))
-	case types.KindBool:
-		return types.NewBool(r.u8() != 0)
-	case types.KindText:
-		return types.NewText(r.str())
-	case types.KindDate:
-		return types.NewDate(int64(r.u64()))
-	default:
-		r.err = fmt.Errorf("server: unknown datum kind %d", kind)
-		return types.Null
-	}
-}
-
+// row decodes a types.AppendRow row. The declared column count is checked
+// against maxRowCols before DecodeRow allocates: this input comes from
+// outside the program.
 func (r *rbuf) row() types.Row {
-	n := r.u16()
-	if n > maxRowCols {
-		r.err = fmt.Errorf("server: row declares %d columns", n)
+	if r.err != nil {
 		return nil
 	}
-	if n == 0 {
+	if n, k := binary.Uvarint(r.b[r.off:]); k > 0 && n > maxRowCols+1 {
+		r.err = fmt.Errorf("server: row declares %d columns", n-1)
 		return nil
 	}
-	out := make(types.Row, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.datum())
-		if r.err != nil {
-			return nil
-		}
+	row, rest, err := types.DecodeRow(r.b[r.off:])
+	if err != nil {
+		r.err = fmt.Errorf("server: %w", err)
+		return nil
 	}
-	return out
+	r.off = len(r.b) - len(rest)
+	return row
 }
 
 // done checks the payload was consumed exactly — trailing garbage is a
@@ -408,7 +357,7 @@ type RowDesc struct{ Cols []ColDesc }
 // Encode marshals the message payload.
 func (m *RowDesc) Encode() []byte {
 	var w wbuf
-	w.u16(len(m.Cols))
+	w.u32(int64(len(m.Cols)))
 	for _, c := range m.Cols {
 		w.str(c.Name)
 		w.u8(byte(c.Kind))
@@ -419,12 +368,12 @@ func (m *RowDesc) Encode() []byte {
 // DecodeRowDesc unmarshals a MsgRowDesc payload.
 func DecodeRowDesc(b []byte) (*RowDesc, error) {
 	r := rbuf{b: b}
-	n := r.u16()
+	n := r.u32()
 	if n > maxRowCols {
 		return nil, fmt.Errorf("server: row description declares %d columns", n)
 	}
 	m := &RowDesc{}
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := int64(0); i < n && r.err == nil; i++ {
 		m.Cols = append(m.Cols, ColDesc{Name: r.str(), Kind: types.Kind(r.u8())})
 	}
 	return m, r.done()

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -175,13 +177,13 @@ func TestTruncatedAndCorruptPayloads(t *testing.T) {
 	if _, err := DecodeQuery(append(append([]byte{}, full...), 0x00)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	// A row declaring an absurd column count must be rejected without
-	// attempting the allocation.
+	// A row declaring an absurd column count must be rejected by the
+	// column cap, without attempting the allocation.
 	var w wbuf
 	w.str("SELECT 1")
-	w.u16(maxRowCols + 1)
-	if _, err := DecodeQuery(w.b); err == nil {
-		t.Fatal("oversized column count accepted")
+	w.b = binary.AppendUvarint(w.b, maxRowCols+2) // uvarint(count+1)
+	if _, err := DecodeQuery(w.b); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("declares %d columns", maxRowCols+1)) {
+		t.Fatalf("oversized column count: got %v, want the column cap", err)
 	}
 }
 

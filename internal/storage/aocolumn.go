@@ -213,7 +213,7 @@ func (a *AOColumn) decoded(i int, blk *aoColBlock, need []int) (*decodedBlock, e
 	}
 	var xm []txn.XID
 	if needXmins {
-		xv, err := rleDeltaDecode(blk.xminsEnc)
+		xv, err := rleDeltaDecode(blk.xminsEnc, blk.n)
 		if err != nil {
 			return nil, fmt.Errorf("storage: ao_column block %d xmins: %w", i, err)
 		}

@@ -240,14 +240,16 @@ func rleDeltaEncode(vals []types.Datum) []byte {
 	return buf.Bytes()
 }
 
-// rleDeltaDecode reverses rleDeltaEncode into an Ints vector (the decoded
-// run values are the payload), boxed only when the non-NULL values are of
-// more than one int-like kind.
-func rleDeltaDecode(b []byte) (*types.Vec, error) {
+// rleDeltaDecode reverses rleDeltaEncode into an Ints vector of the block's
+// n values (the decoded run values are the payload), boxed only when the
+// non-NULL values are of more than one int-like kind.
+func rleDeltaDecode(b []byte, n int) (*types.Vec, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("storage: truncated rle block")
 	}
-	n := int(binary.LittleEndian.Uint32(b))
+	if m := int(binary.LittleEndian.Uint32(b)); m != n {
+		return nil, fmt.Errorf("storage: rle block of %d values in a %d-row block", m, n)
+	}
 	b = b[4:]
 	nb := (n + 7) / 8
 	if len(b) < nb {
@@ -357,7 +359,7 @@ func compressBlock(codec Compression, vals []types.Datum) ([]byte, Compression) 
 func decompressBlock(codec Compression, data []byte, n int) (*types.Vec, error) {
 	switch codec {
 	case CompressionRLEDelta:
-		return rleDeltaDecode(data)
+		return rleDeltaDecode(data, n)
 	case CompressionZlib:
 		raw, err := zlibDecompress(data)
 		if err != nil {

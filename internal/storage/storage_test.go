@@ -232,7 +232,7 @@ func TestQuickRLEDeltaRoundTrip(t *testing.T) {
 			vals[i] = types.NewInt(v)
 		}
 		data := rleDeltaEncode(vals)
-		got, err := rleDeltaDecode(data)
+		got, err := rleDeltaDecode(data, len(vals))
 		if err != nil || got.Len() != len(vals) {
 			return false
 		}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"testing"
@@ -11,11 +12,13 @@ import (
 
 // FuzzWALRecord: DecodeFrame over arbitrary bytes — as they come, and framed
 // with a correct length and CRC so the payload decoder is reached — returns a
-// record of a defined type or an error and never panics; an insert record
-// built from fuzzed float bits and text round-trips bit for bit. The seeds
-// include the floats a codec most easily gets wrong (±0, ±Inf, NaN,
-// subnormals) and payloads whose type byte is undefined (0, 10, 255), so a
-// plain `go test` checks those.
+// record of a defined type or an error wrapping ErrCorrupt, and never panics;
+// an insert record built from fuzzed float bits and text round-trips through
+// a frame bit for bit. The seeds include the floats a codec most easily gets
+// wrong (±0, ±Inf, NaN, subnormals), payloads whose type byte is undefined
+// (0, 10, 255) and an insert whose row declares billions of datums, so a
+// plain `go test` checks those. The row codec on its own is fuzzed by
+// types.FuzzRowCodec.
 func FuzzWALRecord(f *testing.F) {
 	for _, r := range sampleRecords() {
 		f.Add(EncodeRecord(nil, &r), uint64(0), "")
@@ -31,7 +34,11 @@ func FuzzWALRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, bits uint64, s string) {
 		for _, b := range [][]byte{raw, frameOf(raw)} {
-			if r, n, err := DecodeFrame(b); err == nil && (n < 8 || n > len(b) || !r.Type.valid()) {
+			r, n, err := DecodeFrame(b)
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeFrame error %v does not wrap ErrCorrupt", err)
+			}
+			if err == nil && (n < 8 || n > len(b) || !r.Type.valid()) {
 				t.Fatalf("DecodeFrame accepted %v consuming %d of %d bytes", r.Type, n, len(b))
 			}
 		}

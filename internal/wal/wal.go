@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -120,7 +119,7 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 
 // Frame layout: u32 payload length, u32 CRC32(payload), payload. The
 // payload is: u8 type, u64 lsn, then uvarint leaf/xid/dxid/tid/tid2 and the
-// optional row. Self-framing means a reader needs no external index: it can
+// optional row in the types.AppendRow layout. Self-framing means a reader needs no external index: it can
 // walk the byte stream record by record and detect truncation or damage.
 
 // EncodeRecord appends r's frame to dst and returns the extended slice.
@@ -135,7 +134,7 @@ func EncodeRecord(dst []byte, r *Record) []byte {
 	dst = binary.AppendUvarint(dst, r.Dxid)
 	dst = binary.AppendUvarint(dst, r.TID)
 	dst = binary.AppendUvarint(dst, r.TID2)
-	dst = appendRow(dst, r.Row)
+	dst = types.AppendRow(dst, r.Row)
 	payload := dst[p:]
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
@@ -189,8 +188,8 @@ func decodePayload(p []byte) (Record, error) {
 	if r.TID2, p, err = uvarint(p); err != nil {
 		return Record{}, err
 	}
-	if r.Row, p, err = decodeRow(p); err != nil {
-		return Record{}, err
+	if r.Row, p, err = types.DecodeRow(p); err != nil {
+		return Record{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	if len(p) != 0 {
 		return Record{}, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p))
@@ -204,97 +203,6 @@ func uvarint(p []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
 	}
 	return v, p[n:], nil
-}
-
-// appendRow encodes a row: uvarint(len+1) (0 = nil row), then per datum a
-// kind byte and the kind's payload.
-func appendRow(dst []byte, row types.Row) []byte {
-	if row == nil {
-		return binary.AppendUvarint(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(row))+1)
-	for _, d := range row {
-		dst = append(dst, byte(d.Kind()))
-		switch d.Kind() {
-		case types.KindNull:
-		case types.KindInt, types.KindDate:
-			dst = binary.AppendVarint(dst, d.Int())
-		case types.KindBool:
-			if d.Bool() {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
-		case types.KindFloat:
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(d.Float()))
-		case types.KindText:
-			s := d.Text()
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		}
-	}
-	return dst
-}
-
-func decodeRow(p []byte) (types.Row, []byte, error) {
-	n, p, err := uvarint(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, p, nil
-	}
-	if n-1 > uint64(len(p)) { // every datum takes at least its kind byte
-		return nil, nil, fmt.Errorf("%w: row of %d datums in %d bytes", ErrCorrupt, n-1, len(p))
-	}
-	row := make(types.Row, n-1)
-	for i := range row {
-		if len(p) < 1 {
-			return nil, nil, fmt.Errorf("%w: truncated datum", ErrCorrupt)
-		}
-		kind := types.Kind(p[0])
-		p = p[1:]
-		switch kind {
-		case types.KindNull:
-			row[i] = types.Null
-		case types.KindInt, types.KindDate:
-			v, vn := binary.Varint(p)
-			if vn <= 0 {
-				return nil, nil, fmt.Errorf("%w: bad int datum", ErrCorrupt)
-			}
-			p = p[vn:]
-			if kind == types.KindInt {
-				row[i] = types.NewInt(v)
-			} else {
-				row[i] = types.NewDate(v)
-			}
-		case types.KindBool:
-			if len(p) < 1 {
-				return nil, nil, fmt.Errorf("%w: truncated bool datum", ErrCorrupt)
-			}
-			row[i] = types.NewBool(p[0] != 0)
-			p = p[1:]
-		case types.KindFloat:
-			if len(p) < 8 {
-				return nil, nil, fmt.Errorf("%w: truncated float datum", ErrCorrupt)
-			}
-			row[i] = types.NewFloat(math.Float64frombits(binary.BigEndian.Uint64(p)))
-			p = p[8:]
-		case types.KindText:
-			l, rest, err := uvarint(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			if uint64(len(rest)) < l {
-				return nil, nil, fmt.Errorf("%w: truncated text datum", ErrCorrupt)
-			}
-			row[i] = types.NewText(string(rest[:l]))
-			p = rest[l:]
-		default:
-			return nil, nil, fmt.Errorf("%w: unknown datum kind %d", ErrCorrupt, kind)
-		}
-	}
-	return row, p, nil
 }
 
 // ---- the log ----
