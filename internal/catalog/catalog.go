@@ -95,6 +95,10 @@ type Table struct {
 	// on clusters that never expanded. Routing reads it lock-free on every
 	// dispatch; the online-expansion flip is the only writer after create.
 	place atomic.Uint64
+	// RoundRobin is the placement cursor of a DISTRIBUTED RANDOMLY table:
+	// plan.RouteRow sends each row to the segment after the last one's, so
+	// one-row statements spread like one many-row statement does.
+	RoundRobin atomic.Uint64
 }
 
 // Placement returns the table's distribution width (0 = use the cluster's

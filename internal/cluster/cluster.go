@@ -69,12 +69,9 @@ type Cluster struct {
 	retiredReclaimed atomic.Int64
 
 	// txns tracks live transactions by lock-owner id, for GDD liveness
-	// checks and victim kills; owners maps the dxid of each live transaction
-	// that has written to its owner id, so a segment handed only a dxid can
-	// take locks as the transaction. nextOwner hands out owner ids.
+	// checks and victim kills. nextOwner hands out owner ids.
 	txmu      sync.Mutex
 	txns      map[lockmgr.TxnID]*LiveTxn
-	owners    map[dtm.DXID]lockmgr.TxnID
 	nextOwner atomic.Uint64
 
 	// truncTick counts completed transactions to pace mapping truncation.
@@ -271,7 +268,6 @@ func New(cfg *Config) *Cluster {
 		locks:     lockmgr.NewManager(),
 		groups:    resgroup.NewManager(cfg.Cores, cfg.MemoryBytes),
 		txns:      make(map[lockmgr.TxnID]*LiveTxn),
-		owners:    make(map[dtm.DXID]lockmgr.TxnID),
 		mirrors:   make([]*Mirror, cfg.NumSegments),
 		promoting: make([]bool, cfg.NumSegments),
 		topoCh:    make(chan struct{}),
@@ -321,7 +317,6 @@ func (c *Cluster) buildSegment(i int) (*Segment, *Mirror) {
 	seg.attachFaults(c.faults)
 	seg.log.SetFlushLatency(c.walFlushLat)
 	seg.distInProgress = c.coord.IsInProgress
-	seg.ownerOf = c.ownerOf
 	seg.repMode = &c.replicaMode
 	// The decoded-block cache capacity comes out of the same global vmem
 	// budget queries allocate from; a segment whose share the pool cannot
@@ -516,20 +511,8 @@ func (t *LiveTxn) Owner() lockmgr.TxnID { return t.owner }
 func (t *LiveTxn) DXID() dtm.DXID {
 	if t.dxid == dtm.InvalidDXID {
 		t.dxid = t.c.coord.Begin()
-		t.c.txmu.Lock()
-		t.c.owners[t.dxid] = t.owner
-		t.c.txmu.Unlock()
 	}
 	return t.dxid
-}
-
-// ownerOf returns the owner id of the live transaction whose distributed
-// xid is dxid.
-func (c *Cluster) ownerOf(dxid dtm.DXID) (lockmgr.TxnID, bool) {
-	c.txmu.Lock()
-	defer c.txmu.Unlock()
-	o, ok := c.owners[dxid]
-	return o, ok
 }
 
 // Snapshot takes a fresh distributed snapshot (read committed: one per
@@ -553,7 +536,11 @@ func (c *Cluster) LiveSnapshots() int { return c.coord.LiveSnapshots() }
 //
 // A transaction that never wrote has nothing to make durable and nothing to
 // log: it releases its locks and is done.
-func (c *Cluster) CommitTxn(t *LiveTxn) (dtm.CommitStats, error) {
+func (c *Cluster) CommitTxn(t *LiveTxn) (dtm.CommitStats, error) { return c.commitThen(t, nil) }
+
+// commitThen is CommitTxn with then, when set, run once the commit is
+// durable and before the transaction's locks go; it returns then's error.
+func (c *Cluster) commitThen(t *LiveTxn, then func() error) (dtm.CommitStats, error) {
 	if t.dxid == dtm.InvalidDXID {
 		c.release(t)
 		c.commitsRO.Add(1)
@@ -577,8 +564,8 @@ func (c *Cluster) CommitTxn(t *LiveTxn) (dtm.CommitStats, error) {
 		return dtm.CommitStats{}, err
 	}
 	st, err := dtm.Commit(c.coord, t.dxid, writers, c.cfg.OnePhase, c.coordCommitRecord)
-	c.release(t)
 	if err != nil {
+		c.release(t)
 		c.aborts.Add(1)
 		return st, err
 	}
@@ -590,8 +577,12 @@ func (c *Cluster) CommitTxn(t *LiveTxn) (dtm.CommitStats, error) {
 	default:
 		c.commitsRO.Add(1)
 	}
+	if then != nil {
+		err = then()
+	}
+	c.release(t)
 	c.maybeTruncateMappings()
-	return st, nil
+	return st, err
 }
 
 // checkWroteMaps fences transactions whose writes were routed under a
@@ -655,9 +646,6 @@ func (c *Cluster) coordCommitRecord(dxid dtm.DXID) {
 func (c *Cluster) forget(t *LiveTxn) {
 	c.txmu.Lock()
 	delete(c.txns, t.owner)
-	if t.dxid != dtm.InvalidDXID {
-		delete(c.owners, t.dxid)
-	}
 	c.txmu.Unlock()
 }
 

@@ -44,7 +44,7 @@ func insertRows(t *testing.T, c *Cluster, tab *catalog.Table, rows []types.Row) 
 	lt := c.BeginTxn()
 	snap := c.Snapshot()
 	defer c.ReleaseSnapshot(snap)
-	if _, err := c.RunModify(context.Background(), lt, snap, insertPlan(tab, rows...), nil); err != nil {
+	if _, _, err := c.Run(context.Background(), lt, snap, insertPlan(tab, rows...), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CommitTxn(lt); err != nil {
@@ -69,7 +69,7 @@ func scanAll(t *testing.T, c *Cluster, tab *catalog.Table) []types.Row {
 	pl := plan.NewPlanned(root)
 	snap := c.Snapshot()
 	defer c.ReleaseSnapshot(snap)
-	rows, _, err := c.RunSelect(context.Background(), lt, snap, pl, nil)
+	rows, _, err := c.Run(context.Background(), lt, snap, pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 		lt := c.BeginTxn()
 		up := planTemplate(t, c, "UPDATE t SET b = b + 1")
 		snap := c.Snapshot()
-		if _, err := c.RunModify(context.Background(), lt, snap, up, nil); err != nil {
+		if _, _, err := c.Run(context.Background(), lt, snap, up, nil); err != nil {
 			t.Fatal(err)
 		}
 		c.ReleaseSnapshot(snap)
@@ -183,7 +183,7 @@ func TestDeleteAndReadOnlyCommit(t *testing.T) {
 		{types.NewInt(2), types.NewInt(20)},
 	})
 	lt := c.BeginTxn()
-	n, err := c.RunModify(context.Background(), lt, c.Snapshot(), planTemplate(t, c, "DELETE FROM t WHERE a = 1"), nil)
+	_, n, err := c.Run(context.Background(), lt, c.Snapshot(), planTemplate(t, c, "DELETE FROM t WHERE a = 1"), nil)
 	if err != nil || n != 1 {
 		t.Fatalf("delete: %d %v", n, err)
 	}
@@ -214,7 +214,7 @@ func scanAllTxn(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn) []typ
 	pl := plan.NewPlanned(root)
 	snap := c.Snapshot()
 	defer c.ReleaseSnapshot(snap)
-	rows, _, err := c.RunSelect(context.Background(), lt, snap, pl, nil)
+	rows, _, err := c.Run(context.Background(), lt, snap, pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestDirectDispatchTouchesOneSegment(t *testing.T) {
 	if up.DirectSegment != target {
 		t.Fatalf("UPDATE of key %d routed to segment %d, its row lives on %d", key, up.DirectSegment, target)
 	}
-	n, err := c.RunModify(context.Background(), lt, c.Snapshot(), up, nil)
+	_, n, err := c.Run(context.Background(), lt, c.Snapshot(), up, nil)
 	if err != nil || n != 1 {
 		t.Fatalf("update: %d %v", n, err)
 	}
@@ -310,7 +310,7 @@ func TestDirectReadTouchesOneSegment(t *testing.T) {
 				t.Fatal(err)
 			}
 			lt := c.BeginTxn()
-			got, _, err := c.RunSelect(context.Background(), lt, c.Snapshot(), pl, nil)
+			got, _, err := c.Run(context.Background(), lt, c.Snapshot(), pl, nil)
 			if err != nil || len(got) != 1 || got[0][0].Int() != k*10 {
 				t.Fatalf("key %d: %v %v", k, got, err)
 			}
@@ -369,7 +369,7 @@ func TestCorruptColumnBlockFailsStatement(t *testing.T) {
 		}
 		lt := c.BeginTxn()
 		defer c.AbortTxn(lt)
-		got, _, err := c.RunSelect(context.Background(), lt, c.Snapshot(), pl, nil)
+		got, _, err := c.Run(context.Background(), lt, c.Snapshot(), pl, nil)
 		return got, err
 	}
 	if got, err := run("SELECT count(*), sum(b) FROM t"); err != nil || got[0][0].Int() != n {

@@ -130,42 +130,6 @@ func (s *Segment) waitForWriter(ctx context.Context, a *storeAccess, holder txn.
 	return nil
 }
 
-// ExecModify runs an INSERT, UPDATE or DELETE plan on this segment as the
-// writing transaction dxid: under the statement's RowExclusive lock on t,
-// the executor's write sink stores the rows an INSERT routed here through
-// InsertRow, or finds the rows an UPDATE's or DELETE's access path selects
-// and writes them through WriteRow. The first write opens the local
-// transaction — a segment where nothing matched stays out of the commit.
-// Without direct dispatch every gang member joins the commit instead (paper
-// §7.2), so the local transaction opens up front. ops, when armed (EXPLAIN
-// ANALYZE), receives the access path's actuals. The target scan's block
-// counters fold into the segment's totals (SHOW scan_stats) and, when set,
-// into the statement's collector scan.
-func (s *Segment) ExecModify(ctx context.Context, dxid dtm.DXID, snap *dtm.DistSnapshot, t *catalog.Table, root plan.Node, ops *plan.OpStats, scan *storage.ScanStats) (int, error) {
-	if err := s.checkUp(); err != nil {
-		return 0, err
-	}
-	owner, err := s.owner(dxid)
-	if err != nil {
-		return 0, err
-	}
-	a := s.newAccess(owner, dxid, snap)
-	if err := s.acquire(ctx, owner, lockmgr.RelationTag(uint64(t.ID)), lockmgr.RowExclusive); err != nil {
-		return 0, err
-	}
-	if !s.cfg.DirectDispatch {
-		if _, err := a.begin(); err != nil {
-			return 0, err
-		}
-	}
-	n, err := exec.Modify(&exec.Context{Ctx: ctx, Store: a, SegID: s.id, Ops: ops}, root)
-	a.stats.AddTo(&s.scanStats)
-	if scan != nil {
-		a.stats.AddTo(scan)
-	}
-	return n, err
-}
-
 // WriteRow implements exec.StoreAccess: writeTuple's locking and chain
 // following, then — for an UPDATE — the new version in the same leaf, linked
 // from the old one and entered in the leaf's indexes. The new version stays

@@ -16,7 +16,6 @@ import (
 	"repro/internal/lockmgr"
 	"repro/internal/plan"
 	"repro/internal/resgroup"
-	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
@@ -45,8 +44,8 @@ import (
 //     every plan built against the old placement fails with a retryable
 //     StaleDistMapError and in-flight writers fence via ErrTxnLostWrites.
 //
-// Replicated tables are copied to the new segments under one fence (they
-// need no per-shard streaming); randomly-distributed tables only flip their
+// Replicated tables are staged by one INSERT … SELECT under one fence (they
+// need no catch-up); randomly-distributed tables only flip their
 // placement (scans already read rows wherever they live, and round-robin
 // routing picks up the new width on the next plan).
 const expandStagingPrefix = "__expand_"
@@ -410,83 +409,79 @@ func (c *Cluster) flipRandom(ctx context.Context, t *catalog.Table, w, target in
 	return nil
 }
 
-// moveReplicated copies a replicated table's content onto the new segments
-// under one fence (writers are quiesced, so one consistent scan of segment 0
-// suffices), then flips the placement before the fence lifts. The fence only
-// locks the original segments: nothing routes statements for this table to
-// the new segments until the flip publishes the wider placement.
-func (c *Cluster) moveReplicated(ctx context.Context, run *expandRun, slot *resgroup.Slot, t *catalog.Table, w, target int, ver uint64) error {
-	ltF, err := c.fenceTable(ctx, t, w)
+// moveReplicated widens a replicated table by stage and flip, like the hash
+// path without its catch-up: under one fence, which quiesces the table's
+// writers, one INSERT … SELECT inside the fence transaction broadcasts
+// segment 0's copy into a replicated staging clone across the target width.
+// The copy is charged to the mover's throttle per batch of rows read, as
+// the hash seed is, before it commits. Once it has committed, and before the
+// fence lifts, the clone takes the table's indexes and flipTable swaps it
+// in.
+func (c *Cluster) moveReplicated(ctx context.Context, run *expandRun, slot *resgroup.Slot, t *catalog.Table, w, target int, ver uint64) (err error) {
+	st, err := c.createStaging(t)
 	if err != nil {
 		return err
 	}
-	defer c.finishFence(ltF)
-	// A previous attempt may have committed copies before failing at the
-	// flip: clear the new segments so the copy is idempotent.
-	for d := w; d < target; d++ {
-		s, serr := c.segUp(ctx, d)
-		if serr != nil {
-			return serr
+	defer func() {
+		if err != nil {
+			_ = c.ApplyDropTable(expandStagingPrefix + t.Name) // st.Name changes at the flip
 		}
-		s.TruncateTable(t)
+	}()
+	lt, err := c.fenceTable(ctx, t, w)
+	if err != nil {
+		return err
 	}
-	lt := c.BeginTxn()
-	lt.grow(c.SegCount())
 	committed := false
 	defer func() {
 		if !committed {
 			c.AbortTxn(lt)
 		}
 	}()
+	if err := c.moverThrottle(ctx, slot, 0); err != nil {
+		return err
+	}
 	snap := c.Snapshot()
 	defer c.ReleaseSnapshot(snap)
-	s0, err := c.segUp(ctx, 0)
+	scan := plan.NewScan(t, leafIDs(t), nil)
+	scan.OnSeg = 0
+	_, stVer := st.Placement()
+	copyAll := &plan.InsertPlan{Table: st, Child: &plan.Motion{Child: scan, Type: plan.MotionBroadcast, Width: target}, MapVersion: stVer}
+	_, n, err := c.Run(ctx, lt, snap, plan.NewPlanned(copyAll), nil)
 	if err != nil {
 		return err
 	}
-	lt.touched[0] = true
-	acc := s0.newAccess(lt.owner, lt.dxid, snap)
-	var rows []types.Row
-	for _, leaf := range leafIDs(t) {
-		var throttleErr error
-		err := scanUnderFence(ctx, acc, leaf, func(row types.Row) (bool, error) {
-			rows = append(rows, row.Clone())
-			if len(rows)%moveBatchRows == 0 {
-				if throttleErr = c.moverThrottle(ctx, slot, 0); throttleErr != nil {
-					return false, throttleErr
-				}
-			}
-			return true, nil
-		})
-		if err != nil {
+	for b := 0; b < n/target/moveBatchRows; b++ {
+		if err := c.moverThrottle(ctx, slot, 0); err != nil {
 			return err
 		}
 	}
-	targets := make([]int, 0, target-w)
-	for d := w; d < target; d++ {
-		targets = append(targets, d)
-	}
-	ip := &plan.InsertPlan{Table: t, Child: &plan.Values{Out: t.Schema, Rows: rows}, MapVersion: ver}
-	if _, err := c.dispatchWrite(ctx, lt, t, ver, targets, nil, "insert", func(_ int, s *Segment) (int, error) {
-		return s.ExecModify(ctx, lt.dxid, snap, t, ip, nil, nil)
+	committed = true
+	if _, err := c.commitThen(lt, func() error {
+		if err := c.cloneIndexes(t, st, target); err != nil {
+			return err
+		}
+		if err := c.faults.Inject(fault.MapFlip, CoordinatorSeg); err != nil {
+			return err
+		}
+		return c.flipTable(t, st, w, target, ver)
 	}); err != nil {
 		return err
 	}
-	if _, err := c.CommitTxn(lt); err != nil {
-		committed = true // CommitTxn already cleaned up
-		return err
-	}
-	committed = true
-	run.addRows(int64(len(rows) * (target - w)))
-	// The copies are durable; flip before the fence lifts so no write can
-	// land on the old width afterwards.
-	if err := c.faults.Inject(fault.MapFlip, CoordinatorSeg); err != nil {
-		return err
-	}
-	t.SetPlacement(target, ver+1)
-	c.invalidateStats(t.Name)
-	c.BumpPlanEpoch()
+	run.addRows(int64(n))
 	return nil
+}
+
+// createStaging creates t's staging table, dropping one an earlier attempt
+// left behind.
+func (c *Cluster) createStaging(t *catalog.Table) (*catalog.Table, error) {
+	stName := expandStagingPrefix + t.Name
+	if c.catalog.HasTable(stName) {
+		if err := c.ApplyDropTable(stName); err != nil {
+			return nil, err
+		}
+	}
+	st := stagingClone(t, stName)
+	return st, c.ApplyCreateTable(st)
 }
 
 // ---- hash-distributed move: snapshot seed + WAL tail catch-up ----
@@ -537,19 +532,13 @@ func (m *hashMove) buf(seg int, xid uint64) *tailTxn {
 // staging table, catching up from the sources' WAL tails, and flips routing
 // by renaming the staging table over the original.
 func (c *Cluster) moveHash(ctx context.Context, run *expandRun, slot *resgroup.Slot, t *catalog.Table, w, target int, ver uint64) (err error) {
-	stName := expandStagingPrefix + t.Name
-	if c.catalog.HasTable(stName) {
-		if derr := c.ApplyDropTable(stName); derr != nil {
-			return derr
-		}
-	}
-	st := stagingClone(t, stName)
-	if err := c.ApplyCreateTable(st); err != nil {
+	st, err := c.createStaging(t)
+	if err != nil {
 		return err
 	}
 	defer func() {
 		if err != nil {
-			_ = c.ApplyDropTable(stName)
+			_ = c.ApplyDropTable(expandStagingPrefix + t.Name) // st.Name changes at the flip
 		}
 	}()
 
@@ -781,18 +770,13 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 	}()
 	snap := c.Snapshot()
 	defer c.ReleaseSnapshot(snap)
-	dxid := lt.DXID()
-	rr := 0
+	_, ver := st.Placement()
 	for _, row := range minus {
-		dest := plan.RouteRow(st, row, target, &rr)
-		dp := &plan.DeletePlan{Table: st, Child: plan.NewScan(st, leafIDs(st), rowEqFilter(st, row))}
-		removed, gen, err := c.execOnSeg(ctx, lt, dest, func(s *Segment) (int, error) {
-			return s.ExecModify(ctx, dxid, snap, st, dp, nil, nil)
-		})
+		dp := &plan.DeletePlan{Table: st, Child: plan.NewScan(st, leafIDs(st), rowEqFilter(st, row)), MapVersion: ver}
+		_, removed, err := c.Run(ctx, lt, snap, &plan.Planned{Root: dp, DirectSegment: plan.RouteRow(st, row, target)}, nil)
 		if err != nil {
 			return err
 		}
-		lt.markWrote(dest, gen)
 		if removed == 0 {
 			return fmt.Errorf("cluster: expansion delta: no staged copy of a deleted %s row", st.Name)
 		}
@@ -821,7 +805,7 @@ func (c *Cluster) stageRows(ctx context.Context, lt *LiveTxn, snap *dtm.DistSnap
 	}
 	_, ver := st.Placement()
 	ip := &plan.InsertPlan{Table: st, Child: &plan.Values{Out: st.Schema, Rows: rows}, MapVersion: ver}
-	_, err := c.RunModify(ctx, lt, snap, &plan.Planned{Root: ip, DirectSegment: -1}, nil)
+	_, _, err := c.Run(ctx, lt, snap, &plan.Planned{Root: ip, DirectSegment: -1}, nil)
 	return err
 }
 
@@ -902,18 +886,6 @@ func stagingClone(t *catalog.Table, name string) *catalog.Table {
 		})
 	}
 	return st
-}
-
-// scanUnderFence iterates a leaf's visible rows WITHOUT taking the relation
-// lock: the mover calls it while it holds the table's AccessExclusive fence
-// in another transaction, so ScanTable's AccessShare would self-deadlock.
-// The fence guarantees what the lock would (no concurrent writer or DDL).
-func scanUnderFence(ctx context.Context, a *storeAccess, leaf catalog.TableID, fn func(row types.Row) (bool, error)) error {
-	st, err := a.seg.table(leaf)
-	if err != nil {
-		return err
-	}
-	return scanRows(ctx, st, nil, &a.check, func(row types.Row, _ storage.TupleID) (bool, error) { return fn(row) })
 }
 
 // rowEqFilter builds the full-row equality predicate used to delete a moved

@@ -61,11 +61,10 @@ func TestExpandRebalancesHashTable(t *testing.T) {
 		seen[k] = true
 	}
 	// Every row must now live on the segment the widened hash picks.
-	rr := 0
 	for i, seg := range c.Segments() {
 		want := 0
 		for _, r := range rows {
-			if plan.RouteRow(moved, r, 4, &rr) == i {
+			if plan.RouteRow(moved, r, 4) == i {
 				want++
 			}
 		}
@@ -116,6 +115,12 @@ func TestExpandMovesReplicatedAndFlipsRandom(t *testing.T) {
 	}
 	waitExpand(t, c)
 
+	// The replicated table moved by stage and flip: its name now belongs to
+	// the staging clone.
+	rep, err := c.Catalog().Table("rep")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, seg := range c.Segments() {
 		if got := seg.RowCount(rep); got != 40 {
 			t.Errorf("replicated: segment %d has %d rows, want full copy (40)", i, got)
@@ -145,19 +150,19 @@ func TestStaleDistMapVersionRejected(t *testing.T) {
 		{"insert", func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
 			ins := insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(1)})
 			ins.Root.(*plan.InsertPlan).MapVersion = v
-			_, err := c.RunModify(ctx, lt, c.Snapshot(), ins, nil)
+			_, _, err := c.Run(ctx, lt, c.Snapshot(), ins, nil)
 			return err
 		}},
 		{"update", func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
 			up := planTemplate(t, c, "UPDATE t SET b = 9")
 			up.Root.(*plan.UpdatePlan).MapVersion = v
-			_, err := c.RunModify(ctx, lt, c.Snapshot(), up, nil)
+			_, _, err := c.Run(ctx, lt, c.Snapshot(), up, nil)
 			return err
 		}},
 		{"delete", func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
 			dp := planTemplate(t, c, "DELETE FROM t")
 			dp.Root.(*plan.DeletePlan).MapVersion = v
-			_, err := c.RunModify(ctx, lt, c.Snapshot(), dp, nil)
+			_, _, err := c.Run(ctx, lt, c.Snapshot(), dp, nil)
 			return err
 		}},
 		{"select", func(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
@@ -165,7 +170,7 @@ func TestStaleDistMapVersionRejected(t *testing.T) {
 			root := &plan.Motion{Child: scan, Type: plan.MotionGather}
 			pl := plan.NewPlanned(root)
 			pl.MapVersions = map[string]uint64{tab.Name: v}
-			_, _, err := c.RunSelect(ctx, lt, c.Snapshot(), pl, nil)
+			_, _, err := c.Run(ctx, lt, c.Snapshot(), pl, nil)
 			return err
 		}},
 	}
@@ -204,7 +209,7 @@ func TestTxnLostWritesOnMapFlip(t *testing.T) {
 	tab := mkTable(t, c, "t")
 	lt := c.BeginTxn()
 	w, ver := tab.Placement()
-	if _, err := c.RunModify(context.Background(), lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(2)}), nil); err != nil {
+	if _, _, err := c.Run(context.Background(), lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(2)}), nil); err != nil {
 		t.Fatal(err)
 	}
 	tab.SetPlacement(w, ver+1) // the flip lands while the txn is in flight
@@ -253,11 +258,10 @@ func TestLateSegmentFaultAndBreakerCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.FaultStats().Triggers
-	rr := 0
 	var rows []types.Row
 	for i := int64(0); len(rows) < 4; i++ {
 		row := types.Row{types.NewInt(i), types.NewInt(0)}
-		if plan.RouteRow(moved, row, 4, &rr) == 3 {
+		if plan.RouteRow(moved, row, 4) == 3 {
 			rows = append(rows, row)
 		}
 	}
@@ -340,22 +344,60 @@ func TestExpandStaleTemplateFenced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.RunSelect(ctx, lt, c.Snapshot(), pl, nil); !errors.As(err, &stale) {
+		if _, _, err := c.Run(ctx, lt, c.Snapshot(), pl, nil); !errors.As(err, &stale) {
 			t.Fatalf("key %d: stale SELECT template: %v, want StaleDistMapError", k, err)
 		}
 		if pl, err = upd.Bind(params); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.RunModify(ctx, lt, c.Snapshot(), pl, nil); !errors.As(err, &stale) {
+		if _, _, err := c.Run(ctx, lt, c.Snapshot(), pl, nil); !errors.As(err, &stale) {
 			t.Fatalf("key %d: stale UPDATE template: %v, want StaleDistMapError", k, err)
 		}
 		if pl, err = fresh.Bind(params); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := c.RunSelect(ctx, lt, c.Snapshot(), pl, nil)
+		got, _, err := c.Run(ctx, lt, c.Snapshot(), pl, nil)
 		if err != nil || len(got) != 1 || got[0][0].Int() != k*10 {
 			t.Fatalf("key %d at the new width: %v %v", k, got, err)
 		}
 		c.AbortTxn(lt)
+	}
+}
+
+// TestInsertSelectIntoNarrowTable: mid-expansion a table the mover has not
+// reached still hashes across its old placement width, narrower than the
+// cluster. An INSERT … SELECT into it stores every row on the segment its
+// key hashes to at that width, where the mover's catch-up reads it, and on
+// no segment beyond it.
+func TestInsertSelectIntoNarrowTable(t *testing.T) {
+	ctx := context.Background()
+	c := testCluster(t, GPDB6(4))
+	src, dst := mkTable(t, c, "src"), mkTable(t, c, "dst")
+	_, ver := dst.Placement()
+	dst.SetPlacement(2, ver)
+	var rows []types.Row
+	for i := int64(0); i < 64; i++ {
+		rows = append(rows, types.Row{types.NewInt(i), types.NewInt(-i)})
+	}
+	insertRows(t, c, src, rows)
+	lt := c.BeginTxn()
+	snap := c.Snapshot()
+	defer c.ReleaseSnapshot(snap)
+	if _, n, err := c.Run(ctx, lt, snap, planTemplate(t, c, "INSERT INTO dst SELECT a, b FROM src"), nil); err != nil || n != len(rows) {
+		t.Fatalf("INSERT … SELECT wrote %d rows: %v", n, err)
+	}
+	if _, err := c.CommitTxn(lt); err != nil {
+		t.Fatal(err)
+	}
+	for i, seg := range c.Segments() {
+		want := 0
+		for _, r := range rows {
+			if plan.RouteRow(dst, r, 2) == i {
+				want++
+			}
+		}
+		if got := seg.RowCount(dst); got != want {
+			t.Errorf("segment %d holds %d rows of the 2-wide table, want %d", i, got, want)
+		}
 	}
 }

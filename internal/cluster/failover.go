@@ -286,7 +286,7 @@ func (c *Cluster) promote(i int) error {
 	if old.blockCache != nil {
 		cache = storage.NewBlockCache(c.cfg.BlockCacheBytes)
 	}
-	ns := m.toSegment(old.gen+1, cache, c.coord.IsInProgress, c.ownerOf, &c.replicaMode)
+	ns := m.toSegment(old.gen+1, cache, c.coord.IsInProgress, &c.replicaMode)
 	ns.reconcileTables(c.catalog.Tables())
 
 	// Crash recovery: in-flight local transactions can never commit.
@@ -382,39 +382,6 @@ func (c *Cluster) segUp(ctx context.Context, i int) (*Segment, error) {
 		case <-ch:
 		case <-time.After(wait):
 		}
-	}
-}
-
-// execOnSeg runs one statement's per-segment portion against slot i's
-// current primary, retrying once per failover: an entry refused by a dead
-// primary waits for the mirror's promotion and re-runs against the new
-// primary — the "retryable portion" of an in-flight statement. Its writes
-// on the dead primary were uncommitted and are rolled back by recovery, so
-// the retry cannot double-apply. A transaction that already wrote an
-// earlier statement to the dead incarnation is not retryable; it fails with
-// ErrTxnLostWrites.
-func (c *Cluster) execOnSeg(ctx context.Context, t *LiveTxn, i int, fn func(*Segment) (int, error)) (int, int, error) {
-	for attempt := 0; ; attempt++ {
-		s, err := c.segUp(ctx, i)
-		if err != nil {
-			return 0, 0, err
-		}
-		if gen, wrote := t.wroteOn(i); wrote && gen != s.gen {
-			return 0, 0, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", i, ErrTxnLostWrites)
-		}
-		// Statement dispatch is not idempotent (a re-run would double-apply
-		// DML inside the same snapshot): the wrapper retries transient
-		// send-phase faults with backoff but surfaces recv-phase ones.
-		var n int
-		err = c.dispatchSeg(i, false, func() error {
-			var ferr error
-			n, ferr = fn(s)
-			return ferr
-		})
-		if IsSegmentDown(err) && attempt < 2 {
-			continue // the primary died between resolution and entry
-		}
-		return n, s.gen, err
 	}
 }
 

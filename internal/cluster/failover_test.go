@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/dtm"
+	"repro/internal/plan"
 	"repro/internal/txn"
 	"repro/internal/types"
 )
@@ -31,8 +32,8 @@ func TestInDoubtCommitRecordWins(t *testing.T) {
 		lt := c.BeginTxn()
 		snap := c.Snapshot()
 		s1 := c.seg(1)
-		if _, err := s1.ExecModify(ctx, lt.DXID(), snap, tab, insertPlan(tab,
-			types.Row{types.NewInt(int64(100 * boolInt(withRecord))), types.NewInt(1)}).Root, nil, nil); err != nil {
+		if _, _, err := c.Run(ctx, lt, snap, &plan.Planned{Root: insertPlan(tab,
+			types.Row{types.NewInt(int64(100 * boolInt(withRecord))), types.NewInt(1)}).Root, DirectSegment: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Phase one reaches the segment; then the primary dies before the
@@ -99,8 +100,8 @@ func TestCommitPreparedIdempotentAfterPromotion(t *testing.T) {
 	lt := c.BeginTxn()
 	snap := c.Snapshot()
 	s1 := c.seg(1)
-	if _, err := s1.ExecModify(ctx, lt.DXID(), snap, tab, insertPlan(tab,
-		types.Row{types.NewInt(7), types.NewInt(70)}).Root, nil, nil); err != nil {
+	if _, _, err := c.Run(ctx, lt, snap, &plan.Planned{Root: insertPlan(tab,
+		types.Row{types.NewInt(7), types.NewInt(70)}).Root, DirectSegment: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Prepare(lt.DXID()); err != nil {
@@ -181,7 +182,7 @@ func TestAbortedTxnsDoNotLeakOnMirror(t *testing.T) {
 	tab := mkTable(t, c, "t")
 	for i := 0; i < 25; i++ {
 		lt := c.BeginTxn()
-		if _, err := c.RunModify(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(int64(i)), types.NewInt(0)}), nil); err != nil {
+		if _, _, err := c.Run(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(int64(i)), types.NewInt(0)}), nil); err != nil {
 			t.Fatal(err)
 		}
 		c.AbortTxn(lt)

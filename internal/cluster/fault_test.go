@@ -53,7 +53,7 @@ func TestDispatchSendFaultExhaustsToRetryableError(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt := c.BeginTxn()
-	_, err := c.RunModify(context.Background(), lt,
+	_, _, err := c.Run(context.Background(), lt,
 		c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(1)}), nil)
 	c.ResetFault(fault.DispatchSend)
 	c.AbortTxn(lt)
@@ -90,7 +90,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	// Each failed statement is one breaker Failure; threshold 2 opens it.
 	for i := 0; i < 3; i++ {
 		lt := c.BeginTxn()
-		_, err := c.RunModify(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(int64(i)), types.NewInt(1)}), nil)
+		_, _, err := c.Run(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(int64(i)), types.NewInt(1)}), nil)
 		c.AbortTxn(lt)
 		if err == nil {
 			t.Fatalf("statement %d succeeded under permanent fault", i)
@@ -111,7 +111,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 	// An open breaker fails fast with a retryable error.
 	lt := c.BeginTxn()
-	_, err := c.RunModify(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(9), types.NewInt(1)}), nil)
+	_, _, err := c.Run(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(9), types.NewInt(1)}), nil)
 	c.AbortTxn(lt)
 	var boe *BreakerOpenError
 	if !errors.As(err, &boe) {
@@ -144,7 +144,7 @@ func TestAbortResolvesThroughDispatchFaults(t *testing.T) {
 
 	ctx := context.Background()
 	lt := c.BeginTxn()
-	if _, err := c.RunModify(ctx, lt, c.Snapshot(), planTemplate(t, c, "UPDATE t SET b = 99"), nil); err != nil {
+	if _, _, err := c.Run(ctx, lt, c.Snapshot(), planTemplate(t, c, "UPDATE t SET b = 99"), nil); err != nil {
 		t.Fatal(err)
 	}
 	// 70% of dispatch attempts fail while the abort wave runs; bounded
@@ -160,7 +160,7 @@ func TestAbortResolvesThroughDispatchFaults(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		lt2 := c.BeginTxn()
-		if _, err := c.RunModify(ctx, lt2, c.Snapshot(), planTemplate(t, c, "UPDATE t SET b = 99"), nil); err != nil {
+		if _, _, err := c.Run(ctx, lt2, c.Snapshot(), planTemplate(t, c, "UPDATE t SET b = 99"), nil); err != nil {
 			c.AbortTxn(lt2)
 			done <- err
 			return

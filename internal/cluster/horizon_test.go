@@ -19,7 +19,7 @@ func scanUnder(t *testing.T, c *Cluster, tab *catalog.Table, snap *dtm.DistSnaps
 	lt := c.BeginTxn()
 	defer c.AbortTxn(lt)
 	root := &plan.Motion{Child: plan.NewScan(tab, []catalog.TableID{tab.ID}, nil), Type: plan.MotionGather}
-	rows, _, err := c.RunSelect(context.Background(), lt, snap, plan.NewPlanned(root), nil)
+	rows, _, err := c.Run(context.Background(), lt, snap, plan.NewPlanned(root), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestHorizonHoldsForLiveSnapshot(t *testing.T) {
 
 	w := c.BeginTxn()
 	wsnap := c.Snapshot()
-	if _, err := c.RunModify(ctx, w, wsnap, insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(1)}), nil); err != nil {
+	if _, _, err := c.Run(ctx, w, wsnap, insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(1)}), nil); err != nil {
 		t.Fatal(err)
 	}
 	c.ReleaseSnapshot(wsnap)
@@ -89,7 +89,7 @@ func TestLongReaderHoldsHorizon(t *testing.T) {
 		for i := 0; i < updates; i++ {
 			lt := c.BeginTxn()
 			usnap := c.Snapshot()
-			_, err := c.RunModify(ctx, lt, usnap, up, nil)
+			_, _, err := c.Run(ctx, lt, usnap, up, nil)
 			c.ReleaseSnapshot(usnap)
 			if err != nil {
 				c.AbortTxn(lt)
@@ -105,7 +105,7 @@ func TestLongReaderHoldsHorizon(t *testing.T) {
 	read := func() {
 		t.Helper()
 		root := &plan.Motion{Child: plan.NewScan(tab, []catalog.TableID{tab.ID}, nil), Type: plan.MotionGather}
-		rows, _, err := c.RunSelect(ctx, reader, snap, plan.NewPlanned(root), nil)
+		rows, _, err := c.Run(ctx, reader, snap, plan.NewPlanned(root), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestFirstWriteTakesFreshXid(t *testing.T) {
 	s := c.Snapshot()
 	defer c.ReleaseSnapshot(s)
 	wsnap := c.Snapshot()
-	if _, err := c.RunModify(ctx, w, wsnap, insertPlan(tab, types.Row{types.NewInt(2), types.NewInt(2)}), nil); err != nil {
+	if _, _, err := c.Run(ctx, w, wsnap, insertPlan(tab, types.Row{types.NewInt(2), types.NewInt(2)}), nil); err != nil {
 		t.Fatal(err)
 	}
 	c.ReleaseSnapshot(wsnap)

@@ -64,7 +64,7 @@ func commitUpdate(t *testing.T, c *Cluster, up *plan.Planned) {
 	t.Helper()
 	lt := c.BeginTxn()
 	snap := c.Snapshot()
-	_, err := c.RunModify(context.Background(), lt, snap, up, nil)
+	_, _, err := c.Run(context.Background(), lt, snap, up, nil)
 	c.ReleaseSnapshot(snap)
 	if err != nil {
 		c.AbortTxn(lt)
@@ -79,7 +79,7 @@ func commitUpdate(t *testing.T, c *Cluster, up *plan.Planned) {
 // transaction lt.
 func readB(t *testing.T, c *Cluster, lt *LiveTxn, snap *dtm.DistSnapshot, sel *plan.Planned) []types.Row {
 	t.Helper()
-	rows, _, err := c.RunSelect(context.Background(), lt, snap, sel, nil)
+	rows, _, err := c.Run(context.Background(), lt, snap, sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestProbeKeepsWhatALiveSnapshotSees(t *testing.T) {
 		for i := 0; i < updates; i++ {
 			lt := c.BeginTxn()
 			usnap := c.Snapshot()
-			_, err := c.RunModify(ctx, lt, usnap, up, nil)
+			_, _, err := c.Run(ctx, lt, usnap, up, nil)
 			c.ReleaseSnapshot(usnap)
 			if err != nil {
 				c.AbortTxn(lt)
@@ -200,7 +200,7 @@ func TestPreparedDeleterHoldsItsVersion(t *testing.T) {
 
 	w := c.BeginTxn()
 	wsnap := c.Snapshot()
-	_, err := c.RunModify(ctx, w, wsnap, planTemplate(t, c, "UPDATE t SET b = 1 WHERE a = 1"), nil)
+	_, _, err := c.Run(ctx, w, wsnap, planTemplate(t, c, "UPDATE t SET b = 1 WHERE a = 1"), nil)
 	c.ReleaseSnapshot(wsnap)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/dtm"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/lockmgr"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -48,59 +48,6 @@ type QueryResources struct {
 	// trace context travelling on the wire.
 	Trace    *obs.Trace
 	ExecSpan obs.SpanID
-	// DML, when non-nil, receives per-segment rows-affected counts from
-	// write dispatch (EXPLAIN ANALYZE on INSERT/UPDATE/DELETE).
-	DML *DMLCounters
-}
-
-// trace returns the statement's trace (nil-safe: spans begun on a nil trace
-// are inert).
-func (r *QueryResources) trace() *obs.Trace {
-	if r == nil {
-		return nil
-	}
-	return r.Trace
-}
-
-// execSpanOf returns the coordinator execute-span id slice spans attach to.
-func execSpanOf(r *QueryResources) obs.SpanID {
-	if r == nil {
-		return 0
-	}
-	return r.ExecSpan
-}
-
-// DMLCounters collects rows affected per segment for one write statement.
-type DMLCounters struct {
-	mu     sync.Mutex
-	perSeg map[int]int64
-}
-
-// Add folds n affected rows into segment seg's count.
-func (d *DMLCounters) Add(seg int, n int64) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	if d.perSeg == nil {
-		d.perSeg = make(map[int]int64)
-	}
-	d.perSeg[seg] += n
-	d.mu.Unlock()
-}
-
-// PerSegment returns a copy of the per-segment affected-row counts.
-func (d *DMLCounters) PerSegment() map[int]int64 {
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[int]int64, len(d.perSeg))
-	for k, v := range d.perSeg {
-		out[k] = v
-	}
-	return out
 }
 
 // ScanCounters is a statement's block-granular scan accounting.
@@ -136,92 +83,167 @@ const gangSampleEvery = 50
 // flow-control/back-pressure behaviour it models) at a fixed row scale.
 const motionSlots = 1024 / types.DefaultBatchSize
 
-// RunSelect executes a SELECT plan, retrying the whole statement when a
-// segment dies under it mid-scan: reads have no side effects beyond
-// counters, so the retry simply waits for the mirror's promotion (inside
-// segUp) and re-dispatches. A transaction that had written the dead segment
-// is not retried — its writes are gone and only an abort is honest.
-func (c *Cluster) RunSelect(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources) ([]types.Row, *types.Schema, error) {
+// Run dispatches a planned SELECT, INSERT, UPDATE or DELETE as one sliced
+// plan (paper §3.2) and returns a SELECT's rows and the count of rows it
+// returned or wrote. A statement whose segment dies under it is retried
+// whole when that is safe: a read has no side effects beyond counters, and
+// neither has a write that stored no row yet — an INSERT … SELECT whose
+// source segment died, say, since a write reads its whole input first — so
+// the retry simply waits for the mirror's promotion (inside segUp) and
+// re-dispatches. A transaction that had written the dead segment is not
+// retried — its writes are gone and only an abort is honest — and neither
+// is a write that stored rows: each segment's portion of it is retried in
+// place instead (attempt.write).
+func (c *Cluster) Run(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources) ([]types.Row, int, error) {
 	for attempt := 0; ; attempt++ {
-		rows, schema, err := c.runSelectOnce(ctx, t, snap, pl, res)
-		if err == nil || attempt >= 2 {
-			return rows, schema, err
+		rows, n, err := c.runOnce(ctx, t, snap, pl, res)
+		if err == nil {
+			return rows, n, nil
 		}
 		var sde *SegmentDownError
-		if !errors.As(err, &sde) {
-			return nil, nil, err
+		if attempt >= 2 || n > 0 || !errors.As(err, &sde) {
+			return nil, 0, err
 		}
 		if _, wrote := t.wroteOn(sde.Seg); wrote {
-			return nil, nil, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", sde.Seg, ErrTxnLostWrites)
+			return nil, 0, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", sde.Seg, ErrTxnLostWrites)
 		}
 	}
 }
 
-// runSelectOnce is one dispatch attempt: it opens the interconnect fabric,
-// launches every (slice, segment) sender, and drains the top slice on the
-// coordinator. A plan pinned to one segment (pl.DirectSegment, under
+// writeOf returns the table a write's top node writes, the placement
+// version it was planned under and its trace span's name; a nil table for
+// a SELECT.
+func writeOf(root plan.Node) (*catalog.Table, uint64, string) {
+	switch x := root.(type) {
+	case *plan.InsertPlan:
+		return x.Table, x.MapVersion, "insert"
+	case *plan.UpdatePlan:
+		return x.Table, x.MapVersion, "update"
+	case *plan.DeletePlan:
+		return x.Table, x.MapVersion, "delete"
+	}
+	return nil, 0, ""
+}
+
+// attempt is one dispatch attempt's state, shared by all its slices.
+type attempt struct {
+	c    *Cluster
+	t    *LiveTxn
+	snap *dtm.DistSnapshot
+	pl   *plan.Planned
+	res  *QueryResources
+	nseg int
+	// tab is the table a write writes, nil for a SELECT.
+	tab *catalog.Table
+	// ctx is cancelled, with the first error, by a slice that fails while
+	// others run in goroutines (cancel is nil when none do).
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	fabric *interconnect.Fabric
+	spill  *exec.SpillManager
+	// tr is the statement's trace (nil: spans are inert) and span the
+	// coordinator's execute span, which every slice's span attaches under.
+	tr   *obs.Trace
+	span obs.SpanID
+	// segs[i] is the statement's work on segment lo+i: on every segment, or
+	// — kept in one — only on the segment a pinned statement runs on.
+	segs    []segSlices
+	lo      int
+	one     [1]segSlices
+	senders sync.WaitGroup
+}
+
+// on is the statement's work on segment seg.
+func (d *attempt) on(seg int) *segSlices { return &d.segs[seg-d.lo] }
+
+// segSlices is a statement's work on one segment: read is the storage
+// access of the slices reading it — one local snapshot per segment per
+// statement — and top that of a write's top slice there, which opens the
+// local transaction the readers must not see change under them; nil where
+// none runs.
+type segSlices struct {
+	read, top *storeAccess
+}
+
+// runOnce is one dispatch attempt. It opens the interconnect fabric and
+// launches every motion's senders — one per segment, or for a motion
+// FromCoordinator one on the coordinator — and runs the top slice: on the
+// coordinator for a SELECT, which drains its rows; for an INSERT, UPDATE or
+// DELETE on each segment the write targets, where exec.Modify stores them
+// (writeTargets). A read pinned to one segment (pl.DirectSegment, under
 // Config.DirectDispatch) involves that segment alone, and its single sending
-// slice runs inline in this goroutine below a pass-through gather: no
-// fabric, no sender goroutines, no batch copies — behind the same fences,
-// fault wrapper, failover wait and bookkeeping as the gang.
+// slice runs inline in this goroutine below a pass-through gather; a write
+// with one target runs its top slice inline the same way. Either needs no
+// fabric, no goroutines and no batch copies, and stays behind the same
+// fences, fault wrapper, failover wait and bookkeeping as the gang.
 //
 // A plain read runs under the transaction's owner id and the snapshot and
-// takes no xid anywhere. SELECT … FOR UPDATE is a write: it draws the
-// transaction's dxid, and every segment it is dispatched to opens a local
-// transaction before any slice runs (the slices of one segment share its
-// access) and joins the commit.
-func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources) ([]types.Row, *types.Schema, error) {
-	root := pl.Root
+// takes no xid anywhere. A write, and SELECT … FOR UPDATE, draws the
+// transaction's dxid. Every segment a FOR UPDATE is dispatched to opens a
+// local transaction before any slice runs (the slices of one segment share
+// its access) and joins the commit, as does every segment a write targets
+// without direct dispatch (paper §7.2); under it a write's segment joins at
+// its first write, so one where nothing matched stays out of the commit.
+//
+// On failure n is the number of rows a write stored before it failed.
+func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources) ([]types.Row, int, error) {
 	nseg := c.SegCount()
 	t.grow(nseg)
-	if pl.ForUpdate {
+	d := &attempt{c: c, t: t, snap: snap, pl: pl, res: res, nseg: nseg, ctx: ctx}
+	if res != nil {
+		d.tr, d.span = res.Trace, res.ExecSpan
+	}
+	tab, tabVer, _ := writeOf(pl.Root)
+	if d.tab = tab; tab != nil || pl.ForUpdate {
 		t.DXID()
 	}
 	// Fence stale plans and lost writes before any work: a plan built
 	// against a distribution map that online expansion has since flipped is
 	// retryable (re-plan picks up the new placement); a transaction whose
-	// own writes were routed under a flipped map must abort — reading the
-	// new placement would silently violate read-your-writes.
+	// own writes were routed under a flipped map must abort before it reads
+	// — reading the new placement would silently violate read-your-writes
+	// (its writes are fenced at commit).
+	if tab != nil {
+		if _, cur := tab.Placement(); cur != tabVer {
+			return nil, 0, &StaleDistMapError{Table: tab.Name, Planned: tabVer, Current: cur}
+		}
+	}
 	if err := c.checkMapVersions(pl.MapVersions); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	if err := c.checkWroteMaps(t); err != nil {
-		return nil, nil, err
-	}
-
-	qctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-
-	motions := pl.Motions
-	lo, hi := 0, nseg
-	senders := motions
-	direct := c.cfg.DirectDispatch && pl.DirectSegment >= 0 && pl.DirectSegment < nseg && len(motions) == 1 &&
-		c.directReads.Add(1)%gangSampleEvery != 0
-	if direct {
-		lo, hi, senders = pl.DirectSegment, pl.DirectSegment+1, nil
-	}
-
-	var fabric *interconnect.Fabric
-	if !direct {
-		fabric = interconnect.NewFabric(nseg, motionSlots, 0)
-		for _, m := range motions {
-			switch m.Type {
-			case plan.MotionGather:
-				fabric.OpenGather(m.SliceID, nseg)
-			default:
-				fabric.OpenFanOut(m.SliceID, nseg)
-			}
+	if tab == nil {
+		if err := c.checkWroteMaps(t); err != nil {
+			return nil, 0, err
 		}
 	}
 
+	motions := pl.Motions
+	direct := c.cfg.DirectDispatch && pl.DirectSegment >= 0 && pl.DirectSegment < nseg
+	if d.tab == nil {
+		direct = direct && len(motions) == 1 && c.directReads.Add(1)%gangSampleEvery != 0
+	}
+	sending := motions
+	if direct {
+		sending = nil
+	}
+	var targets []int
+	var routed [][]types.Row
+	if tab != nil && !direct {
+		targets, routed = c.writeTargets(pl.Root, nseg)
+	}
+	if len(sending) > 0 || len(targets) > 1 {
+		var cancel context.CancelCauseFunc
+		d.ctx, cancel = context.WithCancelCause(ctx)
+		d.cancel = cancel
+		defer cancel(nil)
+	}
 	// One spill manager per statement: all slices, segments and workers
 	// share the operator-memory budget and the temp-file registry. nil when
 	// the statement has no budget (no resource group, or spilling disabled).
-	var spill *exec.SpillManager
 	if res != nil && res.SpillBudget > 0 {
-		spill = exec.NewSpillManager(res.SpillBudget)
-		if spill != nil {
-			spill.Faults = c.faults
+		d.spill = exec.NewSpillManager(res.SpillBudget)
+		if d.spill != nil {
+			d.spill.Faults = c.faults
 		}
 	}
 	// Rebase the slot's memory high water so the peak captured below
@@ -233,142 +255,279 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 		}
 	}
 
-	// One storage access (one local snapshot) per segment per statement.
-	// Segments are resolved through segUp so a SELECT arriving while a
-	// primary is being failed over waits for the promotion and reads the
-	// promoted mirror instead of erroring.
-	var accs []*storeAccess
-	segsnap := make([]*Segment, nseg)
-	if pl.ScansTables {
-		accs = make([]*storeAccess, nseg)
-		for i := lo; i < hi; i++ {
+	// The storage accesses of the segments that run a slice reading a
+	// table: a read's, and the senders of a write's motions (its top slices
+	// open their own, write). Segments are resolved through segUp so a
+	// statement arriving while a primary is being failed over waits for the
+	// promotion and reads the promoted mirror instead of erroring.
+	switch {
+	case direct:
+		d.segs, d.lo = d.one[:], pl.DirectSegment
+	case pl.ScansTables || d.tab != nil:
+		d.segs = make([]segSlices, nseg)
+	}
+	if pl.ScansTables && (d.tab == nil || len(sending) > 0) {
+		for i := d.lo; i < d.lo+len(d.segs); i++ {
 			s, err := c.segUp(ctx, i)
 			if err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 			// Same lost-writes guard as the write path: reading a promoted
 			// segment after this transaction's own writes died with the old
 			// incarnation would silently violate read-your-writes.
 			if gen, wrote := t.wroteOn(i); wrote && gen != s.gen {
-				return nil, nil, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", i, ErrTxnLostWrites)
+				return nil, 0, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", i, ErrTxnLostWrites)
 			}
-			segsnap[i] = s
 			// Per-segment statement dispatch: the fault wrapper retries
 			// transient send faults with backoff (reads are idempotent, so
 			// recv faults retry too) and honors the circuit breaker.
 			if err := c.dispatchSeg(i, true, func() error { return nil }); err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
-			accs[i] = s.newAccess(t.owner, t.dxid, snap)
+			d.on(i).read = s.newAccess(t.owner, t.dxid, snap)
 			t.touched[i] = true
 			if pl.ForUpdate {
-				if _, err := accs[i].begin(); err != nil {
-					return nil, nil, err
+				if _, err := d.on(i).read.begin(); err != nil {
+					return nil, 0, err
 				}
 			}
 		}
 	}
 
-	mkCtx := func(segID int) *exec.Context {
-		ec := &exec.Context{
-			Ctx:         qctx,
-			Recv:        func(slice int) exec.Receiver { return fabric.Receiver(slice, segID) },
-			Spill:       spill,
-			NumSegments: nseg,
-			SegID:       segID,
+	// Motions come in post-order: a slice's streams open before any sender
+	// that receives from them starts.
+	if len(sending) > 0 {
+		d.fabric = interconnect.NewFabric(nseg, motionSlots, 0)
+	}
+	for _, m := range sending {
+		from, to := 0, nseg
+		if m.FromCoordinator {
+			from, to = -1, 0
 		}
-		if res != nil {
-			ec.Mem = res.Mem
-			ec.NodeRows = res.NodeRows
-			ec.Ops = res.Ops
+		if m.Type == plan.MotionGather {
+			d.fabric.OpenGather(m.SliceID, to-from)
+		} else {
+			d.fabric.OpenFanOut(m.SliceID, to-from)
 		}
-		if segID >= 0 {
-			ec.Store = accs[segID]
+		for seg := from; seg < to; seg++ {
+			d.senders.Add(1)
+			go d.send(m, seg, d.execCtx(new(exec.Context), seg))
 		}
-		return ec
 	}
 
-	// Slice spans attach under the coordinator's execute span: the span id
-	// crossed the dispatch boundary with the statement, like a trace context
-	// on the wire. Their names are only built for a statement being traced.
-	tr := res.trace()
-	sliceName := func(m *plan.Motion) string {
-		if tr == nil {
-			return ""
+	var rows []types.Row
+	var n int
+	var err error
+	switch {
+	case tab == nil:
+		// The top slice runs on the coordinator; a direct plan's one sending
+		// slice runs inside it, under the pinned segment's context.
+		top := d.execCtx(new(exec.Context), -1)
+		var sp obs.ActiveSpan
+		if direct {
+			top.Inline = d.execCtx(new(exec.Context), pl.DirectSegment)
+			sp = d.tr.Begin(d.span, d.sliceName(motions[0]), pl.DirectSegment)
 		}
-		return fmt.Sprintf("slice %d", m.SliceID)
-	}
-
-	var wg sync.WaitGroup
-	for _, m := range senders {
-		m, name := m, sliceName(m)
-		for seg := 0; seg < nseg; seg++ {
-			seg := seg
+		rows, err = exec.DrainBatches(exec.BuildBatch(top, pl.Root))
+		n = len(rows)
+		sp.End()
+	case direct || len(targets) == 1:
+		// A write's top slice runs on each target segment, in this goroutine
+		// when there is only one.
+		seg := pl.DirectSegment
+		if !direct {
+			seg = targets[0]
+		}
+		var ec exec.Context
+		n, err = d.write(&ec, seg, routed)
+	default:
+		var wg sync.WaitGroup
+		var written atomic.Int64
+		errs := make([]error, len(targets))
+		for i, seg := range targets {
 			wg.Add(1)
-			go func() {
+			go func(routed [][]types.Row) {
 				defer wg.Done()
-				defer fabric.DoneSending(m.SliceID)
-				sp := tr.Begin(execSpanOf(res), name, seg)
-				defer sp.End()
-				if err := runBatchSlice(qctx, mkCtx(seg), m, fabric, nseg); err != nil {
-					cancel(err)
-				}
-			}()
+				m, err := d.write(new(exec.Context), seg, routed)
+				written.Add(int64(m))
+				errs[i] = err
+			}(routed)
+		}
+		wg.Wait()
+		n = int(written.Load())
+		for _, e := range errs {
+			if e != nil {
+				err = e
+				break
+			}
 		}
 	}
-
-	// Top slice runs on the coordinator; a direct plan's one sending slice
-	// runs inside it, under the pinned segment's context.
-	top := mkCtx(-1)
-	var sp obs.ActiveSpan
-	if direct {
-		top.Inline = mkCtx(pl.DirectSegment)
-		sp = tr.Begin(execSpanOf(res), sliceName(motions[0]), pl.DirectSegment)
-	}
-	rows, err := exec.DrainBatches(exec.BuildBatch(top, root))
-	sp.End()
-	// A failed sender cancels qctx with its error before closing its stream,
-	// so the top drain can race past the cancellation and "succeed" with a
-	// truncated stream. Consult the recorded cause even on a clean drain —
-	// otherwise a segment-side error would silently yield partial results.
-	if err == nil {
-		if cause := context.Cause(qctx); cause != nil && cause != context.Canceled {
-			err = cause
-		}
-	} else if cause := context.Cause(qctx); cause != nil && cause != context.Canceled {
+	// A failed sender cancels the statement with its error before closing
+	// its stream, so the top slice can race past the cancellation and
+	// "succeed" with a truncated stream. Consult the recorded cause even on
+	// a clean run — otherwise a segment-side error would silently yield
+	// partial results. The cause is the first failure; the slices' own
+	// errors may only report the cancellation it caused. A caller's plain
+	// cancel leaves the cause context.Canceled, and then they stand.
+	if cause := context.Cause(d.ctx); cause != nil && cause != context.Canceled {
 		err = cause
 	}
-	cancel(nil)
-	wg.Wait()
-	// A FOR UPDATE makes writers of the segment incarnations it ran on. A
-	// failed attempt records none: the transaction aborts, or RunSelect
-	// retries and the retry records them.
-	if err == nil && pl.ForUpdate {
-		for i, acc := range accs {
-			if acc != nil {
-				t.markWrote(i, segsnap[i].gen)
-			}
+	if d.cancel != nil {
+		d.cancel(nil)
+	}
+	d.senders.Wait()
+	// A write makes writers of the segment incarnations its top slices
+	// opened a local transaction on, and a FOR UPDATE of the ones it ran on.
+	// A failed FOR UPDATE, or a failed write that stored no row, records
+	// none: the transaction aborts, which reaches every segment it touched,
+	// or Run retries and the retry records them.
+	for i, on := range d.segs {
+		switch seg := d.lo + i; {
+		case on.top != nil && on.top.st != nil && (err == nil || n > 0):
+			t.markWrote(seg, on.top.seg.gen)
+			t.noteWroteMap(tab.ID, tabVer)
+		case on.top != nil:
+			t.touched[seg] = true
+		case on.read != nil && pl.ForUpdate && err == nil:
+			t.markWrote(seg, on.read.seg.gen)
 		}
 	}
+	if tab != nil && n > 0 {
+		c.invalidateStats(tab.Name)
+	}
+	d.finish(err)
+	if err != nil {
+		if tab == nil {
+			n = 0 // a read stores nothing, whatever rows it drained
+		}
+		return nil, n, err
+	}
+	return rows, n, nil
+}
+
+// execCtx sets ec up as the execution context of a slice at location
+// segID (-1 = coordinator) and returns it.
+func (d *attempt) execCtx(ec *exec.Context, segID int) *exec.Context {
+	*ec = exec.Context{Ctx: d.ctx, Spill: d.spill, NumSegments: d.nseg, SegID: segID}
+	if fabric := d.fabric; fabric != nil {
+		ec.Recv = func(slice int) exec.Receiver { return fabric.Receiver(slice, segID) }
+	}
+	if d.res != nil {
+		ec.Mem = d.res.Mem
+		ec.NodeRows = d.res.NodeRows
+		ec.Ops = d.res.Ops
+	}
+	if segID >= 0 && d.segs != nil {
+		ec.Store = d.on(segID).read
+	}
+	return ec
+}
+
+// sliceName is a sending slice's span name, built only for a statement
+// being traced.
+func (d *attempt) sliceName(m *plan.Motion) string {
+	if d.tr == nil {
+		return ""
+	}
+	return fmt.Sprintf("slice %d", m.SliceID)
+}
+
+// send runs motion m's sending slice at location seg under ec.
+func (d *attempt) send(m *plan.Motion, seg int, ec *exec.Context) {
+	defer d.senders.Done()
+	defer d.fabric.DoneSending(m.SliceID)
+	sp := d.tr.Begin(d.span, d.sliceName(m), seg)
+	defer sp.End()
+	if err := runBatchSlice(d.ctx, ec, m, d.fabric, d.nseg); err != nil {
+		d.cancel(err)
+	}
+}
+
+// write runs a write's top slice on segment seg, in ec, against its current
+// primary, retrying once per failover: an entry refused by a dead primary
+// waits for the mirror's promotion and re-runs against the new primary —
+// the "retryable portion" of an in-flight statement. Its writes on the dead
+// primary were uncommitted and are rolled back by recovery, so the retry
+// cannot double-apply. A transaction that already wrote an earlier
+// statement to the dead incarnation is not retryable; it fails with
+// ErrTxnLostWrites. An error cancels the rest of the statement. routed,
+// when set, holds an INSERT … VALUES's rows by the segment they go to.
+func (d *attempt) write(ec *exec.Context, seg int, routed [][]types.Row) (int, error) {
+	_, _, op := writeOf(d.pl.Root)
+	sp := d.tr.Begin(d.span, op, seg)
+	defer sp.End()
+	n, err := d.writeOnce(ec, seg, routed)
+	for retry := 0; IsSegmentDown(err) && retry < 2; retry++ {
+		n, err = d.writeOnce(ec, seg, routed) // the primary died between resolution and entry
+	}
+	if err != nil && d.cancel != nil {
+		d.cancel(err)
+	}
+	return n, err
+}
+
+// writeOnce is one entry of a write's top slice into segment seg: there,
+// exec.Modify under the statement's RowExclusive lock on the table. Without
+// direct dispatch every segment a write targets joins the commit (paper
+// §7.2), so the local transaction opens up front; with it, at the first
+// write.
+func (d *attempt) writeOnce(ec *exec.Context, seg int, routed [][]types.Row) (int, error) {
+	s, err := d.c.segUp(d.ctx, seg)
+	if err != nil {
+		return 0, err
+	}
+	if gen, wrote := d.t.wroteOn(seg); wrote && gen != s.gen {
+		return 0, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", seg, ErrTxnLostWrites)
+	}
+	a := s.newAccess(d.t.owner, d.t.dxid, d.snap)
+	d.on(seg).top = a
+	d.execCtx(ec, seg).Store = a
+	if routed != nil {
+		ec.Routed = routed[seg]
+	}
+	// Statement dispatch is not idempotent (a re-run would double-apply
+	// DML inside the same snapshot): the wrapper retries transient
+	// send-phase faults with backoff but surfaces recv-phase ones.
+	var n int
+	err = d.c.dispatchSeg(seg, false, func() (err error) {
+		if err = s.checkUp(); err == nil {
+			err = s.acquire(d.ctx, a.owner, lockmgr.RelationTag(uint64(d.tab.ID)), lockmgr.RowExclusive)
+		}
+		if err == nil && !s.cfg.DirectDispatch {
+			_, err = a.begin()
+		}
+		if err == nil {
+			n, err = exec.Modify(ec, d.pl.Root)
+		}
+		return err
+	})
+	return n, err
+}
+
+// finish folds the attempt's scan, spill and memory counters into the
+// cluster's totals and res's collectors, and removes any temp files an
+// error path left behind. All slices have retired.
+func (d *attempt) finish(err error) {
+	c, res := d.c, d.res
 	// Fold the statement's scan counters into the per-segment cumulative
 	// totals (SHOW scan_stats) and the caller's collector (EXPLAIN ANALYZE)
-	// — unless the attempt died with the segment (RunSelect will retry and
+	// — unless the attempt died with the segment (Run will retry and
 	// recount; the dead incarnation's partial work is gone with it, and
 	// folding it here would double-count the retried blocks).
-	if !IsSegmentDown(err) {
-		for i, acc := range accs {
-			if acc == nil {
+	for _, on := range d.segs {
+		for _, acc := range [2]*storeAccess{on.read, on.top} {
+			if acc == nil || IsSegmentDown(err) {
 				continue
 			}
 			// A promotion that raced this statement already folded the dead
 			// incarnation's totals into the retired counters; route the
 			// statement's counts there too so they are not lost on an
 			// object nobody aggregates anymore.
-			if c.seg(i) != segsnap[i] {
+			if c.seg(acc.seg.id) != acc.seg {
 				c.retiredScanned.Add(acc.stats.BlocksScanned.Load())
 				c.retiredSkipped.Add(acc.stats.BlocksSkipped.Load())
 			} else {
-				acc.stats.AddTo(&segsnap[i].scanStats)
+				acc.stats.AddTo(&acc.seg.scanStats)
 			}
 			if res != nil && res.Scan != nil {
 				res.Scan.BlocksScanned += acc.stats.BlocksScanned.Load()
@@ -381,9 +540,9 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 	// any temp files an error path left behind. All slices have retired.
 	// Like the scan counters, a dead attempt's partial spills are dropped
 	// (the retry recounts); the temp-file cleanup always runs.
-	if spill != nil {
-		spills, sbytes, sfiles, peak := spill.Stats()
-		if leaked := spill.Cleanup(); leaked > 0 {
+	if d.spill != nil {
+		spills, sbytes, sfiles, peak := d.spill.Stats()
+		if leaked := d.spill.Cleanup(); leaked > 0 {
 			c.spillLeaks.Add(int64(leaked))
 		}
 		if !IsSegmentDown(err) {
@@ -414,10 +573,6 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 			}
 		}
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, root.Schema(), nil
 }
 
 // runBatchSlice executes one (motion, location) sender: it pulls batches
@@ -426,8 +581,11 @@ func (c *Cluster) runSelectOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistS
 // live rows are copied into containers the fabric recycles from the
 // receivers. A Redistribute Motion hashes each batch's key vectors at once
 // and sends every row to Bucket(hash, nseg), the segment RouteRow stores its
-// key on.
+// key on; an INSERT's motion spreads rows over its target's Width.
 func runBatchSlice(ctx context.Context, ec *exec.Context, m *plan.Motion, fabric *interconnect.Fabric, nseg int) error {
+	if m.Width > 0 {
+		nseg = m.Width
+	}
 	it := exec.BuildBatch(ec, m.Child)
 	defer it.Close()
 	keyExprs, keyVecs := make([]*plan.VecExpr, len(m.HashExprs)), make([]types.Vec, len(m.HashExprs))
@@ -519,188 +677,43 @@ func appendLive(dst, b *types.RowBatch) *types.RowBatch {
 	return dst
 }
 
-// ---- DML dispatch ----
-
-// RunModify dispatches a write plan. An UPDATE or DELETE goes to the
-// segments that can hold its rows: the one pl.DirectSegment names under
-// direct dispatch, else the whole gang. So does a one-row INSERT, pinned at
-// bind time to the segment its row hashes to; any other INSERT routes its
-// rows here (routeInsert) and runs on each segment over the rows routed to
-// it. Under direct dispatch only segments that receive a row are targets;
-// without it the whole gang handles the statement (paper §7.2's
-// "unnecessary CPU cost on segments which in fact do not insert any tuple")
-// and joins the commit. res may be nil; when set, its trace and DML
-// collectors observe the dispatch, its armed operator statistics the access
-// paths and its Scan collector their block counters.
-func (c *Cluster) RunModify(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources) (int, error) {
-	tab, plannedVer, op, err := modifyTarget(pl.Root)
-	if err != nil {
-		return 0, err
-	}
-	nseg := c.SegCount()
-	t.grow(nseg)
-	_, mapVer := tab.Placement()
-	if plannedVer != mapVer {
-		return 0, &StaleDistMapError{Table: tab.Name, Planned: plannedVer, Current: mapVer}
-	}
-	direct := c.cfg.DirectDispatch && pl.DirectSegment >= 0 && pl.DirectSegment < nseg
-	perSeg, err := c.routeInsert(ctx, t, snap, pl, res, direct, nseg)
-	if err != nil {
-		return 0, err
-	}
-	targets := []int{pl.DirectSegment}
-	if !direct {
-		targets = make([]int, 0, nseg)
-		for i := 0; i < nseg; i++ {
-			if perSeg == nil || perSeg[i] != nil || !c.cfg.DirectDispatch {
-				targets = append(targets, i)
+// writeTargets lists the segments the top slice of a write not pinned to
+// one segment runs on, and routes an INSERT … VALUES's rows to them: each
+// to the segment plan.RouteRow picks across the table's placement width,
+// every segment of it for a replicated table. Without direct dispatch every
+// segment is a target; with it, only those the rows reach (paper §7.2's
+// "unnecessary CPU cost on segments which in fact do not insert any
+// tuple"). The rows a motion brings go to the target's placement.
+func (c *Cluster) writeTargets(root plan.Node, nseg int) (targets []int, routed [][]types.Row) {
+	if ip, ok := root.(*plan.InsertPlan); ok {
+		switch x := ip.Child.(type) {
+		case *plan.Values:
+			routed = make([][]types.Row, nseg)
+			width := plan.PlacementWidth(ip.Table, nseg)
+			for _, row := range x.Rows {
+				if d := plan.RouteRow(ip.Table, row, width); d >= 0 {
+					routed[d] = append(routed[d], row)
+					continue
+				}
+				for d := range width {
+					routed[d] = append(routed[d], row)
+				}
+			}
+		case *plan.Motion:
+			if x.Width > 0 {
+				nseg = min(nseg, x.Width)
 			}
 		}
 	}
-	var ops *plan.OpStats
-	var scan *storage.ScanStats
-	if res != nil {
-		ops = res.Ops
-		if res.Scan != nil {
-			scan = new(storage.ScanStats)
+	for i := range nseg {
+		if routed == nil || len(routed[i]) > 0 || !c.cfg.DirectDispatch {
+			targets = append(targets, i)
+		}
+		if routed != nil && routed[i] == nil {
+			routed[i] = []types.Row{} // a target no row is routed to stores none
 		}
 	}
-	n, err := c.dispatchWrite(ctx, t, tab, mapVer, targets, res, op, func(seg int, s *Segment) (int, error) {
-		root := pl.Root
-		if perSeg != nil {
-			root = &plan.InsertPlan{Table: tab, Child: &plan.Values{Out: tab.Schema, Rows: perSeg[seg]}, MapVersion: mapVer}
-		}
-		return s.ExecModify(ctx, t.dxid, snap, tab, root, ops, scan)
-	})
-	if scan != nil {
-		res.Scan.BlocksScanned += scan.BlocksScanned.Load()
-		res.Scan.BlocksSkipped += scan.BlocksSkipped.Load()
-	}
-	if n > 0 {
-		c.invalidateStats(tab.Name)
-	}
-	return n, err
-}
-
-// routeInsert routes the rows of an INSERT not pinned to one segment — its
-// VALUES, or its SELECT run to the coordinator, which finishes before the
-// first row is written — each to the segment plan.RouteRow picks across the
-// table's placement width, every segment of it for a replicated table. It
-// returns nil for any other write.
-func (c *Cluster) routeInsert(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources, direct bool, nseg int) ([][]types.Row, error) {
-	ip, ok := pl.Root.(*plan.InsertPlan)
-	if !ok || direct {
-		return nil, nil
-	}
-	var rows []types.Row
-	if v, ok := ip.Child.(*plan.Values); ok {
-		rows = v.Rows
-	} else {
-		sel := *pl
-		sel.Root = ip.Child
-		var err error
-		if rows, _, err = c.RunSelect(ctx, t, snap, &sel, res); err != nil {
-			return nil, err
-		}
-	}
-	perSeg := make([][]types.Row, nseg)
-	width, rr := plan.PlacementWidth(ip.Table, nseg), 0
-	for _, row := range rows {
-		if d := plan.RouteRow(ip.Table, row, width, &rr); d >= 0 {
-			perSeg[d] = append(perSeg[d], row)
-			continue
-		}
-		for d := 0; d < width; d++ {
-			perSeg[d] = append(perSeg[d], row)
-		}
-	}
-	return perSeg, nil
-}
-
-// modifyTarget returns the table a write root writes, the placement version
-// it was planned under, and its trace span name.
-func modifyTarget(root plan.Node) (*catalog.Table, uint64, string, error) {
-	switch x := root.(type) {
-	case *plan.InsertPlan:
-		return x.Table, x.MapVersion, "insert", nil
-	case *plan.UpdatePlan:
-		return x.Table, x.MapVersion, "update", nil
-	case *plan.DeletePlan:
-		return x.Table, x.MapVersion, "delete", nil
-	}
-	return nil, 0, "", fmt.Errorf("cluster: %T is not an INSERT, UPDATE or DELETE", root)
-}
-
-// segWrite is one target segment's outcome of a write dispatch: rows
-// written, the incarnation the attempt ran on and whether the transaction
-// has a local transaction there.
-type segWrite struct {
-	n, gen int
-	began  bool
-	err    error
-}
-
-// dispatchWrite is the one dispatch of INSERT, UPDATE and DELETE: it draws
-// the transaction's dxid if this is its first write, then runs the
-// statement's per-segment portion f on every target segment, each under an
-// op trace span — in the caller's goroutine when there is only one target
-// (below the same execOnSeg fences as the gang), one goroutine per segment
-// otherwise. Then it does the writer bookkeeping: every target is touched,
-// and one whose attempt ran and opened a local transaction becomes a writer
-// of its segment incarnation and of tab at mapVer. It returns the rows
-// written and the first error.
-func (c *Cluster) dispatchWrite(ctx context.Context, t *LiveTxn, tab *catalog.Table, mapVer uint64, targets []int, res *QueryResources, op string, f func(seg int, s *Segment) (int, error)) (int, error) {
-	t.DXID()
-	var one [1]segWrite
-	outs := one[:]
-	if len(targets) == 1 {
-		one[0] = c.writeOnSeg(ctx, t, targets[0], res, op, f)
-	} else {
-		gang := make([]segWrite, len(targets))
-		var wg sync.WaitGroup
-		for i, seg := range targets {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				gang[i] = c.writeOnSeg(ctx, t, seg, res, op, f)
-			}()
-		}
-		wg.Wait()
-		outs = gang
-	}
-	total := 0
-	var firstErr error
-	for i, seg := range targets {
-		o := outs[i]
-		t.touched[seg] = true
-		// A segUp failure returns gen 0, which must not be recorded as a
-		// written incarnation: bookkeeping only for attempts that ran.
-		if o.err == nil && o.began {
-			t.markWrote(seg, o.gen)
-			t.noteWroteMap(tab.ID, mapVer)
-		}
-		if o.err == nil && res != nil {
-			res.DML.Add(seg, int64(o.n))
-		}
-		total += o.n
-		if o.err != nil && firstErr == nil {
-			firstErr = o.err
-		}
-	}
-	return total, firstErr
-}
-
-// writeOnSeg runs one target segment's portion of a write dispatch.
-func (c *Cluster) writeOnSeg(ctx context.Context, t *LiveTxn, seg int, res *QueryResources, op string, f func(int, *Segment) (int, error)) segWrite {
-	sp := res.trace().Begin(execSpanOf(res), op, seg)
-	defer sp.End()
-	var began bool
-	n, gen, err := c.execOnSeg(ctx, t, seg, func(s *Segment) (int, error) {
-		n, err := f(seg, s)
-		_, began = s.openTxn(t.dxid)
-		return n, err
-	})
-	return segWrite{n: n, gen: gen, began: began, err: err}
+	return targets, routed
 }
 
 // LockTableEverywhere implements LOCK TABLE: the coordinator lock plus the

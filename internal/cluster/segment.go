@@ -71,11 +71,6 @@ type Segment struct {
 	// making two versions of one row visible to a snapshot in the window.
 	distInProgress func(dxid dtm.DXID) bool
 
-	// ownerOf asks the coordinator for the lock-owner id of the live
-	// transaction whose distributed xid is dxid: the write entry points are
-	// handed the dxid and take their locks as the owner.
-	ownerOf func(dxid dtm.DXID) (lockmgr.TxnID, bool)
-
 	// faults is the cluster's fault registry (nil = disarmed), evaluated
 	// with this segment's id at the 2PC and lock fault points; the log keeps
 	// its own reference for the WAL points.
@@ -395,16 +390,6 @@ func (s *Segment) beginLocal(dxid dtm.DXID, owner lockmgr.TxnID) *segTxn {
 	// so the wait is an edge between owners. Cannot block: the tag is fresh.
 	s.locks.TryAcquire(owner, lockmgr.TransactionTag(lockmgr.TxnID(dxid)), lockmgr.Exclusive)
 	return st
-}
-
-// owner resolves the lock-owner id of the writing transaction dxid.
-func (s *Segment) owner(dxid dtm.DXID) (lockmgr.TxnID, error) {
-	if s.ownerOf != nil {
-		if o, ok := s.ownerOf(dxid); ok {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: segment %d: write by unknown transaction %d", s.id, dxid)
 }
 
 // openTxn returns the local state if this segment participates in dxid.
@@ -897,7 +882,7 @@ func (a *storeAccess) probe(ctx context.Context, st *segTable, ix *segIndex, key
 // queued behind it shows in the wait-for graph as a solid edge, unlike one
 // queued behind writeTuple's short tuple lock. A row lock is a write, so the
 // statement runs in the transaction's local transaction here, which
-// runSelectOnce opened when it dispatched the statement.
+// dispatch (Cluster.Run) opened when it sent the statement here.
 func (s *Segment) lockRowForUpdate(ctx context.Context, a *storeAccess, st *segTable, tid storage.TupleID) error {
 	me := a.owner
 	local, err := a.begin()

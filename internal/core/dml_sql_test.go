@@ -219,6 +219,7 @@ func TestDMLMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		loadInsertSelectSources(t, s)
 		seed := int64(1)
 		for _, eng := range dmlEngines {
 			for _, dist := range dists {
@@ -240,6 +241,7 @@ func TestDMLMatchesOracle(t *testing.T) {
 					}
 					seed++
 					runDMLOracle(t, s, tab, copies, rand.New(rand.NewSource(seed)), fmt.Sprintf("direct=%v", direct))
+					runInsertSelectOracle(t, s, tab, copies, fmt.Sprintf("direct=%v", direct))
 				}
 			}
 		}
@@ -355,6 +357,240 @@ func runDMLOracle(t *testing.T, s *Session, tab string, copies int64, rng *rand.
 		if !slices.Equal(got, exp) {
 			t.Fatalf("%s after %s %v:\n got %v\nwant %v", label, q, params, got, exp)
 		}
+	}
+}
+
+// insertSelectSources are the rows of the second tables TestDMLMatchesOracle
+// inserts from, one of each distribution its targets do not share: hashed
+// on another column, replicated and random.
+var insertSelectSources = func() (rows []dmlRow) {
+	for k := int64(1); k <= 20; k++ {
+		rows = append(rows, dmlRow{k: k, p: k * 37 % 200, v: k % 13})
+	}
+	return rows
+}()
+
+// loadInsertSelectSources creates and loads src_hash, src_repl and src_rand.
+func loadInsertSelectSources(t *testing.T, s *Session) {
+	var vals []string
+	for _, r := range insertSelectSources {
+		vals = append(vals, fmt.Sprintf("(%d, %d, %d)", r.k, r.p, r.v))
+	}
+	for tab, clause := range map[string]string{"src_hash": "DISTRIBUTED BY (v)", "src_repl": "DISTRIBUTED REPLICATED", "src_rand": "DISTRIBUTED RANDOMLY"} {
+		mustExec(t, s, "CREATE TABLE "+tab+" (k int, p int, v int) "+clause)
+		mustExec(t, s, "INSERT INTO "+tab+" VALUES "+strings.Join(vals, ", "))
+	}
+}
+
+// runInsertSelectOracle inserts into tab from each source table, and from two
+// SELECTs that end on the coordinator (ORDER BY … LIMIT, a scalar
+// aggregate), checking each statement's rows affected and the table's rows
+// against what it held before plus the oracle's rows.
+func runInsertSelectOracle(t *testing.T, s *Session, tab string, copies int64, label string) {
+	t.Helper()
+	var ordered, sum int64
+	for _, r := range insertSelectSources {
+		sum += r.v
+	}
+	for _, c := range []struct {
+		q    string
+		keep func(r dmlRow) bool
+		add  int64
+	}{
+		{"INSERT INTO %s SELECT k + 2000, p, v FROM src_hash WHERE v < 7", func(r dmlRow) bool { return r.v < 7 }, 2000},
+		{"INSERT INTO %s (k, p, v) SELECT k + 3000, p, v FROM src_repl", func(dmlRow) bool { return true }, 3000},
+		{"INSERT INTO %s SELECT k + 4000, p, v FROM src_rand WHERE p >= 100", func(r dmlRow) bool { return r.p >= 100 }, 4000},
+		{"INSERT INTO %s SELECT k + 5000, p, v FROM src_hash ORDER BY k LIMIT 5", func(dmlRow) bool { ordered++; return ordered <= 5 }, 5000},
+		{"INSERT INTO %s SELECT count(*) + 6000, 7, sum(v) FROM src_rand", nil, 0},
+	} {
+		q := fmt.Sprintf(c.q, tab)
+		want := mustSelectRows(t, s, "SELECT k, p, v FROM "+tab)
+		added := int64(0)
+		if c.keep == nil {
+			want = append(want, fmt.Sprintf("%d/7/%d", 6000+len(insertSelectSources), sum))
+			added = 1
+		}
+		for _, r := range insertSelectSources {
+			if c.keep != nil && c.keep(r) {
+				want = append(want, fmt.Sprintf("%d/%d/%d", r.k+c.add, r.p, r.v))
+				added++
+			}
+		}
+		res := mustExec(t, s, q)
+		if int64(res.RowsAffected) != added*copies {
+			t.Fatalf("%s %s: %d rows affected, the oracle says %d", label, q, res.RowsAffected, added*copies)
+		}
+		got := mustSelectRows(t, s, "SELECT k, p, v FROM "+tab)
+		sort.Strings(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s after %s:\n got %v\nwant %v", label, q, got, want)
+		}
+	}
+}
+
+// mustSelectRows runs a SELECT of three int columns and returns its rows as
+// sorted k/p/v strings.
+func mustSelectRows(t *testing.T, s *Session, q string) []string {
+	t.Helper()
+	var out []string
+	for _, r := range mustExec(t, s, q).Rows {
+		out = append(out, fmt.Sprintf("%d/%d/%d", r[0].Int(), r[1].Int(), r[2].Int()))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestInsertSelectPlanShape: an INSERT … SELECT runs its SELECT on the
+// segments under the motion that brings each row to the segment storing it —
+// none when the loci match, a Redistribute by the target's key when they do
+// not, a Broadcast into a replicated table — and a SELECT that ends on the
+// coordinator feeds that motion from the coordinator's slice. VALUES keep
+// their plan. Columns are told apart by position, not by name: a join's
+// result hashed on fact.id is not hashed on dim.id, and rows keyed by dim.id
+// are redistributed, so a point read on the key finds every one.
+func TestInsertSelectPlanShape(t *testing.T) {
+	_, s := newTestEngine(t, 4)
+	mustExec(t, s, "CREATE TABLE src (x int, y int) DISTRIBUTED BY (x)")
+	mustExec(t, s, "CREATE TABLE dst (a int, b int) DISTRIBUTED BY (a)")
+	mustExec(t, s, "CREATE TABLE rep (a int, b int) DISTRIBUTED REPLICATED")
+	mustExec(t, s, "CREATE TABLE fact (id int, dim_id int, v int) DISTRIBUTED BY (id)")
+	mustExec(t, s, "CREATE TABLE dim (id int, w int) DISTRIBUTED REPLICATED")
+	const byDimID = "INSERT INTO dst SELECT d.id, f.v FROM fact f JOIN dim d ON f.dim_id = d.id"
+	for _, c := range []struct{ q, under string }{
+		{"INSERT INTO dst SELECT x, y FROM src", ""},
+		{"INSERT INTO dst SELECT y, x FROM src", "Redistribute Motion (slice1)"},
+		{"INSERT INTO dst SELECT f.id, d.id FROM fact f JOIN dim d ON f.dim_id = d.id", ""},
+		{byDimID, "Redistribute Motion (slice1)"},
+		{"INSERT INTO rep SELECT x, y FROM src", "Broadcast Motion (slice1)"},
+		{"INSERT INTO dst SELECT count(*), 1 FROM src", "Redistribute Motion (slice1; from coordinator)"},
+		{"INSERT INTO dst SELECT x, y FROM src ORDER BY y LIMIT 3", "Redistribute Motion (slice1; from coordinator)"},
+	} {
+		lines := strings.Split(strings.TrimSpace(explainText(t, s, c.q)), "\n")
+		motions := 0
+		for _, l := range lines {
+			if strings.Contains(l, "Motion") {
+				motions++
+			}
+		}
+		switch {
+		case c.under == "" && motions > 0:
+			t.Errorf("%s: the loci match, yet the plan moves rows:\n%s", c.q, strings.Join(lines, "\n"))
+		case c.under != "" && (len(lines) < 2 || lines[1] != "  -> "+c.under):
+			t.Errorf("%s: want %s directly under the Insert:\n%s", c.q, c.under, strings.Join(lines, "\n"))
+		case strings.HasSuffix(c.under, "from coordinator)") && !strings.Contains(strings.Join(lines[2:], "\n"), "Gather Motion"):
+			t.Errorf("%s: the coordinator's slice should gather what it sends:\n%s", c.q, strings.Join(lines, "\n"))
+		}
+	}
+	if got := explainText(t, s, "INSERT INTO dst VALUES (1, 2), (3, 4)"); got != "Insert on dst\n  -> Result\n" {
+		t.Errorf("EXPLAIN INSERT … VALUES:\n%s", got)
+	}
+	const n = 40
+	bulkInsert(t, s, "dim", n, 0, func(i int) string { return fmt.Sprintf("(%d, 0)", 1000+i) })
+	bulkInsert(t, s, "fact", n, 0, func(i int) string { return fmt.Sprintf("(%d, %d, %d)", i, 1000+(i*7)%n, i) })
+	mustExec(t, s, byDimID)
+	for i := 0; i < n; i++ {
+		k := 1000 + (i*7)%n
+		if got := mustExec(t, s, fmt.Sprintf("SELECT b FROM dst WHERE a = %d", k)).Rows; len(got) != 1 || got[0][0].Int() != int64(i) {
+			t.Errorf("point read of a = %d returned %v, want the row with b = %d", k, got, i)
+		}
+	}
+}
+
+// TestInsertSelectRowsStayOnSegments: 10 000 rows moved between two tables
+// hashed on different keys go from the segments that read them to the
+// segments that store them — every node below the Insert reports all its
+// rows at segments, none at the coordinator — and all are written.
+func TestInsertSelectRowsStayOnSegments(t *testing.T) {
+	_, s := newTestEngine(t, 4)
+	mustExec(t, s, "CREATE TABLE src (x int, y int) DISTRIBUTED BY (x)")
+	mustExec(t, s, "CREATE TABLE dst (a int, b int) DISTRIBUTED BY (b)")
+	const n = 10000
+	bulkInsert(t, s, "src", n, 0, func(i int) string { return fmt.Sprintf("(%d, %d)", i, i*7%n) })
+	lines := planText(mustExec(t, s, "EXPLAIN ANALYZE INSERT INTO dst SELECT x, y FROM src"))
+	if !containsLine(lines, fmt.Sprintf("rows affected: %d", n)) {
+		t.Fatalf("want %d rows affected:\n%s", n, strings.Join(lines, "\n"))
+	}
+	// A node's actual rows are its rows at every location; its per-segment
+	// lines follow it. Rows at the coordinator are what the two differ by.
+	total, segs, node, indent := int64(-1), int64(0), "", 0
+	check := func() {
+		if total >= 0 && total != segs {
+			t.Errorf("%s: %d rows in all, %d of them at segments:\n%s", node, total, segs, strings.Join(lines, "\n"))
+		}
+	}
+	for _, l := range lines {
+		var seg int
+		var rows int64
+		depth := len(l) - len(strings.TrimLeft(l, " "))
+		if _, err := fmt.Sscanf(strings.TrimSpace(l), "seg%d: rows=%d", &seg, &rows); err == nil && depth > indent {
+			segs += rows
+			continue
+		}
+		if i := strings.Index(l, "(actual rows="); i >= 0 {
+			check()
+			node, segs, indent = strings.TrimSpace(l[:i]), 0, depth
+			fmt.Sscanf(l[i:], "(actual rows=%d", &total)
+		}
+	}
+	check()
+	if node == "" {
+		t.Fatalf("no node reports its actual rows:\n%s", strings.Join(lines, "\n"))
+	}
+	if got := mustExec(t, s, "SELECT count(*), sum(b) FROM dst").Rows[0]; got[0].Int() != n || got[1].Int() != int64(n*(n-1)/2) {
+		t.Fatalf("dst holds count, sum(b) = %v, want %d, %d", got, n, n*(n-1)/2)
+	}
+}
+
+// TestRandomPlacementSpreadsStatements: one-row INSERTs into a randomly
+// distributed table continue round-robin from where the last statement
+// stopped, so they spread over every segment instead of all landing on the
+// first.
+func TestRandomPlacementSpreadsStatements(t *testing.T) {
+	e, s := newTestEngine(t, 4)
+	mustExec(t, s, "CREATE TABLE r (a int) DISTRIBUTED RANDOMLY")
+	for i := 0; i < 400; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO r VALUES (%d)", i))
+	}
+	tab, err := e.Cluster().Catalog().Table("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seg := range e.Cluster().Segments() {
+		if n := seg.RowCount(tab); n < 50 {
+			t.Errorf("segment %d holds %d of 400 rows, want at least 50", i, n)
+		}
+	}
+}
+
+// TestCancelledWriteFails: a write on several segments that its caller
+// cancels (a plain cancel, which records no cause) while one segment waits
+// for a row lock fails, and none of its rows stay written — not even those
+// the other segments wrote before the cancel.
+func TestCancelledWriteFails(t *testing.T) {
+	e, s := newTestEngine(t, 4)
+	mustExec(t, s, "CREATE TABLE cw (k int, v int) DISTRIBUTED BY (k)")
+	bulkInsert(t, s, "cw", 40, 0, func(i int) string { return fmt.Sprintf("(%d, 0)", i) })
+	holder, err := e.NewSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, holder, "BEGIN")
+	mustExec(t, holder, "UPDATE cw SET v = 1 WHERE k = 7")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Exec(ctx, "UPDATE cw SET v = v + 10")
+		done <- err
+	}()
+	waitForLockWait(t, e)
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("an UPDATE cancelled while it waited for a row lock succeeded")
+	}
+	mustExec(t, holder, "ROLLBACK")
+	if got := mustExec(t, s, "SELECT sum(v) FROM cw").Rows[0][0]; got.Int() != 0 {
+		t.Fatalf("sum(v) = %v after the cancelled UPDATE, want 0", got)
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/lockmgr"
 	"repro/internal/workload"
 )
 
@@ -419,4 +421,87 @@ func randomDML(seed uint64, n int) []string {
 		}
 	}
 	return out
+}
+
+// waitForLockWait waits until some segment's lock table has a waiter.
+func waitForLockWait(t *testing.T, e *Engine, segs ...int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		for i, seg := range e.Cluster().Segments() {
+			if (len(segs) == 0 || slices.Contains(segs, i)) && len(seg.Locks().WaitGraph()) > 0 {
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("no statement came to wait for a segment lock")
+}
+
+// TestInsertSelectRetriedAfterSourceFailover: an INSERT … SELECT whose
+// source segment dies under it before any row is stored is retried whole
+// once the mirror is promoted, as a SELECT is, and stores every row once —
+// also without direct dispatch, where every target opens its local
+// transaction before it reads. A lock on the source held on the victim
+// alone parks the statement's sending slice there until the kill.
+func TestInsertSelectRetriedAfterSourceFailover(t *testing.T) {
+	for _, direct := range []bool{true, false} {
+		t.Run(fmt.Sprintf("direct=%v", direct), func(t *testing.T) {
+			cfg := cluster.GPDB6(4)
+			cfg.ReplicaMode = cluster.ReplicaSync
+			cfg.FTSInterval = 2 * time.Millisecond
+			cfg.DirectDispatch = direct
+			e := NewEngine(cfg)
+			t.Cleanup(e.Close)
+			s, err := e.NewSession("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			insertSelectAcrossFailover(t, e, s)
+		})
+	}
+}
+
+func insertSelectAcrossFailover(t *testing.T, e *Engine, s *Session) {
+	ctx := context.Background()
+	mustExec(t, s, "CREATE TABLE src (x int, y int) DISTRIBUTED BY (x)")
+	mustExec(t, s, "CREATE TABLE dst (a int, b int) DISTRIBUTED BY (b)")
+	const n, victim = 400, 2
+	bulkInsert(t, s, "src", n, 0, func(i int) string { return fmt.Sprintf("(%d, %d)", i, i*7%n) })
+	cl := e.Cluster()
+	src, err := cl.Catalog().Table("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker := cl.BeginTxn()
+	defer cl.AbortTxn(blocker)
+	if err := cl.Segments()[victim].LockRelation(ctx, blocker.Owner(), src, lockmgr.AccessExclusive); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		res *Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := s.Exec(ctx, "INSERT INTO dst SELECT x, y FROM src")
+		done <- result{res, err}
+	}()
+	waitForLockWait(t, e, victim)
+	if err := cl.KillSegment(victim); err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("INSERT … SELECT across the source's failover: %v", r.err)
+	}
+	if r.res.RowsAffected != n {
+		t.Fatalf("%d rows affected, want %d", r.res.RowsAffected, n)
+	}
+	if got := mustExec(t, s, "SELECT count(*), sum(b) FROM dst").Rows[0]; got[0].Int() != n || got[1].Int() != n*(n-1)/2 {
+		t.Fatalf("dst holds count, sum(b) = %v, want %d, %d", got, n, n*(n-1)/2)
+	}
+	if cl.Failovers() != 1 {
+		t.Fatalf("failovers = %d, want 1", cl.Failovers())
+	}
 }

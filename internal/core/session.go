@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -399,49 +398,6 @@ func (s *Session) releaseSlot() {
 	}
 }
 
-// resources builds the per-statement executor hooks. The operator-memory
-// budget is slot quota × memory_spill_ratio, where a SET memory_spill_ratio
-// overrides the group's MEMORY_SPILL_RATIO, which overrides
-// Config.MemorySpillRatio; 0 = spilling disabled.
-func (s *Session) resources() *cluster.QueryResources {
-	if !s.useRG || s.slot == nil {
-		return nil
-	}
-	res := &cluster.QueryResources{Mem: s.slot}
-	if g, ok := s.engine.cluster.Groups().Group(s.role.ResourceGroup); ok {
-		res.SpillBudget = g.SpillBudget(s.settings.spillRatio, s.engine.cluster.Config().MemorySpillRatio)
-	}
-	return res
-}
-
-// dmlResources builds a write statement's QueryResources with the trace
-// attached and the coordinator execute span opened; the caller ends the
-// span after dispatch returns. With tracing off this is exactly
-// s.resources() plus one nil check.
-func (s *Session) dmlResources() (*cluster.QueryResources, obs.ActiveSpan) {
-	res := s.resources()
-	ob := s.cur
-	if ob == nil || ob.trace == nil {
-		return res, obs.ActiveSpan{}
-	}
-	if res == nil {
-		res = &cluster.QueryResources{}
-	}
-	res.Trace = ob.trace
-	sp := ob.trace.Begin(ob.root.ID(), "execute", -1)
-	res.ExecSpan = sp.ID()
-	return res, sp
-}
-
-// chargeStmtCPU pays the per-statement CPU quantum under the session's
-// resource group.
-func (s *Session) chargeStmtCPU(ctx context.Context) error {
-	if !s.useRG || s.slot == nil || s.stmtCPU <= 0 {
-		return nil
-	}
-	return s.slot.ChargeCPU(ctx, s.stmtCPU)
-}
-
 func (s *Session) planner(params []types.Datum) *plan.Planner {
 	return &plan.Planner{
 		Catalog: s.engine.cluster.Catalog(),
@@ -514,18 +470,16 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		if costBased && !robust {
 			nodeRows = plan.NewNodeRowCounts(pl.Root)
 		}
-		var scan *cluster.ScanCounters
-		var spill *cluster.SpillCounters
-		var ops *plan.OpStats
+		res := &cluster.QueryResources{NodeRows: nodeRows}
 		if ob := s.cur; ob != nil {
-			scan, spill = &ob.scan, &ob.spill
+			res.Scan, res.Spill = &ob.scan, &ob.spill
 			if ob.trace != nil {
 				// Tracing arms operator stats so per-operator spans can be
 				// synthesized once the slices retire.
-				ops = plan.NewOpStats(pl.Root, cl.SegCount())
+				res.Ops = plan.NewOpStats(pl.Root, cl.SegCount())
 			}
 		}
-		rows, schema, _, err := s.runPlannedSelect(ctx, pl, scan, spill, nodeRows, ops)
+		rows, _, _, err := s.runPlanned(ctx, pl, res)
 		if err != nil {
 			return nil, err
 		}
@@ -535,7 +489,7 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 				cl.RecordMisestimate(key)
 			}
 		}
-		return &Result{Columns: columnNames(schema), Rows: rows, Tag: "SELECT"}, nil
+		return &Result{Columns: columnNames(pl.Root.Schema()), Rows: rows, Tag: "SELECT"}, nil
 
 	case *sql.AnalyzeStmt:
 		n, err := cl.Analyze(ctx, x.Table)
@@ -549,19 +503,11 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		if err != nil {
 			return nil, err
 		}
-		if err := cl.LockCoordinator(ctx, s.txn, pl.LockTable, pl.LockMode); err != nil {
-			return nil, wrapLockErr(err)
-		}
-		if err := s.chargeStmtCPU(ctx); err != nil {
+		_, n, _, err := s.runPlanned(ctx, pl, nil)
+		if err != nil {
 			return nil, err
 		}
-		res, sp := s.dmlResources()
-		n, tag, err := s.runDML(ctx, pl, res)
-		sp.End()
-		if err != nil {
-			return nil, wrapLockErr(err)
-		}
-		return &Result{RowsAffected: n, Tag: tag}, nil
+		return &Result{RowsAffected: n, Tag: writeTag(pl.Root, n)}, nil
 
 	case *sql.LockStmt:
 		mode := lockmgr.ModeForName(x.Mode)
@@ -733,20 +679,15 @@ func onOff(b bool) string {
 	return "off"
 }
 
-// runDML dispatches a planned INSERT, UPDATE or DELETE and returns the rows
-// affected with the command tag.
-func (s *Session) runDML(ctx context.Context, pl *plan.Planned, res *cluster.QueryResources) (int, string, error) {
-	cl := s.engine.cluster
-	snap := cl.Snapshot()
-	defer cl.ReleaseSnapshot(snap)
-	n, err := cl.RunModify(ctx, s.txn, snap, pl, res)
-	switch pl.Root.(type) {
+// writeTag is the command tag of a write that wrote n rows.
+func writeTag(root plan.Node, n int) string {
+	switch root.(type) {
 	case *plan.InsertPlan:
-		return n, fmt.Sprintf("INSERT 0 %d", n), err
+		return fmt.Sprintf("INSERT 0 %d", n)
 	case *plan.UpdatePlan:
-		return n, fmt.Sprintf("UPDATE %d", n), err
+		return fmt.Sprintf("UPDATE %d", n)
 	}
-	return n, fmt.Sprintf("DELETE %d", n), err
+	return fmt.Sprintf("DELETE %d", n)
 }
 
 func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []types.Datum) (*Result, error) {
@@ -757,13 +698,7 @@ func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []
 		return nil, err
 	}
 	if x.Analyze {
-		// EXPLAIN ANALYZE executes the statement for real — DML included
-		// (PostgreSQL semantics: the rows are written; wrap in BEGIN/ROLLBACK
-		// to measure without keeping the effects).
-		if _, sel := x.Target.(*sql.SelectStmt); sel {
-			return s.explainAnalyzeSelect(ctx, pl)
-		}
-		return s.explainAnalyzeDML(ctx, pl)
+		return s.explainAnalyze(ctx, pl)
 	}
 	text := plan.Explain(pl.Root)
 	if _, sel := x.Target.(*sql.SelectStmt); sel && pl.Costs != nil {
@@ -776,13 +711,15 @@ func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []
 	return res, nil
 }
 
-// runPlannedSelect executes a planned SELECT: the coordinator lock (with the
-// GPDB 5 FOR UPDATE serialization upgrade), the per-statement CPU charge,
-// and the cluster dispatch. Both the plain SELECT path and EXPLAIN ANALYZE
-// go through here so the measured execution is exactly the real one. When
-// scan/spill are non-nil they receive the statement's block and spill
-// counters.
-func (s *Session) runPlannedSelect(ctx context.Context, pl *plan.Planned, scan *cluster.ScanCounters, spill *cluster.SpillCounters, nodeRows *plan.NodeRowCounts, ops *plan.OpStats) ([]types.Row, *types.Schema, time.Duration, error) {
+// runPlanned executes a planned SELECT, INSERT, UPDATE or DELETE: the
+// coordinator lock (with the GPDB 5 FOR UPDATE serialization upgrade), the
+// per-statement CPU charge, and one cluster dispatch under a fresh
+// snapshot. The plain path and EXPLAIN ANALYZE both go through here, so the
+// measured execution is exactly the real one. res holds the collectors the
+// caller armed (nil: none); the resource-group hooks and the trace join them
+// here. It returns a SELECT's rows, the count of rows returned or written,
+// and the time the dispatch took.
+func (s *Session) runPlanned(ctx context.Context, pl *plan.Planned, res *cluster.QueryResources) ([]types.Row, int, time.Duration, error) {
 	cl := s.engine.cluster
 	mode := pl.LockMode // pl may be a cached plan shared with other sessions
 	if pl.ForUpdate && !cl.Config().GDD {
@@ -791,44 +728,49 @@ func (s *Session) runPlannedSelect(ctx context.Context, pl *plan.Planned, scan *
 	}
 	if pl.LockTable != "" {
 		if err := cl.LockCoordinator(ctx, s.txn, pl.LockTable, mode); err != nil {
-			return nil, nil, 0, wrapLockErr(err)
+			return nil, 0, 0, wrapLockErr(err)
 		}
 	}
-	if err := s.chargeStmtCPU(ctx); err != nil {
-		return nil, nil, 0, err
+	rg, ob := s.useRG && s.slot != nil, s.cur
+	traced := ob != nil && ob.trace != nil
+	if res == nil && (rg || traced) {
+		res = &cluster.QueryResources{}
 	}
-	res := s.resources()
-	if scan != nil || spill != nil || nodeRows != nil || ops != nil {
-		if res == nil {
-			res = &cluster.QueryResources{}
+	if rg {
+		// The statement pays its CPU quantum and runs under the slot's
+		// memory accounting, with an operator-memory budget of slot quota ×
+		// memory_spill_ratio, where a SET memory_spill_ratio overrides the
+		// group's MEMORY_SPILL_RATIO, which overrides
+		// Config.MemorySpillRatio; 0 = spilling disabled.
+		if s.stmtCPU > 0 {
+			if err := s.slot.ChargeCPU(ctx, s.stmtCPU); err != nil {
+				return nil, 0, 0, err
+			}
 		}
-		res.Scan = scan
-		res.Spill = spill
-		res.NodeRows = nodeRows
-		res.Ops = ops
+		res.Mem = s.slot
+		if g, ok := cl.Groups().Group(s.role.ResourceGroup); ok {
+			res.SpillBudget = g.SpillBudget(s.settings.spillRatio, cl.Config().MemorySpillRatio)
+		}
 	}
 	var execSp obs.ActiveSpan
-	if ob := s.cur; ob != nil && ob.trace != nil {
-		if res == nil {
-			res = &cluster.QueryResources{}
-		}
+	if traced {
 		res.Trace = ob.trace
 		execSp = ob.trace.Begin(ob.root.ID(), "execute", -1)
 		res.ExecSpan = execSp.ID()
 	}
 	start := time.Now()
 	snap := cl.Snapshot()
-	rows, schema, err := cl.RunSelect(ctx, s.txn, snap, pl, res)
+	rows, n, err := cl.Run(ctx, s.txn, snap, pl, res)
 	cl.ReleaseSnapshot(snap)
 	elapsed := time.Since(start)
-	if ops != nil && res != nil && res.Trace != nil {
-		recordOpSpans(res.Trace, res.ExecSpan, pl.Root, ops, start)
+	if res != nil && res.Ops != nil && res.Trace != nil {
+		recordOpSpans(res.Trace, res.ExecSpan, pl.Root, res.Ops, start)
 	}
 	execSp.End()
 	if err != nil {
-		return nil, nil, 0, wrapLockErr(err)
+		return nil, 0, 0, wrapLockErr(err)
 	}
-	return rows, schema, elapsed, nil
+	return rows, n, elapsed, nil
 }
 
 // recordOpSpans synthesizes per-operator spans from the executor statistics:
@@ -853,17 +795,20 @@ func recordOpSpans(tr *obs.Trace, parent obs.SpanID, root plan.Node, ops *plan.O
 	walk(root)
 }
 
-// explainAnalyzeSelect runs the planned SELECT for real and renders the
+// explainAnalyze executes the planned statement for real — a write
+// included (PostgreSQL semantics: the rows are written; wrap in
+// BEGIN/ROLLBACK to measure without keeping the effects) — and renders the
 // operator-level statistics: per-node rows/batches/inclusive wall time, peak
 // operator memory, spill bytes, skew ratio, and per-segment detail lines,
-// plus the statement-level counters — rows returned, elapsed time, the
-// zone-map pushdown's blocks scanned/skipped, and spill activity.
-func (s *Session) explainAnalyzeSelect(ctx context.Context, pl *plan.Planned) (*Result, error) {
+// plus the statement-level counters — the zone-map pushdown's blocks
+// scanned/skipped, spill activity, the rows returned or affected and the
+// elapsed time.
+func (s *Session) explainAnalyze(ctx context.Context, pl *plan.Planned) (*Result, error) {
 	var scan cluster.ScanCounters
 	var spill cluster.SpillCounters
-	nodeRows := plan.NewNodeRowCounts(pl.Root)
-	ops := plan.NewOpStats(pl.Root, s.engine.cluster.SegCount())
-	rows, _, elapsed, err := s.runPlannedSelect(ctx, pl, &scan, &spill, nodeRows, ops)
+	res := &cluster.QueryResources{Scan: &scan, Spill: &spill,
+		NodeRows: plan.NewNodeRowCounts(pl.Root), Ops: plan.NewOpStats(pl.Root, s.engine.cluster.SegCount())}
+	_, n, elapsed, err := s.runPlanned(ctx, pl, res)
 	if err != nil {
 		return nil, err
 	}
@@ -871,9 +816,14 @@ func (s *Session) explainAnalyzeSelect(ctx context.Context, pl *plan.Planned) (*
 	// and the EXPLAIN ANALYZE totals match.
 	if ob := s.cur; ob != nil {
 		ob.scan, ob.spill = scan, spill
-		ob.setRows(int64(len(rows)))
+		ob.setRows(int64(n))
 	}
-	text := plan.ExplainAnalyzedOps(pl.Root, pl.Costs, nodeRows, ops)
+	rows := fmt.Sprintf("rows: %d", n)
+	switch pl.Root.(type) {
+	case *plan.InsertPlan, *plan.UpdatePlan, *plan.DeletePlan:
+		rows = fmt.Sprintf("rows affected: %d", n)
+	}
+	text := plan.ExplainAnalyzedOps(pl.Root, pl.Costs, res.NodeRows, res.Ops)
 	out := &Result{Columns: []string{"QUERY PLAN"}, Tag: "EXPLAIN"}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		out.Rows = append(out.Rows, types.Row{types.NewText(line)})
@@ -883,60 +833,7 @@ func (s *Session) explainAnalyzeSelect(ctx context.Context, pl *plan.Planned) (*
 			scan.BlocksScanned, scan.BlocksSkipped))},
 		types.Row{types.NewText(fmt.Sprintf("spill: spills=%d bytes=%d files=%d",
 			spill.Spills, spill.SpillBytes, spill.SpillFiles))},
-		types.Row{types.NewText(fmt.Sprintf("rows: %d", len(rows)))},
-		types.Row{types.NewText(fmt.Sprintf("execution time: %.3f ms", float64(elapsed.Microseconds())/1000))},
-	)
-	return out, nil
-}
-
-// explainAnalyzeDML executes the write for real and reports, beneath the plan
-// text with its access path's actual rows, the per-segment rows-affected
-// breakdown, the access path's blocks scanned/skipped and elapsed time.
-// Timings come from the monotonic clock (time.Since), never wall-clock
-// arithmetic.
-func (s *Session) explainAnalyzeDML(ctx context.Context, pl *plan.Planned) (*Result, error) {
-	if pl.LockTable != "" {
-		if err := s.engine.cluster.LockCoordinator(ctx, s.txn, pl.LockTable, pl.LockMode); err != nil {
-			return nil, wrapLockErr(err)
-		}
-	}
-	if err := s.chargeStmtCPU(ctx); err != nil {
-		return nil, err
-	}
-	res, sp := s.dmlResources()
-	if res == nil {
-		res = &cluster.QueryResources{}
-	}
-	var scan cluster.ScanCounters
-	res.DML, res.Scan = &cluster.DMLCounters{}, &scan
-	res.Ops = plan.NewOpStats(pl.Root, s.engine.cluster.SegCount())
-	start := time.Now()
-	n, _, err := s.runDML(ctx, pl, res)
-	elapsed := time.Since(start)
-	sp.End()
-	if err != nil {
-		return nil, wrapLockErr(err)
-	}
-	if ob := s.cur; ob != nil {
-		ob.scan = scan
-		ob.setRows(int64(n))
-	}
-	out := &Result{Columns: []string{"QUERY PLAN"}, Tag: "EXPLAIN"}
-	for _, line := range strings.Split(strings.TrimRight(plan.ExplainAnalyzedOps(pl.Root, nil, nil, res.Ops), "\n"), "\n") {
-		out.Rows = append(out.Rows, types.Row{types.NewText(line)})
-	}
-	per := res.DML.PerSegment()
-	segs := make([]int, 0, len(per))
-	for seg := range per {
-		segs = append(segs, seg)
-	}
-	sort.Ints(segs)
-	for _, seg := range segs {
-		out.Rows = append(out.Rows, types.Row{types.NewText(fmt.Sprintf("  seg%d: rows=%d", seg, per[seg]))})
-	}
-	out.Rows = append(out.Rows,
-		types.Row{types.NewText(fmt.Sprintf("blocks: scanned=%d skipped=%d", scan.BlocksScanned, scan.BlocksSkipped))},
-		types.Row{types.NewText(fmt.Sprintf("rows affected: %d", n))},
+		types.Row{types.NewText(rows)},
 		types.Row{types.NewText(fmt.Sprintf("execution time: %.3f ms", float64(elapsed.Microseconds())/1000))},
 	)
 	return out, nil

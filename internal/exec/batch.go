@@ -340,6 +340,12 @@ func (m *motionRecvBatchIter) NextBatch() (*types.RowBatch, error) {
 			return nil, err
 		}
 		if !ok {
+			// A sender that fails cancels the statement before it closes its
+			// stream: a stream that ends under a cancelled statement was cut
+			// short, and a write must not store what arrived of it.
+			if c := m.ctx.Ctx; c != nil && context.Cause(c) != nil {
+				return nil, context.Cause(c)
+			}
 			return nil, io.EOF
 		}
 		if b.Len() > 0 {

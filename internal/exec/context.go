@@ -108,6 +108,10 @@ type Context struct {
 	// plan runs on: a Motion is then a pass-through whose sending slice is
 	// built under Inline and pulled by this slice's own goroutine.
 	Inline *Context
+	// Routed, when set, is the share of an INSERT's VALUES rows dispatch
+	// routed to this segment: the INSERT stores them instead of its Values
+	// leaf's.
+	Routed []types.Row
 	Mem    MemAccount
 	// Spill is the statement's spill manager: the shared operator-memory
 	// budget blocking operators reserve against, and the temp-file registry

@@ -123,24 +123,35 @@ func leafFilter(leaf plan.Node) plan.Expr {
 	return nil
 }
 
-// Modify is the executor's write sink, for INSERT, UPDATE and DELETE alike.
-// An INSERT pulls its child's rows and stores each in the partition leaf
-// that accepts it, one StoreAccess.InsertRow each. An UPDATE or DELETE runs
-// the plan's access path as a target scan, collecting the identity of every
-// row the path's filter keeps, and only then writes them, one
-// StoreAccess.WriteRow each — so no version the statement writes is ever
-// found again as a target (the Halloween problem). It returns the rows
-// written. Armed operator statistics get the access path's actual rows.
-func Modify(ctx *Context, root plan.Node) (int, error) {
+// Modify is the executor's write sink, for INSERT, UPDATE and DELETE alike:
+// the top slice of a write on each segment it targets. An INSERT takes its
+// VALUES rows (the share routed here, ctx.Routed, when dispatch routed
+// them) or pulls its child's, and stores each in the partition leaf that
+// accepts it, one StoreAccess.InsertRow each. An UPDATE or DELETE runs the
+// plan's access path as a target scan, collecting the identity of every row
+// the path's filter keeps, and only then writes them, one
+// StoreAccess.WriteRow each.
+// Both read their whole input before the first write, so no row the
+// statement writes is ever read by it again (the Halloween problem). It
+// returns the rows written; armed operator statistics get them, and the
+// access path's actual rows.
+func Modify(ctx *Context, root plan.Node) (n int, err error) {
+	if st := ctx.opStat(root); st != nil {
+		defer func(t0 time.Time) {
+			st.WallNanos.Add(time.Since(t0).Nanoseconds())
+			st.Rows.Add(int64(n))
+			st.Batches.Add(1)
+		}(time.Now())
+	}
 	var up *plan.UpdatePlan // nil for a DELETE
 	var child plan.Node
-	switch n := root.(type) {
+	switch x := root.(type) {
 	case *plan.InsertPlan:
-		return insert(ctx, n)
+		return insert(ctx, x)
 	case *plan.UpdatePlan:
-		up, child = n, n.Child
+		up, child = x, x.Child
 	case *plan.DeletePlan:
-		child = n.Child
+		child = x.Child
 	default:
 		return 0, fmt.Errorf("exec: %T is not an INSERT, UPDATE or DELETE", root)
 	}
@@ -151,11 +162,10 @@ func Modify(ctx *Context, root plan.Node) (int, error) {
 	}
 	filter := leafFilter(child)
 	var targets []RowID
-	err := scanMarked(ctx, child, RowMark{Targets: &targets}, func(row types.Row) (bool, bool, error) {
+	if err = scanMarked(ctx, child, RowMark{Targets: &targets}, func(row types.Row) (bool, bool, error) {
 		keep, err := plan.EvalBool(filter, row)
 		return keep, true, err
-	})
-	if err != nil {
+	}); err != nil {
 		return 0, err
 	}
 	if st != nil {
@@ -163,49 +173,44 @@ func Modify(ctx *Context, root plan.Node) (int, error) {
 		st.Rows.Add(int64(len(targets)))
 		st.Batches.Add(1)
 	}
-	written := 0
 	for _, id := range targets {
 		ok, err := ctx.Store.WriteRow(ctx.Ctx, id, up)
 		if err != nil {
-			return written, err
+			return n, err
 		}
 		if ok {
-			written++
+			n++
 		}
 	}
-	return written, nil
+	return n, nil
 }
 
 // insert is Modify's INSERT: every row of the child, stored.
 func insert(ctx *Context, ip *plan.InsertPlan) (int, error) {
-	c := *ctx // the child's operators keep a context: UPDATE's and DELETE's stays off the heap
-	it := BuildBatch(&c, ip.Child)
-	defer it.Close()
-	n := 0
-	for {
-		b, err := it.NextBatch()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		for i, l := 0, b.Len(); i < l; i++ {
-			row := b.Live(i)
-			leaf := ip.Table.ID
-			if ip.Table.IsPartitioned() {
-				p := ip.Table.PartitionFor(row[ip.Table.PartitionCol])
-				if p == nil {
-					return n, fmt.Errorf("exec: no partition of %q accepts key %s", ip.Table.Name, row[ip.Table.PartitionCol])
-				}
-				leaf = p.ID
-			}
-			if err := ctx.Store.InsertRow(leaf, row); err != nil {
-				return n, err
-			}
-			n++
+	rows := ctx.Routed
+	if v, ok := ip.Child.(*plan.Values); ok && rows == nil {
+		rows = v.Rows
+	} else if rows == nil {
+		c := *ctx // the child's operators keep a context: UPDATE's and DELETE's stays off the heap
+		var err error
+		if rows, err = DrainBatches(BuildBatch(&c, ip.Child)); err != nil {
+			return 0, err
 		}
 	}
+	for n, row := range rows {
+		leaf := ip.Table.ID
+		if ip.Table.IsPartitioned() {
+			p := ip.Table.PartitionFor(row[ip.Table.PartitionCol])
+			if p == nil {
+				return n, fmt.Errorf("exec: no partition of %q accepts key %s", ip.Table.Name, row[ip.Table.PartitionCol])
+			}
+			leaf = p.ID
+		}
+		if err := ctx.Store.InsertRow(leaf, row); err != nil {
+			return n, err
+		}
+	}
+	return len(rows), nil
 }
 
 // fillBatch refills out with up to size rows pulled from next: the batch

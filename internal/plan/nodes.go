@@ -507,12 +507,19 @@ func (l *Limit) Explain() string { return fmt.Sprintf("Limit %d", l.Count) }
 // receiving slice.
 type Motion struct {
 	Child Node
-	Type  MotionType
 	// HashExprs compute the redistribution key over the child's output row
 	// (MotionRedistribute only).
 	HashExprs []Expr
 	// SliceID identifies the sending slice; assigned by Planned.cut.
 	SliceID int
+	// An INSERT's motion moves rows to the segments of the target's
+	// placement: Width of them (0 = every segment), fewer than the cluster
+	// while online expansion has not moved the table. FromCoordinator marks
+	// a source that ends in the coordinator's slice (an aggregate, ORDER BY …
+	// LIMIT): that slice is the motion's one sender.
+	Width           int
+	Type            MotionType
+	FromCoordinator bool
 }
 
 // Schema implements Node.
@@ -523,6 +530,9 @@ func (m *Motion) Children() []Node { return []Node{m.Child} }
 
 // Explain implements Node.
 func (m *Motion) Explain() string {
+	if m.FromCoordinator {
+		return fmt.Sprintf("%s (slice%d; from coordinator)", m.Type, m.SliceID)
+	}
 	return fmt.Sprintf("%s (slice%d)", m.Type, m.SliceID)
 }
 
@@ -545,11 +555,12 @@ func (v *Values) Children() []Node { return nil }
 // Explain implements Node.
 func (v *Values) Explain() string { return "Result" }
 
-// --- DML plans (dispatched whole to segments, not sliced) ---
+// --- DML plans: the top slice, run on each segment the write targets ---
 
 // InsertPlan stores the rows its child produces, already shaped to the
-// table (see PlanInsert). The child is a Values leaf, or a SELECT that
-// drains to the coordinator, whose rows are routed from there.
+// table (see PlanInsert). The child is a Values leaf, whose rows dispatch
+// routes, or the SELECT, under the motion that moves its rows to the
+// segments storing them when they are not produced there.
 type InsertPlan struct {
 	Table *catalog.Table
 	Child Node

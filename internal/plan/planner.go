@@ -125,7 +125,7 @@ type Planned struct {
 	nseg  int
 }
 
-// NewPlanned wraps a hand-built SELECT plan tree (no statement-level locks,
+// NewPlanned wraps a hand-built plan tree (no statement-level locks,
 // no direct dispatch) and cuts its slices.
 func NewPlanned(root Node) *Planned {
 	pl := &Planned{Root: root, DirectSegment: -1}
@@ -150,8 +150,46 @@ type planned struct {
 	rows     int64 // estimate
 }
 
-// PlanSelect plans a SELECT statement.
+// PlanSelect plans a SELECT statement: its tree, gathered to the
+// coordinator.
 func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
+	pn, err := p.planSelect(s)
+	if err != nil {
+		return nil, err
+	}
+	if pn.locus != LocusSingle {
+		pn.node = &Motion{Child: pn.node, Type: MotionGather}
+	}
+	res := &Planned{Root: pn.node, DirectSegment: -1, ForUpdate: s.Lock == sql.LockForUpdate, MapVersions: p.mapVers}
+	p.attachSelectLocks(res, s)
+	p.annotate(res, res.Root)
+	return p.finish(res), nil
+}
+
+// annotate prunes the columns of the tree under top, the rows a statement
+// produces, cuts the plan's slices, attaches the scans' pushed predicates
+// and costs the tree.
+func (p *Planner) annotate(res *Planned, top Node) {
+	pruneColumns(top)
+	res.cut()
+	AttachPushdown(top)
+	if p.Optimizer == OptimizerOLAP && !p.Robust {
+		// Selectivity-aware memory estimates plus the cost annotations.
+		res.Costs = p.AnnotateCosts(top)
+	} else {
+		// Rule-based/robust path: conservative full-cardinality memory
+		// estimates; costs still computed for EXPLAIN and risk bounds.
+		AnnotateMemory(top, p.stats())
+		est := newCostEstimator(p.stats(), p.statsProvider(), p.NumSegments)
+		est.cost(top)
+		res.Costs = est.costs
+	}
+}
+
+// planSelect plans a SELECT's tree up to where its rows are produced: on
+// the coordinator (LocusSingle), or on the segments with the locus the
+// result has there.
+func (p *Planner) planSelect(s *sql.SelectStmt) (*planned, error) {
 	var pn *planned
 	var scope *scope
 	var err error
@@ -313,30 +351,7 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 		}
 		pn.node = NewProject(pn.node, keep, keepNames)
 	}
-
-	// Final gather.
-	if pn.locus != LocusSingle {
-		pn.node = &Motion{Child: pn.node, Type: MotionGather}
-		pn.locus = LocusSingle
-	}
-
-	res := &Planned{Root: pn.node, DirectSegment: -1, ForUpdate: s.Lock == sql.LockForUpdate, MapVersions: p.mapVers}
-	p.attachSelectLocks(res, s)
-	pruneColumns(res.Root)
-	res.cut()
-	AttachPushdown(res.Root)
-	if p.Optimizer == OptimizerOLAP && !p.Robust {
-		// Selectivity-aware memory estimates plus the cost annotations.
-		res.Costs = p.AnnotateCosts(res.Root)
-	} else {
-		// Rule-based/robust path: conservative full-cardinality memory
-		// estimates; costs still computed for EXPLAIN and risk bounds.
-		AnnotateMemory(res.Root, p.stats())
-		est := newCostEstimator(p.stats(), p.statsProvider(), p.NumSegments)
-		est.cost(res.Root)
-		res.Costs = est.costs
-	}
-	return p.finish(res), nil
+	return pn, nil
 }
 
 // attachSelectLocks records the coordinator-side relation lock for a SELECT.
@@ -678,10 +693,7 @@ func (p *Planner) planFrom(ref sql.TableRef) (*planned, *scope, error) {
 			scan.OnSeg = 0
 			pl.locus = LocusPartitioned
 		case t.Distribution == catalog.DistHash:
-			pl.locus = LocusHashed
-			for _, c := range t.DistKeyCols {
-				pl.hashKeys = append(pl.hashKeys, &ColRef{Idx: c, Name: t.Schema.Columns[c].Name, Typ: t.Schema.Columns[c].Kind})
-			}
+			pl.locus, pl.hashKeys = LocusHashed, colRefs(t.Schema, t.DistKeyCols)
 		case t.Distribution == catalog.DistReplicated:
 			pl.locus = LocusReplicated
 		default:
@@ -1304,14 +1316,14 @@ func (p *Planner) PlanInsert(st *sql.InsertStmt) (*Planned, error) {
 		}
 		return out
 	}
-	res := &Planned{DirectSegment: -1, LockTable: t.Name, LockMode: lockmgr.RowExclusive}
 	ip := &InsertPlan{Table: t, MapVersion: p.mapVers[t.Name]}
+	res := &Planned{Root: ip, DirectSegment: -1, LockTable: t.Name, LockMode: lockmgr.RowExclusive, MapVersions: p.mapVers}
 	if st.Select != nil {
-		sel, err := p.PlanSelect(st.Select)
+		sel, err := p.planSelect(st.Select)
 		if err != nil {
 			return nil, err
 		}
-		sch := sel.Root.Schema()
+		sch := sel.node.Schema()
 		if sch.Len() != len(cols) {
 			return nil, fmt.Errorf("plan: INSERT expects %d columns, SELECT supplies %d", len(cols), sch.Len())
 		}
@@ -1319,44 +1331,99 @@ func (p *Planner) PlanInsert(st *sql.InsertStmt) (*Planned, error) {
 		for i, c := range sch.Columns {
 			src[i] = &ColRef{Idx: i, Name: c.Name, Typ: c.Kind}
 		}
-		ip.Child = &Project{Child: sel.Root, Exprs: shape(src), schema: t.Schema}
-	} else {
-		bnd := p.newBinder(&scope{})
-		vals := &Values{Out: t.Schema, Rows: make([]types.Row, len(st.Rows))}
-		src := make([]Expr, len(cols))
-		for r, exprRow := range st.Rows {
-			if len(exprRow) != len(cols) {
-				return nil, fmt.Errorf("plan: INSERT row has %d values, expected %d", len(exprRow), len(cols))
-			}
-			slots := p.slots
-			for i, e := range exprRow {
-				if src[i], err = bnd.bind(e); err != nil {
-					return nil, err
-				}
-			}
-			if p.slots > slots {
-				if vals.Slots == nil {
-					vals.Slots = make([][]Expr, len(st.Rows))
-				}
-				vals.Slots[r] = shape(src)
-				continue
-			}
-			// A row without a slot is shaped the same way, folded to values.
-			row := make(types.Row, t.Schema.Len())
-			for i, c := range cols {
-				cast := Cast{Operand: src[i], Col: t.Schema.Columns[c]}
-				if row[c], err = cast.Eval(nil); err != nil {
-					return nil, err
-				}
-			}
-			vals.Rows[r] = row
-		}
-		ip.Child = vals
+		ip.Child = p.moveToTarget(t, sel, cols, &Project{Child: sel.node, Exprs: shape(src), schema: t.Schema})
+		p.annotate(res, ip.Child)
+		return p.finish(res), nil
 	}
-	res.Root = ip
-	res.MapVersions = p.mapVers
+	bnd := p.newBinder(&scope{})
+	vals := &Values{Out: t.Schema, Rows: make([]types.Row, len(st.Rows))}
+	src := make([]Expr, len(cols))
+	for r, exprRow := range st.Rows {
+		if len(exprRow) != len(cols) {
+			return nil, fmt.Errorf("plan: INSERT row has %d values, expected %d", len(exprRow), len(cols))
+		}
+		slots := p.slots
+		for i, e := range exprRow {
+			if src[i], err = bnd.bind(e); err != nil {
+				return nil, err
+			}
+		}
+		if p.slots > slots {
+			if vals.Slots == nil {
+				vals.Slots = make([][]Expr, len(st.Rows))
+			}
+			vals.Slots[r] = shape(src)
+			continue
+		}
+		// A row without a slot is shaped the same way, folded to values.
+		row := make(types.Row, t.Schema.Len())
+		for i, c := range cols {
+			cast := Cast{Operand: src[i], Col: t.Schema.Columns[c]}
+			if row[c], err = cast.Eval(nil); err != nil {
+				return nil, err
+			}
+		}
+		vals.Rows[r] = row
+	}
+	ip.Child = vals
 	res.cut()
 	return p.finish(res), nil
+}
+
+// moveToTarget puts an INSERT's shaped source under the motion that brings
+// each row to a segment storing it (paper §3.2): a Broadcast into a
+// replicated table, a Redistribute by the key into a hashed one unless the
+// SELECT's rows are hashed that way already, and none into a random table,
+// which takes a row where it is produced — unless the SELECT ends on the
+// coordinator, whose slice then sends. cols maps the SELECT's columns to
+// the table's (see PlanInsert).
+func (p *Planner) moveToTarget(t *catalog.Table, sel *planned, cols []int, shaped *Project) Node {
+	m := &Motion{Child: shaped, Type: MotionRedistribute, Width: PlacementWidth(t, p.NumSegments), FromCoordinator: sel.locus == LocusSingle}
+	switch {
+	case t.Distribution == catalog.DistReplicated:
+		m.Type = MotionBroadcast
+	case t.Distribution == catalog.DistHash && !p.hashedAsTarget(t, sel, cols):
+		m.HashExprs = colRefs(t.Schema, t.DistKeyCols)
+	case t.Distribution == catalog.DistRandom && m.FromCoordinator:
+		m.HashExprs = colRefs(t.Schema, cols) // spread by the values inserted
+	default:
+		return shaped
+	}
+	return m
+}
+
+// hashedAsTarget reports whether sel's rows already live where the hashed
+// table t stores them: hashed across the whole cluster, which is t's
+// placement too, on exactly the columns the SELECT items cols places in t's
+// key columns reference, of the key columns' kinds. Columns are compared by
+// position, not by name: two tables of a join may each have an "id".
+func (p *Planner) hashedAsTarget(t *catalog.Table, sel *planned, cols []int) bool {
+	proj, ok := sel.node.(*Project)
+	if width, _ := t.Placement(); !ok || sel.locus != LocusHashed || len(sel.hashKeys) != len(t.DistKeyCols) ||
+		width > 0 && width != p.NumSegments {
+		return false
+	}
+	for j, c := range t.DistKeyCols {
+		i := slices.Index(cols, c)
+		if i < 0 {
+			return false
+		}
+		item, ok1 := proj.Exprs[i].(*ColRef)
+		key, ok2 := sel.hashKeys[j].(*ColRef)
+		if !ok1 || !ok2 || item.Idx != key.Idx || item.Typ != t.Schema.Columns[c].Kind {
+			return false
+		}
+	}
+	return true
+}
+
+// colRefs references the columns cols of sch, in that order.
+func colRefs(sch *types.Schema, cols []int) []Expr {
+	out := make([]Expr, len(cols))
+	for i, c := range cols {
+		out[i] = &ColRef{Idx: c, Name: sch.Columns[c].Name, Typ: sch.Columns[c].Kind}
+	}
+	return out
 }
 
 // PlanUpdate plans an UPDATE: a new version, from the SET list, of every row
@@ -1508,16 +1575,16 @@ func indexOfName(names []string, name string) int {
 	return found
 }
 
-// RouteRow computes the owning segment for a row of a hash-distributed
-// table; random tables round-robin via the provided counter.
-func RouteRow(t *catalog.Table, row types.Row, nseg int, rr *int) int {
+// RouteRow computes the segment of nseg that stores row of t: the one its
+// key hashes to, -1 (every segment) for a replicated table, and the next one
+// of t's round-robin cursor for a random table.
+func RouteRow(t *catalog.Table, row types.Row, nseg int) int {
 	switch t.Distribution {
 	case catalog.DistHash:
 		return types.Bucket(row.Hash(t.DistKeyCols), nseg)
 	case catalog.DistReplicated:
 		return -1 // every segment
 	default:
-		*rr++
-		return (*rr - 1 + nseg) % nseg
+		return int((t.RoundRobin.Add(1) - 1) % uint64(nseg))
 	}
 }

@@ -460,7 +460,7 @@ func TestRouteRowSpreadsKeys(t *testing.T) {
 	}{{16, 2}, {32, 1.5}} {
 		counts := make([]int, 4)
 		for k := 1; k <= c.n; k++ {
-			counts[RouteRow(tab, types.Row{types.NewInt(int64(k))}, 4, nil)]++
+			counts[RouteRow(tab, types.Row{types.NewInt(int64(k))}, 4)]++
 		}
 		for seg, got := range counts {
 			if float64(got) > c.limit*float64(c.n)/4 {

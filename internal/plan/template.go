@@ -55,8 +55,7 @@ func (pl *Planned) route() {
 	pl.DirectSegment = -1
 	if ip, ok := pl.Root.(*InsertPlan); ok {
 		if v, ok := ip.Child.(*Values); ok && len(v.Rows) == 1 && ip.Table.Distribution == catalog.DistHash {
-			rr := 0
-			pl.DirectSegment = RouteRow(ip.Table, v.Rows[0], PlacementWidth(ip.Table, pl.nseg), &rr)
+			pl.DirectSegment = RouteRow(ip.Table, v.Rows[0], PlacementWidth(ip.Table, pl.nseg))
 		}
 		return
 	}
