@@ -437,3 +437,26 @@ func TestJoinAcrossMotionKinds(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSameNamedKeysAreNotAligned joins through a replicated table whose key
+// has the name, but not the position, of the fact table's distribution key:
+// f is hashed on f.id, and the second join's key d.id is another column
+// also named "id". Taking f's rows as hashed on d.id skips the motion g's
+// rows need and loses every match that sits on another segment.
+func TestSameNamedKeysAreNotAligned(t *testing.T) {
+	_, s := newTestEngine(t, 4)
+	mustExec(t, s, "CREATE TABLE f (id int, dim_id int) DISTRIBUTED BY (id)")
+	mustExec(t, s, "CREATE TABLE d (id int, w int) DISTRIBUTED REPLICATED")
+	mustExec(t, s, "CREATE TABLE g (id int, z int) DISTRIBUTED BY (id)")
+	const n = 40
+	bulkInsert(t, s, "f", n, 0, func(i int) string { return fmt.Sprintf("(%d, %d)", i, 1000+(i*7)%n) })
+	bulkInsert(t, s, "d", n, 0, func(i int) string { return fmt.Sprintf("(%d, 0)", 1000+i) })
+	bulkInsert(t, s, "g", n, 0, func(i int) string { return fmt.Sprintf("(%d, 0)", 1000+i) })
+	const q = "SELECT count(*) FROM f JOIN d ON f.dim_id = d.id JOIN g ON d.id = g.id"
+	for _, opt := range []string{"postgres", "orca"} {
+		mustExec(t, s, "SET optimizer = "+opt)
+		if got := mustExec(t, s, q).Rows[0][0].Int(); got != n {
+			t.Errorf("optimizer %s: count %d, want %d:\n%s", opt, got, n, explainText(t, s, q))
+		}
+	}
+}

@@ -890,18 +890,21 @@ func hashAligned(hashKeys, joinKeys []Expr) bool {
 		return false
 	}
 	for _, hk := range hashKeys {
-		found := false
-		for _, jk := range joinKeys {
-			if hk.String() == jk.String() {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.ContainsFunc(joinKeys, func(jk Expr) bool { return sameCol(hk, jk) }) {
 			return false
 		}
 	}
 	return true
+}
+
+// sameCol reports whether a and b are one column of one row: ColRefs of the
+// same position and kind. Columns are compared by position, not by name
+// (two tables of a join may each have an "id"), and any other expression is
+// never taken as the same, so a locus it hashes is never taken as aligned.
+func sameCol(a, b Expr) bool {
+	ca, ok1 := a.(*ColRef)
+	cb, ok2 := b.(*ColRef)
+	return ok1 && ok2 && ca.Idx == cb.Idx && ca.Typ == cb.Typ
 }
 
 // buildJoin decides the join distribution strategy and wraps children in
@@ -1007,7 +1010,7 @@ func alignedPairs(lHash []Expr, lk, rk []Expr, rHash []Expr) bool {
 		// Find hk among lk; the partner rk must equal rHash[i].
 		found := false
 		for j := range lk {
-			if lk[j].String() == hk.String() && rk[j].String() == rHash[i].String() {
+			if sameCol(lk[j], hk) && sameCol(rk[j], rHash[i]) {
 				found = true
 				break
 			}

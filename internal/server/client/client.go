@@ -11,6 +11,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -105,7 +106,17 @@ type Client struct {
 	nc        net.Conn
 	sessionID uint64
 	closed    bool
+
+	// br reads the socket; in is the payload buffer frames are read into,
+	// reused because the decoders copy out of it. out is the buffer each
+	// request frame is encoded into and sent from with one Write.
+	br      *bufio.Reader
+	in, out []byte
 }
+
+// maxKeptBuf bounds the buffers a Client keeps between statements: one a
+// large frame grew past it is dropped after use.
+const maxKeptBuf = 128 << 10
 
 // Dial connects, runs the startup handshake as role, and returns a live
 // client. An empty role connects as the admin default.
@@ -120,14 +131,26 @@ func DialTimeout(addr, role string, timeout time.Duration) (*Client, error) {
 		return nil, err
 	}
 	_ = nc.SetDeadline(time.Now().Add(timeout))
+	c, err := Handshake(nc, role)
+	if err != nil {
+		return nil, err
+	}
+	_ = nc.SetDeadline(time.Time{})
+	return c, nil
+}
+
+// Handshake runs the startup handshake as role over nc, a connection the
+// caller opened and set any deadline on, and returns a live client. It
+// closes nc if the handshake fails.
+func Handshake(nc net.Conn, role string) (*Client, error) {
+	c := &Client{nc: nc, br: bufio.NewReader(nc)}
 	st := &server.Startup{Version: server.ProtocolVersion, Role: role}
-	if err := server.WriteFrame(nc, server.MsgStartup, st.Encode()); err != nil {
+	if err := c.write(nil, server.MsgStartup, st.Append); err != nil {
 		_ = nc.Close()
 		return nil, err
 	}
-	c := &Client{nc: nc}
 	// Expect AuthOK then Ready; an error frame here means we were refused.
-	typ, payload, err := server.ReadFrame(nc)
+	typ, payload, err := c.readFrame()
 	if err != nil {
 		_ = nc.Close()
 		return nil, err
@@ -152,7 +175,6 @@ func DialTimeout(addr, role string, timeout time.Duration) (*Client, error) {
 		_ = nc.Close()
 		return nil, err
 	}
-	_ = nc.SetDeadline(time.Time{})
 	return c, nil
 }
 
@@ -167,7 +189,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	_ = server.WriteFrame(c.nc, server.MsgTerminate, nil)
+	_ = c.write(nil, server.MsgTerminate, nil)
 	return c.nc.Close()
 }
 
@@ -188,7 +210,7 @@ func (c *Client) Exec(ctx context.Context, sqlText string, params ...types.Datum
 		return nil, fmt.Errorf("client: connection closed")
 	}
 	q := &server.Query{SQL: sqlText, Params: params}
-	if err := c.write(ctx, server.MsgQuery, q.Encode()); err != nil {
+	if err := c.write(ctx, server.MsgQuery, q.Append); err != nil {
 		return nil, err
 	}
 	return c.readUntilReady(ctx)
@@ -205,10 +227,10 @@ func (c *Client) Prepare(name, sqlText string) (*Stmt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := &server.Parse{Name: name, SQL: sqlText}
-	if err := c.write(nil, server.MsgParse, p.Encode()); err != nil {
+	if err := c.write(nil, server.MsgParse, p.Append); err != nil {
 		return nil, err
 	}
-	typ, payload, err := server.ReadFrame(c.nc)
+	typ, payload, err := c.readFrame()
 	if err != nil {
 		return nil, err
 	}
@@ -236,10 +258,10 @@ func (s *Stmt) Exec(ctx context.Context, params ...types.Datum) (*Result, error)
 		return nil, fmt.Errorf("client: connection closed")
 	}
 	b := &server.Bind{Name: s.name, Params: params}
-	if err := c.write(ctx, server.MsgBind, b.Encode()); err != nil {
+	if err := c.write(ctx, server.MsgBind, b.Append); err != nil {
 		return nil, err
 	}
-	typ, payload, err := server.ReadFrame(c.nc)
+	typ, payload, err := c.readFrame()
 	if err != nil {
 		return nil, err
 	}
@@ -266,10 +288,10 @@ func (s *Stmt) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := &server.CloseStmt{Name: s.name}
-	if err := c.write(nil, server.MsgCloseStmt, m.Encode()); err != nil {
+	if err := c.write(nil, server.MsgCloseStmt, m.Append); err != nil {
 		return err
 	}
-	typ, _, err := server.ReadFrame(c.nc)
+	typ, _, err := c.readFrame()
 	if err != nil {
 		return err
 	}
@@ -279,15 +301,35 @@ func (s *Stmt) Close() error {
 	return nil
 }
 
-// write sends one frame, honouring a context deadline if present.
-func (c *Client) write(ctx context.Context, typ byte, payload []byte) error {
+// write sends one frame, encoded by payload (a message's Append method,
+// or nil) into the reused output buffer, with one Write. It honours a
+// context deadline if present.
+func (c *Client) write(ctx context.Context, typ byte, payload func([]byte) []byte) error {
 	if ctx != nil {
 		if d, ok := ctx.Deadline(); ok {
 			_ = c.nc.SetWriteDeadline(d)
 			defer c.nc.SetWriteDeadline(time.Time{})
 		}
 	}
-	return server.WriteFrame(c.nc, typ, payload)
+	out, err := server.AppendFrame(c.out[:0], typ, payload)
+	if cap(out) <= maxKeptBuf {
+		c.out = out
+	}
+	if err != nil {
+		return err
+	}
+	_, err = c.nc.Write(out)
+	return err
+}
+
+// readFrame reads one frame through the buffered reader into the reused
+// payload buffer. The payload is valid until the next readFrame.
+func (c *Client) readFrame() (byte, []byte, error) {
+	typ, payload, err := server.ReadFrameInto(c.br, c.in)
+	if err == nil && cap(payload) <= maxKeptBuf {
+		c.in = payload
+	}
+	return typ, payload, err
 }
 
 // readUntilReady consumes one statement's response stream: optional row
@@ -302,7 +344,7 @@ func (c *Client) readUntilReady(ctx context.Context) (*Result, error) {
 	res := &Result{}
 	var srvErr *ServerError
 	for {
-		typ, payload, err := server.ReadFrame(c.nc)
+		typ, payload, err := c.readFrame()
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -122,13 +123,18 @@ func New(e *core.Engine, cfg Config) *Server {
 	}
 }
 
-// Start binds the listen address (and, when configured, the observability
-// endpoint) and begins accepting sessions.
+// Start binds the listen address and serves it.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return err
 	}
+	return s.Serve(ln)
+}
+
+// Serve starts the observability endpoint, when configured, and begins
+// accepting sessions on ln in the background. Shutdown closes ln.
+func (s *Server) Serve(ln net.Listener) error {
 	if err := s.startMetricsHTTP(); err != nil {
 		_ = ln.Close()
 		return err
@@ -200,8 +206,9 @@ func (s *Server) refuse(nc net.Conn) {
 	defer s.wg.Done()
 	_ = nc.SetDeadline(time.Now().Add(time.Second))
 	_, _, _ = ReadFrame(nc)
-	_ = WriteFrame(nc, MsgError, (&ErrorMsg{Message: "server: connection refused (at capacity or draining)"}).Encode())
-	_ = nc.Close()
+	c := &conn{nc: nc}
+	_ = c.send(MsgError, (&ErrorMsg{Message: "server: connection refused (at capacity or draining)"}).Append)
+	c.close()
 }
 
 // Shutdown drains gracefully: stop accepting, let in-flight statements
@@ -289,27 +296,84 @@ type conn struct {
 	cctx   context.Context
 	cancel context.CancelCauseFunc
 
+	// writeMu covers out, the frames not yet written to the socket (the
+	// conn loop is the only writer during normal operation; the mutex
+	// covers the error frame a rejected drain might race).
 	writeMu sync.Mutex
+	out     []byte
 }
 
+// portal is the connection's bound statement: the prepared statement it
+// was bound from, by name and by value, and the bound parameters.
 type portal struct {
+	name   string
 	prep   *core.Prepared
 	params []types.Datum
 }
 
+// Output buffering. A response is written when the frame that ends it goes
+// in, or as soon as the buffer holds flushThreshold bytes, so one write
+// carries at most flushThreshold-1 bytes plus one frame. A buffer that a
+// large frame grew past maxKeptBuf is dropped after its write rather than
+// kept for the life of the connection; the reader recycles payload buffers
+// up to the same size.
+const (
+	flushThreshold = 32 << 10
+	maxKeptBuf     = 4 * flushThreshold
+)
+
 // hangup force-closes the socket (reader unblocks, conn tears down).
 func (c *conn) hangup() { _ = c.nc.Close() }
 
-// send writes one frame (the conn loop is the only writer during normal
-// operation; the mutex covers the error frame a rejected drain might race).
-func (c *conn) send(typ byte, payload []byte) error {
+// send appends one frame to the output buffer. It writes the buffer out
+// when the frame ends a response — Ready, or the ParseOK and BindOK acks,
+// after which the client sends its next request — or when the buffer has
+// reached flushThreshold. A response is thus one Write, and an Error is
+// written together with the Ready that follows it.
+func (c *conn) send(typ byte, payload func([]byte) []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return WriteFrame(c.nc, typ, payload)
+	out, err := AppendFrame(c.out, typ, payload)
+	c.out = out
+	if err != nil {
+		return err
+	}
+	if typ == MsgReady || typ == MsgParseOK || typ == MsgBindOK || len(c.out) >= flushThreshold {
+		return c.flushLocked()
+	}
+	return nil
+}
+
+// flushLocked writes out the buffered frames; the caller holds writeMu.
+func (c *conn) flushLocked() error {
+	if len(c.out) == 0 {
+		return nil
+	}
+	_, err := c.nc.Write(c.out)
+	if cap(c.out) > maxKeptBuf {
+		c.out = nil
+	} else {
+		c.out = c.out[:0]
+	}
+	return err
+}
+
+// flush writes out the buffered frames.
+func (c *conn) flush() error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	return c.flushLocked()
+}
+
+// close writes out what is still buffered — the error frame of a failed
+// handshake or a refusal — and closes the socket.
+func (c *conn) close() {
+	_ = c.flush()
+	_ = c.nc.Close()
 }
 
 func (c *conn) sendErr(err error) error {
-	return c.send(MsgError, (&ErrorMsg{Message: err.Error(), Code: errorCode(err)}).Encode())
+	return c.send(MsgError, (&ErrorMsg{Message: err.Error(), Code: errorCode(err)}).Append)
 }
 
 // errorCode classifies a statement error into its wire code. Order matters:
@@ -339,33 +403,36 @@ func errorCode(err error) string {
 }
 
 func (c *conn) sendReady() error {
-	return c.send(MsgReady, (&Ready{Status: c.sess.TxnStatus()}).Encode())
+	return c.send(MsgReady, (&Ready{Status: c.sess.TxnStatus()}).Append)
 }
 
 // handleConn runs one session: startup handshake, then the frame loop.
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
+	c := &conn{srv: s, nc: nc}
+	reject := func(m *ErrorMsg) {
+		s.rejected.Add(1)
+		_ = c.send(MsgError, m.Append)
+		c.close()
+	}
+	// The reader goroutine below reads on through br: it may already hold
+	// frames a pipelining client sent after its Startup.
+	br := bufio.NewReader(nc)
 	// Startup must arrive promptly; a silent socket cannot hold a slot.
 	_ = nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	typ, payload, err := ReadFrame(nc)
+	typ, payload, err := ReadFrame(br)
 	if err != nil || typ != MsgStartup {
-		s.rejected.Add(1)
-		_ = WriteFrame(nc, MsgError, (&ErrorMsg{Message: "server: expected startup frame"}).Encode())
-		_ = nc.Close()
+		reject(&ErrorMsg{Message: "server: expected startup frame"})
 		return
 	}
 	st, err := DecodeStartup(payload)
 	if err != nil || st.Version != ProtocolVersion {
-		s.rejected.Add(1)
-		_ = WriteFrame(nc, MsgError, (&ErrorMsg{Message: fmt.Sprintf("server: bad startup (want protocol %d)", ProtocolVersion)}).Encode())
-		_ = nc.Close()
+		reject(&ErrorMsg{Message: fmt.Sprintf("server: bad startup (want protocol %d)", ProtocolVersion)})
 		return
 	}
 	sess, err := s.engine.NewSession(st.Role)
 	if err != nil {
-		s.rejected.Add(1)
-		_ = WriteFrame(nc, MsgError, (&ErrorMsg{Message: err.Error()}).Encode())
-		_ = nc.Close()
+		reject(&ErrorMsg{Message: err.Error()})
 		return
 	}
 	_ = nc.SetReadDeadline(time.Time{})
@@ -374,20 +441,11 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 
 	cctx, cancel := context.WithCancelCause(context.Background())
-	c := &conn{
-		srv:      s,
-		nc:       nc,
-		sess:     sess,
-		prepared: make(map[string]*core.Prepared),
-		cctx:     cctx,
-		cancel:   cancel,
-	}
+	c.sess, c.prepared, c.cctx, c.cancel = sess, make(map[string]*core.Prepared), cctx, cancel
 	s.mu.Lock()
 	if s.draining || s.closed {
 		s.mu.Unlock()
-		s.rejected.Add(1)
-		_ = c.sendErr(errServerShutdown)
-		_ = nc.Close()
+		reject(&ErrorMsg{Message: errServerShutdown.Error(), Code: CodeInternal})
 		sess.Close()
 		return
 	}
@@ -407,7 +465,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		// injected teardown failure must never leak a session or its locks.
 		_, _ = s.engine.Cluster().Faults().Eval(fault.SessionTeardown, cluster.CoordinatorSeg)
 		sess.Close()
-		_ = nc.Close()
+		c.close()
 		if c.hasSlot {
 			c.hasSlot = false
 			<-s.workers
@@ -417,7 +475,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	if err := c.send(MsgAuthOK, (&AuthOK{SessionID: c.id}).Encode()); err != nil {
+	if err := c.send(MsgAuthOK, (&AuthOK{SessionID: c.id}).Append); err != nil {
 		return
 	}
 	if err := c.sendReady(); err != nil {
@@ -426,16 +484,27 @@ func (s *Server) handleConn(nc net.Conn) {
 
 	// The reader goroutine owns the socket's read side: frames flow to the
 	// session loop over a small channel (modest pipelining), and a read
-	// error — the client vanished — cancels the in-flight statement.
+	// error — the client vanished — cancels the in-flight statement. The
+	// loop hands each payload back through free once dispatched (the
+	// decoders copied what they keep), and the reader reads the next frame
+	// into it. A client that waits for each reply has one or two frames in
+	// flight, so a few spare buffers cover it; frames pipelined past them
+	// get fresh ones.
 	type frame struct {
 		typ     byte
 		payload []byte
 	}
 	frames := make(chan frame, 8)
+	free := make(chan []byte, 4)
 	go func() {
 		defer close(frames)
 		for {
-			typ, payload, err := ReadFrame(nc)
+			var buf []byte
+			select {
+			case buf = <-free:
+			default:
+			}
+			typ, payload, err := ReadFrameInto(br, buf)
 			if err != nil {
 				cancel(err)
 				return
@@ -451,6 +520,12 @@ func (s *Server) handleConn(nc net.Conn) {
 	for fr := range frames {
 		if !c.dispatch(fr.typ, fr.payload) {
 			return
+		}
+		if cap(fr.payload) <= maxKeptBuf {
+			select {
+			case free <- fr.payload:
+			default:
+			}
 		}
 		s.mu.Lock()
 		draining := s.draining
@@ -501,11 +576,14 @@ func (c *conn) dispatch(typ byte, payload []byte) bool {
 		}
 		prep, ok := c.prepared[b.Name]
 		if !ok {
+			// A failed Bind leaves no portal: an Execute after it must not
+			// re-run the previous one.
+			c.portal = nil
 			_ = c.sendErr(fmt.Errorf("server: prepared statement %q does not exist", b.Name))
 			_ = c.sendReady()
 			return true
 		}
-		c.portal = &portal{prep: prep, params: b.Params}
+		c.portal = &portal{name: b.Name, prep: prep, params: b.Params}
 		_ = c.send(MsgBindOK, nil)
 		return true
 
@@ -527,6 +605,10 @@ func (c *conn) dispatch(typ byte, payload []byte) bool {
 			return c.protoErr(err)
 		}
 		delete(c.prepared, m.Name)
+		// Closing a statement closes the portal bound from it.
+		if c.portal != nil && c.portal.name == m.Name {
+			c.portal = nil
+		}
 		_ = c.send(MsgParseOK, nil)
 		return true
 
@@ -536,9 +618,10 @@ func (c *conn) dispatch(typ byte, payload []byte) bool {
 }
 
 // protoErr reports a malformed frame and drops the connection (framing is
-// no longer trustworthy).
+// no longer trustworthy). The error is written before the teardown runs.
 func (c *conn) protoErr(err error) bool {
 	_ = c.sendErr(fmt.Errorf("protocol error: %w", err))
+	_ = c.flush()
 	return false
 }
 
@@ -600,16 +683,16 @@ func (c *conn) runStatement(run func(context.Context) (*core.Result, error)) {
 				desc.Cols[i].Kind = res.Rows[0][i].Kind()
 			}
 		}
-		if c.send(MsgRowDesc, desc.Encode()) != nil {
+		if c.send(MsgRowDesc, desc.Append) != nil {
 			return
 		}
 		for _, row := range res.Rows {
-			if c.send(MsgDataRow, (&DataRow{Row: row}).Encode()) != nil {
+			if c.send(MsgDataRow, (&DataRow{Row: row}).Append) != nil {
 				return
 			}
 		}
 	}
-	if c.send(MsgComplete, (&Complete{Tag: res.Tag, RowsAffected: int64(res.RowsAffected)}).Encode()) != nil {
+	if c.send(MsgComplete, (&Complete{Tag: res.Tag, RowsAffected: int64(res.RowsAffected)}).Append) != nil {
 		return
 	}
 	_ = c.sendReady()

@@ -451,3 +451,69 @@ func TestStatementTimeoutOverWire(t *testing.T) {
 	mustExecNet(t, c, "SET statement_timeout = 0")
 	mustExecNet(t, c, "SELECT count(*) FROM st")
 }
+
+// TestFailedBindClearsPortal drives the extended protocol frame by frame: a
+// Bind that names no statement, or a CloseStmt of the bound statement,
+// leaves no portal, so the next Execute fails instead of re-running the
+// previous one.
+func TestFailedBindClearsPortal(t *testing.T) {
+	_, srv := startServer(t, 2, server.Config{})
+	c := dialT(t, srv)
+	defer c.Close()
+	mustExecNet(t, c, "CREATE TABLE pt (a int) DISTRIBUTED BY (a)")
+
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+	// roundTrip sends one frame and reads the reply through the frame that
+	// ends it, returning that frame's type and the text of any Error.
+	roundTrip := func(typ byte, payload []byte) (last byte, errText string) {
+		t.Helper()
+		if err := server.WriteFrame(nc, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			rt, p, err := server.ReadFrame(nc)
+			if err != nil {
+				t.Fatalf("reply to %q: %v", typ, err)
+			}
+			switch rt {
+			case server.MsgError:
+				em, err := server.DecodeErrorMsg(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				errText = em.Message
+			case server.MsgReady, server.MsgParseOK, server.MsgBindOK:
+				return rt, errText
+			}
+		}
+	}
+	expect := func(what string, typ byte, payload []byte, wantLast byte, wantErr string) {
+		t.Helper()
+		last, errText := roundTrip(typ, payload)
+		if last != wantLast || !strings.Contains(errText, wantErr) || wantErr == "" && errText != "" {
+			t.Fatalf("%s: reply ends %q with error %q; want %q with %q", what, last, errText, wantLast, wantErr)
+		}
+	}
+	bind := func(name string, v int64) []byte {
+		return (&server.Bind{Name: name, Params: []types.Datum{types.NewInt(v)}}).Encode()
+	}
+	expect("startup", server.MsgStartup, (&server.Startup{Version: server.ProtocolVersion}).Encode(), server.MsgReady, "")
+	expect("parse", server.MsgParse, (&server.Parse{Name: "ins", SQL: "INSERT INTO pt VALUES ($1)"}).Encode(), server.MsgParseOK, "")
+	expect("bind", server.MsgBind, bind("ins", 1), server.MsgBindOK, "")
+	expect("execute", server.MsgExecute, nil, server.MsgReady, "")
+	expect("bind of a missing statement", server.MsgBind, bind("missing", 2), server.MsgReady, "does not exist")
+	expect("execute after the failed bind", server.MsgExecute, nil, server.MsgReady, "no portal bound")
+
+	expect("bind again", server.MsgBind, bind("ins", 3), server.MsgBindOK, "")
+	expect("close the bound statement", server.MsgCloseStmt, (&server.CloseStmt{Name: "ins"}).Encode(), server.MsgParseOK, "")
+	expect("execute after the close", server.MsgExecute, nil, server.MsgReady, "no portal bound")
+
+	if res := mustExecNet(t, c, "SELECT count(*) FROM pt"); res.Rows[0][0].Int() != 1 {
+		t.Fatalf("pt holds %d rows, want 1: an Execute re-ran a stale portal", res.Rows[0][0].Int())
+	}
+}

@@ -13,6 +13,14 @@
 // documents, the one the WAL and spill files use too. The
 // codec is deliberately allocation-light and panic-free on arbitrary
 // input — FuzzFrameCodec and FuzzServerSession hold it to that.
+//
+// Each message has an Append form that encodes onto a caller's buffer, and
+// AppendFrame wraps it in a frame there, so both ends build what they send
+// in one reused buffer and hand it to the socket in one Write. The server
+// buffers a whole response — RowDesc, DataRows, Complete or Error, Ready —
+// and writes it when the frame that ends it (Ready, ParseOK, BindOK) goes
+// in, or sooner once the buffer passes flushThreshold, so a large result
+// streams in bounded memory. Both ends read through a bufio.Reader.
 package server
 
 import (
@@ -91,36 +99,67 @@ var (
 	errShortPayload = errors.New("server: truncated frame payload")
 )
 
-// WriteFrame writes one frame.
+// frameHeaderLen is the type byte plus the u32 payload length.
+const frameHeaderLen = 5
+
+// AppendFrame appends one frame to dst: the header, the payload that
+// payload appends (nil for an empty one), then the payload's length patched
+// into the header. Nothing is copied: pass a message's Append method and it
+// encodes straight into dst. A payload over MaxFrameLen is cut back off dst
+// and reported as ErrFrameTooLarge.
+func AppendFrame(dst []byte, typ byte, payload func([]byte) []byte) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, typ, 0, 0, 0, 0)
+	if payload != nil {
+		dst = payload(dst)
+	}
+	n := len(dst) - start - frameHeaderLen
+	if n > MaxFrameLen {
+		return dst[:start], ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(dst[start+1:], uint32(n))
+	return dst, nil
+}
+
+// WriteFrame writes one frame with one Write.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload) > MaxFrameLen {
 		return ErrFrameTooLarge
 	}
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	b := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
+	b[0] = typ
+	binary.BigEndian.PutUint32(b[1:], uint32(len(payload)))
+	_, err := w.Write(append(b, payload...))
 	return err
 }
 
 // ReadFrame reads one frame, enforcing MaxFrameLen before allocating.
-func ReadFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrame(r io.Reader) (byte, []byte, error) { return ReadFrameInto(r, nil) }
+
+// ReadFrameInto is ReadFrame reading into buf's storage when it has room
+// (the header included), so a reader that recycles its payloads allocates
+// nothing per frame. The payload may alias buf; the decoders copy every
+// string and row out of it, so it can be reused once decoded.
+func ReadFrameInto(r io.Reader, buf []byte) (byte, []byte, error) {
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
+	}
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	typ, n := hdr[0], binary.BigEndian.Uint32(hdr[1:])
 	if n > MaxFrameLen {
 		return 0, nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	return typ, payload, nil
 }
 
 // wbuf builds a frame payload.
@@ -233,13 +272,16 @@ type Startup struct {
 	Role    string
 }
 
-// Encode marshals the message payload.
-func (m *Startup) Encode() []byte {
-	var w wbuf
+// Append appends the message payload to dst.
+func (m *Startup) Append(dst []byte) []byte {
+	w := wbuf{dst}
 	w.u32(int64(m.Version))
 	w.str(m.Role)
 	return w.b
 }
+
+// Encode marshals the message payload.
+func (m *Startup) Encode() []byte { return m.Append(nil) }
 
 // DecodeStartup unmarshals a MsgStartup payload.
 func DecodeStartup(b []byte) (*Startup, error) {
@@ -254,13 +296,16 @@ type Query struct {
 	Params []types.Datum
 }
 
-// Encode marshals the message payload.
-func (m *Query) Encode() []byte {
-	var w wbuf
+// Append appends the message payload to dst.
+func (m *Query) Append(dst []byte) []byte {
+	w := wbuf{dst}
 	w.str(m.SQL)
 	w.row(types.Row(m.Params))
 	return w.b
 }
+
+// Encode marshals the message payload.
+func (m *Query) Encode() []byte { return m.Append(nil) }
 
 // DecodeQuery unmarshals a MsgQuery payload.
 func DecodeQuery(b []byte) (*Query, error) {
@@ -275,13 +320,16 @@ type Parse struct {
 	SQL  string
 }
 
-// Encode marshals the message payload.
-func (m *Parse) Encode() []byte {
-	var w wbuf
+// Append appends the message payload to dst.
+func (m *Parse) Append(dst []byte) []byte {
+	w := wbuf{dst}
 	w.str(m.Name)
 	w.str(m.SQL)
 	return w.b
 }
+
+// Encode marshals the message payload.
+func (m *Parse) Encode() []byte { return m.Append(nil) }
 
 // DecodeParse unmarshals a MsgParse payload.
 func DecodeParse(b []byte) (*Parse, error) {
@@ -296,13 +344,16 @@ type Bind struct {
 	Params []types.Datum
 }
 
-// Encode marshals the message payload.
-func (m *Bind) Encode() []byte {
-	var w wbuf
+// Append appends the message payload to dst.
+func (m *Bind) Append(dst []byte) []byte {
+	w := wbuf{dst}
 	w.str(m.Name)
 	w.row(types.Row(m.Params))
 	return w.b
 }
+
+// Encode marshals the message payload.
+func (m *Bind) Encode() []byte { return m.Append(nil) }
 
 // DecodeBind unmarshals a MsgBind payload.
 func DecodeBind(b []byte) (*Bind, error) {
@@ -314,12 +365,15 @@ func DecodeBind(b []byte) (*Bind, error) {
 // CloseStmt discards a prepared statement.
 type CloseStmt struct{ Name string }
 
-// Encode marshals the message payload.
-func (m *CloseStmt) Encode() []byte {
-	var w wbuf
+// Append appends the message payload to dst.
+func (m *CloseStmt) Append(dst []byte) []byte {
+	w := wbuf{dst}
 	w.str(m.Name)
 	return w.b
 }
+
+// Encode marshals the message payload.
+func (m *CloseStmt) Encode() []byte { return m.Append(nil) }
 
 // DecodeCloseStmt unmarshals a MsgCloseStmt payload.
 func DecodeCloseStmt(b []byte) (*CloseStmt, error) {
@@ -331,12 +385,15 @@ func DecodeCloseStmt(b []byte) (*CloseStmt, error) {
 // AuthOK acknowledges startup.
 type AuthOK struct{ SessionID uint64 }
 
-// Encode marshals the message payload.
-func (m *AuthOK) Encode() []byte {
-	var w wbuf
+// Append appends the message payload to dst.
+func (m *AuthOK) Append(dst []byte) []byte {
+	w := wbuf{dst}
 	w.u64(m.SessionID)
 	return w.b
 }
+
+// Encode marshals the message payload.
+func (m *AuthOK) Encode() []byte { return m.Append(nil) }
 
 // DecodeAuthOK unmarshals a MsgAuthOK payload.
 func DecodeAuthOK(b []byte) (*AuthOK, error) {
@@ -354,9 +411,9 @@ type ColDesc struct {
 // RowDesc describes the result columns.
 type RowDesc struct{ Cols []ColDesc }
 
-// Encode marshals the message payload.
-func (m *RowDesc) Encode() []byte {
-	var w wbuf
+// Append appends the message payload to dst.
+func (m *RowDesc) Append(dst []byte) []byte {
+	w := wbuf{dst}
 	w.u32(int64(len(m.Cols)))
 	for _, c := range m.Cols {
 		w.str(c.Name)
@@ -364,6 +421,9 @@ func (m *RowDesc) Encode() []byte {
 	}
 	return w.b
 }
+
+// Encode marshals the message payload.
+func (m *RowDesc) Encode() []byte { return m.Append(nil) }
 
 // DecodeRowDesc unmarshals a MsgRowDesc payload.
 func DecodeRowDesc(b []byte) (*RowDesc, error) {
@@ -382,12 +442,15 @@ func DecodeRowDesc(b []byte) (*RowDesc, error) {
 // DataRow carries one result tuple.
 type DataRow struct{ Row types.Row }
 
-// Encode marshals the message payload.
-func (m *DataRow) Encode() []byte {
-	var w wbuf
+// Append appends the message payload to dst.
+func (m *DataRow) Append(dst []byte) []byte {
+	w := wbuf{dst}
 	w.row(m.Row)
 	return w.b
 }
+
+// Encode marshals the message payload.
+func (m *DataRow) Encode() []byte { return m.Append(nil) }
 
 // DecodeDataRow unmarshals a MsgDataRow payload.
 func DecodeDataRow(b []byte) (*DataRow, error) {
@@ -402,13 +465,16 @@ type Complete struct {
 	RowsAffected int64
 }
 
-// Encode marshals the message payload.
-func (m *Complete) Encode() []byte {
-	var w wbuf
+// Append appends the message payload to dst.
+func (m *Complete) Append(dst []byte) []byte {
+	w := wbuf{dst}
 	w.str(m.Tag)
 	w.u64(uint64(m.RowsAffected))
 	return w.b
 }
+
+// Encode marshals the message payload.
+func (m *Complete) Encode() []byte { return m.Append(nil) }
 
 // DecodeComplete unmarshals a MsgComplete payload.
 func DecodeComplete(b []byte) (*Complete, error) {
@@ -450,13 +516,16 @@ type ErrorMsg struct {
 	Code    string
 }
 
-// Encode marshals the message payload.
-func (m *ErrorMsg) Encode() []byte {
-	var w wbuf
+// Append appends the message payload to dst.
+func (m *ErrorMsg) Append(dst []byte) []byte {
+	w := wbuf{dst}
 	w.str(m.Message)
 	w.str(m.Code)
 	return w.b
 }
+
+// Encode marshals the message payload.
+func (m *ErrorMsg) Encode() []byte { return m.Append(nil) }
 
 // DecodeErrorMsg unmarshals a MsgError payload.
 func DecodeErrorMsg(b []byte) (*ErrorMsg, error) {
@@ -468,12 +537,15 @@ func DecodeErrorMsg(b []byte) (*ErrorMsg, error) {
 // Ready says the session awaits the next statement.
 type Ready struct{ Status byte }
 
-// Encode marshals the message payload.
-func (m *Ready) Encode() []byte {
-	var w wbuf
+// Append appends the message payload to dst.
+func (m *Ready) Append(dst []byte) []byte {
+	w := wbuf{dst}
 	w.u8(m.Status)
 	return w.b
 }
+
+// Encode marshals the message payload.
+func (m *Ready) Encode() []byte { return m.Append(nil) }
 
 // DecodeReady unmarshals a MsgReady payload.
 func DecodeReady(b []byte) (*Ready, error) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 
 	"repro/internal/types"
 )
@@ -321,11 +322,19 @@ func rleDeltaDecode(b []byte, n int) (*types.Vec, error) {
 	return boxed, nil
 }
 
+// zlibWriters recycles deflate writers: a new one allocates ~850 KB of
+// state, far more than the block it compresses.
+var zlibWriters = sync.Pool{New: func() any { return zlib.NewWriter(nil) }}
+
+// zlibCompress deflates b into a fresh buffer, which the sealed block keeps:
+// only the writer goes back to the pool.
 func zlibCompress(b []byte) []byte {
 	var buf bytes.Buffer
-	w := zlib.NewWriter(&buf)
+	w := zlibWriters.Get().(*zlib.Writer)
+	w.Reset(&buf)
 	_, _ = w.Write(b)
 	_ = w.Close()
+	zlibWriters.Put(w)
 	return buf.Bytes()
 }
 
