@@ -166,6 +166,8 @@ type Cluster struct {
 type topology struct {
 	slots    []*atomic.Pointer[Segment]
 	breakers []*fault.Breaker
+	// refs[i] is slot i as a commit participant (a segRef), boxed once.
+	refs []dtm.Participant
 }
 
 // topoNow returns the current topology snapshot (lock-free).
@@ -207,8 +209,9 @@ type LiveTxn struct {
 	// distribution-map version at write time. A flip between the write and
 	// the commit means the written shards were retired with the old
 	// placement, so the transaction fences with ErrTxnLostWrites — the
-	// per-table generalization of wrote.
-	wroteMaps map[catalog.TableID]uint64
+	// per-table generalization of wrote. A transaction writes few tables:
+	// a list beats a map.
+	wroteMaps []wroteMap
 	killed    atomic.Bool
 }
 
@@ -246,16 +249,23 @@ func (t *LiveTxn) markWrote(i, gen int) {
 	}
 }
 
+// wroteMap is a table a transaction wrote and its distribution-map version
+// at the first write.
+type wroteMap struct {
+	tab *catalog.Table
+	ver uint64
+}
+
 // noteWroteMap records the distribution-map version of a table this
 // transaction wrote (first write wins: the fence compares against the
 // version the writes were routed under).
-func (t *LiveTxn) noteWroteMap(id catalog.TableID, ver uint64) {
-	if t.wroteMaps == nil {
-		t.wroteMaps = make(map[catalog.TableID]uint64, 2)
+func (t *LiveTxn) noteWroteMap(tab *catalog.Table, ver uint64) {
+	for _, w := range t.wroteMaps {
+		if w.tab == tab {
+			return
+		}
 	}
-	if _, ok := t.wroteMaps[id]; !ok {
-		t.wroteMaps[id] = ver
-	}
+	t.wroteMaps = append(t.wroteMaps, wroteMap{tab: tab, ver: ver})
 }
 
 // New boots a cluster.
@@ -281,6 +291,7 @@ func New(cfg *Config) *Cluster {
 	topo := &topology{
 		slots:    make([]*atomic.Pointer[Segment], cfg.NumSegments),
 		breakers: make([]*fault.Breaker, cfg.NumSegments),
+		refs:     make([]dtm.Participant, cfg.NumSegments),
 	}
 	for i := 0; i < cfg.NumSegments; i++ {
 		seg, m := c.buildSegment(i)
@@ -288,6 +299,7 @@ func New(cfg *Config) *Cluster {
 		slot.Store(seg)
 		topo.slots[i] = slot
 		topo.breakers[i] = fault.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+		topo.refs[i] = segRef{c: c, id: i}
 		c.mirrors[i] = m
 	}
 	c.topo.Store(topo)
@@ -520,6 +532,10 @@ func (t *LiveTxn) DXID() dtm.DXID {
 // ReleaseSnapshot.
 func (c *Cluster) Snapshot() *dtm.DistSnapshot { return c.coord.Snapshot() }
 
+// SnapshotInto is Snapshot into s, a released snapshot whose storage it
+// reuses (see dtm.Coordinator.SnapshotInto).
+func (c *Cluster) SnapshotInto(s *dtm.DistSnapshot) *dtm.DistSnapshot { return c.coord.SnapshotInto(s) }
+
 // ReleaseSnapshot ends a snapshot's life: its statement is over.
 func (c *Cluster) ReleaseSnapshot(s *dtm.DistSnapshot) { c.coord.Release(s) }
 
@@ -548,6 +564,7 @@ func (c *Cluster) commitThen(t *LiveTxn, then func() error) (dtm.CommitStats, er
 		return dtm.CommitStats{Protocol: dtm.ProtocolReadOnly}, nil
 	}
 	var writers []dtm.Participant
+	refs := c.topoNow().refs
 	for i := range t.wrote {
 		gen, ok := t.wroteOn(i)
 		if !ok {
@@ -557,7 +574,7 @@ func (c *Cluster) commitThen(t *LiveTxn, then func() error) (dtm.CommitStats, er
 			c.AbortTxn(t)
 			return dtm.CommitStats{}, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", i, ErrTxnLostWrites)
 		}
-		writers = append(writers, segRef{c: c, id: i})
+		writers = append(writers, refs[i])
 	}
 	if err := c.checkWroteMaps(t); err != nil {
 		c.AbortTxn(t)
@@ -589,15 +606,13 @@ func (c *Cluster) commitThen(t *LiveTxn, then func() error) (dtm.CommitStats, er
 // distribution map that has since been flipped by online expansion: the
 // written shards retired with the old placement, so the transaction must
 // abort — same contract as the segment-incarnation (gen) fence.
+// A dropped table keeps the placement it was dropped with, so DROP TABLE
+// adds no fence of its own: it invalidated the writes wholesale.
 func (c *Cluster) checkWroteMaps(t *LiveTxn) error {
-	for id, ver := range t.wroteMaps {
-		tab := c.catalog.TableByID(id)
-		if tab == nil {
-			continue // dropped: DROP TABLE invalidated the writes wholesale
-		}
-		if _, cur := tab.Placement(); cur != ver {
+	for _, w := range t.wroteMaps {
+		if _, cur := w.tab.Placement(); cur != w.ver {
 			return fmt.Errorf("cluster: table %q moved to a new distribution map (v%d -> v%d) after this transaction wrote it: %w",
-				tab.Name, ver, cur, ErrTxnLostWrites)
+				w.tab.Name, w.ver, cur, ErrTxnLostWrites)
 		}
 	}
 	return nil
@@ -609,9 +624,10 @@ func (c *Cluster) checkWroteMaps(t *LiveTxn) error {
 func (c *Cluster) AbortTxn(t *LiveTxn) {
 	if t.dxid != dtm.InvalidDXID {
 		var parts []dtm.Participant
+		refs := c.topoNow().refs
 		for i, touched := range t.touched {
 			if touched {
-				parts = append(parts, segRef{c: c, id: i})
+				parts = append(parts, refs[i])
 			}
 		}
 		dtm.Abort(c.coord, t.dxid, parts)
@@ -722,6 +738,11 @@ func (c *Cluster) LockCoordinator(ctx context.Context, t *LiveTxn, table string,
 	if err != nil {
 		return err
 	}
+	return c.LockCoordinatorTable(ctx, t, tab, mode)
+}
+
+// LockCoordinatorTable is LockCoordinator of a table already resolved.
+func (c *Cluster) LockCoordinatorTable(ctx context.Context, t *LiveTxn, tab *catalog.Table, mode lockmgr.Mode) error {
 	if !c.cfg.GDD && c.cfg.LockTimeout > 0 {
 		tctx, cancel := context.WithTimeout(ctx, c.cfg.LockTimeout)
 		defer cancel()

@@ -245,14 +245,17 @@ func (c *Cluster) growTopology(target int) error {
 	nt := &topology{
 		slots:    make([]*atomic.Pointer[Segment], 0, target),
 		breakers: make([]*fault.Breaker, 0, target),
+		refs:     make([]dtm.Participant, 0, target),
 	}
 	nt.slots = append(nt.slots, old.slots...)
 	nt.breakers = append(nt.breakers, old.breakers...)
+	nt.refs = append(nt.refs, old.refs...)
 	for _, seg := range newSegs {
 		slot := &atomic.Pointer[Segment]{}
 		slot.Store(seg)
 		nt.slots = append(nt.slots, slot)
 		nt.breakers = append(nt.breakers, fault.NewBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown))
+		nt.refs = append(nt.refs, segRef{c: c, id: len(nt.refs)})
 	}
 	c.topo.Store(nt)
 	c.mirrors = append(c.mirrors, newMirrors...)

@@ -354,11 +354,14 @@ func (c *Cluster) promote(i int) error {
 // an in-flight or imminent promotion when the current primary is dead. It
 // fails fast when nothing can take over.
 func (c *Cluster) segUp(ctx context.Context, i int) (*Segment, error) {
-	deadline := time.Now().Add(c.cfg.FailoverTimeout)
+	var deadline time.Time // read only once the segment is found down
 	for {
 		s := c.seg(i)
 		if !s.down.Load() {
 			return s, nil
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(c.cfg.FailoverTimeout)
 		}
 		c.topoMu.Lock()
 		// A broken standby can never be promoted (same predicate as

@@ -74,22 +74,6 @@ func (e *StaleDistMapError) Error() string {
 	return fmt.Sprintf("cluster: stale distribution map for table %q (planned v%d, current v%d); re-plan and retry", e.Table, e.Planned, e.Current)
 }
 
-// checkMapVersions validates a plan's captured distribution-map versions
-// against the live catalog. A dropped table is left for the scan itself to
-// report; only a placement flip makes the plan stale.
-func (c *Cluster) checkMapVersions(vers map[string]uint64) error {
-	for name, ver := range vers {
-		tab, err := c.catalog.Table(name)
-		if err != nil {
-			continue
-		}
-		if _, cur := tab.Placement(); cur != ver {
-			return &StaleDistMapError{Table: tab.Name, Planned: ver, Current: cur}
-		}
-	}
-	return nil
-}
-
 // IsRetryableDispatch reports whether err is a fail-fast or
 // retries-exhausted dispatch error whose statement can safely be re-issued
 // (breaker open, stale distribution map, or a transient failure before the

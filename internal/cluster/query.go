@@ -16,6 +16,7 @@ import (
 	"repro/internal/lockmgr"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -95,8 +96,73 @@ const motionSlots = 1024 / types.DefaultBatchSize
 // is a write that stored rows: each segment's portion of it is retried in
 // place instead (attempt.write).
 func (c *Cluster) Run(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources) ([]types.Row, int, error) {
+	return c.NewPortal(pl).Run(ctx, t, snap, res)
+}
+
+// A Portal is one session's reusable dispatch state for one plan, the
+// executable plan of a lowered template (plan.Instance) that the session
+// re-binds between runs. It keeps what a run would otherwise allocate: the
+// attempt, the execution contexts of the coordinator slice and of the
+// pinned segment, that segment's storage access, the write sink's scratch,
+// a direct read's operator tree (exec.Reset starts it over), and the plan's
+// distribution-map fences resolved to their tables. A run that cannot use a
+// piece builds that piece afresh: the gang sample of a direct read (see
+// gangSampleEvery), and a run that arms collectors (QueryResources.NodeRows
+// or Ops, which wrap the operators).
+// A failed run leaves the portal ready for the next one. One goroutine runs
+// a portal at a time.
+type Portal struct {
+	c      *Cluster
+	pl     *plan.Planned
+	fences []mapFence
+	d      attempt
+	// top and pinned are the contexts of the coordinator slice and of the
+	// pinned segment's slice; acc is that segment's access and mod the
+	// scratch of a write's top slice there.
+	top, pinned exec.Context
+	acc         storeAccess
+	mod         exec.Modifier
+	// tree is a direct read's operator tree, built under top and pinned;
+	// rebuild is set once it turned out not to start over.
+	tree    exec.BatchIterator
+	rebuild bool
+}
+
+// mapFence is one table of a plan and the distribution-map version the plan
+// was built against.
+type mapFence struct {
+	tab *catalog.Table
+	ver uint64
+}
+
+// NewPortal readies a portal for pl, resolving its fences' tables once. A
+// table dropped since planning fences nothing; the scan reports it.
+func (c *Cluster) NewPortal(pl *plan.Planned) *Portal {
+	p := &Portal{c: c, pl: pl}
+	for name, ver := range pl.MapVersions {
+		if tab, err := c.catalog.Table(name); err == nil {
+			p.fences = append(p.fences, mapFence{tab: tab, ver: ver})
+		}
+	}
+	return p
+}
+
+// checkFences validates the plan's distribution-map versions against the
+// live placements: only a flip makes the plan stale.
+func (p *Portal) checkFences() error {
+	for _, f := range p.fences {
+		if _, cur := f.tab.Placement(); cur != f.ver {
+			return &StaleDistMapError{Table: f.tab.Name, Planned: f.ver, Current: cur}
+		}
+	}
+	return nil
+}
+
+// Run is Cluster.Run of the portal's plan.
+func (p *Portal) Run(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, res *QueryResources) ([]types.Row, int, error) {
+	c := p.c
 	for attempt := 0; ; attempt++ {
-		rows, n, err := c.runOnce(ctx, t, snap, pl, res)
+		rows, n, err := c.runOnce(ctx, t, snap, p, res)
 		if err == nil {
 			return rows, n, nil
 		}
@@ -127,6 +193,7 @@ func writeOf(root plan.Node) (*catalog.Table, uint64, string) {
 
 // attempt is one dispatch attempt's state, shared by all its slices.
 type attempt struct {
+	p    *Portal
 	c    *Cluster
 	t    *LiveTxn
 	snap *dtm.DistSnapshot
@@ -169,7 +236,7 @@ type segSlices struct {
 // launches every motion's senders — one per segment, or for a motion
 // FromCoordinator one on the coordinator — and runs the top slice: on the
 // coordinator for a SELECT, which drains its rows; for an INSERT, UPDATE or
-// DELETE on each segment the write targets, where exec.Modify stores them
+// DELETE on each segment the write targets, where exec.Modifier stores them
 // (writeTargets). A read pinned to one segment (pl.DirectSegment, under
 // Config.DirectDispatch) involves that segment alone, and its single sending
 // slice runs inline in this goroutine below a pass-through gather; a write
@@ -186,10 +253,12 @@ type segSlices struct {
 // its first write, so one where nothing matched stays out of the commit.
 //
 // On failure n is the number of rows a write stored before it failed.
-func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, pl *plan.Planned, res *QueryResources) ([]types.Row, int, error) {
-	nseg := c.SegCount()
+func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, p *Portal, res *QueryResources) ([]types.Row, int, error) {
+	nseg, pl := c.SegCount(), p.pl
 	t.grow(nseg)
-	d := &attempt{c: c, t: t, snap: snap, pl: pl, res: res, nseg: nseg, ctx: ctx}
+	d := &p.d
+	*d = attempt{p: p, c: c, t: t, snap: snap, pl: pl, res: res, nseg: nseg, ctx: ctx}
+	defer p.idle()
 	if res != nil {
 		d.tr, d.span = res.Trace, res.ExecSpan
 	}
@@ -208,7 +277,7 @@ func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapsho
 			return nil, 0, &StaleDistMapError{Table: tab.Name, Planned: tabVer, Current: cur}
 		}
 	}
-	if err := c.checkMapVersions(pl.MapVersions); err != nil {
+	if err := p.checkFences(); err != nil {
 		return nil, 0, err
 	}
 	if tab == nil {
@@ -284,7 +353,7 @@ func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapsho
 			if err := c.dispatchSeg(i, true, func() error { return nil }); err != nil {
 				return nil, 0, err
 			}
-			d.on(i).read = s.newAccess(t.owner, t.dxid, snap)
+			d.on(i).read = d.access(s)
 			t.touched[i] = true
 			if pl.ForUpdate {
 				if _, err := d.on(i).read.begin(); err != nil {
@@ -322,13 +391,13 @@ func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapsho
 	case tab == nil:
 		// The top slice runs on the coordinator; a direct plan's one sending
 		// slice runs inside it, under the pinned segment's context.
-		top := d.execCtx(new(exec.Context), -1)
+		top := d.execCtx(&p.top, -1)
 		var sp obs.ActiveSpan
 		if direct {
-			top.Inline = d.execCtx(new(exec.Context), pl.DirectSegment)
+			top.Inline = d.execCtx(&p.pinned, pl.DirectSegment)
 			sp = d.tr.Begin(d.span, d.sliceName(motions[0]), pl.DirectSegment)
 		}
-		rows, err = exec.DrainBatches(exec.BuildBatch(top, pl.Root))
+		rows, err = exec.DrainBatches(p.readTree(direct, res))
 		n = len(rows)
 		sp.End()
 	case direct || len(targets) == 1:
@@ -338,8 +407,7 @@ func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapsho
 		if !direct {
 			seg = targets[0]
 		}
-		var ec exec.Context
-		n, err = d.write(&ec, seg, routed)
+		n, err = d.write(&p.pinned, &p.mod, seg, routed)
 	default:
 		var wg sync.WaitGroup
 		var written atomic.Int64
@@ -348,7 +416,7 @@ func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapsho
 			wg.Add(1)
 			go func(routed [][]types.Row) {
 				defer wg.Done()
-				m, err := d.write(new(exec.Context), seg, routed)
+				m, err := d.write(new(exec.Context), new(exec.Modifier), seg, routed)
 				written.Add(int64(m))
 				errs[i] = err
 			}(routed)
@@ -385,7 +453,7 @@ func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapsho
 		switch seg := d.lo + i; {
 		case on.top != nil && on.top.st != nil && (err == nil || n > 0):
 			t.markWrote(seg, on.top.seg.gen)
-			t.noteWroteMap(tab.ID, tabVer)
+			t.noteWroteMap(tab, tabVer)
 		case on.top != nil:
 			t.touched[seg] = true
 		case on.read != nil && pl.ForUpdate && err == nil:
@@ -403,6 +471,43 @@ func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapsho
 		return nil, n, err
 	}
 	return rows, n, nil
+}
+
+// idle drops what a run referenced — the caller's context, the fabric, the
+// accesses, the collectors — so that between runs a portal holds its own
+// buffers only.
+func (p *Portal) idle() {
+	p.d, p.top, p.pinned = attempt{}, exec.Context{}, exec.Context{}
+	p.acc = storeAccess{local: txn.Snapshot{InProgress: p.acc.local.InProgress[:0]}}
+}
+
+// readTree returns the top slice's operator tree over the portal's contexts:
+// for a direct read that arms no collectors, the kept tree started over, or
+// a fresh one kept for the next run; else a fresh one.
+func (p *Portal) readTree(direct bool, res *QueryResources) exec.BatchIterator {
+	keep := direct && (res == nil || res.NodeRows == nil && res.Ops == nil)
+	if keep && p.tree != nil {
+		if exec.Reset(p.tree) {
+			return p.tree
+		}
+		p.tree, p.rebuild = nil, true
+	}
+	it := exec.BuildBatch(&p.top, p.pl.Root)
+	if keep && !p.rebuild {
+		p.tree = it
+	}
+	return it
+}
+
+// access returns the storage access of segment s for this attempt: the
+// portal's own on a statement pinned to one segment, which opens one access
+// only, else a fresh one.
+func (d *attempt) access(s *Segment) *storeAccess {
+	if d.segs == nil || &d.segs[0] != &d.one[0] {
+		return s.newAccess(d.t.owner, d.t.dxid, d.snap)
+	}
+	s.initAccess(&d.p.acc, d.t.owner, d.t.dxid, d.snap)
+	return &d.p.acc
 }
 
 // execCtx sets ec up as the execution context of a slice at location
@@ -451,14 +556,15 @@ func (d *attempt) send(m *plan.Motion, seg int, ec *exec.Context) {
 // cannot double-apply. A transaction that already wrote an earlier
 // statement to the dead incarnation is not retryable; it fails with
 // ErrTxnLostWrites. An error cancels the rest of the statement. routed,
-// when set, holds an INSERT … VALUES's rows by the segment they go to.
-func (d *attempt) write(ec *exec.Context, seg int, routed [][]types.Row) (int, error) {
+// when set, holds an INSERT … VALUES's rows by the segment they go to; mod
+// is the write sink's scratch.
+func (d *attempt) write(ec *exec.Context, mod *exec.Modifier, seg int, routed [][]types.Row) (int, error) {
 	_, _, op := writeOf(d.pl.Root)
 	sp := d.tr.Begin(d.span, op, seg)
 	defer sp.End()
-	n, err := d.writeOnce(ec, seg, routed)
+	n, err := d.writeOnce(ec, mod, seg, routed)
 	for retry := 0; IsSegmentDown(err) && retry < 2; retry++ {
-		n, err = d.writeOnce(ec, seg, routed) // the primary died between resolution and entry
+		n, err = d.writeOnce(ec, mod, seg, routed) // the primary died between resolution and entry
 	}
 	if err != nil && d.cancel != nil {
 		d.cancel(err)
@@ -467,11 +573,11 @@ func (d *attempt) write(ec *exec.Context, seg int, routed [][]types.Row) (int, e
 }
 
 // writeOnce is one entry of a write's top slice into segment seg: there,
-// exec.Modify under the statement's RowExclusive lock on the table. Without
+// exec.Modifier under the statement's RowExclusive lock on the table. Without
 // direct dispatch every segment a write targets joins the commit (paper
 // §7.2), so the local transaction opens up front; with it, at the first
 // write.
-func (d *attempt) writeOnce(ec *exec.Context, seg int, routed [][]types.Row) (int, error) {
+func (d *attempt) writeOnce(ec *exec.Context, mod *exec.Modifier, seg int, routed [][]types.Row) (int, error) {
 	s, err := d.c.segUp(d.ctx, seg)
 	if err != nil {
 		return 0, err
@@ -479,7 +585,7 @@ func (d *attempt) writeOnce(ec *exec.Context, seg int, routed [][]types.Row) (in
 	if gen, wrote := d.t.wroteOn(seg); wrote && gen != s.gen {
 		return 0, fmt.Errorf("cluster: segment %d failed over after this transaction wrote it: %w", seg, ErrTxnLostWrites)
 	}
-	a := s.newAccess(d.t.owner, d.t.dxid, d.snap)
+	a := d.access(s)
 	d.on(seg).top = a
 	d.execCtx(ec, seg).Store = a
 	if routed != nil {
@@ -497,7 +603,7 @@ func (d *attempt) writeOnce(ec *exec.Context, seg int, routed [][]types.Row) (in
 			_, err = a.begin()
 		}
 		if err == nil {
-			n, err = exec.Modify(ec, d.pl.Root)
+			n, err = mod.Modify(ec, d.pl.Root)
 		}
 		return err
 	})

@@ -590,8 +590,8 @@ func (s *Segment) Abort(dxid dtm.DXID) error {
 // ---- visibility plumbing ----
 
 // storeAccess implements exec.StoreAccess for one (statement, segment). It
-// is one allocation: the distributed view and the visibility checker live
-// inside it.
+// is one allocation — the distributed view, the visibility checker and the
+// local snapshot live inside it — and a Portal reuses its own.
 type storeAccess struct {
 	seg   *Segment
 	owner lockmgr.TxnID
@@ -609,21 +609,28 @@ type storeAccess struct {
 	// folds them into the segment's cumulative totals (and the statement's
 	// QueryResources) when the statement finishes.
 	stats storage.ScanStats
+	local txn.Snapshot
 }
 
 // newAccess builds the statement's view for the transaction (owner, dxid):
 // a fresh local snapshot combined with the distributed snapshot through the
 // xid mapping. It takes no xid: a reader costs the segment a snapshot.
 func (s *Segment) newAccess(owner lockmgr.TxnID, dxid dtm.DXID, snap *dtm.DistSnapshot) *storeAccess {
-	a := &storeAccess{seg: s, owner: owner, dxid: dxid}
+	a := new(storeAccess)
+	s.initAccess(a, owner, dxid, snap)
+	return a
+}
+
+// initAccess is newAccess into a, whose local snapshot's storage it reuses.
+func (s *Segment) initAccess(a *storeAccess, owner lockmgr.TxnID, dxid dtm.DXID, snap *dtm.DistSnapshot) {
+	*a = storeAccess{seg: s, owner: owner, dxid: dxid, local: txn.Snapshot{InProgress: a.local.InProgress}}
 	a.view = dtm.View{Mapping: s.mapping, Snap: snap, SelfDist: dxid}
-	a.check = txn.VisibilityChecker{Mgr: s.txns, Snap: s.txns.TakeSnapshot(), Dist: &a.view}
+	a.check = txn.VisibilityChecker{Mgr: s.txns, Snap: s.txns.TakeSnapshotInto(&a.local), Dist: &a.view}
 	if dxid != dtm.InvalidDXID {
 		if st, ok := s.openTxn(dxid); ok {
 			a.setLocal(st)
 		}
 	}
-	return a
 }
 
 // setLocal makes st the access's own local transaction: its effects are

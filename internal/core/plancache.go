@@ -20,12 +20,13 @@ import (
 // plan-shaping settings and the kinds of the bound parameters, so DDL,
 // ANALYZE, a SET optimizer or an int parameter arriving as text each re-plan
 // without an invalidation hook. A cached plan holds no parameter value: the
-// binder leaves a slot per $N (plan.Param) and each execution instantiates
-// the shared plan with plan.Planned.Bind, where the value-dependent steps
-// (direct dispatch, partition pruning, zone-map pushdown, LIMIT) run. The
-// exception is a parameterised statement under the cost-based optimizer
-// (orca): its join order and motions come from the values, so it is planned
-// per execution.
+// binder leaves a slot per $N (plan.Param), each session lowers the shared
+// plan once into an instance of its own (plan.Planned.Lower, see instance),
+// and each execution binds its values into that instance with
+// plan.Instance.Bind, where the value-dependent steps (direct dispatch,
+// partition pruning, zone-map pushdown, LIMIT) run. The exception is a
+// parameterised statement under the cost-based optimizer (orca): its join
+// order and motions come from the values, so it is planned per execution.
 type StmtCache struct {
 	mu      sync.Mutex
 	cap     int

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/cluster"
+	"repro/internal/dtm"
 	"repro/internal/fault"
 	"repro/internal/lockmgr"
 	"repro/internal/obs"
@@ -43,9 +44,17 @@ type Session struct {
 
 	// sess is this session's gp_stat_activity entry.
 	sess *obs.SessionInfo
-	// cur is the in-flight statement's observability state; nil while idle
-	// or when query recording is disabled.
+	// cur is the in-flight statement's observability state, in ob; nil
+	// while idle.
 	cur *stmtObs
+	ob  stmtObs
+	// snap is the running statement's distributed snapshot, released and
+	// retaken per statement.
+	snap dtm.DistSnapshot
+	// insts are the instances of the cached templates this session runs,
+	// lowered under plan epoch instEpoch (see instanceOf).
+	insts     map[*plan.Planned]*instance
+	instEpoch uint64
 	// lastParse is the time the preceding Exec/Prepare spent in the parser
 	// (0 on a statement-cache hit); it becomes the trace's parse span.
 	lastParse time.Duration
@@ -128,6 +137,7 @@ func (s *Session) Exec(ctx context.Context, sqlText string, params ...types.Datu
 func (s *Session) Close() {
 	s.failed = false
 	s.abortCurrent()
+	s.insts = nil
 	s.engine.activity.Unregister(s.sess)
 }
 
@@ -251,7 +261,8 @@ func (s *Session) execParsed(ctx context.Context, st sql.Statement, entry *stmtE
 // gp_stat_activity "active" flip, and — under SET trace_queries — the
 // distributed trace with its parse span.
 func (s *Session) beginObserve(st sql.Statement, entry *stmtEntry, rawSQL string, parseDur time.Duration) *stmtObs {
-	ob := &stmtObs{qid: s.engine.activity.NextQueryID(), start: time.Now()}
+	ob := &s.ob
+	*ob = stmtObs{qid: s.engine.activity.NextQueryID(), start: time.Now()}
 	switch {
 	case rawSQL != "":
 		ob.sql = rawSQL // what the client actually sent
@@ -317,6 +328,7 @@ func (s *Session) finishObserve(ob *stmtObs, res *Result, err error) {
 		ob.root.End()
 		e.activity.Traces().Add(ob.trace)
 	}
+	*ob = stmtObs{}
 }
 
 func (s *Session) execBegin(ctx context.Context) (*Result, error) {
@@ -411,11 +423,15 @@ func (s *Session) planner(params []types.Datum) *plan.Planner {
 }
 
 // planFor returns the executable plan of a SELECT, INSERT, UPDATE or
-// DELETE: the statement's cached plan for the current epoch, settings and
-// parameter kinds — planned and stored on a miss — instantiated with params.
-// Under SET trace_queries the lookup, the planning and the instantiation
-// together are the trace's plan span, so a hit shows as a near-zero one.
-func (s *Session) planFor(st sql.Statement, entry *stmtEntry, params []types.Datum, robust bool) (*plan.Planned, error) {
+// DELETE bound to params. On a hit in the plan cache (current epoch,
+// settings and parameter kinds) it is the session's instance of the cached
+// template; on a miss the statement is planned, the plan stored when a
+// later execution can look it up, and run through a throwaway instance. A
+// text thus enters the session's set on its second execution, so texts run
+// once never displace the ones that repeat. Under SET trace_queries the
+// lookup, the planning and the binding together are the trace's plan span,
+// so a hit shows as a near-zero one.
+func (s *Session) planFor(st sql.Statement, entry *stmtEntry, params []types.Datum, robust bool) (*instance, error) {
 	if ob := s.cur; ob != nil && ob.trace != nil {
 		defer func(t0 time.Time) { ob.trace.Record(ob.root.ID(), "plan", -1, t0, time.Since(t0)) }(time.Now())
 	}
@@ -427,6 +443,7 @@ func (s *Session) planFor(st sql.Statement, entry *stmtEntry, params []types.Dat
 	if cacheable {
 		pl = entry.lookupPlan(s.engine.stmts, key)
 	}
+	hit := pl != nil
 	if pl == nil {
 		p := s.planner(params)
 		p.Robust = robust
@@ -440,7 +457,20 @@ func (s *Session) planFor(st sql.Statement, entry *stmtEntry, params []types.Dat
 			entry.storePlan(key, pl)
 		}
 	}
-	return pl.Bind(params)
+	var in *instance
+	var err error
+	if hit {
+		in, err = s.instanceOf(pl, key.epoch)
+	} else {
+		in, err = s.newInstance(pl)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := in.Bind(params); err != nil {
+		return nil, err
+	}
+	return in, nil
 }
 
 // execStatement runs one non-transaction-control statement inside s.txn.
@@ -462,15 +492,17 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 				cl.NoteRobustFallback()
 			}
 		}
-		pl, err := s.planFor(x, entry, params, robust)
+		in, err := s.planFor(x, entry, params, robust)
 		if err != nil {
 			return nil, err
 		}
+		pl := &in.Planned
 		var nodeRows *plan.NodeRowCounts
 		if costBased && !robust {
 			nodeRows = plan.NewNodeRowCounts(pl.Root)
 		}
-		res := &cluster.QueryResources{NodeRows: nodeRows}
+		in.res = cluster.QueryResources{NodeRows: nodeRows}
+		res := &in.res
 		if ob := s.cur; ob != nil {
 			res.Scan, res.Spill = &ob.scan, &ob.spill
 			if ob.trace != nil {
@@ -479,7 +511,7 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 				res.Ops = plan.NewOpStats(pl.Root, cl.SegCount())
 			}
 		}
-		rows, _, _, err := s.runPlanned(ctx, pl, res)
+		rows, _, _, err := s.runPlanned(ctx, in, res)
 		if err != nil {
 			return nil, err
 		}
@@ -489,7 +521,7 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 				cl.RecordMisestimate(key)
 			}
 		}
-		return &Result{Columns: columnNames(pl.Root.Schema()), Rows: rows, Tag: "SELECT"}, nil
+		return &Result{Columns: in.cols, Rows: rows, Tag: "SELECT"}, nil
 
 	case *sql.AnalyzeStmt:
 		n, err := cl.Analyze(ctx, x.Table)
@@ -499,15 +531,15 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		return &Result{RowsAffected: n, Tag: "ANALYZE"}, nil
 
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		pl, err := s.planFor(st, entry, params, false)
+		in, err := s.planFor(st, entry, params, false)
 		if err != nil {
 			return nil, err
 		}
-		_, n, _, err := s.runPlanned(ctx, pl, nil)
+		_, n, _, err := s.runPlanned(ctx, in, nil)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{RowsAffected: n, Tag: writeTag(pl.Root, n)}, nil
+		return &Result{RowsAffected: n, Tag: in.writeTag(n)}, nil
 
 	case *sql.LockStmt:
 		mode := lockmgr.ModeForName(x.Mode)
@@ -711,30 +743,32 @@ func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []
 	return res, nil
 }
 
-// runPlanned executes a planned SELECT, INSERT, UPDATE or DELETE: the
+// runPlanned executes a bound SELECT, INSERT, UPDATE or DELETE: the
 // coordinator lock (with the GPDB 5 FOR UPDATE serialization upgrade), the
 // per-statement CPU charge, and one cluster dispatch under a fresh
 // snapshot. The plain path and EXPLAIN ANALYZE both go through here, so the
 // measured execution is exactly the real one. res holds the collectors the
 // caller armed (nil: none); the resource-group hooks and the trace join them
-// here. It returns a SELECT's rows, the count of rows returned or written,
-// and the time the dispatch took.
-func (s *Session) runPlanned(ctx context.Context, pl *plan.Planned, res *cluster.QueryResources) ([]types.Row, int, time.Duration, error) {
-	cl := s.engine.cluster
-	mode := pl.LockMode // pl may be a cached plan shared with other sessions
+// here, in the instance's holder when the caller armed none. It returns a
+// SELECT's rows, the count of rows returned or written, and the time the
+// dispatch took.
+func (s *Session) runPlanned(ctx context.Context, in *instance, res *cluster.QueryResources) ([]types.Row, int, time.Duration, error) {
+	cl, pl := s.engine.cluster, &in.Planned
+	mode := pl.LockMode
 	if pl.ForUpdate && !cl.Config().GDD {
 		// GPDB 5 locking: FOR UPDATE serializes at the coordinator.
 		mode = lockmgr.Exclusive
 	}
-	if pl.LockTable != "" {
-		if err := cl.LockCoordinator(ctx, s.txn, pl.LockTable, mode); err != nil {
+	if in.lockTab != nil {
+		if err := cl.LockCoordinatorTable(ctx, s.txn, in.lockTab, mode); err != nil {
 			return nil, 0, 0, wrapLockErr(err)
 		}
 	}
 	rg, ob := s.useRG && s.slot != nil, s.cur
 	traced := ob != nil && ob.trace != nil
 	if res == nil && (rg || traced) {
-		res = &cluster.QueryResources{}
+		in.res = cluster.QueryResources{}
+		res = &in.res
 	}
 	if rg {
 		// The statement pays its CPU quantum and runs under the slot's
@@ -759,13 +793,14 @@ func (s *Session) runPlanned(ctx context.Context, pl *plan.Planned, res *cluster
 		res.ExecSpan = execSp.ID()
 	}
 	start := time.Now()
-	snap := cl.Snapshot()
-	rows, n, err := cl.Run(ctx, s.txn, snap, pl, res)
+	snap := cl.SnapshotInto(&s.snap)
+	rows, n, err := in.portal.Run(ctx, s.txn, snap, res)
 	cl.ReleaseSnapshot(snap)
 	elapsed := time.Since(start)
 	if res != nil && res.Ops != nil && res.Trace != nil {
-		recordOpSpans(res.Trace, res.ExecSpan, pl.Root, res.Ops, start)
+		recordOpSpans(res.Trace, res.ExecSpan, in.Root, res.Ops, start)
 	}
+	in.res = cluster.QueryResources{} // its collectors are the statement's
 	execSp.End()
 	if err != nil {
 		return nil, 0, 0, wrapLockErr(err)
@@ -804,11 +839,15 @@ func recordOpSpans(tr *obs.Trace, parent obs.SpanID, root plan.Node, ops *plan.O
 // scanned/skipped, spill activity, the rows returned or affected and the
 // elapsed time.
 func (s *Session) explainAnalyze(ctx context.Context, pl *plan.Planned) (*Result, error) {
+	in, err := s.newInstance(pl)
+	if err != nil {
+		return nil, err
+	}
 	var scan cluster.ScanCounters
 	var spill cluster.SpillCounters
 	res := &cluster.QueryResources{Scan: &scan, Spill: &spill,
 		NodeRows: plan.NewNodeRowCounts(pl.Root), Ops: plan.NewOpStats(pl.Root, s.engine.cluster.SegCount())}
-	_, n, elapsed, err := s.runPlanned(ctx, pl, res)
+	_, n, elapsed, err := s.runPlanned(ctx, in, res)
 	if err != nil {
 		return nil, err
 	}

@@ -130,10 +130,14 @@ func (c *Coordinator) Begin() DXID {
 // Snapshot captures the distributed in-progress set and registers the
 // snapshot as live until Release. Called per statement (read committed) by
 // the session layer.
-func (c *Coordinator) Snapshot() *DistSnapshot {
+func (c *Coordinator) Snapshot() *DistSnapshot { return c.SnapshotInto(new(DistSnapshot)) }
+
+// SnapshotInto is Snapshot into s, a released snapshot (or a zero one)
+// whose InProgress storage it reuses; it returns s.
+func (c *Coordinator) SnapshotInto(s *DistSnapshot) *DistSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := &DistSnapshot{Xmax: c.nextDxid, MaxCommitted: c.maxCommitted, InProgress: slices.Clone(c.inProgress), registered: true}
+	*s = DistSnapshot{Xmax: c.nextDxid, MaxCommitted: c.maxCommitted, InProgress: append(s.InProgress[:0], c.inProgress...), registered: true}
 	c.snapXmins = append(c.snapXmins, s.Xmin())
 	return s
 }

@@ -21,6 +21,22 @@ type BatchIterator interface {
 	Close()
 }
 
+// Reset readies a built operator tree, closed or not, to run its plan again
+// against what the plan's nodes hold now — a session's plan instance writes
+// each execution's $N values into the nodes it owns in place (see
+// plan.Instance). Every operator drops its per-run state, re-reads its node
+// and recompiles whatever it compiled from an expression. It reports false
+// when some operator cannot start over (a blocking operator, a motion
+// receiver, the wrapper of a statement's collectors, NodeRows or Ops, which
+// belong to that statement): the caller then builds the tree anew.
+func Reset(it BatchIterator) bool {
+	r, ok := it.(resetter)
+	return ok && r.reset()
+}
+
+// resetter is an operator Reset can start over; reset resets its children.
+type resetter interface{ reset() bool }
+
 // scanStreamDepth is how many in-flight batches a streaming scan may buffer
 // between the storage goroutine and the consuming operator. Together with
 // the batch size it bounds scan memory — the whole point of streaming
@@ -179,12 +195,19 @@ func (s *batchScanIter) Close() {
 	}
 }
 
+func (s *batchScanIter) reset() bool {
+	s.Close()
+	*s = batchScanIter{ctx: s.ctx, node: s.node, pred: plan.CompilePredicate(s.node.Filter)}
+	return true
+}
+
 // batchFilterIter drops rows failing the (compiled) predicate by narrowing
 // each child batch's selection vector — survivors are marked, not copied;
 // densification is deferred to the next ownership boundary (a motion send or
 // an explicit clone).
 type batchFilterIter struct {
 	child BatchIterator
+	cond  plan.Expr
 	pred  *plan.Predicate
 }
 
@@ -204,6 +227,11 @@ func (f *batchFilterIter) NextBatch() (*types.RowBatch, error) {
 }
 
 func (f *batchFilterIter) Close() { f.child.Close() }
+
+func (f *batchFilterIter) reset() bool {
+	f.pred = plan.CompilePredicate(f.cond)
+	return Reset(f.child)
+}
 
 // batchProjectIter computes output expressions for a whole batch per call. A
 // row batch yields fresh rows in a reused container allocated to the input
@@ -268,6 +296,15 @@ func (p *batchProjectIter) NextBatch() (*types.RowBatch, error) {
 }
 
 func (p *batchProjectIter) Close() { p.child.Close() }
+
+func (p *batchProjectIter) reset() bool {
+	p.col = nil // its vectors may have broadcast a cell's old value
+	if p.out != nil {
+		clear(p.out.Rows) // the rows are the consumer's now
+		p.out.Reset()
+	}
+	return Reset(p.child)
+}
 
 // batchAggIter is the vectorized hash aggregate: input is absorbed
 // batch-at-a-time into the shared aggregation core and the grouped output is
@@ -378,7 +415,7 @@ func newOperator(ctx *Context, node plan.Node) BatchIterator {
 	child := func(n plan.Node) BatchIterator { return BuildBatch(ctx, n) }
 	switch n := node.(type) {
 	case *plan.Values:
-		return &rowWindows{rows: n.Rows, size: ctx.batchSize()}
+		return &valuesIter{rowWindows: rowWindows{rows: n.Rows, size: ctx.batchSize()}, node: n}
 	case *plan.Scan:
 		if ctx.Store == nil {
 			return errBatchIterf("exec: scan of %s in a storage-less slice", n.Table.Name)
@@ -398,7 +435,7 @@ func newOperator(ctx *Context, node plan.Node) BatchIterator {
 		}
 		return newMarkedScanIter(ctx, n, n.ForUpdate)
 	case *plan.Filter:
-		return &batchFilterIter{child: child(n.Child), pred: plan.CompilePredicate(n.Cond)}
+		return &batchFilterIter{child: child(n.Child), cond: n.Cond, pred: plan.CompilePredicate(n.Cond)}
 	case *plan.Project:
 		return &batchProjectIter{child: child(n.Child), exprs: n.Exprs}
 	case *plan.HashJoin:
@@ -410,7 +447,7 @@ func newOperator(ctx *Context, node plan.Node) BatchIterator {
 	case *plan.Sort:
 		return newBatchSortIter(ctx, n, child(n.Child))
 	case *plan.Limit:
-		return &batchLimitIter{child: child(n.Child), skip: n.Offset, left: n.Count}
+		return &batchLimitIter{child: child(n.Child), node: n, skip: n.Offset, left: n.Count}
 	case *plan.Motion:
 		if ctx.Inline != nil {
 			return BuildBatch(ctx.Inline, n.Child)

@@ -335,7 +335,7 @@ func TestModifyCollectsBeforeWriting(t *testing.T) {
 		SetExprs: []plan.Expr{&plan.BinOp{Op: "+", Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(10)}}},
 		Child: plan.NewScan(tab, []catalog.TableID{1}, &plan.BinOp{
 			Op: "<", Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(100)}})}
-	n, err := Modify(ctxWithStore(store), up)
+	n, err := new(Modifier).Modify(ctxWithStore(store), up)
 	if err != nil || n != 3 {
 		t.Fatalf("update wrote %d rows (%v), want 3", n, err)
 	}
@@ -346,7 +346,7 @@ func TestModifyCollectsBeforeWriting(t *testing.T) {
 	})
 	requireSameRows(t, []types.Row{intRow(10), intRow(11), intRow(12)}, live)
 	del := &plan.DeletePlan{Table: tab, Child: up.Child}
-	if n, err := Modify(ctxWithStore(store), del); err != nil || n != 3 {
+	if n, err := new(Modifier).Modify(ctxWithStore(store), del); err != nil || n != 3 {
 		t.Fatalf("delete wrote %d rows (%v), want 3", n, err)
 	}
 }
@@ -368,13 +368,13 @@ func TestModifyInsertsIntoLeaves(t *testing.T) {
 		return v
 	}
 	store := &memStore{}
-	n, err := Modify(ctxWithStore(store), &plan.InsertPlan{Table: tab, Child: values(1, 12, 5)})
+	n, err := new(Modifier).Modify(ctxWithStore(store), &plan.InsertPlan{Table: tab, Child: values(1, 12, 5)})
 	if err != nil || n != 3 {
 		t.Fatalf("insert wrote %d rows (%v), want 3", n, err)
 	}
 	requireSameRows(t, []types.Row{intRow(1), intRow(5)}, store.tables[2])
 	requireSameRows(t, []types.Row{intRow(12)}, store.tables[3])
-	if _, err := Modify(ctxWithStore(store), &plan.InsertPlan{Table: tab, Child: values(25)}); err == nil {
+	if _, err := new(Modifier).Modify(ctxWithStore(store), &plan.InsertPlan{Table: tab, Child: values(25)}); err == nil {
 		t.Fatal("a row no partition accepts was stored")
 	}
 }

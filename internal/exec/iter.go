@@ -38,6 +38,17 @@ func (w *rowWindows) NextBatch() (*types.RowBatch, error) {
 
 func (w *rowWindows) Close() { w.rows = nil }
 
+// valuesIter is a Values leaf: its node's rows, as windows.
+type valuesIter struct {
+	rowWindows
+	node *plan.Values
+}
+
+func (v *valuesIter) reset() bool {
+	v.rows = v.node.Rows
+	return true
+}
+
 // errBatchIter reports a construction error on the first pull.
 type errBatchIter struct{ err error }
 
@@ -52,7 +63,8 @@ func errBatchIterf(format string, args ...any) BatchIterator {
 // row-callback path rather than the streaming batch scan: an index probe, or
 // the SELECT ... FOR UPDATE scan, whose row lock is taken inside the storage
 // callback for kept rows only. It loads on the first pull and emits the kept
-// rows, cloned out of shared storage, as windows.
+// rows, cloned out of shared storage, as windows of kept, which a reset
+// recycles.
 type markedScanIter struct {
 	rowWindows
 	ctx    *Context
@@ -60,19 +72,28 @@ type markedScanIter struct {
 	filter plan.Expr
 	lock   bool
 	loaded bool
+	kept   []types.Row
+	// key is an index probe's key, evaluated per load; visitFn is visit,
+	// bound once.
+	key     []types.Datum
+	visitFn func(types.Row) (keep, cont bool, err error)
 }
 
 func newMarkedScanIter(ctx *Context, leaf plan.Node, lock bool) *markedScanIter {
-	return &markedScanIter{rowWindows: rowWindows{size: ctx.batchSize()}, ctx: ctx, leaf: leaf,
+	s := &markedScanIter{rowWindows: rowWindows{size: ctx.batchSize()}, ctx: ctx, leaf: leaf,
 		filter: leafFilter(leaf), lock: lock}
+	s.visitFn = s.visit
+	return s
 }
 
 func (s *markedScanIter) NextBatch() (*types.RowBatch, error) {
 	if !s.loaded {
 		s.loaded = true
-		if err := scanMarked(s.ctx, s.leaf, RowMark{Lock: s.lock}, s.visit); err != nil {
+		var err error
+		if s.key, err = scanMarked(s.ctx, s.leaf, RowMark{Lock: s.lock}, s.key, s.visitFn); err != nil {
 			return nil, err
 		}
+		s.rows = s.kept
 	}
 	return s.rowWindows.NextBatch()
 }
@@ -81,35 +102,50 @@ func (s *markedScanIter) NextBatch() (*types.RowBatch, error) {
 func (s *markedScanIter) visit(row types.Row) (bool, bool, error) {
 	keep, err := plan.EvalBool(s.filter, row)
 	if keep && err == nil {
-		s.rows = append(s.rows, row.Clone())
+		s.kept = append(s.kept, row.Clone())
 	}
 	return keep, true, err
 }
 
+func (s *markedScanIter) Close() {
+	s.rowWindows.Close()
+	clear(s.kept) // the rows are the consumer's now
+}
+
+func (s *markedScanIter) reset() bool {
+	clear(s.kept)
+	if s.kept = s.kept[:0]; cap(s.kept) > s.size {
+		s.kept = nil // a large scan's buffer is not kept between runs
+	}
+	s.rows, s.loaded, s.filter = nil, false, leafFilter(s.leaf)
+	return true
+}
+
 // scanMarked drives a Scan or IndexScan leaf through the store's
-// row-callback path under mark, with visit as the storage callback.
-func scanMarked(ctx *Context, leaf plan.Node, mark RowMark, visit func(types.Row) (keep, cont bool, err error)) error {
+// row-callback path under mark, with visit as the storage callback. An index
+// probe evaluates its key into key's storage, which it returns.
+func scanMarked(ctx *Context, leaf plan.Node, mark RowMark, key []types.Datum, visit func(types.Row) (keep, cont bool, err error)) ([]types.Datum, error) {
 	switch n := leaf.(type) {
 	case *plan.Scan:
 		spec := ScanSpec{Cols: n.Project, Pred: n.ScanPred}
 		for _, l := range n.Partitions {
 			if err := ctx.Store.ScanTable(ctx.Ctx, l, spec, mark, visit); err != nil {
-				return err
+				return key, err
 			}
 		}
-		return nil
+		return key, nil
 	case *plan.IndexScan:
-		key := make([]types.Datum, len(n.KeyVals))
-		for i, e := range n.KeyVals {
+		key = key[:0]
+		for _, e := range n.KeyVals {
 			v, err := e.Eval(nil)
 			if err != nil {
-				return err
+				return key, err
 			}
-			key[i] = v
+			key = append(key, v)
 		}
-		return ctx.Store.IndexLookup(ctx.Ctx, n.Table, n.Index, key, mark, visit)
+		return key, ctx.Store.IndexLookup(ctx.Ctx, n.Table, n.Index, key, mark, visit)
 	}
-	return fmt.Errorf("exec: %T is not a table access", leaf)
+	return key, fmt.Errorf("exec: %T is not a table access", leaf)
 }
 
 // leafFilter returns a Scan's or IndexScan's filter.
@@ -123,19 +159,35 @@ func leafFilter(leaf plan.Node) plan.Expr {
 	return nil
 }
 
-// Modify is the executor's write sink, for INSERT, UPDATE and DELETE alike:
-// the top slice of a write on each segment it targets. An INSERT takes its
-// VALUES rows (the share routed here, ctx.Routed, when dispatch routed
-// them) or pulls its child's, and stores each in the partition leaf that
-// accepts it, one StoreAccess.InsertRow each. An UPDATE or DELETE runs the
-// plan's access path as a target scan, collecting the identity of every row
-// the path's filter keeps, and only then writes them, one
-// StoreAccess.WriteRow each.
+// A Modifier is the executor's write sink, for INSERT, UPDATE and DELETE
+// alike: the top slice of a write on each segment it targets. Its scratch —
+// the index probe's key, the target list and the storage callback — is kept
+// from one run to the next, for a caller that writes through the same plan
+// again and again. One goroutine uses a Modifier at a time.
+type Modifier struct {
+	key     []types.Datum
+	targets []RowID
+	filter  plan.Expr
+	visitFn func(types.Row) (keep, cont bool, err error) // visit, bound once
+}
+
+// visit is a target scan's storage callback: the filter's verdict.
+func (m *Modifier) visit(row types.Row) (bool, bool, error) {
+	keep, err := plan.EvalBool(m.filter, row)
+	return keep, true, err
+}
+
+// Modify runs the write root. An INSERT takes its VALUES rows (the share
+// routed here, ctx.Routed, when dispatch routed them) or pulls its child's,
+// and stores each in the partition leaf that accepts it, one
+// StoreAccess.InsertRow each. An UPDATE or DELETE runs the plan's access path
+// as a target scan, collecting the identity of every row the path's filter
+// keeps, and only then writes them, one StoreAccess.WriteRow each.
 // Both read their whole input before the first write, so no row the
 // statement writes is ever read by it again (the Halloween problem). It
 // returns the rows written; armed operator statistics get them, and the
 // access path's actual rows.
-func Modify(ctx *Context, root plan.Node) (n int, err error) {
+func (m *Modifier) Modify(ctx *Context, root plan.Node) (n int, err error) {
 	if st := ctx.opStat(root); st != nil {
 		defer func(t0 time.Time) {
 			st.WallNanos.Add(time.Since(t0).Nanoseconds())
@@ -160,20 +212,20 @@ func Modify(ctx *Context, root plan.Node) (n int, err error) {
 	if st != nil {
 		t0 = time.Now()
 	}
-	filter := leafFilter(child)
-	var targets []RowID
-	if err = scanMarked(ctx, child, RowMark{Targets: &targets}, func(row types.Row) (bool, bool, error) {
-		keep, err := plan.EvalBool(filter, row)
-		return keep, true, err
-	}); err != nil {
+	if m.visitFn == nil {
+		m.visitFn = m.visit
+	}
+	m.filter, m.targets = leafFilter(child), m.targets[:0]
+	defer m.trim()
+	if m.key, err = scanMarked(ctx, child, RowMark{Targets: &m.targets}, m.key, m.visitFn); err != nil {
 		return 0, err
 	}
 	if st != nil {
 		st.WallNanos.Add(time.Since(t0).Nanoseconds())
-		st.Rows.Add(int64(len(targets)))
+		st.Rows.Add(int64(len(m.targets)))
 		st.Batches.Add(1)
 	}
-	for _, id := range targets {
+	for _, id := range m.targets {
 		ok, err := ctx.Store.WriteRow(ctx.Ctx, id, up)
 		if err != nil {
 			return n, err
@@ -185,7 +237,14 @@ func Modify(ctx *Context, root plan.Node) (n int, err error) {
 	return n, nil
 }
 
-// insert is Modify's INSERT: every row of the child, stored.
+// trim drops a large write's target list rather than keep it between runs.
+func (m *Modifier) trim() {
+	if cap(m.targets) > types.DefaultBatchSize {
+		m.targets = nil
+	}
+}
+
+// insert is Modifier.Modify's INSERT: every row of the child, stored.
 func insert(ctx *Context, ip *plan.InsertPlan) (int, error) {
 	rows := ctx.Routed
 	if v, ok := ip.Child.(*plan.Values); ok && rows == nil {
@@ -518,8 +577,9 @@ func (s *batchSortIter) Close() {
 // or a sort's buffer does not outlive the rows that were wanted.
 type batchLimitIter struct {
 	child  BatchIterator
-	skip   int64 // rows still to drop (OFFSET)
-	left   int64 // rows still to emit; < 0 = unlimited
+	node   *plan.Limit // nil for a top-N sort's bound
+	skip   int64       // rows still to drop (OFFSET)
+	left   int64       // rows still to emit; < 0 = unlimited
 	out    types.RowBatch
 	closed bool
 }
@@ -558,4 +618,12 @@ func (l *batchLimitIter) Close() {
 		l.closed = true
 		l.child.Close()
 	}
+}
+
+func (l *batchLimitIter) reset() bool {
+	if l.node == nil {
+		return false
+	}
+	l.skip, l.left, l.out, l.closed = l.node.Offset, l.node.Count, types.RowBatch{}, false
+	return Reset(l.child)
 }

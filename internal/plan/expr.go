@@ -59,8 +59,8 @@ func (c *Const) String() string { return c.Val.String() }
 // parameter, so the plan around it is a template every execution can share.
 // Typ is the slot's static kind — the kind of the value bound when the
 // template was planned, or the kind coercePair decided it is cast to — and
-// Planned.Bind replaces the slot by a Const of that kind before the plan
-// runs; a slot is never evaluated.
+// Planned.Lower replaces the slot by a Const cell that Instance.Bind sets to
+// a value of that kind before the plan runs; a slot is never evaluated.
 type Param struct {
 	Idx int // zero-based: $1 is 0
 	Typ types.Kind

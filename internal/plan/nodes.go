@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -153,7 +154,7 @@ func (s *IndexScan) Children() []Node { return nil }
 
 // Explain implements Node.
 func (s *IndexScan) Explain() string {
-	return fmt.Sprintf("Index Scan using %s on %s", s.Index.Name, s.Table.Name)
+	return "Index Scan using " + s.Index.Name + " on " + s.Table.Name
 }
 
 // Project computes output expressions.
@@ -531,9 +532,9 @@ func (m *Motion) Children() []Node { return []Node{m.Child} }
 // Explain implements Node.
 func (m *Motion) Explain() string {
 	if m.FromCoordinator {
-		return fmt.Sprintf("%s (slice%d; from coordinator)", m.Type, m.SliceID)
+		return m.Type.String() + " (slice" + strconv.Itoa(m.SliceID) + "; from coordinator)"
 	}
-	return fmt.Sprintf("%s (slice%d)", m.Type, m.SliceID)
+	return m.Type.String() + " (slice" + strconv.Itoa(m.SliceID) + ")"
 }
 
 // Values is a leaf of literal rows: the one empty row of a SELECT without

@@ -55,7 +55,7 @@ type Planner struct {
 	Stats       Stats
 	// Params are the values bound to $N placeholders. The plan keeps a slot
 	// per placeholder and takes only the values' kinds from here (see
-	// Planned.Bind), except where planning itself consumes the values: the
+	// Instance.Bind), except where planning itself consumes the values: the
 	// cost-based passes, whose estimates depend on them, INSERT rows, and
 	// under Fold.
 	Params []types.Datum
@@ -118,8 +118,8 @@ type Planned struct {
 	// and the executor's risk-bound misestimate check).
 	Costs map[Node]*NodeCost
 
-	// slots marks a template: the plan holds $N slots and must go through
-	// Bind before it runs. nseg is the planner setting Bind's value-dependent
+	// slots marks a template: the plan holds $N slots and runs only as a
+	// bound Instance. nseg is the planner setting Bind's value-dependent
 	// steps need.
 	slots bool
 	nseg  int

@@ -103,9 +103,26 @@ func describe(pl *Planned) string {
 	return sb.String()
 }
 
-// TestBindEqualsFoldedPlan: instantiating a template must give the plan the
-// planner builds when it sees the values — plan tree, pushdown, pruned
-// partitions, index keys, LIMIT and the direct-dispatch segment.
+// shifted returns params with every number moved, the kinds kept: another
+// execution's values for the same template.
+func shifted(params []types.Datum) []types.Datum {
+	out := make([]types.Datum, len(params))
+	for i, v := range params {
+		switch v.Kind() {
+		case types.KindInt:
+			v = types.NewInt(v.Int() + 3)
+		case types.KindFloat:
+			v = types.NewFloat(v.Float() + 3)
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// TestBindEqualsFoldedPlan: a lowered template bound to values must be the
+// plan the planner builds when it sees them — plan tree, pushdown, pruned
+// partitions, index keys, LIMIT and the direct-dispatch segment — also when
+// the instance ran another execution's values first.
 func TestBindEqualsFoldedPlan(t *testing.T) {
 	cat := templateCatalog(t)
 	day := types.NewText("2021-06-01")
@@ -125,6 +142,7 @@ func TestBindEqualsFoldedPlan(t *testing.T) {
 		{"SELECT v FROM two WHERE a = $1", ints(1)},
 		{"SELECT amt FROM sales WHERE id = $1 AND d = $2", ints(5, 150)},
 		{"SELECT amt FROM sales WHERE d >= $1 AND d < $2", ints(100, 200)},
+		{"SELECT amt FROM sales WHERE d < $1 OR id = $2", ints(100, 3)},
 		{"SELECT c2 FROM t1 WHERE c1 IN ($1, $2)", ints(1, 2)},
 		{"SELECT count(*), sum(c2 + $2) FROM t1 WHERE c1 = $1", ints(7, 1)},
 		{"SELECT c1, c2 FROM t1 WHERE c1 = $1 ORDER BY c2 LIMIT $2 OFFSET $3", ints(7, 5, 1)},
@@ -148,20 +166,22 @@ func TestBindEqualsFoldedPlan(t *testing.T) {
 			t.Errorf("%s: planned without slots", tc.q)
 		}
 		before := describe(tmpl)
-		got, err := tmpl.Bind(tc.params)
-		if err != nil {
-			t.Errorf("%s: Bind: %v", tc.q, err)
-			continue
+		in := tmpl.Lower()
+		for _, params := range [][]types.Datum{shifted(tc.params), tc.params} {
+			if err := in.Bind(params); err != nil {
+				t.Errorf("%s: Bind %v: %v", tc.q, params, err)
+				continue
+			}
+			want := planWith(t, cat, tc.q, true, params)
+			if describe(&in.Planned) != describe(want) {
+				t.Errorf("%s %v:\nbound instance:\n%s\nfolded plan:\n%s", tc.q, params, describe(&in.Planned), describe(want))
+			}
 		}
-		want := planWith(t, cat, tc.q, true, tc.params)
-		if describe(got) != describe(want) {
-			t.Errorf("%s:\nbound template:\n%s\nfolded plan:\n%s", tc.q, describe(got), describe(want))
-		}
-		if got.slots {
-			t.Errorf("%s: bound plan is still marked a template", tc.q)
+		if in.slots {
+			t.Errorf("%s: bound instance is still marked a template", tc.q)
 		}
 		if describe(tmpl) != before {
-			t.Errorf("%s: Bind changed the template", tc.q)
+			t.Errorf("%s: Lower or Bind changed the template", tc.q)
 		}
 	}
 }
@@ -223,20 +243,22 @@ func TestDirectSegmentDerivation(t *testing.T) {
 	}
 }
 
-// TestBindSharesTemplateConcurrently binds one template from many
-// goroutines (run under -race): instantiation must only read it.
+// TestBindSharesTemplateConcurrently lowers one template in many goroutines,
+// each a session binding its own instance over and over (run under -race):
+// lowering and binding must only read the template.
 func TestBindSharesTemplateConcurrently(t *testing.T) {
 	cat := templateCatalog(t)
 	tmpl := planWith(t, cat, "SELECT amt FROM sales WHERE id = $1 AND d = $2 ORDER BY amt LIMIT $3", false, ints(1, 1, 1))
+	before := describe(tmpl)
 	var wg sync.WaitGroup
 	for g := int64(0); g < 8; g++ {
 		wg.Add(1)
 		go func(g int64) {
 			defer wg.Done()
+			pl := tmpl.Lower()
 			for i := int64(0); i < 200; i++ {
 				params := ints(g*1000+i, (g*37+i)%300, i%7)
-				pl, err := tmpl.Bind(params)
-				if err != nil {
+				if err := pl.Bind(params); err != nil {
 					t.Error(err)
 					return
 				}
@@ -250,6 +272,9 @@ func TestBindSharesTemplateConcurrently(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if describe(tmpl) != before {
+		t.Fatalf("the template changed under its instances:\n%s\nwas:\n%s", describe(tmpl), before)
+	}
 }
 
 // TestBindErrors: a bad bound LIMIT and a missing parameter surface as
@@ -262,5 +287,21 @@ func TestBindErrors(t *testing.T) {
 	}
 	if _, err := tmpl.Bind(nil); err == nil || !strings.Contains(err.Error(), "not supplied") {
 		t.Fatalf("missing parameter: %v", err)
+	}
+}
+
+// TestInstanceBindAfterErrors: a bad bound LIMIT and a missing parameter
+// leave an instance ready for the next values.
+func TestInstanceBindAfterErrors(t *testing.T) {
+	cat := templateCatalog(t)
+	in := planWith(t, cat, "SELECT c1 FROM t1 LIMIT $1", false, ints(1)).Lower()
+	if err := in.Bind([]types.Datum{types.NewText("many")}); err == nil || !strings.Contains(err.Error(), "bad LIMIT") {
+		t.Fatalf("text LIMIT: %v", err)
+	}
+	if err := in.Bind(nil); err == nil || !strings.Contains(err.Error(), "not supplied") {
+		t.Fatalf("missing parameter: %v", err)
+	}
+	if err := in.Bind(ints(4)); err != nil || in.Root.(*Limit).Count != 4 {
+		t.Fatalf("after the failures: %v, limit %d", err, in.Root.(*Limit).Count)
 	}
 }

@@ -675,6 +675,19 @@ func (c *conn) runStatement(run func(context.Context) (*core.Result, error)) {
 		_ = c.sendReady()
 		return
 	}
+	if err := c.sendResult(res); errors.Is(err, ErrFrameTooLarge) {
+		// The oversized frame was cut back off the output buffer, so the
+		// stream stays well-formed: the client gets an error in place of
+		// the rest of the result, then Ready.
+		_ = c.sendErr(fmt.Errorf("server: a result frame exceeds %d bytes: %w", MaxFrameLen, err))
+	} else if err != nil {
+		return // the socket failed; nobody is listening
+	}
+	_ = c.sendReady()
+}
+
+// sendResult sends a statement's row description, rows and completion.
+func (c *conn) sendResult(res *core.Result) error {
 	if len(res.Columns) > 0 {
 		desc := &RowDesc{Cols: make([]ColDesc, len(res.Columns))}
 		for i, name := range res.Columns {
@@ -683,17 +696,14 @@ func (c *conn) runStatement(run func(context.Context) (*core.Result, error)) {
 				desc.Cols[i].Kind = res.Rows[0][i].Kind()
 			}
 		}
-		if c.send(MsgRowDesc, desc.Append) != nil {
-			return
+		if err := c.send(MsgRowDesc, desc.Append); err != nil {
+			return err
 		}
 		for _, row := range res.Rows {
-			if c.send(MsgDataRow, (&DataRow{Row: row}).Append) != nil {
-				return
+			if err := c.send(MsgDataRow, (&DataRow{Row: row}).Append); err != nil {
+				return err
 			}
 		}
 	}
-	if c.send(MsgComplete, (&Complete{Tag: res.Tag, RowsAffected: int64(res.RowsAffected)}).Append) != nil {
-		return
-	}
-	_ = c.sendReady()
+	return c.send(MsgComplete, (&Complete{Tag: res.Tag, RowsAffected: int64(res.RowsAffected)}).Append)
 }

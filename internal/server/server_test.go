@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -515,5 +516,29 @@ func TestFailedBindClearsPortal(t *testing.T) {
 
 	if res := mustExecNet(t, c, "SELECT count(*) FROM pt"); res.Rows[0][0].Int() != 1 {
 		t.Fatalf("pt holds %d rows, want 1: an Execute re-ran a stale portal", res.Rows[0][0].Int())
+	}
+}
+
+// TestOversizedRowGetsError: a result row too large for one frame ends the
+// statement with an Error and Ready well before the client's deadline, and
+// the connection goes on to run the next statement.
+func TestOversizedRowGetsError(t *testing.T) {
+	_, srv := startServer(t, 2, server.Config{})
+	c := dialT(t, srv)
+	defer c.Close()
+	half := types.NewText(strings.Repeat("x", 9<<20)) // doubled, past MaxFrameLen
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := c.Exec(ctx, "SELECT $1 || $1", half)
+	var se *client.ServerError
+	if !errors.As(err, &se) || !strings.Contains(se.Message, "exceeds") {
+		t.Fatalf("oversized row: err = %v, want a server error naming the frame limit", err)
+	}
+	if waited := time.Since(start); waited > 15*time.Second {
+		t.Fatalf("the error took %v: the client waited on its deadline", waited)
+	}
+	if res := mustExecNet(t, c, "SELECT 1"); len(res.Rows) != 1 || res.Rows[0][0].Int() != 1 {
+		t.Fatalf("next statement on the connection: %v", res.Rows)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -338,13 +339,55 @@ func zlibCompress(b []byte) []byte {
 	return buf.Bytes()
 }
 
-func zlibDecompress(b []byte) ([]byte, error) {
-	r, err := zlib.NewReader(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
+// inflater is a pooled inflate reader with the source it reads.
+type inflater struct {
+	src bytes.Reader
+	r   io.Reader // a zlib reader over src; nil until first used
+}
+
+// zlibReaders recycles inflaters: a new zlib reader allocates ~40 KB of
+// decompressor state for every cold block decode.
+var zlibReaders = sync.Pool{New: func() any { return new(inflater) }}
+
+// inflateBufs recycles the buffers cold blocks inflate into. decodeVec
+// copies out everything it keeps (a text block's bytes into one string of
+// its own), so a buffer goes back as soon as its vector is built.
+var inflateBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxKeptInflate bounds the buffers inflateBufs keeps.
+const maxKeptInflate = 1 << 20
+
+// zlibDecompress inflates b into dst's storage, sized first for n values of
+// a fixed-width kind (a kind byte and eight payload bytes; text grows it).
+func zlibDecompress(dst, b []byte, n int) ([]byte, error) {
+	z := zlibReaders.Get().(*inflater)
+	z.src.Reset(b)
+	var err error
+	if z.r == nil {
+		z.r, err = zlib.NewReader(&z.src)
+	} else {
+		err = z.r.(zlib.Resetter).Reset(&z.src, nil)
 	}
-	defer r.Close()
-	return io.ReadAll(r)
+	if err != nil {
+		return dst, err // a reader that failed to start is not pooled
+	}
+	dst = slices.Grow(dst[:0], 9*n)
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, max(len(dst), 512))
+		}
+		m, rerr := z.r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+m]
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return dst, rerr
+		}
+	}
+	z.src.Reset(nil)
+	zlibReaders.Put(z)
+	return dst, nil
 }
 
 // compressBlock seals a column vector under the chosen codec. It returns the
@@ -370,11 +413,17 @@ func decompressBlock(codec Compression, data []byte, n int) (*types.Vec, error) 
 	case CompressionRLEDelta:
 		return rleDeltaDecode(data, n)
 	case CompressionZlib:
-		raw, err := zlibDecompress(data)
-		if err != nil {
-			return nil, err
+		buf := inflateBufs.Get().(*[]byte)
+		raw, err := zlibDecompress(*buf, data, n)
+		var v *types.Vec
+		if err == nil {
+			v, err = decodeVec(raw, n)
 		}
-		return decodeVec(raw, n)
+		if cap(raw) <= maxKeptInflate {
+			*buf = raw
+			inflateBufs.Put(buf)
+		}
+		return v, err
 	default:
 		return decodeVec(data, n)
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -50,6 +51,54 @@ func FuzzColumnBlock(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestZlibDecodeAllocations decodes a 1 024-row float block and a text block
+// sealed under zlib, the way a cold scan of an AO-column table decodes every
+// block the block cache misses. The inflate reader and its output buffer are
+// recycled, so a decode allocates the vector it returns, not a reader's
+// decompressor state and a buffer grown from empty. The float block's values
+// use long Huffman codes, whose lookup tables compress/flate builds afresh
+// for every deflate block: about 25 of its allocations. A recycled buffer
+// must not leak into an earlier block's values.
+func TestZlibDecodeAllocations(t *testing.T) {
+	floats := make([]types.Datum, 1024)
+	texts := make([]types.Datum, 1024)
+	for i := range floats {
+		floats[i] = types.NewFloat(float64(i*37%1000) / 8)
+		texts[i] = types.NewText(fmt.Sprintf("tag-%d", i%97))
+	}
+	fdata, _ := compressBlock(CompressionZlib, floats)
+	tdata, _ := compressBlock(CompressionZlib, texts)
+	first, err := decompressBlock(CompressionZlib, tdata, len(texts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		data []byte
+		max  float64
+	}{"float": {fdata, 30}, "text": {tdata, 6}} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := decompressBlock(CompressionZlib, c.data, 1024); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("decoding a zlib %s block: %.0f allocations", name, allocs)
+		if allocs > c.max && !raceEnabled {
+			t.Errorf("decoding a zlib %s block: %.0f allocations, want at most %.0f", name, allocs, c.max)
+		}
+	}
+	for i, want := range texts {
+		if got := first.At(i); got != want {
+			t.Fatalf("[%d] = %v after later decodes, want %v", i, got, want)
+		}
+	}
+	// The row count only sizes the buffer: a block sized for none, into no
+	// storage, still inflates whole.
+	want := len(encodeDatums(texts))
+	if raw, err := zlibDecompress(nil, tdata, 0); err != nil || len(raw) != want {
+		t.Fatalf("inflated %d bytes (%v) from no storage, want %d", len(raw), err, want)
+	}
 }
 
 // TestZlibSealAllocations seals a 1 024-row float block under zlib, the way

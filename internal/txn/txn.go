@@ -272,10 +272,15 @@ func (m *Manager) IsRunning(xid XID) bool {
 }
 
 // TakeSnapshot captures the local in-progress set.
-func (m *Manager) TakeSnapshot() *Snapshot {
+func (m *Manager) TakeSnapshot() *Snapshot { return m.TakeSnapshotInto(new(Snapshot)) }
+
+// TakeSnapshotInto captures the local in-progress set into s, reusing its
+// InProgress storage, and returns s.
+func (m *Manager) TakeSnapshotInto(s *Snapshot) *Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return &Snapshot{Xmin: m.oldestLocked(), Xmax: m.nextXID, InProgress: slices.Clone(m.running)}
+	*s = Snapshot{Xmin: m.oldestLocked(), Xmax: m.nextXID, InProgress: append(s.InProgress[:0], m.running...)}
+	return s
 }
 
 // OldestRunning returns the smallest in-progress xid, or nextXID when idle:
