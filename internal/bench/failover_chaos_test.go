@@ -26,9 +26,9 @@ func chaosConfig(nseg int) *cluster.Config {
 func awaitFailovers(t *testing.T, e *core.Engine, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for e.Cluster().Failovers() < n {
+	for metric(e.Metrics(), "fts.failovers") < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("failovers stuck at %d, want %d", e.Cluster().Failovers(), n)
+			t.Fatalf("failovers stuck at %d, want %d", metric(e.Metrics(), "fts.failovers"), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -261,7 +261,7 @@ func TestChaosRepeatedKillRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(5 * time.Second)
-		for e.Cluster().Failovers() < int64(round+1) {
+		for metric(e.Metrics(), "fts.failovers") < int64(round+1) {
 			if time.Now().After(deadline) {
 				t.Fatal("failover stalled")
 			}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -31,6 +32,12 @@ func exec(t *testing.T, s *core.Session, q string, args ...types.Datum) *core.Re
 		t.Fatalf("Exec(%q): %v", q, err)
 	}
 	return res
+}
+
+// metric reads one registry series by its dotted name (0 when absent).
+func metric(r *obs.Registry, name string) int64 {
+	v, _ := r.Value(name)
+	return v
 }
 
 // TestTPCBConsistencyUnderConcurrency runs concurrent single-row update
@@ -151,7 +158,7 @@ func TestOnePhaseCommitCounters(t *testing.T) {
 		exec(t, s, "INSERT INTO t (c1, c2) VALUES (1, $1)", types.NewInt(int64(i)))
 	}
 	exec(t, s, "COMMIT")
-	one, two, _, _ := e.Cluster().CommitStats()
+	one, two := metric(e.Metrics(), "txn.commits_1pc"), metric(e.Metrics(), "txn.commits_2pc")
 	if one != 1 {
 		t.Fatalf("one-phase commits = %d, want 1 (two=%d)", one, two)
 	}
@@ -161,7 +168,7 @@ func TestOnePhaseCommitCounters(t *testing.T) {
 		exec(t, s, "INSERT INTO t (c1, c2) VALUES ($1, 0)", types.NewInt(int64(i)))
 	}
 	exec(t, s, "COMMIT")
-	_, two2, _, _ := e.Cluster().CommitStats()
+	two2 := metric(e.Metrics(), "txn.commits_2pc")
 	if two2 != two+1 {
 		t.Fatalf("two-phase commits = %d, want %d", two2, two+1)
 	}
@@ -172,7 +179,7 @@ func TestGPDB5AlwaysTwoPhase(t *testing.T) {
 	e, s := newEngine(t, cluster.GPDB5(4))
 	exec(t, s, "CREATE TABLE t (c1 int, c2 int) DISTRIBUTED BY (c1)")
 	exec(t, s, "INSERT INTO t VALUES (1, 1)")
-	one, two, _, _ := e.Cluster().CommitStats()
+	one, two := metric(e.Metrics(), "txn.commits_1pc"), metric(e.Metrics(), "txn.commits_2pc")
 	if one != 0 || two == 0 {
 		t.Fatalf("GPDB5 commits: one=%d two=%d", one, two)
 	}

@@ -109,7 +109,7 @@ func TestNoSpuriousDeadlocksUnderOrderedWorkload(t *testing.T) {
 		r := workload.NewRand(uint64(id + 1))
 		return w.Transaction(ctx, sessions[id], r)
 	})
-	if v := e.Cluster().DeadlockVictims(); v != 0 {
+	if v := metric(e.Metrics(), "txn.deadlock_victims"); v != 0 {
 		t.Fatalf("GDD killed %d transactions in a deadlock-free workload (errors=%d)", v, res.Errors)
 	}
 	if res.Errors != 0 {

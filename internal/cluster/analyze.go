@@ -67,15 +67,24 @@ func (c *Cluster) analyzeTable(ctx context.Context, lt *LiveTxn, snap *dtm.DistS
 		}
 		lt.touched[i] = true
 		acc := s.newAccess(lt.owner, lt.dxid, snap)
-		for _, leaf := range leafIDs(t) {
-			err := acc.ScanTable(ctx, leaf, exec.ScanSpec{}, exec.RowMark{}, func(row types.Row) (bool, bool, error) {
-				res.offer(row)
-				return false, true, nil
-			})
-			if err != nil {
-				return err
+		// Not idempotent: a retried scan would offer its rows to the
+		// reservoir twice, so only a fault before the send is retried.
+		err = c.dispatchSeg(i, false, func() error {
+			for _, leaf := range leafIDs(t) {
+				err := acc.ScanTable(ctx, leaf, exec.ScanSpec{}, exec.RowMark{}, func(row types.Row) (bool, bool, error) {
+					res.offer(row)
+					return false, true, nil
+				})
+				if err != nil {
+					return err
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
+		c.foldScan(acc)
 	}
 	colNames := make([]string, t.Schema.Len())
 	for i := range colNames {

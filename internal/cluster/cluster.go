@@ -417,11 +417,6 @@ func (c *Cluster) GDDStats() (runs, deadlocks, victims, discarded int64) {
 	return c.daemon.Stats()
 }
 
-// CommitStats reports commit-protocol usage counters.
-func (c *Cluster) CommitStats() (onePhase, twoPhase, readOnly, aborts int64) {
-	return c.commits1PC.Load(), c.commits2PC.Load(), c.commitsRO.Load(), c.aborts.Load()
-}
-
 // ScanBlockStats aggregates the segments' cumulative block-scan counters:
 // blocks (or row-engine pages) visited vs skipped via zone maps since boot.
 // Totals of failed-over (dead) incarnations are folded in at promotion so
@@ -463,18 +458,6 @@ func (c *Cluster) BlockCacheStats() storage.CacheStats {
 	})
 	return out
 }
-
-// SpillStats reports the cumulative executor spill counters: spill events,
-// bytes and files written to temp storage, and the highest per-statement
-// operator-memory peak (the vmem high-water the spill budget bounds).
-func (c *Cluster) SpillStats() (spills, bytes, files, memPeak int64) {
-	return c.spills.Load(), c.spillBytes.Load(), c.spillFiles.Load(), c.spillPeak.Load()
-}
-
-// VmemPeak reports the highest per-statement resource-group memory high
-// water observed (resgroup.Slot.MemoryHighWater): the Vmemtracker-accounted
-// truth, including any growth past the spill budget.
-func (c *Cluster) VmemPeak() int64 { return c.vmemPeak.Load() }
 
 // LockWaitStats aggregates lock-wait accounting across the cluster (Fig. 2).
 func (c *Cluster) LockWaitStats() (waited time.Duration, waits int64) {
@@ -727,9 +710,6 @@ func (c *Cluster) KillTxn(txid uint64) {
 	})
 	c.deadlockErr.Add(1)
 }
-
-// DeadlockVictims returns how many transactions GDD killed.
-func (c *Cluster) DeadlockVictims() int64 { return c.deadlockErr.Load() }
 
 // LockCoordinator takes the parse-analyze relation lock on the coordinator
 // (the stage-one lock of paper §4.2).

@@ -194,14 +194,13 @@ func TestDeleteAndReadOnlyCommit(t *testing.T) {
 		t.Fatalf("rows after delete = %d", got)
 	}
 	// A pure read commits via the read-only path.
-	before, _, ro0, _ := c.CommitStats()
-	_ = before
+	ro0, _ := c.Metrics().Value("txn.commits_readonly")
 	lt2 := c.BeginTxn()
 	_ = scanAllTxn(t, c, tab, lt2)
 	if _, err := c.CommitTxn(lt2); err != nil {
 		t.Fatal(err)
 	}
-	_, _, ro1, _ := c.CommitStats()
+	ro1, _ := c.Metrics().Value("txn.commits_readonly")
 	if ro1 != ro0+1 {
 		t.Fatalf("read-only commits: %d -> %d", ro0, ro1)
 	}

@@ -528,6 +528,3 @@ func (c *Cluster) WALRecordCounts() map[wal.Type]int64 {
 	})
 	return counts
 }
-
-// Failovers counts completed promotions.
-func (c *Cluster) Failovers() int64 { return c.failovers.Load() }

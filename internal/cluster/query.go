@@ -35,13 +35,9 @@ type QueryResources struct {
 	// Spill, when non-nil, receives the statement's spill counters after the
 	// query finishes — the EXPLAIN ANALYZE "spill:" numbers.
 	Spill *SpillCounters
-	// NodeRows, when non-nil, collects per-plan-node actual output rows
-	// during execution — the EXPLAIN ANALYZE est-vs-actual numbers and the
-	// optimizer's risk-bound misestimate input.
-	NodeRows *plan.NodeRowCounts
-	// Ops, when non-nil, collects per-node per-segment executor statistics
-	// (rows/batches/wall-time/peak-mem/spill) for operator-level
-	// EXPLAIN ANALYZE and per-operator trace spans.
+	// Ops, when non-nil, collects per-node per-location executor
+	// statistics: EXPLAIN ANALYZE's and per-operator trace spans' (timed),
+	// or the optimizer's risk-bound misestimate input (untimed).
 	Ops *plan.OpStats
 	// Trace, when non-nil, is the statement's distributed trace. ExecSpan is
 	// the coordinator's execute-span id: dispatch propagates it so every
@@ -58,17 +54,11 @@ type ScanCounters struct {
 }
 
 // SpillCounters is a statement's spill accounting: spill events (run dumps
-// and hash-table flushes), bytes and files written, the high-water mark of
-// budget-tracked operator memory (never above the budget by construction),
-// and the true resource-group vmem high water (VmemPeak) — which also sees
-// budget overshoot: spill-chunk floors, skewed partition reloads, file
-// buffers, and non-spillable operators.
+// and hash-table flushes), bytes and files written.
 type SpillCounters struct {
 	Spills     int64
 	SpillBytes int64
 	SpillFiles int64
-	MemPeak    int64
-	VmemPeak   int64
 }
 
 // gangSampleEvery makes one in this many direct-dispatchable reads run on
@@ -107,8 +97,8 @@ func (c *Cluster) Run(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapshot, p
 // a direct read's operator tree (exec.Reset starts it over), and the plan's
 // distribution-map fences resolved to their tables. A run that cannot use a
 // piece builds that piece afresh: the gang sample of a direct read (see
-// gangSampleEvery), and a run that arms collectors (QueryResources.NodeRows
-// or Ops, which wrap the operators).
+// gangSampleEvery), and a run that arms a collector (QueryResources.Ops,
+// which wraps the operators).
 // A failed run leaves the portal ready for the next one. One goroutine runs
 // a portal at a time.
 type Portal struct {
@@ -485,7 +475,7 @@ func (p *Portal) idle() {
 // for a direct read that arms no collectors, the kept tree started over, or
 // a fresh one kept for the next run; else a fresh one.
 func (p *Portal) readTree(direct bool, res *QueryResources) exec.BatchIterator {
-	keep := direct && (res == nil || res.NodeRows == nil && res.Ops == nil)
+	keep := direct && (res == nil || res.Ops == nil)
 	if keep && p.tree != nil {
 		if exec.Reset(p.tree) {
 			return p.tree
@@ -519,7 +509,6 @@ func (d *attempt) execCtx(ec *exec.Context, segID int) *exec.Context {
 	}
 	if d.res != nil {
 		ec.Mem = d.res.Mem
-		ec.NodeRows = d.res.NodeRows
 		ec.Ops = d.res.Ops
 	}
 	if segID >= 0 && d.segs != nil {
@@ -625,16 +614,7 @@ func (d *attempt) finish(err error) {
 			if acc == nil || IsSegmentDown(err) {
 				continue
 			}
-			// A promotion that raced this statement already folded the dead
-			// incarnation's totals into the retired counters; route the
-			// statement's counts there too so they are not lost on an
-			// object nobody aggregates anymore.
-			if c.seg(acc.seg.id) != acc.seg {
-				c.retiredScanned.Add(acc.stats.BlocksScanned.Load())
-				c.retiredSkipped.Add(acc.stats.BlocksSkipped.Load())
-			} else {
-				acc.stats.AddTo(&acc.seg.scanStats)
-			}
+			c.foldScan(acc)
 			if res != nil && res.Scan != nil {
 				res.Scan.BlocksScanned += acc.stats.BlocksScanned.Load()
 				res.Scan.BlocksSkipped += acc.stats.BlocksSkipped.Load()
@@ -660,9 +640,6 @@ func (d *attempt) finish(err error) {
 				res.Spill.Spills += spills
 				res.Spill.SpillBytes += sbytes
 				res.Spill.SpillFiles += sfiles
-				if peak > res.Spill.MemPeak {
-					res.Spill.MemPeak = peak
-				}
 			}
 		}
 	}
@@ -672,13 +649,22 @@ func (d *attempt) finish(err error) {
 	// visible here but not in the budget-tracked peak above.
 	if res != nil && res.Mem != nil {
 		if hw, ok := res.Mem.(interface{ MemoryHighWater() int64 }); ok {
-			v := hw.MemoryHighWater()
-			c.vmemPeak.SetMax(v)
-			if res.Spill != nil && v > res.Spill.VmemPeak {
-				res.Spill.VmemPeak = v
-			}
+			c.vmemPeak.SetMax(hw.MemoryHighWater())
 		}
 	}
+}
+
+// foldScan adds one access's block counters to its segment's cumulative
+// totals. A promotion that raced the statement already folded the dead
+// incarnation's totals into the retired counters; the statement's counts go
+// there too, so they are not lost on an object nobody aggregates anymore.
+func (c *Cluster) foldScan(acc *storeAccess) {
+	if c.seg(acc.seg.id) != acc.seg {
+		c.retiredScanned.Add(acc.stats.BlocksScanned.Load())
+		c.retiredSkipped.Add(acc.stats.BlocksSkipped.Load())
+		return
+	}
+	acc.stats.AddTo(&acc.seg.scanStats)
 }
 
 // runBatchSlice executes one (motion, location) sender: it pulls batches

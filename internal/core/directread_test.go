@@ -369,8 +369,8 @@ func TestDirectReadFailover(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != k*10 {
 		t.Fatalf("read across the failover returned %v", res.Rows)
 	}
-	if e.Cluster().Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", e.Cluster().Failovers())
+	if n := metric(e.Metrics(), "fts.failovers"); n != 1 {
+		t.Fatalf("failovers = %d, want 1", n)
 	}
 	if err := e.Cluster().Recover(victim); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -591,6 +592,44 @@ func TestCancelledWriteFails(t *testing.T) {
 	mustExec(t, holder, "ROLLBACK")
 	if got := mustExec(t, s, "SELECT sum(v) FROM cw").Rows[0][0]; got.Int() != 0 {
 		t.Fatalf("sum(v) = %v after the cancelled UPDATE, want 0", got)
+	}
+}
+
+// TestCancelledContextFailsStatement: a statement given an already-cancelled
+// context fails with context.Canceled and writes nothing — an indexed point
+// SELECT, a point UPDATE and a one-row INSERT, none of which reaches a
+// scan's own cancellation check — and inside an explicit block it fails the
+// block like any other failed statement.
+func TestCancelledContextFailsStatement(t *testing.T) {
+	_, s := newTestEngine(t, 4)
+	mustExec(t, s, "CREATE TABLE cc (id int, v int) DISTRIBUTED BY (id)")
+	mustExec(t, s, "CREATE INDEX cc_id ON cc (id)")
+	mustExec(t, s, "INSERT INTO cc VALUES (1, 10), (2, 20)")
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	stmts := []string{"SELECT v FROM cc WHERE id = 1", "UPDATE cc SET v = v + 1 WHERE id = 1", "INSERT INTO cc VALUES (3, 30)"}
+	for _, q := range stmts { // a live run first, so the SELECT and UPDATE plans are cached
+		mustExec(t, s, q)
+	}
+	for _, q := range stmts {
+		if _, err := s.Exec(dead, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s under a cancelled context: err %v, want context.Canceled", q, err)
+		}
+	}
+	if got := mustExec(t, s, "SELECT count(*), sum(v) FROM cc").Rows[0]; got[0].Int() != 3 || got[1].Int() != 61 {
+		t.Fatalf("count, sum(v) = %v after the cancelled statements, want 3, 61", got)
+	}
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "UPDATE cc SET v = 0 WHERE id = 2")
+	if _, err := s.Exec(dead, stmts[1]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled UPDATE in a block: err %v, want context.Canceled", err)
+	}
+	if _, err := s.Exec(context.Background(), stmts[0]); !errors.Is(err, ErrTxnAborted) {
+		t.Fatalf("statement after the cancelled one: err %v, want %v", err, ErrTxnAborted)
+	}
+	mustExec(t, s, "ROLLBACK")
+	if got := mustExec(t, s, "SELECT sum(v) FROM cc").Rows[0][0].Int(); got != 61 {
+		t.Fatalf("sum(v) = %d after the failed block, want 61", got)
 	}
 }
 

@@ -88,8 +88,8 @@ func TestFailoverServesCommittedData(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if cl.Failovers() != 3 {
-				t.Fatalf("failovers = %d, want 3", cl.Failovers())
+			if n := metric(cl.Metrics(), "fts.failovers"); n != 3 {
+				t.Fatalf("failovers = %d, want 3", n)
 			}
 			// The promoted primaries accept new writes.
 			mustExec(t, s, "INSERT INTO fh VALUES (9001, 1, 'post')")
@@ -171,9 +171,9 @@ func TestFailoverReadYourWritesGuard(t *testing.T) {
 func waitFailovers(t *testing.T, e *Engine, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for e.Cluster().Failovers() < n {
+	for metric(e.Metrics(), "fts.failovers") < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("failovers stuck at %d, want %d", e.Cluster().Failovers(), n)
+			t.Fatalf("failovers stuck at %d, want %d", metric(e.Metrics(), "fts.failovers"), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -374,8 +374,8 @@ func runCrashEquivalence(t *testing.T, seed uint64) {
 			t.Fatalf("chaos step %d (%q): %v", i, q, err)
 		}
 	}
-	if chaosEng.Cluster().Failovers() != 1 {
-		t.Fatalf("failovers = %d", chaosEng.Cluster().Failovers())
+	if n := metric(chaosEng.Metrics(), "fts.failovers"); n != 1 {
+		t.Fatalf("failovers = %d", n)
 	}
 
 	for _, tab := range []string{"fh", "fr", "fc"} {
@@ -501,7 +501,7 @@ func insertSelectAcrossFailover(t *testing.T, e *Engine, s *Session) {
 	if got := mustExec(t, s, "SELECT count(*), sum(b) FROM dst").Rows[0]; got[0].Int() != n || got[1].Int() != n*(n-1)/2 {
 		t.Fatalf("dst holds count, sum(b) = %v, want %d, %d", got, n, n*(n-1)/2)
 	}
-	if cl.Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", cl.Failovers())
+	if n := metric(cl.Metrics(), "fts.failovers"); n != 1 {
+		t.Fatalf("failovers = %d, want 1", n)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -111,6 +112,38 @@ func TestFaultSQLLifecycle(t *testing.T) {
 		t.Fatalf("post-reset count: %v", res.Rows)
 	}
 	_ = ctx
+}
+
+// TestAnalyzeRetriesDispatchFault: ANALYZE dispatches each segment's sample
+// scan like any statement — a one-shot dispatch_send fault is retried and
+// counted, the sample is taken once, and the blocks it read count in the
+// cumulative scan totals.
+func TestAnalyzeRetriesDispatchFault(t *testing.T) {
+	e, s := newTestEngine(t, 2)
+	mustExec(t, s, "CREATE TABLE t (a int, b int) DISTRIBUTED BY (a)")
+	bulkInsert(t, s, "t", 200, 0, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i%10) })
+	var scanned, skipped int64
+	for _, l := range planText(mustExec(t, s, "EXPLAIN ANALYZE SELECT * FROM t")) {
+		fmt.Sscanf(l, "blocks: scanned=%d skipped=%d", &scanned, &skipped)
+	}
+	if scanned == 0 {
+		t.Fatal("a full scan of t read no blocks")
+	}
+	retries0, blocks0 := metric(e.Metrics(), "dispatch.retries"), metric(e.Metrics(), "storage.scan.blocks_scanned")
+	mustExec(t, s, "FAULT INJECT 'dispatch_send' ACTION 'error' SEGMENT 1 COUNT 1")
+	mustExec(t, s, "ANALYZE t")
+	if got := metric(e.Metrics(), "dispatch.retries") - retries0; got != 1 {
+		t.Fatalf("dispatch.retries rose by %d over ANALYZE, want 1", got)
+	}
+	if got := metric(e.Metrics(), "storage.scan.blocks_scanned") - blocks0; got != scanned {
+		t.Fatalf("storage.scan.blocks_scanned rose by %d over ANALYZE, want the full scan's %d", got, scanned)
+	}
+	if err := s.SetOptimizer("orca"); err != nil {
+		t.Fatal(err)
+	}
+	if txt := explainText(t, s, "SELECT a FROM t"); !strings.Contains(txt, "rows=200 ") {
+		t.Fatalf("the sample did not see each of the 200 rows once:\n%s", txt)
+	}
 }
 
 // TestFaultSQLInjectGrammar covers the clause forms the parser accepts:

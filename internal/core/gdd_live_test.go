@@ -209,7 +209,7 @@ func TestLiveNonDeadlockFigure8(t *testing.T) {
 	// unblock everything (this is exactly what the paper's Figure 9
 	// reduction proves).
 	time.Sleep(150 * time.Millisecond)
-	if v := e.Cluster().DeadlockVictims(); v != 0 {
+	if v := metric(e.Metrics(), "txn.deadlock_victims"); v != 0 {
 		t.Fatalf("GDD killed %d transactions in a non-deadlock scenario", v)
 	}
 

@@ -234,7 +234,13 @@ func (s *Session) execParsed(ctx context.Context, st sql.Statement, entry *stmtE
 			return nil, err
 		}
 	}
-	res, err := s.execStatement(ctx, st, entry, params)
+	// A statement whose context is already done fails before it runs: a
+	// point read or write would otherwise never look at ctx.
+	var res *Result
+	err := ctx.Err()
+	if err == nil {
+		res, err = s.execStatement(ctx, st, entry, params)
+	}
 	if err != nil {
 		// Statement failure aborts the transaction (deadlock victims and
 		// cancelled queries must release their locks to unblock others).
@@ -497,29 +503,27 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 			return nil, err
 		}
 		pl := &in.Planned
-		var nodeRows *plan.NodeRowCounts
-		if costBased && !robust {
-			nodeRows = plan.NewNodeRowCounts(pl.Root)
+		// Tracing arms timed operator stats so per-operator spans can be
+		// synthesized once the slices retire; the risk check counts rows
+		// only. runPlanned clears in.res, so the check keeps its own
+		// reference to the collector.
+		traced := s.cur != nil && s.cur.trace != nil
+		var ops *plan.OpStats
+		if traced || costBased && !robust {
+			ops = plan.NewOpStats(pl.Root, cl.SegCount(), traced)
 		}
-		in.res = cluster.QueryResources{NodeRows: nodeRows}
+		in.res = cluster.QueryResources{Ops: ops}
 		res := &in.res
 		if ob := s.cur; ob != nil {
 			res.Scan, res.Spill = &ob.scan, &ob.spill
-			if ob.trace != nil {
-				// Tracing arms operator stats so per-operator spans can be
-				// synthesized once the slices retire.
-				res.Ops = plan.NewOpStats(pl.Root, cl.SegCount())
-			}
 		}
 		rows, _, _, err := s.runPlanned(ctx, in, res)
 		if err != nil {
 			return nil, err
 		}
 		s.cur.setRows(int64(len(rows)))
-		if nodeRows != nil {
-			if mis := plan.CheckRiskBounds(pl.Costs, nodeRows); len(mis) > 0 {
-				cl.RecordMisestimate(key)
-			}
+		if costBased && !robust && plan.CheckRiskBounds(pl.Costs, ops) {
+			cl.RecordMisestimate(key)
 		}
 		return &Result{Columns: in.cols, Rows: rows, Tag: "SELECT"}, nil
 
@@ -732,15 +736,20 @@ func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []
 	if x.Analyze {
 		return s.explainAnalyze(ctx, pl)
 	}
-	text := plan.Explain(pl.Root)
-	if _, sel := x.Target.(*sql.SelectStmt); sel && pl.Costs != nil {
-		text = plan.ExplainWithCosts(pl.Root, pl.Costs)
+	var costs map[plan.Node]*plan.NodeCost
+	if _, sel := x.Target.(*sql.SelectStmt); sel {
+		costs = pl.Costs
 	}
+	return planResult(plan.ExplainPlan(pl.Root, costs, nil)), nil
+}
+
+// planResult is a rendered plan as an EXPLAIN result, one row per line.
+func planResult(text string) *Result {
 	res := &Result{Columns: []string{"QUERY PLAN"}, Tag: "EXPLAIN"}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		res.Rows = append(res.Rows, types.Row{types.NewText(line)})
 	}
-	return res, nil
+	return res
 }
 
 // runPlanned executes a bound SELECT, INSERT, UPDATE or DELETE: the
@@ -814,14 +823,10 @@ func (s *Session) runPlanned(ctx context.Context, in *instance, res *cluster.Que
 func recordOpSpans(tr *obs.Trace, parent obs.SpanID, root plan.Node, ops *plan.OpStats, start time.Time) {
 	var walk func(n plan.Node)
 	walk = func(n plan.Node) {
-		if c := ops.At(n, -1); c != nil && (c.Rows.Load() > 0 || c.Batches.Load() > 0 || c.WallNanos.Load() > 0) {
-			tr.Record(parent, n.Explain(), -1, start, time.Duration(c.WallNanos.Load()))
-		}
-		for seg, c := range ops.Segments(n) {
-			if c.Rows.Load() == 0 && c.Batches.Load() == 0 && c.WallNanos.Load() == 0 {
-				continue
+		for seg := -1; ops.At(n, seg) != nil; seg++ {
+			if c := ops.At(n, seg); c.Ran() {
+				tr.Record(parent, n.Explain(), seg, start, time.Duration(c.WallNanos.Load()))
 			}
-			tr.Record(parent, n.Explain(), seg, start, time.Duration(c.WallNanos.Load()))
 		}
 		for _, ch := range n.Children() {
 			walk(ch)
@@ -845,8 +850,7 @@ func (s *Session) explainAnalyze(ctx context.Context, pl *plan.Planned) (*Result
 	}
 	var scan cluster.ScanCounters
 	var spill cluster.SpillCounters
-	res := &cluster.QueryResources{Scan: &scan, Spill: &spill,
-		NodeRows: plan.NewNodeRowCounts(pl.Root), Ops: plan.NewOpStats(pl.Root, s.engine.cluster.SegCount())}
+	res := &cluster.QueryResources{Scan: &scan, Spill: &spill, Ops: plan.NewOpStats(pl.Root, s.engine.cluster.SegCount(), true)}
 	_, n, elapsed, err := s.runPlanned(ctx, in, res)
 	if err != nil {
 		return nil, err
@@ -862,11 +866,7 @@ func (s *Session) explainAnalyze(ctx context.Context, pl *plan.Planned) (*Result
 	case *plan.InsertPlan, *plan.UpdatePlan, *plan.DeletePlan:
 		rows = fmt.Sprintf("rows affected: %d", n)
 	}
-	text := plan.ExplainAnalyzedOps(pl.Root, pl.Costs, res.NodeRows, res.Ops)
-	out := &Result{Columns: []string{"QUERY PLAN"}, Tag: "EXPLAIN"}
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		out.Rows = append(out.Rows, types.Row{types.NewText(line)})
-	}
+	out := planResult(plan.ExplainPlan(pl.Root, pl.Costs, res.Ops))
 	out.Rows = append(out.Rows,
 		types.Row{types.NewText(fmt.Sprintf("blocks: scanned=%d skipped=%d",
 			scan.BlocksScanned, scan.BlocksSkipped))},

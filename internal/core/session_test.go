@@ -6,8 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/types"
 )
+
+// metric reads one registry series by its dotted name (0 when absent).
+func metric(r *obs.Registry, name string) int64 {
+	v, _ := r.Value(name)
+	return v
+}
 
 func newTestEngine(t *testing.T, nseg int) (*Engine, *Session) {
 	t.Helper()

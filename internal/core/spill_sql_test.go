@@ -74,9 +74,9 @@ func TestSpillResultEquality(t *testing.T) {
 		loadSpillTables(t, admin, true)
 		for _, q := range queries {
 			base := mustExec(t, admin, q)
-			s0, _, _, _ := e.Cluster().SpillStats()
+			s0 := metric(e.Metrics(), "exec.spill.events")
 			got := mustExec(t, constrained, q)
-			s1, b1, f1, _ := e.Cluster().SpillStats()
+			s1, b1, f1 := metric(e.Metrics(), "exec.spill.events"), metric(e.Metrics(), "exec.spill.bytes"), metric(e.Metrics(), "exec.spill.files")
 			if s1 == s0 {
 				t.Fatalf("query did not spill under the tiny budget: %s", q)
 			}
@@ -172,11 +172,11 @@ func TestSpillObservability(t *testing.T) {
 	if peak := vals["spill_mem_peak"]; peak <= 0 || peak > budget {
 		t.Fatalf("spill_mem_peak %d outside (0, %d]", peak, budget)
 	}
-	if _, _, _, peak := e.Cluster().SpillStats(); peak > budget {
+	if peak := metric(e.Metrics(), "exec.spill.mem_peak"); peak > budget {
 		t.Fatalf("cluster-level mem peak %d exceeds budget %d", peak, budget)
 	}
-	if vmem := e.Cluster().VmemPeak(); vmem <= 0 || vmem > 2<<20 {
-		t.Fatalf("cluster VmemPeak %d outside (0, 2 MiB]", vmem)
+	if vmem := metric(e.Metrics(), "exec.vmem_peak"); vmem <= 0 || vmem > 2<<20 {
+		t.Fatalf("exec.vmem_peak %d outside (0, 2 MiB]", vmem)
 	}
 	noLeak("after the spilling query")
 	if vmem := vals["vmem_peak"]; vmem <= 0 || vmem > 1<<20 {
@@ -224,14 +224,14 @@ func TestSpillDisabledWithZeroRatio(t *testing.T) {
 	loadSpillTables(t, admin, false)
 	// Precondition: under the tiny budget this query spills…
 	mustExec(t, constrained, "SELECT a, b FROM t ORDER BY b, a")
-	s0, _, _, _ := e.Cluster().SpillStats()
+	s0 := metric(e.Metrics(), "exec.spill.events")
 	if s0 == 0 {
 		t.Fatal("precondition failed: tiny budget did not spill")
 	}
 	// …and the session knob turns spilling off entirely.
 	mustExec(t, constrained, "SET memory_spill_ratio 0")
 	mustExec(t, constrained, "SELECT a, b FROM t ORDER BY b, a")
-	if s1, _, _, _ := e.Cluster().SpillStats(); s1 != s0 {
+	if s1 := metric(e.Metrics(), "exec.spill.events"); s1 != s0 {
 		t.Fatalf("SET memory_spill_ratio 0 still spilled (%d -> %d)", s0, s1)
 	}
 }

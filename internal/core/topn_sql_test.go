@@ -36,7 +36,7 @@ func TestTopNMatchesFullSort(t *testing.T) {
 		if !strings.Contains(rowsText(mustExec(t, admin, "EXPLAIN SELECT k FROM tck ORDER BY v, k LIMIT 10")), "Sort (top 10)") {
 			t.Fatal("EXPLAIN shows no per-segment top-N sort")
 		}
-		spills0, _, _, _ := e.Cluster().SpillStats()
+		spills0 := metric(e.Metrics(), "exec.spill.events")
 		for tab := range tables {
 			full := mustExec(t, admin, "SELECT k, v, w FROM "+tab+"k ORDER BY v DESC, w, k").Rows
 			stable := mustExec(t, admin, "SELECT k, v FROM "+tab+"z ORDER BY v, k").Rows
@@ -58,7 +58,7 @@ func TestTopNMatchesFullSort(t *testing.T) {
 				}
 			}
 		}
-		if spills1, _, _, _ := e.Cluster().SpillStats(); spills1 == spills0 {
+		if metric(e.Metrics(), "exec.spill.events") == spills0 {
 			t.Fatal("no top-N spilled under the tiny budget")
 		}
 	})

@@ -27,8 +27,8 @@ type BatchIterator interface {
 // plan.Instance). Every operator drops its per-run state, re-reads its node
 // and recompiles whatever it compiled from an expression. It reports false
 // when some operator cannot start over (a blocking operator, a motion
-// receiver, the wrapper of a statement's collectors, NodeRows or Ops, which
-// belong to that statement): the caller then builds the tree anew.
+// receiver, the wrapper of a statement's collector, Ops, which belongs to
+// that statement): the caller then builds the tree anew.
 func Reset(it BatchIterator) bool {
 	r, ok := it.(resetter)
 	return ok && r.reset()
@@ -394,19 +394,15 @@ func (m *motionRecvBatchIter) NextBatch() (*types.RowBatch, error) {
 func (m *motionRecvBatchIter) Close() {}
 
 // BuildBatch constructs the operator tree for a plan subtree within one
-// slice. Every operator's output passes its plan node's NodeRows counter
-// and, when the statement armed operator statistics, this location's
-// OpSegStat — a node cannot be built uncounted. A Motion child is a slice
-// boundary: it becomes a receiver, and the sending side is launched
-// separately by the dispatcher (or, for a direct-dispatch plan, built under
-// ctx.Inline and pulled in place).
+// slice. When the statement armed operator statistics, every operator's
+// output passes this location's OpSegStat — a node cannot be built
+// uncounted. A Motion child is a slice boundary: it becomes a receiver, and
+// the sending side is launched separately by the dispatcher (or, for a
+// direct-dispatch plan, built under ctx.Inline and pulled in place).
 func BuildBatch(ctx *Context, node plan.Node) BatchIterator {
 	it := newOperator(ctx, node)
-	if ctr := ctx.NodeRows.Counter(node); ctr != nil {
-		it = &countingBatchIter{child: it, ctr: ctr}
-	}
 	if st := ctx.opStat(node); st != nil {
-		it = &opStatBatchIter{child: it, st: st}
+		it = &opStatBatchIter{child: it, st: st, timed: ctx.Ops.Timed}
 	}
 	return it
 }

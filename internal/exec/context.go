@@ -123,15 +123,10 @@ type Context struct {
 	BatchSize   int
 	NumSegments int
 	SegID       int // -1 = coordinator
-	// NodeRows, when set, receives each plan node's actual output row count
-	// (summed across slices and segments) for EXPLAIN ANALYZE and the
-	// optimizer's risk-bound misestimate check.
-	NodeRows *plan.NodeRowCounts
-	// Ops, when set, receives per-node per-segment executor statistics
-	// (rows, batches, inclusive wall time, peak operator memory, spill
-	// bytes) for operator-level EXPLAIN ANALYZE and per-operator trace
-	// spans. Unlike NodeRows it times every NextBatch call, so it is only
-	// armed for statements that asked for it.
+	// Ops, when set, receives per-node per-location executor statistics
+	// (rows, batches, peak operator memory, spill bytes and, when timed,
+	// inclusive wall time) for EXPLAIN ANALYZE, per-operator trace spans and
+	// the optimizer's risk-bound misestimate check.
 	Ops *plan.OpStats
 }
 

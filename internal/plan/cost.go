@@ -1,10 +1,6 @@
 package plan
 
-import (
-	"fmt"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // The cost model follows the classic Selinger/SimpleDB shape: every plan
 // node answers three questions — how many blocks does executing it touch
@@ -523,43 +519,4 @@ func annotateMemoryFromCosts(n Node, est *costEstimator) {
 	for _, ch := range n.Children() {
 		annotateMemoryFromCosts(ch, est)
 	}
-}
-
-// ExplainWithCosts renders the plan like Explain, appending each node's
-// cost=… rows=… ±bound annotation (and stats=none when a scan had no
-// ANALYZE statistics).
-func ExplainWithCosts(root Node, costs map[Node]*NodeCost) string {
-	return explainAnnotated(root, func(n Node) string {
-		nc, ok := costs[n]
-		if !ok {
-			return ""
-		}
-		suffix := fmt.Sprintf("  (cost=%.2f rows=%d ±%d", nc.Cost, nc.Rows, nc.Bound)
-		if _, isScan := n.(*Scan); isScan && nc.StatsNone {
-			suffix += " stats=none"
-		}
-		return suffix + ")"
-	})
-}
-
-// explainAnnotated renders the tree with a per-node suffix hook.
-func explainAnnotated(root Node, suffix func(Node) string) string {
-	var b []byte
-	var walk func(n Node, depth int)
-	walk = func(n Node, depth int) {
-		for i := 0; i < depth; i++ {
-			b = append(b, ' ', ' ')
-		}
-		if depth > 0 {
-			b = append(b, '-', '>', ' ')
-		}
-		b = append(b, n.Explain()...)
-		b = append(b, suffix(n)...)
-		b = append(b, '\n')
-		for _, c := range n.Children() {
-			walk(c, depth+1)
-		}
-	}
-	walk(root, 0)
-	return string(b)
 }

@@ -1263,23 +1263,7 @@ func (pl *Planned) cut() {
 
 // Explain renders the plan tree as indented text resembling Greenplum's
 // EXPLAIN output.
-func Explain(root Node) string {
-	var b strings.Builder
-	var walk func(n Node, depth int)
-	walk = func(n Node, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		if depth > 0 {
-			b.WriteString("-> ")
-		}
-		b.WriteString(n.Explain())
-		b.WriteByte('\n')
-		for _, c := range n.Children() {
-			walk(c, depth+1)
-		}
-	}
-	walk(root, 0)
-	return b.String()
-}
+func Explain(root Node) string { return ExplainPlan(root, nil, nil) }
 
 // ---- DML planning ----
 
