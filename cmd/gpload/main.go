@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("%-20s %12s %14s\n", "table", "rows", "per-seg rows")
 	cl := db.Engine().Cluster()
 	for _, name := range tables {
-		total := cl.TableRowCount(name)
+		total := cl.RowCount(name)
 		fmt.Printf("%-20s %12d %14d\n", name, total, total/int64(*segments))
 	}
 }

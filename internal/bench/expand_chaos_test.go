@@ -159,8 +159,8 @@ func TestExpandChaosTPCB(t *testing.T) {
 
 	// Nothing leaked: no spill files, and the mover released its
 	// resource-group slot.
-	if fs := c.FaultStats(); fs.SpillLeaks != 0 {
-		t.Fatalf("spill files leaked under expansion chaos: %d", fs.SpillLeaks)
+	if leaks := metric(c.Metrics(), "exec.spill.leaks"); leaks != 0 {
+		t.Fatalf("spill files leaked under expansion chaos: %d", leaks)
 	}
 	if g, ok := c.Groups().Group("expand_mover"); !ok {
 		t.Fatal("expansion never created its throttling resource group")

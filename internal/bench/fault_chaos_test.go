@@ -80,15 +80,15 @@ func TestFaultChaosTPCBSeededSchedule(t *testing.T) {
 	wg.Wait()
 	c.ResetFault("")
 
-	st := c.FaultStats()
-	if st.Triggers == 0 {
+	reg := c.Metrics()
+	if metric(reg, "fault.triggers") == 0 {
 		t.Fatal("fault schedule never fired")
 	}
-	if st.DispatchRetries == 0 {
+	if metric(reg, "dispatch.retries") == 0 {
 		t.Fatal("dispatch faults fired but no retry was counted")
 	}
-	if st.SpillLeaks != 0 {
-		t.Fatalf("spill files leaked under chaos: %d", st.SpillLeaks)
+	if leaks := metric(reg, "exec.spill.leaks"); leaks != 0 {
+		t.Fatalf("spill files leaked under chaos: %d", leaks)
 	}
 	if n := c.LiveSnapshots(); n != 0 {
 		t.Fatalf("%d distributed snapshots left registered after chaos", n)
@@ -182,11 +182,10 @@ func TestFaultChaosTornWALTruncateRecover(t *testing.T) {
 	if err := c.Recover(victim); err != nil {
 		t.Fatalf("Recover(%d): %v", victim, err)
 	}
-	st := c.FaultStats()
-	if st.WALTruncations == 0 {
+	if metric(c.Metrics(), "wal.truncations") == 0 {
 		t.Fatal("recovery did not truncate the torn tail")
 	}
-	if st.WALTruncatedBytes == 0 {
+	if metric(c.Metrics(), "wal.truncated_bytes") == 0 {
 		t.Fatal("truncation dropped zero bytes")
 	}
 

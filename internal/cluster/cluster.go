@@ -57,16 +57,6 @@ type Cluster struct {
 	// replayLSN is the LSN the most recent promotion had replayed/applied
 	// when it took over.
 	replayLSN atomic.Uint64
-	// The retired counters fold the cumulative counters of dead
-	// (failed-over) segment incarnations so SHOW scan_stats and
-	// storage.versions_reclaimed survive a failover instead of silently
-	// dropping the dead primary's totals.
-	retiredScanned   atomic.Int64
-	retiredSkipped   atomic.Int64
-	retiredCacheHits atomic.Int64
-	retiredCacheMiss atomic.Int64
-	retiredCacheEvic atomic.Int64
-	retiredReclaimed atomic.Int64
 
 	// txns tracks live transactions by lock-owner id, for GDD liveness
 	// checks and victim kills. nextOwner hands out owner ids.
@@ -105,8 +95,8 @@ type Cluster struct {
 	robustFallbacks *obs.Counter // optimizer.robust_fallbacks
 
 	// coordLog is the coordinator's log of 2PC commit records. Its flushes
-	// are the coordinator's fsyncs (wal_flush at CoordinatorSeg); they are
-	// not part of the segment logs' wal.* series.
+	// are the coordinator's fsyncs (wal_flush at CoordinatorSeg), counted
+	// by wal.coord_flushes and left out of the segment logs' wal.* series.
 	coordLog *wal.Log
 
 	// cacheReserved is what the segments' block caches took from the
@@ -151,6 +141,15 @@ type Cluster struct {
 	// by revive-time crash recovery.
 	walTruncations    *obs.Counter // wal.truncations
 	walTruncatedBytes *obs.Counter // wal.truncated_bytes
+
+	// Storage counters every segment incarnation and its block cache add
+	// to, so their totals survive a failover (SHOW scan_stats).
+	blocksScanned     *obs.Counter // storage.scan.blocks_scanned
+	blocksSkipped     *obs.Counter // storage.scan.blocks_skipped
+	versionsReclaimed *obs.Counter // storage.versions_reclaimed
+	cacheHits         *obs.Counter // storage.blockcache.hits
+	cacheMisses       *obs.Counter // storage.blockcache.misses
+	cacheEvictions    *obs.Counter // storage.blockcache.evictions
 
 	// expand serializes online-expansion runs and records the most recent
 	// run's progress for SHOW expand_status.
@@ -330,11 +329,12 @@ func (c *Cluster) buildSegment(i int) (*Segment, *Mirror) {
 	seg.log.SetFlushLatency(c.walFlushLat)
 	seg.distInProgress = c.coord.IsInProgress
 	seg.repMode = &c.replicaMode
+	seg.reclaimed = c.versionsReclaimed
 	// The decoded-block cache capacity comes out of the same global vmem
 	// budget queries allocate from; a segment whose share the pool cannot
 	// cover runs without a shared cache.
 	if cfg.BlockCacheBytes > 0 && c.groups.Global().Reserve(cfg.BlockCacheBytes) {
-		seg.blockCache = storage.NewBlockCache(cfg.BlockCacheBytes)
+		seg.blockCache = c.newBlockCache()
 		c.cacheReserved.Add(cfg.BlockCacheBytes)
 	}
 	var m *Mirror
@@ -348,6 +348,14 @@ func (c *Cluster) buildSegment(i int) (*Segment, *Mirror) {
 		seg.mirror.Store(m)
 	}
 	return seg, m
+}
+
+// newBlockCache returns a segment's decoded-block cache, counting into the
+// cluster's storage.blockcache.* handles.
+func (c *Cluster) newBlockCache() *storage.BlockCache {
+	bc := storage.NewBlockCache(c.cfg.BlockCacheBytes)
+	bc.Hits, bc.Misses, bc.Evictions = c.cacheHits, c.cacheMisses, c.cacheEvictions
+	return bc
 }
 
 // seg returns the current primary for slot i.
@@ -409,56 +417,6 @@ func (c *Cluster) Segments() []*Segment {
 // CoordinatorLocks exposes the coordinator's lock table.
 func (c *Cluster) CoordinatorLocks() *lockmgr.Manager { return c.locks }
 
-// GDDStats returns the deadlock daemon counters (zero when disabled).
-func (c *Cluster) GDDStats() (runs, deadlocks, victims, discarded int64) {
-	if c.daemon == nil {
-		return 0, 0, 0, 0
-	}
-	return c.daemon.Stats()
-}
-
-// ScanBlockStats aggregates the segments' cumulative block-scan counters:
-// blocks (or row-engine pages) visited vs skipped via zone maps since boot.
-// Totals of failed-over (dead) incarnations are folded in at promotion so
-// the counters survive a failover.
-func (c *Cluster) ScanBlockStats() (scanned, skipped int64) {
-	scanned, skipped = c.retiredScanned.Load(), c.retiredSkipped.Load()
-	c.eachSeg(func(_ int, s *Segment) {
-		sc, sk := s.ScanBlockStats()
-		scanned += sc
-		skipped += sk
-	})
-	return scanned, skipped
-}
-
-// VersionsReclaimed sums the heap versions index probes and VACUUM marked
-// dead, failed-over incarnations included.
-func (c *Cluster) VersionsReclaimed() int64 {
-	n := c.retiredReclaimed.Load()
-	c.eachSeg(func(_ int, s *Segment) { n += s.reclaimed.Load() })
-	return n
-}
-
-// BlockCacheStats aggregates the segments' decoded-block cache counters.
-// Hit/miss/eviction totals of dead incarnations are folded in at promotion;
-// the gauges (used bytes, entries) reflect only the live caches.
-func (c *Cluster) BlockCacheStats() storage.CacheStats {
-	out := storage.CacheStats{
-		Hits:      c.retiredCacheHits.Load(),
-		Misses:    c.retiredCacheMiss.Load(),
-		Evictions: c.retiredCacheEvic.Load(),
-	}
-	c.eachSeg(func(_ int, s *Segment) {
-		st := s.BlockCacheStats()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Evictions += st.Evictions
-		out.UsedBytes += st.UsedBytes
-		out.Entries += st.Entries
-	})
-	return out
-}
-
 // LockWaitStats aggregates lock-wait accounting across the cluster (Fig. 2).
 func (c *Cluster) LockWaitStats() (waited time.Duration, waits int64) {
 	w, n, _ := c.locks.WaitStats()
@@ -469,14 +427,6 @@ func (c *Cluster) LockWaitStats() (waited time.Duration, waits int64) {
 		waits += n
 	})
 	return waited, waits
-}
-
-// ResetLockWaitStats zeroes lock-wait accounting.
-func (c *Cluster) ResetLockWaitStats() {
-	c.locks.ResetWaitStats()
-	c.eachSeg(func(_ int, s *Segment) {
-		s.locks.ResetWaitStats()
-	})
 }
 
 // ---- transaction lifecycle ----
@@ -918,19 +868,6 @@ func (c *Cluster) Vacuum(name string) (int, error) {
 		c.invalidateStats(t.Name)
 	}
 	return n, nil
-}
-
-// TableRowCount sums stored versions of a table across segments.
-func (c *Cluster) TableRowCount(name string) int64 {
-	t, err := c.catalog.Table(name)
-	if err != nil {
-		return 0
-	}
-	var n int64
-	c.eachSeg(func(_ int, s *Segment) {
-		n += int64(s.RowCount(t))
-	})
-	return n
 }
 
 // RowCount implements plan.Stats: the planner's per-table row estimate,

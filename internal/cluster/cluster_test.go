@@ -143,7 +143,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := c.TableRowCount("t")
+	before := c.RowCount("t")
 	if before != 30 { // 10 live + 20 dead versions
 		t.Fatalf("version count before vacuum = %d", before)
 	}
@@ -170,7 +170,7 @@ func TestTruncateTable(t *testing.T) {
 	if _, err := c.CommitTxn(lt); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TableRowCount("t"); got != 0 {
+	if got := c.RowCount("t"); got != 0 {
 		t.Fatalf("rows after truncate = %d", got)
 	}
 }

@@ -257,7 +257,7 @@ func TestLateSegmentFaultAndBreakerCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := c.FaultStats().Triggers
+	before, _ := c.Metrics().Value("fault.triggers")
 	var rows []types.Row
 	for i := int64(0); len(rows) < 4; i++ {
 		row := types.Row{types.NewInt(i), types.NewInt(0)}
@@ -266,7 +266,7 @@ func TestLateSegmentFaultAndBreakerCoverage(t *testing.T) {
 		}
 	}
 	insertRows(t, c, moved, rows)
-	if after := c.FaultStats().Triggers; after <= before {
+	if after, _ := c.Metrics().Value("fault.triggers"); after <= before {
 		t.Fatalf("fault spec armed before segment 3 existed never fired (triggers %d -> %d)", before, after)
 	}
 	if got := len(scanAll(t, c, moved)); got != 4 {

@@ -284,9 +284,10 @@ func (c *Cluster) promote(i int) error {
 	// cache: nothing decoded under the old incarnation may be served.
 	var cache *storage.BlockCache
 	if old.blockCache != nil {
-		cache = storage.NewBlockCache(c.cfg.BlockCacheBytes)
+		cache = c.newBlockCache()
 	}
 	ns := m.toSegment(old.gen+1, cache, c.coord.IsInProgress, &c.replicaMode)
+	ns.reclaimed = c.versionsReclaimed
 	ns.reconcileTables(c.catalog.Tables())
 
 	// Crash recovery: in-flight local transactions can never commit.
@@ -325,16 +326,6 @@ func (c *Cluster) promote(i int) error {
 		}
 	}
 
-	// Fold the dead incarnation's counters so SHOW scan_stats survives.
-	c.retiredScanned.Add(old.scanStats.BlocksScanned.Load())
-	c.retiredSkipped.Add(old.scanStats.BlocksSkipped.Load())
-	c.retiredReclaimed.Add(old.reclaimed.Load())
-	if old.blockCache != nil {
-		st := old.blockCache.Stats()
-		c.retiredCacheHits.Add(st.Hits)
-		c.retiredCacheMiss.Add(st.Misses)
-		c.retiredCacheEvic.Add(st.Evictions)
-	}
 	c.replayLSN.Store(uint64(m.AppliedLSN()))
 
 	// Publish and wake dispatch waits. The failover is counted before the
@@ -474,47 +465,6 @@ func (r segRef) Abort(dxid dtm.DXID) error {
 }
 
 // ---- stats ----
-
-// WALStats aggregates the write-ahead log counters across the current
-// primaries.
-type WALStats struct {
-	Records int64
-	Bytes   int64
-	Flushes int64
-	// CoordFlushes counts the coordinator log's syncs of 2PC commit
-	// records; Flushes leaves them out.
-	CoordFlushes int64
-	// MirrorAppliedLSN is the minimum applied LSN across live mirrors
-	// (replication lag floor); 0 when no mirrors run.
-	MirrorAppliedLSN wal.LSN
-	// Failovers counts completed promotions since boot.
-	Failovers int64
-	// ReplayLSN is the LSN the most recent promotion had applied when it
-	// took over (0 when none happened).
-	ReplayLSN wal.LSN
-}
-
-// WALStats returns the cluster's log and failover counters.
-func (c *Cluster) WALStats() WALStats {
-	var st WALStats
-	c.eachSeg(func(_ int, s *Segment) {
-		r, b, f := s.log.Stats()
-		st.Records += r
-		st.Bytes += b
-		st.Flushes += f
-	})
-	_, _, st.CoordFlushes = c.coordLog.Stats()
-	first := true
-	c.eachMirror(func(m *Mirror) {
-		if first || m.AppliedLSN() < st.MirrorAppliedLSN {
-			st.MirrorAppliedLSN = m.AppliedLSN()
-		}
-		first = false
-	})
-	st.Failovers = c.failovers.Load()
-	st.ReplayLSN = wal.LSN(c.replayLSN.Load())
-	return st
-}
 
 // WALRecordCounts counts the records in the current primaries' logs by
 // type. It decodes every log, so it is for experiments and tests.

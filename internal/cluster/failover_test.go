@@ -167,9 +167,10 @@ func TestMirrorLagAndSyncWait(t *testing.T) {
 	if c.seg(0).Gen() != 1 {
 		t.Fatalf("generation = %d", c.seg(0).Gen())
 	}
-	st := c.WALStats()
-	if st.Failovers != 1 || st.ReplayLSN == 0 {
-		t.Fatalf("wal stats after promotion: %+v", st)
+	failovers, _ := c.Metrics().Value("fts.failovers")
+	replayLSN, _ := c.Metrics().Value("wal.replay_lsn")
+	if failovers != 1 || replayLSN == 0 {
+		t.Fatalf("after promotion: fts.failovers = %d, wal.replay_lsn = %d", failovers, replayLSN)
 	}
 }
 

@@ -185,50 +185,3 @@ func (c *Cluster) BreakerStatuses() []BreakerStatus {
 	}
 	return out
 }
-
-// FaultStats aggregates the fault-injection and degradation counters
-// surfaced by SHOW fault_stats and the fault.* registry series.
-type FaultStats struct {
-	// Armed is the number of currently armed specs.
-	Armed int
-	// Hits/Triggers are lifetime point evaluations that matched an armed
-	// spec, and evaluations that fired an action.
-	Hits, Triggers int64
-	// DispatchRetries counts dispatch attempts re-issued after a transient
-	// error; BreakerOpens/BreakerFastFails aggregate the per-segment
-	// breakers.
-	DispatchRetries  int64
-	BreakerOpens     int64
-	BreakerFastFails int64
-	// BreakersOpen is how many breakers are not closed right now.
-	BreakersOpen int64
-	// WALTruncations/WALTruncatedBytes count torn-tail truncations performed
-	// by revive-time crash recovery and the bytes they dropped.
-	WALTruncations    int64
-	WALTruncatedBytes int64
-	// SpillLeaks counts spill temp files the post-statement backstop had to
-	// remove — nonzero means an operator failed to release its files on an
-	// error path.
-	SpillLeaks int64
-}
-
-// FaultStats snapshots the fault/degradation counters.
-func (c *Cluster) FaultStats() FaultStats {
-	st := FaultStats{
-		Armed:             c.faults.Armed(),
-		DispatchRetries:   c.dispatchRetries.Load(),
-		WALTruncations:    c.walTruncations.Load(),
-		WALTruncatedBytes: c.walTruncatedBytes.Load(),
-		SpillLeaks:        c.spillLeaks.Load(),
-	}
-	st.Hits, st.Triggers = c.faults.Counters()
-	for _, b := range c.topoNow().breakers {
-		opens, fast := b.Stats()
-		st.BreakerOpens += opens
-		st.BreakerFastFails += fast
-		if b.State() != fault.BreakerClosed {
-			st.BreakersOpen++
-		}
-	}
-	return st
-}

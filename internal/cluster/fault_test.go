@@ -34,12 +34,11 @@ func TestDispatchSendFaultRetried(t *testing.T) {
 	if got := len(scanAll(t, c, tab)); got != 2 {
 		t.Fatalf("rows after retried dispatch: %d", got)
 	}
-	st := c.FaultStats()
-	if st.DispatchRetries == 0 {
+	if n, _ := c.Metrics().Value("dispatch.retries"); n == 0 {
 		t.Fatal("no dispatch retries counted")
 	}
-	if st.Triggers < 3 {
-		t.Fatalf("triggers = %d, want >= 3", st.Triggers)
+	if n, _ := c.Metrics().Value("fault.triggers"); n < 3 {
+		t.Fatalf("triggers = %d, want >= 3", n)
 	}
 }
 
@@ -105,8 +104,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if !opened {
 		t.Fatalf("no breaker opened: %+v", c.BreakerStatuses())
 	}
-	st := c.FaultStats()
-	if st.BreakerOpens == 0 {
+	if n, _ := c.Metrics().Value("fault.breaker_opens"); n == 0 {
 		t.Fatal("breaker opens not counted")
 	}
 	// An open breaker fails fast with a retryable error.

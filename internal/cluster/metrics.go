@@ -1,13 +1,19 @@
 package cluster
 
-import "repro/internal/obs"
+import (
+	"repro/internal/fault"
+	"repro/internal/obs"
+	"repro/internal/wal"
+)
 
 // Metric names are stable dotted identifiers, documented in
-// docs/OBSERVABILITY.md. Counters and max-gauges are recorded through
-// pre-resolved handles on the hot paths; computed aggregates (cache
-// occupancy, scan totals, breaker states, expansion progress) are emitted by
-// one collector per subsystem, run on demand at snapshot/scrape time, so
-// observability never adds per-statement work for them.
+// docs/OBSERVABILITY.md. Every cumulative engine counter is a registry
+// handle, resolved here and handed to the objects that count into it —
+// segment incarnations and their block caches included — so a total outlives
+// the object that added to it and no struct keeps a second copy. Collectors,
+// run on demand at snapshot/scrape time, only compute gauges and sums over
+// live objects (cache occupancy, the logs, breaker states, expansion
+// progress), so observability adds no per-statement work for them.
 
 // initMetrics creates the registry and resolves every hot-path handle.
 // Called before the first segment is built (segments share the WAL flush
@@ -33,6 +39,12 @@ func (c *Cluster) initMetrics() {
 	c.walFlushLat = r.Histogram("wal.flush_seconds")
 	c.misestimates = r.Counter("optimizer.misestimates")
 	c.robustFallbacks = r.Counter("optimizer.robust_fallbacks")
+	c.blocksScanned = r.Counter("storage.scan.blocks_scanned")
+	c.blocksSkipped = r.Counter("storage.scan.blocks_skipped")
+	c.versionsReclaimed = r.Counter("storage.versions_reclaimed")
+	c.cacheHits = r.Counter("storage.blockcache.hits")
+	c.cacheMisses = r.Counter("storage.blockcache.misses")
+	c.cacheEvictions = r.Counter("storage.blockcache.evictions")
 	c.groups.SetAdmissionWaits(r.Counter("resgroup.admission_waits"))
 }
 
@@ -42,33 +54,60 @@ func (c *Cluster) initMetrics() {
 func (c *Cluster) registerCollectors() {
 	r := c.metrics
 	r.Collect(func(emit obs.Emit) {
-		scanned, skipped := c.ScanBlockStats()
-		emit("storage.scan.blocks_scanned", scanned)
-		emit("storage.scan.blocks_skipped", skipped)
-		emit("storage.versions_reclaimed", c.VersionsReclaimed())
-		st := c.BlockCacheStats()
-		emit("storage.blockcache.hits", st.Hits)
-		emit("storage.blockcache.misses", st.Misses)
-		emit("storage.blockcache.evictions", st.Evictions)
-		emit("storage.blockcache.used_bytes", st.UsedBytes)
-		emit("storage.blockcache.entries", int64(st.Entries))
+		var used, entries int64
+		c.eachSeg(func(_ int, s *Segment) {
+			if s.blockCache != nil {
+				st := s.blockCache.Stats()
+				used += st.UsedBytes
+				entries += int64(st.Entries)
+			}
+		})
+		emit("storage.blockcache.used_bytes", used)
+		emit("storage.blockcache.entries", entries)
 	})
 	r.Collect(func(emit obs.Emit) {
-		st := c.WALStats()
-		emit("wal.records", st.Records)
-		emit("wal.bytes", st.Bytes)
-		emit("wal.flushes", st.Flushes)
-		emit("wal.mirror_applied_lsn", int64(st.MirrorAppliedLSN))
-		emit("wal.replay_lsn", int64(st.ReplayLSN))
+		var records, bytes, flushes int64
+		c.eachSeg(func(_ int, s *Segment) {
+			r, b, f := s.log.Stats()
+			records += r
+			bytes += b
+			flushes += f
+		})
+		_, _, coordFlushes := c.coordLog.Stats()
+		// The replication lag floor: the least applied LSN of the live
+		// mirrors, 0 when none runs.
+		var applied wal.LSN
+		first := true
+		c.eachMirror(func(m *Mirror) {
+			if lsn := m.AppliedLSN(); first || lsn < applied {
+				applied = lsn
+			}
+			first = false
+		})
+		emit("wal.records", records)
+		emit("wal.bytes", bytes)
+		emit("wal.flushes", flushes)
+		emit("wal.coord_flushes", coordFlushes)
+		emit("wal.mirror_applied_lsn", int64(applied))
+		emit("wal.replay_lsn", int64(c.replayLSN.Load()))
 	})
 	r.Collect(func(emit obs.Emit) {
-		st := c.FaultStats()
-		emit("fault.armed", int64(st.Armed))
-		emit("fault.hits", st.Hits)
-		emit("fault.triggers", st.Triggers)
-		emit("fault.breaker_opens", st.BreakerOpens)
-		emit("fault.breaker_fast_fails", st.BreakerFastFails)
-		emit("fault.breakers_open", st.BreakersOpen)
+		hits, triggers := c.faults.Counters()
+		var opens, fastFails, open int64
+		for _, b := range c.topoNow().breakers {
+			o, f := b.Stats()
+			opens += o
+			fastFails += f
+			if b.State() != fault.BreakerClosed {
+				open++
+			}
+		}
+		emit("fault.armed", int64(c.faults.Armed()))
+		emit("fault.hits", hits)
+		emit("fault.triggers", triggers)
+		emit("fault.breaker_opens", opens)
+		emit("fault.breaker_fast_fails", fastFails)
+		emit("fault.breakers_open", open)
 	})
 	r.Collect(func(emit obs.Emit) {
 		emit("cluster.segments", int64(c.SegCount()))
@@ -81,7 +120,10 @@ func (c *Cluster) registerCollectors() {
 		waited, waits := c.LockWaitStats()
 		emit("lock.waits", waits)
 		emit("lock.wait_micros_total", waited.Microseconds())
-		_, deadlocks, _, _ := c.GDDStats()
+		var deadlocks int64 // 0 with the detector off
+		if c.daemon != nil {
+			_, deadlocks, _, _ = c.daemon.Stats()
+		}
 		emit("gdd.deadlocks", deadlocks)
 	})
 	r.Collect(func(emit obs.Emit) {

@@ -173,7 +173,7 @@ func TestHotRowKeepsAHandfulOfVersions(t *testing.T) {
 	if got := scanAll(t, c, tab); len(got) != 1 || got[0][1].Int() != updates+1 {
 		t.Fatalf("the row reads %v, want b = %d", got, updates+1)
 	}
-	if n := c.VersionsReclaimed(); n < updates-8 {
+	if n, _ := c.Metrics().Value("storage.versions_reclaimed"); n < updates-8 {
 		t.Fatalf("storage.versions_reclaimed = %d, want at least %d", n, updates-8)
 	}
 }
@@ -222,8 +222,11 @@ func TestPreparedDeleterHoldsItsVersion(t *testing.T) {
 			t.Fatalf("with the deleter prepared the row reads %v, want b = 0", rows)
 		}
 	}
-	if p, v := versionsOf(t, c, tab, 1); p != 2 || v != 2 || c.VersionsReclaimed() != 0 {
-		t.Fatalf("with the deleter prepared: %d postings, %d versions, %d reclaimed; want 2, 2, 0", p, v, c.VersionsReclaimed())
+	if p, v := versionsOf(t, c, tab, 1); p != 2 || v != 2 {
+		t.Fatalf("with the deleter prepared: %d postings, %d versions; want 2, 2", p, v)
+	}
+	if n, _ := c.Metrics().Value("storage.versions_reclaimed"); n != 0 {
+		t.Fatalf("with the deleter prepared: %d reclaimed; want 0", n)
 	}
 
 	if err := s.CommitPrepared(w.dxid); err != nil {
@@ -236,8 +239,11 @@ func TestPreparedDeleterHoldsItsVersion(t *testing.T) {
 	if rows := read(); len(rows) != 1 || rows[0][0].Int() != 1 {
 		t.Fatalf("after commit-prepared the row reads %v, want b = 1", rows)
 	}
-	if p, v := versionsOf(t, c, tab, 1); p != 1 || v != 1 || c.VersionsReclaimed() != 1 {
-		t.Fatalf("after commit-prepared and a probe: %d postings, %d versions, %d reclaimed; want 1, 1, 1", p, v, c.VersionsReclaimed())
+	if p, v := versionsOf(t, c, tab, 1); p != 1 || v != 1 {
+		t.Fatalf("after commit-prepared and a probe: %d postings, %d versions; want 1, 1", p, v)
+	}
+	if n, _ := c.Metrics().Value("storage.versions_reclaimed"); n != 1 {
+		t.Fatalf("after commit-prepared and a probe: %d reclaimed; want 1", n)
 	}
 }
 

@@ -604,7 +604,7 @@ func (d *attempt) writeOnce(ec *exec.Context, mod *exec.Modifier, seg int, route
 // error path left behind. All slices have retired.
 func (d *attempt) finish(err error) {
 	c, res := d.c, d.res
-	// Fold the statement's scan counters into the per-segment cumulative
+	// Fold the statement's scan counters into the cluster's cumulative
 	// totals (SHOW scan_stats) and the caller's collector (EXPLAIN ANALYZE)
 	// — unless the attempt died with the segment (Run will retry and
 	// recount; the dead incarnation's partial work is gone with it, and
@@ -654,17 +654,16 @@ func (d *attempt) finish(err error) {
 	}
 }
 
-// foldScan adds one access's block counters to its segment's cumulative
-// totals. A promotion that raced the statement already folded the dead
-// incarnation's totals into the retired counters; the statement's counts go
-// there too, so they are not lost on an object nobody aggregates anymore.
+// foldScan adds one access's block counters to the cluster's cumulative
+// storage.scan.* counters. A statement that scanned no block (a point
+// statement's index probe) writes no shared counter.
 func (c *Cluster) foldScan(acc *storeAccess) {
-	if c.seg(acc.seg.id) != acc.seg {
-		c.retiredScanned.Add(acc.stats.BlocksScanned.Load())
-		c.retiredSkipped.Add(acc.stats.BlocksSkipped.Load())
-		return
+	if n := acc.stats.BlocksScanned.Load(); n != 0 {
+		c.blocksScanned.Add(n)
 	}
-	acc.stats.AddTo(&acc.seg.scanStats)
+	if n := acc.stats.BlocksSkipped.Load(); n != 0 {
+		c.blocksSkipped.Add(n)
+	}
 }
 
 // runBatchSlice executes one (motion, location) sender: it pulls batches

@@ -12,6 +12,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/lockmgr"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
@@ -57,11 +58,6 @@ type Segment struct {
 	// blocks (nil = disabled; each table then keeps a private cache).
 	blockCache *storage.BlockCache
 
-	// scanStats accumulates block-granular scan counters (zone-map skips)
-	// across every statement this segment executed; per-statement collectors
-	// fold into it when the statement's scans finish.
-	scanStats storage.ScanStats
-
 	// distInProgress asks the coordinator whether a distributed transaction
 	// is still running its commit protocol. Writers must not build on a
 	// predecessor's version until its distributed commit fully acknowledges
@@ -80,8 +76,9 @@ type Segment struct {
 	// truncation round, 0 until one runs on this incarnation: index probes
 	// prune below it without asking the coordinator.
 	horizon atomic.Uint64
-	// reclaimed counts the versions probes and VACUUM marked dead.
-	reclaimed atomic.Int64
+	// reclaimed counts the versions probes and VACUUM marked dead: the
+	// cluster's storage.versions_reclaimed handle.
+	reclaimed *obs.Counter
 }
 
 // segTable is one leaf table's storage on this segment.
@@ -177,21 +174,6 @@ func (s *Segment) newEngine(kind catalog.Storage, ncols int) storage.Engine {
 	default:
 		return storage.NewHeap()
 	}
-}
-
-// BlockCacheStats snapshots the segment's block-cache counters (zero value
-// when the cache is disabled).
-func (s *Segment) BlockCacheStats() storage.CacheStats {
-	if s.blockCache == nil {
-		return storage.CacheStats{}
-	}
-	return s.blockCache.Stats()
-}
-
-// ScanBlockStats returns the segment's cumulative (scanned, skipped) block
-// counters.
-func (s *Segment) ScanBlockStats() (scanned, skipped int64) {
-	return s.scanStats.BlocksScanned.Load(), s.scanStats.BlocksSkipped.Load()
 }
 
 // CreateTable instantiates storage for a table and its leaf partitions.

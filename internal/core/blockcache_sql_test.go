@@ -44,32 +44,23 @@ func TestSegmentBlockCacheWarmsAcrossQueries(t *testing.T) {
 	if _, err := s.Exec(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	var coldHits, coldMisses int64
-	for _, seg := range e.Cluster().Segments() {
-		st := seg.BlockCacheStats()
-		coldHits += st.Hits
-		coldMisses += st.Misses
-	}
-	if coldMisses == 0 {
+	reg := e.Metrics()
+	coldHits := metric(reg, "storage.blockcache.hits")
+	if metric(reg, "storage.blockcache.misses") == 0 {
 		t.Fatal("first scan produced no cache misses — cache not wired?")
 	}
 	if _, err := s.Exec(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	var warmHits int64
-	for _, seg := range e.Cluster().Segments() {
-		warmHits += seg.BlockCacheStats().Hits
-	}
-	if warmHits <= coldHits {
+	if warmHits := metric(reg, "storage.blockcache.hits"); warmHits <= coldHits {
 		t.Fatalf("second scan did not hit the block cache: cold=%d warm=%d", coldHits, warmHits)
 	}
 	// DROP TABLE must release the table's cached blocks.
 	if _, err := s.Exec(ctx, "DROP TABLE f"); err != nil {
 		t.Fatal(err)
 	}
-	for i, seg := range e.Cluster().Segments() {
-		if st := seg.BlockCacheStats(); st.Entries != 0 || st.UsedBytes != 0 {
-			t.Fatalf("segment %d cache retains dropped table's blocks: %+v", i, st)
-		}
+	snap := reg.Snapshot().Values
+	if n, b := snap["storage.blockcache.entries"], snap["storage.blockcache.used_bytes"]; n != 0 || b != 0 {
+		t.Fatalf("the caches retain the dropped table's blocks: %d entries, %d bytes", n, b)
 	}
 }

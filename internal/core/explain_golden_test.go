@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,12 +17,30 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/explain.golden f
 // operator's time= and the execution-time footer.
 var timingRE = regexp.MustCompile(`time=[0-9.]+ms|execution time: [0-9.]+ ms`)
 
+// costRE matches a node line's estimate annotation, up to where EXPLAIN
+// ANALYZE appends its actual= figure.
+var costRE = regexp.MustCompile(`\(cost=[0-9.]+ rows=[0-9]+ ±[0-9]+`)
+
+// nodeCosts lists the estimate annotation of each node line of a rendered
+// plan, "" for a node printed without one; per-segment detail lines and the
+// ANALYZE footers are not nodes.
+func nodeCosts(lines []string) []string {
+	var out []string
+	for i, l := range lines {
+		if i == 0 || strings.HasPrefix(strings.TrimLeft(l, " "), "-> ") {
+			out = append(out, costRE.FindString(l))
+		}
+	}
+	return out
+}
+
 // TestExplainGolden pins the exact EXPLAIN and EXPLAIN ANALYZE text of a
 // fixed statement set on 3 segments under both optimizers, with the
 // wall-clock figures scrubbed: the node lines, the cost and actual
 // annotations, and the per-segment detail lines under the root and under
-// nodes deeper in the tree. Refresh with go test -run TestExplainGolden
-// ./internal/core/ -update, and read the diff.
+// nodes deeper in the tree. EXPLAIN and EXPLAIN ANALYZE of one statement
+// must carry the same estimates, node by node. Refresh with go test -run
+// TestExplainGolden ./internal/core/ -update, and read the diff.
 func TestExplainGolden(t *testing.T) {
 	_, s := newTestEngine(t, 3)
 	mustExec(t, s, "CREATE TABLE kv (id int, val int) DISTRIBUTED BY (id)")
@@ -53,9 +72,12 @@ func TestExplainGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range stmts {
-			for _, verb := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+			var costs [2][]string
+			for v, verb := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
 				fmt.Fprintf(&b, "-- %s: %s%s\n", opt, verb, q)
-				for _, l := range planText(mustExec(t, s, verb+q)) {
+				lines := planText(mustExec(t, s, verb+q))
+				costs[v] = nodeCosts(lines)
+				for _, l := range lines {
 					b.WriteString(timingRE.ReplaceAllStringFunc(l, func(m string) string {
 						if strings.HasPrefix(m, "time=") {
 							return "time=*"
@@ -64,6 +86,9 @@ func TestExplainGolden(t *testing.T) {
 					}))
 					b.WriteByte('\n')
 				}
+			}
+			if !slices.Equal(costs[0], costs[1]) {
+				t.Errorf("%s: %s: EXPLAIN estimates %q, EXPLAIN ANALYZE %q", opt, q, costs[0], costs[1])
 			}
 		}
 	}

@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/lockmgr"
+	"repro/internal/plan"
+	"repro/internal/types"
 	"repro/internal/workload"
 )
 
@@ -211,32 +213,81 @@ func TestKillWithoutMirrorFailsFastAndRevives(t *testing.T) {
 	}
 }
 
-// TestScanStatsSurviveFailover: the dead incarnation's block-scan counters
-// are folded into cluster totals instead of silently dropping.
+// TestScanStatsSurviveFailover: the storage counters are registry handles
+// every segment incarnation and its block cache add to, so none drops when a
+// primary dies and each keeps counting on the promoted mirror. All rows live
+// on the killed segment, so every block scanned, every cache lookup and every
+// reclaimed version is that segment's work.
 func TestScanStatsSurviveFailover(t *testing.T) {
 	e, s := newReplicatedEngine(t, 2, cluster.ReplicaSync)
 	mustExec(t, s, "CREATE TABLE zs (k int, v int) WITH (appendonly=true, orientation=column) DISTRIBUTED BY (k)")
-	var ins strings.Builder
-	for i := 0; i < 3000; i++ {
-		if i > 0 {
-			ins.WriteByte(',')
+	mustExec(t, s, "CREATE TABLE hr (k int, v int) DISTRIBUTED BY (k)")
+	// onSeg0 lists n "(k, k)" tuples whose key RouteRow places on segment 0.
+	onSeg0 := func(table string, n int) []string {
+		tab, err := e.Cluster().Catalog().Table(table)
+		if err != nil {
+			t.Fatal(err)
 		}
-		fmt.Fprintf(&ins, "(%d, %d)", i, i)
+		var out []string
+		for k := int64(0); len(out) < n; k++ {
+			if plan.RouteRow(tab, types.Row{types.NewInt(k), types.NewInt(k)}, 2) == 0 {
+				out = append(out, fmt.Sprintf("(%d, %d)", k, k))
+			}
+		}
+		return out
 	}
-	mustExec(t, s, "INSERT INTO zs VALUES "+ins.String())
-	mustExec(t, s, "SELECT count(*) FROM zs WHERE v < 10")
-	before, _ := e.Cluster().ScanBlockStats()
-	if before == 0 {
-		t.Fatal("no blocks counted before failover")
+	rows := onSeg0("zs", 20000) // several sealed 4096-row blocks
+	for off := 0; off < len(rows); off += 1000 {
+		mustExec(t, s, "INSERT INTO zs VALUES "+strings.Join(rows[off:off+1000], ", "))
 	}
+	mustExec(t, s, "INSERT INTO hr VALUES "+strings.Join(onSeg0("hr", 50), ", "))
+
+	series := []string{"storage.scan.blocks_scanned", "storage.blockcache.hits",
+		"storage.blockcache.misses", "storage.versions_reclaimed"}
+	read := func() []int64 {
+		snap := e.Metrics().Snapshot().Values
+		out := make([]int64, len(series))
+		for i, name := range series {
+			out[i] = snap[name]
+		}
+		return out
+	}
+	// work scans the column table twice (a cold pass that decodes, a warm
+	// one the cache serves) and reclaims the versions a heap UPDATE left.
+	work := func() {
+		for i := 0; i < 2; i++ {
+			if res := mustExec(t, s, "SELECT count(*) FROM zs WHERE v >= 0"); res.Rows[0][0].Int() != 20000 {
+				t.Fatalf("count = %v, want 20000", res.Rows)
+			}
+		}
+		mustExec(t, s, "UPDATE hr SET v = v + 1")
+		mustExec(t, s, "VACUUM hr")
+	}
+	rises := func(phase string, from, to []int64) {
+		t.Helper()
+		for i, name := range series {
+			if to[i] <= from[i] {
+				t.Errorf("%s: %s did not rise: %d -> %d", phase, name, from[i], to[i])
+			}
+		}
+	}
+
+	zero := read()
+	work()
+	before := read()
+	rises("first incarnation", zero, before)
 	if err := e.Cluster().KillSegment(0); err != nil {
 		t.Fatal(err)
 	}
 	waitFailovers(t, e, 1)
-	after, _ := e.Cluster().ScanBlockStats()
-	if after < before {
-		t.Fatalf("scan counters dropped across failover: %d -> %d", before, after)
+	after := read()
+	for i, name := range series {
+		if after[i] < before[i] {
+			t.Errorf("%s dropped across the promotion: %d -> %d", name, before[i], after[i])
+		}
 	}
+	work()
+	rises("promoted incarnation", after, read())
 }
 
 // TestPromotedMirrorServesFreshBlocks is the block-cache regression test: a

@@ -113,7 +113,7 @@ func TestLiveGlobalDeadlockCase1(t *testing.T) {
 		t.Fatalf("k1 row = %v, want A's value 11", res.Rows)
 	}
 
-	_, deadlocks, victims, _ := e.Cluster().GDDStats()
+	deadlocks, victims := metric(e.Metrics(), "gdd.deadlocks"), metric(e.Metrics(), "txn.deadlock_victims")
 	if deadlocks < 1 || victims < 1 {
 		t.Fatalf("daemon stats: deadlocks=%d victims=%d", deadlocks, victims)
 	}
@@ -160,7 +160,7 @@ func TestLiveDeadlockThroughForUpdate(t *testing.T) {
 		}
 		mustExec(t, sa, "COMMIT")
 		mustExec(t, sb, "ROLLBACK")
-		if _, deadlocks, victims, _ := e.Cluster().GDDStats(); deadlocks != 1 || victims != 1 {
+		if deadlocks, victims := metric(e.Metrics(), "gdd.deadlocks"), metric(e.Metrics(), "txn.deadlock_victims"); deadlocks != 1 || victims != 1 {
 			t.Fatalf("indexed=%v: daemon stats: deadlocks=%d victims=%d, want one of each", indexed, deadlocks, victims)
 		}
 		res := mustExec(t, admin, "SELECT c2 FROM t1 ORDER BY c2")

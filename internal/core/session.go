@@ -736,11 +736,7 @@ func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []
 	if x.Analyze {
 		return s.explainAnalyze(ctx, pl)
 	}
-	var costs map[plan.Node]*plan.NodeCost
-	if _, sel := x.Target.(*sql.SelectStmt); sel {
-		costs = pl.Costs
-	}
-	return planResult(plan.ExplainPlan(pl.Root, costs, nil)), nil
+	return planResult(plan.ExplainPlan(pl.Root, pl.Costs, nil)), nil
 }
 
 // planResult is a rendered plan as an EXPLAIN result, one row per line.

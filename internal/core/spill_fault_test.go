@@ -55,7 +55,7 @@ func TestSpillFaultCleanupEverySite(t *testing.T) {
 					t.Fatalf("error text leaks nothing useful: %v", err)
 				}
 				noLeak("after the failed statement")
-				if leaks := c.FaultStats().SpillLeaks; leaks != 0 {
+				if leaks := metric(c.Metrics(), "exec.spill.leaks"); leaks != 0 {
 					t.Fatalf("operators leaned on the cleanup backstop %d times", leaks)
 				}
 
@@ -100,7 +100,7 @@ func TestSpillFaultRepeatedNoAccountingLeak(t *testing.T) {
 		}
 		c.ResetFault(point)
 	}
-	if leaks := c.FaultStats().SpillLeaks; leaks != 0 {
+	if leaks := metric(c.Metrics(), "exec.spill.leaks"); leaks != 0 {
 		t.Fatalf("spill files leaked to the backstop: %d", leaks)
 	}
 	noLeak("after the failed statements")
@@ -150,7 +150,7 @@ func TestSpillFaultConcurrentSessions(t *testing.T) {
 		}
 	}
 	c.ResetFault(fault.SpillWrite)
-	if leaks := c.FaultStats().SpillLeaks; leaks != 0 {
+	if leaks := metric(c.Metrics(), "exec.spill.leaks"); leaks != 0 {
 		t.Fatalf("concurrent spill failures leaked %d files to the backstop", leaks)
 	}
 	noLeak("after the failed statements")

@@ -79,7 +79,7 @@ func disjointUpdaterWaits(t *testing.T, cfg *cluster.Config) int64 {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.Cluster().ResetLockWaitStats()
+	_, waits0 := e.Cluster().LockWaitStats()
 	ctx := context.Background()
 	errs := make(chan error, updaters)
 	var wg sync.WaitGroup
@@ -106,7 +106,7 @@ func disjointUpdaterWaits(t *testing.T, cfg *cluster.Config) int64 {
 		t.Fatal(err)
 	}
 	_, waits := e.Cluster().LockWaitStats()
-	return waits
+	return waits - waits0
 }
 
 func TestFig15InsertOnlySmoke(t *testing.T) {

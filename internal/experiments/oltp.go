@@ -26,11 +26,11 @@ func Fig2Locking(opts Options) (*bench.Table, error) {
 	}
 	defer e.Close()
 	for _, clients := range opts.Clients {
-		e.Cluster().ResetLockWaitStats()
+		waited0, _ := e.Cluster().LockWaitStats()
 		res := driver(e, clients, opts.Duration, w.Transaction)
-		waited, _ := e.Cluster().LockWaitStats()
+		waited1, _ := e.Cluster().LockWaitStats()
 		// Total worker time = clients × elapsed.
-		share := 100 * float64(waited) / (float64(res.Duration) * float64(clients))
+		share := 100 * float64(waited1-waited0) / (float64(res.Duration) * float64(clients))
 		tbl.Add(fmt.Sprint(clients), share, res.TPS())
 	}
 	return tbl, nil
@@ -81,7 +81,7 @@ func commitCosts(opts Options, onePhase bool) (commitCost, error) {
 	ctx, conn, r := context.Background(), bench.SessionConn{S: s}, workload.NewRand(1)
 	cl := e.Cluster()
 	const samples = 30
-	log0, recs0 := cl.WALStats(), cl.WALRecordCounts()
+	reg0, recs0 := e.Metrics().Snapshot(), cl.WALRecordCounts()
 	t0 := time.Now()
 	for i := 0; i < samples; i++ {
 		if err := w.Transaction(ctx, conn, r); err != nil {
@@ -89,10 +89,10 @@ func commitCosts(opts Options, onePhase bool) (commitCost, error) {
 		}
 	}
 	took := time.Since(t0)
-	log1, recs1 := cl.WALStats(), cl.WALRecordCounts()
+	d, recs1 := e.Metrics().Snapshot().Delta(reg0), cl.WALRecordCounts()
 	prepares := float64(recs1[wal.TypePrepare] - recs0[wal.TypePrepare])
 	commits := float64(recs1[wal.TypeCommit] - recs0[wal.TypeCommit])
-	fsyncs := float64(log1.Flushes - log0.Flushes + log1.CoordFlushes - log0.CoordFlushes)
+	fsyncs := float64(d["wal.flushes"] + d["wal.coord_flushes"])
 	return commitCost{
 		waves:    (prepares + commits) / commits,
 		messages: (prepares + commits) / samples,

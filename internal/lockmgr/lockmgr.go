@@ -525,10 +525,3 @@ func (m *Manager) WaitStats() (waited time.Duration, waits, acquires int64) {
 	m.mu.Unlock()
 	return waited, m.waitCount.Load(), m.acquireCnt.Load()
 }
-
-// ResetWaitStats zeroes the accounting between benchmark phases.
-func (m *Manager) ResetWaitStats() {
-	m.waitNanos.Store(0)
-	m.waitCount.Store(0)
-	m.acquireCnt.Store(0)
-}

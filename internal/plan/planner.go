@@ -1314,11 +1314,21 @@ func (p *Planner) PlanInsert(st *sql.InsertStmt) (*Planned, error) {
 		if sch.Len() != len(cols) {
 			return nil, fmt.Errorf("plan: INSERT expects %d columns, SELECT supplies %d", len(cols), sch.Len())
 		}
-		src := make([]Expr, sch.Len())
-		for i, c := range sch.Columns {
-			src[i] = &ColRef{Idx: i, Name: c.Name, Typ: c.Kind}
+		// A SELECT that ends in its select list's Project is shaped in that
+		// Project; any other gets one above it. The casts stay even where the
+		// kinds agree: an item's static kind is not a promise about its
+		// values (a CASE takes its first branch's kind).
+		var shaped *Project
+		if proj, ok := sel.node.(*Project); ok {
+			shaped = &Project{Child: proj.Child, Exprs: shape(proj.Exprs), schema: t.Schema}
+		} else {
+			src := make([]Expr, sch.Len())
+			for i, c := range sch.Columns {
+				src[i] = &ColRef{Idx: i, Name: c.Name, Typ: c.Kind}
+			}
+			shaped = &Project{Child: sel.node, Exprs: shape(src), schema: t.Schema}
 		}
-		ip.Child = p.moveToTarget(t, sel, cols, &Project{Child: sel.node, Exprs: shape(src), schema: t.Schema})
+		ip.Child = p.moveToTarget(t, sel, cols, shaped)
 		p.annotate(res, ip.Child)
 		return p.finish(res), nil
 	}

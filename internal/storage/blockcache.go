@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/txn"
 	"repro/internal/types"
 )
@@ -33,9 +34,11 @@ type BlockCache struct {
 	entries  map[blockKey]*list.Element
 	lru      *list.List // front = most recently used
 
-	hits      int64
-	misses    int64
-	evictions int64
+	// Hits, Misses and Evictions count lookups served whole, lookups that
+	// decoded something, and entries dropped for space. NewBlockCache gives
+	// a cache its own counters; a cluster swaps in its registry handles, so
+	// the totals outlive the cache.
+	Hits, Misses, Evictions *obs.Counter
 }
 
 type blockKey struct {
@@ -54,9 +57,12 @@ type cacheEntry struct {
 // unbounded).
 func NewBlockCache(capacity int64) *BlockCache {
 	return &BlockCache{
-		capacity: capacity,
-		entries:  make(map[blockKey]*list.Element),
-		lru:      list.New(),
+		capacity:  capacity,
+		entries:   make(map[blockKey]*list.Element),
+		lru:       list.New(),
+		Hits:      new(obs.Counter),
+		Misses:    new(obs.Counter),
+		Evictions: new(obs.Counter),
 	}
 }
 
@@ -74,9 +80,9 @@ func (c *BlockCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
+		Hits:      c.Hits.Load(),
+		Misses:    c.Misses.Load(),
+		Evictions: c.Evictions.Load(),
 		UsedBytes: c.used,
 		Entries:   len(c.entries),
 	}
@@ -107,9 +113,9 @@ func (c *BlockCache) plan(key blockKey, need []int, ncols int) (db *decodedBlock
 	}
 	needXmins = db.xmins == nil
 	if len(missing) == 0 && !needXmins {
-		c.hits++
+		c.Hits.Inc()
 	} else {
-		c.misses++
+		c.Misses.Inc()
 	}
 	return db, missing, needXmins
 }
@@ -173,7 +179,7 @@ func (c *BlockCache) removeLocked(el *list.Element) {
 	c.lru.Remove(el)
 	delete(c.entries, e.key)
 	c.used -= e.bytes
-	c.evictions++
+	c.Evictions.Inc()
 }
 
 // peek returns the cached entry for key without touching LRU order or the

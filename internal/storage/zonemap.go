@@ -179,7 +179,7 @@ func conjunctMayMatch(c *PredConjunct, z *ZoneMap) bool {
 }
 
 // ScanStats counts block-granular scan work. The segment layer owns one per
-// statement and folds it into cumulative per-segment counters, so both
+// statement and adds it to the cluster's cumulative counters, so both
 // per-query (EXPLAIN ANALYZE) and cluster-wide (SHOW scan_stats) numbers come
 // from the same source. A "block" is the engine's skip unit: a sealed block
 // for the column store, a zonePageRows page for the row engines, and the
@@ -188,13 +188,6 @@ func conjunctMayMatch(c *PredConjunct, z *ZoneMap) bool {
 type ScanStats struct {
 	BlocksScanned atomic.Int64
 	BlocksSkipped atomic.Int64
-}
-
-// AddTo folds this collector's counts into another (statement → segment
-// totals).
-func (s *ScanStats) AddTo(dst *ScanStats) {
-	dst.BlocksScanned.Add(s.BlocksScanned.Load())
-	dst.BlocksSkipped.Add(s.BlocksSkipped.Load())
 }
 
 // ScanOpts bundles the optional knobs of a batch scan: column projection,
