@@ -151,6 +151,13 @@ type Cluster struct {
 	cacheMisses       *obs.Counter // storage.blockcache.misses
 	cacheEvictions    *obs.Counter // storage.blockcache.evictions
 
+	// Lock-wait counters every lock manager — the coordinator's and each
+	// segment incarnation's — adds to, so failover loses no wait.
+	// lockWaitNanos is not a series of its own: it feeds
+	// lock.wait_micros_total, which adds the waits still queued.
+	lockWaits     *obs.Counter // lock.waits
+	lockWaitNanos *obs.Counter
+
 	// expand serializes online-expansion runs and records the most recent
 	// run's progress for SHOW expand_status.
 	expandMu sync.Mutex
@@ -330,6 +337,7 @@ func (c *Cluster) buildSegment(i int) (*Segment, *Mirror) {
 	seg.distInProgress = c.coord.IsInProgress
 	seg.repMode = &c.replicaMode
 	seg.reclaimed = c.versionsReclaimed
+	seg.locks.Waits, seg.locks.WaitNanos = c.lockWaits, c.lockWaitNanos
 	// The decoded-block cache capacity comes out of the same global vmem
 	// budget queries allocate from; a segment whose share the pool cannot
 	// cover runs without a shared cache.
@@ -419,14 +427,9 @@ func (c *Cluster) CoordinatorLocks() *lockmgr.Manager { return c.locks }
 
 // LockWaitStats aggregates lock-wait accounting across the cluster (Fig. 2).
 func (c *Cluster) LockWaitStats() (waited time.Duration, waits int64) {
-	w, n, _ := c.locks.WaitStats()
-	waited, waits = w, n
-	c.eachSeg(func(_ int, s *Segment) {
-		w, n, _ := s.locks.WaitStats()
-		waited += w
-		waits += n
-	})
-	return waited, waits
+	waited = time.Duration(c.lockWaitNanos.Load()) + c.locks.QueuedWait()
+	c.eachSeg(func(_ int, s *Segment) { waited += s.locks.QueuedWait() })
+	return waited, c.lockWaits.Load()
 }
 
 // ---- transaction lifecycle ----

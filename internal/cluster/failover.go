@@ -288,6 +288,7 @@ func (c *Cluster) promote(i int) error {
 	}
 	ns := m.toSegment(old.gen+1, cache, c.coord.IsInProgress, &c.replicaMode)
 	ns.reclaimed = c.versionsReclaimed
+	ns.locks.Waits, ns.locks.WaitNanos = c.lockWaits, c.lockWaitNanos
 	ns.reconcileTables(c.catalog.Tables())
 
 	// Crash recovery: in-flight local transactions can never commit.

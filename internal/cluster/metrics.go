@@ -45,6 +45,8 @@ func (c *Cluster) initMetrics() {
 	c.cacheHits = r.Counter("storage.blockcache.hits")
 	c.cacheMisses = r.Counter("storage.blockcache.misses")
 	c.cacheEvictions = r.Counter("storage.blockcache.evictions")
+	c.lockWaits, c.lockWaitNanos = r.Counter("lock.waits"), new(obs.Counter)
+	c.locks.Waits, c.locks.WaitNanos = c.lockWaits, c.lockWaitNanos
 	c.groups.SetAdmissionWaits(r.Counter("resgroup.admission_waits"))
 }
 
@@ -117,8 +119,7 @@ func (c *Cluster) registerCollectors() {
 		emit("expand.restarts", p.Restarts)
 	})
 	r.Collect(func(emit obs.Emit) {
-		waited, waits := c.LockWaitStats()
-		emit("lock.waits", waits)
+		waited, _ := c.LockWaitStats()
 		emit("lock.wait_micros_total", waited.Microseconds())
 		var deadlocks int64 // 0 with the detector off
 		if c.daemon != nil {

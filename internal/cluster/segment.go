@@ -681,20 +681,11 @@ func (a *storeAccess) ScanTable(ctx context.Context, leaf catalog.TableID, spec 
 	})
 }
 
-// scanOpts converts the executor's scan spec to the storage layer's options:
-// the planner's sargable predicate becomes a zone-map predicate and the
-// statement's stats collector rides along. The planner attaches a ScanPred
-// to every scan with a sargable conjunct; a scan without one skips nothing.
+// scanOpts hands the executor's scan spec to the storage layer: the
+// planner's pushed predicate and projection as they are, with the
+// statement's stats collector along.
 func (a *storeAccess) scanOpts(spec exec.ScanSpec) *storage.ScanOpts {
-	opts := &storage.ScanOpts{Cols: spec.Cols, Stats: &a.stats}
-	if spec.Pred != nil {
-		zp := &storage.ZonePredicate{Conjuncts: make([]storage.PredConjunct, len(spec.Pred.Conjuncts))}
-		for i, c := range spec.Pred.Conjuncts {
-			zp.Conjuncts[i] = storage.PredConjunct{Col: c.Col, Op: c.Op, Val: c.Val, In: c.In}
-		}
-		opts.Pred = zp
-	}
-	return opts
+	return &storage.ScanOpts{Cols: spec.Cols, Pred: spec.Pred, Stats: &a.stats}
 }
 
 // ScanTableBatches implements exec.StoreAccess: the visible rows of the leaf,

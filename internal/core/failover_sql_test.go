@@ -243,7 +243,12 @@ func TestScanStatsSurviveFailover(t *testing.T) {
 	mustExec(t, s, "INSERT INTO hr VALUES "+strings.Join(onSeg0("hr", 50), ", "))
 
 	series := []string{"storage.scan.blocks_scanned", "storage.blockcache.hits",
-		"storage.blockcache.misses", "storage.versions_reclaimed"}
+		"storage.blockcache.misses", "storage.versions_reclaimed", "lock.waits", "lock.wait_micros_total"}
+	s2, err := e.NewSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
 	read := func() []int64 {
 		snap := e.Metrics().Snapshot().Values
 		out := make([]int64, len(series))
@@ -253,14 +258,34 @@ func TestScanStatsSurviveFailover(t *testing.T) {
 		return out
 	}
 	// work scans the column table twice (a cold pass that decodes, a warm
-	// one the cache serves) and reclaims the versions a heap UPDATE left.
+	// one the cache serves), makes one heap UPDATE wait on segment 0 for
+	// the row locks of another, and reclaims the versions they left.
 	work := func() {
 		for i := 0; i < 2; i++ {
 			if res := mustExec(t, s, "SELECT count(*) FROM zs WHERE v >= 0"); res.Rows[0][0].Int() != 20000 {
 				t.Fatalf("count = %v, want 20000", res.Rows)
 			}
 		}
+		mustExec(t, s, "BEGIN")
 		mustExec(t, s, "UPDATE hr SET v = v + 1")
+		waited0, _ := e.Cluster().LockWaitStats()
+		done := make(chan error, 1)
+		go func() {
+			_, err := s2.Exec(context.Background(), "UPDATE hr SET v = v + 1")
+			done <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if waited, _ := e.Cluster().LockWaitStats(); waited > waited0 { // counts queued waiters too
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("second UPDATE never blocked")
+			}
+		}
+		mustExec(t, s, "COMMIT")
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 		mustExec(t, s, "VACUUM hr")
 	}
 	rises := func(phase string, from, to []int64) {

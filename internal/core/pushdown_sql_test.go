@@ -80,13 +80,43 @@ func TestPushdownOnOffResultEquality(t *testing.T) {
 		if opaqueSkipped != 0 {
 			t.Errorf("%s: skipped %d blocks with nothing pushed", tc.opaque, opaqueSkipped)
 		}
-		if len(want) != len(got) {
-			t.Fatalf("%s: %d rows, %s: %d", tc.sargable, len(want), tc.opaque, len(got))
+		sameRows(t, tc.sargable, want, got)
+	}
+
+	// A partitioned table prunes its leaves by the same conjuncts.
+	mustExec(t, s, "CREATE TABLE ps (id int, d int) DISTRIBUTED BY (id) PARTITION BY RANGE (d) (PARTITION p0 START (0) END (100), PARTITION p1 START (100) END (200), PARTITION p2 START (200) END (300))")
+	bulkInsert(t, s, "ps", 900, 0, func(i int) string { return fmt.Sprintf("(%d,%d)", i, i%300) })
+	for _, f := range [][2]string{
+		{"150 = d", "150 = d + 0"},
+		{"d IN (150)", "d + 0 IN (150)"},
+		{"d IN (50, 150)", "d + 0 IN (50, 150)"},
+		{"250 < d", "250 < d + 0"},
+		{"d > 250 AND d > 100", "d + 0 > 250 AND d + 0 > 100"},
+	} {
+		q := "SELECT id, d FROM ps WHERE %s ORDER BY id"
+		sameRows(t, f[0], mustExec(t, s, fmt.Sprintf(q, f[0])).Rows, mustExec(t, s, fmt.Sprintf(q, f[1])).Rows)
+	}
+	// Each Bind of the session's instance prunes from the full leaf list:
+	// after 150 kept only p1, NULL and then 50 must not start from it.
+	for _, v := range []types.Datum{types.NewInt(150), types.Null, types.NewInt(50), types.NewInt(150)} {
+		pushed := mustExec(t, s, "SELECT id, d FROM ps WHERE d = $1 ORDER BY id", v).Rows
+		if n := len(pushed); n != 3 && !v.IsNull() {
+			t.Fatalf("d = %v: %d rows, want 3", v, n)
 		}
-		for i := range want {
-			if !want[i].Equal(got[i]) {
-				t.Fatalf("%s row %d: %v, unpushed %v", tc.sargable, i, want[i], got[i])
-			}
+		sameRows(t, "d = "+v.String(), pushed, mustExec(t, s, "SELECT id, d FROM ps WHERE d + 0 = $1 ORDER BY id", v).Rows)
+	}
+}
+
+// sameRows fails unless the rows of the pushed spelling q equal those of its
+// unpushed spelling.
+func sameRows(t *testing.T, q string, want, got []types.Row) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d rows, unpushed %d", q, len(want), len(got))
+	}
+	for i := range want {
+		if !want[i].Equal(got[i]) {
+			t.Fatalf("%s row %d: %v, unpushed %v", q, i, want[i], got[i])
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/types"
 )
 
 func TestAppendOptimizedTablesViaSQL(t *testing.T) {
@@ -200,6 +202,13 @@ FROM t ORDER BY a`)
 	for i, r := range res.Rows {
 		if r[1].Text() != want[i] {
 			t.Fatalf("case row %d: %v", i, r)
+		}
+	}
+	// An int branch beside a float one comes back as a float.
+	res = mustExec(t, s, "SELECT a, CASE WHEN a > 5 THEN 1 ELSE a * 0.5 END FROM t ORDER BY a")
+	for i, f := range []float64{-2.5, 0, 1} {
+		if r := res.Rows[i]; r[1].Kind() != types.KindFloat || r[1].Float() != f {
+			t.Fatalf("mixed case row %d: %v, want float %v", i, r, f)
 		}
 	}
 }

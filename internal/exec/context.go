@@ -76,10 +76,10 @@ type RowMark struct {
 type ScanSpec struct {
 	// Cols lists the column offsets to populate (nil = all).
 	Cols []int
-	// Pred is the sargable predicate extracted by the planner; the store
-	// converts it to its zone-map representation. Skipping is advisory —
+	// Pred is the sargable predicate extracted by the planner, which the
+	// store tests against its zone maps as it is. Skipping is advisory —
 	// rows of surviving blocks are NOT filtered by the store.
-	Pred *plan.ScanPredicate
+	Pred []types.Conjunct
 }
 
 // MemAccount abstracts resource-group memory accounting (resgroup.Slot).

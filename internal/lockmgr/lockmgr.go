@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TxnID identifies a transaction globally (the distributed transaction id);
@@ -166,10 +168,12 @@ type Manager struct {
 	// queued or future — fails with ErrShutdown.
 	down bool
 
-	// Wait accounting for the Fig. 2 experiment.
-	waitNanos  atomic.Int64
-	waitCount  atomic.Int64
-	acquireCnt atomic.Int64
+	// Waits and WaitNanos count finished waits and the time they took (the
+	// Fig. 2 experiment). NewManager gives a manager its own counters; a
+	// cluster swaps in its registry handles, so the totals outlive the
+	// manager.
+	Waits, WaitNanos *obs.Counter
+	acquireCnt       atomic.Int64
 
 	// faultHook, when set, runs at the top of every Acquire. The cluster
 	// layer wires it to the lock_acquire fault point (this package stays
@@ -190,9 +194,11 @@ func (m *Manager) SetFaultHook(fn func() error) {
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
 	return &Manager{
-		locks:  make(map[Tag]*lock),
-		held:   make(map[TxnID]*holds),
-		killed: make(map[TxnID]struct{}),
+		locks:     make(map[Tag]*lock),
+		held:      make(map[TxnID]*holds),
+		killed:    make(map[TxnID]struct{}),
+		Waits:     new(obs.Counter),
+		WaitNanos: new(obs.Counter),
 	}
 }
 
@@ -278,12 +284,12 @@ func (m *Manager) acquire(ctx context.Context, txn TxnID, tag Tag, mode Mode, to
 
 	select {
 	case <-w.ready:
-		m.waitNanos.Add(time.Since(w.t0).Nanoseconds())
-		m.waitCount.Add(1)
+		m.WaitNanos.Add(time.Since(w.t0).Nanoseconds())
+		m.Waits.Inc()
 		return w.err
 	case <-ctx.Done():
-		m.waitNanos.Add(time.Since(w.t0).Nanoseconds())
-		m.waitCount.Add(1)
+		m.WaitNanos.Add(time.Since(w.t0).Nanoseconds())
+		m.Waits.Inc()
 		m.mu.Lock()
 		// The grant may have raced with cancellation.
 		select {
@@ -514,7 +520,11 @@ func (m *Manager) HoldsAny(txn TxnID) bool {
 // snapshot taken mid-benchmark reflects waiters that have not yet been
 // granted.
 func (m *Manager) WaitStats() (waited time.Duration, waits, acquires int64) {
-	waited = time.Duration(m.waitNanos.Load())
+	return time.Duration(m.WaitNanos.Load()) + m.QueuedWait(), m.Waits.Load(), m.acquireCnt.Load()
+}
+
+// QueuedWait returns the time the requests still queued have waited so far.
+func (m *Manager) QueuedWait() (waited time.Duration) {
 	now := time.Now()
 	m.mu.Lock()
 	for _, l := range m.locks {
@@ -523,5 +533,5 @@ func (m *Manager) WaitStats() (waited time.Duration, waits, acquires int64) {
 		}
 	}
 	m.mu.Unlock()
-	return waited, m.waitCount.Load(), m.acquireCnt.Load()
+	return waited
 }

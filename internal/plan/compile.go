@@ -18,7 +18,7 @@ type Predicate struct {
 	l, r    *Predicate
 	col     int
 	val     types.Datum
-	mask    uint8 // bits: 1 = less, 2 = equal, 4 = greater keep the row
+	mask    uint8 // the comparison's types.CmpOp: the orderings that keep the row
 	scratch types.Row
 	sel     []int // reused selection vector of a dense input batch
 }
@@ -54,29 +54,12 @@ func CompilePredicate(e Expr) *Predicate {
 	}}
 }
 
-// cmpMasks maps a comparison operator to the orderings that satisfy it.
-var cmpMasks = map[string]uint8{"=": 2, "<>": 5, "!=": 5, "<": 1, "<=": 3, ">": 4, ">=": 6}
-
 // compileCmp handles `col <op> const` (either operand order); it returns nil
 // when the shape doesn't match.
 func compileCmp(e Expr) *Predicate {
-	b, ok := e.(*BinOp)
-	if !ok {
-		return nil
-	}
-	op := b.Op
-	cr, crOk := b.Left.(*ColRef)
-	cn, cnOk := b.Right.(*Const)
-	if !crOk || !cnOk {
-		cr, crOk = b.Right.(*ColRef)
-		cn, cnOk = b.Left.(*Const)
-		if !crOk || !cnOk {
-			return nil
-		}
-		op = flipCmp(op)
-	}
-	mask := cmpMasks[op]
-	if mask == 0 {
+	cr, op, operand, ok := colCmp(e)
+	cn, isConst := operand.(*Const)
+	if !ok || !isConst {
 		return nil
 	}
 	idx, val := cr.Idx, cn.Val
@@ -84,30 +67,13 @@ func compileCmp(e Expr) *Predicate {
 		// NULL comparand: never true under three-valued logic.
 		return &Predicate{row: func(types.Row) (bool, error) { return false, nil }}
 	}
-	return &Predicate{col: idx, val: val, mask: mask, row: func(row types.Row) (bool, error) {
+	return &Predicate{col: idx, val: val, mask: uint8(op), row: func(row types.Row) (bool, error) {
 		if idx < 0 || idx >= len(row) {
 			return EvalBool(e, row) // let the generic path report the error
 		}
 		d := row[idx]
-		return !d.IsNull() && mask>>(types.Compare(d, val)+1)&1 != 0, nil
+		return !d.IsNull() && op.Holds(types.Compare(d, val)), nil
 	}}
-}
-
-// flipCmp mirrors a comparison operator for swapped operands
-// (const <op> col → col <flipped> const).
-func flipCmp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default:
-		return op
-	}
 }
 
 // Select narrows b's selection to the rows passing the predicate. A batch

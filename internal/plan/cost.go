@@ -1,6 +1,9 @@
 package plan
 
-import "repro/internal/stats"
+import (
+	"repro/internal/stats"
+	"repro/internal/types"
+)
 
 // The cost model follows the classic Selinger/SimpleDB shape: every plan
 // node answers three questions — how many blocks does executing it touch
@@ -402,25 +405,25 @@ func (c *costEstimator) selectivityOn(ts *stats.TableStats, cond Expr) (float64,
 func conjunctSelectivity(ts *stats.TableStats, conj Expr) (sel float64, backed bool) {
 	// Reuse the pushdown classifier: it recognizes exactly the sargable
 	// shapes the statistics can estimate (=, range ops, IN, BETWEEN).
-	if sc := sargable(conj); len(sc) > 0 {
+	if sc := sargable(nil, conj); len(sc) > 0 {
 		sel = 1.0
 		backed = ts != nil
 		for _, cj := range sc {
 			cs := ts.Column(cj.Col)
 			if cs == nil {
-				sel *= stats.DefaultSelectivity(cj.Op)
+				sel *= stats.DefaultSelectivity(cj.Op.String())
 				backed = false
 				continue
 			}
 			switch cj.Op {
-			case "=":
+			case types.OpEqual:
 				sel *= cs.EqSelectivity(cj.Val)
-			case "<>":
+			case types.OpLess | types.OpGreater:
 				sel *= 1 - cs.EqSelectivity(cj.Val)
-			case "in":
+			case types.OpIn:
 				sel *= cs.InSelectivity(cj.In)
 			default:
-				sel *= cs.RangeSelectivity(cj.Op, cj.Val)
+				sel *= cs.RangeSelectivity(cj.Op.String(), cj.Val)
 			}
 		}
 		return sel, backed

@@ -6,6 +6,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/types"
@@ -229,7 +230,7 @@ func evalArith(op string, l, r types.Datum) (types.Datum, error) {
 			if rf == 0 {
 				return types.Null, fmt.Errorf("plan: division by zero")
 			}
-			return types.NewInt(l.Int() % r.Int()), nil
+			return types.NewFloat(math.Mod(lf, rf)), nil
 		}
 	}
 	li, ri := l.Int(), r.Int()
@@ -441,21 +442,48 @@ func (c *Case) Eval(row types.Row) (types.Datum, error) {
 			return types.Null, err
 		}
 		if !v.IsNull() && v.Bool() {
-			return w.Then.Eval(row)
+			return c.as(w.Then.Eval(row))
 		}
 	}
 	if c.Else != nil {
-		return c.Else.Eval(row)
+		return c.as(c.Else.Eval(row))
 	}
 	return types.Null, nil
 }
 
-// Kind implements Expr.
+// Kind implements Expr: the branches' common kind, as SQL types a CASE. An
+// untyped NULL branch fits any kind, int and float branches meet in float,
+// and branches with no common kind give KindNull.
 func (c *Case) Kind() types.Kind {
-	if len(c.Whens) > 0 {
-		return c.Whens[0].Then.Kind()
+	k := types.KindNull
+	for i := 0; i <= len(c.Whens); i++ {
+		b := c.Else
+		if i < len(c.Whens) {
+			b = c.Whens[i].Then
+		}
+		if b == nil {
+			continue
+		}
+		switch bk := b.Kind(); {
+		case bk == k || bk == types.KindNull:
+		case k == types.KindNull:
+			k = bk
+		case (k == types.KindInt || k == types.KindFloat) && (bk == types.KindInt || bk == types.KindFloat):
+			k = types.KindFloat
+		default:
+			return types.KindNull
+		}
 	}
-	return types.KindNull
+	return k
+}
+
+// as returns a branch's value in the CASE's kind: an int comes back as a
+// float when another branch is float.
+func (c *Case) as(v types.Datum, err error) (types.Datum, error) {
+	if err == nil && v.Kind() == types.KindInt && c.Kind() == types.KindFloat {
+		return v.CastTo(types.KindFloat)
+	}
+	return v, err
 }
 
 func (c *Case) String() string { return "CASE..END" }

@@ -83,9 +83,9 @@ type Scan struct {
 	// pruneColumns, which knows every reader of the scan.
 	Project []int
 	// ScanPred is the sargable part of Filter, pushed into the storage
-	// layer for zone-map block skipping (AttachPushdown). Advisory: Filter
+	// layer for zone-map block skipping (deriveScan). Advisory: Filter
 	// still runs row-by-row over the blocks that survive.
-	ScanPred  *ScanPredicate
+	ScanPred  ScanPredicate
 	ForUpdate bool
 	// OnSeg restricts the scan to one segment (-1 = every segment). Used for
 	// replicated tables whose placement has not yet been widened to the live

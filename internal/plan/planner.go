@@ -392,7 +392,7 @@ func leftmostTable(ref sql.TableRef) string {
 // this one way.
 func (p *Planner) accessPath(scan *Scan, where Expr) Node {
 	scan.Filter = conjoin(scan.Filter, where)
-	prunePartitions(scan)
+	deriveScan(scan)
 	if ix := p.tryIndexScan(scan); ix != nil {
 		return ix
 	}
@@ -1026,100 +1026,6 @@ func rebaseAll(exprs []Expr, delta int) []Expr {
 	return remapAllCols(exprs, func(c int) int { return c + delta })
 }
 
-// prunePartitions narrows a partitioned scan to the leaves its filter can
-// match, using simple `col = const`, `col >= a AND col < b`, and BETWEEN
-// patterns on the partition column. It recomputes the leaf set from the
-// table's full partition list, so Bind re-runs it once $N slots hold values.
-func prunePartitions(scan *Scan) {
-	t := scan.Table
-	if !t.IsPartitioned() || scan.Filter == nil {
-		return
-	}
-	col := t.PartitionCol
-	rng, ok := extractRange(scan.Filter, col)
-	if !ok {
-		return
-	}
-	var keep []catalog.TableID
-	for i := range t.Partitions {
-		part := &t.Partitions[i]
-		if rng.eq != nil {
-			if types.Compare(*rng.eq, part.Start) >= 0 && types.Compare(*rng.eq, part.End) < 0 {
-				keep = append(keep, part.ID)
-			}
-			continue
-		}
-		// Overlap of the predicate interval with [Start, End). The lower
-		// bound is treated inclusively even for ">" (a conservative
-		// superset — never prunes a matching partition).
-		if rng.lo != nil && types.Compare(*rng.lo, part.End) >= 0 {
-			continue
-		}
-		if rng.hi != nil {
-			if rng.hiStrict {
-				// col < hi: partition matches only if Start < hi.
-				if types.Compare(part.Start, *rng.hi) >= 0 {
-					continue
-				}
-			} else if types.Compare(*rng.hi, part.Start) < 0 {
-				continue
-			}
-		}
-		keep = append(keep, part.ID)
-	}
-	scan.Partitions = keep
-}
-
-// keyRange is the constraint extracted from a conjunction for pruning.
-type keyRange struct {
-	lo, hi   *types.Datum
-	hiStrict bool // hi bound came from "<" rather than "<="/BETWEEN
-	eq       *types.Datum
-}
-
-// extractRange finds constraints on column col inside a conjunction.
-func extractRange(e Expr, col int) (keyRange, bool) {
-	var rng keyRange
-	ok := false
-	for _, c := range flattenAnd(e) {
-		switch x := c.(type) {
-		case *BinOp:
-			cr, crOk := x.Left.(*ColRef)
-			cn, cnOk := x.Right.(*Const)
-			if !crOk || !cnOk || cr.Idx != col {
-				continue
-			}
-			v := cn.Val
-			switch x.Op {
-			case "=":
-				rng.eq = &v
-				ok = true
-			case ">", ">=":
-				rng.lo = &v
-				ok = true
-			case "<":
-				rng.hi = &v
-				rng.hiStrict = true
-				ok = true
-			case "<=":
-				rng.hi = &v
-				ok = true
-			}
-		case *Between:
-			cr, crOk := x.Operand.(*ColRef)
-			loC, loOk := x.Lo.(*Const)
-			hiC, hiOk := x.Hi.(*Const)
-			if crOk && loOk && hiOk && cr.Idx == col && !x.Negate {
-				lv, hv := loC.Val, hiC.Val
-				rng.lo, rng.hi = &lv, &hv
-				rng.hiStrict = false
-				ok = true
-			}
-		}
-	}
-	return rng, ok
-}
-
 // restrictScansToSeg pins every table scan under n to one segment. Used
 // when a replicated subtree feeds the statement's gathers directly: every
 // segment holds a full copy, so exactly one segment may emit rows.
@@ -1160,20 +1066,9 @@ func (p *Planner) tryIndexScan(scan *Scan) *IndexScan {
 	}
 	eq := map[int]Expr{}
 	for _, c := range flattenAnd(scan.Filter) {
-		b, ok := c.(*BinOp)
-		if !ok || b.Op != "=" {
-			continue
+		if cr, op, operand, ok := colCmp(c); ok && op == types.OpEqual && IsConst(operand) {
+			eq[cr.Idx] = operand
 		}
-		cr, crOK := b.Left.(*ColRef)
-		cn := b.Right
-		if !crOK || !IsConst(cn) {
-			cr, crOK = b.Right.(*ColRef)
-			cn = b.Left
-			if !crOK || !IsConst(cn) {
-				continue
-			}
-		}
-		eq[cr.Idx] = cn
 	}
 	for _, ix := range t.Indexes {
 		keys := make([]Expr, 0, len(ix.Columns))
@@ -1529,30 +1424,19 @@ func PlacementWidth(t *catalog.Table, nseg int) int {
 }
 
 // pinnedTo finds, among e's conjuncts, an equality between column col and a
-// constant (either operand order) and returns the constant; the last such
-// conjunct wins.
+// constant (NULL included) and returns the constant; the last such conjunct
+// wins.
 func pinnedTo(e Expr, col int) (val types.Datum, ok bool) {
-	b, isBin := e.(*BinOp)
-	if !isBin {
-		return val, false
-	}
-	if b.Op == "AND" {
+	if b, isBin := e.(*BinOp); isBin && b.Op == "AND" {
 		l, lok := pinnedTo(b.Left, col)
 		if r, rok := pinnedTo(b.Right, col); rok {
 			return r, true
 		}
 		return l, lok
 	}
-	if b.Op != "=" {
-		return val, false
-	}
-	cr, crOk := b.Left.(*ColRef)
-	cn, cnOk := b.Right.(*Const)
-	if !crOk || !cnOk {
-		cr, crOk = b.Right.(*ColRef)
-		cn, cnOk = b.Left.(*Const)
-	}
-	if !crOk || !cnOk || cr.Idx != col {
+	cr, op, operand, ok := colCmp(e)
+	cn, isConst := operand.(*Const)
+	if !ok || !isConst || op != types.OpEqual || cr.Idx != col {
 		return val, false
 	}
 	return cn.Val, true

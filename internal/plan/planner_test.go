@@ -221,6 +221,11 @@ func TestPartitionPruning(t *testing.T) {
 		{"SELECT * FROM sales WHERE d > 250", 1},
 		{"SELECT * FROM sales WHERE amt > 0", 3},
 		{"SELECT * FROM sales", 3},
+		{"SELECT * FROM sales WHERE 150 = d", 1},
+		{"SELECT * FROM sales WHERE d IN (150)", 1},
+		{"SELECT * FROM sales WHERE d IN (50, 150)", 2},
+		{"SELECT * FROM sales WHERE 250 < d", 1},
+		{"SELECT * FROM sales WHERE d > 250 AND d > 100", 1},
 	}
 	for _, c := range cases {
 		pl := planSelect(t, cat, c.q, OptimizerOLTP)
@@ -361,7 +366,9 @@ func TestAmbiguousColumnRejected(t *testing.T) {
 func TestExprEvaluation(t *testing.T) {
 	// Spot-check the bound-expression evaluator through planner-built
 	// expressions: NULL semantics, CASE, LIKE, IN.
-	row := types.Row{types.NewInt(5), types.NewText("hello"), types.Null}
+	row := types.Row{types.NewInt(5), types.NewText("hello"), types.Null, types.NewFloat(2.5)}
+	// CASE WHEN a > 3 THEN 1 ELSE f END: int and float branches meet in float.
+	mixed := &Case{Whens: []CaseWhen{{Cond: &BinOp{Op: ">", Left: &ColRef{Idx: 0}, Right: &Const{Val: types.NewInt(3)}}, Then: &Const{Val: types.NewInt(1)}}}, Else: &ColRef{Idx: 3, Typ: types.KindFloat}}
 	cases := []struct {
 		e    Expr
 		want types.Datum
@@ -378,6 +385,9 @@ func TestExprEvaluation(t *testing.T) {
 		{&InList{Operand: &ColRef{Idx: 0}, List: []Expr{&Const{Val: types.NewInt(5)}}}, types.NewBool(true)},
 		{&Between{Operand: &ColRef{Idx: 0}, Lo: &Const{Val: types.NewInt(1)}, Hi: &Const{Val: types.NewInt(9)}}, types.NewBool(true)},
 		{&Case{Whens: []CaseWhen{{Cond: &BinOp{Op: ">", Left: &ColRef{Idx: 0}, Right: &Const{Val: types.NewInt(3)}}, Then: &Const{Val: types.NewText("big")}}}, Else: &Const{Val: types.NewText("small")}}, types.NewText("big")},
+		{&BinOp{Op: "%", Left: &ColRef{Idx: 3}, Right: &Const{Val: types.NewFloat(2)}}, types.NewFloat(0.5)},
+		{&BinOp{Op: "%", Left: &ColRef{Idx: 3}, Right: &Const{Val: types.NewFloat(0.75)}}, types.NewFloat(0.25)},
+		{mixed, types.NewFloat(1)},
 	}
 	for i, c := range cases {
 		got, err := c.e.Eval(row)
@@ -388,9 +398,19 @@ func TestExprEvaluation(t *testing.T) {
 			t.Errorf("[%d] %s = %v, want %v", i, c.e, got, c.want)
 		}
 	}
+	if k := mixed.Kind(); k != types.KindFloat {
+		t.Errorf("CASE of int and float branches is typed %v, want float", k)
+	}
+	mixed.Whens[0].Then = &Const{Val: types.NewText("x")}
+	if k := mixed.Kind(); k != types.KindNull {
+		t.Errorf("CASE of text and float branches is typed %v, want no common kind", k)
+	}
 	// Division by zero errors.
 	if _, err := (&BinOp{Op: "/", Left: &Const{Val: types.NewInt(1)}, Right: &Const{Val: types.NewInt(0)}}).Eval(nil); err == nil {
 		t.Error("div by zero")
+	}
+	if _, err := (&BinOp{Op: "%", Left: &ColRef{Idx: 3}, Right: &Const{Val: types.NewFloat(0)}}).Eval(row); err == nil {
+		t.Error("float % 0.0")
 	}
 }
 

@@ -125,7 +125,7 @@ func (p *Planner) planReorderedJoin(jr *sql.JoinRef, where sql.Expr) (pn *planne
 			k := bits.TrailingZeros64(mask)
 			scan := rels[k].pl.node.(*Scan)
 			scan.Filter = conjoin(scan.Filter, rebase(c, -rels[k].offset))
-			prunePartitions(scan)
+			deriveScan(scan)
 		default:
 			if eq, ok := c.(*BinOp); ok && eq.Op == "=" {
 				la, lo := exprRel(eq.Left, relOf)

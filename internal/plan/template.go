@@ -104,9 +104,9 @@ func (pl *Planned) route() {
 // a path to a slot, in which every slot is a Const cell the instance owns,
 // with the rest of the tree shared with the template. Bind writes one
 // execution's values into the cells and re-runs, on the copy, the steps
-// that depend on them: evaluating an INSERT's VALUES rows, partition
-// pruning and zone-map pushdown extraction for a scan, LIMIT/OFFSET, and
-// direct dispatch. The embedded Planned is the executable plan. An instance
+// that depend on them: evaluating an INSERT's VALUES rows, a scan's derive
+// step (its pushed predicate and partitions), LIMIT/OFFSET, and direct
+// dispatch. The embedded Planned is the executable plan. An instance
 // is not safe for concurrent use; a failed Bind leaves it ready for the
 // next one.
 type Instance struct {
@@ -215,8 +215,7 @@ func (in *Instance) Bind(params []types.Datum) error {
 		}
 	}
 	for _, sc := range in.scans {
-		prunePartitions(sc) // from the table's full list, whenever the filter's shape prunes at all
-		sc.ScanPred = ExtractPushdown(sc.Filter)
+		deriveScan(sc)
 	}
 	for _, st := range in.limits {
 		st.l.Count, st.l.Offset = st.count, st.offset

@@ -249,7 +249,7 @@ func (a *AOColumn) Scan(opts *ScanOpts, batchSize int, fn func(*Chunk) bool) err
 			blk := a.sealed[bi]
 			a.mu.RUnlock()
 			if pos < off+blk.n {
-				if pred != nil && !pred.MatchZone(&blk.zone) {
+				if !blk.zone.admits(pred) {
 					opts.noteSkipped()
 				} else {
 					opts.noteScanned()

@@ -118,7 +118,7 @@ func (c *rowChunk) flush(fn func(*Chunk) bool) bool {
 func scanRowPages(opts *ScanOpts, rowCount func() int, zone func(page int) *ZoneMap, emit func(lo, hi int) bool) {
 	count := rowCount()
 	pred := opts.pred()
-	if pred == nil {
+	if len(pred) == 0 {
 		if opts != nil && opts.Stats != nil && count > 0 {
 			opts.Stats.BlocksScanned.Add(int64((count-1)/zonePageRows + 1))
 		}
@@ -126,7 +126,7 @@ func scanRowPages(opts *ScanOpts, rowCount func() int, zone func(page int) *Zone
 		return
 	}
 	for p := 0; p*zonePageRows < count; p++ {
-		if (p+1)*zonePageRows <= count && !pred.MatchZone(zone(p)) {
+		if (p+1)*zonePageRows <= count && !zone(p).admits(pred) {
 			opts.noteSkipped()
 			continue
 		}

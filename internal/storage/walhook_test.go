@@ -103,7 +103,7 @@ func TestResetDerivedDropsZonePages(t *testing.T) {
 		h.Insert(1, types.Row{types.NewInt(int64(i))})
 	}
 	// Build lazy zone pages via a predicated scan.
-	pred := &ZonePredicate{Conjuncts: []PredConjunct{{Col: 0, Op: "=", Val: types.NewInt(1)}}}
+	pred := []types.Conjunct{{Col: 0, Op: types.OpEqual, Val: types.NewInt(1)}}
 	ScanBatches(h, &ScanOpts{Pred: pred}, 256, func(hdrs []Header, rows []types.Row) bool { return true })
 	if h.ZonePagesBuilt() == 0 {
 		t.Fatal("no zone pages built by predicated scan")

@@ -102,80 +102,27 @@ func buildZoneFromColumns(cols [][]types.Datum, n int) ZoneMap {
 	return *z
 }
 
-// PredConjunct is one pushed-down conjunct: `col <op> const` with Op one of
-// "=", "<>", "<", "<=", ">", ">=", or Op == "in" with the candidate values
-// in In. It is the storage-layer mirror of plan.ScanConjunct (the layers
-// share no predicate package).
-type PredConjunct struct {
-	Col int
-	Op  string
-	Val types.Datum
-	In  []types.Datum
-}
-
-// ZonePredicate is the conjunction of pushed-down conjuncts a scan carries
-// into the storage layer. It is advisory: a block the predicate cannot rule
-// out is scanned and every surviving row still passes through the full
-// row-level filter, so an over-conservative zone check costs time, never
-// correctness.
-type ZonePredicate struct {
-	Conjuncts []PredConjunct
-}
-
-// MatchZone reports whether a block described by z may contain a row
-// satisfying the predicate. false means every row of the block fails at
-// least one conjunct and the block can be skipped wholesale.
-func (p *ZonePredicate) MatchZone(z *ZoneMap) bool {
-	if p == nil || z == nil || z.Rows == 0 {
+// admits reports whether the block z describes may hold a row satisfying
+// every pushed conjunct of pred; false means each row fails some conjunct and
+// the block can be skipped wholesale. The test is advisory: a block it cannot
+// rule out is scanned and every surviving row still passes through the full
+// row-level filter, so an over-conservative check costs time, never
+// correctness. Every pushed operator needs a non-NULL value to hold, so a
+// column that is all NULL in the block rules the block out.
+func (z *ZoneMap) admits(pred []types.Conjunct) bool {
+	if z == nil || z.Rows == 0 {
 		return true
 	}
-	for i := range p.Conjuncts {
-		if !conjunctMayMatch(&p.Conjuncts[i], z) {
+	for i := range pred {
+		c := &pred[i]
+		if c.Col < 0 || c.Col >= len(z.Mins) || c.Col >= z.MinLen {
+			continue // column not summarized (or missing from some row): cannot judge
+		}
+		if z.NullCnt[c.Col] >= z.Rows || !c.MayMatch(z.Mins[c.Col], z.Maxs[c.Col], false) {
 			return false
 		}
 	}
 	return true
-}
-
-// conjunctMayMatch is the per-conjunct zone test. Every pushed operator
-// requires a non-NULL column value to hold, so a column that is all NULL in
-// the block rules the block out. Comparisons use types.Compare — the same
-// total order the row-level predicate uses — so the min/max bounds are sound
-// even for constants of a different kind than the column.
-func conjunctMayMatch(c *PredConjunct, z *ZoneMap) bool {
-	if c.Col < 0 || c.Col >= len(z.Mins) || c.Col >= z.MinLen {
-		// Column not summarized (or missing from some row): cannot judge.
-		return true
-	}
-	nonNull := z.Rows - z.NullCnt[c.Col]
-	if nonNull <= 0 {
-		return false // col <op> anything is never true for NULL values
-	}
-	min, max := z.Mins[c.Col], z.Maxs[c.Col]
-	switch c.Op {
-	case "=":
-		return types.Compare(c.Val, min) >= 0 && types.Compare(c.Val, max) <= 0
-	case "<>":
-		// Only impossible when every non-null value equals Val.
-		return !(types.Compare(min, c.Val) == 0 && types.Compare(max, c.Val) == 0)
-	case "<":
-		return types.Compare(min, c.Val) < 0
-	case "<=":
-		return types.Compare(min, c.Val) <= 0
-	case ">":
-		return types.Compare(max, c.Val) > 0
-	case ">=":
-		return types.Compare(max, c.Val) >= 0
-	case "in":
-		for _, v := range c.In {
-			if types.Compare(v, min) >= 0 && types.Compare(v, max) <= 0 {
-				return true
-			}
-		}
-		return len(c.In) == 0 // an empty pushed list shouldn't skip anything
-	default:
-		return true // unknown operator: never skip
-	}
 }
 
 // ScanStats counts block-granular scan work. The segment layer owns one per
@@ -197,10 +144,10 @@ type ScanOpts struct {
 	// Cols lists the column offsets to populate in emitted rows (nil = all);
 	// the column store decodes proportionally less.
 	Cols []int
-	// Pred is the pushed-down predicate used to skip whole blocks via zone
-	// maps. Rows of surviving blocks are NOT filtered — the executor's
+	// Pred is the pushed-down conjunction used to skip whole blocks via
+	// zone maps. Rows of surviving blocks are NOT filtered — the executor's
 	// row-level filter still applies the full predicate.
-	Pred *ZonePredicate
+	Pred []types.Conjunct
 	// Stats, when non-nil, receives per-block scanned/skipped counts.
 	Stats *ScanStats
 }
@@ -214,7 +161,7 @@ func (o *ScanOpts) cols() []int {
 }
 
 // pred returns the pushed predicate (nil = none).
-func (o *ScanOpts) pred() *ZonePredicate {
+func (o *ScanOpts) pred() []types.Conjunct {
 	if o == nil {
 		return nil
 	}

@@ -7,21 +7,21 @@ import (
 )
 
 // eq builds the conjunction col = v.
-func eqPred(col int, v int64) *ZonePredicate {
-	return &ZonePredicate{Conjuncts: []PredConjunct{{Col: col, Op: "=", Val: types.NewInt(v)}}}
+func eqPred(col int, v int64) []types.Conjunct {
+	return []types.Conjunct{{Col: col, Op: types.OpEqual, Val: types.NewInt(v)}}
 }
 
 // rangePred builds col >= lo AND col <= hi.
-func rangePred(col int, lo, hi int64) *ZonePredicate {
-	return &ZonePredicate{Conjuncts: []PredConjunct{
-		{Col: col, Op: ">=", Val: types.NewInt(lo)},
-		{Col: col, Op: "<=", Val: types.NewInt(hi)},
-	}}
+func rangePred(col int, lo, hi int64) []types.Conjunct {
+	return []types.Conjunct{
+		{Col: col, Op: types.OpGreater | types.OpEqual, Val: types.NewInt(lo)},
+		{Col: col, Op: types.OpLess | types.OpEqual, Val: types.NewInt(hi)},
+	}
 }
 
 // scanWith runs a predicated batch scan and returns the emitted rows plus
 // the scan counters.
-func scanWith(e Engine, pred *ZonePredicate) ([]types.Row, *ScanStats) {
+func scanWith(e Engine, pred []types.Conjunct) ([]types.Row, *ScanStats) {
 	stats := &ScanStats{}
 	var rows []types.Row
 	e.Scan(&ScanOpts{Pred: pred, Stats: stats}, 256, func(ch *Chunk) bool {
@@ -132,47 +132,47 @@ func TestZoneMapOperators(t *testing.T) {
 		{"<>", 150, true},
 	}
 	for _, c := range cases {
-		p := &ZonePredicate{Conjuncts: []PredConjunct{{Col: 0, Op: c.op, Val: types.NewInt(c.val)}}}
-		if got := p.MatchZone(z); got != c.keep {
+		p := []types.Conjunct{{Col: 0, Op: types.ParseCmpOp(c.op), Val: types.NewInt(c.val)}}
+		if got := z.admits(p); got != c.keep {
 			t.Errorf("%s %d: match=%v want %v", c.op, c.val, got, c.keep)
 		}
 	}
 	// <> is only impossible when every non-null value equals the constant.
 	point := &ZoneMap{Rows: 5, MinLen: 1,
 		Mins: []types.Datum{types.NewInt(7)}, Maxs: []types.Datum{types.NewInt(7)}, NullCnt: []int{0}}
-	ne := &ZonePredicate{Conjuncts: []PredConjunct{{Col: 0, Op: "<>", Val: types.NewInt(7)}}}
-	if ne.MatchZone(point) {
+	ne := []types.Conjunct{{Col: 0, Op: types.OpLess | types.OpGreater, Val: types.NewInt(7)}}
+	if point.admits(ne) {
 		t.Error("<> over a constant block should skip")
 	}
 	// IN: kept iff some candidate falls inside [min, max].
-	in := &ZonePredicate{Conjuncts: []PredConjunct{{Col: 0, Op: "in", In: []types.Datum{types.NewInt(1), types.NewInt(300)}}}}
-	if in.MatchZone(z) {
+	in := []types.Conjunct{{Col: 0, Op: types.OpIn, In: []types.Datum{types.NewInt(1), types.NewInt(300)}}}
+	if z.admits(in) {
 		t.Error("IN with all candidates outside bounds should skip")
 	}
-	in.Conjuncts[0].In = append(in.Conjuncts[0].In, types.NewInt(150))
-	if !in.MatchZone(z) {
+	in[0].In = append(in[0].In, types.NewInt(150))
+	if !z.admits(in) {
 		t.Error("IN with an in-bounds candidate must keep")
 	}
 	// All-NULL column: comparisons can never match.
 	allNull := &ZoneMap{Rows: 4, MinLen: 1,
 		Mins: make([]types.Datum, 1), Maxs: make([]types.Datum, 1), NullCnt: []int{4}}
-	if eqPred(0, 1).MatchZone(allNull) {
+	if allNull.admits(eqPred(0, 1)) {
 		t.Error("all-NULL block should skip comparisons")
 	}
 	// Type-mismatched constant: same Compare total order as the row filter,
 	// so a text constant against an int column skips (kind-ordered) exactly
 	// when the row filter would reject every row.
-	text := &ZonePredicate{Conjuncts: []PredConjunct{{Col: 0, Op: "=", Val: types.NewText("x")}}}
-	if text.MatchZone(z) {
+	text := []types.Conjunct{{Col: 0, Op: types.OpEqual, Val: types.NewText("x")}}
+	if z.admits(text) {
 		t.Error("text = over int bounds should skip under kind ordering")
 	}
 	// Out-of-range column offset: never skip.
-	wide := &ZonePredicate{Conjuncts: []PredConjunct{{Col: 5, Op: "=", Val: types.NewInt(1)}}}
-	if !wide.MatchZone(z) {
+	wide := []types.Conjunct{{Col: 5, Op: types.OpEqual, Val: types.NewInt(1)}}
+	if !z.admits(wide) {
 		t.Error("unknown column must not skip")
 	}
 	// Empty zone (no rows summarized): never skip.
-	if !eqPred(0, 1).MatchZone(&ZoneMap{}) {
+	if !(&ZoneMap{}).admits(eqPred(0, 1)) {
 		t.Error("empty zone must not skip")
 	}
 }
