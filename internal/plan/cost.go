@@ -37,9 +37,9 @@ const (
 type NodeCost struct {
 	// Rows is the estimated output cardinality.
 	Rows int64
-	// Bound is the ± error bound on Rows: the risk-bounded planner treats
-	// Rows+Bound as the pessimistic cardinality, and the executor records a
-	// misestimate when actual rows exceed it.
+	// Bound is the ± error bound on Rows: a robust plan sizes operator
+	// memory for Rows+Bound, the pessimistic cardinality, and the executor
+	// records a misestimate when actual rows exceed it.
 	Bound int64
 	// Cost is the cumulative cost of producing the node's full output.
 	Cost float64
@@ -52,35 +52,58 @@ type NodeCost struct {
 	StatsNone bool
 }
 
-// TableStatsProvider is the optional upgrade of Stats that supplies full
-// per-column ANALYZE statistics (implemented by *cluster.Cluster; nil
-// results mean "not analyzed or stale").
-type TableStatsProvider interface {
+// Stats is the cost model's one input: what the cluster knows of a table's
+// rows (implemented by *cluster.Cluster).
+type Stats interface {
+	// RowCount estimates the total rows of a table across the cluster.
+	RowCount(table string) int64
+	// TableStats returns the table's ANALYZE statistics, or nil when it was
+	// never analyzed or has been written since.
 	TableStats(table string) *stats.TableStats
 }
 
+// defaultStats is used when no statistics provider is wired (sessions
+// always wire the cluster; this is only reachable from direct Planner
+// construction). Zero rows means "unknown": the planner then never
+// broadcasts on a guess.
+type defaultStats struct{}
+
+func (defaultStats) RowCount(string) int64               { return 0 }
+func (defaultStats) TableStats(string) *stats.TableStats { return nil }
+
+// Per-datum and per-row footprints matching types.Datum.Size / types.Row.Size
+// for numeric columns (text adds its payload, which stats cannot see).
+const (
+	estDatumBytes = 24
+	estRowBytes   = 24
+)
+
+// estRowWidth is the accounted bytes of one row of the schema.
+func estRowWidth(s *types.Schema) int64 {
+	if s == nil {
+		return estRowBytes
+	}
+	return estRowBytes + estDatumBytes*int64(len(s.Columns))
+}
+
+// groupEstimateDivisor is how many rows the model assumes share a value when
+// it has no distinct-value statistics.
+const groupEstimateDivisor = 4
+
 // costEstimator walks a plan computing NodeCost per node. It memoizes by
-// node identity, so shared subtrees are costed once.
+// node identity, so shared subtrees are costed once, and a tree changed
+// after costing (pushdown, pruning) needs a fresh estimator.
 type costEstimator struct {
 	st    Stats
-	prov  TableStatsProvider // nil when the Stats has no column statistics
 	nseg  int
 	costs map[Node]*NodeCost
 }
 
-func newCostEstimator(st Stats, prov TableStatsProvider, nseg int) *costEstimator {
+func newCostEstimator(st Stats, nseg int) *costEstimator {
 	if nseg < 1 {
 		nseg = 1
 	}
-	return &costEstimator{st: st, prov: prov, nseg: nseg, costs: make(map[Node]*NodeCost)}
-}
-
-// tableStats returns valid ANALYZE statistics for a table, or nil.
-func (c *costEstimator) tableStats(table string) *stats.TableStats {
-	if c.prov == nil {
-		return nil
-	}
-	return c.prov.TableStats(table)
+	return &costEstimator{st: st, nseg: nseg, costs: make(map[Node]*NodeCost)}
 }
 
 // RecordsOutput estimates the node's output cardinality.
@@ -106,7 +129,7 @@ func (c *costEstimator) DistinctValues(n Node, col int) int64 {
 func (c *costEstimator) distinct(n Node, col int) int64 {
 	switch x := n.(type) {
 	case *Scan:
-		if ts := c.tableStats(x.Table.Name); ts != nil {
+		if ts := c.st.TableStats(x.Table.Name); ts != nil {
 			if cs := ts.Column(col); cs != nil && cs.NDV > 0 {
 				return cs.NDV
 			}
@@ -217,10 +240,10 @@ func (c *costEstimator) compute(n Node) *NodeCost {
 	case *Agg:
 		return c.aggCost(x)
 	case *HashJoin:
-		return c.joinCost(x.Left, x.Right, x.LeftKeys, x.RightKeys, n)
+		return c.joinCost(x.Left, x.Right, x.LeftKeys, x.RightKeys)
 	case *NestLoop:
 		l, r := c.cost(x.Left), c.cost(x.Right)
-		rows := l.Rows * max(r.Rows, 1)
+		rows := l.Rows * max(c.cost(oneCopy(x.Right)).Rows, 1)
 		if x.Cond != nil {
 			rows = scaleRows(rows, stats.DefaultSelectivity("="))
 		}
@@ -248,7 +271,7 @@ func (c *costEstimator) compute(n Node) *NodeCost {
 // scanCost estimates a table scan: full blocks of the (pruned) table, with
 // the filter's selectivity applied to the output cardinality.
 func (c *costEstimator) scanCost(s *Scan) *NodeCost {
-	ts := c.tableStats(s.Table.Name)
+	ts := c.st.TableStats(s.Table.Name)
 	var tableRows int64
 	if ts != nil {
 		tableRows = ts.RowCount
@@ -257,7 +280,7 @@ func (c *costEstimator) scanCost(s *Scan) *NodeCost {
 	}
 	// Partition pruning scales the scanned fraction.
 	frac := 1.0
-	if s.Table.IsPartitioned() && len(s.Table.Partitions) > 0 && len(s.Partitions) > 0 {
+	if s.Table.IsPartitioned() && len(s.Table.Partitions) > 0 {
 		frac = float64(len(s.Partitions)) / float64(len(s.Table.Partitions))
 	}
 	scanned := scaleRows(tableRows, frac)
@@ -326,8 +349,12 @@ func (c *costEstimator) aggCost(a *Agg) *NodeCost {
 }
 
 // joinCost estimates an equality join: |L|·|R| / max(ndv(lk), ndv(rk)) per
-// key pair, with build-side CPU charged on the right.
-func (c *costEstimator) joinCost(left, right Node, lk, rk []Expr, n Node) *NodeCost {
+// key pair, with build-side CPU charged on the right. R is one copy of the
+// inner side: a broadcast makes every segment build the whole stream, which
+// the cost pays for, but each outer row still meets R once.
+func (c *costEstimator) joinCost(left, right Node, lk, rk []Expr) *NodeCost {
+	build := c.cost(right)
+	right = oneCopy(right)
 	l, r := c.cost(left), c.cost(right)
 	rows := l.Rows * max(r.Rows, 1)
 	for i := range lk {
@@ -346,10 +373,18 @@ func (c *costEstimator) joinCost(left, right Node, lk, rk []Expr, n Node) *NodeC
 	return &NodeCost{
 		Rows:      rows,
 		Bound:     bound,
-		Cost:      l.Cost + r.Cost + float64(l.Rows)*cpuRowCost + float64(r.Rows)*hashBuildCost + float64(rows)*cpuRowCost,
-		Blocks:    l.Blocks + r.Blocks,
+		Cost:      l.Cost + build.Cost + float64(l.Rows)*cpuRowCost + float64(build.Rows)*hashBuildCost + float64(rows)*cpuRowCost,
+		Blocks:    l.Blocks + build.Blocks,
 		StatsNone: l.StatsNone || r.StatsNone,
 	}
+}
+
+// oneCopy looks through a broadcast to the stream it copies to every segment.
+func oneCopy(n Node) Node {
+	if m, ok := n.(*Motion); ok && m.Type == MotionBroadcast {
+		return m.Child
+	}
+	return n
 }
 
 // joinKeySelectivity is 1/max(ndv_left, ndv_right) for one key equality.
@@ -375,7 +410,7 @@ func (c *costEstimator) joinKeySelectivity(left, right Node, lk, rk Expr) float6
 // statistics backed the whole estimate.
 func (c *costEstimator) filterSelectivity(child Node, cond Expr) (sel float64, ok bool) {
 	if s, isScan := child.(*Scan); isScan {
-		return c.selectivityOn(c.tableStats(s.Table.Name), cond)
+		return c.selectivityOn(c.st.TableStats(s.Table.Name), cond)
 	}
 	return c.selectivityOn(nil, cond)
 }
@@ -486,40 +521,30 @@ func log2(n int64) float64 {
 	return f
 }
 
-// AnnotateCosts runs the cost model over a finished plan and returns the
-// per-node cost map (consumed by EXPLAIN and the risk-bound check), also
-// setting the blocking operators' EstMemBytes from the selectivity-aware
-// row estimates.
-func (p *Planner) AnnotateCosts(root Node) map[Node]*NodeCost {
-	est := newCostEstimator(p.stats(), p.statsProvider(), p.NumSegments)
-	est.cost(root)
-	annotateMemoryFromCosts(root, est)
-	return est.costs
-}
-
-// statsProvider returns the Stats' TableStatsProvider upgrade, if any.
-func (p *Planner) statsProvider() TableStatsProvider {
-	if prov, ok := p.Stats.(TableStatsProvider); ok {
-		return prov
+// sizeMemory sets the working-set estimate of every blocking operator under
+// n from the rows the model estimates it holds: a sort its output, an
+// aggregate its groups, a hash join its build side. A robust plan sizes for
+// the upper end of each estimate's interval (Rows+Bound), so a misestimated
+// input finds its spill fanout already sized for it.
+func (c *costEstimator) sizeMemory(n Node, robust bool) {
+	rows := func(n Node) int64 {
+		nc := c.cost(n)
+		if robust {
+			return nc.Rows + nc.Bound
+		}
+		return nc.Rows
 	}
-	return nil
-}
-
-// annotateMemoryFromCosts sizes the blocking operators' working-set
-// estimates from the cost model's (selectivity-aware) cardinalities, so the
-// executor's Grace spill fanout is sized from what the operator will
-// actually hold rather than full-table widths.
-func annotateMemoryFromCosts(n Node, est *costEstimator) {
 	switch x := n.(type) {
 	case *Sort:
-		x.EstMemBytes = est.cost(x).Rows * estRowWidth(x.Child.Schema())
+		x.EstMemBytes = rows(x) * estRowWidth(x.Child.Schema())
 	case *Agg:
-		groups := est.cost(x).Rows
-		x.EstMemBytes = groups * (estRowBytes + estDatumBytes*int64(len(x.GroupBy)) + 64*int64(len(x.Specs)))
+		// Each group holds its key row plus per-spec transition state (the
+		// executor charges 64 bytes per aggregate state).
+		x.EstMemBytes = rows(x) * (estRowBytes + estDatumBytes*int64(len(x.GroupBy)) + 64*int64(len(x.Specs)))
 	case *HashJoin:
-		x.EstMemBytes = est.cost(x.Right).Rows * estRowWidth(x.Right.Schema())
+		x.EstMemBytes = rows(x.Right) * estRowWidth(x.Right.Schema())
 	}
 	for _, ch := range n.Children() {
-		annotateMemoryFromCosts(ch, est)
+		c.sizeMemory(ch, robust)
 	}
 }

@@ -109,7 +109,7 @@ func (s *Scan) Children() []Node { return nil }
 // Explain implements Node.
 func (s *Scan) Explain() string {
 	out := fmt.Sprintf("Seq Scan on %s", s.Table.Name)
-	if len(s.Partitions) > 0 && s.Table.IsPartitioned() && len(s.Partitions) < len(s.Table.Partitions) {
+	if s.Table.IsPartitioned() && len(s.Partitions) < len(s.Table.Partitions) {
 		out += fmt.Sprintf(" (%d of %d partitions)", len(s.Partitions), len(s.Table.Partitions))
 	}
 	if s.Filter != nil {
@@ -243,7 +243,7 @@ type HashJoin struct {
 	// all. The join emits the others as NULL at their offsets, like a pruned
 	// scan, so no ColRef above it moves.
 	Out []int
-	// EstMemBytes estimates the build-side working set (AnnotateMemory). The
+	// EstMemBytes estimates the build-side working set (sizeMemory). The
 	// executor sizes the Grace spill partition fanout from it.
 	EstMemBytes int64
 	schema      *types.Schema
@@ -377,8 +377,8 @@ type Agg struct {
 	GroupBy []Expr
 	Specs   []AggSpec
 	Phase   AggPhase
-	// EstMemBytes estimates the hash table's working set (AnnotateMemory).
-	// The executor sizes the spill partition fanout from it.
+	// EstMemBytes estimates the hash table's working set (sizeMemory). The
+	// executor sizes the spill partition fanout from it.
 	EstMemBytes int64
 	schema      *types.Schema
 }
@@ -458,7 +458,7 @@ type Sort struct {
 	// Gather (not a child): the sort emits only its first Bound() rows.
 	Top *Limit
 	// EstMemBytes estimates the materialized input's working set
-	// (AnnotateMemory); surfaced by EXPLAIN.
+	// (sizeMemory); surfaced by EXPLAIN.
 	EstMemBytes int64
 }
 

@@ -33,20 +33,6 @@ func (o Optimizer) String() string {
 	return "postgres"
 }
 
-// Stats supplies row-count estimates to the cost-based planner.
-type Stats interface {
-	// RowCount estimates the total rows of a table across the cluster.
-	RowCount(table string) int64
-}
-
-// defaultStats is used when no statistics provider is wired (sessions
-// always wire the cluster's live row-count cache; this is only reachable
-// from direct Planner construction). Zero means "unknown": the planner
-// then never broadcasts on a guess.
-type defaultStats struct{}
-
-func (defaultStats) RowCount(string) int64 { return 0 }
-
 // Planner turns analyzed statements into distributed physical plans.
 type Planner struct {
 	Catalog     *catalog.Catalog
@@ -63,9 +49,10 @@ type Planner struct {
 	// valid for this one binding only. EXPLAIN sets it so the estimates it
 	// prints see the values.
 	Fold bool
-	// Robust forces the robust plan shape — no broadcast motions and
-	// conservative (non-selectivity-scaled) memory estimates — after the
-	// risk-bound check recorded a misestimate for this statement.
+	// Robust forces the robust plan shape — no broadcast motions, and
+	// operator memory sized for the upper end of each row estimate's
+	// interval (Rows+Bound) — after the risk-bound check recorded a
+	// misestimate for this statement.
 	Robust bool
 
 	// mapVers accumulates the distribution-map version of every base table
@@ -133,11 +120,13 @@ func NewPlanned(root Node) *Planned {
 	return pl
 }
 
-func (p *Planner) stats() Stats {
-	if p.Stats == nil {
-		return defaultStats{}
+// estimator returns a cost model over the planner's statistics.
+func (p *Planner) estimator() *costEstimator {
+	st := p.Stats
+	if st == nil {
+		st = defaultStats{}
 	}
-	return p.Stats
+	return newCostEstimator(st, p.NumSegments)
 }
 
 // planned node + locus bookkeeping.
@@ -147,7 +136,6 @@ type planned struct {
 	// hashKeys are the expressions (over node output) rows are hashed by
 	// when locus == LocusHashed.
 	hashKeys []Expr
-	rows     int64 // estimate
 }
 
 // PlanSelect plans a SELECT statement: its tree, gathered to the
@@ -167,23 +155,17 @@ func (p *Planner) PlanSelect(s *sql.SelectStmt) (*Planned, error) {
 }
 
 // annotate prunes the columns of the tree under top, the rows a statement
-// produces, cuts the plan's slices, attaches the scans' pushed predicates
-// and costs the tree.
+// produces, cuts the plan's slices, attaches the scans' pushed predicates,
+// costs the finished tree and sizes its blocking operators' memory from
+// those costs.
 func (p *Planner) annotate(res *Planned, top Node) {
 	pruneColumns(top)
 	res.cut()
 	AttachPushdown(top)
-	if p.Optimizer == OptimizerOLAP && !p.Robust {
-		// Selectivity-aware memory estimates plus the cost annotations.
-		res.Costs = p.AnnotateCosts(top)
-	} else {
-		// Rule-based/robust path: conservative full-cardinality memory
-		// estimates; costs still computed for EXPLAIN and risk bounds.
-		AnnotateMemory(top, p.stats())
-		est := newCostEstimator(p.stats(), p.statsProvider(), p.NumSegments)
-		est.cost(top)
-		res.Costs = est.costs
-	}
+	est := p.estimator()
+	est.cost(top)
+	est.sizeMemory(top, p.Robust)
+	res.Costs = est.costs
 }
 
 // planSelect plans a SELECT's tree up to where its rows are produced: on
@@ -660,7 +642,7 @@ func (p *Planner) planAggregate(pn *planned, sc *scope, s *sql.SelectStmt) (Node
 // planFrom builds the plan for a FROM clause and the name-resolution scope.
 func (p *Planner) planFrom(ref sql.TableRef) (*planned, *scope, error) {
 	if ref == nil {
-		return &planned{node: &Values{Out: &types.Schema{}, Rows: []types.Row{{}}}, locus: LocusSingle, rows: 1}, &scope{}, nil
+		return &planned{node: &Values{Out: &types.Schema{}, Rows: []types.Row{{}}}, locus: LocusSingle}, &scope{}, nil
 	}
 	switch r := ref.(type) {
 	case *sql.BaseTable:
@@ -676,7 +658,7 @@ func (p *Planner) planFrom(ref sql.TableRef) (*planned, *scope, error) {
 		}
 		sc.add(alias, t.Schema, 0)
 		p.noteMapVersion(t)
-		pl := &planned{node: scan, rows: p.stats().RowCount(t.Name)}
+		pl := &planned{node: scan}
 		// Mid-expansion, a table whose placement has not yet been widened to
 		// the live segment count loses its colocation/replication guarantees:
 		// its rows occupy only the original segments of a wider cluster.
@@ -910,7 +892,7 @@ func sameCol(a, b Expr) bool {
 // buildJoin decides the join distribution strategy and wraps children in
 // motions as needed.
 func (p *Planner) buildJoin(kind JoinKind, left, right *planned, lk, rk []Expr, residual Expr, leftWidth int) (Node, *planned, error) {
-	result := &planned{rows: max(left.rows, right.rows)}
+	result := &planned{}
 
 	haveKeys := len(lk) > 0
 
@@ -968,13 +950,14 @@ func (p *Planner) buildJoin(kind JoinKind, left, right *planned, lk, rk []Expr, 
 		// a misestimated inner side makes broadcasts arbitrarily bad, while
 		// redistribution degrades gracefully.
 		broadcast := false
-		if p.Optimizer == OptimizerOLAP && !p.Robust && !rightAligned && right.rows > 0 && kind == JoinInner {
-			nseg := int64(max(p.NumSegments, 1))
-			redistributed := right.rows
+		if p.Optimizer == OptimizerOLAP && !p.Robust && !rightAligned && kind == JoinInner {
+			est := p.estimator()
+			inner := est.RecordsOutput(right.node)
+			redistributed := inner
 			if !leftAligned {
-				redistributed += left.rows
+				redistributed += est.RecordsOutput(left.node)
 			}
-			broadcast = right.rows*nseg <= redistributed
+			broadcast = inner > 0 && inner*int64(est.nseg) <= redistributed
 		}
 		if broadcast {
 			right.node = &Motion{Child: right.node, Type: MotionBroadcast}

@@ -1,12 +1,14 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/lockmgr"
 	"repro/internal/sql"
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -163,6 +165,8 @@ func (smallT2Stats) RowCount(table string) int64 {
 	return 100000
 }
 
+func (smallT2Stats) TableStats(string) *stats.TableStats { return nil }
+
 func TestOLAPPlannerBroadcastsSmallSide(t *testing.T) {
 	cat := testCatalog(t)
 	st, _ := sql.Parse("SELECT * FROM t1 JOIN t2 ON t1.c2 = t2.c2")
@@ -226,9 +230,18 @@ func TestPartitionPruning(t *testing.T) {
 		{"SELECT * FROM sales WHERE d IN (50, 150)", 2},
 		{"SELECT * FROM sales WHERE 250 < d", 1},
 		{"SELECT * FROM sales WHERE d > 250 AND d > 100", 1},
+		{"SELECT * FROM sales WHERE d = 500", 0},
 	}
 	for _, c := range cases {
-		pl := planSelect(t, cat, c.q, OptimizerOLTP)
+		st, err := sql.Parse(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &Planner{Catalog: cat, NumSegments: 4, Stats: rowCounts{"sales": 30}}
+		pl, err := p.PlanSelect(st.(*sql.SelectStmt))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var scan *Scan
 		var walk func(Node)
 		walk = func(n Node) {
@@ -245,6 +258,12 @@ func TestPartitionPruning(t *testing.T) {
 		}
 		if len(scan.Partitions) != c.want {
 			t.Errorf("%s: scans %d partitions, want %d", c.q, len(scan.Partitions), c.want)
+		}
+		if label := fmt.Sprintf("(%d of 3 partitions)", c.want); c.want < 3 && !strings.Contains(scan.Explain(), label) {
+			t.Errorf("%s: EXPLAIN %q lacks %s", c.q, scan.Explain(), label)
+		}
+		if rows := pl.Costs[scan].Rows; c.want == 0 && rows != 0 {
+			t.Errorf("%s: scan estimates %d rows, want 0", c.q, rows)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/sql"
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -47,6 +48,8 @@ func chCatalog(t testing.TB) (*catalog.Catalog, Stats) {
 type rowCounts map[string]int64
 
 func (r rowCounts) RowCount(table string) int64 { return r[table] }
+
+func (rowCounts) TableStats(string) *stats.TableStats { return nil }
 
 // chQueries are the eleven statements of the htap_ch analytic cycle.
 var chQueries = []string{

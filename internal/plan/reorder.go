@@ -37,6 +37,7 @@ type baseRel struct {
 type joinEdge struct {
 	a, b   int
 	ea, eb Expr
+	sel    float64 // the cost model's selectivity of ea = eb
 	used   bool
 }
 
@@ -139,27 +140,15 @@ func (p *Planner) planReorderedJoin(jr *sql.JoinRef, where sql.Expr) (pn *planne
 		}
 	}
 
-	// Cost the filtered base relations.
-	est := newCostEstimator(p.stats(), p.statsProvider(), p.NumSegments)
+	// Cost the filtered base relations and the edges between them.
+	est := p.estimator()
 	rows := make([]float64, len(rels))
 	for i, r := range rels {
-		r.pl.rows = est.RecordsOutput(r.pl.node)
-		rows[i] = float64(max(r.pl.rows, 1))
+		rows[i] = float64(max(est.RecordsOutput(r.pl.node), 1))
 	}
-	edgeSel := func(e *joinEdge) float64 {
-		var ndv int64
-		if cr, ok := e.ea.(*ColRef); ok {
-			ndv = est.DistinctValues(rels[e.a].pl.node, cr.Idx-rels[e.a].offset)
-		}
-		if cr, ok := e.eb.(*ColRef); ok {
-			if d := est.DistinctValues(rels[e.b].pl.node, cr.Idx-rels[e.b].offset); d > ndv {
-				ndv = d
-			}
-		}
-		if ndv < 1 {
-			ndv = groupEstimateDivisor
-		}
-		return 1 / float64(ndv)
+	for _, e := range edges {
+		a, b := rels[e.a], rels[e.b]
+		e.sel = est.joinKeySelectivity(a.pl.node, b.pl.node, rebase(e.ea, -a.offset), rebase(e.eb, -b.offset))
 	}
 
 	// card(S): product of base cardinalities times the selectivity of every
@@ -179,7 +168,7 @@ func (p *Planner) planReorderedJoin(jr *sql.JoinRef, where sql.Expr) (pn *planne
 		for _, e := range edges {
 			em := uint64(1)<<uint(e.a) | uint64(1)<<uint(e.b)
 			if mask&em == em {
-				c *= edgeSel(e)
+				c *= e.sel
 			}
 		}
 		if c < 1 {
@@ -257,7 +246,6 @@ func (p *Planner) planReorderedJoin(jr *sql.JoinRef, where sql.Expr) (pn *planne
 			return nil, nil, false, err
 		}
 		pl.node = node
-		pl.rows = cardEstInt(card(newMask))
 		curOff[r] = leftWidth
 		acc = pl
 		accMask = newMask
@@ -407,16 +395,6 @@ func isIdentityOrder(order []int) bool {
 		}
 	}
 	return true
-}
-
-func cardEstInt(c float64) int64 {
-	if c > math.MaxInt64/2 {
-		return math.MaxInt64 / 2
-	}
-	if c < 1 {
-		return 1
-	}
-	return int64(c)
 }
 
 // remapCols rewrites every column reference through f.

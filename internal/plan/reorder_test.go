@@ -80,12 +80,3 @@ func TestRemapCols(t *testing.T) {
 		t.Fatal("remapCols mutated its input")
 	}
 }
-
-func TestCardEstInt(t *testing.T) {
-	if got := cardEstInt(0.2); got != 1 {
-		t.Fatalf("cardEstInt(0.2) = %d, want 1", got)
-	}
-	if got := cardEstInt(1234.9); got != 1234 {
-		t.Fatalf("cardEstInt(1234.9) = %d", got)
-	}
-}
