@@ -2,32 +2,23 @@ package greenplum
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/experiments"
 )
 
 // The Benchmark* functions below regenerate every table and figure of the
-// paper's evaluation (§7). Each reports the reproduced series through
-// b.Log and exposes a headline metric via b.ReportMetric, so
+// paper's evaluation (§7), at experiments.Quick's sweep. Each logs the
+// reproduced table through b.Log, so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench Fig12 .
 //
-// prints the full reproduction. cmd/gpbench runs the same experiments with
-// longer sweeps.
-
-// quickOpts keeps benchmark iterations affordable.
-func quickOpts() experiments.Options {
-	o := experiments.Quick()
-	o.Duration = 200 * time.Millisecond
-	return o
-}
+// prints Figure 12, and -bench . prints the full reproduction.
 
 func runFigure(b *testing.B, name string, fn func(experiments.Options) (*bench.Table, error)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		tbl, err := fn(quickOpts())
+		tbl, err := fn(experiments.Quick())
 		if err != nil {
 			b.Fatalf("%s: %v", name, err)
 		}

@@ -16,23 +16,6 @@ import (
 	"repro/internal/workload"
 )
 
-// tpcbTxnRetry is tpcbTxn under the online-expansion client contract: a map
-// flip strands plans built against the old placement with a retryable error
-// and fences in-flight writers with ErrTxnLostWrites — both abort the
-// transaction whole, so re-running it is exactly-once safe.
-func tpcbTxnRetry(ctx context.Context, s *core.Session, aid int, delta int64) error {
-	var err error
-	for attempt := 0; attempt < 30; attempt++ {
-		err = tpcbTxn(ctx, s, aid, delta)
-		if err == nil ||
-			!(cluster.IsRetryableDispatch(err) || errors.Is(err, cluster.ErrTxnLostWrites)) {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return err
-}
-
 // TestExpandChaosTPCB expands the cluster 2→4 in the middle of a concurrent
 // TPC-B run under a seeded fault schedule — dispatch flak on every segment,
 // injected move_stream errors that force the mover to restart table moves,
@@ -87,14 +70,27 @@ func TestExpandChaosTPCB(t *testing.T) {
 			r := workload.NewRand(uint64(2000 + cl))
 			<-start
 			for i := 0; i < perClient; i++ {
-				delta := int64(r.Range(-500, 500))
-				aid := r.Range(1, w.Accounts())
-				if err := tpcbTxnRetry(ctx, s, aid, delta); err != nil {
+				delta, aid := r.Range(-500, 500), r.Range(1, w.Accounts())
+				tid, bid := r.Range(1, w.Branches*10), r.Range(1, w.Branches)
+				// The online-expansion client contract: a map flip strands
+				// plans built against the old placement with a retryable
+				// error and fences in-flight writers with ErrTxnLostWrites;
+				// both abort the transaction whole, so re-running it is
+				// exactly-once safe.
+				var err error
+				for attempt := 0; attempt < 30; attempt++ {
+					err = w.Transfer(ctx, SessionConn{S: s}, aid, tid, bid, delta)
+					if err == nil || !(cluster.IsRetryableDispatch(err) || errors.Is(err, cluster.ErrTxnLostWrites)) {
+						break
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if err != nil {
 					failed.Add(1)
 					continue
 				}
 				committed.Add(1)
-				committedDelta.Add(delta)
+				committedDelta.Add(int64(delta))
 			}
 		}()
 	}

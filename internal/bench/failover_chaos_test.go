@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/types"
 	"repro/internal/workload"
 )
 
@@ -72,14 +71,13 @@ func TestChaosTPCBKillPrimaryMidWorkload(t *testing.T) {
 			r := workload.NewRand(uint64(c + 1))
 			<-start
 			for i := 0; i < perClient; i++ {
-				delta := int64(r.Range(-500, 500))
-				aid := r.Range(1, w.Accounts())
-				if err := tpcbTxn(ctx, s, aid, delta); err != nil {
+				delta, aid := r.Range(-500, 500), r.Range(1, w.Accounts())
+				if err := w.Transfer(ctx, SessionConn{S: s}, aid, r.Range(1, w.Branches*10), r.Range(1, w.Branches), delta); err != nil {
 					failed.Add(1)
 					continue
 				}
 				committed.Add(1)
-				committedDelta.Add(delta)
+				committedDelta.Add(int64(delta))
 			}
 		}()
 	}
@@ -103,32 +101,6 @@ func TestChaosTPCBKillPrimaryMidWorkload(t *testing.T) {
 		t.Fatalf("lost committed transactions: balance total %d, committed deltas %d (committed %d, failed %d)",
 			total, committedDelta.Load(), committed.Load(), failed.Load())
 	}
-}
-
-// tpcbTxn is one TPC-B-style transaction whose only balance effect is a
-// single account update — the invariant stays checkable per-commit.
-func tpcbTxn(ctx context.Context, s *core.Session, aid int, delta int64) error {
-	if _, err := s.Exec(ctx, "BEGIN"); err != nil {
-		return err
-	}
-	abort := func(err error) error {
-		_, _ = s.Exec(ctx, "ROLLBACK")
-		return err
-	}
-	if _, err := s.Exec(ctx,
-		"UPDATE pgbench_accounts SET abalance = abalance + $1 WHERE aid = $2",
-		types.NewInt(delta), types.NewInt(int64(aid))); err != nil {
-		return abort(err)
-	}
-	if _, err := s.Exec(ctx,
-		"INSERT INTO pgbench_history VALUES (1, 1, $1, $2, 0, '')",
-		types.NewInt(int64(aid)), types.NewInt(delta)); err != nil {
-		return abort(err)
-	}
-	if _, err := s.Exec(ctx, "COMMIT"); err != nil {
-		return err
-	}
-	return nil
 }
 
 // TestChaosCHBenchKillPrimaryMidWorkload drives the CH-benCHmark OLTP mix
@@ -243,9 +215,9 @@ func TestChaosRepeatedKillRecover(t *testing.T) {
 					return
 				default:
 				}
-				delta := int64(r.Range(-100, 100))
-				if err := tpcbTxn(ctx, s, r.Range(1, w.Accounts()), delta); err == nil {
-					committedDelta.Add(delta)
+				delta, aid := r.Range(-100, 100), r.Range(1, w.Accounts())
+				if err := w.Transfer(ctx, SessionConn{S: s}, aid, r.Range(1, w.Branches*10), r.Range(1, w.Branches), delta); err == nil {
+					committedDelta.Add(int64(delta))
 				}
 			}
 		}()

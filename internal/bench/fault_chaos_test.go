@@ -65,14 +65,13 @@ func TestFaultChaosTPCBSeededSchedule(t *testing.T) {
 			r := workload.NewRand(uint64(1000 + cl))
 			<-start
 			for i := 0; i < perClient; i++ {
-				delta := int64(r.Range(-500, 500))
-				aid := r.Range(1, w.Accounts())
-				if err := tpcbTxn(ctx, s, aid, delta); err != nil {
+				delta, aid := r.Range(-500, 500), r.Range(1, w.Accounts())
+				if err := w.Transfer(ctx, SessionConn{S: s}, aid, r.Range(1, w.Branches*10), r.Range(1, w.Branches), delta); err != nil {
 					failed.Add(1)
 					continue
 				}
 				committed.Add(1)
-				committedDelta.Add(delta)
+				committedDelta.Add(int64(delta))
 			}
 		}()
 	}
@@ -147,14 +146,17 @@ func TestFaultChaosTornWALTruncateRecover(t *testing.T) {
 
 	var ackedDelta int64
 	r := workload.NewRand(7)
+	txn := func(delta int) error {
+		return w.Transfer(ctx, SessionConn{S: admin}, r.Range(1, w.Accounts()), r.Range(1, w.Branches*10), r.Range(1, w.Branches), delta)
+	}
 	mustTxn := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			delta := int64(r.Range(-100, 100))
-			if err := tpcbTxn(ctx, admin, r.Range(1, w.Accounts()), delta); err != nil {
+			delta := r.Range(-100, 100)
+			if err := txn(delta); err != nil {
 				t.Fatalf("txn %d: %v", i, err)
 			}
-			ackedDelta += delta
+			ackedDelta += int64(delta)
 		}
 	}
 	mustTxn(10)
@@ -167,11 +169,11 @@ func TestFaultChaosTornWALTruncateRecover(t *testing.T) {
 	// commit must NOT be acknowledged, and the segment takes itself down.
 	sawFailure := false
 	for i := 0; i < 200 && !sawFailure; i++ {
-		delta := int64(r.Range(-100, 100))
-		if err := tpcbTxn(ctx, admin, r.Range(1, w.Accounts()), delta); err != nil {
+		delta := r.Range(-100, 100)
+		if err := txn(delta); err != nil {
 			sawFailure = true
 		} else {
-			ackedDelta += delta
+			ackedDelta += int64(delta)
 		}
 	}
 	c.ResetFault(fault.WALAppend)

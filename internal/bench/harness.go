@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: fixed-duration concurrent
 // drivers with TPS/QPH and latency-percentile collection, plus the adapters
-// that let workload drivers speak to engine sessions. cmd/gpbench and the
-// top-level bench_test.go build every figure of the paper from these pieces.
+// that let workload drivers speak to engine sessions. internal/experiments
+// builds every figure of the paper from these pieces.
 package bench
 
 import (

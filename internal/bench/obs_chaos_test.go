@@ -37,9 +37,8 @@ func obsChaosWorkload(t *testing.T, e *core.Engine, w *workload.TPCB, clients, p
 			r := workload.NewRand(uint64(2000 + c))
 			<-start
 			for i := 0; i < perClient; i++ {
-				delta := int64(r.Range(-500, 500))
-				aid := r.Range(1, w.Accounts())
-				if err := tpcbTxn(ctx, s, aid, delta); err == nil {
+				delta, aid := r.Range(-500, 500), r.Range(1, w.Accounts())
+				if err := w.Transfer(ctx, SessionConn{S: s}, aid, r.Range(1, w.Branches*10), r.Range(1, w.Branches), delta); err == nil {
 					committed.Add(1)
 				}
 			}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/dtm"
@@ -400,23 +399,29 @@ func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapsho
 		n, err = d.write(&p.pinned, &p.mod, seg, routed)
 	default:
 		var wg sync.WaitGroup
-		var written atomic.Int64
-		errs := make([]error, len(targets))
+		done := make([]struct {
+			n   int
+			err error
+		}, len(targets))
 		for i, seg := range targets {
 			wg.Add(1)
 			go func(routed [][]types.Row) {
 				defer wg.Done()
-				m, err := d.write(new(exec.Context), new(exec.Modifier), seg, routed)
-				written.Add(int64(m))
-				errs[i] = err
+				done[i].n, done[i].err = d.write(new(exec.Context), new(exec.Modifier), seg, routed)
 			}(routed)
 		}
 		wg.Wait()
-		n = int(written.Load())
-		for _, e := range errs {
-			if e != nil {
-				err = e
-				break
+		// Every segment stores its own copy of a replicated table's rows:
+		// the statement wrote one copy's count, not their sum.
+		replicated := tab.Distribution == catalog.DistReplicated
+		for _, r := range done {
+			if replicated {
+				n = max(n, r.n)
+			} else {
+				n += r.n
+			}
+			if err == nil {
+				err = r.err
 			}
 		}
 	}

@@ -90,7 +90,7 @@ func TestDMLRejectsKeyColumnUpdate(t *testing.T) {
 		{"SELECT count(*) FROM kv WHERE id = 5", 1},
 		{"SELECT count(*) FROM kv WHERE id = 1005", 0},
 		{"SELECT count(*) FROM sales WHERE d + 0 = 7", 1},
-		{"UPDATE rep SET id = id + 100 WHERE id = 5", 4}, // every copy
+		{"UPDATE rep SET id = id + 100 WHERE id = 5", 1}, // one copy counted
 		{"UPDATE rnd SET id = id + 100 WHERE id = 5", 1},
 		{"SELECT count(*) FROM rep WHERE id = 105", 1},
 		{"SELECT count(*) FROM rnd WHERE id = 105", 1},
@@ -236,13 +236,9 @@ func TestDMLMatchesOracle(t *testing.T) {
 					if indexed {
 						mustExec(t, s, "CREATE INDEX "+tab+"_k ON "+tab+" (k)")
 					}
-					copies := int64(1)
-					if dist.name == "repl" {
-						copies = nseg // a replicated table reports every copy written
-					}
 					seed++
-					runDMLOracle(t, s, tab, copies, rand.New(rand.NewSource(seed)), fmt.Sprintf("direct=%v", direct))
-					runInsertSelectOracle(t, s, tab, copies, fmt.Sprintf("direct=%v", direct))
+					runDMLOracle(t, s, tab, rand.New(rand.NewSource(seed)), fmt.Sprintf("direct=%v", direct))
+					runInsertSelectOracle(t, s, tab, fmt.Sprintf("direct=%v", direct))
 				}
 			}
 		}
@@ -251,7 +247,7 @@ func TestDMLMatchesOracle(t *testing.T) {
 
 // runDMLOracle loads tab and drives one seeded batch of writes against it,
 // comparing every step with the oracle.
-func runDMLOracle(t *testing.T, s *Session, tab string, copies int64, rng *rand.Rand, label string) {
+func runDMLOracle(t *testing.T, s *Session, tab string, rng *rand.Rand, label string) {
 	t.Helper()
 	ctx := context.Background()
 	var oracle []*dmlRow
@@ -343,8 +339,8 @@ func runDMLOracle(t *testing.T, s *Session, tab string, copies int64, rng *rand.
 		if err != nil {
 			t.Fatalf("%s %s %v: %v", label, q, params, err)
 		}
-		if int64(res.RowsAffected) != want*copies {
-			t.Fatalf("%s %s %v: %d rows affected, the oracle says %d", label, q, params, res.RowsAffected, want*copies)
+		if int64(res.RowsAffected) != want {
+			t.Fatalf("%s %s %v: %d rows affected, the oracle says %d", label, q, params, res.RowsAffected, want)
 		}
 		var got, exp []string
 		for _, r := range mustExec(t, s, "SELECT k, p, v FROM "+tab).Rows {
@@ -387,7 +383,7 @@ func loadInsertSelectSources(t *testing.T, s *Session) {
 // SELECTs that end on the coordinator (ORDER BY … LIMIT, a scalar
 // aggregate), checking each statement's rows affected and the table's rows
 // against what it held before plus the oracle's rows.
-func runInsertSelectOracle(t *testing.T, s *Session, tab string, copies int64, label string) {
+func runInsertSelectOracle(t *testing.T, s *Session, tab string, label string) {
 	t.Helper()
 	var ordered, sum int64
 	for _, r := range insertSelectSources {
@@ -418,8 +414,8 @@ func runInsertSelectOracle(t *testing.T, s *Session, tab string, copies int64, l
 			}
 		}
 		res := mustExec(t, s, q)
-		if int64(res.RowsAffected) != added*copies {
-			t.Fatalf("%s %s: %d rows affected, the oracle says %d", label, q, res.RowsAffected, added*copies)
+		if int64(res.RowsAffected) != added {
+			t.Fatalf("%s %s: %d rows affected, the oracle says %d", label, q, res.RowsAffected, added)
 		}
 		got := mustSelectRows(t, s, "SELECT k, p, v FROM "+tab)
 		sort.Strings(want)
@@ -705,5 +701,27 @@ func TestInsertSelectColumnList(t *testing.T) {
 		if len(rows) != 1 || rows[0][0].String()+"/"+rows[0][1].String() != c.want || !rows[0][1].IsNull() && rows[0][1].Kind() != types.KindFloat {
 			t.Fatalf("%s: stored %v, want a/b = %s with b a float", c.q, rows, c.want)
 		}
+	}
+}
+
+// TestReplicatedWriteCountsOneCopy: a write to a replicated table stores a
+// copy on every segment, and its command tag counts the rows once.
+func TestReplicatedWriteCountsOneCopy(t *testing.T) {
+	_, s := newTestEngine(t, 4)
+	mustExec(t, s, "CREATE TABLE rep (a int, b int) DISTRIBUTED REPLICATED")
+	mustExec(t, s, "CREATE TABLE src (a int, b int) DISTRIBUTED BY (a)")
+	mustExec(t, s, "INSERT INTO src VALUES (4, 4), (5, 5)")
+	for _, c := range []struct{ q, tag string }{
+		{"INSERT INTO rep VALUES (1, 1), (2, 2), (3, 3)", "INSERT 0 3"},
+		{"UPDATE rep SET b = 9 WHERE a = 1", "UPDATE 1"},
+		{"DELETE FROM rep WHERE a = 2", "DELETE 1"},
+		{"INSERT INTO rep SELECT a, b FROM src", "INSERT 0 2"},
+	} {
+		if tag := mustExec(t, s, c.q).Tag; tag != c.tag {
+			t.Errorf("%s: tagged %q, want %q", c.q, tag, c.tag)
+		}
+	}
+	if n := mustExec(t, s, "SELECT count(*) FROM rep").Rows[0][0].Int(); n != 4 {
+		t.Errorf("rep holds %d rows, want 4", n)
 	}
 }

@@ -29,10 +29,6 @@ type Engine struct {
 	qStatements *obs.Counter   // query.statements
 	qErrors     *obs.Counter   // query.errors
 	qSeconds    *obs.Histogram // query.seconds
-
-	// onClose hooks run at Close before the cluster shuts down (gpbench
-	// -metrics dumps the registry snapshot from one).
-	onClose []func()
 }
 
 // NewEngine boots an engine over the given cluster configuration.
@@ -72,18 +68,8 @@ func (e *Engine) Metrics() *obs.Registry { return e.cluster.Metrics() }
 // StmtCache exposes the shared parse/plan cache (stats surfaces, tests).
 func (e *Engine) StmtCache() *StmtCache { return e.stmts }
 
-// OnClose registers fn to run when the engine closes, before the cluster
-// shuts down (so metric collectors still see live segments).
-func (e *Engine) OnClose(fn func()) { e.onClose = append(e.onClose, fn) }
-
-// Close runs the close hooks and shuts down background daemons.
-func (e *Engine) Close() {
-	for _, fn := range e.onClose {
-		fn()
-	}
-	e.onClose = nil
-	e.cluster.Close()
-}
+// Close shuts down background daemons.
+func (e *Engine) Close() { e.cluster.Close() }
 
 // Cluster exposes the underlying cluster for tests and benchmarks.
 func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }

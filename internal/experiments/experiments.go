@@ -1,8 +1,8 @@
 // Package experiments regenerates the tables and figures of the paper's
 // evaluation (§7: Table 1, Figs. 2 and 10–18) on the simulated cluster, and
 // nothing else. Each Fig* function runs one experiment and returns a report
-// table with the same series the paper plots; cmd/gpbench prints them and
-// the root bench_test.go wraps them in testing.B benchmarks.
+// table with the same series the paper plots; the root bench_test.go runs
+// each as a testing.B benchmark, the one way to regenerate a figure.
 //
 // The engine itself has no cost model. Each experiment boots its cluster,
 // loads it, and then arms sleep specs at fault points (see timing): the
@@ -16,7 +16,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
+	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -26,12 +26,7 @@ import (
 	"repro/internal/workload"
 )
 
-// MetricsOut, when non-nil, receives one JSON observability-registry
-// snapshot per engine the experiments boot, written as each engine closes
-// (gpbench -metrics). Bench runs then double as observability fixtures.
-var MetricsOut io.Writer
-
-// Options scales experiments between quick smoke runs and fuller sweeps.
+// Options is an experiment's sweep.
 type Options struct {
 	// Duration per measured point.
 	Duration time.Duration
@@ -41,20 +36,12 @@ type Options struct {
 	Segments int
 }
 
-// Quick returns fast settings for tests and benchmarks.
+// Quick returns the sweep the root benchmarks run: four client counts, 200
+// ms a point, on four segments.
 func Quick() Options {
 	return Options{
-		Duration: 250 * time.Millisecond,
+		Duration: 200 * time.Millisecond,
 		Clients:  []int{1, 4, 16, 48},
-		Segments: 4,
-	}
-}
-
-// Full returns the slower sweep used by cmd/gpbench.
-func Full() Options {
-	return Options{
-		Duration: 1500 * time.Millisecond,
-		Clients:  []int{1, 2, 4, 8, 16, 32, 64, 96},
 		Segments: 4,
 	}
 }
@@ -97,9 +84,6 @@ func sleepAt(point string, d time.Duration) fault.Spec {
 // arms the cost-model specs, so loading runs at full speed.
 func engine(cfg *cluster.Config, schema string, load func(ctx context.Context, c workload.Conn) error, costs []fault.Spec) (*core.Engine, error) {
 	e := core.NewEngine(cfg)
-	if MetricsOut != nil {
-		e.OnClose(func() { _ = e.Metrics().WriteJSON(MetricsOut) })
-	}
 	ctx := context.Background()
 	s, err := e.NewSession("")
 	if err != nil {
@@ -127,32 +111,122 @@ func engine(cfg *cluster.Config, schema string, load func(ctx context.Context, c
 	return e, nil
 }
 
-// driver runs op under the harness with one long-lived session per worker.
-func driver(e *core.Engine, clients int, d time.Duration, op func(ctx context.Context, c workload.Conn, r *workload.Rand) error) bench.Result {
-	return perSessionDriver(e, "", clients, d, nil, op)
+// op is one workload operation a client runs over its connection.
+type op = func(ctx context.Context, c workload.Conn, r *workload.Rand) error
+
+// clients is a load on an engine: n clients of role, each a long-lived
+// session running op on its own random stream. A positive cpu turns on
+// resource-group enforcement at cpu per statement, which is session state.
+type clients struct {
+	n    int
+	role string
+	cpu  time.Duration
+	op   op
 }
 
-// perSessionDriver keeps one session of role per worker alive across
-// operations (needed when sessions carry resource-group state).
-func perSessionDriver(e *core.Engine, role string, clients int, d time.Duration,
-	setup func(s *core.Session), op func(ctx context.Context, c workload.Conn, r *workload.Rand) error) bench.Result {
-	type worker struct {
-		conn workload.Conn
-		r    *workload.Rand
-	}
-	workers := make([]worker, clients)
-	for i := range workers {
-		s, err := e.NewSession(role)
+// open starts the clients' sessions and returns each one's operation.
+func (l clients) open(e *core.Engine) ([]func(ctx context.Context) error, error) {
+	ops := make([]func(ctx context.Context) error, l.n)
+	for i := range ops {
+		s, err := e.NewSession(l.role)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		if setup != nil {
-			setup(s)
+		if l.cpu > 0 {
+			s.UseResourceGroup(true, l.cpu)
 		}
-		workers[i] = worker{conn: bench.SessionConn{S: s}, r: workload.NewRand(uint64(i)*104729 + 7)}
+		conn, r := bench.SessionConn{S: s}, workload.NewRand(uint64(i)*104729+7)
+		ops[i] = func(ctx context.Context) error { return l.op(ctx, conn, r) }
 	}
-	return bench.RunConcurrent(clients, d, func(ctx context.Context, id int) error {
-		w := workers[id]
-		return op(ctx, w.conn, w.r)
-	})
+	return ops, nil
+}
+
+// run drives the clients under the harness for d.
+func (l clients) run(e *core.Engine, d time.Duration) (bench.Result, error) {
+	ops, err := l.open(e)
+	if err != nil {
+		return bench.Result{}, err
+	}
+	return bench.RunConcurrent(l.n, d, func(ctx context.Context, id int) error { return ops[id](ctx) }), nil
+}
+
+// start runs the clients in the background, each looping on its operation
+// until stop is called.
+func (l clients) start(e *core.Engine) (stop func(), err error) {
+	ops, err := l.open(e)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for _, op := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				_ = op(ctx)
+			}
+		}()
+	}
+	// Let the load get going before anything is measured beside it.
+	time.Sleep(20 * time.Millisecond)
+	return func() {
+		cancel()
+		wg.Wait()
+	}, nil
+}
+
+// measure runs an engine at n clients and returns the values the row of
+// that client count gets for it.
+type measure func(n int) ([]float64, error)
+
+// config is one engine a figure compares: it boots the engine, loaded and
+// under the cost model, and returns how to measure it and how to shut it
+// down.
+type config func() (run measure, closeFn func(), err error)
+
+// sweep is the comparison loop the figures share: each config in turn is
+// booted, measured at every client count of points and closed, and tbl gets
+// one row per count with the configs' values side by side.
+func sweep(tbl *bench.Table, points []int, configs ...config) (*bench.Table, error) {
+	rows := make([][]float64, len(points))
+	for _, boot := range configs {
+		run, closeFn, err := boot()
+		if err != nil {
+			return nil, err
+		}
+		for i, n := range points {
+			vals, err := run(n)
+			if err != nil {
+				closeFn()
+				return nil, err
+			}
+			rows[i] = append(rows[i], vals...)
+		}
+		closeFn()
+	}
+	for i, n := range points {
+		tbl.Add(fmt.Sprint(n), rows[i]...)
+	}
+	return tbl, nil
+}
+
+// versus is the GPDB 5-vs-GPDB 6 comparison of Figs. 12, 14 and 15: op's
+// throughput at each client count on a cluster of each preset, loaded with
+// schema and load.
+func versus(title string, opts Options, schema string, load func(ctx context.Context, c workload.Conn) error, op op) (*bench.Table, error) {
+	preset := func(cfg *cluster.Config) config {
+		return func() (measure, func(), error) {
+			e, err := engine(cfg, schema, load, timing)
+			if err != nil {
+				return nil, nil, err
+			}
+			return func(n int) ([]float64, error) {
+				res, err := clients{n: n, op: op}.run(e, opts.Duration)
+				return []float64{res.TPS()}, err
+			}, e.Close, nil
+		}
+	}
+	return sweep(bench.NewTable(title, "clients", "GPDB 5", "GPDB 6"), opts.Clients,
+		preset(gpdb5(opts.Segments)), preset(gpdb6(opts.Segments)))
 }

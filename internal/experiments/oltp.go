@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/bench"
@@ -20,20 +19,20 @@ func Fig2Locking(opts Options) (*bench.Table, error) {
 	tbl := bench.NewTable("Fig. 2 — lock wait share of runtime (GPDB 5 locking)", "clients",
 		"lock wait %", "TPS")
 	w := &workload.UpdateOnly{Rows: 1000}
-	e, err := engine(gpdb5(opts.Segments), w.Schema(), w.Load, timing)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	for _, clients := range opts.Clients {
-		waited0, _ := e.Cluster().LockWaitStats()
-		res := driver(e, clients, opts.Duration, w.Transaction)
-		waited1, _ := e.Cluster().LockWaitStats()
-		// Total worker time = clients × elapsed.
-		share := 100 * float64(waited1-waited0) / (float64(res.Duration) * float64(clients))
-		tbl.Add(fmt.Sprint(clients), share, res.TPS())
-	}
-	return tbl, nil
+	return sweep(tbl, opts.Clients, func() (measure, func(), error) {
+		e, err := engine(gpdb5(opts.Segments), w.Schema(), w.Load, timing)
+		if err != nil {
+			return nil, nil, err
+		}
+		return func(n int) ([]float64, error) {
+			waited0, _ := e.Cluster().LockWaitStats()
+			res, err := clients{n: n, op: w.Transaction}.run(e, opts.Duration)
+			waited1, _ := e.Cluster().LockWaitStats()
+			// Total worker time = clients × elapsed.
+			share := 100 * float64(waited1-waited0) / (float64(res.Duration) * float64(n))
+			return []float64{share, res.TPS()}, err
+		}, e.Close, nil
+	})
 }
 
 // Fig10Commit reproduces Figure 10: the message/fsync cost of two-phase vs
@@ -105,27 +104,8 @@ func commitCosts(opts Options, onePhase bool) (commitCost, error) {
 // Fig12TPCB reproduces Figure 12: TPC-B throughput vs client count for
 // GPDB 5 and GPDB 6. The paper reports ~80× at the peak.
 func Fig12TPCB(opts Options) (*bench.Table, error) {
-	tbl := bench.NewTable("Fig. 12 — TPC-B throughput (TPS)", "clients", "GPDB 5", "GPDB 6")
 	w := &workload.TPCB{Branches: 16, AccountsPerBranch: 250}
-	mk := func(cfg *cluster.Config) (*core.Engine, error) {
-		return engine(cfg, w.Schema(), w.Load, timing)
-	}
-	e5, err := mk(gpdb5(opts.Segments))
-	if err != nil {
-		return nil, err
-	}
-	defer e5.Close()
-	e6, err := mk(gpdb6(opts.Segments))
-	if err != nil {
-		return nil, err
-	}
-	defer e6.Close()
-	for _, clients := range opts.Clients {
-		r5 := driver(e5, clients, opts.Duration, w.Transaction)
-		r6 := driver(e6, clients, opts.Duration, w.Transaction)
-		tbl.Add(fmt.Sprint(clients), r5.TPS(), r6.TPS())
-	}
-	return tbl, nil
+	return versus("Fig. 12 — TPC-B throughput (TPS)", opts, w.Schema(), w.Load, w.Transaction)
 }
 
 // Fig13Scale reproduces Figure 13: single-host PostgreSQL vs Greenplum as
@@ -139,12 +119,13 @@ func Fig13Scale(opts Options) (*bench.Table, error) {
 		label    string
 		accounts int
 	}{{"1K", 2000}, {"10K", 20000}, {"100K", 100000}}
-	clients := 8
+	n := 8
 	if len(opts.Clients) > 0 {
-		clients = opts.Clients[len(opts.Clients)/2]
+		n = opts.Clients[len(opts.Clients)/2]
 	}
 	for _, sc := range scales {
 		w := &workload.TPCB{Branches: 4, AccountsPerBranch: sc.accounts / 4}
+		load := clients{n: n, op: w.Transaction}
 
 		// One host, no interconnect cost: its costs are the fsync and,
 		// once the accounts outgrow the buffer cache, a miss's random
@@ -164,11 +145,17 @@ func Fig13Scale(opts Options) (*bench.Table, error) {
 			return nil, err
 		}
 
-		rpg := driver(pg, clients, opts.Duration, w.Transaction)
-		rgp := driver(gp, clients, opts.Duration, w.Transaction)
-		tbl.Add(sc.label, rpg.TPS(), rgp.TPS())
+		rpg, err := load.run(pg, opts.Duration)
+		var rgp bench.Result
+		if err == nil {
+			rgp, err = load.run(gp, opts.Duration)
+		}
 		pg.Close()
 		gp.Close()
+		if err != nil {
+			return nil, err
+		}
+		tbl.Add(sc.label, rpg.TPS(), rgp.TPS())
 	}
 	return tbl, nil
 }
@@ -201,49 +188,13 @@ func armCacheMisses(e *core.Engine) error {
 // GPDB 5 serializes every update on the table lock; GPDB 6 (GDD) runs them
 // concurrently — the paper reports roughly 100×.
 func Fig14UpdateOnly(opts Options) (*bench.Table, error) {
-	tbl := bench.NewTable("Fig. 14 — update-only throughput (TPS)", "clients", "GPDB 5", "GPDB 6")
 	w := &workload.UpdateOnly{Rows: 10000}
-	e5, err := engine(gpdb5(opts.Segments), w.Schema(), w.Load, timing)
-	if err != nil {
-		return nil, err
-	}
-	defer e5.Close()
-	e6, err := engine(gpdb6(opts.Segments), w.Schema(), w.Load, timing)
-	if err != nil {
-		return nil, err
-	}
-	defer e6.Close()
-	for _, clients := range opts.Clients {
-		r5 := driver(e5, clients, opts.Duration, w.Transaction)
-		r6 := driver(e6, clients, opts.Duration, w.Transaction)
-		tbl.Add(fmt.Sprint(clients), r5.TPS(), r6.TPS())
-	}
-	return tbl, nil
+	return versus("Fig. 14 — update-only throughput (TPS)", opts, w.Schema(), w.Load, w.Transaction)
 }
 
 // Fig15InsertOnly reproduces Figure 15: single-segment inserts. GPDB 6
 // benefits from direct dispatch + one-phase commit; the paper reports ~5×.
 func Fig15InsertOnly(opts Options) (*bench.Table, error) {
-	tbl := bench.NewTable("Fig. 15 — insert-only throughput (TPS)", "clients", "GPDB 5", "GPDB 6")
-	mk := func(cfg *cluster.Config) (*core.Engine, *workload.InsertOnly, error) {
-		w := &workload.InsertOnly{}
-		e, err := engine(cfg, w.Schema(), nil, timing)
-		return e, w, err
-	}
-	e5, w5, err := mk(gpdb5(opts.Segments))
-	if err != nil {
-		return nil, err
-	}
-	defer e5.Close()
-	e6, w6, err := mk(gpdb6(opts.Segments))
-	if err != nil {
-		return nil, err
-	}
-	defer e6.Close()
-	for _, clients := range opts.Clients {
-		r5 := driver(e5, clients, opts.Duration, w5.Transaction)
-		r6 := driver(e6, clients, opts.Duration, w6.Transaction)
-		tbl.Add(fmt.Sprint(clients), r5.TPS(), r6.TPS())
-	}
-	return tbl, nil
+	w := &workload.InsertOnly{}
+	return versus("Fig. 15 — insert-only throughput (TPS)", opts, w.Schema(), nil, w.Transaction)
 }

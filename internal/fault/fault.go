@@ -2,10 +2,10 @@
 // Greenplum's gp_inject_fault framework. Code on critical paths (WAL append,
 // spill writes, dispatch, commit waves, ...) declares a point by calling
 // Registry.Eval or Registry.Inject with the point's name and the acting
-// segment id; tests, the FAULT SQL statement and gpbench arm points with a
-// Spec that chooses an action (error, panic, sleep, hang-until-resume,
-// torn-write, skip), a target segment, an occurrence window and an optional
-// probability.
+// segment id; tests, the FAULT SQL statement and the paper's experiments
+// (internal/experiments) arm points with a Spec that chooses an action
+// (error, panic, sleep, hang-until-resume, torn-write, skip), a target
+// segment, an occurrence window and an optional probability.
 //
 // The disarmed fast path is a single atomic load: with nothing armed (the
 // production state) a fault point costs a few nanoseconds and no locks, so

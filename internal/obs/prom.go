@@ -71,8 +71,8 @@ func trimFloat(f float64) string {
 }
 
 // WriteJSON dumps the snapshot as one JSON object: flat name→value pairs
-// plus per-histogram count/sum/bucket arrays. Used by gpbench -metrics so
-// bench runs double as observability fixtures.
+// plus per-histogram count/sum/bucket arrays. The server's /metrics.json
+// endpoint serves it.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	s := r.Snapshot()
 	type histJSON struct {

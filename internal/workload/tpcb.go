@@ -92,31 +92,31 @@ func (w *TPCB) Load(ctx context.Context, c Conn) error {
 	return flush()
 }
 
-// Transaction runs one TPC-B transaction: the classic five statements in an
-// explicit block.
+// Transaction runs one TPC-B transaction on keys drawn from r.
 func (w *TPCB) Transaction(ctx context.Context, c Conn, r *Rand) error {
 	aid := r.Range(1, w.Accounts())
 	bid := r.Range(1, w.Branches)
 	tid := r.Range(1, w.Branches*10)
-	delta := r.Range(-5000, 5000)
+	return w.Transfer(ctx, c, aid, tid, bid, r.Range(-5000, 5000))
+}
 
+// Transfer runs the classic five TPC-B statements in an explicit block:
+// delta moves onto account aid, teller tid and branch bid, and a history
+// row records it. A failed statement rolls the block back.
+func (w *TPCB) Transfer(ctx context.Context, c Conn, aid, tid, bid, delta int) error {
 	if _, _, err := c.Exec(ctx, "BEGIN"); err != nil {
 		return err
 	}
+	a, t, b, d := types.NewInt(int64(aid)), types.NewInt(int64(tid)), types.NewInt(int64(bid)), types.NewInt(int64(delta))
 	steps := []struct {
 		sql  string
 		args []types.Datum
 	}{
-		{"UPDATE pgbench_accounts SET abalance = abalance + $1 WHERE aid = $2",
-			[]types.Datum{types.NewInt(int64(delta)), types.NewInt(int64(aid))}},
-		{"SELECT abalance FROM pgbench_accounts WHERE aid = $1",
-			[]types.Datum{types.NewInt(int64(aid))}},
-		{"UPDATE pgbench_tellers SET tbalance = tbalance + $1 WHERE tid = $2",
-			[]types.Datum{types.NewInt(int64(delta)), types.NewInt(int64(tid))}},
-		{"UPDATE pgbench_branches SET bbalance = bbalance + $1 WHERE bid = $2",
-			[]types.Datum{types.NewInt(int64(delta)), types.NewInt(int64(bid))}},
-		{"INSERT INTO pgbench_history VALUES ($1, $2, $3, $4, 0, '')",
-			[]types.Datum{types.NewInt(int64(tid)), types.NewInt(int64(bid)), types.NewInt(int64(aid)), types.NewInt(int64(delta))}},
+		{"UPDATE pgbench_accounts SET abalance = abalance + $1 WHERE aid = $2", []types.Datum{d, a}},
+		{"SELECT abalance FROM pgbench_accounts WHERE aid = $1", []types.Datum{a}},
+		{"UPDATE pgbench_tellers SET tbalance = tbalance + $1 WHERE tid = $2", []types.Datum{d, t}},
+		{"UPDATE pgbench_branches SET bbalance = bbalance + $1 WHERE bid = $2", []types.Datum{d, b}},
+		{"INSERT INTO pgbench_history VALUES ($1, $2, $3, $4, 0, '')", []types.Datum{t, b, a, d}},
 	}
 	for _, st := range steps {
 		if _, _, err := c.Exec(ctx, st.sql, st.args...); err != nil {
