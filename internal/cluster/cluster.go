@@ -676,8 +676,8 @@ func (c *Cluster) LockCoordinator(ctx context.Context, t *LiveTxn, table string,
 
 // LockCoordinatorTable is LockCoordinator of a table already resolved.
 func (c *Cluster) LockCoordinatorTable(ctx context.Context, t *LiveTxn, tab *catalog.Table, mode lockmgr.Mode) error {
-	if !c.cfg.GDD && c.cfg.LockTimeout > 0 {
-		tctx, cancel := context.WithTimeout(ctx, c.cfg.LockTimeout)
+	if !c.cfg.GDD {
+		tctx, cancel := context.WithTimeout(ctx, noGDDLockTimeout)
 		defer cancel()
 		return c.locks.Acquire(tctx, t.owner, lockmgr.RelationTag(uint64(tab.ID)), mode)
 	}

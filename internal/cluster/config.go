@@ -36,11 +36,6 @@ type Config struct {
 	// keeps a private unbounded decode cache).
 	BlockCacheBytes int64
 
-	// LockTimeout bounds every lock wait; it is the safety net against
-	// undetected global deadlocks when GDD is off (Greenplum 5 avoided them
-	// by serializing writers, but LOCK TABLE orderings can still hang).
-	LockTimeout time.Duration
-
 	// ReplicaMode gives every primary segment a mirror standby that applies
 	// the shipped WAL stream. ReplicaSync makes each commit flush wait until
 	// the mirror has applied (zero-lag failover); ReplicaAsync lets the
@@ -132,7 +127,6 @@ func GPDB6(nseg int) *Config {
 		GDDPeriod:      20 * time.Millisecond,
 		OnePhase:       true,
 		DirectDispatch: true,
-		LockTimeout:    10 * time.Second,
 		Cores:          32,
 		MemoryBytes:    8 << 30,
 	}
@@ -168,9 +162,6 @@ func (c *Config) withDefaults() *Config {
 	}
 	if out.FailoverTimeout <= 0 {
 		out.FailoverTimeout = 10 * time.Second
-	}
-	if out.LockTimeout <= 0 {
-		out.LockTimeout = 10 * time.Second
 	}
 	if out.MemorySpillRatio == 0 {
 		out.MemorySpillRatio = 20

@@ -15,13 +15,18 @@ import (
 	"repro/internal/types"
 )
 
-// acquire wraps lockmgr.Acquire with the configured lock-wait safety net:
-// with GDD disabled there is no global deadlock detection, so undetected
-// cross-segment cycles are broken by timeout instead (Greenplum 5 prevented
-// them by serializing writers; LOCK TABLE orderings could still hang).
+// noGDDLockTimeout bounds each lock wait under GPDB 5 locking (GDD off), the
+// coordinator's and the segments' alike: with no global deadlock detection,
+// undetected cross-segment cycles are broken by timeout instead (Greenplum 5
+// prevented them by serializing writers; LOCK TABLE orderings could still
+// hang). With GDD on, a lock wait is bounded by the statement's context only.
+const noGDDLockTimeout = 10 * time.Second
+
+// acquire wraps lockmgr.Acquire with the GPDB 5 lock-wait safety net
+// (noGDDLockTimeout).
 func (s *Segment) acquire(ctx context.Context, who lockmgr.TxnID, tag lockmgr.Tag, mode lockmgr.Mode) error {
-	if !s.cfg.GDD && s.cfg.LockTimeout > 0 {
-		tctx, cancel := context.WithTimeout(ctx, s.cfg.LockTimeout)
+	if !s.cfg.GDD {
+		tctx, cancel := context.WithTimeout(ctx, noGDDLockTimeout)
 		defer cancel()
 		return s.mapLockErr(s.locks.Acquire(tctx, who, tag, mode))
 	}

@@ -195,10 +195,10 @@ func TestParamPlanReuse(t *testing.T) {
 	e, s := directEngine(t, true)
 	const q = "SELECT val FROM kv WHERE id = $1"
 	delta := func(f func()) (hits, misses int64) {
-		before := e.StmtCache().Stats()
+		before := e.Metrics().Snapshot()
 		f()
-		after := e.StmtCache().Stats()
-		return after.PlanHits - before.PlanHits, after.PlanMisses - before.PlanMisses
+		d := e.Metrics().Snapshot().Delta(before)
+		return d["plancache.plan_hits"], d["plancache.plan_misses"]
 	}
 	read := func(k int64) {
 		t.Helper()
@@ -267,8 +267,9 @@ func TestParamPlanReuse(t *testing.T) {
 	for _, r := range res.Rows {
 		shown[r[0].String()] = r[1].Int()
 	}
-	if st := e.StmtCache().Stats(); shown["plan_hits"] != st.PlanHits || shown["plan_misses"] != st.PlanMisses || st.PlanHits < 30 {
-		t.Fatalf("SHOW plan_cache %v vs %+v", shown, st)
+	st := e.Metrics().Snapshot().Values
+	if hits := st["plancache.plan_hits"]; shown["plan_hits"] != hits || shown["plan_misses"] != st["plancache.plan_misses"] || hits < 30 {
+		t.Fatalf("SHOW plan_cache %v vs plan_hits %d, plan_misses %d", shown, hits, st["plancache.plan_misses"])
 	}
 }
 

@@ -34,25 +34,19 @@ type Engine struct {
 // NewEngine boots an engine over the given cluster configuration.
 func NewEngine(cfg *cluster.Config) *Engine {
 	c := cluster.New(cfg)
+	r := c.Metrics()
 	e := &Engine{
 		cluster:  c,
-		stmts:    NewStmtCache(c.Config().PlanCacheSize),
+		stmts:    newStmtCache(c.Config().PlanCacheSize, r),
 		activity: obs.NewActivity(256, 128, 64),
 	}
-	r := c.Metrics()
 	e.qStatements = r.Counter("query.statements")
 	e.qErrors = r.Counter("query.errors")
 	e.qSeconds = r.Histogram("query.seconds")
-	// Plan-cache occupancy and hit rates fold the cache's own counters at
-	// scrape time; the cache stays the single source of truth.
+	// The cache counts its lookups into registry counters; only its
+	// occupancy and the plan epoch are read at scrape time.
 	r.Collect(func(emit obs.Emit) {
-		st := e.stmts.Stats()
-		emit("plancache.hits", st.Hits)
-		emit("plancache.misses", st.Misses)
-		emit("plancache.plan_hits", st.PlanHits)
-		emit("plancache.plan_misses", st.PlanMisses)
-		emit("plancache.entries", int64(st.Entries))
-		emit("plancache.evictions", st.Evictions)
+		emit("plancache.entries", int64(e.stmts.size()))
 		emit("plancache.epoch", int64(c.PlanEpoch()))
 	})
 	return e
@@ -64,9 +58,6 @@ func (e *Engine) Activity() *obs.Activity { return e.activity }
 // Metrics exposes the engine-wide observability registry (owned by the
 // cluster; the engine adds its query and plan-cache series to it).
 func (e *Engine) Metrics() *obs.Registry { return e.cluster.Metrics() }
-
-// StmtCache exposes the shared parse/plan cache (stats surfaces, tests).
-func (e *Engine) StmtCache() *StmtCache { return e.stmts }
 
 // Close shuts down background daemons.
 func (e *Engine) Close() { e.cluster.Close() }

@@ -4,8 +4,8 @@ import (
 	"container/list"
 	"strings"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/types"
@@ -33,11 +33,10 @@ type StmtCache struct {
 	lru     *list.List               // of *stmtEntry; front = most recent
 	entries map[string]*list.Element // normalized SQL → element
 
-	hits       atomic.Int64 // parse-level lookups answered from cache
-	misses     atomic.Int64 // parse-level lookups that ran the parser
-	planHits   atomic.Int64 // plan-level lookups answered from cache
-	planMisses atomic.Int64 // plan-level lookups that ran the planner
-	evictions  atomic.Int64
+	// Registry counters (plancache.*). A parse-level hit skipped the lexer
+	// and parser; a plan-level hit, counted for every SELECT, INSERT, UPDATE
+	// and DELETE lookup, parameterised or not, skipped the planner.
+	hits, misses, planHits, planMisses, evictions *obs.Counter
 }
 
 // stmtEntry is one cached statement: the shared parsed AST, its String()
@@ -87,40 +86,26 @@ func paramKinds(params []types.Datum) (kinds uint64, ok bool) {
 	return kinds, true
 }
 
-// NewStmtCache builds a cache bounded to capacity statements.
-func NewStmtCache(capacity int) *StmtCache {
+// newStmtCache builds a cache bounded to capacity statements, counting
+// into r's plancache.* counters.
+func newStmtCache(capacity int, r *obs.Registry) *StmtCache {
 	return &StmtCache{
-		cap:     capacity,
-		lru:     list.New(),
-		entries: make(map[string]*list.Element),
+		cap:        capacity,
+		lru:        list.New(),
+		entries:    make(map[string]*list.Element),
+		hits:       r.Counter("plancache.hits"),
+		misses:     r.Counter("plancache.misses"),
+		planHits:   r.Counter("plancache.plan_hits"),
+		planMisses: r.Counter("plancache.plan_misses"),
+		evictions:  r.Counter("plancache.evictions"),
 	}
 }
 
-// StmtCacheStats is a counter snapshot.
-type StmtCacheStats struct {
-	// Hits/Misses are parse-level: a hit skipped the lexer+parser.
-	Hits, Misses int64
-	// PlanHits/PlanMisses are plan-level, counting every SELECT, INSERT,
-	// UPDATE and DELETE lookup, parameterised or not: a hit skipped the
-	// planner.
-	PlanHits, PlanMisses int64
-	Evictions            int64
-	Entries              int
-}
-
-// Stats snapshots the counters.
-func (c *StmtCache) Stats() StmtCacheStats {
+// size returns the number of cached statements.
+func (c *StmtCache) size() int {
 	c.mu.Lock()
-	n := len(c.entries)
-	c.mu.Unlock()
-	return StmtCacheStats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		PlanHits:   c.planHits.Load(),
-		PlanMisses: c.planMisses.Load(),
-		Evictions:  c.evictions.Load(),
-		Entries:    n,
-	}
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // parse returns the shared parsed statement for sqlText, running the

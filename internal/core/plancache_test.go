@@ -39,12 +39,12 @@ func TestStmtCacheParseReuse(t *testing.T) {
 	mustExec(t, s, "CREATE TABLE pc (a int, b int) DISTRIBUTED BY (a)")
 	mustExec(t, s, "INSERT INTO pc VALUES (1, 10), (2, 20)")
 
-	base := e.StmtCache().Stats()
+	reg := e.Metrics()
+	base := metric(reg, "plancache.hits")
 	for i := 0; i < 10; i++ {
 		mustExec(t, s, "SELECT b FROM pc WHERE a = 1")
 	}
-	st := e.StmtCache().Stats()
-	if hits := st.Hits - base.Hits; hits != 9 {
+	if hits := metric(reg, "plancache.hits") - base; hits != 9 {
 		t.Fatalf("10 identical statements: %d parse hits, want 9", hits)
 	}
 	// A second session shares the same cache.
@@ -57,15 +57,15 @@ func TestStmtCacheParseReuse(t *testing.T) {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
-	pre := e.StmtCache().Stats()
+	pre := metric(reg, "plancache.hits")
 	mustExec2("SELECT b FROM pc WHERE a = 1")
-	if st := e.StmtCache().Stats(); st.Hits != pre.Hits+1 {
+	if metric(reg, "plancache.hits") != pre+1 {
 		t.Fatal("cache not shared across sessions")
 	}
 	// Case/whitespace variants of the same statement share the entry.
-	pre = e.StmtCache().Stats()
+	pre = metric(reg, "plancache.hits")
 	mustExec2("select   B from PC where a = 1")
-	if st := e.StmtCache().Stats(); st.Hits != pre.Hits+1 {
+	if metric(reg, "plancache.hits") != pre+1 {
 		t.Fatal("normalized variant missed the cache")
 	}
 }
@@ -76,7 +76,8 @@ func TestStmtCacheParseReuse(t *testing.T) {
 func TestBulkInsertNotCached(t *testing.T) {
 	e, s := newTestEngine(t, 2)
 	mustExec(t, s, "CREATE TABLE bl (a int, b int) DISTRIBUTED BY (a)")
-	base := e.StmtCache().Stats()
+	reg := e.Metrics()
+	base := reg.Snapshot()
 	for i := 0; i < 20; i++ {
 		var rows []string
 		for j := 0; j < 50; j++ {
@@ -86,9 +87,10 @@ func TestBulkInsertNotCached(t *testing.T) {
 	}
 	mustExec(t, s, "INSERT INTO bl VALUES (7, 7)") // the same text twice
 	mustExec(t, s, "INSERT INTO bl VALUES (7, 7)")
-	st := e.StmtCache().Stats()
-	if st.Entries != base.Entries || st.Misses != base.Misses+22 || st.Hits != base.Hits {
-		t.Fatalf("literal INSERTs: %+v, before %+v: want 22 more misses and no new entry", st, base)
+	st := reg.Snapshot()
+	if d := st.Delta(base); d["plancache.entries"] != 0 || d["plancache.misses"] != 22 || d["plancache.hits"] != 0 {
+		t.Fatalf("literal INSERTs: entries %+d, misses %+d, hits %+d: want 22 more misses and no new entry",
+			d["plancache.entries"], d["plancache.misses"], d["plancache.hits"])
 	}
 	for i := int64(0); i < 3; i++ {
 		mustExec(t, s, "INSERT INTO bl VALUES ($1, $2)", types.NewInt(2000+i), types.NewInt(i))
@@ -96,9 +98,9 @@ func TestBulkInsertNotCached(t *testing.T) {
 			t.Fatalf("SELECT: %v", got)
 		}
 	}
-	after := e.StmtCache().Stats()
-	if after.Entries != st.Entries+2 || after.Hits != st.Hits+4 {
-		t.Fatalf("parameterised INSERT and literal SELECT: %+v, before %+v: want 2 new entries and 4 hits", after, st)
+	if d := reg.Snapshot().Delta(st); d["plancache.entries"] != 2 || d["plancache.hits"] != 4 {
+		t.Fatalf("parameterised INSERT and literal SELECT: entries %+d, hits %+d: want 2 new entries and 4 hits",
+			d["plancache.entries"], d["plancache.hits"])
 	}
 	if n := mustExec(t, s, "SELECT count(*) FROM bl").Rows[0][0].Int(); n != 1005 {
 		t.Fatalf("count = %d, want 1005", n)
@@ -120,10 +122,10 @@ func TestPlanCacheInvalidation(t *testing.T) {
 
 	const q = "SELECT count(*) FROM big, small WHERE big.a = small.a"
 	planDelta := func(f func()) (hits, misses int64) {
-		before := e.StmtCache().Stats()
+		before := e.Metrics().Snapshot()
 		f()
-		after := e.StmtCache().Stats()
-		return after.PlanHits - before.PlanHits, after.PlanMisses - before.PlanMisses
+		d := e.Metrics().Snapshot().Delta(before)
+		return d["plancache.plan_hits"], d["plancache.plan_misses"]
 	}
 
 	// Cold: one plan miss. Warm: pure plan hits.
@@ -219,11 +221,11 @@ func TestPlanCacheEvictionAndDisable(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		mustExec(t, s, fmt.Sprintf("SELECT a FROM ev WHERE a = %d", i))
 	}
-	st := e.StmtCache().Stats()
-	if st.Entries > 4 {
-		t.Fatalf("cache grew past capacity: %d entries", st.Entries)
+	st := e.Metrics().Snapshot().Values
+	if n := st["plancache.entries"]; n > 4 {
+		t.Fatalf("cache grew past capacity: %d entries", n)
 	}
-	if st.Evictions == 0 {
+	if st["plancache.evictions"] == 0 {
 		t.Fatal("no evictions despite overflow")
 	}
 }

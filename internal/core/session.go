@@ -55,7 +55,7 @@ type Session struct {
 	// lowered under plan epoch instEpoch (see instanceOf).
 	insts     map[*plan.Planned]*instance
 	instEpoch uint64
-	// lastParse is the time the preceding Exec/Prepare spent in the parser
+	// lastParse is the time the preceding Exec spent in the parser
 	// (0 on a statement-cache hit); it becomes the trace's parse span.
 	lastParse time.Duration
 	// lastSQL is the raw text the client sent to Exec — what the activity
@@ -141,30 +141,6 @@ func (s *Session) Close() {
 	s.engine.activity.Unregister(s.sess)
 }
 
-// Prepared is a statement parsed once and executed many times. The parse
-// goes through the engine's shared statement cache, so any number of
-// sessions preparing the same text share one AST and its cached plans.
-type Prepared struct {
-	// SQL is the original statement text.
-	SQL   string
-	stmt  sql.Statement
-	entry *stmtEntry
-}
-
-// Prepare parses a statement for repeated execution.
-func (s *Session) Prepare(sqlText string) (*Prepared, error) {
-	st, entry, err := s.engine.stmts.parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{SQL: sqlText, stmt: st, entry: entry}, nil
-}
-
-// ExecPrepared executes a prepared statement with the given parameters.
-func (s *Session) ExecPrepared(ctx context.Context, p *Prepared, params ...types.Datum) (*Result, error) {
-	return s.execParsed(ctx, p.stmt, p.entry, params...)
-}
-
 // TxnStatus reports the session's transaction state as the wire protocol's
 // ready-status byte: 'I' idle, 'T' inside an open block, 'F' failed block.
 func (s *Session) TxnStatus() byte {
@@ -185,17 +161,11 @@ func (s *Session) ExecScript(ctx context.Context, script string) error {
 		return err
 	}
 	for _, st := range stmts {
-		if _, err := s.ExecParsed(ctx, st); err != nil {
+		if _, err := s.execParsed(ctx, st, nil); err != nil {
 			return fmt.Errorf("core: executing %q: %w", st.String(), err)
 		}
 	}
 	return nil
-}
-
-// ExecParsed executes an already-parsed statement (no statement-cache
-// participation; Exec is the cached path).
-func (s *Session) ExecParsed(ctx context.Context, st sql.Statement, params ...types.Datum) (*Result, error) {
-	return s.execParsed(ctx, st, nil, params...)
 }
 
 // execParsed executes a statement, with entry carrying the shared

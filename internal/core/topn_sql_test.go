@@ -48,13 +48,13 @@ func TestTopNMatchesFullSort(t *testing.T) {
 					requireSlice(t, q, mustExec(t, s, q).Rows, stable, lim.k, lim.m)
 				}
 				q := "SELECT k, v, w FROM " + tab + "k ORDER BY v DESC, w, k LIMIT $1 OFFSET $2"
-				before := e.StmtCache().Stats()
+				before := metric(e.Metrics(), "plancache.plan_hits")
 				for _, lim := range []struct{ k, m int }{{20, 5}, {200, 0}, {200, 0}} {
 					rows := mustExec(t, s, q, types.NewInt(int64(lim.k)), types.NewInt(int64(lim.m))).Rows
 					requireSlice(t, fmt.Sprintf("%s [$1=%d $2=%d]", q, lim.k, lim.m), rows, full, lim.k, lim.m)
 				}
-				if after := e.StmtCache().Stats(); after.PlanHits-before.PlanHits < 2 {
-					t.Fatalf("%s: %d plan hits in three runs, want the template reused", q, after.PlanHits-before.PlanHits)
+				if hits := metric(e.Metrics(), "plancache.plan_hits") - before; hits < 2 {
+					t.Fatalf("%s: %d plan hits in three runs, want the template reused", q, hits)
 				}
 			}
 		}

@@ -1,6 +1,6 @@
 // Package client is the Go driver for the repro wire protocol: it dials a
-// server, runs the startup handshake, and exposes simple-query and
-// parse/bind/execute statement execution. It is what the network tests,
+// server, runs the startup handshake, and runs statements, each one Query
+// frame carrying its text and $N parameters. It is what the network tests,
 // gpshell -connect, and the network TPC-B bench speak through.
 //
 // Error taxonomy matters to callers running chaos tests: a *ServerError is
@@ -202,7 +202,7 @@ func (c *Client) Kill() error {
 	return c.nc.Close()
 }
 
-// Exec runs one statement through the simple-query path.
+// Exec runs one statement with its $N parameters.
 func (c *Client) Exec(ctx context.Context, sqlText string, params ...types.Datum) (*Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -214,91 +214,6 @@ func (c *Client) Exec(ctx context.Context, sqlText string, params ...types.Datum
 		return nil, err
 	}
 	return c.readUntilReady(ctx)
-}
-
-// Stmt is a named server-side prepared statement.
-type Stmt struct {
-	c    *Client
-	name string
-}
-
-// Prepare parses sqlText server-side under the given name.
-func (c *Client) Prepare(name, sqlText string) (*Stmt, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p := &server.Parse{Name: name, SQL: sqlText}
-	if err := c.write(nil, server.MsgParse, p.Append); err != nil {
-		return nil, err
-	}
-	typ, payload, err := c.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	switch typ {
-	case server.MsgParseOK:
-		return &Stmt{c: c, name: name}, nil
-	case server.MsgError:
-		em, _ := server.DecodeErrorMsg(payload)
-		// The server follows a parse error with Ready; consume it.
-		if _, rerr := c.readUntilReady(nil); rerr != nil {
-			return nil, rerr
-		}
-		return nil, &ServerError{Message: em.Message, Code: em.Code}
-	default:
-		return nil, fmt.Errorf("client: unexpected frame %q after parse", typ)
-	}
-}
-
-// Exec binds params to the prepared statement and executes it.
-func (s *Stmt) Exec(ctx context.Context, params ...types.Datum) (*Result, error) {
-	c := s.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, fmt.Errorf("client: connection closed")
-	}
-	b := &server.Bind{Name: s.name, Params: params}
-	if err := c.write(ctx, server.MsgBind, b.Append); err != nil {
-		return nil, err
-	}
-	typ, payload, err := c.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	switch typ {
-	case server.MsgBindOK:
-	case server.MsgError:
-		em, _ := server.DecodeErrorMsg(payload)
-		if _, rerr := c.readUntilReady(ctx); rerr != nil {
-			return nil, rerr
-		}
-		return nil, &ServerError{Message: em.Message, Code: em.Code}
-	default:
-		return nil, fmt.Errorf("client: unexpected frame %q after bind", typ)
-	}
-	if err := c.write(ctx, server.MsgExecute, nil); err != nil {
-		return nil, err
-	}
-	return c.readUntilReady(ctx)
-}
-
-// Close deallocates the prepared statement server-side.
-func (s *Stmt) Close() error {
-	c := s.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := &server.CloseStmt{Name: s.name}
-	if err := c.write(nil, server.MsgCloseStmt, m.Append); err != nil {
-		return err
-	}
-	typ, _, err := c.readFrame()
-	if err != nil {
-		return err
-	}
-	if typ != server.MsgParseOK {
-		return fmt.Errorf("client: unexpected frame %q after close", typ)
-	}
-	return nil
 }
 
 // write sends one frame, encoded by payload (a message's Append method,
@@ -318,8 +233,19 @@ func (c *Client) write(ctx context.Context, typ byte, payload func([]byte) []byt
 	if err != nil {
 		return err
 	}
-	_, err = c.nc.Write(out)
+	if _, err = c.nc.Write(out); err != nil {
+		c.hangup()
+	}
 	return err
+}
+
+// hangup marks the client closed and closes its socket. It follows every
+// transport error: a request may have gone out in part, or a response be
+// left unread, so the stream's position is lost and a later call would
+// read another statement's frames as its own.
+func (c *Client) hangup() {
+	c.closed = true
+	_ = c.nc.Close()
 }
 
 // readFrame reads one frame through the buffered reader into the reused
@@ -333,7 +259,9 @@ func (c *Client) readFrame() (byte, []byte, error) {
 }
 
 // readUntilReady consumes one statement's response stream: optional row
-// description, data rows, a completion or error, then Ready.
+// description, data rows, a completion or error, then Ready. Any error but
+// the statement's own *ServerError leaves the stream mid-response and hangs
+// the client up.
 func (c *Client) readUntilReady(ctx context.Context) (*Result, error) {
 	if ctx != nil {
 		if d, ok := ctx.Deadline(); ok {
@@ -341,6 +269,17 @@ func (c *Client) readUntilReady(ctx context.Context) (*Result, error) {
 			defer c.nc.SetReadDeadline(time.Time{})
 		}
 	}
+	res, err := c.readResponse()
+	// readResponse returns the statement's error as a bare *ServerError;
+	// a type assertion, unlike errors.As, costs no allocation per call.
+	if _, ok := err.(*ServerError); err != nil && !ok {
+		c.hangup()
+	}
+	return res, err
+}
+
+// readResponse reads the frames of one response through its Ready.
+func (c *Client) readResponse() (*Result, error) {
 	res := &Result{}
 	var srvErr *ServerError
 	for {

@@ -146,3 +146,29 @@ func TestWireAmbiguousDispatchCode(t *testing.T) {
 		t.Fatalf("reconciliation count: %d", n)
 	}
 }
+
+// TestClientDeadlineClosesConnection: a deadline that expires while the
+// server is still answering leaves that answer unread on the socket. The
+// client must then be dead — every later call errors — rather than hand the
+// stale frames to the next statement as its result.
+func TestClientDeadlineClosesConnection(t *testing.T) {
+	_, srv := startServer(t, 2, server.Config{})
+	c := dialT(t, srv)
+	defer c.Close()
+
+	mustExecNet(t, c, "CREATE TABLE d (a int) DISTRIBUTED BY (a)")
+	mustExecNet(t, c, "INSERT INTO d VALUES (1)")
+	mustExecNet(t, c, "FAULT INJECT 'dispatch_send' ACTION 'sleep' SLEEP 300 SEGMENT -1 COUNT 1")
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err := c.Exec(ctx, "SELECT 111 FROM d")
+	var se *client.ServerError
+	if err == nil || errors.As(err, &se) {
+		t.Fatalf("statement past its deadline: err = %v, want a transport error", err)
+	}
+	// A client that kept the socket would read the late response to the
+	// statement above as this one's.
+	if res, err := c.Exec(context.Background(), "SELECT 222 FROM d"); err == nil {
+		t.Fatalf("the connection outlived a transport error and answered %v", res.Rows)
+	}
+}

@@ -53,14 +53,12 @@ func FuzzServerSession(f *testing.F) {
 	startup := (&server.Startup{Version: server.ProtocolVersion, Role: ""}).Encode()
 	query := (&server.Query{SQL: "SELECT 1"}).Encode()
 	ddl := (&server.Query{SQL: "CREATE TABLE fz (a int) DISTRIBUTED BY (a)"}).Encode()
-	parse := (&server.Parse{Name: "s", SQL: "SELECT $1"}).Encode()
-	bind := (&server.Bind{Name: "s", Params: []types.Datum{types.NewInt(1)}}).Encode()
+	param := (&server.Query{SQL: "SELECT $1", Params: []types.Datum{types.NewInt(1)}}).Encode()
 
 	// Captured-handshake seeds: full valid exchanges, then mutations.
 	f.Add(frames([]byte{server.MsgStartup}, startup, []byte{server.MsgQuery}, query, []byte{server.MsgTerminate}, nil))
 	f.Add(frames([]byte{server.MsgStartup}, startup, []byte{server.MsgQuery}, ddl))
-	f.Add(frames([]byte{server.MsgStartup}, startup,
-		[]byte{server.MsgParse}, parse, []byte{server.MsgBind}, bind, []byte{server.MsgExecute}, nil))
+	f.Add(frames([]byte{server.MsgStartup}, startup, []byte{server.MsgQuery}, param))
 	f.Add(frames([]byte{server.MsgStartup}, startup)[:3]) // truncated mid-header
 	f.Add([]byte{server.MsgStartup, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n")) // wrong protocol entirely

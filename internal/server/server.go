@@ -16,7 +16,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/lockmgr"
-	"repro/internal/types"
 )
 
 // Config tunes the network front end.
@@ -42,9 +41,6 @@ type Config struct {
 	// transaction admission queues on the group's CONCURRENCY semaphore and
 	// operator memory is governed by the group budget.
 	UseResourceGroups bool
-	// StmtTimeout caps each statement's wall time (0 = none). Sessions can
-	// tighten it further with SET statement_timeout.
-	StmtTimeout time.Duration
 	// DrainTimeout bounds Shutdown's wait for in-flight statements before
 	// cancelling them (default 5s).
 	DrainTimeout time.Duration
@@ -281,10 +277,7 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	sess     *core.Session
-	prepared map[string]*core.Prepared
-	// portal is the bound (statement, params) pair awaiting MsgExecute.
-	portal *portal
+	sess *core.Session
 
 	// inflight marks a statement executing right now (drain decisions).
 	inflight atomic.Bool
@@ -303,15 +296,7 @@ type conn struct {
 	out     []byte
 }
 
-// portal is the connection's bound statement: the prepared statement it
-// was bound from, by name and by value, and the bound parameters.
-type portal struct {
-	name   string
-	prep   *core.Prepared
-	params []types.Datum
-}
-
-// Output buffering. A response is written when the frame that ends it goes
+// Output buffering. A response is written when the Ready that ends it goes
 // in, or as soon as the buffer holds flushThreshold bytes, so one write
 // carries at most flushThreshold-1 bytes plus one frame. A buffer that a
 // large frame grew past maxKeptBuf is dropped after its write rather than
@@ -326,10 +311,10 @@ const (
 func (c *conn) hangup() { _ = c.nc.Close() }
 
 // send appends one frame to the output buffer. It writes the buffer out
-// when the frame ends a response — Ready, or the ParseOK and BindOK acks,
-// after which the client sends its next request — or when the buffer has
-// reached flushThreshold. A response is thus one Write, and an Error is
-// written together with the Ready that follows it.
+// when the frame is the Ready that ends a response, after which the client
+// sends its next request, or when the buffer has reached flushThreshold. A
+// response is thus one Write, and an Error is written together with the
+// Ready that follows it.
 func (c *conn) send(typ byte, payload func([]byte) []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -338,7 +323,7 @@ func (c *conn) send(typ byte, payload func([]byte) []byte) error {
 	if err != nil {
 		return err
 	}
-	if typ == MsgReady || typ == MsgParseOK || typ == MsgBindOK || len(c.out) >= flushThreshold {
+	if typ == MsgReady || len(c.out) >= flushThreshold {
 		return c.flushLocked()
 	}
 	return nil
@@ -441,7 +426,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 
 	cctx, cancel := context.WithCancelCause(context.Background())
-	c.sess, c.prepared, c.cctx, c.cancel = sess, make(map[string]*core.Prepared), cctx, cancel
+	c.sess, c.cctx, c.cancel = sess, cctx, cancel
 	s.mu.Lock()
 	if s.draining || s.closed {
 		s.mu.Unlock()
@@ -549,67 +534,7 @@ func (c *conn) dispatch(typ byte, payload []byte) bool {
 		if err != nil {
 			return c.protoErr(err)
 		}
-		c.runStatement(func(ctx context.Context) (*core.Result, error) {
-			return c.sess.Exec(ctx, q.SQL, q.Params...)
-		})
-		return true
-
-	case MsgParse:
-		p, err := DecodeParse(payload)
-		if err != nil {
-			return c.protoErr(err)
-		}
-		prep, err := c.sess.Prepare(p.SQL)
-		if err != nil {
-			_ = c.sendErr(err)
-			_ = c.sendReady()
-			return true
-		}
-		c.prepared[p.Name] = prep
-		_ = c.send(MsgParseOK, nil)
-		return true
-
-	case MsgBind:
-		b, err := DecodeBind(payload)
-		if err != nil {
-			return c.protoErr(err)
-		}
-		prep, ok := c.prepared[b.Name]
-		if !ok {
-			// A failed Bind leaves no portal: an Execute after it must not
-			// re-run the previous one.
-			c.portal = nil
-			_ = c.sendErr(fmt.Errorf("server: prepared statement %q does not exist", b.Name))
-			_ = c.sendReady()
-			return true
-		}
-		c.portal = &portal{name: b.Name, prep: prep, params: b.Params}
-		_ = c.send(MsgBindOK, nil)
-		return true
-
-	case MsgExecute:
-		p := c.portal
-		if p == nil {
-			_ = c.sendErr(errors.New("server: no portal bound"))
-			_ = c.sendReady()
-			return true
-		}
-		c.runStatement(func(ctx context.Context) (*core.Result, error) {
-			return c.sess.ExecPrepared(ctx, p.prep, p.params...)
-		})
-		return true
-
-	case MsgCloseStmt:
-		m, err := DecodeCloseStmt(payload)
-		if err != nil {
-			return c.protoErr(err)
-		}
-		delete(c.prepared, m.Name)
-		// Closing a statement closes the portal bound from it.
-		if c.portal != nil && c.portal.name == m.Name {
-			c.portal = nil
-		}
-		_ = c.send(MsgParseOK, nil)
+		c.runStatement(q)
 		return true
 
 	default:
@@ -625,10 +550,10 @@ func (c *conn) protoErr(err error) bool {
 	return false
 }
 
-// runStatement admits the statement to the worker pool, executes it under
-// the connection context (plus the server statement timeout), and streams
-// the result. Errors are sent as error frames; the session stays usable.
-func (c *conn) runStatement(run func(context.Context) (*core.Result, error)) {
+// runStatement admits the query to the worker pool, executes it under the
+// connection context, and streams the result. Errors are sent as error
+// frames; the session stays usable.
+func (c *conn) runStatement(q *Query) {
 	s := c.srv
 	// Admission to the bounded executor pool: fast path, else queue. The
 	// slot is per-transaction — once held it stays held until the session
@@ -655,14 +580,8 @@ func (c *conn) runStatement(run func(context.Context) (*core.Result, error)) {
 		}
 	}()
 
-	ctx := c.cctx
-	if s.cfg.StmtTimeout > 0 {
-		tctx, tcancel := context.WithTimeout(ctx, s.cfg.StmtTimeout)
-		defer tcancel()
-		ctx = tctx
-	}
 	c.inflight.Store(true)
-	res, err := run(ctx)
+	res, err := c.sess.Exec(c.cctx, q.SQL, q.Params...)
 	c.inflight.Store(false)
 	s.statements.Add(1)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -129,49 +130,6 @@ func TestNetworkTxnStatusAndRollback(t *testing.T) {
 	}
 }
 
-func TestNetworkPreparedStatements(t *testing.T) {
-	e, srv := startServer(t, 2, server.Config{})
-	c := dialT(t, srv)
-	defer c.Close()
-	ctx := context.Background()
-
-	mustExecNet(t, c, "CREATE TABLE p (a int, b int) DISTRIBUTED BY (a)")
-	ins, err := c.Prepare("ins", "INSERT INTO p VALUES ($1, $2)")
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	for i := 1; i <= 10; i++ {
-		if _, err := ins.Exec(ctx, types.NewInt(int64(i)), types.NewInt(int64(i*i))); err != nil {
-			t.Fatalf("exec prepared %d: %v", i, err)
-		}
-	}
-	sel, err := c.Prepare("sel", "SELECT b FROM p WHERE a = $1")
-	if err != nil {
-		t.Fatalf("Prepare sel: %v", err)
-	}
-	res, err := sel.Exec(ctx, types.NewInt(7))
-	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != 49 {
-		t.Fatalf("prepared select: %v %v", res, err)
-	}
-	// Prepared statements parse once: only the three distinct texts above
-	// ever hit the parser, no matter how many executions ran.
-	st := e.StmtCache().Stats()
-	if st.Misses != 3 {
-		t.Fatalf("prepared executions re-parsed: %+v", st)
-	}
-	if err := sel.Close(); err != nil {
-		t.Fatalf("Close stmt: %v", err)
-	}
-	if _, err := sel.Exec(ctx, types.NewInt(1)); err == nil {
-		t.Fatal("closed statement still executable")
-	}
-	// Parse errors surface as ServerError and leave the session usable.
-	if _, err := c.Prepare("bad", "SELEKT 1"); err == nil {
-		t.Fatal("bad SQL prepared")
-	}
-	mustExecNet(t, c, "SELECT count(*) FROM p")
-}
-
 // TestNetworkTPCBStatementCacheHits: TPC-B transactions sent over one socket
 // through the simple-query protocol repeat a handful of statement texts, so
 // after the first transaction nearly every statement must be served from the
@@ -195,14 +153,14 @@ func TestNetworkTPCBStatementCacheHits(t *testing.T) {
 	c := dialT(t, srv)
 	defer c.Close()
 	conn, r := client.WorkloadConn{C: c}, workload.NewRand(7)
-	before := e.StmtCache().Stats()
+	before := e.Metrics().Snapshot()
 	for i := 0; i < 200; i++ {
 		if err := w.Transaction(ctx, conn, r); err != nil {
 			t.Fatalf("transaction %d: %v", i, err)
 		}
 	}
-	after := e.StmtCache().Stats()
-	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+	d := e.Metrics().Snapshot().Delta(before)
+	hits, misses := d["plancache.hits"], d["plancache.misses"]
 	if hits+misses == 0 {
 		t.Fatal("no statement-cache lookups over the wire")
 	}
@@ -453,31 +411,25 @@ func TestStatementTimeoutOverWire(t *testing.T) {
 	mustExecNet(t, c, "SELECT count(*) FROM st")
 }
 
-// TestFailedBindClearsPortal drives the extended protocol frame by frame: a
-// Bind that names no statement, or a CloseStmt of the bound statement,
-// leaves no portal, so the next Execute fails instead of re-running the
-// previous one.
-func TestFailedBindClearsPortal(t *testing.T) {
+// TestRetiredFramesRefused: the frame bytes of the retired extended protocol
+// (Parse, Bind, Execute, CloseStmt) are frames the server does not know. Each
+// gets an Error naming the unexpected frame type and the server hangs up;
+// parameters travel in a Query, on a connection of their own.
+func TestRetiredFramesRefused(t *testing.T) {
 	_, srv := startServer(t, 2, server.Config{})
-	c := dialT(t, srv)
-	defer c.Close()
-	mustExecNet(t, c, "CREATE TABLE pt (a int) DISTRIBUTED BY (a)")
-
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
-	// roundTrip sends one frame and reads the reply through the frame that
-	// ends it, returning that frame's type and the text of any Error.
-	roundTrip := func(typ byte, payload []byte) (last byte, errText string) {
+	// roundTrip sends one frame and reads the reply until its Ready or until
+	// the server hangs up, returning the text of any Error in it and whether
+	// the connection was closed.
+	roundTrip := func(nc net.Conn, typ byte, payload []byte) (errText string, closed bool) {
 		t.Helper()
 		if err := server.WriteFrame(nc, typ, payload); err != nil {
 			t.Fatal(err)
 		}
 		for {
 			rt, p, err := server.ReadFrame(nc)
+			if errors.Is(err, io.EOF) {
+				return errText, true
+			}
 			if err != nil {
 				t.Fatalf("reply to %q: %v", typ, err)
 			}
@@ -488,34 +440,31 @@ func TestFailedBindClearsPortal(t *testing.T) {
 					t.Fatal(err)
 				}
 				errText = em.Message
-			case server.MsgReady, server.MsgParseOK, server.MsgBindOK:
-				return rt, errText
+			case server.MsgReady:
+				return errText, false
 			}
 		}
 	}
-	expect := func(what string, typ byte, payload []byte, wantLast byte, wantErr string) {
-		t.Helper()
-		last, errText := roundTrip(typ, payload)
-		if last != wantLast || !strings.Contains(errText, wantErr) || wantErr == "" && errText != "" {
-			t.Fatalf("%s: reply ends %q with error %q; want %q with %q", what, last, errText, wantLast, wantErr)
+	startup := (&server.Startup{Version: server.ProtocolVersion}).Encode()
+	for _, typ := range []byte{'P', 'B', 'E', 'C'} {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
+		_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+		if errText, closed := roundTrip(nc, server.MsgStartup, startup); errText != "" || closed {
+			t.Fatalf("startup: error %q, closed %v", errText, closed)
+		}
+		errText, closed := roundTrip(nc, typ, (&server.Query{SQL: "SELECT 1"}).Encode())
+		if !strings.Contains(errText, "unexpected frame type") || !closed {
+			t.Errorf("frame %q: error %q, closed %v; want an unexpected-frame error and a hangup", typ, errText, closed)
+		}
+		_ = nc.Close()
 	}
-	bind := func(name string, v int64) []byte {
-		return (&server.Bind{Name: name, Params: []types.Datum{types.NewInt(v)}}).Encode()
-	}
-	expect("startup", server.MsgStartup, (&server.Startup{Version: server.ProtocolVersion}).Encode(), server.MsgReady, "")
-	expect("parse", server.MsgParse, (&server.Parse{Name: "ins", SQL: "INSERT INTO pt VALUES ($1)"}).Encode(), server.MsgParseOK, "")
-	expect("bind", server.MsgBind, bind("ins", 1), server.MsgBindOK, "")
-	expect("execute", server.MsgExecute, nil, server.MsgReady, "")
-	expect("bind of a missing statement", server.MsgBind, bind("missing", 2), server.MsgReady, "does not exist")
-	expect("execute after the failed bind", server.MsgExecute, nil, server.MsgReady, "no portal bound")
-
-	expect("bind again", server.MsgBind, bind("ins", 3), server.MsgBindOK, "")
-	expect("close the bound statement", server.MsgCloseStmt, (&server.CloseStmt{Name: "ins"}).Encode(), server.MsgParseOK, "")
-	expect("execute after the close", server.MsgExecute, nil, server.MsgReady, "no portal bound")
-
-	if res := mustExecNet(t, c, "SELECT count(*) FROM pt"); res.Rows[0][0].Int() != 1 {
-		t.Fatalf("pt holds %d rows, want 1: an Execute re-ran a stale portal", res.Rows[0][0].Int())
+	c := dialT(t, srv)
+	defer c.Close()
+	if res := mustExecNet(t, c, "SELECT $1", types.NewInt(42)); len(res.Rows) != 1 || res.Rows[0][0].Int() != 42 {
+		t.Fatalf("SELECT $1 with 42: %v", res.Rows)
 	}
 }
 

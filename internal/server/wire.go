@@ -1,7 +1,6 @@
 // Package server is the network front end: a TCP server speaking a simple
-// length-prefixed framed protocol (startup/auth-stub, simple query,
-// prepared parse/bind/execute, row description + data rows, errors,
-// graceful terminate) over the embedded engine, with a session layer that
+// length-prefixed framed protocol (startup/auth-stub, query with optional
+// $N parameters, row description + data rows, errors, graceful terminate) over the embedded engine, with a session layer that
 // multiplexes thousands of client connections onto a bounded worker pool.
 //
 // Wire format: every message is one frame
@@ -18,8 +17,7 @@
 // AppendFrame wraps it in a frame there, so both ends build what they send
 // in one reused buffer and hand it to the socket in one Write. The server
 // buffers a whole response — RowDesc, DataRows, Complete or Error, Ready —
-// and writes it when the frame that ends it (Ready, ParseOK, BindOK) goes
-// in, or sooner once the buffer passes flushThreshold, so a large result
+// and writes it when the Ready that ends it goes in, or sooner once the buffer passes flushThreshold, so a large result
 // streams in bounded memory. Both ends read through a bufio.Reader.
 package server
 
@@ -41,7 +39,9 @@ const (
 	// v3: rows travel in the types.AppendRow layout shared with the WAL and
 	// spill files, and RowDesc counts columns in a u32, so neither wraps
 	// past 65 535 columns.
-	ProtocolVersion = 3
+	// v4: the Parse/Bind/Execute/CloseStmt frames and their ParseOK/BindOK
+	// acks are retired; a Query carries its parameters.
+	ProtocolVersion = 4
 	// MaxFrameLen bounds one frame's payload (16 MiB — a full batch of wide
 	// text rows fits with room to spare).
 	MaxFrameLen = 16 << 20
@@ -56,15 +56,6 @@ const (
 	MsgStartup = byte('S')
 	// MsgQuery is a simple query: SQL text plus optional $N parameters.
 	MsgQuery = byte('Q')
-	// MsgParse prepares a named statement from SQL text.
-	MsgParse = byte('P')
-	// MsgBind binds parameter values to a prepared statement, forming the
-	// connection's (single, unnamed) portal.
-	MsgBind = byte('B')
-	// MsgExecute runs the bound portal.
-	MsgExecute = byte('E')
-	// MsgCloseStmt discards a prepared statement.
-	MsgCloseStmt = byte('C')
 	// MsgTerminate closes the session cleanly.
 	MsgTerminate = byte('X')
 )
@@ -84,10 +75,6 @@ const (
 	// MsgReady says the session is ready for the next statement; the status
 	// byte is 'I' (idle), 'T' (in transaction) or 'F' (failed transaction).
 	MsgReady = byte('Z')
-	// MsgParseOK acknowledges MsgParse.
-	MsgParseOK = byte('1')
-	// MsgBindOK acknowledges MsgBind.
-	MsgBindOK = byte('2')
 )
 
 // Codec errors.
@@ -311,74 +298,6 @@ func (m *Query) Encode() []byte { return m.Append(nil) }
 func DecodeQuery(b []byte) (*Query, error) {
 	r := rbuf{b: b}
 	m := &Query{SQL: r.str(), Params: r.row()}
-	return m, r.done()
-}
-
-// Parse prepares a named statement.
-type Parse struct {
-	Name string
-	SQL  string
-}
-
-// Append appends the message payload to dst.
-func (m *Parse) Append(dst []byte) []byte {
-	w := wbuf{dst}
-	w.str(m.Name)
-	w.str(m.SQL)
-	return w.b
-}
-
-// Encode marshals the message payload.
-func (m *Parse) Encode() []byte { return m.Append(nil) }
-
-// DecodeParse unmarshals a MsgParse payload.
-func DecodeParse(b []byte) (*Parse, error) {
-	r := rbuf{b: b}
-	m := &Parse{Name: r.str(), SQL: r.str()}
-	return m, r.done()
-}
-
-// Bind binds parameters to a prepared statement.
-type Bind struct {
-	Name   string
-	Params []types.Datum
-}
-
-// Append appends the message payload to dst.
-func (m *Bind) Append(dst []byte) []byte {
-	w := wbuf{dst}
-	w.str(m.Name)
-	w.row(types.Row(m.Params))
-	return w.b
-}
-
-// Encode marshals the message payload.
-func (m *Bind) Encode() []byte { return m.Append(nil) }
-
-// DecodeBind unmarshals a MsgBind payload.
-func DecodeBind(b []byte) (*Bind, error) {
-	r := rbuf{b: b}
-	m := &Bind{Name: r.str(), Params: r.row()}
-	return m, r.done()
-}
-
-// CloseStmt discards a prepared statement.
-type CloseStmt struct{ Name string }
-
-// Append appends the message payload to dst.
-func (m *CloseStmt) Append(dst []byte) []byte {
-	w := wbuf{dst}
-	w.str(m.Name)
-	return w.b
-}
-
-// Encode marshals the message payload.
-func (m *CloseStmt) Encode() []byte { return m.Append(nil) }
-
-// DecodeCloseStmt unmarshals a MsgCloseStmt payload.
-func DecodeCloseStmt(b []byte) (*CloseStmt, error) {
-	r := rbuf{b: b}
-	m := &CloseStmt{Name: r.str()}
 	return m, r.done()
 }
 

@@ -120,25 +120,6 @@ func TestOneWritePerResponse(t *testing.T) {
 			t.Fatal("bad column accepted")
 		}
 	})
-	var st *client.Stmt
-	expect("Parse (ParseOK)", 1, 1, func() {
-		if st, err = c.Prepare("s", "SELECT b FROM w WHERE a = $1"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The client waits for BindOK before it sends Execute, so each of the
-	// two responses is at least one write: two in all means one each.
-	expect("Bind (BindOK) and Execute (its result)", 2, 2, func() {
-		if res, err := st.Exec(ctx, types.NewInt(3)); err != nil || len(res.Rows) != 10 {
-			t.Fatalf("Execute: %v rows, err %v", res, err)
-		}
-	})
-	expect("CloseStmt (its ack)", 1, 1, func() {
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
-
 	// A result past the flush threshold streams: several writes, none
 	// longer than the threshold plus the frame that crossed it.
 	text := strings.Repeat("x", 1000)
