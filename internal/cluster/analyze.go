@@ -29,7 +29,7 @@ func (c *Cluster) Analyze(ctx context.Context, name string) (int, error) {
 		}
 		tables = []*catalog.Table{t}
 	}
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	snap := c.Snapshot()
 	defer func() {
 		c.ReleaseSnapshot(snap)
@@ -66,7 +66,7 @@ func (c *Cluster) analyzeTable(ctx context.Context, lt *LiveTxn, snap *dtm.DistS
 			return err
 		}
 		lt.touched[i] = true
-		acc := s.newAccess(lt.owner, lt.dxid, snap)
+		acc := s.newAccess(lt.ownerOn(s), lt.dxid, snap)
 		// Not idempotent: a retried scan would offer its rows to the
 		// reservoir twice, so only a fault before the send is retried.
 		err = c.dispatchSeg(i, false, func() error {

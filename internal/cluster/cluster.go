@@ -200,6 +200,12 @@ type LiveTxn struct {
 	c     *Cluster
 	owner lockmgr.TxnID
 	dxid  dtm.DXID // InvalidDXID until the first write
+	// coord and segOwners[i] are the transaction's owner records in the
+	// coordinator's and segment i's lock tables, nil until it first locks
+	// there. A kept transaction (see BeginTxn) hands them to the next.
+	coord     *lockmgr.Owner
+	segOwners []*lockmgr.Owner
+	keep      bool
 	// touched[i] is true when segment i participated at all (it may hold
 	// locks of the owner). It starts in touchedBuf, so a transaction on a
 	// cluster of up to len(touchedBuf) segments allocates no slice for it.
@@ -218,7 +224,6 @@ type LiveTxn struct {
 	// per-table generalization of wrote. A transaction writes few tables:
 	// a list beats a map.
 	wroteMaps []wroteMap
-	killed    atomic.Bool
 }
 
 // grow widens the per-segment slices to n entries. Statements call it once
@@ -228,6 +233,7 @@ type LiveTxn struct {
 func (t *LiveTxn) grow(n int) {
 	for len(t.touched) < n {
 		t.touched = append(t.touched, false)
+		t.segOwners = append(t.segOwners, nil)
 	}
 	for t.wrote != nil && len(t.wrote) < n {
 		t.wrote = append(t.wrote, 0)
@@ -435,15 +441,76 @@ func (c *Cluster) LockWaitStats() (waited time.Duration, waits int64) {
 // ---- transaction lifecycle ----
 
 // BeginTxn opens a transaction: an owner id, and no distributed xid until
-// the transaction writes (see DXID).
-func (c *Cluster) BeginTxn() *LiveTxn {
-	lt := &LiveTxn{c: c, owner: lockmgr.TxnID(c.nextOwner.Add(1))}
-	lt.touched = lt.touchedBuf[:0]
+// the transaction writes (see DXID). reuse, when not nil, is a finished
+// transaction of a caller that runs one after another (a session): the new
+// one takes over its object, its held lists and its owner record in each
+// lock table, under a fresh owner id, and the caller ends the line with
+// DropTxn. A transaction opened with a nil reuse drops its owner records
+// when it ends.
+func (c *Cluster) BeginTxn(reuse *LiveTxn) *LiveTxn {
+	lt := reuse
+	if lt == nil {
+		lt = &LiveTxn{c: c}
+		lt.touched = lt.touchedBuf[:0]
+	} else {
+		lt.keep, lt.dxid = true, dtm.InvalidDXID
+		clear(lt.touched)
+		clear(lt.wrote)
+		clear(lt.wroteMaps)
+		lt.wroteMaps = lt.wroteMaps[:0]
+	}
 	lt.grow(c.SegCount())
 	c.txmu.Lock()
+	lt.owner = lockmgr.TxnID(c.nextOwner.Add(1))
 	c.txns[lt.owner] = lt
 	c.txmu.Unlock()
 	return lt
+}
+
+// DropTxn unregisters the owner records of t, a finished transaction kept
+// for reuse that will not be reused again.
+func (c *Cluster) DropTxn(t *LiveTxn) {
+	if t.coord != nil {
+		t.coord.Drop()
+	}
+	for _, o := range t.segOwners {
+		if o != nil {
+			o.Drop()
+		}
+	}
+	t.coord, t.segOwners = nil, t.segOwners[:0]
+	t.touched = t.touched[:0]
+}
+
+// coordOwner returns the transaction's owner record in the coordinator's
+// lock table.
+func (t *LiveTxn) coordOwner() *lockmgr.Owner {
+	if t.coord == nil {
+		t.coord = t.c.locks.NewOwner(t.owner)
+	} else if t.coord.ID() != t.owner {
+		t.coord.Reset(t.owner)
+	}
+	return t.coord
+}
+
+// ownerOn returns the transaction's owner record in segment s's lock table,
+// registering one at its first lock there or after a promotion replaced
+// the table, and marks s touched. Call grow first; fan-out goroutines call
+// it for distinct segments only.
+func (t *LiveTxn) ownerOn(s *Segment) *lockmgr.Owner {
+	t.touched[s.id] = true
+	o := t.segOwners[s.id]
+	switch {
+	case o == nil || o.Manager() != s.locks:
+		if o != nil {
+			o.Drop()
+		}
+		o = s.locks.NewOwner(t.owner)
+		t.segOwners[s.id] = o
+	case o.ID() != t.owner:
+		o.Reset(t.owner)
+	}
+	return o
 }
 
 // Owner returns the transaction's lock-owner id: the id its locks are held
@@ -577,12 +644,17 @@ func (c *Cluster) AbortTxn(t *LiveTxn) {
 // (the commit protocol released the others) — and forgets it.
 func (c *Cluster) release(t *LiveTxn) {
 	for i, touched := range t.touched {
-		if touched {
-			c.seg(i).locks.ReleaseAll(t.owner)
+		if o := t.segOwners[i]; touched && o != nil {
+			o.ReleaseAll()
 		}
 	}
-	c.locks.ReleaseAll(t.owner)
+	if t.coord != nil {
+		t.coord.ReleaseAll()
+	}
 	c.forget(t)
+	if !t.keep {
+		c.DropTxn(t)
+	}
 }
 
 // coordCommitRecord durably writes the coordinator's commit record for
@@ -651,12 +723,6 @@ func (c *Cluster) TxnExists(txid uint64) bool {
 // the session driving it observes the error and aborts.
 func (c *Cluster) KillTxn(txid uint64) {
 	owner := lockmgr.TxnID(txid)
-	c.txmu.Lock()
-	lt := c.txns[owner]
-	c.txmu.Unlock()
-	if lt != nil {
-		lt.killed.Store(true)
-	}
 	c.locks.Kill(owner)
 	c.eachSeg(func(_ int, s *Segment) {
 		s.locks.Kill(owner)
@@ -679,9 +745,9 @@ func (c *Cluster) LockCoordinatorTable(ctx context.Context, t *LiveTxn, tab *cat
 	if !c.cfg.GDD {
 		tctx, cancel := context.WithTimeout(ctx, noGDDLockTimeout)
 		defer cancel()
-		return c.locks.Acquire(tctx, t.owner, lockmgr.RelationTag(uint64(tab.ID)), mode)
+		return t.coordOwner().Acquire(tctx, lockmgr.RelationTag(uint64(tab.ID)), mode)
 	}
-	return c.locks.Acquire(ctx, t.owner, lockmgr.RelationTag(uint64(tab.ID)), mode)
+	return t.coordOwner().Acquire(ctx, lockmgr.RelationTag(uint64(tab.ID)), mode)
 }
 
 // PlanEpoch returns the catalog/statistics generation for plan-cache keys.
@@ -776,7 +842,7 @@ func (c *Cluster) ApplyTruncate(ctx context.Context, t *LiveTxn, name string) er
 		if err != nil {
 			return err
 		}
-		if err := s.LockRelation(ctx, t.owner, tab, lockmgr.AccessExclusive); err != nil {
+		if err := s.LockRelation(ctx, t, tab, lockmgr.AccessExclusive); err != nil {
 			return err
 		}
 		t.touched[i] = true
@@ -806,7 +872,7 @@ func (c *Cluster) ApplyCreateIndex(ctx context.Context, t *LiveTxn, table string
 	nseg := c.SegCount()
 	t.grow(nseg)
 	for i := 0; i < nseg; i++ {
-		if err := c.seg(i).LockRelation(ctx, t.owner, tab, lockmgr.Share); err != nil {
+		if err := c.seg(i).LockRelation(ctx, t, tab, lockmgr.Share); err != nil {
 			return err
 		}
 		t.touched[i] = true

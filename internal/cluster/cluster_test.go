@@ -41,7 +41,7 @@ func mkTable(t *testing.T, c *Cluster, name string) *catalog.Table {
 
 func insertRows(t *testing.T, c *Cluster, tab *catalog.Table, rows []types.Row) {
 	t.Helper()
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	snap := c.Snapshot()
 	defer c.ReleaseSnapshot(snap)
 	if _, _, err := c.Run(context.Background(), lt, snap, insertPlan(tab, rows...), nil); err != nil {
@@ -62,7 +62,7 @@ func insertPlan(tab *catalog.Table, rows ...types.Row) *plan.Planned {
 
 func scanAll(t *testing.T, c *Cluster, tab *catalog.Table) []types.Row {
 	t.Helper()
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	defer c.AbortTxn(lt)
 	scan := plan.NewScan(tab, []catalog.TableID{tab.ID}, nil)
 	root := &plan.Motion{Child: scan, Type: plan.MotionGather}
@@ -132,7 +132,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 
 	// Update everything twice: each update adds a version and deadens one.
 	for pass := 0; pass < 2; pass++ {
-		lt := c.BeginTxn()
+		lt := c.BeginTxn(nil)
 		up := planTemplate(t, c, "UPDATE t SET b = b + 1")
 		snap := c.Snapshot()
 		if _, _, err := c.Run(context.Background(), lt, snap, up, nil); err != nil {
@@ -163,7 +163,7 @@ func TestTruncateTable(t *testing.T) {
 	c := testCluster(t, GPDB6(2))
 	tab := mkTable(t, c, "t")
 	insertRows(t, c, tab, []types.Row{{types.NewInt(1), types.NewInt(1)}})
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	if err := c.ApplyTruncate(context.Background(), lt, "t"); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDeleteAndReadOnlyCommit(t *testing.T) {
 		{types.NewInt(1), types.NewInt(10)},
 		{types.NewInt(2), types.NewInt(20)},
 	})
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	_, n, err := c.Run(context.Background(), lt, c.Snapshot(), planTemplate(t, c, "DELETE FROM t WHERE a = 1"), nil)
 	if err != nil || n != 1 {
 		t.Fatalf("delete: %d %v", n, err)
@@ -195,7 +195,7 @@ func TestDeleteAndReadOnlyCommit(t *testing.T) {
 	}
 	// A pure read commits via the read-only path.
 	ro0, _ := c.Metrics().Value("txn.commits_readonly")
-	lt2 := c.BeginTxn()
+	lt2 := c.BeginTxn(nil)
 	_ = scanAllTxn(t, c, tab, lt2)
 	if _, err := c.CommitTxn(lt2); err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestDirectDispatchTouchesOneSegment(t *testing.T) {
 
 	key := int64(5)
 	target := types.Bucket(types.Row{types.NewInt(key)}.HashKey(), 4)
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	up := planTemplate(t, c, "UPDATE t SET b = 99 WHERE a = 5")
 	if up.DirectSegment != target {
 		t.Fatalf("UPDATE of key %d routed to segment %d, its row lives on %d", key, up.DirectSegment, target)
@@ -254,12 +254,12 @@ func TestLockTableEverywhereConflictsWithDML(t *testing.T) {
 	tab := mkTable(t, c, "t")
 	insertRows(t, c, tab, []types.Row{{types.NewInt(1), types.NewInt(1)}})
 
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	if err := c.LockTableEverywhere(context.Background(), lt, "t", lockmgr.AccessExclusive); err != nil {
 		t.Fatal(err)
 	}
 	// Another txn's coordinator lock must block.
-	lt2 := c.BeginTxn()
+	lt2 := c.BeginTxn(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	err := c.LockCoordinator(ctx, lt2, "t", lockmgr.RowExclusive)
@@ -308,7 +308,7 @@ func TestDirectReadTouchesOneSegment(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lt := c.BeginTxn()
+			lt := c.BeginTxn(nil)
 			got, _, err := c.Run(context.Background(), lt, c.Snapshot(), pl, nil)
 			if err != nil || len(got) != 1 || got[0][0].Int() != k*10 {
 				t.Fatalf("key %d: %v %v", k, got, err)
@@ -366,7 +366,7 @@ func TestCorruptColumnBlockFailsStatement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lt := c.BeginTxn()
+		lt := c.BeginTxn(nil)
 		defer c.AbortTxn(lt)
 		got, _, err := c.Run(context.Background(), lt, c.Snapshot(), pl, nil)
 		return got, err

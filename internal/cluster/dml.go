@@ -24,13 +24,13 @@ const noGDDLockTimeout = 10 * time.Second
 
 // acquire wraps lockmgr.Acquire with the GPDB 5 lock-wait safety net
 // (noGDDLockTimeout).
-func (s *Segment) acquire(ctx context.Context, who lockmgr.TxnID, tag lockmgr.Tag, mode lockmgr.Mode) error {
+func (s *Segment) acquire(ctx context.Context, who *lockmgr.Owner, tag lockmgr.Tag, mode lockmgr.Mode) error {
 	if !s.cfg.GDD {
 		tctx, cancel := context.WithTimeout(ctx, noGDDLockTimeout)
 		defer cancel()
-		return s.mapLockErr(s.locks.Acquire(tctx, who, tag, mode))
+		return s.mapLockErr(who.Acquire(tctx, tag, mode))
 	}
-	return s.mapLockErr(s.locks.Acquire(ctx, who, tag, mode))
+	return s.mapLockErr(who.Acquire(ctx, tag, mode))
 }
 
 // writeTuple serializes with concurrent writers of the logical tuple rooted
@@ -50,7 +50,7 @@ func (s *Segment) writeTuple(ctx context.Context, a *storeAccess, st *segTable, 
 	if err := s.acquire(ctx, me, tag, lockmgr.Exclusive); err != nil {
 		return 0, nil, false, err
 	}
-	defer s.locks.Release(me, tag) // released before txn end: dotted edge
+	defer me.Release(tag) // released before txn end: dotted edge
 	cur := tid
 	for {
 		h, row, ok := st.engine.Fetch(cur)
@@ -127,11 +127,36 @@ func (s *Segment) waitForWriter(ctx context.Context, a *storeAccess, holder txn.
 	if holderDist == a.dxid {
 		return nil
 	}
-	tag := lockmgr.TransactionTag(lockmgr.TxnID(holderDist))
-	if err := s.acquire(ctx, a.owner, tag, lockmgr.Share); err != nil {
-		return err
+	if !s.cfg.GDD {
+		tctx, cancel := context.WithTimeout(ctx, noGDDLockTimeout)
+		defer cancel()
+		ctx = tctx
 	}
-	s.locks.Release(a.owner, tag)
+	return s.waitTxnLock(ctx, a.owner, holder, holderDist)
+}
+
+// waitTxnLock share-locks, and at once releases, the transaction lock of
+// the writer with local xid holder and distributed xid holderDist. A
+// writer keeps that lock implicitly (beginLocal enters nothing): the wait
+// enters it on the writer's behalf, if the writer is still running, and
+// queues behind it — InnoDB's conversion of an implicit lock by its first
+// waiter. A writer with no open transaction here (an in-doubt one a
+// promotion replayed) has no lock to wait behind.
+func (s *Segment) waitTxnLock(ctx context.Context, me *lockmgr.Owner, holder txn.XID, holderDist dtm.DXID) error {
+	tag := lockmgr.TransactionTag(lockmgr.TxnID(holderDist))
+	var err error
+	if hst, open := s.openTxn(holderDist); open {
+		err = me.AcquireBehind(ctx, tag, lockmgr.Share, hst.owner, func() bool {
+			st := s.txns.Status(holder)
+			return st == txn.StatusInProgress || st == txn.StatusPrepared
+		})
+	} else {
+		err = me.Acquire(ctx, tag, lockmgr.Share)
+	}
+	if err != nil {
+		return s.mapLockErr(err)
+	}
+	me.Release(tag)
 	return nil
 }
 
@@ -190,14 +215,13 @@ func (a *storeAccess) InsertRow(leaf catalog.TableID, row types.Row) error {
 	return nil
 }
 
-// LockRelation takes an explicit LOCK TABLE lock on this segment for the
-// transaction with lock-owner id owner. A lock is not a write: no local
-// transaction begins.
-func (s *Segment) LockRelation(ctx context.Context, owner lockmgr.TxnID, t *catalog.Table, mode lockmgr.Mode) error {
+// LockRelation takes an explicit LOCK TABLE lock on this segment for
+// transaction lt. A lock is not a write: no local transaction begins.
+func (s *Segment) LockRelation(ctx context.Context, lt *LiveTxn, t *catalog.Table, mode lockmgr.Mode) error {
 	if err := s.checkUp(); err != nil {
 		return err
 	}
-	return s.acquire(ctx, owner, lockmgr.RelationTag(uint64(t.ID)), mode)
+	return s.acquire(ctx, lt.ownerOn(s), lockmgr.RelationTag(uint64(t.ID)), mode)
 }
 
 // deadVersion is the one rule under which a version is reclaimed, by VACUUM

@@ -370,7 +370,7 @@ func (c *Cluster) moveTable(ctx context.Context, run *expandRun, slot *resgroup.
 // that only hold segment-side locks). The caller releases the fence with
 // finishFence.
 func (c *Cluster) fenceTable(ctx context.Context, tab *catalog.Table, upto int) (*LiveTxn, error) {
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	lt.grow(c.SegCount())
 	if err := c.LockCoordinator(ctx, lt, tab.Name, lockmgr.AccessExclusive); err != nil {
 		c.AbortTxn(lt)
@@ -382,7 +382,7 @@ func (c *Cluster) fenceTable(ctx context.Context, tab *catalog.Table, upto int) 
 			c.AbortTxn(lt)
 			return nil, err
 		}
-		if err := s.LockRelation(ctx, lt.owner, tab, lockmgr.AccessExclusive); err != nil {
+		if err := s.LockRelation(ctx, lt, tab, lockmgr.AccessExclusive); err != nil {
 			c.AbortTxn(lt)
 			return nil, err
 		}
@@ -568,7 +568,7 @@ func (c *Cluster) moveHash(ctx context.Context, run *expandRun, slot *resgroup.S
 	if err != nil {
 		return err
 	}
-	ltR := c.BeginTxn()
+	ltR := c.BeginTxn(nil)
 	ltR.grow(c.SegCount())
 	snap := c.Snapshot()
 	readerOpen := true
@@ -591,7 +591,7 @@ func (c *Cluster) moveHash(ctx context.Context, run *expandRun, slot *resgroup.S
 		}
 		ltR.touched[i] = true
 		m.lastLSN[i] = s.log.LastLSN()
-		accs[i] = s.newAccess(ltR.owner, ltR.dxid, snap)
+		accs[i] = s.newAccess(ltR.ownerOn(s), ltR.dxid, snap)
 	}
 	c.finishFence(ltF)
 
@@ -763,7 +763,7 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 	if len(plus) == 0 && len(minus) == 0 {
 		return nil
 	}
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	lt.grow(c.SegCount())
 	committed := false
 	defer func() {

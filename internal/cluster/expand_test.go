@@ -182,7 +182,7 @@ func TestStaleDistMapVersionRejected(t *testing.T) {
 			w, ver := tab.Placement()
 			// Simulate an online expansion flipping the map under the plan.
 			tab.SetPlacement(w, ver+1)
-			lt := c.BeginTxn()
+			lt := c.BeginTxn(nil)
 			defer c.AbortTxn(lt)
 			err := tc.run(t, c, tab, lt, ver)
 			var stale *StaleDistMapError
@@ -207,7 +207,7 @@ func TestStaleDistMapVersionRejected(t *testing.T) {
 func TestTxnLostWritesOnMapFlip(t *testing.T) {
 	c := testCluster(t, GPDB6(2))
 	tab := mkTable(t, c, "t")
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	w, ver := tab.Placement()
 	if _, _, err := c.Run(context.Background(), lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(2)}), nil); err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestExpandStaleTemplateFenced(t *testing.T) {
 	fresh := planTemplate(t, c, "SELECT b FROM t WHERE a = $1", one)
 	for k := int64(0); k < 200; k++ {
 		params := []types.Datum{types.NewInt(k)}
-		lt := c.BeginTxn()
+		lt := c.BeginTxn(nil)
 		var stale *StaleDistMapError
 		pl, err := sel.Bind(params)
 		if err != nil {
@@ -380,7 +380,7 @@ func TestInsertSelectIntoNarrowTable(t *testing.T) {
 		rows = append(rows, types.Row{types.NewInt(i), types.NewInt(-i)})
 	}
 	insertRows(t, c, src, rows)
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	snap := c.Snapshot()
 	defer c.ReleaseSnapshot(snap)
 	if _, n, err := c.Run(ctx, lt, snap, planTemplate(t, c, "INSERT INTO dst SELECT a, b FROM src"), nil); err != nil || n != len(rows) {

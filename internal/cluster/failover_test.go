@@ -29,7 +29,7 @@ func TestInDoubtCommitRecordWins(t *testing.T) {
 	tab := mkTable(t, c, "t")
 
 	run := func(withRecord bool) (dxid uint64, rows int) {
-		lt := c.BeginTxn()
+		lt := c.BeginTxn(nil)
 		snap := c.Snapshot()
 		s1 := c.seg(1)
 		if _, _, err := c.Run(ctx, lt, snap, &plan.Planned{Root: insertPlan(tab,
@@ -97,7 +97,7 @@ func TestCommitPreparedIdempotentAfterPromotion(t *testing.T) {
 	c := replicatedCluster(t, 2, ReplicaSync)
 	tab := mkTable(t, c, "t")
 
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	snap := c.Snapshot()
 	s1 := c.seg(1)
 	if _, _, err := c.Run(ctx, lt, snap, &plan.Planned{Root: insertPlan(tab,
@@ -182,7 +182,7 @@ func TestAbortedTxnsDoNotLeakOnMirror(t *testing.T) {
 	c := replicatedCluster(t, 1, ReplicaSync)
 	tab := mkTable(t, c, "t")
 	for i := 0; i < 25; i++ {
-		lt := c.BeginTxn()
+		lt := c.BeginTxn(nil)
 		if _, _, err := c.Run(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(int64(i)), types.NewInt(0)}), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestCommitLogTruncation(t *testing.T) {
 func TestPromotionRebuildsIndexes(t *testing.T) {
 	c := replicatedCluster(t, 1, ReplicaSync)
 	tab := mkTable(t, c, "t")
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	idx := &catalog.Index{Name: "t_a", Columns: []int{0}}
 	if err := c.ApplyCreateIndex(context.Background(), lt, "t", idx); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func TestDispatchSendFaultExhaustsToRetryableError(t *testing.T) {
 	if err := c.InjectFault(fault.Spec{Point: fault.DispatchSend, Seg: fault.AllSegments, Action: fault.ActError}); err != nil {
 		t.Fatal(err)
 	}
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	_, _, err := c.Run(context.Background(), lt,
 		c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(1)}), nil)
 	c.ResetFault(fault.DispatchSend)
@@ -88,7 +88,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	ctx := context.Background()
 	// Each failed statement is one breaker Failure; threshold 2 opens it.
 	for i := 0; i < 3; i++ {
-		lt := c.BeginTxn()
+		lt := c.BeginTxn(nil)
 		_, _, err := c.Run(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(int64(i)), types.NewInt(1)}), nil)
 		c.AbortTxn(lt)
 		if err == nil {
@@ -108,7 +108,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatal("breaker opens not counted")
 	}
 	// An open breaker fails fast with a retryable error.
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	_, _, err := c.Run(ctx, lt, c.Snapshot(), insertPlan(tab, types.Row{types.NewInt(9), types.NewInt(1)}), nil)
 	c.AbortTxn(lt)
 	var boe *BreakerOpenError
@@ -141,7 +141,7 @@ func TestAbortResolvesThroughDispatchFaults(t *testing.T) {
 	insertRows(t, c, tab, []types.Row{{types.NewInt(1), types.NewInt(10)}})
 
 	ctx := context.Background()
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	if _, _, err := c.Run(ctx, lt, c.Snapshot(), planTemplate(t, c, "UPDATE t SET b = 99"), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestAbortResolvesThroughDispatchFaults(t *testing.T) {
 	// them immediately (a leak would hang until the test timeout).
 	done := make(chan error, 1)
 	go func() {
-		lt2 := c.BeginTxn()
+		lt2 := c.BeginTxn(nil)
 		if _, _, err := c.Run(ctx, lt2, c.Snapshot(), planTemplate(t, c, "UPDATE t SET b = 99"), nil); err != nil {
 			c.AbortTxn(lt2)
 			done <- err

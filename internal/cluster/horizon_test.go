@@ -16,7 +16,7 @@ import (
 // only reads.
 func scanUnder(t *testing.T, c *Cluster, tab *catalog.Table, snap *dtm.DistSnapshot) []types.Row {
 	t.Helper()
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	defer c.AbortTxn(lt)
 	root := &plan.Motion{Child: plan.NewScan(tab, []catalog.TableID{tab.ID}, nil), Type: plan.MotionGather}
 	rows, _, err := c.Run(context.Background(), lt, snap, plan.NewPlanned(root), nil)
@@ -45,7 +45,7 @@ func TestHorizonHoldsForLiveSnapshot(t *testing.T) {
 	tab := mkTable(t, c, "t")
 	insertRows(t, c, tab, []types.Row{{types.NewInt(0), types.NewInt(0)}}) // an older writer
 
-	w := c.BeginTxn()
+	w := c.BeginTxn(nil)
 	wsnap := c.Snapshot()
 	if _, _, err := c.Run(ctx, w, wsnap, insertPlan(tab, types.Row{types.NewInt(1), types.NewInt(1)}), nil); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestLongReaderHoldsHorizon(t *testing.T) {
 	tab := mkTable(t, c, "t")
 	insertRows(t, c, tab, []types.Row{{types.NewInt(1), types.NewInt(0)}})
 
-	reader := c.BeginTxn()
+	reader := c.BeginTxn(nil)
 	snap := c.Snapshot()
 	xids := nextXIDs(c)
 	up := planTemplate(t, c, "UPDATE t SET b = b + 1 WHERE a = 1")
@@ -87,7 +87,7 @@ func TestLongReaderHoldsHorizon(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < updates; i++ {
-			lt := c.BeginTxn()
+			lt := c.BeginTxn(nil)
 			usnap := c.Snapshot()
 			_, _, err := c.Run(ctx, lt, usnap, up, nil)
 			c.ReleaseSnapshot(usnap)
@@ -157,7 +157,7 @@ func TestFirstWriteTakesFreshXid(t *testing.T) {
 	tab := mkTable(t, c, "t")
 	insertRows(t, c, tab, []types.Row{{types.NewInt(1), types.NewInt(1)}})
 
-	w := c.BeginTxn()
+	w := c.BeginTxn(nil)
 	if got := scanAllTxn(t, c, tab, w); len(got) != 1 {
 		t.Fatalf("read %v", got)
 	}

@@ -18,7 +18,7 @@ import (
 func indexedTable(t *testing.T, c *Cluster) *catalog.Table {
 	t.Helper()
 	tab := mkTable(t, c, "t")
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	if err := c.ApplyCreateIndex(context.Background(), lt, "t", &catalog.Index{Name: "t_a", Table: "t", Columns: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func truncationRound(c *Cluster) {
 // commitUpdate runs one autocommit statement that writes.
 func commitUpdate(t *testing.T, c *Cluster, up *plan.Planned) {
 	t.Helper()
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	snap := c.Snapshot()
 	_, _, err := c.Run(context.Background(), lt, snap, up, nil)
 	c.ReleaseSnapshot(snap)
@@ -101,7 +101,7 @@ func TestProbeKeepsWhatALiveSnapshotSees(t *testing.T) {
 	}
 	up := planTemplate(t, c, "UPDATE t SET b = b + 1 WHERE a = 1")
 
-	reader := c.BeginTxn()
+	reader := c.BeginTxn(nil)
 	snap := c.Snapshot()
 	const updates = 512
 	var wg sync.WaitGroup
@@ -109,7 +109,7 @@ func TestProbeKeepsWhatALiveSnapshotSees(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < updates; i++ {
-			lt := c.BeginTxn()
+			lt := c.BeginTxn(nil)
 			usnap := c.Snapshot()
 			_, _, err := c.Run(ctx, lt, usnap, up, nil)
 			c.ReleaseSnapshot(usnap)
@@ -141,7 +141,7 @@ func TestProbeKeepsWhatALiveSnapshotSees(t *testing.T) {
 	}
 	fresh := c.Snapshot()
 	defer c.ReleaseSnapshot(fresh)
-	lt := c.BeginTxn()
+	lt := c.BeginTxn(nil)
 	defer c.AbortTxn(lt)
 	if rows := readB(t, c, lt, fresh, sel); len(rows) != 1 || rows[0][0].Int() != updates {
 		t.Fatalf("after the updates the row reads %v, want b = %d", rows, updates)
@@ -191,14 +191,14 @@ func TestPreparedDeleterHoldsItsVersion(t *testing.T) {
 	sel := planTemplate(t, c, "SELECT b FROM t WHERE a = 1")
 	read := func() []types.Row {
 		t.Helper()
-		lt := c.BeginTxn()
+		lt := c.BeginTxn(nil)
 		defer c.AbortTxn(lt)
 		snap := c.Snapshot()
 		defer c.ReleaseSnapshot(snap)
 		return readB(t, c, lt, snap, sel)
 	}
 
-	w := c.BeginTxn()
+	w := c.BeginTxn(nil)
 	wsnap := c.Snapshot()
 	_, _, err := c.Run(ctx, w, wsnap, planTemplate(t, c, "UPDATE t SET b = 1 WHERE a = 1"), nil)
 	c.ReleaseSnapshot(wsnap)

@@ -499,9 +499,9 @@ func (p *Portal) readTree(direct bool, res *QueryResources) exec.BatchIterator {
 // only, else a fresh one.
 func (d *attempt) access(s *Segment) *storeAccess {
 	if d.segs == nil || &d.segs[0] != &d.one[0] {
-		return s.newAccess(d.t.owner, d.t.dxid, d.snap)
+		return s.newAccess(d.t.ownerOn(s), d.t.dxid, d.snap)
 	}
-	s.initAccess(&d.p.acc, d.t.owner, d.t.dxid, d.snap)
+	s.initAccess(&d.p.acc, d.t.ownerOn(s), d.t.dxid, d.snap)
 	return &d.p.acc
 }
 
@@ -829,7 +829,7 @@ func (c *Cluster) LockTableEverywhere(ctx context.Context, t *LiveTxn, table str
 		if err != nil {
 			return err
 		}
-		if err := s.LockRelation(ctx, t.owner, tab, mode); err != nil {
+		if err := s.LockRelation(ctx, t, tab, mode); err != nil {
 			return err
 		}
 		t.touched[i] = true

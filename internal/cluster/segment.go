@@ -95,10 +95,10 @@ type segIndex struct {
 }
 
 // segTxn is the local transaction implementing a distributed one that
-// wrote this segment, and the owner id its locks are held under.
+// wrote this segment, and the owner record its locks are held under.
 type segTxn struct {
 	local txn.XID
-	owner lockmgr.TxnID
+	owner *lockmgr.Owner
 }
 
 func newSegment(id int, cfg *Config) *Segment {
@@ -349,8 +349,14 @@ func (s *Segment) RowCount(t *catalog.Table) int {
 
 // beginLocal creates the local transaction implementing dxid, owned by
 // owner, at the distributed transaction's first write on this segment (or
-// returns the one already open).
-func (s *Segment) beginLocal(dxid dtm.DXID, owner lockmgr.TxnID) *segTxn {
+// returns the one already open). It takes no lock: the writer's
+// transaction lock (paper §4.2's "locking tuple using the transaction
+// lock", tag = dxid) is implicit. Its open entry here and its in-progress
+// clog state are the lock; a waiter that meets the writer's uncommitted
+// xmax enters the writer's Exclusive grant on its behalf and queues behind
+// it (waitTxnLock), and the writer's ReleaseAll at commit or abort drops
+// it.
+func (s *Segment) beginLocal(dxid dtm.DXID, owner *lockmgr.Owner) *segTxn {
 	s.txmu.Lock()
 	defer s.txmu.Unlock()
 	if st, ok := s.open[dxid]; ok {
@@ -365,12 +371,6 @@ func (s *Segment) beginLocal(dxid dtm.DXID, owner lockmgr.TxnID) *segTxn {
 	// resolution — on promotion. Logged under txmu so replayed xids appear
 	// in allocation order.
 	s.logTxn(wal.TypeBegin, local, dxid)
-	// Every writing transaction exclusively holds its own transaction lock;
-	// waiting for an uncommitted writer means share-locking this tag (paper
-	// §4.2's "locking tuple using the transaction lock"). The tag names the
-	// dxid, which a waiter finds through the mapping; the owner id holds it,
-	// so the wait is an edge between owners. Cannot block: the tag is fresh.
-	s.locks.TryAcquire(owner, lockmgr.TransactionTag(lockmgr.TxnID(dxid)), lockmgr.Exclusive)
 	return st
 }
 
@@ -506,7 +506,7 @@ func (s *Segment) CommitPrepared(dxid dtm.DXID) error {
 	}
 	s.logTxn(wal.TypeCommit, st.local, dxid)
 	s.fsync()
-	s.locks.ReleaseAll(st.owner)
+	st.owner.ReleaseAll()
 	s.closeTxn(dxid)
 	return s.ackOrDown()
 }
@@ -540,7 +540,7 @@ func (s *Segment) CommitOnePhase(dxid dtm.DXID) error {
 	}
 	s.logTxn(wal.TypeCommit, st.local, dxid)
 	s.fsync()
-	s.locks.ReleaseAll(st.owner)
+	st.owner.ReleaseAll()
 	s.closeTxn(dxid)
 	return s.ackOrDown()
 }
@@ -560,7 +560,7 @@ func (s *Segment) Abort(dxid dtm.DXID) error {
 		// forever — an unbounded standby leak under rollback-heavy load.
 		s.logTxn(wal.TypeAbort, st.local, dxid)
 		_ = s.txns.Abort(st.local)
-		s.locks.ReleaseAll(st.owner)
+		st.owner.ReleaseAll()
 		s.closeTxn(dxid)
 	} else if local, status, found := s.recoveredStatus(dxid); found && status == txn.StatusPrepared {
 		_ = s.txns.Abort(local)
@@ -576,7 +576,7 @@ func (s *Segment) Abort(dxid dtm.DXID) error {
 // local snapshot live inside it — and a Portal reuses its own.
 type storeAccess struct {
 	seg   *Segment
-	owner lockmgr.TxnID
+	owner *lockmgr.Owner
 	// dxid is the transaction's distributed xid (InvalidDXID while it has
 	// written nothing); st its local transaction here, nil until it writes
 	// this segment (begin).
@@ -597,14 +597,14 @@ type storeAccess struct {
 // newAccess builds the statement's view for the transaction (owner, dxid):
 // a fresh local snapshot combined with the distributed snapshot through the
 // xid mapping. It takes no xid: a reader costs the segment a snapshot.
-func (s *Segment) newAccess(owner lockmgr.TxnID, dxid dtm.DXID, snap *dtm.DistSnapshot) *storeAccess {
+func (s *Segment) newAccess(owner *lockmgr.Owner, dxid dtm.DXID, snap *dtm.DistSnapshot) *storeAccess {
 	a := new(storeAccess)
 	s.initAccess(a, owner, dxid, snap)
 	return a
 }
 
 // initAccess is newAccess into a, whose local snapshot's storage it reuses.
-func (s *Segment) initAccess(a *storeAccess, owner lockmgr.TxnID, dxid dtm.DXID, snap *dtm.DistSnapshot) {
+func (s *Segment) initAccess(a *storeAccess, owner *lockmgr.Owner, dxid dtm.DXID, snap *dtm.DistSnapshot) {
 	*a = storeAccess{seg: s, owner: owner, dxid: dxid, local: txn.Snapshot{InProgress: a.local.InProgress}}
 	a.view = dtm.View{Mapping: s.mapping, Snap: snap, SelfDist: dxid}
 	a.check = txn.VisibilityChecker{Mgr: s.txns, Snap: s.txns.TakeSnapshotInto(&a.local), Dist: &a.view}
@@ -636,7 +636,7 @@ func (a *storeAccess) begin() (*segTxn, error) {
 
 // lockRelation takes the local relation lock for a statement.
 func (a *storeAccess) lockRelation(ctx context.Context, t *catalog.Table, mode lockmgr.Mode) error {
-	return a.seg.mapLockErr(a.seg.locks.Acquire(ctx, a.owner, lockmgr.RelationTag(uint64(t.ID)), mode))
+	return a.seg.mapLockErr(a.owner.Acquire(ctx, lockmgr.RelationTag(uint64(t.ID)), mode))
 }
 
 // markedLeaf resolves a leaf for the row-callback path and takes mark's
@@ -870,7 +870,7 @@ func (s *Segment) lockRowForUpdate(ctx context.Context, a *storeAccess, st *segT
 		return err
 	}
 	tag := lockmgr.TupleTag(uint64(st.leaf), uint64(tid))
-	if err := s.mapLockErr(s.locks.AcquireToEnd(ctx, me, tag, lockmgr.Exclusive)); err != nil {
+	if err := s.mapLockErr(me.AcquireToEnd(ctx, tag, lockmgr.Exclusive)); err != nil {
 		return err
 	}
 	for {
@@ -895,11 +895,9 @@ func (s *Segment) lockRowForUpdate(ctx context.Context, a *storeAccess, st *segT
 			if !okm {
 				return fmt.Errorf("cluster: no mapping for in-progress writer %d", h.Xmax)
 			}
-			holder := lockmgr.TxnID(holderDist)
-			if err := s.mapLockErr(s.locks.Acquire(ctx, me, lockmgr.TransactionTag(holder), lockmgr.Share)); err != nil {
+			if err := s.waitTxnLock(ctx, me, h.Xmax, holderDist); err != nil {
 				return err
 			}
-			s.locks.Release(me, lockmgr.TransactionTag(holder))
 		}
 	}
 }

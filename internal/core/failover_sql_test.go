@@ -549,9 +549,9 @@ func insertSelectAcrossFailover(t *testing.T, e *Engine, s *Session) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocker := cl.BeginTxn()
+	blocker := cl.BeginTxn(nil)
 	defer cl.AbortTxn(blocker)
-	if err := cl.Segments()[victim].LockRelation(ctx, blocker.Owner(), src, lockmgr.AccessExclusive); err != nil {
+	if err := cl.Segments()[victim].LockRelation(ctx, blocker, src, lockmgr.AccessExclusive); err != nil {
 		t.Fatal(err)
 	}
 	type result struct {

@@ -32,8 +32,10 @@ type Session struct {
 	// settings are the typed SET values (settingTable declares each one).
 	settings sessionSettings
 
-	// Transaction state.
+	// Transaction state. kept is the session's last transaction, which the
+	// next one reuses (cluster.BeginTxn).
 	txn      *cluster.LiveTxn
+	kept     *cluster.LiveTxn
 	explicit bool
 	failed   bool
 
@@ -55,8 +57,9 @@ type Session struct {
 	// lowered under plan epoch instEpoch (see instanceOf).
 	insts     map[*plan.Planned]*instance
 	instEpoch uint64
-	// lastParse is the time the preceding Exec spent in the parser
-	// (0 on a statement-cache hit); it becomes the trace's parse span.
+	// lastParse is the time the preceding Exec spent in the parser, taken
+	// under SET trace_queries only (0 on a statement-cache hit); it becomes
+	// the trace's parse span.
 	lastParse time.Duration
 	// lastSQL is the raw text the client sent to Exec — what the activity
 	// views display (the cache's normalized form is the fallback).
@@ -120,12 +123,17 @@ func (s *Session) InTxn() bool { return s.txn != nil && s.explicit }
 // DELETE reuse cached plans while the catalog/stats epoch, planner settings and
 // parameter kinds match.
 func (s *Session) Exec(ctx context.Context, sqlText string, params ...types.Datum) (*Result, error) {
-	t0 := time.Now()
+	var t0 time.Time
+	if s.settings.traceQueries {
+		t0 = time.Now()
+	}
 	st, entry, err := s.engine.stmts.parse(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	s.lastParse = time.Since(t0)
+	if s.settings.traceQueries {
+		s.lastParse = time.Since(t0)
+	}
 	s.lastSQL = sqlText
 	return s.execParsed(ctx, st, entry, params...)
 }
@@ -137,6 +145,10 @@ func (s *Session) Exec(ctx context.Context, sqlText string, params ...types.Datu
 func (s *Session) Close() {
 	s.failed = false
 	s.abortCurrent()
+	if s.kept != nil {
+		s.engine.cluster.DropTxn(s.kept)
+		s.kept = nil
+	}
 	s.insts = nil
 	s.engine.activity.Unregister(s.sess)
 }
@@ -235,7 +247,8 @@ func (s *Session) execParsed(ctx context.Context, st sql.Statement, entry *stmtE
 
 // beginObserve opens the statement's observability window: a query id, the
 // gp_stat_activity "active" flip, and — under SET trace_queries — the
-// distributed trace with its parse span.
+// distributed trace with its parse span. Its one clock reading is the
+// statement's start for all three and for the query record.
 func (s *Session) beginObserve(st sql.Statement, entry *stmtEntry, rawSQL string, parseDur time.Duration) *stmtObs {
 	ob := &s.ob
 	*ob = stmtObs{qid: s.engine.activity.NextQueryID(), start: time.Now()}
@@ -247,7 +260,7 @@ func (s *Session) beginObserve(st sql.Statement, entry *stmtEntry, rawSQL string
 	default:
 		ob.sql = st.String()
 	}
-	s.sess.StartQuery(ob.sql)
+	s.sess.StartQuery(ob.sql, ob.start)
 	if s.settings.traceQueries {
 		ob.trace = obs.NewTrace(ob.qid, ob.sql)
 		ob.root = ob.trace.Begin(0, "query", -1)
@@ -261,9 +274,9 @@ func (s *Session) beginObserve(st sql.Statement, entry *stmtEntry, rawSQL string
 
 // finishObserve closes the window: the per-query duration histogram and
 // statement/error counters, the gp_stat_queries record (slow-flagged past
-// log_min_duration), and the finished trace into the trace store. All
-// durations come from time.Since's monotonic reading, so wall-clock steps
-// cannot skew them.
+// log_min_duration), and the finished trace into the trace store. Its one
+// clock reading ends the statement: the duration comes from time.Since's
+// monotonic reading, so wall-clock steps cannot skew it.
 func (s *Session) finishObserve(ob *stmtObs, res *Result, err error) {
 	s.cur = nil
 	s.sess.EndQuery()
@@ -352,7 +365,8 @@ func (s *Session) beginTxn(ctx context.Context, explicit bool) error {
 		}
 		s.slot = slot
 	}
-	s.txn = s.engine.cluster.BeginTxn()
+	s.txn = s.engine.cluster.BeginTxn(s.kept)
+	s.kept = s.txn
 	s.explicit = explicit
 	return nil
 }
@@ -725,8 +739,8 @@ func planResult(text string) *Result {
 // measured execution is exactly the real one. res holds the collectors the
 // caller armed (nil: none); the resource-group hooks and the trace join them
 // here, in the instance's holder when the caller armed none. It returns a
-// SELECT's rows, the count of rows returned or written, and the time the
-// dispatch took.
+// SELECT's rows, the count of rows returned or written, and — when res
+// arms timed operator stats — the time the dispatch took.
 func (s *Session) runPlanned(ctx context.Context, in *instance, res *cluster.QueryResources) ([]types.Row, int, time.Duration, error) {
 	cl, pl := s.engine.cluster, &in.Planned
 	mode := pl.LockMode
@@ -767,13 +781,23 @@ func (s *Session) runPlanned(ctx context.Context, in *instance, res *cluster.Que
 		execSp = ob.trace.Begin(ob.root.ID(), "execute", -1)
 		res.ExecSpan = execSp.ID()
 	}
-	start := time.Now()
+	// Only timed operator stats (EXPLAIN ANALYZE, a traced SELECT) read the
+	// clock here: an untraced statement's two readings are its
+	// observability window's.
+	var start time.Time
+	var elapsed time.Duration
+	timed := res != nil && res.Ops != nil && res.Ops.Timed
+	if timed {
+		start = time.Now()
+	}
 	snap := cl.SnapshotInto(&s.snap)
 	rows, n, err := in.portal.Run(ctx, s.txn, snap, res)
 	cl.ReleaseSnapshot(snap)
-	elapsed := time.Since(start)
-	if res != nil && res.Ops != nil && res.Trace != nil {
-		recordOpSpans(res.Trace, res.ExecSpan, in.Root, res.Ops, start)
+	if timed {
+		elapsed = time.Since(start)
+		if res.Trace != nil {
+			recordOpSpans(res.Trace, res.ExecSpan, in.Root, res.Ops, start)
+		}
 	}
 	in.res = cluster.QueryResources{} // its collectors are the statement's
 	execSp.End()

@@ -8,6 +8,33 @@ import (
 	"time"
 )
 
+// table is a Manager driven by transaction id, the way these tests are
+// written.
+type table struct{ *Manager }
+
+func newTable() *table { return &table{NewManager()} }
+
+func (tb *table) AcquireToEnd(ctx context.Context, txn TxnID, tag Tag, mode Mode) error {
+	return tb.Owner(txn).AcquireToEnd(ctx, tag, mode)
+}
+
+// TryAcquire takes the lock only if it is free at once: an Acquire whose
+// context is already cancelled.
+func (tb *table) TryAcquire(txn TxnID, tag Tag, mode Mode) bool {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return tb.Acquire(ctx, txn, tag, mode) == nil
+}
+
+func (tb *table) ReleaseAll(txn TxnID) { tb.Owner(txn).ReleaseAll() }
+
+// Waiting reports whether txn is blocked in the table.
+func (tb *table) Waiting(txn TxnID) bool {
+	found := false
+	tb.each(func(_ Tag, t TxnID, _ uint16, pos int) { found = found || t == txn && pos >= 0 })
+	return found
+}
+
 // TestConflictMatrixMatchesPaperTable1 transcribes the paper's Table 1 and
 // checks every cell of the 8×8 matrix.
 func TestConflictMatrixMatchesPaperTable1(t *testing.T) {
@@ -67,7 +94,7 @@ func TestModeForName(t *testing.T) {
 }
 
 func TestSharedGrantsDoNotBlock(t *testing.T) {
-	m := NewManager()
+	m := newTable()
 	tag := RelationTag(1)
 	ctx := context.Background()
 	for txn := TxnID(1); txn <= 5; txn++ {
@@ -81,7 +108,7 @@ func TestSharedGrantsDoNotBlock(t *testing.T) {
 }
 
 func TestExclusiveBlocksAndReleases(t *testing.T) {
-	m := NewManager()
+	m := newTable()
 	tag := RelationTag(1)
 	ctx := context.Background()
 	if err := m.Acquire(ctx, 1, tag, Exclusive); err != nil {
@@ -108,7 +135,7 @@ func TestExclusiveBlocksAndReleases(t *testing.T) {
 // TestFIFOFairness: a queued conflicting waiter must not be overtaken by a
 // newcomer that conflicts with it.
 func TestFIFOFairness(t *testing.T) {
-	m := NewManager()
+	m := newTable()
 	tag := RelationTag(1)
 	ctx := context.Background()
 	if err := m.Acquire(ctx, 1, tag, AccessShare); err != nil {
@@ -137,7 +164,7 @@ func TestFIFOFairness(t *testing.T) {
 }
 
 func TestReacquireHeldModeIsNoop(t *testing.T) {
-	m := NewManager()
+	m := newTable()
 	tag := RelationTag(1)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
@@ -152,7 +179,7 @@ func TestReacquireHeldModeIsNoop(t *testing.T) {
 }
 
 func TestKillWakesWaiterWithVictimError(t *testing.T) {
-	m := NewManager()
+	m := newTable()
 	tag := RelationTag(1)
 	ctx := context.Background()
 	if err := m.Acquire(ctx, 1, tag, Exclusive); err != nil {
@@ -181,7 +208,7 @@ func TestKillWakesWaiterWithVictimError(t *testing.T) {
 }
 
 func TestContextCancellationRemovesWaiter(t *testing.T) {
-	m := NewManager()
+	m := newTable()
 	tag := RelationTag(1)
 	if err := m.Acquire(context.Background(), 1, tag, Exclusive); err != nil {
 		t.Fatal(err)
@@ -201,7 +228,7 @@ func TestContextCancellationRemovesWaiter(t *testing.T) {
 }
 
 func TestWaitGraphEdges(t *testing.T) {
-	m := NewManager()
+	m := newTable()
 	rel := RelationTag(1)
 	tup := TupleTag(1, 42)
 	ctx := context.Background()
@@ -247,7 +274,7 @@ func TestWaitGraphEdges(t *testing.T) {
 // will become one — and turns dotted again once released and re-taken with
 // plain Acquire.
 func TestWaitGraphTupleLockHeldToEnd(t *testing.T) {
-	m := NewManager()
+	m := newTable()
 	tup := TupleTag(1, 42)
 	ctx := context.Background()
 	if err := m.AcquireToEnd(ctx, 1, tup, Exclusive); err != nil {
@@ -307,7 +334,7 @@ func TestWaitGraphTupleLockHeldToEnd(t *testing.T) {
 }
 
 func TestWaitStatsAccumulate(t *testing.T) {
-	m := NewManager()
+	m := newTable()
 	tag := RelationTag(1)
 	ctx := context.Background()
 	if err := m.Acquire(ctx, 1, tag, Exclusive); err != nil {
@@ -332,7 +359,7 @@ func TestWaitStatsAccumulate(t *testing.T) {
 }
 
 func TestTupleLockEarlyRelease(t *testing.T) {
-	m := NewManager()
+	m := newTable()
 	tup := TupleTag(7, 7)
 	ctx := context.Background()
 	if err := m.Acquire(ctx, 1, tup, Exclusive); err != nil {
@@ -349,7 +376,7 @@ func TestTupleLockEarlyRelease(t *testing.T) {
 }
 
 func TestHoldsAny(t *testing.T) {
-	m := NewManager()
+	m := newTable()
 	if m.HoldsAny(1) {
 		t.Fatal("fresh txn holds nothing")
 	}

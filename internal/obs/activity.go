@@ -36,15 +36,15 @@ type SessionInfo struct {
 	stmts      int64
 }
 
-// StartQuery marks the session active on the given statement.
-func (s *SessionInfo) StartQuery(sql string) {
+// StartQuery marks the session active on the given statement, started at at.
+func (s *SessionInfo) StartQuery(sql string, at time.Time) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	s.state = "active"
 	s.query = sql
-	s.queryStart = time.Now()
+	s.queryStart = at
 	s.stmts++
 	s.mu.Unlock()
 }

@@ -234,7 +234,7 @@ func TestTraceStoreRing(t *testing.T) {
 func TestActivityRingsAndSessions(t *testing.T) {
 	a := NewActivity(2, 2, 2)
 	si := a.Register("admin")
-	si.StartQuery("select 1")
+	si.StartQuery("select 1", time.Now())
 	snaps := a.Sessions()
 	if len(snaps) != 1 || snaps[0].State != "active" || snaps[0].Query != "select 1" {
 		t.Fatalf("sessions = %+v", snaps)

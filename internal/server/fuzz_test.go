@@ -40,7 +40,7 @@ func fuzzServer() string {
 func frames(parts ...[]byte) []byte {
 	var buf bytes.Buffer
 	for i := 0; i+1 < len(parts); i += 2 {
-		_ = server.WriteFrame(&buf, parts[i][0], parts[i+1])
+		_ = writeFrame(&buf, parts[i][0], parts[i+1])
 	}
 	return buf.Bytes()
 }
@@ -50,10 +50,10 @@ func frames(parts ...[]byte) []byte {
 // prefixes, valid traffic with garbage appended — the server must never
 // panic, never leak the session, and must keep serving well-formed clients.
 func FuzzServerSession(f *testing.F) {
-	startup := (&server.Startup{Version: server.ProtocolVersion, Role: ""}).Encode()
-	query := (&server.Query{SQL: "SELECT 1"}).Encode()
-	ddl := (&server.Query{SQL: "CREATE TABLE fz (a int) DISTRIBUTED BY (a)"}).Encode()
-	param := (&server.Query{SQL: "SELECT $1", Params: []types.Datum{types.NewInt(1)}}).Encode()
+	startup := (&server.Startup{Version: server.ProtocolVersion, Role: ""}).Append(nil)
+	query := (&server.Query{SQL: "SELECT 1"}).Append(nil)
+	ddl := (&server.Query{SQL: "CREATE TABLE fz (a int) DISTRIBUTED BY (a)"}).Append(nil)
+	param := (&server.Query{SQL: "SELECT $1", Params: []types.Datum{types.NewInt(1)}}).Append(nil)
 
 	// Captured-handshake seeds: full valid exchanges, then mutations.
 	f.Add(frames([]byte{server.MsgStartup}, startup, []byte{server.MsgQuery}, query, []byte{server.MsgTerminate}, nil))
@@ -88,7 +88,7 @@ func FuzzServerSession(f *testing.F) {
 		defer probe.Close()
 		_ = probe.SetDeadline(time.Now().Add(5 * time.Second))
 		st := &server.Startup{Version: server.ProtocolVersion, Role: ""}
-		if err := server.WriteFrame(probe, server.MsgStartup, st.Encode()); err != nil {
+		if err := writeFrame(probe, server.MsgStartup, st.Append(nil)); err != nil {
 			t.Fatalf("probe startup: %v", err)
 		}
 		typ, _, err := server.ReadFrame(probe)

@@ -19,6 +19,15 @@ import (
 )
 
 // startServer boots an engine plus a listening server on a loopback port.
+// writeFrame writes one frame of payload with one Write.
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
+	b, err := server.AppendFrame(nil, typ, func(dst []byte) []byte { return append(dst, payload...) })
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
+}
+
 func startServer(t testing.TB, nseg int, cfg server.Config) (*core.Engine, *server.Server) {
 	t.Helper()
 	ccfg := cluster.GPDB6(nseg)
@@ -331,7 +340,7 @@ func TestServerRejectsGarbageStartup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := server.WriteFrame(nc, server.MsgQuery, (&server.Query{SQL: "SELECT 1"}).Encode()); err != nil {
+	if err := writeFrame(nc, server.MsgQuery, (&server.Query{SQL: "SELECT 1"}).Append(nil)); err != nil {
 		t.Fatal(err)
 	}
 	typ, _, err := server.ReadFrame(nc)
@@ -345,7 +354,7 @@ func TestServerRejectsGarbageStartup(t *testing.T) {
 	}
 	defer nc2.Close()
 	bad := &server.Startup{Version: 999, Role: ""}
-	if err := server.WriteFrame(nc2, server.MsgStartup, bad.Encode()); err != nil {
+	if err := writeFrame(nc2, server.MsgStartup, bad.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
 	typ, _, err = server.ReadFrame(nc2)
@@ -422,7 +431,7 @@ func TestRetiredFramesRefused(t *testing.T) {
 	// the connection was closed.
 	roundTrip := func(nc net.Conn, typ byte, payload []byte) (errText string, closed bool) {
 		t.Helper()
-		if err := server.WriteFrame(nc, typ, payload); err != nil {
+		if err := writeFrame(nc, typ, payload); err != nil {
 			t.Fatal(err)
 		}
 		for {
@@ -445,7 +454,7 @@ func TestRetiredFramesRefused(t *testing.T) {
 			}
 		}
 	}
-	startup := (&server.Startup{Version: server.ProtocolVersion}).Encode()
+	startup := (&server.Startup{Version: server.ProtocolVersion}).Append(nil)
 	for _, typ := range []byte{'P', 'B', 'E', 'C'} {
 		nc, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
@@ -455,7 +464,7 @@ func TestRetiredFramesRefused(t *testing.T) {
 		if errText, closed := roundTrip(nc, server.MsgStartup, startup); errText != "" || closed {
 			t.Fatalf("startup: error %q, closed %v", errText, closed)
 		}
-		errText, closed := roundTrip(nc, typ, (&server.Query{SQL: "SELECT 1"}).Encode())
+		errText, closed := roundTrip(nc, typ, (&server.Query{SQL: "SELECT 1"}).Append(nil))
 		if !strings.Contains(errText, "unexpected frame type") || !closed {
 			t.Errorf("frame %q: error %q, closed %v; want an unexpected-frame error and a hangup", typ, errText, closed)
 		}

@@ -108,18 +108,6 @@ func AppendFrame(dst []byte, typ byte, payload func([]byte) []byte) ([]byte, err
 	return dst, nil
 }
 
-// WriteFrame writes one frame with one Write.
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > MaxFrameLen {
-		return ErrFrameTooLarge
-	}
-	b := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
-	b[0] = typ
-	binary.BigEndian.PutUint32(b[1:], uint32(len(payload)))
-	_, err := w.Write(append(b, payload...))
-	return err
-}
-
 // ReadFrame reads one frame, enforcing MaxFrameLen before allocating.
 func ReadFrame(r io.Reader) (byte, []byte, error) { return ReadFrameInto(r, nil) }
 
@@ -267,9 +255,6 @@ func (m *Startup) Append(dst []byte) []byte {
 	return w.b
 }
 
-// Encode marshals the message payload.
-func (m *Startup) Encode() []byte { return m.Append(nil) }
-
 // DecodeStartup unmarshals a MsgStartup payload.
 func DecodeStartup(b []byte) (*Startup, error) {
 	r := rbuf{b: b}
@@ -291,9 +276,6 @@ func (m *Query) Append(dst []byte) []byte {
 	return w.b
 }
 
-// Encode marshals the message payload.
-func (m *Query) Encode() []byte { return m.Append(nil) }
-
 // DecodeQuery unmarshals a MsgQuery payload.
 func DecodeQuery(b []byte) (*Query, error) {
 	r := rbuf{b: b}
@@ -310,9 +292,6 @@ func (m *AuthOK) Append(dst []byte) []byte {
 	w.u64(m.SessionID)
 	return w.b
 }
-
-// Encode marshals the message payload.
-func (m *AuthOK) Encode() []byte { return m.Append(nil) }
 
 // DecodeAuthOK unmarshals a MsgAuthOK payload.
 func DecodeAuthOK(b []byte) (*AuthOK, error) {
@@ -341,9 +320,6 @@ func (m *RowDesc) Append(dst []byte) []byte {
 	return w.b
 }
 
-// Encode marshals the message payload.
-func (m *RowDesc) Encode() []byte { return m.Append(nil) }
-
 // DecodeRowDesc unmarshals a MsgRowDesc payload.
 func DecodeRowDesc(b []byte) (*RowDesc, error) {
 	r := rbuf{b: b}
@@ -368,9 +344,6 @@ func (m *DataRow) Append(dst []byte) []byte {
 	return w.b
 }
 
-// Encode marshals the message payload.
-func (m *DataRow) Encode() []byte { return m.Append(nil) }
-
 // DecodeDataRow unmarshals a MsgDataRow payload.
 func DecodeDataRow(b []byte) (*DataRow, error) {
 	r := rbuf{b: b}
@@ -391,9 +364,6 @@ func (m *Complete) Append(dst []byte) []byte {
 	w.u64(uint64(m.RowsAffected))
 	return w.b
 }
-
-// Encode marshals the message payload.
-func (m *Complete) Encode() []byte { return m.Append(nil) }
 
 // DecodeComplete unmarshals a MsgComplete payload.
 func DecodeComplete(b []byte) (*Complete, error) {
@@ -443,9 +413,6 @@ func (m *ErrorMsg) Append(dst []byte) []byte {
 	return w.b
 }
 
-// Encode marshals the message payload.
-func (m *ErrorMsg) Encode() []byte { return m.Append(nil) }
-
 // DecodeErrorMsg unmarshals a MsgError payload.
 func DecodeErrorMsg(b []byte) (*ErrorMsg, error) {
 	r := rbuf{b: b}
@@ -462,9 +429,6 @@ func (m *Ready) Append(dst []byte) []byte {
 	w.u8(m.Status)
 	return w.b
 }
-
-// Encode marshals the message payload.
-func (m *Ready) Encode() []byte { return m.Append(nil) }
 
 // DecodeReady unmarshals a MsgReady payload.
 func DecodeReady(b []byte) (*Ready, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -12,12 +13,21 @@ import (
 	"repro/internal/types"
 )
 
+// writeFrame writes one frame of payload with one Write.
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
+	b, err := AppendFrame(nil, typ, func(dst []byte) []byte { return append(dst, payload...) })
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {0x01}, bytes.Repeat([]byte{0xAB}, 1<<16)}
 	for _, p := range payloads {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, MsgQuery, p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
+		if err := writeFrame(&buf, MsgQuery, p); err != nil {
+			t.Fatalf("writeFrame: %v", err)
 		}
 		typ, got, err := ReadFrame(&buf)
 		if err != nil {
@@ -36,7 +46,7 @@ func TestFrameTooLarge(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader(hdr)); err != ErrFrameTooLarge {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
 	}
-	if err := WriteFrame(&bytes.Buffer{}, MsgQuery, make([]byte, MaxFrameLen+1)); err != ErrFrameTooLarge {
+	if err := writeFrame(&bytes.Buffer{}, MsgQuery, make([]byte, MaxFrameLen+1)); err != ErrFrameTooLarge {
 		t.Fatalf("oversized write: got %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -106,35 +116,35 @@ func TestMessageRoundTrips(t *testing.T) {
 		}
 	}
 	st := &Startup{Version: ProtocolVersion, Role: "analyst"}
-	check("startup", st.Encode(), func(b []byte) (any, error) { return DecodeStartup(b) }, st)
+	check("startup", st.Append(nil), func(b []byte) (any, error) { return DecodeStartup(b) }, st)
 	q := &Query{SQL: "SELECT $1", Params: row}
-	check("query", q.Encode(), func(b []byte) (any, error) { return DecodeQuery(b) }, q)
+	check("query", q.Append(nil), func(b []byte) (any, error) { return DecodeQuery(b) }, q)
 	qe := &Query{SQL: "SELECT 1"}
-	check("query-noparams", qe.Encode(), func(b []byte) (any, error) { return DecodeQuery(b) }, qe)
+	check("query-noparams", qe.Append(nil), func(b []byte) (any, error) { return DecodeQuery(b) }, qe)
 	ao := &AuthOK{SessionID: 42}
-	check("authok", ao.Encode(), func(b []byte) (any, error) { return DecodeAuthOK(b) }, ao)
+	check("authok", ao.Append(nil), func(b []byte) (any, error) { return DecodeAuthOK(b) }, ao)
 	rd := &RowDesc{Cols: []ColDesc{{Name: "a", Kind: types.KindInt}, {Name: "b", Kind: types.KindText}}}
-	check("rowdesc", rd.Encode(), func(b []byte) (any, error) { return DecodeRowDesc(b) }, rd)
+	check("rowdesc", rd.Append(nil), func(b []byte) (any, error) { return DecodeRowDesc(b) }, rd)
 	dr := &DataRow{Row: row}
-	check("datarow", dr.Encode(), func(b []byte) (any, error) { return DecodeDataRow(b) }, dr)
+	check("datarow", dr.Append(nil), func(b []byte) (any, error) { return DecodeDataRow(b) }, dr)
 	cm := &Complete{Tag: "INSERT", RowsAffected: 3}
-	check("complete", cm.Encode(), func(b []byte) (any, error) { return DecodeComplete(b) }, cm)
+	check("complete", cm.Append(nil), func(b []byte) (any, error) { return DecodeComplete(b) }, cm)
 	em := &ErrorMsg{Message: "boom"}
-	check("error", em.Encode(), func(b []byte) (any, error) { return DecodeErrorMsg(b) }, em)
+	check("error", em.Append(nil), func(b []byte) (any, error) { return DecodeErrorMsg(b) }, em)
 	ry := &Ready{Status: 'I'}
-	check("ready", ry.Encode(), func(b []byte) (any, error) { return DecodeReady(b) }, ry)
+	check("ready", ry.Append(nil), func(b []byte) (any, error) { return DecodeReady(b) }, ry)
 }
 
 // decodeAny runs every message decoder over b; none may panic, and the
 // fuzzer additionally checks re-encode fidelity for the ones that succeed.
 func decodeAny(t testing.TB, b []byte) {
 	if m, err := DecodeStartup(b); err == nil {
-		if !bytes.Equal(m.Encode(), b) {
+		if !bytes.Equal(m.Append(nil), b) {
 			t.Fatalf("startup re-encode differs for %x", b)
 		}
 	}
 	if m, err := DecodeQuery(b); err == nil {
-		if got, err2 := DecodeQuery(m.Encode()); err2 != nil || got.SQL != m.SQL {
+		if got, err2 := DecodeQuery(m.Append(nil)); err2 != nil || got.SQL != m.SQL {
 			t.Fatalf("query re-encode unstable for %x", b)
 		}
 	}
@@ -148,7 +158,7 @@ func decodeAny(t testing.TB, b []byte) {
 
 func TestTruncatedAndCorruptPayloads(t *testing.T) {
 	row := types.Row{types.NewInt(7), types.NewText("hello"), types.NewFloat(1.5)}
-	full := (&Query{SQL: "SELECT a FROM t WHERE b = $1", Params: row}).Encode()
+	full := (&Query{SQL: "SELECT a FROM t WHERE b = $1", Params: row}).Append(nil)
 	// Every strict prefix must decode to an error, never a panic.
 	for i := 0; i < len(full); i++ {
 		if _, err := DecodeQuery(full[:i]); err == nil {
@@ -172,14 +182,14 @@ func TestTruncatedAndCorruptPayloads(t *testing.T) {
 
 func FuzzFrameCodec(f *testing.F) {
 	row := types.Row{types.NewInt(-3), types.NewText("x'y"), types.NewFloat(2.5), types.NewBool(true), types.NewDate(19000), types.Null}
-	f.Add((&Startup{Version: ProtocolVersion, Role: "admin"}).Encode())
-	f.Add((&Query{SQL: "SELECT * FROM t WHERE a = $1", Params: row}).Encode())
-	f.Add((&AuthOK{SessionID: 7}).Encode())
-	f.Add((&Ready{Status: 'T'}).Encode())
-	f.Add((&RowDesc{Cols: []ColDesc{{Name: "a", Kind: types.KindInt}}}).Encode())
-	f.Add((&DataRow{Row: row}).Encode())
-	f.Add((&Complete{Tag: "SELECT", RowsAffected: 10}).Encode())
-	f.Add((&ErrorMsg{Message: "relation does not exist"}).Encode())
+	f.Add((&Startup{Version: ProtocolVersion, Role: "admin"}).Append(nil))
+	f.Add((&Query{SQL: "SELECT * FROM t WHERE a = $1", Params: row}).Append(nil))
+	f.Add((&AuthOK{SessionID: 7}).Append(nil))
+	f.Add((&Ready{Status: 'T'}).Append(nil))
+	f.Add((&RowDesc{Cols: []ColDesc{{Name: "a", Kind: types.KindInt}}}).Append(nil))
+	f.Add((&DataRow{Row: row}).Append(nil))
+	f.Add((&Complete{Tag: "SELECT", RowsAffected: 10}).Append(nil))
+	f.Add((&ErrorMsg{Message: "relation does not exist"}).Append(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -199,8 +209,8 @@ func FuzzFrameCodec(f *testing.F) {
 		// And a frame we write must read back identically.
 		var buf bytes.Buffer
 		if len(b) <= MaxFrameLen {
-			if err := WriteFrame(&buf, MsgQuery, b); err != nil {
-				t.Fatalf("WriteFrame: %v", err)
+			if err := writeFrame(&buf, MsgQuery, b); err != nil {
+				t.Fatalf("writeFrame: %v", err)
 			}
 			typ, got, err := ReadFrame(&buf)
 			if err != nil || typ != MsgQuery || !bytes.Equal(got, b) {
@@ -214,7 +224,7 @@ func FuzzFrameCodec(f *testing.F) {
 // big-endian u32) so a codec refactor cannot silently change the wire.
 func TestReadFrameHeaderBounds(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgQuery, []byte("abc")); err != nil {
+	if err := writeFrame(&buf, MsgQuery, []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

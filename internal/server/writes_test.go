@@ -128,7 +128,7 @@ func TestOneWritePerResponse(t *testing.T) {
 	for i := range rows {
 		mustExecNet(t, c, "INSERT INTO big VALUES ($1, $2)", types.NewInt(int64(i)), types.NewText(text))
 	}
-	frame := 5 + len((&server.DataRow{Row: types.Row{types.NewInt(rows), types.NewText(text)}}).Encode())
+	frame := 5 + len((&server.DataRow{Row: types.Row{types.NewInt(rows), types.NewText(text)}}).Append(nil))
 	if rows*frame < 2*server.FlushThreshold {
 		t.Fatalf("result of %d bytes does not pass the flush threshold twice", rows*frame)
 	}
