@@ -65,7 +65,6 @@ func (c *Cluster) analyzeTable(ctx context.Context, lt *LiveTxn, snap *dtm.DistS
 		if err != nil {
 			return err
 		}
-		lt.touched[i] = true
 		acc := s.newAccess(lt.ownerOn(s), lt.dxid, snap)
 		// Not idempotent: a retried scan would offer its rows to the
 		// reservoir twice, so only a fault before the send is retried.

@@ -845,7 +845,6 @@ func (c *Cluster) ApplyTruncate(ctx context.Context, t *LiveTxn, name string) er
 		if err := s.LockRelation(ctx, t, tab, lockmgr.AccessExclusive); err != nil {
 			return err
 		}
-		t.touched[i] = true
 		s.TruncateTable(tab)
 	}
 	c.invalidateStats(tab.Name)
@@ -875,7 +874,6 @@ func (c *Cluster) ApplyCreateIndex(ctx context.Context, t *LiveTxn, table string
 		if err := c.seg(i).LockRelation(ctx, t, tab, lockmgr.Share); err != nil {
 			return err
 		}
-		t.touched[i] = true
 	}
 	c.ddlMu.Lock()
 	defer c.ddlMu.Unlock()

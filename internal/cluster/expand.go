@@ -386,7 +386,6 @@ func (c *Cluster) fenceTable(ctx context.Context, tab *catalog.Table, upto int) 
 			c.AbortTxn(lt)
 			return nil, err
 		}
-		lt.touched[i] = true
 	}
 	return lt, nil
 }
@@ -589,7 +588,6 @@ func (c *Cluster) moveHash(ctx context.Context, run *expandRun, slot *resgroup.S
 			c.finishFence(ltF)
 			return serr
 		}
-		ltR.touched[i] = true
 		m.lastLSN[i] = s.log.LastLSN()
 		accs[i] = s.newAccess(ltR.ownerOn(s), ltR.dxid, snap)
 	}

@@ -343,7 +343,6 @@ func (c *Cluster) runOnce(ctx context.Context, t *LiveTxn, snap *dtm.DistSnapsho
 				return nil, 0, err
 			}
 			d.on(i).read = d.access(s)
-			t.touched[i] = true
 			if pl.ForUpdate {
 				if _, err := d.on(i).read.begin(); err != nil {
 					return nil, 0, err
@@ -832,7 +831,6 @@ func (c *Cluster) LockTableEverywhere(ctx context.Context, t *LiveTxn, table str
 		if err := s.LockRelation(ctx, t, tab, mode); err != nil {
 			return err
 		}
-		t.touched[i] = true
 	}
 	return nil
 }

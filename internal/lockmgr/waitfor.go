@@ -6,8 +6,8 @@ import (
 )
 
 // Edge is one arc of the local wait-for graph: Waiter is blocked by Holder.
-// Solid edges come from locks released only at transaction end (relation,
-// transaction and object locks, and a tuple lock taken with AcquireToEnd);
+// Solid edges come from locks released only at transaction end (relation
+// and transaction locks, and a tuple lock taken with AcquireToEnd);
 // dotted edges come from the other tuple locks, which the holder can release
 // mid-transaction (paper §4.3).
 type Edge struct {
